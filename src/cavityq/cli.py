@@ -254,10 +254,10 @@ def _grape_model(doc: dict):
     raise ParseError(f"grape model: unknown kind {kind!r}")
 
 
-def _grape_target(doc: dict, dim: int) -> fock.Operator:
+def _grape_target(doc: dict, shape: fock.HilbertShape) -> fock.Operator:
     spec = _field(doc, "target", dict, "grape config")
     kind = _field(spec, "kind", str, "grape target")
-    shape = fock.HilbertShape((dim,))
+    dim = shape.total_dim
     if kind == "identity":
         return fock.Operator(shape, np.eye(dim, dtype=complex))
     if kind == "pauli_x":
@@ -288,8 +288,7 @@ def cmd_grape(args) -> int:
     text = _read_text(args.config_file)
     doc = _load_object(text, "grape config")
     model = _grape_model(doc)
-    dim = model.shape.total_dim
-    target = _grape_target(doc, dim)
+    target = _grape_target(doc, model.shape)
     n_segments = _field(doc, "n_segments", int, "grape config")
     dt_s = _field(doc, "dt_s", float, "grape config")
     iterations = _field(doc, "iterations", int, "grape config", 500)

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .codes import parity
 from .errors import StepSizeError, UsageError
-from .fock import HilbertShape, Operator, StateVector, annihilation, number_operator, shape_of
+from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
 _FIRST_ORDER_TOL = 1e-6

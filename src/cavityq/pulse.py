@@ -49,6 +49,9 @@ _SNAP_SEGMENT_DENSITY = 900.0
 _SNAP_MIN_SEGMENTS = 1500
 # Gaussian envelope width as a fraction of each half-pulse
 _SNAP_SIGMA_DIVISOR = 6.0
+# matrix entries per chunk of stacked segment blocks: 1 MiB of complex128,
+# which is 2048 segments of the N = 8 dispersive photon-number sectors
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _finite_complex_array(values, what: str) -> np.ndarray:
@@ -249,33 +252,132 @@ def dispersive_model_from_device(params: DeviceParams, n_levels: int,
     return dispersive_model(dispersive_shift(params), n_levels, cavity_drive)
 
 
-def _segment_hamiltonian(model: ControlModel, amps: np.ndarray) -> np.ndarray:
-    """H for one segment; amps is the per-stream complex amplitude column."""
-    h = np.array(model.drift.matrix, copy=True)
-    for s in range(model.n_streams):
-        u = amps[s]
-        h += 2 * np.pi * u.real * model.controls[2 * s].matrix
-        h += 2 * np.pi * u.imag * model.controls[2 * s + 1].matrix
-    return h
+def _control_coefficients(amps: np.ndarray) -> np.ndarray:
+    """(2S, M) real control coefficients 2*pi*Re(u_s), 2*pi*Im(u_s), in the
+    order of model.controls, for (S, M) complex amplitudes in Hz."""
+    quads = np.stack([amps.real, amps.imag], axis=1)
+    return 2 * np.pi * quads.reshape(-1, amps.shape[1])
 
 
-def _expm_unitary(h: np.ndarray, dt: float):
-    """exp(-i h dt) via the eigenbasis; returns (U, eigvals, eigvecs)."""
-    lam, vecs = np.linalg.eigh(h)
-    u = (vecs * np.exp(-1j * lam * dt)) @ vecs.conj().T
-    return u, lam, vecs
+def _blocks(model: ControlModel) -> list[np.ndarray]:
+    """Invariant subspaces shared by every segment Hamiltonian: the connected
+    components of the joint sparsity pattern of the drift and all controls,
+    as sorted index arrays ordered by their first index."""
+    coupled = model.drift.matrix != 0
+    for op in model.controls:
+        coupled |= op.matrix != 0
+    unassigned = np.ones(len(coupled), dtype=bool)
+    blocks = []
+    while unassigned.any():
+        members = np.zeros_like(unassigned)
+        frontier = np.zeros_like(unassigned)
+        frontier[np.argmax(unassigned)] = True
+        while frontier.any():
+            members |= frontier
+            frontier = coupled[frontier].any(axis=0) & ~members
+        unassigned &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
+
+
+def _eig_unitaries(lam: np.ndarray, vecs: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) for a stack of Hermitian h given their eigh output."""
+    return ((vecs * np.exp(-1j * lam * dt)[..., None, :])
+            @ vecs.conj().swapaxes(-1, -2))
+
+
+def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) for a stack (..., b, b) of Hermitian matrices.
+
+    2x2 matrices h = c*I + B (B traceless, eigenvalues +-|b|) use the closed
+    form e^{-icdt} (cos(|b|dt) I - i dt sinc(|b|dt) B); larger ones one
+    batched eigh. Like eigh, both read only the lower triangle.
+    """
+    if h.shape[-1] != 2:
+        return _eig_unitaries(*np.linalg.eigh(h), dt)
+    h00, h11, h10 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
+    bz = (h00 - h11) / 2
+    theta = np.sqrt(bz**2 + np.abs(h10) ** 2) * dt
+    phase = np.exp(-0.5j * (h00 + h11) * dt)
+    cos = phase * np.cos(theta)
+    sin = -1j * dt * phase * np.sinc(theta / np.pi)  # sinc(x) = sin(pi x)/(pi x)
+    u = np.empty_like(h)
+    u[..., 0, 0] = cos + sin * bz
+    u[..., 1, 1] = cos - sin * bz
+    u[..., 0, 1] = sin * h10.conj()
+    u[..., 1, 0] = sin * h10
+    return u
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of matrices; 2x2 products are written out, because
+    numpy's matmul runs them several times slower."""
+    if a.shape[-1] != 2:
+        return a @ b
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _ordered_product(u: np.ndarray) -> np.ndarray:
+    """u[M-1] @ ... @ u[0] over the leading axis, by pairwise reduction."""
+    while len(u) > 1:
+        even = len(u) - len(u) % 2
+        pairs = _matmul(u[1:even:2], u[0:even:2])
+        u = np.concatenate([pairs, u[even:]]) if even < len(u) else pairs
+    return u[0]
+
+
+def _propagator(model: ControlModel, amps: np.ndarray, dt: float) -> np.ndarray:
+    """Full (d, d) propagator U_{M-1}...U_0 for (S, M) amplitudes in Hz.
+
+    Each invariant block of _blocks is exponentiated on its own, with blocks
+    of one size stacked together. Segments go in chunks of at most
+    _CHUNK_ENTRIES matrix entries per size group, each chunk reduced pairwise
+    and the chunks multiplied in order, so the temporaries stay near 1 MiB
+    however long the schedule is.
+    """
+    coeffs = _control_coefficients(amps)
+    controls = np.stack([op.matrix for op in model.controls])
+    by_size: dict[int, list[np.ndarray]] = {}
+    for block in _blocks(model):
+        by_size.setdefault(len(block), []).append(block)
+    d = model.shape.total_dim
+    prop = np.zeros((d, d), dtype=complex)
+    for group in by_size.values():
+        idx = np.stack(group)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        drift, ctrl = model.drift.matrix[rows, cols], controls[:, rows, cols]
+        step = max(1, _CHUNK_ENTRIES // drift.size)
+        total = None
+        for start in range(0, coeffs.shape[1], step):
+            h = drift + np.einsum("km,kbij->mbij",
+                                  coeffs[:, start:start + step], ctrl)
+            u = _ordered_product(_expm_hermitian(h, dt))
+            total = u if total is None else _matmul(u, total)
+        prop[rows, cols] = total
+    return prop
 
 
 def _phi_matrix(exponents: np.ndarray) -> np.ndarray:
     """Divided differences of exp at the exponent eigenvalues: the Hadamard
-    kernel of the Frechet derivative of expm in the eigenbasis."""
+    kernel of the Frechet derivative of expm in the eigenbasis. Batched over
+    leading axes: (..., d) exponents give (..., d, d); symmetric in the last
+    two axes."""
     m = exponents
     em = np.exp(m)
-    dm = m[:, None] - m[None, :]
+    dm = m[..., :, None] - m[..., None, :]
     small = np.abs(dm) < 1e-12
-    num = em[:, None] - em[None, :]
-    return np.where(small, (em[:, None] + em[None, :]) / 2,
+    num = em[..., :, None] - em[..., None, :]
+    return np.where(small, (em[..., :, None] + em[..., None, :]) / 2,
                     num / np.where(small, 1.0, dm))
+
+
+def _frechet_adjoint(vecs: np.ndarray, phi: np.ndarray,
+                     adj: np.ndarray) -> np.ndarray:
+    """S with Tr(adj dU) = Tr(E S) for every exponent direction E, where
+    dU = V ((V^dag E V) o phi) V^dag is the eigenbasis Frechet derivative of
+    exp and phi = _phi_matrix(...) is symmetric. Batched over leading axes."""
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    return vecs @ ((vecs_h @ adj @ vecs) * phi) @ vecs_h
 
 
 def _check_schedule_pairing(model: ControlModel, schedule: PulseSchedule) -> None:
@@ -300,23 +402,12 @@ def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
         raise UsageError("need psi0, return_propagator=True, or both")
     if psi0 is not None and psi0.shape != model.shape:
         raise ShapeError("psi0 shape does not match model shape")
-    amps = np.stack(schedule.streams)  # (S, M)
-    dt = schedule.dt_s
-    d = model.shape.total_dim
-    prop = np.eye(d, dtype=complex) if return_propagator else None
-    psi = None if psi0 is None else np.array(psi0.amplitudes, copy=True)
-    for j in range(schedule.n_segments):
-        h = _segment_hamiltonian(model, amps[:, j])
-        lam, vecs = np.linalg.eigh(h)
-        phases = np.exp(-1j * lam * dt)
-        if psi is not None:
-            psi = vecs @ (phases * (vecs.conj().T @ psi))
-        if prop is not None:
-            prop = vecs @ ((phases[:, None]) * (vecs.conj().T @ prop))
+    prop = _propagator(model, np.stack(schedule.streams), schedule.dt_s)
     out_state = None
-    if psi is not None:
-        out_state = StateVector(model.shape, psi, psi0.leakage)
-    if prop is not None:
+    if psi0 is not None:
+        out_state = StateVector(model.shape, prop @ psi0.amplitudes,
+                                psi0.leakage)
+    if return_propagator:
         op = Operator(model.shape, prop)
         return (out_state, op) if out_state is not None else op
     return out_state
@@ -429,26 +520,23 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
     Returns (j_total, j_raw, grad) with grad (S, M) complex combining
     dJ/dRe + i dJ/dIm in 1/Hz, or None when not requested.
     """
-    n_streams, n_seg = amps.shape
     d = model.shape.total_dim
     unitary_target = isinstance(target, Operator)
-    props = []
-    for jseg in range(n_seg):
-        h = _segment_hamiltonian(model, amps[:, jseg])
-        u, lam, vecs = _expm_unitary(h, dt)
-        props.append((u, lam, vecs))
+    controls = np.stack([op.matrix for op in model.controls])
+    h = model.drift.matrix + np.einsum("km,kij->mij",
+                                       _control_coefficients(amps), controls)
+    lam, vecs = np.linalg.eigh(h)
+    props = _eig_unitaries(lam, vecs, dt)
 
+    fwd = [np.eye(d, dtype=complex) if unitary_target
+           else np.array(psi0_vec, copy=True)]
+    for u in props:
+        fwd.append(u @ fwd[-1])
     if unitary_target:
-        fwd = [np.eye(d, dtype=complex)]
-        for u, _, _ in props:
-            fwd.append(u @ fwd[-1])
         c = np.trace(target.matrix.conj().T @ fwd[-1]) / d
         j_raw = abs(c) ** 2
         j_total = j_raw
     else:
-        fwd = [np.array(psi0_vec, copy=True)]
-        for u, _, _ in props:
-            fwd.append(u @ fwd[-1])
         psi_f = fwd[-1]
         c = np.vdot(target, psi_f)
         j_raw = abs(c) ** 2
@@ -460,25 +548,13 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
     if not want_grad:
         return j_total, j_raw, None
 
-    grad = np.zeros((n_streams, n_seg), dtype=complex)
-    dirs = [(-1j * dt * 2 * np.pi) * op.matrix for op in model.controls]
+    # adj[j] is chosen so that dJ = 2 Re Tr(adj[j] dU_j) for a change dU_j
+    # of segment j alone
     if unitary_target:
-        back = [np.eye(d, dtype=complex)]
-        for u, _, _ in reversed(props):
+        back = [target.matrix.conj().T * (np.conj(c) / d)]
+        for u in props[:0:-1]:
             back.append(back[-1] @ u)
-        back = back[::-1]  # back[j] = U_{M-1} ... U_j;  back[M] = I
-        vh = target.matrix.conj().T
-        for jseg in range(n_seg):
-            _, lam, vecs = props[jseg]
-            phi = _phi_matrix(-1j * lam * dt)
-            pre = vh @ back[jseg + 1]
-            for k, e_dir in enumerate(dirs):
-                inner = vecs.conj().T @ e_dir @ vecs
-                du = vecs @ (inner * phi) @ vecs.conj().T
-                dc = np.trace(pre @ du @ fwd[jseg]) / d
-                val = 2 * (np.conj(c) * dc).real
-                s, quad = divmod(k, 2)
-                grad[s, jseg] += val if quad == 0 else 1j * val
+        adj = np.stack(fwd[:-1]) @ np.stack(back[::-1])
     else:
         # adjoint seed covers both the overlap term and the leakage penalty
         seed = c * np.asarray(target)
@@ -486,23 +562,29 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
             seed = seed.copy()
             for gidx in guard_indices:
                 seed[gidx] -= leak_weight * psi_f[gidx]
-        chi_vec = seed
-        for jseg in range(n_seg - 1, -1, -1):
-            u, lam, vecs = props[jseg]
-            phi = _phi_matrix(-1j * lam * dt)
-            for k, e_dir in enumerate(dirs):
-                inner = vecs.conj().T @ e_dir @ vecs
-                du = vecs @ (inner * phi) @ vecs.conj().T
-                dc = np.vdot(chi_vec, du @ fwd[jseg])
-                val = 2 * dc.real
-                s, quad = divmod(k, 2)
-                grad[s, jseg] += val if quad == 0 else 1j * val
-            chi_vec = u.conj().T @ chi_vec
+        back = [seed]
+        for u in props[:0:-1]:
+            back.append(u.conj().T @ back[-1])
+        adj = (np.stack(fwd[:-1])[:, :, None]
+               * np.stack(back[::-1]).conj()[:, None, :])
+    # control k moves segment j's exponent along -2*pi*i*dt*C_k, so
+    # dJ = 2 Re Tr(-2*pi*i*dt*C_k S_j) = 4*pi*dt Im Tr(C_k S_j)
+    s = _frechet_adjoint(vecs, _phi_matrix(-1j * lam * dt), adj)
+    val = 4 * np.pi * dt * np.einsum("kij,mji->km", controls, s).imag
+    grad = val[0::2] + 1j * val[1::2]
     return j_total, j_raw, grad
 
 
-def _resolve_state_target(model: ControlModel, target: StateVector,
-                          psi0: StateVector | None):
+def _resolve_target(model: ControlModel, target, psi0: StateVector | None):
+    """Check a GRAPE target against the model: returns (target, None) for an
+    Operator, (target amplitudes, psi0 amplitudes) for a StateVector, with
+    psi0 defaulting to the ground state."""
+    if isinstance(target, Operator):
+        if target.shape != model.shape:
+            raise ShapeError("target shape does not match model shape")
+        return target, None
+    if not isinstance(target, StateVector):
+        raise UsageError("target must be an Operator or a StateVector")
     if target.shape != model.shape:
         raise ShapeError("target shape does not match model shape")
     if psi0 is None:
@@ -524,15 +606,7 @@ def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
     the guard-leakage penalty for a StateVector target.
     """
     _check_schedule_pairing(model, schedule)
-    if isinstance(target, Operator):
-        if target.shape != model.shape:
-            raise ShapeError("target shape does not match model shape")
-        tgt, psi0_vec = target, None
-    elif isinstance(target, StateVector):
-        tvec, psi0_vec = _resolve_state_target(model, target, psi0)
-        tgt = tvec
-    else:
-        raise UsageError("target must be an Operator or a StateVector")
+    tgt, psi0_vec = _resolve_target(model, target, psi0)
     amps = np.stack(schedule.streams)
     j_total, _, grad = _grape_pass(
         model, amps, schedule.dt_s, tgt, psi0_vec,
@@ -558,15 +632,7 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     (scale 1/(8 * duration)) to break symmetry. Deterministic throughout.
     """
     _check_schedule_pairing(model, schedule0)
-    if isinstance(target, Operator):
-        if target.shape != model.shape:
-            raise ShapeError("target shape does not match model shape")
-        tgt, psi0_vec = target, None
-    elif isinstance(target, StateVector):
-        tvec, psi0_vec = _resolve_state_target(model, target, psi0)
-        tgt = tvec
-    else:
-        raise UsageError("target must be an Operator or a StateVector")
+    tgt, psi0_vec = _resolve_target(model, target, psi0)
     guard = tuple(int(i) for i in guard_indices)
     if guard and isinstance(tgt, Operator):
         raise UsageError("guard-leakage penalty applies to state targets only")
@@ -782,36 +848,26 @@ class SequencePrepResult:
                            tuple(complex(a) for a in self.alphas))
 
 
-def _displacement_generator_eig(alpha: complex, a: np.ndarray,
-                                adag: np.ndarray):
-    g_herm = 1j * (alpha * adag - np.conj(alpha) * a)
-    lam, vecs = np.linalg.eigh(g_herm)
-    return lam, vecs
-
-
 def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
                    a: np.ndarray, adag: np.ndarray, guard: tuple[int, ...],
                    leak_weight: float, want_grad: bool):
     """Forward (+ adjoint) pass over the displacement/SNAP alternation."""
     blocks = thetas.shape[0]
     n = len(target)
-    dir_x = adag - a
-    dir_y = 1j * (adag + a)
+    # D(alpha) = exp(-i G), G = i (alpha a^dag - conj(alpha) a) Hermitian
+    gens = 1j * (alphas[:, None, None] * adag - np.conj(alphas)[:, None, None] * a)
+    lam, vecs = np.linalg.eigh(gens)
+    disps = _eig_unitaries(lam, vecs, 1.0)
+    snaps = np.exp(1j * thetas)
     psi = np.zeros(n, dtype=complex)
     psi[0] = 1.0
-    gates = []          # ("D", lam, vecs) | ("S", diag)
-    states = [psi]
+    pre = []            # state entering each displacement
     for k in range(blocks + 1):
-        lam, vecs = _displacement_generator_eig(alphas[k], a, adag)
-        psi = vecs @ (np.exp(-1j * lam) * (vecs.conj().T @ psi))
-        gates.append(("D", lam, vecs))
-        states.append(psi)
+        pre.append(psi)
+        psi = disps[k] @ psi
         if k < blocks:
-            diag = np.exp(1j * thetas[k])
-            psi = diag * psi
-            gates.append(("S", diag, None))
-            states.append(psi)
-    psi_f = states[-1]
+            psi = snaps[k] * psi
+    psi_f = psi
     c = np.vdot(target, psi_f)
     j_raw = abs(c) ** 2
     leak = 0.0
@@ -826,33 +882,21 @@ def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
         seed = seed.copy()
         for gidx in guard:
             seed[gidx] -= leak_weight * psi_f[gidx]
-    g_alpha = np.zeros(blocks + 1, dtype=complex)
     g_theta = np.zeros_like(thetas)
+    post = [None] * (blocks + 1)    # adjoint leaving each displacement
     chi_vec = seed
-    di = blocks
-    si = blocks - 1
-    for k in range(len(gates) - 1, -1, -1):
-        kind, first, second = gates[k]
-        pre = states[k]
-        if kind == "D":
-            lam, vecs = first, second
-            phi = _phi_matrix(-1j * lam)
-            pre_eig = vecs.conj().T @ pre
-            chi_eig = vecs.conj().T @ chi_vec
-            for quad, e_dir in enumerate((dir_x, dir_y)):
-                inner = vecs.conj().T @ e_dir @ vecs
-                dpsi = vecs @ ((inner * phi) @ pre_eig)
-                val = 2 * np.vdot(chi_vec, dpsi).real
-                g_alpha[di] += val if quad == 0 else 1j * val
-            chi_vec = vecs @ (np.exp(1j * lam) * chi_eig)
-            di -= 1
-        else:
-            diag = first
-            post = states[k + 1]
-            g_theta[si] = 2 * (1j * np.conj(chi_vec) * post).real
-            chi_vec = np.conj(diag) * chi_vec
-            si -= 1
-    return j_total, j_raw, g_alpha, g_theta
+    for k in range(blocks, -1, -1):
+        if k < blocks:
+            g_theta[k] = 2 * (1j * np.conj(chi_vec) * pre[k + 1]).real
+            chi_vec = np.conj(snaps[k]) * chi_vec
+        post[k] = chi_vec
+        chi_vec = disps[k].conj().T @ chi_vec
+    adj = np.stack(pre)[:, :, None] * np.stack(post).conj()[:, None, :]
+    s = _frechet_adjoint(vecs, _phi_matrix(-1j * lam), adj)
+    # exponent directions d/dRe(alpha) = a^dag - a, d/dIm(alpha) = i(a^dag + a)
+    dirs = np.stack([adag - a, 1j * (adag + a)])
+    val = 2 * np.einsum("qij,kji->qk", dirs, s).real
+    return j_total, j_raw, val[0] + 1j * val[1], g_theta
 
 
 def optimize_snap_displacement_sequence(

@@ -247,6 +247,58 @@ class TestGrape:
         )
         assert run_cli(tmp_path, "grape", cfg) == 2
 
+    DISPERSIVE = {"kind": "dispersive", "chi_hz": 1e6, "n_levels": 3}
+
+    def test_dispersive_identity_converges_at_iteration_zero(self, tmp_path,
+                                                             capsys):
+        cfg = write_json(
+            tmp_path / "grape.json",
+            {
+                "model": self.DISPERSIVE,
+                "target": {"kind": "identity"},
+                "n_segments": 10,
+                "dt_s": 1e-7,
+            },
+        )
+        assert run_cli(tmp_path, "grape", cfg) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["converged"] is True
+        assert out["iterations"] == 0
+        assert out["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_dispersive_snap_target(self, tmp_path, capsys):
+        # one phase per basis state of the (2, 3) qubit-cavity space
+        theta = [0.0, 0.7, -1.1, 0.0, 0.7, -1.1]
+        cfg = write_json(
+            tmp_path / "grape.json",
+            {
+                "model": self.DISPERSIVE,
+                "target": {"kind": "snap", "theta": theta},
+                "n_segments": 20,
+                "dt_s": 5e-8,
+                "iterations": 15,
+            },
+        )
+        assert run_cli(tmp_path, "grape", cfg) == 0
+        out = json.loads(capsys.readouterr().out)
+        _, header, rows = read_csv(tmp_path / "grape_trace.csv")
+        infid = [float(r[1]) for r in rows]
+        assert infid == sorted(infid, reverse=True)
+        assert infid[-1] == pytest.approx(out["infidelity"], rel=1e-10)
+        assert out["infidelity"] < infid[0]
+
+    def test_dispersive_snap_wrong_phase_count_exit_2(self, tmp_path):
+        cfg = write_json(
+            tmp_path / "grape.json",
+            {
+                "model": self.DISPERSIVE,
+                "target": {"kind": "snap", "theta": [0.0, 0.7, -1.1]},
+                "n_segments": 10,
+                "dt_s": 1e-7,
+            },
+        )
+        assert run_cli(tmp_path, "grape", cfg) == 2
+
 
 class TestCode:
     def test_parity_flips_at_first_jump(self, tmp_path, capsys):

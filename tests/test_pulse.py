@@ -1,9 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from cavityq import pulse
 from cavityq.errors import (
     BandwidthError,
     NumericError,
@@ -11,7 +14,14 @@ from cavityq.errors import (
     ShapeError,
     UsageError,
 )
-from cavityq.fock import Operator, StateVector, basis_state, fidelity, shape_of
+from cavityq.fock import (
+    Operator,
+    StateVector,
+    annihilation,
+    basis_state,
+    fidelity,
+    shape_of,
+)
 from cavityq.gates import Circuit, GateSpec, apply_circuit
 from cavityq.pulse import (
     ControlModel,
@@ -187,6 +197,80 @@ class TestSimulateSchedule:
     def test_psi0_or_propagator_required(self):
         with pytest.raises(UsageError):
             simulate_schedule(qubit_model(), constant_schedule(0.0, 3, 1e-9))
+
+
+def _random_model(kind, rng):
+    """(model, expected invariant blocks) for one family of control models."""
+    if kind == "qubit":
+        return qubit_model(rng.uniform(-1e6, 1e6)), [[0, 1]]
+    if kind in ("dispersive", "cavity_drive"):
+        n = int(rng.integers(2, 6))
+        model = dispersive_model(rng.uniform(0.5e6, 2e6), n,
+                                 cavity_drive=kind == "cavity_drive")
+        if kind == "cavity_drive":
+            return model, [list(range(2 * n))]
+        return model, [[k, n + k] for k in range(n)]
+    d = int(rng.integers(2, 9))
+    # block_sparse plants a random, interleaved partition of the indices
+    labels = (np.zeros(d, dtype=int) if kind == "dense"
+              else rng.integers(0, d, d))
+    mask = labels[:, None] == labels[None, :]
+
+    def herm(scale):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return Operator(shape_of(d), scale * mask * (m + m.conj().T) / 2)
+
+    n_streams = int(rng.integers(1, 3))
+    model = ControlModel(shape_of(d), herm(1e6),
+                         tuple(herm(1.0) for _ in range(2 * n_streams)))
+    blocks = sorted(np.flatnonzero(labels == lab).tolist()
+                    for lab in np.unique(labels))
+    return model, blocks
+
+
+def _expm_product(model, amps, dt):
+    """Reference propagator: ordered product of per-segment scipy expm."""
+    h = np.repeat(model.drift.matrix[None], amps.shape[1], axis=0)
+    for s in range(model.n_streams):
+        re, im = (2 * np.pi * q[:, None, None] for q in (amps[s].real,
+                                                          amps[s].imag))
+        h += re * model.controls[2 * s].matrix + im * model.controls[2 * s + 1].matrix
+    u = np.eye(model.shape.total_dim, dtype=complex)
+    for seg in scipy.linalg.expm(-1j * dt * h):
+        u = seg @ u
+    return u
+
+
+class TestSegmentPropagatorProperties:
+    """The chunked, block-structured kernel behind simulate_schedule against
+    the ordered product of per-segment scipy expm."""
+
+    @pytest.mark.parametrize(
+        "kind", ["dense", "block_sparse", "dispersive", "cavity_drive", "qubit"])
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_seg=st.sampled_from([1, 2047, 2048, 2049]),
+           chunk=st.sampled_from([pulse._CHUNK_ENTRIES, 64, 300]))
+    def test_matches_expm_product(self, kind, seed, n_seg, chunk):
+        rng = np.random.default_rng(seed)
+        model, blocks = _random_model(kind, rng)
+        assert [b.tolist() for b in pulse._blocks(model)] == blocks
+        amps = 1e6 * (rng.standard_normal((model.n_streams, n_seg))
+                      + 1j * rng.standard_normal((model.n_streams, n_seg)))
+        dt = 1e-7 * rng.uniform(0.2, 1.0)
+        sched = PulseSchedule(dt, tuple(amps), (0.0,) * model.n_streams)
+        with mock.patch.object(pulse, "_CHUNK_ENTRIES", chunk):
+            u = simulate_schedule(model, sched, return_propagator=True).matrix
+        d = model.shape.total_dim
+        assert np.max(np.abs(u - _expm_product(model, amps, dt))) <= 1e-10
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
+
+    def test_block_counts_follow_the_matrices(self):
+        for n in (2, 6, 8):
+            assert len(pulse._blocks(dispersive_model(1e6, n))) == n
+            assert len(pulse._blocks(
+                dispersive_model(1e6, n, cavity_drive=True))) == 1
+        assert len(pulse._blocks(qubit_model(3e5))) == 1
 
 
 class TestGateFidelity:
@@ -512,6 +596,40 @@ class TestSequencePreparation:
         assert res.guard_levels == 1
         # raw fidelity near 1 forces negligible guard population
         assert res.fidelity > 0.999
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(19)
+        n, blocks = 6, 3
+        a = annihilation(n).matrix
+        target = np.zeros(n, dtype=complex)
+        target[:n - 1] = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        target /= np.linalg.norm(target)
+        args = (target, a, a.conj().T, (n - 1,), 0.7)
+        alphas = 0.4 * (rng.standard_normal(blocks + 1)
+                        + 1j * rng.standard_normal(blocks + 1))
+        thetas = rng.standard_normal((blocks, n))
+        _, _, g_alpha, g_theta = pulse._sequence_pass(alphas, thetas, *args, True)
+
+        def objective(al, th):
+            return pulse._sequence_pass(al, th, *args, False)[0]
+
+        h = 1e-6
+        worst = 0.0
+        for k in range(blocks + 1):
+            for quad in (1.0, 1.0j):
+                step = np.zeros(blocks + 1, dtype=complex)
+                step[k] = quad * h
+                fd = (objective(alphas + step, thetas)
+                      - objective(alphas - step, thetas)) / (2 * h)
+                ana = g_alpha[k].real if quad == 1.0 else g_alpha[k].imag
+                worst = max(worst, abs(ana - fd))
+        for idx in np.ndindex(thetas.shape):
+            step = np.zeros_like(thetas)
+            step[idx] = h
+            fd = (objective(alphas, thetas + step)
+                  - objective(alphas, thetas - step)) / (2 * h)
+            worst = max(worst, abs(g_theta[idx] - fd))
+        assert worst < 1e-7
 
     def test_rejects_null_target(self):
         with pytest.raises(UsageError):
