@@ -254,6 +254,29 @@ def _grape_model(doc: dict):
     raise ParseError(f"grape model: unknown kind {kind!r}")
 
 
+def _snap_or_matrix(spec: dict, kind: str, n: int, what: str,
+                    count_error: str) -> np.ndarray | None:
+    """The n×n matrix of a "snap" or "matrix" operator spec, None for any
+    other kind. count_error, formatted with what, n and got, reports a snap
+    with the wrong number of phases."""
+    if kind == "snap":
+        theta = _number_list(spec, "theta", what)
+        if len(theta) != n:
+            raise ParseError(count_error.format(what=what, n=n, got=len(theta)))
+        return np.diag(np.exp(1j * np.array(theta)))
+    if kind == "matrix":
+        re = _field(spec, "re", list, what)
+        im = _field(spec, "im", list, what)
+        try:
+            mat = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"{what}: bad matrix: {exc}") from exc
+        if mat.shape != (n, n):
+            raise ParseError(f"{what}: matrix must be {n}x{n}")
+        return mat
+    return None
+
+
 def _grape_target(doc: dict, shape: fock.HilbertShape) -> fock.Operator:
     spec = _field(doc, "target", dict, "grape config")
     kind = _field(spec, "kind", str, "grape target")
@@ -264,24 +287,11 @@ def _grape_target(doc: dict, shape: fock.HilbertShape) -> fock.Operator:
         if dim != 2:
             raise ParseError("grape target: pauli_x needs a 2-level model")
         return fock.Operator(shape, np.array([[0, 1], [1, 0]], dtype=complex))
-    if kind == "snap":
-        theta = _number_list(spec, "theta", "grape target")
-        if len(theta) != dim:
-            raise ParseError(
-                f"grape target: snap needs {dim} phases, got {len(theta)}"
-            )
-        return fock.Operator(shape, np.diag(np.exp(1j * np.array(theta))))
-    if kind == "matrix":
-        re = _field(spec, "re", list, "grape target")
-        im = _field(spec, "im", list, "grape target")
-        try:
-            mat = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"grape target: bad matrix: {exc}") from exc
-        if mat.shape != (dim, dim):
-            raise ParseError(f"grape target: matrix must be {dim}x{dim}")
-        return fock.Operator(shape, mat)
-    raise ParseError(f"grape target: unknown kind {kind!r}")
+    mat = _snap_or_matrix(spec, kind, dim, "grape target",
+                          "{what}: snap needs {n} phases, got {got}")
+    if mat is None:
+        raise ParseError(f"grape target: unknown kind {kind!r}")
+    return fock.Operator(shape, mat)
 
 
 def cmd_grape(args) -> int:
@@ -400,24 +410,12 @@ def _otoc_operator(spec, n: int, what: str) -> np.ndarray:
     if not isinstance(spec, dict):
         raise ParseError(f"{what} must be an object")
     kind = _field(spec, "kind", str, what)
-    if kind == "snap":
-        theta = _number_list(spec, "theta", what)
-        if len(theta) != n:
-            raise ParseError(f"{what}: snap needs {n} phases")
-        return np.diag(np.exp(1j * np.array(theta)))
     if kind == "fourier":
         return gates.fourier(n).matrix
-    if kind == "matrix":
-        re = _field(spec, "re", list, what)
-        im = _field(spec, "im", list, what)
-        try:
-            mat = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"{what}: bad matrix: {exc}") from exc
-        if mat.shape != (n, n):
-            raise ParseError(f"{what}: matrix must be {n}x{n}")
-        return mat
-    raise ParseError(f"{what}: unknown kind {kind!r}")
+    mat = _snap_or_matrix(spec, kind, n, what, "{what}: snap needs {n} phases")
+    if mat is None:
+        raise ParseError(f"{what}: unknown kind {kind!r}")
+    return mat
 
 
 def cmd_otoc(args) -> int:

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln
 
 from .errors import (
     CapacityError,
@@ -282,6 +280,8 @@ def propagator(h: Operator, t: float) -> Operator:
         phases = np.exp(-1j * evals * t)
         mat = (evecs * phases) @ evecs.conj().T
     else:
+        import scipy.linalg  # only this fallback needs scipy
+
         mat = scipy.linalg.expm(-1j * t * h.matrix)
     return Operator(h.shape, mat)
 
@@ -298,7 +298,8 @@ def coherent_amplitudes(alpha: complex, n: int) -> np.ndarray:
         return amps
     k = np.arange(n)
     mag, phase = abs(alpha), np.angle(alpha)
-    log_mag = -abs(alpha) ** 2 / 2 + k * math.log(mag) - 0.5 * gammaln(k + 1)
+    log_fact = np.array([math.lgamma(j + 1) for j in range(n)])
+    log_mag = -abs(alpha) ** 2 / 2 + k * math.log(mag) - 0.5 * log_fact
     return np.exp(log_mag) * np.exp(1j * phase * k)
 
 

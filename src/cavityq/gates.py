@@ -47,13 +47,18 @@ def multisnap(theta: Sequence[float], dims: Sequence[int]) -> Operator:
     """Joint multi-mode SNAP: one phase per joint occupation (n_0, n_1, ...),
     flattened with the first mode most significant."""
     dims = tuple(int(d) for d in dims)
+    theta = _multisnap_theta(theta, dims)
+    return Operator(HilbertShape(dims), np.diag(np.exp(1j * theta)))
+
+
+def _multisnap_theta(theta: Sequence[float], dims: tuple[int, ...]) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     expected = math.prod(dims)
     if theta.ndim != 1 or theta.size != expected:
         raise UsageError(
             f"multisnap on dims {dims} needs {expected} phases, got {theta.size}"
         )
-    return Operator(HilbertShape(dims), np.diag(np.exp(1j * theta)))
+    return theta
 
 
 def displacement(alpha: complex, n: int, convention: str = "standard") -> Operator:
@@ -311,7 +316,7 @@ def _as_float(value, kind: str, field_name: str) -> float:
     raise UsageError(f"{kind} gate field {field_name!r} must be a number")
 
 
-def _build_snap(params, shape, convention):
+def _snap_phases(params, shape) -> tuple[np.ndarray, list[int]]:
     target = _as_subsystem(_need(params, "target", "snap"), shape, "snap", "target")
     theta = _need(params, "theta", "snap")
     theta = np.asarray(theta, dtype=float)
@@ -319,19 +324,29 @@ def _build_snap(params, shape, convention):
         raise UsageError(
             f"snap theta must list {shape.dims[target]} phases for subsystem {target}"
         )
-    return snap(theta), [target]
+    return theta, [target]
 
 
-def _build_multisnap(params, shape, convention):
+def _multisnap_phases(params, shape) -> tuple[np.ndarray, list[int]]:
     targets = _need(params, "targets", "multisnap")
     if not isinstance(targets, (list, tuple)) or not targets:
         raise UsageError("multisnap gate field 'targets' must be a non-empty list")
     targets = [_as_subsystem(t, shape, "multisnap", "targets") for t in targets]
     if len(set(targets)) != len(targets):
         raise UsageError("multisnap targets must be distinct")
-    dims = [shape.dims[t] for t in targets]
-    theta = np.asarray(_need(params, "theta", "multisnap"), dtype=float)
-    return multisnap(theta, dims), targets
+    dims = tuple(shape.dims[t] for t in targets)
+    theta = _multisnap_theta(_need(params, "theta", "multisnap"), dims)
+    return theta, targets
+
+
+def _build_snap(params, shape, convention):
+    theta, targets = _snap_phases(params, shape)
+    return snap(theta), targets
+
+
+def _build_multisnap(params, shape, convention):
+    theta, targets = _multisnap_phases(params, shape)
+    return multisnap(theta, [shape.dims[t] for t in targets]), targets
 
 
 def _build_displacement(params, shape, convention):
@@ -406,11 +421,16 @@ def _build_phase_swap(params, shape, convention):
     return phase_swap(m, n, shape.dims[target]), [target]
 
 
-def _build_fourier(params, shape, convention):
+def _fourier_axis(params, shape) -> tuple[int, bool]:
     target = _as_subsystem(_need(params, "target", "fourier"), shape, "fourier", "target")
     inverse = params.get("inverse", False)
     if not isinstance(inverse, bool):
         raise UsageError("fourier gate field 'inverse' must be a boolean")
+    return target, inverse
+
+
+def _build_fourier(params, shape, convention):
+    target, inverse = _fourier_axis(params, shape)
     return fourier(shape.dims[target], inverse=inverse), [target]
 
 
@@ -459,13 +479,49 @@ class GateSpec:
         return d
 
 
+# a compiled gate: register tensor (one axis per subsystem) in, tensor out
+_Kernel = Callable[[np.ndarray], np.ndarray]
+
+
+def _compile(spec: GateSpec, shape: HilbertShape, convention: str) -> _Kernel:
+    """Build one gate for the register once. SNAP and multisnap become a
+    phase array broadcast over their target axes, Fourier an orthonormal
+    FFT along its target axis (ifft is F_jk = e^{2πijk/N}/√N, fft its
+    inverse), and every other kind its operator, applied by tensordot."""
+    dims = shape.dims
+    if spec.kind in ("snap", "multisnap"):
+        phases_of = _snap_phases if spec.kind == "snap" else _multisnap_phases
+        theta, targets = phases_of(spec.params, shape)
+        # phase array on the target axes in register order, 1 on the rest
+        phases = np.exp(1j * theta).reshape([dims[t] for t in targets])
+        phases = phases.transpose(np.argsort(targets)).reshape(
+            [d if i in targets else 1 for i, d in enumerate(dims)]
+        )
+        return lambda tens: tens * phases
+    if spec.kind == "fourier":
+        axis, inverse = _fourier_axis(spec.params, shape)
+        transform = np.fft.fft if inverse else np.fft.ifft
+        return lambda tens: transform(tens, axis=axis, norm="ortho")
+    op, targets = spec.build(shape, convention)
+
+    def dense(tens: np.ndarray) -> np.ndarray:
+        out = apply_embedded(op, targets, StateVector(shape, tens.reshape(-1)))
+        return out.amplitudes.reshape(dims)
+
+    return dense
+
+
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on a fixed register shape."""
+    """An ordered gate list on a fixed register shape. The gates are
+    compiled for the register on first use and kept."""
 
     shape: HilbertShape
     gates: tuple[GateSpec, ...]
     displacement_convention: str = "standard"
+    _kernels: tuple[_Kernel, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", shape_of(self.shape))
@@ -474,6 +530,20 @@ class Circuit:
             raise UsageError(
                 f"unknown displacement convention {self.displacement_convention!r}"
             )
+
+    def _compiled(self) -> tuple[_Kernel, ...]:
+        """The compiled gates, in order. Errors carry the gate index."""
+        if self._kernels is None:
+            kernels = []
+            for i, spec in enumerate(self.gates):
+                try:
+                    kernels.append(
+                        _compile(spec, self.shape, self.displacement_convention)
+                    )
+                except (UsageError, ShapeError) as exc:
+                    raise type(exc)(f"gate {i} ({spec.kind}): {exc}") from exc
+            object.__setattr__(self, "_kernels", tuple(kernels))
+        return self._kernels
 
     def to_json(self) -> str:
         doc = {
@@ -534,7 +604,7 @@ def circuit_from_json(text: str) -> Circuit:
     except Exception as exc:
         raise ParseError(f"circuit shape invalid: {exc}") from exc
 
-    specs = []
+    specs, kernels = [], []
     for i, entry in enumerate(gates_raw):
         loc = _kind_location(text, i)
         if not isinstance(entry, dict):
@@ -547,28 +617,26 @@ def circuit_from_json(text: str) -> Circuit:
         params = {k: v for k, v in entry.items() if k != "kind"}
         spec = GateSpec(kind, params)
         try:
-            spec.build(shape, convention)  # validate eagerly
+            kernels.append(_compile(spec, shape, convention))  # validates
         except UsageError as exc:
             raise ParseError(f"gate {i}: {exc}{loc}") from exc
         specs.append(spec)
-    return Circuit(shape, tuple(specs), convention)
+    circuit = Circuit(shape, tuple(specs), convention)
+    object.__setattr__(circuit, "_kernels", tuple(kernels))
+    return circuit
 
 
 def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
-    """Run the gate list left to right. Errors carry the gate index."""
+    """Run the compiled gates left to right. Errors carry the gate index."""
     if psi.shape != circuit.shape:
         raise ShapeError(
             f"state on dims {psi.shape.dims} does not match circuit shape "
             f"{circuit.shape.dims}"
         )
-    state = psi
-    for i, spec in enumerate(circuit.gates):
-        try:
-            op, targets = spec.build(circuit.shape, circuit.displacement_convention)
-            state = apply_embedded(op, targets, state)
-        except (UsageError, ShapeError) as exc:
-            raise type(exc)(f"gate {i} ({spec.kind}): {exc}") from exc
-    return state
+    tens = psi.amplitudes.reshape(circuit.shape.dims)
+    for kernel in circuit._compiled():
+        tens = kernel(tens)
+    return StateVector(psi.shape, tens.reshape(-1), psi.leakage)
 
 
 def circuit_unitary(circuit: Circuit) -> Operator:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -305,19 +305,6 @@ class DetuningSweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _with_detuning(config: QstConfig, delta_hz: float) -> QstConfig:
-    return QstConfig(
-        kappa_hz=config.kappa_hz,
-        emit_waveform=config.emit_waveform,
-        catch_waveform=config.catch_waveform,
-        t_span_s=config.t_span_s,
-        dt_s=config.dt_s,
-        delta_omega_hz=delta_hz,
-        input_state=config.input_state,
-        channel_temperature=config.channel_temperature,
-    )
-
-
 def detuning_sweep(config: QstConfig, delta_list: Sequence[float],
                    map_fn=map) -> DetuningSweepResult:
     """Transfer efficiency versus node detuning.
@@ -330,14 +317,14 @@ def detuning_sweep(config: QstConfig, delta_list: Sequence[float],
     deltas = [float(d) for d in delta_list]
     if len(deltas) < 2:
         raise UsageError("need at least two detunings to sweep")
-    baseline = simulate_transfer(_with_detuning(config, 0.0)).eta
+    baseline = simulate_transfer(replace(config, delta_omega_hz=0.0)).eta
     if baseline <= 0.99:
         raise UsageError(
             f"baseline transfer eta = {baseline:.4f} <= 0.99: the sweep "
             "requires matched waveforms"
         )
     etas = list(map_fn(
-        lambda dw: simulate_transfer(_with_detuning(config, dw)).eta, deltas
+        lambda dw: simulate_transfer(replace(config, delta_omega_hz=dw)).eta, deltas
     ))
     rows = [
         (dw, eta, math.sqrt(max(0.0, 1.0 - eta)))

@@ -17,6 +17,7 @@ the exact propagator; |C| <= 1 for unitary W, V.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,6 +68,12 @@ class QuditHamiltonian:
     def operator(self) -> Operator:
         return Operator(HilbertShape((self.n_levels,)), self.dense())
 
+    @functools.cached_property
+    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, Q) with dense() = Q diag(E) Q†, diagonalized once per
+        Hamiltonian (its arrays are read-only)."""
+        return np.linalg.eigh(self.dense())
+
 
 def trotter_step(h: QuditHamiltonian, dt_s: float,
                  n_levels: int | None = None) -> Circuit:
@@ -91,16 +98,11 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
     return Circuit(HilbertShape((n,)), gates)
 
 
-def _eigh_cached(h: QuditHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    evals, vecs = np.linalg.eigh(h.dense())
-    return evals, vecs
-
-
 def exact_propagator(h: QuditHamiltonian, t_s: float) -> Operator:
     """exp(-iHt) by dense diagonalization."""
     if not math.isfinite(t_s):
         raise NumericError(f"non-finite time {t_s}")
-    evals, vecs = _eigh_cached(h)
+    evals, vecs = h._eigensystem
     mat = vecs @ (np.exp(-1j * evals * t_s)[:, None] * vecs.conj().T)
     return Operator(HilbertShape((h.n_levels,)), mat)
 
@@ -187,33 +189,37 @@ def _operator_matrix(op, n: int, what: str) -> np.ndarray:
 def otoc(w, v, h: QuditHamiltonian, t_s: float, psi0=None) -> complex:
     """<psi0| W†(t) V† W(t) V |psi0> with W(t) = U†(t) W U(t), U = exp(-iHt)
     exact. psi0 defaults to |0>."""
-    n = h.n_levels
-    w_mat = _operator_matrix(w, n, "W")
-    v_mat = _operator_matrix(v, n, "V")
-    psi = _state_vector(psi0, n).amplitudes.reshape(n)
-    u = exact_propagator(h, t_s).matrix
-    w_t = u.conj().T @ w_mat @ u
-    chain = w_t.conj().T @ (v_mat.conj().T @ (w_t @ (v_mat @ psi)))
-    return complex(np.vdot(psi, chain))
+    [(_, re, im, _)] = otoc_series(w, v, h, [t_s], psi0)
+    return complex(re, im)
 
 
 def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
                 psi0=None) -> tuple[tuple[float, float, float, float], ...]:
-    """Rows of (t, Re C, Im C, |C|) over a time grid, sharing one
-    diagonalization."""
+    """Rows of (t, Re C, Im C, |C|) over a time grid.
+
+    Works in the eigenbasis H = Q diag(E) Q†, where W(t) = P̄ W̃ P with
+    W̃ = Q†WQ and P = diag(e^{-iEt}). With Ṽ = Q†VQ, φ = Q†ψ and the
+    phases of all times as the columns of an N×T array, the chain is four
+    N×N by N×T products: x = Ṽφ, Y = P̄∘(W̃(P∘x)), Z = Ṽ†Y and
+    C = φ†(P̄∘(W̃†(P∘Z))).
+    """
     n = h.n_levels
     w_mat = _operator_matrix(w, n, "W")
     v_mat = _operator_matrix(v, n, "V")
     psi = _state_vector(psi0, n).amplitudes.reshape(n)
-    evals, vecs = _eigh_cached(h)
-    rows = []
-    for t in times_s:
-        t = float(t)
+    times = [float(t) for t in times_s]
+    for t in times:
         if not math.isfinite(t):
             raise NumericError(f"non-finite time {t}")
-        u = vecs @ (np.exp(-1j * evals * t)[:, None] * vecs.conj().T)
-        w_t = u.conj().T @ w_mat @ u
-        chain = w_t.conj().T @ (v_mat.conj().T @ (w_t @ (v_mat @ psi)))
-        val = complex(np.vdot(psi, chain))
-        rows.append((t, val.real, val.imag, abs(val)))
-    return tuple(rows)
+    evals, vecs = h._eigensystem
+    q_dag = vecs.conj().T
+    w_eig = q_dag @ w_mat @ vecs
+    v_eig = q_dag @ v_mat @ vecs
+    phi = q_dag @ psi
+    p = np.exp(-1j * np.outer(evals, times))
+    p_bar = p.conj()
+    y = p_bar * (w_eig @ (p * (v_eig @ phi)[:, None]))
+    z = v_eig.conj().T @ y
+    c = phi.conj() @ (p_bar * (w_eig.conj().T @ (p * z)))
+    return tuple((t, val.real, val.imag, abs(val))
+                 for t, val in zip(times, map(complex, c)))

@@ -395,6 +395,14 @@ class TestArtifactPlumbing:
         ]) == 0
         assert (nested / "trotter_convergence.csv").exists()
 
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported only by the non-Hermitian expm fallback
+        code = "import sys, cavityq.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_module_entry_point(self, tmp_path):
         cfg = write_json(tmp_path / "dev.json", PAPER_DEVICE)
         proc = subprocess.run(

@@ -1,8 +1,10 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavityq import fock, gates
 from cavityq.errors import ParseError, ShapeError, UsageError
@@ -429,3 +431,111 @@ class TestUnitaritySweep:
         ops.append(gates.displacement(complex(rng.normal(), rng.normal()), dim))
         for op in ops:
             assert op.is_unitary(tol=1e-10)
+
+
+def random_gate(kind, dims, rng):
+    """Random valid parameters of one gate kind on a register, or None if
+    the register cannot hold that kind."""
+    n = len(dims)
+    qubits = [i for i, d in enumerate(dims) if d == 2]
+    pairs = [(c, t) for c in range(n) for t in range(n)
+             if c != t and dims[c] == dims[t]]
+    target = int(rng.integers(n))
+    if kind in ("cond_rotation", "ecd"):
+        if not qubits or n < 2:
+            return None
+        qubit = int(rng.choice(qubits))
+        mode = int(rng.choice([i for i in range(n) if i != qubit]))
+        if kind == "ecd":
+            return {"qubit": qubit, "mode": mode, "beta": list(rng.normal(0, 0.4, 2))}
+        return {"qubit": qubit, "mode": mode, "n": int(rng.integers(dims[mode])),
+                "theta": float(rng.uniform(0, 2 * math.pi)),
+                "phi": float(rng.uniform(0, 2 * math.pi))}
+    if kind == "qubit_rotation":
+        if not qubits:
+            return None
+        return {"target": int(rng.choice(qubits)),
+                "theta": float(rng.uniform(0, 2 * math.pi)),
+                "phi": float(rng.uniform(0, 2 * math.pi))}
+    if kind == "controlled_increment":
+        if not pairs:
+            return None
+        control, tgt = pairs[int(rng.integers(len(pairs)))]
+        return {"control": control, "target": tgt}
+    if kind == "snap":
+        return {"target": target, "theta": list(rng.uniform(-math.pi, math.pi, dims[target]))}
+    if kind == "multisnap":
+        targets = [int(t) for t in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+        size = math.prod(dims[t] for t in targets)
+        return {"targets": targets, "theta": list(rng.uniform(-math.pi, math.pi, size))}
+    if kind == "displacement":
+        return {"target": target, "alpha": list(rng.normal(0, 0.4, 2))}
+    if kind in ("givens", "phase_swap"):
+        m, k = (int(x) for x in rng.choice(dims[target], size=2, replace=False))
+        params = {"target": target, "m": m, "n": k}
+        if kind == "givens":
+            params["theta"] = float(rng.uniform(0, 2 * math.pi))
+        return params
+    if kind == "fourier":
+        return {"target": target, "inverse": bool(rng.integers(2))}
+    raise AssertionError(f"no generator for gate kind {kind!r}")
+
+
+# together these registers hold every gate kind; Fourier gates land on
+# targets other than the first, qubits before and after their modes
+PROPERTY_REGISTERS = [(5,), (2, 3), (3, 3, 2), (4, 2, 4)]
+
+
+def test_property_registers_cover_every_kind():
+    rng = np.random.default_rng(0)
+    covered = {kind for dims in PROPERTY_REGISTERS for kind in gates.GATE_BUILDERS
+               if random_gate(kind, dims, rng) is not None}
+    assert covered == set(gates.GATE_BUILDERS)
+
+
+class TestCompiledCircuitProperties:
+    """Compiled circuits (phase-vector SNAP, FFT Fourier, dense tensordot)
+    against the dense embed oracle, circuit_unitary."""
+
+    @pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), repeats=st.integers(1, 3),
+           convention=st.sampled_from(gates.CONVENTIONS))
+    def test_matches_dense_embed(self, dims, seed, repeats, convention):
+        rng = np.random.default_rng(seed)
+        shape = fock.HilbertShape(dims)
+        specs = []
+        for _ in range(repeats):
+            for kind in rng.permutation(list(gates.GATE_BUILDERS)):
+                params = random_gate(str(kind), dims, rng)
+                if params is not None:
+                    specs.append(gates.GateSpec(str(kind), params))
+        circuit = gates.Circuit(shape, tuple(specs), convention)
+        psi = random_state(shape, rng)
+        expected = gates.circuit_unitary(circuit).matrix @ psi.amplitudes
+        parsed = gates.circuit_from_json(circuit.to_json())
+        for circ in (circuit, parsed):
+            out = gates.apply_circuit(circ, psi)
+            np.testing.assert_allclose(out.amplitudes, expected, atol=1e-10)
+            assert out.norm() == pytest.approx(1.0, abs=1e-10)
+
+    def test_parsed_circuit_builds_each_displacement_once(self):
+        doc = {"shape": [12], "gates": [
+            {"kind": "displacement", "target": 0, "alpha": [0.3, -0.1]},
+            {"kind": "snap", "target": 0, "theta": [0.1 * k for k in range(12)]},
+            {"kind": "displacement", "target": 0, "alpha": 0.2},
+        ]}
+        with mock.patch.object(gates, "displacement", wraps=gates.displacement) as spy:
+            circuit = gates.circuit_from_json(json.dumps(doc))
+            for _ in range(3):
+                gates.apply_circuit(circuit, fock.basis_state(12, 0))
+        assert spy.call_count == 2
+
+    def test_compile_error_is_kept_out_of_the_cache(self):
+        circ = gates.Circuit(
+            fock.HilbertShape((4,)),
+            (gates.GateSpec("snap", {"target": 0, "theta": [0, 0, 0]}),),
+        )
+        for _ in range(2):
+            with pytest.raises(UsageError, match="gate 0"):
+                gates.apply_circuit(circ, fock.basis_state(4, 0))

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from cavityq import fock, gates, trotter
 from cavityq.errors import (
@@ -259,3 +261,47 @@ class TestOtoc:
             assert re == pytest.approx(val.real, abs=1e-12)
             assert im == pytest.approx(val.imag, abs=1e-12)
             assert mag == pytest.approx(abs(val), abs=1e-12)
+
+
+class TestOtocSeriesProperties:
+    """The eigenbasis series against a per-time brute force on scipy's expm."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
+           n_times=st.integers(0, 6))
+    def test_matches_expm_brute_force(self, seed, n, n_times):
+        rng = np.random.default_rng(seed)
+        h = trotter.QuditHamiltonian(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n))
+
+        def contraction():
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            return g / np.linalg.norm(g, 2)
+
+        w, v = contraction(), contraction()
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        times = [0.0] + list(rng.uniform(-3.0, 3.0, n_times))
+        rows = trotter.otoc_series(w, v, h, times, psi)
+        phi = psi / np.linalg.norm(psi)
+        assert [r[0] for r in rows] == times
+        for t, re, im, mag in rows:
+            u = scipy.linalg.expm(-1j * h.dense() * t)
+            w_t = u.conj().T @ w @ u
+            brute = np.vdot(phi, w_t.conj().T @ v.conj().T @ w_t @ v @ phi)
+            assert abs(complex(re, im) - brute) <= 1e-10
+            assert mag == pytest.approx(abs(brute), abs=1e-10)
+
+    def test_nonfinite_time_rejected(self):
+        h = random_hamiltonian()
+        with pytest.raises(NumericError):
+            trotter.otoc_series(np.eye(N), np.eye(N), h, [0.0, math.inf])
+
+    def test_empty_time_grid(self):
+        assert trotter.otoc_series(np.eye(N), np.eye(N), random_hamiltonian(), []) == ()
+
+
+def test_convergence_diagonalizes_once():
+    h = random_hamiltonian()
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as spy:
+        rows = trotter.trotter_convergence(h, 1.0, [10, 20, 40])
+    assert len(rows) == 3
+    assert spy.call_count == 1
