@@ -1,10 +1,11 @@
 """Command-line front end: JSON configs in, CSV/JSON artifacts out.
 
 Every artifact file starts with a header recording the tool version, the
-rng seed, and a sha256 of the input config, and is written atomically
-(temp file in the target directory, then rename), so interrupted runs
-never leave half-written outputs. With a fixed seed and --threads 1,
-reruns are byte-identical.
+rng seed, the --threads value and a sha256 of the input config, and is
+written atomically (temp file in the target directory, then rename), so
+interrupted runs never leave half-written outputs. Every command runs in
+one thread and --threads is only recorded, so with a fixed seed reruns
+are byte-identical apart from the header line that records --threads.
 
 Exit codes: 0 success, 1 usage errors, 2 parse errors, 3 numeric errors,
 4 capacity errors.
@@ -13,7 +14,6 @@ Exit codes: 0 success, 1 usage errors, 2 parse errors, 3 numeric errors,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -221,11 +221,7 @@ def cmd_qst(args) -> int:
                  float(np.sqrt(max(0.0, 1.0 - res.eta))))]
         summary = {"eta": res.eta, "fidelity": res.fidelity}
     else:
-        if args.threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
-                result = qst.detuning_sweep(config, sweep, map_fn=pool.map)
-        else:
-            result = qst.detuning_sweep(config, sweep)
+        result = qst.detuning_sweep(config, sweep)
         rows = list(result.rows)
         summary = {
             "baseline_eta": result.baseline_eta,
@@ -352,11 +348,12 @@ def cmd_code(args) -> int:
                                      base_seed=args.seed)
     rows = []
     for traj in results:
-        for s in range(traj.steps):
-            rows.append((
-                traj.seed, s + 1, int(traj.jump_counts[s]),
-                float(traj.parities[s]), float(traj.mean_occupations[s]),
-            ))
+        # Python scalars: _format_cell converts numpy scalars cell by cell
+        rows.extend(zip(
+            [traj.seed] * traj.steps, range(1, traj.steps + 1),
+            traj.jump_counts.tolist(), traj.parities.tolist(),
+            traj.mean_occupations.tolist(),
+        ))
     path = _emit_artifact(args, "code_trajectories",
                           ["seed", "step", "jump_count", "parity", "mean_n"],
                           rows, _sha256(text))
@@ -455,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="rng seed recorded in every artifact")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent sweep points")
+                        help="recorded in artifact headers only; every "
+                             "command runs in one thread, so rows do not "
+                             "depend on it")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="artifact format")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,6 +11,8 @@ spelling (exp(α a − α* a†)) is mapped by negating α at build time.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,8 +25,6 @@ from .fock import (
     HilbertShape,
     Operator,
     StateVector,
-    annihilation,
-    propagator,
     shape_of,
 )
 
@@ -64,20 +64,36 @@ def _multisnap_theta(theta: Sequence[float], dims: tuple[int, ...]) -> np.ndarra
 def displacement(alpha: complex, n: int, convention: str = "standard") -> Operator:
     """Displacement D(α) = exp(α a† − α* a) truncated to n levels.
 
-    The generator is exponentiated through its eigenbasis, so the result
-    is exactly unitary on the truncated space; it only agrees with the
-    infinite-dimensional displacement on levels well below the cutoff
-    (keep n ≳ |α|² + 5|α| above the states you care about).
+    The generator is a rotated quadrature, i(αa† − α*a) = |α| R (a + a†) R†
+    with R = diag(e^{ikθ}) and θ = arg α + π/2, so D(α) = R Q e^{−i|α|Λ} Qᵀ R†
+    with (Λ, Q) the real eigensystem of a + a†, cached per n. The result
+    is therefore exactly unitary on the truncated space; it only agrees
+    with the infinite-dimensional displacement on levels well below the
+    cutoff (keep n ≳ |α|² + 5|α| above the states you care about).
     """
     if convention not in CONVENTIONS:
         raise UsageError(f"unknown displacement convention {convention!r}")
     alpha = complex(alpha)
     if convention == "paper":
         alpha = -alpha
-    a = annihilation(n).matrix
-    # i(αa† − α*a) is Hermitian; exp(−i·H) with H = i(αa† − α*a)
-    h = 1j * (alpha * a.conj().T - np.conj(alpha) * a)
-    return propagator(Operator(HilbertShape((n,)), h), 1.0)
+    shape = HilbertShape((n,))
+    evals, vecs = _quadrature_eigensystem(n)
+    angle = abs(alpha) * evals
+    # Q e^{−i|α|Λ} Qᵀ as two real products
+    inner = (vecs * np.cos(angle)) @ vecs.T - 1j * ((vecs * np.sin(angle)) @ vecs.T)
+    rot = np.exp(1j * (cmath.phase(alpha) + math.pi / 2) * np.arange(n))
+    return Operator(shape, rot[:, None] * inner * rot.conj())
+
+
+@functools.lru_cache(maxsize=8)
+def _quadrature_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Λ, Q) with a + a† = Q diag(Λ) Qᵀ on n levels, real and read-only.
+    Bounded: one n = 300 entry is 720 KB."""
+    off = np.sqrt(np.arange(1.0, n))
+    evals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    evals.setflags(write=False)
+    vecs.setflags(write=False)
+    return evals, vecs
 
 
 def qubit_rotation(theta: float, phi: float) -> Operator:

@@ -139,50 +139,8 @@ def apply_channel_trajectory(
     """Monte Carlo trajectory: at each step, draw one Kraus branch with
     probability ‖K_kψ‖² and renormalize. Bitwise deterministic for a
     fixed seed."""
-    if psi.shape != channel.shape:
-        raise UsageError(
-            f"state on dims {psi.shape.dims} does not match channel shape "
-            f"{channel.shape.dims}"
-        )
-    if steps < 0:
-        raise UsageError(f"steps must be >= 0, got {steps}")
-    rng = np.random.default_rng(seed)
-    state = psi.amplitudes.copy()
-    mats = [k.matrix for k in channel.kraus]
-    jump_steps: list[int] = []
-    jump_counts = np.zeros(steps, dtype=np.int64)
-    parities = np.zeros(steps)
-    mean_ns = np.zeros(steps)
-    jumps = 0
-    levels = np.arange(channel.shape.total_dim)
-    signs = (-1.0) ** levels
-    for s in range(steps):
-        branches = [m @ state for m in mats]
-        weights = np.array([float(np.real(np.vdot(b, b))) for b in branches])
-        total = weights.sum()
-        if total <= 0:
-            raise UsageError("state annihilated by every Kraus branch")
-        r = rng.random() * total
-        pick = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-        pick = min(pick, len(branches) - 1)
-        state = branches[pick] / math.sqrt(weights[pick])
-        if pick != 0:
-            jumps += 1
-            jump_steps.append(s)
-        jump_counts[s] = jumps
-        probs = np.abs(state) ** 2
-        parities[s] = float(np.dot(signs, probs))
-        mean_ns[s] = float(np.dot(levels, probs))
-    final = StateVector(channel.shape, state)
-    return TrajectoryResult(
-        seed=seed,
-        steps=steps,
-        jump_steps=tuple(jump_steps),
-        jump_counts=jump_counts,
-        parities=parities,
-        mean_occupations=mean_ns,
-        final_state=final,
-    )
+    [result] = _unravel(channel, psi, steps, [seed])
+    return result
 
 
 def run_trajectories(
@@ -192,13 +150,66 @@ def run_trajectories(
     n_trajectories: int,
     base_seed: int,
 ) -> list[TrajectoryResult]:
-    """Independent trajectories with per-index derived seeds; results are
-    ordered by trajectory index, so any parallel execution would merge
-    to the same list."""
+    """Independent trajectories with per-index derived seeds, ordered by
+    trajectory index. Each one is the trajectory apply_channel_trajectory
+    gives for its seed; all of them advance together."""
     if n_trajectories < 1:
         raise UsageError(f"need at least one trajectory, got {n_trajectories}")
-    out = []
-    for i in range(n_trajectories):
-        traj_seed = int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0])
-        out.append(apply_channel_trajectory(channel, psi, steps, traj_seed))
-    return out
+    seeds = [int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0])
+             for i in range(n_trajectories)]
+    return _unravel(channel, psi, steps, seeds)
+
+
+def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
+             seeds: list[int]) -> list[TrajectoryResult]:
+    """Trajectories for the given seeds, advanced as one (T, N) array.
+
+    Trajectory i draws its uniforms from default_rng(seeds[i]) in one
+    random(steps) call, which gives the same numbers as one random() per
+    step. At each step every Kraus branch of every trajectory comes from
+    one stacked product; the pick is the count of cumulative branch
+    weights <= u·total (searchsorted side="right"), capped at K−1.
+    """
+    if psi.shape != channel.shape:
+        raise UsageError(
+            f"state on dims {psi.shape.dims} does not match channel shape "
+            f"{channel.shape.dims}"
+        )
+    if steps < 0:
+        raise UsageError(f"steps must be >= 0, got {steps}")
+    n_traj = len(seeds)
+    kraus_t = np.stack([k.matrix.T for k in channel.kraus])  # (K, N, N)
+    last = len(kraus_t) - 1
+    uniforms = np.stack([np.random.default_rng(s).random(steps) for s in seeds])
+    levels = np.arange(channel.shape.total_dim)
+    # columns: parity (-1)^n and photon number n
+    observables = np.stack([(-1.0) ** levels, levels.astype(float)], axis=1)
+    states = np.tile(psi.amplitudes, (n_traj, 1))
+    rows = np.arange(n_traj)
+    jumped = np.zeros((n_traj, steps), dtype=bool)
+    # per trajectory: parities in stats[0, i], ⟨n⟩ in stats[1, i]
+    stats = np.empty((2, n_traj, steps))
+    for s in range(steps):
+        branches = states @ kraus_t  # (K, T, N)
+        weights = (branches.real**2 + branches.imag**2).sum(axis=-1)
+        total = weights.sum(axis=0)
+        if np.any(total <= 0):
+            raise UsageError("state annihilated by every Kraus branch")
+        below = np.cumsum(weights, axis=0) <= uniforms[:, s] * total
+        pick = np.minimum(below.sum(axis=0), last)
+        states = branches[pick, rows] / np.sqrt(weights[pick, rows])[:, None]
+        jumped[:, s] = pick != 0
+        stats[:, :, s] = ((states.real**2 + states.imag**2) @ observables).T
+    jump_counts = np.cumsum(jumped, axis=1, dtype=np.int64)
+    return [
+        TrajectoryResult(
+            seed=seed,
+            steps=steps,
+            jump_steps=tuple(np.flatnonzero(jumped[i]).tolist()),
+            jump_counts=jump_counts[i],
+            parities=stats[0, i],
+            mean_occupations=stats[1, i],
+            final_state=StateVector(channel.shape, states[i]),
+        )
+        for i, seed in enumerate(seeds)
+    ]

@@ -40,6 +40,8 @@ from .errors import (
 )
 
 _MAX_RATE_DT = 0.05
+# RK4 steps scanned at once; bounds the scan temporaries of long spans
+_CHUNK_STEPS = 2048
 
 
 def sech_pitch(kappa_hz: float, t_s) -> np.ndarray | float:
@@ -211,6 +213,69 @@ class QstResult:
             object.__setattr__(self, name, arr)
 
 
+def _rk4_chunk(ca, cb, cab, w1, w2, dt, a, b, p) -> None:
+    """The RK4 steps of one chunk, all at once.
+
+    The coefficients hold the 2n+1 half-step grid points of the chunk's n
+    steps. a, b and p are views of the traces over the chunk: entry 0 holds
+    the state carried in, and entries 1..n are filled in.
+
+    The equations are linear, y' = C(t) y with y = (a, b) and C lower
+    triangular, so the RK4 stages are y_s = S_s y with S_1 = I,
+    S_2 = I + (dt/2) C_0 S_1, S_3 = I + (dt/2) C_m S_2 and
+    S_4 = I + dt C_m S_3, and one step is y -> M y with
+    M = I + (dt/6)(C_0 S_1 + 2 C_m S_2 + 2 C_m S_3 + C_1 S_4), lower
+    triangular too. The traces are the inclusive prefix products of the M_j
+    applied to the state carried in, and the flux of stage s is
+    |(w1, w2) S_s y_j|^2.
+    """
+    ca, cb, cab, w1, w2 = ((x[:-1:2], x[1::2], x[2::2])
+                           for x in (ca, cb, cab, w1, w2))
+    h = dt / 2.0
+
+    # lower-triangular 2x2 matrices as (aa, ba, bb) entry triples
+    def slope(c, s):  # C_c S
+        return (ca[c] * s[0], cab[c] * s[0] + cb[c] * s[1], cb[c] * s[2])
+
+    def stage(x, k):  # I + x K
+        return (1.0 + x * k[0], x * k[1], 1.0 + x * k[2])
+
+    def gain(c, s):  # the flux amplitude (w1, w2) S as (on a, on b)
+        return (w1[c] * s[0] + w2[c] * s[1], w2[c] * s[2])
+
+    k1 = (ca[0], cab[0], cb[0])
+    s2 = stage(h, k1)
+    k2 = slope(1, s2)
+    s3 = stage(h, k2)
+    k3 = slope(1, s3)
+    s4 = stage(dt, k3)
+    k4 = slope(2, s4)
+    m_aa, m_ba, m_bb = (
+        (dt / 6.0) * (k1[e] + 2 * k2[e] + 2 * k3[e] + k4[e]) for e in range(3)
+    )
+    m_aa += 1.0
+    m_bb += 1.0
+    # Hillis-Steele scan: after the round with offset d, entry j holds the
+    # product M_j M_{j-1} ... M_{max(0, j-2d+1)}
+    d = 1
+    while d < len(m_aa):
+        m_ba[d:] = m_ba[d:] * m_aa[:-d] + m_bb[d:] * m_ba[:-d]
+        m_aa[d:] = m_aa[d:] * m_aa[:-d]
+        m_bb[d:] = m_bb[d:] * m_bb[:-d]
+        d *= 2
+    a[1:] = m_aa * a[0]
+    b[1:] = m_ba * a[0] + m_bb * b[0]
+    a_in, b_in = a[:-1], b[:-1]
+    flux = sum(
+        weight * np.abs(g * a_in + f * b_in) ** 2
+        for weight, (g, f) in zip(
+            (1, 2, 2, 1),
+            ((w1[0], w2[0]), gain(1, s2), gain(1, s3), gain(2, s4)),
+        )
+    )
+    p[1:] = p[0] + np.cumsum((dt / 6.0) * flux)
+
+
 def simulate_transfer(config: QstConfig) -> QstResult:
     """RK4 integration of the cascaded amplitude equations.
 
@@ -232,42 +297,25 @@ def simulate_transfer(config: QstConfig) -> QstResult:
             f"max(kappa)*dt = {max_rate * dt:.3g} exceeds {_MAX_RATE_DT}; "
             f"reduce dt below {_MAX_RATE_DT / max_rate:.3e} s"
         )
-    # scalar precomputations: the decay coefficient of a, the a->b coupling,
-    # and the two flux weights, all on the half-step grid
+    # the decay coefficient of a, the a->b coupling and the two flux
+    # weights, all on the half-step grid
     ca = -(k1 / 2.0 + 0.5j * config.delta_omega_hz)
     cb = -k2 / 2.0
     cab = -np.sqrt(k1 * k2)
     w1 = np.sqrt(k1)
     w2 = np.sqrt(k2)
 
-    a, b, p = 1.0 + 0.0j, 0.0 + 0.0j, 0.0
     a_trace = np.empty(n_steps + 1, dtype=complex)
     b_trace = np.empty(n_steps + 1, dtype=complex)
     p_trace = np.empty(n_steps + 1, dtype=float)
-    a_trace[0], b_trace[0], p_trace[0] = a, b, p
-    h = dt / 2.0
-    for j in range(n_steps):
-        i0, im, i1 = 2 * j, 2 * j + 1, 2 * j + 2
-        da1 = ca[i0] * a
-        db1 = cb[i0] * b + cab[i0] * a
-        dp1 = abs(w1[i0] * a + w2[i0] * b) ** 2
-        a2, b2 = a + h * da1, b + h * db1
-        da2 = ca[im] * a2
-        db2 = cb[im] * b2 + cab[im] * a2
-        dp2 = abs(w1[im] * a2 + w2[im] * b2) ** 2
-        a3, b3 = a + h * da2, b + h * db2
-        da3 = ca[im] * a3
-        db3 = cb[im] * b3 + cab[im] * a3
-        dp3 = abs(w1[im] * a3 + w2[im] * b3) ** 2
-        a4, b4 = a + dt * da3, b + dt * db3
-        da4 = ca[i1] * a4
-        db4 = cb[i1] * b4 + cab[i1] * a4
-        dp4 = abs(w1[i1] * a4 + w2[i1] * b4) ** 2
-        a += (dt / 6.0) * (da1 + 2 * da2 + 2 * da3 + da4)
-        b += (dt / 6.0) * (db1 + 2 * db2 + 2 * db3 + db4)
-        p += (dt / 6.0) * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-        a_trace[j + 1], b_trace[j + 1], p_trace[j + 1] = a, b, p
-    b_final = complex(b)
+    a_trace[0], b_trace[0], p_trace[0] = 1.0, 0.0, 0.0
+    for j0 in range(0, n_steps, _CHUNK_STEPS):
+        j1 = min(j0 + _CHUNK_STEPS, n_steps)
+        grid_part = slice(2 * j0, 2 * j1 + 1)
+        _rk4_chunk(ca[grid_part], cb[grid_part], cab[grid_part],
+                   w1[grid_part], w2[grid_part], dt, a_trace[j0:j1 + 1],
+                   b_trace[j0:j1 + 1], p_trace[j0:j1 + 1])
+    b_final = complex(b_trace[-1])
     eta_raw = abs(b_final) ** 2
     if eta_raw > 1 + 1e-6:
         raise NumericError(f"integrator produced eta = {eta_raw} > 1")
@@ -305,14 +353,12 @@ class DetuningSweepResult:
         return "\n".join(lines) + "\n"
 
 
-def detuning_sweep(config: QstConfig, delta_list: Sequence[float],
-                   map_fn=map) -> DetuningSweepResult:
+def detuning_sweep(config: QstConfig,
+                   delta_list: Sequence[float]) -> DetuningSweepResult:
     """Transfer efficiency versus node detuning.
 
     Requires a matched-waveform baseline: the zero-detuning transfer must
     exceed eta = 0.99 for the linear small-detuning law to be meaningful.
-    map_fn lets callers fan the independent sweep points out to a pool; it
-    must preserve order (results are merged by index).
     """
     deltas = [float(d) for d in delta_list]
     if len(deltas) < 2:
@@ -323,9 +369,8 @@ def detuning_sweep(config: QstConfig, delta_list: Sequence[float],
             f"baseline transfer eta = {baseline:.4f} <= 0.99: the sweep "
             "requires matched waveforms"
         )
-    etas = list(map_fn(
-        lambda dw: simulate_transfer(replace(config, delta_omega_hz=dw)).eta, deltas
-    ))
+    etas = [simulate_transfer(replace(config, delta_omega_hz=dw)).eta
+            for dw in deltas]
     rows = [
         (dw, eta, math.sqrt(max(0.0, 1.0 - eta)))
         for dw, eta in zip(deltas, etas)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidDimensionError, NumericError, ShapeError, UsageError
 from .fock import HilbertShape, Operator, StateVector
-from .gates import Circuit, GateSpec, apply_circuit, fourier
+from .gates import Circuit, GateSpec, apply_circuit
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +59,12 @@ class QuditHamiltonian:
         return len(self.diagonal)
 
     def dense(self) -> np.ndarray:
-        """Dense Hermitian matrix in rad/s."""
-        f = fourier(self.n_levels).matrix
-        mat = np.diag(self.diagonal.astype(complex))
-        mat += f @ np.diag(self.kinetic_diagonal.astype(complex)) @ f.conj().T
+        """Dense Hermitian matrix in rad/s. The kinetic term F diag(K) F†
+        is the circulant matrix with entries ifft(K)[(j − l) mod N]."""
+        n = self.n_levels
+        levels = np.arange(n)
+        mat = np.fft.ifft(self.kinetic_diagonal)[(levels[:, None] - levels) % n]
+        mat[levels, levels] += self.diagonal
         return 2.0 * np.pi * mat
 
     def operator(self) -> Operator:
@@ -96,15 +98,6 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
         GateSpec("fourier", {"target": 0}),
     )
     return Circuit(HilbertShape((n,)), gates)
-
-
-def exact_propagator(h: QuditHamiltonian, t_s: float) -> Operator:
-    """exp(-iHt) by dense diagonalization."""
-    if not math.isfinite(t_s):
-        raise NumericError(f"non-finite time {t_s}")
-    evals, vecs = h._eigensystem
-    mat = vecs @ (np.exp(-1j * evals * t_s)[:, None] * vecs.conj().T)
-    return Operator(HilbertShape((h.n_levels,)), mat)
 
 
 def _state_vector(psi0, n: int) -> StateVector:
@@ -157,8 +150,11 @@ def evolve_trotter(h: QuditHamiltonian, t_total_s: float, steps: int,
     state = psi
     for _ in range(int(steps)):
         state = apply_circuit(circuit, state)
-    exact = exact_propagator(h, t_total_s).apply(psi)
-    fid = abs(np.vdot(exact.amplitudes, state.amplitudes)) ** 2
+    # the exact state Q(e^{-iEt} ∘ Q†ψ), without forming the propagator
+    evals, vecs = h._eigensystem
+    phases = np.exp(-1j * evals * t_total_s)
+    exact = vecs @ (phases * (vecs.conj().T @ psi.amplitudes))
+    fid = abs(np.vdot(exact, state.amplitudes)) ** 2
     return TrotterResult(state=state, exact_fidelity=float(fid),
                          steps=int(steps), dt_s=dt)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -318,6 +319,45 @@ class TestCode:
                     assert p0 > 0.9 and p1 < -0.9
                     flips += 1
         assert flips >= 1
+
+    def test_artifact_bytes_match_trajectories(self, tmp_path):
+        # the CSV and JSON artifacts hold every trajectory array cell for
+        # cell, floats as their repr
+        from cavityq import __version__, codes, noise
+
+        doc = dict(CODE_DOC, alpha=[1.2, 0.3], n_levels=14, dt_s=1.5e-4,
+                   steps=300, n_trajectories=4)
+        cfg = write_json(tmp_path / "code.json", doc)
+        text = (tmp_path / "code.json").read_text(encoding="utf-8")
+        sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        psi = codes.cat_state(1.2 + 0.3j, "+", 14)
+        channel = noise.photon_loss_channel(1.0, 1.5e-4, 14)
+        results = noise.run_trajectories(channel, psi, 300, 4, base_seed=7)
+        assert sum(len(t.jump_steps) for t in results) > 0
+        rows = [
+            (t.seed, s + 1, int(t.jump_counts[s]), float(t.parities[s]),
+             float(t.mean_occupations[s]))
+            for t in results for s in range(t.steps)
+        ]
+        csv = "".join(
+            f"{seed},{step},{jumps},{parity!r},{mean_n!r}\n"
+            for seed, step, jumps, parity, mean_n in rows
+        )
+        expected_csv = (
+            f"# cavityq {__version__}\n# seed: 7\n# threads: 2\n"
+            f"# input_sha256: {sha}\nseed,step,jump_count,parity,mean_n\n{csv}"
+        )
+        expected_json = json.dumps({
+            "tool": "cavityq", "version": __version__, "seed": 7, "threads": 2,
+            "input_sha256": sha,
+            "columns": ["seed", "step", "jump_count", "parity", "mean_n"],
+            "rows": [list(row) for row in rows],
+        }, indent=2, sort_keys=True) + "\n"
+        for fmt, expected in (("csv", expected_csv), ("json", expected_json)):
+            assert cli.main(["--out", str(tmp_path), "--seed", "7", "--threads",
+                             "2", "--format", fmt, "code", cfg]) == 0
+            path = tmp_path / f"code_trajectories.{fmt}"
+            assert path.read_bytes() == expected.encode("utf-8")
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_json(tmp_path / "code.json", CODE_DOC)

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cavityq import fock, gates
@@ -539,3 +540,36 @@ class TestCompiledCircuitProperties:
         for _ in range(2):
             with pytest.raises(UsageError, match="gate 0"):
                 gates.apply_circuit(circ, fock.basis_state(4, 0))
+
+
+class TestDisplacementEigensystem:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 120])
+    @pytest.mark.parametrize("convention", ["standard", "paper"])
+    def test_matches_expm_of_generator(self, n, convention):
+        rng = np.random.default_rng(n)
+        a = fock.annihilation(n).matrix
+        sign = 1 if convention == "standard" else -1
+        for alpha in [0, 1.1, -0.4j, *(complex(*rng.normal(0, 1, 2)) for _ in range(3))]:
+            beta = sign * alpha
+            expected = scipy.linalg.expm(beta * a.conj().T - np.conj(beta) * a)
+            got = gates.displacement(alpha, n, convention=convention).matrix
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11)
+
+    def test_eigensystem_cached_per_dimension(self):
+        gates._quadrature_eigensystem.cache_clear()
+        gates.displacement(0.3, 17)
+        gates.displacement(0.7j - 0.2, 17)  # a fresh alpha still hits
+        info = gates._quadrature_eigensystem.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_cache_is_bounded(self):
+        for n in range(2, 14):
+            gates.displacement(0.5, n)
+        info = gates._quadrature_eigensystem.cache_info()
+        assert info.maxsize == 8
+        assert info.currsize <= 8
+
+    def test_cached_arrays_are_read_only(self):
+        evals, vecs = gates._quadrature_eigensystem(5)
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 1.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cavityq import codes, fock, noise
 from cavityq.errors import StepSizeError, UsageError
@@ -174,3 +175,132 @@ class TestTrajectories:
         ch = loss_channel(n=4)
         with pytest.raises(UsageError):
             noise.apply_channel_trajectory(ch, fock.basis_state(5, 0), 10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# batched trajectories against the per-trajectory loop
+
+
+def scalar_trajectory(channel, psi, steps, seed):
+    """The per-trajectory, per-step loop the batched kernel replaced, as an
+    oracle: one matvec per Kraus branch and one rng.random() per step."""
+    rng = np.random.default_rng(seed)
+    state = psi.amplitudes.copy()
+    mats = [k.matrix for k in channel.kraus]
+    jump_steps = []
+    jump_counts = np.zeros(steps, dtype=np.int64)
+    parities = np.zeros(steps)
+    mean_ns = np.zeros(steps)
+    jumps = 0
+    levels = np.arange(channel.shape.total_dim)
+    signs = (-1.0) ** levels
+    for s in range(steps):
+        branches = [m @ state for m in mats]
+        weights = np.array([float(np.real(np.vdot(b, b))) for b in branches])
+        total = weights.sum()
+        if total <= 0:
+            raise UsageError("state annihilated by every Kraus branch")
+        r = rng.random() * total
+        pick = int(np.searchsorted(np.cumsum(weights), r, side="right"))
+        pick = min(pick, len(branches) - 1)
+        state = branches[pick] / math.sqrt(weights[pick])
+        if pick != 0:
+            jumps += 1
+            jump_steps.append(s)
+        jump_counts[s] = jumps
+        probs = np.abs(state) ** 2
+        parities[s] = float(np.dot(signs, probs))
+        mean_ns[s] = float(np.dot(levels, probs))
+    return seed, tuple(jump_steps), jump_counts, parities, mean_ns, state
+
+
+def strong_channel(kind, n, x):
+    """Exactly complete loss, dephasing or both, at rates far above what
+    the first-order constructors accept, so trajectories jump often."""
+    shape = fock.HilbertShape((n,))
+    levels = np.arange(n)
+    ops, drain = [], np.zeros(n)
+    if kind in ("loss", "both"):
+        ops.append(math.sqrt(x) * fock.annihilation(n).matrix)
+        drain += x * levels
+    if kind in ("dephasing", "both"):
+        ops.append(np.diag(math.sqrt(x / (n - 1)) * levels).astype(complex))
+        drain += x / (n - 1) * levels**2
+    k0 = np.diag(np.sqrt(1.0 - drain)).astype(complex)
+    return noise.NoiseChannel(
+        shape, [fock.Operator(shape, m) for m in [k0, *ops]], 1e-3
+    )
+
+
+@st.composite
+def trajectory_problems(draw):
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["first_order", "loss", "dephasing", "both"]))
+    if kind == "first_order":
+        channel = noise.photon_loss_channel(1.0, 2e-3 / (n - 1), n)
+    else:
+        # keeps 1 - x n - x n²/(n-1) >= 0.1 on every level
+        x = draw(st.floats(0.01, 0.45)) / (n - 1)
+        channel = strong_channel(kind, n, x)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi = fock.StateVector((n,), amps).normalized()
+    return channel, psi
+
+
+class TestBatchedTrajectories:
+    @given(trajectory_problems(), st.sampled_from([1, 2, 7]),
+           st.sampled_from([0, 1, 33]), st.integers(0, 2**32 - 1))
+    def test_matches_scalar_loop(self, problem, n_traj, steps, base_seed):
+        channel, psi = problem
+        results = noise.run_trajectories(channel, psi, steps, n_traj, base_seed)
+        assert len(results) == n_traj
+        for i, traj in enumerate(results):
+            seed = int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0])
+            _, jump_steps, counts, parities, mean_ns, final = scalar_trajectory(
+                channel, psi, steps, seed
+            )
+            assert traj.seed == seed
+            assert traj.steps == steps
+            assert traj.jump_steps == jump_steps
+            assert traj.jump_counts.dtype == np.int64
+            np.testing.assert_array_equal(traj.jump_counts, counts)
+            np.testing.assert_allclose(traj.parities, parities, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.mean_occupations, mean_ns,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.final_state.amplitudes, final,
+                                       rtol=0, atol=1e-12)
+
+    @given(trajectory_problems(), st.integers(0, 2**63 - 1))
+    def test_single_trajectory_matches_scalar_loop(self, problem, seed):
+        channel, psi = problem
+        traj = noise.apply_channel_trajectory(channel, psi, 33, seed)
+        _, jump_steps, counts, parities, _, final = scalar_trajectory(
+            channel, psi, 33, seed
+        )
+        assert traj.jump_steps == jump_steps
+        np.testing.assert_array_equal(traj.jump_counts, counts)
+        np.testing.assert_allclose(traj.parities, parities, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.final_state.amplitudes, final,
+                                   rtol=0, atol=1e-12)
+
+    def test_strong_channels_jump(self):
+        # the property tests above would be vacuous without jumps
+        psi = fock.basis_state(6, 5)
+        for kind in ("loss", "dephasing", "both"):
+            results = noise.run_trajectories(strong_channel(kind, 6, 0.08), psi,
+                                             33, 7, base_seed=1)
+            assert sum(len(t.jump_steps) for t in results) > 0
+
+    def test_annihilated_state_raises(self):
+        ch = loss_channel(n=4)
+        zero_state = fock.StateVector((4,), np.zeros(4))
+        with pytest.raises(UsageError, match="annihilated"):
+            noise.run_trajectories(ch, zero_state, 3, 2, base_seed=0)
+        with pytest.raises(UsageError, match="annihilated"):
+            noise.apply_channel_trajectory(ch, zero_state, 1, seed=0)
+
+    def test_negative_steps_rejected(self):
+        ch = loss_channel(n=4)
+        with pytest.raises(UsageError, match="steps"):
+            noise.run_trajectories(ch, fock.basis_state(4, 1), -1, 2, base_seed=0)

@@ -1,8 +1,10 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cavityq import qst
 from cavityq.errors import (
@@ -494,3 +496,107 @@ class TestConfigJson:
         }
         with pytest.raises(ParseError):
             qst.qst_config_from_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# the scanned integrator against the step-by-step RK4 loop
+
+
+def scalar_rk4(config):
+    """The per-step RK4 loop the time scan replaced, as an oracle: returns
+    the (a, b, emitted) traces on the integrator grid."""
+    t0, t1 = config.t_span_s
+    n_steps = max(1, int(round((t1 - t0) / config.dt_s)))
+    dt = (t1 - t0) / n_steps
+    grid = t0 + (dt / 2.0) * np.arange(2 * n_steps + 1)
+    k1 = qst._evaluate_rates(config.emit_waveform, grid, "emit waveform")
+    k2 = qst._evaluate_rates(config.catch_waveform, grid, "catch waveform")
+    ca = -(k1 / 2.0 + 0.5j * config.delta_omega_hz)
+    cb = -k2 / 2.0
+    cab = -np.sqrt(k1 * k2)
+    w1 = np.sqrt(k1)
+    w2 = np.sqrt(k2)
+
+    a, b, p = 1.0 + 0.0j, 0.0 + 0.0j, 0.0
+    a_trace = np.empty(n_steps + 1, dtype=complex)
+    b_trace = np.empty(n_steps + 1, dtype=complex)
+    p_trace = np.empty(n_steps + 1, dtype=float)
+    a_trace[0], b_trace[0], p_trace[0] = a, b, p
+    h = dt / 2.0
+    for j in range(n_steps):
+        i0, im, i1 = 2 * j, 2 * j + 1, 2 * j + 2
+        da1 = ca[i0] * a
+        db1 = cb[i0] * b + cab[i0] * a
+        dp1 = abs(w1[i0] * a + w2[i0] * b) ** 2
+        a2, b2 = a + h * da1, b + h * db1
+        da2 = ca[im] * a2
+        db2 = cb[im] * b2 + cab[im] * a2
+        dp2 = abs(w1[im] * a2 + w2[im] * b2) ** 2
+        a3, b3 = a + h * da2, b + h * db2
+        da3 = ca[im] * a3
+        db3 = cb[im] * b3 + cab[im] * a3
+        dp3 = abs(w1[im] * a3 + w2[im] * b3) ** 2
+        a4, b4 = a + dt * da3, b + dt * db3
+        da4 = ca[i1] * a4
+        db4 = cb[i1] * b4 + cab[i1] * a4
+        dp4 = abs(w1[i1] * a4 + w2[i1] * b4) ** 2
+        a += (dt / 6.0) * (da1 + 2 * da2 + 2 * da3 + da4)
+        b += (dt / 6.0) * (db1 + 2 * db2 + 2 * db3 + db4)
+        p += (dt / 6.0) * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
+        a_trace[j + 1], b_trace[j + 1], p_trace[j + 1] = a, b, p
+    return a_trace, b_trace, p_trace
+
+
+@st.composite
+def transfer_problems(draw):
+    """A transfer with n_steps in {1, 2, 3} or odd, steps at the largest
+    allowed max(kappa)*dt, for the sech pair, a mismatched catch or
+    sampled rates, with or without detuning."""
+    n_steps = draw(st.one_of(st.sampled_from([1, 2, 3]),
+                             st.integers(2, 400).map(lambda k: 2 * k + 1)))
+    kind = draw(st.sampled_from(["sech", "mismatched", "sampled"]))
+    dt = 0.04 / (1.5 * KAPPA)  # every rate below stays <= 1.5 kappa
+    span = n_steps * dt
+    t0 = -draw(st.floats(0.0, 1.0)) * span
+    if kind == "sampled":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        count = draw(st.integers(2, 12))
+        emit, catch = (
+            qst.SampledWaveform(rng.uniform(0, 1.5 * KAPPA, count),
+                                span / (count - 1), t0)
+            for _ in range(2)
+        )
+    else:
+        emit = qst.matched_emit_rate(KAPPA)
+        factor = 1.0 if kind == "sech" else draw(st.floats(0.5, 1.5))
+        catch = qst.matched_catch_rate(factor * KAPPA)
+    delta = draw(st.sampled_from([0.0, 3e4, -2.5e5]))
+    return qst.QstConfig(kappa_hz=KAPPA, emit_waveform=emit, catch_waveform=catch,
+                         t_span_s=(t0, t0 + span), dt_s=dt, delta_omega_hz=delta)
+
+
+class TestScannedTransfer:
+    @given(transfer_problems(), st.sampled_from([1, 2, 3, 7, 2048]))
+    def test_matches_scalar_rk4(self, config, chunk):
+        with mock.patch.object(qst, "_CHUNK_STEPS", chunk):
+            res = qst.simulate_transfer(config)
+        a_trace, b_trace, p_trace = scalar_rk4(config)
+        assert len(res.times_s) == len(a_trace)
+        np.testing.assert_allclose(res.a_trace, a_trace, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.b_trace, b_trace, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.emitted_trace, p_trace, rtol=0, atol=1e-12)
+        assert res.eta == pytest.approx(min(abs(b_trace[-1]) ** 2, 1.0),
+                                        rel=0, abs=1e-12)
+
+    def test_chunks_cross_a_long_span(self):
+        # 10k steps in chunks of 999: the carried (a, b, p) stays exact
+        config = matched_config(dt=0.004 / KAPPA, delta=2e4)
+        whole = qst.simulate_transfer(config)
+        with mock.patch.object(qst, "_CHUNK_STEPS", 999):
+            chunked = qst.simulate_transfer(config)
+        a_trace, b_trace, p_trace = scalar_rk4(config)
+        for res in (whole, chunked):
+            np.testing.assert_allclose(res.a_trace, a_trace, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(res.b_trace, b_trace, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(res.emitted_trace, p_trace, rtol=0,
+                                       atol=1e-12)

@@ -58,6 +58,17 @@ class TestQuditHamiltonian:
             trotter.QuditHamiltonian([1.0, np.inf], [0.0, 0.0])
 
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 33])
+    def test_dense_matches_fourier_product(self, n):
+        # oracle: the kinetic term as F diag(K) F† with the dense Fourier gate
+        rng = np.random.default_rng(n)
+        h = trotter.QuditHamiltonian(rng.normal(size=n), rng.normal(size=n))
+        f = gates.fourier(n).matrix
+        expected = 2 * np.pi * (np.diag(h.diagonal)
+                                + f @ np.diag(h.kinetic_diagonal) @ f.conj().T)
+        np.testing.assert_allclose(h.dense(), expected, rtol=0, atol=1e-12)
+
+
 class TestTrotterStep:
     def test_circuit_layout(self):
         h = random_hamiltonian()
