@@ -269,16 +269,46 @@ def tensor(*factors):
     raise UsageError("tensor factors must be all states or all operators")
 
 
+def eig_exponential(evals: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) from the eigh output (evals, vecs) of Hermitian h, batched
+    over leading axes: V e^{-i Λ t} V†."""
+    return ((vecs * np.exp(-1j * evals * t)[..., None, :])
+            @ vecs.conj().swapaxes(-1, -2))
+
+
+def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) for Hermitian h of shape (..., b, b), batched over the
+    leading axes.
+
+    2x2 matrices h = c*I + B (B traceless, eigenvalues +-|b|) use the closed
+    form e^{-ict} (cos(|b|t) I - i t sinc(|b|t) B); larger ones one batched
+    eigh. Like eigh, both read only the lower triangle.
+    """
+    if h.shape[-1] != 2:
+        return eig_exponential(*np.linalg.eigh(h), t)
+    h00, h11, h10 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
+    bz = (h00 - h11) / 2
+    theta = np.sqrt(bz**2 + np.abs(h10) ** 2) * t
+    phase = np.exp(-0.5j * (h00 + h11) * t)
+    cos = phase * np.cos(theta)
+    sin = -1j * t * phase * np.sinc(theta / np.pi)  # sinc(x) = sin(pi x)/(pi x)
+    # keeps the memory layout of h: the 2x2 products that pulse takes of a
+    # C-ordered copy instead run about a quarter slower
+    u = np.empty_like(h, dtype=np.complex128)
+    u[..., 0, 0] = cos + sin * bz
+    u[..., 1, 1] = cos - sin * bz
+    u[..., 0, 1] = sin * h10.conj()
+    u[..., 1, 0] = sin * h10
+    return u
+
+
 def propagator(h: Operator, t: float) -> Operator:
-    """exp(-i*H*t). Hermitian H goes through an eigendecomposition so the
-    result is unitary to machine precision; anything else falls back to
-    scipy's expm."""
-    if h.is_hermitian(tol=1e-10):
-        # symmetrize away the tolerated asymmetry before eigh
-        hm = (h.matrix + h.matrix.conj().T) / 2
-        evals, evecs = np.linalg.eigh(hm)
-        phases = np.exp(-1j * evals * t)
-        mat = (evecs * phases) @ evecs.conj().T
+    """exp(-i*H*t). H that is Hermitian to within 1e-12 * max(1, max|H|)
+    is symmetrized and goes through expm_hermitian, so the result is unitary
+    to machine precision; anything else falls back to scipy's expm."""
+    if h.is_hermitian(tol=1e-12 * max(1.0, float(np.max(np.abs(h.matrix))))):
+        # symmetrize away the tolerated asymmetry
+        mat = expm_hermitian((h.matrix + h.matrix.conj().T) / 2, t)
     else:
         import scipy.linalg  # only this fallback needs scipy
 

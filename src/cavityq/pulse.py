@@ -37,6 +37,8 @@ from .fock import (
     StateVector,
     annihilation,
     basis_state,
+    eig_exponential,
+    expm_hermitian,
     number_operator,
     shape_of,
 )
@@ -52,6 +54,11 @@ _SNAP_SIGMA_DIVISOR = 6.0
 # matrix entries per chunk of stacked segment blocks: 1 MiB of complex128,
 # which is 2048 segments of the N = 8 dispersive photon-number sectors
 _CHUNK_ENTRIES = 1 << 16
+
+
+def _is_number(value) -> bool:
+    """A JSON number: bool is an int subclass but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _finite_complex_array(values, what: str) -> np.ndarray:
@@ -156,15 +163,17 @@ class PulseSchedule:
             vals = []
             for j, pair in enumerate(amps):
                 if (not isinstance(pair, list) or len(pair) != 2
-                        or not all(isinstance(x, (int, float)) for x in pair)):
+                        or not all(_is_number(x) for x in pair)):
                     raise ParseError(
                         f"control {i} amp {j} must be a [re, im] number pair"
                     )
                 vals.append(complex(pair[0], pair[1]))
             streams.append(np.array(vals, dtype=complex))
-            if not isinstance(entry["carrier_hz"], (int, float)):
+            if not _is_number(entry["carrier_hz"]):
                 raise ParseError(f"control {i}: 'carrier_hz' must be a number")
             carriers.append(float(entry["carrier_hz"]))
+        if not _is_number(doc["dt_s"]):
+            raise ParseError("'dt_s' must be a number")
         try:
             return PulseSchedule(float(doc["dt_s"]), tuple(streams), tuple(carriers))
         except (UsageError, NumericError) as exc:
@@ -280,35 +289,6 @@ def _blocks(model: ControlModel) -> list[np.ndarray]:
     return blocks
 
 
-def _eig_unitaries(lam: np.ndarray, vecs: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for a stack of Hermitian h given their eigh output."""
-    return ((vecs * np.exp(-1j * lam * dt)[..., None, :])
-            @ vecs.conj().swapaxes(-1, -2))
-
-
-def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for a stack (..., b, b) of Hermitian matrices.
-
-    2x2 matrices h = c*I + B (B traceless, eigenvalues +-|b|) use the closed
-    form e^{-icdt} (cos(|b|dt) I - i dt sinc(|b|dt) B); larger ones one
-    batched eigh. Like eigh, both read only the lower triangle.
-    """
-    if h.shape[-1] != 2:
-        return _eig_unitaries(*np.linalg.eigh(h), dt)
-    h00, h11, h10 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
-    bz = (h00 - h11) / 2
-    theta = np.sqrt(bz**2 + np.abs(h10) ** 2) * dt
-    phase = np.exp(-0.5j * (h00 + h11) * dt)
-    cos = phase * np.cos(theta)
-    sin = -1j * dt * phase * np.sinc(theta / np.pi)  # sinc(x) = sin(pi x)/(pi x)
-    u = np.empty_like(h)
-    u[..., 0, 0] = cos + sin * bz
-    u[..., 1, 1] = cos - sin * bz
-    u[..., 0, 1] = sin * h10.conj()
-    u[..., 1, 0] = sin * h10
-    return u
-
-
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for stacks of matrices; 2x2 products are written out, because
     numpy's matmul runs them several times slower."""
@@ -351,7 +331,7 @@ def _propagator(model: ControlModel, amps: np.ndarray, dt: float) -> np.ndarray:
         for start in range(0, coeffs.shape[1], step):
             h = drift + np.einsum("km,kbij->mbij",
                                   coeffs[:, start:start + step], ctrl)
-            u = _ordered_product(_expm_hermitian(h, dt))
+            u = _ordered_product(expm_hermitian(h, dt))
             total = u if total is None else _matmul(u, total)
         prop[rows, cols] = total
     return prop
@@ -453,11 +433,13 @@ def _ascend(x0: np.ndarray,
             max_backtracks: int = 60):
     """Maximize J(x) by steepest ascent with a backtracking line search.
 
+    x keeps the dtype of x0, real or complex. A complex x is stepped on its
+    (Re, Im) pairs, so value_and_grad returns dJ/dRe + i dJ/dIm for it.
     Accepts a step only if J strictly improves, so 1-J is nonincreasing.
     Returns (x, J, iterations, converged, trace); trace rows are
     (iteration, 1-J, step_size).
     """
-    x = np.array(x0, dtype=float, copy=True)
+    x = np.array(x0, copy=True)
     j, g = value_and_grad(x)
     trace = [(0, 1.0 - j, 0.0)]
     lr = float(learning_rate)
@@ -482,6 +464,27 @@ def _ascend(x0: np.ndarray,
         lr *= grow
         converged = 1.0 - j <= tol
     return x, j, iters, bool(converged), tuple(trace)
+
+
+def _state_objective(target: np.ndarray, psi_f: np.ndarray,
+                     guard: tuple[int, ...], leak_weight: float):
+    """State-preparation objective J = |<target|psi_f>|^2 minus leak_weight
+    times the population on the guard indices.
+
+    Returns (J, J_raw, seed): J_raw is the overlap term alone, and the
+    adjoint seed satisfies dJ = 2 Re <seed|d psi_f>.
+    """
+    c = np.vdot(target, psi_f)
+    j_raw = abs(c) ** 2
+    leak = 0.0
+    if guard:
+        leak = float(np.sum(np.abs(psi_f[list(guard)]) ** 2))
+    seed = c * target
+    # one subtraction per listed index, as the leak sum counts a repeated
+    # index once per listing (seed[guard] -= ... would count it once)
+    for gidx in guard:
+        seed[gidx] -= leak_weight * psi_f[gidx]
+    return j_raw - leak_weight * leak, j_raw, seed
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +529,7 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
     h = model.drift.matrix + np.einsum("km,kij->mij",
                                        _control_coefficients(amps), controls)
     lam, vecs = np.linalg.eigh(h)
-    props = _eig_unitaries(lam, vecs, dt)
+    props = eig_exponential(lam, vecs, dt)
 
     fwd = [np.eye(d, dtype=complex) if unitary_target
            else np.array(psi0_vec, copy=True)]
@@ -537,13 +540,8 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
         j_raw = abs(c) ** 2
         j_total = j_raw
     else:
-        psi_f = fwd[-1]
-        c = np.vdot(target, psi_f)
-        j_raw = abs(c) ** 2
-        leak = 0.0
-        if guard_indices:
-            leak = float(np.sum(np.abs(psi_f[list(guard_indices)]) ** 2))
-        j_total = j_raw - leak_weight * leak
+        j_total, j_raw, seed = _state_objective(target, fwd[-1],
+                                                guard_indices, leak_weight)
 
     if not want_grad:
         return j_total, j_raw, None
@@ -556,12 +554,6 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
             back.append(back[-1] @ u)
         adj = np.stack(fwd[:-1]) @ np.stack(back[::-1])
     else:
-        # adjoint seed covers both the overlap term and the leakage penalty
-        seed = c * np.asarray(target)
-        if guard_indices:
-            seed = seed.copy()
-            for gidx in guard_indices:
-                seed[gidx] -= leak_weight * psi_f[gidx]
         back = [seed]
         for u in props[:0:-1]:
             back.append(u.conj().T @ back[-1])
@@ -612,7 +604,7 @@ def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
         model, amps, schedule.dt_s, tgt, psi0_vec,
         tuple(int(i) for i in guard_indices), float(leak_weight), True,
     )
-    return j_total, tuple(grad[s] for s in range(grad.shape[0]))
+    return j_total, tuple(grad)
 
 
 def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
@@ -641,7 +633,6 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
             raise UsageError(f"guard index {g} out of range")
     dt = schedule0.dt_s
     amps0 = np.stack(schedule0.streams)
-    n_streams, n_seg = amps0.shape
 
     # work in dimensionless per-segment drive areas w = 2*pi*u*dt
     area = 2 * np.pi * dt
@@ -654,30 +645,16 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
         w0 = scale * (rng.standard_normal(w0.shape)
                       + 1j * rng.standard_normal(w0.shape))
 
-    def pack(w: np.ndarray) -> np.ndarray:
-        return np.concatenate([w.real.ravel(), w.imag.ravel()])
-
-    def unpack(x: np.ndarray) -> np.ndarray:
-        half = n_streams * n_seg
-        return (x[:half] + 1j * x[half:]).reshape(n_streams, n_seg)
-
-    def value_and_grad(x: np.ndarray):
-        w = unpack(x)
+    def value_and_grad(w: np.ndarray):
         jt, _, grad = _grape_pass(model, w / area, dt, tgt, psi0_vec, guard,
                                   float(leak_weight), True)
-        gw = grad / area  # chain rule u = w / area
-        return jt, np.concatenate([gw.real.ravel(), gw.imag.ravel()])
+        return jt, grad / area  # chain rule u = w / area
 
-    x_best, j_best, iters, converged, trace = _ascend(
-        pack(w0), value_and_grad, int(iterations), float(tol),
-        float(learning_rate),
+    w_best, _, iters, converged, trace = _ascend(
+        w0, value_and_grad, int(iterations), float(tol), float(learning_rate),
     )
-    w_best = unpack(x_best)
     amps_best = w_best / area
-    schedule = PulseSchedule(
-        dt, tuple(amps_best[s] for s in range(n_streams)),
-        schedule0.carriers_hz,
-    )
+    schedule = PulseSchedule(dt, tuple(amps_best), schedule0.carriers_hz)
     _, j_raw, _ = _grape_pass(model, amps_best, dt, tgt, psi0_vec, guard,
                               float(leak_weight), False)
     return GrapeResult(
@@ -857,7 +834,7 @@ def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
     # D(alpha) = exp(-i G), G = i (alpha a^dag - conj(alpha) a) Hermitian
     gens = 1j * (alphas[:, None, None] * adag - np.conj(alphas)[:, None, None] * a)
     lam, vecs = np.linalg.eigh(gens)
-    disps = _eig_unitaries(lam, vecs, 1.0)
+    disps = eig_exponential(lam, vecs, 1.0)
     snaps = np.exp(1j * thetas)
     psi = np.zeros(n, dtype=complex)
     psi[0] = 1.0
@@ -867,21 +844,10 @@ def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
         psi = disps[k] @ psi
         if k < blocks:
             psi = snaps[k] * psi
-    psi_f = psi
-    c = np.vdot(target, psi_f)
-    j_raw = abs(c) ** 2
-    leak = 0.0
-    if guard:
-        leak = float(np.sum(np.abs(psi_f[list(guard)]) ** 2))
-    j_total = j_raw - leak_weight * leak
+    j_total, j_raw, seed = _state_objective(target, psi, guard, leak_weight)
     if not want_grad:
         return j_total, j_raw, None, None
 
-    seed = c * target
-    if guard:
-        seed = seed.copy()
-        for gidx in guard:
-            seed[gidx] -= leak_weight * psi_f[gidx]
     g_theta = np.zeros_like(thetas)
     post = [None] * (blocks + 1)    # adjoint leaving each displacement
     chi_vec = seed

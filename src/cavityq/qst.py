@@ -131,17 +131,14 @@ class SampledWaveform:
 
 def _evaluate_rates(waveform, grid: np.ndarray, what: str) -> np.ndarray:
     """Evaluate a rate waveform on a time grid; validates nonnegativity."""
-    if isinstance(waveform, SampledWaveform):
-        rates = waveform(grid)
-    elif callable(waveform):
-        try:
-            rates = np.asarray(waveform(grid), dtype=float)
-            if rates.shape != grid.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            rates = np.array([float(waveform(t)) for t in grid])
-    else:
+    if not callable(waveform):
         raise UsageError(f"{what} must be callable or a SampledWaveform")
+    try:
+        rates = np.asarray(waveform(grid), dtype=float)
+        if rates.shape != grid.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        rates = np.array([float(waveform(t)) for t in grid])
     if not np.all(np.isfinite(rates)):
         raise NumericError(f"{what} produced non-finite rates")
     if np.any(rates < 0):
@@ -423,6 +420,11 @@ def on_off_ratio(waveform, floor_hz: float,
 # config JSON
 
 
+def _is_number(value) -> bool:
+    """A JSON number: bool is an int subclass but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _waveform_from_json(obj, slot: str, kappa_hz: float, t0_s: float):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{slot} waveform must be an object with a 'kind'")
@@ -433,7 +435,7 @@ def _waveform_from_json(obj, slot: str, kappa_hz: float, t0_s: float):
         if unknown:
             raise ParseError(f"{slot} waveform: unknown fields {sorted(unknown)}")
         k = obj.get("kappa_hz", kappa_hz)
-        if not isinstance(k, (int, float)) or k <= 0:
+        if not _is_number(k) or k <= 0:
             raise ParseError(f"{slot} waveform: 'kappa_hz' must be positive")
         # the sech photon-envelope protocol: rising tanh rate on the emitter
         # side, its time reverse on the catcher
@@ -448,9 +450,9 @@ def _waveform_from_json(obj, slot: str, kappa_hz: float, t0_s: float):
         if "dt_s" not in obj or "values" not in obj:
             raise ParseError(f"{slot} waveform: 'sampled' needs dt_s and values")
         if (not isinstance(obj["values"], list)
-                or not all(isinstance(v, (int, float)) for v in obj["values"])):
+                or not all(_is_number(v) for v in obj["values"])):
             raise ParseError(f"{slot} waveform: 'values' must be numbers")
-        if not isinstance(obj["dt_s"], (int, float)):
+        if not _is_number(obj["dt_s"]):
             raise ParseError(f"{slot} waveform: 'dt_s' must be a number")
         try:
             return SampledWaveform(np.asarray(obj["values"], dtype=float),
@@ -485,23 +487,23 @@ def qst_config_from_json(text: str) -> QstConfig:
     if unknown:
         raise ParseError(f"unknown config fields: {sorted(unknown)}")
     for name in ("kappa_hz", "dt_s"):
-        if not isinstance(doc[name], (int, float)):
+        if not _is_number(doc[name]):
             raise ParseError(f"'{name}' must be a number")
     span = doc["t_span_s"]
     if (not isinstance(span, list) or len(span) != 2
-            or not all(isinstance(v, (int, float)) for v in span)):
+            or not all(_is_number(v) for v in span)):
         raise ParseError("'t_span_s' must be a [t0, t1] number pair")
     dw = doc.get("delta_omega_hz", 0.0)
-    if not isinstance(dw, (int, float)):
+    if not _is_number(dw):
         raise ParseError("'delta_omega_hz' must be a number")
     state = doc.get("input_state", [[0.0, 0.0], [1.0, 0.0]])
     if (not isinstance(state, list) or len(state) != 2
             or not all(isinstance(p, list) and len(p) == 2
-                       and all(isinstance(x, (int, float)) for x in p)
+                       and all(_is_number(x) for x in p)
                        for p in state)):
         raise ParseError("'input_state' must be [[re,im],[re,im]]")
     temp = doc.get("channel_temperature", 0.0)
-    if not isinstance(temp, (int, float)):
+    if not _is_number(temp):
         raise ParseError("'channel_temperature' must be a number")
     t0 = float(span[0])
     kappa = float(doc["kappa_hz"])

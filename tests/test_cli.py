@@ -194,6 +194,12 @@ class TestQst:
         _, _, rows3 = read_csv(tmp_path / "qst_sweep.csv")
         assert rows1 == rows3
 
+    def test_boolean_rate_exit_2(self, tmp_path, capsys):
+        doc = dict(QST_SWEEP_DOC["transfer"], kappa_hz=True)
+        cfg = write_json(tmp_path / "qst.json", doc)
+        assert run_cli(tmp_path, "qst", cfg) == 2
+        assert "kappa_hz" in capsys.readouterr().err
+
     def test_step_size_violation_exit_3(self, tmp_path):
         doc = dict(QST_SWEEP_DOC["transfer"])
         doc["dt_s"] = 1e-6  # max kappa * dt = 1 >> 0.05

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, strategies as st
 
-from cavityq import fock
+from cavityq import fock, trotter
 from cavityq.errors import (
     CapacityError,
     InvalidDimensionError,
@@ -155,6 +157,55 @@ class TestPropagator:
         u = fock.propagator(h, 1.0).matrix
         # exp(-i t a) for nilpotent a is I - i t a
         np.testing.assert_allclose(u, np.eye(2) - 1j * m, atol=1e-12)
+
+    def test_two_level_closed_form_matches_expm(self):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        hm = (m + m.conj().T) / 2
+        u = fock.propagator(fock.Operator(fock.HilbertShape((2,)), hm), 1.3)
+        np.testing.assert_allclose(u.matrix, scipy.linalg.expm(-1.3j * hm),
+                                   atol=1e-14)
+        assert u.is_unitary(tol=1e-14)
+
+    def test_mhz_qudit_hamiltonian_stays_hermitian(self, monkeypatch):
+        # the circulant fill of a 64-level MHz Hamiltonian leaves an
+        # asymmetry of ~2e-10 rad/s, far below its ~6e6 rad/s scale
+        rng = np.random.default_rng(0)
+        h = trotter.QuditHamiltonian(rng.uniform(-1, 1, 64) * 1e6,
+                                     rng.uniform(-1, 1, 64) * 1e6).operator()
+        assert np.max(np.abs(h.matrix - h.matrix.conj().T)) > 1e-10
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Hermitian input sent to scipy's expm")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        assert fock.propagator(h, 1e-6).is_unitary(tol=1e-13)
+
+
+def _random_hermitian(rng, shape):
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+class TestExpmHermitian:
+    @given(seed=st.integers(0, 2**32 - 1),
+           batch=st.sampled_from([(), (4,), (2, 3)]),
+           size=st.sampled_from([1, 2, 3, 6]),
+           t=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+    def test_matches_scipy_expm(self, seed, batch, size, t):
+        h = _random_hermitian(np.random.default_rng(seed), (*batch, size, size))
+        u = fock.expm_hermitian(h, t)
+        assert u.shape == h.shape
+        ref = np.array([scipy.linalg.expm(-1j * t * hk)
+                        for hk in h.reshape(-1, size, size)])
+        np.testing.assert_allclose(u.reshape(-1, size, size), ref, atol=1e-12)
+
+    def test_degenerate_two_level(self):
+        # B = 0: both eigenvalues equal c, so exp(-iht) = e^{-ict} I
+        h = np.stack([c * np.eye(2, dtype=complex) for c in (0.0, 0.7, -2.5)])
+        u = fock.expm_hermitian(h, 1.9)
+        ref = np.exp(-1.9j * np.array([0.0, 0.7, -2.5]))[:, None, None] * np.eye(2)
+        np.testing.assert_allclose(u, ref, atol=1e-15)
 
 
 class TestCoherentState:

@@ -89,6 +89,24 @@ class TestPulseSchedule:
         with pytest.raises(ParseError):
             PulseSchedule.from_json(json.dumps(
                 {"dt_s": 1e-9, "controls": [], "extra": 1}))
+        with pytest.raises(ParseError):
+            PulseSchedule.from_json(json.dumps(
+                {"dt_s": "abc", "controls": [{"carrier_hz": 0.0,
+                                              "amps": [[1.0, 0.0]]}]}))
+
+    @pytest.mark.parametrize("field", ["amps", "carrier_hz", "dt_s"])
+    def test_json_booleans_are_not_numbers(self, field):
+        doc = {"dt_s": 1e-9,
+               "controls": [{"carrier_hz": 0.0, "amps": [[1.0, 0.0]]}]}
+        PulseSchedule.from_json(json.dumps(doc))  # the valid baseline
+        if field == "amps":
+            doc["controls"][0]["amps"] = [[True, False]]
+        elif field == "carrier_hz":
+            doc["controls"][0]["carrier_hz"] = True
+        else:
+            doc["dt_s"] = True
+        with pytest.raises(ParseError):
+            PulseSchedule.from_json(json.dumps(doc))
 
 
 class TestControlModel:
@@ -352,7 +370,9 @@ class TestGrapeGradients:
                         worst = max(worst, abs(ana - fd) / gscale)
         assert worst < 1e-6
 
-    def test_guard_penalty_gradient(self):
+    @pytest.mark.parametrize("guard,weight", [((3, 4), 1.0), ((3, 3, 4), 0.4)],
+                             ids=["distinct", "repeated"])
+    def test_guard_penalty_gradient(self, guard, weight):
         rng = np.random.default_rng(23)
         model = self._rand_model(rng, 5, 1)
         amps = 1e6 * (rng.standard_normal((1, 4))
@@ -361,7 +381,7 @@ class TestGrapeGradients:
         vec = np.zeros(5, dtype=complex)
         vec[:3] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         target = StateVector(5, vec / np.linalg.norm(vec))
-        kw = dict(guard_indices=(3, 4), leak_weight=1.0)
+        kw = dict(guard_indices=guard, leak_weight=weight)
         j0, grads = grape_gradient(model, sched, target, **kw)
         h = 1.0
         up = amps.copy()

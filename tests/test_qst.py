@@ -487,6 +487,24 @@ class TestConfigJson:
         with pytest.raises(ParseError):
             qst.qst_config_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("path", [
+        ("kappa_hz",), ("dt_s",), ("t_span_s", 0), ("delta_omega_hz",),
+        ("input_state", 1, 0), ("channel_temperature",),
+        ("emit_waveform", "kappa_hz"), ("catch_waveform", "dt_s"),
+        ("catch_waveform", "values", 1),
+    ], ids=lambda path: ".".join(map(str, path)))
+    def test_booleans_are_not_numbers(self, path):
+        doc = self.sech_doc()
+        doc["catch_waveform"] = {"kind": "sampled", "dt_s": 2 * HALF_SPAN,
+                                 "values": [KAPPA, KAPPA]}
+        qst.qst_config_from_json(json.dumps(doc))  # the valid baseline
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = True
+        with pytest.raises(ParseError):
+            qst.qst_config_from_json(json.dumps(doc))
+
     def test_sampled_negative_values_rejected(self):
         doc = self.sech_doc()
         doc["emit_waveform"] = {
