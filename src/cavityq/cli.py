@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, codes, device, gates, fock, noise, pulse, qst, trotter
-from .errors import CapacityError, NumericError, ParseError, UsageError
+from .errors import CapacityError, NumericError, ParseError, UsageError, is_json_number
 
 _PROB_FLOOR = 1e-12
 
@@ -60,7 +60,7 @@ def _field(doc: dict, name: str, types, what: str, default=_REQUIRED):
         raise ParseError(f"{what}: missing field '{name}'")
     val = doc[name]
     if types is float:
-        ok = isinstance(val, (int, float)) and not isinstance(val, bool)
+        ok = is_json_number(val)
     elif types is int:
         ok = isinstance(val, int) and not isinstance(val, bool)
     else:
@@ -74,8 +74,7 @@ def _number_list(doc: dict, name: str, what: str, default=_REQUIRED):
     val = _field(doc, name, list, what, default)
     if not isinstance(val, list):
         return val  # the caller's non-list default (e.g. None)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in val):
+    if not all(is_json_number(v) for v in val):
         raise ParseError(f"{what}: field '{name}' must be a list of numbers")
     return [float(v) for v in val]
 

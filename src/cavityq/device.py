@@ -15,7 +15,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .errors import DegenerateDetuningError, ParseError, UsageError
+from .errors import DegenerateDetuningError, ParseError, UsageError, is_json_number
 
 _FIELDS = (
     "omega_q_hz",
@@ -81,7 +81,7 @@ class DeviceParams:
             raise ParseError(f"device JSON has unknown field(s): {', '.join(unknown)}")
         vals = {}
         for f in _FIELDS:
-            if not isinstance(raw[f], (int, float)) or isinstance(raw[f], bool):
+            if not is_json_number(raw[f]):
                 raise ParseError(f"device field {f} must be a number, got {raw[f]!r}")
             vals[f] = float(raw[f])
         try:

@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and input rule shared across the package.
 
 The CLI maps these onto process exit codes, so new error types should
 subclass one of the four roots below rather than Exception directly.
+Every parser tests JSON numbers with `is_json_number`.
 """
+
+
+def is_json_number(value) -> bool:
+    """A JSON number: an int or float, but not a bool (an int subclass)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class CavityQError(Exception):

@@ -20,7 +20,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ParseError, ShapeError, UsageError
+from .errors import CapacityError, ParseError, ShapeError, UsageError, is_json_number
 from .fock import (
     HilbertShape,
     Operator,
@@ -315,19 +315,19 @@ def _as_subsystem(value, shape: HilbertShape, kind: str, field_name: str) -> int
 
 
 def _as_complex(value, kind: str, field_name: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_json_number(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        and all(is_json_number(v) for v in value)
     ):
         return complex(value[0], value[1])
     raise UsageError(f"{kind} gate field {field_name!r} must be a number or [re, im] pair")
 
 
 def _as_float(value, kind: str, field_name: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_json_number(value):
         return float(value)
     raise UsageError(f"{kind} gate field {field_name!r} must be a number")
 

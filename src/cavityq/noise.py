@@ -6,12 +6,25 @@ channel's dt. The photon-loss pair is the first-order expansion
 √(I − K1†K1), so ΣK†K = I holds to machine precision while K1 keeps
 the per-level jump rate n/T1. Construction refuses dt values for which
 the first-order pair would violate completeness beyond 1e-6.
+`amplitude_damping_channel` is the exact loss channel over dt (the
+bosonic amplitude-damping Kraus set): it has no step-size limit and
+composes exactly, E_s∘E_t = E_{s+t}, so it bounds the first-order
+channel's error.
+
+Every built-in Kraus operator has a single nonzero diagonal: K_k[i, i+o_k]
+= u_k[i]. A channel whose operators all have that form is stored as bands
+at construction, K_k x = u_k ∘ shift_{o_k}(x), and one step is
+ρ' = Σ_o W_o ∘ shift_{o,o}(ρ) with W_o the sum of u_k u_k† over the
+operators of offset o: O(K·N²) elementwise work and no matrix product.
+Only a set with a dense operator is stored as a (K, N, N) stack with its
+adjoints and applied by stacked products. The structure alone picks the
+path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +35,75 @@ _COMPLETENESS_TOL = 1e-9
 _FIRST_ORDER_TOL = 1e-6
 
 
+class _Banded:
+    """Kraus operators with one nonzero diagonal each.
+
+    diagonals[k, i] = K_k[i, i + o_k] and index[k, i] = i + o_k clipped
+    into range; where i + o_k is out of range the diagonal entry is 0, so
+    K_k x = diagonals[k] ∘ x[index[k]] needs no mask. The step on ρ sums
+    one weight per distinct offset, gathered through flat positions of
+    ρ[i + o, j + o].
+    """
+
+    def __init__(self, matrices: np.ndarray, offsets: list[int]) -> None:
+        n_ops, n, _ = matrices.shape
+        levels = np.arange(n)
+        self.index = np.clip(levels + np.array(offsets)[:, None], 0, n - 1)
+        # off the band the clipped position reads an exact zero
+        self.diagonals = matrices[np.arange(n_ops)[:, None], levels, self.index]
+        distinct = sorted(set(offsets))
+        self.weights = np.empty((len(distinct), n, n), dtype=complex)
+        for w, o in zip(self.weights, distinct):
+            u = self.diagonals[np.equal(offsets, o)]
+            w[...] = (u[:, :, None] * u[:, None, :].conj()).sum(axis=0)
+        shifted = np.clip(levels + np.array(distinct)[:, None], 0, n - 1)
+        self.flat = shifted[:, :, None] * n + shifted[:, None, :]
+
+    def branches(self, columns: np.ndarray) -> np.ndarray:
+        """K_k applied to every column of an (N, M) array, as (K, N, M)."""
+        return self.diagonals[:, :, None] * columns[self.index]
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        return (self.weights * rho.take(self.flat)).sum(axis=0)
+
+    def gram(self) -> np.ndarray:
+        """ΣK†K: diagonal, |u_k[i]|² summed on column level i + o_k."""
+        n = self.diagonals.shape[1]
+        weight = self.diagonals.real**2 + self.diagonals.imag**2
+        return np.diag(np.bincount(self.index.ravel(), weight.ravel(), minlength=n))
+
+
+class _Dense:
+    """Any Kraus set, as one (K, N, N) stack and its adjoints."""
+
+    def __init__(self, matrices: np.ndarray) -> None:
+        self.stack = matrices
+        self.adjoints = matrices.conj().transpose(0, 2, 1)
+
+    def branches(self, columns: np.ndarray) -> np.ndarray:
+        """K_k applied to every column of an (N, M) array, as (K, N, M)."""
+        return self.stack @ columns
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        return (self.branches(rho) @ self.adjoints).sum(axis=0)
+
+    def gram(self) -> np.ndarray:
+        return (self.adjoints @ self.stack).sum(axis=0)
+
+
+def _build_kernel(matrices: np.ndarray) -> _Banded | _Dense:
+    """Bands when every operator has at most one nonzero diagonal (an all-
+    zero operator counts as the main diagonal), else the dense stack."""
+    offsets = []
+    for m in matrices:
+        rows, cols = np.nonzero(m)
+        found = cols - rows
+        if np.any(found != found[:1]):
+            return _Dense(matrices)
+        offsets.append(int(found[0]) if found.size else 0)
+    return _Banded(matrices, offsets)
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseChannel:
     """A set of Kraus operators advancing one time step dt."""
@@ -29,6 +111,7 @@ class NoiseChannel:
     shape: HilbertShape
     kraus: tuple[Operator, ...]
     dt_s: float
+    _kernel: _Banded | _Dense = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", shape_of(self.shape))
@@ -37,26 +120,29 @@ class NoiseChannel:
             raise UsageError("channel needs at least one Kraus operator")
         if self.dt_s <= 0:
             raise UsageError(f"dt_s must be positive, got {self.dt_s}")
-        total = np.zeros((self.shape.total_dim,) * 2, dtype=complex)
-        for k in self.kraus:
-            if k.shape != self.shape:
-                raise UsageError("Kraus operators must share the channel shape")
-            total += k.matrix.conj().T @ k.matrix
-        defect = float(np.max(np.abs(total - np.eye(self.shape.total_dim))))
+        if any(k.shape != self.shape for k in self.kraus):
+            raise UsageError("Kraus operators must share the channel shape")
+        kernel = _build_kernel(np.stack([k.matrix for k in self.kraus]))
+        object.__setattr__(self, "_kernel", kernel)
+        defect = float(np.max(np.abs(kernel.gram() - np.eye(self.shape.total_dim))))
         if defect > _COMPLETENESS_TOL:
             raise UsageError(
                 f"Kraus completeness violated by {defect:.3e} (tolerance {_COMPLETENESS_TOL})"
             )
 
 
-def photon_loss_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
-    """Single-photon loss on an n-level mode, anchored to the |1⟩ lifetime."""
+def _check_loss_args(t1_s: float, dt_s: float, n: int) -> None:
     if t1_s <= 0:
         raise UsageError(f"t1_s must be positive, got {t1_s}")
     if dt_s <= 0:
         raise UsageError(f"dt_s must be positive, got {dt_s}")
     if n < 1:
         raise UsageError(f"mode dimension must be >= 1, got {n}")
+
+
+def photon_loss_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
+    """Single-photon loss on an n-level mode, anchored to the |1⟩ lifetime."""
+    _check_loss_args(t1_s, dt_s, n)
     x = dt_s / t1_s
     # completeness defect of the literal first-order pair
     defect = ((n - 1) * x / 2) ** 2
@@ -69,6 +155,27 @@ def photon_loss_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
     k1 = Operator(shape, math.sqrt(x) * annihilation(n).matrix)
     k0 = Operator(shape, np.diag(np.sqrt(1.0 - x * np.arange(n))).astype(complex))
     return NoiseChannel(shape, (k0, k1), dt_s)
+
+
+def amplitude_damping_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
+    """Exact single-photon loss over dt on an n-level mode: the bosonic
+    amplitude-damping Kraus set (Chuang, Leung & Yamamoto, PRA 56, 1114
+    (1997)), K_l = Σ_m √C(m,l) (1−p)^{(m−l)/2} p^{l/2} |m−l⟩⟨m| for
+    l = 0…n−1, with p = 1 − e^{−dt/T1}. K_l loses l photons, so it lies on
+    the l-th superdiagonal. Valid at any dt, and E_s∘E_t = E_{s+t}."""
+    _check_loss_args(t1_s, dt_s, n)
+    x = dt_s / t1_s
+    if not 0 < x < math.inf:
+        raise UsageError(f"dt_s / t1_s must be positive and finite, got {x}")
+    lost, m = np.nonzero(np.tri(n, dtype=bool).T)  # every l <= m
+    # the binomial weight C(m,l) (1−p)^(m−l) p^l from exact integer binomials
+    binomial = np.array([math.comb(a, b) for a, b in zip(m.tolist(), lost.tolist())],
+                        dtype=float)
+    weight = binomial * np.exp(-(m - lost) * x) * (-math.expm1(-x)) ** lost
+    mats = np.zeros((n, n, n), dtype=complex)
+    mats[lost, m - lost, m] = np.sqrt(weight)
+    shape = HilbertShape((n,))
+    return NoiseChannel(shape, tuple(Operator(shape, k) for k in mats), dt_s)
 
 
 def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
@@ -101,15 +208,13 @@ def density_matrix(psi: StateVector) -> np.ndarray:
 
 
 def apply_channel(channel: NoiseChannel, rho: np.ndarray) -> np.ndarray:
-    """One deterministic Kraus step ρ → ΣKρK†."""
+    """One deterministic Kraus step ρ → ΣKρK†, in O(K·N²) for banded
+    channels."""
     d = channel.shape.total_dim
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise UsageError(f"density matrix must be {d}x{d}, got {rho.shape}")
-    out = np.zeros_like(rho)
-    for k in channel.kraus:
-        out += k.matrix @ rho @ k.matrix.conj().T
-    return out
+    return channel._kernel.apply(rho)
 
 
 def populations(rho: np.ndarray) -> np.ndarray:
@@ -167,8 +272,9 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
     Trajectory i draws its uniforms from default_rng(seeds[i]) in one
     random(steps) call, which gives the same numbers as one random() per
     step. At each step every Kraus branch of every trajectory comes from
-    one stacked product; the pick is the count of cumulative branch
-    weights <= u·total (searchsorted side="right"), capped at K−1.
+    the channel's kernel at once (shifted elementwise products for bands,
+    one stacked product otherwise); the pick is the count of cumulative
+    branch weights <= u·total (searchsorted side="right"), capped at K−1.
     """
     if psi.shape != channel.shape:
         raise UsageError(
@@ -178,8 +284,8 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
     if steps < 0:
         raise UsageError(f"steps must be >= 0, got {steps}")
     n_traj = len(seeds)
-    kraus_t = np.stack([k.matrix.T for k in channel.kraus])  # (K, N, N)
-    last = len(kraus_t) - 1
+    kernel = channel._kernel
+    last = len(channel.kraus) - 1
     uniforms = np.stack([np.random.default_rng(s).random(steps) for s in seeds])
     levels = np.arange(channel.shape.total_dim)
     # columns: parity (-1)^n and photon number n
@@ -190,14 +296,14 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
     # per trajectory: parities in stats[0, i], ⟨n⟩ in stats[1, i]
     stats = np.empty((2, n_traj, steps))
     for s in range(steps):
-        branches = states @ kraus_t  # (K, T, N)
-        weights = (branches.real**2 + branches.imag**2).sum(axis=-1)
+        branches = kernel.branches(states.T)  # (K, N, T)
+        weights = (branches.real**2 + branches.imag**2).sum(axis=1)
         total = weights.sum(axis=0)
         if np.any(total <= 0):
             raise UsageError("state annihilated by every Kraus branch")
         below = np.cumsum(weights, axis=0) <= uniforms[:, s] * total
         pick = np.minimum(below.sum(axis=0), last)
-        states = branches[pick, rows] / np.sqrt(weights[pick, rows])[:, None]
+        states = branches[pick, :, rows] / np.sqrt(weights[pick, rows])[:, None]
         jumped[:, s] = pick != 0
         stats[:, :, s] = ((states.real**2 + states.imag**2) @ observables).T
     jump_counts = np.cumsum(jumped, axis=1, dtype=np.int64)

@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     ShapeError,
     UsageError,
+    is_json_number,
 )
 from .fock import (
     HilbertShape,
@@ -54,11 +55,6 @@ _SNAP_SIGMA_DIVISOR = 6.0
 # matrix entries per chunk of stacked segment blocks: 1 MiB of complex128,
 # which is 2048 segments of the N = 8 dispersive photon-number sectors
 _CHUNK_ENTRIES = 1 << 16
-
-
-def _is_number(value) -> bool:
-    """A JSON number: bool is an int subclass but not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _finite_complex_array(values, what: str) -> np.ndarray:
@@ -163,16 +159,16 @@ class PulseSchedule:
             vals = []
             for j, pair in enumerate(amps):
                 if (not isinstance(pair, list) or len(pair) != 2
-                        or not all(_is_number(x) for x in pair)):
+                        or not all(is_json_number(x) for x in pair)):
                     raise ParseError(
                         f"control {i} amp {j} must be a [re, im] number pair"
                     )
                 vals.append(complex(pair[0], pair[1]))
             streams.append(np.array(vals, dtype=complex))
-            if not _is_number(entry["carrier_hz"]):
+            if not is_json_number(entry["carrier_hz"]):
                 raise ParseError(f"control {i}: 'carrier_hz' must be a number")
             carriers.append(float(entry["carrier_hz"]))
-        if not _is_number(doc["dt_s"]):
+        if not is_json_number(doc["dt_s"]):
             raise ParseError("'dt_s' must be a number")
         try:
             return PulseSchedule(float(doc["dt_s"]), tuple(streams), tuple(carriers))

@@ -37,6 +37,7 @@ from .errors import (
     ShapeError,
     StepSizeError,
     UsageError,
+    is_json_number,
 )
 
 _MAX_RATE_DT = 0.05
@@ -420,11 +421,6 @@ def on_off_ratio(waveform, floor_hz: float,
 # config JSON
 
 
-def _is_number(value) -> bool:
-    """A JSON number: bool is an int subclass but not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _waveform_from_json(obj, slot: str, kappa_hz: float, t0_s: float):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{slot} waveform must be an object with a 'kind'")
@@ -435,7 +431,7 @@ def _waveform_from_json(obj, slot: str, kappa_hz: float, t0_s: float):
         if unknown:
             raise ParseError(f"{slot} waveform: unknown fields {sorted(unknown)}")
         k = obj.get("kappa_hz", kappa_hz)
-        if not _is_number(k) or k <= 0:
+        if not is_json_number(k) or k <= 0:
             raise ParseError(f"{slot} waveform: 'kappa_hz' must be positive")
         # the sech photon-envelope protocol: rising tanh rate on the emitter
         # side, its time reverse on the catcher
@@ -450,9 +446,9 @@ def _waveform_from_json(obj, slot: str, kappa_hz: float, t0_s: float):
         if "dt_s" not in obj or "values" not in obj:
             raise ParseError(f"{slot} waveform: 'sampled' needs dt_s and values")
         if (not isinstance(obj["values"], list)
-                or not all(_is_number(v) for v in obj["values"])):
+                or not all(is_json_number(v) for v in obj["values"])):
             raise ParseError(f"{slot} waveform: 'values' must be numbers")
-        if not _is_number(obj["dt_s"]):
+        if not is_json_number(obj["dt_s"]):
             raise ParseError(f"{slot} waveform: 'dt_s' must be a number")
         try:
             return SampledWaveform(np.asarray(obj["values"], dtype=float),
@@ -487,23 +483,23 @@ def qst_config_from_json(text: str) -> QstConfig:
     if unknown:
         raise ParseError(f"unknown config fields: {sorted(unknown)}")
     for name in ("kappa_hz", "dt_s"):
-        if not _is_number(doc[name]):
+        if not is_json_number(doc[name]):
             raise ParseError(f"'{name}' must be a number")
     span = doc["t_span_s"]
     if (not isinstance(span, list) or len(span) != 2
-            or not all(_is_number(v) for v in span)):
+            or not all(is_json_number(v) for v in span)):
         raise ParseError("'t_span_s' must be a [t0, t1] number pair")
     dw = doc.get("delta_omega_hz", 0.0)
-    if not _is_number(dw):
+    if not is_json_number(dw):
         raise ParseError("'delta_omega_hz' must be a number")
     state = doc.get("input_state", [[0.0, 0.0], [1.0, 0.0]])
     if (not isinstance(state, list) or len(state) != 2
             or not all(isinstance(p, list) and len(p) == 2
-                       and all(_is_number(x) for x in p)
+                       and all(is_json_number(x) for x in p)
                        for p in state)):
         raise ParseError("'input_state' must be [[re,im],[re,im]]")
     temp = doc.get("channel_temperature", 0.0)
-    if not _is_number(temp):
+    if not is_json_number(temp):
         raise ParseError("'channel_temperature' must be a number")
     t0 = float(span[0])
     kappa = float(doc["kappa_hz"])

@@ -60,10 +60,17 @@ class QuditHamiltonian:
 
     def dense(self) -> np.ndarray:
         """Dense Hermitian matrix in rad/s. The kinetic term F diag(K) F†
-        is the circulant matrix with entries ifft(K)[(j − l) mod N]."""
+        is the circulant matrix with entries c[j − l] = ifft(K)[(j − l) mod N]
+        on and below the diagonal; above it, the conjugate conj(c[l − j]),
+        with c[0] taken real, so H == H† exactly (the FFT's own entries
+        leave |H − H†| ≈ 1e-10 at MHz scale)."""
         n = self.n_levels
         levels = np.arange(n)
-        mat = np.fft.ifft(self.kinetic_diagonal)[(levels[:, None] - levels) % n]
+        column = np.fft.ifft(self.kinetic_diagonal)
+        column[0] = column[0].real
+        # by_offset[d + n − 1] is the entry at offset d = j − l
+        by_offset = np.concatenate([column[:0:-1].conj(), column])
+        mat = by_offset[levels[:, None] - levels + n - 1]
         mat[levels, levels] += self.diagonal
         return 2.0 * np.pi * mat
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from cavityq import device
+from cavityq import cli, device, errors, gates, pulse, qst
 from cavityq.errors import DegenerateDetuningError, ParseError, UsageError
 
 
@@ -169,6 +169,12 @@ class TestSerialization:
         with pytest.raises(ParseError, match="g_hz"):
             device.DeviceParams.from_json(json.dumps(raw))
 
+    def test_boolean_field_rejected(self):
+        raw = json.loads(reference_params().to_json())
+        raw["g_hz"] = True
+        with pytest.raises(ParseError, match="g_hz must be a number"):
+            device.DeviceParams.from_json(json.dumps(raw))
+
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             device.DeviceParams.from_json("{not json")
@@ -178,3 +184,17 @@ class TestSerialization:
         assert s["max_fock"] == 5000
         assert s["critical_photon_number"] == 10000.0
         assert s["chi_hz"] == pytest.approx(50e3)
+
+
+class TestJsonNumberRule:
+    def test_every_parser_shares_one_predicate(self):
+        for module in (cli, device, gates, pulse, qst):
+            assert module.is_json_number is errors.is_json_number
+
+    @pytest.mark.parametrize("value", [0, -3, 1.5, 1e308, math.inf, math.nan])
+    def test_numbers(self, value):
+        assert errors.is_json_number(value)
+
+    @pytest.mark.parametrize("value", [True, False, "1", None, [1.0], {"re": 1}, 1j])
+    def test_not_numbers(self, value):
+        assert not errors.is_json_number(value)

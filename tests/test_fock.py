@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from cavityq import fock, trotter
+from cavityq import fock
 from cavityq.errors import (
     CapacityError,
     InvalidDimensionError,
@@ -168,11 +168,16 @@ class TestPropagator:
         assert u.is_unitary(tol=1e-14)
 
     def test_mhz_qudit_hamiltonian_stays_hermitian(self, monkeypatch):
-        # the circulant fill of a 64-level MHz Hamiltonian leaves an
-        # asymmetry of ~2e-10 rad/s, far below its ~6e6 rad/s scale
+        # the circulant fill of a 64-level MHz Hamiltonian straight from
+        # the FFT (QuditHamiltonian.dense now mirrors its lower triangle)
+        # leaves an asymmetry of ~2e-10 rad/s, far below its ~6e6 rad/s scale
         rng = np.random.default_rng(0)
-        h = trotter.QuditHamiltonian(rng.uniform(-1, 1, 64) * 1e6,
-                                     rng.uniform(-1, 1, 64) * 1e6).operator()
+        diagonal = rng.uniform(-1, 1, 64) * 1e6
+        kinetic = rng.uniform(-1, 1, 64) * 1e6
+        levels = np.arange(64)
+        fill = np.fft.ifft(kinetic)[(levels[:, None] - levels) % 64]
+        h = fock.Operator(fock.HilbertShape((64,)),
+                          2 * np.pi * (fill + np.diag(diagonal)))
         assert np.max(np.abs(h.matrix - h.matrix.conj().T)) > 1e-10
 
         def refuse(*args, **kwargs):

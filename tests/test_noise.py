@@ -232,17 +232,57 @@ def strong_channel(kind, n, x):
     )
 
 
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(channel, rng):
+    """The same complete set behind a random unitary, {U K_k}: every
+    operator is dense, so the channel takes the dense path."""
+    u = random_unitary(rng, channel.shape.total_dim)
+    return noise.NoiseChannel(
+        channel.shape, [fock.Operator(channel.shape, u @ k.matrix) for k in channel.kraus],
+        channel.dt_s,
+    )
+
+
+def phased(channel, rng):
+    """{D K_k} with D a random diagonal unitary: still banded and
+    complete, with complex diagonals."""
+    d = np.exp(1j * rng.uniform(-np.pi, np.pi, channel.shape.total_dim))
+    return noise.NoiseChannel(
+        channel.shape, [fock.Operator(channel.shape, d[:, None] * k.matrix)
+                        for k in channel.kraus],
+        channel.dt_s,
+    )
+
+
+def forced_dense(channel):
+    """The same channel with its kernel replaced by the dense stack."""
+    forced = noise.NoiseChannel(channel.shape, channel.kraus, channel.dt_s)
+    stack = np.stack([k.matrix for k in channel.kraus])
+    object.__setattr__(forced, "_kernel", noise._Dense(stack))
+    return forced
+
+
 @st.composite
 def trajectory_problems(draw):
     n = draw(st.integers(2, 8))
-    kind = draw(st.sampled_from(["first_order", "loss", "dephasing", "both"]))
+    kind = draw(st.sampled_from(
+        ["first_order", "loss", "dephasing", "both", "phased", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "first_order":
         channel = noise.photon_loss_channel(1.0, 2e-3 / (n - 1), n)
     else:
         # keeps 1 - x n - x n²/(n-1) >= 0.1 on every level
         x = draw(st.floats(0.01, 0.45)) / (n - 1)
-        channel = strong_channel(kind, n, x)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "dense":
+            channel = rotated(strong_channel("both", n, x), rng)
+        elif kind == "phased":
+            channel = phased(strong_channel("both", n, x), rng)
+        else:
+            channel = strong_channel(kind, n, x)
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi = fock.StateVector((n,), amps).normalized()
     return channel, psi
@@ -284,6 +324,26 @@ class TestBatchedTrajectories:
         np.testing.assert_allclose(traj.final_state.amplitudes, final,
                                    rtol=0, atol=1e-12)
 
+    @given(trajectory_problems(), st.integers(0, 2**32 - 1))
+    def test_dense_path_gives_same_jumps(self, problem, base_seed):
+        channel, psi = problem
+        banded = noise.run_trajectories(channel, psi, 33, 3, base_seed)
+        dense = noise.run_trajectories(forced_dense(channel), psi, 33, 3, base_seed)
+        for a, b in zip(banded, dense):
+            assert a.seed == b.seed
+            assert a.jump_steps == b.jump_steps
+            np.testing.assert_array_equal(a.jump_counts, b.jump_counts)
+            np.testing.assert_allclose(a.final_state.amplitudes,
+                                       b.final_state.amplitudes, rtol=0, atol=1e-12)
+
+    def test_rotated_channel_is_dense(self):
+        rng = np.random.default_rng(5)
+        channel = rotated(strong_channel("both", 5, 0.05), rng)
+        assert isinstance(channel._kernel, noise._Dense)
+        psi = fock.basis_state(5, 4)
+        results = noise.run_trajectories(channel, psi, 33, 7, base_seed=1)
+        assert sum(len(t.jump_steps) for t in results) > 0
+
     def test_strong_channels_jump(self):
         # the property tests above would be vacuous without jumps
         psi = fock.basis_state(6, 5)
@@ -304,3 +364,164 @@ class TestBatchedTrajectories:
         ch = loss_channel(n=4)
         with pytest.raises(UsageError, match="steps"):
             noise.run_trajectories(ch, fock.basis_state(4, 1), -1, 2, base_seed=0)
+
+
+# ---------------------------------------------------------------------------
+# banded channels against the dense Kraus sum
+
+
+def dense_kraus_sum(channel, rho):
+    return sum(k.matrix @ rho @ k.matrix.conj().T for k in channel.kraus)
+
+
+@st.composite
+def banded_channels(draw):
+    kind = draw(st.sampled_from(
+        ["first_order", "dephasing", "exact", "loss", "strong_dephasing", "both",
+         "phased"]))
+    n = draw(st.integers(1 if kind in ("first_order", "dephasing", "exact") else 2, 8))
+    if kind == "first_order":
+        return noise.photon_loss_channel(1.0, 2e-3 / max(n - 1, 1), n)
+    if kind == "dephasing":
+        # rate 0 makes K1 all zeros
+        rate = draw(st.sampled_from([0.0, 1.0]))
+        return noise.dephasing_channel(rate, 1e-3 / max(n - 1, 1) ** 2, n)
+    if kind == "exact":
+        return noise.amplitude_damping_channel(1.0, draw(st.floats(1e-4, 5.0)), n)
+    x = draw(st.floats(0.01, 0.45)) / (n - 1)
+    if kind == "phased":
+        return phased(strong_channel("both", n, x),
+                      np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return strong_channel({"strong_dephasing": "dephasing"}.get(kind, kind), n, x)
+
+
+def random_density_matrix(seed, n):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestBandedChannels:
+    @given(banded_channels(), st.integers(0, 2**32 - 1))
+    def test_matches_dense_kraus_sum(self, channel, seed):
+        assert isinstance(channel._kernel, noise._Banded)
+        rho = random_density_matrix(seed, channel.shape.total_dim)
+        np.testing.assert_allclose(noise.apply_channel(channel, rho),
+                                   dense_kraus_sum(channel, rho), rtol=0, atol=1e-13)
+
+    @given(banded_channels(), st.integers(0, 2**32 - 1))
+    def test_dense_path_matches_dense_kraus_sum(self, channel, seed):
+        rho = random_density_matrix(seed, channel.shape.total_dim)
+        for dense in (forced_dense(channel),
+                      rotated(channel, np.random.default_rng(seed))):
+            # a 1x1 operator is its own main diagonal
+            assert isinstance(dense._kernel, noise._Dense) or rho.shape == (1, 1)
+            np.testing.assert_allclose(noise.apply_channel(dense, rho),
+                                       dense_kraus_sum(dense, rho), rtol=0, atol=1e-13)
+
+    def test_builtin_channels_are_banded(self):
+        for channel in (noise.photon_loss_channel(1.0, 1e-4, 12),
+                        noise.dephasing_channel(0.0, 1e-3, 12),
+                        noise.dephasing_channel(1.0, 1e-6, 12),
+                        noise.amplitude_damping_channel(1.0, 0.1, 12)):
+            assert isinstance(channel._kernel, noise._Banded)
+
+    def test_lower_band_and_band_free_set(self):
+        # offsets below the diagonal, and a complete set with no main band
+        shape = fock.HilbertShape((3,))
+        up = np.diag([1.0, 1.0], k=1).astype(complex)   # |0><1| + |1><2|
+        down = np.zeros((3, 3), complex)
+        down[1, 0] = 1.0                                 # |1><0|
+        channel = noise.NoiseChannel(
+            shape, [fock.Operator(shape, m) for m in (up, down)], 1e-3)
+        assert isinstance(channel._kernel, noise._Banded)
+        rho = random_density_matrix(4, 3)
+        np.testing.assert_allclose(noise.apply_channel(channel, rho),
+                                   dense_kraus_sum(channel, rho), rtol=0, atol=1e-15)
+
+    def test_incomplete_set_reports_its_defect(self):
+        # the banded and the dense check read the same defect
+        shape = fock.HilbertShape((4,))
+        short = np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex)
+        for m in (short, random_unitary(np.random.default_rng(0), 4) @ short):
+            with pytest.raises(UsageError, match=r"completeness violated by 7\.500e-01"):
+                noise.NoiseChannel(shape, [fock.Operator(shape, m)], 1e-3)
+
+
+class TestAmplitudeDamping:
+    # the benchmark's loss evolution: N = 24, 1500 steps of 1.8e-3/23 s
+    N, STEPS, DT = 24, 1500, 1.8e-3 / 23
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 24, 80])
+    @pytest.mark.parametrize("dt", [1e-6, 1e-3, 0.3, 5.0, 1e3])
+    def test_completeness(self, n, dt):
+        ch = noise.amplitude_damping_channel(1.0, dt, n)
+        total = sum(k.matrix.conj().T @ k.matrix for k in ch.kraus)
+        np.testing.assert_allclose(total, np.eye(n), rtol=0, atol=1e-14)
+
+    def test_kraus_forms(self):
+        t1, dt, n = 0.5, 0.2, 6
+        p = 1 - math.exp(-dt / t1)
+        ch = noise.amplitude_damping_channel(t1, dt, n)
+        assert len(ch.kraus) == n
+        for lost, k in enumerate(ch.kraus):
+            for m in range(lost, n):
+                expected = math.sqrt(math.comb(m, lost) * (1 - p) ** (m - lost) * p**lost)
+                assert k.matrix[m - lost, m] == pytest.approx(expected, rel=1e-14)
+            assert np.count_nonzero(k.matrix) == n - lost
+
+    def test_composes_exactly(self):
+        rho = noise.density_matrix(codes.cat_state(2.0, "+", self.N))
+        step = noise.amplitude_damping_channel(1.0, self.DT, self.N)
+        stepped = rho
+        for _ in range(self.STEPS):
+            stepped = noise.apply_channel(step, stepped)
+        whole = noise.amplitude_damping_channel(1.0, self.STEPS * self.DT, self.N)
+        np.testing.assert_allclose(stepped, noise.apply_channel(whole, rho),
+                                   rtol=0, atol=1e-12)
+
+    def test_first_order_agrees_to_second_order(self):
+        # the per-step difference is C·dt²: halving dt quarters it
+        n = 8
+        rho = noise.density_matrix(fock.basis_state(n, 5))
+        errors = []
+        for dt in (2.4e-4, 1.2e-4, 6e-5):
+            exact = noise.apply_channel(noise.amplitude_damping_channel(1.0, dt, n), rho)
+            first = noise.apply_channel(noise.photon_loss_channel(1.0, dt, n), rho)
+            errors.append(float(np.max(np.abs(exact - first))))
+            assert errors[-1] < ((n - 1) * dt) ** 2
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=0.01)
+
+    def test_first_order_accumulated_error_bound(self):
+        # 1500 first-order steps drift 2.2e-5 from the exact evolution
+        rho = noise.density_matrix(codes.cat_state(2.0, "+", self.N))
+        exact_ch = noise.amplitude_damping_channel(1.0, self.DT, self.N)
+        first_ch = noise.photon_loss_channel(1.0, self.DT, self.N)
+        exact, first = rho, rho
+        for _ in range(self.STEPS):
+            exact = noise.apply_channel(exact_ch, exact)
+            first = noise.apply_channel(first_ch, first)
+        error = float(np.max(np.abs(exact - first)))
+        assert 1e-6 < error < 3e-5
+
+    def test_no_step_size_limit(self):
+        with pytest.raises(StepSizeError):
+            noise.photon_loss_channel(1e-3, 1e-3, 50)
+        ch = noise.amplitude_damping_channel(1e-3, 1.0, 50)
+        rho = noise.apply_channel(ch, noise.density_matrix(fock.basis_state(50, 49)))
+        np.testing.assert_allclose(rho, noise.density_matrix(fock.basis_state(50, 0)),
+                                   rtol=0, atol=1e-14)
+
+    def test_trajectories_jump_down_by_any_number(self):
+        ch = noise.amplitude_damping_channel(1.0, 0.5, 6)
+        results = noise.run_trajectories(ch, fock.basis_state(6, 5), 4, 20, base_seed=2)
+        finals = {int(np.argmax(t.final_state.probabilities())) for t in results}
+        assert len(finals) > 1
+
+    @pytest.mark.parametrize("t1, dt, n", [(0.0, 1e-3, 4), (1.0, 0.0, 4),
+                                           (1.0, 1e-3, 0), (1.0, math.inf, 4)])
+    def test_bad_arguments(self, t1, dt, n):
+        with pytest.raises(UsageError):
+            noise.amplitude_damping_channel(t1, dt, n)

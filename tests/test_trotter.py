@@ -39,6 +39,16 @@ class TestQuditHamiltonian:
         np.testing.assert_allclose(dense, dense.conj().T, atol=1e-12)
         assert h.operator().is_hermitian(1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_is_exactly_hermitian_at_mhz_scale(self, seed):
+        # the FFT's circulant fill alone leaves |H - H†| ~ 2e-10 rad/s here
+        rng = np.random.default_rng(seed)
+        h = trotter.QuditHamiltonian(rng.uniform(-1e6, 1e6, 64),
+                                     rng.uniform(-1e6, 1e6, 64))
+        dense = h.dense()
+        np.testing.assert_array_equal(dense, dense.conj().T)
+        assert h.operator().is_hermitian()
+
     def test_diagonal_part_in_rad_per_s(self):
         h = trotter.QuditHamiltonian([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
         np.testing.assert_allclose(
