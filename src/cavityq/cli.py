@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, codes, device, gates, fock, noise, pulse, qst, trotter
-from .errors import CapacityError, NumericError, ParseError, UsageError, is_json_number
+from .errors import (CapacityError, NumericError, ParseError, UsageError,
+                     is_json_int, is_json_number)
 
 _PROB_FLOOR = 1e-12
 
@@ -62,7 +63,7 @@ def _field(doc: dict, name: str, types, what: str, default=_REQUIRED):
     if types is float:
         ok = is_json_number(val)
     elif types is int:
-        ok = isinstance(val, int) and not isinstance(val, bool)
+        ok = is_json_int(val)
     else:
         ok = isinstance(val, types)
     if not ok:
@@ -384,8 +385,7 @@ def cmd_trotter(args) -> int:
     h = _hamiltonian_from_doc(doc, "trotter config")
     t_total = _field(doc, "t_total_s", float, "trotter config")
     steps_list = _field(doc, "steps_list", list, "trotter config")
-    if not all(isinstance(s, int) and not isinstance(s, bool)
-               for s in steps_list):
+    if not all(is_json_int(s) for s in steps_list):
         raise ParseError("trotter config: 'steps_list' must be integers")
     psi0 = _initial_level_state(doc, h.n_levels, "trotter config")
     rows = trotter.trotter_convergence(h, float(t_total),

@@ -2,13 +2,19 @@
 
 The CLI maps these onto process exit codes, so new error types should
 subclass one of the four roots below rather than Exception directly.
-Every parser tests JSON numbers with `is_json_number`.
+Every parser tests JSON numbers with `is_json_number` and JSON integers with
+`is_json_int`.
 """
 
 
 def is_json_number(value) -> bool:
     """A JSON number: an int or float, but not a bool (an int subclass)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_json_int(value) -> bool:
+    """A JSON integer: an int, but not a bool (an int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class CavityQError(Exception):

@@ -302,6 +302,32 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
+def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(evals, vecs) of Hermitian h of shape (..., b, b), batched over the
+    leading axes, evals ascending, as np.linalg.eigh returns them.
+
+    2x2 matrices h = c*I + r*(cos(2a) sz + sin(2a) (e^{i phi} s+ + h.c.)),
+    with r = sqrt(bz^2 + |h10|^2) for bz half the diagonal difference, use the
+    closed form: eigenvalues c -+ r and the half-angle eigenvectors
+    (-e^{-i phi} sin a, cos a) and (cos a, e^{i phi} sin a). Larger ones use
+    one batched eigh. Like eigh, both read only the lower triangle.
+    """
+    if h.shape[-1] != 2:
+        return np.linalg.eigh(h)
+    h00, h11, h10 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
+    c, bz, mag = (h00 + h11) / 2, (h00 - h11) / 2, np.abs(h10)
+    r = np.hypot(bz, mag)
+    half = np.arctan2(mag, bz) / 2
+    cos, sin = np.cos(half), np.sin(half)
+    sin_phase = sin * np.exp(1j * np.angle(h10))  # angle(0) = 0
+    vecs = np.empty(h.shape, dtype=np.complex128)
+    vecs[..., 0, 0] = -sin_phase.conj()
+    vecs[..., 1, 0] = cos
+    vecs[..., 0, 1] = cos
+    vecs[..., 1, 1] = sin_phase
+    return np.stack([c - r, c + r], axis=-1), vecs
+
+
 def propagator(h: Operator, t: float) -> Operator:
     """exp(-i*H*t). H that is Hermitian to within 1e-12 * max(1, max|H|)
     is symmetrized and goes through expm_hermitian, so the result is unitary

@@ -20,7 +20,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ParseError, ShapeError, UsageError, is_json_number
+from .errors import (CapacityError, ParseError, ShapeError, UsageError,
+                     is_json_int, is_json_number)
 from .fock import (
     HilbertShape,
     Operator,
@@ -94,6 +95,16 @@ def _quadrature_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
     evals.setflags(write=False)
     vecs.setflags(write=False)
     return evals, vecs
+
+
+def _displacement_eigensystem(alphas: np.ndarray,
+                              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(|α|Λ, R Q) for each α of a 1-D array: the eigensystem of the
+    generator G = i(αa† − α*a) of D(α) = exp(−iG), read off the rotated
+    quadrature form that `displacement` uses."""
+    evals, vecs = _quadrature_eigensystem(n)
+    rot = np.exp(1j * np.outer(np.angle(alphas) + math.pi / 2, np.arange(n)))
+    return np.abs(alphas)[:, None] * evals, rot[:, :, None] * vecs
 
 
 def qubit_rotation(theta: float, phi: float) -> Operator:
@@ -305,7 +316,7 @@ def _need(params: Mapping[str, Any], key: str, kind: str):
 
 
 def _as_subsystem(value, shape: HilbertShape, kind: str, field_name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_json_int(value):
         raise UsageError(f"{kind} gate field {field_name!r} must be an integer index")
     if not 0 <= value < shape.n_subsystems:
         raise UsageError(
@@ -379,7 +390,7 @@ def _build_cond_rotation(params, shape, convention):
     if shape.dims[qubit] != 2:
         raise UsageError(f"cond_rotation qubit subsystem must have dim 2, got {shape.dims[qubit]}")
     n = _need(params, "n", "cond_rotation")
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_json_int(n):
         raise UsageError("cond_rotation gate field 'n' must be an integer")
     theta = _as_float(_need(params, "theta", "cond_rotation"), "cond_rotation", "theta")
     phi = _as_float(_need(params, "phi", "cond_rotation"), "cond_rotation", "phi")
@@ -421,7 +432,7 @@ def _build_givens(params, shape, convention):
     m = _need(params, "m", "givens")
     n = _need(params, "n", "givens")
     for name, v in (("m", m), ("n", n)):
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not is_json_int(v):
             raise UsageError(f"givens gate field {name!r} must be an integer")
     theta = _as_float(_need(params, "theta", "givens"), "givens", "theta")
     return givens(m, n, theta, shape.dims[target]), [target]
@@ -432,7 +443,7 @@ def _build_phase_swap(params, shape, convention):
     m = _need(params, "m", "phase_swap")
     n = _need(params, "n", "phase_swap")
     for name, v in (("m", m), ("n", n)):
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not is_json_int(v):
             raise UsageError(f"phase_swap gate field {name!r} must be an integer")
     return phase_swap(m, n, shape.dims[target]), [target]
 
@@ -598,7 +609,7 @@ def circuit_from_json(text: str) -> Circuit:
     if (
         not isinstance(shape_raw, list)
         or not shape_raw
-        or not all(isinstance(d, int) and not isinstance(d, bool) for d in shape_raw)
+        or not all(is_json_int(d) for d in shape_raw)
     ):
         raise ParseError("circuit 'shape' must be a non-empty list of integers")
     convention = doc.get("displacement_convention", "standard")

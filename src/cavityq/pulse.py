@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,9 +41,11 @@ from .fock import (
     basis_state,
     eig_exponential,
     expm_hermitian,
+    hermitian_eigensystem,
     number_operator,
     shape_of,
 )
+from .gates import _displacement_eigensystem
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -176,6 +179,21 @@ class PulseSchedule:
             raise ParseError(f"invalid schedule: {exc}") from exc
 
 
+class _BlockGroup(NamedTuple):
+    """B invariant blocks of one size b: their (B, b) index array, and the
+    drift's (B, b, b) and the controls' (K, B, b, b) sub-blocks."""
+
+    index: np.ndarray
+    drift: np.ndarray
+    controls: np.ndarray
+
+    @property
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays that select the (B, b, b) sub-blocks of a (d, d)
+        matrix."""
+        return self.index[:, :, None], self.index[:, None, :]
+
+
 @dataclass(frozen=True, eq=False)
 class ControlModel:
     """Drift Hamiltonian (rad/s) plus dimensionless control quadratures.
@@ -211,6 +229,23 @@ class ControlModel:
     @property
     def n_streams(self) -> int:
         return len(self.controls) // 2
+
+    @cached_property
+    def block_layout(self) -> tuple[_BlockGroup, ...]:
+        """The _blocks of the model grouped by size, with the drift and
+        control sub-blocks gathered. Computed once: the model is frozen and
+        its matrices are read-only."""
+        by_size: dict[int, list[np.ndarray]] = {}
+        for block in _blocks(self):
+            by_size.setdefault(len(block), []).append(block)
+        controls = np.stack([op.matrix for op in self.controls])
+        groups = []
+        for members in by_size.values():
+            index = np.stack(members)
+            rows, cols = index[:, :, None], index[:, None, :]
+            groups.append(_BlockGroup(index, self.drift.matrix[rows, cols],
+                                      controls[:, rows, cols]))
+        return tuple(groups)
 
 
 def qubit_model(detuning_hz: float = 0.0) -> ControlModel:
@@ -286,11 +321,13 @@ def _blocks(model: ControlModel) -> list[np.ndarray]:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks of matrices; 2x2 products are written out, because
-    numpy's matmul runs them several times slower."""
-    if a.shape[-1] != 2:
+    """a @ b for stacks of matrices; products over an inner dimension of one
+    or two are written out, because numpy's matmul runs them several times
+    slower."""
+    if a.shape[-1] > 2:
         return a @ b
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    out = a[..., :, :1] * b[..., :1, :]
+    return out + a[..., :, 1:] * b[..., 1:, :] if a.shape[-1] == 2 else out
 
 
 def _ordered_product(u: np.ndarray) -> np.ndarray:
@@ -302,58 +339,71 @@ def _ordered_product(u: np.ndarray) -> np.ndarray:
     return u[0]
 
 
+def _prefix_products(u: np.ndarray) -> np.ndarray:
+    """Inclusive ordered products p[j] = u[j] @ ... @ u[0] over the leading
+    axis. Work-efficient: the products of neighbour pairs are scanned, which
+    gives every odd p, and each even p is one more product, so M segments
+    take about 2M products in about 2 log2(M) calls."""
+    m = len(u)
+    if m == 1:
+        return u
+    half = m // 2
+    odd = _prefix_products(_matmul(u[1::2], u[0:2 * half:2]))
+    p = np.empty_like(u)
+    p[0], p[1::2] = u[0], odd
+    p[2::2] = _matmul(u[2::2], odd[:(m - 1) // 2])
+    return p
+
+
 def _propagator(model: ControlModel, amps: np.ndarray, dt: float) -> np.ndarray:
     """Full (d, d) propagator U_{M-1}...U_0 for (S, M) amplitudes in Hz.
 
-    Each invariant block of _blocks is exponentiated on its own, with blocks
-    of one size stacked together. Segments go in chunks of at most
-    _CHUNK_ENTRIES matrix entries per size group, each chunk reduced pairwise
-    and the chunks multiplied in order, so the temporaries stay near 1 MiB
-    however long the schedule is.
+    Each invariant block of model.block_layout is exponentiated on its own,
+    with blocks of one size stacked together. Segments go in chunks of at
+    most _CHUNK_ENTRIES matrix entries per size group, each chunk reduced
+    pairwise and the chunks multiplied in order, so the temporaries stay near
+    1 MiB however long the schedule is.
     """
     coeffs = _control_coefficients(amps)
-    controls = np.stack([op.matrix for op in model.controls])
-    by_size: dict[int, list[np.ndarray]] = {}
-    for block in _blocks(model):
-        by_size.setdefault(len(block), []).append(block)
     d = model.shape.total_dim
     prop = np.zeros((d, d), dtype=complex)
-    for group in by_size.values():
-        idx = np.stack(group)
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        drift, ctrl = model.drift.matrix[rows, cols], controls[:, rows, cols]
-        step = max(1, _CHUNK_ENTRIES // drift.size)
+    for group in model.block_layout:
+        step = max(1, _CHUNK_ENTRIES // group.drift.size)
         total = None
         for start in range(0, coeffs.shape[1], step):
-            h = drift + np.einsum("km,kbij->mbij",
-                                  coeffs[:, start:start + step], ctrl)
+            h = group.drift + np.einsum("km,kbij->mbij",
+                                        coeffs[:, start:start + step],
+                                        group.controls)
             u = _ordered_product(expm_hermitian(h, dt))
             total = u if total is None else _matmul(u, total)
-        prop[rows, cols] = total
+        prop[group.grid] = total
     return prop
 
 
-def _phi_matrix(exponents: np.ndarray) -> np.ndarray:
-    """Divided differences of exp at the exponent eigenvalues: the Hadamard
-    kernel of the Frechet derivative of expm in the eigenbasis. Batched over
-    leading axes: (..., d) exponents give (..., d, d); symmetric in the last
-    two axes."""
-    m = exponents
-    em = np.exp(m)
-    dm = m[..., :, None] - m[..., None, :]
-    small = np.abs(dm) < 1e-12
-    num = em[..., :, None] - em[..., None, :]
-    return np.where(small, (em[..., :, None] + em[..., None, :]) / 2,
-                    num / np.where(small, 1.0, dm))
+def _phi_matrix(evals: np.ndarray, t: float) -> np.ndarray:
+    """Divided differences of exp at the exponents m = -i*evals*t: the
+    Hadamard kernel of the Frechet derivative of expm in the eigenbasis.
+    Batched over leading axes: (..., d) evals give (..., d, d); symmetric in
+    the last two axes. For imaginary exponents the difference quotient
+    (e^{m_a} - e^{m_b}) / (m_a - m_b) is e^{(m_a + m_b)/2} sin(y)/y with
+    y = (evals_a - evals_b) t / 2, which needs no special case at y = 0."""
+    half = np.exp(-0.5j * t * evals)
+    diff = evals[..., :, None] - evals[..., None, :]
+    return ((half[..., :, None] * half[..., None, :])
+            * np.sinc(diff * (t / (2 * np.pi))))
 
 
-def _frechet_adjoint(vecs: np.ndarray, phi: np.ndarray,
-                     adj: np.ndarray) -> np.ndarray:
+def _frechet_adjoint(vecs: np.ndarray, phi: np.ndarray, left: np.ndarray,
+                     right: np.ndarray) -> np.ndarray:
     """S with Tr(adj dU) = Tr(E S) for every exponent direction E, where
-    dU = V ((V^dag E V) o phi) V^dag is the eigenbasis Frechet derivative of
-    exp and phi = _phi_matrix(...) is symmetric. Batched over leading axes."""
+    adj = left @ right^dag, dU = V ((V^dag E V) o phi) V^dag is the
+    eigenbasis Frechet derivative of exp and phi = _phi_matrix(...) is
+    symmetric. Batched over leading axes; left and right are (..., b, r),
+    and with r = 1 a rank-one adj takes only vector products until S."""
     vecs_h = vecs.conj().swapaxes(-1, -2)
-    return vecs @ ((vecs_h @ adj @ vecs) * phi) @ vecs_h
+    x = _matmul(_matmul(vecs_h, left),
+                _matmul(vecs_h, right).conj().swapaxes(-1, -2))
+    return _matmul(_matmul(vecs, x * phi), vecs_h)
 
 
 def _check_schedule_pairing(model: ControlModel, schedule: PulseSchedule) -> None:
@@ -516,49 +566,56 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
                 want_grad: bool):
     """One forward (+ adjoint) pass. amps: (S, M) complex in Hz.
 
+    Runs per group of model.block_layout, on the blocks' segment
+    eigensystems and one prefix scan P_j = U_j...U_0 of their propagators.
     Returns (j_total, j_raw, grad) with grad (S, M) complex combining
     dJ/dRe + i dJ/dIm in 1/Hz, or None when not requested.
     """
     d = model.shape.total_dim
+    coeffs = _control_coefficients(amps)
     unitary_target = isinstance(target, Operator)
-    controls = np.stack([op.matrix for op in model.controls])
-    h = model.drift.matrix + np.einsum("km,kij->mij",
-                                       _control_coefficients(amps), controls)
-    lam, vecs = np.linalg.eigh(h)
-    props = eig_exponential(lam, vecs, dt)
-
-    fwd = [np.eye(d, dtype=complex) if unitary_target
-           else np.array(psi0_vec, copy=True)]
-    for u in props:
-        fwd.append(u @ fwd[-1])
+    passes = []
+    for group in model.block_layout:
+        h = group.drift + np.einsum("km,kbij->mbij", coeffs, group.controls)
+        lam, vecs = hermitian_eigensystem(h)
+        props = _matmul(vecs * np.exp(-1j * dt * lam)[..., None, :],
+                        vecs.conj().swapaxes(-1, -2))
+        passes.append((group, lam, vecs, _prefix_products(props)))
     if unitary_target:
-        c = np.trace(target.matrix.conj().T @ fwd[-1]) / d
-        j_raw = abs(c) ** 2
-        j_total = j_raw
+        c = sum(np.vdot(target.matrix[group.grid], fwd[-1])
+                for group, _, _, fwd in passes) / d
+        j_raw = j_total = abs(c) ** 2
     else:
-        j_total, j_raw, seed = _state_objective(target, fwd[-1],
+        psi_f = np.empty(d, dtype=complex)  # the blocks cover every index
+        for group, _, _, fwd in passes:
+            psi_f[group.index] = _matmul(
+                fwd[-1], psi0_vec[group.index][..., None])[..., 0]
+        j_total, j_raw, seed = _state_objective(target, psi_f,
                                                 guard_indices, leak_weight)
 
     if not want_grad:
         return j_total, j_raw, None
 
-    # adj[j] is chosen so that dJ = 2 Re Tr(adj[j] dU_j) for a change dU_j
-    # of segment j alone
-    if unitary_target:
-        back = [target.matrix.conj().T * (np.conj(c) / d)]
-        for u in props[:0:-1]:
-            back.append(back[-1] @ u)
-        adj = np.stack(fwd[:-1]) @ np.stack(back[::-1])
-    else:
-        back = [seed]
-        for u in props[:0:-1]:
-            back.append(u.conj().T @ back[-1])
-        adj = (np.stack(fwd[:-1])[:, :, None]
-               * np.stack(back[::-1]).conj()[:, None, :])
+    # dJ = 2 Re Tr(adj_j dU_j) for a change dU_j of segment j alone, with
+    # adj_j = P_{j-1} A U_{M-1}...U_{j+1} = P_{j-1} A U P_j^dag, as the
+    # segments are unitary; A U = L R^dag, so adj_j = (P_{j-1} L)(P_j R)^dag
+    val = 0.0
+    for group, lam, vecs, fwd in passes:
+        u = fwd[-1]
+        if unitary_target:  # A = T^dag conj(c)/d: L = A U, R = I
+            left = _matmul(target.matrix[group.grid].conj().swapaxes(-1, -2)
+                           * (np.conj(c) / d), u)
+            right = fwd
+        else:  # A = psi0 seed^dag: L = psi0, R = U^dag seed
+            left = psi0_vec[group.index][..., None]
+            right = _matmul(fwd, _matmul(u.conj().swapaxes(-1, -2),
+                                         seed[group.index][..., None]))
+        left = np.concatenate([left[None], _matmul(fwd[:-1], left)])
+        s = _frechet_adjoint(vecs, _phi_matrix(lam, dt), left, right)
+        val = val + np.tensordot(group.controls, s, axes=([1, 2, 3], [1, 3, 2]))
     # control k moves segment j's exponent along -2*pi*i*dt*C_k, so
     # dJ = 2 Re Tr(-2*pi*i*dt*C_k S_j) = 4*pi*dt Im Tr(C_k S_j)
-    s = _frechet_adjoint(vecs, _phi_matrix(-1j * lam * dt), adj)
-    val = 4 * np.pi * dt * np.einsum("kij,mji->km", controls, s).imag
+    val = 4 * np.pi * dt * val.imag
     grad = val[0::2] + 1j * val[1::2]
     return j_total, j_raw, grad
 
@@ -827,9 +884,8 @@ def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
     """Forward (+ adjoint) pass over the displacement/SNAP alternation."""
     blocks = thetas.shape[0]
     n = len(target)
-    # D(alpha) = exp(-i G), G = i (alpha a^dag - conj(alpha) a) Hermitian
-    gens = 1j * (alphas[:, None, None] * adag - np.conj(alphas)[:, None, None] * a)
-    lam, vecs = np.linalg.eigh(gens)
+    # D(alpha) = exp(-i G) from the closed-form eigensystem of G
+    lam, vecs = _displacement_eigensystem(alphas, n)
     disps = eig_exponential(lam, vecs, 1.0)
     snaps = np.exp(1j * thetas)
     psi = np.zeros(n, dtype=complex)
@@ -844,17 +900,20 @@ def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
     if not want_grad:
         return j_total, j_raw, None, None
 
-    g_theta = np.zeros_like(thetas)
     post = [None] * (blocks + 1)    # adjoint leaving each displacement
     chi_vec = seed
+    disps_h, snaps_h = disps.conj().swapaxes(-1, -2), snaps.conj()
     for k in range(blocks, -1, -1):
         if k < blocks:
-            g_theta[k] = 2 * (1j * np.conj(chi_vec) * pre[k + 1]).real
-            chi_vec = np.conj(snaps[k]) * chi_vec
+            chi_vec = snaps_h[k] * chi_vec
         post[k] = chi_vec
-        chi_vec = disps[k].conj().T @ chi_vec
-    adj = np.stack(pre)[:, :, None] * np.stack(post).conj()[:, None, :]
-    s = _frechet_adjoint(vecs, _phi_matrix(-1j * lam), adj)
+        chi_vec = disps_h[k] @ chi_vec
+    pre, post = np.stack(pre), np.stack(post)
+    # SNAP k outputs pre[k+1], where the adjoint is snaps[k] * post[k]; the
+    # output moves along i * pre[k+1] with theta_k
+    g_theta = 2 * (1j * np.conj(snaps * post[:-1]) * pre[1:]).real
+    s = _frechet_adjoint(vecs, _phi_matrix(lam, 1.0), pre[..., None],
+                         post[..., None])
     # exponent directions d/dRe(alpha) = a^dag - a, d/dIm(alpha) = i(a^dag + a)
     dirs = np.stack([adag - a, 1j * (adag + a)])
     val = 2 * np.einsum("qij,kji->qk", dirs, s).real

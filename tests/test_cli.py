@@ -405,6 +405,46 @@ class TestTrotterCommands:
         assert run_cli(tmp_path, "trotter", cfg) == 2
 
 
+def _circuit(shape, gate):
+    return {"shape": shape, "displacement_convention": "standard",
+            "gates": [gate] if gate else []}
+
+
+# every place that reads a JSON integer, fed a boolean: (subcommand, config,
+# the error text that must name it)
+_BOOLEAN_INTEGER_SITES = {
+    "cli_int_field": ("grape", {"model": {"kind": "qubit"},
+                                "target": {"kind": "identity"},
+                                "n_segments": True, "dt_s": 1e-7},
+                      "grape config: field 'n_segments' has the wrong type"),
+    "trotter_steps_list": ("trotter", dict(TROTTER_DOC, steps_list=[50, True]),
+                           "trotter config: 'steps_list' must be integers"),
+    "gate_subsystem": ("run", _circuit([3], {"kind": "snap", "target": True,
+                                             "theta": [0.0, 0.0, 0.0]}),
+                       "snap gate field 'target' must be an integer index"),
+    "cond_rotation_n": ("run", _circuit([2, 3], {
+        "kind": "cond_rotation", "qubit": 0, "mode": 1, "n": True,
+        "theta": 0.1, "phi": 0.0}),
+        "cond_rotation gate field 'n' must be an integer"),
+    "givens_m": ("run", _circuit([3], {"kind": "givens", "target": 0, "m": True,
+                                       "n": 1, "theta": 0.1}),
+                 "givens gate field 'm' must be an integer"),
+    "phase_swap_n": ("run", _circuit([3], {"kind": "phase_swap", "target": 0,
+                                           "m": 0, "n": True}),
+                     "phase_swap gate field 'n' must be an integer"),
+    "circuit_shape": ("run", _circuit([3, True], None),
+                      "circuit 'shape' must be a non-empty list of integers"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_BOOLEAN_INTEGER_SITES))
+def test_boolean_is_not_a_json_integer(tmp_path, capsys, site):
+    command, doc, message = _BOOLEAN_INTEGER_SITES[site]
+    cfg = write_json(tmp_path / "config.json", doc)
+    assert run_cli(tmp_path, command, cfg) in (1, 2)
+    assert message in capsys.readouterr().err
+
+
 class TestArtifactPlumbing:
     def test_headers_record_provenance(self, tmp_path):
         cfg = write_json(tmp_path / "trot.json", TROTTER_DOC)

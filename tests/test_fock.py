@@ -213,6 +213,45 @@ class TestExpmHermitian:
         np.testing.assert_allclose(u, ref, atol=1e-15)
 
 
+def _check_eigensystem(h):
+    evals, vecs = fock.hermitian_eigensystem(h)
+    scale = np.max(np.abs(h), axis=(-2, -1), keepdims=True)
+    eye = np.eye(h.shape[-1])
+    assert np.all(np.abs(vecs.conj().swapaxes(-1, -2) @ vecs - eye) <= 1e-14)
+    rebuilt = (vecs * evals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    assert np.all(np.abs(rebuilt - h) <= 1e-14 * scale)
+    np.testing.assert_allclose(evals, np.linalg.eigvalsh(h), rtol=0,
+                               atol=1e-14 * np.max(scale))
+
+
+# zero, or far from the subnormal range, where V diag(evals) V^dag rounds
+# away relative precision that h never had
+_ENTRY = st.one_of(st.just(0.0), st.floats(-1e7, 1e7), st.floats(-1.0, 1.0)
+                   ).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
+
+
+class TestHermitianEigensystem:
+    @given(h00=_ENTRY, h11=_ENTRY, re=_ENTRY, im=_ENTRY)
+    def test_two_level_closed_form(self, h00, h11, re, im):
+        h = np.array([[h00, re - 1j * im], [re + 1j * im, h11]])
+        _check_eigensystem(h)
+
+    @pytest.mark.parametrize("h", [
+        [[2.5, 0.0], [0.0, -1.0]],    # h10 = 0, bz > 0
+        [[-3.0, 0.0], [0.0, 4.0]],    # h10 = 0, bz < 0
+        [[0.7, 0.0], [0.0, 0.7]],     # h proportional to I
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1e6, 1e-9j], [-1e-9j, 1e6]],
+    ], ids=["bz_positive", "bz_negative", "identity", "zero", "near_degenerate"])
+    def test_two_level_special_cases(self, h):
+        _check_eigensystem(np.array(h, dtype=complex))
+
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_batched(self, size):
+        _check_eigensystem(_random_hermitian(np.random.default_rng(size),
+                                             (4, 3, size, size)))
+
+
 class TestCoherentState:
     def test_alpha_zero_is_vacuum(self):
         psi = fock.coherent_state(0.0, 10)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from cavityq import pulse
+from cavityq import gates, pulse
 from cavityq.errors import (
     BandwidthError,
     NumericError,
@@ -19,6 +19,7 @@ from cavityq.fock import (
     StateVector,
     annihilation,
     basis_state,
+    eig_exponential,
     fidelity,
     shape_of,
 )
@@ -395,6 +396,115 @@ class TestGrapeGradients:
         fd = (jp - jm) / (2 * h)
         gscale = np.max(np.abs(grads[0].real)) + np.max(np.abs(grads[0].imag))
         assert abs(grads[0][2].real - fd) / gscale < 1e-6
+
+
+# block-structured models: qubit (one 2x2 block), qubit-drive dispersive (N
+# 2x2 photon-number sectors) and cavity drive (one 2N block)
+_BLOCK_MODELS = {
+    "qubit_resonant": lambda: qubit_model(0.0),
+    "qubit_detuned": lambda: qubit_model(3.1e5),
+    "dispersive_2": lambda: dispersive_model(1.3e6, 2),
+    "dispersive_3": lambda: dispersive_model(0.8e6, 3),
+    "dispersive_5": lambda: dispersive_model(1.7e6, 5),
+    "cavity_drive": lambda: dispersive_model(1.1e6, 3, cavity_drive=True),
+}
+
+
+class TestBlockGrapeGradients:
+    """Central differences on the block-structured models, at segment counts
+    that cover the prefix scan's edge cases (one segment, odd and even
+    counts, a power of two and one past it)."""
+
+    @pytest.mark.parametrize("target_kind", ["operator", "state"])
+    @pytest.mark.parametrize("name", sorted(_BLOCK_MODELS))
+    def test_matches_central_differences(self, name, target_kind):
+        model = _BLOCK_MODELS[name]()
+        rng = np.random.default_rng(sorted(_BLOCK_MODELS).index(name))
+        d, n_streams = model.shape.total_dim, model.n_streams
+        kw = {}
+        if target_kind == "operator":
+            q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                                + 1j * rng.standard_normal((d, d)))
+            target = Operator(model.shape, q)
+        else:
+            # guard the top level of the last subsystem; start from a
+            # superposition over every block
+            guard = tuple(i for i in range(d)
+                          if i % model.shape.dims[-1] == model.shape.dims[-1] - 1)
+            vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            vec[list(guard)] = 0.0
+            psi0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            target = StateVector(model.shape, vec / np.linalg.norm(vec))
+            kw = dict(psi0=StateVector(model.shape, psi0 / np.linalg.norm(psi0)),
+                      guard_indices=guard, leak_weight=0.6)
+        dt, h = 1e-8, 1.0  # Hz step against 1e6-scale amplitudes
+        worst = 0.0
+        for n_seg in (1, 2, 3, 7, 8, 33):
+            amps = 1e6 * (rng.standard_normal((n_streams, n_seg))
+                          + 1j * rng.standard_normal((n_streams, n_seg)))
+
+            def objective(a):
+                sched = PulseSchedule(dt, tuple(a), (0.0,) * n_streams)
+                return grape_gradient(model, sched, target, **kw)
+
+            _, grads = objective(amps)
+            grads = np.stack(grads)
+            gscale = np.max(np.abs(grads.real)) + np.max(np.abs(grads.imag))
+            for idx in np.ndindex(amps.shape):
+                for quad in (1.0, 1.0j):
+                    step = np.zeros_like(amps)
+                    step[idx] = quad * h
+                    fd = (objective(amps + step)[0]
+                          - objective(amps - step)[0]) / (2 * h)
+                    ana = grads[idx].real if quad == 1.0 else grads[idx].imag
+                    worst = max(worst, abs(ana - fd) / gscale)
+        assert worst < 1e-6
+
+
+class TestStructuredKernels:
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_prefix_products_match_a_loop(self, b):
+        rng = np.random.default_rng(b)
+        for m in range(1, 71):
+            u, _ = np.linalg.qr(rng.standard_normal((m, 2, b, b))
+                                + 1j * rng.standard_normal((m, 2, b, b)))
+            ref = [u[0]]
+            for seg in u[1:]:
+                ref.append(seg @ ref[-1])
+            np.testing.assert_allclose(pulse._prefix_products(u),
+                                       np.stack(ref), rtol=0, atol=1e-13)
+
+    def test_no_eigh_on_two_by_two_blocks_or_sequences(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 7
+        gates._quadrature_eigensystem(n)  # cached once per dimension
+        a = annihilation(n).matrix
+        target = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        target /= np.linalg.norm(target)
+        alphas = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        thetas = rng.standard_normal((3, n))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for model in (qubit_model(2e5), dispersive_model(1e6, 4)):
+            d = model.shape.total_dim
+            sched = PulseSchedule(1e-8, (1e6 * rng.standard_normal(9),), (0.0,))
+            for tgt in (Operator(model.shape, np.eye(d)),
+                        basis_state(model.shape, 1)):
+                grape_gradient(model, sched, tgt)
+        pulse._sequence_pass(alphas, thetas, target, a, a.conj().T, (n - 1,),
+                             1.0, True)
+
+    @pytest.mark.parametrize("n", [2, 9, 24])
+    @pytest.mark.parametrize("alpha", [0.0, 0.8, -1.1, 0.9j, -0.7j, 0.5 + 0.4j,
+                                       -0.6 + 0.3j, -0.2 - 0.8j, 0.4 - 0.5j])
+    def test_displacement_eigensystem_rebuilds_displacement(self, alpha, n):
+        lam, vecs = gates._displacement_eigensystem(np.array([alpha]), n)
+        built = eig_exponential(lam, vecs, 1.0)[0]
+        ref = gates.displacement(alpha, n).matrix
+        assert np.max(np.abs(built - ref)) <= 1e-13
 
 
 class TestGrapeOptimize:
