@@ -3,9 +3,14 @@
 Every artifact file starts with a header recording the tool version, the
 rng seed, the --threads value and a sha256 of the input config, and is
 written atomically (temp file in the target directory, then rename), so
-interrupted runs never leave half-written outputs. Every command runs in
-one thread and --threads is only recorded, so with a fixed seed reruns
-are byte-identical apart from the header line that records --threads.
+interrupted runs never leave half-written outputs. Commands hand their
+results over as columns; `_emit_artifact` fixes each column's text once
+(str for integers, repr of Python floats otherwise) and streams the rows
+into the temp file in chunks, for CSV and for JSON alike. The JSON text is
+byte for byte that of json.dumps(doc, indent=2, sort_keys=True). Every
+command runs in one thread and --threads is only recorded, so with a fixed
+seed reruns are byte-identical apart from the header line that records
+--threads.
 
 Exit codes: 0 success, 1 usage errors, 2 parse errors, 3 numeric errors,
 4 capacity errors.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -80,13 +86,15 @@ def _number_list(doc: dict, name: str, what: str, default=_REQUIRED):
     return [float(v) for v in val]
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, pieces) -> None:
+    """Write an iterable of text pieces to path via a temp file in the same
+    directory and a rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, str(path))
     except BaseException:
         try:
@@ -96,49 +104,82 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+_CHUNK_ROWS = 4096  # rows formatted and written per piece
 
 
-def _emit_artifact(args, name: str, columns: list[str],
-                   rows, input_sha: str) -> str:
-    """Write the rows as CSV or JSON with the provenance header; returns
-    the artifact path."""
-    meta = {
-        "tool": "cavityq",
-        "version": __version__,
-        "seed": args.seed,
-        "threads": args.threads,
-        "input_sha256": input_sha,
-    }
+def _column_text(values: np.ndarray, json_floats: bool):
+    """A function giving the cell texts of a slice of one column. The kind
+    is fixed once per column: str for integer columns, repr of Python
+    floats for all others, and for non-finite JSON floats the json module's
+    text (NaN, Infinity, -Infinity)."""
+    if values.dtype.kind in "iu":
+        return lambda part: list(map(str, part.tolist()))
+    to_text = repr if not json_floats or np.isfinite(values).all() else json.dumps
+    return lambda part: list(map(to_text, part.astype(float).tolist()))
+
+
+def _row_pieces(columns: list[np.ndarray], json_floats: bool, lead: str,
+                cell_sep: str, row_sep: str):
+    """The rows of equal-length columns as text, one piece per
+    _CHUNK_ROWS rows: cells joined by cell_sep, rows by row_sep, and the
+    first row led by lead."""
+    formats = [_column_text(col, json_floats) for col in columns]
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        cells = [fmt(col[start:start + _CHUNK_ROWS])
+                 for fmt, col in zip(formats, columns)]
+        yield lead + row_sep.join(map(cell_sep.join, zip(*cells)))
+        lead = row_sep
+
+
+def _emit_artifact(args, name: str, columns: dict, input_sha: str) -> str:
+    """Write the columns (name -> equal-length array or list) as CSV or
+    JSON with the provenance header, streamed in chunks of rows; returns
+    the artifact path. The JSON text is that of json.dumps(doc,
+    indent=2, sort_keys=True) plus a newline."""
+    names = list(columns)
+    values = [np.asarray(col) for col in columns.values()]
+    if len({len(v) for v in values}) > 1:
+        raise ValueError("artifact columns differ in length")
     out_dir = Path(args.out)
     if args.format == "json":
         path = out_dir / f"{name}.json"
-        doc = dict(meta)
-        doc["columns"] = columns
-        doc["rows"] = [[_json_cell(v) for v in row] for row in rows]
-        _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        doc = {
+            "tool": "cavityq",
+            "version": __version__,
+            "seed": args.seed,
+            "threads": args.threads,
+            "input_sha256": input_sha,
+            "columns": names,
+            "rows": [],
+        }
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        pieces = [text]
+        if len(values[0]):
+            head, tail = text.split('"rows": []')
+            pieces = itertools.chain(
+                [head, '"rows": ['],
+                _row_pieces(values, True, "\n    [\n      ", ",\n      ",
+                            "\n    ],\n    [\n      "),
+                ["\n    ]\n  ]", tail],
+            )
     else:
         path = out_dir / f"{name}.csv"
-        lines = [
+        header = "\n".join([
             f"# cavityq {__version__}",
             f"# seed: {args.seed}",
             f"# threads: {args.threads}",
             f"# input_sha256: {input_sha}",
-            ",".join(columns),
-        ]
-        for row in rows:
-            lines.append(",".join(_format_cell(v) for v in row))
-        _write_atomic(path, "\n".join(lines) + "\n")
+            ",".join(names),
+        ])
+        pieces = itertools.chain([header], _row_pieces(values, False, "\n", ",", "\n"),
+                                 ["\n"])
+    _write_atomic(path, pieces)
     return str(path)
 
 
-def _json_cell(value):
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
+def _columns(names: list[str], rows) -> dict:
+    """The named columns of a list of row tuples."""
+    return dict(zip(names, list(zip(*rows)) or [()] * len(names)))
 
 
 def _np_default(obj):
@@ -183,14 +224,13 @@ def cmd_run(args) -> int:
     psi0 = _parse_state_spec(spec, circuit.shape)
     final = gates.apply_circuit(circuit, psi0)
     probs = np.abs(final.amplitudes.reshape(-1)) ** 2
-    rows = [
-        (idx, float(p)) for idx, p in enumerate(probs) if p > _PROB_FLOOR
-    ]
+    kept = np.flatnonzero(probs > _PROB_FLOOR)
     path = _emit_artifact(args, "run_probabilities",
-                          ["basis_index", "probability"], rows, _sha256(text))
+                          {"basis_index": kept, "probability": probs[kept]},
+                          _sha256(text))
     _print_summary({
         "gates": len(circuit.gates),
-        "kept_rows": len(rows),
+        "kept_rows": len(kept),
         "output": path,
         "total_probability": float(probs.sum()),
     })
@@ -214,7 +254,6 @@ def _qst_config_and_sweep(text: str):
 def cmd_qst(args) -> int:
     text = _read_text(args.config_file)
     config, sweep = _qst_config_and_sweep(text)
-    columns = ["delta_omega_hz", "eta", "sqrt_one_minus_eta"]
     if sweep is None:
         res = qst.simulate_transfer(config)
         rows = [(config.delta_omega_hz, res.eta,
@@ -229,7 +268,8 @@ def cmd_qst(args) -> int:
             "intercept": result.intercept,
             "r_squared": result.r_squared,
         }
-    path = _emit_artifact(args, "qst_sweep", columns, rows, _sha256(text))
+    path = _emit_artifact(args, "qst_sweep", _columns(
+        ["delta_omega_hz", "eta", "sqrt_one_minus_eta"], rows), _sha256(text))
     summary["output"] = path
     _print_summary(summary)
     return 0
@@ -314,11 +354,8 @@ def cmd_grape(args) -> int:
         seed=args.seed,
         tol=float(tol),
     )
-    rows = [(int(it), float(infid), float(step))
-            for it, infid, step in result.trace]
-    path = _emit_artifact(args, "grape_trace",
-                          ["iteration", "infidelity", "step_size"],
-                          rows, _sha256(text))
+    path = _emit_artifact(args, "grape_trace", _columns(
+        ["iteration", "infidelity", "step_size"], result.trace), _sha256(text))
     _print_summary({
         "fidelity": result.fidelity,
         "infidelity": result.infidelity,
@@ -346,17 +383,14 @@ def cmd_code(args) -> int:
     channel = noise.photon_loss_channel(float(t1_s), float(dt_s), int(n_levels))
     results = noise.run_trajectories(channel, psi, int(steps), int(n_traj),
                                      base_seed=args.seed)
-    rows = []
-    for traj in results:
-        # Python scalars: _format_cell converts numpy scalars cell by cell
-        rows.extend(zip(
-            [traj.seed] * traj.steps, range(1, traj.steps + 1),
-            traj.jump_counts.tolist(), traj.parities.tolist(),
-            traj.mean_occupations.tolist(),
-        ))
-    path = _emit_artifact(args, "code_trajectories",
-                          ["seed", "step", "jump_count", "parity", "mean_n"],
-                          rows, _sha256(text))
+    # trajectory-major rows: every step of the first trajectory, then the next
+    path = _emit_artifact(args, "code_trajectories", {
+        "seed": np.repeat([t.seed for t in results], steps),
+        "step": np.tile(np.arange(1, steps + 1), len(results)),
+        "jump_count": np.concatenate([t.jump_counts for t in results]),
+        "parity": np.concatenate([t.parities for t in results]),
+        "mean_n": np.concatenate([t.mean_occupations for t in results]),
+    }, _sha256(text))
     _print_summary({
         "initial_parity": codes.parity(psi),
         "n_trajectories": len(results),
@@ -390,13 +424,11 @@ def cmd_trotter(args) -> int:
     psi0 = _initial_level_state(doc, h.n_levels, "trotter config")
     rows = trotter.trotter_convergence(h, float(t_total),
                                        [int(s) for s in steps_list], psi0)
-    out_rows = [(int(s), float(dt), float(infid)) for s, dt, infid in rows]
-    path = _emit_artifact(args, "trotter_convergence",
-                          ["steps", "dt_s", "infidelity"],
-                          out_rows, _sha256(text))
+    path = _emit_artifact(args, "trotter_convergence", _columns(
+        ["steps", "dt_s", "infidelity"], rows), _sha256(text))
     _print_summary({
         "n_levels": h.n_levels,
-        "best_infidelity": min(r[2] for r in out_rows),
+        "best_infidelity": min(float(r[2]) for r in rows),
         "output": path,
     })
     return 0
@@ -425,14 +457,11 @@ def cmd_otoc(args) -> int:
                        "otoc config v")
     psi0 = _initial_level_state(doc, h.n_levels, "otoc config")
     rows = trotter.otoc_series(w, v, h, times, psi0)
-    out_rows = [(float(t), float(re), float(im), float(mag))
-                for t, re, im, mag in rows]
-    path = _emit_artifact(args, "otoc_series",
-                          ["t_s", "re_otoc", "im_otoc", "abs_otoc"],
-                          out_rows, _sha256(text))
+    path = _emit_artifact(args, "otoc_series", _columns(
+        ["t_s", "re_otoc", "im_otoc", "abs_otoc"], rows), _sha256(text))
     _print_summary({
         "n_levels": h.n_levels,
-        "min_abs_otoc": min(r[3] for r in out_rows),
+        "min_abs_otoc": min(float(r[3]) for r in rows),
         "output": path,
     })
     return 0

@@ -72,18 +72,43 @@ def displacement(alpha: complex, n: int, convention: str = "standard") -> Operat
     with the infinite-dimensional displacement on levels well below the
     cutoff (keep n ≳ |α|² + 5|α| above the states you care about).
     """
+    rot, angle, vecs = _displacement_factors(alpha, n, convention)
+    # Q e^{−i|α|Λ} Qᵀ as two real products
+    inner = (vecs * np.cos(angle)) @ vecs.T - 1j * ((vecs * np.sin(angle)) @ vecs.T)
+    return Operator(HilbertShape((n,)), rot[:, None] * inner * rot.conj())
+
+
+def _displacement_factors(alpha: complex, n: int, convention: str
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, |α|Λ, Q) with D(α) = R Q e^{−i|α|Λ} Qᵀ R† on n levels, α given
+    in the named convention."""
     if convention not in CONVENTIONS:
         raise UsageError(f"unknown displacement convention {convention!r}")
     alpha = complex(alpha)
     if convention == "paper":
         alpha = -alpha
-    shape = HilbertShape((n,))
     evals, vecs = _quadrature_eigensystem(n)
-    angle = abs(alpha) * evals
-    # Q e^{−i|α|Λ} Qᵀ as two real products
-    inner = (vecs * np.cos(angle)) @ vecs.T - 1j * ((vecs * np.sin(angle)) @ vecs.T)
     rot = np.exp(1j * (cmath.phase(alpha) + math.pi / 2) * np.arange(n))
-    return Operator(shape, rot[:, None] * inner * rot.conj())
+    return rot, abs(alpha) * evals, vecs
+
+
+def _displacement_map(alpha: complex, n: int, convention: str
+                      ) -> Callable[[np.ndarray], np.ndarray]:
+    """D(α) along the first axis of an array of n rows, in factored form,
+    O(n²m) for m columns and no n×n matrix: R·(Q·(e^{−i|α|Λ} ∘
+    (Qᵀ·(R†·x)))). Returns an (n, m) array, m the size of the other axes.
+    Q is real, so each product with it is one real product on the
+    C-contiguous (n, m) complex array viewed as (n, 2m) reals."""
+    rot, angle, vecs = _displacement_factors(alpha, n, convention)
+    rot = rot[:, None]
+    phases = np.exp(-1j * angle)[:, None]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=complex).reshape(n, -1)
+        y = (vecs.T @ (rot.conj() * x).view(float)).view(complex) * phases
+        return rot * (vecs @ y.view(float)).view(complex)
+
+    return apply
 
 
 @functools.lru_cache(maxsize=8)
@@ -188,13 +213,8 @@ def fourier(dim: int, inverse: bool = False) -> Operator:
 def ecd(beta: complex, mode_dim: int, convention: str = "standard") -> Operator:
     """Echoed conditional displacement on shape (qubit, mode):
     |e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2). At β=0 this is X ⊗ I."""
-    if convention not in CONVENTIONS:
-        raise UsageError(f"unknown displacement convention {convention!r}")
-    beta = complex(beta)
-    if convention == "paper":
-        beta = -beta
-    d_plus = displacement(beta / 2, mode_dim).matrix
-    d_minus = displacement(-beta / 2, mode_dim).matrix
+    d_plus = displacement(complex(beta) / 2, mode_dim, convention).matrix
+    d_minus = displacement(-complex(beta) / 2, mode_dim, convention).matrix
     eg = np.zeros((2, 2), dtype=complex)
     ge = np.zeros((2, 2), dtype=complex)
     eg[1, 0] = 1.0
@@ -376,11 +396,16 @@ def _build_multisnap(params, shape, convention):
     return multisnap(theta, [shape.dims[t] for t in targets]), targets
 
 
-def _build_displacement(params, shape, convention):
+def _displacement_params(params, shape) -> tuple[complex, int]:
     target = _as_subsystem(
         _need(params, "target", "displacement"), shape, "displacement", "target"
     )
     alpha = _as_complex(_need(params, "alpha", "displacement"), "displacement", "alpha")
+    return alpha, target
+
+
+def _build_displacement(params, shape, convention):
+    alpha, target = _displacement_params(params, shape)
     return displacement(alpha, shape.dims[target], convention), [target]
 
 
@@ -461,12 +486,19 @@ def _build_fourier(params, shape, convention):
     return fourier(shape.dims[target], inverse=inverse), [target]
 
 
-def _build_ecd(params, shape, convention):
+def _ecd_params(params, shape) -> tuple[complex, int, int]:
     qubit = _as_subsystem(_need(params, "qubit", "ecd"), shape, "ecd", "qubit")
     mode = _as_subsystem(_need(params, "mode", "ecd"), shape, "ecd", "mode")
+    if qubit == mode:
+        raise UsageError("ecd qubit and mode must differ")
     if shape.dims[qubit] != 2:
         raise UsageError(f"ecd qubit subsystem must have dim 2, got {shape.dims[qubit]}")
     beta = _as_complex(_need(params, "beta", "ecd"), "ecd", "beta")
+    return beta, qubit, mode
+
+
+def _build_ecd(params, shape, convention):
+    beta, qubit, mode = _ecd_params(params, shape)
     return ecd(beta, shape.dims[mode], convention), [qubit, mode]
 
 
@@ -514,7 +546,9 @@ def _compile(spec: GateSpec, shape: HilbertShape, convention: str) -> _Kernel:
     """Build one gate for the register once. SNAP and multisnap become a
     phase array broadcast over their target axes, Fourier an orthonormal
     FFT along its target axis (ifft is F_jk = e^{2πijk/N}/√N, fft its
-    inverse), and every other kind its operator, applied by tensordot."""
+    inverse), displacement and ECD the factored D(α) of
+    `_displacement_map` on their mode axis, and every other kind its
+    operator, applied by tensordot."""
     dims = shape.dims
     if spec.kind in ("snap", "multisnap"):
         phases_of = _snap_phases if spec.kind == "snap" else _multisnap_phases
@@ -529,6 +563,29 @@ def _compile(spec: GateSpec, shape: HilbertShape, convention: str) -> _Kernel:
         axis, inverse = _fourier_axis(spec.params, shape)
         transform = np.fft.fft if inverse else np.fft.ifft
         return lambda tens: transform(tens, axis=axis, norm="ortho")
+    if spec.kind == "displacement":
+        alpha, axis = _displacement_params(spec.params, shape)
+        d_alpha = _displacement_map(alpha, dims[axis], convention)
+
+        def displace(tens: np.ndarray) -> np.ndarray:
+            x = np.moveaxis(tens, axis, 0)
+            out = d_alpha(x)
+            return np.moveaxis(out.reshape(x.shape), 0, axis)
+
+        return displace
+    if spec.kind == "ecd":
+        # |e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2): displace the |g⟩ and |e⟩
+        # slices of the mode axis, then swap them
+        beta, qubit, mode = _ecd_params(spec.params, shape)
+        d_plus = _displacement_map(beta / 2, dims[mode], convention)
+        d_minus = _displacement_map(-beta / 2, dims[mode], convention)
+
+        def echo(tens: np.ndarray) -> np.ndarray:
+            x = np.moveaxis(tens, (mode, qubit), (0, 1))
+            out = np.stack([d_minus(x[:, 1]), d_plus(x[:, 0])], axis=1)
+            return np.moveaxis(out.reshape(x.shape), (0, 1), (mode, qubit))
+
+        return echo
     op, targets = spec.build(shape, convention)
 
     def dense(tens: np.ndarray) -> np.ndarray:

@@ -167,15 +167,16 @@ def amplitude_damping_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
     x = dt_s / t1_s
     if not 0 < x < math.inf:
         raise UsageError(f"dt_s / t1_s must be positive and finite, got {x}")
-    lost, m = np.nonzero(np.tri(n, dtype=bool).T)  # every l <= m
+    lost, m = np.nonzero(np.tri(n, dtype=bool).T)  # every l <= m, by l
     # the binomial weight C(m,l) (1−p)^(m−l) p^l from exact integer binomials
     binomial = np.array([math.comb(a, b) for a, b in zip(m.tolist(), lost.tolist())],
                         dtype=float)
     weight = binomial * np.exp(-(m - lost) * x) * (-math.expm1(-x)) ** lost
-    mats = np.zeros((n, n, n), dtype=complex)
-    mats[lost, m - lost, m] = np.sqrt(weight)
+    # K_l's n − l entries, placed on its l-th superdiagonal
+    bands = np.split(np.sqrt(weight).astype(complex), np.cumsum(np.arange(n, 1, -1)))
     shape = HilbertShape((n,))
-    return NoiseChannel(shape, tuple(Operator(shape, k) for k in mats), dt_s)
+    return NoiseChannel(shape, tuple(Operator(shape, np.diag(band, l))
+                                     for l, band in enumerate(bands)), dt_s)
 
 
 def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import types
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cavityq import cli
 
@@ -498,3 +504,114 @@ class TestArtifactPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["max_fock"] == 5000
+
+
+# ---------------------------------------------------------------------------
+# the streamed column writer against the per-cell row writer it replaced
+
+def _format_cell(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _json_cell(value):
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(value)
+
+
+def _per_cell_artifact(args, columns: list[str], rows, input_sha: str) -> str:
+    """The artifact text of the row-tuple writer, cell by cell."""
+    meta = {
+        "tool": "cavityq",
+        "version": cli.__version__,
+        "seed": args.seed,
+        "threads": args.threads,
+        "input_sha256": input_sha,
+    }
+    if args.format == "json":
+        doc = dict(meta)
+        doc["columns"] = columns
+        doc["rows"] = [[_json_cell(v) for v in row] for row in rows]
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    lines = [
+        f"# cavityq {cli.__version__}",
+        f"# seed: {args.seed}",
+        f"# threads: {args.threads}",
+        f"# input_sha256: {input_sha}",
+        ",".join(columns),
+    ]
+    for row in rows:
+        lines.append(",".join(_format_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# a few values drawn often, so chunks hold repeats, plus any value at all
+_SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 0.1])
+_FLOAT_CELLS = st.one_of(_SPECIAL_FLOATS, st.floats())
+_INT_CELLS = st.one_of(st.sampled_from([0, 1, -1, 7]), st.integers(-2**63, 2**63 - 1))
+
+
+@st.composite
+def _tables(draw):
+    """(names, columns): one to four equal-length columns, each a Python
+    list or a numpy array of one integer or float kind."""
+    n_rows = draw(st.integers(0, 40))
+    cells = lambda elements: draw(st.lists(elements, min_size=n_rows, max_size=n_rows))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["int", "int64", "int32", "uint64",
+                                     "float", "float64", "float32"]))
+        if kind == "int":
+            columns.append(cells(_INT_CELLS))
+        elif kind == "int64":
+            columns.append(np.array(cells(_INT_CELLS), dtype=np.int64))
+        elif kind == "int32":
+            columns.append(np.array(cells(st.integers(-2**31, 2**31 - 1)), dtype=np.int32))
+        elif kind == "uint64":
+            columns.append(np.array(cells(st.integers(0, 2**64 - 1)), dtype=np.uint64))
+        elif kind == "float":
+            columns.append(cells(_FLOAT_CELLS))
+        elif kind == "float64":
+            columns.append(np.array(cells(_FLOAT_CELLS)))
+        else:
+            columns.append(np.array(cells(st.floats(width=32)), dtype=np.float32))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+class TestArtifactWriter:
+    @staticmethod
+    def check(names, columns, fmt, chunk, seed=7, threads=1):
+        with tempfile.TemporaryDirectory() as out:
+            args = types.SimpleNamespace(out=out, seed=seed, threads=threads, format=fmt)
+            with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+                path = cli._emit_artifact(args, "table", dict(zip(names, columns)), "ab12")
+            got = Path(path).read_bytes()
+        rows = list(zip(*columns))
+        expected = _per_cell_artifact(args, names, rows, "ab12")
+        assert got == expected.encode("utf-8")
+
+    @settings(max_examples=150)
+    @given(table=_tables(), fmt=st.sampled_from(["csv", "json"]),
+           chunk=st.sampled_from([1, 2, 7, 100_000]),
+           seed=st.integers(0, 2**40), threads=st.integers(1, 64))
+    @example(table=(["a"], [[]]), fmt="json", chunk=2, seed=0, threads=1)
+    @example(table=(["a"], [[]]), fmt="csv", chunk=2, seed=0, threads=1)
+    @example(table=(["a", "b"], [[np.int64(3)], [-0.0]]), fmt="json", chunk=1,
+             seed=0, threads=1)
+    def test_matches_per_cell_writer(self, table, fmt, chunk, seed, threads):
+        names, columns = table
+        self.check(names, columns, fmt, chunk, seed, threads)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 100_000])
+    def test_edge_cells(self, fmt, chunk):
+        # nan, ±inf and -0.0 beside numpy and Python ints, in zero, one
+        # and many rows
+        floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 2.5, -1e-300, 1e300]
+        ints = [np.int64(-5), np.int64(2**62), 0, 3, -(2**63), 2**63 - 1, 1, 1]
+        for n in (0, 1, len(floats)):
+            columns = [ints[:n], np.array(floats[:n]), floats[:n],
+                       np.array([int(v) for v in ints[:n]], dtype=np.int64)]
+            self.check(["i", "f", "g", "j"], columns, fmt, chunk)

@@ -354,6 +354,14 @@ class TestCircuits:
         with pytest.raises(ParseError, match="gate 1"):
             gates.circuit_from_json(json.dumps(doc))
 
+    def test_ecd_on_its_own_qubit_is_parse_error(self):
+        doc = self.circuit_doc()
+        doc["gates"][1] = {"kind": "ecd", "qubit": 0, "mode": 0, "beta": 0.3}
+        text = json.dumps(doc, indent=1)
+        with pytest.raises(ParseError, match="gate 1: ecd qubit and mode must differ") as err:
+            gates.circuit_from_json(text)
+        assert "line" in str(err.value)
+
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             gates.circuit_from_json("{oops")
@@ -520,17 +528,25 @@ class TestCompiledCircuitProperties:
             np.testing.assert_allclose(out.amplitudes, expected, atol=1e-10)
             assert out.norm() == pytest.approx(1.0, abs=1e-10)
 
-    def test_parsed_circuit_builds_each_displacement_once(self):
-        doc = {"shape": [12], "gates": [
-            {"kind": "displacement", "target": 0, "alpha": [0.3, -0.1]},
-            {"kind": "snap", "target": 0, "theta": [0.1 * k for k in range(12)]},
-            {"kind": "displacement", "target": 0, "alpha": 0.2},
+    def test_parsed_circuit_factors_each_displacement_once(self):
+        # three applications of a parsed circuit: each displacement and ECD
+        # is factored once, at parse time, and no dense D(α) is ever built
+        doc = {"shape": [2, 12], "gates": [
+            {"kind": "displacement", "target": 1, "alpha": [0.3, -0.1]},
+            {"kind": "snap", "target": 1, "theta": [0.1 * k for k in range(12)]},
+            {"kind": "displacement", "target": 1, "alpha": 0.2},
+            {"kind": "ecd", "qubit": 0, "mode": 1, "beta": [0.4, 0.3]},
         ]}
-        with mock.patch.object(gates, "displacement", wraps=gates.displacement) as spy:
+        with mock.patch.object(gates, "displacement") as dense_d, \
+                mock.patch.object(gates, "ecd") as dense_ecd, \
+                mock.patch.object(gates, "_displacement_map",
+                                  wraps=gates._displacement_map) as factored:
             circuit = gates.circuit_from_json(json.dumps(doc))
             for _ in range(3):
-                gates.apply_circuit(circuit, fock.basis_state(12, 0))
-        assert spy.call_count == 2
+                gates.apply_circuit(circuit, fock.basis_state((2, 12), [0, 0]))
+        assert dense_d.call_count == 0
+        assert dense_ecd.call_count == 0
+        assert factored.call_count == 4  # two displacements, D(±β/2) of the ECD
 
     def test_compile_error_is_kept_out_of_the_cache(self):
         circ = gates.Circuit(
@@ -540,6 +556,67 @@ class TestCompiledCircuitProperties:
         for _ in range(2):
             with pytest.raises(UsageError, match="gate 0"):
                 gates.apply_circuit(circ, fock.basis_state(4, 0))
+
+
+def _displacement_circuits(kind: str, dims: tuple[int, ...], convention: str,
+                           rng) -> list[gates.Circuit]:
+    """One-gate circuits of kind on every placement the register allows:
+    a displacement on each axis, an ECD on each (qubit, mode) pair."""
+    shape = fock.HilbertShape(dims)
+    if kind == "displacement":
+        placements = [{"target": t} for t in range(len(dims))]
+    else:
+        placements = [{"qubit": q, "mode": m} for q in range(len(dims))
+                      for m in range(len(dims)) if q != m and dims[q] == 2]
+    out = []
+    for params in placements:
+        for amp in (0.0, complex(*rng.normal(0, 0.6, 2))):
+            field = "alpha" if kind == "displacement" else "beta"
+            spec = gates.GateSpec(kind, {**params, field: [amp.real, amp.imag]})
+            out.append(gates.Circuit(shape, (spec,), convention))
+    return out
+
+
+class TestFactoredDisplacementKernel:
+    """Circuits apply displacement and ECD through `_displacement_map`,
+    never forming D(α); checked against circuit_unitary and against the
+    dense gate promoted by embed."""
+
+    @pytest.mark.parametrize("convention", gates.CONVENTIONS)
+    @pytest.mark.parametrize("kind,dims", [
+        ("displacement", (1,)), ("displacement", (2,)), ("displacement", (7,)),
+        ("displacement", (40,)), ("displacement", (300,)),
+        ("displacement", (3, 7)), ("displacement", (2, 40, 2)),
+        ("ecd", (2, 1)), ("ecd", (2, 2)), ("ecd", (7, 2)), ("ecd", (2, 40)),
+        ("ecd", (2, 7, 2)), ("ecd", (3, 2, 7)), ("ecd", (2, 300)),
+    ])
+    def test_matches_dense_oracles(self, kind, dims, convention):
+        rng = np.random.default_rng(sum(dims))
+        for circuit in _displacement_circuits(kind, dims, convention, rng):
+            psi = random_state(circuit.shape, rng)
+            [spec] = circuit.gates
+            op, targets = spec.build(circuit.shape, convention)
+            embedded = gates.embed(op, targets, circuit.shape).matrix
+            got = gates.apply_circuit(circuit, psi).amplitudes
+            np.testing.assert_allclose(got, embedded @ psi.amplitudes, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                got, gates.circuit_unitary(circuit).matrix @ psi.amplitudes,
+                rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 300])
+    def test_zero_amplitude_is_identity(self, n):
+        rng = np.random.default_rng(n)
+        for kind, dims in (("displacement", (n,)), ("ecd", (2, n))):
+            psi = random_state(dims, rng)
+            field = {"displacement": {"target": 0, "alpha": 0},
+                     "ecd": {"qubit": 0, "mode": 1, "beta": 0}}[kind]
+            circuit = gates.Circuit(fock.HilbertShape(dims),
+                                    (gates.GateSpec(kind, field),))
+            got = gates.apply_circuit(circuit, psi).amplitudes
+            expected = psi.amplitudes
+            if kind == "ecd":  # X ⊗ I
+                expected = expected.reshape(2, n)[::-1].reshape(-1)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 class TestDisplacementEigensystem:
