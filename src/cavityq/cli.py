@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage errors, 2 parse errors, 3 numeric errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import __version__, codes, device, gates, fock, noise, pulse, qst, trotter
 from .errors import (CapacityError, NumericError, ParseError, UsageError,
-                     is_json_int, is_json_number)
+                     is_json_int, is_json_number, is_json_number_rows)
 
 _PROB_FLOOR = 1e-12
 
@@ -303,13 +304,17 @@ def _snap_or_matrix(spec: dict, kind: str, n: int, what: str,
     if kind == "matrix":
         re = _field(spec, "re", list, what)
         im = _field(spec, "im", list, what)
+        if not (is_json_number_rows(re) and is_json_number_rows(im)):
+            raise ParseError(f"{what}: 're' and 'im' must be lists of rows of numbers")
         try:
-            mat = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-        except (ValueError, TypeError) as exc:
+            re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+        except ValueError as exc:  # ragged rows
             raise ParseError(f"{what}: bad matrix: {exc}") from exc
-        if mat.shape != (n, n):
+        if re.shape != (n, n) or im.shape != (n, n):
             raise ParseError(f"{what}: matrix must be {n}x{n}")
-        return mat
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ParseError(f"{what}: matrix entries must be finite")
+        return re + 1j * im
     return None
 
 
@@ -451,6 +456,8 @@ def cmd_otoc(args) -> int:
     doc = _load_object(text, "otoc config")
     h = _hamiltonian_from_doc(doc, "otoc config")
     times = _number_list(doc, "times_s", "otoc config")
+    if not times:
+        raise ParseError("otoc config: 'times_s' must be non-empty")
     w = _otoc_operator(_field(doc, "w", dict, "otoc config"), h.n_levels,
                        "otoc config w")
     v = _otoc_operator(_field(doc, "v", dict, "otoc config"), h.n_levels,
@@ -519,8 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parse_args leaves a parser unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be nonnegative")

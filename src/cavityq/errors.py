@@ -2,14 +2,23 @@
 
 The CLI maps these onto process exit codes, so new error types should
 subclass one of the four roots below rather than Exception directly.
-Every parser tests JSON numbers with `is_json_number` and JSON integers with
-`is_json_int`.
+Every parser tests JSON numbers with `is_json_number` (a whole matrix with
+`is_json_number_rows`) and JSON integers with `is_json_int`.
 """
 
 
 def is_json_number(value) -> bool:
     """A JSON number: an int or float, but not a bool (an int subclass)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_json_number_rows(rows) -> bool:
+    """A list of lists of JSON numbers as json.loads returns them: the bulk
+    form of is_json_number, one set of entry types rather than one call per
+    entry. NaN and Infinity, which json.loads reads as floats, pass; test
+    finiteness on the converted array."""
+    return (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+            and {type(v) for r in rows for v in r} <= {int, float})
 
 
 def is_json_int(value) -> bool:

@@ -113,7 +113,7 @@ def _frozen_array(values, expected_shape) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True, order="C")
     if arr.shape != expected_shape:
         raise ShapeError(f"array shape {arr.shape} does not match {expected_shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise UsageError("non-finite amplitudes")
     arr.setflags(write=False)
     return arr

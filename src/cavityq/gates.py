@@ -710,6 +710,13 @@ def circuit_from_json(text: str) -> Circuit:
     return circuit
 
 
+def _run(circuit: Circuit, tens: np.ndarray) -> np.ndarray:
+    """The compiled gates, left to right, on a register tensor (not in place)."""
+    for kernel in circuit._compiled():
+        tens = kernel(tens)
+    return tens
+
+
 def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
     """Run the compiled gates left to right. Errors carry the gate index."""
     if psi.shape != circuit.shape:
@@ -717,9 +724,7 @@ def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
             f"state on dims {psi.shape.dims} does not match circuit shape "
             f"{circuit.shape.dims}"
         )
-    tens = psi.amplitudes.reshape(circuit.shape.dims)
-    for kernel in circuit._compiled():
-        tens = kernel(tens)
+    tens = _run(circuit, psi.amplitudes.reshape(circuit.shape.dims))
     return StateVector(psi.shape, tens.reshape(-1), psi.leakage)
 
 

@@ -8,7 +8,10 @@ Fourier-conjugate basis. One first-order step
 
 is the four-gate circuit [snap(-2pi V dt), fourier†, snap(-2pi K dt),
 fourier], and exp(-iH dt) - U(dt) = O(dt^2), so the global error at fixed t
-is O(dt). Exact references here diagonalize the dense Hamiltonian.
+is O(dt). A sweep compiles that circuit once and runs its kernels, two phase
+multiplies and two FFTs, on the bare amplitude array for every step; it
+builds one StateVector, with its finiteness check, at the end. Exact
+references here diagonalize the dense Hamiltonian.
 
 Scrambling diagnostics use the out-of-time-order correlator
 C(t) = <psi0| W†(t) V† W(t) V |psi0> with W(t) = U†(t) W U(t) evaluated with
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidDimensionError, NumericError, ShapeError, UsageError
 from .fock import HilbertShape, Operator, StateVector
-from .gates import Circuit, GateSpec, apply_circuit
+from .gates import Circuit, GateSpec, _run
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +157,10 @@ def evolve_trotter(h: QuditHamiltonian, t_total_s: float, steps: int,
                              dt_s=0.0)
     dt = t_total_s / steps
     circuit = trotter_step(h, dt)
-    state = psi
+    amp = psi.amplitudes  # one register axis: already the tensor _run takes
     for _ in range(int(steps)):
-        state = apply_circuit(circuit, state)
+        amp = _run(circuit, amp)
+    state = StateVector(psi.shape, amp, psi.leakage)
     # the exact state Q(e^{-iEt} ∘ Q†ψ), without forming the propagator
     evals, vecs = h._eigensystem
     phases = np.exp(-1j * evals * t_total_s)

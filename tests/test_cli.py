@@ -410,6 +410,75 @@ class TestTrotterCommands:
         cfg = write_json(tmp_path / "trot.json", doc)
         assert run_cli(tmp_path, "trotter", cfg) == 2
 
+    def test_otoc_empty_time_grid_exit_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "otoc.json", dict(OTOC_DOC, times_s=[]))
+        assert run_cli(tmp_path, "otoc", cfg) == 2
+        assert "'times_s' must be non-empty" in capsys.readouterr().err
+        assert not (tmp_path / "otoc_series.csv").exists()
+
+
+# "matrix" operator specs, read for the grape target and the otoc W and V:
+# the site's config with a given spec in place, and the spec's size there
+_MATRIX_SITES = {
+    "grape_target": (2, lambda spec: {"model": {"kind": "qubit"}, "target": spec,
+                                      "n_segments": 8, "dt_s": 1e-7}),
+    "otoc_w": (8, lambda spec: dict(OTOC_DOC, w=spec)),
+    "otoc_v": (8, lambda spec: dict(OTOC_DOC, v=spec)),
+}
+
+# an entry of im set to each value: the reason exit 2 must give
+_BAD_MATRIX_ENTRIES = {
+    "nan_string": ("nan", "'re' and 'im' must be lists of rows of numbers"),
+    "numeric_string": ("0.5", "'re' and 'im' must be lists of rows of numbers"),
+    "boolean": (True, "'re' and 'im' must be lists of rows of numbers"),
+    "null": (None, "'re' and 'im' must be lists of rows of numbers"),
+    "nested_list": ([0.0], "'re' and 'im' must be lists of rows of numbers"),
+    "nan": (math.nan, "matrix entries must be finite"),  # json NaN
+    "infinity": (-math.inf, "matrix entries must be finite"),  # json -Infinity
+}
+
+
+def _identity_spec(n):
+    return {"kind": "matrix", "re": np.eye(n).tolist(),
+            "im": np.zeros((n, n)).tolist()}
+
+
+@pytest.mark.parametrize("site", sorted(_MATRIX_SITES))
+@pytest.mark.parametrize("entry", sorted(_BAD_MATRIX_ENTRIES))
+def test_bad_matrix_entry_exit_2(tmp_path, capsys, site, entry):
+    n, config = _MATRIX_SITES[site]
+    value, message = _BAD_MATRIX_ENTRIES[entry]
+    spec = _identity_spec(n)
+    spec["im"][n - 1][0] = value
+    cfg = write_json(tmp_path / "config.json", config(spec))
+    assert run_cli(tmp_path, site.split("_")[0], cfg) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("site", sorted(_MATRIX_SITES))
+def test_matrix_shape_errors_exit_2(tmp_path, capsys, site):
+    n, config = _MATRIX_SITES[site]
+    ragged = _identity_spec(n)
+    ragged["re"][0] = ragged["re"][0][:-1]
+    small = dict(_identity_spec(n), im=np.zeros((n - 1, n - 1)).tolist())
+    for spec, message in ((ragged, "bad matrix"), (small, f"matrix must be {n}x{n}")):
+        cfg = write_json(tmp_path / "config.json", config(spec))
+        assert run_cli(tmp_path, site.split("_")[0], cfg) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_identity_matrix_specs_run(tmp_path, capsys):
+    n, config = _MATRIX_SITES["grape_target"]
+    cfg = write_json(tmp_path / "grape.json", config(_identity_spec(n)))
+    assert run_cli(tmp_path, "grape", cfg) == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 0
+    # W = V = I makes C(t) = 1 at every time
+    doc = dict(OTOC_DOC, w=_identity_spec(8), v=_identity_spec(8))
+    cfg = write_json(tmp_path / "otoc.json", doc)
+    assert run_cli(tmp_path, "otoc", cfg) == 0
+    assert json.loads(capsys.readouterr().out)["min_abs_otoc"] == pytest.approx(
+        1.0, abs=1e-12)
+
 
 def _circuit(shape, gate):
     return {"shape": shape, "displacement_convention": "standard",
@@ -486,6 +555,35 @@ class TestArtifactPlumbing:
             "--out", str(nested), "--seed", "1", "trotter", cfg,
         ]) == 0
         assert (nested / "trotter_convergence.csv").exists()
+
+    def test_shared_parser_keeps_calls_apart(self, tmp_path, capsys):
+        # one parser serves every call of main in a process; no call's
+        # options, nor a rejected call, reach the next one
+        otoc_cfg = write_json(tmp_path / "otoc.json", OTOC_DOC)
+        trot_cfg = write_json(tmp_path / "trot.json", TROTTER_DOC)
+        cli._parser.cache_clear()
+        assert cli.main(["--out", str(tmp_path / "a"), "--format", "json",
+                         "--seed", "5", "otoc", otoc_cfg]) == 0
+        assert cli.main(["--out", str(tmp_path / "b"), "--seed", "1",
+                         "trotter", trot_cfg]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--out", str(tmp_path / "c"), "--seed", "-1",
+                      "trotter", trot_cfg])
+        assert exc.value.code == 2
+        assert cli.main(["--out", str(tmp_path / "d"), "trotter", trot_cfg]) == 0
+        assert cli._parser.cache_info().misses == 1
+
+        doc = json.loads((tmp_path / "a" / "otoc_series.json").read_text())
+        assert (doc["seed"], doc["threads"]) == (5, 1)
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "trotter_convergence.csv"]
+        comments, _, _ = read_csv(tmp_path / "b" / "trotter_convergence.csv")
+        assert "# seed: 1" in comments
+        assert not (tmp_path / "c").exists()
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+            "trotter_convergence.csv"]
+        comments, _, _ = read_csv(tmp_path / "d" / "trotter_convergence.csv")
+        assert "# seed: 0" in comments and "# threads: 1" in comments
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy is imported only by the non-Hermitian expm fallback

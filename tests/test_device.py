@@ -4,7 +4,7 @@ import math
 import pytest
 
 from cavityq import cli, device, errors, gates, pulse, qst
-from cavityq.errors import DegenerateDetuningError, ParseError, UsageError
+from cavityq.errors import ParseError, UsageError
 
 
 def reference_params(**overrides) -> device.DeviceParams:

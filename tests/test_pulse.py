@@ -20,7 +20,6 @@ from cavityq.fock import (
     annihilation,
     basis_state,
     eig_exponential,
-    fidelity,
     shape_of,
 )
 from cavityq.gates import Circuit, GateSpec, apply_circuit

@@ -326,3 +326,56 @@ def test_convergence_diagonalizes_once():
         rows = trotter.trotter_convergence(h, 1.0, [10, 20, 40])
     assert len(rows) == 3
     assert spy.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# the bare-array sweep against the step-by-step apply_circuit loop it replaced
+
+
+def _stepwise_sweep(h, t_total_s, steps, psi0):
+    """evolve_trotter as a StateVector per step through gates.apply_circuit:
+    (final amplitudes, exact fidelity)."""
+    psi = trotter._state_vector(psi0, h.n_levels)
+    circuit = trotter.trotter_step(h, t_total_s / steps)
+    state = psi
+    for _ in range(steps):
+        state = gates.apply_circuit(circuit, state)
+    evals, vecs = h._eigensystem
+    phases = np.exp(-1j * evals * t_total_s)
+    exact = vecs @ (phases * (vecs.conj().T @ psi.amplitudes))
+    return state.amplitudes, float(abs(np.vdot(exact, state.amplitudes)) ** 2)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       steps=st.integers(1, 60), start=st.sampled_from(["none", "level", "random"]))
+def test_sweep_bitwise_equals_stepwise_apply_circuit(seed, n, steps, start):
+    rng = np.random.default_rng(seed)
+    h = trotter.QuditHamiltonian(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n))
+    psi0 = {
+        "none": None,
+        "level": fock.basis_state(fock.HilbertShape((n,)), [int(rng.integers(n))]),
+        "random": rng.normal(size=n) + 1j * rng.normal(size=n),
+    }[start]
+    t_total = float(rng.uniform(0.1, 2.0))
+    res = trotter.evolve_trotter(h, t_total, steps, psi0)
+    amps, fid = _stepwise_sweep(h, t_total, steps, psi0)
+    assert res.state.amplitudes.tobytes() == amps.tobytes()
+    assert res.exact_fidelity == fid
+    steps_list = [steps, steps + 1]
+    expected = tuple(
+        (s, t_total / s, max(0.0, 1.0 - _stepwise_sweep(h, t_total, s, psi0)[1]))
+        for s in steps_list
+    )
+    assert trotter.trotter_convergence(h, t_total, steps_list, psi0) == expected
+
+
+def test_sweep_builds_state_vectors_independent_of_steps():
+    h = random_hamiltonian()
+    built = []
+    for steps in (1, 10, 300):
+        with mock.patch.object(fock.StateVector, "__post_init__", autospec=True,
+                               side_effect=fock.StateVector.__post_init__) as spy:
+            trotter.evolve_trotter(h, 1.0, steps)
+        built.append(spy.call_count)
+    assert built[0] == built[1] == built[2]
