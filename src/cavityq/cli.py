@@ -4,9 +4,12 @@ Every artifact file starts with a header recording the tool version, the
 rng seed, the --threads value and a sha256 of the input config, and is
 written atomically (temp file in the target directory, then rename), so
 interrupted runs never leave half-written outputs. Commands hand their
-results over as columns; `_emit_artifact` fixes each column's text once
-(str for integers, repr of Python floats otherwise) and streams the rows
-into the temp file in chunks, for CSV and for JSON alike. The JSON text is
+results over as columns; `_emit_artifact` fixes each column's text kind
+once (str for integers, repr of Python floats otherwise) and streams the
+rows into the temp file in chunks, for CSV and for JSON alike. Within a
+chunk each distinct value is formatted once and every cell looked up, with
+float cells keyed on their bit patterns, so trajectories that repeat one
+no-jump path cost a dict lookup per repeated cell. The JSON text is
 byte for byte that of json.dumps(doc, indent=2, sort_keys=True). Every
 command runs in one thread and --threads is only recorded, so with a fixed
 seed reruns are byte-identical apart from the header line that records
@@ -108,15 +111,36 @@ def _write_atomic(path: Path, pieces) -> None:
 _CHUNK_ROWS = 4096  # rows formatted and written per piece
 
 
+def _format_once(keys: list, format_distinct) -> list[str]:
+    """The texts of the cells with these keys. format_distinct gets the
+    distinct keys in first-seen order (as the keys of a dict) and returns
+    their texts, so each distinct key is formatted once; every cell is then
+    looked up. When no key repeats, the distinct keys are the cells in
+    order and their texts are returned as they are."""
+    distinct = dict.fromkeys(keys)
+    texts = format_distinct(distinct)
+    if len(texts) == len(keys):
+        return texts
+    return list(map(dict(zip(distinct, texts)).__getitem__, keys))
+
+
 def _column_text(values: np.ndarray, json_floats: bool):
-    """A function giving the cell texts of a slice of one column. The kind
-    is fixed once per column: str for integer columns, repr of Python
-    floats for all others, and for non-finite JSON floats the json module's
-    text (NaN, Infinity, -Infinity)."""
+    """A function giving the cell texts of a slice of one column, which
+    formats each distinct value of the slice once (`_format_once`). The
+    kind is fixed once per column: str for integer columns, keyed on the
+    values; for all others repr of Python floats, and for non-finite JSON
+    floats the json module's text (NaN, Infinity, -Infinity), keyed on the
+    float64 bit patterns, so -0.0 stays apart from 0.0 and every NaN
+    matches itself."""
     if values.dtype.kind in "iu":
-        return lambda part: list(map(str, part.tolist()))
+        return lambda part: _format_once(part.tolist(), lambda ints: list(map(str, ints)))
     to_text = repr if not json_floats or np.isfinite(values).all() else json.dumps
-    return lambda part: list(map(to_text, part.astype(float).tolist()))
+
+    def format_bits(bits: dict) -> list[str]:
+        floats = np.fromiter(bits, np.int64, len(bits)).view(float)
+        return list(map(to_text, floats.tolist()))
+    return lambda part: _format_once(part.astype(float).view(np.int64).tolist(),
+                                     format_bits)
 
 
 def _row_pieces(columns: list[np.ndarray], json_floats: bool, lead: str,

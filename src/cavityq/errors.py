@@ -3,8 +3,11 @@
 The CLI maps these onto process exit codes, so new error types should
 subclass one of the four roots below rather than Exception directly.
 Every parser tests JSON numbers with `is_json_number` (a whole matrix with
-`is_json_number_rows`) and JSON integers with `is_json_int`.
+`is_json_number_rows`) and JSON integers with `is_json_int`; every API
+taking a step or trajectory count tests it with `is_count`.
 """
+
+import numbers
 
 
 def is_json_number(value) -> bool:
@@ -24,6 +27,12 @@ def is_json_number_rows(rows) -> bool:
 def is_json_int(value) -> bool:
     """A JSON integer: an int, but not a bool (an int subclass)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """An integer count as an API argument: a Python or numpy integer (any
+    numbers.Integral), but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class CavityQError(Exception):

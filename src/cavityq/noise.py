@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepSizeError, UsageError
+from .errors import StepSizeError, UsageError, is_count
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
@@ -259,8 +259,9 @@ def run_trajectories(
     """Independent trajectories with per-index derived seeds, ordered by
     trajectory index. Each one is the trajectory apply_channel_trajectory
     gives for its seed; all of them advance together."""
-    if n_trajectories < 1:
-        raise UsageError(f"need at least one trajectory, got {n_trajectories}")
+    if not is_count(n_trajectories) or n_trajectories < 1:
+        raise UsageError(
+            f"n_trajectories must be a positive integer, got {n_trajectories!r}")
     seeds = [int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0])
              for i in range(n_trajectories)]
     return _unravel(channel, psi, steps, seeds)
@@ -282,8 +283,8 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
             f"state on dims {psi.shape.dims} does not match channel shape "
             f"{channel.shape.dims}"
         )
-    if steps < 0:
-        raise UsageError(f"steps must be >= 0, got {steps}")
+    if not is_count(steps) or steps < 0:
+        raise UsageError(f"steps must be a nonnegative integer, got {steps!r}")
     n_traj = len(seeds)
     kernel = channel._kernel
     last = len(channel.kraus) - 1
@@ -311,7 +312,7 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
     return [
         TrajectoryResult(
             seed=seed,
-            steps=steps,
+            steps=int(steps),
             jump_steps=tuple(np.flatnonzero(jumped[i]).tolist()),
             jump_counts=jump_counts[i],
             parities=stats[0, i],

@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDimensionError, NumericError, ShapeError, UsageError
+from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError,
+                     is_count)
 from .fock import HilbertShape, Operator, StateVector
 from .gates import Circuit, GateSpec, _run
 
@@ -147,8 +148,8 @@ def evolve_trotter(h: QuditHamiltonian, t_total_s: float, steps: int,
                    psi0=None) -> TrotterResult:
     """Repeated first-order steps over t_total, compared against exact
     evolution of the same initial state."""
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise UsageError(f"steps must be a positive integer, got {steps}")
+    if not is_count(steps) or steps < 1:
+        raise UsageError(f"steps must be a positive integer, got {steps!r}")
     if not math.isfinite(t_total_s) or t_total_s < 0:
         raise UsageError(f"t_total must be nonnegative, got {t_total_s}")
     psi = _state_vector(psi0, h.n_levels)
@@ -178,7 +179,7 @@ def trotter_convergence(h: QuditHamiltonian, t_total_s: float,
         raise UsageError("steps_list must be non-empty")
     rows = []
     for steps in steps_list:
-        res = evolve_trotter(h, t_total_s, int(steps), psi0)
+        res = evolve_trotter(h, t_total_s, steps, psi0)
         rows.append((int(steps), res.dt_s, res.infidelity))
     return tuple(rows)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -371,6 +372,26 @@ class TestCode:
             path = tmp_path / f"code_trajectories.{fmt}"
             assert path.read_bytes() == expected.encode("utf-8")
 
+    def test_artifacts_identical_across_processes(self, tmp_path):
+        # the writer's per-chunk dicts must not make output depend on the
+        # interpreter's hash seed: fresh processes give the same bytes
+        cfg = write_json(tmp_path / "code.json", CODE_DOC)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for fmt in ("csv", "json"):
+            artifacts = []
+            for hash_seed in ("0", "1"):
+                out = tmp_path / f"{fmt}-{hash_seed}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "cavityq", "--out", str(out), "--seed", "7",
+                     "--format", fmt, "code", cfg],
+                    capture_output=True, text=True,
+                    env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+                )
+                assert proc.returncode == 0, proc.stderr
+                artifacts.append((out / f"code_trajectories.{fmt}").read_bytes())
+            assert artifacts[0] == artifacts[1]
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_json(tmp_path / "code.json", CODE_DOC)
         assert run_cli(tmp_path, "code", cfg) == 0
@@ -651,6 +672,13 @@ _FLOAT_CELLS = st.one_of(_SPECIAL_FLOATS, st.floats())
 _INT_CELLS = st.one_of(st.sampled_from([0, 1, -1, 7]), st.integers(-2**63, 2**63 - 1))
 
 
+# nan, a sign-bit NaN and a payload NaN, twice over
+_ODD_NANS = np.tile(np.concatenate([
+    [math.nan, np.copysign(math.nan, -1.0)],
+    np.array([0x7ff8000000000001], dtype=np.uint64).view(float),
+]), 2)
+
+
 @st.composite
 def _tables(draw):
     """(names, columns): one to four equal-length columns, each a Python
@@ -698,9 +726,49 @@ class TestArtifactWriter:
     @example(table=(["a"], [[]]), fmt="csv", chunk=2, seed=0, threads=1)
     @example(table=(["a", "b"], [[np.int64(3)], [-0.0]]), fmt="json", chunk=1,
              seed=0, threads=1)
+    # -0.0 and 0.0 in one chunk: equal as floats, different text
+    @example(table=(["a", "b"], [np.array([0.0, -0.0, 0.0, -0.0]), [-0.0, 0.0, -0.0, 0.0]]),
+             fmt="csv", chunk=7, seed=0, threads=1)
+    @example(table=(["a"], [np.array([-0.0, 0.0, 1.0, 0.0, -0.0])]), fmt="json", chunk=7,
+             seed=0, threads=1)
+    # NaNs with other bit patterns (sign bit, payload) still print nan / NaN
+    @example(table=(["a", "b"], [_ODD_NANS, list(_ODD_NANS)]), fmt="csv", chunk=7,
+             seed=0, threads=1)
+    @example(table=(["a", "b"], [_ODD_NANS, list(_ODD_NANS)]), fmt="json", chunk=7,
+             seed=0, threads=1)
+    @example(table=(["a"], [np.array([0.1, -0.0, 0.1, 0.0, np.nan, 0.1], dtype=np.float32)]),
+             fmt="csv", chunk=7, seed=0, threads=1)
+    @example(table=(["a"], [np.array([0.1, -0.0, 0.1, np.inf, np.nan], dtype=np.float32)]),
+             fmt="json", chunk=7, seed=0, threads=1)
+    # one value in rows on both sides of the chunk boundary after row 7
+    @example(table=(["i", "f"], [[5] * 10, np.full(10, 0.1)]), fmt="csv", chunk=7,
+             seed=0, threads=1)
+    @example(table=(["i", "f"], [np.arange(10) // 4, [0.5] * 6 + [-0.0] * 4]), fmt="json",
+             chunk=7, seed=0, threads=1)
     def test_matches_per_cell_writer(self, table, fmt, chunk, seed, threads):
         names, columns = table
         self.check(names, columns, fmt, chunk, seed, threads)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_code_shaped_table(self, fmt, chunk):
+        # the layout of `cavityq code`: 40 trajectories x 50 steps that all
+        # follow one no-jump path until a jump, so most cells repeat
+        rng = np.random.default_rng(11)
+        n_traj, steps = 40, 50
+        jump_count = np.zeros((n_traj, steps), dtype=np.int64)
+        mean_n = np.tile(4.0 * np.exp(-0.01 * np.arange(1, steps + 1)), (n_traj, 1))
+        for i in range(0, n_traj, 3):
+            first = int(rng.integers(steps))
+            jump_count[i, first:] = 1 + (np.arange(steps - first) > 20)
+            mean_n[i, first:] = rng.uniform(0.0, 4.0, steps - first)
+        parity = np.where(jump_count % 2, -1.0, 1.0)
+        assert len(set(mean_n.ravel().tolist())) < mean_n.size // 2
+        columns = [np.repeat(rng.integers(0, 2**32, n_traj), steps),
+                   np.tile(np.arange(1, steps + 1), n_traj),
+                   jump_count.ravel(), parity.ravel(), mean_n.ravel()]
+        self.check(["seed", "step", "jump_count", "parity", "mean_n"], columns, fmt,
+                   chunk)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunk", [1, 2, 7, 100_000])

@@ -365,6 +365,34 @@ class TestBatchedTrajectories:
         with pytest.raises(UsageError, match="steps"):
             noise.run_trajectories(ch, fock.basis_state(4, 1), -1, 2, base_seed=0)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, np.float64(3.0),
+                                     np.bool_(True), "2", None])
+    def test_non_integer_counts_rejected(self, bad):
+        # ints and numpy integers only: a bool is not a count, and a float
+        # count must not reach numpy's own TypeError
+        ch = loss_channel(n=4)
+        psi = fock.basis_state(4, 1)
+        with pytest.raises(UsageError, match="steps must be a nonnegative integer"):
+            noise.run_trajectories(ch, psi, bad, 2, base_seed=0)
+        with pytest.raises(UsageError, match="steps must be a nonnegative integer"):
+            noise.apply_channel_trajectory(ch, psi, bad, seed=0)
+        with pytest.raises(UsageError, match="n_trajectories must be a positive integer"):
+            noise.run_trajectories(ch, psi, 3, bad, base_seed=0)
+
+    def test_numpy_integer_counts_match_ints(self):
+        ch = strong_channel("loss", 12, 0.08)
+        psi = codes.cat_state(1.2, "+", 12)
+        want = noise.run_trajectories(ch, psi, 9, 4, base_seed=3)
+        got = noise.run_trajectories(ch, psi, np.int64(9), np.uint8(4), base_seed=3)
+        assert len(got) == len(want) and any(w.jump_steps for w in want)
+        for g, w in zip(got, want):
+            assert type(g.steps) is int and g.steps == w.steps
+            assert g.jump_steps == w.jump_steps
+            np.testing.assert_array_equal(g.final_state.amplitudes,
+                                          w.final_state.amplitudes)
+        one = noise.apply_channel_trajectory(ch, psi, np.int32(9), seed=want[0].seed)
+        assert one.jump_steps == want[0].jump_steps
+
 
 # ---------------------------------------------------------------------------
 # banded channels against the dense Kraus sum

@@ -194,6 +194,26 @@ class TestEvolveTrotter:
         with pytest.raises(UsageError):
             trotter.evolve_trotter(random_hamiltonian(), 1.0, 1.5)
 
+    @pytest.mark.parametrize("bad", [True, 2.0, 2.5, np.float64(3.0), np.bool_(True),
+                                     "3", None])
+    def test_non_integer_steps_rejected(self, bad):
+        # True is not one step, and a float count is not truncated
+        h = random_hamiltonian()
+        with pytest.raises(UsageError, match="steps must be a positive integer"):
+            trotter.evolve_trotter(h, 1.0, bad)
+        with pytest.raises(UsageError, match="steps must be a positive integer"):
+            trotter.trotter_convergence(h, 1.0, [4, bad])
+
+    def test_numpy_integer_steps_match_ints(self):
+        h = random_hamiltonian()
+        want = trotter.evolve_trotter(h, 1.0, 7)
+        for steps in (np.int64(7), np.int32(7), np.uint8(7)):
+            got = trotter.evolve_trotter(h, 1.0, steps)
+            assert type(got.steps) is int and got.steps == 7
+            np.testing.assert_array_equal(got.state.amplitudes, want.state.amplitudes)
+        rows = trotter.trotter_convergence(h, 1.0, [np.int64(7)])
+        assert rows[0][0] == 7 and rows[0][2] == want.infidelity
+
     def test_convergence_table(self):
         h = random_hamiltonian()
         rows = trotter.trotter_convergence(h, 1.0, [50, 100, 200])
