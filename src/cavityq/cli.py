@@ -111,17 +111,19 @@ def _write_atomic(path: Path, pieces) -> None:
 _CHUNK_ROWS = 4096  # rows formatted and written per piece
 
 
-def _format_once(keys: list, format_distinct) -> list[str]:
-    """The texts of the cells with these keys. format_distinct gets the
-    distinct keys in first-seen order (as the keys of a dict) and returns
-    their texts, so each distinct key is formatted once; every cell is then
-    looked up. When no key repeats, the distinct keys are the cells in
-    order and their texts are returned as they are."""
+def _format_once(keys: list, to_text, floats: np.ndarray | None = None) -> list[str]:
+    """The texts of a chunk's cells, one key per cell: the cell values
+    themselves, or, given the float64 cells as floats, their int64 bit
+    patterns. Each distinct key (in first-seen order, as the keys of a
+    dict) is formatted once by to_text and every cell is then looked up.
+    When no key repeats, the cells are formatted in order with no lookup."""
     distinct = dict.fromkeys(keys)
-    texts = format_distinct(distinct)
-    if len(texts) == len(keys):
-        return texts
-    return list(map(dict(zip(distinct, texts)).__getitem__, keys))
+    if len(distinct) == len(keys):
+        return list(map(to_text, keys if floats is None else floats.tolist()))
+    values = distinct
+    if floats is not None:
+        values = np.fromiter(distinct, np.int64, len(distinct)).view(float).tolist()
+    return list(map(dict(zip(distinct, map(to_text, values))).__getitem__, keys))
 
 
 def _column_text(values: np.ndarray, json_floats: bool):
@@ -133,14 +135,13 @@ def _column_text(values: np.ndarray, json_floats: bool):
     float64 bit patterns, so -0.0 stays apart from 0.0 and every NaN
     matches itself."""
     if values.dtype.kind in "iu":
-        return lambda part: _format_once(part.tolist(), lambda ints: list(map(str, ints)))
+        return lambda part: _format_once(part.tolist(), str)
     to_text = repr if not json_floats or np.isfinite(values).all() else json.dumps
 
-    def format_bits(bits: dict) -> list[str]:
-        floats = np.fromiter(bits, np.int64, len(bits)).view(float)
-        return list(map(to_text, floats.tolist()))
-    return lambda part: _format_once(part.astype(float).view(np.int64).tolist(),
-                                     format_bits)
+    def float_texts(part: np.ndarray) -> list[str]:
+        floats = part.astype(float, copy=False)
+        return _format_once(floats.view(np.int64).tolist(), to_text, floats)
+    return float_texts
 
 
 def _row_pieces(columns: list[np.ndarray], json_floats: bool, lead: str,

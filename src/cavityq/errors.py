@@ -4,7 +4,8 @@ The CLI maps these onto process exit codes, so new error types should
 subclass one of the four roots below rather than Exception directly.
 Every parser tests JSON numbers with `is_json_number` (a whole matrix with
 `is_json_number_rows`) and JSON integers with `is_json_int`; every API
-taking a step or trajectory count tests it with `is_count`.
+taking a step count, a trajectory count or an rng seed checks it with
+`require_count`.
 """
 
 import numbers
@@ -33,6 +34,14 @@ def is_count(value) -> bool:
     """An integer count as an API argument: a Python or numpy integer (any
     numbers.Integral), but not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_count(name: str, value, least: int = 0) -> None:
+    """Raise UsageError unless value is a count (`is_count`) of at least
+    least: 0 for a nonnegative integer, 1 for a positive one."""
+    if not is_count(value) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise UsageError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 class CavityQError(Exception):

@@ -13,12 +13,11 @@ channel's error.
 
 Every built-in Kraus operator has a single nonzero diagonal: K_k[i, i+o_k]
 = u_k[i]. A channel whose operators all have that form is stored as bands
-at construction, K_k x = u_k ∘ shift_{o_k}(x), and one step is
-ρ' = Σ_o W_o ∘ shift_{o,o}(ρ) with W_o the sum of u_k u_k† over the
-operators of offset o: O(K·N²) elementwise work and no matrix product.
-Only a set with a dense operator is stored as a (K, N, N) stack with its
-adjoints and applied by stacked products. The structure alone picks the
-path.
+at construction, K_k x = u_k ∘ shift_{o_k}(x). One step is then
+ρ' = Σ_o W_o ∘ ρ[i+o, j+o], W_o = Σ u_k u_k† over the operators of offset
+o, done on the flat ρ as one multiply and one in-place add of a shifted
+slice per further offset: O(K·N²) work, no gather, no matrix product. Only
+a set with a dense operator is a (K, N, N) stack applied by stacked products.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepSizeError, UsageError, is_count
+from .errors import StepSizeError, UsageError, require_count
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
@@ -40,43 +39,51 @@ class _Banded:
 
     diagonals[k, i] = K_k[i, i + o_k] and index[k, i] = i + o_k clipped
     into range; where i + o_k is out of range the diagonal entry is 0, so
-    K_k x = diagonals[k] ∘ x[index[k]] needs no mask. The step on ρ sums
-    one weight per distinct offset, gathered through flat positions of
-    ρ[i + o, j + o].
+    K_k x = diagonals[k] ∘ x[index[k]] needs no mask. On ρ, the pair
+    ρ[i + o, j + o] is ρ.flat[k + o(N+1)] with k = iN + j, so an offset is
+    one slice of length N² − |o|(N+1) of the flat ρ. bands holds, in sorted
+    offset order, (destination, source, W_o at the destinations), W_o being
+    0 where i + o or j + o leaves the range; a main band first is lead.
     """
 
     def __init__(self, matrices: np.ndarray, offsets: list[int]) -> None:
         n_ops, n, _ = matrices.shape
+        self.shape = (n, n)
         levels = np.arange(n)
         self.index = np.clip(levels + np.array(offsets)[:, None], 0, n - 1)
-        # off the band the clipped position reads an exact zero
         self.diagonals = matrices[np.arange(n_ops)[:, None], levels, self.index]
-        distinct = sorted(set(offsets))
-        self.weights = np.empty((len(distinct), n, n), dtype=complex)
-        for w, o in zip(self.weights, distinct):
+        self.bands = []
+        for o in sorted(set(offsets)):
             u = self.diagonals[np.equal(offsets, o)]
-            w[...] = (u[:, :, None] * u[:, None, :].conj()).sum(axis=0)
-        shifted = np.clip(levels + np.array(distinct)[:, None], 0, n - 1)
-        self.flat = shifted[:, :, None] * n + shifted[:, None, :]
+            w = (u[:, :, None] * u[:, None, :].conj()).sum(axis=0).reshape(-1)
+            cut = abs(o) * (n + 1)
+            head, tail = slice(n * n - cut), slice(cut, None)
+            dst, src = (head, tail) if o > 0 else (tail, head)
+            self.bands.append((dst, src, w[dst].copy()))
+        self.lead = self.bands.pop(0)[2] if min(offsets) == 0 else None
 
     def branches(self, columns: np.ndarray) -> np.ndarray:
         """K_k applied to every column of an (N, M) array, as (K, N, M)."""
         return self.diagonals[:, :, None] * columns[self.index]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.weights * rho.take(self.flat)).sum(axis=0)
+        flat = rho.reshape(-1)
+        out = np.zeros_like(flat) if self.lead is None else self.lead * flat
+        for dst, src, w in self.bands:
+            out[dst] += w * flat[src]
+        return out.reshape(self.shape)
 
     def gram(self) -> np.ndarray:
         """ΣK†K: diagonal, |u_k[i]|² summed on column level i + o_k."""
-        n = self.diagonals.shape[1]
         weight = self.diagonals.real**2 + self.diagonals.imag**2
-        return np.diag(np.bincount(self.index.ravel(), weight.ravel(), minlength=n))
+        return np.diag(np.bincount(self.index.ravel(), weight.ravel(), minlength=self.shape[0]))
 
 
 class _Dense:
     """Any Kraus set, as one (K, N, N) stack and its adjoints."""
 
     def __init__(self, matrices: np.ndarray) -> None:
+        self.shape = matrices.shape[1:]
         self.stack = matrices
         self.adjoints = matrices.conj().transpose(0, 2, 1)
 
@@ -126,9 +133,8 @@ class NoiseChannel:
         object.__setattr__(self, "_kernel", kernel)
         defect = float(np.max(np.abs(kernel.gram() - np.eye(self.shape.total_dim))))
         if defect > _COMPLETENESS_TOL:
-            raise UsageError(
-                f"Kraus completeness violated by {defect:.3e} (tolerance {_COMPLETENESS_TOL})"
-            )
+            raise UsageError(f"Kraus completeness violated by {defect:.3e} "
+                             f"(tolerance {_COMPLETENESS_TOL})")
 
 
 def _check_loss_args(t1_s: float, dt_s: float, n: int) -> None:
@@ -149,8 +155,7 @@ def photon_loss_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
     if defect > _FIRST_ORDER_TOL:
         raise StepSizeError(
             f"dt={dt_s:g} too coarse for {n} levels at t1={t1_s:g} "
-            f"(first-order completeness defect {defect:.3e} > {_FIRST_ORDER_TOL})"
-        )
+            f"(first-order completeness defect {defect:.3e} > {_FIRST_ORDER_TOL})")
     shape = HilbertShape((n,))
     k1 = Operator(shape, math.sqrt(x) * annihilation(n).matrix)
     k0 = Operator(shape, np.diag(np.sqrt(1.0 - x * np.arange(n))).astype(complex))
@@ -194,8 +199,7 @@ def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
     if defect > _FIRST_ORDER_TOL:
         raise StepSizeError(
             f"dt={dt_s:g} too coarse for dephasing rate {rate_hz:g} on {n} levels "
-            f"(first-order completeness defect {defect:.3e} > {_FIRST_ORDER_TOL})"
-        )
+            f"(first-order completeness defect {defect:.3e} > {_FIRST_ORDER_TOL})")
     levels = np.arange(n)
     k1 = Operator(shape, np.diag(np.sqrt(y) * levels).astype(complex))
     k0 = Operator(shape, np.diag(np.sqrt(1.0 - y * levels**2)).astype(complex))
@@ -209,13 +213,12 @@ def density_matrix(psi: StateVector) -> np.ndarray:
 
 
 def apply_channel(channel: NoiseChannel, rho: np.ndarray) -> np.ndarray:
-    """One deterministic Kraus step ρ → ΣKρK†, in O(K·N²) for banded
-    channels."""
-    d = channel.shape.total_dim
+    """One deterministic Kraus step ρ → ΣKρK†, in O(K·N²) when banded."""
+    kernel = channel._kernel
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise UsageError(f"density matrix must be {d}x{d}, got {rho.shape}")
-    return channel._kernel.apply(rho)
+    if rho.shape != kernel.shape:
+        raise UsageError("density matrix must be {}x{}, got {}".format(*kernel.shape, rho.shape))
+    return kernel.apply(rho)
 
 
 def populations(rho: np.ndarray) -> np.ndarray:
@@ -245,6 +248,7 @@ def apply_channel_trajectory(
     """Monte Carlo trajectory: at each step, draw one Kraus branch with
     probability ‖K_kψ‖² and renormalize. Bitwise deterministic for a
     fixed seed."""
+    require_count("seed", seed)
     [result] = _unravel(channel, psi, steps, [seed])
     return result
 
@@ -259,9 +263,8 @@ def run_trajectories(
     """Independent trajectories with per-index derived seeds, ordered by
     trajectory index. Each one is the trajectory apply_channel_trajectory
     gives for its seed; all of them advance together."""
-    if not is_count(n_trajectories) or n_trajectories < 1:
-        raise UsageError(
-            f"n_trajectories must be a positive integer, got {n_trajectories!r}")
+    require_count("n_trajectories", n_trajectories, 1)
+    require_count("base_seed", base_seed)
     seeds = [int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0])
              for i in range(n_trajectories)]
     return _unravel(channel, psi, steps, seeds)
@@ -279,12 +282,9 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
     branch weights <= u·total (searchsorted side="right"), capped at K−1.
     """
     if psi.shape != channel.shape:
-        raise UsageError(
-            f"state on dims {psi.shape.dims} does not match channel shape "
-            f"{channel.shape.dims}"
-        )
-    if not is_count(steps) or steps < 0:
-        raise UsageError(f"steps must be a nonnegative integer, got {steps!r}")
+        raise UsageError(f"state on dims {psi.shape.dims} does not match channel shape "
+                         f"{channel.shape.dims}")
+    require_count("steps", steps)
     n_traj = len(seeds)
     kernel = channel._kernel
     last = len(channel.kraus) - 1

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError,
-                     is_count)
+                     require_count)
 from .fock import HilbertShape, Operator, StateVector
 from .gates import Circuit, GateSpec, _run
 
@@ -148,8 +148,7 @@ def evolve_trotter(h: QuditHamiltonian, t_total_s: float, steps: int,
                    psi0=None) -> TrotterResult:
     """Repeated first-order steps over t_total, compared against exact
     evolution of the same initial state."""
-    if not is_count(steps) or steps < 1:
-        raise UsageError(f"steps must be a positive integer, got {steps!r}")
+    require_count("steps", steps, 1)
     if not math.isfinite(t_total_s) or t_total_s < 0:
         raise UsageError(f"t_total must be nonnegative, got {t_total_s}")
     psi = _state_vector(psi0, h.n_levels)

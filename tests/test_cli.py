@@ -740,6 +740,12 @@ class TestArtifactWriter:
              fmt="csv", chunk=7, seed=0, threads=1)
     @example(table=(["a"], [np.array([0.1, -0.0, 0.1, np.inf, np.nan], dtype=np.float32)]),
              fmt="json", chunk=7, seed=0, threads=1)
+    # chunks with no repeated value: -0.0, NaN and both infinities formatted in order
+    @example(table=(["a"], [np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, -2.5])]),
+             fmt="json", chunk=7, seed=0, threads=1)
+    @example(table=(["a", "b"], [[-np.inf, -0.0, np.nan, 1e308], np.array(
+        [np.inf, 0.1, -0.0, np.nan], dtype=np.float32)]), fmt="csv", chunk=7, seed=0,
+             threads=1)
     # one value in rows on both sides of the chunk boundary after row 7
     @example(table=(["i", "f"], [[5] * 10, np.full(10, 0.1)]), fmt="csv", chunk=7,
              seed=0, threads=1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -365,6 +366,25 @@ class TestBatchedTrajectories:
         with pytest.raises(UsageError, match="steps"):
             noise.run_trajectories(ch, fock.basis_state(4, 1), -1, 2, base_seed=0)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, -1, "3", np.int64(3)])
+    def test_seed_rule(self, seed):
+        # the count rule, nonnegative: bools, floats, strings and negative
+        # values must not reach numpy's SeedSequence
+        ch = loss_channel(n=4, dt=5e-4)
+        psi = fock.basis_state(4, 2)
+        if not isinstance(seed, np.integer):
+            with pytest.raises(UsageError, match="^seed must be a nonnegative integer"):
+                noise.apply_channel_trajectory(ch, psi, 3, seed=seed)
+            with pytest.raises(UsageError, match="base_seed must be a nonnegative integer"):
+                noise.run_trajectories(ch, psi, 3, 2, base_seed=seed)
+            return
+        one = noise.apply_channel_trajectory(ch, psi, 30, seed=seed)
+        assert one.jump_steps == noise.apply_channel_trajectory(ch, psi, 30, seed=3).jump_steps
+        got = noise.run_trajectories(ch, psi, 30, 4, base_seed=seed)
+        want = noise.run_trajectories(ch, psi, 30, 4, base_seed=3)
+        assert [g.seed for g in got] == [w.seed for w in want]
+        assert [g.jump_steps for g in got] == [w.jump_steps for w in want]
+
     @pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, np.float64(3.0),
                                      np.bool_(True), "2", None])
     def test_non_integer_counts_rejected(self, bad):
@@ -428,6 +448,106 @@ def random_density_matrix(seed, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def gather_step(channel, rho):
+    """The gather form the flat-shift step replaced, built from the Kraus
+    operators, as an oracle: per distinct offset o in sorted order, the N×N
+    weight W_o = Σ u_k u_k† and the flat positions of ρ[i + o, j + o]
+    clipped into range, then one gather, one multiply and one sum."""
+    mats = np.stack([k.matrix for k in channel.kraus])
+    n = mats.shape[1]
+    offsets = []
+    for m in mats:  # an all-zero operator counts as the main diagonal
+        rows, cols = np.nonzero(m)
+        offsets.append(int(cols[0] - rows[0]) if rows.size else 0)
+    levels = np.arange(n)
+    index = np.clip(levels + np.array(offsets)[:, None], 0, n - 1)
+    diagonals = mats[np.arange(len(mats))[:, None], levels, index]
+    distinct = sorted(set(offsets))
+    weights = np.empty((len(distinct), n, n), dtype=complex)
+    for w, o in zip(weights, distinct):
+        u = diagonals[np.equal(offsets, o)]
+        w[...] = (u[:, :, None] * u[:, None, :].conj()).sum(axis=0)
+    shifted = np.clip(levels + np.array(distinct)[:, None], 0, n - 1)
+    flat = shifted[:, :, None] * n + shifted[:, None, :]
+    return (weights * rho.take(flat)).sum(axis=0)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == complex
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def builtin_channels(draw):
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["loss", "dephasing", "exact"]))
+    if kind == "loss":
+        return noise.photon_loss_channel(1.0, 2e-3 / max(n - 1, 1), n)
+    if kind == "dephasing":
+        rate = draw(st.sampled_from([0.0, 1.0]))
+        return noise.dephasing_channel(rate, 1e-3 / max(n - 1, 1) ** 2, n)
+    return noise.amplitude_damping_channel(1.0, draw(st.floats(1e-4, 5.0)), n)
+
+
+class TestFlatShiftStep:
+    """Every built-in set has a main band first, so the flat-shift step does
+    the gather form's arithmetic in the gather form's order."""
+
+    @given(builtin_channels(), st.integers(0, 2**32 - 1))
+    def test_builtin_channels_match_gather_bitwise(self, channel, seed):
+        rho = random_density_matrix(seed, channel.shape.total_dim)
+        assert_same_bits(noise.apply_channel(channel, rho), gather_step(channel, rho))
+
+    @pytest.mark.parametrize("alpha, parity", [(1.3 * np.exp(0.7j), "+"),
+                                               (0.4426467748858682 + 1.5256307430808154j, "-"),
+                                               (-1.2, "-")])
+    def test_benchmark_loss_job_matches_gather_bitwise(self, alpha, parity):
+        # N = 24, 1500 steps of 1.8e-3/23 s, as in the benchmark's loss job.
+        # An entry that stays an exact zero (ρ[0, N−1] of an odd cat: level
+        # 0 is empty and nothing feeds it) can differ in the sign of that
+        # zero, because the gather form adds 0·ρ[clipped] terms there and
+        # the flat step adds none; adding 0 maps −0.0 to 0.0 and keeps all
+        # other bits.
+        n, steps = 24, 1500
+        channel = noise.photon_loss_channel(1.0, 1.8e-3 / (n - 1), n)
+        rho = noise.density_matrix(codes.cat_state(alpha, parity, n))
+        got, want = rho, rho
+        for _ in range(steps):
+            got = noise.apply_channel(channel, got)
+            want = gather_step(channel, want)
+        assert_same_bits(got + 0, want + 0)
+
+    def test_bands_are_flat_slices(self):
+        # per offset o > 0 one weight of N² − o(N+1) entries: about N³/2
+        # in all for the exact loss channel
+        n = 30
+        kernel = noise.amplitude_damping_channel(1.0, 1e-3, n)._kernel
+        assert kernel.lead.shape == (n * n,)
+        assert [w.size for _, _, w in kernel.bands] == [
+            n * n - o * (n + 1) for o in range(1, n)]
+
+    @pytest.mark.parametrize("form", ["fortran", "view", "real", "list"])
+    def test_input_forms(self, form):
+        channel = noise.amplitude_damping_channel(1.0, 0.2, 7)
+        big = random_density_matrix(8, 14)
+        rho = {"fortran": np.asfortranarray(big[:7, :7]), "view": big[::2, 1::2],
+               "real": big[:7, :7].real.copy(), "list": big[:7, :7].tolist()}[form]
+        want = np.array(rho, dtype=complex, order="C")
+        assert_same_bits(noise.apply_channel(channel, rho),
+                         noise.apply_channel(channel, want))
+        assert_same_bits(noise.apply_channel(channel, rho), gather_step(channel, want))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_wrong_shape_rejected(self, dense):
+        channel = noise.photon_loss_channel(1.0, 1e-4, 6)
+        if dense:
+            channel = forced_dense(channel)
+        for bad in (np.eye(5), np.eye(6)[0], np.eye(6)[None]):
+            message = f"density matrix must be 6x6, got {bad.shape}"
+            with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+                noise.apply_channel(channel, bad)
 
 
 class TestBandedChannels:
