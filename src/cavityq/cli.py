@@ -1,5 +1,11 @@
 """Command-line front end: JSON configs in, CSV/JSON artifacts out.
 
+Every config, and every object nested in it, is read by
+`errors.read_object` (`errors.read_kind` for an object with a "kind"),
+which lists the fields the object may hold: a missing required field or
+an unlisted one is a parse error that names the field. The fields
+themselves are read with `errors.read_field` and `errors.read_numbers`.
+
 Every artifact file starts with a header recording the tool version, the
 rng seed, the --threads value and a sha256 of the input config, and is
 written atomically (temp file in the target directory, then rename), so
@@ -35,7 +41,8 @@ import numpy as np
 
 from . import __version__, codes, device, gates, fock, noise, pulse, qst, trotter
 from .errors import (CapacityError, NumericError, ParseError, UsageError,
-                     is_json_int, is_json_number, is_json_number_rows)
+                     decode_object, is_json_int, is_json_number, is_json_number_rows,
+                     read_field, read_kind, read_numbers, read_object)
 
 _PROB_FLOOR = 1e-12
 
@@ -49,45 +56,6 @@ def _read_text(path: str) -> str:
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _load_object(text: str, what: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid {what} JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{what} must be a JSON object")
-    return doc
-
-
-_REQUIRED = object()
-
-
-def _field(doc: dict, name: str, types, what: str, default=_REQUIRED):
-    if name not in doc:
-        if default is not _REQUIRED:
-            return default
-        raise ParseError(f"{what}: missing field '{name}'")
-    val = doc[name]
-    if types is float:
-        ok = is_json_number(val)
-    elif types is int:
-        ok = is_json_int(val)
-    else:
-        ok = isinstance(val, types)
-    if not ok:
-        raise ParseError(f"{what}: field '{name}' has the wrong type")
-    return val
-
-
-def _number_list(doc: dict, name: str, what: str, default=_REQUIRED):
-    val = _field(doc, name, list, what, default)
-    if not isinstance(val, list):
-        return val  # the caller's non-list default (e.g. None)
-    if not all(is_json_number(v) for v in val):
-        raise ParseError(f"{what}: field '{name}' must be a list of numbers")
-    return [float(v) for v in val]
 
 
 def _write_atomic(path: Path, pieces) -> None:
@@ -264,17 +232,16 @@ def cmd_run(args) -> int:
 
 
 def _qst_config_and_sweep(text: str):
-    doc = _load_object(text, "transfer config")
-    if "transfer" in doc:
-        unknown = set(doc) - {"transfer", "delta_sweep_hz"}
-        if unknown:
-            raise ParseError(f"transfer config: unknown fields {sorted(unknown)}")
-        if not isinstance(doc["transfer"], dict):
-            raise ParseError("transfer config: 'transfer' must be an object")
-        config = qst.qst_config_from_json(json.dumps(doc["transfer"]))
-        sweep = _number_list(doc, "delta_sweep_hz", "transfer config", None)
-        return config, sweep
-    return qst.qst_config_from_json(text), None
+    """The transfer config and detuning sweep (None for a single run) of a
+    qst config: a transfer config, or {"transfer": ..., "delta_sweep_hz":
+    [...]}."""
+    doc = decode_object(text, "transfer config")
+    if "transfer" not in doc:
+        return qst.qst_config_from_json(doc), None
+    read_object(doc, "transfer config", ("transfer",), ("delta_sweep_hz",))
+    config = qst.qst_config_from_json(
+        read_field(doc, "transfer", dict, "transfer config"))
+    return config, read_numbers(doc, "delta_sweep_hz", "transfer config", None)
 
 
 def cmd_qst(args) -> int:
@@ -301,51 +268,49 @@ def cmd_qst(args) -> int:
     return 0
 
 
+_GRAPE_MODELS = {"qubit": ((), ("detuning_hz",)),
+                 "dispersive": (("chi_hz", "n_levels"), ("cavity_drive",))}
+# operator specs read for the grape target and for the otoc W and V
+_OPERATORS = {"snap": (("theta",), ()), "matrix": (("re", "im"), ())}
+
+
 def _grape_model(doc: dict):
-    spec = _field(doc, "model", dict, "grape config")
-    kind = _field(spec, "kind", str, "grape model")
+    kind, spec = read_kind(read_field(doc, "model", dict, "grape config"),
+                           "grape model", _GRAPE_MODELS)
     if kind == "qubit":
-        detuning = _field(spec, "detuning_hz", float, "grape model", 0.0)
+        detuning = read_field(spec, "detuning_hz", float, "grape model", 0.0)
         return pulse.qubit_model(float(detuning))
-    if kind == "dispersive":
-        chi_hz = _field(spec, "chi_hz", float, "grape model")
-        n_levels = _field(spec, "n_levels", int, "grape model")
-        drive = _field(spec, "cavity_drive", bool, "grape model", False)
-        return pulse.dispersive_model(float(chi_hz), int(n_levels),
-                                      cavity_drive=drive)
-    raise ParseError(f"grape model: unknown kind {kind!r}")
+    chi_hz = read_field(spec, "chi_hz", float, "grape model")
+    n_levels = read_field(spec, "n_levels", int, "grape model")
+    drive = read_field(spec, "cavity_drive", bool, "grape model", False)
+    return pulse.dispersive_model(float(chi_hz), int(n_levels), cavity_drive=drive)
 
 
-def _snap_or_matrix(spec: dict, kind: str, n: int, what: str,
-                    count_error: str) -> np.ndarray | None:
-    """The n×n matrix of a "snap" or "matrix" operator spec, None for any
-    other kind. count_error, formatted with what, n and got, reports a snap
-    with the wrong number of phases."""
+def _snap_or_matrix(spec: dict, kind: str, n: int, what: str) -> np.ndarray:
+    """The n×n matrix of a "snap" or "matrix" operator spec."""
     if kind == "snap":
-        theta = _number_list(spec, "theta", what)
+        theta = read_numbers(spec, "theta", what)
         if len(theta) != n:
-            raise ParseError(count_error.format(what=what, n=n, got=len(theta)))
+            raise ParseError(f"{what}: snap needs {n} phases, got {len(theta)}")
         return np.diag(np.exp(1j * np.array(theta)))
-    if kind == "matrix":
-        re = _field(spec, "re", list, what)
-        im = _field(spec, "im", list, what)
-        if not (is_json_number_rows(re) and is_json_number_rows(im)):
-            raise ParseError(f"{what}: 're' and 'im' must be lists of rows of numbers")
-        try:
-            re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-        except ValueError as exc:  # ragged rows
-            raise ParseError(f"{what}: bad matrix: {exc}") from exc
-        if re.shape != (n, n) or im.shape != (n, n):
-            raise ParseError(f"{what}: matrix must be {n}x{n}")
-        if not (np.isfinite(re).all() and np.isfinite(im).all()):
-            raise ParseError(f"{what}: matrix entries must be finite")
-        return re + 1j * im
-    return None
+    re, im = spec["re"], spec["im"]
+    if not (is_json_number_rows(re) and is_json_number_rows(im)):
+        raise ParseError(f"{what}: 're' and 'im' must be lists of rows of numbers")
+    try:
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise ParseError(f"{what}: bad matrix: {exc}") from exc
+    if re.shape != (n, n) or im.shape != (n, n):
+        raise ParseError(f"{what}: matrix must be {n}x{n}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ParseError(f"{what}: matrix entries must be finite")
+    return re + 1j * im
 
 
 def _grape_target(doc: dict, shape: fock.HilbertShape) -> fock.Operator:
-    spec = _field(doc, "target", dict, "grape config")
-    kind = _field(spec, "kind", str, "grape target")
+    kind, spec = read_kind(read_field(doc, "target", dict, "grape config"),
+                           "grape target",
+                           {"identity": ((), ()), "pauli_x": ((), ()), **_OPERATORS})
     dim = shape.total_dim
     if kind == "identity":
         return fock.Operator(shape, np.eye(dim, dtype=complex))
@@ -353,23 +318,20 @@ def _grape_target(doc: dict, shape: fock.HilbertShape) -> fock.Operator:
         if dim != 2:
             raise ParseError("grape target: pauli_x needs a 2-level model")
         return fock.Operator(shape, np.array([[0, 1], [1, 0]], dtype=complex))
-    mat = _snap_or_matrix(spec, kind, dim, "grape target",
-                          "{what}: snap needs {n} phases, got {got}")
-    if mat is None:
-        raise ParseError(f"grape target: unknown kind {kind!r}")
-    return fock.Operator(shape, mat)
+    return fock.Operator(shape, _snap_or_matrix(spec, kind, dim, "grape target"))
 
 
 def cmd_grape(args) -> int:
     text = _read_text(args.config_file)
-    doc = _load_object(text, "grape config")
+    doc = read_object(text, "grape config", ("model", "target", "n_segments", "dt_s"),
+                      ("iterations", "learning_rate", "tol"))
     model = _grape_model(doc)
     target = _grape_target(doc, model.shape)
-    n_segments = _field(doc, "n_segments", int, "grape config")
-    dt_s = _field(doc, "dt_s", float, "grape config")
-    iterations = _field(doc, "iterations", int, "grape config", 500)
-    learning_rate = _field(doc, "learning_rate", float, "grape config", 0.2)
-    tol = _field(doc, "tol", float, "grape config", 1e-8)
+    n_segments = read_field(doc, "n_segments", int, "grape config")
+    dt_s = read_field(doc, "dt_s", float, "grape config")
+    iterations = read_field(doc, "iterations", int, "grape config", 500)
+    learning_rate = read_field(doc, "learning_rate", float, "grape config", 0.2)
+    tol = read_field(doc, "tol", float, "grape config", 1e-8)
     if n_segments < 1:
         raise UsageError(f"n_segments must be >= 1, got {n_segments}")
     schedule0 = pulse.PulseSchedule(
@@ -398,16 +360,17 @@ def cmd_grape(args) -> int:
 
 def cmd_code(args) -> int:
     text = _read_text(args.config_file)
-    doc = _load_object(text, "code config")
-    alpha_pair = _number_list(doc, "alpha", "code config")
+    doc = read_object(text, "code config", ("alpha", "n_levels", "t1_s", "dt_s", "steps"),
+                      ("parity", "n_trajectories"))
+    alpha_pair = read_numbers(doc, "alpha", "code config")
     if len(alpha_pair) != 2:
         raise ParseError("code config: 'alpha' must be [re, im]")
-    sign = _field(doc, "parity", str, "code config", "+")
-    n_levels = _field(doc, "n_levels", int, "code config")
-    t1_s = _field(doc, "t1_s", float, "code config")
-    dt_s = _field(doc, "dt_s", float, "code config")
-    steps = _field(doc, "steps", int, "code config")
-    n_traj = _field(doc, "n_trajectories", int, "code config", 1)
+    sign = read_field(doc, "parity", str, "code config", "+")
+    n_levels = read_field(doc, "n_levels", int, "code config")
+    t1_s = read_field(doc, "t1_s", float, "code config")
+    dt_s = read_field(doc, "dt_s", float, "code config")
+    steps = read_field(doc, "steps", int, "code config")
+    n_traj = read_field(doc, "n_trajectories", int, "code config", 1)
     psi = codes.cat_state(complex(alpha_pair[0], alpha_pair[1]), sign,
                           int(n_levels))
     channel = noise.photon_loss_channel(float(t1_s), float(dt_s), int(n_levels))
@@ -431,13 +394,13 @@ def cmd_code(args) -> int:
 
 
 def _hamiltonian_from_doc(doc: dict, what: str) -> trotter.QuditHamiltonian:
-    diag = _number_list(doc, "diagonal", what)
-    kin = _number_list(doc, "kinetic_diagonal", what)
+    diag = read_numbers(doc, "diagonal", what)
+    kin = read_numbers(doc, "kinetic_diagonal", what)
     return trotter.QuditHamiltonian(diag, kin)
 
 
 def _initial_level_state(doc: dict, n: int, what: str):
-    level = _field(doc, "initial_level", int, what, 0)
+    level = read_field(doc, "initial_level", int, what, 0)
     if not 0 <= level < n:
         raise UsageError(f"initial_level {level} outside 0..{n - 1}")
     return fock.basis_state(fock.HilbertShape((n,)), [int(level)])
@@ -445,10 +408,12 @@ def _initial_level_state(doc: dict, n: int, what: str):
 
 def cmd_trotter(args) -> int:
     text = _read_text(args.config_file)
-    doc = _load_object(text, "trotter config")
+    doc = read_object(text, "trotter config",
+                      ("diagonal", "kinetic_diagonal", "t_total_s", "steps_list"),
+                      ("initial_level",))
     h = _hamiltonian_from_doc(doc, "trotter config")
-    t_total = _field(doc, "t_total_s", float, "trotter config")
-    steps_list = _field(doc, "steps_list", list, "trotter config")
+    t_total = read_field(doc, "t_total_s", float, "trotter config")
+    steps_list = read_field(doc, "steps_list", list, "trotter config")
     if not all(is_json_int(s) for s in steps_list):
         raise ParseError("trotter config: 'steps_list' must be integers")
     psi0 = _initial_level_state(doc, h.n_levels, "trotter config")
@@ -464,29 +429,26 @@ def cmd_trotter(args) -> int:
     return 0
 
 
-def _otoc_operator(spec, n: int, what: str) -> np.ndarray:
-    if not isinstance(spec, dict):
-        raise ParseError(f"{what} must be an object")
-    kind = _field(spec, "kind", str, what)
+def _otoc_operator(doc: dict, name: str, n: int) -> np.ndarray:
+    what = f"otoc config {name}"
+    kind, spec = read_kind(read_field(doc, name, dict, "otoc config"), what,
+                           {"fourier": ((), ()), **_OPERATORS})
     if kind == "fourier":
         return gates.fourier(n).matrix
-    mat = _snap_or_matrix(spec, kind, n, what, "{what}: snap needs {n} phases")
-    if mat is None:
-        raise ParseError(f"{what}: unknown kind {kind!r}")
-    return mat
+    return _snap_or_matrix(spec, kind, n, what)
 
 
 def cmd_otoc(args) -> int:
     text = _read_text(args.config_file)
-    doc = _load_object(text, "otoc config")
+    doc = read_object(text, "otoc config",
+                      ("diagonal", "kinetic_diagonal", "times_s", "w", "v"),
+                      ("initial_level",))
     h = _hamiltonian_from_doc(doc, "otoc config")
-    times = _number_list(doc, "times_s", "otoc config")
+    times = read_numbers(doc, "times_s", "otoc config")
     if not times:
         raise ParseError("otoc config: 'times_s' must be non-empty")
-    w = _otoc_operator(_field(doc, "w", dict, "otoc config"), h.n_levels,
-                       "otoc config w")
-    v = _otoc_operator(_field(doc, "v", dict, "otoc config"), h.n_levels,
-                       "otoc config v")
+    w = _otoc_operator(doc, "w", h.n_levels)
+    v = _otoc_operator(doc, "v", h.n_levels)
     psi0 = _initial_level_state(doc, h.n_levels, "otoc config")
     rows = trotter.otoc_series(w, v, h, times, psi0)
     path = _emit_artifact(args, "otoc_series", _columns(

@@ -15,7 +15,8 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .errors import DegenerateDetuningError, ParseError, UsageError, is_json_number
+from .errors import (DegenerateDetuningError, ParseError, UsageError, is_json_number,
+                     read_object)
 
 _FIELDS = (
     "omega_q_hz",
@@ -67,18 +68,7 @@ class DeviceParams:
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceParams":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid device JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ParseError("device JSON must be an object")
-        missing = [f for f in _FIELDS if f not in raw]
-        if missing:
-            raise ParseError(f"device JSON missing field(s): {', '.join(missing)}")
-        unknown = [k for k in raw if k not in _FIELDS]
-        if unknown:
-            raise ParseError(f"device JSON has unknown field(s): {', '.join(unknown)}")
+        raw = read_object(text, "device params", _FIELDS)
         vals = {}
         for f in _FIELDS:
             if not is_json_number(raw[f]):

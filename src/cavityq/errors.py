@@ -1,13 +1,17 @@
-"""Exception hierarchy and input rule shared across the package.
+"""Exception hierarchy and input rules shared across the package.
 
 The CLI maps these onto process exit codes, so new error types should
 subclass one of the four roots below rather than Exception directly.
-Every parser tests JSON numbers with `is_json_number` (a whole matrix with
-`is_json_number_rows`) and JSON integers with `is_json_int`; every API
-taking a step count, a trajectory count or an rng seed checks it with
-`require_count`.
+Every JSON config object, at the top level or nested, is read by
+`read_object` (`read_kind` for one with a "kind"), which decodes it
+(`decode_object`) and rejects a missing or an unlisted field; its fields
+are read with `read_field` and `read_numbers`. Every parser tests JSON
+numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
+and JSON integers with `is_json_int`; every API taking a step count, a
+trajectory count or an rng seed checks it with `require_count`.
 """
 
+import json
 import numbers
 
 
@@ -17,10 +21,10 @@ def is_json_number(value) -> bool:
 
 
 def is_json_number_rows(rows) -> bool:
-    """A list of lists of JSON numbers as json.loads returns them: the bulk
-    form of is_json_number, one set of entry types rather than one call per
-    entry. NaN and Infinity, which json.loads reads as floats, pass; test
-    finiteness on the converted array."""
+    """A list of lists of JSON numbers as the JSON decoder returns them: the
+    bulk form of is_json_number, one set of entry types rather than one call
+    per entry. NaN and Infinity, which the decoder reads as floats, pass;
+    test finiteness on the converted array."""
     return (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
             and {type(v) for r in rows for v in r} <= {int, float})
 
@@ -42,6 +46,89 @@ def require_count(name: str, value, least: int = 0) -> None:
     if not is_count(value) or value < least:
         kind = "positive" if least else "nonnegative"
         raise UsageError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def _field_error(what: str, problem: str, names) -> "ParseError":
+    names = list(names)
+    return ParseError(f"{what}: {problem} field{'s' if len(names) > 1 else ''} "
+                      + ", ".join(f"'{name}'" for name in names))
+
+
+def decode_object(source, what: str) -> dict:
+    """The JSON object source, as a dict: JSON text is decoded first, and
+    any other value must be an already decoded object. Raises ParseError,
+    with what in the message, for invalid JSON or a value that is not an
+    object. A nested value goes through read_field(doc, name, dict, what)
+    first, so that a string there is never decoded."""
+    doc = source
+    if isinstance(source, str):
+        try:
+            doc = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid {what} JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    return doc
+
+
+def read_object(source, what: str, required=(), optional=()) -> dict:
+    """decode_object(source, what), which must hold every required field
+    and no field that is neither required nor optional; ParseError names
+    the missing or unknown fields."""
+    doc = decode_object(source, what)
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise _field_error(what, "missing", missing)
+    unknown = sorted(set(doc).difference(required, optional))
+    if unknown:
+        raise _field_error(what, "unknown", unknown)
+    return doc
+
+
+def read_kind(spec: dict, what: str, kinds: dict) -> tuple[str, dict]:
+    """The string "kind" of the object spec (a dict, as read_field(doc,
+    name, dict, what) returns it) and spec, read by read_object with the
+    fields kinds[kind] = (required, optional) lists besides "kind". A kind
+    not in kinds raises ParseError."""
+    kind = read_field(spec, "kind", str, what)
+    if kind not in kinds:
+        raise ParseError(f"{what}: unknown kind {kind!r}")
+    required, optional = kinds[kind]
+    return kind, read_object(spec, what, ("kind", *required), optional)
+
+
+_REQUIRED = object()
+
+
+def read_field(doc: dict, name: str, types, what: str, default=_REQUIRED):
+    """doc[name], or default when the field is absent and a default is
+    given. types is float for a JSON number, int for a JSON integer, or
+    the type(s) for isinstance; any other value raises ParseError."""
+    if name not in doc:
+        if default is not _REQUIRED:
+            return default
+        raise _field_error(what, "missing", [name])
+    val = doc[name]
+    if types is float:
+        ok = is_json_number(val)
+    elif types is int:
+        ok = is_json_int(val)
+    else:
+        ok = isinstance(val, types)
+    if not ok:
+        raise ParseError(f"{what}: field '{name}' has the wrong type")
+    return val
+
+
+def read_numbers(doc: dict, name: str, what: str, default=_REQUIRED):
+    """doc[name] as a list of floats (read_field with a list of JSON
+    numbers), or a non-list default when the field is absent."""
+    val = read_field(doc, name, list, what, default)
+    if not isinstance(val, list):
+        return val
+    if not all(is_json_number(v) for v in val):
+        raise ParseError(f"{what}: field '{name}' must be a list of numbers")
+    return [float(v) for v in val]
 
 
 class CavityQError(Exception):

@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (CapacityError, ParseError, ShapeError, UsageError,
-                     is_json_int, is_json_number)
+                     is_json_int, is_json_number, read_field, read_object)
 from .fock import (
     HilbertShape,
     Operator,
@@ -654,14 +654,7 @@ def _kind_location(text: str, gate_index: int) -> str:
 def circuit_from_json(text: str) -> Circuit:
     """Parse a circuit document, failing hard (with location) on unknown
     gate kinds or malformed entries."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid circuit JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("circuit JSON must be an object")
-    if "shape" not in doc:
-        raise ParseError("circuit JSON missing 'shape'")
+    doc = read_object(text, "circuit", ("shape",), ("displacement_convention", "gates"))
     shape_raw = doc["shape"]
     if (
         not isinstance(shape_raw, list)
@@ -674,12 +667,7 @@ def circuit_from_json(text: str) -> Circuit:
         raise ParseError(
             f"displacement_convention must be one of {CONVENTIONS}, got {convention!r}"
         )
-    gates_raw = doc.get("gates", [])
-    if not isinstance(gates_raw, list):
-        raise ParseError("circuit 'gates' must be a list")
-    unknown_keys = set(doc) - {"shape", "displacement_convention", "gates"}
-    if unknown_keys:
-        raise ParseError(f"circuit JSON has unknown field(s): {sorted(unknown_keys)}")
+    gates_raw = read_field(doc, "gates", list, "circuit", [])
 
     try:
         shape = HilbertShape(tuple(shape_raw))

@@ -46,12 +46,11 @@ class _Banded:
     0 where i + o or j + o leaves the range; a main band first is lead.
     """
 
-    def __init__(self, matrices: np.ndarray, offsets: list[int]) -> None:
-        n_ops, n, _ = matrices.shape
+    def __init__(self, diagonals: np.ndarray, offsets: list[int]) -> None:
+        n = diagonals.shape[1]
         self.shape = (n, n)
-        levels = np.arange(n)
-        self.index = np.clip(levels + np.array(offsets)[:, None], 0, n - 1)
-        self.diagonals = matrices[np.arange(n_ops)[:, None], levels, self.index]
+        self.index = np.clip(np.arange(n) + np.array(offsets)[:, None], 0, n - 1)
+        self.diagonals = diagonals
         self.bands = []
         for o in sorted(set(offsets)):
             u = self.diagonals[np.equal(offsets, o)]
@@ -98,17 +97,21 @@ class _Dense:
         return (self.adjoints @ self.stack).sum(axis=0)
 
 
-def _build_kernel(matrices: np.ndarray) -> _Banded | _Dense:
+def _build_kernel(matrices: list[np.ndarray]) -> _Banded | _Dense:
     """Bands when every operator has at most one nonzero diagonal (an all-
-    zero operator counts as the main diagonal), else the dense stack."""
-    offsets = []
+    zero operator counts as the main diagonal), else the dense stack. The
+    bands are read one operator at a time, so only a dense set is stacked."""
+    n = len(matrices[0])
+    levels = np.arange(n)
+    offsets, diagonals = [], []
     for m in matrices:
         rows, cols = np.nonzero(m)
         found = cols - rows
         if np.any(found != found[:1]):
-            return _Dense(matrices)
+            return _Dense(np.stack(matrices))
         offsets.append(int(found[0]) if found.size else 0)
-    return _Banded(matrices, offsets)
+        diagonals.append(m[levels, np.clip(levels + offsets[-1], 0, n - 1)])
+    return _Banded(np.array(diagonals), offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +132,7 @@ class NoiseChannel:
             raise UsageError(f"dt_s must be positive, got {self.dt_s}")
         if any(k.shape != self.shape for k in self.kraus):
             raise UsageError("Kraus operators must share the channel shape")
-        kernel = _build_kernel(np.stack([k.matrix for k in self.kraus]))
+        kernel = _build_kernel([k.matrix for k in self.kraus])
         object.__setattr__(self, "_kernel", kernel)
         defect = float(np.max(np.abs(kernel.gram() - np.eye(self.shape.total_dim))))
         if defect > _COMPLETENESS_TOL:

@@ -32,6 +32,8 @@ from .errors import (
     ShapeError,
     UsageError,
     is_json_number,
+    read_field,
+    read_object,
 )
 from .fock import (
     HilbertShape,
@@ -136,45 +138,28 @@ class PulseSchedule:
 
     @staticmethod
     def from_json(text: str) -> "PulseSchedule":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid schedule JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParseError("schedule JSON must be an object")
-        unknown = set(doc) - {"dt_s", "controls"}
-        if unknown:
-            raise ParseError(f"unknown schedule fields: {sorted(unknown)}")
-        if "dt_s" not in doc or "controls" not in doc:
-            raise ParseError("schedule JSON needs 'dt_s' and 'controls'")
-        if not isinstance(doc["controls"], list) or not doc["controls"]:
+        doc = read_object(text, "schedule", ("dt_s", "controls"))
+        dt_s = read_field(doc, "dt_s", float, "schedule")
+        controls = read_field(doc, "controls", list, "schedule")
+        if not controls:
             raise ParseError("'controls' must be a non-empty list")
         streams = []
         carriers = []
-        for i, entry in enumerate(doc["controls"]):
-            if not isinstance(entry, dict) or set(entry) != {"carrier_hz", "amps"}:
-                raise ParseError(
-                    f"control {i} must have exactly 'carrier_hz' and 'amps'"
-                )
-            amps = entry["amps"]
-            if not isinstance(amps, list):
-                raise ParseError(f"control {i}: 'amps' must be a list")
+        for i, entry in enumerate(controls):
+            what = f"control {i}"
+            if not isinstance(entry, dict):
+                raise ParseError(f"{what} must be an object")
+            read_object(entry, what, ("carrier_hz", "amps"))
             vals = []
-            for j, pair in enumerate(amps):
+            for j, pair in enumerate(read_field(entry, "amps", list, what)):
                 if (not isinstance(pair, list) or len(pair) != 2
                         or not all(is_json_number(x) for x in pair)):
-                    raise ParseError(
-                        f"control {i} amp {j} must be a [re, im] number pair"
-                    )
+                    raise ParseError(f"{what} amp {j} must be a [re, im] number pair")
                 vals.append(complex(pair[0], pair[1]))
             streams.append(np.array(vals, dtype=complex))
-            if not is_json_number(entry["carrier_hz"]):
-                raise ParseError(f"control {i}: 'carrier_hz' must be a number")
-            carriers.append(float(entry["carrier_hz"]))
-        if not is_json_number(doc["dt_s"]):
-            raise ParseError("'dt_s' must be a number")
+            carriers.append(float(read_field(entry, "carrier_hz", float, what)))
         try:
-            return PulseSchedule(float(doc["dt_s"]), tuple(streams), tuple(carriers))
+            return PulseSchedule(float(dt_s), tuple(streams), tuple(carriers))
         except (UsageError, NumericError) as exc:
             raise ParseError(f"invalid schedule: {exc}") from exc
 

@@ -23,7 +23,6 @@ F = | |alpha|^2 + |beta|^2 tau |^2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -38,6 +37,11 @@ from .errors import (
     StepSizeError,
     UsageError,
     is_json_number,
+    is_json_number_rows,
+    read_field,
+    read_kind,
+    read_numbers,
+    read_object,
 )
 
 _MAX_RATE_DT = 0.05
@@ -421,45 +425,33 @@ def on_off_ratio(waveform, floor_hz: float,
 # config JSON
 
 
-def _waveform_from_json(obj, slot: str, kappa_hz: float, t0_s: float):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"{slot} waveform must be an object with a 'kind'")
-    kind = obj["kind"]
+_WAVEFORMS = {"sech": ((), ("kappa_hz",)), "sampled": (("dt_s", "values"), ())}
+
+
+def _waveform_from_json(doc: dict, slot: str, kappa_hz: float, t0_s: float):
+    what = f"{slot} waveform"
+    kind, obj = read_kind(read_field(doc, f"{slot}_waveform", dict, "transfer config"),
+                          what, _WAVEFORMS)
     if kind == "sech":
-        allowed = {"kind", "kappa_hz"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ParseError(f"{slot} waveform: unknown fields {sorted(unknown)}")
         k = obj.get("kappa_hz", kappa_hz)
         if not is_json_number(k) or k <= 0:
-            raise ParseError(f"{slot} waveform: 'kappa_hz' must be positive")
+            raise ParseError(f"{what}: 'kappa_hz' must be positive")
         # the sech photon-envelope protocol: rising tanh rate on the emitter
         # side, its time reverse on the catcher
         if slot == "emit":
             return matched_emit_rate(float(k))
         return matched_catch_rate(float(k))
-    if kind == "sampled":
-        allowed = {"kind", "dt_s", "values"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ParseError(f"{slot} waveform: unknown fields {sorted(unknown)}")
-        if "dt_s" not in obj or "values" not in obj:
-            raise ParseError(f"{slot} waveform: 'sampled' needs dt_s and values")
-        if (not isinstance(obj["values"], list)
-                or not all(is_json_number(v) for v in obj["values"])):
-            raise ParseError(f"{slot} waveform: 'values' must be numbers")
-        if not is_json_number(obj["dt_s"]):
-            raise ParseError(f"{slot} waveform: 'dt_s' must be a number")
-        try:
-            return SampledWaveform(np.asarray(obj["values"], dtype=float),
-                                   float(obj["dt_s"]), t0_s)
-        except (UsageError, ShapeError, NumericError) as exc:
-            raise ParseError(f"{slot} waveform: {exc}") from exc
-    raise ParseError(f"{slot} waveform: unknown kind {kind!r}")
+    values = read_numbers(obj, "values", what)
+    dt_s = read_field(obj, "dt_s", float, what)
+    try:
+        return SampledWaveform(np.asarray(values, dtype=float), float(dt_s), t0_s)
+    except (UsageError, ShapeError, NumericError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
-def qst_config_from_json(text: str) -> QstConfig:
-    """Parse a transfer configuration document.
+def qst_config_from_json(text: str | dict) -> QstConfig:
+    """Parse a transfer configuration document: JSON text, or the object
+    decoded from it.
 
     Schema: {"kappa_hz":..., "t_span_s":[t0,t1], "dt_s":...,
     "delta_omega_hz":..., "input_state":[[re,im],[re,im]],
@@ -467,51 +459,30 @@ def qst_config_from_json(text: str) -> QstConfig:
     "catch_waveform":{...}, "channel_temperature":0}. Sampled waveforms are
     anchored at t_span_s[0].
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid transfer config JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("transfer config must be a JSON object")
-    required = {"kappa_hz", "t_span_s", "dt_s", "emit_waveform",
-                "catch_waveform"}
-    optional = {"delta_omega_hz", "input_state", "channel_temperature"}
-    missing = required - set(doc)
-    if missing:
-        raise ParseError(f"missing config fields: {sorted(missing)}")
-    unknown = set(doc) - required - optional
-    if unknown:
-        raise ParseError(f"unknown config fields: {sorted(unknown)}")
-    for name in ("kappa_hz", "dt_s"):
-        if not is_json_number(doc[name]):
-            raise ParseError(f"'{name}' must be a number")
-    span = doc["t_span_s"]
-    if (not isinstance(span, list) or len(span) != 2
-            or not all(is_json_number(v) for v in span)):
+    what = "transfer config"
+    doc = read_object(text, what,
+                      ("kappa_hz", "t_span_s", "dt_s", "emit_waveform", "catch_waveform"),
+                      ("delta_omega_hz", "input_state", "channel_temperature"))
+    kappa = float(read_field(doc, "kappa_hz", float, what))
+    dt_s = read_field(doc, "dt_s", float, what)
+    span = read_numbers(doc, "t_span_s", what)
+    if len(span) != 2:
         raise ParseError("'t_span_s' must be a [t0, t1] number pair")
-    dw = doc.get("delta_omega_hz", 0.0)
-    if not is_json_number(dw):
-        raise ParseError("'delta_omega_hz' must be a number")
+    dw = read_field(doc, "delta_omega_hz", float, what, 0.0)
     state = doc.get("input_state", [[0.0, 0.0], [1.0, 0.0]])
-    if (not isinstance(state, list) or len(state) != 2
-            or not all(isinstance(p, list) and len(p) == 2
-                       and all(is_json_number(x) for x in p)
-                       for p in state)):
+    if not (is_json_number_rows(state) and [len(p) for p in state] == [2, 2]):
         raise ParseError("'input_state' must be [[re,im],[re,im]]")
-    temp = doc.get("channel_temperature", 0.0)
-    if not is_json_number(temp):
-        raise ParseError("'channel_temperature' must be a number")
-    t0 = float(span[0])
-    kappa = float(doc["kappa_hz"])
-    emit = _waveform_from_json(doc["emit_waveform"], "emit", kappa, t0)
-    catch = _waveform_from_json(doc["catch_waveform"], "catch", kappa, t0)
+    temp = read_field(doc, "channel_temperature", float, what, 0.0)
+    t0 = span[0]
+    emit = _waveform_from_json(doc, "emit", kappa, t0)
+    catch = _waveform_from_json(doc, "catch", kappa, t0)
     try:
         return QstConfig(
             kappa_hz=kappa,
             emit_waveform=emit,
             catch_waveform=catch,
-            t_span_s=(t0, float(span[1])),
-            dt_s=float(doc["dt_s"]),
+            t_span_s=(t0, span[1]),
+            dt_s=float(dt_s),
             delta_omega_hz=float(dw),
             input_state=(complex(state[0][0], state[0][1]),
                          complex(state[1][0], state[1][1])),

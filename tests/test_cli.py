@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cavityq import cli
+from cavityq import cli, pulse
+from cavityq.errors import ParseError
 
 PAPER_DEVICE = {
     "omega_q_hz": 5.0e9,
@@ -539,6 +540,70 @@ def test_boolean_is_not_a_json_integer(tmp_path, capsys, site):
     cfg = write_json(tmp_path / "config.json", doc)
     assert run_cli(tmp_path, command, cfg) in (1, 2)
     assert message in capsys.readouterr().err
+
+
+GRAPE_DOC = {"model": {"kind": "qubit"}, "target": {"kind": "identity"},
+             "n_segments": 8, "dt_s": 1e-7}
+SCHEDULE_DOC = {"dt_s": 1e-9, "controls": [{"carrier_hz": 0.0, "amps": [[0.0, 0.0]]}]}
+
+
+def _with(doc, path, **fields):
+    """A deep copy of doc with fields added to the object at path (a tuple
+    of keys and list indices)."""
+    doc = json.loads(json.dumps(doc))
+    obj = doc
+    for key in path:
+        obj = obj[key]
+    obj.update(fields)
+    return doc
+
+
+_CODE_TYPO = {k: v for k, v in CODE_DOC.items() if k != "n_trajectories"}
+
+# every config object read from JSON, given a misspelled or extra field:
+# (subcommand, or None for a PulseSchedule document, config, the field)
+_UNKNOWN_FIELD_SITES = {
+    "grape": ("grape", _with(GRAPE_DOC, (), iteration=3), "iteration"),
+    "grape_model": ("grape", _with(GRAPE_DOC, ("model",), detunning_hz=1e5),
+                    "detunning_hz"),
+    "grape_model_dispersive": ("grape", _with(
+        dict(GRAPE_DOC, model=TestGrape.DISPERSIVE), ("model",), cavity_driv=True),
+        "cavity_driv"),
+    "grape_target": ("grape", _with(GRAPE_DOC, ("target",), theta=[0.0, 0.0]),
+                     "theta"),
+    "code": ("code", dict(_CODE_TYPO, n_trajectory=4), "n_trajectory"),
+    "trotter": ("trotter", _with(TROTTER_DOC, (), initial_levl=3), "initial_levl"),
+    "otoc": ("otoc", _with(OTOC_DOC, (), time_s=[1.0]), "time_s"),
+    "otoc_w": ("otoc", _with(OTOC_DOC, ("w",), phases=[0.0]), "phases"),
+    "otoc_v": ("otoc", dict(OTOC_DOC, v={"kind": "fourier", "inverse": True}),
+               "inverse"),
+    "qst_wrapper": ("qst", _with(QST_SWEEP_DOC, (), delta_sweep=[0.0]), "delta_sweep"),
+    "qst_transfer": ("qst", _with(QST_SWEEP_DOC, ("transfer",), detuning_hz=1e4),
+                     "detuning_hz"),
+    "qst_single_run": ("qst", _with(QST_SWEEP_DOC["transfer"], (), kapa_hz=1e6),
+                       "kapa_hz"),
+    "qst_waveform": ("qst", _with(QST_SWEEP_DOC, ("transfer", "emit_waveform"),
+                                  kapa_hz=2e6), "kapa_hz"),
+    "device": ("device", dict(PAPER_DEVICE, g_khz=1.0), "g_khz"),
+    "circuit": ("run", {"shape": [3], "gate": []}, "gate"),
+    "schedule": (None, _with(SCHEDULE_DOC, (), control=[]), "control"),
+    "schedule_control": (None, _with(SCHEDULE_DOC, ("controls", 0), phase=0.0),
+                         "phase"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_UNKNOWN_FIELD_SITES))
+def test_unknown_field_exit_2(tmp_path, capsys, site):
+    command, doc, name = _UNKNOWN_FIELD_SITES[site]
+    message = f"unknown field '{name}'"
+    if command is None:
+        with pytest.raises(ParseError, match=message):
+            pulse.PulseSchedule.from_json(json.dumps(doc))
+        return
+    cfg = write_json(tmp_path / "config.json", doc)
+    assert run_cli(tmp_path, command, cfg) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestArtifactPlumbing:
