@@ -7,6 +7,12 @@ adjacent. Displacements follow the standard convention
 D(α) = exp(α a† − α* a); circuits record which convention their alphas
 use via the "displacement_convention" field, and the legacy "paper"
 spelling (exp(α a − α* a†)) is mapped by negating α at build time.
+
+`GATE_BUILDERS` declares each gate kind once: its fields and their
+checks, its public constructor and the structured kernel, if any, that
+circuits run in its place. `GateSpec.build`, circuit compilation,
+`circuit_from_json` and `circuit_unitary` all read that entry, and
+`errors.read_object` checks its field list as it does every config's.
 """
 
 from __future__ import annotations
@@ -226,10 +232,7 @@ def ecd(beta: complex, mode_dim: int, convention: str = "standard") -> Operator:
 def qubit_binary_encode(bits: str | Sequence[int]) -> int:
     """Map a qubit-register bit pattern to the qudit level holding it,
     big-endian: '1111' → 15."""
-    if isinstance(bits, str):
-        seq = list(bits)
-    else:
-        seq = list(bits)
+    seq = list(bits)
     if not seq:
         raise UsageError("empty bit pattern")
     value = 0
@@ -256,11 +259,9 @@ def qubit_binary_decode(level: int, n_bits: int) -> str:
 # embedding into a register
 
 
-def embed(op: Operator, targets: Sequence[int], shape: HilbertShape) -> Operator:
-    """Promote an operator on the given target subsystems (in order) to
-    the full register."""
-    targets = list(targets)
-    dims = shape.dims
+def _check_targets(op: Operator, targets: list[int], dims: tuple[int, ...]) -> None:
+    """Raise unless targets are distinct subsystems of a register of dims
+    whose dims, in order, are op's."""
     if len(set(targets)) != len(targets):
         raise UsageError(f"duplicate targets {targets}")
     for t in targets:
@@ -271,6 +272,14 @@ def embed(op: Operator, targets: Sequence[int], shape: HilbertShape) -> Operator
         raise ShapeError(
             f"gate on dims {op.shape.dims} cannot target subsystems of dims {sub_dims}"
         )
+
+
+def embed(op: Operator, targets: Sequence[int], shape: HilbertShape) -> Operator:
+    """Promote an operator on the given target subsystems (in order) to
+    the full register."""
+    targets = list(targets)
+    dims = shape.dims
+    _check_targets(op, targets, dims)
     rest = [i for i in range(len(dims)) if i not in targets]
     rest_dim = math.prod(dims[i] for i in rest) if rest else 1
     big = np.kron(op.matrix, np.eye(rest_dim, dtype=complex))
@@ -304,48 +313,88 @@ def apply_embedded(op: Operator, targets: Sequence[int], psi: StateVector) -> St
     """Apply a sub-shape operator to the targeted subsystems of a state
     without materializing the full register matrix."""
     targets = list(targets)
-    dims = psi.shape.dims
-    sub_dims = tuple(dims[t] for t in targets)
-    if op.shape.dims != sub_dims:
-        raise ShapeError(
-            f"gate on dims {op.shape.dims} cannot target subsystems of dims {sub_dims}"
-        )
-    tens = psi.amplitudes.reshape(dims)
+    _check_targets(op, targets, psi.shape.dims)
+    out = _apply_tensor(op.matrix, targets, psi.amplitudes.reshape(psi.shape.dims))
+    return StateVector(psi.shape, out.reshape(psi.shape.total_dim), psi.leakage)
+
+
+def _apply_tensor(u: np.ndarray, targets: list[int], tens: np.ndarray) -> np.ndarray:
+    """The matrix u on the target subsystems (in order) applied to those
+    axes of a register tensor by one tensordot; a new C-ordered tensor."""
+    tens = np.ascontiguousarray(tens, dtype=complex)
     k = len(targets)
-    u = op.matrix.reshape(sub_dims + sub_dims)
-    moved = np.tensordot(u, tens, axes=(list(range(k, 2 * k)), targets))
+    sub_dims = tuple(tens.shape[t] for t in targets)
+    moved = np.tensordot(u.reshape(sub_dims + sub_dims), tens,
+                         axes=(list(range(k, 2 * k)), targets))
     # tensordot leaves axes ordered [targets..., rest...]; restore
-    rest = [i for i in range(len(dims)) if i not in targets]
+    rest = [i for i in range(tens.ndim) if i not in targets]
     current = targets + rest
-    perm = [current.index(i) for i in range(len(dims))]
-    out = np.transpose(moved, perm).reshape(psi.shape.total_dim)
-    return StateVector(psi.shape, out, psi.leakage)
+    perm = [current.index(i) for i in range(tens.ndim)]
+    return np.ascontiguousarray(np.transpose(moved, perm))
 
 
 # ---------------------------------------------------------------------------
-# circuits
+# circuits: one table entry per gate kind
 
-# builder: params, register shape, convention -> (sub-operator, targets)
-_BuildFn = Callable[[Mapping[str, Any], HilbertShape, str], tuple[Operator, list[int]]]
-
-
-def _need(params: Mapping[str, Any], key: str, kind: str):
-    if key not in params:
-        raise UsageError(f"{kind} gate missing field {key!r}")
-    return params[key]
+# a field rule: (value, "<kind> gate field '<name>'", register shape) ->
+# the checked value, or UsageError
+_Rule = Callable[[Any, str, HilbertShape], Any]
+# a compiled gate: register tensor (one axis per subsystem) in, tensor out
+_Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _as_subsystem(value, shape: HilbertShape, kind: str, field_name: str) -> int:
+@dataclass(frozen=True)
+class _GateKind:
+    """One gate kind. required and optional map its fields to their rules.
+    parse maps (register dims, convention, **checked fields) to (args,
+    targets): the arguments of dense, the kind's public constructor, and
+    the targets in its subsystem order; an absent optional field takes
+    parse's default. kernel, if given, maps (args, targets, register dims)
+    to the compiled gate that circuits run in place of the dense operator."""
+
+    required: Mapping[str, _Rule]
+    parse: Callable[..., tuple[tuple, list[int]]]
+    dense: Callable[..., Operator]
+    kernel: Callable[[tuple, list[int], tuple[int, ...]], _Kernel] | None = None
+    optional: Mapping[str, _Rule] = field(default_factory=dict)
+
+
+def _subsystem(value, what: str, shape: HilbertShape) -> int:
     if not is_json_int(value):
-        raise UsageError(f"{kind} gate field {field_name!r} must be an integer index")
+        raise UsageError(f"{what} must be an integer index")
     if not 0 <= value < shape.n_subsystems:
-        raise UsageError(
-            f"{kind} gate field {field_name!r}={value} outside [0, {shape.n_subsystems})"
-        )
+        raise UsageError(f"{what}={value} outside [0, {shape.n_subsystems})")
     return value
 
 
-def _as_complex(value, kind: str, field_name: str) -> complex:
+def _qubit(value, what: str, shape: HilbertShape) -> int:
+    index = _subsystem(value, what, shape)
+    if shape.dims[index] != 2:
+        raise UsageError(f"{what} must name a qubit (dim 2), got dim {shape.dims[index]}")
+    return index
+
+
+def _subsystems(value, what: str, shape: HilbertShape) -> list[int]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise UsageError(f"{what} must be a non-empty list")
+    return [_subsystem(t, what, shape) for t in value]
+
+
+def _typed(test: Callable[[Any], bool], must: str, convert=None) -> _Rule:
+    """The rule that takes a value passing test, as convert(value) if given."""
+    def rule(value, what: str, shape: HilbertShape):
+        if not test(value):
+            raise UsageError(f"{what} must be {must}")
+        return convert(value) if convert else value
+    return rule
+
+
+_integer = _typed(is_json_int, "an integer")
+_real = _typed(is_json_number, "a number", float)
+_flag = _typed(lambda value: isinstance(value, bool), "a boolean")
+
+
+def _amplitude(value, what: str, shape: HilbertShape) -> complex:
     if is_json_number(value):
         return complex(value)
     if (
@@ -354,165 +403,139 @@ def _as_complex(value, kind: str, field_name: str) -> complex:
         and all(is_json_number(v) for v in value)
     ):
         return complex(value[0], value[1])
-    raise UsageError(f"{kind} gate field {field_name!r} must be a number or [re, im] pair")
+    raise UsageError(f"{what} must be a number or [re, im] pair")
 
 
-def _as_float(value, kind: str, field_name: str) -> float:
-    if is_json_number(value):
-        return float(value)
-    raise UsageError(f"{kind} gate field {field_name!r} must be a number")
+def _phases(value, what: str, shape: HilbertShape) -> np.ndarray:
+    """A list (or tuple, or 1-D numpy array) of numbers, as float64."""
+    entries = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(entries, (list, tuple)) or not all(map(is_json_number, entries)):
+        raise UsageError(f"{what} must be a list of numbers")
+    return np.asarray(value, dtype=float)
 
 
-def _snap_phases(params, shape) -> tuple[np.ndarray, list[int]]:
-    target = _as_subsystem(_need(params, "target", "snap"), shape, "snap", "target")
-    theta = _need(params, "theta", "snap")
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size != shape.dims[target]:
-        raise UsageError(
-            f"snap theta must list {shape.dims[target]} phases for subsystem {target}"
-        )
-    return theta, [target]
+def _snap_args(dims, convention, target, theta):
+    if theta.size != dims[target]:
+        raise UsageError(f"snap theta must list {dims[target]} phases for subsystem {target}")
+    return (theta,), [target]
 
 
-def _multisnap_phases(params, shape) -> tuple[np.ndarray, list[int]]:
-    targets = _need(params, "targets", "multisnap")
-    if not isinstance(targets, (list, tuple)) or not targets:
-        raise UsageError("multisnap gate field 'targets' must be a non-empty list")
-    targets = [_as_subsystem(t, shape, "multisnap", "targets") for t in targets]
+def _multisnap_args(dims, convention, targets, theta):
     if len(set(targets)) != len(targets):
         raise UsageError("multisnap targets must be distinct")
-    dims = tuple(shape.dims[t] for t in targets)
-    theta = _multisnap_theta(_need(params, "theta", "multisnap"), dims)
-    return theta, targets
+    sub_dims = tuple(dims[t] for t in targets)
+    return (_multisnap_theta(theta, sub_dims), sub_dims), targets
 
 
-def _build_snap(params, shape, convention):
-    theta, targets = _snap_phases(params, shape)
-    return snap(theta), targets
+def _qubit_and_mode(kind: str, qubit: int, mode: int) -> list[int]:
+    if qubit == mode:
+        raise UsageError(f"{kind} qubit and mode must differ")
+    return [qubit, mode]
 
 
-def _build_multisnap(params, shape, convention):
-    theta, targets = _multisnap_phases(params, shape)
-    return multisnap(theta, [shape.dims[t] for t in targets]), targets
+def _cond_rotation_args(dims, convention, qubit, mode, n, theta, phi):
+    return (n, theta, phi, dims[mode]), _qubit_and_mode("cond_rotation", qubit, mode)
 
 
-def _displacement_params(params, shape) -> tuple[complex, int]:
-    target = _as_subsystem(
-        _need(params, "target", "displacement"), shape, "displacement", "target"
-    )
-    alpha = _as_complex(_need(params, "alpha", "displacement"), "displacement", "alpha")
-    return alpha, target
-
-
-def _build_displacement(params, shape, convention):
-    alpha, target = _displacement_params(params, shape)
-    return displacement(alpha, shape.dims[target], convention), [target]
-
-
-def _build_cond_rotation(params, shape, convention):
-    qubit = _as_subsystem(_need(params, "qubit", "cond_rotation"), shape, "cond_rotation", "qubit")
-    mode = _as_subsystem(_need(params, "mode", "cond_rotation"), shape, "cond_rotation", "mode")
-    if shape.dims[qubit] != 2:
-        raise UsageError(f"cond_rotation qubit subsystem must have dim 2, got {shape.dims[qubit]}")
-    n = _need(params, "n", "cond_rotation")
-    if not is_json_int(n):
-        raise UsageError("cond_rotation gate field 'n' must be an integer")
-    theta = _as_float(_need(params, "theta", "cond_rotation"), "cond_rotation", "theta")
-    phi = _as_float(_need(params, "phi", "cond_rotation"), "cond_rotation", "phi")
-    return cond_rotation(n, theta, phi, shape.dims[mode]), [qubit, mode]
-
-
-def _build_qubit_rotation(params, shape, convention):
-    target = _as_subsystem(
-        _need(params, "target", "qubit_rotation"), shape, "qubit_rotation", "target"
-    )
-    if shape.dims[target] != 2:
-        raise UsageError(
-            f"qubit_rotation target must have dim 2, got {shape.dims[target]}"
-        )
-    theta = _as_float(_need(params, "theta", "qubit_rotation"), "qubit_rotation", "theta")
-    phi = _as_float(_need(params, "phi", "qubit_rotation"), "qubit_rotation", "phi")
-    return qubit_rotation(theta, phi), [target]
-
-
-def _build_controlled_increment(params, shape, convention):
-    control = _as_subsystem(
-        _need(params, "control", "controlled_increment"), shape, "controlled_increment", "control"
-    )
-    target = _as_subsystem(
-        _need(params, "target", "controlled_increment"), shape, "controlled_increment", "target"
-    )
+def _controlled_increment_args(dims, convention, control, target):
     if control == target:
         raise UsageError("controlled_increment control and target must differ")
-    if shape.dims[control] != shape.dims[target]:
+    if dims[control] != dims[target]:
         raise UsageError(
             "controlled_increment needs equal control/target dims, got "
-            f"{shape.dims[control]} and {shape.dims[target]}"
+            f"{dims[control]} and {dims[target]}"
         )
-    return controlled_increment(shape.dims[control]), [control, target]
+    return (dims[control],), [control, target]
 
 
-def _build_givens(params, shape, convention):
-    target = _as_subsystem(_need(params, "target", "givens"), shape, "givens", "target")
-    m = _need(params, "m", "givens")
-    n = _need(params, "n", "givens")
-    for name, v in (("m", m), ("n", n)):
-        if not is_json_int(v):
-            raise UsageError(f"givens gate field {name!r} must be an integer")
-    theta = _as_float(_need(params, "theta", "givens"), "givens", "theta")
-    return givens(m, n, theta, shape.dims[target]), [target]
+def _ecd_args(dims, convention, qubit, mode, beta):
+    return (beta, dims[mode], convention), _qubit_and_mode("ecd", qubit, mode)
 
 
-def _build_phase_swap(params, shape, convention):
-    target = _as_subsystem(_need(params, "target", "phase_swap"), shape, "phase_swap", "target")
-    m = _need(params, "m", "phase_swap")
-    n = _need(params, "n", "phase_swap")
-    for name, v in (("m", m), ("n", n)):
-        if not is_json_int(v):
-            raise UsageError(f"phase_swap gate field {name!r} must be an integer")
-    return phase_swap(m, n, shape.dims[target]), [target]
+def _phase_kernel(args, targets, dims) -> _Kernel:
+    """SNAP and multisnap: a phase array on the target axes in register
+    order, 1 on the rest, broadcast over the tensor."""
+    phases = np.exp(1j * args[0]).reshape([dims[t] for t in targets])
+    phases = phases.transpose(np.argsort(targets)).reshape(
+        [d if i in targets else 1 for i, d in enumerate(dims)]
+    )
+    return lambda tens: tens * phases
 
 
-def _fourier_axis(params, shape) -> tuple[int, bool]:
-    target = _as_subsystem(_need(params, "target", "fourier"), shape, "fourier", "target")
-    inverse = params.get("inverse", False)
-    if not isinstance(inverse, bool):
-        raise UsageError("fourier gate field 'inverse' must be a boolean")
-    return target, inverse
+def _fourier_kernel(args, targets, dims) -> _Kernel:
+    """An orthonormal FFT along the target axis: ifft is
+    F_jk = e^{2πijk/N}/√N, fft its inverse."""
+    [axis] = targets
+    transform = np.fft.fft if args[1] else np.fft.ifft
+    return lambda tens: transform(tens, axis=axis, norm="ortho")
 
 
-def _build_fourier(params, shape, convention):
-    target, inverse = _fourier_axis(params, shape)
-    return fourier(shape.dims[target], inverse=inverse), [target]
+def _displacement_kernel(args, targets, dims) -> _Kernel:
+    """The factored D(α) of `_displacement_map` on the mode axis."""
+    [axis] = targets
+    d_alpha = _displacement_map(*args)
+
+    def displace(tens: np.ndarray) -> np.ndarray:
+        x = np.moveaxis(tens, axis, 0)
+        out = d_alpha(x)
+        return np.moveaxis(out.reshape(x.shape), 0, axis)
+
+    return displace
 
 
-def _ecd_params(params, shape) -> tuple[complex, int, int]:
-    qubit = _as_subsystem(_need(params, "qubit", "ecd"), shape, "ecd", "qubit")
-    mode = _as_subsystem(_need(params, "mode", "ecd"), shape, "ecd", "mode")
-    if qubit == mode:
-        raise UsageError("ecd qubit and mode must differ")
-    if shape.dims[qubit] != 2:
-        raise UsageError(f"ecd qubit subsystem must have dim 2, got {shape.dims[qubit]}")
-    beta = _as_complex(_need(params, "beta", "ecd"), "ecd", "beta")
-    return beta, qubit, mode
+def _ecd_kernel(args, targets, dims) -> _Kernel:
+    """|e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2): displace the |g⟩ and |e⟩
+    slices of the mode axis, then swap them."""
+    beta, n, convention = args
+    qubit, mode = targets
+    d_plus = _displacement_map(beta / 2, n, convention)
+    d_minus = _displacement_map(-beta / 2, n, convention)
+
+    def echo(tens: np.ndarray) -> np.ndarray:
+        x = np.moveaxis(tens, (mode, qubit), (0, 1))
+        out = np.stack([d_minus(x[:, 1]), d_plus(x[:, 0])], axis=1)
+        return np.moveaxis(out.reshape(x.shape), (0, 1), (mode, qubit))
+
+    return echo
 
 
-def _build_ecd(params, shape, convention):
-    beta, qubit, mode = _ecd_params(params, shape)
-    return ecd(beta, shape.dims[mode], convention), [qubit, mode]
-
-
-GATE_BUILDERS: dict[str, _BuildFn] = {
-    "snap": _build_snap,
-    "multisnap": _build_multisnap,
-    "displacement": _build_displacement,
-    "cond_rotation": _build_cond_rotation,
-    "qubit_rotation": _build_qubit_rotation,
-    "controlled_increment": _build_controlled_increment,
-    "givens": _build_givens,
-    "phase_swap": _build_phase_swap,
-    "fourier": _build_fourier,
-    "ecd": _build_ecd,
+GATE_BUILDERS: dict[str, _GateKind] = {
+    "snap": _GateKind({"target": _subsystem, "theta": _phases},
+                      _snap_args, snap, _phase_kernel),
+    "multisnap": _GateKind({"targets": _subsystems, "theta": _phases},
+                           _multisnap_args, multisnap, _phase_kernel),
+    "displacement": _GateKind(
+        {"target": _subsystem, "alpha": _amplitude},
+        lambda dims, convention, target, alpha: (
+            (alpha, dims[target], convention), [target]),
+        displacement, _displacement_kernel),
+    "cond_rotation": _GateKind(
+        {"qubit": _qubit, "mode": _subsystem, "n": _integer,
+         "theta": _real, "phi": _real},
+        _cond_rotation_args, cond_rotation),
+    "qubit_rotation": _GateKind(
+        {"target": _qubit, "theta": _real, "phi": _real},
+        lambda dims, convention, target, theta, phi: ((theta, phi), [target]),
+        qubit_rotation),
+    "controlled_increment": _GateKind(
+        {"control": _subsystem, "target": _subsystem},
+        _controlled_increment_args, controlled_increment),
+    "givens": _GateKind(
+        {"target": _subsystem, "m": _integer, "n": _integer, "theta": _real},
+        lambda dims, convention, target, m, n, theta: (
+            (m, n, theta, dims[target]), [target]),
+        givens),
+    "phase_swap": _GateKind(
+        {"target": _subsystem, "m": _integer, "n": _integer},
+        lambda dims, convention, target, m, n: ((m, n, dims[target]), [target]),
+        phase_swap),
+    "fourier": _GateKind(
+        {"target": _subsystem},
+        lambda dims, convention, target, inverse=False: (
+            (dims[target], inverse), [target]),
+        fourier, _fourier_kernel, optional={"inverse": _flag}),
+    "ecd": _GateKind({"qubit": _qubit, "mode": _subsystem, "beta": _amplitude},
+                     _ecd_args, ecd, _ecd_kernel),
 }
 
 
@@ -527,10 +550,8 @@ class GateSpec:
         object.__setattr__(self, "params", dict(self.params))
 
     def build(self, shape: HilbertShape, convention: str = "standard") -> tuple[Operator, list[int]]:
-        builder = GATE_BUILDERS.get(self.kind)
-        if builder is None:
-            raise UsageError(f"unknown gate kind {self.kind!r}")
-        return builder(self.params, shape, convention)
+        gate, args, targets = _parse(self, shape, convention)
+        return gate.dense(*args), targets
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -538,61 +559,35 @@ class GateSpec:
         return d
 
 
-# a compiled gate: register tensor (one axis per subsystem) in, tensor out
-_Kernel = Callable[[np.ndarray], np.ndarray]
+def _parse(spec: GateSpec, shape: HilbertShape,
+           convention: str) -> tuple[_GateKind, tuple, list[int]]:
+    """The table entry of spec's kind, the arguments of its dense
+    constructor on the register and its targets. An unknown kind, a
+    missing or unlisted field, a field its rule rejects or a bad
+    combination of fields raises UsageError."""
+    gate = GATE_BUILDERS.get(spec.kind)
+    if gate is None:
+        raise UsageError(f"unknown gate kind {spec.kind!r}")
+    what = f"{spec.kind} gate"
+    try:
+        params = read_object(spec.params, what, gate.required, gate.optional)
+    except ParseError as exc:
+        raise UsageError(str(exc)) from exc
+    fields = {name: rule(params[name], f"{what} field {name!r}", shape)
+              for name, rule in {**gate.required, **gate.optional}.items()
+              if name in params}
+    args, targets = gate.parse(shape.dims, convention, **fields)
+    return gate, args, targets
 
 
 def _compile(spec: GateSpec, shape: HilbertShape, convention: str) -> _Kernel:
-    """Build one gate for the register once. SNAP and multisnap become a
-    phase array broadcast over their target axes, Fourier an orthonormal
-    FFT along its target axis (ifft is F_jk = e^{2πijk/N}/√N, fft its
-    inverse), displacement and ECD the factored D(α) of
-    `_displacement_map` on their mode axis, and every other kind its
-    operator, applied by tensordot."""
-    dims = shape.dims
-    if spec.kind in ("snap", "multisnap"):
-        phases_of = _snap_phases if spec.kind == "snap" else _multisnap_phases
-        theta, targets = phases_of(spec.params, shape)
-        # phase array on the target axes in register order, 1 on the rest
-        phases = np.exp(1j * theta).reshape([dims[t] for t in targets])
-        phases = phases.transpose(np.argsort(targets)).reshape(
-            [d if i in targets else 1 for i, d in enumerate(dims)]
-        )
-        return lambda tens: tens * phases
-    if spec.kind == "fourier":
-        axis, inverse = _fourier_axis(spec.params, shape)
-        transform = np.fft.fft if inverse else np.fft.ifft
-        return lambda tens: transform(tens, axis=axis, norm="ortho")
-    if spec.kind == "displacement":
-        alpha, axis = _displacement_params(spec.params, shape)
-        d_alpha = _displacement_map(alpha, dims[axis], convention)
-
-        def displace(tens: np.ndarray) -> np.ndarray:
-            x = np.moveaxis(tens, axis, 0)
-            out = d_alpha(x)
-            return np.moveaxis(out.reshape(x.shape), 0, axis)
-
-        return displace
-    if spec.kind == "ecd":
-        # |e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2): displace the |g⟩ and |e⟩
-        # slices of the mode axis, then swap them
-        beta, qubit, mode = _ecd_params(spec.params, shape)
-        d_plus = _displacement_map(beta / 2, dims[mode], convention)
-        d_minus = _displacement_map(-beta / 2, dims[mode], convention)
-
-        def echo(tens: np.ndarray) -> np.ndarray:
-            x = np.moveaxis(tens, (mode, qubit), (0, 1))
-            out = np.stack([d_minus(x[:, 1]), d_plus(x[:, 0])], axis=1)
-            return np.moveaxis(out.reshape(x.shape), (0, 1), (mode, qubit))
-
-        return echo
-    op, targets = spec.build(shape, convention)
-
-    def dense(tens: np.ndarray) -> np.ndarray:
-        out = apply_embedded(op, targets, StateVector(shape, tens.reshape(-1)))
-        return out.amplitudes.reshape(dims)
-
-    return dense
+    """Build one gate for the register once: its kind's structured kernel,
+    or else its dense operator, applied by `_apply_tensor`."""
+    gate, args, targets = _parse(spec, shape, convention)
+    if gate.kernel is not None:
+        return gate.kernel(args, targets, shape.dims)
+    matrix = gate.dense(*args).matrix
+    return lambda tens: _apply_tensor(matrix, targets, tens)
 
 
 @dataclass(frozen=True)
@@ -684,10 +679,7 @@ def circuit_from_json(text: str) -> Circuit:
         kind = entry.get("kind")
         if not isinstance(kind, str):
             raise ParseError(f"gate {i}: missing string 'kind'{loc}")
-        if kind not in GATE_BUILDERS:
-            raise ParseError(f"gate {i}: unknown gate kind {kind!r}{loc}")
-        params = {k: v for k, v in entry.items() if k != "kind"}
-        spec = GateSpec(kind, params)
+        spec = GateSpec(kind, {k: v for k, v in entry.items() if k != "kind"})
         try:
             kernels.append(_compile(spec, shape, convention))  # validates
         except UsageError as exc:

@@ -606,6 +606,42 @@ def test_unknown_field_exit_2(tmp_path, capsys, site):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+# gate entries that ran with exit 0 (a wrong gate) or died with a raw
+# traceback before gate entries were read by the shared reader: (circuit,
+# the text that exit 2 must print)
+_BAD_GATE_ENTRIES = {
+    "fourier_invers": (_circuit([4], {"kind": "fourier", "target": 0, "invers": True}),
+                       "fourier gate: unknown field 'invers'"),
+    "givens_phi": (_circuit([3], {"kind": "givens", "target": 0, "m": 0, "n": 1,
+                                  "theta": 0.4, "phi": 0.3}),
+                   "givens gate: unknown field 'phi'"),
+    "cond_rotation_qubit_is_mode": (
+        _circuit([2, 3], {"kind": "cond_rotation", "qubit": 0, "mode": 0, "n": 1,
+                          "theta": 1.0, "phi": 0.0}),
+        "cond_rotation qubit and mode must differ"),
+    "snap_string_phase": (_circuit([3], {"kind": "snap", "target": 0,
+                                         "theta": [0, "a", 0]}),
+                          "snap gate field 'theta' must be a list of numbers"),
+    "snap_boolean_phase": (_circuit([3], {"kind": "snap", "target": 0,
+                                          "theta": [0, True, 0]}),
+                           "snap gate field 'theta' must be a list of numbers"),
+    "multisnap_boolean_phase": (
+        _circuit([3], {"kind": "multisnap", "targets": [0], "theta": [0, True, 0]}),
+        "multisnap gate field 'theta' must be a list of numbers"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_BAD_GATE_ENTRIES))
+def test_bad_gate_entry_exit_2(tmp_path, capsys, site):
+    doc, message = _BAD_GATE_ENTRIES[site]
+    cfg = write_json(tmp_path / "circ.json", doc)
+    assert run_cli(tmp_path, "run", cfg) == 2
+    err = capsys.readouterr().err
+    assert "gate 0: " in err
+    assert message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["circ.json"]
+
+
 class TestArtifactPlumbing:
     def test_headers_record_provenance(self, tmp_path):
         cfg = write_json(tmp_path / "trot.json", TROTTER_DOC)

@@ -650,3 +650,88 @@ class TestDisplacementEigensystem:
         evals, vecs = gates._quadrature_eigensystem(5)
         with pytest.raises(ValueError):
             vecs[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", sorted(gates.GATE_BUILDERS))
+def test_unknown_gate_field_is_rejected(kind):
+    rng = np.random.default_rng(3)
+    dims, params = next((dims, params) for dims in PROPERTY_REGISTERS
+                        if (params := random_gate(kind, dims, rng)) is not None)
+    shape = fock.HilbertShape(dims)
+    typo = {**params, "bogus": 1}
+    entry = json.dumps({"shape": list(dims), "gates": [{"kind": kind, **params}]})
+    gates.circuit_from_json(entry)  # valid without the unknown field
+    text = json.dumps({"shape": list(dims), "gates": [{"kind": kind, **typo}]}, indent=1)
+    with pytest.raises(ParseError, match="gate 0: .*unknown field 'bogus'") as err:
+        gates.circuit_from_json(text)
+    assert "line" in str(err.value)
+    circuit = gates.Circuit(shape, (gates.GateSpec(kind, typo),))
+    psi = fock.basis_state(shape, [0] * len(dims))
+    with pytest.raises(UsageError, match=rf"gate 0 \({kind}\): .*unknown field 'bogus'"):
+        gates.apply_circuit(circuit, psi)
+    with pytest.raises(UsageError, match=rf"gate 0 \({kind}\): .*unknown field 'bogus'"):
+        gates.circuit_unitary(circuit)
+
+
+def test_cond_rotation_on_its_own_qubit_is_rejected():
+    params = {"qubit": 0, "mode": 0, "n": 1, "theta": 1.0, "phi": 0.0}
+    text = json.dumps({"shape": [2, 3], "gates": [{"kind": "cond_rotation", **params}]})
+    with pytest.raises(ParseError, match="gate 0: cond_rotation qubit and mode must differ"):
+        gates.circuit_from_json(text)
+    with pytest.raises(UsageError, match="cond_rotation qubit and mode must differ"):
+        gates.GateSpec("cond_rotation", params).build(fock.HilbertShape((2, 3)))
+
+
+@pytest.mark.parametrize("kind,where", [("snap", {"target": 0}),
+                                        ("multisnap", {"targets": [0]})])
+@pytest.mark.parametrize("bad", ["a", True, None, [0.5]])
+def test_non_number_phase_is_parse_error(kind, where, bad):
+    text = json.dumps({"shape": [3], "gates": [{"kind": kind, **where,
+                                                "theta": [0, bad, 0]}]})
+    with pytest.raises(ParseError,
+                       match=f"gate 0: {kind} gate field 'theta' must be a list of numbers"):
+        gates.circuit_from_json(text)
+
+
+@pytest.mark.parametrize("kind,where", [("snap", {"target": 0}),
+                                        ("multisnap", {"targets": [0]})])
+def test_numpy_phases_run(kind, where):
+    # trotter_step passes lists of np.float64; API callers may pass arrays
+    theta = np.linspace(-1.0, 2.5, 4)
+    psi = random_state(4, np.random.default_rng(0))
+    for value in (theta, list(theta)):
+        circuit = gates.Circuit(fock.HilbertShape((4,)),
+                                (gates.GateSpec(kind, {**where, "theta": value}),))
+        assert np.array_equal(gates.circuit_unitary(circuit).matrix,
+                              gates.snap(theta).matrix)
+        assert np.array_equal(gates.apply_circuit(circuit, psi).amplitudes,
+                              psi.amplitudes * np.exp(1j * theta))
+
+
+@pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
+def test_dense_kernel_bitwise_equals_apply_embedded(dims):
+    rng = np.random.default_rng(len(dims))
+    shape = fock.HilbertShape(dims)
+    dense_kinds = sorted(k for k, gate in gates.GATE_BUILDERS.items() if gate.kernel is None)
+    for kind in dense_kinds:
+        params = random_gate(kind, dims, rng)
+        if params is None:
+            continue
+        spec = gates.GateSpec(kind, params)
+        kernel = gates._compile(spec, shape, "standard")
+        op, targets = spec.build(shape)
+        psi = random_state(shape, rng)
+        expected = gates.apply_embedded(op, targets, psi).amplitudes
+        tens = psi.amplitudes.reshape(dims)
+        # the same values in a layout that is not C-ordered
+        strided = np.moveaxis(np.moveaxis(tens, 0, -1).copy(), -1, 0)
+        for x in (tens, strided):
+            assert np.array_equal(kernel(x).reshape(-1), expected)
+
+
+def test_apply_embedded_rejects_bad_targets():
+    psi = fock.basis_state((2, 2), [0, 0])
+    with pytest.raises(UsageError, match="duplicate targets"):
+        gates.apply_embedded(fock.identity((2, 2)), [0, 0], psi)
+    with pytest.raises(UsageError, match="target 5 outside"):
+        gates.apply_embedded(fock.identity((2,)), [5], psi)
