@@ -1,5 +1,15 @@
 """Command-line front end: JSON configs in, CSV/JSON artifacts out.
 
+`_COMMANDS` declares each subcommand once: the name of its positional
+config argument, its help text and its function. `build_parser` builds one
+subparser per entry, and `main` is the one driver: it reads the config
+file, calls the command on the text, writes the artifact the command
+names with the config's sha256 in its header, adds the artifact path to
+the summary as "output" and prints the summary as JSON. A command
+`cmd_*(args, text)` only computes: it returns (artifact name, columns,
+summary), with None for the name when it writes no artifact (`device`).
+A new command is one function and one `_COMMANDS` entry.
+
 Every config, and every object nested in it, is read by
 `errors.read_object` (`errors.read_kind` for an object with a "kind"),
 which lists the fields the object may hold: a missing required field or
@@ -22,7 +32,7 @@ seed reruns are byte-identical apart from the header line that records
 --threads.
 
 Exit codes: 0 success, 1 usage errors, 2 parse errors, 3 numeric errors,
-4 capacity errors.
+4 capacity errors, mapped from the error roots by `_EXIT_CODES`.
 """
 
 from __future__ import annotations
@@ -45,6 +55,8 @@ from .errors import (CapacityError, NumericError, ParseError, UsageError,
                      read_field, read_kind, read_numbers, read_object)
 
 _PROB_FLOOR = 1e-12
+# what a command returns: artifact name (None: no artifact), columns, summary
+_Result = tuple[str | None, dict, dict]
 
 
 def _read_text(path: str) -> str:
@@ -176,28 +188,12 @@ def _columns(names: list[str], rows) -> dict:
     return dict(zip(names, list(zip(*rows)) or [()] * len(names)))
 
 
-def _np_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _print_summary(doc: dict) -> None:
-    sys.stdout.write(
-        json.dumps(doc, indent=2, sort_keys=True, default=_np_default) + "\n"
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_device(args) -> int:
-    text = _read_text(args.params_file)
-    params = device.DeviceParams.from_json(text)
-    summary = device.device_summary(params)
-    _print_summary(summary)
-    return 0
+def cmd_device(args, text: str) -> _Result:
+    return None, {}, device.device_summary(device.DeviceParams.from_json(text))
 
 
 def _parse_state_spec(spec: str, shape: fock.HilbertShape) -> fock.StateVector:
@@ -211,24 +207,18 @@ def _parse_state_spec(spec: str, shape: fock.HilbertShape) -> fock.StateVector:
     return fock.basis_state(shape, occupations)
 
 
-def cmd_run(args) -> int:
-    text = _read_text(args.circuit_file)
+def cmd_run(args, text: str) -> _Result:
     circuit = gates.circuit_from_json(text)
     spec = args.state if args.state else ",".join("0" for _ in circuit.shape.dims)
     psi0 = _parse_state_spec(spec, circuit.shape)
     final = gates.apply_circuit(circuit, psi0)
     probs = np.abs(final.amplitudes.reshape(-1)) ** 2
     kept = np.flatnonzero(probs > _PROB_FLOOR)
-    path = _emit_artifact(args, "run_probabilities",
-                          {"basis_index": kept, "probability": probs[kept]},
-                          _sha256(text))
-    _print_summary({
+    return "run_probabilities", {"basis_index": kept, "probability": probs[kept]}, {
         "gates": len(circuit.gates),
         "kept_rows": len(kept),
-        "output": path,
         "total_probability": float(probs.sum()),
-    })
-    return 0
+    }
 
 
 def _qst_config_and_sweep(text: str):
@@ -244,8 +234,7 @@ def _qst_config_and_sweep(text: str):
     return config, read_numbers(doc, "delta_sweep_hz", "transfer config", None)
 
 
-def cmd_qst(args) -> int:
-    text = _read_text(args.config_file)
+def cmd_qst(args, text: str) -> _Result:
     config, sweep = _qst_config_and_sweep(text)
     if sweep is None:
         res = qst.simulate_transfer(config)
@@ -261,11 +250,8 @@ def cmd_qst(args) -> int:
             "intercept": result.intercept,
             "r_squared": result.r_squared,
         }
-    path = _emit_artifact(args, "qst_sweep", _columns(
-        ["delta_omega_hz", "eta", "sqrt_one_minus_eta"], rows), _sha256(text))
-    summary["output"] = path
-    _print_summary(summary)
-    return 0
+    columns = _columns(["delta_omega_hz", "eta", "sqrt_one_minus_eta"], rows)
+    return "qst_sweep", columns, summary
 
 
 _GRAPE_MODELS = {"qubit": ((), ("detuning_hz",)),
@@ -321,8 +307,7 @@ def _grape_target(doc: dict, shape: fock.HilbertShape) -> fock.Operator:
     return fock.Operator(shape, _snap_or_matrix(spec, kind, dim, "grape target"))
 
 
-def cmd_grape(args) -> int:
-    text = _read_text(args.config_file)
+def cmd_grape(args, text: str) -> _Result:
     doc = read_object(text, "grape config", ("model", "target", "n_segments", "dt_s"),
                       ("iterations", "learning_rate", "tol"))
     model = _grape_model(doc)
@@ -346,20 +331,16 @@ def cmd_grape(args) -> int:
         seed=args.seed,
         tol=float(tol),
     )
-    path = _emit_artifact(args, "grape_trace", _columns(
-        ["iteration", "infidelity", "step_size"], result.trace), _sha256(text))
-    _print_summary({
+    columns = _columns(["iteration", "infidelity", "step_size"], result.trace)
+    return "grape_trace", columns, {
         "fidelity": result.fidelity,
         "infidelity": result.infidelity,
         "iterations": result.iterations,
         "converged": result.converged,
-        "output": path,
-    })
-    return 0
+    }
 
 
-def cmd_code(args) -> int:
-    text = _read_text(args.config_file)
+def cmd_code(args, text: str) -> _Result:
     doc = read_object(text, "code config", ("alpha", "n_levels", "t1_s", "dt_s", "steps"),
                       ("parity", "n_trajectories"))
     alpha_pair = read_numbers(doc, "alpha", "code config")
@@ -377,20 +358,18 @@ def cmd_code(args) -> int:
     results = noise.run_trajectories(channel, psi, int(steps), int(n_traj),
                                      base_seed=args.seed)
     # trajectory-major rows: every step of the first trajectory, then the next
-    path = _emit_artifact(args, "code_trajectories", {
+    columns = {
         "seed": np.repeat([t.seed for t in results], steps),
         "step": np.tile(np.arange(1, steps + 1), len(results)),
         "jump_count": np.concatenate([t.jump_counts for t in results]),
         "parity": np.concatenate([t.parities for t in results]),
         "mean_n": np.concatenate([t.mean_occupations for t in results]),
-    }, _sha256(text))
-    _print_summary({
+    }
+    return "code_trajectories", columns, {
         "initial_parity": codes.parity(psi),
         "n_trajectories": len(results),
         "total_jumps": sum(len(t.jump_steps) for t in results),
-        "output": path,
-    })
-    return 0
+    }
 
 
 def _hamiltonian_from_doc(doc: dict, what: str) -> trotter.QuditHamiltonian:
@@ -406,8 +385,7 @@ def _initial_level_state(doc: dict, n: int, what: str):
     return fock.basis_state(fock.HilbertShape((n,)), [int(level)])
 
 
-def cmd_trotter(args) -> int:
-    text = _read_text(args.config_file)
+def cmd_trotter(args, text: str) -> _Result:
     doc = read_object(text, "trotter config",
                       ("diagonal", "kinetic_diagonal", "t_total_s", "steps_list"),
                       ("initial_level",))
@@ -419,14 +397,10 @@ def cmd_trotter(args) -> int:
     psi0 = _initial_level_state(doc, h.n_levels, "trotter config")
     rows = trotter.trotter_convergence(h, float(t_total),
                                        [int(s) for s in steps_list], psi0)
-    path = _emit_artifact(args, "trotter_convergence", _columns(
-        ["steps", "dt_s", "infidelity"], rows), _sha256(text))
-    _print_summary({
+    return "trotter_convergence", _columns(["steps", "dt_s", "infidelity"], rows), {
         "n_levels": h.n_levels,
         "best_infidelity": min(float(r[2]) for r in rows),
-        "output": path,
-    })
-    return 0
+    }
 
 
 def _otoc_operator(doc: dict, name: str, n: int) -> np.ndarray:
@@ -438,8 +412,7 @@ def _otoc_operator(doc: dict, name: str, n: int) -> np.ndarray:
     return _snap_or_matrix(spec, kind, n, what)
 
 
-def cmd_otoc(args) -> int:
-    text = _read_text(args.config_file)
+def cmd_otoc(args, text: str) -> _Result:
     doc = read_object(text, "otoc config",
                       ("diagonal", "kinetic_diagonal", "times_s", "w", "v"),
                       ("initial_level",))
@@ -451,18 +424,28 @@ def cmd_otoc(args) -> int:
     v = _otoc_operator(doc, "v", h.n_levels)
     psi0 = _initial_level_state(doc, h.n_levels, "otoc config")
     rows = trotter.otoc_series(w, v, h, times, psi0)
-    path = _emit_artifact(args, "otoc_series", _columns(
-        ["t_s", "re_otoc", "im_otoc", "abs_otoc"], rows), _sha256(text))
-    _print_summary({
+    return "otoc_series", _columns(["t_s", "re_otoc", "im_otoc", "abs_otoc"], rows), {
         "n_levels": h.n_levels,
         "min_abs_otoc": min(float(r[3]) for r in rows),
-        "output": path,
-    })
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
 # parser and dispatch
+
+
+_COMMANDS = {  # name: (config argument, help, command)
+    "device": ("params_file", "derived device quantities as JSON", cmd_device),
+    "run": ("circuit_file", "run a circuit, emit basis probabilities", cmd_run),
+    "qst": ("config_file", "state-transfer run or detuning sweep", cmd_qst),
+    "grape": ("config_file", "piecewise-constant pulse optimization", cmd_grape),
+    "code": ("config_file", "cat-state photon-loss trajectories", cmd_code),
+    "trotter": ("config_file", "splitting-error convergence sweep", cmd_trotter),
+    "otoc": ("config_file", "out-of-time-order correlator series", cmd_otoc),
+}
+
+# the error roots, tested in this order, and their exit codes
+_EXIT_CODES = {ParseError: 2, CapacityError: 4, NumericError: 3, UsageError: 1}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,36 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="artifact format")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("device", help="derived device quantities as JSON")
-    p.add_argument("params_file")
-    p.set_defaults(fn=cmd_device)
-
-    p = sub.add_parser("run", help="run a circuit, emit basis probabilities")
-    p.add_argument("circuit_file")
-    p.add_argument("--state", default="",
-                   help="comma-separated initial occupations (default all 0)")
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("qst", help="state-transfer run or detuning sweep")
-    p.add_argument("config_file")
-    p.set_defaults(fn=cmd_qst)
-
-    p = sub.add_parser("grape", help="piecewise-constant pulse optimization")
-    p.add_argument("config_file")
-    p.set_defaults(fn=cmd_grape)
-
-    p = sub.add_parser("code", help="cat-state photon-loss trajectories")
-    p.add_argument("config_file")
-    p.set_defaults(fn=cmd_code)
-
-    p = sub.add_parser("trotter", help="splitting-error convergence sweep")
-    p.add_argument("config_file")
-    p.set_defaults(fn=cmd_trotter)
-
-    p = sub.add_parser("otoc", help="out-of-time-order correlator series")
-    p.add_argument("config_file")
-    p.set_defaults(fn=cmd_otoc)
+    for name, (config_arg, help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text).add_argument(config_arg)
+    sub.choices["run"].add_argument(
+        "--state", default="", help="comma-separated initial occupations (default all 0)")
     return parser
 
 
@@ -523,20 +480,17 @@ def main(argv=None) -> int:
         parser.error("--seed must be nonnegative")
     if args.threads < 1:
         parser.error("--threads must be >= 1")
+    config_arg, _, command = _COMMANDS[args.command]
     try:
-        return args.fn(args)
-    except ParseError as exc:
+        text = _read_text(getattr(args, config_arg))
+        name, columns, summary = command(args, text)
+        if name is not None:
+            summary["output"] = _emit_artifact(args, name, columns, _sha256(text))
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for root, code in _EXIT_CODES.items() if isinstance(exc, root))
+    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -49,7 +49,10 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         for name in _FIELDS:
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.g_hz <= 0:
             raise UsageError(f"g_hz must be positive, got {self.g_hz}")
         if self.omega_q_hz == self.omega_c_hz:

@@ -8,7 +8,8 @@ Every JSON config object, at the top level or nested, is read by
 are read with `read_field` and `read_numbers`. Every parser tests JSON
 numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
 and JSON integers with `is_json_int`; every API taking a step count, a
-trajectory count or an rng seed checks it with `require_count`.
+trajectory count or an rng seed checks it with `require_count`, and SNAP
+phases are tested with `is_real`.
 """
 
 import json
@@ -38,6 +39,12 @@ def is_count(value) -> bool:
     """An integer count as an API argument: a Python or numpy integer (any
     numbers.Integral), but not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number as an API argument: a Python or numpy int or float (any
+    numbers.Real), but not a bool. For JSON values it is is_json_number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def require_count(name: str, value, least: int = 0) -> None:

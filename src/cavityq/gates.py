@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (CapacityError, ParseError, ShapeError, UsageError,
-                     is_json_int, is_json_number, read_field, read_object)
+                     is_json_int, is_json_number, is_real, read_field, read_object)
 from .fock import (
     HilbertShape,
     Operator,
@@ -44,8 +44,8 @@ CONVENTIONS = ("standard", "paper")
 
 def snap(theta: Sequence[float]) -> Operator:
     """SNAP gate diag(e^{iθ_0}, ..., e^{iθ_{N-1}}) on one mode."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size < 1:
+    theta = _phases(theta, "snap theta")
+    if theta.size < 1:
         raise UsageError("snap needs a non-empty 1-D phase list")
     return Operator(HilbertShape((theta.size,)), np.diag(np.exp(1j * theta)))
 
@@ -59,9 +59,9 @@ def multisnap(theta: Sequence[float], dims: Sequence[int]) -> Operator:
 
 
 def _multisnap_theta(theta: Sequence[float], dims: tuple[int, ...]) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+    theta = _phases(theta, "theta")
     expected = math.prod(dims)
-    if theta.ndim != 1 or theta.size != expected:
+    if theta.size != expected:
         raise UsageError(
             f"multisnap on dims {dims} needs {expected} phases, got {theta.size}"
         )
@@ -300,13 +300,7 @@ def multiqudit_snap(target: int, theta: Sequence[float],
     shp = shape_of(shape)
     if not 0 <= target < shp.n_subsystems:
         raise UsageError(f"target {target} outside [0, {shp.n_subsystems})")
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != shp.dims[target]:
-        raise UsageError(
-            f"snap on subsystem of dim {shp.dims[target]} needs that many phases, "
-            f"got {theta.size}"
-        )
-    return embed(snap(theta), [target], shp)
+    return embed(snap(_multisnap_theta(theta, (shp.dims[target],))), [target], shp)
 
 
 def apply_embedded(op: Operator, targets: Sequence[int], psi: StateVector) -> StateVector:
@@ -406,10 +400,11 @@ def _amplitude(value, what: str, shape: HilbertShape) -> complex:
     raise UsageError(f"{what} must be a number or [re, im] pair")
 
 
-def _phases(value, what: str, shape: HilbertShape) -> np.ndarray:
-    """A list (or tuple, or 1-D numpy array) of numbers, as float64."""
+def _phases(value, what: str, shape: HilbertShape | None = None) -> np.ndarray:
+    """A list (or tuple, or 1-D numpy array) of real numbers (`is_real`), as
+    a 1-D float64 array; the SNAP constructors read their phases with it too."""
     entries = value.tolist() if isinstance(value, np.ndarray) else value
-    if not isinstance(entries, (list, tuple)) or not all(map(is_json_number, entries)):
+    if not isinstance(entries, (list, tuple)) or not all(map(is_real, entries)):
         raise UsageError(f"{what} must be a list of numbers")
     return np.asarray(value, dtype=float)
 
@@ -673,16 +668,18 @@ def circuit_from_json(text: str) -> Circuit:
 
     specs, kernels = [], []
     for i, entry in enumerate(gates_raw):
-        loc = _kind_location(text, i)
         if not isinstance(entry, dict):
-            raise ParseError(f"gate {i}: entries must be objects{loc}")
+            raise ParseError(f"gate {i}: entries must be objects")
         kind = entry.get("kind")
-        if not isinstance(kind, str):
-            raise ParseError(f"gate {i}: missing string 'kind'{loc}")
-        spec = GateSpec(kind, {k: v for k, v in entry.items() if k != "kind"})
         try:
+            if not isinstance(kind, str):
+                raise UsageError("missing string 'kind'")
+            spec = GateSpec(kind, {k: v for k, v in entry.items() if k != "kind"})
             kernels.append(_compile(spec, shape, convention))  # validates
         except UsageError as exc:
+            # every earlier entry holds a "kind", so the i-th "kind" in the
+            # text is this entry's own, if it has one
+            loc = _kind_location(text, i) if "kind" in entry else ""
             raise ParseError(f"gate {i}: {exc}{loc}") from exc
         specs.append(spec)
     circuit = Circuit(shape, tuple(specs), convention)

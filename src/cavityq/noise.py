@@ -128,8 +128,8 @@ class NoiseChannel:
         object.__setattr__(self, "kraus", tuple(self.kraus))
         if not self.kraus:
             raise UsageError("channel needs at least one Kraus operator")
-        if self.dt_s <= 0:
-            raise UsageError(f"dt_s must be positive, got {self.dt_s}")
+        if not 0 < self.dt_s < math.inf:
+            raise UsageError(f"dt_s must be positive and finite, got {self.dt_s}")
         if any(k.shape != self.shape for k in self.kraus):
             raise UsageError("Kraus operators must share the channel shape")
         kernel = _build_kernel([k.matrix for k in self.kraus])
@@ -140,13 +140,20 @@ class NoiseChannel:
                              f"(tolerance {_COMPLETENESS_TOL})")
 
 
-def _check_loss_args(t1_s: float, dt_s: float, n: int) -> None:
-    if t1_s <= 0:
-        raise UsageError(f"t1_s must be positive, got {t1_s}")
-    if dt_s <= 0:
+def _check_step(dt_s: float, n: int) -> None:
+    """Raise UsageError unless the step dt_s is positive (not NaN) and the
+    mode dimension n is at least 1. An infinite step passes, so that a
+    first-order channel reports it as too coarse (StepSizeError)."""
+    if not dt_s > 0:
         raise UsageError(f"dt_s must be positive, got {dt_s}")
     if n < 1:
         raise UsageError(f"mode dimension must be >= 1, got {n}")
+
+
+def _check_loss_args(t1_s: float, dt_s: float, n: int) -> None:
+    if t1_s <= 0:
+        raise UsageError(f"t1_s must be positive, got {t1_s}")
+    _check_step(dt_s, n)
 
 
 def photon_loss_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
@@ -192,10 +199,7 @@ def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
     hardware this models is zero; the channel exists as an explicit hook."""
     if rate_hz < 0:
         raise UsageError(f"rate_hz must be >= 0, got {rate_hz}")
-    if dt_s <= 0:
-        raise UsageError(f"dt_s must be positive, got {dt_s}")
-    if n < 1:
-        raise UsageError(f"mode dimension must be >= 1, got {n}")
+    _check_step(dt_s, n)
     shape = HilbertShape((n,))
     y = rate_hz * dt_s
     defect = (y * (n - 1) ** 2 / 2) ** 2

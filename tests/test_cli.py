@@ -888,3 +888,117 @@ class TestArtifactWriter:
             columns = [ints[:n], np.array(floats[:n]), floats[:n],
                        np.array([int(v) for v in ints[:n]], dtype=np.int64)]
             self.check(["i", "f", "g", "j"], columns, fmt, chunk)
+
+
+# ---------------------------------------------------------------------------
+# the command table: `--help` text, and one run of every subcommand
+
+# `--help` of cavityq and of each subcommand at 80 columns
+_SUBCOMMAND_HELP = """\
+usage: cavityq {name} [-h] {arg}
+
+positional arguments:
+  {arg}
+
+options:
+  -h, --help   show this help message and exit
+"""
+HELP_TEXT = {
+    "": """\
+usage: cavityq [-h] [--out OUT] [--seed SEED] [--threads THREADS]
+               [--format {csv,json}]
+               {device,run,qst,grape,code,trotter,otoc} ...
+
+Cavity-qudit simulation experiments.
+
+positional arguments:
+  {device,run,qst,grape,code,trotter,otoc}
+    device              derived device quantities as JSON
+    run                 run a circuit, emit basis probabilities
+    qst                 state-transfer run or detuning sweep
+    grape               piecewise-constant pulse optimization
+    code                cat-state photon-loss trajectories
+    trotter             splitting-error convergence sweep
+    otoc                out-of-time-order correlator series
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT             output directory
+  --seed SEED           rng seed recorded in every artifact
+  --threads THREADS     recorded in artifact headers only; every command runs
+                        in one thread, so rows do not depend on it
+  --format {csv,json}   artifact format
+""",
+    "device": _SUBCOMMAND_HELP.format(name="device", arg="params_file"),
+    "run": """\
+usage: cavityq run [-h] [--state STATE] circuit_file
+
+positional arguments:
+  circuit_file
+
+options:
+  -h, --help     show this help message and exit
+  --state STATE  comma-separated initial occupations (default all 0)
+""",
+    **{name: _SUBCOMMAND_HELP.format(name=name, arg="config_file")
+       for name in ("qst", "grape", "code", "trotter", "otoc")},
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXT))
+def test_help_text(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXT[command]
+
+
+# (command, config, artifact name or None, summary keys besides "output")
+_ONE_RUN_EACH = [
+    ("device", PAPER_DEVICE, None,
+     {"chi_hz", "critical_photon_number", "max_fock", "snap_min_gate_time_s"}),
+    ("run", {"shape": [4], "gates": [{"kind": "fourier", "target": 0}]},
+     "run_probabilities", {"gates", "kept_rows", "total_probability"}),
+    ("qst", QST_SWEEP_DOC["transfer"], "qst_sweep", {"eta", "fidelity"}),
+    ("qst", QST_SWEEP_DOC, "qst_sweep",
+     {"baseline_eta", "slope", "intercept", "r_squared"}),
+    ("grape", {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
+               "n_segments": 8, "dt_s": 1e-7, "iterations": 5},
+     "grape_trace", {"converged", "fidelity", "infidelity", "iterations"}),
+    ("code", dict(CODE_DOC, steps=50), "code_trajectories",
+     {"initial_parity", "n_trajectories", "total_jumps"}),
+    ("trotter", TROTTER_DOC, "trotter_convergence", {"best_infidelity", "n_levels"}),
+    ("otoc", OTOC_DOC, "otoc_series", {"min_abs_otoc", "n_levels"}),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_command_through_main(tmp_path, capsys, fmt):
+    # the driver reads each config, writes the artifact the command names
+    # (device writes none), adds its path as "output" and prints the summary
+    assert {run[0] for run in _ONE_RUN_EACH} == set(HELP_TEXT) - {""}
+    for i, (command, doc, artifact, keys) in enumerate(_ONE_RUN_EACH):
+        out_dir = tmp_path / f"out{i}"
+        cfg = write_json(tmp_path / f"{i}.json", doc)
+        assert cli.main(["--out", str(out_dir), "--format", fmt, command, cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = json.loads(captured.out)
+        if artifact is None:
+            assert set(summary) == keys
+            assert not out_dir.exists()
+        else:
+            assert set(summary) == keys | {"output"}
+            assert summary["output"] == str(out_dir / f"{artifact}.{fmt}")
+            assert [p.name for p in out_dir.iterdir()] == [f"{artifact}.{fmt}"]
+
+
+@pytest.mark.parametrize("field", list(PAPER_DEVICE))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_device_non_finite_field_exit_2(tmp_path, capsys, field, value):
+    cfg = write_json(tmp_path / "dev.json", dict(PAPER_DEVICE, **{field: value}))
+    assert run_cli(tmp_path, "device", cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} must be finite" in captured.err

@@ -198,3 +198,10 @@ class TestJsonNumberRule:
     @pytest.mark.parametrize("value", [True, False, "1", None, [1.0], {"re": 1}, 1j])
     def test_not_numbers(self, value):
         assert not errors.is_json_number(value)
+
+
+@pytest.mark.parametrize("field", list(device._FIELDS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_field_rejected(field, value):
+    with pytest.raises(UsageError, match=f"{field} must be finite"):
+        reference_params(**{field: value})

@@ -735,3 +735,56 @@ def test_apply_embedded_rejects_bad_targets():
         gates.apply_embedded(fock.identity((2, 2)), [0, 0], psi)
     with pytest.raises(UsageError, match="target 5 outside"):
         gates.apply_embedded(fock.identity((2,)), [5], psi)
+
+
+_SNAP_CONSTRUCTORS = {
+    "snap": gates.snap,
+    "multisnap": lambda theta: gates.multisnap(theta, (3,)),
+    "multiqudit_snap": lambda theta: gates.multiqudit_snap(0, theta, (3,)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SNAP_CONSTRUCTORS))
+@pytest.mark.parametrize("bad", [True, np.True_, "a", None, [0.5], 1j])
+def test_snap_constructors_reject_non_number_phases(name, bad):
+    with pytest.raises(UsageError, match="must be a list of numbers"):
+        _SNAP_CONSTRUCTORS[name]([0, bad, 0])
+
+
+@pytest.mark.parametrize("name", list(_SNAP_CONSTRUCTORS))
+def test_snap_constructors_take_numpy_phases(name):
+    theta = np.array([0.3, -1.2, 2.0])
+    for value in (theta, list(theta), theta.tolist(), [0, 1, 2], list(np.arange(3)),
+                  theta.astype(np.float32), list(theta.astype(np.float32))):
+        np.testing.assert_array_equal(_SNAP_CONSTRUCTORS[name](value).matrix,
+                                      np.diag(np.exp(1j * np.asarray(value, dtype=float))))
+
+
+@pytest.mark.parametrize("name", list(_SNAP_CONSTRUCTORS))
+def test_snap_constructors_check_phase_count(name):
+    if name == "snap":
+        with pytest.raises(UsageError):
+            gates.snap([])
+        with pytest.raises(UsageError):
+            gates.snap(np.zeros((2, 2)))
+    else:
+        with pytest.raises(UsageError, match="needs 3 phases, got 2"):
+            _SNAP_CONSTRUCTORS[name]([0.1, 0.2])
+
+
+@pytest.mark.parametrize("entries, message", [
+    # a location is given only for an entry that holds a "kind", and it
+    # is that entry's own line
+    (['5', '{"kind": "fourier", "target": 0}'], "gate 0: entries must be objects"),
+    (['{"target": 0}', '{"kind": "fourier", "target": 0}'],
+     "gate 0: missing string 'kind'"),
+    (['{"kind": "fourier", "target": 0}', '{"kind": 3}', '{"kind": "fourier"}'],
+     "gate 1: missing string 'kind' (line 4, column 4)"),
+    (['{"kind": "fourier", "target": 0}', '{"kind": "fourier", "target": 2}'],
+     "gate 1: fourier gate field 'target'=2 outside [0, 1) (line 4, column 4)"),
+])
+def test_gate_error_location_is_the_entry_own(entries, message):
+    text = '{"shape": [3],\n "gates": [\n  ' + ",\n  ".join(entries) + "\n ]}"
+    with pytest.raises(ParseError) as exc:
+        gates.circuit_from_json(text)
+    assert str(exc.value) == message

@@ -673,3 +673,18 @@ class TestAmplitudeDamping:
     def test_bad_arguments(self, t1, dt, n):
         with pytest.raises(UsageError):
             noise.amplitude_damping_channel(t1, dt, n)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_channel_step_must_be_positive_and_finite(dt):
+    ch = loss_channel()
+    with pytest.raises(UsageError, match="dt_s must be positive"):
+        noise.NoiseChannel(ch.shape, ch.kraus, dt)
+
+
+@pytest.mark.parametrize("make", [noise.photon_loss_channel, noise.amplitude_damping_channel,
+                                  lambda rate, dt, n: noise.dephasing_channel(0.0, dt, n)])
+@pytest.mark.parametrize("dt", [math.nan, 0.0, -1e-3])
+def test_channel_constructors_share_the_step_check(make, dt):
+    with pytest.raises(UsageError, match="dt_s must be positive"):
+        make(1.0, dt, 4)
