@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import (DegenerateDetuningError, ParseError, UsageError, is_json_number,
-                     read_object)
+                     is_real, read_object)
 
 _FIELDS = (
     "omega_q_hz",
@@ -49,7 +49,10 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         for name in _FIELDS:
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if not is_real(value):
+                raise UsageError(f"{name} must be a real number, got {value!r}")
+            value = float(value)
             if not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)

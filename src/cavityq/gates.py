@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (CapacityError, ParseError, ShapeError, UsageError,
+from .errors import (CapacityError, ParseError, ShapeError, UsageError, is_count,
                      is_json_int, is_json_number, is_real, read_field, read_object)
 from .fock import (
     HilbertShape,
@@ -298,6 +298,8 @@ def multiqudit_snap(target: int, theta: Sequence[float],
                     shape: int | Sequence[int] | HilbertShape) -> Operator:
     """SNAP on one qudit of a register, identity on the rest."""
     shp = shape_of(shape)
+    if not is_count(target):
+        raise UsageError(f"target must be an integer index, got {target!r}")
     if not 0 <= target < shp.n_subsystems:
         raise UsageError(f"target {target} outside [0, {shp.n_subsystems})")
     return embed(snap(_multisnap_theta(theta, (shp.dims[target],))), [target], shp)

@@ -207,6 +207,8 @@ def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
         raise StepSizeError(
             f"dt={dt_s:g} too coarse for dephasing rate {rate_hz:g} on {n} levels "
             f"(first-order completeness defect {defect:.3e} > {_FIRST_ORDER_TOL})")
+    if dt_s == math.inf:  # a zero rate gives a NaN defect, which passes
+        raise UsageError(f"dt_s must be positive and finite, got {dt_s}")
     levels = np.arange(n)
     k1 = Operator(shape, np.diag(np.sqrt(y) * levels).astype(complex))
     k0 = Operator(shape, np.diag(np.sqrt(1.0 - y * levels**2)).astype(complex))

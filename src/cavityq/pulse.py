@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -457,21 +457,23 @@ def snap_average_fidelity(u: Operator, theta: Sequence[float]) -> float:
 # shared line-search gradient ascent
 
 
-def _ascend(x0: np.ndarray,
-            value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-            max_iter: int, tol: float, learning_rate: float,
-            grow: float = 1.3, shrink: float = 0.5,
+def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float,
+            learning_rate: float, grow: float = 1.3, shrink: float = 0.5,
             max_backtracks: int = 60):
     """Maximize J(x) by steepest ascent with a backtracking line search.
 
+    objective(x) returns (J, J_raw, gradient), and start is objective(x0).
+    gradient() runs the adjoint half of that pass; it is called for the
+    start point and for each accepted step, never for a rejected one.
     x keeps the dtype of x0, real or complex. A complex x is stepped on its
-    (Re, Im) pairs, so value_and_grad returns dJ/dRe + i dJ/dIm for it.
+    (Re, Im) pairs, so gradient() returns dJ/dRe + i dJ/dIm for it.
     Accepts a step only if J strictly improves, so 1-J is nonincreasing.
-    Returns (x, J, iterations, converged, trace); trace rows are
+    Returns (x, J_raw, iterations, converged, trace); trace rows are
     (iteration, 1-J, step_size).
     """
     x = np.array(x0, copy=True)
-    j, g = value_and_grad(x)
+    j, j_raw, gradient = start
+    g = gradient()
     trace = [(0, 1.0 - j, 0.0)]
     lr = float(learning_rate)
     iters = 0
@@ -480,9 +482,9 @@ def _ascend(x0: np.ndarray,
         accepted = False
         for _ in range(max_backtracks):
             x_try = x + lr * g
-            j_try, g_try = value_and_grad(x_try)
+            j_try, raw_try, gradient = objective(x_try)
             if j_try > j:
-                x, j, g = x_try, j_try, g_try
+                x, j, j_raw, g = x_try, j_try, raw_try, gradient()
                 accepted = True
                 break
             lr *= shrink
@@ -494,7 +496,7 @@ def _ascend(x0: np.ndarray,
         trace.append((iters, 1.0 - j, lr))
         lr *= grow
         converged = 1.0 - j <= tol
-    return x, j, iters, bool(converged), tuple(trace)
+    return x, j_raw, iters, bool(converged), tuple(trace)
 
 
 def _state_objective(target: np.ndarray, psi_f: np.ndarray,
@@ -547,14 +549,13 @@ class GrapeResult:
 
 
 def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
-                target, psi0_vec, guard_indices, leak_weight,
-                want_grad: bool):
-    """One forward (+ adjoint) pass. amps: (S, M) complex in Hz.
+                target, psi0_vec, guard_indices, leak_weight):
+    """One forward pass. amps: (S, M) complex in Hz.
 
     Runs per group of model.block_layout, on the blocks' segment
     eigensystems and one prefix scan P_j = U_j...U_0 of their propagators.
-    Returns (j_total, j_raw, grad) with grad (S, M) complex combining
-    dJ/dRe + i dJ/dIm in 1/Hz, or None when not requested.
+    Returns (j_total, j_raw, gradient): gradient() runs the adjoint half on
+    those and gives the (S, M) complex dJ/dRe + i dJ/dIm in 1/Hz.
     """
     d = model.shape.total_dim
     coeffs = _control_coefficients(amps)
@@ -578,31 +579,29 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
         j_total, j_raw, seed = _state_objective(target, psi_f,
                                                 guard_indices, leak_weight)
 
-    if not want_grad:
-        return j_total, j_raw, None
-
-    # dJ = 2 Re Tr(adj_j dU_j) for a change dU_j of segment j alone, with
-    # adj_j = P_{j-1} A U_{M-1}...U_{j+1} = P_{j-1} A U P_j^dag, as the
-    # segments are unitary; A U = L R^dag, so adj_j = (P_{j-1} L)(P_j R)^dag
-    val = 0.0
-    for group, lam, vecs, fwd in passes:
-        u = fwd[-1]
-        if unitary_target:  # A = T^dag conj(c)/d: L = A U, R = I
-            left = _matmul(target.matrix[group.grid].conj().swapaxes(-1, -2)
-                           * (np.conj(c) / d), u)
-            right = fwd
-        else:  # A = psi0 seed^dag: L = psi0, R = U^dag seed
-            left = psi0_vec[group.index][..., None]
-            right = _matmul(fwd, _matmul(u.conj().swapaxes(-1, -2),
-                                         seed[group.index][..., None]))
-        left = np.concatenate([left[None], _matmul(fwd[:-1], left)])
-        s = _frechet_adjoint(vecs, _phi_matrix(lam, dt), left, right)
-        val = val + np.tensordot(group.controls, s, axes=([1, 2, 3], [1, 3, 2]))
-    # control k moves segment j's exponent along -2*pi*i*dt*C_k, so
-    # dJ = 2 Re Tr(-2*pi*i*dt*C_k S_j) = 4*pi*dt Im Tr(C_k S_j)
-    val = 4 * np.pi * dt * val.imag
-    grad = val[0::2] + 1j * val[1::2]
-    return j_total, j_raw, grad
+    def gradient():
+        # dJ = 2 Re Tr(adj_j dU_j) for a change dU_j of segment j alone, with
+        # adj_j = P_{j-1} A U_{M-1}...U_{j+1} = P_{j-1} A U P_j^dag, as the
+        # segments are unitary; A U = L R^dag, so adj_j = (P_{j-1} L)(P_j R)^dag
+        val = 0.0
+        for group, lam, vecs, fwd in passes:
+            u = fwd[-1]
+            if unitary_target:  # A = T^dag conj(c)/d: L = A U, R = I
+                left = _matmul(target.matrix[group.grid].conj().swapaxes(-1, -2)
+                               * (np.conj(c) / d), u)
+                right = fwd
+            else:  # A = psi0 seed^dag: L = psi0, R = U^dag seed
+                left = psi0_vec[group.index][..., None]
+                right = _matmul(fwd, _matmul(u.conj().swapaxes(-1, -2),
+                                             seed[group.index][..., None]))
+            left = np.concatenate([left[None], _matmul(fwd[:-1], left)])
+            s = _frechet_adjoint(vecs, _phi_matrix(lam, dt), left, right)
+            val = val + np.tensordot(group.controls, s, axes=([1, 2, 3], [1, 3, 2]))
+        # control k moves segment j's exponent along -2*pi*i*dt*C_k, so
+        # dJ = 2 Re Tr(-2*pi*i*dt*C_k S_j) = 4*pi*dt Im Tr(C_k S_j)
+        val = 4 * np.pi * dt * val.imag
+        return val[0::2] + 1j * val[1::2]
+    return j_total, j_raw, gradient
 
 
 def _resolve_target(model: ControlModel, target, psi0: StateVector | None):
@@ -638,11 +637,11 @@ def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
     _check_schedule_pairing(model, schedule)
     tgt, psi0_vec = _resolve_target(model, target, psi0)
     amps = np.stack(schedule.streams)
-    j_total, _, grad = _grape_pass(
+    j_total, _, gradient = _grape_pass(
         model, amps, schedule.dt_s, tgt, psi0_vec,
-        tuple(int(i) for i in guard_indices), float(leak_weight), True,
+        tuple(int(i) for i in guard_indices), float(leak_weight),
     )
-    return j_total, tuple(grad)
+    return j_total, tuple(gradient())
 
 
 def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
@@ -674,27 +673,26 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
 
     # work in dimensionless per-segment drive areas w = 2*pi*u*dt
     area = 2 * np.pi * dt
+
+    def objective(w: np.ndarray):
+        jt, j_raw, gradient = _grape_pass(model, w / area, dt, tgt, psi0_vec,
+                                          guard, float(leak_weight))
+        return jt, j_raw, lambda: gradient() / area  # chain rule u = w / area
+
+    # with all-zero amps0, w0 / area is amps0 bit for bit, so the start
+    # pass also decides the seeding
     w0 = amps0 * area
-    j0, _, _ = _grape_pass(model, amps0, dt, tgt, psi0_vec, guard,
-                           float(leak_weight), False)
-    if 1.0 - j0 > tol and seed is not None and not np.any(amps0):
+    start = objective(w0)
+    if 1.0 - start[0] > tol and seed is not None and not np.any(amps0):
         rng = np.random.default_rng(seed)
         scale = area / (8.0 * schedule0.duration_s)
         w0 = scale * (rng.standard_normal(w0.shape)
                       + 1j * rng.standard_normal(w0.shape))
-
-    def value_and_grad(w: np.ndarray):
-        jt, _, grad = _grape_pass(model, w / area, dt, tgt, psi0_vec, guard,
-                                  float(leak_weight), True)
-        return jt, grad / area  # chain rule u = w / area
-
-    w_best, _, iters, converged, trace = _ascend(
-        w0, value_and_grad, int(iterations), float(tol), float(learning_rate),
+        start = objective(w0)
+    w_best, j_raw, iters, converged, trace = _ascend(
+        objective, w0, start, int(iterations), float(tol), float(learning_rate),
     )
-    amps_best = w_best / area
-    schedule = PulseSchedule(dt, tuple(amps_best), schedule0.carriers_hz)
-    _, j_raw, _ = _grape_pass(model, amps_best, dt, tgt, psi0_vec, guard,
-                              float(leak_weight), False)
+    schedule = PulseSchedule(dt, tuple(w_best / area), schedule0.carriers_hz)
     return GrapeResult(
         schedule=schedule,
         fidelity=float(j_raw),
@@ -865,8 +863,10 @@ class SequencePrepResult:
 
 def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
                    a: np.ndarray, adag: np.ndarray, guard: tuple[int, ...],
-                   leak_weight: float, want_grad: bool):
-    """Forward (+ adjoint) pass over the displacement/SNAP alternation."""
+                   leak_weight: float):
+    """Forward pass over the displacement/SNAP alternation. Returns
+    (j_total, j_raw, gradient): gradient() runs the adjoint pass on the kept
+    states and gives (dJ/dRe(alpha) + i dJ/dIm(alpha), dJ/dtheta)."""
     blocks = thetas.shape[0]
     n = len(target)
     # D(alpha) = exp(-i G) from the closed-form eigensystem of G
@@ -881,28 +881,29 @@ def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
         psi = disps[k] @ psi
         if k < blocks:
             psi = snaps[k] * psi
+    pre = np.stack(pre)
     j_total, j_raw, seed = _state_objective(target, psi, guard, leak_weight)
-    if not want_grad:
-        return j_total, j_raw, None, None
 
-    post = [None] * (blocks + 1)    # adjoint leaving each displacement
-    chi_vec = seed
-    disps_h, snaps_h = disps.conj().swapaxes(-1, -2), snaps.conj()
-    for k in range(blocks, -1, -1):
-        if k < blocks:
-            chi_vec = snaps_h[k] * chi_vec
-        post[k] = chi_vec
-        chi_vec = disps_h[k] @ chi_vec
-    pre, post = np.stack(pre), np.stack(post)
-    # SNAP k outputs pre[k+1], where the adjoint is snaps[k] * post[k]; the
-    # output moves along i * pre[k+1] with theta_k
-    g_theta = 2 * (1j * np.conj(snaps * post[:-1]) * pre[1:]).real
-    s = _frechet_adjoint(vecs, _phi_matrix(lam, 1.0), pre[..., None],
-                         post[..., None])
-    # exponent directions d/dRe(alpha) = a^dag - a, d/dIm(alpha) = i(a^dag + a)
-    dirs = np.stack([adag - a, 1j * (adag + a)])
-    val = 2 * np.einsum("qij,kji->qk", dirs, s).real
-    return j_total, j_raw, val[0] + 1j * val[1], g_theta
+    def gradient():
+        post = [None] * (blocks + 1)    # adjoint leaving each displacement
+        chi_vec = seed
+        disps_h, snaps_h = disps.conj().swapaxes(-1, -2), snaps.conj()
+        for k in range(blocks, -1, -1):
+            if k < blocks:
+                chi_vec = snaps_h[k] * chi_vec
+            post[k] = chi_vec
+            chi_vec = disps_h[k] @ chi_vec
+        post = np.stack(post)
+        # SNAP k outputs pre[k+1], where the adjoint is snaps[k] * post[k]; the
+        # output moves along i * pre[k+1] with theta_k
+        g_theta = 2 * (1j * np.conj(snaps * post[:-1]) * pre[1:]).real
+        s = _frechet_adjoint(vecs, _phi_matrix(lam, 1.0), pre[..., None],
+                             post[..., None])
+        # exponent directions d/dRe(alpha) = a^dag - a, d/dIm(alpha) = i(a^dag + a)
+        dirs = np.stack([adag - a, 1j * (adag + a)])
+        val = 2 * np.einsum("qij,kji->qk", dirs, s).real
+        return val[0] + 1j * val[1], g_theta
+    return j_total, j_raw, gradient
 
 
 def optimize_snap_displacement_sequence(
@@ -956,19 +957,17 @@ def optimize_snap_displacement_sequence(
         th = x[2 * (blocks + 1):].reshape(blocks, n)
         return al, th
 
-    def value_and_grad(x: np.ndarray):
-        al, th = unpack(x)
-        jt, _, ga, gt = _sequence_pass(al, th, padded, a_mat, adag, guard,
-                                       float(leak_weight), True)
-        return jt, np.concatenate([ga.real, ga.imag, gt.ravel()])
+    def objective(x: np.ndarray):
+        jt, j_raw, gradient = _sequence_pass(*unpack(x), padded, a_mat, adag,
+                                             guard, float(leak_weight))
+        return jt, j_raw, lambda: pack(*gradient())
 
-    x_best, _, iters, converged, trace = _ascend(
-        pack(alphas0, thetas0), value_and_grad, int(iterations), float(tol),
+    x0 = pack(alphas0, thetas0)
+    x_best, j_raw, iters, converged, trace = _ascend(
+        objective, x0, objective(x0), int(iterations), float(tol),
         float(learning_rate),
     )
     al, th = unpack(x_best)
-    _, j_raw, _, _ = _sequence_pass(al, th, padded, a_mat, adag, guard,
-                                    float(leak_weight), False)
     return SequencePrepResult(
         alphas=tuple(al),
         thetas=th,

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cavityq import cli, device, errors, gates, pulse, qst
@@ -205,3 +206,17 @@ class TestJsonNumberRule:
 def test_non_finite_field_rejected(field, value):
     with pytest.raises(UsageError, match=f"{field} must be finite"):
         reference_params(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["omega_q_hz", "g_hz", "t1_min_s"])
+@pytest.mark.parametrize("value", [True, False, np.True_, "5e9", None, 1j, [1.0]])
+def test_non_real_field_rejected(field, value):
+    with pytest.raises(UsageError, match=f"{field} must be a real number"):
+        reference_params(**{field: value})
+
+
+@pytest.mark.parametrize("convert", [np.float64, np.float32, np.int64, int])
+def test_numpy_real_fields_taken_as_floats(convert):
+    p = reference_params(g_hz=convert(10_000_000), t1_fock0_s=convert(1))
+    assert p == reference_params()
+    assert all(type(getattr(p, f)) is float for f in device._FIELDS)

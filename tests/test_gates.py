@@ -788,3 +788,15 @@ def test_gate_error_location_is_the_entry_own(entries, message):
     with pytest.raises(ParseError) as exc:
         gates.circuit_from_json(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("target", [True, False, 1.0, "0", None, np.float64(1.0)])
+def test_multiqudit_snap_rejects_non_integer_target(target):
+    with pytest.raises(UsageError, match="target must be an integer index"):
+        gates.multiqudit_snap(target, [0.1, 0.2, 0.3], (3, 3))
+
+
+def test_multiqudit_snap_takes_numpy_integer_target():
+    theta = [0.1, 0.2, 0.3]
+    np.testing.assert_array_equal(gates.multiqudit_snap(np.int64(1), theta, (3, 3)).matrix,
+                                  gates.multiqudit_snap(1, theta, (3, 3)).matrix)

@@ -688,3 +688,12 @@ def test_channel_step_must_be_positive_and_finite(dt):
 def test_channel_constructors_share_the_step_check(make, dt):
     with pytest.raises(UsageError, match="dt_s must be positive"):
         make(1.0, dt, 4)
+
+
+def test_dephasing_zero_rate_infinite_step_names_the_step():
+    with pytest.raises(UsageError, match="dt_s must be positive and finite"):
+        noise.dephasing_channel(0.0, math.inf, 4)
+    with pytest.raises(StepSizeError):
+        noise.dephasing_channel(1.0, math.inf, 4)
+    with pytest.raises(StepSizeError):
+        noise.photon_loss_channel(1.0, math.inf, 4)

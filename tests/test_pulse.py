@@ -494,7 +494,7 @@ class TestStructuredKernels:
                         basis_state(model.shape, 1)):
                 grape_gradient(model, sched, tgt)
         pulse._sequence_pass(alphas, thetas, target, a, a.conj().T, (n - 1,),
-                             1.0, True)
+                             1.0)[2]()
 
     @pytest.mark.parametrize("n", [2, 9, 24])
     @pytest.mark.parametrize("alpha", [0.0, 0.8, -1.1, 0.9j, -0.7j, 0.5 + 0.4j,
@@ -737,10 +737,10 @@ class TestSequencePreparation:
         alphas = 0.4 * (rng.standard_normal(blocks + 1)
                         + 1j * rng.standard_normal(blocks + 1))
         thetas = rng.standard_normal((blocks, n))
-        _, _, g_alpha, g_theta = pulse._sequence_pass(alphas, thetas, *args, True)
+        g_alpha, g_theta = pulse._sequence_pass(alphas, thetas, *args)[2]()
 
         def objective(al, th):
-            return pulse._sequence_pass(al, th, *args, False)[0]
+            return pulse._sequence_pass(al, th, *args)[0]
 
         h = 1e-6
         worst = 0.0
@@ -768,3 +768,230 @@ class TestSequencePreparation:
         with pytest.raises(UsageError):
             optimize_snap_displacement_sequence(
                 np.array([1.0, 0.0]), blocks=0, seed=0)
+
+
+def _eager_ascend(x0, value_and_grad, max_iter, tol, learning_rate,
+                  grow=1.3, shrink=0.5, max_backtracks=60):
+    """The line search as it stood before gradients were deferred: it takes
+    the full gradient of every trial, kept or not. The oracle for the
+    optimizers' traces."""
+    x = np.array(x0, copy=True)
+    j, g = value_and_grad(x)
+    trace = [(0, 1.0 - j, 0.0)]
+    lr = float(learning_rate)
+    iters = 0
+    converged = 1.0 - j <= tol
+    while not converged and iters < max_iter:
+        accepted = False
+        for _ in range(max_backtracks):
+            x_try = x + lr * g
+            j_try, g_try = value_and_grad(x_try)
+            if j_try > j:
+                x, j, g = x_try, j_try, g_try
+                accepted = True
+                break
+            lr *= shrink
+            if lr < 1e-18:
+                break
+        if not accepted:
+            break  # stagnated: return best-so-far
+        iters += 1
+        trace.append((iters, 1.0 - j, lr))
+        lr *= grow
+        converged = 1.0 - j <= tol
+    return x, j, iters, bool(converged), tuple(trace)
+
+
+def _eager_grape(model, target, schedule0, iterations, learning_rate, seed,
+                 tol=1e-8, guard=(), leak_weight=1.0):
+    """grape_optimize on _eager_ascend, with a separate pass for the seeding
+    decision and one for the best point's raw fidelity."""
+    tgt, psi0_vec = pulse._resolve_target(model, target, None)
+    dt = schedule0.dt_s
+    amps0 = np.stack(schedule0.streams)
+    area = 2 * np.pi * dt
+    w0 = amps0 * area
+    j0 = pulse._grape_pass(model, amps0, dt, tgt, psi0_vec, guard, leak_weight)[0]
+    if 1.0 - j0 > tol and seed is not None and not np.any(amps0):
+        rng = np.random.default_rng(seed)
+        scale = area / (8.0 * schedule0.duration_s)
+        w0 = scale * (rng.standard_normal(w0.shape)
+                      + 1j * rng.standard_normal(w0.shape))
+
+    def value_and_grad(w):
+        jt, _, gradient = pulse._grape_pass(model, w / area, dt, tgt, psi0_vec,
+                                            guard, leak_weight)
+        return jt, gradient() / area
+
+    w_best, _, iters, converged, trace = _eager_ascend(
+        w0, value_and_grad, iterations, tol, learning_rate)
+    amps = w_best / area
+    j_raw = pulse._grape_pass(model, amps, dt, tgt, psi0_vec, guard, leak_weight)[1]
+    return amps, j_raw, iters, converged, trace
+
+
+def _eager_sequence(tvec, blocks, seed, iterations, learning_rate, tol,
+                    guard_levels=1, leak_weight=1.0):
+    """optimize_snap_displacement_sequence on _eager_ascend."""
+    tvec = tvec / np.linalg.norm(tvec)
+    n = len(tvec) + guard_levels
+    padded = np.zeros(n, dtype=complex)
+    padded[:len(tvec)] = tvec
+    guard = tuple(range(len(tvec), n))
+    a = annihilation(n).matrix
+    rng = np.random.default_rng(seed)
+    alphas0 = 0.3 * (rng.standard_normal(blocks + 1)
+                     + 1j * rng.standard_normal(blocks + 1))
+    thetas0 = 0.1 * rng.standard_normal((blocks, n))
+
+    def unpack(x):
+        return (x[:blocks + 1] + 1j * x[blocks + 1:2 * (blocks + 1)],
+                x[2 * (blocks + 1):].reshape(blocks, n))
+
+    def value_and_grad(x):
+        jt, _, gradient = pulse._sequence_pass(*unpack(x), padded, a,
+                                               a.conj().T, guard, leak_weight)
+        ga, gt = gradient()
+        return jt, np.concatenate([ga.real, ga.imag, gt.ravel()])
+
+    x0 = np.concatenate([alphas0.real, alphas0.imag, thetas0.ravel()])
+    x, _, iters, converged, trace = _eager_ascend(
+        x0, value_and_grad, iterations, tol, learning_rate)
+    al, th = unpack(x)
+    j_raw = pulse._sequence_pass(al, th, padded, a, a.conj().T, guard,
+                                 leak_weight)[1]
+    return al, th, j_raw, iters, converged, trace
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestDeferredGradientAscent:
+    """The optimizers take the adjoint only for points they keep, and give
+    the results of the eager line search bit for bit."""
+
+    _X = Operator(shape_of(2), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+
+    def _check_grape(self, model, target, sched, seed, iterations=15, **kw):
+        res = grape_optimize(model, target, sched, iterations=iterations,
+                             seed=seed, **kw)
+        amps, j_raw, iters, converged, trace = _eager_grape(
+            model, target, sched, iterations, 0.2, seed,
+            tol=kw.get("tol", 1e-8), guard=tuple(kw.get("guard_indices", ())),
+            leak_weight=kw.get("leak_weight", 1.0))
+        assert repr(res.trace) == repr(trace)
+        assert (res.iterations, res.converged) == (iters, converged)
+        assert _same_bits(np.stack(res.schedule.streams), amps)
+        assert _same_bits(res.fidelity, j_raw)
+        assert _same_bits(res.infidelity, 1.0 - j_raw)
+        return res
+
+    @given(seed=st.integers(0, 2**32 - 1), detuning=st.floats(-3e6, 3e6))
+    @settings(max_examples=10)
+    def test_grape_qubit_matches_eager(self, seed, detuning):
+        self._check_grape(qubit_model(detuning), self._X,
+                          constant_schedule(0.0, 20, 1e-8), seed)
+
+    @given(seed=st.integers(0, 2**32 - 1), chi=st.floats(0.5e6, 2e6))
+    @settings(max_examples=6)
+    def test_grape_dispersive_matches_eager(self, seed, chi):
+        theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, 3)
+        target = Operator(shape_of((2, 3)),
+                          np.kron(np.eye(2), np.diag(np.exp(1j * theta))))
+        self._check_grape(dispersive_model(chi, 3), target,
+                          constant_schedule(0.0, 30, 0.2 / chi), seed, tol=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), amp=st.sampled_from([0.0, 2e5, -3e5]))
+    @settings(max_examples=4)
+    def test_grape_guarded_state_target_matches_eager(self, seed, amp):
+        model = dispersive_model(1e6, 3, cavity_drive=True)
+        vec = np.zeros(6, dtype=complex)
+        vec[model.shape.flat_index([0, 1])] = 1.0
+        target = StateVector((2, 3), vec)
+        guard = (model.shape.flat_index([0, 2]), model.shape.flat_index([1, 2]))
+        sched = PulseSchedule(1e-8, (np.full(24, amp + 0j),
+                                     np.zeros(24, dtype=complex)), (0.0, 0.0))
+        self._check_grape(model, target, sched, seed, guard_indices=guard,
+                          leak_weight=0.7, tol=1e-6)
+
+    def test_grape_converged_identity_is_not_seeded(self):
+        res = self._check_grape(qubit_model(), Operator(shape_of(2), np.eye(2)),
+                                constant_schedule(0.0, 10, 1e-9), seed=1)
+        assert res.iterations == 0 and res.converged
+        assert not np.any(res.schedule.streams[0])
+
+    def test_grape_stagnation_matches_eager(self):
+        # a negative tol is out of reach: the search ends on rejected trials
+        res = self._check_grape(qubit_model(2e5), self._X,
+                                constant_schedule(0.0, 8, 1e-8), seed=4,
+                                iterations=1000, tol=-1.0)
+        assert not res.converged and res.iterations < 1000
+
+    @given(seed=st.integers(0, 2**32 - 1), detuning=st.floats(-3e6, 3e6))
+    @settings(max_examples=6)
+    def test_grape_nonzero_start_matches_eager(self, seed, detuning):
+        rng = np.random.default_rng(seed)
+        sched = PulseSchedule(1e-8, (3e5 * (rng.standard_normal(16)
+                                            + 1j * rng.standard_normal(16)),),
+                              (0.0,))
+        self._check_grape(qubit_model(detuning), self._X, sched, seed)
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5))
+    @settings(max_examples=8)
+    def test_sequence_prep_matches_eager(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        res = optimize_snap_displacement_sequence(vec, blocks=3, seed=seed,
+                                                  iterations=25, tol=1e-4)
+        al, th, j_raw, iters, converged, trace = _eager_sequence(
+            vec, 3, seed, 25, 0.1, 1e-4)
+        assert repr(res.trace) == repr(trace)
+        assert (res.iterations, res.converged) == (iters, converged)
+        assert _same_bits(np.array(res.alphas), al)
+        assert _same_bits(res.thetas, th)
+        assert _same_bits(res.fidelity, j_raw)
+
+    @staticmethod
+    def _count(monkeypatch, forward_name):
+        """Count forward passes (calls of forward_name in pulse), adjoints
+        and the trials _ascend evaluates."""
+        counts = {"forward": 0, "adjoint": 0, "trials": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pulse, forward_name,
+                            counted("forward", getattr(pulse, forward_name)))
+        monkeypatch.setattr(pulse, "_frechet_adjoint",
+                            counted("adjoint", pulse._frechet_adjoint))
+        ascend = pulse._ascend
+        monkeypatch.setattr(pulse, "_ascend", lambda objective, *rest, **kw:
+                            ascend(counted("trials", objective), *rest, **kw))
+        return counts
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_grape_adjoint_only_for_kept_points(self, monkeypatch, seed):
+        rng = np.random.default_rng(3)
+        amps = (np.zeros(50, dtype=complex) if seed is not None
+                else 3e5 * (rng.standard_normal(50) + 1j * rng.standard_normal(50)))
+        counts = self._count(monkeypatch, "hermitian_eigensystem")
+        res = grape_optimize(qubit_model(1e5), self._X,
+                             PulseSchedule(1e-8, (amps,), (0.0,)),
+                             iterations=12, seed=seed, tol=1e-15)
+        assert counts["trials"] > res.iterations  # at least one backtrack
+        assert counts["adjoint"] == res.iterations + 1
+        assert counts["forward"] == 1 + counts["trials"] + (seed is not None)
+
+    def test_sequence_adjoint_only_for_kept_points(self, monkeypatch):
+        counts = self._count(monkeypatch, "_displacement_eigensystem")
+        rng = np.random.default_rng(8)
+        res = optimize_snap_displacement_sequence(
+            rng.standard_normal(6) + 1j * rng.standard_normal(6), blocks=4,
+            seed=2, iterations=40)
+        assert counts["trials"] > res.iterations
+        assert counts["adjoint"] == res.iterations + 1
+        assert counts["forward"] == 1 + counts["trials"]
