@@ -404,9 +404,11 @@ def _amplitude(value, what: str, shape: HilbertShape) -> complex:
 
 def _phases(value, what: str, shape: HilbertShape | None = None) -> np.ndarray:
     """A list (or tuple, or 1-D numpy array) of real numbers (`is_real`), as
-    a 1-D float64 array; the SNAP constructors read their phases with it too."""
+    a 1-D float64 array; the SNAP constructors read their phases with it too.
+    Only entries of a type other than int and float are tested one by one."""
     entries = value.tolist() if isinstance(value, np.ndarray) else value
-    if not isinstance(entries, (list, tuple)) or not all(map(is_real, entries)):
+    if not isinstance(entries, (list, tuple)) or not (
+            {type(v) for v in entries} <= {int, float} or all(map(is_real, entries))):
         raise UsageError(f"{what} must be a list of numbers")
     return np.asarray(value, dtype=float)
 

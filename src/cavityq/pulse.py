@@ -482,6 +482,8 @@ def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float,
         accepted = False
         for _ in range(max_backtracks):
             x_try = x + lr * g
+            if x_try.tobytes() == x.tobytes():
+                break  # x + lr*g rounds to x, and so does every smaller step
             j_try, raw_try, gradient = objective(x_try)
             if j_try > j:
                 x, j, j_raw, g = x_try, j_try, raw_try, gradient()

@@ -100,8 +100,8 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
             f"requested {n_levels} levels but the Hamiltonian has {h.n_levels}"
         )
     n = h.n_levels
-    pot_phases = list(-2.0 * np.pi * h.diagonal * dt_s)
-    kin_phases = list(-2.0 * np.pi * h.kinetic_diagonal * dt_s)
+    pot_phases = (-2.0 * np.pi * h.diagonal * dt_s).tolist()
+    kin_phases = (-2.0 * np.pi * h.kinetic_diagonal * dt_s).tolist()
     gates = (
         GateSpec("snap", {"target": 0, "theta": pot_phases}),
         GateSpec("fourier", {"target": 0, "inverse": True}),

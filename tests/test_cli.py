@@ -726,6 +726,93 @@ class TestArtifactPlumbing:
         assert json.loads(proc.stdout)["max_fock"] == 5000
 
 
+# the numeric layer: the modules that import numpy, all loaded together for
+# any command but device (the benchmark's tracer wraps all seven at once)
+NUMERIC_MODULES = {f"cavityq.{m}" for m in
+                   ("codes", "fock", "gates", "noise", "pulse", "qst", "trotter")}
+
+# small configs of the six numeric commands
+NUMERIC_CONFIGS = {
+    "run": {"shape": [3], "gates": [{"kind": "fourier", "target": 0}]},
+    "qst": QST_SWEEP_DOC["transfer"],
+    "grape": {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
+              "n_segments": 4, "dt_s": 1e-8, "iterations": 2},
+    "code": dict(CODE_DOC, steps=10, n_trajectories=1),
+    "trotter": dict(TROTTER_DOC, steps_list=[5]),
+    "otoc": dict(OTOC_DOC, times_s=[0.0, 0.5]),
+}
+
+# runs `python -m cavityq <argv>` and then lists sys.modules on stderr's last line
+_RUN_MODULE = ("import atexit, runpy, sys; "
+               "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr)); "
+               "sys.argv[0] = 'cavityq'; "
+               "runpy.run_module('cavityq', run_name='__main__', alter_sys=True)")
+
+
+def _loaded_modules(code: str, *argv: str) -> set[str]:
+    """The modules loaded in a fresh interpreter once `python -c code argv`
+    has ended; code must list them on the last line of stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+class TestImportContract:
+    """`import cavityq` and `cavityq device` load no numpy and no numeric
+    module; every other command loads all seven numeric modules."""
+
+    def test_device_command_loads_no_numpy(self, tmp_path):
+        cfg = write_json(tmp_path / "dev.json", PAPER_DEVICE)
+        loaded = _loaded_modules(_RUN_MODULE, "device", cfg)
+        assert {"cavityq.cli", "cavityq.device"} <= loaded
+        assert "numpy" not in loaded and not loaded & NUMERIC_MODULES
+
+    def test_bare_import_loads_no_submodule(self):
+        loaded = _loaded_modules(
+            "import sys, cavityq; print(*sys.modules, file=sys.stderr)")
+        assert not {m for m in loaded if m.startswith(("cavityq.", "numpy"))}
+
+    def test_submodule_loads_on_first_access(self):
+        code = ("import sys, cavityq; "
+                "rho = cavityq.noise.apply_channel(cavityq.noise.dephasing_channel("
+                "0.0, 1e-3, 2), cavityq.noise.density_matrix(cavityq.basis_state(2, 1))); "
+                "assert rho[1, 1] == 1; print(*sys.modules, file=sys.stderr)")
+        loaded = _loaded_modules(code)
+        assert {"cavityq.noise", "cavityq.fock", "numpy"} <= loaded
+        assert "cavityq.cli" not in loaded
+
+    @pytest.mark.parametrize("command", sorted(NUMERIC_CONFIGS))
+    def test_numeric_command_loads_the_numeric_layer(self, tmp_path, command):
+        cfg = write_json(tmp_path / "cfg.json", NUMERIC_CONFIGS[command])
+        loaded = _loaded_modules(_RUN_MODULE, "--out", str(tmp_path), command, cfg)
+        assert NUMERIC_MODULES | {"numpy"} <= loaded
+
+    def test_star_import_binds_all(self):
+        import cavityq
+        namespace = {}
+        exec("from cavityq import *", namespace)
+        assert set(cavityq.__all__) <= set(namespace)
+        assert set(cavityq.__all__) <= set(dir(cavityq))
+        assert namespace["StateVector"] is cavityq.fock.StateVector
+        assert namespace["__version__"] == cli.__version__ == "0.1.0"
+
+    def test_fock_names_are_fock_objects(self):
+        import cavityq
+        assert cavityq.fock.StateVector is cavityq.StateVector
+        assert cavityq.propagator is cavityq.fock.propagator
+        assert cavityq.cli is cli
+
+    @pytest.mark.parametrize("name", ["no_such_name", "shape_of", "np"])
+    def test_unknown_attribute_raises(self, name):
+        import cavityq
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(cavityq, name)
+        assert not hasattr(cavityq, name)
+
+
 # ---------------------------------------------------------------------------
 # the streamed column writer against the per-cell row writer it replaced
 

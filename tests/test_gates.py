@@ -800,3 +800,15 @@ def test_multiqudit_snap_takes_numpy_integer_target():
     theta = [0.1, 0.2, 0.3]
     np.testing.assert_array_equal(gates.multiqudit_snap(np.int64(1), theta, (3, 3)).matrix,
                                   gates.multiqudit_snap(1, theta, (3, 3)).matrix)
+
+
+def test_phase_entries_checked_in_bulk():
+    # int and float entries pass on their set of types; any other type is
+    # tested entry by entry with is_real, with the same result and message
+    with mock.patch.object(gates, "is_real", wraps=gates.is_real) as is_real:
+        gates.snap([0, 0.5, -1.0])
+        assert is_real.call_count == 0
+        gates.snap([0, np.float64(0.5), 1])
+        assert is_real.call_count == 3
+        with pytest.raises(UsageError, match="snap theta must be a list of numbers"):
+            gates.snap([0.0, 1, True])

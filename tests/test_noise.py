@@ -697,3 +697,29 @@ def test_dephasing_zero_rate_infinite_step_names_the_step():
         noise.dephasing_channel(1.0, math.inf, 4)
     with pytest.raises(StepSizeError):
         noise.photon_loss_channel(1.0, math.inf, 4)
+
+
+# the real arguments of each channel constructor, in call order
+_CHANNEL_REALS = {"photon_loss_channel": ("t1_s", "dt_s"),
+                  "amplitude_damping_channel": ("t1_s", "dt_s"),
+                  "dephasing_channel": ("rate_hz", "dt_s")}
+
+
+@pytest.mark.parametrize("name", sorted(_CHANNEL_REALS))
+@pytest.mark.parametrize("bad", [True, False, np.True_, "1e-3", None, 1e-3j])
+def test_channel_constructors_reject_non_real_arguments(name, bad):
+    for pos, field in enumerate(_CHANNEL_REALS[name]):
+        args = [1.0, 1e-4, 4]
+        args[pos] = bad
+        with pytest.raises(UsageError, match=f"{field} must be a real number, got"):
+            getattr(noise, name)(*args)
+
+
+@pytest.mark.parametrize("name", sorted(_CHANNEL_REALS))
+@pytest.mark.parametrize("convert", [np.float64, np.float32, np.int64, np.int32])
+def test_channel_constructors_take_numpy_reals(name, convert):
+    build = getattr(noise, name)
+    expected = build(2.0, 2.0**-16, 4)
+    channel = build(convert(2), np.float64(2.0**-16), 4)
+    for k, k_expected in zip(channel.kraus, expected.kraus, strict=True):
+        assert np.array_equal(k.matrix, k_expected.matrix)

@@ -995,3 +995,16 @@ class TestDeferredGradientAscent:
         assert counts["trials"] > res.iterations
         assert counts["adjoint"] == res.iterations + 1
         assert counts["forward"] == 1 + counts["trials"]
+
+    def test_stagnation_stops_once_the_step_leaves_x_unchanged(self, monkeypatch):
+        # once x + lr*g equals x bit for bit, so does every smaller step: the
+        # search stops there instead of halving the step down to 1e-18, with
+        # fewer forward passes and the eager search's results bit for bit
+        counts = self._count(monkeypatch, "_grape_pass")
+        res = self._check_grape(qubit_model(), self._X, constant_schedule(0.0, 8, 1e-8),
+                                seed=3, iterations=1000, tol=-1.0)
+        assert not res.converged and res.iterations < 1000
+        # forward passes: two starts (zero, then seeded) and the trials of
+        # grape_optimize, then the eager search's j0, start, trials and final
+        eager_trials = counts["forward"] - counts["trials"] - 5
+        assert counts["trials"] < eager_trials
