@@ -207,11 +207,12 @@ _COMMANDS = {  # name: (config argument, help); the command is _command(name)
 
 def _command(name: str):
     """cmd_<name>: cmd_device here, any other from `_numeric_commands`,
-    whose first import loads numpy and all seven numeric modules."""
+    whose first import loads numpy."""
     if name == "device":
         return cmd_device
     from . import _numeric_commands
     return getattr(_numeric_commands, f"cmd_{name}")
+
 
 # the error roots, tested in this order, and their exit codes
 _EXIT_CODES = {ParseError: 2, CapacityError: 4, NumericError: 3, UsageError: 1}

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import (DegenerateDetuningError, ParseError, UsageError, is_json_number,
-                     is_real, read_object)
+                     read_object, require_real)
 
 _FIELDS = (
     "omega_q_hz",
@@ -50,8 +50,7 @@ class DeviceParams:
     def __post_init__(self) -> None:
         for name in _FIELDS:
             value = getattr(self, name)
-            if not is_real(value):
-                raise UsageError(f"{name} must be a real number, got {value!r}")
+            require_real(name, value)
             value = float(value)
             if not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value}")

@@ -8,8 +8,9 @@ Every JSON config object, at the top level or nested, is read by
 are read with `read_field` and `read_numbers`. Every parser tests JSON
 numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
 and JSON integers with `is_json_int`; every API taking a step count, a
-trajectory count or an rng seed checks it with `require_count`, and SNAP
-phases are tested with `is_real`.
+trajectory count or an rng seed checks it with `require_count`, every
+real argument of the device parameters and the noise channels with
+`require_real`, and SNAP phases are tested with `is_real`.
 """
 
 import json
@@ -53,6 +54,12 @@ def require_count(name: str, value, least: int = 0) -> None:
     if not is_count(value) or value < least:
         kind = "positive" if least else "nonnegative"
         raise UsageError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise UsageError unless value is a real number (`is_real`)."""
+    if not is_real(value):
+        raise UsageError(f"{name} must be a real number, got {value!r}")
 
 
 def _field_error(what: str, problem: str, names) -> "ParseError":

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepSizeError, UsageError, is_real, require_count
+from .errors import StepSizeError, UsageError, require_count, require_real
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
@@ -140,13 +140,6 @@ class NoiseChannel:
                              f"(tolerance {_COMPLETENESS_TOL})")
 
 
-def _check_reals(**values) -> None:
-    """Raise UsageError unless every value is a real number (`is_real`)."""
-    for name, value in values.items():
-        if not is_real(value):
-            raise UsageError(f"{name} must be a real number, got {value!r}")
-
-
 def _check_step(dt_s: float, n: int) -> None:
     """Raise UsageError unless the step dt_s is positive (not NaN) and the
     mode dimension n is at least 1. An infinite step passes, so that a
@@ -158,7 +151,8 @@ def _check_step(dt_s: float, n: int) -> None:
 
 
 def _check_loss_args(t1_s: float, dt_s: float, n: int) -> None:
-    _check_reals(t1_s=t1_s, dt_s=dt_s)
+    require_real("t1_s", t1_s)
+    require_real("dt_s", dt_s)
     if t1_s <= 0:
         raise UsageError(f"t1_s must be positive, got {t1_s}")
     _check_step(dt_s, n)
@@ -205,7 +199,8 @@ def amplitude_damping_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
 def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
     """Pure dephasing generated by n̂. The default physical rate on the
     hardware this models is zero; the channel exists as an explicit hook."""
-    _check_reals(rate_hz=rate_hz, dt_s=dt_s)
+    require_real("rate_hz", rate_hz)
+    require_real("dt_s", dt_s)
     if rate_hz < 0:
         raise UsageError(f"rate_hz must be >= 0, got {rate_hz}")
     _check_step(dt_s, n)

@@ -726,20 +726,20 @@ class TestArtifactPlumbing:
         assert json.loads(proc.stdout)["max_fock"] == 5000
 
 
-# the numeric layer: the modules that import numpy, all loaded together for
-# any command but device (the benchmark's tracer wraps all seven at once)
+# the numeric layer: the modules that import numpy
 NUMERIC_MODULES = {f"cavityq.{m}" for m in
                    ("codes", "fock", "gates", "noise", "pulse", "qst", "trotter")}
 
-# small configs of the six numeric commands
+# small configs of the six numeric commands, and the modules each one uses
 NUMERIC_CONFIGS = {
-    "run": {"shape": [3], "gates": [{"kind": "fourier", "target": 0}]},
-    "qst": QST_SWEEP_DOC["transfer"],
-    "grape": {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
-              "n_segments": 4, "dt_s": 1e-8, "iterations": 2},
-    "code": dict(CODE_DOC, steps=10, n_trajectories=1),
-    "trotter": dict(TROTTER_DOC, steps_list=[5]),
-    "otoc": dict(OTOC_DOC, times_s=[0.0, 0.5]),
+    "run": ({"shape": [3], "gates": [{"kind": "fourier", "target": 0}]},
+            {"fock", "gates"}),
+    "qst": (QST_SWEEP_DOC["transfer"], {"qst"}),
+    "grape": ({"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
+               "n_segments": 4, "dt_s": 1e-8, "iterations": 2}, {"fock", "pulse"}),
+    "code": (dict(CODE_DOC, steps=10, n_trajectories=1), {"codes", "noise"}),
+    "trotter": (dict(TROTTER_DOC, steps_list=[5]), {"fock", "trotter"}),
+    "otoc": (dict(OTOC_DOC, times_s=[0.0, 0.5]), {"gates", "trotter"}),
 }
 
 # runs `python -m cavityq <argv>` and then lists sys.modules on stderr's last line
@@ -762,7 +762,7 @@ def _loaded_modules(code: str, *argv: str) -> set[str]:
 
 class TestImportContract:
     """`import cavityq` and `cavityq device` load no numpy and no numeric
-    module; every other command loads all seven numeric modules."""
+    module; every other command loads numpy and the modules it uses."""
 
     def test_device_command_loads_no_numpy(self, tmp_path):
         cfg = write_json(tmp_path / "dev.json", PAPER_DEVICE)
@@ -785,10 +785,11 @@ class TestImportContract:
         assert "cavityq.cli" not in loaded
 
     @pytest.mark.parametrize("command", sorted(NUMERIC_CONFIGS))
-    def test_numeric_command_loads_the_numeric_layer(self, tmp_path, command):
-        cfg = write_json(tmp_path / "cfg.json", NUMERIC_CONFIGS[command])
+    def test_numeric_command_loads_what_it_uses(self, tmp_path, command):
+        doc, uses = NUMERIC_CONFIGS[command]
+        cfg = write_json(tmp_path / "cfg.json", doc)
         loaded = _loaded_modules(_RUN_MODULE, "--out", str(tmp_path), command, cfg)
-        assert NUMERIC_MODULES | {"numpy"} <= loaded
+        assert {f"cavityq.{m}" for m in uses} | {"numpy"} <= loaded
 
     def test_star_import_binds_all(self):
         import cavityq
