@@ -6,10 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# All seven numeric modules load together, including those a command does
-# not use: a workaround for the benchmark's tracer (`perfbench/spans.py`
-# `Tracer.install`), which raises KeyError for an unloaded layer. It goes
-# once that tracer skips unloaded layers (ROADMAP item 1).
+# all seven, used or not, only because the perfbench tracer raises KeyError
+# for an unloaded layer (`spans.Tracer.install`); to go with ROADMAP item 1
 from . import codes, fock, gates, noise, pulse, qst, trotter
 from .cli import _Result
 from .errors import (ParseError, UsageError, decode_object, is_json_int, is_json_number_rows,

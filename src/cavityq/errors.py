@@ -8,9 +8,8 @@ Every JSON config object, at the top level or nested, is read by
 are read with `read_field` and `read_numbers`. Every parser tests JSON
 numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
 and JSON integers with `is_json_int`; every API taking a step count, a
-trajectory count or an rng seed checks it with `require_count`, every
-real argument of the device parameters and the noise channels with
-`require_real`, and SNAP phases are tested with `is_real`.
+trajectory count or an rng seed checks it with `require_count` (a real
+argument with `require_real`), and SNAP phases are tested with `is_real`.
 """
 
 import json

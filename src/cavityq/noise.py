@@ -141,9 +141,10 @@ class NoiseChannel:
 
 
 def _check_step(dt_s: float, n: int) -> None:
-    """Raise UsageError unless the step dt_s is positive (not NaN) and the
-    mode dimension n is at least 1. An infinite step passes, so that a
-    first-order channel reports it as too coarse (StepSizeError)."""
+    """Raise UsageError unless the step dt_s is a positive real (not NaN)
+    and the mode dimension n is at least 1. An infinite step passes, so that
+    a first-order channel reports it as too coarse (StepSizeError)."""
+    require_real("dt_s", dt_s)
     if not dt_s > 0:
         raise UsageError(f"dt_s must be positive, got {dt_s}")
     if n < 1:
@@ -152,7 +153,6 @@ def _check_step(dt_s: float, n: int) -> None:
 
 def _check_loss_args(t1_s: float, dt_s: float, n: int) -> None:
     require_real("t1_s", t1_s)
-    require_real("dt_s", dt_s)
     if t1_s <= 0:
         raise UsageError(f"t1_s must be positive, got {t1_s}")
     _check_step(dt_s, n)
@@ -200,7 +200,6 @@ def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
     """Pure dephasing generated by n̂. The default physical rate on the
     hardware this models is zero; the channel exists as an explicit hook."""
     require_real("rate_hz", rate_hz)
-    require_real("dt_s", dt_s)
     if rate_hz < 0:
         raise UsageError(f"rate_hz must be >= 0, got {rate_hz}")
     _check_step(dt_s, n)
