@@ -786,6 +786,8 @@ class TestImportContract:
 
     @pytest.mark.parametrize("command", sorted(NUMERIC_CONFIGS))
     def test_numeric_command_loads_what_it_uses(self, tmp_path, command):
+        # a fresh interpreter, so that cli.main itself makes the first
+        # import of the numeric layer, which in-process tests never see
         doc, uses = NUMERIC_CONFIGS[command]
         cfg = write_json(tmp_path / "cfg.json", doc)
         loaded = _loaded_modules(_RUN_MODULE, "--out", str(tmp_path), command, cfg)
