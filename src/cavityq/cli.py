@@ -49,7 +49,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__, device
-from .errors import CapacityError, NumericError, ParseError, UsageError, is_json_number
+from .errors import CapacityError, NumericError, ParseError, UsageError
 
 # what a command returns: artifact name (None: no artifact), columns, summary
 _Result = tuple[str | None, dict, dict]

@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidDimensionError, UsageError
+from .errors import DegenerateInputError, InvalidDimensionError, UsageError, require_count
 from .fock import (
     HilbertShape,
     StateVector,
@@ -109,8 +109,7 @@ def photon_loss_cycle_check(psi: StateVector, k: int) -> StateVector:
     """
     if psi.shape.n_subsystems != 1:
         raise UsageError("loss cycle check expects a single-mode state")
-    if k < 0:
-        raise UsageError(f"loss count must be >= 0, got {k}")
+    require_count("k", k)
     a = annihilation(psi.shape.total_dim).matrix
     amps = psi.amplitudes.copy()
     for _ in range(k):

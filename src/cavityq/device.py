@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import (DegenerateDetuningError, ParseError, UsageError, is_json_number,
-                     read_object, require_real)
+                     read_object, require_count, require_positive, require_real)
 
 _FIELDS = (
     "omega_q_hz",
@@ -50,19 +50,14 @@ class DeviceParams:
     def __post_init__(self) -> None:
         for name in _FIELDS:
             value = getattr(self, name)
-            require_real(name, value)
-            value = float(value)
+            value = require_real(name, value)
             if not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        if self.g_hz <= 0:
-            raise UsageError(f"g_hz must be positive, got {self.g_hz}")
+        for name in ("g_hz", "t1_fock0_s", "t1_min_s"):
+            require_positive(name, getattr(self, name))
         if self.omega_q_hz == self.omega_c_hz:
             raise UsageError("omega_q_hz equal to omega_c_hz leaves no dispersive regime")
-        if self.t1_fock0_s <= 0:
-            raise UsageError(f"t1_fock0_s must be positive, got {self.t1_fock0_s}")
-        if self.t1_min_s <= 0:
-            raise UsageError(f"t1_min_s must be positive, got {self.t1_min_s}")
 
     @property
     def detuning_hz(self) -> float:
@@ -99,8 +94,7 @@ def stark_shifted_freq(params: DeviceParams, n: int, order: int = 1) -> float:
     order=1 gives ω_q − nχ; order=2 adds the quadratic pull,
     ω_q − (χn + χ'n²/2).
     """
-    if n < 0:
-        raise UsageError(f"photon number must be >= 0, got {n}")
+    require_count("n", n)
     x = chi(params)
     if order == 1:
         return params.omega_q_hz - n * x
@@ -119,8 +113,7 @@ def fock_t1(params: DeviceParams, n: int) -> float:
 
     |0⟩ does not decay; math.inf is the explicit stable marker.
     """
-    if n < 0:
-        raise UsageError(f"Fock index must be >= 0, got {n}")
+    require_count("n", n)
     if n == 0:
         return math.inf
     return params.t1_fock0_s / n

@@ -7,12 +7,17 @@ Every JSON config object, at the top level or nested, is read by
 (`decode_object`) and rejects a missing or an unlisted field; its fields
 are read with `read_field` and `read_numbers`. Every parser tests JSON
 numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
-and JSON integers with `is_json_int`; every API taking a step count, a
-trajectory count or an rng seed checks it with `require_count` (a real
-argument with `require_real`), and SNAP phases are tested with `is_real`.
+and JSON integers with `is_json_int`. API arguments follow three rules:
+`require_count` for counts, seeds, photon numbers and guard levels
+(`codes`, `device`, `noise`, `pulse`, `trotter`; `fock.HilbertShape`
+tests dimensions with `is_count`), `require_real` for the `device` fields
+and `noise` rates and lifetimes, and `require_positive` for time steps,
+durations, couplings, shifts, lifetimes and floors (`device`, `noise`,
+`pulse`, `qst`, `trotter`). SNAP phases are tested with `is_real`.
 """
 
 import json
+import math
 import numbers
 
 
@@ -47,18 +52,28 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def require_count(name: str, value, least: int = 0) -> None:
-    """Raise UsageError unless value is a count (`is_count`) of at least
-    least: 0 for a nonnegative integer, 1 for a positive one."""
+def require_count(name: str, value, least: int = 0) -> int:
+    """int(value), or UsageError unless value is a count (`is_count`) of at
+    least least: 0 for a nonnegative integer, 1 for a positive one."""
     if not is_count(value) or value < least:
         kind = "positive" if least else "nonnegative"
         raise UsageError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
-def require_real(name: str, value) -> None:
-    """Raise UsageError unless value is a real number (`is_real`)."""
+def require_real(name: str, value) -> float:
+    """float(value), or UsageError unless value is a real number (`is_real`)."""
     if not is_real(value):
         raise UsageError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def require_positive(name: str, value) -> float:
+    """float(value), or UsageError unless require_real passes and 0 < value < inf."""
+    require_real(name, value)
+    if not 0 < value < math.inf:
+        raise UsageError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def _field_error(what: str, problem: str, names) -> "ParseError":

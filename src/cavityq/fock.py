@@ -23,6 +23,7 @@ from .errors import (
     InvalidDimensionError,
     ShapeError,
     UsageError,
+    is_count,
 )
 
 DEFAULT_DIM_CAP = 2**20
@@ -57,12 +58,14 @@ class HilbertShape:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
         if not dims:
             raise InvalidDimensionError("shape needs at least one subsystem")
         for d in dims:
-            if d < 1:
-                raise InvalidDimensionError(f"subsystem dimension must be >= 1, got {d}")
+            if not is_count(d) or d < 1:
+                raise InvalidDimensionError(
+                    f"subsystem dimension must be a positive integer, got {d!r}")
+        dims = tuple(map(int, dims))
         total = math.prod(dims)
         cap = dim_cap()
         if total > cap:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepSizeError, UsageError, require_count, require_real
+from .errors import (StepSizeError, UsageError, require_count, require_positive,
+                     require_real)
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
@@ -128,8 +129,7 @@ class NoiseChannel:
         object.__setattr__(self, "kraus", tuple(self.kraus))
         if not self.kraus:
             raise UsageError("channel needs at least one Kraus operator")
-        if not 0 < self.dt_s < math.inf:
-            raise UsageError(f"dt_s must be positive and finite, got {self.dt_s}")
+        require_positive("dt_s", self.dt_s)
         if any(k.shape != self.shape for k in self.kraus):
             raise UsageError("Kraus operators must share the channel shape")
         kernel = _build_kernel([k.matrix for k in self.kraus])
@@ -181,9 +181,7 @@ def amplitude_damping_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
     l = 0…n−1, with p = 1 − e^{−dt/T1}. K_l loses l photons, so it lies on
     the l-th superdiagonal. Valid at any dt, and E_s∘E_t = E_{s+t}."""
     _check_loss_args(t1_s, dt_s, n)
-    x = dt_s / t1_s
-    if not 0 < x < math.inf:
-        raise UsageError(f"dt_s / t1_s must be positive and finite, got {x}")
+    x = require_positive("dt_s / t1_s", dt_s / t1_s)
     lost, m = np.nonzero(np.tri(n, dtype=bool).T)  # every l <= m, by l
     # the binomial weight C(m,l) (1−p)^(m−l) p^l from exact integer binomials
     binomial = np.array([math.comb(a, b) for a, b in zip(m.tolist(), lost.tolist())],

@@ -34,6 +34,8 @@ from .errors import (
     is_json_number,
     read_field,
     read_object,
+    require_count,
+    require_positive,
 )
 from .fock import (
     HilbertShape,
@@ -86,10 +88,7 @@ class PulseSchedule:
     carriers_hz: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        dt = float(self.dt_s)
-        if not math.isfinite(dt) or dt <= 0:
-            raise UsageError(f"dt_s must be positive and finite, got {self.dt_s}")
-        object.__setattr__(self, "dt_s", dt)
+        object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
         streams = tuple(
             _finite_complex_array(s, f"stream {i}")
             for i, s in enumerate(self.streams)
@@ -253,8 +252,7 @@ def dispersive_model(chi_hz: float, n_levels: int,
     cavity drive quadratures."""
     if n_levels < 2:
         raise UsageError(f"need at least 2 cavity levels, got {n_levels}")
-    if not math.isfinite(chi_hz) or chi_hz <= 0:
-        raise UsageError(f"chi must be positive and finite, got {chi_hz}")
+    chi_hz = require_positive("chi_hz", chi_hz)
     shape = shape_of((2, n_levels))
     nhat = number_operator(n_levels).matrix
     e_proj = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -456,10 +454,13 @@ def snap_average_fidelity(u: Operator, theta: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # shared line-search gradient ascent
 
+_STEP_GROW = 1.3
+_STEP_SHRINK = 0.5
+_MAX_BACKTRACKS = 60
+
 
 def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float,
-            learning_rate: float, grow: float = 1.3, shrink: float = 0.5,
-            max_backtracks: int = 60):
+            learning_rate: float):
     """Maximize J(x) by steepest ascent with a backtracking line search.
 
     objective(x) returns (J, J_raw, gradient), and start is objective(x0).
@@ -480,7 +481,7 @@ def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float,
     converged = 1.0 - j <= tol
     while not converged and iters < max_iter:
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             x_try = x + lr * g
             if x_try.tobytes() == x.tobytes():
                 break  # x + lr*g rounds to x, and so does every smaller step
@@ -489,14 +490,14 @@ def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float,
                 x, j, j_raw, g = x_try, j_try, raw_try, gradient()
                 accepted = True
                 break
-            lr *= shrink
+            lr *= _STEP_SHRINK
             if lr < 1e-18:
                 break
         if not accepted:
             break  # stagnated: return best-so-far
         iters += 1
         trace.append((iters, 1.0 - j, lr))
-        lr *= grow
+        lr *= _STEP_GROW
         converged = 1.0 - j <= tol
     return x, j_raw, iters, bool(converged), tuple(trace)
 
@@ -641,7 +642,8 @@ def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
     amps = np.stack(schedule.streams)
     j_total, _, gradient = _grape_pass(
         model, amps, schedule.dt_s, tgt, psi0_vec,
-        tuple(int(i) for i in guard_indices), float(leak_weight),
+        tuple(require_count("guard_indices entry", i) for i in guard_indices),
+        float(leak_weight),
     )
     return j_total, tuple(gradient())
 
@@ -664,11 +666,12 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     """
     _check_schedule_pairing(model, schedule0)
     tgt, psi0_vec = _resolve_target(model, target, psi0)
-    guard = tuple(int(i) for i in guard_indices)
+    iterations = require_count("iterations", iterations)
+    guard = tuple(require_count("guard_indices entry", i) for i in guard_indices)
     if guard and isinstance(tgt, Operator):
         raise UsageError("guard-leakage penalty applies to state targets only")
     for g in guard:
-        if not 0 <= g < model.shape.total_dim:
+        if g >= model.shape.total_dim:
             raise UsageError(f"guard index {g} out of range")
     dt = schedule0.dt_s
     amps0 = np.stack(schedule0.streams)
@@ -692,7 +695,7 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
                       + 1j * rng.standard_normal(w0.shape))
         start = objective(w0)
     w_best, j_raw, iters, converged, trace = _ascend(
-        objective, w0, start, int(iterations), float(tol), float(learning_rate),
+        objective, w0, start, iterations, float(tol), float(learning_rate),
     )
     schedule = PulseSchedule(dt, tuple(w_best / area), schedule0.carriers_hz)
     return GrapeResult(
@@ -796,9 +799,7 @@ def synthesize_snap_pulse(model: ControlModel, theta: Sequence[float],
         raise ShapeError(f"theta must have length {n}, got shape {th.shape}")
     if not np.all(np.isfinite(th)):
         raise NumericError("non-finite phases in theta")
-    duration_s = float(duration_s)
-    if not math.isfinite(duration_s) or duration_s <= 0:
-        raise UsageError("duration must be positive and finite")
+    duration_s = require_positive("duration_s", duration_s)
     bound = 2 * np.pi / chi_hz
     if enforce_bound and duration_s < bound * (1 - 1e-12):
         raise BandwidthError(
@@ -809,9 +810,7 @@ def synthesize_snap_pulse(model: ControlModel, theta: Sequence[float],
         n_segments = max(_SNAP_MIN_SEGMENTS,
                          int(round(duration_s * chi_hz * _SNAP_SEGMENT_DENSITY)))
     else:
-        if dt_s <= 0 or not math.isfinite(dt_s):
-            raise UsageError(f"dt_s must be positive and finite, got {dt_s}")
-        n_segments = max(2, int(round(duration_s / dt_s)))
+        n_segments = max(2, round(duration_s / require_positive("dt_s", dt_s)))
 
     phases1 = np.zeros(n)
     phases2 = np.pi - th
@@ -935,11 +934,10 @@ def optimize_snap_displacement_sequence(
     if nrm < 1e-12:
         raise UsageError("target state is null")
     tvec = tvec / nrm
-    if blocks < 1:
-        raise UsageError(f"need at least one SNAP block, got {blocks}")
-    if guard_levels < 0:
-        raise UsageError("guard_levels must be nonnegative")
-    n = len(tvec) + int(guard_levels)
+    blocks = require_count("blocks", blocks, 1)
+    guard_levels = require_count("guard_levels", guard_levels)
+    iterations = require_count("iterations", iterations)
+    n = len(tvec) + guard_levels
     padded = np.zeros(n, dtype=complex)
     padded[: len(tvec)] = tvec
     guard = tuple(range(len(tvec), n))
@@ -966,15 +964,14 @@ def optimize_snap_displacement_sequence(
 
     x0 = pack(alphas0, thetas0)
     x_best, j_raw, iters, converged, trace = _ascend(
-        objective, x0, objective(x0), int(iterations), float(tol),
-        float(learning_rate),
+        objective, x0, objective(x0), iterations, float(tol), float(learning_rate),
     )
     al, th = unpack(x_best)
     return SequencePrepResult(
         alphas=tuple(al),
         thetas=th,
         n_levels=n,
-        guard_levels=int(guard_levels),
+        guard_levels=guard_levels,
         fidelity=float(j_raw),
         infidelity=float(1.0 - j_raw),
         iterations=iters,

@@ -42,6 +42,7 @@ from .errors import (
     read_kind,
     read_numbers,
     read_object,
+    require_positive,
 )
 
 _MAX_RATE_DT = 0.05
@@ -64,8 +65,7 @@ def sech_pitch(kappa_hz: float, t_s) -> np.ndarray | float:
 def matched_emit_rate(kappa_hz: float) -> Callable[[float], float]:
     """Emitter decay rate producing the sech photon envelope:
     k1(t) = (kappa/2)(1 + tanh(kappa t / 2))."""
-    if kappa_hz <= 0 or not math.isfinite(kappa_hz):
-        raise UsageError(f"kappa must be positive and finite, got {kappa_hz}")
+    kappa_hz = require_positive("kappa_hz", kappa_hz)
 
     def rate(t):
         return (kappa_hz / 2.0) * (1.0 + np.tanh(kappa_hz * np.asarray(t) / 2.0))
@@ -118,9 +118,7 @@ class SampledWaveform:
             raise UsageError("coupling rates must be nonnegative")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.dt_s <= 0 or not math.isfinite(self.dt_s):
-            raise UsageError(f"dt_s must be positive and finite, got {self.dt_s}")
-        object.__setattr__(self, "dt_s", float(self.dt_s))
+        object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
         object.__setattr__(self, "t0_s", float(self.t0_s))
 
     @property
@@ -170,21 +168,18 @@ class QstConfig:
     channel_temperature: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kappa_hz <= 0 or not math.isfinite(self.kappa_hz):
-            raise UsageError(f"kappa must be positive, got {self.kappa_hz}")
+        object.__setattr__(self, "kappa_hz", require_positive("kappa_hz", self.kappa_hz))
         t0, t1 = (float(self.t_span_s[0]), float(self.t_span_s[1]))
         if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
             raise UsageError(f"invalid t_span {self.t_span_s}")
         object.__setattr__(self, "t_span_s", (t0, t1))
-        if self.dt_s <= 0 or not math.isfinite(self.dt_s):
-            raise UsageError(f"dt must be positive, got {self.dt_s}")
-        object.__setattr__(self, "dt_s", float(self.dt_s))
+        object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
         if not math.isfinite(self.delta_omega_hz):
             raise NumericError("non-finite detuning")
         object.__setattr__(self, "delta_omega_hz", float(self.delta_omega_hz))
         alpha, beta = (complex(self.input_state[0]), complex(self.input_state[1]))
         nrm = abs(alpha) ** 2 + abs(beta) ** 2
-        if abs(nrm - 1.0) > 1e-9:
+        if not abs(nrm - 1.0) <= 1e-9:
             raise UsageError(
                 f"input state must be normalized: |alpha|^2+|beta|^2 = {nrm}"
             )
@@ -404,8 +399,7 @@ def on_off_ratio(waveform, floor_hz: float,
     callable needs t_span_s to evaluate on (an odd sample count includes
     the midpoint).
     """
-    if floor_hz <= 0 or not math.isfinite(floor_hz):
-        raise UsageError(f"floor must be positive, got {floor_hz}")
+    require_positive("floor_hz", floor_hz)
     if isinstance(waveform, SampledWaveform):
         peak = float(np.max(np.abs(waveform.values)))
     elif callable(waveform):
@@ -432,19 +426,17 @@ def _waveform_from_json(doc: dict, slot: str, kappa_hz: float, t0_s: float):
     what = f"{slot} waveform"
     kind, obj = read_kind(read_field(doc, f"{slot}_waveform", dict, "transfer config"),
                           what, _WAVEFORMS)
-    if kind == "sech":
-        k = obj.get("kappa_hz", kappa_hz)
-        if not is_json_number(k) or k <= 0:
-            raise ParseError(f"{what}: 'kappa_hz' must be positive")
-        # the sech photon-envelope protocol: rising tanh rate on the emitter
-        # side, its time reverse on the catcher
-        if slot == "emit":
-            return matched_emit_rate(float(k))
-        return matched_catch_rate(float(k))
-    values = read_numbers(obj, "values", what)
-    dt_s = read_field(obj, "dt_s", float, what)
     try:
-        return SampledWaveform(np.asarray(values, dtype=float), float(dt_s), t0_s)
+        if kind == "sech":
+            k = obj.get("kappa_hz", kappa_hz)
+            if not is_json_number(k):
+                raise ParseError(f"{what}: 'kappa_hz' must be a number")
+            # the sech photon-envelope protocol: rising tanh rate on the
+            # emitter side, its time reverse on the catcher
+            return (matched_emit_rate if slot == "emit" else matched_catch_rate)(k)
+        values = read_numbers(obj, "values", what)
+        return SampledWaveform(np.asarray(values, dtype=float),
+                               read_field(obj, "dt_s", float, what), t0_s)
     except (UsageError, ShapeError, NumericError) as exc:
         raise ParseError(f"{what}: {exc}") from exc
 
@@ -463,7 +455,7 @@ def qst_config_from_json(text: str | dict) -> QstConfig:
     doc = read_object(text, what,
                       ("kappa_hz", "t_span_s", "dt_s", "emit_waveform", "catch_waveform"),
                       ("delta_omega_hz", "input_state", "channel_temperature"))
-    kappa = float(read_field(doc, "kappa_hz", float, what))
+    kappa = read_field(doc, "kappa_hz", float, what)
     dt_s = read_field(doc, "dt_s", float, what)
     span = read_numbers(doc, "t_span_s", what)
     if len(span) != 2:
@@ -482,7 +474,7 @@ def qst_config_from_json(text: str | dict) -> QstConfig:
             emit_waveform=emit,
             catch_waveform=catch,
             t_span_s=(t0, span[1]),
-            dt_s=float(dt_s),
+            dt_s=dt_s,
             delta_omega_hz=float(dw),
             input_state=(complex(state[0][0], state[0][1]),
                          complex(state[1][0], state[1][1])),

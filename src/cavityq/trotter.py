@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError,
-                     require_count)
+                     require_count, require_positive)
 from .fock import HilbertShape, Operator, StateVector
 from .gates import Circuit, GateSpec, _run
 
@@ -93,8 +93,7 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
     """One first-order splitting step as a four-gate circuit."""
     if not isinstance(h, QuditHamiltonian):
         raise UsageError("trotter_step needs a QuditHamiltonian")
-    if not (dt_s > 0) or not math.isfinite(dt_s):
-        raise UsageError(f"dt must be positive and finite, got {dt_s}")
+    dt_s = require_positive("dt_s", dt_s)
     if n_levels is not None and n_levels != h.n_levels:
         raise ShapeError(
             f"requested {n_levels} levels but the Hamiltonian has {h.n_levels}"

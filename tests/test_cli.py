@@ -1092,3 +1092,27 @@ def test_device_non_finite_field_exit_2(tmp_path, capsys, field, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{field} must be finite" in captured.err
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(QST_SWEEP_DOC["transfer"], input_state=[[math.nan, 0.0], [1.0, 0.0]]),
+     "input state must be normalized"),
+    (dict(QST_SWEEP_DOC["transfer"], kappa_hz=math.inf),
+     "kappa_hz must be positive and finite, got inf"),
+    (_with(QST_SWEEP_DOC["transfer"], ("catch_waveform",), kappa_hz=math.inf),
+     "catch waveform: kappa_hz must be positive and finite, got inf"),
+], ids=["nan_input_state", "infinite_kappa", "infinite_sech_kappa"])
+def test_qst_non_finite_field_exit_2(tmp_path, capsys, doc, message):
+    cfg = write_json(tmp_path / "qst.json", doc)
+    assert run_cli(tmp_path, "qst", cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_grape_negative_iterations_exit_1(tmp_path, capsys):
+    cfg = write_json(tmp_path / "grape.json", dict(GRAPE_DOC, iterations=-1))
+    assert run_cli(tmp_path, "grape", cfg) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "iterations must be a nonnegative integer, got -1" in captured.err

@@ -632,6 +632,24 @@ class TestSnapSynthesis:
             infids.append(snap_target_infidelity(model, sched, theta))
         assert infids[0] < infids[1] < infids[2]
 
+    def test_explicit_step_sets_the_segment_count(self):
+        model = dispersive_model(self.CHI, 3)
+        duration = 4 * 2 * np.pi / self.CHI
+        dt = duration / 37.3
+        sched = synthesize_snap_pulse(model, [0.0, 1.0, -0.5], duration, dt_s=dt)
+        assert sched.n_segments == round(duration / dt) == 37
+        assert sched.duration_s == pytest.approx(duration, rel=1e-12)
+
+    def test_precompensation_does_not_lower_the_fidelity(self):
+        model = dispersive_model(self.CHI, 4)
+        theta = np.random.default_rng(3).uniform(-np.pi, np.pi, 4)
+        duration = 4 * 2 * np.pi / self.CHI
+        fid = {flag: 1.0 - snap_target_infidelity(
+                   model, synthesize_snap_pulse(model, theta, duration,
+                                                precompensate=flag), theta)
+               for flag in (True, False)}
+        assert fid[True] >= fid[False]
+
     def test_wrong_theta_length(self):
         model = dispersive_model(self.CHI, 3)
         with pytest.raises(ShapeError):

@@ -618,3 +618,39 @@ class TestScannedTransfer:
             np.testing.assert_allclose(res.b_trace, b_trace, rtol=0, atol=1e-12)
             np.testing.assert_allclose(res.emitted_trace, p_trace, rtol=0,
                                        atol=1e-12)
+
+
+@st.composite
+def conservation_problems(draw):
+    """The sech emitter at kappa and a matched catcher at (1 + mismatch)
+    kappa, a detuning within 2 kappa, and a step with max(rate) * dt at most
+    r in [0.004, 0.05], over 30 / min(rate) around the centre. Returns the
+    config and the larger of the two rate ceilings."""
+    kappa = 10 ** draw(st.floats(3.0, 7.0))
+    catch = kappa * (1.0 + draw(st.floats(-0.5, 0.5)))
+    max_rate = max(kappa, catch)
+    r = draw(st.floats(0.004, 0.05))
+    half = 15.0 / min(kappa, catch)
+    config = qst.QstConfig(
+        kappa_hz=kappa,
+        emit_waveform=qst.matched_emit_rate(kappa),
+        catch_waveform=qst.matched_catch_rate(catch),
+        t_span_s=(-half, half),
+        dt_s=2 * half / math.ceil(2 * half * max_rate / r),
+        delta_omega_hz=draw(st.floats(-2.0, 2.0)) * kappa,
+    )
+    return config, max_rate
+
+
+class TestTransferConservation:
+    @given(conservation_problems())
+    def test_residual_is_fourth_order_in_the_step(self, problem):
+        config, max_rate = problem
+        res = qst.simulate_transfer(config)
+        dt = res.times_s[1] - res.times_s[0]
+        assert max_rate * dt <= 0.05 * (1 + 1e-12)
+        # RK4 keeps |a|^2 + |b|^2 + p at 1 up to O(h^4), where h is dt times
+        # the largest coefficient of the equations: a rate or the detuning
+        h = (max_rate + abs(config.delta_omega_hz)) * dt
+        total = np.abs(res.a_trace) ** 2 + np.abs(res.b_trace) ** 2 + res.emitted_trace
+        assert np.max(np.abs(total - 1.0)) <= 1e-3 * h**4 + 1e-12
