@@ -11,7 +11,7 @@ import numpy as np
 from . import codes, fock, gates, noise, pulse, qst, trotter
 from .cli import _Result
 from .errors import (ParseError, UsageError, decode_object, is_json_int, is_json_number_rows,
-                     read_field, read_kind, read_numbers, read_object)
+                     read_field, read_kind, read_numbers, read_object, require_index)
 
 _PROB_FLOOR = 1e-12
 
@@ -151,10 +151,10 @@ def cmd_grape(args, text: str) -> _Result:
     )
     result = pulse.grape_optimize(
         model, target, schedule0,
-        iterations=int(iterations),
-        learning_rate=float(learning_rate),
+        iterations=iterations,
+        learning_rate=learning_rate,
         seed=args.seed,
-        tol=float(tol),
+        tol=tol,
     )
     columns = _columns(["iteration", "infidelity", "step_size"], result.trace)
     return "grape_trace", columns, {
@@ -205,9 +205,7 @@ def _hamiltonian_from_doc(doc: dict, what: str) -> trotter.QuditHamiltonian:
 
 def _initial_level_state(doc: dict, n: int, what: str):
     level = read_field(doc, "initial_level", int, what, 0)
-    if not 0 <= level < n:
-        raise UsageError(f"initial_level {level} outside 0..{n - 1}")
-    return fock.basis_state(fock.HilbertShape((n,)), [int(level)])
+    return fock.basis_state(n, require_index("initial_level", level, n))
 
 
 def cmd_trotter(args, text: str) -> _Result:

@@ -154,9 +154,7 @@ def multimode_drive_freq(
     ω_q − Σ_k n_k χ_k. Each entry is (n_k, chi_k_hz)."""
     total = 0.0
     for n_k, chi_k in occupations_and_shifts:
-        if n_k < 0:
-            raise UsageError(f"occupation must be >= 0, got {n_k}")
-        total += n_k * chi_k
+        total += require_count("occupation", n_k) * chi_k
     return params.omega_q_hz - total
 
 
@@ -167,14 +165,14 @@ def dephasing_rate(dispersion: float, spectral_density_dc: float, k: float = 1.0
     `spectral_density_dc` the noise power of λ at zero frequency. The
     proportionality constant k is exposed explicitly rather than baked in.
     """
-    if spectral_density_dc < 0:
+    if not require_real("spectral_density_dc", spectral_density_dc) >= 0:
         raise UsageError("spectral density must be >= 0")
     return k * dispersion**2 * spectral_density_dc
 
 
 def relaxation_rate(matrix_element: float, spectral_density_at_e01: float, k: float = 1.0) -> float:
     """Relaxation rate k·|⟨0|Ô|1⟩|²·S(E01/ħ), constant k exposed."""
-    if spectral_density_at_e01 < 0:
+    if not require_real("spectral_density_at_e01", spectral_density_at_e01) >= 0:
         raise UsageError("spectral density must be >= 0")
     return k * abs(matrix_element) ** 2 * spectral_density_at_e01
 

@@ -7,13 +7,13 @@ Every JSON config object, at the top level or nested, is read by
 (`decode_object`) and rejects a missing or an unlisted field; its fields
 are read with `read_field` and `read_numbers`. Every parser tests JSON
 numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
-and JSON integers with `is_json_int`. API arguments follow three rules:
-`require_count` for counts, seeds, photon numbers and guard levels
-(`codes`, `device`, `noise`, `pulse`, `trotter`; `fock.HilbertShape`
-tests dimensions with `is_count`), `require_real` for the `device` fields
-and `noise` rates and lifetimes, and `require_positive` for time steps,
-durations, couplings, shifts, lifetimes and floors (`device`, `noise`,
-`pulse`, `qst`, `trotter`). SNAP phases are tested with `is_real`.
+and JSON integers with `is_json_int`. API arguments follow four rules,
+listed site by site in the README: `require_count` for counts, seeds and
+photon numbers (`fock.HilbertShape` tests dimensions with `is_count`),
+`require_index` for level, subsystem and basis indices (`fock`, `gates`,
+`pulse` guard indices, the CLI's initial_level), `require_real` for other
+real numbers, and `require_positive` for time steps, durations, couplings,
+rates and other positive reals. SNAP phases are tested with `is_real`.
 """
 
 import json
@@ -58,6 +58,16 @@ def require_count(name: str, value, least: int = 0) -> int:
     if not is_count(value) or value < least:
         kind = "positive" if least else "nonnegative"
         raise UsageError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
+def require_index(name: str, value, size: int) -> int:
+    """int(value), or UsageError unless value is a count (`is_count`) with
+    value in [0, size): a level, subsystem or basis index of a register."""
+    if not is_count(value):
+        raise UsageError(f"{name} must be an integer index, got {value!r}")
+    if not 0 <= value < size:
+        raise UsageError(f"{name} {value!r} outside [0, {size})")
     return int(value)
 
 

@@ -24,6 +24,7 @@ from .errors import (
     ShapeError,
     UsageError,
     is_count,
+    require_index,
 )
 
 DEFAULT_DIM_CAP = 2**20
@@ -88,15 +89,12 @@ class HilbertShape:
             )
         idx = 0
         for n, d in zip(occupations, self.dims):
-            if not 0 <= n < d:
-                raise UsageError(f"occupation {n} outside [0, {d})")
-            idx = idx * d + n
+            idx = idx * d + require_index("occupation", n, d)
         return idx
 
     def unflatten(self, index: int) -> tuple[int, ...]:
         """Per-subsystem occupations of a flat basis index."""
-        if not 0 <= index < self.total_dim:
-            raise UsageError(f"index {index} outside [0, {self.total_dim})")
+        index = require_index("index", index, self.total_dim)
         occ = []
         for d in reversed(self.dims):
             occ.append(index % d)
@@ -210,10 +208,8 @@ def basis_state(shape: int | Sequence[int] | HilbertShape,
     """Computational basis state |n_0, n_1, ...⟩. A bare int is read as a
     flat index, which for a single mode is just the occupation number."""
     shp = shape_of(shape)
-    if isinstance(occupations, (int, np.integer)):
-        idx = int(occupations)
-        if not 0 <= idx < shp.total_dim:
-            raise UsageError(f"flat index {idx} outside [0, {shp.total_dim})")
+    if np.ndim(occupations) == 0:
+        idx = require_index("flat index", occupations, shp.total_dim)
     else:
         idx = shp.flat_index(occupations)
     amps = np.zeros(shp.total_dim, dtype=np.complex128)
@@ -393,16 +389,12 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def _as_axes(shape: HilbertShape, keep: Iterable[int]) -> list[int]:
-    keep = list(keep)
+    keep = [require_index("subsystem", k, shape.n_subsystems) for k in keep]
     if not keep:
         raise UsageError("keep must name at least one subsystem")
-    seen = set()
-    for k in keep:
-        if not 0 <= k < shape.n_subsystems:
-            raise UsageError(f"subsystem {k} outside [0, {shape.n_subsystems})")
-        if k in seen:
+    for i, k in enumerate(keep):
+        if k in keep[:i]:
             raise UsageError(f"subsystem {k} listed twice")
-        seen.add(k)
     return keep
 
 
@@ -428,7 +420,6 @@ def mode_probabilities(psi: StateVector, keep: Iterable[int] | None = None) -> n
     """
     if keep is None:
         keep = range(psi.shape.n_subsystems)
-    keep = _as_axes(psi.shape, keep)
     rho = reduced_density_matrix(psi, keep)
     probs = np.real(np.diag(rho)).copy()
     probs[probs < 0] = 0.0

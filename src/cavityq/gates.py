@@ -26,8 +26,9 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (CapacityError, ParseError, ShapeError, UsageError, is_count,
-                     is_json_int, is_json_number, is_real, read_field, read_object)
+from .errors import (CapacityError, ParseError, ShapeError, UsageError, is_json_int,
+                     is_json_number, is_real, read_field, read_object, require_count,
+                     require_index)
 from .fock import (
     HilbertShape,
     Operator,
@@ -153,8 +154,7 @@ def qubit_rotation(theta: float, phi: float) -> Operator:
 def cond_rotation(n: int, theta: float, phi: float, mode_dim: int) -> Operator:
     """Qubit rotation applied only in the photon-number-n sector:
     R(θ,φ) ⊗ |n⟩⟨n| + I ⊗ (I − |n⟩⟨n|) on shape (qubit, mode)."""
-    if not 0 <= n < mode_dim:
-        raise UsageError(f"selector level {n} outside [0, {mode_dim})")
+    n = require_index("selector level", n, mode_dim)
     r = qubit_rotation(theta, phi).matrix
     pn = np.zeros((mode_dim, mode_dim), dtype=complex)
     pn[n, n] = 1.0
@@ -177,11 +177,9 @@ def givens(m: int, n: int, theta: float, dim: int) -> Operator:
     """Real SO(2) rotation on span{|m⟩,|n⟩}: the 2×2 block
     [[cosθ, −sinθ], [sinθ, cosθ]], identity elsewhere. θ=π/2 maps
     |m⟩ → |n⟩ in full; equal superpositions sit at θ=π/4."""
+    m, n = require_index("level", m, dim), require_index("level", n, dim)
     if m == n:
         raise UsageError("givens needs two distinct levels")
-    for lvl in (m, n):
-        if not 0 <= lvl < dim:
-            raise UsageError(f"level {lvl} outside [0, {dim})")
     mat = np.eye(dim, dtype=complex)
     c, s = math.cos(theta), math.sin(theta)
     mat[m, m] = c
@@ -194,11 +192,9 @@ def givens(m: int, n: int, theta: float, dim: int) -> Operator:
 def phase_swap(m: int, n: int, dim: int) -> Operator:
     """Transposition of basis levels m and n (amplitudes travel with
     their phases)."""
+    m, n = require_index("level", m, dim), require_index("level", n, dim)
     if m == n:
         raise UsageError("phase_swap needs two distinct levels")
-    for lvl in (m, n):
-        if not 0 <= lvl < dim:
-            raise UsageError(f"level {lvl} outside [0, {dim})")
     mat = np.eye(dim, dtype=complex)
     mat[m, m] = mat[n, n] = 0.0
     mat[m, n] = mat[n, m] = 1.0
@@ -248,10 +244,8 @@ def qubit_binary_encode(bits: str | Sequence[int]) -> int:
 
 def qubit_binary_decode(level: int, n_bits: int) -> str:
     """Inverse of qubit_binary_encode for a register of n_bits qubits."""
-    if n_bits < 1:
-        raise UsageError("need at least one bit")
-    if not 0 <= level < 2**n_bits:
-        raise UsageError(f"level {level} outside [0, {2 ** n_bits})")
+    n_bits = require_count("n_bits", n_bits, 1)
+    level = require_index("level", level, 2**n_bits)
     return format(level, f"0{n_bits}b")
 
 
@@ -259,27 +253,25 @@ def qubit_binary_decode(level: int, n_bits: int) -> str:
 # embedding into a register
 
 
-def _check_targets(op: Operator, targets: list[int], dims: tuple[int, ...]) -> None:
-    """Raise unless targets are distinct subsystems of a register of dims
-    whose dims, in order, are op's."""
+def _check_targets(op: Operator, targets: Sequence[int], dims: tuple[int, ...]) -> list[int]:
+    """targets as a list, or raise unless they are distinct subsystems of a
+    register of dims whose dims, in order, are op's."""
+    targets = [require_index("target", t, len(dims)) for t in targets]
     if len(set(targets)) != len(targets):
         raise UsageError(f"duplicate targets {targets}")
-    for t in targets:
-        if not 0 <= t < len(dims):
-            raise UsageError(f"target {t} outside [0, {len(dims)})")
     sub_dims = tuple(dims[t] for t in targets)
     if op.shape.dims != sub_dims:
         raise ShapeError(
             f"gate on dims {op.shape.dims} cannot target subsystems of dims {sub_dims}"
         )
+    return targets
 
 
 def embed(op: Operator, targets: Sequence[int], shape: HilbertShape) -> Operator:
     """Promote an operator on the given target subsystems (in order) to
     the full register."""
-    targets = list(targets)
     dims = shape.dims
-    _check_targets(op, targets, dims)
+    targets = _check_targets(op, targets, dims)
     rest = [i for i in range(len(dims)) if i not in targets]
     rest_dim = math.prod(dims[i] for i in rest) if rest else 1
     big = np.kron(op.matrix, np.eye(rest_dim, dtype=complex))
@@ -298,18 +290,14 @@ def multiqudit_snap(target: int, theta: Sequence[float],
                     shape: int | Sequence[int] | HilbertShape) -> Operator:
     """SNAP on one qudit of a register, identity on the rest."""
     shp = shape_of(shape)
-    if not is_count(target):
-        raise UsageError(f"target must be an integer index, got {target!r}")
-    if not 0 <= target < shp.n_subsystems:
-        raise UsageError(f"target {target} outside [0, {shp.n_subsystems})")
+    target = require_index("target", target, shp.n_subsystems)
     return embed(snap(_multisnap_theta(theta, (shp.dims[target],))), [target], shp)
 
 
 def apply_embedded(op: Operator, targets: Sequence[int], psi: StateVector) -> StateVector:
     """Apply a sub-shape operator to the targeted subsystems of a state
     without materializing the full register matrix."""
-    targets = list(targets)
-    _check_targets(op, targets, psi.shape.dims)
+    targets = _check_targets(op, targets, psi.shape.dims)
     out = _apply_tensor(op.matrix, targets, psi.amplitudes.reshape(psi.shape.dims))
     return StateVector(psi.shape, out.reshape(psi.shape.total_dim), psi.leakage)
 

@@ -35,7 +35,9 @@ from .errors import (
     read_field,
     read_object,
     require_count,
+    require_index,
     require_positive,
+    require_real,
 )
 from .fock import (
     HilbertShape,
@@ -459,8 +461,7 @@ _STEP_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 
 
-def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float,
-            learning_rate: float):
+def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float, lr: float):
     """Maximize J(x) by steepest ascent with a backtracking line search.
 
     objective(x) returns (J, J_raw, gradient), and start is objective(x0).
@@ -476,7 +477,6 @@ def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float,
     j, j_raw, gradient = start
     g = gradient()
     trace = [(0, 1.0 - j, 0.0)]
-    lr = float(learning_rate)
     iters = 0
     converged = 1.0 - j <= tol
     while not converged and iters < max_iter:
@@ -626,6 +626,16 @@ def _resolve_target(model: ControlModel, target, psi0: StateVector | None):
     return np.asarray(target.amplitudes), np.asarray(psi0.amplitudes)
 
 
+def _resolve_guard(model: ControlModel, target, guard_indices, leak_weight):
+    """(guard indices, leak weight), checked: basis indices of the model and a
+    real weight; a guard needs a state target, not an Operator."""
+    guard = tuple(require_index("guard_indices entry", i, model.shape.total_dim)
+                  for i in guard_indices)
+    if guard and isinstance(target, Operator):
+        raise UsageError("guard-leakage penalty applies to state targets only")
+    return guard, require_real("leak_weight", leak_weight)
+
+
 def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
                    psi0: StateVector | None = None,
                    guard_indices: Sequence[int] = (),
@@ -639,12 +649,10 @@ def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
     """
     _check_schedule_pairing(model, schedule)
     tgt, psi0_vec = _resolve_target(model, target, psi0)
+    guard, leak_weight = _resolve_guard(model, tgt, guard_indices, leak_weight)
     amps = np.stack(schedule.streams)
-    j_total, _, gradient = _grape_pass(
-        model, amps, schedule.dt_s, tgt, psi0_vec,
-        tuple(require_count("guard_indices entry", i) for i in guard_indices),
-        float(leak_weight),
-    )
+    j_total, _, gradient = _grape_pass(model, amps, schedule.dt_s, tgt, psi0_vec,
+                                       guard, leak_weight)
     return j_total, tuple(gradient())
 
 
@@ -667,12 +675,10 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     _check_schedule_pairing(model, schedule0)
     tgt, psi0_vec = _resolve_target(model, target, psi0)
     iterations = require_count("iterations", iterations)
-    guard = tuple(require_count("guard_indices entry", i) for i in guard_indices)
-    if guard and isinstance(tgt, Operator):
-        raise UsageError("guard-leakage penalty applies to state targets only")
-    for g in guard:
-        if g >= model.shape.total_dim:
-            raise UsageError(f"guard index {g} out of range")
+    learning_rate = require_positive("learning_rate", learning_rate)
+    tol = require_real("tol", tol)
+    seed = None if seed is None else require_count("seed", seed)
+    guard, leak_weight = _resolve_guard(model, tgt, guard_indices, leak_weight)
     dt = schedule0.dt_s
     amps0 = np.stack(schedule0.streams)
 
@@ -681,7 +687,7 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
 
     def objective(w: np.ndarray):
         jt, j_raw, gradient = _grape_pass(model, w / area, dt, tgt, psi0_vec,
-                                          guard, float(leak_weight))
+                                          guard, leak_weight)
         return jt, j_raw, lambda: gradient() / area  # chain rule u = w / area
 
     # with all-zero amps0, w0 / area is amps0 bit for bit, so the start
@@ -695,8 +701,7 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
                       + 1j * rng.standard_normal(w0.shape))
         start = objective(w0)
     w_best, j_raw, iters, converged, trace = _ascend(
-        objective, w0, start, iterations, float(tol), float(learning_rate),
-    )
+        objective, w0, start, iterations, tol, learning_rate)
     schedule = PulseSchedule(dt, tuple(w_best / area), schedule0.carriers_hz)
     return GrapeResult(
         schedule=schedule,
@@ -937,6 +942,10 @@ def optimize_snap_displacement_sequence(
     blocks = require_count("blocks", blocks, 1)
     guard_levels = require_count("guard_levels", guard_levels)
     iterations = require_count("iterations", iterations)
+    seed = require_count("seed", seed)
+    learning_rate = require_positive("learning_rate", learning_rate)
+    tol = require_real("tol", tol)
+    leak_weight = require_real("leak_weight", leak_weight)
     n = len(tvec) + guard_levels
     padded = np.zeros(n, dtype=complex)
     padded[: len(tvec)] = tvec
@@ -959,13 +968,12 @@ def optimize_snap_displacement_sequence(
 
     def objective(x: np.ndarray):
         jt, j_raw, gradient = _sequence_pass(*unpack(x), padded, a_mat, adag,
-                                             guard, float(leak_weight))
+                                             guard, leak_weight)
         return jt, j_raw, lambda: pack(*gradient())
 
     x0 = pack(alphas0, thetas0)
     x_best, j_raw, iters, converged, trace = _ascend(
-        objective, x0, objective(x0), iterations, float(tol), float(learning_rate),
-    )
+        objective, x0, objective(x0), iterations, tol, learning_rate)
     al, th = unpack(x_best)
     return SequencePrepResult(
         alphas=tuple(al),

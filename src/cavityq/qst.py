@@ -43,6 +43,7 @@ from .errors import (
     read_numbers,
     read_object,
     require_positive,
+    require_real,
 )
 
 _MAX_RATE_DT = 0.05
@@ -119,7 +120,7 @@ class SampledWaveform:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
-        object.__setattr__(self, "t0_s", float(self.t0_s))
+        object.__setattr__(self, "t0_s", require_real("t0_s", self.t0_s))
 
     @property
     def times(self) -> np.ndarray:
@@ -169,14 +170,15 @@ class QstConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa_hz", require_positive("kappa_hz", self.kappa_hz))
-        t0, t1 = (float(self.t_span_s[0]), float(self.t_span_s[1]))
+        t0, t1 = (require_real("t_span_s entry", self.t_span_s[i]) for i in (0, 1))
         if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
             raise UsageError(f"invalid t_span {self.t_span_s}")
         object.__setattr__(self, "t_span_s", (t0, t1))
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
+        object.__setattr__(self, "delta_omega_hz",
+                           require_real("delta_omega_hz", self.delta_omega_hz))
         if not math.isfinite(self.delta_omega_hz):
             raise NumericError("non-finite detuning")
-        object.__setattr__(self, "delta_omega_hz", float(self.delta_omega_hz))
         alpha, beta = (complex(self.input_state[0]), complex(self.input_state[1]))
         nrm = abs(alpha) ** 2 + abs(beta) ** 2
         if not abs(nrm - 1.0) <= 1e-9:

@@ -1,11 +1,13 @@
 """The shared argument rules at every API site that uses them.
 
 A real site (`errors.require_positive`) refuses anything but a real number
-with 0 < value < inf; a count site (`errors.require_count`) refuses
-anything but an integer of at least 0 (1 for `blocks`). Both raise
-UsageError naming the argument (InvalidDimensionError for a HilbertShape
-dimension), and a numpy scalar of an accepted type gives the same result
-as the Python number.
+with 0 < value < inf; a number site (`errors.require_real`) refuses
+anything but a real number; a count site (`errors.require_count`) refuses
+anything but an integer of at least 0 (1 for `blocks` and `n_bits`); an
+index site (`errors.require_index`) refuses anything but an integer in
+[0, size). All raise UsageError naming the argument (InvalidDimensionError
+for a HilbertShape dimension), and a numpy scalar of an accepted type gives
+the same result as the Python number.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityq import codes, device, errors, noise, pulse, qst, trotter
+from cavityq import codes, device, errors, fock, gates, noise, pulse, qst, trotter
 from cavityq.errors import InvalidDimensionError, UsageError
 from cavityq.fock import HilbertShape, basis_state, identity
 
@@ -35,6 +37,14 @@ def _grape(**kw):
                                pulse.PulseSchedule(1e-7, (np.zeros(4),), (0.0,)),
                                **{"iterations": 3, "seed": 1, **kw})
     return res.fidelity, res.iterations, res.schedule.streams
+
+
+def _grape_gradient(model=None, target=None, **kw):
+    model = model or pulse.dispersive_model(1e6, 2)
+    if target is None:
+        target = basis_state(model.shape, [1] * model.shape.n_subsystems)
+    schedule = pulse.PulseSchedule(1e-7, (np.ones(4),), (0.0,))
+    return pulse.grape_gradient(model, schedule, target, **kw)
 
 
 def _sequence(**kw):
@@ -76,6 +86,33 @@ REAL_SITES = {
         field, lambda v, field=field: dataclasses.asdict(
             device.DeviceParams(**{**DEVICE, field: v})))
        for field in ("g_hz", "t1_fock0_s", "t1_min_s")},
+    "grape_optimize.learning_rate": ("learning_rate", lambda v: _grape(learning_rate=v)),
+    "optimize_snap_displacement_sequence.learning_rate": (
+        "learning_rate", lambda v: _sequence(learning_rate=v)),
+}
+
+# require_real sites, as REAL_SITES; 2 is a valid value at every site
+NUMBER_SITES = {
+    "grape_optimize.tol": ("tol", lambda v: _grape(tol=v)),
+    "grape_optimize.leak_weight": (
+        "leak_weight", lambda v: _grape(guard_indices=(3,), leak_weight=v)),
+    "grape_gradient.leak_weight": (
+        "leak_weight", lambda v: _grape_gradient(guard_indices=(3,), leak_weight=v)),
+    "optimize_snap_displacement_sequence.tol": ("tol", lambda v: _sequence(tol=v)),
+    "optimize_snap_displacement_sequence.leak_weight": (
+        "leak_weight", lambda v: _sequence(leak_weight=v)),
+    "SampledWaveform.t0_s": (
+        "t0_s", lambda v: qst.SampledWaveform([0.0, 1.0], 0.5, v).times),
+    "QstConfig.t_span_s start": (
+        "t_span_s", lambda v: _qst_config(t_span_s=(v, 4.0)).t_span_s),
+    "QstConfig.t_span_s end": (
+        "t_span_s", lambda v: _qst_config(t_span_s=(-4.0, v)).t_span_s),
+    "QstConfig.delta_omega_hz": (
+        "delta_omega_hz", lambda v: _qst_config(delta_omega_hz=v).delta_omega_hz),
+    "dephasing_rate.spectral_density_dc": (
+        "spectral_density_dc", lambda v: device.dephasing_rate(3.0, v)),
+    "relaxation_rate.spectral_density_at_e01": (
+        "spectral_density_at_e01", lambda v: device.relaxation_rate(0.5, v)),
 }
 
 COUNT_SITES = {
@@ -99,11 +136,51 @@ COUNT_SITES = {
         "n", lambda v: device.stark_shifted_freq(device.DeviceParams(**DEVICE), v, 2)),
     "fock_t1.n": ("n", lambda v: device.fock_t1(device.DeviceParams(**DEVICE), v)),
     "HilbertShape.dims": ("dimension", lambda v: HilbertShape((2, v)).dims),
+    "optimize_snap_displacement_sequence.seed": ("seed", lambda v: _sequence(seed=v)),
+    "multimode_drive_freq.occupation": (
+        "occupation", lambda v: device.multimode_drive_freq(
+            device.DeviceParams(**DEVICE), [(1, 2e5), (v, 1e5)])),
+    "qubit_binary_decode.n_bits": ("n_bits", lambda v: gates.qubit_binary_decode(1, v)),
+}
+
+PSI = basis_state((3, 3, 3), [0, 1, 2])
+SNAP3 = gates.snap([0.1, 0.2, 0.3])
+
+# site -> (argument name in the message, size, call with the argument set
+# to v); 2 is a valid index at every site, and size is the first invalid one
+INDEX_SITES = {
+    "HilbertShape.flat_index": (
+        "occupation", 3, lambda v: HilbertShape((2, 3)).flat_index((1, v))),
+    "HilbertShape.unflatten": ("index", 6, lambda v: HilbertShape((2, 3)).unflatten(v)),
+    "basis_state": ("flat index", 3, lambda v: basis_state(3, v).amplitudes),
+    "reduced_density_matrix": (
+        "subsystem", 3, lambda v: fock.reduced_density_matrix(PSI, [v])),
+    "mode_probabilities": ("subsystem", 3, lambda v: fock.mode_probabilities(PSI, [v])),
+    "mean_occupation": ("subsystem", 3, lambda v: fock.mean_occupation(PSI, v)),
+    "parity": ("subsystem", 3, lambda v: codes.parity(PSI, v)),
+    "cond_rotation": (
+        "selector level", 3, lambda v: gates.cond_rotation(v, 0.3, 0.2, 3).matrix),
+    "givens.m": ("level", 3, lambda v: gates.givens(v, 0, 0.3, 3).matrix),
+    "givens.n": ("level", 3, lambda v: gates.givens(0, v, 0.3, 3).matrix),
+    "phase_swap.m": ("level", 3, lambda v: gates.phase_swap(v, 0, 3).matrix),
+    "phase_swap.n": ("level", 3, lambda v: gates.phase_swap(0, v, 3).matrix),
+    "qubit_binary_decode.level": ("level", 4, lambda v: gates.qubit_binary_decode(v, 2)),
+    "embed": ("target", 3, lambda v: gates.embed(SNAP3, [v], PSI.shape).matrix),
+    "apply_embedded": (
+        "target", 3, lambda v: gates.apply_embedded(SNAP3, [v], PSI).amplitudes),
+    "multiqudit_snap": (
+        "target", 3, lambda v: gates.multiqudit_snap(v, [0.1, 0.2, 0.3], PSI.shape).matrix),
+    "grape_optimize.guard_indices": (
+        "guard_indices entry", 4, lambda v: _grape(guard_indices=(v,))),
+    "grape_gradient.guard_indices": (
+        "guard_indices entry", 4, lambda v: _grape_gradient(guard_indices=(v,))),
 }
 
 NOT_POSITIVE_REALS = [True, False, "2", None, 2j, math.nan, math.inf, -math.inf,
                       0, 0.0, -1, -2.5]
+NOT_REALS = [True, False, "2", None, 2j]
 NOT_COUNTS = [2.5, True, -1, "2", None, 2.0, np.float64(2.0)]
+NOT_INDICES = [True, False, 1.5, 2.0, "1", None, -1]
 
 
 def _expected_error(site: str):
@@ -129,6 +206,22 @@ def test_real_site_accepts_numpy_scalars(site, value):
     np.testing.assert_equal(call(value), call(2.0))
 
 
+@pytest.mark.parametrize("value", NOT_REALS, ids=repr)
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_number_site_refuses(site, value):
+    name, call = NUMBER_SITES[site]
+    with pytest.raises(UsageError, match=name):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [np.float64(2.0), np.float32(2.0), np.int64(2), 2],
+                         ids=repr)
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_number_site_accepts_numpy_scalars(site, value):
+    _, call = NUMBER_SITES[site]
+    np.testing.assert_equal(call(value), call(2.0))
+
+
 @pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)
 @pytest.mark.parametrize("site", COUNT_SITES)
 def test_count_site_refuses(site, value):
@@ -141,6 +234,22 @@ def test_count_site_refuses(site, value):
 @pytest.mark.parametrize("site", COUNT_SITES)
 def test_count_site_accepts_numpy_integers(site, value):
     _, call = COUNT_SITES[site]
+    np.testing.assert_equal(call(value), call(2))
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{value!r}")
+    for site, (_, size, _) in INDEX_SITES.items() for value in [*NOT_INDICES, size]])
+def test_index_site_refuses(site, value):
+    name, _, call = INDEX_SITES[site]
+    with pytest.raises(UsageError, match=name):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(2), np.int32(2)], ids=repr)
+@pytest.mark.parametrize("site", INDEX_SITES)
+def test_index_site_accepts_numpy_integers(site, value):
+    _, _, call = INDEX_SITES[site]
     np.testing.assert_equal(call(value), call(2))
 
 
@@ -164,6 +273,33 @@ def test_rules_return_python_numbers(rule):
     assert type(out) is (int if rule is errors.require_count else float)
 
 
+def test_require_index_returns_a_python_int():
+    out = errors.require_index("x", np.int64(3), 4)
+    assert out == 3 and type(out) is int
+
+
+# seed=None asks grape_optimize for no seeded start, so it is not a COUNT_SITES row
+@pytest.mark.parametrize("value", [v for v in NOT_COUNTS if v is not None], ids=repr)
+def test_grape_seed_refuses(value):
+    with pytest.raises(UsageError, match="seed must be a nonnegative integer"):
+        _grape(seed=value)
+
+
+def test_grape_seed_accepts_numpy_integers():
+    np.testing.assert_equal(_grape(seed=np.int64(2)), _grape(seed=2))
+
+
+def test_require_index_messages():
+    with pytest.raises(UsageError, match=r"^x must be an integer index, got True$"):
+        errors.require_index("x", True, 4)
+    with pytest.raises(UsageError, match=r"^x must be an integer index, got 1\.0$"):
+        errors.require_index("x", 1.0, 4)
+    with pytest.raises(UsageError, match=r"^x 4 outside \[0, 4\)$"):
+        errors.require_index("x", 4, 4)
+    with pytest.raises(UsageError, match=r"^x -1 outside \[0, 4\)$"):
+        errors.require_index("x", -1, 4)
+
+
 def test_require_positive_messages():
     with pytest.raises(UsageError, match=r"^x must be a real number, got True$"):
         errors.require_positive("x", True)
@@ -172,5 +308,56 @@ def test_require_positive_messages():
 
 
 def test_out_of_range_guard_index_refused():
-    with pytest.raises(UsageError, match="guard index 4 out of range"):
+    with pytest.raises(UsageError, match=r"guard_indices entry 4 outside \[0, 4\)"):
         _grape(guard_indices=(4,))
+
+
+# regressions: each input below gave a wrong result or a raw numpy error
+
+
+def test_givens_refuses_bool_level():
+    # True was level 1: a "gate" that is not unitary
+    with pytest.raises(UsageError, match="level must be an integer index, got True"):
+        gates.givens(True, 2, math.pi / 2, 3)
+
+
+def test_phase_swap_refuses_bool_level():
+    with pytest.raises(UsageError, match="level must be an integer index, got False"):
+        gates.phase_swap(False, 1, 3)
+
+
+def test_basis_state_refuses_bool_flat_index():
+    with pytest.raises(UsageError, match="flat index must be an integer index, got True"):
+        basis_state(3, True)
+
+
+def test_unflatten_refuses_float_index():
+    # (0.0, 1.5) came back
+    with pytest.raises(UsageError, match="index must be an integer index, got 1.5"):
+        HilbertShape((2, 2)).unflatten(1.5)
+
+
+def test_grape_gradient_refuses_out_of_range_guard():
+    # a raw IndexError came from the gradient pass
+    with pytest.raises(UsageError, match=r"^guard_indices entry 5 outside \[0, 2\)$"):
+        _grape_gradient(pulse.qubit_model(), guard_indices=(5,))
+
+
+def test_grape_gradient_refuses_guard_on_operator_target():
+    # the guard was ignored, where grape_optimize refuses it
+    model = pulse.dispersive_model(1e6, 2)
+    with pytest.raises(UsageError, match="applies to state targets only"):
+        _grape_gradient(model, identity(model.shape), guard_indices=(1,))
+
+
+def test_nan_learning_rate_refused():
+    # the optimizer returned after 0 iterations
+    with pytest.raises(UsageError, match="learning_rate must be positive and finite"):
+        _grape(learning_rate=math.nan)
+
+
+@pytest.mark.parametrize("estimator", [device.dephasing_rate, device.relaxation_rate])
+def test_nan_spectral_density_refused(estimator):
+    # nan came back as a rate
+    with pytest.raises(UsageError, match="spectral density must be >= 0"):
+        estimator(1.0, math.nan)

@@ -235,6 +235,13 @@ class TestGrape:
         assert header == ["iteration", "infidelity", "step_size"]
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("learning_rate", [0, -0.1])
+    def test_non_positive_learning_rate_exit_1(self, tmp_path, capsys, learning_rate):
+        cfg = write_json(tmp_path / "grape.json",
+                         dict(GRAPE_DOC, learning_rate=learning_rate))
+        assert run_cli(tmp_path, "grape", cfg) == 1
+        assert "learning_rate must be positive and finite" in capsys.readouterr().err
+
     def test_x_gate_target(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "grape.json",
@@ -431,6 +438,12 @@ class TestTrotterCommands:
         doc["steps_list"] = [50, "many"]
         cfg = write_json(tmp_path / "trot.json", doc)
         assert run_cli(tmp_path, "trotter", cfg) == 2
+
+    @pytest.mark.parametrize("command, doc", [("trotter", TROTTER_DOC), ("otoc", OTOC_DOC)])
+    def test_initial_level_outside_exit_1(self, tmp_path, capsys, command, doc):
+        cfg = write_json(tmp_path / "config.json", dict(doc, initial_level=8))
+        assert run_cli(tmp_path, command, cfg) == 1
+        assert "initial_level 8 outside [0, 8)" in capsys.readouterr().err
 
     def test_otoc_empty_time_grid_exit_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "otoc.json", dict(OTOC_DOC, times_s=[]))
