@@ -11,7 +11,8 @@ import numpy as np
 from . import codes, fock, gates, noise, pulse, qst, trotter
 from .cli import _Result
 from .errors import (ParseError, UsageError, decode_object, is_json_int, is_json_number_rows,
-                     read_field, read_kind, read_numbers, read_object, require_index)
+                     read_field, read_kind, read_numbers, read_object, require_count,
+                     require_index)
 
 _PROB_FLOOR = 1e-12
 
@@ -142,11 +143,10 @@ def cmd_grape(args, text: str) -> _Result:
     iterations = read_field(doc, "iterations", int, "grape config", 500)
     learning_rate = read_field(doc, "learning_rate", float, "grape config", 0.2)
     tol = read_field(doc, "tol", float, "grape config", 1e-8)
-    if n_segments < 1:
-        raise UsageError(f"n_segments must be >= 1, got {n_segments}")
+    n_segments = require_count("n_segments", n_segments, 1)
     schedule0 = pulse.PulseSchedule(
         dt_s=float(dt_s),
-        streams=np.zeros((model.n_streams, int(n_segments)), dtype=complex),
+        streams=np.zeros((model.n_streams, n_segments), dtype=complex),
         carriers_hz=tuple(0.0 for _ in range(model.n_streams)),
     )
     result = pulse.grape_optimize(

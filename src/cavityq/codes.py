@@ -16,14 +16,13 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidDimensionError, UsageError, require_count
 from .fock import (
-    HilbertShape,
     StateVector,
     TruncationWarning,
     TRUNCATION_TOL,
     annihilation,
-    basis_state,
     coherent_amplitudes,
     mode_probabilities,
+    shape_of,
 )
 
 ParitySign = Literal["+", "-"]
@@ -42,16 +41,13 @@ def cat_state(alpha: complex, sign: ParitySign, n: int) -> StateVector:
     sign "+" keeps even photon numbers, "-" keeps odd ones. The odd cat
     at α = 0 vanishes identically and is rejected.
     """
+    shape = shape_of((n,))
     if sign not in ("+", "-"):
         raise UsageError(f"sign must be '+' or '-', got {sign!r}")
-    if n < 1:
-        raise InvalidDimensionError(f"cat state needs dimension >= 1, got {n}")
     alpha = complex(alpha)
     s = 1.0 if sign == "+" else -1.0
-    if alpha == 0:
-        if sign == "-":
-            raise DegenerateInputError("odd cat state vanishes at alpha = 0")
-        return basis_state(n, 0)
+    if alpha == 0 and sign == "-":
+        raise DegenerateInputError("odd cat state vanishes at alpha = 0")
     raw = coherent_amplitudes(alpha, n) + s * coherent_amplitudes(-alpha, n)
     captured = float(np.sum(np.abs(raw) ** 2))
     full = 2.0 * (1.0 + s * math.exp(-2 * abs(alpha) ** 2))
@@ -65,7 +61,7 @@ def cat_state(alpha: complex, sign: ParitySign, n: int) -> StateVector:
             TruncationWarning,
             stacklevel=2,
         )
-    return StateVector(HilbertShape((n,)), raw / math.sqrt(captured), leakage)
+    return StateVector(shape, raw / math.sqrt(captured), leakage)
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
@@ -97,7 +93,7 @@ def cat_encode(c_g: complex, c_e: complex, alpha: complex, n: int) -> StateVecto
     if nrm < 1e-12:
         raise DegenerateInputError("encoded state vanishes (basis overlap cancellation)")
     leak = max(b_g.leakage, b_e.leakage)
-    return StateVector(HilbertShape((n,)), raw / nrm, leak)
+    return StateVector(b_g.shape, raw / nrm, leak)
 
 
 def photon_loss_cycle_check(psi: StateVector, k: int) -> StateVector:
@@ -123,11 +119,11 @@ def photon_loss_cycle_check(psi: StateVector, k: int) -> StateVector:
 def binomial_codewords(n: int) -> tuple[StateVector, StateVector]:
     """Smallest binomial code protecting against one photon loss:
     |0_L⟩ = (|0⟩ + |4⟩)/√2 and |1_L⟩ = |2⟩, both with ⟨n̂⟩ = 2."""
+    shp = shape_of((n,))
     if n < 5:
         raise InvalidDimensionError(f"binomial codewords need at least 5 levels, got {n}")
     zero = np.zeros(n, dtype=complex)
     zero[0] = zero[4] = 1 / math.sqrt(2)
     one = np.zeros(n, dtype=complex)
     one[2] = 1.0
-    shp = HilbertShape((n,))
     return StateVector(shp, zero), StateVector(shp, one)

@@ -7,12 +7,12 @@ Every JSON config object, at the top level or nested, is read by
 (`decode_object`) and rejects a missing or an unlisted field; its fields
 are read with `read_field` and `read_numbers`. Every parser tests JSON
 numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
-and JSON integers with `is_json_int`. API arguments follow four rules,
+and JSON integers with `is_json_int`. API arguments follow six rules,
 listed site by site in the README: `require_count` for counts, seeds and
-photon numbers (`fock.HilbertShape` tests dimensions with `is_count`),
-`require_index` for level, subsystem and basis indices (`fock`, `gates`,
-`pulse` guard indices, the CLI's initial_level), `require_real` for other
-real numbers, and `require_positive` for time steps, durations, couplings,
+photon numbers, `fock.shape_of` for dimensions, before any allocation,
+`require_index` for level, subsystem and basis indices, `require_real`
+for other real numbers, `require_finite` for tolerances, weights and time
+origins, and `require_positive` for time steps, durations, couplings,
 rates and other positive reals. SNAP phases are tested with `is_real`.
 """
 
@@ -75,6 +75,13 @@ def require_real(name: str, value) -> float:
     """float(value), or UsageError unless value is a real number (`is_real`)."""
     if not is_real(value):
         raise UsageError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def require_finite(name: str, value) -> float:
+    """float(value), or UsageError unless require_real passes and value is finite."""
+    if not math.isfinite(require_real(name, value)):
+        raise UsageError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 

@@ -103,11 +103,13 @@ class HilbertShape:
 
 
 def shape_of(dims: int | Sequence[int] | HilbertShape) -> HilbertShape:
+    """A HilbertShape as is, the dims of a list, tuple or 1-D array, or any
+    other value as the dimension of one mode; called before any allocation."""
     if isinstance(dims, HilbertShape):
         return dims
-    if isinstance(dims, int):
-        return HilbertShape((dims,))
-    return HilbertShape(tuple(dims))
+    if isinstance(dims, (list, tuple)) or np.ndim(dims) == 1:
+        return HilbertShape(tuple(dims))
+    return HilbertShape((dims,))
 
 
 def _frozen_array(values, expected_shape) -> np.ndarray:
@@ -224,10 +226,9 @@ def identity(shape: int | Sequence[int] | HilbertShape) -> Operator:
 
 def annihilation(n: int) -> Operator:
     """Lowering operator with ⟨n-1|a|n⟩ = √n on an n-dimensional mode."""
-    if n < 1:
-        raise InvalidDimensionError(f"annihilation needs dimension >= 1, got {n}")
+    shape = shape_of((n,))
     mat = np.diag(np.sqrt(np.arange(1, n, dtype=np.float64)), k=1).astype(np.complex128)
-    return Operator(HilbertShape((n,)), mat)
+    return Operator(shape, mat)
 
 
 def creation(n: int) -> Operator:
@@ -235,9 +236,7 @@ def creation(n: int) -> Operator:
 
 
 def number_operator(n: int) -> Operator:
-    if n < 1:
-        raise InvalidDimensionError(f"number operator needs dimension >= 1, got {n}")
-    return Operator(HilbertShape((n,)), np.diag(np.arange(n)).astype(np.complex128))
+    return Operator(shape_of((n,)), np.diag(np.arange(n)).astype(np.complex128))
 
 
 def tensor(*factors):
@@ -344,8 +343,7 @@ def propagator(h: Operator, t: float) -> Operator:
 def coherent_amplitudes(alpha: complex, n: int) -> np.ndarray:
     """Unnormalized truncated coherent amplitudes c_k = e^{-|α|²/2} α^k/√(k!),
     evaluated in log space so large |α| stays finite."""
-    if n < 1:
-        raise InvalidDimensionError(f"coherent state needs dimension >= 1, got {n}")
+    shape_of((n,))
     alpha = complex(alpha)
     if alpha == 0:
         amps = np.zeros(n, dtype=np.complex128)
@@ -364,18 +362,14 @@ def coherent_state(alpha: complex, n: int) -> StateVector:
     The probability weight lost to truncation is attached as `leakage`;
     above 1e-6 a TruncationWarning is also emitted.
     """
-    shp = HilbertShape((n,))
-    alpha = complex(alpha)
-    if alpha == 0:
-        return basis_state(shp, 0)
-    mag = abs(alpha)
+    shp = shape_of((n,))
     amps = coherent_amplitudes(alpha, n)
     captured = float(np.sum(np.abs(amps) ** 2))
     leakage = max(0.0, 1.0 - captured)
     if leakage > TRUNCATION_TOL:
         warnings.warn(
-            f"coherent state |α|={mag:.3g} keeps only {captured:.6f} of its weight "
-            f"at truncation {n}",
+            f"coherent state |α|={abs(complex(alpha)):.3g} keeps only {captured:.6f} "
+            f"of its weight at truncation {n}",
             TruncationWarning,
             stacklevel=2,
         )

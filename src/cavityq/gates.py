@@ -26,9 +26,9 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (CapacityError, ParseError, ShapeError, UsageError, is_json_int,
-                     is_json_number, is_real, read_field, read_object, require_count,
-                     require_index)
+from .errors import (CapacityError, ParseError, ShapeError, UsageError, is_count,
+                     is_json_int, is_json_number, is_real, read_field, read_object,
+                     require_count, require_index, require_real)
 from .fock import (
     HilbertShape,
     Operator,
@@ -54,9 +54,9 @@ def snap(theta: Sequence[float]) -> Operator:
 def multisnap(theta: Sequence[float], dims: Sequence[int]) -> Operator:
     """Joint multi-mode SNAP: one phase per joint occupation (n_0, n_1, ...),
     flattened with the first mode most significant."""
-    dims = tuple(int(d) for d in dims)
-    theta = _multisnap_theta(theta, dims)
-    return Operator(HilbertShape(dims), np.diag(np.exp(1j * theta)))
+    shape = shape_of(dims)
+    theta = _multisnap_theta(theta, shape.dims)
+    return Operator(shape, np.diag(np.exp(1j * theta)))
 
 
 def _multisnap_theta(theta: Sequence[float], dims: tuple[int, ...]) -> np.ndarray:
@@ -79,10 +79,11 @@ def displacement(alpha: complex, n: int, convention: str = "standard") -> Operat
     with the infinite-dimensional displacement on levels well below the
     cutoff (keep n ≳ |α|² + 5|α| above the states you care about).
     """
-    rot, angle, vecs = _displacement_factors(alpha, n, convention)
+    shape = shape_of((n,))
+    rot, angle, vecs = _displacement_factors(alpha, shape.total_dim, convention)
     # Q e^{−i|α|Λ} Qᵀ as two real products
     inner = (vecs * np.cos(angle)) @ vecs.T - 1j * ((vecs * np.sin(angle)) @ vecs.T)
-    return Operator(HilbertShape((n,)), rot[:, None] * inner * rot.conj())
+    return Operator(shape, rot[:, None] * inner * rot.conj())
 
 
 def _displacement_factors(alpha: complex, n: int, convention: str
@@ -141,6 +142,7 @@ def _displacement_eigensystem(alphas: np.ndarray,
 
 def qubit_rotation(theta: float, phi: float) -> Operator:
     """Bloch rotation exp(−i θ/2 (cosφ σx + sinφ σy)) on a qubit."""
+    theta, phi = require_real("theta", theta), require_real("phi", phi)
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     mat = np.array(
         [
@@ -154,67 +156,70 @@ def qubit_rotation(theta: float, phi: float) -> Operator:
 def cond_rotation(n: int, theta: float, phi: float, mode_dim: int) -> Operator:
     """Qubit rotation applied only in the photon-number-n sector:
     R(θ,φ) ⊗ |n⟩⟨n| + I ⊗ (I − |n⟩⟨n|) on shape (qubit, mode)."""
+    shape = shape_of((2, mode_dim))
     n = require_index("selector level", n, mode_dim)
     r = qubit_rotation(theta, phi).matrix
     pn = np.zeros((mode_dim, mode_dim), dtype=complex)
     pn[n, n] = 1.0
     mat = np.kron(r, pn) + np.kron(np.eye(2), np.eye(mode_dim) - pn)
-    return Operator(HilbertShape((2, mode_dim)), mat)
+    return Operator(shape, mat)
 
 
 def controlled_increment(n: int) -> Operator:
     """|i⟩|j⟩ → |i⟩|(j+i) mod N⟩ on two N-level qudits."""
-    if n < 1:
-        raise UsageError(f"controlled increment needs dimension >= 1, got {n}")
+    shape = shape_of((n, n))
     mat = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
             mat[i * n + (j + i) % n, i * n + j] = 1.0
-    return Operator(HilbertShape((n, n)), mat)
+    return Operator(shape, mat)
 
 
 def givens(m: int, n: int, theta: float, dim: int) -> Operator:
     """Real SO(2) rotation on span{|m⟩,|n⟩}: the 2×2 block
     [[cosθ, −sinθ], [sinθ, cosθ]], identity elsewhere. θ=π/2 maps
     |m⟩ → |n⟩ in full; equal superpositions sit at θ=π/4."""
+    shape = shape_of((dim,))
     m, n = require_index("level", m, dim), require_index("level", n, dim)
     if m == n:
         raise UsageError("givens needs two distinct levels")
+    theta = require_real("theta", theta)
     mat = np.eye(dim, dtype=complex)
     c, s = math.cos(theta), math.sin(theta)
     mat[m, m] = c
     mat[m, n] = -s
     mat[n, m] = s
     mat[n, n] = c
-    return Operator(HilbertShape((dim,)), mat)
+    return Operator(shape, mat)
 
 
 def phase_swap(m: int, n: int, dim: int) -> Operator:
     """Transposition of basis levels m and n (amplitudes travel with
     their phases)."""
+    shape = shape_of((dim,))
     m, n = require_index("level", m, dim), require_index("level", n, dim)
     if m == n:
         raise UsageError("phase_swap needs two distinct levels")
     mat = np.eye(dim, dtype=complex)
     mat[m, m] = mat[n, n] = 0.0
     mat[m, n] = mat[n, m] = 1.0
-    return Operator(HilbertShape((dim,)), mat)
+    return Operator(shape, mat)
 
 
 def fourier(dim: int, inverse: bool = False) -> Operator:
     """Z_N Fourier gate F_{jk} = e^{2πi jk/N}/√N."""
-    if dim < 1:
-        raise UsageError(f"fourier needs dimension >= 1, got {dim}")
+    shape = shape_of((dim,))
     j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     mat = np.exp(2j * np.pi * j * k / dim) / math.sqrt(dim)
     if inverse:
         mat = mat.conj().T
-    return Operator(HilbertShape((dim,)), mat)
+    return Operator(shape, mat)
 
 
 def ecd(beta: complex, mode_dim: int, convention: str = "standard") -> Operator:
     """Echoed conditional displacement on shape (qubit, mode):
     |e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2). At β=0 this is X ⊗ I."""
+    shape = shape_of((2, mode_dim))
     d_plus = displacement(complex(beta) / 2, mode_dim, convention).matrix
     d_minus = displacement(-complex(beta) / 2, mode_dim, convention).matrix
     eg = np.zeros((2, 2), dtype=complex)
@@ -222,7 +227,7 @@ def ecd(beta: complex, mode_dim: int, convention: str = "standard") -> Operator:
     eg[1, 0] = 1.0
     ge[0, 1] = 1.0
     mat = np.kron(eg, d_plus) + np.kron(ge, d_minus)
-    return Operator(HilbertShape((2, mode_dim)), mat)
+    return Operator(shape, mat)
 
 
 def qubit_binary_encode(bits: str | Sequence[int]) -> int:
@@ -233,12 +238,9 @@ def qubit_binary_encode(bits: str | Sequence[int]) -> int:
         raise UsageError("empty bit pattern")
     value = 0
     for b in seq:
-        if b in ("0", 0):
-            value = value * 2
-        elif b in ("1", 1):
-            value = value * 2 + 1
-        else:
+        if not (b in ("0", "1") if isinstance(b, str) else is_count(b) and 0 <= b <= 1):
             raise UsageError(f"bit pattern may contain only 0/1, got {b!r}")
+        value = value * 2 + int(b)
     return value
 
 
@@ -267,9 +269,11 @@ def _check_targets(op: Operator, targets: Sequence[int], dims: tuple[int, ...]) 
     return targets
 
 
-def embed(op: Operator, targets: Sequence[int], shape: HilbertShape) -> Operator:
+def embed(op: Operator, targets: Sequence[int],
+          shape: int | Sequence[int] | HilbertShape) -> Operator:
     """Promote an operator on the given target subsystems (in order) to
     the full register."""
+    shape = shape_of(shape)
     dims = shape.dims
     targets = _check_targets(op, targets, dims)
     rest = [i for i in range(len(dims)) if i not in targets]

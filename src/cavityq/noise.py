@@ -140,27 +140,25 @@ class NoiseChannel:
                              f"(tolerance {_COMPLETENESS_TOL})")
 
 
-def _check_step(dt_s: float, n: int) -> None:
-    """Raise UsageError unless the step dt_s is a positive real (not NaN)
-    and the mode dimension n is at least 1. An infinite step passes, so that
-    a first-order channel reports it as too coarse (StepSizeError)."""
+def _check_step(dt_s: float) -> None:
+    """Raise UsageError unless dt_s is a positive real (not NaN). Infinity
+    passes, so that a first-order channel reports it as too coarse."""
     require_real("dt_s", dt_s)
     if not dt_s > 0:
         raise UsageError(f"dt_s must be positive, got {dt_s}")
-    if n < 1:
-        raise UsageError(f"mode dimension must be >= 1, got {n}")
 
 
-def _check_loss_args(t1_s: float, dt_s: float, n: int) -> None:
+def _check_loss_args(t1_s: float, dt_s: float) -> None:
     require_real("t1_s", t1_s)
     if t1_s <= 0:
         raise UsageError(f"t1_s must be positive, got {t1_s}")
-    _check_step(dt_s, n)
+    _check_step(dt_s)
 
 
 def photon_loss_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
     """Single-photon loss on an n-level mode, anchored to the |1⟩ lifetime."""
-    _check_loss_args(t1_s, dt_s, n)
+    shape = shape_of((n,))
+    _check_loss_args(t1_s, dt_s)
     x = dt_s / t1_s
     # completeness defect of the literal first-order pair
     defect = ((n - 1) * x / 2) ** 2
@@ -168,7 +166,6 @@ def photon_loss_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
         raise StepSizeError(
             f"dt={dt_s:g} too coarse for {n} levels at t1={t1_s:g} "
             f"(first-order completeness defect {defect:.3e} > {_FIRST_ORDER_TOL})")
-    shape = HilbertShape((n,))
     k1 = Operator(shape, math.sqrt(x) * annihilation(n).matrix)
     k0 = Operator(shape, np.diag(np.sqrt(1.0 - x * np.arange(n))).astype(complex))
     return NoiseChannel(shape, (k0, k1), dt_s)
@@ -180,7 +177,8 @@ def amplitude_damping_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
     (1997)), K_l = Σ_m √C(m,l) (1−p)^{(m−l)/2} p^{l/2} |m−l⟩⟨m| for
     l = 0…n−1, with p = 1 − e^{−dt/T1}. K_l loses l photons, so it lies on
     the l-th superdiagonal. Valid at any dt, and E_s∘E_t = E_{s+t}."""
-    _check_loss_args(t1_s, dt_s, n)
+    shape = shape_of((n,))
+    _check_loss_args(t1_s, dt_s)
     x = require_positive("dt_s / t1_s", dt_s / t1_s)
     lost, m = np.nonzero(np.tri(n, dtype=bool).T)  # every l <= m, by l
     # the binomial weight C(m,l) (1−p)^(m−l) p^l from exact integer binomials
@@ -189,7 +187,6 @@ def amplitude_damping_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
     weight = binomial * np.exp(-(m - lost) * x) * (-math.expm1(-x)) ** lost
     # K_l's n − l entries, placed on its l-th superdiagonal
     bands = np.split(np.sqrt(weight).astype(complex), np.cumsum(np.arange(n, 1, -1)))
-    shape = HilbertShape((n,))
     return NoiseChannel(shape, tuple(Operator(shape, np.diag(band, l))
                                      for l, band in enumerate(bands)), dt_s)
 
@@ -197,11 +194,11 @@ def amplitude_damping_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
 def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
     """Pure dephasing generated by n̂. The default physical rate on the
     hardware this models is zero; the channel exists as an explicit hook."""
+    shape = shape_of((n,))
     require_real("rate_hz", rate_hz)
     if rate_hz < 0:
         raise UsageError(f"rate_hz must be >= 0, got {rate_hz}")
-    _check_step(dt_s, n)
-    shape = HilbertShape((n,))
+    _check_step(dt_s)
     y = rate_hz * dt_s
     defect = (y * (n - 1) ** 2 / 2) ** 2
     if defect > _FIRST_ORDER_TOL:

@@ -35,6 +35,7 @@ from .errors import (
     read_field,
     read_object,
     require_count,
+    require_finite,
     require_index,
     require_positive,
     require_real,
@@ -103,7 +104,7 @@ class PulseSchedule:
         if any(len(s) != n for s in streams):
             raise ShapeError("all amplitude streams must have equal length")
         object.__setattr__(self, "streams", streams)
-        carriers = tuple(float(c) for c in self.carriers_hz)
+        carriers = tuple(require_real("carriers_hz entry", c) for c in self.carriers_hz)
         if len(carriers) != len(streams):
             raise ShapeError(
                 f"{len(carriers)} carriers for {len(streams)} streams"
@@ -252,10 +253,10 @@ def dispersive_model(chi_hz: float, n_levels: int,
     """Dispersive qubit-cavity model, qubit first: drift
     -2*pi*chi |e><e| (x) n_hat, qubit drive quadratures, and optionally
     cavity drive quadratures."""
+    shape = shape_of((2, n_levels))
     if n_levels < 2:
         raise UsageError(f"need at least 2 cavity levels, got {n_levels}")
     chi_hz = require_positive("chi_hz", chi_hz)
-    shape = shape_of((2, n_levels))
     nhat = number_operator(n_levels).matrix
     e_proj = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     drift = -2 * np.pi * chi_hz * np.kron(e_proj, nhat)
@@ -633,7 +634,7 @@ def _resolve_guard(model: ControlModel, target, guard_indices, leak_weight):
                   for i in guard_indices)
     if guard and isinstance(target, Operator):
         raise UsageError("guard-leakage penalty applies to state targets only")
-    return guard, require_real("leak_weight", leak_weight)
+    return guard, require_finite("leak_weight", leak_weight)
 
 
 def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
@@ -676,7 +677,7 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     tgt, psi0_vec = _resolve_target(model, target, psi0)
     iterations = require_count("iterations", iterations)
     learning_rate = require_positive("learning_rate", learning_rate)
-    tol = require_real("tol", tol)
+    tol = require_finite("tol", tol)
     seed = None if seed is None else require_count("seed", seed)
     guard, leak_weight = _resolve_guard(model, tgt, guard_indices, leak_weight)
     dt = schedule0.dt_s
@@ -944,8 +945,8 @@ def optimize_snap_displacement_sequence(
     iterations = require_count("iterations", iterations)
     seed = require_count("seed", seed)
     learning_rate = require_positive("learning_rate", learning_rate)
-    tol = require_real("tol", tol)
-    leak_weight = require_real("leak_weight", leak_weight)
+    tol = require_finite("tol", tol)
+    leak_weight = require_finite("leak_weight", leak_weight)
     n = len(tvec) + guard_levels
     padded = np.zeros(n, dtype=complex)
     padded[: len(tvec)] = tvec

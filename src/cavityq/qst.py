@@ -42,6 +42,7 @@ from .errors import (
     read_kind,
     read_numbers,
     read_object,
+    require_finite,
     require_positive,
     require_real,
 )
@@ -120,7 +121,7 @@ class SampledWaveform:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
-        object.__setattr__(self, "t0_s", require_real("t0_s", self.t0_s))
+        object.__setattr__(self, "t0_s", require_finite("t0_s", self.t0_s))
 
     @property
     def times(self) -> np.ndarray:
@@ -359,7 +360,7 @@ def detuning_sweep(config: QstConfig,
     Requires a matched-waveform baseline: the zero-detuning transfer must
     exceed eta = 0.99 for the linear small-detuning law to be meaningful.
     """
-    deltas = [float(d) for d in delta_list]
+    deltas = [require_real("delta_list entry", d) for d in delta_list]
     if len(deltas) < 2:
         raise UsageError("need at least two detunings to sweep")
     baseline = simulate_transfer(replace(config, delta_omega_hz=0.0)).eta

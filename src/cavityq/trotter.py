@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError,
-                     require_count, require_positive)
-from .fock import HilbertShape, Operator, StateVector
+                     require_count, require_positive, require_real)
+from .fock import HilbertShape, Operator, StateVector, shape_of
 from .gates import Circuit, GateSpec, _run
 
 
@@ -94,7 +94,7 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
     if not isinstance(h, QuditHamiltonian):
         raise UsageError("trotter_step needs a QuditHamiltonian")
     dt_s = require_positive("dt_s", dt_s)
-    if n_levels is not None and n_levels != h.n_levels:
+    if n_levels is not None and shape_of((n_levels,)).total_dim != h.n_levels:
         raise ShapeError(
             f"requested {n_levels} levels but the Hamiltonian has {h.n_levels}"
         )
@@ -213,7 +213,7 @@ def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
     w_mat = _operator_matrix(w, n, "W")
     v_mat = _operator_matrix(v, n, "V")
     psi = _state_vector(psi0, n).amplitudes.reshape(n)
-    times = [float(t) for t in times_s]
+    times = [require_real("times_s entry", t) for t in times_s]
     for t in times:
         if not math.isfinite(t):
             raise NumericError(f"non-finite time {t}")

@@ -5,19 +5,23 @@ with 0 < value < inf; a number site (`errors.require_real`) refuses
 anything but a real number; a count site (`errors.require_count`) refuses
 anything but an integer of at least 0 (1 for `blocks` and `n_bits`); an
 index site (`errors.require_index`) refuses anything but an integer in
-[0, size). All raise UsageError naming the argument (InvalidDimensionError
+[0, size); a dimension site (`fock.shape_of`) refuses anything but an
+integer of at least 1, and a total dimension over the cap, before it
+allocates. All raise UsageError naming the argument (InvalidDimensionError
 for a HilbertShape dimension), and a numpy scalar of an accepted type gives
 the same result as the Python number.
 """
 
 import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cavityq import codes, device, errors, fock, gates, noise, pulse, qst, trotter
-from cavityq.errors import InvalidDimensionError, UsageError
+from cavityq import cli, codes, device, errors, fock, gates, noise, pulse, qst, trotter
+from cavityq.errors import CapacityError, InvalidDimensionError, NumericError, UsageError
 from cavityq.fock import HilbertShape, basis_state, identity
 
 DEVICE = dict(omega_q_hz=6.0e9, omega_c_hz=4.0e9, g_hz=10.0e6, chi_prime_hz=1.0e3,
@@ -30,6 +34,12 @@ def _qst_config(**fields):
     base = dict(kappa_hz=1.0, emit_waveform=flat, catch_waveform=flat,
                 t_span_s=(-4.0, 4.0), dt_s=0.5)
     return qst.QstConfig(**{**base, **fields})
+
+
+def _matched_config():
+    return qst.QstConfig(kappa_hz=1.0, emit_waveform=qst.matched_emit_rate(1.0),
+                         catch_waveform=qst.matched_catch_rate(1.0),
+                         t_span_s=(-12.0, 12.0), dt_s=0.04)
 
 
 def _grape(**kw):
@@ -113,7 +123,23 @@ NUMBER_SITES = {
         "spectral_density_dc", lambda v: device.dephasing_rate(3.0, v)),
     "relaxation_rate.spectral_density_at_e01": (
         "spectral_density_at_e01", lambda v: device.relaxation_rate(0.5, v)),
+    "qubit_rotation.theta": ("theta", lambda v: gates.qubit_rotation(v, 0.3).matrix),
+    "qubit_rotation.phi": ("phi", lambda v: gates.qubit_rotation(0.3, v).matrix),
+    "cond_rotation.theta": ("theta", lambda v: gates.cond_rotation(1, v, 0.2, 3).matrix),
+    "cond_rotation.phi": ("phi", lambda v: gates.cond_rotation(1, 0.3, v, 3).matrix),
+    "givens.theta": ("theta", lambda v: gates.givens(0, 1, v, 3).matrix),
+    "PulseSchedule.carriers_hz": (
+        "carriers_hz", lambda v: pulse.PulseSchedule(1.0, (np.ones(2),), (v,)).carriers_hz),
+    "detuning_sweep.delta_list": (
+        "delta_list", lambda v: qst.detuning_sweep(_matched_config(), [0.0, v]).rows),
+    "otoc_series.times_s": (
+        "times_s", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [0.0, v])),
 }
+
+# NUMBER_SITES that also refuse NaN and ±inf (`errors.require_finite`)
+FINITE_SITES = ["grape_optimize.tol", "grape_optimize.leak_weight",
+                "grape_gradient.leak_weight", "optimize_snap_displacement_sequence.tol",
+                "optimize_snap_displacement_sequence.leak_weight", "SampledWaveform.t0_s"]
 
 COUNT_SITES = {
     "optimize_snap_displacement_sequence.blocks": (
@@ -142,6 +168,45 @@ COUNT_SITES = {
             device.DeviceParams(**DEVICE), [(1, 2e5), (v, 1e5)])),
     "qubit_binary_decode.n_bits": ("n_bits", lambda v: gates.qubit_binary_decode(1, v)),
 }
+
+THETA6 = np.linspace(0.0, 1.0, 6)
+
+# site -> call with the dimension argument set to v; 3 is a valid dimension
+# at every site
+DIMENSION_SITES = {
+    "shape_of": lambda v: fock.shape_of(v).dims,
+    "identity": lambda v: identity(v).matrix,
+    "basis_state": lambda v: basis_state(v, 1).amplitudes,
+    "annihilation": lambda v: fock.annihilation(v).matrix,
+    "creation": lambda v: fock.creation(v).matrix,
+    "number_operator": lambda v: fock.number_operator(v).matrix,
+    "coherent_amplitudes": lambda v: fock.coherent_amplitudes(0.1, v),
+    "coherent_state": lambda v: fock.coherent_state(0.1, v).amplitudes,
+    "multisnap": lambda v: gates.multisnap(THETA6, [2, v]).matrix,
+    "multiqudit_snap": lambda v: gates.multiqudit_snap(0, [0.1, 0.2, 0.3], v).matrix,
+    "displacement": lambda v: gates.displacement(0.3, v).matrix,
+    "cond_rotation": lambda v: gates.cond_rotation(1, 0.3, 0.2, v).matrix,
+    "controlled_increment": lambda v: gates.controlled_increment(v).matrix,
+    "givens": lambda v: gates.givens(0, 1, 0.3, v).matrix,
+    "phase_swap": lambda v: gates.phase_swap(0, 1, v).matrix,
+    "fourier": lambda v: gates.fourier(v).matrix,
+    "ecd": lambda v: gates.ecd(0.3, v).matrix,
+    "cat_state": lambda v: codes.cat_state(0.1, "+", v).amplitudes,
+    "photon_loss_channel": lambda v: [
+        k.matrix for k in noise.photon_loss_channel(1.0, 1e-4, v).kraus],
+    "amplitude_damping_channel": lambda v: [
+        k.matrix for k in noise.amplitude_damping_channel(1.0, 1e-3, v).kraus],
+    "dephasing_channel": lambda v: [
+        k.matrix for k in noise.dephasing_channel(1.0, 1e-4, v).kraus],
+    "dispersive_model": lambda v: pulse.dispersive_model(1e6, v).drift.matrix,
+    "cat_encode": lambda v: codes.cat_encode(1.0, 0.0, 0.1, v).amplitudes,
+    "embed": lambda v: gates.embed(gates.fourier(3), [0], (3, v)).matrix,
+    "trotter_step": lambda v: trotter.trotter_step(HAMILTONIAN, 0.1, v).shape.dims,
+}
+
+# the dimension each site is given under a cap of 64: one above the cap, or
+# for a two-subsystem shape, one under the cap whose total is above it
+CAP_DIMENSIONS = {"cond_rotation": 40, "ecd": 40, "controlled_increment": 9}
 
 PSI = basis_state((3, 3, 3), [0, 1, 2])
 SNAP3 = gates.snap([0.1, 0.2, 0.3])
@@ -361,3 +426,128 @@ def test_nan_spectral_density_refused(estimator):
     # nan came back as a rate
     with pytest.raises(UsageError, match="spectral density must be >= 0"):
         estimator(1.0, math.nan)
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{value!r}")
+    for site in DIMENSION_SITES for value in [*NOT_COUNTS, 0]
+    # n_levels=None asks trotter_step for no level check
+    if not (site == "trotter_step" and value is None)])
+def test_dimension_site_refuses(site, value):
+    with pytest.raises(InvalidDimensionError, match="dimension"):
+        DIMENSION_SITES[site](value)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.int32(3)], ids=repr)
+@pytest.mark.parametrize("site", DIMENSION_SITES)
+def test_dimension_site_accepts_numpy_integers(site, value):
+    call = DIMENSION_SITES[site]
+    np.testing.assert_equal(call(value), call(3))
+
+
+@pytest.mark.parametrize("site", DIMENSION_SITES)
+def test_dimension_cap_checked_before_allocation(site, monkeypatch):
+    monkeypatch.setenv(fock.DIM_CAP_ENV_VAR, "64")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceeds cap 64"):
+            DIMENSION_SITES[site](CAP_DIMENSIONS.get(site, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each dense matrix of these sizes is 100 kB or more; the check is 2 kB
+    assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("site", FINITE_SITES)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_finite_site_refuses(site, value):
+    name, call = NUMBER_SITES[site]
+    with pytest.raises(UsageError, match=f"{name} must be finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [*NOT_COUNTS, 0], ids=repr)
+def test_binomial_codewords_refuses_dimension(value):
+    with pytest.raises(InvalidDimensionError, match="dimension"):
+        codes.binomial_codewords(value)
+
+
+def test_binomial_codewords_accepts_numpy_integer():
+    for ours, plain in zip(codes.binomial_codewords(np.int64(6)), codes.binomial_codewords(6)):
+        assert ours.shape == plain.shape
+        np.testing.assert_equal(ours.amplitudes, plain.amplitudes)
+
+
+def test_shape_of_numpy_integer():
+    # a raw TypeError: 'numpy.int64' object is not iterable
+    assert fock.shape_of(np.int64(3)) == HilbertShape((3,))
+    assert fock.shape_of(np.array([2, 3])) == HilbertShape((2, 3))
+
+
+@pytest.mark.parametrize("dims", [[2.7], [True, 2]], ids=repr)
+def test_multisnap_refuses_non_integer_dimension(dims):
+    # int(d) made a dims-(2,) gate of [2.7] and a (1, 2) gate of [True, 2]
+    with pytest.raises(InvalidDimensionError, match="dimension"):
+        gates.multisnap([0.1, 0.2], dims)
+
+
+def test_qubit_binary_encode_refuses_bool_and_float_bits():
+    # 5 came back
+    with pytest.raises(UsageError, match="only 0/1, got True"):
+        gates.qubit_binary_encode([True, False, 1.0])
+    with pytest.raises(UsageError, match="only 0/1, got 1.0"):
+        gates.qubit_binary_encode([1, 0, 1.0])
+    assert gates.qubit_binary_encode(["1", np.int64(0), 1]) == 5
+
+
+def test_givens_refuses_bool_angle():
+    # True rotated by 1 rad
+    with pytest.raises(UsageError, match="theta must be a real number, got True"):
+        gates.givens(0, 1, True, 3)
+
+
+def test_nan_tolerance_refused():
+    # 0 iterations, fidelity 0.0 and converged False came back
+    with pytest.raises(UsageError, match="tol must be finite, got nan"):
+        _grape(tol=math.nan)
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf])
+def test_sampled_waveform_refuses_non_finite_start(t0):
+    # NaN rates, or all-zero rates for inf
+    with pytest.raises(UsageError, match="t0_s must be finite"):
+        qst.SampledWaveform([0.0, 1.0], 0.5, t0)
+
+
+def test_non_finite_numbers_keep_their_error_class():
+    with pytest.raises(NumericError, match="non-finite detuning"):
+        _qst_config(delta_omega_hz=math.nan)
+    with pytest.raises(NumericError, match="non-finite carrier"):
+        pulse.PulseSchedule(1.0, (np.ones(2),), (math.inf,))
+    with pytest.raises(NumericError, match="non-finite detuning"):
+        qst.detuning_sweep(_matched_config(), [0.0, math.nan])
+    with pytest.raises(NumericError, match="non-finite time"):
+        trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [0.0, math.nan])
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("run", {"shape": [100], "gates": []}),
+    ("code", {"alpha": [1.0, 0.0], "n_levels": 100, "t1_s": 1.0, "dt_s": 1e-4,
+              "steps": 1}),
+])
+def test_cli_dimension_over_cap_exits_4(command, doc, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(fock.DIM_CAP_ENV_VAR, "64")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["--out", str(tmp_path), command, str(config)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: total dimension 100 exceeds cap 64\n"
+
+
+def test_cli_zero_segments_refused(tmp_path, capsys):
+    config = tmp_path / "grape.json"
+    config.write_text(json.dumps({"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
+                                  "n_segments": 0, "dt_s": 1e-8}))
+    assert cli.main(["--out", str(tmp_path), "grape", str(config)]) == 1
+    assert "n_segments must be a positive integer, got 0" in capsys.readouterr().err
