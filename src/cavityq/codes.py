@@ -14,7 +14,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidDimensionError, UsageError, require_count
+from .errors import (DegenerateInputError, InvalidDimensionError, UsageError, require_complex,
+                     require_count)
 from .fock import (
     StateVector,
     TruncationWarning,
@@ -44,7 +45,7 @@ def cat_state(alpha: complex, sign: ParitySign, n: int) -> StateVector:
     shape = shape_of((n,))
     if sign not in ("+", "-"):
         raise UsageError(f"sign must be '+' or '-', got {sign!r}")
-    alpha = complex(alpha)
+    alpha = require_complex("alpha", alpha)
     s = 1.0 if sign == "+" else -1.0
     if alpha == 0 and sign == "-":
         raise DegenerateInputError("odd cat state vanishes at alpha = 0")
@@ -66,7 +67,7 @@ def cat_state(alpha: complex, sign: ParitySign, n: int) -> StateVector:
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
     """⟨α|β⟩ in closed form."""
-    alpha, beta = complex(alpha), complex(beta)
+    alpha, beta = require_complex("alpha", alpha), require_complex("beta", beta)
     return np.exp(
         -abs(alpha) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(alpha) * beta
     )
@@ -79,11 +80,11 @@ def cat_encode(c_g: complex, c_e: complex, alpha: complex, n: int) -> StateVecto
     Requires |c_g|² + |c_e|² = 1 (the logical Bloch vector); the basis
     overlap it corrects for is set by ⟨α|iα⟩ = e^{−|α|²(1−i)}.
     """
-    c_g, c_e = complex(c_g), complex(c_e)
+    c_g, c_e = require_complex("c_g", c_g), require_complex("c_e", c_e)
     budget = abs(c_g) ** 2 + abs(c_e) ** 2
     if abs(budget - 1.0) > 1e-6:
         raise UsageError(f"|c_g|² + |c_e|² must be 1, got {budget:.8f}")
-    alpha = complex(alpha)
+    alpha = require_complex("alpha", alpha)
     if alpha == 0:
         raise DegenerateInputError("cat basis states coincide at alpha = 0")
     b_g = cat_state(alpha, "+", n)

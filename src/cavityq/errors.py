@@ -7,13 +7,16 @@ Every JSON config object, at the top level or nested, is read by
 (`decode_object`) and rejects a missing or an unlisted field; its fields
 are read with `read_field` and `read_numbers`. Every parser tests JSON
 numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
-and JSON integers with `is_json_int`. API arguments follow six rules,
+and JSON integers with `is_json_int`. API arguments follow seven rules,
 listed site by site in the README: `require_count` for counts, seeds and
 photon numbers, `fock.shape_of` for dimensions, before any allocation,
 `require_index` for level, subsystem and basis indices, `require_real`
-for other real numbers, `require_finite` for tolerances, weights and time
-origins, and `require_positive` for time steps, durations, couplings,
-rates and other positive reals. SNAP phases are tested with `is_real`.
+for other real numbers, `require_complex` for complex amplitudes,
+`require_finite` for tolerances, weights and time origins, and
+`require_positive` for time steps, durations, couplings, rates and other
+positive reals. Lists of numbers are tested in bulk with `are_reals`: SNAP
+phases, JSON number lists (`read_numbers`) and, through `require_reals`,
+the lists of real API arguments.
 """
 
 import json
@@ -52,6 +55,13 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def are_reals(values, test=is_real) -> bool:
+    """test(v) for every entry of the list values, in bulk: one set of entry
+    types, and one test per entry only when a type other than int and float
+    appears."""
+    return {type(v) for v in values} <= {int, float} or all(map(test, values))
+
+
 def require_count(name: str, value, least: int = 0) -> int:
     """int(value), or UsageError unless value is a count (`is_count`) of at
     least least: 0 for a nonnegative integer, 1 for a positive one."""
@@ -76,6 +86,23 @@ def require_real(name: str, value) -> float:
     if not is_real(value):
         raise UsageError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def require_reals(name: str, values) -> list[float]:
+    """[require_real(name, v) for v in values], with the types tested in
+    bulk (`are_reals`)."""
+    values = list(values)
+    if are_reals(values):
+        return list(map(float, values))
+    return [require_real(name, v) for v in values]
+
+
+def require_complex(name: str, value) -> complex:
+    """complex(value), or UsageError unless value is a complex number (any
+    numbers.Complex, so any real too, numpy scalars included), but not a bool."""
+    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+        raise UsageError(f"{name} must be a complex number, got {value!r}")
+    return complex(value)
 
 
 def require_finite(name: str, value) -> float:
@@ -171,9 +198,9 @@ def read_numbers(doc: dict, name: str, what: str, default=_REQUIRED):
     val = read_field(doc, name, list, what, default)
     if not isinstance(val, list):
         return val
-    if not all(is_json_number(v) for v in val):
+    if not are_reals(val, is_json_number):
         raise ParseError(f"{what}: field '{name}' must be a list of numbers")
-    return [float(v) for v in val]
+    return list(map(float, val))
 
 
 class CavityQError(Exception):

@@ -24,6 +24,7 @@ from .errors import (
     ShapeError,
     UsageError,
     is_count,
+    require_complex,
     require_index,
 )
 
@@ -59,7 +60,12 @@ class HilbertShape:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(self.dims)
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            raise InvalidDimensionError(
+                f"HilbertShape dims must be a sequence of dimensions, got {self.dims!r};"
+                f" shape_of({self.dims!r}) is the shape of one mode") from None
         if not dims:
             raise InvalidDimensionError("shape needs at least one subsystem")
         for d in dims:
@@ -344,7 +350,7 @@ def coherent_amplitudes(alpha: complex, n: int) -> np.ndarray:
     """Unnormalized truncated coherent amplitudes c_k = e^{-|α|²/2} α^k/√(k!),
     evaluated in log space so large |α| stays finite."""
     shape_of((n,))
-    alpha = complex(alpha)
+    alpha = require_complex("alpha", alpha)
     if alpha == 0:
         amps = np.zeros(n, dtype=np.complex128)
         amps[0] = 1.0

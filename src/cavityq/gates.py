@@ -26,9 +26,10 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (CapacityError, ParseError, ShapeError, UsageError, is_count,
-                     is_json_int, is_json_number, is_real, read_field, read_object,
-                     require_count, require_index, require_real)
+from .errors import (CapacityError, ParseError, ShapeError, UsageError, are_reals,
+                     is_count, is_json_int, is_json_number, is_real, read_field,
+                     read_object, require_complex, require_count, require_index,
+                     require_real)
 from .fock import (
     HilbertShape,
     Operator,
@@ -92,7 +93,7 @@ def _displacement_factors(alpha: complex, n: int, convention: str
     in the named convention."""
     if convention not in CONVENTIONS:
         raise UsageError(f"unknown displacement convention {convention!r}")
-    alpha = complex(alpha)
+    alpha = require_complex("alpha", alpha)
     if convention == "paper":
         alpha = -alpha
     evals, vecs = _quadrature_eigensystem(n)
@@ -220,8 +221,9 @@ def ecd(beta: complex, mode_dim: int, convention: str = "standard") -> Operator:
     """Echoed conditional displacement on shape (qubit, mode):
     |e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2). At β=0 this is X ⊗ I."""
     shape = shape_of((2, mode_dim))
-    d_plus = displacement(complex(beta) / 2, mode_dim, convention).matrix
-    d_minus = displacement(-complex(beta) / 2, mode_dim, convention).matrix
+    beta = require_complex("beta", beta)
+    d_plus = displacement(beta / 2, mode_dim, convention).matrix
+    d_minus = displacement(-beta / 2, mode_dim, convention).matrix
     eg = np.zeros((2, 2), dtype=complex)
     ge = np.zeros((2, 2), dtype=complex)
     eg[1, 0] = 1.0
@@ -399,8 +401,7 @@ def _phases(value, what: str, shape: HilbertShape | None = None) -> np.ndarray:
     a 1-D float64 array; the SNAP constructors read their phases with it too.
     Only entries of a type other than int and float are tested one by one."""
     entries = value.tolist() if isinstance(value, np.ndarray) else value
-    if not isinstance(entries, (list, tuple)) or not (
-            {type(v) for v in entries} <= {int, float} or all(map(is_real, entries))):
+    if not isinstance(entries, (list, tuple)) or not are_reals(entries, is_real):
         raise UsageError(f"{what} must be a list of numbers")
     return np.asarray(value, dtype=float)
 

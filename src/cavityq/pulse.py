@@ -38,7 +38,7 @@ from .errors import (
     require_finite,
     require_index,
     require_positive,
-    require_real,
+    require_reals,
 )
 from .fock import (
     HilbertShape,
@@ -104,7 +104,7 @@ class PulseSchedule:
         if any(len(s) != n for s in streams):
             raise ShapeError("all amplitude streams must have equal length")
         object.__setattr__(self, "streams", streams)
-        carriers = tuple(require_real("carriers_hz entry", c) for c in self.carriers_hz)
+        carriers = tuple(require_reals("carriers_hz entry", self.carriers_hz))
         if len(carriers) != len(streams):
             raise ShapeError(
                 f"{len(carriers)} carriers for {len(streams)} streams"

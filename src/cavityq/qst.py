@@ -45,6 +45,7 @@ from .errors import (
     require_finite,
     require_positive,
     require_real,
+    require_reals,
 )
 
 _MAX_RATE_DT = 0.05
@@ -360,7 +361,7 @@ def detuning_sweep(config: QstConfig,
     Requires a matched-waveform baseline: the zero-detuning transfer must
     exceed eta = 0.99 for the linear small-detuning law to be meaningful.
     """
-    deltas = [require_real("delta_list entry", d) for d in delta_list]
+    deltas = require_reals("delta_list entry", delta_list)
     if len(deltas) < 2:
         raise UsageError("need at least two detunings to sweep")
     baseline = simulate_transfer(replace(config, delta_omega_hz=0.0)).eta

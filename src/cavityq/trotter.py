@@ -8,9 +8,9 @@ Fourier-conjugate basis. One first-order step
 
 is the four-gate circuit [snap(-2pi V dt), fourier†, snap(-2pi K dt),
 fourier], and exp(-iH dt) - U(dt) = O(dt^2), so the global error at fixed t
-is O(dt). A sweep compiles that circuit once and runs its kernels, two phase
-multiplies and two FFTs, on the bare amplitude array for every step; it
-builds one StateVector, with its finiteness check, at the end. Exact
+is O(dt). A step-count sweep advances its rows together as one scan, each
+step two phase multiplies and two FFTs on the rows still running, in place
+on preallocated buffers, and computes the exact state once. Exact
 references here diagonalize the dense Hamiltonian.
 
 Scrambling diagnostics use the out-of-time-order correlator
@@ -28,9 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError,
-                     require_count, require_positive, require_real)
-from .fock import HilbertShape, Operator, StateVector, shape_of
-from .gates import Circuit, GateSpec, _run
+                     require_count, require_positive, require_reals)
+from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
+from .gates import Circuit, GateSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +98,6 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
         raise ShapeError(
             f"requested {n_levels} levels but the Hamiltonian has {h.n_levels}"
         )
-    n = h.n_levels
     pot_phases = (-2.0 * np.pi * h.diagonal * dt_s).tolist()
     kin_phases = (-2.0 * np.pi * h.kinetic_diagonal * dt_s).tolist()
     gates = (
@@ -107,15 +106,13 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
         GateSpec("snap", {"target": 0, "theta": kin_phases}),
         GateSpec("fourier", {"target": 0}),
     )
-    return Circuit(HilbertShape((n,)), gates)
+    return Circuit(HilbertShape((h.n_levels,)), gates)
 
 
 def _state_vector(psi0, n: int) -> StateVector:
     shape = HilbertShape((n,))
     if psi0 is None:
-        amp = np.zeros(n, dtype=complex)
-        amp[0] = 1.0
-        return StateVector(shape, amp)
+        return basis_state(shape, 0)
     if isinstance(psi0, StateVector):
         if psi0.shape.total_dim != n:
             raise ShapeError(
@@ -147,26 +144,7 @@ def evolve_trotter(h: QuditHamiltonian, t_total_s: float, steps: int,
                    psi0=None) -> TrotterResult:
     """Repeated first-order steps over t_total, compared against exact
     evolution of the same initial state."""
-    require_count("steps", steps, 1)
-    if not math.isfinite(t_total_s) or t_total_s < 0:
-        raise UsageError(f"t_total must be nonnegative, got {t_total_s}")
-    psi = _state_vector(psi0, h.n_levels)
-    if t_total_s == 0:
-        return TrotterResult(state=psi, exact_fidelity=1.0, steps=int(steps),
-                             dt_s=0.0)
-    dt = t_total_s / steps
-    circuit = trotter_step(h, dt)
-    amp = psi.amplitudes  # one register axis: already the tensor _run takes
-    for _ in range(int(steps)):
-        amp = _run(circuit, amp)
-    state = StateVector(psi.shape, amp, psi.leakage)
-    # the exact state Q(e^{-iEt} ∘ Q†ψ), without forming the propagator
-    evals, vecs = h._eigensystem
-    phases = np.exp(-1j * evals * t_total_s)
-    exact = vecs @ (phases * (vecs.conj().T @ psi.amplitudes))
-    fid = abs(np.vdot(exact, state.amplitudes)) ** 2
-    return TrotterResult(state=state, exact_fidelity=float(fid),
-                         steps=int(steps), dt_s=dt)
+    return _sweep(h, t_total_s, [steps], psi0)[0]
 
 
 def trotter_convergence(h: QuditHamiltonian, t_total_s: float,
@@ -175,11 +153,34 @@ def trotter_convergence(h: QuditHamiltonian, t_total_s: float,
     """Rows of (steps, dt, infidelity) for a step-count sweep at fixed t."""
     if len(steps_list) == 0:
         raise UsageError("steps_list must be non-empty")
-    rows = []
-    for steps in steps_list:
-        res = evolve_trotter(h, t_total_s, steps, psi0)
-        rows.append((int(steps), res.dt_s, res.infidelity))
-    return tuple(rows)
+    return tuple((r.steps, r.dt_s, r.infidelity) for r in _sweep(h, t_total_s, steps_list, psi0))
+
+
+def _sweep(h: QuditHamiltonian, t_total_s: float, steps_list, psi0) -> list[TrotterResult]:
+    """evolve_trotter for every steps_list entry as one scan, most steps first;
+    with the trotter_step circuit's phases, each row equals it iterated, bitwise."""
+    counts = [require_count("steps", s, 1) for s in steps_list]
+    if not math.isfinite(t_total_s) or t_total_s < 0:
+        raise UsageError(f"t_total must be nonnegative, got {t_total_s}")
+    psi = _state_vector(psi0, h.n_levels)
+    if t_total_s == 0:
+        return [TrotterResult(psi, 1.0, s, 0.0) for s in counts]
+    dts = [t_total_s / s for s in steps_list]
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    specs = [trotter_step(h, dts[i]).gates for i in order]
+    pot, kin = (np.exp(1j * np.array([g[j].params["theta"] for g in specs])) for j in (0, 2))
+    amp, buf = np.tile(psi.amplitudes, (2, len(order), 1))  # (L, N) rows and a work buffer
+    run = [counts[i] for i in order] + [0]
+    for k in range(len(order), 0, -1):  # rows [0, k) take run[k-1] - run[k] steps
+        a, b, p, q = amp[:k], buf[:k], pot[:k], kin[:k]
+        for _ in range(run[k - 1] - run[k]):
+            np.fft.fft(np.multiply(a, p, out=b), axis=-1, norm="ortho", out=a)
+            np.fft.ifft(np.multiply(a, q, out=b), axis=-1, norm="ortho", out=a)
+    evals, vecs = h._eigensystem  # the exact state Q(e^{-iEt} ∘ Q†ψ), once
+    exact = vecs @ (np.exp(-1j * evals * t_total_s) * (vecs.conj().T @ psi.amplitudes))
+    return [TrotterResult(StateVector(psi.shape, row, psi.leakage),
+                          float(abs(np.vdot(exact, row)) ** 2), s, dt)
+            for row, s, dt in zip(amp[np.argsort(order)], counts, dts)]
 
 
 def _operator_matrix(op, n: int, what: str) -> np.ndarray:
@@ -213,10 +214,9 @@ def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
     w_mat = _operator_matrix(w, n, "W")
     v_mat = _operator_matrix(v, n, "V")
     psi = _state_vector(psi0, n).amplitudes.reshape(n)
-    times = [require_real("times_s entry", t) for t in times_s]
-    for t in times:
-        if not math.isfinite(t):
-            raise NumericError(f"non-finite time {t}")
+    times = require_reals("times_s entry", times_s)
+    if not all(map(math.isfinite, times)):
+        raise NumericError(f"non-finite time {next(t for t in times if not math.isfinite(t))}")
     evals, vecs = h._eigensystem
     q_dag = vecs.conj().T
     w_eig = q_dag @ w_mat @ vecs

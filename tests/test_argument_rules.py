@@ -5,7 +5,8 @@ with 0 < value < inf; a number site (`errors.require_real`) refuses
 anything but a real number; a count site (`errors.require_count`) refuses
 anything but an integer of at least 0 (1 for `blocks` and `n_bits`); an
 index site (`errors.require_index`) refuses anything but an integer in
-[0, size); a dimension site (`fock.shape_of`) refuses anything but an
+[0, size); a complex site (`errors.require_complex`) refuses anything but
+a complex or real number; a dimension site (`fock.shape_of`) refuses anything but an
 integer of at least 1, and a total dimension over the cap, before it
 allocates. All raise UsageError naming the argument (InvalidDimensionError
 for a HilbertShape dimension), and a numpy scalar of an accepted type gives
@@ -136,6 +137,20 @@ NUMBER_SITES = {
         "times_s", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [0.0, v])),
 }
 
+# require_complex sites, as REAL_SITES; 1 is a valid value at every site
+COMPLEX_SITES = {
+    "displacement.alpha": ("alpha", lambda v: gates.displacement(v, 6).matrix),
+    "ecd.beta": ("beta", lambda v: gates.ecd(v, 6).matrix),
+    "cat_state.alpha": ("alpha", lambda v: codes.cat_state(v, "+", 16).amplitudes),
+    "coherent_overlap.alpha": ("alpha", lambda v: codes.coherent_overlap(v, 0.5)),
+    "coherent_overlap.beta": ("beta", lambda v: codes.coherent_overlap(0.5, v)),
+    "cat_encode.c_g": ("c_g", lambda v: codes.cat_encode(v, 0.0, 1.0, 16).amplitudes),
+    "cat_encode.c_e": ("c_e", lambda v: codes.cat_encode(0.0, v, 1.0, 16).amplitudes),
+    "cat_encode.alpha": ("alpha", lambda v: codes.cat_encode(1.0, 0.0, v, 16).amplitudes),
+    "coherent_amplitudes.alpha": ("alpha", lambda v: fock.coherent_amplitudes(v, 16)),
+    "coherent_state.alpha": ("alpha", lambda v: fock.coherent_state(v, 16).amplitudes),
+}
+
 # NUMBER_SITES that also refuse NaN and ±inf (`errors.require_finite`)
 FINITE_SITES = ["grape_optimize.tol", "grape_optimize.leak_weight",
                 "grape_gradient.leak_weight", "optimize_snap_displacement_sequence.tol",
@@ -246,6 +261,7 @@ NOT_POSITIVE_REALS = [True, False, "2", None, 2j, math.nan, math.inf, -math.inf,
 NOT_REALS = [True, False, "2", None, 2j]
 NOT_COUNTS = [2.5, True, -1, "2", None, 2.0, np.float64(2.0)]
 NOT_INDICES = [True, False, 1.5, 2.0, "1", None, -1]
+NOT_COMPLEX = [True, False, np.bool_(True), "1", "1j", None, [1.0, 0.0]]
 
 
 def _expected_error(site: str):
@@ -285,6 +301,92 @@ def test_number_site_refuses(site, value):
 def test_number_site_accepts_numpy_scalars(site, value):
     _, call = NUMBER_SITES[site]
     np.testing.assert_equal(call(value), call(2.0))
+
+
+@pytest.mark.parametrize("value", NOT_COMPLEX, ids=repr)
+@pytest.mark.parametrize("site", COMPLEX_SITES)
+def test_complex_site_refuses(site, value):
+    # "1", True and 1.0 all built the α = 1 object; a list raised a raw TypeError
+    name, call = COMPLEX_SITES[site]
+    with pytest.raises(UsageError, match=f"{name} must be a complex number"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [np.complex128(1.0), np.float64(1.0), np.float32(1.0),
+                                   np.int64(1), 1, 1 + 0j], ids=repr)
+@pytest.mark.parametrize("site", COMPLEX_SITES)
+def test_complex_site_accepts_numpy_scalars(site, value):
+    _, call = COMPLEX_SITES[site]
+    np.testing.assert_equal(call(value), call(1.0))
+
+
+def test_json_amplitude_path_unchanged():
+    # gates._amplitude reads the JSON "alpha" and "beta" fields as before
+    circuit = gates.circuit_from_json(json.dumps({"shape": [6], "gates": [
+        {"kind": "displacement", "target": 0, "alpha": [0.3, -0.2]}]}))
+    np.testing.assert_array_equal(gates.circuit_unitary(circuit).matrix,
+                                  gates.displacement(0.3 - 0.2j, 6).matrix)
+    with pytest.raises(errors.ParseError, match=r"number or \[re, im\] pair"):
+        gates.circuit_from_json(json.dumps({"shape": [6], "gates": [
+            {"kind": "displacement", "target": 0, "alpha": True}]}))
+
+
+@pytest.mark.parametrize("dims", [3, np.int64(3), None, 2.5], ids=repr)
+def test_hilbert_shape_refuses_a_bare_dimension(dims):
+    # HilbertShape(3) raised a raw TypeError from tuple(3)
+    with pytest.raises(InvalidDimensionError, match=r"shape_of\("):
+        HilbertShape(dims)
+
+
+def _read_numbers_per_entry(doc, name, what):
+    """errors.read_numbers as it tested one entry at a time."""
+    val = errors.read_field(doc, name, list, what)
+    if not all(errors.is_json_number(v) for v in val):
+        raise errors.ParseError(f"{what}: field '{name}' must be a list of numbers")
+    return [float(v) for v in val]
+
+
+def _otoc_times_per_entry(times_s):
+    """The times otoc_series read with one require_real call per entry."""
+    times = [errors.require_real("times_s entry", t) for t in times_s]
+    for t in times:
+        if not math.isfinite(t):
+            raise NumericError(f"non-finite time {t}")
+    return times
+
+
+BULK_ENTRIES = [[], [1, 2.5], [0.5] * 200, [np.float64(1.5), 2], [np.int64(2), 1.0],
+                [True, 1.0], [1.0, False], [1.0, "2"], [None], [math.nan, 1],
+                [1, math.inf], [-math.inf], [np.float64(math.nan)], [1, 2j]]
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", repr(call(*args))
+    except (errors.CavityQError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entries", BULK_ENTRIES, ids=repr)
+def test_bulk_read_numbers_matches_per_entry_rule(entries):
+    doc = {"xs": entries}
+    assert _outcome(errors.read_numbers, doc, "xs", "cfg") \
+        == _outcome(_read_numbers_per_entry, doc, "xs", "cfg")
+
+
+@pytest.mark.parametrize("entries", BULK_ENTRIES, ids=repr)
+def test_require_reals_matches_per_entry_rule(entries):
+    # the list rule of otoc_series times, PulseSchedule carriers and detuning_sweep
+    assert _outcome(errors.require_reals, "xs entry", entries) \
+        == _outcome(lambda: [errors.require_real("xs entry", v) for v in entries])
+
+
+@pytest.mark.parametrize("entries", BULK_ENTRIES, ids=repr)
+def test_bulk_otoc_times_match_per_entry_rule(entries):
+    def times(ts):
+        return [row[0] for row in trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, ts)]
+
+    assert _outcome(times, entries) == _outcome(_otoc_times_per_entry, entries)
 
 
 @pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)

@@ -399,3 +399,60 @@ def test_sweep_builds_state_vectors_independent_of_steps():
             trotter.evolve_trotter(h, 1.0, steps)
         built.append(spy.call_count)
     assert built[0] == built[1] == built[2]
+
+
+# ---------------------------------------------------------------------------
+# the batched scan: every row of a step-count sweep advances together
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 70),
+       steps_list=st.one_of(st.just([7, 3, 7, 1]),
+                            st.lists(st.integers(1, 25), min_size=1, max_size=5)),
+       start=st.sampled_from(["none", "level", "random"]))
+def test_batched_rows_bitwise_equal_stepwise_apply_circuit(seed, n, steps_list, start):
+    # unsorted, duplicate and single-entry step lists, each row against its
+    # own per-step apply_circuit run
+    rng = np.random.default_rng(seed)
+    h = trotter.QuditHamiltonian(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n))
+    psi0 = {"none": None, "level": [0.0] * (n - 1) + [1.0],
+            "random": rng.normal(size=n) + 1j * rng.normal(size=n)}[start]
+    t_total = float(rng.uniform(0.1, 2.0))
+    rows = trotter.trotter_convergence(h, t_total, steps_list, psi0)
+    assert [r[0] for r in rows] == steps_list
+    for steps, (got_steps, dt, infidelity) in zip(steps_list, rows):
+        amps, fid = _stepwise_sweep(h, t_total, steps, psi0)
+        assert (got_steps, dt, infidelity) == (steps, t_total / steps, max(0.0, 1.0 - fid))
+        res = trotter.evolve_trotter(h, t_total, steps, psi0)
+        assert res.state.amplitudes.tobytes() == amps.tobytes()
+        assert res.exact_fidelity == fid
+
+
+def _count_ffts():
+    return (mock.patch.object(np.fft, "fft", wraps=np.fft.fft),
+            mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft))
+
+
+@pytest.mark.parametrize("steps_list", [[10, 20, 40], [40, 10, 20], [5, 5], [1], [3, 9, 1, 9]])
+def test_sweep_makes_one_fft_pair_per_scan_iteration(steps_list):
+    # the rows still running share each call: max(steps_list) calls of each
+    # transform, not sum(steps_list)
+    h = random_hamiltonian()
+    h._eigensystem  # dense() takes one ifft; the sweep reuses the cached eigensystem
+    fft_patch, ifft_patch = _count_ffts()
+    with fft_patch as fft, ifft_patch as ifft:
+        trotter.trotter_convergence(h, 1.0, steps_list)
+    assert fft.call_count == ifft.call_count == max(steps_list)
+    with fft_patch as fft, ifft_patch as ifft:
+        trotter.evolve_trotter(h, 1.0, steps_list[0])
+    assert fft.call_count == ifft.call_count == steps_list[0]
+
+
+@pytest.mark.parametrize("bad", [0, 2.5, True, "3"], ids=repr)
+def test_bad_last_step_count_raises_before_any_fft(bad):
+    h = random_hamiltonian()
+    fft_patch, ifft_patch = _count_ffts()
+    with fft_patch as fft, ifft_patch as ifft:
+        with pytest.raises(UsageError, match="steps must be a positive integer"):
+            trotter.trotter_convergence(h, 1.0, [10, 20, bad])
+    assert fft.call_count == ifft.call_count == 0
