@@ -104,7 +104,7 @@ def _snap_or_matrix(spec: dict, kind: str, n: int, what: str) -> np.ndarray:
         theta = read_numbers(spec, "theta", what)
         if len(theta) != n:
             raise ParseError(f"{what}: snap needs {n} phases, got {len(theta)}")
-        return np.diag(np.exp(1j * np.array(theta)))
+        return gates.snap(theta).matrix
     re, im = spec["re"], spec["im"]
     if not (is_json_number_rows(re) and is_json_number_rows(im)):
         raise ParseError(f"{what}: 're' and 'im' must be lists of rows of numbers")

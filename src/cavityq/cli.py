@@ -28,9 +28,14 @@ chunk each distinct value is formatted once and every cell looked up, with
 float cells keyed on their bit patterns, so trajectories that repeat one
 no-jump path cost a dict lookup per repeated cell. The JSON text is
 byte for byte that of json.dumps(doc, indent=2, sort_keys=True). Every
-command runs in one thread and --threads is only recorded, so with a fixed
-seed reruns are byte-identical apart from the header line that records
---threads.
+command runs in one thread and --threads is only recorded. BLAS is pinned
+to one thread as well: when `main` first loads numpy it sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, since a
+threaded BLAS sums in an order that follows the thread count. So with a
+fixed seed reruns are byte-identical on any core count, apart from the
+header line that records --threads. The pin needs a fresh process: once
+numpy is loaded (a library caller, an in-process `main` call) BLAS keeps
+the thread count it started with.
 
 Exit codes: 0 success, 1 usage errors, 2 parse errors, 3 numeric errors,
 4 capacity errors, mapped from the error roots by `_EXIT_CODES`.
@@ -205,11 +210,18 @@ _COMMANDS = {  # name: (config argument, help); the command is _command(name)
 }
 
 
+# pinned to one thread before numpy loads, so that BLAS sums in one order
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _command(name: str):
     """cmd_<name>: cmd_device here, any other from `_numeric_commands`,
-    whose first import loads numpy."""
+    whose first import loads numpy, with one BLAS thread when this is the
+    process's first numpy import."""
     if name == "device":
         return cmd_device
+    if "numpy" not in sys.modules:  # BLAS reads these once, when numpy loads
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     from . import _numeric_commands
     return getattr(_numeric_commands, f"cmd_{name}")
 

@@ -51,10 +51,10 @@ def cat_state(alpha: complex, sign: ParitySign, n: int) -> StateVector:
         raise DegenerateInputError("odd cat state vanishes at alpha = 0")
     raw = coherent_amplitudes(alpha, n) + s * coherent_amplitudes(-alpha, n)
     captured = float(np.sum(np.abs(raw) ** 2))
-    full = 2.0 * (1.0 + s * math.exp(-2 * abs(alpha) ** 2))
-    leakage = max(0.0, 1.0 - captured / full)
     if captured <= 0:
         raise DegenerateInputError("cat state has no support at this truncation")
+    full = 2.0 * (1.0 + s * math.exp(-2 * abs(alpha) ** 2))
+    leakage = max(0.0, 1.0 - captured / full)
     if leakage > TRUNCATION_TOL:
         warnings.warn(
             f"cat state |α|={abs(alpha):.3g} keeps only {captured / full:.6f} of its "

@@ -4,7 +4,8 @@ All frequencies are plain (cyclic) Hz and all times are seconds; the
 estimators return numbers in the same units. Sign conventions follow
 the usual dispersive picture: detuning Δ = ω_q − ω_c, per-photon qubit
 pull χ = g²/Δ, so the n-photon qubit frequency is ω_q − nχ at first
-order and ω_q − (χn + χ'n²/2) with the second-order correction.
+order and ω_q − (χn + χ'n²/2) with the second-order correction. A derived
+value that overflows or is not finite raises NumericError naming it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .errors import (DegenerateDetuningError, ParseError, UsageError, is_json_number,
-                     read_object, require_count, require_positive, require_real)
+from .errors import (DegenerateDetuningError, NumericError, ParseError, UsageError,
+                     is_json_number, read_object, require_count, require_positive,
+                     require_real)
 
 _FIELDS = (
     "omega_q_hz",
@@ -80,12 +82,25 @@ class DeviceParams:
             raise ParseError(f"device JSON invalid: {exc}") from exc
 
 
+def _finite(name: str, compute) -> float:
+    """compute(), a value derived from the device parameters, or
+    NumericError naming it when it overflows or is not finite: float **
+    raises OverflowError where * and / give inf."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericError(f"{name} is not finite for these device parameters")
+    return value
+
+
 def chi(params: DeviceParams) -> float:
     """Dispersive shift g²/Δ in Hz."""
     delta = params.detuning_hz
     if delta == 0:
         raise DegenerateDetuningError("chi undefined at zero detuning")
-    return params.g_hz**2 / delta
+    return _finite("chi_hz", lambda: params.g_hz**2 / delta)
 
 
 def stark_shifted_freq(params: DeviceParams, n: int, order: int = 1) -> float:
@@ -105,7 +120,8 @@ def stark_shifted_freq(params: DeviceParams, n: int, order: int = 1) -> float:
 
 def critical_photon_number(params: DeviceParams) -> float:
     """(Δ/2g)², the photon number where the dispersive expansion folds."""
-    return (params.detuning_hz / (2 * params.g_hz)) ** 2
+    return _finite("critical_photon_number",
+                   lambda: (params.detuning_hz / (2 * params.g_hz)) ** 2)
 
 
 def fock_t1(params: DeviceParams, n: int) -> float:
@@ -136,7 +152,8 @@ def max_fock(params: DeviceParams) -> int:
             stacklevel=2,
         )
         return 0
-    return _tolerant_floor(params.t1_fock0_s / params.t1_min_s)
+    return _tolerant_floor(_finite("t1_fock0_s / t1_min_s",
+                                   lambda: params.t1_fock0_s / params.t1_min_s))
 
 
 def snap_min_gate_time(params: DeviceParams) -> float:
@@ -144,7 +161,7 @@ def snap_min_gate_time(params: DeviceParams) -> float:
     x = chi(params)
     if x == 0:
         raise DegenerateDetuningError("snap gate time undefined at zero chi")
-    return 2 * math.pi / abs(x)
+    return _finite("snap_min_gate_time_s", lambda: 2 * math.pi / abs(x))
 
 
 def multimode_drive_freq(

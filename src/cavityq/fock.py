@@ -355,8 +355,10 @@ def coherent_amplitudes(alpha: complex, n: int) -> np.ndarray:
         amps = np.zeros(n, dtype=np.complex128)
         amps[0] = 1.0
         return amps
-    k = np.arange(n)
     mag, phase = abs(alpha), np.angle(alpha)
+    if mag > 1e154:  # |α|² would overflow; every c_k underflows to 0 long before
+        return np.zeros(n, dtype=np.complex128)
+    k = np.arange(n)
     log_fact = np.array([math.lgamma(j + 1) for j in range(n)])
     log_mag = -abs(alpha) ** 2 / 2 + k * math.log(mag) - 0.5 * log_fact
     return np.exp(log_mag) * np.exp(1j * phase * k)

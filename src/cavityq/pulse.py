@@ -52,7 +52,7 @@ from .fock import (
     number_operator,
     shape_of,
 )
-from .gates import _displacement_eigensystem
+from .gates import _displacement_eigensystem, _phases
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -440,13 +440,8 @@ def snap_average_fidelity(u: Operator, theta: Sequence[float]) -> float:
     Uses F_avg = (|Tr M|^2 + Tr(M^dag M)) / (d(d+1)) with
     M = S^dag U_gg, exact for a single-block (trace-decreasing) map.
     """
-    dims = u.shape.dims
-    if len(dims) != 2 or dims[0] != 2:
-        raise ShapeError(f"expected a (2, N) qubit-cavity shape, got {dims}")
-    n = dims[1]
-    th = np.asarray(theta, dtype=float)
-    if th.shape != (n,):
-        raise ShapeError(f"theta must have length {n}, got {th.shape}")
+    n = _cavity_levels(u.shape)
+    th = _snap_theta(theta, n)
     ugg = u.matrix[:n, :n]
     m = np.exp(-1j * th)[:, None] * ugg
     return float(
@@ -718,37 +713,41 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
 # SNAP synthesis
 
 
-def _dispersive_chi_from_model(model: ControlModel) -> tuple[float, int]:
-    """Infer (chi_hz, n_levels) from a dispersive-pattern drift; validates
-    the qubit-first layout and the qubit quadrature controls."""
-    dims = model.shape.dims
+def _cavity_levels(shape: HilbertShape) -> int:
+    """N of a (2, N) qubit-cavity shape, qubit first; ShapeError otherwise."""
+    dims = shape.dims
     if len(dims) != 2 or dims[0] != 2:
-        raise ShapeError(f"expected a (2, N) qubit-cavity model, got {dims}")
-    n = dims[1]
-    if n < 2:
-        raise UsageError("need at least two cavity levels")
+        raise ShapeError(f"expected a (2, N) qubit-cavity shape, got {dims}")
+    return dims[1]
+
+
+def _snap_theta(theta: Sequence[float], n: int) -> np.ndarray:
+    """The n SNAP phases theta, read by the SNAP constructors' rule."""
+    th = _phases(theta, "theta")
+    if th.shape != (n,):
+        raise ShapeError(f"theta must have length {n}, got shape {th.shape}")
+    if not np.all(np.isfinite(th)):
+        raise NumericError("non-finite phases in theta")
+    return th
+
+
+def _dispersive_chi_from_model(model: ControlModel) -> tuple[float, int]:
+    """(chi_hz, n_levels) of a model equal to dispersive_model(chi_hz,
+    n_levels), with or without the cavity drive: chi is read from the
+    |e,1> drift entry, and the drift and controls[0:2] are compared with
+    the model it names."""
+    n = _cavity_levels(model.shape)
     h = model.drift.matrix
-    off = h - np.diag(np.diag(h))
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(off)) > 1e-9 * scale:
-        raise UsageError("drift is not diagonal in the dispersive basis")
-    diag = np.diag(h).real
-    if np.max(np.abs(diag[:n])) > 1e-9 * scale:
-        raise UsageError("qubit-ground sector of the drift must be zero")
-    chi_ang = -diag[n + 1] if n > 1 else 0.0
-    expected = -chi_ang * np.arange(n)
-    if np.max(np.abs(diag[n:] - expected)) > 1e-9 * max(scale, abs(chi_ang)):
-        raise UsageError("drift does not follow the -2*pi*chi*n excited-sector ladder")
-    if chi_ang <= 0:
-        raise UsageError("dispersive shift must be positive")
-    eye_n = np.eye(n)
-    if (np.max(np.abs(model.controls[0].matrix - np.kron(_SIGMA_X, eye_n))) > 1e-12
-            or np.max(np.abs(model.controls[1].matrix - np.kron(_SIGMA_Y, eye_n)))
-            > 1e-12):
-        raise UsageError(
-            "controls[0:2] must be the qubit sigma_x, sigma_y quadratures"
-        )
-    return chi_ang / (2 * np.pi), n
+    # the |e,1> entry; a one-level cavity has none, and dispersive_model refuses it
+    chi_hz = float(-h[n + 1, n + 1].real / (2 * np.pi)) if n > 1 else math.nan
+    reference = dispersive_model(chi_hz, n)
+    if np.max(np.abs(h - reference.drift.matrix)) > 1e-9 * max(1.0, float(np.max(np.abs(h)))):
+        raise UsageError(f"drift is not that of dispersive_model({chi_hz!r}, {n}), "
+                         "with chi_hz read from its |e,1> entry")
+    if any(np.max(np.abs(c.matrix - ref.matrix)) > 1e-12
+           for c, ref in zip(model.controls[:2], reference.controls)):
+        raise UsageError("controls[0:2] must be the qubit sigma_x, sigma_y quadratures")
+    return chi_hz, n
 
 
 def _snap_drive_samples(chi_hz: float, n: int, phases1: np.ndarray,
@@ -800,11 +799,7 @@ def synthesize_snap_pulse(model: ControlModel, theta: Sequence[float],
     permits them, for degradation studies only.
     """
     chi_hz, n = _dispersive_chi_from_model(model)
-    th = np.asarray(theta, dtype=float)
-    if th.shape != (n,):
-        raise ShapeError(f"theta must have length {n}, got shape {th.shape}")
-    if not np.all(np.isfinite(th)):
-        raise NumericError("non-finite phases in theta")
+    th = _snap_theta(theta, n)
     duration_s = require_positive("duration_s", duration_s)
     bound = 2 * np.pi / chi_hz
     if enforce_bound and duration_s < bound * (1 - 1e-12):

@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    CapacityError,
     DegenerateDetuningError,
     NumericError,
     ParseError,
@@ -42,6 +43,7 @@ from .errors import (
     read_kind,
     read_numbers,
     read_object,
+    require_complex,
     require_finite,
     require_positive,
     require_real,
@@ -181,7 +183,7 @@ class QstConfig:
                            require_real("delta_omega_hz", self.delta_omega_hz))
         if not math.isfinite(self.delta_omega_hz):
             raise NumericError("non-finite detuning")
-        alpha, beta = (complex(self.input_state[0]), complex(self.input_state[1]))
+        alpha, beta = (require_complex("input_state entry", self.input_state[i]) for i in (0, 1))
         nrm = abs(alpha) ** 2 + abs(beta) ** 2
         if not abs(nrm - 1.0) <= 1e-9:
             raise UsageError(
@@ -286,7 +288,11 @@ def simulate_transfer(config: QstConfig) -> QstResult:
     max(k1, k2) * dt exceeds 0.05 on the integration grid.
     """
     t0, t1 = config.t_span_s
-    n_steps = max(1, int(round((t1 - t0) / config.dt_s)))
+    steps = (t1 - t0) / config.dt_s
+    if not math.isfinite(steps):
+        raise CapacityError(f"t_span_s {config.t_span_s} over dt_s {config.dt_s} "
+                            "is not a finite step count")
+    n_steps = max(1, int(round(steps)))
     dt = (t1 - t0) / n_steps
     # rates on the half-step grid: index 2j is t_j, 2j+1 the midpoint
     grid = t0 + (dt / 2.0) * np.arange(2 * n_steps + 1)
@@ -360,6 +366,7 @@ def detuning_sweep(config: QstConfig,
 
     Requires a matched-waveform baseline: the zero-detuning transfer must
     exceed eta = 0.99 for the linear small-detuning law to be meaningful.
+    That transfer runs once, first, and gives the row of any 0.0 entry.
     """
     deltas = require_reals("delta_list entry", delta_list)
     if len(deltas) < 2:
@@ -370,7 +377,7 @@ def detuning_sweep(config: QstConfig,
             f"baseline transfer eta = {baseline:.4f} <= 0.99: the sweep "
             "requires matched waveforms"
         )
-    etas = [simulate_transfer(replace(config, delta_omega_hz=dw)).eta
+    etas = [baseline if dw == 0 else simulate_transfer(replace(config, delta_omega_hz=dw)).eta
             for dw in deltas]
     rows = [
         (dw, eta, math.sqrt(max(0.0, 1.0 - eta)))

@@ -218,6 +218,10 @@ def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
     if not all(map(math.isfinite, times)):
         raise NumericError(f"non-finite time {next(t for t in times if not math.isfinite(t))}")
     evals, vecs = h._eigensystem
+    e_max, t_far = float(np.max(np.abs(evals))), max(times, key=abs, default=0.0)
+    if not math.isfinite(e_max * abs(t_far)):  # before the phases overflow to NaN
+        raise NumericError(f"times_s entry {t_far!r}: the phase max|E|*|t| overflows "
+                           f"(max|E| = {e_max:.3g} rad/s)")
     q_dag = vecs.conj().T
     w_eig = q_dag @ w_mat @ vecs
     v_eig = q_dag @ v_mat @ vecs

@@ -149,6 +149,8 @@ COMPLEX_SITES = {
     "cat_encode.alpha": ("alpha", lambda v: codes.cat_encode(1.0, 0.0, v, 16).amplitudes),
     "coherent_amplitudes.alpha": ("alpha", lambda v: fock.coherent_amplitudes(v, 16)),
     "coherent_state.alpha": ("alpha", lambda v: fock.coherent_state(v, 16).amplitudes),
+    "QstConfig.input_state": (
+        "input_state entry", lambda v: _qst_config(input_state=(0.0, v)).input_state),
 }
 
 # NUMBER_SITES that also refuse NaN and ±inf (`errors.require_finite`)

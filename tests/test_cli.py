@@ -1129,3 +1129,69 @@ def test_grape_negative_iterations_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "iterations must be a nonnegative integer, got -1" in captured.err
+
+
+def _dense_otoc_doc(n: int) -> dict:
+    """An n-level otoc config with a dense, seeded V matrix."""
+    rng = np.random.default_rng(11)
+    return {
+        "diagonal": rng.uniform(-1.0, 1.0, n).tolist(),
+        "kinetic_diagonal": rng.uniform(-1.0, 1.0, n).tolist(),
+        "times_s": [0.0, 0.25, 0.5, 1.0, 2.0],
+        "w": {"kind": "fourier"},
+        "v": {"kind": "matrix", "re": rng.normal(size=(n, n)).tolist(),
+              "im": rng.normal(size=(n, n)).tolist()},
+    }
+
+
+def test_otoc_artifact_does_not_depend_on_blas_threads(tmp_path):
+    # a fresh CLI process pins BLAS to one thread before numpy loads, so an
+    # outer OPENBLAS_NUM_THREADS, or none, leaves the bytes unchanged
+    cfg = write_json(tmp_path / "otoc.json", _dense_otoc_doc(128))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    artifacts = {}
+    for threads in ("1", "2", None):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(base, PYTHONPATH=path)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "cavityq", "--out",
+                               str(out), "otoc", cfg], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        artifacts[threads] = (out / "otoc_series.csv").read_bytes()
+    assert artifacts["2"] == artifacts["1"] and artifacts[None] == artifacts["1"]
+
+
+# configs whose derived sizes or values overflow: (command, config, exit code,
+# a fragment of the one error line)
+_OVERFLOW_CASES = {
+    "qst_span_start": ("qst", dict(QST_SWEEP_DOC["transfer"], t_span_s=[-1e308, 2e-5]),
+                       4, "t_span_s (-1e+308, 2e-05) over dt_s 4e-08"),
+    "qst_span_both": ("qst", dict(QST_SWEEP_DOC["transfer"], t_span_s=[-1e308, 1e308]),
+                      4, "is not a finite step count"),
+    "code_alpha": ("code", dict(CODE_DOC, alpha=[1e308, 0]),
+                   1, "cat state has no support at this truncation"),
+    "device_g_large": ("device", dict(PAPER_DEVICE, g_hz=1e308),
+                       3, "chi_hz is not finite"),
+    "device_g_small": ("device", dict(PAPER_DEVICE, g_hz=5e-192),
+                       3, "critical_photon_number is not finite"),
+    "otoc_time": ("otoc", dict(OTOC_DOC, times_s=[0.0, -1e308]),
+                  3, "times_s entry -1e+308"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(_OVERFLOW_CASES))
+def test_overflow_exits_with_one_error_line(tmp_path, capsys, case):
+    command, doc, code, fragment = _OVERFLOW_CASES[case]
+    cfg = write_json(tmp_path / "config.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), command, cfg]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and fragment in line
+    assert not out.exists()

@@ -173,3 +173,18 @@ class TestBinomial:
     def test_too_small_dimension(self):
         with pytest.raises(InvalidDimensionError):
             codes.binomial_codewords(4)
+
+
+@pytest.mark.parametrize("alpha", [1e308, 1e155j, complex(-1e200, 1e200)])
+def test_huge_alpha_has_no_support_at_any_truncation(alpha):
+    # |α|² would overflow; every amplitude e^{-|α|²/2} α^k/√(k!) underflows to 0
+    amps = fock.coherent_amplitudes(alpha, 20)
+    assert amps.dtype == np.complex128 and not amps.any()
+    with pytest.raises(DegenerateInputError, match="no support at this truncation"):
+        codes.cat_state(alpha, "+", 20)
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_alpha_below_the_cut_underflows_quietly():
+    # 1e154² is finite, so the log-space formula runs; its amplitudes underflow to 0 too
+    assert not fock.coherent_amplitudes(1e154, 20).any()

@@ -220,3 +220,19 @@ def test_numpy_real_fields_taken_as_floats(convert):
     p = reference_params(g_hz=convert(10_000_000), t1_fock0_s=convert(1))
     assert p == reference_params()
     assert all(type(getattr(p, f)) is float for f in device._FIELDS)
+
+
+@pytest.mark.parametrize("estimator, overrides, name", [
+    (device.chi, dict(g_hz=1e308), "chi_hz"),
+    (device.critical_photon_number, dict(g_hz=5e-192), "critical_photon_number"),
+    (device.max_fock, dict(t1_fock0_s=1e308, t1_min_s=1e-10), "t1_fock0_s / t1_min_s"),
+    (device.snap_min_gate_time, dict(g_hz=5e-156), "snap_min_gate_time_s"),
+])
+def test_derived_value_that_is_not_finite_is_a_numeric_error(estimator, overrides, name):
+    with pytest.raises(errors.NumericError, match=f"{name} is not finite"):
+        estimator(reference_params(**overrides))
+
+
+def test_summary_overflow_is_a_numeric_error():
+    with pytest.raises(errors.NumericError, match="chi_hz is not finite"):
+        device.device_summary(reference_params(g_hz=1e308))

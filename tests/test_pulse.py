@@ -1026,3 +1026,112 @@ class TestDeferredGradientAscent:
         # grape_optimize, then the eager search's j0, start, trials and final
         eager_trials = counts["forward"] - counts["trials"] - 5
         assert counts["trials"] < eager_trials
+
+
+_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+
+
+def _dispersive_variant(n=3, chi_hz=1e6, drift=None, controls=None):
+    """dispersive_model(chi_hz, n) with its drift matrix or its qubit
+    controls replaced."""
+    model = dispersive_model(chi_hz, n)
+    shape = model.shape
+    h = model.drift.matrix if drift is None else drift(model.drift.matrix.copy())
+    ops = model.controls if controls is None else tuple(
+        Operator(shape, c) for c in controls(np.eye(n)))
+    return ControlModel(shape, Operator(shape, h), ops)
+
+
+def _set(h, i, j, value):
+    h[i, j] = value
+    h[j, i] = np.conj(value)
+    return h
+
+
+# models that are not dispersive_model(chi, N) for any chi: each must raise
+# UsageError itself, not its ShapeError subclass
+_NOT_DISPERSIVE = {
+    "off-diagonal drift": lambda: _dispersive_variant(
+        drift=lambda h: _set(h, 3, 4, 2 * np.pi * 1e3)),
+    "qubit-ground sector": lambda: _dispersive_variant(
+        drift=lambda h: _set(h, 1, 1, 2 * np.pi * 1e3)),
+    "wrong ladder": lambda: _dispersive_variant(
+        drift=lambda h: _set(h, 5, 5, 1.5 * h[5, 5])),
+    "negative chi": lambda: _dispersive_variant(drift=lambda h: -h),
+    "zero chi": lambda: _dispersive_variant(drift=np.zeros_like),
+    "swapped controls": lambda: _dispersive_variant(
+        controls=lambda eye: (np.kron(_SIGMA_Y, eye), np.kron(_SIGMA_X, eye))),
+    "cavity controls": lambda: _dispersive_variant(
+        controls=lambda eye: tuple(c.matrix for c in
+                                   dispersive_model(1e6, 3, cavity_drive=True).controls[2:])),
+    "one cavity level": lambda: ControlModel(
+        shape_of((2, 1)), Operator(shape_of((2, 1)), np.diag([0.0, -2 * np.pi * 1e6])),
+        (Operator(shape_of((2, 1)), _SIGMA_X), Operator(shape_of((2, 1)), _SIGMA_Y))),
+}
+
+
+class TestSnapModelCheck:
+    """synthesize_snap_pulse takes exactly the models dispersive_model builds."""
+
+    @pytest.mark.parametrize("case", list(_NOT_DISPERSIVE))
+    def test_rejects_models_that_are_not_dispersive(self, case):
+        model = _NOT_DISPERSIVE[case]()
+        with pytest.raises(UsageError) as info:
+            synthesize_snap_pulse(model, np.zeros(model.shape.dims[1]), 1e-5)
+        assert info.type is UsageError
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (4,)])
+    def test_rejects_shapes_other_than_qubit_and_cavity(self, dims):
+        shape = shape_of(dims)
+        d = shape.total_dim
+        model = ControlModel(shape, Operator(shape, np.zeros((d, d))),
+                             (Operator(shape, np.eye(d)), Operator(shape, np.eye(d))))
+        with pytest.raises(ShapeError, match=r"expected a \(2, N\) qubit-cavity shape"):
+            synthesize_snap_pulse(model, np.zeros(3), 1e-5)
+
+    @pytest.mark.parametrize("chi_hz, n", [(1e6, 2), (1.7e6, 5), (0.53e6, 8)])
+    def test_cavity_drive_model_gives_the_same_chi(self, chi_hz, n):
+        plain = dispersive_model(chi_hz, n)
+        driven = dispersive_model(chi_hz, n, cavity_drive=True)
+        # chi as read before the check was written against dispersive_model
+        expected = -np.diag(plain.drift.matrix).real[n + 1] / (2 * np.pi)
+        for model in (plain, driven):
+            chi, levels = pulse._dispersive_chi_from_model(model)
+            assert (chi, levels) == (expected, n)
+            assert np.float64(chi).tobytes() == np.float64(expected).tobytes()
+        theta = np.linspace(-1.0, 1.0, n)
+        duration = 2 * 2 * np.pi / chi_hz
+        a = synthesize_snap_pulse(plain, theta, duration, precompensate=False)
+        b = synthesize_snap_pulse(driven, theta, duration, precompensate=False)
+        assert b.n_streams == 2 and not b.streams[1].any()
+        assert np.array_equal(a.streams[0], b.streams[0])
+
+    @pytest.mark.parametrize("bad", ["0.5", True, np.True_, None, [0.5]])
+    def test_phases_follow_the_snap_constructors_rule(self, bad):
+        model = dispersive_model(1e6, 3)
+        u = Operator(model.shape, np.eye(6, dtype=complex))
+        theta = [0.0, bad, 0.5]
+        with pytest.raises(UsageError, match="theta must be a list of numbers"):
+            synthesize_snap_pulse(model, theta, 1e-5)
+        with pytest.raises(UsageError, match="theta must be a list of numbers"):
+            snap_average_fidelity(u, theta)
+        with pytest.raises(UsageError, match="theta must be a list of numbers"):
+            gates.snap(theta)
+
+    def test_phase_strings_alone_are_refused(self):
+        model = dispersive_model(1e6, 3)
+        with pytest.raises(UsageError, match="theta must be a list of numbers"):
+            synthesize_snap_pulse(model, ["0", True, "0.5"], 1e-5)
+        with pytest.raises(UsageError, match="theta must be a list of numbers"):
+            snap_average_fidelity(Operator(model.shape, np.eye(6)), ["0", True, "0.5"])
+
+    def test_fidelity_checks_phase_count_and_finiteness(self):
+        u = Operator(shape_of((2, 3)), np.eye(6, dtype=complex))
+        assert snap_average_fidelity(u, [0, 0, 0]) == pytest.approx(1.0)
+        with pytest.raises(ShapeError, match="theta must have length 3"):
+            snap_average_fidelity(u, [0.0, 0.0])
+        with pytest.raises(NumericError, match="non-finite phases"):
+            snap_average_fidelity(u, [0.0, np.nan, 0.0])
+        with pytest.raises(ShapeError, match=r"expected a \(2, N\) qubit-cavity shape"):
+            snap_average_fidelity(Operator(shape_of((3, 2)), np.eye(6)), [0.0, 0.0])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from cavityq import qst
 from cavityq.errors import (
+    CapacityError,
     DegenerateDetuningError,
     NumericError,
     ParseError,
@@ -654,3 +656,47 @@ class TestTransferConservation:
         h = (max_rate + abs(config.delta_omega_hz)) * dt
         total = np.abs(res.a_trace) ** 2 + np.abs(res.b_trace) ** 2 + res.emitted_trace
         assert np.max(np.abs(total - 1.0)) <= 1e-3 * h**4 + 1e-12
+
+
+class TestSweepZeroPoint:
+    """The zero-detuning transfer runs once: it is the baseline, and the row
+    of a 0.0 entry reuses its eta."""
+
+    @pytest.mark.parametrize("deltas, calls", [
+        ([0.0, 0.01 * KAPPA, 0.02 * KAPPA], 3),
+        ([0.01 * KAPPA, 0.0, -0.0, 0.03 * KAPPA], 3),
+        ([0.01 * KAPPA, 0.03 * KAPPA], 3),
+    ])
+    def test_one_transfer_per_distinct_point(self, deltas, calls):
+        config = matched_config()
+        with mock.patch.object(qst, "simulate_transfer",
+                               wraps=qst.simulate_transfer) as spy:
+            sweep = qst.detuning_sweep(config, deltas)
+        assert spy.call_count == calls
+        baseline = qst.simulate_transfer(config).eta
+        assert sweep.baseline_eta == baseline
+        for (dw, eta, root), want in zip(sweep.rows, deltas):
+            alone = qst.simulate_transfer(replace(config, delta_omega_hz=want)).eta
+            assert (dw, eta) == (want, alone)
+            assert math.copysign(1.0, dw) == math.copysign(1.0, want)
+            assert root == math.sqrt(max(0.0, 1.0 - alone))
+
+    def test_unmatched_baseline_still_fails_first(self):
+        config = matched_config(delta=0.0)
+        flat = qst.SampledWaveform([0.0, 0.0], 2 * HALF_SPAN, -HALF_SPAN)
+        with mock.patch.object(qst, "simulate_transfer",
+                               wraps=qst.simulate_transfer) as spy:
+            with pytest.raises(UsageError, match="baseline transfer eta"):
+                qst.detuning_sweep(replace(config, catch_waveform=flat),
+                                   [0.0, 0.01 * KAPPA, 0.02 * KAPPA])
+        assert spy.call_count == 1
+
+
+def test_infinite_step_count_is_a_capacity_error():
+    for span in ((-1e308, 2e-5), (-1e308, 1e308)):
+        config = qst.QstConfig(kappa_hz=KAPPA, emit_waveform=qst.matched_emit_rate(KAPPA),
+                               catch_waveform=qst.matched_catch_rate(KAPPA),
+                               t_span_s=span, dt_s=4e-8)
+        with mock.patch.object(np, "arange", side_effect=AssertionError("allocated")):
+            with pytest.raises(CapacityError, match=r"t_span_s .* over dt_s 4e-08"):
+                qst.simulate_transfer(config)

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -456,3 +457,20 @@ def test_bad_last_step_count_raises_before_any_fft(bad):
         with pytest.raises(UsageError, match="steps must be a positive integer"):
             trotter.trotter_convergence(h, 1.0, [10, 20, bad])
     assert fft.call_count == ifft.call_count == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [-1e308, 1e308, 5e307])
+def test_otoc_phase_overflow_names_times_s_before_the_phases(t):
+    h = random_hamiltonian()
+    with mock.patch.object(np, "outer", side_effect=AssertionError("phases built")):
+        with pytest.raises(NumericError, match=re.escape(f"times_s entry {t!r}: the phase")):
+            trotter.otoc_series(np.eye(N), np.eye(N), h, [0.0, t, 1.0])
+
+
+def test_otoc_largest_finite_phase_runs():
+    # max|E|*|t| just finite: the series runs, and |C| stays <= 1
+    h = random_hamiltonian()
+    e_max = float(np.max(np.abs(h._eigensystem[0])))
+    [(_, re, im, mag)] = trotter.otoc_series(np.eye(N), np.eye(N), h, [1e300 / e_max])
+    assert math.isfinite(re) and math.isfinite(im) and mag <= 1 + 1e-12
