@@ -45,12 +45,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__, device
@@ -68,12 +66,14 @@ def _read_text(path: str) -> str:
 
 
 def _sha256(text: str) -> str:
+    import hashlib  # here, so that `device`, which writes no artifact, never loads it
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _write_atomic(path: Path, pieces) -> None:
     """Write an iterable of text pieces to path via a temp file in the same
     directory and a rename."""
+    import tempfile  # here, like hashlib in _sha256
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                prefix=path.name + ".", suffix=".tmp")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     CapacityError,
+    DegenerateInputError,
     InvalidDimensionError,
     ShapeError,
     UsageError,
@@ -373,6 +374,8 @@ def coherent_state(alpha: complex, n: int) -> StateVector:
     shp = shape_of((n,))
     amps = coherent_amplitudes(alpha, n)
     captured = float(np.sum(np.abs(amps) ** 2))
+    if captured <= 0:
+        raise DegenerateInputError("coherent state has no support at this truncation")
     leakage = max(0.0, 1.0 - captured)
     if leakage > TRUNCATION_TOL:
         warnings.warn(

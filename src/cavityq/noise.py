@@ -15,9 +15,9 @@ Every built-in Kraus operator has a single nonzero diagonal: K_k[i, i+o_k]
 = u_k[i]. A channel whose operators all have that form is stored as bands
 at construction, K_k x = u_k ∘ shift_{o_k}(x). One step is then
 ρ' = Σ_o W_o ∘ ρ[i+o, j+o], W_o = Σ u_k u_k† over the operators of offset
-o, done on the flat ρ as one multiply and one in-place add of a shifted
-slice per further offset: O(K·N²) work, no gather, no matrix product. Only
-a set with a dense operator is a (K, N, N) stack applied by stacked products.
+o, done on the caller's (N, N) ρ: one multiply, then one in-place add of a
+shifted slice of the flat views per further offset. That is O(K·N²), with
+no gather or matrix product; a set with a dense operator is a (K, N, N) stack.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ class _Banded:
 
     diagonals[k, i] = K_k[i, i + o_k] and index[k, i] = i + o_k clipped
     into range; where i + o_k is out of range the diagonal entry is 0, so
-    K_k x = diagonals[k] ∘ x[index[k]] needs no mask. On ρ, the pair
-    ρ[i + o, j + o] is ρ.flat[k + o(N+1)] with k = iN + j, so an offset is
-    one slice of length N² − |o|(N+1) of the flat ρ. bands holds, in sorted
-    offset order, (destination, source, W_o at the destinations), W_o being
-    0 where i + o or j + o leaves the range; a main band first is lead.
+    K_k x = diagonals[k] ∘ x[index[k]] needs no mask. On a C-ordered ρ, the
+    pair ρ[i + o, j + o] is ρ.flat[k + o(N+1)] with k = iN + j, so an offset
+    is one slice of length N² − |o|(N+1) of the view ρ.ravel(). bands holds,
+    in sorted offset order, (destination, source, W_o at the destinations),
+    W_o 0 where i + o or j + o leaves the range; a main band first is lead.
     """
 
     def __init__(self, diagonals: np.ndarray, offsets: list[int]) -> None:
@@ -61,17 +61,18 @@ class _Banded:
             dst, src = (head, tail) if o > 0 else (tail, head)
             self.bands.append((dst, src, w[dst].copy()))
         self.lead = self.bands.pop(0)[2] if min(offsets) == 0 else None
+        self.lead2d = None if self.lead is None else self.lead.reshape(self.shape)
 
     def branches(self, columns: np.ndarray) -> np.ndarray:
         """K_k applied to every column of an (N, M) array, as (K, N, M)."""
         return self.diagonals[:, :, None] * columns[self.index]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        flat = rho.reshape(-1)
-        out = np.zeros_like(flat) if self.lead is None else self.lead * flat
+        out = np.zeros_like(rho) if self.lead is None else self.lead2d * rho
+        flat, out_flat = rho.ravel(), out.ravel()
         for dst, src, w in self.bands:
-            out[dst] += w * flat[src]
-        return out.reshape(self.shape)
+            out_flat[dst] += w * flat[src]
+        return out
 
     def gram(self) -> np.ndarray:
         """ΣK†K: diagonal, |u_k[i]|² summed on column level i + o_k."""
@@ -222,7 +223,7 @@ def density_matrix(psi: StateVector) -> np.ndarray:
 def apply_channel(channel: NoiseChannel, rho: np.ndarray) -> np.ndarray:
     """One deterministic Kraus step ρ → ΣKρK†, in O(K·N²) when banded."""
     kernel = channel._kernel
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho, dtype=complex, order="C")
     if rho.shape != kernel.shape:
         raise UsageError("density matrix must be {}x{}, got {}".format(*kernel.shape, rho.shape))
     return kernel.apply(rho)
@@ -308,7 +309,7 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
         branches = kernel.branches(states.T)  # (K, N, T)
         weights = (branches.real**2 + branches.imag**2).sum(axis=1)
         total = weights.sum(axis=0)
-        if np.any(total <= 0):
+        if (total <= 0).any():
             raise UsageError("state annihilated by every Kraus branch")
         below = np.cumsum(weights, axis=0) <= uniforms[:, s] * total
         pick = np.minimum(below.sum(axis=0), last)

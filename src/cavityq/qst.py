@@ -51,6 +51,9 @@ from .errors import (
 )
 
 _MAX_RATE_DT = 0.05
+# most RK4 steps one transfer may take; at the cap its grids and traces
+# peak at about 240 MB
+MAX_RK4_STEPS = 10**6
 # RK4 steps scanned at once; bounds the scan temporaries of long spans
 _CHUNK_STEPS = 2048
 
@@ -285,7 +288,9 @@ def simulate_transfer(config: QstConfig) -> QstResult:
     The excitation amplitude starts entirely in the emitter (a=1), the
     channel in vacuum. eta = |b(t1)|^2; the superposition fidelity uses the
     tau = -b(t1) phase reference. Raises a step-size error when
-    max(k1, k2) * dt exceeds 0.05 on the integration grid.
+    max(k1, k2) * dt exceeds 0.05 on the integration grid, and a
+    CapacityError, before any allocation, when the step count is not finite
+    or above MAX_RK4_STEPS.
     """
     t0, t1 = config.t_span_s
     steps = (t1 - t0) / config.dt_s
@@ -293,6 +298,9 @@ def simulate_transfer(config: QstConfig) -> QstResult:
         raise CapacityError(f"t_span_s {config.t_span_s} over dt_s {config.dt_s} "
                             "is not a finite step count")
     n_steps = max(1, int(round(steps)))
+    if n_steps > MAX_RK4_STEPS:
+        raise CapacityError(f"t_span_s {config.t_span_s} over dt_s {config.dt_s} is "
+                            f"{steps:.6g} RK4 steps, above the cap of {MAX_RK4_STEPS}")
     dt = (t1 - t0) / n_steps
     # rates on the half-step grid: index 2j is t_j, 2j+1 the midpoint
     grid = t0 + (dt / 2.0) * np.arange(2 * n_steps + 1)

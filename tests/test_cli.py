@@ -783,6 +783,11 @@ class TestImportContract:
         assert {"cavityq.cli", "cavityq.device"} <= loaded
         assert "numpy" not in loaded and not loaded & NUMERIC_MODULES
 
+    def test_device_command_loads_no_hashlib(self, tmp_path):
+        # device writes no artifact, so it never hashes its config
+        cfg = write_json(tmp_path / "dev.json", PAPER_DEVICE)
+        assert "hashlib" not in _loaded_modules(_RUN_MODULE, "device", cfg)
+
     def test_bare_import_loads_no_submodule(self):
         loaded = _loaded_modules(
             "import sys, cavityq; print(*sys.modules, file=sys.stderr)")
@@ -1172,6 +1177,8 @@ _OVERFLOW_CASES = {
                        4, "t_span_s (-1e+308, 2e-05) over dt_s 4e-08"),
     "qst_span_both": ("qst", dict(QST_SWEEP_DOC["transfer"], t_span_s=[-1e308, 1e308]),
                       4, "is not a finite step count"),
+    "qst_span_steps": ("qst", dict(QST_SWEEP_DOC["transfer"], t_span_s=[-1e300, 2e-5]),
+                       4, "t_span_s (-1e+300, 2e-05) over dt_s 4e-08 is 2.5e+307 RK4 steps"),
     "code_alpha": ("code", dict(CODE_DOC, alpha=[1e308, 0]),
                    1, "cat state has no support at this truncation"),
     "device_g_large": ("device", dict(PAPER_DEVICE, g_hz=1e308),

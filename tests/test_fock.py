@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from cavityq import fock
 from cavityq.errors import (
     CapacityError,
+    DegenerateInputError,
     InvalidDimensionError,
     ShapeError,
     UsageError,
@@ -292,6 +293,15 @@ class TestCoherentState:
         psi = fock.coherent_state(2.0, 64)
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
         assert psi.leakage < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [50.0, 1e308, 1e155j])
+    def test_no_support_raises_before_warning(self, alpha):
+        # every kept amplitude underflows to 0: no TruncationWarning, no 0/0
+        assert not fock.coherent_amplitudes(alpha, 16).any()
+        with pytest.raises(DegenerateInputError,
+                           match="^coherent state has no support at this truncation$"):
+            fock.coherent_state(alpha, 16)
 
 
 class TestFidelityAndMarginals:

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -479,6 +480,17 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def assert_fresh_step(channel, rho):
+    """One step returns a new C-ordered (N, N) array and leaves rho as it was."""
+    before = copy.deepcopy(rho)
+    out = noise.apply_channel(channel, rho)
+    n = channel.shape.total_dim
+    assert out.shape == (n, n) and out.flags.c_contiguous
+    assert not np.shares_memory(out, rho)
+    np.testing.assert_array_equal(np.asarray(rho), np.asarray(before), strict=True)
+    return out
+
+
 @st.composite
 def builtin_channels(draw):
     n = draw(st.integers(1, 12))
@@ -539,6 +551,22 @@ class TestFlatShiftStep:
                          noise.apply_channel(channel, want))
         assert_same_bits(noise.apply_channel(channel, rho), gather_step(channel, want))
 
+    @pytest.mark.parametrize("form", ["fortran", "view", "real", "list", "c"])
+    def test_result_is_a_fresh_c_ordered_array(self, form):
+        # the step writes its band adds through flat views of its own output
+        channel = noise.amplitude_damping_channel(1.0, 0.2, 7)
+        big = random_density_matrix(8, 14)
+        rho = {"fortran": np.asfortranarray(big[:7, :7]), "view": big[::2, 1::2],
+               "real": big[:7, :7].real.copy(), "list": big[:7, :7].tolist(),
+               "c": big[:7, :7].copy()}[form]
+        assert_fresh_step(channel, rho)
+
+    @given(banded_channels(), st.integers(0, 2**32 - 1))
+    def test_fortran_order_steps_bitwise_as_c_order(self, channel, seed):
+        rho = random_density_matrix(seed, channel.shape.total_dim)
+        assert_same_bits(noise.apply_channel(channel, np.asfortranarray(rho)),
+                         noise.apply_channel(channel, rho))
+
     @pytest.mark.parametrize("dense", [False, True])
     def test_wrong_shape_rejected(self, dense):
         channel = noise.photon_loss_channel(1.0, 1e-4, 6)
@@ -586,6 +614,20 @@ class TestBandedChannels:
         assert isinstance(channel._kernel, noise._Banded)
         rho = random_density_matrix(4, 3)
         np.testing.assert_allclose(noise.apply_channel(channel, rho),
+                                   dense_kraus_sum(channel, rho), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_band_free_set_returns_a_fresh_array(self, order):
+        # with no main band the step starts from zeros_like(ρ)
+        shape = fock.HilbertShape((3,))
+        up = np.diag([1.0, 1.0], k=1).astype(complex)
+        down = np.zeros((3, 3), complex)
+        down[1, 0] = 1.0
+        channel = noise.NoiseChannel(
+            shape, [fock.Operator(shape, m) for m in (up, down)], 1e-3)
+        assert channel._kernel.lead is None
+        rho = np.array(random_density_matrix(4, 3), order=order)
+        np.testing.assert_allclose(assert_fresh_step(channel, rho),
                                    dense_kraus_sum(channel, rho), rtol=0, atol=1e-15)
 
     def test_incomplete_set_reports_its_defect(self):

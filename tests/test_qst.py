@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -700,3 +701,23 @@ def test_infinite_step_count_is_a_capacity_error():
         with mock.patch.object(np, "arange", side_effect=AssertionError("allocated")):
             with pytest.raises(CapacityError, match=r"t_span_s .* over dt_s 4e-08"):
                 qst.simulate_transfer(config)
+
+
+def test_step_count_above_the_cap_is_a_capacity_error():
+    # 2.5e307 steps is finite, but np.arange could never allocate it
+    config = qst.QstConfig(kappa_hz=KAPPA, emit_waveform=qst.matched_emit_rate(KAPPA),
+                           catch_waveform=qst.matched_catch_rate(KAPPA),
+                           t_span_s=(-1e300, 2e-5), dt_s=4e-8)
+    message = (f"t_span_s (-1e+300, 2e-05) over dt_s 4e-08 is 2.5e+307 RK4 steps, "
+               f"above the cap of {qst.MAX_RK4_STEPS}")
+    with mock.patch.object(np, "arange", side_effect=AssertionError("allocated")):
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            qst.simulate_transfer(config)
+
+
+def test_step_cap_is_inclusive():
+    config = matched_config(dt=2 * HALF_SPAN / 1000)
+    with mock.patch.object(qst, "MAX_RK4_STEPS", 1000):
+        assert len(qst.simulate_transfer(config).times_s) == 1001
+        with pytest.raises(CapacityError, match="is 1001 RK4 steps, above the cap of 1000$"):
+            qst.simulate_transfer(replace(config, dt_s=2 * HALF_SPAN / 1001))
