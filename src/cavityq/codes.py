@@ -4,12 +4,12 @@ The cat qubit used here stores |g⟩ → |C+_α⟩ and |e⟩ → |C+_{iα}⟩, b
 even-parity states, so a single photon loss flips the measured parity
 while four losses map the code space back onto itself (a|±α⟩ = ±α|±α⟩
 and i⁴ = 1). Overlap bookkeeping uses ⟨α|β⟩ = e^{−|α|²/2−|β|²/2+α*β}.
+Cat states keep the truncation rule, leakage and warning of `fock.coherent_state`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Literal
 
 import numpy as np
@@ -18,8 +18,7 @@ from .errors import (DegenerateInputError, InvalidDimensionError, UsageError, re
                      require_count)
 from .fock import (
     StateVector,
-    TruncationWarning,
-    TRUNCATION_TOL,
+    _truncated_state,
     annihilation,
     coherent_amplitudes,
     mode_probabilities,
@@ -42,7 +41,7 @@ def cat_state(alpha: complex, sign: ParitySign, n: int) -> StateVector:
     sign "+" keeps even photon numbers, "-" keeps odd ones. The odd cat
     at α = 0 vanishes identically and is rejected.
     """
-    shape = shape_of((n,))
+    shape_of((n,))
     if sign not in ("+", "-"):
         raise UsageError(f"sign must be '+' or '-', got {sign!r}")
     alpha = require_complex("alpha", alpha)
@@ -50,19 +49,9 @@ def cat_state(alpha: complex, sign: ParitySign, n: int) -> StateVector:
     if alpha == 0 and sign == "-":
         raise DegenerateInputError("odd cat state vanishes at alpha = 0")
     raw = coherent_amplitudes(alpha, n) + s * coherent_amplitudes(-alpha, n)
-    captured = float(np.sum(np.abs(raw) ** 2))
-    if captured <= 0:
-        raise DegenerateInputError("cat state has no support at this truncation")
-    full = 2.0 * (1.0 + s * math.exp(-2 * abs(alpha) ** 2))
-    leakage = max(0.0, 1.0 - captured / full)
-    if leakage > TRUNCATION_TOL:
-        warnings.warn(
-            f"cat state |α|={abs(alpha):.3g} keeps only {captured / full:.6f} of its "
-            f"weight at truncation {n}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return StateVector(shape, raw / math.sqrt(captured), leakage)
+    # the untruncated norm², 2(1 + s e^{-2|α|²}), is evaluated only for a state with support
+    return _truncated_state("cat state", alpha, raw,
+                            lambda: 2.0 * (1.0 + s * math.exp(-2 * abs(alpha) ** 2)))
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:

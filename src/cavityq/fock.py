@@ -5,15 +5,18 @@ subsystem most significant, i.e. the flat index of |n_0, n_1, ...⟩ is
 n_0 * (d_1 * d_2 * ...) + n_1 * (d_2 * ...) + ... ; this matches the
 ordering of numpy.kron(A, B). All arrays are complex128 and frozen
 after construction, and every function here is pure, so results are
-bitwise reproducible in single-threaded runs.
+bitwise reproducible in single-threaded runs. It holds the one copy of the
+truncated-state rule, of the Hermitian exponential with its 2x2 products, and of tensor.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -248,37 +251,35 @@ def number_operator(n: int) -> Operator:
 
 def tensor(*factors):
     """Kronecker product of states or of operators, first factor most
-    significant. Raises CapacityError if the product dimension exceeds
-    the active cap."""
+    significant; a state carries the largest leakage of its factors.
+    Raises CapacityError if the product dimension exceeds the active cap."""
     if not factors:
         raise UsageError("tensor needs at least one factor")
-    if all(isinstance(f, StateVector) for f in factors):
-        dims: list[int] = []
-        for f in factors:
-            dims.extend(f.shape.dims)
-        shp = HilbertShape(tuple(dims))  # capacity check happens here
-        amps = factors[0].amplitudes
-        for f in factors[1:]:
-            amps = np.kron(amps, f.amplitudes)
-        leak = max(f.leakage for f in factors)
-        return StateVector(shp, amps, leak)
-    if all(isinstance(f, Operator) for f in factors):
-        dims = []
-        for f in factors:
-            dims.extend(f.shape.dims)
-        shp = HilbertShape(tuple(dims))
-        mat = factors[0].matrix
-        for f in factors[1:]:
-            mat = np.kron(mat, f.matrix)
-        return Operator(shp, mat)
-    raise UsageError("tensor factors must be all states or all operators")
+    states = all(isinstance(f, StateVector) for f in factors)
+    if not states and not all(isinstance(f, Operator) for f in factors):
+        raise UsageError("tensor factors must be all states or all operators")
+    # the capacity check happens here, before any kron
+    shp = HilbertShape(tuple(d for f in factors for d in f.shape.dims))
+    out = reduce(np.kron, [f.amplitudes if states else f.matrix for f in factors])
+    if states:
+        return StateVector(shp, out, max(f.leakage for f in factors))
+    return Operator(shp, out)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of matrices, written out over an inner dimension of
+    one or two, where numpy's matmul runs several times slower."""
+    if a.shape[-1] > 2:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    return out + a[..., :, 1:] * b[..., 1:, :] if a.shape[-1] == 2 else out
 
 
 def eig_exponential(evals: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) from the eigh output (evals, vecs) of Hermitian h, batched
-    over leading axes: V e^{-i Λ t} V†."""
-    return ((vecs * np.exp(-1j * evals * t)[..., None, :])
-            @ vecs.conj().swapaxes(-1, -2))
+    over leading axes: V e^{-i Λ t} V†, with 2x2 products written out."""
+    return _matmul(vecs * np.exp(-1j * evals * t)[..., None, :],
+                   vecs.conj().swapaxes(-1, -2))
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
@@ -349,9 +350,12 @@ def propagator(h: Operator, t: float) -> Operator:
 
 def coherent_amplitudes(alpha: complex, n: int) -> np.ndarray:
     """Unnormalized truncated coherent amplitudes c_k = e^{-|α|²/2} α^k/√(k!),
-    evaluated in log space so large |α| stays finite."""
+    evaluated in log space so large |α| stays finite. A NaN or infinite α
+    raises UsageError naming alpha."""
     shape_of((n,))
     alpha = require_complex("alpha", alpha)
+    if not cmath.isfinite(alpha):
+        raise UsageError(f"alpha must be finite, got {alpha!r}")
     if alpha == 0:
         amps = np.zeros(n, dtype=np.complex128)
         amps[0] = 1.0
@@ -365,27 +369,29 @@ def coherent_amplitudes(alpha: complex, n: int) -> np.ndarray:
     return np.exp(log_mag) * np.exp(1j * phase * k)
 
 
+def _truncated_state(what: str, alpha: complex, raw: np.ndarray, norm_sq) -> StateVector:
+    """raw renormalized, with the weight lost to truncation as `leakage`, for
+    the public constructor of `what`; norm_sq() gives raw's untruncated norm²
+    once raw has support. Leakage above TRUNCATION_TOL warns its caller."""
+    captured = float(np.sum(np.abs(raw) ** 2))
+    if captured <= 0:
+        raise DegenerateInputError(f"{what} has no support at this truncation")
+    kept = captured / norm_sq()
+    leakage = max(0.0, 1.0 - kept)
+    if leakage > TRUNCATION_TOL:
+        warnings.warn(f"{what} |α|={abs(complex(alpha)):.3g} keeps only {kept:.6f} "
+                      f"of its weight at truncation {len(raw)}", TruncationWarning,
+                      stacklevel=3)
+    return StateVector(shape_of((len(raw),)), raw / math.sqrt(captured), leakage)
+
+
 def coherent_state(alpha: complex, n: int) -> StateVector:
     """Truncated coherent state, renormalized on the first n levels.
 
     The probability weight lost to truncation is attached as `leakage`;
     above 1e-6 a TruncationWarning is also emitted.
     """
-    shp = shape_of((n,))
-    amps = coherent_amplitudes(alpha, n)
-    captured = float(np.sum(np.abs(amps) ** 2))
-    if captured <= 0:
-        raise DegenerateInputError("coherent state has no support at this truncation")
-    leakage = max(0.0, 1.0 - captured)
-    if leakage > TRUNCATION_TOL:
-        warnings.warn(
-            f"coherent state |α|={abs(complex(alpha)):.3g} keeps only {captured:.6f} "
-            f"of its weight at truncation {n}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    amps = amps / math.sqrt(captured)
-    return StateVector(shp, amps, leakage)
+    return _truncated_state("coherent state", alpha, coherent_amplitudes(alpha, n), lambda: 1.0)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

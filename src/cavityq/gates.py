@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (CapacityError, ParseError, ShapeError, UsageError, are_reals,
+from .errors import (CapacityError, NumericError, ParseError, ShapeError, UsageError, are_reals,
                      is_count, is_json_int, is_json_number, is_real, read_field,
                      read_object, require_complex, require_count, require_index,
                      require_real)
@@ -397,13 +397,17 @@ def _amplitude(value, what: str, shape: HilbertShape) -> complex:
 
 
 def _phases(value, what: str, shape: HilbertShape | None = None) -> np.ndarray:
-    """A list (or tuple, or 1-D numpy array) of real numbers (`is_real`), as
-    a 1-D float64 array; the SNAP constructors read their phases with it too.
-    Only entries of a type other than int and float are tested one by one."""
+    """A list (or tuple, or 1-D numpy array) of finite real numbers
+    (`is_real`), as a 1-D float64 array; every SNAP reader takes its phases
+    with it. Only entries of a type other than int and float are tested one
+    by one; a NaN or infinite phase raises NumericError."""
     entries = value.tolist() if isinstance(value, np.ndarray) else value
     if not isinstance(entries, (list, tuple)) or not are_reals(entries, is_real):
         raise UsageError(f"{what} must be a list of numbers")
-    return np.asarray(value, dtype=float)
+    phases = np.asarray(value, dtype=float)
+    if not np.isfinite(phases).all():
+        raise NumericError(f"non-finite phases in {what}")
+    return phases
 
 
 def _snap_args(dims, convention, target, theta):
@@ -611,7 +615,7 @@ class Circuit:
                     kernels.append(
                         _compile(spec, self.shape, self.displacement_convention)
                     )
-                except (UsageError, ShapeError) as exc:
+                except (UsageError, NumericError) as exc:
                     raise type(exc)(f"gate {i} ({spec.kind}): {exc}") from exc
             object.__setattr__(self, "_kernels", tuple(kernels))
         return self._kernels
@@ -673,7 +677,7 @@ def circuit_from_json(text: str) -> Circuit:
                 raise UsageError("missing string 'kind'")
             spec = GateSpec(kind, {k: v for k, v in entry.items() if k != "kind"})
             kernels.append(_compile(spec, shape, convention))  # validates
-        except UsageError as exc:
+        except (UsageError, NumericError) as exc:
             # every earlier entry holds a "kind", so the i-th "kind" in the
             # text is this entry's own, if it has one
             loc = _kind_location(text, i) if "kind" in entry else ""
@@ -709,6 +713,6 @@ def circuit_unitary(circuit: Circuit) -> Operator:
         try:
             op, targets = spec.build(circuit.shape, circuit.displacement_convention)
             total = embed(op, targets, circuit.shape).matrix @ total
-        except (UsageError, ShapeError) as exc:
+        except (UsageError, NumericError) as exc:
             raise type(exc)(f"gate {i} ({spec.kind}): {exc}") from exc
     return Operator(circuit.shape, total)

@@ -151,7 +151,7 @@ def _check_step(dt_s: float) -> None:
 
 def _check_loss_args(t1_s: float, dt_s: float) -> None:
     require_real("t1_s", t1_s)
-    if t1_s <= 0:
+    if not t1_s > 0:  # NaN fails too; inf, no loss, passes
         raise UsageError(f"t1_s must be positive, got {t1_s}")
     _check_step(dt_s)
 
@@ -197,7 +197,7 @@ def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
     hardware this models is zero; the channel exists as an explicit hook."""
     shape = shape_of((n,))
     require_real("rate_hz", rate_hz)
-    if rate_hz < 0:
+    if not rate_hz >= 0:  # NaN fails too
         raise UsageError(f"rate_hz must be >= 0, got {rate_hz}")
     _check_step(dt_s)
     y = rate_hz * dt_s

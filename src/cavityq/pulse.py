@@ -44,6 +44,7 @@ from .fock import (
     HilbertShape,
     Operator,
     StateVector,
+    _matmul,
     annihilation,
     basis_state,
     eig_exponential,
@@ -306,16 +307,6 @@ def _blocks(model: ControlModel) -> list[np.ndarray]:
     return blocks
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks of matrices; products over an inner dimension of one
-    or two are written out, because numpy's matmul runs them several times
-    slower."""
-    if a.shape[-1] > 2:
-        return a @ b
-    out = a[..., :, :1] * b[..., :1, :]
-    return out + a[..., :, 1:] * b[..., 1:, :] if a.shape[-1] == 2 else out
-
-
 def _ordered_product(u: np.ndarray) -> np.ndarray:
     """u[M-1] @ ... @ u[0] over the leading axis, by pairwise reduction."""
     while len(u) > 1:
@@ -563,9 +554,7 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
     for group in model.block_layout:
         h = group.drift + np.einsum("km,kbij->mbij", coeffs, group.controls)
         lam, vecs = hermitian_eigensystem(h)
-        props = _matmul(vecs * np.exp(-1j * dt * lam)[..., None, :],
-                        vecs.conj().swapaxes(-1, -2))
-        passes.append((group, lam, vecs, _prefix_products(props)))
+        passes.append((group, lam, vecs, _prefix_products(eig_exponential(lam, vecs, dt))))
     if unitary_target:
         c = sum(np.vdot(target.matrix[group.grid], fwd[-1])
                 for group, _, _, fwd in passes) / d
@@ -680,6 +669,8 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
 
     # work in dimensionless per-segment drive areas w = 2*pi*u*dt
     area = 2 * np.pi * dt
+    if not math.isfinite(area):
+        raise NumericError(f"dt_s {dt!r} overflows the drive area 2*pi*dt_s")
 
     def objective(w: np.ndarray):
         jt, j_raw, gradient = _grape_pass(model, w / area, dt, tgt, psi0_vec,
@@ -726,8 +717,6 @@ def _snap_theta(theta: Sequence[float], n: int) -> np.ndarray:
     th = _phases(theta, "theta")
     if th.shape != (n,):
         raise ShapeError(f"theta must have length {n}, got shape {th.shape}")
-    if not np.all(np.isfinite(th)):
-        raise NumericError("non-finite phases in theta")
     return th
 
 

@@ -1187,6 +1187,15 @@ _OVERFLOW_CASES = {
                        3, "critical_photon_number is not finite"),
     "otoc_time": ("otoc", dict(OTOC_DOC, times_s=[0.0, -1e308]),
                   3, "times_s entry -1e+308"),
+    # NaN and Infinity, which the JSON decoder accepts, named before any arithmetic
+    "run_snap_theta": ("run", {"shape": [3], "gates": [
+        {"kind": "snap", "target": 0, "theta": [0.0, math.inf, 0.0]}]},
+                       2, "gate 0: non-finite phases in snap gate field 'theta'"),
+    "code_alpha_nan": ("code", dict(CODE_DOC, alpha=[math.nan, 0]),
+                       1, "alpha must be finite, got (nan+0j)"),
+    "code_t1_nan": ("code", dict(CODE_DOC, t1_s=math.nan), 1, "t1_s must be positive, got nan"),
+    "grape_dt": ("grape", dict(GRAPE_DOC, dt_s=1e308),
+                 3, "dt_s 1e+308 overflows the drive area 2*pi*dt_s"),
 }
 
 

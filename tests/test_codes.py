@@ -1,7 +1,10 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cavityq import codes, fock
 from cavityq.errors import DegenerateInputError, InvalidDimensionError, UsageError
@@ -188,3 +191,33 @@ def test_huge_alpha_has_no_support_at_any_truncation(alpha):
 def test_largest_alpha_below_the_cut_underflows_quietly():
     # 1e154² is finite, so the log-space formula runs; its amplitudes underflow to 0 too
     assert not fock.coherent_amplitudes(1e154, 20).any()
+
+
+@pytest.mark.parametrize("what, sign", [("coherent state", None), ("cat state", "+"),
+                                        ("cat state", "-")])
+@given(mag=st.floats(0.05, 6.0), phase=st.floats(-math.pi, math.pi), n=st.integers(2, 16))
+def test_truncation_leakage_and_warning(what, sign, mag, phase, n):
+    alpha = cmath.rect(mag, phase)
+    raw = fock.coherent_amplitudes(alpha, n)
+    if sign is None:
+        full = 1.0
+    else:
+        s = 1.0 if sign == "+" else -1.0
+        raw = raw + s * fock.coherent_amplitudes(-alpha, n)
+        full = 2.0 * (1.0 + s * math.exp(-2 * abs(alpha) ** 2))
+    captured = float(np.sum(np.abs(raw) ** 2))
+    leakage = max(0.0, 1.0 - captured / full)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        psi = fock.coherent_state(alpha, n) if sign is None else codes.cat_state(alpha, sign, n)
+    assert psi.leakage == leakage
+    assert np.array_equal(psi.amplitudes, raw / math.sqrt(captured))
+    if leakage <= 1e-6:
+        assert caught == []
+        return
+    # one warning, attributed to this caller of the public constructor
+    [warning] = caught
+    assert warning.category is fock.TruncationWarning
+    assert warning.filename == __file__
+    assert str(warning.message) == (f"{what} |α|={abs(alpha):.3g} keeps only {captured / full:.6f} "
+                                    f"of its weight at truncation {n}")

@@ -295,6 +295,14 @@ class TestCoherentState:
         assert psi.leakage < 1e-12
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.0, -math.inf),
+                                       complex(1.0, math.nan)])
+    def test_non_finite_alpha_is_refused_before_any_arithmetic(self, alpha):
+        for build in (fock.coherent_amplitudes, fock.coherent_state):
+            with pytest.raises(UsageError, match="^alpha must be finite, got "):
+                build(alpha, 8)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [50.0, 1e308, 1e155j])
     def test_no_support_raises_before_warning(self, alpha):
         # every kept amplitude underflows to 0: no TruncationWarning, no 0/0

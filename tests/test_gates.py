@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cavityq import fock, gates
-from cavityq.errors import ParseError, ShapeError, UsageError
+from cavityq.errors import NumericError, ParseError, ShapeError, UsageError
 
 
 def random_state(shape, rng):
@@ -691,6 +691,25 @@ def test_non_number_phase_is_parse_error(kind, where, bad):
     with pytest.raises(ParseError,
                        match=f"gate 0: {kind} gate field 'theta' must be a list of numbers"):
         gates.circuit_from_json(text)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind,where", [("snap", {"target": 0}),
+                                        ("multisnap", {"targets": [0]})])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_is_refused_before_any_arithmetic(kind, where, bad):
+    theta = [0.0, bad, 0.0]
+    with pytest.raises(NumericError, match="^non-finite phases in snap theta$"):
+        gates.snap(theta)
+    with pytest.raises(NumericError, match="^non-finite phases in theta$"):
+        gates.multisnap(theta, (3,))
+    field = f"{kind} gate field 'theta'"
+    text = json.dumps({"shape": [3], "gates": [{"kind": kind, **where, "theta": theta}]})
+    with pytest.raises(ParseError, match=f"^gate 0: non-finite phases in {field} \\(line 1"):
+        gates.circuit_from_json(text)
+    circuit = gates.Circuit(fock.shape_of(3), (gates.GateSpec(kind, {**where, "theta": theta}),))
+    with pytest.raises(NumericError, match=f"^gate 0 \\({kind}\\): non-finite phases in {field}$"):
+        gates.apply_circuit(circuit, fock.basis_state(3, 0))
 
 
 @pytest.mark.parametrize("kind,where", [("snap", {"target": 0}),

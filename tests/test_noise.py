@@ -711,7 +711,8 @@ class TestAmplitudeDamping:
         assert len(finals) > 1
 
     @pytest.mark.parametrize("t1, dt, n", [(0.0, 1e-3, 4), (1.0, 0.0, 4),
-                                           (1.0, 1e-3, 0), (1.0, math.inf, 4)])
+                                           (1.0, 1e-3, 0), (1.0, math.inf, 4),
+                                           (math.nan, 1e-3, 4)])
     def test_bad_arguments(self, t1, dt, n):
         with pytest.raises(UsageError):
             noise.amplitude_damping_channel(t1, dt, n)
@@ -755,6 +756,19 @@ def test_channel_constructors_reject_non_real_arguments(name, bad):
         args[pos] = bad
         with pytest.raises(UsageError, match=f"{field} must be a real number, got"):
             getattr(noise, name)(*args)
+
+
+@pytest.mark.parametrize("name", sorted(_CHANNEL_REALS))
+def test_channel_constructors_name_a_nan_rate(name):
+    field = _CHANNEL_REALS[name][0]
+    with pytest.raises(UsageError, match=f"^{field} must be .*, got nan$"):
+        getattr(noise, name)(math.nan, 1e-4, 8)
+
+
+def test_infinite_lifetime_is_no_loss():
+    rho = noise.density_matrix(fock.basis_state(8, 3))
+    channel = noise.photon_loss_channel(math.inf, 1e-4, 8)
+    assert np.array_equal(noise.apply_channel(channel, rho), rho)
 
 
 @pytest.mark.parametrize("name", sorted(_CHANNEL_REALS))

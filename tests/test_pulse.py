@@ -25,6 +25,7 @@ from cavityq.fock import (
 from cavityq.gates import Circuit, GateSpec, apply_circuit
 from cavityq.pulse import (
     ControlModel,
+    GrapeResult,
     PulseSchedule,
     dispersive_model,
     dispersive_model_from_device,
@@ -571,6 +572,20 @@ class TestGrapeOptimize:
                                 basis_state((2, 3), [0, 0]))
         leak = sum(abs(out.amplitudes[g]) ** 2 for g in guard)
         assert leak < 1e-3
+
+    def test_trace_csv_header_and_rows(self):
+        x_gate = Operator(shape_of(2), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        res = grape_optimize(qubit_model(), x_gate, constant_schedule(0.0, 8, 5e-9),
+                             iterations=5, seed=11)
+        header, *rows = res.trace_csv().splitlines()
+        assert header == "iteration,infidelity,step_size"
+        assert rows == [f"{it},{infid:.12e},{step:.6e}" for it, infid, step in res.trace]
+        assert res.trace_csv().endswith("\n") and len(rows) == len(res.trace) > 1
+        pinned = GrapeResult(res.schedule, 0.5, 0.5, 1, False,
+                             ((0, 0.5, 0.0), (1, 1.25e-3, 0.26)))
+        assert pinned.trace_csv() == ("iteration,infidelity,step_size\n"
+                                      "0,5.000000000000e-01,0.000000e+00\n"
+                                      "1,1.250000000000e-03,2.600000e-01\n")
 
 
 def snap_target_infidelity(model, schedule, theta):
