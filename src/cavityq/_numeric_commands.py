@@ -10,9 +10,9 @@ import numpy as np
 # for an unloaded layer (`spans.Tracer.install`); to go with ROADMAP item 1
 from . import codes, fock, gates, noise, pulse, qst, trotter
 from .cli import _Result
-from .errors import (ParseError, UsageError, decode_object, is_json_int, is_json_number_rows,
-                     read_field, read_kind, read_numbers, read_object, require_count,
-                     require_index)
+from .errors import (NumericError, ParseError, UsageError, decode_object, is_json_int,
+                     is_json_number_rows, read_field, read_kind, read_numbers, read_object,
+                     require_count, require_index)
 
 _PROB_FLOOR = 1e-12
 
@@ -104,7 +104,10 @@ def _snap_or_matrix(spec: dict, kind: str, n: int, what: str) -> np.ndarray:
         theta = read_numbers(spec, "theta", what)
         if len(theta) != n:
             raise ParseError(f"{what}: snap needs {n} phases, got {len(theta)}")
-        return gates.snap(theta).matrix
+        try:
+            return gates.snap(theta).matrix
+        except NumericError as exc:  # a NaN or infinite phase, named with its field
+            raise ParseError(f"{what}: {exc}") from exc
     re, im = spec["re"], spec["im"]
     if not (is_json_number_rows(re) and is_json_number_rows(im)):
         raise ParseError(f"{what}: 're' and 'im' must be lists of rows of numbers")

@@ -19,7 +19,6 @@ from .errors import (DegenerateInputError, InvalidDimensionError, UsageError, re
 from .fock import (
     StateVector,
     _truncated_state,
-    annihilation,
     coherent_amplitudes,
     mode_probabilities,
     shape_of,
@@ -89,6 +88,7 @@ def cat_encode(c_g: complex, c_e: complex, alpha: complex, n: int) -> StateVecto
 def photon_loss_cycle_check(psi: StateVector, k: int) -> StateVector:
     """State after k single-photon losses, i.e. normalized a^k|ψ⟩.
 
+    Each loss is the shift (aψ)[m] = √(m+1) ψ[m+1]; N of them empty any state.
     Rejects states whose support vanishes under k losses. For the cat
     encoding, k=4 returns to the even code family (i⁴ = 1) while odd k
     flips parity.
@@ -96,10 +96,10 @@ def photon_loss_cycle_check(psi: StateVector, k: int) -> StateVector:
     if psi.shape.n_subsystems != 1:
         raise UsageError("loss cycle check expects a single-mode state")
     require_count("k", k)
-    a = annihilation(psi.shape.total_dim).matrix
     amps = psi.amplitudes.copy()
-    for _ in range(k):
-        amps = a @ amps
+    root = np.sqrt(np.arange(1.0, len(amps)))
+    for _ in range(min(k, len(amps))):
+        amps[:-1], amps[-1] = amps[1:] * root, 0
     nrm = float(np.linalg.norm(amps))
     if nrm < 1e-12:
         raise DegenerateInputError(f"state has no support after {k} losses")

@@ -424,17 +424,14 @@ def reduced_density_matrix(psi: StateVector, keep: Iterable[int]) -> np.ndarray:
 
 
 def mode_probabilities(psi: StateVector, keep: Iterable[int] | None = None) -> np.ndarray:
-    """Marginal occupation probabilities of the kept subsystems jointly.
-
-    With keep=None every subsystem is kept, i.e. this is just |ψ|²
-    reshaped; a single subsystem gives its marginal distribution.
-    """
-    if keep is None:
-        keep = range(psi.shape.n_subsystems)
-    rho = reduced_density_matrix(psi, keep)
-    probs = np.real(np.diag(rho)).copy()
-    probs[probs < 0] = 0.0
-    return probs
+    """Marginal occupation probabilities of the kept subsystems jointly, in
+    the order given: re² + im² of ψ with the kept axes in front, summed over
+    the rest, so nothing of size d_keep² is formed. keep=None keeps every
+    subsystem (|ψ|² itself); a single subsystem gives its marginal."""
+    keep = _as_axes(psi.shape, range(psi.shape.n_subsystems) if keep is None else keep)
+    amps = np.moveaxis(psi.amplitudes.reshape(psi.shape.dims), keep, range(len(keep)))
+    probs = amps.real**2 + amps.imag**2
+    return probs.reshape(math.prod(probs.shape[:len(keep)]), -1).sum(axis=1)
 
 
 def mean_occupation(psi: StateVector, mode: int = 0) -> float:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (StepSizeError, UsageError, require_count, require_positive,
-                     require_real)
+from .errors import (StepSizeError, UsageError, require_count, require_finite,
+                     require_positive, require_real)
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
@@ -167,6 +167,8 @@ def photon_loss_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
         raise StepSizeError(
             f"dt={dt_s:g} too coarse for {n} levels at t1={t1_s:g} "
             f"(first-order completeness defect {defect:.3e} > {_FIRST_ORDER_TOL})")
+    if dt_s == math.inf:  # with t1_s = inf too, the ratio and defect are NaN, which passes
+        raise UsageError(f"dt_s must be positive and finite, got {dt_s}")
     k1 = Operator(shape, math.sqrt(x) * annihilation(n).matrix)
     k0 = Operator(shape, np.diag(np.sqrt(1.0 - x * np.arange(n))).astype(complex))
     return NoiseChannel(shape, (k0, k1), dt_s)
@@ -177,10 +179,11 @@ def amplitude_damping_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
     amplitude-damping Kraus set (Chuang, Leung & Yamamoto, PRA 56, 1114
     (1997)), K_l = Σ_m √C(m,l) (1−p)^{(m−l)/2} p^{l/2} |m−l⟩⟨m| for
     l = 0…n−1, with p = 1 − e^{−dt/T1}. K_l loses l photons, so it lies on
-    the l-th superdiagonal. Valid at any dt, and E_s∘E_t = E_{s+t}."""
+    the l-th superdiagonal. Valid at any finite dt, and E_s∘E_t = E_{s+t};
+    T1 = inf gives p = 0, the identity channel."""
     shape = shape_of((n,))
     _check_loss_args(t1_s, dt_s)
-    x = require_positive("dt_s / t1_s", dt_s / t1_s)
+    x = require_finite("dt_s / t1_s", require_positive("dt_s", dt_s) / t1_s)  # 0 at t1_s = inf
     lost, m = np.nonzero(np.tri(n, dtype=bool).T)  # every l <= m, by l
     # the binomial weight C(m,l) (1−p)^(m−l) p^l from exact integer binomials
     binomial = np.array([math.comb(a, b) for a, b in zip(m.tolist(), lost.tolist())],

@@ -1196,6 +1196,14 @@ _OVERFLOW_CASES = {
     "code_t1_nan": ("code", dict(CODE_DOC, t1_s=math.nan), 1, "t1_s must be positive, got nan"),
     "grape_dt": ("grape", dict(GRAPE_DOC, dt_s=1e308),
                  3, "dt_s 1e+308 overflows the drive area 2*pi*dt_s"),
+    "otoc_snap_theta": ("otoc", dict(OTOC_DOC, w={"kind": "snap", "theta": [
+        0.1, math.nan, 2.2, 0.4, 1.9, 2.8, 0.7, 1.1]}),
+                        2, "otoc config w: non-finite phases in snap theta"),
+    "grape_snap_theta": ("grape", dict(GRAPE_DOC, target={"kind": "snap",
+                                                          "theta": [0.0, math.nan]}),
+                         2, "grape target: non-finite phases in snap theta"),
+    "code_t1_dt_inf": ("code", dict(CODE_DOC, t1_s=math.inf, dt_s=math.inf),
+                       1, "dt_s must be positive and finite, got inf"),
 }
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -221,3 +222,40 @@ def test_truncation_leakage_and_warning(what, sign, mag, phase, n):
     assert warning.filename == __file__
     assert str(warning.message) == (f"{what} |α|={abs(alpha):.3g} keeps only {captured / full:.6f} "
                                     f"of its weight at truncation {n}")
+
+
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_loss_cycle_matches_dense_annihilation_products(n, seed):
+    # the dense a^k|ψ⟩ the shift replaced, as the oracle, up to two losses past N
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi = fock.StateVector(fock.HilbertShape((n,)), amps / np.linalg.norm(amps))
+    a = fock.annihilation(n).matrix
+    expected = psi.amplitudes.copy()
+    for k in range(n + 3):
+        norm = float(np.linalg.norm(expected))
+        if norm < 1e-12:
+            with pytest.raises(DegenerateInputError, match=f"after {k} losses"):
+                codes.photon_loss_cycle_check(psi, k)
+        else:
+            cycled = codes.photon_loss_cycle_check(psi, k)
+            assert np.array_equal(cycled.amplitudes, expected / norm)
+            assert cycled.leakage == psi.leakage
+        expected = a @ expected
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("loss cycle still running after 2 s")
+
+
+def test_loss_cycle_of_a_huge_count_stops_after_n_losses():
+    # 10⁹ losses, one at a time, would run for minutes: a timer fails the test instead
+    psi = codes.cat_state(2.0, "+", 20)
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(DegenerateInputError, match="no support after 1000000000 losses"):
+            codes.photon_loss_cycle_check(psi, 10**9)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

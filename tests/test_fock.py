@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,3 +384,51 @@ class TestImmutability:
         psi = fock.StateVector(fock.HilbertShape((2,)), raw)
         raw[0] = 5.0
         assert psi.amplitudes[0] == 1.0
+
+
+@st.composite
+def registers_and_keeps(draw):
+    """A random normalized register of 1-3 subsystems of dimension 2-6, and
+    keep drawn as None, one subsystem or a permuted subset."""
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=math.prod(dims)) + 1j * rng.normal(size=math.prod(dims))
+    psi = fock.StateVector(fock.HilbertShape(dims), amps / np.linalg.norm(amps))
+    kind = draw(st.sampled_from(["all", "one", "subset"]))
+    if kind == "all":
+        return psi, None
+    if kind == "one":
+        return psi, [draw(st.integers(0, len(dims) - 1))]
+    order = draw(st.permutations(range(len(dims))))
+    return psi, list(order[:draw(st.integers(1, len(dims)))])
+
+
+class TestMarginalsFromAmplitudes:
+    """mode_probabilities against the diagonal of reduced_density_matrix,
+    the general partial trace it replaced."""
+
+    @given(registers_and_keeps())
+    def test_matches_reduced_density_matrix_diagonal(self, case):
+        psi, keep = case
+        axes = range(psi.shape.n_subsystems) if keep is None else keep
+        expected = np.real(np.diag(fock.reduced_density_matrix(psi, axes)))
+        got = fock.mode_probabilities(psi, keep)
+        assert got.shape == expected.shape and got.dtype == np.float64
+        assert np.all(got >= 0)  # with no clamp, as the old diagonal needed
+        if psi.shape.n_subsystems == 1:
+            # re² + im² is what the product's diagonal computes for one mode
+            assert np.array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    def test_marginal_allocates_nothing_of_size_dkeep_squared(self):
+        # keeping both modes of (64, 64) as one 4096 x 4096 density matrix takes 256 MiB
+        psi = fock.basis_state((64, 64), [1, 2])
+        tracemalloc.start()
+        try:
+            probs = fock.mode_probabilities(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert probs[psi.shape.flat_index([1, 2])] == 1.0 and probs.sum() == 1.0

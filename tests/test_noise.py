@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from cavityq import codes, fock, noise
@@ -779,3 +780,85 @@ def test_channel_constructors_take_numpy_reals(name, convert):
     channel = build(convert(2), np.float64(2.0**-16), 4)
     for k, k_expected in zip(channel.kraus, expected.kraus, strict=True):
         assert np.array_equal(k.matrix, k_expected.matrix)
+
+
+# ---------------------------------------------------------------------------
+# Lindblad generator oracle (Lindblad, Commun. Math. Phys. 48, 119 (1976)):
+# exp(L dt) of D[J]ρ = JρJ† − ½{J†J, ρ}, built from numpy alone
+
+
+def _lindblad_step(jump: np.ndarray, dt: float) -> np.ndarray:
+    """exp(L dt) acting on ρ.ravel(), from vec(AρB) = (A ⊗ Bᵀ) vec(ρ) for
+    a C-ordered ρ."""
+    eye = np.eye(len(jump))
+    jj = jump.conj().T @ jump
+    generator = np.kron(jump, jump.conj()) - 0.5 * np.kron(jj, eye) - 0.5 * np.kron(eye, jj.T)
+    return scipy.linalg.expm(generator * dt)
+
+
+def _lowering(n: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, n)), 1)
+
+
+def _superoperator(channel: noise.NoiseChannel) -> np.ndarray:
+    """The channel's action on ρ.ravel(), one basis matrix per column."""
+    n = channel.shape.total_dim
+    basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    return np.stack([noise.apply_channel(channel, e).ravel() for e in basis], axis=1)
+
+
+class TestLindbladOracle:
+    @given(n=st.integers(1, 8), ratio=st.floats(1e-6, 50.0),
+           t1=st.sampled_from([1e-4, 1.0, 250.0]))
+    def test_amplitude_damping_is_the_loss_generator_exponential(self, n, ratio, t1):
+        dt = ratio * t1
+        exact = _lindblad_step(math.sqrt(1 / t1) * _lowering(n), dt)
+        channel = noise.amplitude_damping_channel(t1, dt, n)
+        np.testing.assert_allclose(_superoperator(channel), exact, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_infinite_lifetime_is_the_identity_channel(self, n):
+        # D[0] generates nothing: exp(0·dt) is the identity
+        channel = noise.amplitude_damping_channel(math.inf, 1e-4, n)
+        assert np.array_equal(_superoperator(channel), _lindblad_step(0 * _lowering(n), 1e-4))
+        rng = np.random.default_rng(n)
+        rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert noise.apply_channel(channel, rho).tobytes() == rho.tobytes()
+
+    # One-step error of the first-order channels, max |S − exp(L dt)| over the
+    # superoperator entries, is C·x² with x = dt/T1 or γ·dt. For loss,
+    # C = (N−1)(2N−3)/2, from the |N−1⟩ → |N−2⟩ transfer, exactly (N−1)x
+    # in the channel and (N−1)e^{−(N−2)x}(1−e^{−x}) in the process. For
+    # dephasing, C = ((N−1)²/2)², from ρ_{0,N−1}: √(1−x(N−1)²) against
+    # e^{−x(N−1)²/2}. Halving dt quarters the error.
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_photon_loss_error_is_second_order(self, n):
+        constant = (n - 1) * (2 * n - 3) / 2
+        errors = []
+        for x in (4e-5, 2e-5, 1e-5):
+            exact = _lindblad_step(_lowering(n), x)
+            errors.append(np.max(np.abs(_superoperator(noise.photon_loss_channel(1.0, x, n))
+                                        - exact)))
+            assert errors[-1] == pytest.approx(constant * x**2, rel=2e-3)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=2e-3)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_dephasing_error_is_second_order(self, n):
+        constant = ((n - 1) ** 2 / 2) ** 2
+        errors = []
+        for y in (1e-5, 5e-6, 2.5e-6):
+            gamma, dt = 2.0, y / 2.0
+            exact = _lindblad_step(math.sqrt(gamma) * np.diag(np.arange(float(n))), dt)
+            errors.append(np.max(np.abs(_superoperator(noise.dephasing_channel(gamma, dt, n))
+                                        - exact)))
+            assert errors[-1] == pytest.approx(constant * y**2, rel=2e-3)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=2e-3)
+
+
+@pytest.mark.parametrize("make", [noise.photon_loss_channel, noise.amplitude_damping_channel])
+def test_infinite_lifetime_and_step_names_the_step(make):
+    # 0·∞: no loss rate over an unbounded step
+    with pytest.raises(UsageError, match=r"^dt_s must be positive and finite, got inf$"):
+        make(math.inf, math.inf, 8)

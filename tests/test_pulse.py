@@ -1150,3 +1150,54 @@ class TestSnapModelCheck:
             snap_average_fidelity(u, [0.0, np.nan, 0.0])
         with pytest.raises(ShapeError, match=r"expected a \(2, N\) qubit-cavity shape"):
             snap_average_fidelity(Operator(shape_of((3, 2)), np.eye(6)), [0.0, 0.0])
+
+
+def _per_level_snap_drive(chi_hz, n, phases1, phases2, duration_s, n_segments):
+    """The SNAP drive with one chirp per level built from its n − 1 pair
+    shifts Ω²/(4πχ(l−m)), each level taking its own cumulative sum."""
+    dt = duration_s / n_segments
+    t_half = duration_s / 2
+    sigma = t_half / pulse._SNAP_SIGMA_DIVISOR
+    tm = (np.arange(n_segments) + 0.5) * dt
+    env = np.zeros(n_segments)
+    for half in (0, 1):
+        t0, t1 = half * t_half, (half + 1) * t_half
+        mask = (tm >= t0) & (tm < t1)
+        e = np.exp(-((tm[mask] - (t0 + t1) / 2) ** 2) / (2 * sigma**2))
+        e *= 0.25 / (e.sum() * dt)
+        env[mask] = e
+    omega_sq = (4 * np.pi * env) ** 2
+    u = np.zeros(n_segments, dtype=complex)
+    for level in range(n):
+        shift = np.zeros(n_segments)
+        for m in range(n):
+            if m != level:
+                shift += omega_sq / (2 * 2 * np.pi * chi_hz * (level - m))
+        phases = np.where(tm >= t_half, phases2[level], phases1[level])
+        u += env * np.exp(1j * (phases + 2 * np.pi * chi_hz * level * tm
+                                + np.cumsum(shift) * dt))
+    return u
+
+
+class TestSnapStructuredForms:
+    """The SNAP drive and score against the general forms they replaced."""
+
+    @given(n=st.integers(1, 9), chi=st.floats(0.5e6, 2e6), factor=st.floats(1.0, 2.5),
+           n_segments=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
+    def test_drive_matches_per_level_chirps(self, n, chi, factor, n_segments, seed):
+        rng = np.random.default_rng(seed)
+        phases1, phases2 = rng.uniform(-np.pi, np.pi, (2, n))
+        duration = factor * 2 * np.pi / chi
+        got = pulse._snap_drive_samples(chi, n, phases1, phases2, duration, n_segments)
+        expected = _per_level_snap_drive(chi, n, phases1, phases2, duration, n_segments)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_average_fidelity_matches_m_form(self, n, seed):
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n)))
+        theta = rng.uniform(-np.pi, np.pi, n)
+        m = np.exp(-1j * theta)[:, None] * u[:n, :n]
+        expected = (abs(np.trace(m)) ** 2 + np.trace(m.conj().T @ m).real) / (n * (n + 1))
+        got = snap_average_fidelity(Operator(shape_of((2, n)), u), theta)
+        assert abs(got - expected) <= 1e-14
