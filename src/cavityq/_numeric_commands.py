@@ -98,16 +98,21 @@ def _grape_model(doc: dict):
     return pulse.dispersive_model(float(chi_hz), int(n_levels), cavity_drive=drive)
 
 
-def _snap_or_matrix(spec: dict, kind: str, n: int, what: str) -> np.ndarray:
-    """The n×n matrix of a "snap" or "matrix" operator spec."""
-    if kind == "snap":
-        theta = read_numbers(spec, "theta", what)
-        if len(theta) != n:
-            raise ParseError(f"{what}: snap needs {n} phases, got {len(theta)}")
-        try:
-            return gates.snap(theta).matrix
-        except NumericError as exc:  # a NaN or infinite phase, named with its field
-            raise ParseError(f"{what}: {exc}") from exc
+def _snap_theta(spec: dict, n: int, what: str) -> list[float]:
+    """The n phases of a "snap" operator spec, checked by the rule of the
+    SNAP constructors (`gates._phases`)."""
+    theta = read_numbers(spec, "theta", what)
+    if len(theta) != n:
+        raise ParseError(f"{what}: snap needs {n} phases, got {len(theta)}")
+    try:
+        gates._phases(theta, "snap theta")
+    except NumericError as exc:  # a NaN or infinite phase, named with its field
+        raise ParseError(f"{what}: {exc}") from exc
+    return theta
+
+
+def _matrix(spec: dict, n: int, what: str) -> np.ndarray:
+    """The n×n matrix of a "matrix" operator spec."""
     re, im = spec["re"], spec["im"]
     if not (is_json_number_rows(re) and is_json_number_rows(im)):
         raise ParseError(f"{what}: 're' and 'im' must be lists of rows of numbers")
@@ -133,7 +138,9 @@ def _grape_target(doc: dict, shape: fock.HilbertShape) -> fock.Operator:
         if dim != 2:
             raise ParseError("grape target: pauli_x needs a 2-level model")
         return fock.Operator(shape, np.array([[0, 1], [1, 0]], dtype=complex))
-    return fock.Operator(shape, _snap_or_matrix(spec, kind, dim, "grape target"))
+    if kind == "snap":
+        return fock.Operator(shape, gates.snap(_snap_theta(spec, dim, "grape target")).matrix)
+    return fock.Operator(shape, _matrix(spec, dim, "grape target"))
 
 
 def cmd_grape(args, text: str) -> _Result:
@@ -229,13 +236,19 @@ def cmd_trotter(args, text: str) -> _Result:
     }
 
 
-def _otoc_operator(doc: dict, name: str, n: int) -> np.ndarray:
+def _otoc_operator(doc: dict, name: str, n: int):
+    """W or V for `trotter.otoc_series`: a "matrix" spec as its array, a
+    "snap" or "fourier" spec as a one-gate circuit, which acts on the
+    eigenbasis as a phase multiply or an FFT."""
     what = f"otoc config {name}"
     kind, spec = read_kind(read_field(doc, name, dict, "otoc config"), what,
                            {"fourier": ((), ()), **_OPERATORS})
-    if kind == "fourier":
-        return gates.fourier(n).matrix
-    return _snap_or_matrix(spec, kind, n, what)
+    if kind == "matrix":
+        return _matrix(spec, n, what)
+    params = {"target": 0}
+    if kind == "snap":
+        params["theta"] = _snap_theta(spec, n, what)
+    return gates.Circuit(fock.HilbertShape((n,)), (gates.GateSpec(kind, params),))
 
 
 def cmd_otoc(args, text: str) -> _Result:

@@ -310,8 +310,11 @@ def apply_embedded(op: Operator, targets: Sequence[int], psi: StateVector) -> St
 
 def _apply_tensor(u: np.ndarray, targets: list[int], tens: np.ndarray) -> np.ndarray:
     """The matrix u on the target subsystems (in order) applied to those
-    axes of a register tensor by one tensordot; a new C-ordered tensor."""
+    axes of a register tensor by one tensordot; a new C-ordered tensor.
+    A negative target counts from the last axis, as compiled gates give
+    theirs, so the register may sit behind leading stack axes."""
     tens = np.ascontiguousarray(tens, dtype=complex)
+    targets = [t % tens.ndim for t in targets]
     k = len(targets)
     sub_dims = tuple(tens.shape[t] for t in targets)
     moved = np.tensordot(u.reshape(sub_dims + sub_dims), tens,
@@ -329,7 +332,9 @@ def _apply_tensor(u: np.ndarray, targets: list[int], tens: np.ndarray) -> np.nda
 # a field rule: (value, "<kind> gate field '<name>'", register shape) ->
 # the checked value, or UsageError
 _Rule = Callable[[Any, str, HilbertShape], Any]
-# a compiled gate: register tensor (one axis per subsystem) in, tensor out
+# a compiled gate: register tensor (one axis per subsystem, after any
+# leading stack axes) in, tensor out. Kernels address the register axes
+# from the end, target t of a d-subsystem register as axis t - d.
 _Kernel = Callable[[np.ndarray], np.ndarray]
 
 
@@ -450,7 +455,7 @@ def _ecd_args(dims, convention, qubit, mode, beta):
 
 def _phase_kernel(args, targets, dims) -> _Kernel:
     """SNAP and multisnap: a phase array on the target axes in register
-    order, 1 on the rest, broadcast over the tensor."""
+    order, 1 on the rest, broadcast over the tensor and its stack axes."""
     phases = np.exp(1j * args[0]).reshape([dims[t] for t in targets])
     phases = phases.transpose(np.argsort(targets)).reshape(
         [d if i in targets else 1 for i, d in enumerate(dims)]
@@ -461,14 +466,14 @@ def _phase_kernel(args, targets, dims) -> _Kernel:
 def _fourier_kernel(args, targets, dims) -> _Kernel:
     """An orthonormal FFT along the target axis: ifft is
     F_jk = e^{2πijk/N}/√N, fft its inverse."""
-    [axis] = targets
+    axis = targets[0] - len(dims)
     transform = np.fft.fft if args[1] else np.fft.ifft
     return lambda tens: transform(tens, axis=axis, norm="ortho")
 
 
 def _displacement_kernel(args, targets, dims) -> _Kernel:
     """The factored D(α) of `_displacement_map` on the mode axis."""
-    [axis] = targets
+    axis = targets[0] - len(dims)
     d_alpha = _displacement_map(*args)
 
     def displace(tens: np.ndarray) -> np.ndarray:
@@ -483,7 +488,7 @@ def _ecd_kernel(args, targets, dims) -> _Kernel:
     """|e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2): displace the |g⟩ and |e⟩
     slices of the mode axis, then swap them."""
     beta, n, convention = args
-    qubit, mode = targets
+    qubit, mode = (t - len(dims) for t in targets)
     d_plus = _displacement_map(beta / 2, n, convention)
     d_minus = _displacement_map(-beta / 2, n, convention)
 
@@ -583,7 +588,8 @@ def _compile(spec: GateSpec, shape: HilbertShape, convention: str) -> _Kernel:
     if gate.kernel is not None:
         return gate.kernel(args, targets, shape.dims)
     matrix = gate.dense(*args).matrix
-    return lambda tens: _apply_tensor(matrix, targets, tens)
+    axes = [t - len(shape.dims) for t in targets]
+    return lambda tens: _apply_tensor(matrix, axes, tens)
 
 
 @dataclass(frozen=True)
@@ -689,7 +695,8 @@ def circuit_from_json(text: str) -> Circuit:
 
 
 def _run(circuit: Circuit, tens: np.ndarray) -> np.ndarray:
-    """The compiled gates, left to right, on a register tensor (not in place)."""
+    """The compiled gates, left to right, on a register tensor, or on a
+    stack of them along leading axes, each as if run alone (not in place)."""
     for kernel in circuit._compiled():
         tens = kernel(tens)
     return tens

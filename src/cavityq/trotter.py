@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError,
                      require_count, require_positive, require_reals)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
-from .gates import Circuit, GateSpec
+from .gates import Circuit, GateSpec, _run
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +43,10 @@ class QuditHamiltonian:
 
     def __post_init__(self) -> None:
         for name in ("diagonal", "kinetic_diagonal"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True, order="C")
-            if arr.ndim != 1:
+            entries = np.asarray(getattr(self, name), dtype=object)
+            if entries.ndim != 1:
                 raise ShapeError(f"{name} must be a 1-D real vector")
+            arr = np.array(require_reals(f"{name} entry", entries.tolist()), dtype=float)
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"non-finite entries in {name}")
             arr.setflags(write=False)
@@ -183,19 +184,42 @@ def _sweep(h: QuditHamiltonian, t_total_s: float, steps_list, psi0) -> list[Trot
             for row, s, dt in zip(amp[np.argsort(order)], counts, dts)]
 
 
-def _operator_matrix(op, n: int, what: str) -> np.ndarray:
+def _operator(op, n: int, what: str):
+    """op as otoc_series takes it: a Circuit on shape (n,) as it is, or
+    else the n×n complex matrix of an Operator or an array of numbers."""
+    if isinstance(op, Circuit):
+        if op.shape.dims != (n,):
+            raise ShapeError(f"{what} must be a circuit on shape ({n},), got {op.shape.dims}")
+        return op
     if isinstance(op, Operator):
         mat = op.matrix
     else:
-        mat = np.asarray(op, dtype=complex)
+        try:
+            mat = np.asarray(op)
+        except ValueError as exc:  # ragged rows
+            raise ShapeError(f"{what} must be {n}x{n}, got ragged rows") from exc
+        if mat.dtype.kind not in "iufc":
+            raise UsageError(f"{what} entries must be numbers, got dtype {mat.dtype}")
     if mat.shape != (n, n):
         raise ShapeError(f"{what} must be {n}x{n}, got {mat.shape}")
-    return mat
+    if not np.isfinite(mat).all():
+        raise NumericError(f"non-finite entries in {what}")
+    return mat.astype(complex, copy=False)
+
+
+def _eigenbasis(op, q_dag: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Q†·op·Q, with op from `_operator`: a circuit's compiled gates run on
+    the columns of Q as a stack of states, so a SNAP is a phase multiply
+    and a Fourier gate an FFT, and one N×N product is left; a matrix
+    takes two."""
+    if isinstance(op, Circuit):
+        return q_dag @ _run(op, vecs.T).T
+    return q_dag @ op @ vecs
 
 
 def otoc(w, v, h: QuditHamiltonian, t_s: float, psi0=None) -> complex:
     """<psi0| W†(t) V† W(t) V |psi0> with W(t) = U†(t) W U(t), U = exp(-iHt)
-    exact. psi0 defaults to |0>."""
+    exact. W and V are as otoc_series takes them; psi0 defaults to |0>."""
     [(_, re, im, _)] = otoc_series(w, v, h, [t_s], psi0)
     return complex(re, im)
 
@@ -204,15 +228,19 @@ def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
                 psi0=None) -> tuple[tuple[float, float, float, float], ...]:
     """Rows of (t, Re C, Im C, |C|) over a time grid.
 
-    Works in the eigenbasis H = Q diag(E) Q†, where W(t) = P̄ W̃ P with
-    W̃ = Q†WQ and P = diag(e^{-iEt}). With Ṽ = Q†VQ, φ = Q†ψ and the
-    phases of all times as the columns of an N×T array, the chain is four
-    N×N by N×T products: x = Ṽφ, Y = P̄∘(W̃(P∘x)), Z = Ṽ†Y and
+    W and V are each a `Circuit` on shape (N,), an `Operator` or an N×N
+    array of numbers. Works in the eigenbasis H = Q diag(E) Q†, where
+    W(t) = P̄ W̃ P with W̃ = Q†WQ and P = diag(e^{-iEt}). A circuit reaches
+    W̃ by running its compiled gates on the columns of Q and one N×N
+    product, so a SNAP costs a phase multiply and a Fourier gate an FFT;
+    a matrix costs two N×N products. With Ṽ = Q†VQ, φ = Q†ψ and the phases
+    of all times as the columns of an N×T array, the chain is three N×N by
+    N×T products: x = Ṽφ, Y = P̄∘(W̃(P∘x)), Z = Ṽ†Y and
     C = φ†(P̄∘(W̃†(P∘Z))).
     """
     n = h.n_levels
-    w_mat = _operator_matrix(w, n, "W")
-    v_mat = _operator_matrix(v, n, "V")
+    w = _operator(w, n, "W")
+    v = _operator(v, n, "V")
     psi = _state_vector(psi0, n).amplitudes.reshape(n)
     times = require_reals("times_s entry", times_s)
     if not all(map(math.isfinite, times)):
@@ -223,8 +251,8 @@ def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
         raise NumericError(f"times_s entry {t_far!r}: the phase max|E|*|t| overflows "
                            f"(max|E| = {e_max:.3g} rad/s)")
     q_dag = vecs.conj().T
-    w_eig = q_dag @ w_mat @ vecs
-    v_eig = q_dag @ v_mat @ vecs
+    w_eig = _eigenbasis(w, q_dag, vecs)
+    v_eig = _eigenbasis(v, q_dag, vecs)
     phi = q_dag @ psi
     p = np.exp(-1j * np.outer(evals, times))
     p_bar = p.conj()

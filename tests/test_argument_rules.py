@@ -133,6 +133,11 @@ NUMBER_SITES = {
         "carriers_hz", lambda v: pulse.PulseSchedule(1.0, (np.ones(2),), (v,)).carriers_hz),
     "detuning_sweep.delta_list": (
         "delta_list", lambda v: qst.detuning_sweep(_matched_config(), [0.0, v]).rows),
+    "QuditHamiltonian.diagonal": (
+        "diagonal", lambda v: trotter.QuditHamiltonian([0.5, v], [0.0, 1.0]).diagonal),
+    "QuditHamiltonian.kinetic_diagonal": (
+        "kinetic_diagonal",
+        lambda v: trotter.QuditHamiltonian([0.5, 1.0], [v, 0.0]).kinetic_diagonal),
     "otoc_series.times_s": (
         "times_s", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [0.0, v])),
 }

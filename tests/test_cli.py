@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cavityq import cli, pulse
+from cavityq import cli, gates, pulse
 from cavityq.errors import ParseError
 
 PAPER_DEVICE = {
@@ -450,6 +450,35 @@ class TestTrotterCommands:
         assert run_cli(tmp_path, "otoc", cfg) == 2
         assert "'times_s' must be non-empty" in capsys.readouterr().err
         assert not (tmp_path / "otoc_series.csv").exists()
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("otoc built a dense SNAP or Fourier matrix")
+
+
+def test_otoc_builds_no_dense_snap_or_fourier(tmp_path, capsys, monkeypatch):
+    # snap and fourier specs reach otoc_series as compiled one-gate circuits
+    n = len(OTOC_DOC["diagonal"])
+    theta = OTOC_DOC["v"]["theta"]
+    f = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    dense = {"w": f, "v": np.diag(np.exp(1j * np.array(theta)))}
+    matrix_doc = dict(OTOC_DOC, **{name: {"kind": "matrix", "re": m.real.tolist(),
+                                          "im": m.imag.tolist()} for name, m in dense.items()})
+    assert run_cli(tmp_path / "matrix", "otoc", write_json(tmp_path / "m.json", matrix_doc)) == 0
+    monkeypatch.setattr(gates, "fourier", _raise)
+    monkeypatch.setattr(gates, "snap", _raise)
+    doc = dict(OTOC_DOC, w={"kind": "fourier"})
+    assert run_cli(tmp_path / "gates", "otoc", write_json(tmp_path / "g.json", doc)) == 0
+    rows = {side: np.array(read_csv(tmp_path / side / "otoc_series.csv")[2], dtype=float)
+            for side in ("matrix", "gates")}
+    np.testing.assert_allclose(rows["gates"], rows["matrix"], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["w", "v"])
+def test_otoc_snap_phase_count_exit_2(tmp_path, capsys, name):
+    doc = dict(OTOC_DOC, **{name: {"kind": "snap", "theta": [0.1, 0.2, 0.3]}})
+    assert run_cli(tmp_path, "otoc", write_json(tmp_path / "otoc.json", doc)) == 2
+    assert f"otoc config {name}: snap needs 8 phases, got 3" in capsys.readouterr().err
 
 
 # "matrix" operator specs, read for the grape target and the otoc W and V:

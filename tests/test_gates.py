@@ -558,6 +558,40 @@ class TestCompiledCircuitProperties:
                 gates.apply_circuit(circ, fock.basis_state(4, 0))
 
 
+# kinds whose kernel does the same arithmetic per state however many share a stack
+EXACT_STACK_KINDS = {"snap", "multisnap", "fourier"}
+
+
+class TestStackedRun:
+    """`gates._run` on a stack of register tensors (one leading axis)
+    against one `apply_circuit` call per state."""
+
+    @pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 4),
+           convention=st.sampled_from(gates.CONVENTIONS))
+    def test_stack_equals_one_state_at_a_time(self, dims, seed, batch, convention):
+        rng = np.random.default_rng(seed)
+        shape = fock.HilbertShape(dims)
+        states = [random_state(shape, rng) for _ in range(batch)]
+        stack = np.stack([psi.amplitudes.reshape(dims) for psi in states])
+        before = stack.copy()
+        for kind in gates.GATE_BUILDERS:
+            params = random_gate(kind, dims, rng)
+            if params is None:
+                continue
+            circuit = gates.Circuit(shape, (gates.GateSpec(kind, params),), convention)
+            got = gates._run(circuit, stack)
+            expected = np.stack([gates.apply_circuit(circuit, psi).amplitudes.reshape(dims)
+                                 for psi in states])
+            assert got.shape == stack.shape
+            if kind in EXACT_STACK_KINDS:
+                np.testing.assert_array_equal(got, expected, err_msg=kind)
+            else:
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=kind)
+        np.testing.assert_array_equal(stack, before)
+
+
 def _displacement_circuits(kind: str, dims: tuple[int, ...], convention: str,
                            rng) -> list[gates.Circuit]:
     """One-gate circuits of kind on every placement the register allows:

@@ -68,6 +68,19 @@ class TestQuditHamiltonian:
         with pytest.raises(NumericError):
             trotter.QuditHamiltonian([1.0, np.inf], [0.0, 0.0])
 
+    @pytest.mark.parametrize("name, bad", [("diagonal", [True, False]),
+                                           ("diagonal", ["1", "2"]),
+                                           ("kinetic_diagonal", [0.0, "2"])])
+    def test_entries_follow_the_real_number_rule(self, name, bad):
+        # booleans and numeric strings were coerced to floats
+        fields = {"diagonal": [0.0, 1.0], "kinetic_diagonal": [0.0, 1.0], name: bad}
+        with pytest.raises(UsageError, match=f"{name} entry must be a real number"):
+            trotter.QuditHamiltonian(**fields)
+
+    def test_two_dimensional_list_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="diagonal must be a 1-D real vector"):
+            trotter.QuditHamiltonian([[1.0, 2.0], [3.0, 4.0]], [0.0, 1.0])
+
 
     @pytest.mark.parametrize("n", [2, 3, 8, 33])
     def test_dense_matches_fourier_product(self, n):
@@ -339,6 +352,91 @@ class TestOtocSeriesProperties:
 
     def test_empty_time_grid(self):
         assert trotter.otoc_series(np.eye(N), np.eye(N), random_hamiltonian(), []) == ()
+
+
+def _one_mode_circuit(n, *gate_list):
+    return gates.Circuit(fock.HilbertShape((n,)), tuple(gates.GateSpec(kind, params)
+                                                        for kind, params in gate_list))
+
+
+def _otoc_circuit(draw, n):
+    """A SNAP, a Fourier gate or a two-gate circuit of both on n levels."""
+    snap = ("snap", {"target": 0, "theta": draw(st.lists(
+        st.floats(-math.pi, math.pi), min_size=n, max_size=n))})
+    fourier = ("fourier", {"target": 0, "inverse": draw(st.booleans())})
+    form = draw(st.sampled_from(["snap", "fourier", "snap_fourier", "fourier_snap"]))
+    gate_list = {"snap": [snap], "fourier": [fourier], "snap_fourier": [snap, fourier],
+                 "fourier_snap": [fourier, snap]}[form]
+    return _one_mode_circuit(n, *gate_list)
+
+
+class TestOtocCircuitForm:
+    """W and V as compiled circuits against the same operators as dense
+    `circuit_unitary` matrices."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+           times=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+    def test_matches_dense_unitaries(self, data, n, seed, times):
+        rng = np.random.default_rng(seed)
+        h = trotter.QuditHamiltonian(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n))
+        w, v = _otoc_circuit(data.draw, n), _otoc_circuit(data.draw, n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = np.array(trotter.otoc_series(w, v, h, times, psi))
+        dense = np.array(trotter.otoc_series(gates.circuit_unitary(w).matrix,
+                                             gates.circuit_unitary(v).matrix, h, times, psi))
+        np.testing.assert_array_equal(got[:, 0], times)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+
+    def test_single_time_otoc_takes_circuits(self):
+        h = random_hamiltonian(seed=3)
+        w = _one_mode_circuit(N, ("fourier", {"target": 0}))
+        v = _one_mode_circuit(N, ("snap", {"target": 0, "theta": [0.3 * k for k in range(N)]}))
+        dense = trotter.otoc(gates.circuit_unitary(w).matrix,
+                             gates.circuit_unitary(v).matrix, h, 0.7)
+        assert trotter.otoc(w, v, h, 0.7) == pytest.approx(dense, abs=1e-12)
+
+    def test_circuit_on_another_shape_is_a_shape_error(self):
+        h = random_hamiltonian()
+        for dims in [(N + 1,), (2, N // 2)]:
+            circuit = gates.Circuit(fock.HilbertShape(dims), ())
+            with pytest.raises(ShapeError, match=rf"V must be a circuit on shape \({N},\)"):
+                trotter.otoc_series(np.eye(N), circuit, h, [0.0])
+
+
+class TestOtocArrayOperands:
+    """A raw-array W or V is checked like the Hamiltonian's lists."""
+
+    @pytest.mark.parametrize("name", ["W", "V"])
+    def test_nonfinite_entry_is_a_numeric_error(self, name):
+        # a NaN entry gave NaN rows
+        bad = np.eye(N)
+        bad[1, 2] = math.nan
+        ops = {"W": np.eye(N), "V": np.eye(N), name: bad}
+        with pytest.raises(NumericError, match=f"non-finite entries in {name}"):
+            trotter.otoc_series(ops["W"], ops["V"], random_hamiltonian(), [0.0, 1.0])
+
+    @pytest.mark.parametrize("entry", ["a", "1", None])
+    def test_non_numeric_entry_is_a_usage_error(self, entry):
+        # a string entry escaped as a bare ValueError
+        bad = np.eye(N).tolist()
+        bad[0][1] = entry
+        with pytest.raises(UsageError, match="W entries must be numbers"):
+            trotter.otoc_series(bad, np.eye(N), random_hamiltonian(), [0.0])
+
+    def test_boolean_array_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="V entries must be numbers, got dtype bool"):
+            trotter.otoc_series(np.eye(N), np.eye(N, dtype=bool), random_hamiltonian(), [0.0])
+
+    def test_wrong_shape_message_is_kept(self):
+        with pytest.raises(ShapeError, match=re.escape(f"V must be {N}x{N}, got (3, 3)")):
+            trotter.otoc_series(np.eye(N), np.eye(3), random_hamiltonian(), [0.0])
+
+    def test_ragged_rows_are_a_shape_error(self):
+        ragged = np.eye(N).tolist()
+        ragged[2] = ragged[2][:-1]
+        with pytest.raises(ShapeError, match=f"W must be {N}x{N}, got ragged rows"):
+            trotter.otoc_series(ragged, np.eye(N), random_hamiltonian(), [0.0])
 
 
 def test_convergence_diagonalizes_once():
