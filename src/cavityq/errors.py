@@ -55,6 +55,12 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_complex(value) -> bool:
+    """A complex number as an API argument: any numbers.Complex (so any
+    real, numpy scalars included), but not a bool."""
+    return isinstance(value, numbers.Complex) and not isinstance(value, bool)
+
+
 def are_reals(values, test=is_real) -> bool:
     """test(v) for every entry of the list values, in bulk: one set of entry
     types, and one test per entry only when a type other than int and float
@@ -98,9 +104,8 @@ def require_reals(name: str, values) -> list[float]:
 
 
 def require_complex(name: str, value) -> complex:
-    """complex(value), or UsageError unless value is a complex number (any
-    numbers.Complex, so any real too, numpy scalars included), but not a bool."""
-    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+    """complex(value), or UsageError unless value is a complex number (`is_complex`)."""
+    if not is_complex(value):
         raise UsageError(f"{name} must be a complex number, got {value!r}")
     return complex(value)
 

@@ -9,10 +9,10 @@ use via the "displacement_convention" field, and the legacy "paper"
 spelling (exp(α a − α* a†)) is mapped by negating α at build time.
 
 `GATE_BUILDERS` declares each gate kind once: its fields and their
-checks, its public constructor and the structured kernel, if any, that
-circuits run in its place. `GateSpec.build`, circuit compilation,
-`circuit_from_json` and `circuit_unitary` all read that entry, and
-`errors.read_object` checks its field list as it does every config's.
+checks, its public constructor and the structured kernel that circuits
+run in its place; no kernel forms an operator bigger than 2×2. Circuit
+compilation, `GateSpec.build` and `circuit_from_json` read that entry,
+and `errors.read_object` checks its field list as it does every config's.
 """
 
 from __future__ import annotations
@@ -181,9 +181,7 @@ def givens(m: int, n: int, theta: float, dim: int) -> Operator:
     [[cosθ, −sinθ], [sinθ, cosθ]], identity elsewhere. θ=π/2 maps
     |m⟩ → |n⟩ in full; equal superpositions sit at θ=π/4."""
     shape = shape_of((dim,))
-    m, n = require_index("level", m, dim), require_index("level", n, dim)
-    if m == n:
-        raise UsageError("givens needs two distinct levels")
+    m, n = _two_levels("givens", m, n, dim)
     theta = require_real("theta", theta)
     mat = np.eye(dim, dtype=complex)
     c, s = math.cos(theta), math.sin(theta)
@@ -198,13 +196,19 @@ def phase_swap(m: int, n: int, dim: int) -> Operator:
     """Transposition of basis levels m and n (amplitudes travel with
     their phases)."""
     shape = shape_of((dim,))
-    m, n = require_index("level", m, dim), require_index("level", n, dim)
-    if m == n:
-        raise UsageError("phase_swap needs two distinct levels")
+    m, n = _two_levels("phase_swap", m, n, dim)
     mat = np.eye(dim, dtype=complex)
     mat[m, m] = mat[n, n] = 0.0
     mat[m, n] = mat[n, m] = 1.0
     return Operator(shape, mat)
+
+
+def _two_levels(kind: str, m: int, n: int, dim: int) -> tuple[int, int]:
+    """(m, n) as two distinct levels of a dim-level mode, or UsageError."""
+    m, n = require_index("level", m, dim), require_index("level", n, dim)
+    if m == n:
+        raise UsageError(f"{kind} needs two distinct levels")
+    return m, n
 
 
 def fourier(dim: int, inverse: bool = False) -> Operator:
@@ -310,20 +314,14 @@ def apply_embedded(op: Operator, targets: Sequence[int], psi: StateVector) -> St
 
 def _apply_tensor(u: np.ndarray, targets: list[int], tens: np.ndarray) -> np.ndarray:
     """The matrix u on the target subsystems (in order) applied to those
-    axes of a register tensor by one tensordot; a new C-ordered tensor.
-    A negative target counts from the last axis, as compiled gates give
-    theirs, so the register may sit behind leading stack axes."""
+    axes of a register tensor by one tensordot; a new C-ordered tensor."""
     tens = np.ascontiguousarray(tens, dtype=complex)
-    targets = [t % tens.ndim for t in targets]
     k = len(targets)
     sub_dims = tuple(tens.shape[t] for t in targets)
     moved = np.tensordot(u.reshape(sub_dims + sub_dims), tens,
                          axes=(list(range(k, 2 * k)), targets))
     # tensordot leaves axes ordered [targets..., rest...]; restore
-    rest = [i for i in range(tens.ndim) if i not in targets]
-    current = targets + rest
-    perm = [current.index(i) for i in range(tens.ndim)]
-    return np.ascontiguousarray(np.transpose(moved, perm))
+    return np.ascontiguousarray(np.moveaxis(moved, range(k), targets))
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +342,13 @@ class _GateKind:
     parse maps (register dims, convention, **checked fields) to (args,
     targets): the arguments of dense, the kind's public constructor, and
     the targets in its subsystem order; an absent optional field takes
-    parse's default. kernel, if given, maps (args, targets, register dims)
-    to the compiled gate that circuits run in place of the dense operator."""
+    parse's default. kernel maps (args, targets, register dims) to the
+    compiled gate that circuits run in place of the dense operator."""
 
     required: Mapping[str, _Rule]
     parse: Callable[..., tuple[tuple, list[int]]]
     dense: Callable[..., Operator]
-    kernel: Callable[[tuple, list[int], tuple[int, ...]], _Kernel] | None = None
+    kernel: Callable[[tuple, list[int], tuple[int, ...]], _Kernel]
     optional: Mapping[str, _Rule] = field(default_factory=dict)
 
 
@@ -500,6 +498,52 @@ def _ecd_kernel(args, targets, dims) -> _Kernel:
     return echo
 
 
+def _two_level(u: np.ndarray, axis: int, levels: tuple[int, int],
+               at: tuple[int, int] | None = None) -> _Kernel:
+    """The 2×2 matrix u on levels (i, j) of one register axis, and if at =
+    (other_axis, index) is given, only within that index of a second axis;
+    axes count from the end. Every other amplitude is copied."""
+    index = [slice(None)] * -min(axis, at[0] if at else 0)
+    if at:
+        index[at[0]] = at[1]
+    i, j = ((..., *index[:axis], level, *index[axis:][1:]) for level in levels)
+
+    def rotate(tens: np.ndarray) -> np.ndarray:
+        out = np.array(tens, dtype=complex, order="C")
+        a, b = tens[i], tens[j]
+        out[i] = u[0, 0] * a + u[0, 1] * b
+        out[j] = u[1, 0] * a + u[1, 1] * b
+        return out
+
+    return rotate
+
+
+def _cond_rotation_kernel(args, targets, dims) -> _Kernel:
+    """R(θ,φ) on the qubit axis within mode slice n alone."""
+    n, theta, phi, mode_dim = args
+    qubit, mode = (t - len(dims) for t in targets)
+    n = require_index("selector level", n, mode_dim)
+    return _two_level(qubit_rotation(theta, phi).matrix, qubit, (0, 1), at=(mode, n))
+
+
+def _givens_kernel(args, targets, dims) -> _Kernel:
+    m, n, theta, dim = args
+    c, s = math.cos(theta), math.sin(theta)
+    return _two_level(np.array([[c, -s], [s, c]]), targets[0] - len(dims),
+                      _two_levels("givens", m, n, dim))
+
+
+def _increment_kernel(args, targets, dims) -> _Kernel:
+    """|i⟩|j⟩ → |i⟩|(j+i) mod N⟩: output [i, k] reads input [i, (k − i)
+    mod N] along the target axis, one gather by an index built here."""
+    (n,), (control, target) = args, targets
+    source = (np.arange(n) - np.arange(n)[:, None]) % n
+    index = (source if control < target else source.T).reshape(
+        [n if t in targets else 1 for t in range(len(dims))])
+    axis = target - len(dims)
+    return lambda tens: np.take_along_axis(tens, index[(None,) * (tens.ndim - index.ndim)], axis)
+
+
 GATE_BUILDERS: dict[str, _GateKind] = {
     "snap": _GateKind({"target": _subsystem, "theta": _phases},
                       _snap_args, snap, _phase_kernel),
@@ -513,23 +557,27 @@ GATE_BUILDERS: dict[str, _GateKind] = {
     "cond_rotation": _GateKind(
         {"qubit": _qubit, "mode": _subsystem, "n": _integer,
          "theta": _real, "phi": _real},
-        _cond_rotation_args, cond_rotation),
+        _cond_rotation_args, cond_rotation, _cond_rotation_kernel),
     "qubit_rotation": _GateKind(
         {"target": _qubit, "theta": _real, "phi": _real},
         lambda dims, convention, target, theta, phi: ((theta, phi), [target]),
-        qubit_rotation),
+        qubit_rotation,
+        lambda args, targets, dims: _two_level(
+            qubit_rotation(*args).matrix, targets[0] - len(dims), (0, 1))),
     "controlled_increment": _GateKind(
         {"control": _subsystem, "target": _subsystem},
-        _controlled_increment_args, controlled_increment),
+        _controlled_increment_args, controlled_increment, _increment_kernel),
     "givens": _GateKind(
         {"target": _subsystem, "m": _integer, "n": _integer, "theta": _real},
         lambda dims, convention, target, m, n, theta: (
             (m, n, theta, dims[target]), [target]),
-        givens),
+        givens, _givens_kernel),
     "phase_swap": _GateKind(
         {"target": _subsystem, "m": _integer, "n": _integer},
         lambda dims, convention, target, m, n: ((m, n, dims[target]), [target]),
-        phase_swap),
+        phase_swap,
+        lambda args, targets, dims: _two_level(np.array([[0, 1], [1, 0]]), targets[0] - len(dims),
+                                               _two_levels("phase_swap", *args))),
     "fourier": _GateKind(
         {"target": _subsystem},
         lambda dims, convention, target, inverse=False: (
@@ -582,14 +630,9 @@ def _parse(spec: GateSpec, shape: HilbertShape,
 
 
 def _compile(spec: GateSpec, shape: HilbertShape, convention: str) -> _Kernel:
-    """Build one gate for the register once: its kind's structured kernel,
-    or else its dense operator, applied by `_apply_tensor`."""
+    """Build one gate for the register once: its kind's structured kernel."""
     gate, args, targets = _parse(spec, shape, convention)
-    if gate.kernel is not None:
-        return gate.kernel(args, targets, shape.dims)
-    matrix = gate.dense(*args).matrix
-    axes = [t - len(shape.dims) for t in targets]
-    return lambda tens: _apply_tensor(matrix, axes, tens)
+    return gate.kernel(args, targets, shape.dims)
 
 
 @dataclass(frozen=True)
@@ -714,12 +757,8 @@ def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
 
 
 def circuit_unitary(circuit: Circuit) -> Operator:
-    """Full-register unitary of the circuit (first gate acts first)."""
-    total = np.eye(circuit.shape.total_dim, dtype=complex)
-    for i, spec in enumerate(circuit.gates):
-        try:
-            op, targets = spec.build(circuit.shape, circuit.displacement_convention)
-            total = embed(op, targets, circuit.shape).matrix @ total
-        except (UsageError, NumericError) as exc:
-            raise type(exc)(f"gate {i} ({spec.kind}): {exc}") from exc
-    return Operator(circuit.shape, total)
+    """Full-register unitary of the circuit (first gate acts first): its
+    compiled gates run on the columns of the identity as a stack of states."""
+    dim = circuit.shape.total_dim
+    columns = _run(circuit, np.eye(dim, dtype=complex).reshape(dim, *circuit.shape.dims))
+    return Operator(circuit.shape, columns.reshape(dim, dim).T)

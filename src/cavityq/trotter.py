@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError,
-                     require_count, require_positive, require_reals)
+from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, is_complex,
+                     require_complex, require_count, require_positive, require_reals)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
 from .gates import Circuit, GateSpec, _run
 
@@ -111,6 +111,9 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
 
 
 def _state_vector(psi0, n: int) -> StateVector:
+    """psi0 as a normalized state on n levels: |0> for None, a StateVector
+    of dimension n, or a 1-D list, tuple or array of n amplitudes, each
+    read with require_complex. ShapeError comes before any allocation."""
     shape = HilbertShape((n,))
     if psi0 is None:
         return basis_state(shape, 0)
@@ -121,9 +124,16 @@ def _state_vector(psi0, n: int) -> StateVector:
                 f"Hamiltonian has {n} levels"
             )
         return StateVector(shape, psi0.amplitudes.reshape(n)).normalized()
-    amp = np.asarray(psi0, dtype=complex).reshape(-1)
-    if amp.size != n:
-        raise ShapeError(f"initial state length {amp.size} != {n} levels")
+    if isinstance(psi0, np.ndarray):
+        flat = psi0.ndim == 1
+    else:  # a list of rows, even or ragged, is not 1-D
+        flat = isinstance(psi0, (list, tuple)) and not (
+            psi0 and all(isinstance(v, (list, tuple, np.ndarray)) for v in psi0))
+    if not flat:
+        raise ShapeError(f"initial state must be a 1-D list of {n} amplitudes")
+    if len(psi0) != n:
+        raise ShapeError(f"initial state length {len(psi0)} != {n} levels")
+    amp = np.array([require_complex("psi0 entry", v) for v in psi0])
     return StateVector(shape, amp).normalized()
 
 
@@ -198,6 +208,10 @@ def _operator(op, n: int, what: str):
             mat = np.asarray(op)
         except ValueError as exc:  # ragged rows
             raise ShapeError(f"{what} must be {n}x{n}, got ragged rows") from exc
+        if not isinstance(op, np.ndarray):  # numpy reads a bool among numbers as one
+            bad = [v for v in np.asarray(op, dtype=object).flat if not is_complex(v)]
+            if bad:
+                raise UsageError(f"{what} entries must be numbers, got {bad[0]!r}")
         if mat.dtype.kind not in "iufc":
             raise UsageError(f"{what} entries must be numbers, got dtype {mat.dtype}")
     if mat.shape != (n, n):

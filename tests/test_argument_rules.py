@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 from cavityq import cli, codes, device, errors, fock, gates, noise, pulse, qst, trotter
-from cavityq.errors import CapacityError, InvalidDimensionError, NumericError, UsageError
+from cavityq.errors import (CapacityError, InvalidDimensionError, NumericError, ShapeError,
+                            UsageError)
 from cavityq.fock import HilbertShape, basis_state, identity
 
 DEVICE = dict(omega_q_hz=6.0e9, omega_c_hz=4.0e9, g_hz=10.0e6, chi_prime_hz=1.0e3,
@@ -156,6 +157,20 @@ COMPLEX_SITES = {
     "coherent_state.alpha": ("alpha", lambda v: fock.coherent_state(v, 16).amplitudes),
     "QstConfig.input_state": (
         "input_state entry", lambda v: _qst_config(input_state=(0.0, v)).input_state),
+    "evolve_trotter.psi0": ("psi0 entry", lambda v: trotter.evolve_trotter(
+        HAMILTONIAN, 1.0, 2, [0.0, v, 0.0]).state.amplitudes),
+    "otoc_series.psi0": (
+        "psi0 entry", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN,
+                                                    [0.0, 0.5], (0.0, v, 0.0))),
+}
+
+# list operand sites, as REAL_SITES with one entry of a list of rows set to v;
+# 1 is a valid entry at every site
+ENTRY_SITES = {
+    "otoc_series.W": ("W", lambda v: trotter.otoc_series(
+        [[0.0, v, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], np.eye(3), HAMILTONIAN, [0.0, 0.5])),
+    "otoc_series.V": ("V", lambda v: trotter.otoc_series(
+        np.eye(3), [[0.0, v, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], HAMILTONIAN, [0.0, 0.5])),
 }
 
 # NUMBER_SITES that also refuse NaN and ±inf (`errors.require_finite`)
@@ -327,12 +342,51 @@ def test_complex_site_accepts_numpy_scalars(site, value):
     np.testing.assert_equal(call(value), call(1.0))
 
 
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", None], ids=repr)
+@pytest.mark.parametrize("site", ENTRY_SITES)
+def test_entry_site_refuses(site, value):
+    # a bool among floats was read as 1.0 or 0.0
+    name, call = ENTRY_SITES[site]
+    with pytest.raises(UsageError, match=f"^{name} entries must be numbers, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [np.complex128(1.0), np.float64(1.0), np.int64(1), 1, 1 + 0j],
+                         ids=repr)
+@pytest.mark.parametrize("site", ENTRY_SITES)
+def test_entry_site_accepts_numpy_scalars(site, value):
+    _, call = ENTRY_SITES[site]
+    np.testing.assert_equal(call(value), call(1.0))
+
+
+@pytest.mark.parametrize("psi0", [[[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0]], np.zeros((3, 1)),
+                                  np.array(1.0), 1.0, "100", {0: 1.0}], ids=repr)
+def test_psi0_that_is_not_one_dimensional_is_a_shape_error(psi0):
+    # a ragged list escaped as a bare ValueError; a 2-D one was flattened
+    for call in (lambda: trotter.evolve_trotter(HAMILTONIAN, 1.0, 2, psi0),
+                 lambda: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [0.0], psi0)):
+        with pytest.raises(ShapeError, match="^initial state must be a 1-D list of 3 amplitudes$"):
+            call()
+
+
+def test_psi0_length_checked_before_allocation():
+    psi0 = [0.0] * (1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match=r"^initial state length 1048576 != 3 levels$"):
+            trotter.evolve_trotter(HAMILTONIAN, 1.0, 2, psi0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10  # the amplitudes alone would be 16 MiB
+
+
 def test_json_amplitude_path_unchanged():
     # gates._amplitude reads the JSON "alpha" and "beta" fields as before
     circuit = gates.circuit_from_json(json.dumps({"shape": [6], "gates": [
         {"kind": "displacement", "target": 0, "alpha": [0.3, -0.2]}]}))
-    np.testing.assert_array_equal(gates.circuit_unitary(circuit).matrix,
-                                  gates.displacement(0.3 - 0.2j, 6).matrix)
+    op, _ = circuit.gates[0].build(circuit.shape)
+    np.testing.assert_array_equal(op.matrix, gates.displacement(0.3 - 0.2j, 6).matrix)
     with pytest.raises(errors.ParseError, match=r"number or \[re, im\] pair"):
         gates.circuit_from_json(json.dumps({"shape": [6], "gates": [
             {"kind": "displacement", "target": 0, "alpha": True}]}))

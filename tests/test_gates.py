@@ -1,5 +1,8 @@
+import contextlib
+import dataclasses
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cavityq import fock, gates
 from cavityq.errors import NumericError, ParseError, ShapeError, UsageError
+from dense_oracle import dense_unitary
 
 
 def random_state(shape, rng):
@@ -502,9 +506,21 @@ def test_property_registers_cover_every_kind():
     assert covered == set(gates.GATE_BUILDERS)
 
 
+def random_circuit(dims, rng, repeats=1, convention="standard") -> gates.Circuit:
+    """Every kind the register holds, in random order, repeats times."""
+    specs = []
+    for _ in range(repeats):
+        for kind in rng.permutation(list(gates.GATE_BUILDERS)):
+            params = random_gate(str(kind), dims, rng)
+            if params is not None:
+                specs.append(gates.GateSpec(str(kind), params))
+    return gates.Circuit(fock.HilbertShape(dims), tuple(specs), convention)
+
+
 class TestCompiledCircuitProperties:
-    """Compiled circuits (phase-vector SNAP, FFT Fourier, dense tensordot)
-    against the dense embed oracle, circuit_unitary."""
+    """Compiled circuits (phase-vector SNAP, FFT Fourier, factored
+    displacement, 2×2 and gather kernels) against the dense embed oracle,
+    `dense_unitary`."""
 
     @pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -512,16 +528,9 @@ class TestCompiledCircuitProperties:
            convention=st.sampled_from(gates.CONVENTIONS))
     def test_matches_dense_embed(self, dims, seed, repeats, convention):
         rng = np.random.default_rng(seed)
-        shape = fock.HilbertShape(dims)
-        specs = []
-        for _ in range(repeats):
-            for kind in rng.permutation(list(gates.GATE_BUILDERS)):
-                params = random_gate(str(kind), dims, rng)
-                if params is not None:
-                    specs.append(gates.GateSpec(str(kind), params))
-        circuit = gates.Circuit(shape, tuple(specs), convention)
-        psi = random_state(shape, rng)
-        expected = gates.circuit_unitary(circuit).matrix @ psi.amplitudes
+        circuit = random_circuit(dims, rng, repeats, convention)
+        psi = random_state(circuit.shape, rng)
+        expected = dense_unitary(circuit) @ psi.amplitudes
         parsed = gates.circuit_from_json(circuit.to_json())
         for circ in (circuit, parsed):
             out = gates.apply_circuit(circ, psi)
@@ -557,9 +566,70 @@ class TestCompiledCircuitProperties:
             with pytest.raises(UsageError, match="gate 0"):
                 gates.apply_circuit(circ, fock.basis_state(4, 0))
 
+    @pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
+    @pytest.mark.parametrize("convention", gates.CONVENTIONS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_circuit_unitary_matches_dense_embed(self, dims, convention, seed):
+        circuit = random_circuit(dims, np.random.default_rng(seed), 2, convention)
+        np.testing.assert_allclose(gates.circuit_unitary(circuit).matrix,
+                                   dense_unitary(circuit), rtol=0, atol=1e-14)
+
+    def test_every_kind_peaks_near_the_state_size(self):
+        # a (2, 64, 64) state is 128 KiB; a dense controlled_increment on
+        # the two modes alone is 256 MiB
+        dims = (2, 64, 64)
+        specs = [gates.GateSpec(kind, params) for kind, params in [
+            ("snap", {"target": 1, "theta": [0.1] * 64}),
+            ("multisnap", {"targets": [0, 2], "theta": [0.2] * 128}),
+            ("displacement", {"target": 2, "alpha": [0.3, 0.1]}),
+            ("cond_rotation", {"qubit": 0, "mode": 1, "n": 5, "theta": 1.0, "phi": 0.4}),
+            ("qubit_rotation", {"target": 0, "theta": 0.7, "phi": 0.1}),
+            ("controlled_increment", {"control": 1, "target": 2}),
+            ("givens", {"target": 1, "m": 3, "n": 40, "theta": 0.6}),
+            ("phase_swap", {"target": 2, "m": 0, "n": 63}),
+            ("fourier", {"target": 1}),
+            ("ecd", {"qubit": 0, "mode": 2, "beta": [0.2, -0.3]}),
+        ]]
+        assert {spec.kind for spec in specs} == set(gates.GATE_BUILDERS)
+        psi = random_state(dims, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            out = gates.apply_circuit(gates.Circuit(fock.HilbertShape(dims), tuple(specs)), psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert peak < 2 << 20
+
+    def test_compiled_gates_build_no_register_operator(self):
+        # every kind compiles and runs with the dense path gone: no
+        # tensordot, no embed and no dense constructor bigger than 2×2
+        dims = (3, 3, 2)
+        circuit = random_circuit(dims, np.random.default_rng(5), 2)
+        assert {spec.kind for spec in circuit.gates} == set(gates.GATE_BUILDERS)
+        psi = random_state(dims, np.random.default_rng(6))
+        expected = dense_unitary(circuit)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a compiled gate built a dense operator")
+
+        undensed = {kind: dataclasses.replace(gate, dense=refuse)
+                    for kind, gate in gates.GATE_BUILDERS.items()}
+        names = ["_apply_tensor", "embed", "snap", "multisnap", "displacement", "cond_rotation",
+                 "controlled_increment", "givens", "phase_swap", "fourier", "ecd"]
+        with contextlib.ExitStack() as patches:
+            patches.enter_context(mock.patch.dict(gates.GATE_BUILDERS, undensed))
+            for name in names:
+                patches.enter_context(mock.patch.object(gates, name, refuse))
+            parsed = gates.circuit_from_json(circuit.to_json())
+            out = gates.apply_circuit(parsed, psi).amplitudes
+            unitary = gates.circuit_unitary(circuit).matrix
+        np.testing.assert_allclose(out, expected @ psi.amplitudes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(unitary, expected, rtol=0, atol=1e-14)
+
 
 # kinds whose kernel does the same arithmetic per state however many share a stack
-EXACT_STACK_KINDS = {"snap", "multisnap", "fourier"}
+EXACT_STACK_KINDS = {"snap", "multisnap", "fourier", "phase_swap", "controlled_increment"}
 
 
 class TestStackedRun:
@@ -761,25 +831,34 @@ def test_numpy_phases_run(kind, where):
                               psi.amplitudes * np.exp(1j * theta))
 
 
+# the kernels that move amplitudes without arithmetic, and the 2×2 kernels
+PERMUTATION_KINDS = {"controlled_increment", "phase_swap"}
+TWO_LEVEL_KINDS = {"qubit_rotation", "cond_rotation", "givens"}
+
+
 @pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
-def test_dense_kernel_bitwise_equals_apply_embedded(dims):
+def test_each_kernel_matches_dense_embed(dims):
     rng = np.random.default_rng(len(dims))
     shape = fock.HilbertShape(dims)
-    dense_kinds = sorted(k for k, gate in gates.GATE_BUILDERS.items() if gate.kernel is None)
-    for kind in dense_kinds:
-        params = random_gate(kind, dims, rng)
-        if params is None:
-            continue
-        spec = gates.GateSpec(kind, params)
-        kernel = gates._compile(spec, shape, "standard")
-        op, targets = spec.build(shape)
-        psi = random_state(shape, rng)
-        expected = gates.apply_embedded(op, targets, psi).amplitudes
-        tens = psi.amplitudes.reshape(dims)
-        # the same values in a layout that is not C-ordered
-        strided = np.moveaxis(np.moveaxis(tens, 0, -1).copy(), -1, 0)
-        for x in (tens, strided):
-            assert np.array_equal(kernel(x).reshape(-1), expected)
+    for kind in sorted(gates.GATE_BUILDERS):
+        for _ in range(3):
+            params = random_gate(kind, dims, rng)
+            if params is None:
+                break
+            spec = gates.GateSpec(kind, params)
+            kernel = gates._compile(spec, shape, "standard")
+            psi = random_state(shape, rng)
+            expected = dense_unitary(gates.Circuit(shape, (spec,))) @ psi.amplitudes
+            tens = psi.amplitudes.reshape(dims)
+            # the same values in a layout that is not C-ordered
+            strided = np.moveaxis(np.moveaxis(tens, 0, -1).copy(), -1, 0)
+            for x in (tens, strided):
+                got = kernel(x).reshape(-1)
+                if kind in PERMUTATION_KINDS:
+                    np.testing.assert_array_equal(got, expected, err_msg=kind)
+                else:
+                    atol = 1e-15 if kind in TWO_LEVEL_KINDS else 1e-12
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=atol, err_msg=kind)
 
 
 def test_apply_embedded_rejects_bad_targets():

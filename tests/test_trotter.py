@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cavityq import fock, gates, trotter
+from dense_oracle import dense_unitary
 from cavityq.errors import (
     InvalidDimensionError,
     NumericError,
@@ -372,7 +373,7 @@ def _otoc_circuit(draw, n):
 
 class TestOtocCircuitForm:
     """W and V as compiled circuits against the same operators as dense
-    `circuit_unitary` matrices."""
+    embedded matrices (`dense_unitary`)."""
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
@@ -383,8 +384,7 @@ class TestOtocCircuitForm:
         w, v = _otoc_circuit(data.draw, n), _otoc_circuit(data.draw, n)
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         got = np.array(trotter.otoc_series(w, v, h, times, psi))
-        dense = np.array(trotter.otoc_series(gates.circuit_unitary(w).matrix,
-                                             gates.circuit_unitary(v).matrix, h, times, psi))
+        dense = np.array(trotter.otoc_series(dense_unitary(w), dense_unitary(v), h, times, psi))
         np.testing.assert_array_equal(got[:, 0], times)
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
 
@@ -392,8 +392,7 @@ class TestOtocCircuitForm:
         h = random_hamiltonian(seed=3)
         w = _one_mode_circuit(N, ("fourier", {"target": 0}))
         v = _one_mode_circuit(N, ("snap", {"target": 0, "theta": [0.3 * k for k in range(N)]}))
-        dense = trotter.otoc(gates.circuit_unitary(w).matrix,
-                             gates.circuit_unitary(v).matrix, h, 0.7)
+        dense = trotter.otoc(dense_unitary(w), dense_unitary(v), h, 0.7)
         assert trotter.otoc(w, v, h, 0.7) == pytest.approx(dense, abs=1e-12)
 
     def test_circuit_on_another_shape_is_a_shape_error(self):
