@@ -154,6 +154,7 @@ def cmd_grape(args, text: str) -> _Result:
     learning_rate = read_field(doc, "learning_rate", float, "grape config", 0.2)
     tol = read_field(doc, "tol", float, "grape config", 1e-8)
     n_segments = require_count("n_segments", n_segments, 1)
+    pulse._require_segment_room(model.n_streams, n_segments)  # before the zero schedule
     schedule0 = pulse.PulseSchedule(
         dt_s=float(dt_s),
         streams=np.zeros((model.n_streams, n_segments), dtype=complex),

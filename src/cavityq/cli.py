@@ -24,14 +24,15 @@ interrupted runs never leave half-written outputs. Commands hand their
 results over as columns; `_emit_artifact` fixes each column's text kind
 once (str for integers, repr of Python floats otherwise) and streams the
 rows into the temp file in chunks, for CSV and for JSON alike. Within a
-chunk each distinct value is formatted once and every cell looked up, with
-float cells keyed on their bit patterns, so trajectories that repeat one
-no-jump path cost a dict lookup per repeated cell. The JSON text is
-byte for byte that of json.dumps(doc, indent=2, sort_keys=True). Every
-command runs in one thread and --threads is only recorded. BLAS is pinned
-to one thread as well: when `main` first loads numpy it sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, since a
-threaded BLAS sums in an order that follows the thread count. So with a
+chunk np.unique finds the distinct values, float cells keyed on their bit
+patterns; each is formatted once and every cell gathers its text through
+the inverse, so trajectories that repeat one no-jump path format each
+value once. The JSON text is byte for byte that of json.dumps(doc,
+indent=2, sort_keys=True). Every command runs in one thread and --threads
+is only recorded. BLAS is pinned to one thread as well: when `main` first
+loads numpy it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1, since a threaded BLAS sums in an order that follows
+the thread count. So with a
 fixed seed reruns are byte-identical on any core count, apart from the
 header line that records --threads. The pin needs a fresh process: once
 numpy is loaded (a library caller, an in-process `main` call) BLAS keeps
@@ -92,20 +93,18 @@ def _write_atomic(path: Path, pieces) -> None:
 _CHUNK_ROWS = 4096  # rows formatted and written per piece
 
 
-def _format_once(keys: list, to_text, floats: np.ndarray | None = None) -> list[str]:
+def _format_once(keys: np.ndarray, to_text, values: np.ndarray | None = None) -> list[str]:
     """The texts of a chunk's cells, one key per cell: the cell values
-    themselves, or, given the float64 cells as floats, their int64 bit
-    patterns. Each distinct key (in first-seen order, as the keys of a
-    dict) is formatted once by to_text and every cell is then looked up.
-    When no key repeats, the cells are formatted in order with no lookup."""
-    distinct = dict.fromkeys(keys)
+    themselves, or, given the float64 cells as values, their int64 bit
+    patterns. np.unique finds the distinct keys, each is formatted once by
+    to_text, and every cell takes its text through the inverse from an
+    object array. When no key repeats, the cells are formatted in order."""
+    import numpy as np
+    values = keys if values is None else values
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     if len(distinct) == len(keys):
-        return list(map(to_text, keys if floats is None else floats.tolist()))
-    values = distinct
-    if floats is not None:
-        import numpy as np
-        values = np.fromiter(distinct, np.int64, len(distinct)).view(float).tolist()
-    return list(map(dict(zip(distinct, map(to_text, values))).__getitem__, keys))
+        return list(map(to_text, values.tolist()))
+    return np.array(list(map(to_text, values[first].tolist())), dtype=object)[inverse].tolist()
 
 
 def _column_text(values: np.ndarray, json_floats: bool):
@@ -118,12 +117,12 @@ def _column_text(values: np.ndarray, json_floats: bool):
     matches itself."""
     import numpy as np
     if values.dtype.kind in "iu":
-        return lambda part: _format_once(part.tolist(), str)
+        return lambda part: _format_once(part, str)
     to_text = repr if not json_floats or np.isfinite(values).all() else json.dumps
 
     def float_texts(part: np.ndarray) -> list[str]:
         floats = part.astype(float, copy=False)
-        return _format_once(floats.view(np.int64).tolist(), to_text, floats)
+        return _format_once(floats.view(np.int64), to_text, floats)
     return float_texts
 
 

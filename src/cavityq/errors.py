@@ -14,9 +14,11 @@ photon numbers, `fock.shape_of` for dimensions, before any allocation,
 for other real numbers, `require_complex` for complex amplitudes,
 `require_finite` for tolerances, weights and time origins, and
 `require_positive` for time steps, durations, couplings, rates and other
-positive reals. Lists of numbers are tested in bulk with `are_reals`: SNAP
-phases, JSON number lists (`read_numbers`) and, through `require_reals`,
-the lists of real API arguments.
+positive reals. `require_capacity` caps the work or memory that the
+counts of a request set, before any allocation (`CapacityError`, exit 4).
+Lists of numbers are tested in bulk with `are_reals`: SNAP phases, JSON
+number lists (`read_numbers`) and, through `require_reals`, the lists of
+real API arguments.
 """
 
 import json
@@ -62,10 +64,11 @@ def is_complex(value) -> bool:
 
 
 def are_reals(values, test=is_real) -> bool:
-    """test(v) for every entry of the list values, in bulk: one set of entry
-    types, and one test per entry only when a type other than int and float
-    appears."""
-    return {type(v) for v in values} <= {int, float} or all(map(test, values))
+    """test(v) for every entry of the list values, in bulk: one entry of each
+    type, and none when every type is int or float. test must depend only
+    on the entry's type, as is_real and is_json_number do."""
+    return (set(map(type, values)) <= {int, float}
+            or all(map(test, {type(v): v for v in values}.values())))
 
 
 def require_count(name: str, value, least: int = 0) -> int:
@@ -75,6 +78,16 @@ def require_count(name: str, value, least: int = 0) -> int:
         kind = "positive" if least else "nonnegative"
         raise UsageError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
+
+
+def require_capacity(name: str, count, cap: int, unit: str) -> None:
+    """CapacityError unless count <= cap: the size of the work or of the
+    arrays that name sets, checked before any of it is allocated. The count
+    is shown in full when it is an int below 10^15, else to 6 digits."""
+    if count > cap:
+        shown = (count if isinstance(count, int) and count < 10**15
+                 else f"{count:.6g}" if count < 1e308 else "over 1e+308")
+        raise CapacityError(f"{name} is {shown} {unit}, above the cap of {cap}")
 
 
 def require_index(name: str, value, size: int) -> int:

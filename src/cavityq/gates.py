@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import (CapacityError, NumericError, ParseError, ShapeError, UsageError, are_reals,
                      is_count, is_json_int, is_json_number, is_real, read_field,
-                     read_object, require_complex, require_count, require_index,
-                     require_real)
+                     read_object, require_capacity, require_complex, require_count,
+                     require_index, require_real)
 from .fock import (
     HilbertShape,
     Operator,
@@ -38,6 +38,10 @@ from .fock import (
 )
 
 CONVENTIONS = ("standard", "paper")
+# most levels of a mode a displacement or ECD acts on: each builds and
+# diagonalizes the dense n×n quadrature a + a†; at the cap that takes
+# about 2 s and peaks at 64 MiB
+MAX_DISPLACEMENT_LEVELS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +126,11 @@ def _displacement_map(alpha: complex, n: int, convention: str
 
 @functools.lru_cache(maxsize=8)
 def _quadrature_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Λ, Q) with a + a† = Q diag(Λ) Qᵀ on n levels, real and read-only.
-    Bounded: one n = 300 entry is 720 KB."""
+    """(Λ, Q) with a + a† = Q diag(Λ) Qᵀ on n levels, real and read-only;
+    CapacityError, before the n×n quadrature, for n above
+    MAX_DISPLACEMENT_LEVELS. Bounded: one n = 300 entry is 720 KB, one at
+    the cap 32 MiB, so the 8 entries hold at most 256 MiB."""
+    require_capacity("a displaced mode", n, MAX_DISPLACEMENT_LEVELS, "levels")
     off = np.sqrt(np.arange(1.0, n))
     evals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     evals.setflags(write=False)
@@ -402,8 +409,9 @@ def _amplitude(value, what: str, shape: HilbertShape) -> complex:
 def _phases(value, what: str, shape: HilbertShape | None = None) -> np.ndarray:
     """A list (or tuple, or 1-D numpy array) of finite real numbers
     (`is_real`), as a 1-D float64 array; every SNAP reader takes its phases
-    with it. Only entries of a type other than int and float are tested one
-    by one; a NaN or infinite phase raises NumericError."""
+    with it. The types are tested in bulk (`are_reals`: one entry of each
+    type, none when all are int or float); a NaN or infinite phase raises
+    NumericError."""
     entries = value.tolist() if isinstance(value, np.ndarray) else value
     if not isinstance(entries, (list, tuple)) or not are_reals(entries, is_real):
         raise UsageError(f"{what} must be a list of numbers")

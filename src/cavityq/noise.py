@@ -27,12 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (StepSizeError, UsageError, require_count, require_finite,
-                     require_positive, require_real)
+from .errors import (StepSizeError, UsageError, require_capacity, require_count,
+                     require_finite, require_positive, require_real)
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
 _FIRST_ORDER_TOL = 1e-6
+# most steps × trajectories one unraveling may take: the length of its
+# per-step arrays; `cavityq code` at the cap peaks at about 250 MiB
+MAX_TRAJECTORY_STEPS = 4 * 10**6
 
 
 class _Banded:
@@ -71,7 +74,8 @@ class _Banded:
         out = np.zeros_like(rho) if self.lead is None else self.lead2d * rho
         flat, out_flat = rho.ravel(), out.ravel()
         for dst, src, w in self.bands:
-            out_flat[dst] += w * flat[src]
+            band = out_flat[dst]  # a view: `out_flat[dst] +=` would copy it back onto itself
+            band += w * flat[src]
         return out
 
     def gram(self) -> np.ndarray:
@@ -260,7 +264,7 @@ def apply_channel_trajectory(
     probability ‖K_kψ‖² and renormalize. Bitwise deterministic for a
     fixed seed."""
     require_count("seed", seed)
-    [result] = _unravel(channel, psi, steps, [seed])
+    [result] = _unravel(channel, psi, _require_room(steps, 1), [seed])
     return result
 
 
@@ -274,11 +278,21 @@ def run_trajectories(
     """Independent trajectories with per-index derived seeds, ordered by
     trajectory index. Each one is the trajectory apply_channel_trajectory
     gives for its seed; all of them advance together."""
-    require_count("n_trajectories", n_trajectories, 1)
+    n_trajectories = require_count("n_trajectories", n_trajectories, 1)
     require_count("base_seed", base_seed)
+    steps = _require_room(steps, n_trajectories)
     seeds = [int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0])
              for i in range(n_trajectories)]
     return _unravel(channel, psi, steps, seeds)
+
+
+def _require_room(steps: int, n_trajectories: int) -> int:
+    """int(steps), a count with steps × n_trajectories within
+    MAX_TRAJECTORY_STEPS (CapacityError), checked before any array."""
+    steps = require_count("steps", steps)
+    require_capacity(f"steps {steps} × n_trajectories {n_trajectories}",
+                     steps * n_trajectories, MAX_TRAJECTORY_STEPS, "trajectory steps")
+    return steps
 
 
 def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
@@ -295,7 +309,6 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
     if psi.shape != channel.shape:
         raise UsageError(f"state on dims {psi.shape.dims} does not match channel shape "
                          f"{channel.shape.dims}")
-    require_count("steps", steps)
     n_traj = len(seeds)
     kernel = channel._kernel
     last = len(channel.kraus) - 1
@@ -323,7 +336,7 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
     return [
         TrajectoryResult(
             seed=seed,
-            steps=int(steps),
+            steps=steps,
             jump_steps=tuple(np.flatnonzero(jumped[i]).tolist()),
             jump_counts=jump_counts[i],
             parities=stats[0, i],

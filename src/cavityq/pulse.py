@@ -34,6 +34,7 @@ from .errors import (
     is_json_number,
     read_field,
     read_object,
+    require_capacity,
     require_count,
     require_finite,
     require_index,
@@ -66,6 +67,10 @@ _SNAP_SIGMA_DIVISOR = 6.0
 # matrix entries per chunk of stacked segment blocks: 1 MiB of complex128,
 # which is 2048 segments of the N = 8 dispersive photon-number sectors
 _CHUNK_ENTRIES = 1 << 16
+# most segments × streams one GRAPE schedule may have: a pass keeps every
+# segment's eigensystem and prefix product; a qubit-model run at the cap
+# peaks at about 160 MiB
+MAX_GRAPE_SEGMENTS = 2 * 10**5
 
 
 def _finite_complex_array(values, what: str) -> np.ndarray:
@@ -391,6 +396,13 @@ def _check_schedule_pairing(model: ControlModel, schedule: PulseSchedule) -> Non
         )
 
 
+def _require_segment_room(n_streams: int, n_segments: int) -> None:
+    """CapacityError unless n_segments × n_streams is within
+    MAX_GRAPE_SEGMENTS; `cavityq grape` checks it before it allocates."""
+    require_capacity(f"n_segments {n_segments} × n_streams {n_streams}",
+                     n_segments * n_streams, MAX_GRAPE_SEGMENTS, "stream segments")
+
+
 def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
                       psi0: StateVector | None = None,
                       return_propagator: bool = False):
@@ -632,6 +644,7 @@ def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
     the guard-leakage penalty for a StateVector target.
     """
     _check_schedule_pairing(model, schedule)
+    _require_segment_room(schedule.n_streams, schedule.n_segments)
     tgt, psi0_vec = _resolve_target(model, target, psi0)
     guard, leak_weight = _resolve_guard(model, tgt, guard_indices, leak_weight)
     amps = np.stack(schedule.streams)
@@ -657,6 +670,7 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     (scale 1/(8 * duration)) to break symmetry. Deterministic throughout.
     """
     _check_schedule_pairing(model, schedule0)
+    _require_segment_room(schedule0.n_streams, schedule0.n_segments)
     tgt, psi0_vec = _resolve_target(model, target, psi0)
     iterations = require_count("iterations", iterations)
     learning_rate = require_positive("learning_rate", learning_rate)

@@ -43,6 +43,7 @@ from .errors import (
     read_kind,
     read_numbers,
     read_object,
+    require_capacity,
     require_complex,
     require_finite,
     require_positive,
@@ -298,9 +299,8 @@ def simulate_transfer(config: QstConfig) -> QstResult:
         raise CapacityError(f"t_span_s {config.t_span_s} over dt_s {config.dt_s} "
                             "is not a finite step count")
     n_steps = max(1, int(round(steps)))
-    if n_steps > MAX_RK4_STEPS:
-        raise CapacityError(f"t_span_s {config.t_span_s} over dt_s {config.dt_s} is "
-                            f"{steps:.6g} RK4 steps, above the cap of {MAX_RK4_STEPS}")
+    require_capacity(f"t_span_s {config.t_span_s} over dt_s {config.dt_s}", n_steps,
+                     MAX_RK4_STEPS, "RK4 steps")
     dt = (t1 - t0) / n_steps
     # rates on the half-step grid: index 2j is t_j, 2j+1 the midpoint
     grid = t0 + (dt / 2.0) * np.arange(2 * n_steps + 1)

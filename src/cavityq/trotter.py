@@ -28,9 +28,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, is_complex,
-                     require_complex, require_count, require_positive, require_reals)
+                     require_capacity, require_complex, require_count, require_positive,
+                     require_reals)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
 from .gates import Circuit, GateSpec, _run
+
+# most max(steps_list) × N one step-count sweep may take: its scan runs
+# max(steps_list) steps of O(N) work; at the cap, a sweep on 32 levels
+# takes about 4 s
+MAX_LEVEL_STEPS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +177,8 @@ def _sweep(h: QuditHamiltonian, t_total_s: float, steps_list, psi0) -> list[Trot
     """evolve_trotter for every steps_list entry as one scan, most steps first;
     with the trotter_step circuit's phases, each row equals it iterated, bitwise."""
     counts = [require_count("steps", s, 1) for s in steps_list]
+    require_capacity(f"max(steps_list) {max(counts)} × n_levels {h.n_levels}",
+                     max(counts) * h.n_levels, MAX_LEVEL_STEPS, "level-steps")
     if not math.isfinite(t_total_s) or t_total_s < 0:
         raise UsageError(f"t_total must be nonnegative, got {t_total_s}")
     psi = _state_vector(psi0, h.n_levels)

@@ -16,7 +16,9 @@ the same result as the Python number.
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -714,3 +716,26 @@ def test_cli_zero_segments_refused(tmp_path, capsys):
                                   "n_segments": 0, "dt_s": 1e-8}))
     assert cli.main(["--out", str(tmp_path), "grape", str(config)]) == 1
     assert "n_segments must be a positive integer, got 0" in capsys.readouterr().err
+
+
+def test_bulk_rule_tests_one_entry_per_type():
+    # np.float64 phases went to one is_real call per entry, 70 µs for 128
+    phases = list(np.random.default_rng(3).uniform(-3.0, 3.0, 128))
+    test = mock.Mock(side_effect=errors.is_real)
+    assert errors.are_reals([*phases, 1, 2.5, np.int64(4)], test)
+    assert sorted(type(call.args[0]).__name__ for call in test.call_args_list) == [
+        "float", "float64", "int", "int64"]
+    np.testing.assert_array_equal(gates._phases(phases, "theta"), np.array(phases))
+    assert errors.require_reals("x", phases) == [float(v) for v in phases]
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", None, 1j], ids=repr)
+def test_bulk_rule_still_refuses_one_bad_entry(bad):
+    phases = [np.float64(v) for v in (0.5, -1.0, 2.0)]
+    entries = [*phases[:2], bad, phases[2]]
+    with pytest.raises(UsageError, match="theta must be a list of numbers"):
+        gates.snap(entries)
+    with pytest.raises(UsageError, match=f"x must be a real number, got {re.escape(repr(bad))}"):
+        errors.require_reals("x", entries)
+    with pytest.raises(errors.ParseError, match="field 'xs' must be a list of numbers"):
+        errors.read_numbers({"xs": entries}, "xs", "cfg")

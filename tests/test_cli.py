@@ -917,6 +917,14 @@ _ODD_NANS = np.tile(np.concatenate([
 ]), 2)
 
 
+def _code_shaped():
+    """(names, columns) laid out as a `code` artifact: 3 trajectories of 6
+    steps whose float column repeats -0.0, 0.0 and the odd NaNs."""
+    floats = np.concatenate([[-0.0, 0.0, -0.0], _ODD_NANS[:3]])
+    return ["seed", "step", "x"], [np.repeat([9, 2**40, 9], 6), np.tile(np.arange(1, 7), 3),
+                                   np.tile(floats, 3)]
+
+
 @st.composite
 def _tables(draw):
     """(names, columns): one to four equal-length columns, each a Python
@@ -989,6 +997,10 @@ class TestArtifactWriter:
              seed=0, threads=1)
     @example(table=(["i", "f"], [np.arange(10) // 4, [0.5] * 6 + [-0.0] * 4]), fmt="json",
              chunk=7, seed=0, threads=1)
+    # the layout of `cavityq code`: repeated and tiled int columns beside a
+    # repeated float column of ±0.0 and odd NaNs, in chunks that split the runs
+    @example(table=_code_shaped(), fmt="csv", chunk=5, seed=0, threads=1)
+    @example(table=_code_shaped(), fmt="json", chunk=7, seed=0, threads=1)
     def test_matches_per_cell_writer(self, table, fmt, chunk, seed, threads):
         names, columns = table
         self.check(names, columns, fmt, chunk, seed, threads)
@@ -1013,6 +1025,28 @@ class TestArtifactWriter:
                    jump_count.ravel(), parity.ravel(), mean_n.ravel()]
         self.check(["seed", "step", "jump_count", "parity", "mean_n"], columns, fmt,
                    chunk)
+
+    def test_each_distinct_key_formatted_once(self):
+        # keyed on the values for ints and on the bit patterns for floats, so
+        # -0.0 and 0.0 and each NaN pattern are separate keys
+        ints = np.repeat([7, -3, 2**40], 5)
+        floats = np.array([0.5, -0.0, 0.5, 0.0, -0.0, *_ODD_NANS, 0.5])
+        for keys, values, to_text in ((ints, None, str), (floats.view(np.int64), floats, repr)):
+            counting = mock.Mock(side_effect=to_text)
+            texts = cli._format_once(keys, counting, values)
+            cells = (keys if values is None else values).tolist()
+            assert texts == list(map(to_text, cells))
+            seen = np.array([call.args[0] for call in counting.call_args_list])
+            assert counting.call_count == len(set(keys.tolist()))
+            assert sorted(seen.view(keys.dtype).tolist()) == sorted(set(keys.tolist()))
+
+    def test_chunk_without_repeats_formatted_in_order(self):
+        floats = np.array([0.25, -0.0, 0.0, math.inf, *_ODD_NANS[:3]])
+        counting = mock.Mock(side_effect=repr)
+        assert cli._format_once(floats.view(np.int64), counting, floats) == list(
+            map(repr, floats.tolist()))
+        seen = np.array([call.args[0] for call in counting.call_args_list])
+        assert seen.view(np.int64).tolist() == floats.view(np.int64).tolist()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunk", [1, 2, 7, 100_000])
