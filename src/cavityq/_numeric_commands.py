@@ -10,9 +10,9 @@ import numpy as np
 # for an unloaded layer (`spans.Tracer.install`); to go with ROADMAP item 1
 from . import codes, fock, gates, noise, pulse, qst, trotter
 from .cli import _Result
-from .errors import (NumericError, ParseError, UsageError, decode_object, is_json_int,
-                     is_json_number_rows, read_field, read_kind, read_numbers, read_object,
-                     require_count, require_index)
+from .errors import (NUMBERS, NumericError, ParseError, UsageError, decode_object, is_json_int,
+                     is_json_number_rows, read_fields, read_kind, require_count,
+                     require_index)
 
 _PROB_FLOOR = 1e-12
 
@@ -54,10 +54,9 @@ def _qst_config_and_sweep(text: str):
     doc = decode_object(text, "transfer config")
     if "transfer" not in doc:
         return qst.qst_config_from_json(doc), None
-    read_object(doc, "transfer config", ("transfer",), ("delta_sweep_hz",))
-    config = qst.qst_config_from_json(
-        read_field(doc, "transfer", dict, "transfer config"))
-    return config, read_numbers(doc, "delta_sweep_hz", "transfer config", None)
+    f = read_fields(doc, "transfer config", {"transfer": dict},
+                    {"delta_sweep_hz": (NUMBERS, None)})
+    return qst.qst_config_from_json(f["transfer"]), f["delta_sweep_hz"]
 
 
 def cmd_qst(args, text: str) -> _Result:
@@ -80,28 +79,25 @@ def cmd_qst(args, text: str) -> _Result:
     return "qst_sweep", columns, summary
 
 
-_GRAPE_MODELS = {"qubit": ((), ("detuning_hz",)),
-                 "dispersive": (("chi_hz", "n_levels"), ("cavity_drive",))}
-# operator specs read for the grape target and for the otoc W and V
-_OPERATORS = {"snap": (("theta",), ()), "matrix": (("re", "im"), ())}
+_GRAPE_MODELS = {"qubit": ({}, {"detuning_hz": (float, 0.0)}),
+                 "dispersive": ({"chi_hz": float, "n_levels": int},
+                                {"cavity_drive": (bool, False)})}
+# operator specs read for the grape target and for the otoc W and V; the
+# matrix rows are checked by _matrix
+_OPERATORS = {"snap": ({"theta": NUMBERS}, {}), "matrix": ({"re": object, "im": object}, {})}
 
 
-def _grape_model(doc: dict):
-    kind, spec = read_kind(read_field(doc, "model", dict, "grape config"),
-                           "grape model", _GRAPE_MODELS)
+def _grape_model(spec: dict):
+    kind, f = read_kind(spec, "grape model", _GRAPE_MODELS)
     if kind == "qubit":
-        detuning = read_field(spec, "detuning_hz", float, "grape model", 0.0)
-        return pulse.qubit_model(float(detuning))
-    chi_hz = read_field(spec, "chi_hz", float, "grape model")
-    n_levels = read_field(spec, "n_levels", int, "grape model")
-    drive = read_field(spec, "cavity_drive", bool, "grape model", False)
-    return pulse.dispersive_model(float(chi_hz), int(n_levels), cavity_drive=drive)
+        return pulse.qubit_model(float(f["detuning_hz"]))
+    return pulse.dispersive_model(float(f["chi_hz"]), int(f["n_levels"]),
+                                  cavity_drive=f["cavity_drive"])
 
 
-def _snap_theta(spec: dict, n: int, what: str) -> list[float]:
+def _snap_theta(theta: list[float], n: int, what: str) -> list[float]:
     """The n phases of a "snap" operator spec, checked by the rule of the
     SNAP constructors (`gates._phases`)."""
-    theta = read_numbers(spec, "theta", what)
     if len(theta) != n:
         raise ParseError(f"{what}: snap needs {n} phases, got {len(theta)}")
     try:
@@ -111,9 +107,9 @@ def _snap_theta(spec: dict, n: int, what: str) -> list[float]:
     return theta
 
 
-def _matrix(spec: dict, n: int, what: str) -> np.ndarray:
-    """The n×n matrix of a "matrix" operator spec."""
-    re, im = spec["re"], spec["im"]
+def _matrix(f: dict, n: int, what: str) -> np.ndarray:
+    """The n×n matrix of a "matrix" operator spec's fields."""
+    re, im = f["re"], f["im"]
     if not (is_json_number_rows(re) and is_json_number_rows(im)):
         raise ParseError(f"{what}: 're' and 'im' must be lists of rows of numbers")
     try:
@@ -127,10 +123,9 @@ def _matrix(spec: dict, n: int, what: str) -> np.ndarray:
     return re + 1j * im
 
 
-def _grape_target(doc: dict, shape: fock.HilbertShape) -> fock.Operator:
-    kind, spec = read_kind(read_field(doc, "target", dict, "grape config"),
-                           "grape target",
-                           {"identity": ((), ()), "pauli_x": ((), ()), **_OPERATORS})
+def _grape_target(spec: dict, shape: fock.HilbertShape) -> fock.Operator:
+    kind, f = read_kind(spec, "grape target",
+                        {"identity": ({}, {}), "pauli_x": ({}, {}), **_OPERATORS})
     dim = shape.total_dim
     if kind == "identity":
         return fock.Operator(shape, np.eye(dim, dtype=complex))
@@ -139,33 +134,30 @@ def _grape_target(doc: dict, shape: fock.HilbertShape) -> fock.Operator:
             raise ParseError("grape target: pauli_x needs a 2-level model")
         return fock.Operator(shape, np.array([[0, 1], [1, 0]], dtype=complex))
     if kind == "snap":
-        return fock.Operator(shape, gates.snap(_snap_theta(spec, dim, "grape target")).matrix)
-    return fock.Operator(shape, _matrix(spec, dim, "grape target"))
+        return fock.Operator(shape, gates.snap(_snap_theta(f["theta"], dim, "grape target")).matrix)
+    return fock.Operator(shape, _matrix(f, dim, "grape target"))
 
 
 def cmd_grape(args, text: str) -> _Result:
-    doc = read_object(text, "grape config", ("model", "target", "n_segments", "dt_s"),
-                      ("iterations", "learning_rate", "tol"))
-    model = _grape_model(doc)
-    target = _grape_target(doc, model.shape)
-    n_segments = read_field(doc, "n_segments", int, "grape config")
-    dt_s = read_field(doc, "dt_s", float, "grape config")
-    iterations = read_field(doc, "iterations", int, "grape config", 500)
-    learning_rate = read_field(doc, "learning_rate", float, "grape config", 0.2)
-    tol = read_field(doc, "tol", float, "grape config", 1e-8)
-    n_segments = require_count("n_segments", n_segments, 1)
+    f = read_fields(text, "grape config",
+                    {"model": dict, "target": dict, "n_segments": int, "dt_s": float},
+                    {"iterations": (int, 500), "learning_rate": (float, 0.2),
+                     "tol": (float, 1e-8)})
+    model = _grape_model(f["model"])
+    target = _grape_target(f["target"], model.shape)
+    n_segments = require_count("n_segments", f["n_segments"], 1)
     pulse._require_segment_room(model.n_streams, n_segments)  # before the zero schedule
     schedule0 = pulse.PulseSchedule(
-        dt_s=float(dt_s),
+        dt_s=float(f["dt_s"]),
         streams=np.zeros((model.n_streams, n_segments), dtype=complex),
         carriers_hz=tuple(0.0 for _ in range(model.n_streams)),
     )
     result = pulse.grape_optimize(
         model, target, schedule0,
-        iterations=iterations,
-        learning_rate=learning_rate,
+        iterations=f["iterations"],
+        learning_rate=f["learning_rate"],
         seed=args.seed,
-        tol=tol,
+        tol=f["tol"],
     )
     columns = _columns(["iteration", "infidelity", "step_size"], result.trace)
     return "grape_trace", columns, {
@@ -177,21 +169,16 @@ def cmd_grape(args, text: str) -> _Result:
 
 
 def cmd_code(args, text: str) -> _Result:
-    doc = read_object(text, "code config", ("alpha", "n_levels", "t1_s", "dt_s", "steps"),
-                      ("parity", "n_trajectories"))
-    alpha_pair = read_numbers(doc, "alpha", "code config")
+    f = read_fields(text, "code config",
+                    {"alpha": NUMBERS, "n_levels": int, "t1_s": float, "dt_s": float,
+                     "steps": int},
+                    {"parity": (str, "+"), "n_trajectories": (int, 1)})
+    alpha_pair, n_levels, steps = f["alpha"], f["n_levels"], f["steps"]
     if len(alpha_pair) != 2:
         raise ParseError("code config: 'alpha' must be [re, im]")
-    sign = read_field(doc, "parity", str, "code config", "+")
-    n_levels = read_field(doc, "n_levels", int, "code config")
-    t1_s = read_field(doc, "t1_s", float, "code config")
-    dt_s = read_field(doc, "dt_s", float, "code config")
-    steps = read_field(doc, "steps", int, "code config")
-    n_traj = read_field(doc, "n_trajectories", int, "code config", 1)
-    psi = codes.cat_state(complex(alpha_pair[0], alpha_pair[1]), sign,
-                          int(n_levels))
-    channel = noise.photon_loss_channel(float(t1_s), float(dt_s), int(n_levels))
-    results = noise.run_trajectories(channel, psi, int(steps), int(n_traj),
+    psi = codes.cat_state(complex(alpha_pair[0], alpha_pair[1]), f["parity"], n_levels)
+    channel = noise.photon_loss_channel(float(f["t1_s"]), float(f["dt_s"]), n_levels)
+    results = noise.run_trajectories(channel, psi, steps, f["n_trajectories"],
                                      base_seed=args.seed)
     # trajectory-major rows: every step of the first trajectory, then the next
     columns = {
@@ -208,28 +195,22 @@ def cmd_code(args, text: str) -> _Result:
     }
 
 
-def _hamiltonian_from_doc(doc: dict, what: str) -> trotter.QuditHamiltonian:
-    diag = read_numbers(doc, "diagonal", what)
-    kin = read_numbers(doc, "kinetic_diagonal", what)
-    return trotter.QuditHamiltonian(diag, kin)
-
-
-def _initial_level_state(doc: dict, n: int, what: str):
-    level = read_field(doc, "initial_level", int, what, 0)
-    return fock.basis_state(n, require_index("initial_level", level, n))
+def _qudit(f: dict) -> tuple[trotter.QuditHamiltonian, fock.StateVector]:
+    """The Hamiltonian and initial basis state of a trotter or otoc config's fields."""
+    h = trotter.QuditHamiltonian(f["diagonal"], f["kinetic_diagonal"])
+    level = require_index("initial_level", f["initial_level"], h.n_levels)
+    return h, fock.basis_state(h.n_levels, level)
 
 
 def cmd_trotter(args, text: str) -> _Result:
-    doc = read_object(text, "trotter config",
-                      ("diagonal", "kinetic_diagonal", "t_total_s", "steps_list"),
-                      ("initial_level",))
-    h = _hamiltonian_from_doc(doc, "trotter config")
-    t_total = read_field(doc, "t_total_s", float, "trotter config")
-    steps_list = read_field(doc, "steps_list", list, "trotter config")
+    f = read_fields(text, "trotter config",
+                    {"diagonal": NUMBERS, "kinetic_diagonal": NUMBERS, "t_total_s": float,
+                     "steps_list": list}, {"initial_level": (int, 0)})
+    steps_list = f["steps_list"]
     if not all(is_json_int(s) for s in steps_list):
         raise ParseError("trotter config: 'steps_list' must be integers")
-    psi0 = _initial_level_state(doc, h.n_levels, "trotter config")
-    rows = trotter.trotter_convergence(h, float(t_total),
+    h, psi0 = _qudit(f)
+    rows = trotter.trotter_convergence(h, float(f["t_total_s"]),
                                        [int(s) for s in steps_list], psi0)
     return "trotter_convergence", _columns(["steps", "dt_s", "infidelity"], rows), {
         "n_levels": h.n_levels,
@@ -237,32 +218,30 @@ def cmd_trotter(args, text: str) -> _Result:
     }
 
 
-def _otoc_operator(doc: dict, name: str, n: int):
+def _otoc_operator(spec: dict, name: str, n: int):
     """W or V for `trotter.otoc_series`: a "matrix" spec as its array, a
     "snap" or "fourier" spec as a one-gate circuit, which acts on the
     eigenbasis as a phase multiply or an FFT."""
     what = f"otoc config {name}"
-    kind, spec = read_kind(read_field(doc, name, dict, "otoc config"), what,
-                           {"fourier": ((), ()), **_OPERATORS})
+    kind, f = read_kind(spec, what, {"fourier": ({}, {}), **_OPERATORS})
     if kind == "matrix":
-        return _matrix(spec, n, what)
+        return _matrix(f, n, what)
     params = {"target": 0}
     if kind == "snap":
-        params["theta"] = _snap_theta(spec, n, what)
+        params["theta"] = _snap_theta(f["theta"], n, what)
     return gates.Circuit(fock.HilbertShape((n,)), (gates.GateSpec(kind, params),))
 
 
 def cmd_otoc(args, text: str) -> _Result:
-    doc = read_object(text, "otoc config",
-                      ("diagonal", "kinetic_diagonal", "times_s", "w", "v"),
-                      ("initial_level",))
-    h = _hamiltonian_from_doc(doc, "otoc config")
-    times = read_numbers(doc, "times_s", "otoc config")
+    f = read_fields(text, "otoc config",
+                    {"diagonal": NUMBERS, "kinetic_diagonal": NUMBERS, "times_s": NUMBERS,
+                     "w": dict, "v": dict}, {"initial_level": (int, 0)})
+    h, psi0 = _qudit(f)
+    times = f["times_s"]
     if not times:
         raise ParseError("otoc config: 'times_s' must be non-empty")
-    w = _otoc_operator(doc, "w", h.n_levels)
-    v = _otoc_operator(doc, "v", h.n_levels)
-    psi0 = _initial_level_state(doc, h.n_levels, "otoc config")
+    w = _otoc_operator(f["w"], "w", h.n_levels)
+    v = _otoc_operator(f["v"], "v", h.n_levels)
     rows = trotter.otoc_series(w, v, h, times, psi0)
     return "otoc_series", _columns(["t_s", "re_otoc", "im_otoc", "abs_otoc"], rows), {
         "n_levels": h.n_levels,

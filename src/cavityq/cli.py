@@ -11,11 +11,11 @@ None for the name when it writes no artifact (`device`). A new command
 is one function and one `_COMMANDS` entry. This module loads no numpy:
 the numeric commands are in `_numeric_commands`, imported only for them.
 
-Every config, and every object nested in it, is read by
-`errors.read_object` (`errors.read_kind` for an object with a "kind"),
-which lists the fields the object may hold: a missing required field or
-an unlisted one is a parse error that names the field. The fields
-themselves are read with `errors.read_field` and `errors.read_numbers`.
+Every config, and every object nested in it, states its fields once, in
+a table read by `errors.read_fields` (`errors.read_kind` for an object
+with a "kind"): each field with its types, and an optional field with its
+default. A missing required field or an unlisted one is a parse error
+that names the field, and so is a field of the wrong type.
 
 Every artifact file starts with a header recording the tool version, the
 rng seed, the --threads value and a sha256 of the input config, and is

@@ -2,10 +2,12 @@
 
 The CLI maps these onto process exit codes, so new error types should
 subclass one of the four roots below rather than Exception directly.
-Every JSON config object, at the top level or nested, is read by
-`read_object` (`read_kind` for one with a "kind"), which decodes it
-(`decode_object`) and rejects a missing or an unlisted field; its fields
-are read with `read_field` and `read_numbers`. Every parser tests JSON
+Every JSON config object, at the top level or nested, states its fields
+once, in a table read by `read_fields` (`read_kind` for one with a
+"kind"): field -> types when required, field -> (types, default) when
+optional. `read_object` decodes the object (`decode_object`) and rejects
+a missing or an unlisted field; each field is then read with `read_field`,
+or with `read_numbers` where its types are `NUMBERS`. Every parser tests JSON
 numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
 and JSON integers with `is_json_int`. API arguments follow seven rules,
 listed site by site in the README: `require_count` for counts, seeds and
@@ -148,8 +150,8 @@ def decode_object(source, what: str) -> dict:
     """The JSON object source, as a dict: JSON text is decoded first, and
     any other value must be an already decoded object. Raises ParseError,
     with what in the message, for invalid JSON or a value that is not an
-    object. A nested value goes through read_field(doc, name, dict, what)
-    first, so that a string there is never decoded."""
+    object. A nested object is typed dict in its parent's table first, so
+    that a string there is never decoded."""
     doc = source
     if isinstance(source, str):
         try:
@@ -175,19 +177,33 @@ def read_object(source, what: str, required=(), optional=()) -> dict:
     return doc
 
 
+_REQUIRED = object()
+NUMBERS = object()  # the types of a list of JSON numbers, read by read_numbers
+
+
+def read_fields(source, what: str, required: dict, optional: dict = {}) -> dict:
+    """The fields of the object source, by one table: read_object on the
+    listed names, then each field read by read_field with its types, or by
+    read_numbers where the types are NUMBERS. required maps each field to
+    its types, optional to (types, default); an absent optional field
+    takes its default."""
+    doc = read_object(source, what, required, optional)
+    table = {**{name: (types, _REQUIRED) for name, types in required.items()}, **optional}
+    return {name: read_numbers(doc, name, what, default) if types is NUMBERS
+            else read_field(doc, name, types, what, default)
+            for name, (types, default) in table.items()}
+
+
 def read_kind(spec: dict, what: str, kinds: dict) -> tuple[str, dict]:
-    """The string "kind" of the object spec (a dict, as read_field(doc,
-    name, dict, what) returns it) and spec, read by read_object with the
-    fields kinds[kind] = (required, optional) lists besides "kind". A kind
-    not in kinds raises ParseError."""
+    """The string "kind" of the object spec (a dict, as read_fields returns
+    a field typed dict) and its fields, read by read_fields with the tables
+    kinds[kind] = (required, optional) besides "kind". A kind not in kinds
+    raises ParseError."""
     kind = read_field(spec, "kind", str, what)
     if kind not in kinds:
         raise ParseError(f"{what}: unknown kind {kind!r}")
     required, optional = kinds[kind]
-    return kind, read_object(spec, what, ("kind", *required), optional)
-
-
-_REQUIRED = object()
+    return kind, read_fields(spec, what, {"kind": str, **required}, optional)
 
 
 def read_field(doc: dict, name: str, types, what: str, default=_REQUIRED):

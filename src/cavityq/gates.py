@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (CapacityError, NumericError, ParseError, ShapeError, UsageError, are_reals,
-                     is_count, is_json_int, is_json_number, is_real, read_field,
+                     is_count, is_json_int, is_json_number, is_real, read_fields,
                      read_object, require_capacity, require_complex, require_count,
                      require_index, require_real)
 from .fock import (
@@ -702,20 +702,20 @@ def _kind_location(text: str, gate_index: int) -> str:
 def circuit_from_json(text: str) -> Circuit:
     """Parse a circuit document, failing hard (with location) on unknown
     gate kinds or malformed entries."""
-    doc = read_object(text, "circuit", ("shape",), ("displacement_convention", "gates"))
-    shape_raw = doc["shape"]
+    # shape and convention have their own checks below
+    f = read_fields(text, "circuit", {"shape": object},
+                    {"displacement_convention": (object, "standard"), "gates": (list, [])})
+    shape_raw, convention = f["shape"], f["displacement_convention"]
     if (
         not isinstance(shape_raw, list)
         or not shape_raw
         or not all(is_json_int(d) for d in shape_raw)
     ):
         raise ParseError("circuit 'shape' must be a non-empty list of integers")
-    convention = doc.get("displacement_convention", "standard")
     if convention not in CONVENTIONS:
         raise ParseError(
             f"displacement_convention must be one of {CONVENTIONS}, got {convention!r}"
         )
-    gates_raw = read_field(doc, "gates", list, "circuit", [])
 
     try:
         shape = HilbertShape(tuple(shape_raw))
@@ -725,7 +725,7 @@ def circuit_from_json(text: str) -> Circuit:
         raise ParseError(f"circuit shape invalid: {exc}") from exc
 
     specs, kernels = [], []
-    for i, entry in enumerate(gates_raw):
+    for i, entry in enumerate(f["gates"]):
         if not isinstance(entry, dict):
             raise ParseError(f"gate {i}: entries must be objects")
         kind = entry.get("kind")

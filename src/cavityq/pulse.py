@@ -32,8 +32,7 @@ from .errors import (
     ShapeError,
     UsageError,
     is_json_number,
-    read_field,
-    read_object,
+    read_fields,
     require_capacity,
     require_count,
     require_finite,
@@ -146,9 +145,8 @@ class PulseSchedule:
 
     @staticmethod
     def from_json(text: str) -> "PulseSchedule":
-        doc = read_object(text, "schedule", ("dt_s", "controls"))
-        dt_s = read_field(doc, "dt_s", float, "schedule")
-        controls = read_field(doc, "controls", list, "schedule")
+        doc = read_fields(text, "schedule", {"dt_s": float, "controls": list})
+        dt_s, controls = doc["dt_s"], doc["controls"]
         if not controls:
             raise ParseError("'controls' must be a non-empty list")
         streams = []
@@ -157,15 +155,15 @@ class PulseSchedule:
             what = f"control {i}"
             if not isinstance(entry, dict):
                 raise ParseError(f"{what} must be an object")
-            read_object(entry, what, ("carrier_hz", "amps"))
+            control = read_fields(entry, what, {"carrier_hz": float, "amps": list})
             vals = []
-            for j, pair in enumerate(read_field(entry, "amps", list, what)):
+            for j, pair in enumerate(control["amps"]):
                 if (not isinstance(pair, list) or len(pair) != 2
                         or not all(is_json_number(x) for x in pair)):
                     raise ParseError(f"{what} amp {j} must be a [re, im] number pair")
                 vals.append(complex(pair[0], pair[1]))
             streams.append(np.array(vals, dtype=complex))
-            carriers.append(float(read_field(entry, "carrier_hz", float, what)))
+            carriers.append(float(control["carrier_hz"]))
         try:
             return PulseSchedule(float(dt_s), tuple(streams), tuple(carriers))
         except (UsageError, NumericError) as exc:

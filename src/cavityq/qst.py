@@ -39,10 +39,9 @@ from .errors import (
     UsageError,
     is_json_number,
     is_json_number_rows,
-    read_field,
+    NUMBERS,
+    read_fields,
     read_kind,
-    read_numbers,
-    read_object,
     require_capacity,
     require_complex,
     require_finite,
@@ -438,24 +437,20 @@ def on_off_ratio(waveform, floor_hz: float,
 # config JSON
 
 
-_WAVEFORMS = {"sech": ((), ("kappa_hz",)), "sampled": (("dt_s", "values"), ())}
-
-
-def _waveform_from_json(doc: dict, slot: str, kappa_hz: float, t0_s: float):
+def _waveform_from_json(spec: dict, slot: str, kappa_hz: float, t0_s: float):
     what = f"{slot} waveform"
-    kind, obj = read_kind(read_field(doc, f"{slot}_waveform", dict, "transfer config"),
-                          what, _WAVEFORMS)
+    # a sech kappa_hz defaults to the config's, and has its own check
+    kind, f = read_kind(spec, what, {"sech": ({}, {"kappa_hz": (object, kappa_hz)}),
+                                     "sampled": ({"dt_s": float, "values": NUMBERS}, {})})
     try:
         if kind == "sech":
-            k = obj.get("kappa_hz", kappa_hz)
+            k = f["kappa_hz"]
             if not is_json_number(k):
                 raise ParseError(f"{what}: 'kappa_hz' must be a number")
             # the sech photon-envelope protocol: rising tanh rate on the
             # emitter side, its time reverse on the catcher
             return (matched_emit_rate if slot == "emit" else matched_catch_rate)(k)
-        values = read_numbers(obj, "values", what)
-        return SampledWaveform(np.asarray(values, dtype=float),
-                               read_field(obj, "dt_s", float, what), t0_s)
+        return SampledWaveform(np.asarray(f["values"], dtype=float), f["dt_s"], t0_s)
     except (UsageError, ShapeError, NumericError) as exc:
         raise ParseError(f"{what}: {exc}") from exc
 
@@ -470,34 +465,32 @@ def qst_config_from_json(text: str | dict) -> QstConfig:
     "catch_waveform":{...}, "channel_temperature":0}. Sampled waveforms are
     anchored at t_span_s[0].
     """
-    what = "transfer config"
-    doc = read_object(text, what,
-                      ("kappa_hz", "t_span_s", "dt_s", "emit_waveform", "catch_waveform"),
-                      ("delta_omega_hz", "input_state", "channel_temperature"))
-    kappa = read_field(doc, "kappa_hz", float, what)
-    dt_s = read_field(doc, "dt_s", float, what)
-    span = read_numbers(doc, "t_span_s", what)
+    # input_state has its own check below
+    f = read_fields(text, "transfer config",
+                    {"kappa_hz": float, "t_span_s": NUMBERS, "dt_s": float,
+                     "emit_waveform": dict, "catch_waveform": dict},
+                    {"delta_omega_hz": (float, 0.0),
+                     "input_state": (object, [[0.0, 0.0], [1.0, 0.0]]),
+                     "channel_temperature": (float, 0.0)})
+    kappa, span, state = f["kappa_hz"], f["t_span_s"], f["input_state"]
     if len(span) != 2:
         raise ParseError("'t_span_s' must be a [t0, t1] number pair")
-    dw = read_field(doc, "delta_omega_hz", float, what, 0.0)
-    state = doc.get("input_state", [[0.0, 0.0], [1.0, 0.0]])
     if not (is_json_number_rows(state) and [len(p) for p in state] == [2, 2]):
         raise ParseError("'input_state' must be [[re,im],[re,im]]")
-    temp = read_field(doc, "channel_temperature", float, what, 0.0)
     t0 = span[0]
-    emit = _waveform_from_json(doc, "emit", kappa, t0)
-    catch = _waveform_from_json(doc, "catch", kappa, t0)
+    emit = _waveform_from_json(f["emit_waveform"], "emit", kappa, t0)
+    catch = _waveform_from_json(f["catch_waveform"], "catch", kappa, t0)
     try:
         return QstConfig(
             kappa_hz=kappa,
             emit_waveform=emit,
             catch_waveform=catch,
             t_span_s=(t0, span[1]),
-            dt_s=dt_s,
-            delta_omega_hz=float(dw),
+            dt_s=f["dt_s"],
+            delta_omega_hz=float(f["delta_omega_hz"]),
             input_state=(complex(state[0][0], state[0][1]),
                          complex(state[1][0], state[1][1])),
-            channel_temperature=float(temp),
+            channel_temperature=float(f["channel_temperature"]),
         )
     except (UsageError, NumericError) as exc:
         raise ParseError(f"invalid transfer config: {exc}") from exc
