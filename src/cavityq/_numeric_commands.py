@@ -146,19 +146,13 @@ def cmd_grape(args, text: str) -> _Result:
     model = _grape_model(f["model"])
     target = _grape_target(f["target"], model.shape)
     n_segments = require_count("n_segments", f["n_segments"], 1)
-    pulse._require_segment_room(model.n_streams, n_segments)  # before the zero schedule
-    schedule0 = pulse.PulseSchedule(
-        dt_s=float(f["dt_s"]),
-        streams=np.zeros((model.n_streams, n_segments), dtype=complex),
-        carriers_hz=tuple(0.0 for _ in range(model.n_streams)),
-    )
-    result = pulse.grape_optimize(
-        model, target, schedule0,
-        iterations=f["iterations"],
-        learning_rate=f["learning_rate"],
-        seed=args.seed,
-        tol=f["tol"],
-    )
+    pulse._require_segment_room(model, n_segments)  # before the zero schedule
+    schedule0 = pulse.PulseSchedule(float(f["dt_s"]),
+                                    np.zeros((model.n_streams, n_segments), dtype=complex),
+                                    (0.0,) * model.n_streams)
+    result = pulse.grape_optimize(model, target, schedule0, iterations=f["iterations"],
+                                  learning_rate=f["learning_rate"], seed=args.seed,
+                                  tol=f["tol"])
     columns = _columns(["iteration", "infidelity", "step_size"], result.trace)
     return "grape_trace", columns, {
         "fidelity": result.fidelity,

@@ -706,16 +706,11 @@ def circuit_from_json(text: str) -> Circuit:
     f = read_fields(text, "circuit", {"shape": object},
                     {"displacement_convention": (object, "standard"), "gates": (list, [])})
     shape_raw, convention = f["shape"], f["displacement_convention"]
-    if (
-        not isinstance(shape_raw, list)
-        or not shape_raw
-        or not all(is_json_int(d) for d in shape_raw)
-    ):
+    if not (isinstance(shape_raw, list) and shape_raw and all(map(is_json_int, shape_raw))):
         raise ParseError("circuit 'shape' must be a non-empty list of integers")
     if convention not in CONVENTIONS:
-        raise ParseError(
-            f"displacement_convention must be one of {CONVENTIONS}, got {convention!r}"
-        )
+        raise ParseError(f"displacement_convention must be one of {CONVENTIONS}, "
+                         f"got {convention!r}")
 
     try:
         shape = HilbertShape(tuple(shape_raw))

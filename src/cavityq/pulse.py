@@ -70,6 +70,10 @@ _CHUNK_ENTRIES = 1 << 16
 # segment's eigensystem and prefix product; a qubit-model run at the cap
 # peaks at about 160 MiB
 MAX_GRAPE_SEGMENTS = 2 * 10**5
+# most segments × block entries (Σ B·b² over block_layout) one GRAPE schedule
+# may have, since those stacks set a pass's memory: the qubit model's one 2×2
+# block reaches it at MAX_GRAPE_SEGMENTS, and runs at it peak at 114-142 MiB
+MAX_GRAPE_ENTRIES = 4 * MAX_GRAPE_SEGMENTS
 
 
 def _finite_complex_array(values, what: str) -> np.ndarray:
@@ -394,11 +398,15 @@ def _check_schedule_pairing(model: ControlModel, schedule: PulseSchedule) -> Non
         )
 
 
-def _require_segment_room(n_streams: int, n_segments: int) -> None:
+def _require_segment_room(model: ControlModel, n_segments: int) -> None:
     """CapacityError unless n_segments × n_streams is within
-    MAX_GRAPE_SEGMENTS; `cavityq grape` checks it before it allocates."""
-    require_capacity(f"n_segments {n_segments} × n_streams {n_streams}",
-                     n_segments * n_streams, MAX_GRAPE_SEGMENTS, "stream segments")
+    MAX_GRAPE_SEGMENTS and n_segments × the entries of the model's blocks
+    within MAX_GRAPE_ENTRIES; `cavityq grape` checks it before it allocates."""
+    require_capacity(f"n_segments {n_segments} × n_streams {model.n_streams}",
+                     n_segments * model.n_streams, MAX_GRAPE_SEGMENTS, "stream segments")
+    entries = sum(group.drift.size for group in model.block_layout)  # Σ B·b²
+    require_capacity(f"n_segments {n_segments} × block entries {entries}",
+                     n_segments * entries, MAX_GRAPE_ENTRIES, "segment block entries")
 
 
 def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
@@ -642,7 +650,7 @@ def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
     the guard-leakage penalty for a StateVector target.
     """
     _check_schedule_pairing(model, schedule)
-    _require_segment_room(schedule.n_streams, schedule.n_segments)
+    _require_segment_room(model, schedule.n_segments)
     tgt, psi0_vec = _resolve_target(model, target, psi0)
     guard, leak_weight = _resolve_guard(model, tgt, guard_indices, leak_weight)
     amps = np.stack(schedule.streams)
@@ -668,7 +676,7 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     (scale 1/(8 * duration)) to break symmetry. Deterministic throughout.
     """
     _check_schedule_pairing(model, schedule0)
-    _require_segment_room(schedule0.n_streams, schedule0.n_segments)
+    _require_segment_room(model, schedule0.n_segments)
     tgt, psi0_vec = _resolve_target(model, target, psi0)
     iterations = require_count("iterations", iterations)
     learning_rate = require_positive("learning_rate", learning_rate)

@@ -95,6 +95,12 @@ class QuditHamiltonian:
         return np.linalg.eigh(self.dense())
 
 
+def _step_phases(x: np.ndarray, dt) -> np.ndarray:
+    """The phases of diag(exp(-i 2pi x dt)), for one dt or a column of them:
+    the one expression of trotter_step and _sweep, which stay bitwise equal."""
+    return (-2.0 * np.pi * x) * dt
+
+
 def trotter_step(h: QuditHamiltonian, dt_s: float,
                  n_levels: int | None = None) -> Circuit:
     """One first-order splitting step as a four-gate circuit."""
@@ -105,12 +111,11 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
         raise ShapeError(
             f"requested {n_levels} levels but the Hamiltonian has {h.n_levels}"
         )
-    pot_phases = (-2.0 * np.pi * h.diagonal * dt_s).tolist()
-    kin_phases = (-2.0 * np.pi * h.kinetic_diagonal * dt_s).tolist()
+    pot, kin = (_step_phases(x, dt_s).tolist() for x in (h.diagonal, h.kinetic_diagonal))
     gates = (
-        GateSpec("snap", {"target": 0, "theta": pot_phases}),
+        GateSpec("snap", {"target": 0, "theta": pot}),
         GateSpec("fourier", {"target": 0, "inverse": True}),
-        GateSpec("snap", {"target": 0, "theta": kin_phases}),
+        GateSpec("snap", {"target": 0, "theta": kin}),
         GateSpec("fourier", {"target": 0}),
     )
     return Circuit(HilbertShape((h.n_levels,)), gates)
@@ -186,8 +191,8 @@ def _sweep(h: QuditHamiltonian, t_total_s: float, steps_list, psi0) -> list[Trot
         return [TrotterResult(psi, 1.0, s, 0.0) for s in counts]
     dts = [t_total_s / s for s in steps_list]
     order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
-    specs = [trotter_step(h, dts[i]).gates for i in order]
-    pot, kin = (np.exp(1j * np.array([g[j].params["theta"] for g in specs])) for j in (0, 2))
+    column = np.array([dts[i] for i in order])[:, None]  # (L, 1) step sizes
+    pot, kin = (np.exp(1j * _step_phases(x, column)) for x in (h.diagonal, h.kinetic_diagonal))
     amp, buf = np.tile(psi.amplitudes, (2, len(order), 1))  # (L, N) rows and a work buffer
     run = [counts[i] for i in order] + [0]
     for k in range(len(order), 0, -1):  # rows [0, k) take run[k-1] - run[k] steps

@@ -231,3 +231,37 @@ def test_cli_cap_is_inclusive(case, tmp_path, monkeypatch):
         code, lines = _main(["--out", str(tmp_path), command, str(config)])
         assert code == expected, lines
     assert lines[-1].endswith(f"above the cap of {cap}")
+
+
+# the GRAPE cap on segments × block entries (Σ B·b² over the block layout):
+# TWO_STREAMS is one 4×4 block, 16 entries a segment
+@pytest.mark.parametrize("call", [_grape, _gradient], ids=["grape_optimize", "grape_gradient"])
+def test_grape_entry_cap_is_inclusive(call, monkeypatch):
+    monkeypatch.setattr(pulse, "MAX_GRAPE_ENTRIES", 48)
+    call(TWO_STREAMS, 3)
+    with pytest.raises(CapacityError, match=r"^n_segments 4 × block entries 16 is 64 segment "
+                                            r"block entries, above the cap of 48$"):
+        call(TWO_STREAMS, 4)
+
+
+def test_grape_entry_cap_leaves_the_qubit_limit():
+    # one 2×2 block: the stream cap, not the entry cap, stops a qubit schedule
+    pulse._require_segment_room(QUBIT, pulse.MAX_GRAPE_SEGMENTS)
+    with pytest.raises(CapacityError, match="stream segments, above the cap of 200000$"):
+        pulse._require_segment_room(QUBIT, pulse.MAX_GRAPE_SEGMENTS + 1)
+
+
+WIDE = {"model": {"kind": "dispersive", "chi_hz": 1e6, "n_levels": 64, "cavity_drive": True},
+        "target": {"kind": "identity"}, "n_segments": 10**4, "dt_s": 1e-8}
+
+
+def test_cli_grape_entry_cap_exits_4_before_the_schedule(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(WIDE))
+    with mock.patch.object(pulse, "PulseSchedule", side_effect=AssertionError("allocated")), \
+            mock.patch.object(pulse, "_grape_pass", side_effect=AssertionError("ran a pass")):
+        code, lines = _main(["--out", str(tmp_path / "out"), "grape", str(config)])
+    assert code == 4
+    assert lines == ["error: n_segments 10000 × block entries 16384 is 163840000 segment "
+                     "block entries, above the cap of 800000"]
+    assert not (tmp_path / "out").exists()
