@@ -18,6 +18,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import shlex
 import sys
 import tempfile
@@ -44,24 +45,13 @@ CASES = {
 
 def readme_example(heading: str) -> tuple[str, list[str]]:
     """The config after the README paragraph starting with heading (a
-    ```json block, or the heredoc of a ```sh block) and the arguments of
-    the first `cavityq` command line after it."""
-    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
-    config, block, argv = [], None, None
-    for line in lines[start:]:
-        if block is None:
-            block = "json" if line == "```json" else "heredoc" if line == "```sh" else None
-        elif block == "heredoc" and "<<'EOF'" in line:
-            block = "in heredoc"
-        elif line in ("```", "EOF") and block in ("json", "in heredoc"):
-            block = "done"
-        elif block in ("json", "in heredoc"):
-            config.append(line)
-        if line.startswith("cavityq ") and config:
-            argv = shlex.split(line)[1:]
-            break
-    return "\n".join(config) + "\n", argv
+    ```json block, or a heredoc) and the arguments of the first `cavityq`
+    command line after it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n" + heading):]
+    block = re.search(r"```json\n(.*?)```|<<'EOF'\n(.*?)\nEOF\n", section, re.S)
+    command = re.search(r"^cavityq (.*)$", section[block.end():], re.M)
+    return block.group(1) or block.group(2) + "\n", shlex.split(command.group(1))
 
 
 def _code_summary(artifact: str) -> str:

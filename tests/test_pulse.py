@@ -1210,10 +1210,13 @@ NORM_DRIFT_BOUND = 10 * 4.98e-13
 UNITARITY_DEFECT_BOUND = 10 * 1.13e-12
 
 
-def _norm_drift_and_defect(seed, n_levels, cavity_drive, n_segments):
-    """simulate_schedule of a random schedule on the qubit model (n_levels
-    None) or a dispersive one: |‖Uψ‖ − 1| for a random unit ψ, and the
-    largest entry of |U†U − I|."""
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_levels=st.one_of(st.none(), st.integers(2, 8)),
+       cavity_drive=st.booleans(),
+       n_segments=st.one_of(st.integers(1, 100), st.integers(1000, 10**4)))
+def test_long_schedules_keep_norm_and_unitarity(seed, n_levels, cavity_drive, n_segments):
+    # a random schedule on the qubit model (n_levels None) or a dispersive one
     rng = np.random.default_rng(seed)
     model = (qubit_model(float(rng.uniform(-2e6, 2e6))) if n_levels is None
              else dispersive_model(float(rng.uniform(0.5e6, 2e6)), n_levels, cavity_drive))
@@ -1224,17 +1227,5 @@ def _norm_drift_and_defect(seed, n_levels, cavity_drive, n_segments):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 = StateVector(model.shape, psi / np.linalg.norm(psi))
     state, u = simulate_schedule(model, schedule, psi0, return_propagator=True)
-    drift = abs(np.linalg.norm(state.amplitudes) - 1.0)
-    defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(dim)))
-    return drift, defect
-
-
-@settings(max_examples=30)
-@given(seed=st.integers(0, 2**32 - 1),
-       n_levels=st.one_of(st.none(), st.integers(2, 8)),
-       cavity_drive=st.booleans(),
-       n_segments=st.one_of(st.integers(1, 100), st.integers(1000, 10**4)))
-def test_long_schedules_keep_norm_and_unitarity(seed, n_levels, cavity_drive, n_segments):
-    drift, defect = _norm_drift_and_defect(seed, n_levels, cavity_drive, n_segments)
-    assert drift <= NORM_DRIFT_BOUND
-    assert defect <= UNITARITY_DEFECT_BOUND
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= NORM_DRIFT_BOUND
+    assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(dim))) <= UNITARITY_DEFECT_BOUND
