@@ -149,8 +149,8 @@ class PulseSchedule:
 
     @staticmethod
     def from_json(text: str) -> "PulseSchedule":
-        doc = read_fields(text, "schedule", {"dt_s": float, "controls": list})
-        dt_s, controls = doc["dt_s"], doc["controls"]
+        f = read_fields(text, "schedule", {"dt_s": float, "controls": list})
+        dt_s, controls = f["dt_s"], f["controls"]
         if not controls:
             raise ParseError("'controls' must be a non-empty list")
         streams = []

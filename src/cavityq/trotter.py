@@ -189,7 +189,7 @@ def _sweep(h: QuditHamiltonian, t_total_s: float, steps_list, psi0) -> list[Trot
     psi = _state_vector(psi0, h.n_levels)
     if t_total_s == 0:
         return [TrotterResult(psi, 1.0, s, 0.0) for s in counts]
-    dts = [t_total_s / s for s in steps_list]
+    dts = [require_positive("dt_s", t_total_s / s) for s in steps_list]  # as trotter_step
     order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
     column = np.array([dts[i] for i in order])[:, None]  # (L, 1) step sizes
     pot, kin = (np.exp(1j * _step_phases(x, column)) for x in (h.diagonal, h.kinetic_diagonal))
