@@ -96,13 +96,11 @@ def _grape_model(spec: dict):
 
 
 def _snap_theta(theta: list[float], n: int, what: str) -> list[float]:
-    """The n phases of a "snap" operator spec, checked by the rule of the
-    SNAP constructors (`gates._phases`)."""
-    if len(theta) != n:
-        raise ParseError(f"{what}: snap needs {n} phases, got {len(theta)}")
+    """The n phases of a "snap" operator spec, checked by the SNAP count
+    rule (`gates._snap_phases`); a fault is named with its field."""
     try:
-        gates._phases(theta, "snap theta")
-    except NumericError as exc:  # a NaN or infinite phase, named with its field
+        gates._snap_phases(theta, n, "snap theta")
+    except (UsageError, NumericError) as exc:
         raise ParseError(f"{what}: {exc}") from exc
     return theta
 

@@ -13,6 +13,8 @@ checks, its public constructor and the structured kernel that circuits
 run in its place; no kernel forms an operator bigger than 2×2. Circuit
 compilation, `GateSpec.build` and `circuit_from_json` read that entry,
 and `errors.read_object` checks its field list as it does every config's.
+Every SNAP phase list on n levels is read by `_snap_phases`, the one
+count rule: any count but n raises ShapeError.
 """
 
 from __future__ import annotations
@@ -60,18 +62,8 @@ def multisnap(theta: Sequence[float], dims: Sequence[int]) -> Operator:
     """Joint multi-mode SNAP: one phase per joint occupation (n_0, n_1, ...),
     flattened with the first mode most significant."""
     shape = shape_of(dims)
-    theta = _multisnap_theta(theta, shape.dims)
+    theta = _snap_phases(theta, shape.total_dim)
     return Operator(shape, np.diag(np.exp(1j * theta)))
-
-
-def _multisnap_theta(theta: Sequence[float], dims: tuple[int, ...]) -> np.ndarray:
-    theta = _phases(theta, "theta")
-    expected = math.prod(dims)
-    if theta.size != expected:
-        raise UsageError(
-            f"multisnap on dims {dims} needs {expected} phases, got {theta.size}"
-        )
-    return theta
 
 
 def displacement(alpha: complex, n: int, convention: str = "standard") -> Operator:
@@ -308,7 +300,7 @@ def multiqudit_snap(target: int, theta: Sequence[float],
     """SNAP on one qudit of a register, identity on the rest."""
     shp = shape_of(shape)
     target = require_index("target", target, shp.n_subsystems)
-    return embed(snap(_multisnap_theta(theta, (shp.dims[target],))), [target], shp)
+    return embed(snap(_snap_phases(theta, shp.dims[target])), [target], shp)
 
 
 def apply_embedded(op: Operator, targets: Sequence[int], psi: StateVector) -> StateVector:
@@ -421,17 +413,24 @@ def _phases(value, what: str, shape: HilbertShape | None = None) -> np.ndarray:
     return phases
 
 
+def _snap_phases(theta, n: int, what: str = "theta") -> np.ndarray:
+    """The phases of a SNAP on n levels, read by `_phases`: the one count
+    rule of every SNAP reader. Any count but n raises ShapeError."""
+    phases = _phases(theta, what)
+    if phases.size != n:
+        raise ShapeError(f"snap needs {n} phases, got {phases.size}")
+    return phases
+
+
 def _snap_args(dims, convention, target, theta):
-    if theta.size != dims[target]:
-        raise UsageError(f"snap theta must list {dims[target]} phases for subsystem {target}")
-    return (theta,), [target]
+    return (_snap_phases(theta, dims[target]),), [target]
 
 
 def _multisnap_args(dims, convention, targets, theta):
     if len(set(targets)) != len(targets):
         raise UsageError("multisnap targets must be distinct")
     sub_dims = tuple(dims[t] for t in targets)
-    return (_multisnap_theta(theta, sub_dims), sub_dims), targets
+    return (_snap_phases(theta, math.prod(sub_dims)), sub_dims), targets
 
 
 def _qubit_and_mode(kind: str, qubit: int, mode: int) -> list[int]:

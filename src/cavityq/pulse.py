@@ -53,7 +53,7 @@ from .fock import (
     number_operator,
     shape_of,
 )
-from .gates import _displacement_eigensystem, _phases
+from .gates import _displacement_eigensystem, _snap_phases
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -451,7 +451,7 @@ def snap_average_fidelity(u: Operator, theta: Sequence[float]) -> float:
     not formed: Tr M = sum e^{-i theta_k} U_kk and Tr(M^dag M) = sum |U_jk|^2.
     """
     n = _cavity_levels(u.shape)
-    th = _snap_theta(theta, n)
+    th = _snap_phases(theta, n)
     ugg = u.matrix[:n, :n]
     trace = np.vdot(np.exp(1j * th), np.diagonal(ugg))
     return float((abs(trace) ** 2 + np.vdot(ugg, ugg).real) / (n * (n + 1)))
@@ -609,33 +609,32 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
     return j_total, j_raw, gradient
 
 
-def _resolve_target(model: ControlModel, target, psi0: StateVector | None):
-    """Check a GRAPE target against the model: returns (target, None) for an
-    Operator, (target amplitudes, psi0 amplitudes) for a StateVector, with
-    psi0 defaulting to the ground state."""
-    if isinstance(target, Operator):
-        if target.shape != model.shape:
-            raise ShapeError("target shape does not match model shape")
-        return target, None
-    if not isinstance(target, StateVector):
+def _grape_problem(model: ControlModel, schedule: PulseSchedule, target,
+                   psi0: StateVector | None, guard_indices, leak_weight):
+    """Check a GRAPE problem against the model: the schedule's pairing and
+    segment room, the target, psi0 and the guard. Returns (target, psi0,
+    guard, leak weight): an Operator target as given, with psi0 None, or a
+    StateVector target and psi0, defaulting to the ground state, as
+    amplitudes; the guard as basis indices of the model, which need a state
+    target, and a real leak weight."""
+    _check_schedule_pairing(model, schedule)
+    _require_segment_room(model, schedule.n_segments)
+    if not isinstance(target, (Operator, StateVector)):
         raise UsageError("target must be an Operator or a StateVector")
     if target.shape != model.shape:
         raise ShapeError("target shape does not match model shape")
-    if psi0 is None:
-        psi0 = basis_state(model.shape, [0] * len(model.shape.dims))
-    elif psi0.shape != model.shape:
-        raise ShapeError("psi0 shape does not match model shape")
-    return np.asarray(target.amplitudes), np.asarray(psi0.amplitudes)
-
-
-def _resolve_guard(model: ControlModel, target, guard_indices, leak_weight):
-    """(guard indices, leak weight), checked: basis indices of the model and a
-    real weight; a guard needs a state target, not an Operator."""
+    psi0_vec = None
+    if isinstance(target, StateVector):
+        if psi0 is None:
+            psi0 = basis_state(model.shape, [0] * len(model.shape.dims))
+        elif psi0.shape != model.shape:
+            raise ShapeError("psi0 shape does not match model shape")
+        target, psi0_vec = np.asarray(target.amplitudes), np.asarray(psi0.amplitudes)
     guard = tuple(require_index("guard_indices entry", i, model.shape.total_dim)
                   for i in guard_indices)
-    if guard and isinstance(target, Operator):
+    if guard and psi0_vec is None:
         raise UsageError("guard-leakage penalty applies to state targets only")
-    return guard, require_finite("leak_weight", leak_weight)
+    return target, psi0_vec, guard, require_finite("leak_weight", leak_weight)
 
 
 def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
@@ -649,10 +648,8 @@ def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
     |Tr(target^dag U)/d|^2 for an Operator target, |<target|psi>|^2 minus
     the guard-leakage penalty for a StateVector target.
     """
-    _check_schedule_pairing(model, schedule)
-    _require_segment_room(model, schedule.n_segments)
-    tgt, psi0_vec = _resolve_target(model, target, psi0)
-    guard, leak_weight = _resolve_guard(model, tgt, guard_indices, leak_weight)
+    tgt, psi0_vec, guard, leak_weight = _grape_problem(model, schedule, target, psi0,
+                                                       guard_indices, leak_weight)
     amps = np.stack(schedule.streams)
     j_total, _, gradient = _grape_pass(model, amps, schedule.dt_s, tgt, psi0_vec,
                                        guard, leak_weight)
@@ -675,14 +672,12 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     amplitude is zero, amplitudes start from a small seeded random draw
     (scale 1/(8 * duration)) to break symmetry. Deterministic throughout.
     """
-    _check_schedule_pairing(model, schedule0)
-    _require_segment_room(model, schedule0.n_segments)
-    tgt, psi0_vec = _resolve_target(model, target, psi0)
+    tgt, psi0_vec, guard, leak_weight = _grape_problem(model, schedule0, target, psi0,
+                                                       guard_indices, leak_weight)
     iterations = require_count("iterations", iterations)
     learning_rate = require_positive("learning_rate", learning_rate)
     tol = require_finite("tol", tol)
     seed = None if seed is None else require_count("seed", seed)
-    guard, leak_weight = _resolve_guard(model, tgt, guard_indices, leak_weight)
     dt = schedule0.dt_s
     amps0 = np.stack(schedule0.streams)
 
@@ -729,14 +724,6 @@ def _cavity_levels(shape: HilbertShape) -> int:
     if len(dims) != 2 or dims[0] != 2:
         raise ShapeError(f"expected a (2, N) qubit-cavity shape, got {dims}")
     return dims[1]
-
-
-def _snap_theta(theta: Sequence[float], n: int) -> np.ndarray:
-    """The n SNAP phases theta, read by the SNAP constructors' rule."""
-    th = _phases(theta, "theta")
-    if th.shape != (n,):
-        raise ShapeError(f"theta must have length {n}, got shape {th.shape}")
-    return th
 
 
 def _dispersive_chi_from_model(model: ControlModel) -> tuple[float, int]:
@@ -805,7 +792,7 @@ def synthesize_snap_pulse(model: ControlModel, theta: Sequence[float],
     permits them, for degradation studies only.
     """
     chi_hz, n = _dispersive_chi_from_model(model)
-    th = _snap_theta(theta, n)
+    th = _snap_phases(theta, n)
     duration_s = require_positive("duration_s", duration_s)
     bound = 2 * np.pi / chi_hz
     if enforce_bound and duration_s < bound * (1 - 1e-12):

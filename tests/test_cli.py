@@ -481,6 +481,12 @@ def test_otoc_snap_phase_count_exit_2(tmp_path, capsys, name):
     assert f"otoc config {name}: snap needs 8 phases, got 3" in capsys.readouterr().err
 
 
+def test_grape_snap_phase_count_exit_2(tmp_path, capsys):
+    doc = dict(GRAPE_DOC, target={"kind": "snap", "theta": [0.1, 0.2, 0.3]})
+    assert run_cli(tmp_path, "grape", write_json(tmp_path / "grape.json", doc)) == 2
+    assert "grape target: snap needs 2 phases, got 3" in capsys.readouterr().err
+
+
 # "matrix" operator specs, read for the grape target and the otoc W and V:
 # the site's config with a given spec in place, and the spec's size there
 _MATRIX_SITES = {

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from cavityq import fock, gates
+from cavityq import fock, gates, pulse
 from cavityq.errors import NumericError, ParseError, ShapeError, UsageError
 from dense_oracle import dense_unitary
 
@@ -892,13 +892,27 @@ def test_snap_constructors_take_numpy_phases(name):
                                       np.diag(np.exp(1j * np.asarray(value, dtype=float))))
 
 
-@pytest.mark.parametrize("name", list(_SNAP_CONSTRUCTORS))
+# the other sites of the SNAP count rule (`gates._snap_phases`), on 3 levels
+_SNAP_COUNT_SITES = {
+    "circuit_snap": lambda theta: gates.circuit_unitary(gates.Circuit(
+        (3,), (gates.GateSpec("snap", {"target": 0, "theta": theta}),))),
+    "snap_average_fidelity": lambda theta: pulse.snap_average_fidelity(
+        fock.Operator(fock.shape_of((2, 3)), np.eye(6)), theta),
+    "synthesize_snap_pulse": lambda theta: pulse.synthesize_snap_pulse(
+        pulse.dispersive_model(1e6, 3), theta, 1e-5),
+}
+
+
+@pytest.mark.parametrize("name", list(_SNAP_CONSTRUCTORS) + list(_SNAP_COUNT_SITES))
 def test_snap_constructors_check_phase_count(name):
     if name == "snap":
         with pytest.raises(UsageError):
             gates.snap([])
         with pytest.raises(UsageError):
             gates.snap(np.zeros((2, 2)))
+    elif name in _SNAP_COUNT_SITES:
+        with pytest.raises(ShapeError, match="snap needs 3 phases, got 2"):
+            _SNAP_COUNT_SITES[name]([0.1, 0.2])
     else:
         with pytest.raises(UsageError, match="needs 3 phases, got 2"):
             _SNAP_CONSTRUCTORS[name]([0.1, 0.2])

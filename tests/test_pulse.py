@@ -839,7 +839,7 @@ def _eager_grape(model, target, schedule0, iterations, learning_rate, seed,
                  tol=1e-8, guard=(), leak_weight=1.0):
     """grape_optimize on _eager_ascend, with a separate pass for the seeding
     decision and one for the best point's raw fidelity."""
-    tgt, psi0_vec = pulse._resolve_target(model, target, None)
+    tgt, psi0_vec = pulse._grape_problem(model, schedule0, target, None, (), 1.0)[:2]
     dt = schedule0.dt_s
     amps0 = np.stack(schedule0.streams)
     area = 2 * np.pi * dt
@@ -1144,7 +1144,7 @@ class TestSnapModelCheck:
     def test_fidelity_checks_phase_count_and_finiteness(self):
         u = Operator(shape_of((2, 3)), np.eye(6, dtype=complex))
         assert snap_average_fidelity(u, [0, 0, 0]) == pytest.approx(1.0)
-        with pytest.raises(ShapeError, match="theta must have length 3"):
+        with pytest.raises(ShapeError, match="snap needs 3 phases, got 2"):
             snap_average_fidelity(u, [0.0, 0.0])
         with pytest.raises(NumericError, match="non-finite phases"):
             snap_average_fidelity(u, [0.0, np.nan, 0.0])
