@@ -168,6 +168,8 @@ def cmd_code(args, text: str) -> _Result:
     alpha_pair, n_levels, steps = f["alpha"], f["n_levels"], f["steps"]
     if len(alpha_pair) != 2:
         raise ParseError("code config: 'alpha' must be [re, im]")
+    if f["parity"] not in ("+", "-"):
+        raise ParseError(f"code config: 'parity' must be '+' or '-', got {f['parity']!r}")
     psi = codes.cat_state(complex(alpha_pair[0], alpha_pair[1]), f["parity"], n_levels)
     channel = noise.photon_loss_channel(float(f["t1_s"]), float(f["dt_s"]), n_levels)
     results = noise.run_trajectories(channel, psi, steps, f["n_trajectories"],

@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import (DegenerateDetuningError, NumericError, ParseError, UsageError,
-                     is_json_number, read_object, require_count, require_positive,
-                     require_real)
+                     read_fields, require_count, require_positive, require_real)
 
 _FIELDS = (
     "omega_q_hz",
@@ -70,14 +69,9 @@ class DeviceParams:
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceParams":
-        raw = read_object(text, "device params", _FIELDS)
-        vals = {}
-        for f in _FIELDS:
-            if not is_json_number(raw[f]):
-                raise ParseError(f"device field {f} must be a number, got {raw[f]!r}")
-            vals[f] = float(raw[f])
+        fields = read_fields(text, "device params", dict.fromkeys(_FIELDS, float))
         try:
-            return cls(**vals)
+            return cls(**fields)
         except UsageError as exc:
             raise ParseError(f"device JSON invalid: {exc}") from exc
 

@@ -341,6 +341,12 @@ class TestCode:
                     flips += 1
         assert flips >= 1
 
+    def test_bad_parity_exit_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "code.json", dict(CODE_DOC, parity="x"))
+        assert run_cli(tmp_path, "code", cfg) == 2
+        assert capsys.readouterr().err == (
+            "error: code config: 'parity' must be '+' or '-', got 'x'\n")
+
     def test_artifact_bytes_match_trajectories(self, tmp_path):
         # the CSV and JSON artifacts hold every trajectory array cell for
         # cell, floats as their repr
