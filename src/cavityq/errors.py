@@ -9,18 +9,20 @@ optional. `read_object` decodes the object (`decode_object`) and rejects
 a missing or an unlisted field; each field is then read with `read_field`,
 or with `read_numbers` where its types are `NUMBERS`. Every parser tests JSON
 numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
-and JSON integers with `is_json_int`. API arguments follow seven rules,
+and JSON integers with `is_json_int`. API arguments follow eight rules,
 listed site by site in the README: `require_count` for counts, seeds and
 photon numbers, `fock.shape_of` for dimensions, before any allocation,
 `require_index` for level, subsystem and basis indices, `require_real`
 for other real numbers, `require_complex` for complex amplitudes,
-`require_finite` for tolerances, weights and time origins, and
+`require_finite` for tolerances, weights and time origins,
 `require_positive` for time steps, durations, couplings, rates and other
-positive reals. `require_capacity` caps the work or memory that the
-counts of a request set, before any allocation (`CapacityError`, exit 4).
-Lists of numbers are tested in bulk with `are_reals`: SNAP phases, JSON
-number lists (`read_numbers`) and, through `require_reals`, the lists of
-real API arguments.
+positive reals, and `require_array` for arrays: states, matrices, pulse
+streams and sample lists. `require_capacity` caps the work or memory
+that the counts of a request set, before any allocation (`CapacityError`,
+exit 4). Lists of numbers are tested in bulk with `are_reals`: SNAP
+phases, JSON number lists (`read_numbers`), the lists that
+`require_array` reads and, through `require_reals`, the lists of real
+API arguments.
 """
 
 import json
@@ -138,6 +140,47 @@ def require_positive(name: str, value) -> float:
     if not 0 < value < math.inf:
         raise UsageError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
+
+
+def require_array(name: str, values, shape: tuple, dtype=complex):
+    """A read-only C-ordered copy of values as an array of dtype (complex,
+    or float for reals) of the given shape, where None takes any length.
+    A list or tuple of an exact shape has its length checked before any
+    copy; ragged rows or any other shape raise ShapeError; an entry that is
+    not a number (`is_complex`, or `is_real` for float: an ndarray by its
+    dtype kind, a list in bulk by entry type) raises UsageError; a NaN, an
+    infinity or an int too large for a float raises NumericError."""
+    import numpy as np
+
+    want = (f"1-D of length {shape[0]}" if shape[0] else "1-D") if len(shape) == 1 \
+        else "x".join(map(str, shape))
+    if isinstance(values, (list, tuple)) and None not in shape and len(values) != shape[0]:
+        raise ShapeError(f"{name} must be {want}, got length {len(values)}")
+    entries, flat = values, None
+    if not isinstance(values, np.ndarray):
+        try:
+            entries = np.array(values, dtype=object)
+            flat = entries.ravel().tolist()
+            if not {list, tuple}.isdisjoint(map(type, flat)):
+                raise ValueError
+        except ValueError:  # rows of lists, or of arrays that differ in shape
+            raise ShapeError(f"{name} must be {want}, got ragged rows") from None
+    if entries.ndim != len(shape) or any(w not in (None, g) for w, g in zip(shape, entries.shape)):
+        raise ShapeError(f"{name} must be {want}, got {entries.shape}")
+    test, numbers = (is_real, "real numbers") if dtype is float else (is_complex, "numbers")
+    if flat is None and values.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+        raise UsageError(f"{name} entries must be {numbers}, got dtype {values.dtype}")
+    if flat is not None and not are_reals(flat, test):
+        raise UsageError(f"{name} entries must be {numbers}, got "
+                         f"{next(v for v in flat if not test(v))!r}")
+    try:
+        arr = np.array(entries, dtype=dtype, order="C")
+        if not np.isfinite(arr).all():
+            raise OverflowError
+    except OverflowError:  # or an int too large for a float
+        raise NumericError(f"non-finite entries in {name}") from None
+    arr.setflags(write=False)
+    return arr
 
 
 def _field_error(what: str, problem: str, names) -> "ParseError":

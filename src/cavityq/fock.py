@@ -28,6 +28,7 @@ from .errors import (
     ShapeError,
     UsageError,
     is_count,
+    require_array,
     require_complex,
     require_index,
 )
@@ -122,16 +123,6 @@ def shape_of(dims: int | Sequence[int] | HilbertShape) -> HilbertShape:
     return HilbertShape((dims,))
 
 
-def _frozen_array(values, expected_shape) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, copy=True, order="C")
-    if arr.shape != expected_shape:
-        raise ShapeError(f"array shape {arr.shape} does not match {expected_shape}")
-    if not np.isfinite(arr).all():
-        raise UsageError("non-finite amplitudes")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state on a HilbertShape. `leakage` records probability lost
@@ -144,8 +135,8 @@ class StateVector:
     def __post_init__(self) -> None:
         shape = shape_of(self.shape)
         object.__setattr__(self, "shape", shape)
-        arr = _frozen_array(self.amplitudes, (shape.total_dim,))
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes",
+                           require_array("amplitudes", self.amplitudes, (shape.total_dim,)))
 
     @property
     def dim(self) -> int:
@@ -185,8 +176,7 @@ class Operator:
         shape = shape_of(self.shape)
         object.__setattr__(self, "shape", shape)
         d = shape.total_dim
-        arr = _frozen_array(self.matrix, (d, d))
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", require_array("matrix", self.matrix, (d, d)))
 
     @property
     def dim(self) -> int:

@@ -33,6 +33,7 @@ from .errors import (
     UsageError,
     is_json_number,
     read_fields,
+    require_array,
     require_capacity,
     require_count,
     require_finite,
@@ -76,16 +77,6 @@ MAX_GRAPE_SEGMENTS = 2 * 10**5
 MAX_GRAPE_ENTRIES = 4 * MAX_GRAPE_SEGMENTS
 
 
-def _finite_complex_array(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, copy=True, order="C")
-    if arr.ndim != 1:
-        raise ShapeError(f"{what} must be a 1-D array, got shape {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise NumericError(f"non-finite amplitudes in {what}")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class PulseSchedule:
     """Piecewise-constant drive: one complex amplitude stream per drive line.
@@ -101,10 +92,8 @@ class PulseSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
-        streams = tuple(
-            _finite_complex_array(s, f"stream {i}")
-            for i, s in enumerate(self.streams)
-        )
+        streams = tuple(require_array(f"stream {i}", s, (None,))
+                        for i, s in enumerate(self.streams))
         if not streams:
             raise UsageError("schedule needs at least one amplitude stream")
         n = len(streams[0])
@@ -919,11 +908,9 @@ def optimize_snap_displacement_sequence(
             raise ShapeError("sequence preparation targets a single mode")
         tvec = np.asarray(target.amplitudes)
     else:
-        tvec = np.asarray(target, dtype=complex)
-        if tvec.ndim != 1 or len(tvec) < 2:
-            raise ShapeError("target must be a 1-D amplitude vector")
-        if not np.all(np.isfinite(tvec.real) & np.isfinite(tvec.imag)):
-            raise NumericError("non-finite target amplitudes")
+        tvec = require_array("target", target, (None,))
+        if len(tvec) < 2:
+            raise ShapeError(f"target needs at least 2 amplitudes, got {len(tvec)}")
     nrm = np.linalg.norm(tvec)
     if nrm < 1e-12:
         raise UsageError("target state is null")

@@ -42,6 +42,7 @@ from .errors import (
     NUMBERS,
     read_fields,
     read_kind,
+    require_array,
     require_capacity,
     require_complex,
     require_finite,
@@ -117,14 +118,11 @@ class SampledWaveform:
     t0_s: float = 0.0
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float, copy=True, order="C")
-        if vals.ndim != 1 or len(vals) < 2:
-            raise ShapeError("sampled waveform needs a 1-D array of >= 2 values")
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("non-finite waveform samples")
+        vals = require_array("values", self.values, (None,), float)
+        if len(vals) < 2:
+            raise ShapeError(f"sampled waveform needs >= 2 values, got {len(vals)}")
         if np.any(vals < 0):
             raise UsageError("coupling rates must be nonnegative")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
         object.__setattr__(self, "t0_s", require_finite("t0_s", self.t0_s))
@@ -426,9 +424,9 @@ def on_off_ratio(waveform, floor_hz: float,
         grid = np.linspace(t_span_s[0], t_span_s[1], samples)
         peak = float(np.max(np.abs(_evaluate_rates(waveform, grid, "waveform"))))
     else:
-        vals = np.asarray(waveform, dtype=float)
-        if vals.ndim != 1 or len(vals) == 0:
-            raise ShapeError("waveform must be 1-D and non-empty")
+        vals = require_array("waveform", waveform, (None,), float)
+        if len(vals) == 0:
+            raise ShapeError("waveform must be non-empty")
         peak = float(np.max(np.abs(vals)))
     return peak / floor_hz
 

@@ -27,9 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, is_complex,
-                     require_capacity, require_complex, require_count, require_positive,
-                     require_reals)
+from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, require_array,
+                     require_capacity, require_count, require_positive, require_reals)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
 from .gates import Circuit, GateSpec, _run
 
@@ -49,14 +48,7 @@ class QuditHamiltonian:
 
     def __post_init__(self) -> None:
         for name in ("diagonal", "kinetic_diagonal"):
-            entries = np.asarray(getattr(self, name), dtype=object)
-            if entries.ndim != 1:
-                raise ShapeError(f"{name} must be a 1-D real vector")
-            arr = np.array(require_reals(f"{name} entry", entries.tolist()), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"non-finite entries in {name}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, require_array(name, getattr(self, name), (None,), float))
         if len(self.diagonal) != len(self.kinetic_diagonal):
             raise ShapeError(
                 f"length mismatch: diagonal has {len(self.diagonal)} entries, "
@@ -123,8 +115,8 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
 
 def _state_vector(psi0, n: int) -> StateVector:
     """psi0 as a normalized state on n levels: |0> for None, a StateVector
-    of dimension n, or a 1-D list, tuple or array of n amplitudes, each
-    read with require_complex. ShapeError comes before any allocation."""
+    of dimension n, or a 1-D list, tuple or array of n amplitudes
+    (`require_array`)."""
     shape = HilbertShape((n,))
     if psi0 is None:
         return basis_state(shape, 0)
@@ -135,17 +127,7 @@ def _state_vector(psi0, n: int) -> StateVector:
                 f"Hamiltonian has {n} levels"
             )
         return StateVector(shape, psi0.amplitudes.reshape(n)).normalized()
-    if isinstance(psi0, np.ndarray):
-        flat = psi0.ndim == 1
-    else:  # a list of rows, even or ragged, is not 1-D
-        flat = isinstance(psi0, (list, tuple)) and not (
-            psi0 and all(isinstance(v, (list, tuple, np.ndarray)) for v in psi0))
-    if not flat:
-        raise ShapeError(f"initial state must be a 1-D list of {n} amplitudes")
-    if len(psi0) != n:
-        raise ShapeError(f"initial state length {len(psi0)} != {n} levels")
-    amp = np.array([require_complex("psi0 entry", v) for v in psi0])
-    return StateVector(shape, amp).normalized()
+    return StateVector(shape, require_array("psi0", psi0, (n,))).normalized()
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,24 +196,7 @@ def _operator(op, n: int, what: str):
         if op.shape.dims != (n,):
             raise ShapeError(f"{what} must be a circuit on shape ({n},), got {op.shape.dims}")
         return op
-    if isinstance(op, Operator):
-        mat = op.matrix
-    else:
-        try:
-            mat = np.asarray(op)
-        except ValueError as exc:  # ragged rows
-            raise ShapeError(f"{what} must be {n}x{n}, got ragged rows") from exc
-        if not isinstance(op, np.ndarray):  # numpy reads a bool among numbers as one
-            bad = [v for v in np.asarray(op, dtype=object).flat if not is_complex(v)]
-            if bad:
-                raise UsageError(f"{what} entries must be numbers, got {bad[0]!r}")
-        if mat.dtype.kind not in "iufc":
-            raise UsageError(f"{what} entries must be numbers, got dtype {mat.dtype}")
-    if mat.shape != (n, n):
-        raise ShapeError(f"{what} must be {n}x{n}, got {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise NumericError(f"non-finite entries in {what}")
-    return mat.astype(complex, copy=False)
+    return require_array(what, op.matrix if isinstance(op, Operator) else op, (n, n))
 
 
 def _eigenbasis(op, q_dag: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ index site (`errors.require_index`) refuses anything but an integer in
 [0, size); a complex site (`errors.require_complex`) refuses anything but
 a complex or real number; a dimension site (`fock.shape_of`) refuses anything but an
 integer of at least 1, and a total dimension over the cap, before it
-allocates. All raise UsageError naming the argument (InvalidDimensionError
+allocates; an array site (`errors.require_array`) refuses an entry that is
+not a number (not a real number at a real site), and ragged rows or any
+other shape. All raise UsageError naming the argument (InvalidDimensionError
 for a HilbertShape dimension), and a numpy scalar of an accepted type gives
 the same result as the Python number.
 """
@@ -136,11 +138,6 @@ NUMBER_SITES = {
         "carriers_hz", lambda v: pulse.PulseSchedule(1.0, (np.ones(2),), (v,)).carriers_hz),
     "detuning_sweep.delta_list": (
         "delta_list", lambda v: qst.detuning_sweep(_matched_config(), [0.0, v]).rows),
-    "QuditHamiltonian.diagonal": (
-        "diagonal", lambda v: trotter.QuditHamiltonian([0.5, v], [0.0, 1.0]).diagonal),
-    "QuditHamiltonian.kinetic_diagonal": (
-        "kinetic_diagonal",
-        lambda v: trotter.QuditHamiltonian([0.5, 1.0], [v, 0.0]).kinetic_diagonal),
     "otoc_series.times_s": (
         "times_s", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [0.0, v])),
 }
@@ -159,21 +156,51 @@ COMPLEX_SITES = {
     "coherent_state.alpha": ("alpha", lambda v: fock.coherent_state(v, 16).amplitudes),
     "QstConfig.input_state": (
         "input_state entry", lambda v: _qst_config(input_state=(0.0, v)).input_state),
-    "evolve_trotter.psi0": ("psi0 entry", lambda v: trotter.evolve_trotter(
-        HAMILTONIAN, 1.0, 2, [0.0, v, 0.0]).state.amplitudes),
-    "otoc_series.psi0": (
-        "psi0 entry", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN,
-                                                    [0.0, 0.5], (0.0, v, 0.0))),
 }
+
+# array sites (`errors.require_array`): site -> (argument name in the message,
+# call with the whole array argument set to a); a takes 3 entries, or 3x3 at
+# MATRIX_SITES, and REAL_ARRAY_SITES take real entries only
+ARRAY_SITES = {
+    "StateVector.amplitudes": ("amplitudes", lambda a: fock.StateVector(3, a).amplitudes),
+    "Operator.matrix": ("matrix", lambda a: fock.Operator(3, a).matrix),
+    "PulseSchedule.streams": (
+        "stream 0", lambda a: pulse.PulseSchedule(1e-9, (a,), (0.0,)).streams),
+    "SampledWaveform.values": ("values", lambda a: qst.SampledWaveform(a, 0.5).values),
+    "on_off_ratio.waveform": ("waveform", lambda a: qst.on_off_ratio(a, 0.5)),
+    "optimize_snap_displacement_sequence.target": (
+        "target", lambda a: pulse.optimize_snap_displacement_sequence(
+            a, blocks=1, iterations=2).thetas),
+    "QuditHamiltonian.diagonal": (
+        "diagonal", lambda a: trotter.QuditHamiltonian(a, [0.1, 0.0, -0.3]).diagonal),
+    "QuditHamiltonian.kinetic_diagonal": (
+        "kinetic_diagonal",
+        lambda a: trotter.QuditHamiltonian([0.0, 0.5, 0.25], a).kinetic_diagonal),
+    "evolve_trotter.psi0": (
+        "psi0", lambda a: trotter.evolve_trotter(HAMILTONIAN, 1.0, 2, a).state.amplitudes),
+    "otoc_series.psi0": ("psi0", lambda a: trotter.otoc_series(
+        np.eye(3), np.eye(3), HAMILTONIAN, [0.0, 0.5], a)),
+    "otoc_series.W": (
+        "W", lambda a: trotter.otoc_series(a, np.eye(3), HAMILTONIAN, [0.0, 0.5])),
+    "otoc_series.V": (
+        "V", lambda a: trotter.otoc_series(np.eye(3), a, HAMILTONIAN, [0.0, 0.5])),
+}
+MATRIX_SITES = {"Operator.matrix", "otoc_series.W", "otoc_series.V"}
+REAL_ARRAY_SITES = {"SampledWaveform.values", "on_off_ratio.waveform",
+                    "QuditHamiltonian.diagonal", "QuditHamiltonian.kinetic_diagonal"}
+
+
+def _with_entry(site, v):
+    """[0, v, 0] as the array argument of site, or at a matrix site as the
+    first row of [[0, v, 0], [1, 0, 0], [0, 0, 1]]."""
+    row = [0.0, v, 0.0]
+    return [row, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]] if site in MATRIX_SITES else row
+
 
 # list operand sites, as REAL_SITES with one entry of a list of rows set to v;
 # 1 is a valid entry at every site
-ENTRY_SITES = {
-    "otoc_series.W": ("W", lambda v: trotter.otoc_series(
-        [[0.0, v, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], np.eye(3), HAMILTONIAN, [0.0, 0.5])),
-    "otoc_series.V": ("V", lambda v: trotter.otoc_series(
-        np.eye(3), [[0.0, v, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], HAMILTONIAN, [0.0, 0.5])),
-}
+ENTRY_SITES = {site: (name, lambda v, site=site, call=call: call(_with_entry(site, v)))
+               for site, (name, call) in ARRAY_SITES.items()}
 
 # NUMBER_SITES that also refuse NaN and ±inf (`errors.require_finite`)
 FINITE_SITES = ["grape_optimize.tol", "grape_optimize.leak_weight",
@@ -349,16 +376,38 @@ def test_complex_site_accepts_numpy_scalars(site, value):
 def test_entry_site_refuses(site, value):
     # a bool among floats was read as 1.0 or 0.0
     name, call = ENTRY_SITES[site]
-    with pytest.raises(UsageError, match=f"^{name} entries must be numbers, got "):
+    with pytest.raises(UsageError, match=f"^{name} entries must be (real )?numbers, got "):
         call(value)
 
 
-@pytest.mark.parametrize("value", [np.complex128(1.0), np.float64(1.0), np.int64(1), 1, 1 + 0j],
-                         ids=repr)
-@pytest.mark.parametrize("site", ENTRY_SITES)
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{value!r}")
+    for site in ENTRY_SITES
+    for value in [np.complex128(1.0), np.float64(1.0), np.int64(1), 1, 1 + 0j]
+    # a real site refuses a complex entry (test_real_entry_site_refuses_complex)
+    if not (site in REAL_ARRAY_SITES and isinstance(value, complex))])
 def test_entry_site_accepts_numpy_scalars(site, value):
     _, call = ENTRY_SITES[site]
     np.testing.assert_equal(call(value), call(1.0))
+
+
+@pytest.mark.parametrize("value", [1j, np.complex128(1.0), 1 + 0j], ids=repr)
+@pytest.mark.parametrize("site", sorted(REAL_ARRAY_SITES))
+def test_real_entry_site_refuses_complex(site, value):
+    # a complex entry lost its imaginary part, with a ComplexWarning
+    name, call = ENTRY_SITES[site]
+    with pytest.raises(UsageError, match=f"^{name} entries must be real numbers, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_array_site_refuses_ragged_rows_and_dicts(site):
+    # each escaped as a raw ValueError or TypeError from numpy
+    name, call = ARRAY_SITES[site]
+    ragged = [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
+    for bad in (ragged, _with_entry(site, [1.0, 0.0]), {0: 1.0}, _with_entry(site, {0: 1.0})):
+        with pytest.raises(UsageError, match=f"^{name} "):
+            call(bad)
 
 
 @pytest.mark.parametrize("psi0", [[[1.0, 0.0, 0.0]], [[1.0, 0.0], [0.0]], np.zeros((3, 1)),
@@ -367,16 +416,20 @@ def test_psi0_that_is_not_one_dimensional_is_a_shape_error(psi0):
     # a ragged list escaped as a bare ValueError; a 2-D one was flattened
     for call in (lambda: trotter.evolve_trotter(HAMILTONIAN, 1.0, 2, psi0),
                  lambda: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [0.0], psi0)):
-        with pytest.raises(ShapeError, match="^initial state must be a 1-D list of 3 amplitudes$"):
+        with pytest.raises(ShapeError, match="^psi0 must be 1-D of length 3, got "):
             call()
 
 
-def test_psi0_length_checked_before_allocation():
+@pytest.mark.parametrize("name, call", [
+    ("psi0", lambda a: trotter.evolve_trotter(HAMILTONIAN, 1.0, 2, a)),
+    ("amplitudes", lambda a: fock.StateVector(3, a))], ids=["psi0", "StateVector"])
+def test_psi0_length_checked_before_allocation(name, call):
     psi0 = [0.0] * (1 << 20)
+    message = f"^{name} must be 1-D of length 3, got length 1048576$"
     tracemalloc.start()
     try:
-        with pytest.raises(ShapeError, match=r"^initial state length 1048576 != 3 levels$"):
-            trotter.evolve_trotter(HAMILTONIAN, 1.0, 2, psi0)
+        with pytest.raises(ShapeError, match=message):
+            call(psi0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -75,11 +75,11 @@ class TestQuditHamiltonian:
     def test_entries_follow_the_real_number_rule(self, name, bad):
         # booleans and numeric strings were coerced to floats
         fields = {"diagonal": [0.0, 1.0], "kinetic_diagonal": [0.0, 1.0], name: bad}
-        with pytest.raises(UsageError, match=f"{name} entry must be a real number"):
+        with pytest.raises(UsageError, match=f"{name} entries must be real numbers"):
             trotter.QuditHamiltonian(**fields)
 
     def test_two_dimensional_list_is_a_shape_error(self):
-        with pytest.raises(ShapeError, match="diagonal must be a 1-D real vector"):
+        with pytest.raises(ShapeError, match=r"diagonal must be 1-D, got \(2, 2\)"):
             trotter.QuditHamiltonian([[1.0, 2.0], [3.0, 4.0]], [0.0, 1.0])
 
 
