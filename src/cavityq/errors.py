@@ -8,21 +8,21 @@ once, in a table read by `read_fields` (`read_kind` for one with a
 optional. `read_object` decodes the object (`decode_object`) and rejects
 a missing or an unlisted field; each field is then read with `read_field`,
 or with `read_numbers` where its types are `NUMBERS`. Every parser tests JSON
-numbers with `is_json_number` (a whole matrix with `is_json_number_rows`)
-and JSON integers with `is_json_int`. API arguments follow eight rules,
-listed site by site in the README: `require_count` for counts, seeds and
-photon numbers, `fock.shape_of` for dimensions, before any allocation,
-`require_index` for level, subsystem and basis indices, `require_real`
-for other real numbers, `require_complex` for complex amplitudes,
-`require_finite` for tolerances, weights and time origins,
-`require_positive` for time steps, durations, couplings, rates and other
-positive reals, and `require_array` for arrays: states, matrices, pulse
-streams and sample lists. `require_capacity` caps the work or memory
-that the counts of a request set, before any allocation (`CapacityError`,
-exit 4). Lists of numbers are tested in bulk with `are_reals`: SNAP
-phases, JSON number lists (`read_numbers`), the lists that
-`require_array` reads and, through `require_reals`, the lists of real
-API arguments.
+numbers with `is_json_number` (a whole matrix with `is_json_number_rows`),
+which refuses an int too large for a float, and JSON integers with
+`is_json_int`. API arguments follow eight rules, listed site by site in
+the README: `require_count` for counts, seeds and photon numbers,
+`fock.shape_of` for dimensions, before any allocation, `require_index`
+for level, subsystem and basis indices, `require_real` for other real
+numbers, `require_complex` for complex amplitudes, `require_finite` for
+tolerances, weights and time origins, `require_positive` for time steps,
+durations, couplings, rates and other positive reals, and
+`require_array` for arrays: states, matrices, pulse streams and sample
+lists. `require_capacity` caps the work or memory that the counts of a
+request set, before any allocation (`CapacityError`, exit 4). Lists of
+numbers are tested in bulk with `are_reals`: SNAP phases, JSON number
+lists (`read_numbers`), the lists that `require_array` reads and,
+through `require_reals`, the lists of real API arguments.
 """
 
 import json
@@ -30,18 +30,26 @@ import math
 import numbers
 
 
+# the least int that float() cannot take: 2**1024 - 2**970 rounds to 2**1024
+_FLOAT_INT_BOUND = 2**1024 - 2**970
+
+
 def is_json_number(value) -> bool:
-    """A JSON number: an int or float, but not a bool (an int subclass)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number: a float, or an int that converts to one (not a bool,
+    an int subclass, nor an int too large for a float)."""
+    return isinstance(value, float) or (
+        is_json_int(value) and -_FLOAT_INT_BOUND < value < _FLOAT_INT_BOUND)
 
 
 def is_json_number_rows(rows) -> bool:
     """A list of lists of JSON numbers as the JSON decoder returns them: the
     bulk form of is_json_number, one set of entry types rather than one call
-    per entry. NaN and Infinity, which the decoder reads as floats, pass;
-    test finiteness on the converted array."""
+    per entry, and a range test of the ints alone. NaN and Infinity, which
+    the decoder reads as floats, pass; test finiteness on the converted array."""
     return (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
-            and {type(v) for r in rows for v in r} <= {int, float})
+            and {type(v) for r in rows for v in r} <= {int, float}
+            and all(-_FLOAT_INT_BOUND < v < _FLOAT_INT_BOUND
+                    for r in rows for v in r if type(v) is int))
 
 
 def is_json_int(value) -> bool:
@@ -199,7 +207,7 @@ def decode_object(source, what: str) -> dict:
     if isinstance(source, str):
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
             raise ParseError(f"invalid {what} JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{what} must be a JSON object")
@@ -275,9 +283,12 @@ def read_numbers(doc: dict, name: str, what: str, default=_REQUIRED):
     val = read_field(doc, name, list, what, default)
     if not isinstance(val, list):
         return val
-    if not are_reals(val, is_json_number):
-        raise ParseError(f"{what}: field '{name}' must be a list of numbers")
-    return list(map(float, val))
+    if are_reals(val, is_json_number):
+        try:
+            return list(map(float, val))
+        except OverflowError:  # an int too large for a float, which is_json_number refuses
+            pass
+    raise ParseError(f"{what}: field '{name}' must be a list of numbers")
 
 
 class CavityQError(Exception):

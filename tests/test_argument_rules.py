@@ -490,6 +490,17 @@ def test_bulk_read_numbers_matches_per_entry_rule(entries):
         == _outcome(_read_numbers_per_entry, doc, "xs", "cfg")
 
 
+@pytest.mark.parametrize("entries", [[10**400], [1.0, -(10**400)], [2**1024 - 2**970 - 1]],
+                         ids=["10**400", "-10**400", "largest"])
+def test_bulk_json_readers_match_per_entry_rule_beyond_the_float_range(entries):
+    # read_numbers passed an int too large for a float to float(): OverflowError
+    doc = {"xs": entries}
+    assert _outcome(errors.read_numbers, doc, "xs", "cfg") \
+        == _outcome(_read_numbers_per_entry, doc, "xs", "cfg")
+    assert errors.is_json_number_rows([entries, [0.5]]) \
+        == all(map(errors.is_json_number, entries))
+
+
 @pytest.mark.parametrize("entries", BULK_ENTRIES, ids=repr)
 def test_require_reals_matches_per_entry_rule(entries):
     # the list rule of otoc_series times, PulseSchedule carriers and detuning_sweep
@@ -761,6 +772,40 @@ def test_cli_dimension_over_cap_exits_4(command, doc, tmp_path, capsys, monkeypa
     assert cli.main(["--out", str(tmp_path), command, str(config)]) == 4
     err = capsys.readouterr().err
     assert err == "error: total dimension 100 exceeds cap 64\n"
+
+
+BIG = 10**400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("command, field, doc", [
+    ("device", "g_hz", {**DEVICE, "g_hz": BIG}),
+    ("grape", "dt_s", {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
+                       "n_segments": 5, "dt_s": BIG}),
+    ("trotter", "diagonal", {"diagonal": [0.3, BIG], "kinetic_diagonal": [0.1, 0.3],
+                             "t_total_s": 1.0, "steps_list": [10]}),
+    ("qst", "kappa_hz", {"kappa_hz": BIG, "t_span_s": [-2e-5, 2e-5], "dt_s": 4e-8,
+                         "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}}),
+    ("code", "alpha", {"alpha": [BIG, 0.0], "n_levels": 10, "t1_s": 1e-3, "dt_s": 1e-7,
+                       "steps": 10}),
+    ("run", "alpha", {"shape": [8], "gates": [{"kind": "displacement", "target": 0,
+                                               "alpha": BIG}]}),
+], ids=["device", "grape", "trotter", "qst", "code", "run"])
+def test_cli_huge_integer_in_float_field_exits_2(command, field, doc, tmp_path, capsys):
+    # each ended in an OverflowError traceback and exit 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["--out", str(tmp_path), command, str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{field}'" in err
+
+
+def test_cli_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads raised a bare ValueError past 4300 digits: a traceback and exit 1
+    config = tmp_path / "grape.json"
+    config.write_text('{"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"}, '
+                      f'"n_segments": 5, "dt_s": 1{"0" * 5000}}}')
+    assert cli.main(["--out", str(tmp_path), "grape", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid grape config JSON: ")
 
 
 def test_cli_zero_segments_refused(tmp_path, capsys):

@@ -183,6 +183,11 @@ CLI_OVER_CAP = {
     "trotter": ("trotter", dict(TROTTER, steps_list=[10**13]),
                 "max(steps_list) 10000000000000 × n_levels 4 is 40000000000000 level-steps"),
     "run": ("run", _displaced(65536), "a displaced mode is 65536 levels"),
+    # counts too large for a float, which float fields refuse
+    "grape 10**400": ("grape", dict(GRAPE, n_segments=10**400),
+                      f"n_segments {10**400} × n_streams 1 is over 1e+308 stream segments"),
+    "trotter 10**400": ("trotter", dict(TROTTER, steps_list=[10**400]),
+                        f"max(steps_list) {10**400} × n_levels 4 is over 1e+308 level-steps"),
 }
 
 

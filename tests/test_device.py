@@ -200,6 +200,15 @@ class TestJsonNumberRule:
     def test_not_numbers(self, value):
         assert not errors.is_json_number(value)
 
+    def test_ints_beyond_the_float_range(self):
+        # float() of each raised OverflowError, a traceback with exit 1
+        edge = 2**1024 - 2**970  # the least int that rounds past the largest float
+        assert errors.is_json_number(edge - 1) and float(edge - 1) == 1.7976931348623157e308
+        for value in (edge, -edge, 10**400):
+            assert not errors.is_json_number(value)
+            with pytest.raises(OverflowError):
+                float(value)
+
 
 @pytest.mark.parametrize("field", list(device._FIELDS))
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
