@@ -44,12 +44,14 @@ def is_json_number(value) -> bool:
 def is_json_number_rows(rows) -> bool:
     """A list of lists of JSON numbers as the JSON decoder returns them: the
     bulk form of is_json_number, one set of entry types rather than one call
-    per entry, and a range test of the ints alone. NaN and Infinity, which
-    the decoder reads as floats, pass; test finiteness on the converted array."""
-    return (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
-            and {type(v) for r in rows for v in r} <= {int, float}
-            and all(-_FLOAT_INT_BOUND < v < _FLOAT_INT_BOUND
-                    for r in rows for v in r if type(v) is int))
+    per entry, then a range test of the ints if there are any. NaN and
+    Infinity, which the decoder reads as floats, pass; test finiteness on
+    the converted array."""
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        return False
+    types = {type(v) for r in rows for v in r}
+    return types <= {float} or types <= {int, float} and all(
+        -_FLOAT_INT_BOUND < v < _FLOAT_INT_BOUND for r in rows for v in r if type(v) is int)
 
 
 def is_json_int(value) -> bool:
@@ -160,8 +162,8 @@ def require_array(name: str, values, shape: tuple, dtype=complex):
     infinity or an int too large for a float raises NumericError."""
     import numpy as np
 
-    want = (f"1-D of length {shape[0]}" if shape[0] else "1-D") if len(shape) == 1 \
-        else "x".join(map(str, shape))
+    want = ((f"1-D of length {shape[0]}" if shape[0] is not None else "1-D") if len(shape) == 1
+            else "x".join(map(str, shape)))
     if isinstance(values, (list, tuple)) and None not in shape and len(values) != shape[0]:
         raise ShapeError(f"{name} must be {want}, got length {len(values)}")
     entries, flat = values, None
