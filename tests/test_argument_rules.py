@@ -197,7 +197,7 @@ def _with_entry(site, v):
     return [row, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]] if site in MATRIX_SITES else row
 
 
-# list operand sites, as REAL_SITES with one entry of a list of rows set to v;
+# ARRAY_SITES as REAL_SITES, with one entry of the array set to v (`_with_entry`);
 # 1 is a valid entry at every site
 ENTRY_SITES = {site: (name, lambda v, site=site, call=call: call(_with_entry(site, v)))
                for site, (name, call) in ARRAY_SITES.items()}
@@ -394,7 +394,7 @@ def test_entry_site_accepts_numpy_scalars(site, value):
 @pytest.mark.parametrize("value", [1j, np.complex128(1.0), 1 + 0j], ids=repr)
 @pytest.mark.parametrize("site", sorted(REAL_ARRAY_SITES))
 def test_real_entry_site_refuses_complex(site, value):
-    # a complex entry lost its imaginary part, with a ComplexWarning
+    # SampledWaveform and on_off_ratio raised a raw TypeError from float()
     name, call = ENTRY_SITES[site]
     with pytest.raises(UsageError, match=f"^{name} entries must be real numbers, got "):
         call(value)
