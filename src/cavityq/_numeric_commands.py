@@ -10,9 +10,8 @@ import numpy as np
 # for an unloaded layer (`spans.Tracer.install`); to go with ROADMAP item 1
 from . import codes, fock, gates, noise, pulse, qst, trotter
 from .cli import _Result
-from .errors import (NUMBERS, NumericError, ParseError, UsageError, decode_object, is_json_int,
-                     is_json_number_rows, read_fields, read_kind, require_count,
-                     require_index)
+from .errors import (NUMBERS, ParseError, UsageError, decode_object, is_json_int, parse_errors,
+                     read_fields, read_kind, require_array, require_count, require_index)
 
 _PROB_FLOOR = 1e-12
 
@@ -95,29 +94,11 @@ def _grape_model(spec: dict):
                                   cavity_drive=f["cavity_drive"])
 
 
-def _snap_theta(theta: list[float], n: int, what: str) -> list[float]:
-    """The n phases of a "snap" operator spec, checked by the SNAP count
-    rule (`gates._snap_phases`); a fault is named with its field."""
-    try:
-        gates._snap_phases(theta, n, "snap theta")
-    except (UsageError, NumericError) as exc:
-        raise ParseError(f"{what}: {exc}") from exc
-    return theta
-
-
 def _matrix(f: dict, n: int, what: str) -> np.ndarray:
-    """The n×n matrix of a "matrix" operator spec's fields."""
-    re, im = f["re"], f["im"]
-    if not (is_json_number_rows(re) and is_json_number_rows(im)):
-        raise ParseError(f"{what}: 're' and 'im' must be lists of rows of numbers")
-    try:
-        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-    except ValueError as exc:  # ragged rows
-        raise ParseError(f"{what}: bad matrix: {exc}") from exc
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise ParseError(f"{what}: matrix must be {n}x{n}")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ParseError(f"{what}: matrix entries must be finite")
+    """The n×n matrix of a "matrix" operator spec's fields, its 're' and 'im'
+    rows read by the array rule (`errors.require_array`) and named on a fault."""
+    with parse_errors(what):
+        re, im = (require_array(f"field '{name}'", f[name], (n, n), float) for name in ("re", "im"))
     return re + 1j * im
 
 
@@ -132,7 +113,9 @@ def _grape_target(spec: dict, shape: fock.HilbertShape) -> fock.Operator:
             raise ParseError("grape target: pauli_x needs a 2-level model")
         return fock.Operator(shape, np.array([[0, 1], [1, 0]], dtype=complex))
     if kind == "snap":
-        return fock.Operator(shape, gates.snap(_snap_theta(f["theta"], dim, "grape target")).matrix)
+        with parse_errors("grape target"):
+            theta = gates._snap_phases(f["theta"], dim, "snap theta")
+        return fock.Operator(shape, gates.snap(theta).matrix)
     return fock.Operator(shape, _matrix(f, dim, "grape target"))
 
 
@@ -222,7 +205,9 @@ def _otoc_operator(spec: dict, name: str, n: int):
         return _matrix(f, n, what)
     params = {"target": 0}
     if kind == "snap":
-        params["theta"] = _snap_theta(f["theta"], n, what)
+        with parse_errors(what):
+            gates._snap_phases(f["theta"], n, "snap theta")
+        params["theta"] = f["theta"]
     return gates.Circuit(fock.HilbertShape((n,)), (gates.GateSpec(kind, params),))
 
 

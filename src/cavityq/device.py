@@ -16,7 +16,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .errors import (DegenerateDetuningError, NumericError, ParseError, UsageError,
+from .errors import (DegenerateDetuningError, NumericError, UsageError, parse_errors,
                      read_fields, require_count, require_positive, require_real)
 
 _FIELDS = (
@@ -70,10 +70,8 @@ class DeviceParams:
     @classmethod
     def from_json(cls, text: str) -> "DeviceParams":
         fields = read_fields(text, "device params", dict.fromkeys(_FIELDS, float))
-        try:
+        with parse_errors("device JSON invalid"):
             return cls(**fields)
-        except UsageError as exc:
-            raise ParseError(f"device JSON invalid: {exc}") from exc
 
 
 def _finite(name: str, compute) -> float:

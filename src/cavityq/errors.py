@@ -8,23 +8,25 @@ once, in a table read by `read_fields` (`read_kind` for one with a
 optional. `read_object` decodes the object (`decode_object`) and rejects
 a missing or an unlisted field; each field is then read with `read_field`,
 or with `read_numbers` where its types are `NUMBERS`. Every parser tests JSON
-numbers with `is_json_number` (a whole matrix with `is_json_number_rows`),
-which refuses an int too large for a float, and JSON integers with
-`is_json_int`. API arguments follow eight rules, listed site by site in
-the README: `require_count` for counts, seeds and photon numbers,
-`fock.shape_of` for dimensions, before any allocation, `require_index`
-for level, subsystem and basis indices, `require_real` for other real
-numbers, `require_complex` for complex amplitudes, `require_finite` for
-tolerances, weights and time origins, `require_positive` for time steps,
-durations, couplings, rates and other positive reals, and
-`require_array` for arrays: states, matrices, pulse streams and sample
-lists. `require_capacity` caps the work or memory that the counts of a
-request set, before any allocation (`CapacityError`, exit 4). Lists of
-numbers are tested in bulk with `are_reals`: SNAP phases, JSON number
-lists (`read_numbers`), the lists that `require_array` reads and,
-through `require_reals`, the lists of real API arguments.
+numbers with `is_json_number`, which refuses an int too large for a float,
+and JSON integers with `is_json_int`. API arguments follow eight rules,
+listed site by site in the README: `require_count` for counts, seeds and
+photon numbers, `fock.shape_of` for dimensions, before any allocation,
+`require_index` for level, subsystem and basis indices, `require_real` for
+other real numbers, `require_complex` for complex amplitudes,
+`require_finite` for tolerances, weights and time origins,
+`require_positive` for time steps, durations, couplings, rates and other
+positive reals, and `require_array` for arrays: states, matrices, pulse
+streams, sample lists, SNAP phases and the arrays of JSON configs, whose
+readers re-raise its errors as ParseError (`parse_errors`).
+`require_capacity` caps the work or memory that the counts of a request
+set, before any allocation (`CapacityError`, exit 4). Lists of numbers
+are tested in bulk with `are_reals`.
 """
 
+import contextlib
+import functools
+import itertools
 import json
 import math
 import numbers
@@ -39,19 +41,6 @@ def is_json_number(value) -> bool:
     an int subclass, nor an int too large for a float)."""
     return isinstance(value, float) or (
         is_json_int(value) and -_FLOAT_INT_BOUND < value < _FLOAT_INT_BOUND)
-
-
-def is_json_number_rows(rows) -> bool:
-    """A list of lists of JSON numbers as the JSON decoder returns them: the
-    bulk form of is_json_number, one set of entry types rather than one call
-    per entry, then a range test of the ints if there are any. NaN and
-    Infinity, which the decoder reads as floats, pass; test finiteness on
-    the converted array."""
-    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-        return False
-    types = {type(v) for r in rows for v in r}
-    return types <= {float} or types <= {int, float} and all(
-        -_FLOAT_INT_BOUND < v < _FLOAT_INT_BOUND for r in rows for v in r if type(v) is int)
 
 
 def is_json_int(value) -> bool:
@@ -115,10 +104,14 @@ def require_index(name: str, value, size: int) -> int:
 
 
 def require_real(name: str, value) -> float:
-    """float(value), or UsageError unless value is a real number (`is_real`)."""
+    """float(value), or UsageError unless value is a real number
+    (`is_real`); NumericError for one too large for a float."""
     if not is_real(value):
         raise UsageError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int, or any other Rational, beyond the float range
+        raise NumericError(f"{name} is too large for a float") from None
 
 
 def require_reals(name: str, values) -> list[float]:
@@ -126,7 +119,10 @@ def require_reals(name: str, values) -> list[float]:
     bulk (`are_reals`)."""
     values = list(values)
     if are_reals(values):
-        return list(map(float, values))
+        try:
+            return list(map(float, values))
+        except OverflowError:  # an int too large for a float, named below
+            pass
     return [require_real(name, v) for v in values]
 
 
@@ -152,45 +148,80 @@ def require_positive(name: str, value) -> float:
     return float(value)
 
 
-def require_array(name: str, values, shape: tuple, dtype=complex):
-    """A read-only C-ordered copy of values as an array of dtype (complex,
-    or float for reals) of the given shape, where None takes any length.
-    A list or tuple of an exact shape has its length checked before any
-    copy; ragged rows or any other shape raise ShapeError; an entry that is
-    not a number (`is_complex`, or `is_real` for float: an ndarray by its
-    dtype kind, a list in bulk by entry type) raises UsageError; a NaN, an
-    infinity or an int too large for a float raises NumericError."""
+@functools.cache
+def _bulk_types(dtype) -> frozenset:
+    """Python and numpy ints and floats, and complexes for dtype complex."""
     import numpy as np
 
-    want = ((f"1-D of length {shape[0]}" if shape[0] is not None else "1-D") if len(shape) == 1
+    reals = {int, float, np.int32, np.int64, np.float32, np.float64}
+    return frozenset(reals | {complex, np.complex64, np.complex128} if dtype is complex else reals)
+
+
+def _shape_error(name: str, shape: tuple, got) -> "ShapeError":
+    want = ("1-D" if shape == (None,) else f"1-D of length {shape[0]}" if len(shape) == 1
             else "x".join(map(str, shape)))
-    if isinstance(values, (list, tuple)) and None not in shape and len(values) != shape[0]:
-        raise ShapeError(f"{name} must be {want}, got length {len(values)}")
-    entries, flat = values, None
-    if not isinstance(values, np.ndarray):
+    return ShapeError(f"{name} must be {want}, got {got}")
+
+
+def require_array(name: str, values, shape: tuple, dtype=complex):
+    """A read-only C-ordered copy of values as an array of dtype (complex,
+    or float for reals) of an exact shape, or 1-D for (None,). A list's
+    length is checked before any copy; ragged rows or any other shape raise
+    ShapeError; an entry that is not a number (`is_complex`, or `is_real`
+    for float) raises UsageError; NaN, ±inf or an int too large for a float
+    raise NumericError. A list whose entries, flat or in rows, all have
+    `_bulk_types` takes one np.array call; any other list goes through an
+    object array, tested in bulk (`are_reals`), an ndarray by dtype kind."""
+    import numpy as np
+
+    arr = None
+    if isinstance(values, (list, tuple)):
+        if len(values) != shape[0] and shape[0] is not None:
+            raise _shape_error(name, shape, f"length {len(values)}")
+        types = set(map(type, values))
+        if types <= {list, tuple}:  # rows, or no entries
+            types = set(map(type, itertools.chain.from_iterable(values)))
+        if types <= _bulk_types(dtype):
+            try:
+                arr = np.array(values, dtype=dtype)
+            except (ValueError, OverflowError):  # ragged rows, or an int too large
+                pass  # for a float: the object array below names which
+    entries, flat = values if arr is None else arr, None
+    if arr is None and not isinstance(values, np.ndarray):
         try:
             entries = np.array(values, dtype=object)
             flat = entries.ravel().tolist()
             if not {list, tuple}.isdisjoint(map(type, flat)):
                 raise ValueError
         except ValueError:  # rows of lists, or of arrays that differ in shape
-            raise ShapeError(f"{name} must be {want}, got ragged rows") from None
-    if entries.ndim != len(shape) or any(w not in (None, g) for w, g in zip(shape, entries.shape)):
-        raise ShapeError(f"{name} must be {want}, got {entries.shape}")
-    test, numbers = (is_real, "real numbers") if dtype is float else (is_complex, "numbers")
-    if flat is None and values.dtype.kind not in ("iuf" if dtype is float else "iufc"):
-        raise UsageError(f"{name} entries must be {numbers}, got dtype {values.dtype}")
-    if flat is not None and not are_reals(flat, test):
-        raise UsageError(f"{name} entries must be {numbers}, got "
-                         f"{next(v for v in flat if not test(v))!r}")
-    try:
-        arr = np.array(entries, dtype=dtype, order="C")
-        if not np.isfinite(arr).all():
-            raise OverflowError
-    except OverflowError:  # or an int too large for a float
-        raise NumericError(f"non-finite entries in {name}") from None
+            raise _shape_error(name, shape, "ragged rows") from None
+    if entries.shape != shape and (shape != (None,) or entries.ndim != 1):
+        raise _shape_error(name, shape, entries.shape)
+    if arr is None:
+        test, numbers = (is_real, "real numbers") if dtype is float else (is_complex, "numbers")
+        if flat is None and values.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+            raise UsageError(f"{name} entries must be {numbers}, got dtype {values.dtype}")
+        if flat is not None and not are_reals(flat, test):
+            raise UsageError(f"{name} entries must be {numbers}, got "
+                             f"{next(v for v in flat if not test(v))!r}")
+        try:
+            arr = np.array(entries, dtype=dtype, order="C")
+        except OverflowError:  # an int too large for a float
+            raise NumericError(f"{name} holds a number too large for a float") from None
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # .all() adds ~1 µs on short arrays
+        raise NumericError(f"non-finite entries in {name}")
     arr.setflags(write=False)
     return arr
+
+
+@contextlib.contextmanager
+def parse_errors(what: str):
+    """Re-raise a UsageError or NumericError of the block as ParseError
+    naming what: the config reader's form of an argument rule's error."""
+    try:
+        yield
+    except (UsageError, NumericError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 def _field_error(what: str, problem: str, names) -> "ParseError":

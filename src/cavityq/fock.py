@@ -118,7 +118,7 @@ def shape_of(dims: int | Sequence[int] | HilbertShape) -> HilbertShape:
     other value as the dimension of one mode; called before any allocation."""
     if isinstance(dims, HilbertShape):
         return dims
-    if isinstance(dims, (list, tuple)) or np.ndim(dims) == 1:
+    if isinstance(dims, (list, tuple)) or not isinstance(dims, int) and np.ndim(dims) == 1:
         return HilbertShape(tuple(dims))
     return HilbertShape((dims,))
 

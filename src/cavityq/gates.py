@@ -13,8 +13,8 @@ checks, its public constructor and the structured kernel that circuits
 run in its place; no kernel forms an operator bigger than 2×2. Circuit
 compilation, `GateSpec.build` and `circuit_from_json` read that entry,
 and `errors.read_object` checks its field list as it does every config's.
-Every SNAP phase list on n levels is read by `_snap_phases`, the one
-count rule: any count but n raises ShapeError.
+Every SNAP phase list is read by `errors.require_array`, and on n levels
+by `_snap_phases`, the one count rule: any count but n raises ShapeError.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (CapacityError, NumericError, ParseError, ShapeError, UsageError, are_reals,
-                     is_count, is_json_int, is_json_number, is_real, read_fields,
-                     read_object, require_capacity, require_complex, require_count,
-                     require_index, require_real)
+from .errors import (CapacityError, NumericError, ParseError, ShapeError, UsageError, is_count,
+                     is_json_int, is_json_number, read_fields, read_object, require_array,
+                     require_capacity, require_complex, require_count, require_index,
+                     require_real)
 from .fock import (
     HilbertShape,
     Operator,
@@ -52,7 +52,7 @@ MAX_DISPLACEMENT_LEVELS = 2048
 
 def snap(theta: Sequence[float]) -> Operator:
     """SNAP gate diag(e^{iθ_0}, ..., e^{iθ_{N-1}}) on one mode."""
-    theta = _phases(theta, "snap theta")
+    theta = require_array("snap theta", theta, (None,), float)
     if theta.size < 1:
         raise UsageError("snap needs a non-empty 1-D phase list")
     return Operator(HilbertShape((theta.size,)), np.diag(np.exp(1j * theta)))
@@ -386,6 +386,10 @@ _real = _typed(is_json_number, "a number", float)
 _flag = _typed(lambda value: isinstance(value, bool), "a boolean")
 
 
+def _real_list(value, what: str, shape: HilbertShape) -> np.ndarray:
+    return require_array(what, value, (None,), float)
+
+
 def _amplitude(value, what: str, shape: HilbertShape) -> complex:
     if is_json_number(value):
         return complex(value)
@@ -398,25 +402,10 @@ def _amplitude(value, what: str, shape: HilbertShape) -> complex:
     raise UsageError(f"{what} must be a number or [re, im] pair")
 
 
-def _phases(value, what: str, shape: HilbertShape | None = None) -> np.ndarray:
-    """A list (or tuple, or 1-D numpy array) of finite real numbers
-    (`is_real`), as a 1-D float64 array; every SNAP reader takes its phases
-    with it. The types are tested in bulk (`are_reals`: one entry of each
-    type, none when all are int or float); a NaN or infinite phase raises
-    NumericError."""
-    entries = value.tolist() if isinstance(value, np.ndarray) else value
-    if not isinstance(entries, (list, tuple)) or not are_reals(entries, is_real):
-        raise UsageError(f"{what} must be a list of numbers")
-    phases = np.asarray(value, dtype=float)
-    if not np.isfinite(phases).all():
-        raise NumericError(f"non-finite phases in {what}")
-    return phases
-
-
 def _snap_phases(theta, n: int, what: str = "theta") -> np.ndarray:
-    """The phases of a SNAP on n levels, read by `_phases`: the one count
-    rule of every SNAP reader. Any count but n raises ShapeError."""
-    phases = _phases(theta, what)
+    """The phases of a SNAP on n levels, read by `require_array`: the one
+    count rule of every SNAP reader. Any count but n raises ShapeError."""
+    phases = require_array(what, theta, (None,), float)
     if phases.size != n:
         raise ShapeError(f"snap needs {n} phases, got {phases.size}")
     return phases
@@ -552,9 +541,9 @@ def _increment_kernel(args, targets, dims) -> _Kernel:
 
 
 GATE_BUILDERS: dict[str, _GateKind] = {
-    "snap": _GateKind({"target": _subsystem, "theta": _phases},
+    "snap": _GateKind({"target": _subsystem, "theta": _real_list},
                       _snap_args, snap, _phase_kernel),
-    "multisnap": _GateKind({"targets": _subsystems, "theta": _phases},
+    "multisnap": _GateKind({"targets": _subsystems, "theta": _real_list},
                            _multisnap_args, multisnap, _phase_kernel),
     "displacement": _GateKind(
         {"target": _subsystem, "alpha": _amplitude},

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     ShapeError,
     UsageError,
-    is_json_number,
+    parse_errors,
     read_fields,
     require_array,
     require_capacity,
@@ -92,6 +92,10 @@ class PulseSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
+        if not (isinstance(self.streams, (list, tuple))
+                or isinstance(self.streams, np.ndarray) and self.streams.ndim):
+            raise UsageError("streams must be a list, tuple or array of amplitude streams, "
+                             f"got {type(self.streams).__name__}")
         streams = tuple(require_array(f"stream {i}", s, (None,))
                         for i, s in enumerate(self.streams))
         if not streams:
@@ -148,19 +152,13 @@ class PulseSchedule:
             what = f"control {i}"
             if not isinstance(entry, dict):
                 raise ParseError(f"{what} must be an object")
-            control = read_fields(entry, what, {"carrier_hz": float, "amps": list})
-            vals = []
-            for j, pair in enumerate(control["amps"]):
-                if (not isinstance(pair, list) or len(pair) != 2
-                        or not all(is_json_number(x) for x in pair)):
-                    raise ParseError(f"{what} amp {j} must be a [re, im] number pair")
-                vals.append(complex(pair[0], pair[1]))
-            streams.append(np.array(vals, dtype=complex))
-            carriers.append(float(control["carrier_hz"]))
-        try:
+            amps = read_fields(entry, what, {"carrier_hz": float, "amps": list})["amps"]
+            with parse_errors(what):  # each [re, im] row viewed as one complex amplitude
+                pairs = require_array("field 'amps'", amps, (len(amps), 2), float)
+            streams.append(pairs.view(complex).ravel())
+            carriers.append(float(entry["carrier_hz"]))
+        with parse_errors("invalid schedule"):
             return PulseSchedule(float(dt_s), tuple(streams), tuple(carriers))
-        except (UsageError, NumericError) as exc:
-            raise ParseError(f"invalid schedule: {exc}") from exc
 
 
 class _BlockGroup(NamedTuple):

@@ -38,8 +38,8 @@ from .errors import (
     StepSizeError,
     UsageError,
     is_json_number,
-    is_json_number_rows,
     NUMBERS,
+    parse_errors,
     read_fields,
     read_kind,
     require_array,
@@ -440,7 +440,7 @@ def _waveform_from_json(spec: dict, slot: str, kappa_hz: float, t0_s: float):
     # a sech kappa_hz defaults to the config's, and has its own check
     kind, f = read_kind(spec, what, {"sech": ({}, {"kappa_hz": (object, kappa_hz)}),
                                      "sampled": ({"dt_s": float, "values": NUMBERS}, {})})
-    try:
+    with parse_errors(what):
         if kind == "sech":
             k = f["kappa_hz"]
             if not is_json_number(k):
@@ -448,9 +448,7 @@ def _waveform_from_json(spec: dict, slot: str, kappa_hz: float, t0_s: float):
             # the sech photon-envelope protocol: rising tanh rate on the
             # emitter side, its time reverse on the catcher
             return (matched_emit_rate if slot == "emit" else matched_catch_rate)(k)
-        return SampledWaveform(np.asarray(f["values"], dtype=float), f["dt_s"], t0_s)
-    except (UsageError, ShapeError, NumericError) as exc:
-        raise ParseError(f"{what}: {exc}") from exc
+        return SampledWaveform(f["values"], f["dt_s"], t0_s)
 
 
 def qst_config_from_json(text: str | dict) -> QstConfig:
@@ -463,7 +461,7 @@ def qst_config_from_json(text: str | dict) -> QstConfig:
     "catch_waveform":{...}, "channel_temperature":0}. Sampled waveforms are
     anchored at t_span_s[0].
     """
-    # input_state has its own check below
+    # input_state is read by the array rule below
     f = read_fields(text, "transfer config",
                     {"kappa_hz": float, "t_span_s": NUMBERS, "dt_s": float,
                      "emit_waveform": dict, "catch_waveform": dict},
@@ -473,12 +471,12 @@ def qst_config_from_json(text: str | dict) -> QstConfig:
     kappa, span, state = f["kappa_hz"], f["t_span_s"], f["input_state"]
     if len(span) != 2:
         raise ParseError("'t_span_s' must be a [t0, t1] number pair")
-    if not (is_json_number_rows(state) and [len(p) for p in state] == [2, 2]):
-        raise ParseError("'input_state' must be [[re,im],[re,im]]")
+    with parse_errors("transfer config"):
+        state = require_array("field 'input_state'", state, (2, 2), float)
     t0 = span[0]
     emit = _waveform_from_json(f["emit_waveform"], "emit", kappa, t0)
     catch = _waveform_from_json(f["catch_waveform"], "catch", kappa, t0)
-    try:
+    with parse_errors("invalid transfer config"):
         return QstConfig(
             kappa_hz=kappa,
             emit_waveform=emit,
@@ -486,9 +484,6 @@ def qst_config_from_json(text: str | dict) -> QstConfig:
             t_span_s=(t0, span[1]),
             dt_s=f["dt_s"],
             delta_omega_hz=float(f["delta_omega_hz"]),
-            input_state=(complex(state[0][0], state[0][1]),
-                         complex(state[1][0], state[1][1])),
+            input_state=(complex(*state[0]), complex(*state[1])),
             channel_temperature=float(f["channel_temperature"]),
         )
-    except (UsageError, NumericError) as exc:
-        raise ParseError(f"invalid transfer config: {exc}") from exc

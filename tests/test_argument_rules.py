@@ -15,15 +15,18 @@ for a HilbertShape dimension), and a numpy scalar of an accepted type gives
 the same result as the Python number.
 """
 
+import cmath
 import dataclasses
 import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavityq import cli, codes, device, errors, fock, gates, noise, pulse, qst, trotter
 from cavityq.errors import (CapacityError, InvalidDimensionError, NumericError, ShapeError,
@@ -497,8 +500,6 @@ def test_bulk_json_readers_match_per_entry_rule_beyond_the_float_range(entries):
     doc = {"xs": entries}
     assert _outcome(errors.read_numbers, doc, "xs", "cfg") \
         == _outcome(_read_numbers_per_entry, doc, "xs", "cfg")
-    assert errors.is_json_number_rows([entries, [0.5]]) \
-        == all(map(errors.is_json_number, entries))
 
 
 @pytest.mark.parametrize("entries", BULK_ENTRIES, ids=repr)
@@ -789,7 +790,16 @@ BIG = 10**400  # a JSON integer too large for a float
                        "steps": 10}),
     ("run", "alpha", {"shape": [8], "gates": [{"kind": "displacement", "target": 0,
                                                "alpha": BIG}]}),
-], ids=["device", "grape", "trotter", "qst", "code", "run"])
+    # the array rule's readers: a SNAP gate, a matrix spec and a transfer input_state
+    ("run", "theta", {"shape": [3], "gates": [{"kind": "snap", "target": 0,
+                                               "theta": [0.0, BIG, 0.0]}]}),
+    ("otoc", "re", {"diagonal": [0.3, -0.1], "kinetic_diagonal": [0.1, 0.3], "times_s": [0.0],
+                    "w": {"kind": "fourier"},
+                    "v": {"kind": "matrix", "re": [[BIG, 0.0], [0.0, 1.0]], "im": [[0.0] * 2] * 2}}),
+    ("qst", "input_state", {"kappa_hz": 2e6, "t_span_s": [-2e-5, 2e-5], "dt_s": 2e-8,
+                            "input_state": [[0.0, 0.0], [BIG, 0.0]],
+                            "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}}),
+], ids=["device", "grape", "trotter", "qst", "code", "run", "run_theta", "otoc_re", "qst_input_state"])
 def test_cli_huge_integer_in_float_field_exits_2(command, field, doc, tmp_path, capsys):
     # each ended in an OverflowError traceback and exit 1
     config = tmp_path / "config.json"
@@ -823,7 +833,6 @@ def test_bulk_rule_tests_one_entry_per_type():
     assert errors.are_reals([*phases, 1, 2.5, np.int64(4)], test)
     assert sorted(type(call.args[0]).__name__ for call in test.call_args_list) == [
         "float", "float64", "int", "int64"]
-    np.testing.assert_array_equal(gates._phases(phases, "theta"), np.array(phases))
     assert errors.require_reals("x", phases) == [float(v) for v in phases]
 
 
@@ -831,9 +840,150 @@ def test_bulk_rule_tests_one_entry_per_type():
 def test_bulk_rule_still_refuses_one_bad_entry(bad):
     phases = [np.float64(v) for v in (0.5, -1.0, 2.0)]
     entries = [*phases[:2], bad, phases[2]]
-    with pytest.raises(UsageError, match="theta must be a list of numbers"):
+    with pytest.raises(UsageError,
+                       match=f"snap theta entries must be real numbers, got {re.escape(repr(bad))}"):
         gates.snap(entries)
     with pytest.raises(UsageError, match=f"x must be a real number, got {re.escape(repr(bad))}"):
         errors.require_reals("x", entries)
     with pytest.raises(errors.ParseError, match="field 'xs' must be a list of numbers"):
         errors.read_numbers({"xs": entries}, "xs", "cfg")
+
+
+# a number too large for a float at a real site: NumericError naming the argument
+HUGE_INT_SITES = {
+    "require_real": ("x", lambda v: errors.require_real("x", v)),
+    "require_reals": ("x", lambda v: errors.require_reals("x", [0.5, v])),
+    "DeviceParams.g_hz": ("g_hz", lambda v: device.DeviceParams(**dict(DEVICE, g_hz=v))),
+    "PulseSchedule.dt_s": ("dt_s", lambda v: pulse.PulseSchedule(v, (np.ones(3),), (0.0,))),
+    "PulseSchedule.carriers_hz": (
+        "carriers_hz entry", lambda v: pulse.PulseSchedule(1e-9, (np.ones(2),), (v,))),
+    "otoc_series.times_s": (
+        "times_s entry", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [v])),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024 - 2**970, Fraction(10**400, 3)],
+                         ids=repr)
+@pytest.mark.parametrize("site", HUGE_INT_SITES)
+def test_number_too_large_for_a_float_is_a_numeric_error(site, value):
+    # float() raised a raw OverflowError
+    name, call = HUGE_INT_SITES[site]
+    with pytest.raises(NumericError, match=f"^{name} is too large for a float$"):
+        call(value)
+
+
+@pytest.mark.parametrize("streams", [5, None, 1.0, "ab", {0: [1.0]}, np.array(1.0)], ids=repr)
+def test_pulse_schedule_streams_must_be_a_sequence(streams):
+    # enumerate(5) raised a raw TypeError
+    with pytest.raises(UsageError, match="^streams must be a list, tuple or array of "
+                                         "amplitude streams, got "):
+        pulse.PulseSchedule(1e-9, streams, (0.0,))
+
+
+def test_pulse_schedule_takes_streams_as_a_2d_array():
+    streams = np.arange(6, dtype=complex).reshape(2, 3)
+    schedule = pulse.PulseSchedule(1e-9, streams, (0.0, 0.0))
+    assert [s.tolist() for s in schedule.streams] == streams.tolist()
+
+
+# entries for the array rule's property test: valid at every dtype, valid at
+# dtype complex only, of a type no array takes, and numbers that are not finite
+_REAL_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**80, 2**80),
+    st.sampled_from([2**1024 - 2**970 - 1, -(2**1024 - 2**970 - 1)]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+_COMPLEX_ENTRIES = st.one_of(
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128))
+_NOT_NUMBERS = st.sampled_from([True, False, np.True_, "1", "nan", None])
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                               10**400, -(10**400), 2**1024 - 2**970])
+
+
+def _finite_number(v) -> bool:
+    try:
+        return cmath.isfinite(complex(v))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _array_rule_outcome(values, shape, dtype):
+    """require_array's result as (dtype, shape, bytes, read-only and
+    C-ordered), or its exception as (class, message)."""
+    try:
+        arr = errors.require_array("a", values, shape, dtype)
+    except errors.CavityQError as exc:
+        return type(exc), str(exc)
+    return arr.dtype, arr.shape, arr.tobytes(), not arr.flags.writeable and arr.flags.c_contiguous
+
+
+@st.composite
+def _array_cases(draw):
+    """(values, shape, dtype): a flat list or a list of rows of n entries
+    each, with up to two faults (an entry that is not a number, one that
+    is not finite, ragged rows), and a shape of (None,), (m,) or (m, m)
+    with m = n or n + 1, mostly that of the layout drawn."""
+    dtype = draw(st.sampled_from([float, complex]))
+    rows, n = draw(st.booleans()), draw(st.integers(0, 4))
+    good = _REAL_ENTRIES if dtype is float else st.one_of(_REAL_ENTRIES, _COMPLEX_ENTRIES)
+    values = ([[draw(good) for _ in range(n)] for _ in range(n)] if rows
+              else [draw(good) for _ in range(n)])
+    slots = [(i, j) for i in range(n) for j in range(n)] if rows else list(range(n))
+    bad = _NOT_NUMBERS if dtype is complex else st.one_of(_NOT_NUMBERS, _COMPLEX_ENTRIES)
+    for fault in draw(st.sampled_from([(), (), ("entry",), ("not_finite",), ("ragged",),
+                                       ("entry", "not_finite"), ("entry", "ragged"),
+                                       ("not_finite", "ragged")])):
+        if fault == "ragged" and n >= 2:  # last, so that no other fault overwrites it
+            if rows:
+                values[draw(st.integers(0, n - 1))].append(draw(good))
+            else:
+                values[draw(st.integers(0, n - 1))] = [draw(good)]
+        elif fault != "ragged" and slots:
+            slot = draw(st.sampled_from(slots))
+            entry = draw(bad if fault == "entry" else _NOT_FINITE)
+            if rows:
+                values[slot[0]][slot[1]] = entry
+            else:
+                values[slot] = entry
+    m = draw(st.sampled_from([n, n, n + 1]))
+    own = [(m, m)] if rows else [(None,), (m,)]
+    return values, draw(st.sampled_from(own * 3 + [(None,), (m,), (m, m)])), dtype
+
+
+def _expected_array_error(values, shape, dtype):
+    """The class require_array's docstring names for values, in its order
+    of checks, or None for a valid array."""
+    if None not in shape and len(values) != shape[0]:
+        return ShapeError
+    rows = bool(values) and all(isinstance(v, list) for v in values)
+    if (any(isinstance(v, list) for v in values) and not rows
+            or rows and len({len(r) for r in values}) > 1):
+        return ShapeError  # ragged rows
+    got = (len(values), len(values[0])) if rows else (len(values),)
+    if len(got) != len(shape) or any(w not in (None, g) for w, g in zip(shape, got)):
+        return ShapeError
+    entries = [v for r in values for v in r] if rows else values
+    if any(isinstance(v, (bool, np.bool_, str)) or v is None
+           or dtype is float and isinstance(v, (complex, np.complexfloating)) for v in entries):
+        return UsageError
+    if not all(map(_finite_number, entries)):
+        return NumericError
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_array_cases())
+def test_array_rule_fast_path_matches_the_object_path(case):
+    # one np.array call for plain numbers; every other list goes through an
+    # object array. Both give the same array bytes or the same error.
+    values, shape, dtype = case
+    fast = _array_rule_outcome(values, shape, dtype)
+    with mock.patch.object(errors, "_bulk_types", lambda dtype: frozenset()):
+        assert _array_rule_outcome(values, shape, dtype) == fast
+    expected = _expected_array_error(values, shape, dtype)
+    if expected is None:
+        want = np.array(values, dtype)
+        assert fast == (want.dtype, want.shape, want.tobytes(), True)
+    else:
+        assert fast[0] is expected, (fast, expected)

@@ -502,15 +502,15 @@ _MATRIX_SITES = {
     "otoc_v": (8, lambda spec: dict(OTOC_DOC, v=spec)),
 }
 
-# an entry of im set to each value: the reason exit 2 must give
+# an entry of im set to each value: the reason exit 2 must give, for a spec of size n
 _BAD_MATRIX_ENTRIES = {
-    "nan_string": ("nan", "'re' and 'im' must be lists of rows of numbers"),
-    "numeric_string": ("0.5", "'re' and 'im' must be lists of rows of numbers"),
-    "boolean": (True, "'re' and 'im' must be lists of rows of numbers"),
-    "null": (None, "'re' and 'im' must be lists of rows of numbers"),
-    "nested_list": ([0.0], "'re' and 'im' must be lists of rows of numbers"),
-    "nan": (math.nan, "matrix entries must be finite"),  # json NaN
-    "infinity": (-math.inf, "matrix entries must be finite"),  # json -Infinity
+    "nan_string": ("nan", "field 'im' entries must be real numbers, got 'nan'"),
+    "numeric_string": ("0.5", "field 'im' entries must be real numbers, got '0.5'"),
+    "boolean": (True, "field 'im' entries must be real numbers, got True"),
+    "null": (None, "field 'im' entries must be real numbers, got None"),
+    "nested_list": ([0.0], "field 'im' must be {n}x{n}, got ragged rows"),
+    "nan": (math.nan, "non-finite entries in field 'im'"),  # json NaN
+    "infinity": (-math.inf, "non-finite entries in field 'im'"),  # json -Infinity
 }
 
 
@@ -528,7 +528,7 @@ def test_bad_matrix_entry_exit_2(tmp_path, capsys, site, entry):
     spec["im"][n - 1][0] = value
     cfg = write_json(tmp_path / "config.json", config(spec))
     assert run_cli(tmp_path, site.split("_")[0], cfg) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(n=n) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("site", sorted(_MATRIX_SITES))
@@ -537,7 +537,8 @@ def test_matrix_shape_errors_exit_2(tmp_path, capsys, site):
     ragged = _identity_spec(n)
     ragged["re"][0] = ragged["re"][0][:-1]
     small = dict(_identity_spec(n), im=np.zeros((n - 1, n - 1)).tolist())
-    for spec, message in ((ragged, "bad matrix"), (small, f"matrix must be {n}x{n}")):
+    for spec, message in ((ragged, f"field 're' must be {n}x{n}, got ragged rows"),
+                          (small, f"field 'im' must be {n}x{n}, got length {n - 1}")):
         cfg = write_json(tmp_path / "config.json", config(spec))
         assert run_cli(tmp_path, site.split("_")[0], cfg) == 2
         assert message in capsys.readouterr().err
@@ -675,13 +676,13 @@ _BAD_GATE_ENTRIES = {
         "cond_rotation qubit and mode must differ"),
     "snap_string_phase": (_circuit([3], {"kind": "snap", "target": 0,
                                          "theta": [0, "a", 0]}),
-                          "snap gate field 'theta' must be a list of numbers"),
+                          "snap gate field 'theta' entries must be real numbers, got 'a'"),
     "snap_boolean_phase": (_circuit([3], {"kind": "snap", "target": 0,
                                           "theta": [0, True, 0]}),
-                           "snap gate field 'theta' must be a list of numbers"),
+                           "snap gate field 'theta' entries must be real numbers, got True"),
     "multisnap_boolean_phase": (
         _circuit([3], {"kind": "multisnap", "targets": [0], "theta": [0, True, 0]}),
-        "multisnap gate field 'theta' must be a list of numbers"),
+        "multisnap gate field 'theta' entries must be real numbers, got True"),
 }
 
 
@@ -1189,7 +1190,7 @@ def test_device_non_finite_field_exit_2(tmp_path, capsys, field, value):
 
 @pytest.mark.parametrize("doc, message", [
     (dict(QST_SWEEP_DOC["transfer"], input_state=[[math.nan, 0.0], [1.0, 0.0]]),
-     "input state must be normalized"),
+     "transfer config: non-finite entries in field 'input_state'"),
     (dict(QST_SWEEP_DOC["transfer"], kappa_hz=math.inf),
      "kappa_hz must be positive and finite, got inf"),
     (_with(QST_SWEEP_DOC["transfer"], ("catch_waveform",), kappa_hz=math.inf),
@@ -1265,7 +1266,7 @@ _OVERFLOW_CASES = {
     # NaN and Infinity, which the JSON decoder accepts, named before any arithmetic
     "run_snap_theta": ("run", {"shape": [3], "gates": [
         {"kind": "snap", "target": 0, "theta": [0.0, math.inf, 0.0]}]},
-                       2, "gate 0: non-finite phases in snap gate field 'theta'"),
+                       2, "gate 0: non-finite entries in snap gate field 'theta'"),
     "code_alpha_nan": ("code", dict(CODE_DOC, alpha=[math.nan, 0]),
                        1, "alpha must be finite, got (nan+0j)"),
     "code_t1_nan": ("code", dict(CODE_DOC, t1_s=math.nan), 1, "t1_s must be positive, got nan"),
@@ -1273,10 +1274,10 @@ _OVERFLOW_CASES = {
                  3, "dt_s 1e+308 overflows the drive area 2*pi*dt_s"),
     "otoc_snap_theta": ("otoc", dict(OTOC_DOC, w={"kind": "snap", "theta": [
         0.1, math.nan, 2.2, 0.4, 1.9, 2.8, 0.7, 1.1]}),
-                        2, "otoc config w: non-finite phases in snap theta"),
+                        2, "otoc config w: non-finite entries in snap theta"),
     "grape_snap_theta": ("grape", dict(GRAPE_DOC, target={"kind": "snap",
                                                           "theta": [0.0, math.nan]}),
-                         2, "grape target: non-finite phases in snap theta"),
+                         2, "grape target: non-finite entries in snap theta"),
     "code_t1_dt_inf": ("code", dict(CODE_DOC, t1_s=math.inf, dt_s=math.inf),
                        1, "dt_s must be positive and finite, got inf"),
 }

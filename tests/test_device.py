@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityq import device, errors, gates, pulse, qst
+from cavityq import device, errors, gates, qst
 from cavityq.errors import ParseError, UsageError
 
 
@@ -189,7 +189,8 @@ class TestSerialization:
 
 class TestJsonNumberRule:
     def test_every_parser_shares_one_predicate(self):
-        for module in (gates, pulse, qst):
+        # pulse reads its schedule amplitudes with errors.require_array
+        for module in (gates, qst):
             assert module.is_json_number is errors.is_json_number
 
     @pytest.mark.parametrize("value", [0, -3, 1.5, 1e308, math.inf, math.nan])

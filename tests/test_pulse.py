@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -1122,23 +1123,28 @@ class TestSnapModelCheck:
         assert b.n_streams == 2 and not b.streams[1].any()
         assert np.array_equal(a.streams[0], b.streams[0])
 
-    @pytest.mark.parametrize("bad", ["0.5", True, np.True_, None, [0.5]])
-    def test_phases_follow_the_snap_constructors_rule(self, bad):
+    @pytest.mark.parametrize("bad,reason", [
+        ("0.5", "theta entries must be real numbers, got '0.5'"),
+        (True, "theta entries must be real numbers, got True"),
+        (np.True_, "theta entries must be real numbers, got np.True_"),
+        (None, "theta entries must be real numbers, got None"),
+        ([0.5], "theta must be 1-D, got ragged rows")])
+    def test_phases_follow_the_snap_constructors_rule(self, bad, reason):
         model = dispersive_model(1e6, 3)
         u = Operator(model.shape, np.eye(6, dtype=complex))
         theta = [0.0, bad, 0.5]
-        with pytest.raises(UsageError, match="theta must be a list of numbers"):
+        with pytest.raises(UsageError, match=re.escape(reason)):
             synthesize_snap_pulse(model, theta, 1e-5)
-        with pytest.raises(UsageError, match="theta must be a list of numbers"):
+        with pytest.raises(UsageError, match=re.escape(reason)):
             snap_average_fidelity(u, theta)
-        with pytest.raises(UsageError, match="theta must be a list of numbers"):
+        with pytest.raises(UsageError, match=re.escape(reason)):
             gates.snap(theta)
 
     def test_phase_strings_alone_are_refused(self):
         model = dispersive_model(1e6, 3)
-        with pytest.raises(UsageError, match="theta must be a list of numbers"):
+        with pytest.raises(UsageError, match="theta entries must be real numbers, got '0'"):
             synthesize_snap_pulse(model, ["0", True, "0.5"], 1e-5)
-        with pytest.raises(UsageError, match="theta must be a list of numbers"):
+        with pytest.raises(UsageError, match="theta entries must be real numbers, got '0'"):
             snap_average_fidelity(Operator(model.shape, np.eye(6)), ["0", True, "0.5"])
 
     def test_fidelity_checks_phase_count_and_finiteness(self):
@@ -1146,7 +1152,7 @@ class TestSnapModelCheck:
         assert snap_average_fidelity(u, [0, 0, 0]) == pytest.approx(1.0)
         with pytest.raises(ShapeError, match="snap needs 3 phases, got 2"):
             snap_average_fidelity(u, [0.0, 0.0])
-        with pytest.raises(NumericError, match="non-finite phases"):
+        with pytest.raises(NumericError, match="non-finite entries in theta"):
             snap_average_fidelity(u, [0.0, np.nan, 0.0])
         with pytest.raises(ShapeError, match=r"expected a \(2, N\) qubit-cavity shape"):
             snap_average_fidelity(Operator(shape_of((3, 2)), np.eye(6)), [0.0, 0.0])
