@@ -14,7 +14,7 @@ listed site by site in the README: `require_count` for counts, seeds and
 photon numbers, `fock.shape_of` for dimensions, before any allocation,
 `require_index` for level, subsystem and basis indices, `require_real` for
 other real numbers, `require_complex` for complex amplitudes,
-`require_finite` for tolerances, weights and time origins,
+`require_finite` for tolerances, weights, time origins and gate angles,
 `require_positive` for time steps, durations, couplings, rates and other
 positive reals, and `require_array` for arrays: states, matrices, pulse
 streams, sample lists, SNAP phases and the arrays of JSON configs, whose
@@ -127,10 +127,14 @@ def require_reals(name: str, values) -> list[float]:
 
 
 def require_complex(name: str, value) -> complex:
-    """complex(value), or UsageError unless value is a complex number (`is_complex`)."""
+    """complex(value), or UsageError unless value is a complex number
+    (`is_complex`); NumericError for one too large for a float."""
     if not is_complex(value):
         raise UsageError(f"{name} must be a complex number, got {value!r}")
-    return complex(value)
+    try:
+        return complex(value)
+    except OverflowError:  # an int, or any other Rational, beyond the float range
+        raise NumericError(f"{name} is too large for a float") from None
 
 
 def require_finite(name: str, value) -> float:

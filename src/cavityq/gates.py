@@ -1,18 +1,20 @@
 """Gate vocabulary for cavity-encoded qudits and circuit plumbing.
 
 Every constructor returns an Operator on the smallest shape the gate
-acts on (one mode, or qubit⊗mode with the qubit first); circuits embed
-those into the full register by target index, so targets need not be
-adjacent. Displacements follow the standard convention
+acts on (one mode, or qubit⊗mode with the qubit first); circuits apply
+each gate to its target axes of the full register, so targets need not
+be adjacent. Displacements follow the standard convention
 D(α) = exp(α a† − α* a); circuits record which convention their alphas
 use via the "displacement_convention" field, and the legacy "paper"
 spelling (exp(α a − α* a†)) is mapped by negating α at build time.
 
 `GATE_BUILDERS` declares each gate kind once: its fields and their
-checks, its public constructor and the structured kernel that circuits
-run in its place; no kernel forms an operator bigger than 2×2. Circuit
-compilation, `GateSpec.build` and `circuit_from_json` read that entry,
-and `errors.read_object` checks its field list as it does every config's.
+checks, and its structured kernel, the kind's one definition; no kernel
+forms an operator bigger than 2×2. Circuits run the kernels, and the
+public constructors and `GateSpec.build` run them on the identity
+(`_gate`). Circuit compilation, `GateSpec.build` and `circuit_from_json`
+read that entry, and `errors.read_object` checks its field list as it
+does every config's.
 Every SNAP phase list is read by `errors.require_array`, and on n levels
 by `_snap_phases`, the one count rule: any count but n raises ShapeError.
 """
@@ -30,8 +32,8 @@ import numpy as np
 
 from .errors import (CapacityError, NumericError, ParseError, ShapeError, UsageError, is_count,
                      is_json_int, is_json_number, read_fields, read_object, require_array,
-                     require_capacity, require_complex, require_count, require_index,
-                     require_real)
+                     require_capacity, require_complex, require_count, require_finite,
+                     require_index)
 from .fock import (
     HilbertShape,
     Operator,
@@ -55,15 +57,14 @@ def snap(theta: Sequence[float]) -> Operator:
     theta = require_array("snap theta", theta, (None,), float)
     if theta.size < 1:
         raise UsageError("snap needs a non-empty 1-D phase list")
-    return Operator(HilbertShape((theta.size,)), np.diag(np.exp(1j * theta)))
+    return _gate("snap", (theta,), HilbertShape((theta.size,)))
 
 
 def multisnap(theta: Sequence[float], dims: Sequence[int]) -> Operator:
     """Joint multi-mode SNAP: one phase per joint occupation (n_0, n_1, ...),
     flattened with the first mode most significant."""
     shape = shape_of(dims)
-    theta = _snap_phases(theta, shape.total_dim)
-    return Operator(shape, np.diag(np.exp(1j * theta)))
+    return _gate("multisnap", (_snap_phases(theta, shape.total_dim), shape.dims), shape)
 
 
 def displacement(alpha: complex, n: int, convention: str = "standard") -> Operator:
@@ -77,19 +78,19 @@ def displacement(alpha: complex, n: int, convention: str = "standard") -> Operat
     cutoff (keep n ≳ |α|² + 5|α| above the states you care about).
     """
     shape = shape_of((n,))
-    rot, angle, vecs = _displacement_factors(alpha, shape.total_dim, convention)
-    # Q e^{−i|α|Λ} Qᵀ as two real products
-    inner = (vecs * np.cos(angle)) @ vecs.T - 1j * ((vecs * np.sin(angle)) @ vecs.T)
-    return Operator(shape, rot[:, None] * inner * rot.conj())
+    return _gate("displacement", (alpha, shape.total_dim, convention), shape)
 
 
-def _displacement_factors(alpha: complex, n: int, convention: str
+def _displacement_factors(alpha: complex, n: int, convention: str, name: str = "alpha"
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, |α|Λ, Q) with D(α) = R Q e^{−i|α|Λ} Qᵀ R† on n levels, α given
-    in the named convention."""
+    in the named convention; UsageError naming α as name unless it is a
+    finite complex number."""
     if convention not in CONVENTIONS:
         raise UsageError(f"unknown displacement convention {convention!r}")
-    alpha = require_complex("alpha", alpha)
+    alpha = require_complex(name, alpha)
+    if not cmath.isfinite(alpha):
+        raise UsageError(f"{name} must be finite")
     if convention == "paper":
         alpha = -alpha
     evals, vecs = _quadrature_eigensystem(n)
@@ -97,14 +98,14 @@ def _displacement_factors(alpha: complex, n: int, convention: str
     return rot, abs(alpha) * evals, vecs
 
 
-def _displacement_map(alpha: complex, n: int, convention: str
+def _displacement_map(alpha: complex, n: int, convention: str, name: str = "alpha"
                       ) -> Callable[[np.ndarray], np.ndarray]:
     """D(α) along the first axis of an array of n rows, in factored form,
     O(n²m) for m columns and no n×n matrix: R·(Q·(e^{−i|α|Λ} ∘
     (Qᵀ·(R†·x)))). Returns an (n, m) array, m the size of the other axes.
     Q is real, so each product with it is one real product on the
     C-contiguous (n, m) complex array viewed as (n, 2m) reals."""
-    rot, angle, vecs = _displacement_factors(alpha, n, convention)
+    rot, angle, vecs = _displacement_factors(alpha, n, convention, name)
     rot = rot[:, None]
     phases = np.exp(-1j * angle)[:, None]
 
@@ -142,37 +143,33 @@ def _displacement_eigensystem(alphas: np.ndarray,
 
 def qubit_rotation(theta: float, phi: float) -> Operator:
     """Bloch rotation exp(−i θ/2 (cosφ σx + sinφ σy)) on a qubit."""
-    theta, phi = require_real("theta", theta), require_real("phi", phi)
+    return Operator(HilbertShape((2,)), _rotation(theta, phi))
+
+
+def _rotation(theta: float, phi: float) -> np.ndarray:
+    """The 2×2 matrix of qubit_rotation(θ, φ), which the rotation kernels
+    apply; UsageError naming the angle unless both are finite."""
+    theta, phi = require_finite("theta", theta), require_finite("phi", phi)
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    mat = np.array(
+    return np.array(
         [
             [c, -1j * s * np.exp(-1j * phi)],
             [-1j * s * np.exp(1j * phi), c],
         ]
     )
-    return Operator(HilbertShape((2,)), mat)
 
 
 def cond_rotation(n: int, theta: float, phi: float, mode_dim: int) -> Operator:
     """Qubit rotation applied only in the photon-number-n sector:
     R(θ,φ) ⊗ |n⟩⟨n| + I ⊗ (I − |n⟩⟨n|) on shape (qubit, mode)."""
     shape = shape_of((2, mode_dim))
-    n = require_index("selector level", n, mode_dim)
-    r = qubit_rotation(theta, phi).matrix
-    pn = np.zeros((mode_dim, mode_dim), dtype=complex)
-    pn[n, n] = 1.0
-    mat = np.kron(r, pn) + np.kron(np.eye(2), np.eye(mode_dim) - pn)
-    return Operator(shape, mat)
+    return _gate("cond_rotation", (n, theta, phi, shape.dims[1]), shape)
 
 
 def controlled_increment(n: int) -> Operator:
     """|i⟩|j⟩ → |i⟩|(j+i) mod N⟩ on two N-level qudits."""
     shape = shape_of((n, n))
-    mat = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i * n + (j + i) % n, i * n + j] = 1.0
-    return Operator(shape, mat)
+    return _gate("controlled_increment", (shape.dims[0],), shape)
 
 
 def givens(m: int, n: int, theta: float, dim: int) -> Operator:
@@ -180,26 +177,14 @@ def givens(m: int, n: int, theta: float, dim: int) -> Operator:
     [[cosθ, −sinθ], [sinθ, cosθ]], identity elsewhere. θ=π/2 maps
     |m⟩ → |n⟩ in full; equal superpositions sit at θ=π/4."""
     shape = shape_of((dim,))
-    m, n = _two_levels("givens", m, n, dim)
-    theta = require_real("theta", theta)
-    mat = np.eye(dim, dtype=complex)
-    c, s = math.cos(theta), math.sin(theta)
-    mat[m, m] = c
-    mat[m, n] = -s
-    mat[n, m] = s
-    mat[n, n] = c
-    return Operator(shape, mat)
+    return _gate("givens", (m, n, theta, shape.total_dim), shape)
 
 
 def phase_swap(m: int, n: int, dim: int) -> Operator:
     """Transposition of basis levels m and n (amplitudes travel with
     their phases)."""
     shape = shape_of((dim,))
-    m, n = _two_levels("phase_swap", m, n, dim)
-    mat = np.eye(dim, dtype=complex)
-    mat[m, m] = mat[n, n] = 0.0
-    mat[m, n] = mat[n, m] = 1.0
-    return Operator(shape, mat)
+    return _gate("phase_swap", (m, n, shape.total_dim), shape)
 
 
 def _two_levels(kind: str, m: int, n: int, dim: int) -> tuple[int, int]:
@@ -211,13 +196,11 @@ def _two_levels(kind: str, m: int, n: int, dim: int) -> tuple[int, int]:
 
 
 def fourier(dim: int, inverse: bool = False) -> Operator:
-    """Z_N Fourier gate F_{jk} = e^{2πi jk/N}/√N."""
+    """Z_N Fourier gate F_{jk} = e^{2πi jk/N}/√N, or F† for inverse."""
     shape = shape_of((dim,))
-    j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    mat = np.exp(2j * np.pi * j * k / dim) / math.sqrt(dim)
-    if inverse:
-        mat = mat.conj().T
-    return Operator(shape, mat)
+    if not isinstance(inverse, (bool, np.bool_)):
+        raise UsageError(f"inverse must be a boolean, got {inverse!r}")
+    return _gate("fourier", (shape.total_dim, inverse), shape)
 
 
 def ecd(beta: complex, mode_dim: int, convention: str = "standard") -> Operator:
@@ -225,14 +208,7 @@ def ecd(beta: complex, mode_dim: int, convention: str = "standard") -> Operator:
     |e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2). At β=0 this is X ⊗ I."""
     shape = shape_of((2, mode_dim))
     beta = require_complex("beta", beta)
-    d_plus = displacement(beta / 2, mode_dim, convention).matrix
-    d_minus = displacement(-beta / 2, mode_dim, convention).matrix
-    eg = np.zeros((2, 2), dtype=complex)
-    ge = np.zeros((2, 2), dtype=complex)
-    eg[1, 0] = 1.0
-    ge[0, 1] = 1.0
-    mat = np.kron(eg, d_plus) + np.kron(ge, d_minus)
-    return Operator(shape, mat)
+    return _gate("ecd", (beta, shape.dims[1], convention), shape)
 
 
 def qubit_binary_encode(bits: str | Sequence[int]) -> int:
@@ -300,7 +276,7 @@ def multiqudit_snap(target: int, theta: Sequence[float],
     """SNAP on one qudit of a register, identity on the rest."""
     shp = shape_of(shape)
     target = require_index("target", target, shp.n_subsystems)
-    return embed(snap(_snap_phases(theta, shp.dims[target])), [target], shp)
+    return _gate("snap", (_snap_phases(theta, shp.dims[target]),), shp, [target])
 
 
 def apply_embedded(op: Operator, targets: Sequence[int], psi: StateVector) -> StateVector:
@@ -339,14 +315,14 @@ _Kernel = Callable[[np.ndarray], np.ndarray]
 class _GateKind:
     """One gate kind. required and optional map its fields to their rules.
     parse maps (register dims, convention, **checked fields) to (args,
-    targets): the arguments of dense, the kind's public constructor, and
-    the targets in its subsystem order; an absent optional field takes
-    parse's default. kernel maps (args, targets, register dims) to the
-    compiled gate that circuits run in place of the dense operator."""
+    targets): the kernel's arguments and the targets in its subsystem
+    order; an absent optional field takes parse's default. kernel maps
+    (args, targets, register dims) to the compiled gate, the kind's one
+    definition: circuits run it, and the public constructor and
+    `GateSpec.build` run it on the identity (`_gate`)."""
 
     required: Mapping[str, _Rule]
     parse: Callable[..., tuple[tuple, list[int]]]
-    dense: Callable[..., Operator]
     kernel: Callable[[tuple, list[int], tuple[int, ...]], _Kernel]
     optional: Mapping[str, _Rule] = field(default_factory=dict)
 
@@ -483,8 +459,8 @@ def _ecd_kernel(args, targets, dims) -> _Kernel:
     slices of the mode axis, then swap them."""
     beta, n, convention = args
     qubit, mode = (t - len(dims) for t in targets)
-    d_plus = _displacement_map(beta / 2, n, convention)
-    d_minus = _displacement_map(-beta / 2, n, convention)
+    d_plus = _displacement_map(beta / 2, n, convention, "beta")
+    d_minus = _displacement_map(-beta / 2, n, convention, "beta")
 
     def echo(tens: np.ndarray) -> np.ndarray:
         x = np.moveaxis(tens, (mode, qubit), (0, 1))
@@ -519,14 +495,15 @@ def _cond_rotation_kernel(args, targets, dims) -> _Kernel:
     n, theta, phi, mode_dim = args
     qubit, mode = (t - len(dims) for t in targets)
     n = require_index("selector level", n, mode_dim)
-    return _two_level(qubit_rotation(theta, phi).matrix, qubit, (0, 1), at=(mode, n))
+    return _two_level(_rotation(theta, phi), qubit, (0, 1), at=(mode, n))
 
 
 def _givens_kernel(args, targets, dims) -> _Kernel:
     m, n, theta, dim = args
+    levels = _two_levels("givens", m, n, dim)
+    theta = require_finite("theta", theta)
     c, s = math.cos(theta), math.sin(theta)
-    return _two_level(np.array([[c, -s], [s, c]]), targets[0] - len(dims),
-                      _two_levels("givens", m, n, dim))
+    return _two_level(np.array([[c, -s], [s, c]]), targets[0] - len(dims), levels)
 
 
 def _increment_kernel(args, targets, dims) -> _Kernel:
@@ -541,47 +518,61 @@ def _increment_kernel(args, targets, dims) -> _Kernel:
 
 
 GATE_BUILDERS: dict[str, _GateKind] = {
-    "snap": _GateKind({"target": _subsystem, "theta": _real_list},
-                      _snap_args, snap, _phase_kernel),
+    "snap": _GateKind({"target": _subsystem, "theta": _real_list}, _snap_args, _phase_kernel),
     "multisnap": _GateKind({"targets": _subsystems, "theta": _real_list},
-                           _multisnap_args, multisnap, _phase_kernel),
+                           _multisnap_args, _phase_kernel),
     "displacement": _GateKind(
         {"target": _subsystem, "alpha": _amplitude},
         lambda dims, convention, target, alpha: (
             (alpha, dims[target], convention), [target]),
-        displacement, _displacement_kernel),
+        _displacement_kernel),
     "cond_rotation": _GateKind(
         {"qubit": _qubit, "mode": _subsystem, "n": _integer,
          "theta": _real, "phi": _real},
-        _cond_rotation_args, cond_rotation, _cond_rotation_kernel),
+        _cond_rotation_args, _cond_rotation_kernel),
     "qubit_rotation": _GateKind(
         {"target": _qubit, "theta": _real, "phi": _real},
         lambda dims, convention, target, theta, phi: ((theta, phi), [target]),
-        qubit_rotation,
-        lambda args, targets, dims: _two_level(
-            qubit_rotation(*args).matrix, targets[0] - len(dims), (0, 1))),
+        lambda args, targets, dims: _two_level(_rotation(*args), targets[0] - len(dims),
+                                               (0, 1))),
     "controlled_increment": _GateKind(
         {"control": _subsystem, "target": _subsystem},
-        _controlled_increment_args, controlled_increment, _increment_kernel),
+        _controlled_increment_args, _increment_kernel),
     "givens": _GateKind(
         {"target": _subsystem, "m": _integer, "n": _integer, "theta": _real},
         lambda dims, convention, target, m, n, theta: (
             (m, n, theta, dims[target]), [target]),
-        givens, _givens_kernel),
+        _givens_kernel),
     "phase_swap": _GateKind(
         {"target": _subsystem, "m": _integer, "n": _integer},
         lambda dims, convention, target, m, n: ((m, n, dims[target]), [target]),
-        phase_swap,
         lambda args, targets, dims: _two_level(np.array([[0, 1], [1, 0]]), targets[0] - len(dims),
                                                _two_levels("phase_swap", *args))),
     "fourier": _GateKind(
         {"target": _subsystem},
         lambda dims, convention, target, inverse=False: (
             (dims[target], inverse), [target]),
-        fourier, _fourier_kernel, optional={"inverse": _flag}),
+        _fourier_kernel, optional={"inverse": _flag}),
     "ecd": _GateKind({"qubit": _qubit, "mode": _subsystem, "beta": _amplitude},
-                     _ecd_args, ecd, _ecd_kernel),
+                     _ecd_args, _ecd_kernel),
 }
+
+
+def _gate(kind: str, args: tuple, shape: HilbertShape,
+          targets: Sequence[int] | None = None) -> Operator:
+    """The gate of kind with kernel arguments args on targets of shape
+    (every subsystem, in order, by default): its kernel run on the
+    identity. Every gate matrix is built here."""
+    targets = list(range(shape.n_subsystems)) if targets is None else list(targets)
+    return _on_identity(GATE_BUILDERS[kind].kernel(args, targets, shape.dims), shape)
+
+
+def _on_identity(run: _Kernel, shape: HilbertShape) -> Operator:
+    """The operator that run applies, from the columns of the identity run
+    as one stack of register tensors."""
+    dim = shape.total_dim
+    columns = run(np.eye(dim, dtype=complex).reshape(dim, *shape.dims))
+    return Operator(shape, columns.reshape(dim, dim).T)
 
 
 @dataclass(frozen=True)
@@ -595,8 +586,9 @@ class GateSpec:
         object.__setattr__(self, "params", dict(self.params))
 
     def build(self, shape: HilbertShape, convention: str = "standard") -> tuple[Operator, list[int]]:
-        gate, args, targets = _parse(self, shape, convention)
-        return gate.dense(*args), targets
+        """The gate on its targets alone, in their order, and the targets."""
+        _, args, targets = _parse(self, shape, convention)
+        return _gate(self.kind, args, HilbertShape(tuple(shape.dims[t] for t in targets))), targets
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -606,8 +598,8 @@ class GateSpec:
 
 def _parse(spec: GateSpec, shape: HilbertShape,
            convention: str) -> tuple[_GateKind, tuple, list[int]]:
-    """The table entry of spec's kind, the arguments of its dense
-    constructor on the register and its targets. An unknown kind, a
+    """The table entry of spec's kind, the arguments of its kernel on the
+    register and its targets. An unknown kind, a
     missing or unlisted field, a field its rule rejects or a bad
     combination of fields raises UsageError."""
     gate = GATE_BUILDERS.get(spec.kind)
@@ -749,7 +741,5 @@ def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
 
 def circuit_unitary(circuit: Circuit) -> Operator:
     """Full-register unitary of the circuit (first gate acts first): its
-    compiled gates run on the columns of the identity as a stack of states."""
-    dim = circuit.shape.total_dim
-    columns = _run(circuit, np.eye(dim, dtype=complex).reshape(dim, *circuit.shape.dims))
-    return Operator(circuit.shape, columns.reshape(dim, dim).T)
+    compiled gates run on the identity."""
+    return _on_identity(functools.partial(_run, circuit), circuit.shape)

@@ -153,8 +153,11 @@ class PulseSchedule:
             if not isinstance(entry, dict):
                 raise ParseError(f"{what} must be an object")
             amps = read_fields(entry, what, {"carrier_hz": float, "amps": list})["amps"]
-            with parse_errors(what):  # each [re, im] row viewed as one complex amplitude
-                pairs = require_array("field 'amps'", amps, (len(amps), 2), float)
+            # each [re, im] row viewed as one complex amplitude; [] has no
+            # rows to be 0x2, so it is read as the empty array PulseSchedule refuses
+            with parse_errors(what):
+                pairs = require_array("field 'amps'", amps or np.empty((0, 2)),
+                                      (len(amps), 2), float)
             streams.append(pairs.view(complex).ravel())
             carriers.append(float(entry["carrier_hz"]))
         with parse_errors("invalid schedule"):

@@ -205,10 +205,13 @@ def _with_entry(site, v):
 ENTRY_SITES = {site: (name, lambda v, site=site, call=call: call(_with_entry(site, v)))
                for site, (name, call) in ARRAY_SITES.items()}
 
-# NUMBER_SITES that also refuse NaN and ±inf (`errors.require_finite`)
+# NUMBER_SITES that also refuse NaN and ±inf (`errors.require_finite`), and
+# COMPLEX_SITES that do
 FINITE_SITES = ["grape_optimize.tol", "grape_optimize.leak_weight",
                 "grape_gradient.leak_weight", "optimize_snap_displacement_sequence.tol",
-                "optimize_snap_displacement_sequence.leak_weight", "SampledWaveform.t0_s"]
+                "optimize_snap_displacement_sequence.leak_weight", "SampledWaveform.t0_s",
+                "qubit_rotation.theta", "qubit_rotation.phi", "cond_rotation.theta",
+                "cond_rotation.phi", "givens.theta", "displacement.alpha", "ecd.beta"]
 
 COUNT_SITES = {
     "optimize_snap_displacement_sequence.blocks": (
@@ -689,12 +692,29 @@ def test_dimension_cap_checked_before_allocation(site, monkeypatch):
     assert peak < 64 << 10
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("site", FINITE_SITES)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
 def test_finite_site_refuses(site, value):
-    name, call = NUMBER_SITES[site]
-    with pytest.raises(UsageError, match=f"{name} must be finite"):
+    # the gate sites raised ValueError "math domain error", or NumericError
+    # "non-finite entries in matrix" after RuntimeWarnings
+    name, call = {**NUMBER_SITES, **COMPLEX_SITES}[site]
+    with pytest.raises(UsageError, match=f"^{name} must be finite"):
         call(value)
+
+
+@pytest.mark.parametrize("inverse", ["no", 0.0, 1, None, np.float64(1.0)], ids=repr)
+def test_fourier_inverse_must_be_a_boolean(inverse):
+    # "no" gave F† and 0.0 gave F, by truth value
+    message = f"inverse must be a boolean, got {inverse!r}"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        gates.fourier(4, inverse)
+
+
+def test_fourier_inverse_takes_numpy_booleans():
+    for flag in (False, True):
+        assert np.array_equal(gates.fourier(4, np.bool_(flag)).matrix,
+                              gates.fourier(4, flag).matrix)
 
 
 @pytest.mark.parametrize("value", [*NOT_COUNTS, 0], ids=repr)
@@ -859,6 +879,12 @@ HUGE_INT_SITES = {
         "carriers_hz entry", lambda v: pulse.PulseSchedule(1e-9, (np.ones(2),), (v,))),
     "otoc_series.times_s": (
         "times_s entry", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [v])),
+    # complex sites: complex() raised the OverflowError
+    "require_complex": ("x", lambda v: errors.require_complex("x", v)),
+    "coherent_state.alpha": ("alpha", lambda v: fock.coherent_state(v, 4)),
+    "cat_state.alpha": ("alpha", lambda v: codes.cat_state(v, "+", 4)),
+    "displacement.alpha": ("alpha", lambda v: gates.displacement(v, 4)),
+    "ecd.beta": ("beta", lambda v: gates.ecd(v, 4)),
 }
 
 

@@ -1267,6 +1267,23 @@ _OVERFLOW_CASES = {
     "run_snap_theta": ("run", {"shape": [3], "gates": [
         {"kind": "snap", "target": 0, "theta": [0.0, math.inf, 0.0]}]},
                        2, "gate 0: non-finite entries in snap gate field 'theta'"),
+    # gate angles and amplitudes: a traceback and exit 1 for the rotations' math
+    # domain error, exit 3 "non-finite entries in amplitudes" for alpha and beta
+    "run_rotation_theta": ("run", {"shape": [2], "gates": [
+        {"kind": "qubit_rotation", "target": 0, "theta": math.inf, "phi": 0.0}]},
+                           2, "gate 0: theta must be finite, got inf"),
+    "run_givens_theta": ("run", {"shape": [3], "gates": [
+        {"kind": "givens", "target": 0, "m": 0, "n": 2, "theta": -math.inf}]},
+                         2, "gate 0: theta must be finite, got -inf"),
+    "run_cond_rotation_phi": ("run", {"shape": [2, 3], "gates": [
+        {"kind": "cond_rotation", "qubit": 0, "mode": 1, "n": 1, "theta": 1.0, "phi": math.nan}]},
+                              2, "gate 0: phi must be finite, got nan"),
+    "run_displacement_alpha": ("run", {"shape": [4], "gates": [
+        {"kind": "displacement", "target": 0, "alpha": math.inf}]},
+                               2, "gate 0: alpha must be finite"),
+    "run_ecd_beta": ("run", {"shape": [2, 4], "gates": [
+        {"kind": "ecd", "qubit": 0, "mode": 1, "beta": [math.nan, 0.0]}]},
+                     2, "gate 0: beta must be finite"),
     "code_alpha_nan": ("code", dict(CODE_DOC, alpha=[math.nan, 0]),
                        1, "alpha must be finite, got (nan+0j)"),
     "code_t1_nan": ("code", dict(CODE_DOC, t1_s=math.nan), 1, "t1_s must be positive, got nan"),

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cavityq import errors, fock, gates, pulse
 from cavityq.errors import NumericError, ParseError, ShapeError, UsageError
+import dense_oracle
 from dense_oracle import dense_unitary
 
 
@@ -604,22 +605,24 @@ class TestCompiledCircuitProperties:
 
     def test_compiled_gates_build_no_register_operator(self):
         # every kind compiles and runs with the dense path gone: no
-        # tensordot, no embed and no dense constructor bigger than 2×2
+        # tensordot, no embed and no gate matrix; and the oracle runs with
+        # every kernel gone, so it cannot drift onto the code it checks
         dims = (3, 3, 2)
         circuit = random_circuit(dims, np.random.default_rng(5), 2)
         assert {spec.kind for spec in circuit.gates} == set(gates.GATE_BUILDERS)
         psi = random_state(dims, np.random.default_rng(6))
-        expected = dense_unitary(circuit)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a compiled gate built a dense operator")
+            raise AssertionError("a compiled gate built a dense operator, or the oracle a kernel")
 
-        undensed = {kind: dataclasses.replace(gate, dense=refuse)
-                    for kind, gate in gates.GATE_BUILDERS.items()}
-        names = ["_apply_tensor", "embed", "snap", "multisnap", "displacement", "cond_rotation",
-                 "controlled_increment", "givens", "phase_swap", "fourier", "ecd"]
+        unkerneled = {kind: dataclasses.replace(gate, kernel=refuse)
+                      for kind, gate in gates.GATE_BUILDERS.items()}
+        with mock.patch.dict(gates.GATE_BUILDERS, unkerneled):
+            expected = dense_unitary(circuit)
+        names = ["_apply_tensor", "embed", "_gate", "snap", "multisnap", "multiqudit_snap",
+                 "displacement", "qubit_rotation", "cond_rotation", "controlled_increment",
+                 "givens", "phase_swap", "fourier", "ecd"]
         with contextlib.ExitStack() as patches:
-            patches.enter_context(mock.patch.dict(gates.GATE_BUILDERS, undensed))
             for name in names:
                 patches.enter_context(mock.patch.object(gates, name, refuse))
             parsed = gates.circuit_from_json(circuit.to_json())
@@ -684,8 +687,8 @@ def _displacement_circuits(kind: str, dims: tuple[int, ...], convention: str,
 
 class TestFactoredDisplacementKernel:
     """Circuits apply displacement and ECD through `_displacement_map`,
-    never forming D(α); checked against circuit_unitary and against the
-    dense gate promoted by embed."""
+    never forming D(α); checked against circuit_unitary and the dense
+    oracle, and `GateSpec.build` promoted by embed against the oracle."""
 
     @pytest.mark.parametrize("convention", gates.CONVENTIONS)
     @pytest.mark.parametrize("kind,dims", [
@@ -701,9 +704,11 @@ class TestFactoredDisplacementKernel:
             psi = random_state(circuit.shape, rng)
             [spec] = circuit.gates
             op, targets = spec.build(circuit.shape, convention)
-            embedded = gates.embed(op, targets, circuit.shape).matrix
+            expected = dense_unitary(circuit)
+            np.testing.assert_allclose(gates.embed(op, targets, circuit.shape).matrix, expected,
+                                       rtol=0, atol=1e-14)
             got = gates.apply_circuit(circuit, psi).amplitudes
-            np.testing.assert_allclose(got, embedded @ psi.amplitudes, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, expected @ psi.amplitudes, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
                 got, gates.circuit_unitary(circuit).matrix @ psi.amplitudes,
                 rtol=0, atol=1e-12)
@@ -968,3 +973,75 @@ def test_phase_entries_checked_in_bulk():
         assert is_real.call_count == 0
         with pytest.raises(UsageError, match="^snap theta entries must be real numbers, got True$"):
             gates.snap([0.0, 1, True])
+
+
+_ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
+_AMPLITUDES = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+_DIMS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+
+@st.composite
+def _constructor_case(draw, kind):
+    """(arguments of the public constructor of kind, its dense formula)."""
+    n = draw(st.integers(1, 12))
+    if kind == "snap":
+        theta = draw(st.lists(_ANGLES, min_size=n, max_size=n))
+        return (theta,), dense_oracle.snap(theta)
+    if kind == "multisnap":
+        dims = draw(_DIMS)
+        theta = draw(st.lists(_ANGLES, min_size=math.prod(dims), max_size=math.prod(dims)))
+        return (theta, dims), dense_oracle.snap(theta)
+    if kind == "multiqudit_snap":
+        dims = draw(_DIMS)
+        target = draw(st.integers(0, len(dims) - 1))
+        theta = draw(st.lists(_ANGLES, min_size=dims[target], max_size=dims[target]))
+        op = fock.Operator(fock.HilbertShape((dims[target],)), dense_oracle.snap(theta))
+        return (target, theta, dims), gates.embed(op, [target], dims).matrix
+    if kind == "qubit_rotation":
+        args = draw(_ANGLES), draw(_ANGLES)
+    elif kind == "cond_rotation":
+        args = draw(st.integers(0, n - 1)), draw(_ANGLES), draw(_ANGLES), n
+    elif kind == "controlled_increment":
+        args = (draw(st.integers(1, 6)),)
+    elif kind in ("givens", "phase_swap"):
+        n = draw(st.integers(2, 12))
+        levels = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        args = (*levels, draw(_ANGLES), n) if kind == "givens" else (*levels, n)
+    elif kind == "fourier":
+        args = draw(st.integers(1, 256)), draw(st.booleans())
+    else:  # displacement and ecd, up to the size of the expm check
+        args = (draw(_AMPLITUDES), draw(st.integers(1, 256)),
+                draw(st.sampled_from(gates.CONVENTIONS)))
+    return args, dense_oracle.FORMULAS[kind](*args)
+
+
+def _expm_displacement(alpha: complex, n: int, convention: str) -> np.ndarray:
+    """exp(α a† − α* a) of the truncated ladder operator; α negated for "paper"."""
+    alpha = -alpha if convention == "paper" else alpha
+    a = fock.annihilation(n).matrix
+    return scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+@pytest.mark.parametrize("kind", sorted({*gates.GATE_BUILDERS, "multiqudit_snap"}))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_constructor_matches_its_formula(kind, data):
+    # the diagonal, permutation and 2×2 kinds bit for bit up to the sign of
+    # a zero; Fourier to 1e-15 of e^{2πi(jk mod N)/N}/√N; displacement and
+    # ECD to 1e-14 of the dense product and 1e-13 of the truncated expm
+    args, formula = data.draw(_constructor_case(kind))
+    got = getattr(gates, kind)(*args).matrix
+    if kind == "fourier":
+        np.testing.assert_allclose(got, formula, rtol=0, atol=1e-15)
+    elif kind in ("displacement", "ecd"):
+        np.testing.assert_allclose(got, formula, rtol=0, atol=1e-14)
+        beta, n, convention = args
+        if kind == "displacement":
+            expected = _expm_displacement(beta, n, convention)
+        else:
+            eg = np.array([[0, 0], [1, 0]])
+            expected = (np.kron(eg, _expm_displacement(beta / 2, n, convention))
+                        + np.kron(eg.T, _expm_displacement(-beta / 2, n, convention)))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+    else:
+        assert np.array_equal(got, formula)

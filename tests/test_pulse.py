@@ -96,6 +96,13 @@ class TestPulseSchedule:
                 {"dt_s": "abc", "controls": [{"carrier_hz": 0.0,
                                               "amps": [[1.0, 0.0]]}]}))
 
+    def test_json_empty_amps_names_the_missing_segments(self):
+        # the shape rule said "control 0: field 'amps' must be 0x2, got (0,)"
+        doc = {"dt_s": 1e-9, "controls": [{"carrier_hz": 0.0, "amps": []}]}
+        with pytest.raises(ParseError) as err:
+            PulseSchedule.from_json(json.dumps(doc))
+        assert str(err.value) == "invalid schedule: streams must contain at least one segment"
+
     @pytest.mark.parametrize("field", ["amps", "carrier_hz", "dt_s"])
     def test_json_booleans_are_not_numbers(self, field):
         doc = {"dt_s": 1e-9,
