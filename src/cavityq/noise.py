@@ -18,6 +18,13 @@ at construction, K_k x = u_k ∘ shift_{o_k}(x). One step is then
 o, done on the caller's (N, N) ρ: one multiply, then one in-place add of a
 shifted slice of the flat views per further offset. That is O(K·N²), with
 no gather or matrix product; a set with a dense operator is a (K, N, N) stack.
+
+A trajectory draws one Kraus branch per step, and between jumps its state
+is K0^j x / ‖K0^j x‖. Trajectories therefore advance by no-jump runs: in a
+block of up to _BLOCK steps, each history (one record of jumps, whose
+trajectories share one state row) is one product with K0's powers, and a
+trajectory's first jump is one comparison against its pre-drawn uniforms.
+The work grows with jump events, not with steps.
 """
 
 from __future__ import annotations
@@ -36,6 +43,11 @@ _FIRST_ORDER_TOL = 1e-6
 # most steps × trajectories one unraveling may take: the length of its
 # per-step arrays; `cavityq code` at the cap peaks at about 250 MiB
 MAX_TRAJECTORY_STEPS = 4 * 10**6
+# steps in one block of a trajectory unraveling, and the entries its
+# arrays may hold per step window: (N + K) per history and 1 per trajectory,
+# so a window of runs stays within 512 KiB of complex128
+_BLOCK = 64
+_BLOCK_ENTRIES = 1 << 15
 
 
 class _Banded:
@@ -48,13 +60,19 @@ class _Banded:
     is one slice of length N² − |o|(N+1) of the view ρ.ravel(). bands holds,
     in sorted offset order, (destination, source, W_o at the destinations),
     W_o 0 where i + o or j + o leaves the range; a main band first is lead.
+    table[m, k] is |u_k|² at the level m that K_k reads, so the branch
+    weights ‖K_k x‖² of a state are |x|² @ table.
     """
 
     def __init__(self, diagonals: np.ndarray, offsets: list[int]) -> None:
         n = diagonals.shape[1]
         self.shape = (n, n)
+        self.offsets = offsets
         self.index = np.clip(np.arange(n) + np.array(offsets)[:, None], 0, n - 1)
         self.diagonals = diagonals
+        weight = diagonals.real**2 + diagonals.imag**2
+        self.table = np.stack([np.bincount(i, w, minlength=n)
+                               for i, w in zip(self.index, weight)], axis=1)
         self.bands = []
         for o in sorted(set(offsets)):
             u = self.diagonals[np.equal(offsets, o)]
@@ -66,9 +84,9 @@ class _Banded:
         self.lead = self.bands.pop(0)[2] if min(offsets) == 0 else None
         self.lead2d = None if self.lead is None else self.lead.reshape(self.shape)
 
-    def branches(self, columns: np.ndarray) -> np.ndarray:
-        """K_k applied to every column of an (N, M) array, as (K, N, M)."""
-        return self.diagonals[:, :, None] * columns[self.index]
+    def branch(self, k: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """K_k[i] applied to row i of an (M, N) array of states."""
+        return self.diagonals[k] * states[np.arange(len(k))[:, None], self.index[k]]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = np.zeros_like(rho) if self.lead is None else self.lead2d * rho
@@ -80,8 +98,7 @@ class _Banded:
 
     def gram(self) -> np.ndarray:
         """ΣK†K: diagonal, |u_k[i]|² summed on column level i + o_k."""
-        weight = self.diagonals.real**2 + self.diagonals.imag**2
-        return np.diag(np.bincount(self.index.ravel(), weight.ravel(), minlength=self.shape[0]))
+        return np.diag(self.table.sum(axis=1))
 
 
 class _Dense:
@@ -92,12 +109,18 @@ class _Dense:
         self.stack = matrices
         self.adjoints = matrices.conj().transpose(0, 2, 1)
 
-    def branches(self, columns: np.ndarray) -> np.ndarray:
-        """K_k applied to every column of an (N, M) array, as (K, N, M)."""
-        return self.stack @ columns
+    def branch(self, k: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """K_k[i] applied to row i of an (M, N) array of states."""
+        return (self.stack[k] @ states[:, :, None])[:, :, 0]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.branches(rho) @ self.adjoints).sum(axis=0)
+        return (self.stack @ rho @ self.adjoints).sum(axis=0)
+
+    def weights(self, states: np.ndarray) -> np.ndarray:
+        """‖K_k x‖² of states (..., N), as (..., K)."""
+        branches = self.stack @ states.reshape(-1, self.shape[0]).T
+        weights = (branches.real**2 + branches.imag**2).sum(axis=1)
+        return weights.T.reshape(*states.shape[:-1], len(self.stack))
 
     def gram(self) -> np.ndarray:
         return (self.adjoints @ self.stack).sum(axis=0)
@@ -230,7 +253,10 @@ def density_matrix(psi: StateVector) -> np.ndarray:
 def apply_channel(channel: NoiseChannel, rho: np.ndarray) -> np.ndarray:
     """One deterministic Kraus step ρ → ΣKρK†, in O(K·N²) when banded."""
     kernel = channel._kernel
-    rho = np.asarray(rho, dtype=complex, order="C")
+    try:
+        rho = np.asarray(rho, dtype=complex, order="C")
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"rho must be an array of complex numbers: {exc}") from None
     if rho.shape != kernel.shape:
         raise UsageError("density matrix must be {}x{}, got {}".format(*kernel.shape, rho.shape))
     return kernel.apply(rho)
@@ -297,41 +323,56 @@ def _require_room(steps: int, n_trajectories: int) -> int:
 
 def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
              seeds: list[int]) -> list[TrajectoryResult]:
-    """Trajectories for the given seeds, advanced as one (T, N) array.
+    """Trajectories for the given seeds, advanced a block of steps at a time.
 
     Trajectory i draws its uniforms from default_rng(seeds[i]) in one
     random(steps) call, which gives the same numbers as one random() per
-    step. At each step every Kraus branch of every trajectory comes from
-    the channel's kernel at once (shifted elementwise products for bands,
-    one stacked product otherwise); the pick is the count of cumulative
-    branch weights <= u·total (searchsorted side="right"), capped at K−1.
+    step. Between jumps a state is K0^j x / ‖K0^j x‖ (the waiting-time
+    picture of Dalibard, Castin & Mølmer, PRL 68, 580 (1992)), so a
+    history's whole no-jump run through a block is one product with K0's
+    powers, formed once per call: its branch weights, parity and ⟨n⟩ at
+    every step. Trajectories with one history (the same jumps at the same
+    steps) share one state row. Step j keeps K0 iff w0(j) > u_j·total(j), so
+    a trajectory's first jump in a run is one comparison against its
+    uniforms. A jump step picks the count of cumulative branch weights
+    <= u·total, capped at K−1, and trajectories that make the same jump
+    share the new state from there on.
+
+    Work grows with jump events rather than steps: a block costs one run
+    per history, and each round of jumps in it one more. A channel whose
+    first operator is the rare branch jumps almost every step, so it pays a
+    round per step and runs up to about twice as long as a per-step loop.
     """
     if psi.shape != channel.shape:
         raise UsageError(f"state on dims {psi.shape.dims} does not match channel shape "
                          f"{channel.shape.dims}")
     n_traj = len(seeds)
-    kernel = channel._kernel
-    last = len(channel.kraus) - 1
+    n = channel.shape.total_dim
     uniforms = np.stack([np.random.default_rng(s).random(steps) for s in seeds])
-    levels = np.arange(channel.shape.total_dim)
-    # columns: parity (-1)^n and photon number n
-    observables = np.stack([(-1.0) ** levels, levels.astype(float)], axis=1)
-    states = np.tile(psi.amplitudes, (n_traj, 1))
-    rows = np.arange(n_traj)
+    levels = np.arange(n)
+    # columns: parity (-1)^n, photon number n and the norm, then a banded
+    # kernel's |u_k|² by level, each twice: they weigh the squares of the
+    # real and imaginary parts of a state
+    probe = np.stack([(-1.0) ** levels, levels.astype(float), np.ones(n)], axis=1)
+    if isinstance(channel._kernel, _Banded):
+        probe = np.hstack([probe, channel._kernel.table])
+    probe = np.repeat(probe, 2, axis=0)
+    powers = _no_jump_powers(channel, min(steps, _BLOCK))
     jumped = np.zeros((n_traj, steps), dtype=bool)
     # per trajectory: parities in stats[0, i], ⟨n⟩ in stats[1, i]
     stats = np.empty((2, n_traj, steps))
-    for s in range(steps):
-        branches = kernel.branches(states.T)  # (K, N, T)
-        weights = (branches.real**2 + branches.imag**2).sum(axis=1)
-        total = weights.sum(axis=0)
-        if (total <= 0).any():
-            raise UsageError("state annihilated by every Kraus branch")
-        below = np.cumsum(weights, axis=0) <= uniforms[:, s] * total
-        pick = np.minimum(below.sum(axis=0), last)
-        states = branches[pick, :, rows] / np.sqrt(weights[pick, rows])[:, None]
-        jumped[:, s] = pick != 0
-        stats[:, :, s] = ((states.real**2 + states.imag**2) @ observables).T
+    states = psi.amplitudes[None]  # one row per history
+    rows = np.zeros(n_traj, dtype=np.intp)  # each trajectory's history
+    done = 0
+    while done < steps:
+        length = min(len(powers) - 1, steps - done, max(1, _BLOCK_ENTRIES // n_traj))
+        block = slice(done, done + length)
+        states, rows = _advance_block(channel, powers, _unit_scale(states), rows,
+                                      uniforms[:, block], jumped[:, block],
+                                      stats[:, :, block], probe)
+        done += length
+    if steps:
+        states = states / np.sqrt((states.real**2 + states.imag**2).sum(axis=1))[:, None]
     jump_counts = np.cumsum(jumped, axis=1, dtype=np.int64)
     return [
         TrajectoryResult(
@@ -341,7 +382,129 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
             jump_counts=jump_counts[i],
             parities=stats[0, i],
             mean_occupations=stats[1, i],
-            final_state=StateVector(channel.shape, states[i]),
+            final_state=StateVector(channel.shape, states[rows[i]]),
         )
         for i, seed in enumerate(seeds)
     ]
+
+
+def _advance_block(channel: NoiseChannel, powers: np.ndarray, states: np.ndarray,
+                   rows: np.ndarray, uniforms: np.ndarray, jumped: np.ndarray,
+                   stats: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block of L = uniforms.shape[1] steps for every trajectory.
+
+    states holds one row per history, and rows[t] is trajectory t's row.
+    Each round runs every history over a window of the block, from the
+    earliest position a history starts at. A trajectory that jumps in the
+    window starts a new history one step after its jump; the others carry
+    on from the window's end. The window is the rest of the block at first,
+    then twice the longest no-jump run of the round before, so a channel
+    that jumps every step computes short runs; it never holds more than
+    _BLOCK_ENTRIES history entries. Fills the (T, L) jump flags and the
+    (2, T, L) parity and ⟨n⟩ rows, and returns the states at the block's
+    end and each trajectory's row among them.
+    """
+    kernel, last = channel._kernel, len(channel.kraus) - 1
+    n_traj, length = uniforms.shape
+    n = channel.shape.total_dim
+    everyone = np.arange(n_traj)
+    position = np.arange(length + 1)
+    start = np.zeros(len(states), dtype=np.intp)
+    # per trajectory and step: |x|² against parity, n and 1, for the state after the step
+    seen = np.empty((n_traj, length, 3))
+    observed = np.ascontiguousarray(probe[:, :3])
+    lo, reach = 0, length
+    while lo < length:
+        # a window step takes N + K entries per history
+        room = max(1, _BLOCK_ENTRIES // (len(states) * (n + last + 1)))
+        hi = min(length, lo + reach, lo + room)
+        late = start - lo  # steps into the window each history starts
+        # the state before each step of the window, and after its last
+        runs = _runs(powers, states, late, hi - lo)
+        sums = np.square(runs.view(float)) @ probe
+        if isinstance(kernel, _Banded):
+            weights = sums[:, :-1, 3:]
+        else:
+            weights = kernel.weights(runs[:, :-1])
+        cumulative = np.cumsum(weights, axis=-1)
+        total = cumulative[..., -1]
+        stay = cumulative[rows, :, 0] > uniforms[:, lo:hi] * total[rows]
+        if late.any():  # trajectories whose history starts inside the window wait for it
+            begin = late[rows]
+            ahead = position[:hi - lo] >= begin[:, None]
+            stay |= ~ahead
+            np.copyto(seen[:, lo:hi], sums[rows, 1:, :3], where=ahead[..., None])
+        else:
+            begin = 0
+            seen[:, lo:hi] = sums[rows, 1:, :3]
+        first = stay.argmin(axis=1)
+        moves = ~stay[everyone, first]
+        reach = max(1, 2 * int((np.where(moves, first, hi - lo) - begin).max()))
+        # histories carry on from the window's end; jumps make new ones
+        states, start = runs[:, -1], np.maximum(start, hi)
+        if moves.any():
+            movers, at = everyone[moves], first[moves]
+            src, step = rows[movers], lo + at
+            below = cumulative[src, at]
+            total = below[:, -1]
+            if (total <= 0).any():
+                raise UsageError("state annihilated by every Kraus branch")
+            # the count of cumulative weights <= u·total among the first K − 1 is the
+            # count among all K, capped at K − 1
+            pick = (below[:, :-1] <= (uniforms[movers, step] * total)[:, None]).sum(axis=1)
+            jumped[movers, step] = pick != 0
+            # one new history per (history, step, branch)
+            _, lead, group = np.unique((src * length + at) * (last + 1) + pick,
+                                       return_index=True, return_inverse=True)
+            new = kernel.branch(pick[lead], runs[src[lead], at[lead]])
+            seen[movers, step] = (np.square(new.view(float)) @ observed)[group]
+            if len(movers) == n_traj:  # no trajectory follows an old history
+                states, start, rows = new, step[lead] + 1, group
+            else:
+                rows[movers] = len(states) + group
+                states = np.concatenate([states, new])
+                start = np.concatenate([start, step[lead] + 1])
+                # drop the histories no trajectory follows
+                alive = np.zeros(len(states), dtype=bool)
+                alive[rows] = True
+                states, start, rows = states[alive], start[alive], (np.cumsum(alive) - 1)[rows]
+        lo = int(start.min())
+    np.divide(seen[..., :2], seen[..., 2:], out=stats.transpose(1, 2, 0))
+    return states, rows
+
+
+def _runs(powers: np.ndarray, states: np.ndarray, late: np.ndarray, width: int) -> np.ndarray:
+    """(H, width + 1, N): K0^max(j − late[h], 0) states[h] at j = 0..width."""
+    if powers.ndim == 2:
+        runs = powers[:width + 1] * states[:, None, :]
+    else:  # powers[j] is the transpose of K0^j
+        n = states.shape[1]
+        runs = (states @ powers[:width + 1].transpose(1, 0, 2).reshape(n, -1)).reshape(
+            len(states), width + 1, n)
+    if late.any():
+        exponent = np.maximum(np.arange(width + 1) - late[:, None], 0)
+        runs = runs[np.arange(len(states))[:, None], exponent]
+    return runs
+
+
+def _no_jump_powers(channel: NoiseChannel, reach: int) -> np.ndarray:
+    """K0^j for j = 0..reach: cumulative products of its diagonal, as a
+    (reach + 1, N) table, when K0 lies on the main band; otherwise repeated
+    products of its dense matrix, stored transposed as (reach + 1, N, N),
+    with reach cut to at most _BLOCK_ENTRIES entries past the first."""
+    kernel, n = channel._kernel, channel.shape.total_dim
+    if isinstance(kernel, _Banded) and kernel.offsets[0] == 0:
+        power = np.ones((reach + 1, n), dtype=complex)
+        power[1:] = kernel.diagonals[0]
+        return np.cumprod(power, axis=0, out=power)
+    power = [np.eye(n, dtype=complex)]
+    for _ in range(max(1, min(reach, _BLOCK_ENTRIES // (n * n)))):
+        power.append(power[-1] @ channel.kraus[0].matrix.T)
+    return np.stack(power)
+
+
+def _unit_scale(states: np.ndarray) -> np.ndarray:
+    """Each row times the power of two that brings its norm into [0.5, 1).
+    The scaling is exact, so every ratio read from a row is unchanged."""
+    _, exponent = np.frexp(np.sqrt((states.real**2 + states.imag**2).sum(axis=1)))
+    return states * np.ldexp(1.0, -exponent)[:, None]

@@ -847,11 +847,12 @@ class SequencePrepResult:
 
 
 def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
-                   a: np.ndarray, adag: np.ndarray, guard: tuple[int, ...],
-                   leak_weight: float):
+                   directions: np.ndarray, guard: tuple[int, ...], leak_weight: float):
     """Forward pass over the displacement/SNAP alternation. Returns
     (j_total, j_raw, gradient): gradient() runs the adjoint pass on the kept
-    states and gives (dJ/dRe(alpha) + i dJ/dIm(alpha), dJ/dtheta)."""
+    states and gives (dJ/dRe(alpha) + i dJ/dIm(alpha), dJ/dtheta).
+    directions stacks the exponent's derivatives along Re(alpha) and
+    Im(alpha), [a† − a, i(a† + a)]."""
     blocks = thetas.shape[0]
     n = len(target)
     # D(alpha) = exp(-i G) from the closed-form eigensystem of G
@@ -884,9 +885,7 @@ def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
         g_theta = 2 * (1j * np.conj(snaps * post[:-1]) * pre[1:]).real
         s = _frechet_adjoint(vecs, _phi_matrix(lam, 1.0), pre[..., None],
                              post[..., None])
-        # exponent directions d/dRe(alpha) = a^dag - a, d/dIm(alpha) = i(a^dag + a)
-        dirs = np.stack([adag - a, 1j * (adag + a)])
-        val = 2 * np.einsum("qij,kji->qk", dirs, s).real
+        val = 2 * np.einsum("qij,kji->qk", directions, s).real
         return val[0] + 1j * val[1], g_theta
     return j_total, j_raw, gradient
 
@@ -929,6 +928,8 @@ def optimize_snap_displacement_sequence(
     guard = tuple(range(len(tvec), n))
     a_mat = annihilation(n).matrix
     adag = a_mat.conj().T
+    # exponent directions d/dRe(alpha) = a^dag - a, d/dIm(alpha) = i(a^dag + a)
+    directions = np.stack([adag - a_mat, 1j * (adag + a_mat)])
 
     rng = np.random.default_rng(seed)
     alphas0 = 0.3 * (rng.standard_normal(blocks + 1)
@@ -944,8 +945,8 @@ def optimize_snap_displacement_sequence(
         return al, th
 
     def objective(x: np.ndarray):
-        jt, j_raw, gradient = _sequence_pass(*unpack(x), padded, a_mat, adag,
-                                             guard, leak_weight)
+        jt, j_raw, gradient = _sequence_pass(*unpack(x), padded, directions, guard,
+                                             leak_weight)
         return jt, j_raw, lambda: pack(*gradient())
 
     x0 = pack(alphas0, thetas0)

@@ -1,11 +1,12 @@
 import copy
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cavityq import codes, fock, noise
 from cavityq.errors import StepSizeError, UsageError
@@ -862,3 +863,165 @@ def test_infinite_lifetime_and_step_names_the_step(make):
     # 0·∞: no loss rate over an unbounded step
     with pytest.raises(UsageError, match=r"^dt_s must be positive and finite, got inf$"):
         make(math.inf, math.inf, 8)
+
+
+# ---------------------------------------------------------------------------
+# trajectories over more than one block of no-jump runs
+
+
+def block_steps():
+    """Two full blocks of the unraveling and three steps of a third."""
+    return 2 * noise._BLOCK + 3
+
+
+def assert_matches_scalar(traj, channel, psi, steps, seed):
+    _, jump_steps, counts, parities, mean_ns, final = scalar_trajectory(channel, psi, steps, seed)
+    assert traj.seed == seed and traj.steps == steps
+    assert traj.jump_steps == jump_steps
+    np.testing.assert_array_equal(traj.jump_counts, counts)
+    np.testing.assert_allclose(traj.parities, parities, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.mean_occupations, mean_ns, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.final_state.amplitudes, final, rtol=0, atol=1e-12)
+
+
+def countdown_channel(n):
+    """K0 moves |i⟩ to |i−1⟩ with weight 1 and annihilates |0⟩, which K1
+    resets to |n−1⟩: from |m⟩ the jumps fall exactly on steps m, m + n,
+    m + 2n, ... whatever the uniforms. K0 lies off the main band."""
+    shape = fock.HilbertShape((n,))
+    k0 = np.diag(np.ones(n - 1), 1).astype(complex)
+    k1 = np.zeros((n, n), dtype=complex)
+    k1[n - 1, 0] = 1.0
+    return noise.NoiseChannel(shape, [fock.Operator(shape, k0), fock.Operator(shape, k1)], 1e-3)
+
+
+class TestBlockedTrajectories:
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("last", ["block", "run"])
+    def test_forced_jumps_on_block_and_run_ends(self, dense, last):
+        steps, n = block_steps(), 5
+        wanted = noise._BLOCK - 1 if last == "block" else steps - 1
+        channel = countdown_channel(n)
+        if dense:
+            channel = forced_dense(channel)
+        psi = fock.basis_state(n, wanted % n)
+        results = noise.run_trajectories(channel, psi, steps, 3, base_seed=4)
+        for traj in results:
+            assert traj.jump_steps == tuple(range(wanted % n, steps, n))
+            assert wanted in traj.jump_steps
+            assert_matches_scalar(traj, channel, psi, steps, traj.seed)
+
+    def test_random_jumps_on_a_block_end(self):
+        # |5⟩ under strong dephasing stays |5⟩ and jumps at a fixed rate per step
+        channel = strong_channel("dephasing", 6, 0.12)
+        psi = fock.basis_state(6, 5)
+        steps = block_steps()
+        results = noise.run_trajectories(channel, psi, steps, 12, base_seed=2)
+        assert any(noise._BLOCK - 1 in traj.jump_steps for traj in results)
+        for traj in results:
+            assert_matches_scalar(traj, channel, psi, steps, traj.seed)
+
+    def test_long_jumpy_history_keeps_its_scale(self):
+        # the probability of one jump history of 2,000 such steps is about
+        # 1e-580, far below the smallest double; the states must not underflow
+        channel = strong_channel("dephasing", 6, 0.12)
+        psi = fock.basis_state(6, 5)
+        for traj in noise.run_trajectories(channel, psi, 2000, 2, base_seed=3):
+            assert len(traj.jump_steps) > 500
+            assert_matches_scalar(traj, channel, psi, 2000, traj.seed)
+
+    @given(trajectory_problems(), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_matches_scalar_loop_over_blocks(self, problem, n_traj, base_seed):
+        channel, psi = problem
+        steps = block_steps()
+        results = noise.run_trajectories(channel, psi, steps, n_traj, base_seed)
+        assert len(results) == n_traj
+        for traj in results:
+            assert_matches_scalar(traj, channel, psi, steps, traj.seed)
+
+    @pytest.mark.parametrize("kind", ["phased", "rotated"])
+    def test_phased_and_rotated_channels_over_blocks(self, kind):
+        rng = np.random.default_rng(12)
+        base = strong_channel("both", 6, 0.02)
+        channel = (phased if kind == "phased" else rotated)(base, rng)
+        assert isinstance(channel._kernel,
+                          noise._Banded if kind == "phased" else noise._Dense)
+        psi = fock.StateVector((6,), rng.normal(size=6) + 1j * rng.normal(size=6)).normalized()
+        steps = block_steps()
+        results = noise.run_trajectories(channel, psi, steps, 4, base_seed=8)
+        assert sum(len(traj.jump_steps) for traj in results) > 0
+        for traj in results:
+            assert_matches_scalar(traj, channel, psi, steps, traj.seed)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_one_operator_channel_never_jumps(self, dense):
+        rng = np.random.default_rng(3)
+        shape = fock.HilbertShape((5,))
+        u = random_unitary(rng, 5) if dense else np.diag(np.exp(1j * rng.uniform(0, 6, 5)))
+        channel = noise.NoiseChannel(shape, [fock.Operator(shape, u)], 1e-3)
+        assert isinstance(channel._kernel, noise._Dense if dense else noise._Banded)
+        psi = fock.StateVector((5,), rng.normal(size=5) + 1j * rng.normal(size=5)).normalized()
+        steps = block_steps()
+        for traj in noise.run_trajectories(channel, psi, steps, 3, base_seed=5):
+            assert traj.jump_steps == ()
+            assert_matches_scalar(traj, channel, psi, steps, traj.seed)
+
+    def test_infinite_lifetime_rows_are_bit_identical(self):
+        # no loss: no jumps, and every row of every trajectory repeats the first
+        channel = noise.photon_loss_channel(math.inf, 4e-5, 20)
+        psi = codes.cat_state(2.0, "+", 20)
+        results = noise.run_trajectories(channel, psi, 3 * noise._BLOCK + 8, 3, base_seed=2)
+        first = results[0]
+        for traj in results:
+            assert traj.jump_steps == ()
+            assert np.all(traj.parities == first.parities[0])
+            assert np.all(traj.mean_occupations == first.mean_occupations[0])
+            np.testing.assert_array_equal(traj.final_state.amplitudes,
+                                          first.final_state.amplitudes)
+
+    def test_state_annihilated_by_k0_jumps_without_warnings(self):
+        # at x(N−1) = 1, K0 annihilates the top level: the first step must jump
+        channel = strong_channel("loss", 6, 1 / 5)
+        psi = fock.basis_state(6, 5)
+        steps = block_steps()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = noise.run_trajectories(channel, psi, steps, 4, base_seed=1)
+        for traj in results:
+            assert traj.jump_steps[0] == 0
+            assert_matches_scalar(traj, channel, psi, steps, traj.seed)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_state_annihilated_by_every_branch_raises(self, dense):
+        channel = loss_channel(n=4)
+        if dense:
+            channel = forced_dense(channel)
+        zero_state = fock.StateVector((4,), np.zeros(4))
+        with pytest.raises(UsageError, match="annihilated"):
+            noise.run_trajectories(channel, zero_state, block_steps(), 3, base_seed=0)
+        with pytest.raises(UsageError, match="annihilated"):
+            noise.apply_channel_trajectory(channel, zero_state, block_steps(), seed=0)
+
+    def test_single_trajectory_matches_its_row(self):
+        channel = strong_channel("both", 10, 0.02)
+        psi = codes.cat_state(1.0, "-", 10)
+        steps = block_steps()
+        rows = noise.run_trajectories(channel, psi, steps, 4, base_seed=6)
+        assert all(row.jump_steps for row in rows)
+        for row in rows:
+            one = noise.apply_channel_trajectory(channel, psi, steps, seed=row.seed)
+            assert one.seed == row.seed
+            assert one.jump_steps == row.jump_steps
+            np.testing.assert_array_equal(one.jump_counts, row.jump_counts)
+            np.testing.assert_allclose(one.parities, row.parities, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(one.mean_occupations, row.mean_occupations,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(one.final_state.amplitudes, row.final_state.amplitudes,
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], {"rho": 1}])
+def test_unreadable_density_matrix_names_rho(bad):
+    with pytest.raises(UsageError, match="^rho must be an array of complex numbers"):
+        noise.apply_channel(loss_channel(n=2), bad)

@@ -42,6 +42,12 @@ from cavityq.pulse import (
 from test_device import reference_params
 
 
+def exponent_directions(a):
+    """The derivatives of the displacement exponent along Re(alpha) and
+    Im(alpha), [a† − a, i(a† + a)], as _sequence_pass takes them."""
+    return np.stack([a.conj().T - a, 1j * (a.conj().T + a)])
+
+
 def constant_schedule(amp, n_segments, dt_s, n_streams=1):
     streams = tuple(
         np.full(n_segments, amp if s == 0 else 0.0, dtype=complex)
@@ -502,7 +508,7 @@ class TestStructuredKernels:
             for tgt in (Operator(model.shape, np.eye(d)),
                         basis_state(model.shape, 1)):
                 grape_gradient(model, sched, tgt)
-        pulse._sequence_pass(alphas, thetas, target, a, a.conj().T, (n - 1,),
+        pulse._sequence_pass(alphas, thetas, target, exponent_directions(a), (n - 1,),
                              1.0)[2]()
 
     @pytest.mark.parametrize("n", [2, 9, 24])
@@ -774,7 +780,7 @@ class TestSequencePreparation:
         target = np.zeros(n, dtype=complex)
         target[:n - 1] = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
         target /= np.linalg.norm(target)
-        args = (target, a, a.conj().T, (n - 1,), 0.7)
+        args = (target, exponent_directions(a), (n - 1,), 0.7)
         alphas = 0.4 * (rng.standard_normal(blocks + 1)
                         + 1j * rng.standard_normal(blocks + 1))
         thetas = rng.standard_normal((blocks, n))
@@ -890,8 +896,8 @@ def _eager_sequence(tvec, blocks, seed, iterations, learning_rate, tol,
                 x[2 * (blocks + 1):].reshape(blocks, n))
 
     def value_and_grad(x):
-        jt, _, gradient = pulse._sequence_pass(*unpack(x), padded, a,
-                                               a.conj().T, guard, leak_weight)
+        jt, _, gradient = pulse._sequence_pass(*unpack(x), padded,
+                                               exponent_directions(a), guard, leak_weight)
         ga, gt = gradient()
         return jt, np.concatenate([ga.real, ga.imag, gt.ravel()])
 
@@ -899,7 +905,7 @@ def _eager_sequence(tvec, blocks, seed, iterations, learning_rate, tol,
     x, _, iters, converged, trace = _eager_ascend(
         x0, value_and_grad, iterations, tol, learning_rate)
     al, th = unpack(x)
-    j_raw = pulse._sequence_pass(al, th, padded, a, a.conj().T, guard,
+    j_raw = pulse._sequence_pass(al, th, padded, exponent_directions(a), guard,
                                  leak_weight)[1]
     return al, th, j_raw, iters, converged, trace
 
