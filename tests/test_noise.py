@@ -1020,6 +1020,47 @@ class TestBlockedTrajectories:
             np.testing.assert_allclose(one.final_state.amplitudes, row.final_state.amplitudes,
                                        rtol=0, atol=1e-12)
 
+    # entry budgets small enough that blocks get shorter than _BLOCK, windows
+    # are cut by room for their histories and dense powers stop short of a block
+    SMALL_BUDGETS = [48, 160]
+
+    @pytest.mark.parametrize("budget", SMALL_BUDGETS)
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_small_budget_forced_jumps(self, monkeypatch, budget, dense):
+        monkeypatch.setattr(noise, "_BLOCK_ENTRIES", budget)
+        steps, n = block_steps(), 5
+        channel = countdown_channel(n)
+        if dense:
+            channel = forced_dense(channel)
+        psi = fock.basis_state(n, 2)
+        for traj in noise.run_trajectories(channel, psi, steps, 40, base_seed=4):
+            assert traj.jump_steps == tuple(range(2, steps, n))
+            assert_matches_scalar(traj, channel, psi, steps, traj.seed)
+
+    @pytest.mark.parametrize("budget", SMALL_BUDGETS)
+    def test_small_budget_rotated_channel(self, monkeypatch, budget):
+        monkeypatch.setattr(noise, "_BLOCK_ENTRIES", budget)
+        rng = np.random.default_rng(21)
+        channel = rotated(strong_channel("both", 4, 0.05), rng)
+        psi = fock.StateVector((4,), rng.normal(size=4) + 1j * rng.normal(size=4)).normalized()
+        steps = block_steps()
+        results = noise.run_trajectories(channel, psi, steps, 12, base_seed=9)
+        assert sum(len(traj.jump_steps) for traj in results) > 12
+        for traj in results:
+            assert_matches_scalar(traj, channel, psi, steps, traj.seed)
+
+    @given(trajectory_problems(), st.sampled_from(SMALL_BUDGETS), st.sampled_from([1, 3, 12]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_small_budget_matches_scalar_loop(self, problem, budget, n_traj, base_seed):
+        channel, psi = problem
+        steps = block_steps()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(noise, "_BLOCK_ENTRIES", budget)
+            results = noise.run_trajectories(channel, psi, steps, n_traj, base_seed)
+        for traj in results:
+            assert_matches_scalar(traj, channel, psi, steps, traj.seed)
+
 
 @pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], {"rho": 1}])
 def test_unreadable_density_matrix_names_rho(bad):
