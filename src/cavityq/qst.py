@@ -52,8 +52,8 @@ from .errors import (
 )
 
 _MAX_RATE_DT = 0.05
-# most RK4 steps one transfer may take; at the cap its grids and traces
-# peak at about 240 MB
+# most RK4 steps one transfer may take; at the cap its rates and traces
+# peak at about 214 MiB, and a detuning sweep's rates at about 107 MiB
 MAX_RK4_STEPS = 10**6
 # RK4 steps scanned at once; bounds the scan temporaries of long spans
 _CHUNK_STEPS = 2048
@@ -217,35 +217,79 @@ class QstResult:
             object.__setattr__(self, name, arr)
 
 
-def _rk4_chunk(ca, cb, cab, w1, w2, dt, a, b, p) -> None:
-    """The RK4 steps of one chunk, all at once.
+@dataclass(frozen=True, eq=False)
+class _TransferGrid:
+    """A transfer's RK4 steps and the parts of its coefficients that do not
+    depend on the detuning, on the half-step grid: index 2j is t_j, 2j+1
+    the midpoint."""
 
-    The coefficients hold the 2n+1 half-step grid points of the chunk's n
-    steps. a, b and p are views of the traces over the chunk: entry 0 holds
-    the state carried in, and entries 1..n are filled in.
+    n_steps: int
+    dt: float
+    k1: np.ndarray
+    k2: np.ndarray
+    cb: np.ndarray   # the decay coefficient of b
+    cab: np.ndarray  # the a->b coupling
+
+    def decay(self, delta_omega_hz: float) -> np.ndarray:
+        """The decay coefficient of a at this detuning."""
+        return -(self.k1 / 2.0 + 0.5j * delta_omega_hz)
+
+    def chunks(self):
+        """Each chunk of at most _CHUNK_STEPS steps, as (first step, one
+        past its last step, its slice of the half-step grid)."""
+        for j0 in range(0, self.n_steps, _CHUNK_STEPS):
+            j1 = min(j0 + _CHUNK_STEPS, self.n_steps)
+            yield j0, j1, slice(2 * j0, 2 * j1 + 1)
+
+
+def _transfer_grid(config: QstConfig) -> _TransferGrid:
+    """The step count, step and rates of a transfer, checked.
+
+    Raises a CapacityError, before any allocation, when the step count is
+    not finite or above MAX_RK4_STEPS, and a step-size error when
+    max(k1, k2) * dt exceeds 0.05 on the integration grid.
+    """
+    t0, t1 = config.t_span_s
+    steps = (t1 - t0) / config.dt_s
+    if not math.isfinite(steps):
+        raise CapacityError(f"t_span_s {config.t_span_s} over dt_s {config.dt_s} "
+                            "is not a finite step count")
+    n_steps = max(1, int(round(steps)))
+    require_capacity(f"t_span_s {config.t_span_s} over dt_s {config.dt_s}", n_steps,
+                     MAX_RK4_STEPS, "RK4 steps")
+    dt = (t1 - t0) / n_steps
+    grid = t0 + (dt / 2.0) * np.arange(2 * n_steps + 1)
+    k1 = _evaluate_rates(config.emit_waveform, grid, "emit waveform")
+    k2 = _evaluate_rates(config.catch_waveform, grid, "catch waveform")
+    max_rate = float(max(k1.max(), k2.max()))
+    if max_rate * dt > _MAX_RATE_DT * (1 + 1e-12):
+        raise StepSizeError(
+            f"max(kappa)*dt = {max_rate * dt:.3g} exceeds {_MAX_RATE_DT}; "
+            f"reduce dt below {_MAX_RATE_DT / max_rate:.3e} s"
+        )
+    return _TransferGrid(n_steps, dt, k1, k2, -k2 / 2.0, -np.sqrt(k1 * k2))
+
+
+def _step_maps(ca, cb, cab, dt):
+    """The RK4 step maps of n steps, all at once, from the coefficients on
+    their 2n+1 half-step grid points.
 
     The equations are linear, y' = C(t) y with y = (a, b) and C lower
     triangular, so the RK4 stages are y_s = S_s y with S_1 = I,
     S_2 = I + (dt/2) C_0 S_1, S_3 = I + (dt/2) C_m S_2 and
     S_4 = I + dt C_m S_3, and one step is y -> M y with
     M = I + (dt/6)(C_0 S_1 + 2 C_m S_2 + 2 C_m S_3 + C_1 S_4), lower
-    triangular too. The traces are the inclusive prefix products of the M_j
-    applied to the state carried in, and the flux of stage s is
-    |(w1, w2) S_s y_j|^2.
+    triangular too. Lower-triangular 2x2 matrices are (aa, ba, bb) entry
+    triples. Returns the M_j and the stages (S_2, S_3, S_4).
     """
-    ca, cb, cab, w1, w2 = ((x[:-1:2], x[1::2], x[2::2])
-                           for x in (ca, cb, cab, w1, w2))
+    ca, cb, cab = ((x[:-1:2], x[1::2], x[2::2]) for x in (ca, cb, cab))
     h = dt / 2.0
 
-    # lower-triangular 2x2 matrices as (aa, ba, bb) entry triples
     def slope(c, s):  # C_c S
         return (ca[c] * s[0], cab[c] * s[0] + cb[c] * s[1], cb[c] * s[2])
 
     def stage(x, k):  # I + x K
         return (1.0 + x * k[0], x * k[1], 1.0 + x * k[2])
-
-    def gain(c, s):  # the flux amplitude (w1, w2) S as (on a, on b)
-        return (w1[c] * s[0] + w2[c] * s[1], w2[c] * s[2])
 
     k1 = (ca[0], cab[0], cb[0])
     s2 = stage(h, k1)
@@ -259,14 +303,60 @@ def _rk4_chunk(ca, cb, cab, w1, w2, dt, a, b, p) -> None:
     )
     m_aa += 1.0
     m_bb += 1.0
-    # Hillis-Steele scan: after the round with offset d, entry j holds the
-    # product M_j M_{j-1} ... M_{max(0, j-2d+1)}
+    return (m_aa, m_ba, m_bb), (s2, s3, s4)
+
+
+def _prefix_products(m_aa, m_ba, m_bb) -> None:
+    """Replace the maps M_j by the products M_j M_{j-1} ... M_0, in place.
+
+    Hillis-Steele scan: after the round with offset d, entry j holds the
+    product M_j M_{j-1} ... M_{max(0, j-2d+1)}.
+    """
     d = 1
     while d < len(m_aa):
         m_ba[d:] = m_ba[d:] * m_aa[:-d] + m_bb[d:] * m_ba[:-d]
         m_aa[d:] = m_aa[d:] * m_aa[:-d]
         m_bb[d:] = m_bb[d:] * m_bb[:-d]
         d *= 2
+
+
+def _product(m_aa, m_ba, m_bb):
+    """The product M_{n-1} ... M_0 as length-1 (aa, ba, bb) arrays: the last
+    entry of _prefix_products, bitwise, in O(n) work.
+
+    The scan's last entry takes, in its round with offset d, the partial
+    products ending at steps n-1, n-1-2d, n-1-4d, ... times those ending d
+    steps earlier, and leaves one with nothing d steps earlier as it is. So
+    each round pairs neighbours from the last step back, and an unpaired
+    first one waits for the next round.
+    """
+    while len(m_aa) > 1:
+        odd = len(m_aa) % 2
+        hi, lo = slice(1 + odd, None, 2), slice(odd, None, 2)
+        pairs = (m_aa[hi] * m_aa[lo],
+                 m_ba[hi] * m_aa[lo] + m_bb[hi] * m_ba[lo],
+                 m_bb[hi] * m_bb[lo])
+        m_aa, m_ba, m_bb = (np.concatenate((m[:1], pair)) if odd else pair
+                            for m, pair in zip((m_aa, m_ba, m_bb), pairs))
+    return m_aa, m_ba, m_bb
+
+
+def _rk4_chunk(ca, cb, cab, w1, w2, dt, a, b, p) -> None:
+    """The RK4 steps of one chunk, all at once.
+
+    The coefficients hold the 2n+1 half-step grid points of the chunk's n
+    steps. a, b and p are views of the traces over the chunk: entry 0 holds
+    the state carried in, and entries 1..n are filled in. The traces are
+    the prefix products of the step maps applied to the state carried in,
+    and the flux of stage s is |(w1, w2) S_s y_j|^2.
+    """
+    (m_aa, m_ba, m_bb), (s2, s3, s4) = _step_maps(ca, cb, cab, dt)
+    w1, w2 = ((x[:-1:2], x[1::2], x[2::2]) for x in (w1, w2))
+
+    def gain(c, s):  # the flux amplitude (w1, w2) S as (on a, on b)
+        return (w1[c] * s[0] + w2[c] * s[1], w2[c] * s[2])
+
+    _prefix_products(m_aa, m_ba, m_bb)
     a[1:] = m_aa * a[0]
     b[1:] = m_ba * a[0] + m_bb * b[0]
     a_in, b_in = a[:-1], b[:-1]
@@ -280,6 +370,15 @@ def _rk4_chunk(ca, cb, cab, w1, w2, dt, a, b, p) -> None:
     p[1:] = p[0] + np.cumsum((dt / 6.0) * flux)
 
 
+def _final_eta(b_final: complex) -> float:
+    """eta = |b(t1)|^2, clamped to [0, 1]; a NumericError when it exceeds 1
+    by more than 1e-6."""
+    eta_raw = abs(b_final) ** 2
+    if eta_raw > 1 + 1e-6:
+        raise NumericError(f"integrator produced eta = {eta_raw} > 1")
+    return min(max(eta_raw, 0.0), 1.0)
+
+
 def simulate_transfer(config: QstConfig) -> QstResult:
     """RK4 integration of the cascaded amplitude equations.
 
@@ -290,52 +389,26 @@ def simulate_transfer(config: QstConfig) -> QstResult:
     CapacityError, before any allocation, when the step count is not finite
     or above MAX_RK4_STEPS.
     """
-    t0, t1 = config.t_span_s
-    steps = (t1 - t0) / config.dt_s
-    if not math.isfinite(steps):
-        raise CapacityError(f"t_span_s {config.t_span_s} over dt_s {config.dt_s} "
-                            "is not a finite step count")
-    n_steps = max(1, int(round(steps)))
-    require_capacity(f"t_span_s {config.t_span_s} over dt_s {config.dt_s}", n_steps,
-                     MAX_RK4_STEPS, "RK4 steps")
-    dt = (t1 - t0) / n_steps
-    # rates on the half-step grid: index 2j is t_j, 2j+1 the midpoint
-    grid = t0 + (dt / 2.0) * np.arange(2 * n_steps + 1)
-    k1 = _evaluate_rates(config.emit_waveform, grid, "emit waveform")
-    k2 = _evaluate_rates(config.catch_waveform, grid, "catch waveform")
-    max_rate = float(max(k1.max(), k2.max()))
-    if max_rate * dt > _MAX_RATE_DT * (1 + 1e-12):
-        raise StepSizeError(
-            f"max(kappa)*dt = {max_rate * dt:.3g} exceeds {_MAX_RATE_DT}; "
-            f"reduce dt below {_MAX_RATE_DT / max_rate:.3e} s"
-        )
-    # the decay coefficient of a, the a->b coupling and the two flux
-    # weights, all on the half-step grid
-    ca = -(k1 / 2.0 + 0.5j * config.delta_omega_hz)
-    cb = -k2 / 2.0
-    cab = -np.sqrt(k1 * k2)
-    w1 = np.sqrt(k1)
-    w2 = np.sqrt(k2)
+    run = _transfer_grid(config)
+    n_steps, dt = run.n_steps, run.dt
+    # the decay coefficient of a and the two flux weights
+    ca = run.decay(config.delta_omega_hz)
+    w1 = np.sqrt(run.k1)
+    w2 = np.sqrt(run.k2)
 
     a_trace = np.empty(n_steps + 1, dtype=complex)
     b_trace = np.empty(n_steps + 1, dtype=complex)
     p_trace = np.empty(n_steps + 1, dtype=float)
     a_trace[0], b_trace[0], p_trace[0] = 1.0, 0.0, 0.0
-    for j0 in range(0, n_steps, _CHUNK_STEPS):
-        j1 = min(j0 + _CHUNK_STEPS, n_steps)
-        grid_part = slice(2 * j0, 2 * j1 + 1)
-        _rk4_chunk(ca[grid_part], cb[grid_part], cab[grid_part],
-                   w1[grid_part], w2[grid_part], dt, a_trace[j0:j1 + 1],
-                   b_trace[j0:j1 + 1], p_trace[j0:j1 + 1])
+    for j0, j1, part in run.chunks():
+        _rk4_chunk(ca[part], run.cb[part], run.cab[part], w1[part], w2[part], dt,
+                   a_trace[j0:j1 + 1], b_trace[j0:j1 + 1], p_trace[j0:j1 + 1])
     b_final = complex(b_trace[-1])
-    eta_raw = abs(b_final) ** 2
-    if eta_raw > 1 + 1e-6:
-        raise NumericError(f"integrator produced eta = {eta_raw} > 1")
-    eta = min(max(eta_raw, 0.0), 1.0)
+    eta = _final_eta(b_final)
     tau = -b_final
     alpha, beta = config.input_state
     fid = abs(abs(alpha) ** 2 + abs(beta) ** 2 * tau) ** 2
-    times = t0 + dt * np.arange(n_steps + 1)
+    times = config.t_span_s[0] + dt * np.arange(n_steps + 1)
     return QstResult(
         eta=eta,
         fidelity=float(fid),
@@ -345,6 +418,21 @@ def simulate_transfer(config: QstConfig) -> QstResult:
         b_trace=b_trace,
         emitted_trace=p_trace,
     )
+
+
+def _transfer_eta(run: _TransferGrid, delta_omega_hz: float) -> float:
+    """simulate_transfer's eta at this detuning, bitwise, with no traces or
+    flux: each chunk's maps are multiplied out by _product, and (a, b) is
+    carried as length-1 arrays, so every product runs in the array
+    arithmetic of the traces' writes."""
+    ca = run.decay(delta_omega_hz)
+    a = np.ones(1, dtype=complex)
+    b = np.zeros(1, dtype=complex)
+    for _, _, part in run.chunks():
+        maps, _ = _step_maps(ca[part], run.cb[part], run.cab[part], run.dt)
+        m_aa, m_ba, m_bb = _product(*maps)
+        a, b = m_aa * a, m_ba * a + m_bb * b
+    return _final_eta(complex(b[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,17 +460,22 @@ def detuning_sweep(config: QstConfig,
     Requires a matched-waveform baseline: the zero-detuning transfer must
     exceed eta = 0.99 for the linear small-detuning law to be meaningful.
     That transfer runs once, first, and gives the row of any 0.0 entry.
+    The grid, rates and checks are set up once for all points, and each
+    point computes only its eta, bitwise simulate_transfer's.
     """
     deltas = require_reals("delta_list entry", delta_list)
     if len(deltas) < 2:
         raise UsageError("need at least two detunings to sweep")
-    baseline = simulate_transfer(replace(config, delta_omega_hz=0.0)).eta
+    run = _transfer_grid(config)
+    baseline = _transfer_eta(run, 0.0)
     if baseline <= 0.99:
         raise UsageError(
             f"baseline transfer eta = {baseline:.4f} <= 0.99: the sweep "
             "requires matched waveforms"
         )
-    etas = [baseline if dw == 0 else simulate_transfer(replace(config, delta_omega_hz=dw)).eta
+    # replace() checks each detuning as a config field
+    etas = [baseline if dw == 0
+            else _transfer_eta(run, replace(config, delta_omega_hz=dw).delta_omega_hz)
             for dw in deltas]
     rows = [
         (dw, eta, math.sqrt(max(0.0, 1.0 - eta)))

@@ -869,6 +869,45 @@ def test_infinite_lifetime_and_step_names_the_step(make):
 # trajectories over more than one block of no-jump runs
 
 
+class TestEnsembleBound:
+    """Trajectory means against repeated apply_channel (Dalibard, Castin &
+    Mølmer, PRL 68, 580 (1992)): at every step the mean parity and ⟨n⟩ of
+    the trajectories lie within 5 standard errors of Tr(Pρ_s) and
+    Tr(n̂ρ_s), or within 1e-12 where the variance is 0.
+
+    The standard error is the ensemble's, from ρ_s: each trajectory of a
+    cat state under loss stays in one parity sector, so its parity is ±1
+    with variance 1 − Tr(Pρ_s)², and the variance of the trajectories' ⟨n⟩
+    is at most Tr(n̂²ρ_s) − Tr(n̂ρ_s)². The sample variance is no measure
+    here: it is 0 until the first jump, when the exact mean has already
+    moved by about twice the jump probability.
+    """
+
+    @pytest.mark.parametrize("channel, steps", [
+        # the benchmark's N = 16 loss step: about 300 jumps in 400 steps × 4000
+        (noise.photon_loss_channel(1.0, 1.8e-3 / 15, 16), 400),
+        # exact loss over 2 T1: about 5000 jumps, of one or more photons
+        (noise.amplitude_damping_channel(1.0, 0.02, 16), 100),
+    ], ids=["photon_loss", "amplitude_damping"])
+    @pytest.mark.parametrize("sign, seed", [("+", 11), ("-", 12), ("+", 13)])
+    def test_means_within_five_standard_errors(self, channel, steps, sign, seed):
+        n, count = 16, 4000
+        psi = codes.cat_state(1.3 * np.exp(0.4j), sign, n)
+        runs = noise.run_trajectories(channel, psi, steps, count, seed)
+        means = {"parity": np.mean([r.parities for r in runs], axis=0),
+                 "<n>": np.mean([r.mean_occupations for r in runs], axis=0)}
+        levels = np.arange(n)
+        rho = noise.density_matrix(psi)
+        for s in range(steps):
+            rho = noise.apply_channel(channel, rho)
+            pops = noise.populations(rho)
+            parity, occ = (-1.0) ** levels @ pops, levels @ pops
+            for name, exact, var in (("parity", parity, 1.0 - parity**2),
+                                     ("<n>", occ, levels**2 @ pops - occ**2)):
+                bound = max(5.0 * math.sqrt(max(var, 0.0) / count), 1e-12)
+                assert abs(means[name][s] - exact) <= bound, (name, s + 1)
+
+
 def block_steps():
     """Two full blocks of the unraveling and three steps of a third."""
     return 2 * noise._BLOCK + 3

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cavityq import qst
 from cavityq.errors import (
@@ -624,6 +624,56 @@ class TestScannedTransfer:
 
 
 @st.composite
+def sweep_problems(draw):
+    """A transfer problem, or the sech pair over +-8/kappa in 320 to 420
+    steps, whose baseline passes the sweep's eta > 0.99."""
+    if draw(st.booleans()):
+        return draw(transfer_problems())
+    half = 8.0 / KAPPA
+    return replace(matched_config(), t_span_s=(-half, half),
+                   dt_s=2 * half / draw(st.integers(320, 420)))
+
+
+class TestSweepEta:
+    """The sweep's eta-only path against the traced transfer, bitwise."""
+
+    @given(transfer_problems(), st.sampled_from([1, 2, 3, 7, 2048]),
+           st.lists(st.sampled_from([1e3, -3e4, 2.5e5, 0.01 * KAPPA]), min_size=1,
+                    max_size=3))
+    def test_point_matches_simulate_transfer(self, config, chunk, deltas):
+        with mock.patch.object(qst, "_CHUNK_STEPS", chunk):
+            run = qst._transfer_grid(config)
+            for dw in [0.0, config.delta_omega_hz] + deltas:
+                alone = qst.simulate_transfer(replace(config, delta_omega_hz=dw)).eta
+                assert qst._transfer_eta(run, dw) == alone
+
+    @settings(max_examples=50)
+    @given(sweep_problems(), st.sampled_from([1, 2, 3, 7, 2048]))
+    def test_sweep_rows_match_single_runs(self, config, chunk):
+        deltas = [0.0, 1e3, -3e4, 2.5e5]
+        with mock.patch.object(qst, "_CHUNK_STEPS", chunk):
+            want = [qst.simulate_transfer(replace(config, delta_omega_hz=dw)).eta
+                    for dw in deltas]
+            if want[0] <= 0.99:
+                with pytest.raises(UsageError, match="baseline transfer eta"):
+                    qst.detuning_sweep(config, deltas)
+                return
+            sweep = qst.detuning_sweep(config, deltas)
+        assert [eta for _, eta, _ in sweep.rows] == want
+        assert sweep.baseline_eta == want[0]
+
+    @pytest.mark.parametrize("n", [*range(1, 71), 2047, 2048])
+    def test_product_is_the_scan_last_entry(self, n):
+        rng = np.random.default_rng(n)
+        maps = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
+        got = qst._product(*maps)
+        qst._prefix_products(*maps)
+        for entry, scanned in zip(got, maps):
+            assert entry.shape == (1,)
+            assert entry.tobytes() == scanned[-1:].tobytes()
+
+
+@st.composite
 def conservation_problems(draw):
     """The sech emitter at kappa and a matched catcher at (1 + mismatch)
     kappa, a detuning within 2 kappa, and a step with max(rate) * dt at most
@@ -670,8 +720,7 @@ class TestSweepZeroPoint:
     ])
     def test_one_transfer_per_distinct_point(self, deltas, calls):
         config = matched_config()
-        with mock.patch.object(qst, "simulate_transfer",
-                               wraps=qst.simulate_transfer) as spy:
+        with mock.patch.object(qst, "_transfer_eta", wraps=qst._transfer_eta) as spy:
             sweep = qst.detuning_sweep(config, deltas)
         assert spy.call_count == calls
         baseline = qst.simulate_transfer(config).eta
@@ -685,8 +734,7 @@ class TestSweepZeroPoint:
     def test_unmatched_baseline_still_fails_first(self):
         config = matched_config(delta=0.0)
         flat = qst.SampledWaveform([0.0, 0.0], 2 * HALF_SPAN, -HALF_SPAN)
-        with mock.patch.object(qst, "simulate_transfer",
-                               wraps=qst.simulate_transfer) as spy:
+        with mock.patch.object(qst, "_transfer_eta", wraps=qst._transfer_eta) as spy:
             with pytest.raises(UsageError, match="baseline transfer eta"):
                 qst.detuning_sweep(replace(config, catch_waveform=flat),
                                    [0.0, 0.01 * KAPPA, 0.02 * KAPPA])
