@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (StepSizeError, UsageError, require_capacity, require_count,
+from .errors import (StepSizeError, UsageError, require_array, require_capacity, require_count,
                      require_finite, require_positive, require_real)
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
@@ -251,12 +251,22 @@ def density_matrix(psi: StateVector) -> np.ndarray:
 
 
 def apply_channel(channel: NoiseChannel, rho: np.ndarray) -> np.ndarray:
-    """One deterministic Kraus step ρ → ΣKρK†, in O(K·N²) when banded."""
+    """One deterministic Kraus step ρ → ΣKρK†, in O(K·N²) when banded.
+
+    A numeric ndarray is taken by one np.asarray call, without a finiteness
+    pass, as this is the per-step call of a loss run; a list, a tuple or an
+    array of any other dtype (bools, strings, objects) is read by
+    `require_array`."""
     kernel = channel._kernel
-    try:
+    if isinstance(rho, np.ndarray) and rho.dtype.kind in "iufc":
         rho = np.asarray(rho, dtype=complex, order="C")
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"rho must be an array of complex numbers: {exc}") from None
+    elif isinstance(rho, (list, tuple, np.ndarray)):
+        rho = require_array("rho", rho, kernel.shape)
+    else:
+        try:
+            rho = np.asarray(rho, dtype=complex, order="C")
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"rho must be an array of complex numbers: {exc}") from None
     if rho.shape != kernel.shape:
         raise UsageError("density matrix must be {}x{}, got {}".format(*kernel.shape, rho.shape))
     return kernel.apply(rho)

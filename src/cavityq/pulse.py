@@ -64,9 +64,13 @@ _SNAP_SEGMENT_DENSITY = 900.0
 _SNAP_MIN_SEGMENTS = 1500
 # Gaussian envelope width as a fraction of each half-pulse
 _SNAP_SIGMA_DIVISOR = 6.0
-# matrix entries per chunk of stacked segment blocks: 1 MiB of complex128,
-# which is 2048 segments of the N = 8 dispersive photon-number sectors
-_CHUNK_ENTRIES = 1 << 16
+# matrix entries per chunk of stacked segment blocks: 256 KiB of complex128,
+# which is 512 segments of the N = 8 dispersive photon-number sectors. The
+# benchmark's ten SNAP jobs (one BLAS thread, interleaved rounds) ran faster
+# at 2^14 than at 2^16 in 18 of 20 rounds (422 against 451 ms) and than at
+# 2^13 in 13 of 16 (363 against 406 ms); 2^15 was within noise of 2^14 with
+# a larger peak, and a cavity-drive schedule (one 2N×2N block) is no slower
+_CHUNK_ENTRIES = 1 << 14
 # most segments × streams one GRAPE schedule may have: a pass keeps every
 # segment's eigensystem and prefix product; a qubit-model run at the cap
 # peaks at about 160 MiB
@@ -336,7 +340,7 @@ def _propagator(model: ControlModel, amps: np.ndarray, dt: float) -> np.ndarray:
     with blocks of one size stacked together. Segments go in chunks of at
     most _CHUNK_ENTRIES matrix entries per size group, each chunk reduced
     pairwise and the chunks multiplied in order, so the temporaries stay near
-    1 MiB however long the schedule is.
+    256 KiB however long the schedule is.
     """
     coeffs = _control_coefficients(amps)
     d = model.shape.total_dim

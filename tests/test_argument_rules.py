@@ -187,8 +187,10 @@ ARRAY_SITES = {
         "W", lambda a: trotter.otoc_series(a, np.eye(3), HAMILTONIAN, [0.0, 0.5])),
     "otoc_series.V": (
         "V", lambda a: trotter.otoc_series(np.eye(3), a, HAMILTONIAN, [0.0, 0.5])),
+    "apply_channel.rho": (
+        "rho", lambda a: noise.apply_channel(noise.photon_loss_channel(1.0, 1e-4, 3), a)),
 }
-MATRIX_SITES = {"Operator.matrix", "otoc_series.W", "otoc_series.V"}
+MATRIX_SITES = {"Operator.matrix", "otoc_series.W", "otoc_series.V", "apply_channel.rho"}
 REAL_ARRAY_SITES = {"SampledWaveform.values", "on_off_ratio.waveform",
                     "QuditHamiltonian.diagonal", "QuditHamiltonian.kinetic_diagonal"}
 

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cavityq import codes, fock, noise
-from cavityq.errors import StepSizeError, UsageError
+from cavityq.errors import ShapeError, StepSizeError, UsageError
 
 
 def loss_channel(n=6, t1=1.0, dt=1e-4):
@@ -1101,7 +1101,23 @@ class TestBlockedTrajectories:
             assert_matches_scalar(traj, channel, psi, steps, traj.seed)
 
 
-@pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], {"rho": 1}])
+@pytest.mark.parametrize("bad", ["abc", {"rho": 1}])
 def test_unreadable_density_matrix_names_rho(bad):
     with pytest.raises(UsageError, match="^rho must be an array of complex numbers"):
+        noise.apply_channel(loss_channel(n=2), bad)
+
+
+def test_ragged_density_matrix_is_a_shape_error():
+    with pytest.raises(ShapeError, match=r"^rho must be 2x2, got ragged rows$"):
+        noise.apply_channel(loss_channel(n=2), [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("bad", [
+    np.eye(2, dtype=bool), np.array([["1", "0"], ["0", "1"]]),
+    np.array([[1, 0], [0, 1]], dtype=object), (("1", "0"), ("0", "1")),
+    [[True, False], [False, True]]], ids=["bool", "str", "object", "str-tuple", "bool-list"])
+def test_density_matrix_of_strings_or_bools_is_refused(bad):
+    # strings and bools were read as the numbers 1 and 0; an object array is
+    # refused as at every other array site
+    with pytest.raises(UsageError, match="^rho entries must be numbers, got "):
         noise.apply_channel(loss_channel(n=2), bad)

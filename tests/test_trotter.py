@@ -1,14 +1,17 @@
+import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cavityq import fock, gates, trotter
 from dense_oracle import dense_unitary
+from golden import readme_example
 from cavityq.errors import (
     InvalidDimensionError,
     NumericError,
@@ -355,6 +358,65 @@ class TestOtocSeriesProperties:
         assert trotter.otoc_series(np.eye(N), np.eye(N), random_hamiltonian(), []) == ()
 
 
+def _random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+class TestOtocBlocks:
+    """otoc_series evaluates its grid in blocks of _OTOC_BLOCK_ENTRIES // N
+    times, at least 2, and a last block of one time joins the one before."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), width=st.integers(2, 5),
+           n_times=st.integers(0, 13))
+    @example(seed=7, n=4, width=3, n_times=7)  # two blocks of 3 and a remainder of one
+    @example(seed=7, n=3, width=2, n_times=0)  # the empty grid
+    @example(seed=7, n=3, width=2, n_times=1)
+    def test_blocks_match_expm_and_one_block(self, seed, n, width, n_times):
+        rng = np.random.default_rng(seed)
+        h = trotter.QuditHamiltonian(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n))
+        w, v = _random_unitary(rng, n), _random_unitary(rng, n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        times = list(rng.uniform(-3.0, 3.0, n_times))
+        h._eigensystem  # diagonalized before np.outer is watched
+        with mock.patch.object(trotter, "_OTOC_BLOCK_ENTRIES", width * n), \
+                mock.patch.object(np, "outer", wraps=np.outer) as outer:
+            rows = np.array(trotter.otoc_series(w, v, h, times, psi)).reshape(-1, 4)
+        blocks = [len(call.args[1]) for call in outer.call_args_list]
+        assert sum(blocks) == n_times
+        assert all(b == width for b in blocks[:-1])
+        assert 1 not in blocks or n_times == 1
+        with mock.patch.object(trotter, "_OTOC_BLOCK_ENTRIES", n * n_times):
+            whole = np.array(trotter.otoc_series(w, v, h, times, psi)).reshape(-1, 4)
+        np.testing.assert_allclose(rows, whole, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(rows[:, 0], times)
+        phi = psi / np.linalg.norm(psi)
+        for t, re_c, im_c, mag in rows:
+            u = scipy.linalg.expm(-1j * h.dense() * t)
+            w_t = u.conj().T @ w @ u
+            brute = np.vdot(phi, w_t.conj().T @ v.conj().T @ w_t @ v @ phi)
+            assert abs(complex(re_c, im_c) - brute) <= 1e-9
+            assert abs(mag - abs(brute)) <= 1e-9
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # one N×T array of 20,000 times is 10 MB at N = 32, and the chain
+        # held about six of them; the rows themselves take about 3 MB
+        n = 32
+        h = random_hamiltonian(n=n)
+        w, v = _random_unitary(np.random.default_rng(1), n), np.eye(n)
+        times = list(np.linspace(0.0, 2.0, 20_000))
+        h._eigensystem  # diagonalized outside the traced call
+        tracemalloc.start()
+        try:
+            rows = trotter.otoc_series(w, v, h, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 20_000
+        assert peak < 8 << 20, peak
+
+
 def _one_mode_circuit(n, *gate_list):
     return gates.Circuit(fock.HilbertShape((n,)), tuple(gates.GateSpec(kind, params)
                                                         for kind, params in gate_list))
@@ -571,3 +633,42 @@ def test_otoc_largest_finite_phase_runs():
     e_max = float(np.max(np.abs(h._eigensystem[0])))
     [(_, re, im, mag)] = trotter.otoc_series(np.eye(N), np.eye(N), h, [1e300 / e_max])
     assert math.isfinite(re) and math.isfinite(im) and mag <= 1 + 1e-12
+
+
+def _fourier_matrix(n):
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k) / n) / math.sqrt(n)
+
+
+class TestTrotterErrorBound:
+    """For U(dt) = e^{-iB dt} e^{-iA dt}, A = 2π diag(V), B = 2π F diag(K) F†,
+    ‖e^{-i(A+B)t} − U(t/r)^r‖ ≤ (t²/2r)‖[A, B]‖ (Childs, Su, Tran, Wiebe &
+    Zhu, PRX 11, 011020 (2021)), so 1 − fidelity ≤ ((t²/2r)‖[A, B]‖)²."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16), t=st.floats(0.05, 3.0),
+           steps_list=st.lists(st.integers(1, 200), min_size=1, max_size=4),
+           level=st.integers(0, 15))
+    def test_rows_within_commutator_bound(self, seed, n, t, steps_list, level):
+        rng = np.random.default_rng(seed)
+        v, k = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        a = 2 * np.pi * np.diag(v)
+        f = _fourier_matrix(n)
+        b = 2 * np.pi * (f * k) @ f.conj().T
+        h = trotter.QuditHamiltonian(v, k)
+        np.testing.assert_allclose(h.dense(), a + b, rtol=0, atol=1e-12)
+        norm = np.linalg.norm(a @ b - b @ a, 2)
+        psi0 = np.eye(n)[level % n]
+        for r, _, infidelity in trotter.trotter_convergence(h, t, steps_list, psi0):
+            # 1e-12 covers rounding where [A, B] vanishes (K constant)
+            assert infidelity <= (t * t / (2 * r) * norm) ** 2 + 1e-12
+
+    def test_readme_config_quarters_per_doubling(self):
+        config = json.loads(readme_example("Example Trotter config")[0])
+        h = trotter.QuditHamiltonian(config["diagonal"], config["kinetic_diagonal"])
+        psi0 = np.eye(h.n_levels)[config["initial_level"]]
+        rows = trotter.trotter_convergence(h, config["t_total_s"], config["steps_list"], psi0)
+        steps = [r for r, _, _ in rows]
+        assert len(rows) >= 3 and steps[1:] == [2 * r for r in steps[:-1]]
+        for (_, _, coarse), (_, _, fine) in zip(rows, rows[1:]):
+            assert 3.0 <= coarse / fine <= 5.0
