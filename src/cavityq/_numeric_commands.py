@@ -187,7 +187,7 @@ def cmd_trotter(args, text: str) -> _Result:
     if not all(is_json_int(s) for s in steps_list):
         raise ParseError("trotter config: 'steps_list' must be integers")
     h, psi0 = _qudit(f)
-    rows = trotter.trotter_convergence(h, float(f["t_total_s"]),
+    rows = trotter.trotter_convergence(h, f["t_total_s"],
                                        [int(s) for s in steps_list], psi0)
     return "trotter_convergence", _columns(["steps", "dt_s", "infidelity"], rows), {
         "n_levels": h.n_levels,

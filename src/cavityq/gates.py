@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import (CapacityError, NumericError, ParseError, ShapeError, UsageError, is_count,
                      is_json_int, is_json_number, read_fields, read_object, require_array,
@@ -433,12 +434,29 @@ def _phase_kernel(args, targets, dims) -> _Kernel:
     return lambda tens: tens * phases
 
 
+@functools.cache
+def _ortho_norm(n: int) -> np.float64:
+    """1/√n, the factor np.fft computes on each call with norm="ortho"."""
+    return np.reciprocal(np.sqrt(n, dtype=np.float64))
+
+
+def _ortho_fft(x: np.ndarray, inverse: bool, axis: int = -1,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.fft(x, axis=axis, norm="ortho", out=out), or np.fft.ifft if
+    inverse, for float64 or complex128 x: the pocketfft kernel np.fft calls,
+    with the same factor and axes, so bitwise the same result without
+    np.fft's per-call Python work."""
+    if out is None:
+        out = np.empty_like(x, dtype=np.result_type(x.dtype, 1j))
+    transform = _pocketfft.ifft if inverse else _pocketfft.fft
+    return transform(x, _ortho_norm(x.shape[axis]), axes=[(axis,), (), (axis,)], out=out)
+
+
 def _fourier_kernel(args, targets, dims) -> _Kernel:
     """An orthonormal FFT along the target axis: ifft is
     F_jk = e^{2πijk/N}/√N, fft its inverse."""
-    axis = targets[0] - len(dims)
-    transform = np.fft.fft if args[1] else np.fft.ifft
-    return lambda tens: transform(tens, axis=axis, norm="ortho")
+    axis, inverse = targets[0] - len(dims), not args[1]
+    return lambda tens: _ortho_fft(tens, inverse, axis)
 
 
 def _displacement_kernel(args, targets, dims) -> _Kernel:

@@ -10,7 +10,10 @@ is the four-gate circuit [snap(-2pi V dt), fourier†, snap(-2pi K dt),
 fourier], and exp(-iH dt) - U(dt) = O(dt^2), so the global error at fixed t
 is O(dt). A step-count sweep advances its rows together as one scan, each
 step two phase multiplies and two FFTs on the rows still running, in place
-on preallocated buffers, and computes the exact state once. Exact
+on preallocated buffers, and computes the exact state once. The FFTs are
+`gates._ortho_fft`, the Fourier gate's own transform: numpy's pocketfft
+kernel called directly, bitwise np.fft's result without its per-call
+wrapper, which cost more than the transform at these sizes. Exact
 references here diagonalize the dense Hamiltonian.
 
 Scrambling diagnostics use the out-of-time-order correlator
@@ -28,13 +31,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, require_array,
-                     require_capacity, require_count, require_positive, require_reals)
+                     require_capacity, require_count, require_finite, require_positive,
+                     require_reals)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
-from .gates import Circuit, GateSpec, _run
+from .gates import Circuit, GateSpec, _ortho_fft, _run
 
 # most max(steps_list) × N one step-count sweep may take: its scan runs
-# max(steps_list) steps of O(N) work; at the cap, a sweep on 32 levels
-# takes about 4 s
+# max(steps_list) steps of O(N) work. At the cap, `cavityq trotter` takes
+# 2.9 s on 32 levels (312,500 steps, 9.3 µs each) and 27 s on 2 levels
+# (5·10⁶ steps, 5.5 µs each): a step's fixed cost dominates at small N
 MAX_LEVEL_STEPS = 10**7
 # most entries of each N×B array of an OTOC time block, B = max(2, this // N)
 # times: N ≤ 32 takes the benchmark's 200-time grid in one block, and N = 128
@@ -89,8 +94,20 @@ class QuditHamiltonian:
     @functools.cached_property
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """(E, Q) with dense() = Q diag(E) Q†, diagonalized once per
-        Hamiltonian (its arrays are read-only)."""
-        return np.linalg.eigh(self.dense())
+        Hamiltonian (its arrays are read-only); NumericError, and no
+        RuntimeWarning, when an entry of dense() overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = self.dense()
+        if not np.isfinite(mat).all():
+            raise NumericError("the Hamiltonian 2*pi*H overflows: diagonal and "
+                               "kinetic_diagonal must be smaller")
+        return np.linalg.eigh(mat)
+
+
+def _hamiltonian(what: str, h) -> QuditHamiltonian:
+    if not isinstance(h, QuditHamiltonian):
+        raise UsageError(f"{what} needs a QuditHamiltonian")
+    return h
 
 
 def _step_phases(x: np.ndarray, dt) -> np.ndarray:
@@ -102,8 +119,7 @@ def _step_phases(x: np.ndarray, dt) -> np.ndarray:
 def trotter_step(h: QuditHamiltonian, dt_s: float,
                  n_levels: int | None = None) -> Circuit:
     """One first-order splitting step as a four-gate circuit."""
-    if not isinstance(h, QuditHamiltonian):
-        raise UsageError("trotter_step needs a QuditHamiltonian")
+    h = _hamiltonian("trotter_step", h)
     dt_s = require_positive("dt_s", dt_s)
     if n_levels is not None and shape_of((n_levels,)).total_dim != h.n_levels:
         raise ShapeError(
@@ -154,30 +170,47 @@ def evolve_trotter(h: QuditHamiltonian, t_total_s: float, steps: int,
                    psi0=None) -> TrotterResult:
     """Repeated first-order steps over t_total, compared against exact
     evolution of the same initial state."""
-    return _sweep(h, t_total_s, [steps], psi0)[0]
+    return _sweep(_hamiltonian("evolve_trotter", h), t_total_s, [steps], psi0)[0]
 
 
 def trotter_convergence(h: QuditHamiltonian, t_total_s: float,
                         steps_list: Sequence[int],
                         psi0=None) -> tuple[tuple[int, float, float], ...]:
     """Rows of (steps, dt, infidelity) for a step-count sweep at fixed t."""
+    h = _hamiltonian("trotter_convergence", h)
+    if not (isinstance(steps_list, (list, tuple))
+            or isinstance(steps_list, np.ndarray) and steps_list.ndim == 1):
+        raise UsageError(f"steps_list must be a list, tuple or 1-D array of step counts, "
+                         f"got {steps_list!r}")
     if len(steps_list) == 0:
         raise UsageError("steps_list must be non-empty")
     return tuple((r.steps, r.dt_s, r.infidelity) for r in _sweep(h, t_total_s, steps_list, psi0))
 
 
-def _sweep(h: QuditHamiltonian, t_total_s: float, steps_list, psi0) -> list[TrotterResult]:
+def _sweep(h: QuditHamiltonian, t_total_s, steps_list, psi0) -> list[TrotterResult]:
     """evolve_trotter for every steps_list entry as one scan, most steps first;
-    with the trotter_step circuit's phases, each row equals it iterated, bitwise."""
+    with the trotter_step circuit's phases and `_ortho_fft`, the Fourier
+    gate's transform, each row equals it iterated, bitwise. Phases that
+    overflow are refused, naming t_total_s, before any is built."""
     counts = [require_count("steps", s, 1) for s in steps_list]
     require_capacity(f"max(steps_list) {max(counts)} × n_levels {h.n_levels}",
                      max(counts) * h.n_levels, MAX_LEVEL_STEPS, "level-steps")
-    if not math.isfinite(t_total_s) or t_total_s < 0:
-        raise UsageError(f"t_total must be nonnegative, got {t_total_s}")
+    t_total_s = require_finite("t_total_s", t_total_s)
+    if t_total_s < 0:
+        raise UsageError(f"t_total_s must be nonnegative, got {t_total_s!r}")
     psi = _state_vector(psi0, h.n_levels)
     if t_total_s == 0:
         return [TrotterResult(psi, 1.0, s, 0.0) for s in counts]
-    dts = [require_positive("dt_s", t_total_s / s) for s in steps_list]  # as trotter_step
+    dts = [require_positive("dt_s", t_total_s / s) for s in counts]  # as trotter_step
+    x_max = max(float(np.max(np.abs(x))) for x in (h.diagonal, h.kinetic_diagonal))
+    if not math.isfinite(2.0 * math.pi * x_max * max(dts)):
+        raise NumericError(f"t_total_s {t_total_s!r}: the step phase 2*pi*max(|V|, |K|)*dt "
+                           f"overflows (max(|V|, |K|) = {x_max:.3g} Hz)")
+    evals, vecs = h._eigensystem
+    e_max = float(np.max(np.abs(evals)))
+    if not math.isfinite(e_max * t_total_s):
+        raise NumericError(f"t_total_s {t_total_s!r}: the phase max|E|*t overflows "
+                           f"(max|E| = {e_max:.3g} rad/s)")
     order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
     column = np.array([dts[i] for i in order])[:, None]  # (L, 1) step sizes
     pot, kin = (np.exp(1j * _step_phases(x, column)) for x in (h.diagonal, h.kinetic_diagonal))
@@ -186,9 +219,9 @@ def _sweep(h: QuditHamiltonian, t_total_s: float, steps_list, psi0) -> list[Trot
     for k in range(len(order), 0, -1):  # rows [0, k) take run[k-1] - run[k] steps
         a, b, p, q = amp[:k], buf[:k], pot[:k], kin[:k]
         for _ in range(run[k - 1] - run[k]):
-            np.fft.fft(np.multiply(a, p, out=b), axis=-1, norm="ortho", out=a)
-            np.fft.ifft(np.multiply(a, q, out=b), axis=-1, norm="ortho", out=a)
-    evals, vecs = h._eigensystem  # the exact state Q(e^{-iEt} ∘ Q†ψ), once
+            _ortho_fft(np.multiply(a, p, out=b), False, out=a)
+            _ortho_fft(np.multiply(a, q, out=b), True, out=a)
+    # the exact state Q(e^{-iEt} ∘ Q†ψ), once
     exact = vecs @ (np.exp(-1j * evals * t_total_s) * (vecs.conj().T @ psi.amplitudes))
     return [TrotterResult(StateVector(psi.shape, row, psi.leakage),
                           float(abs(np.vdot(exact, row)) ** 2), s, dt)
@@ -238,10 +271,14 @@ def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
     // N times (at least 2), so memory does not grow with len(times_s); a
     last block of one time joins the one before it.
     """
-    n = h.n_levels
+    n = _hamiltonian("otoc_series", h).n_levels
     w = _operator(w, n, "W")
     v = _operator(v, n, "V")
     psi = _state_vector(psi0, n).amplitudes.reshape(n)
+    try:
+        times_s = list(times_s)
+    except TypeError:
+        raise UsageError(f"times_s must be a sequence of times, got {times_s!r}") from None
     times = require_reals("times_s entry", times_s)
     if not all(map(math.isfinite, times)):
         raise NumericError(f"non-finite time {next(t for t in times if not math.isfinite(t))}")

@@ -143,6 +143,10 @@ NUMBER_SITES = {
         "delta_list", lambda v: qst.detuning_sweep(_matched_config(), [0.0, v]).rows),
     "otoc_series.times_s": (
         "times_s", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [0.0, v])),
+    "trotter_convergence.t_total_s": (
+        "t_total_s", lambda v: trotter.trotter_convergence(HAMILTONIAN, v, [3, 5])),
+    "evolve_trotter.t_total_s": (
+        "t_total_s", lambda v: trotter.evolve_trotter(HAMILTONIAN, v, 3).state.amplitudes),
 }
 
 # require_complex sites, as REAL_SITES; 1 is a valid value at every site
@@ -213,7 +217,8 @@ FINITE_SITES = ["grape_optimize.tol", "grape_optimize.leak_weight",
                 "grape_gradient.leak_weight", "optimize_snap_displacement_sequence.tol",
                 "optimize_snap_displacement_sequence.leak_weight", "SampledWaveform.t0_s",
                 "qubit_rotation.theta", "qubit_rotation.phi", "cond_rotation.theta",
-                "cond_rotation.phi", "givens.theta", "displacement.alpha", "ecd.beta"]
+                "cond_rotation.phi", "givens.theta", "displacement.alpha", "ecd.beta",
+                "trotter_convergence.t_total_s", "evolve_trotter.t_total_s"]
 
 COUNT_SITES = {
     "optimize_snap_displacement_sequence.blocks": (
@@ -881,6 +886,9 @@ HUGE_INT_SITES = {
         "carriers_hz entry", lambda v: pulse.PulseSchedule(1e-9, (np.ones(2),), (v,))),
     "otoc_series.times_s": (
         "times_s entry", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [v])),
+    "trotter_convergence.t_total_s": (
+        "t_total_s", lambda v: trotter.trotter_convergence(HAMILTONIAN, v, [3])),
+    "evolve_trotter.t_total_s": ("t_total_s", lambda v: trotter.evolve_trotter(HAMILTONIAN, v, 3)),
     # complex sites: complex() raised the OverflowError
     "require_complex": ("x", lambda v: errors.require_complex("x", v)),
     "coherent_state.alpha": ("alpha", lambda v: fock.coherent_state(v, 4)),

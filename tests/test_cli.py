@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cavityq import cli, gates, pulse
 from cavityq.errors import ParseError
+from golden import readme_example
 
 PAPER_DEVICE = {
     "omega_q_hz": 5.0e9,
@@ -1244,6 +1246,54 @@ def test_otoc_artifact_does_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         artifacts[threads] = (out / "otoc_series.csv").read_bytes()
     assert artifacts["2"] == artifacts["1"] and artifacts[None] == artifacts["1"]
+
+
+def test_trotter_rows_do_not_depend_on_the_order_of_steps_list(tmp_path):
+    # the README Trotter config with its steps_list in two orders, each in a
+    # fresh `python -W error -m cavityq`: the same three rows, byte for byte
+    config, _ = readme_example("Example Trotter config")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    rows = []
+    for order in ("10, 20, 40", "40, 10, 20"):
+        text = re.sub(r'"steps_list": \[[^]]*\]', f'"steps_list": [{order}]', config)
+        assert f'"steps_list": [{order}]' in text
+        cfg, out = tmp_path / f"trotter-{order[:2]}.json", tmp_path / f"order-{order[:2]}"
+        cfg.write_text(text, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "cavityq", "--out", str(out),
+                               "trotter", str(cfg)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        # four provenance lines and the header, then one data row per step count
+        lines = (out / "trotter_convergence.csv").read_bytes().splitlines(keepends=True)
+        rows.append(sorted(lines[5:]))
+        assert len(rows[-1]) == 3
+    assert rows[0] == rows[1]
+
+
+# t_total_s or a diagonal entry whose phases overflow: exit 3 before any
+# RuntimeWarning; 1e308 wrote infidelity 0.0 and exited 0
+_TROTTER_OVERFLOW_CASES = {
+    "t_total": (dict(TROTTER_DOC, t_total_s=1e308), "t_total_s 1e+308: the phase max|E|*t"),
+    "t_total_one_step": (dict(TROTTER_DOC, t_total_s=1e308, steps_list=[1, 2]),
+                         "t_total_s 1e+308: the step phase"),
+    "diagonal": (dict(TROTTER_DOC, diagonal=[1e308] + TROTTER_DOC["diagonal"][1:]),
+                 "t_total_s 1.0: the step phase"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(_TROTTER_OVERFLOW_CASES))
+def test_trotter_phase_overflow_exits_3_with_one_error_line(tmp_path, capsys, case):
+    doc, fragment = _TROTTER_OVERFLOW_CASES[case]
+    cfg = write_json(tmp_path / "trotter.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "trotter", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and fragment in line
+    assert not out.exists()
 
 
 # configs whose derived sizes or values overflow: (command, config, exit code,

@@ -232,6 +232,68 @@ class TestFourier:
         np.testing.assert_allclose(conj * (1 - mask), 0.0, atol=1e-13)
 
 
+class TestOrthoFft:
+    """`gates._ortho_fft` is np.fft.fft / np.fft.ifft with norm="ortho",
+    bit for bit: the Fourier gate and the Trotter scan rely on it."""
+
+    LENGTHS = [1, 2, 3, 5, 32, 64, 127, 128, 256]
+
+    @staticmethod
+    def _inputs(n, dtype):
+        rng = np.random.default_rng(n)
+        shapes = [(n,), (3, n), (2, 3, n)]
+        if dtype is float:
+            return [rng.normal(size=s) for s in shapes]
+        return [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+
+    @staticmethod
+    def _numpy(x, inverse, axis=-1):
+        return (np.fft.ifft if inverse else np.fft.fft)(x, axis=axis, norm="ortho")
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["float64", "complex128"])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_bitwise_equals_numpy(self, n, dtype, inverse):
+        for x in self._inputs(n, dtype):
+            got = gates._ortho_fft(x, inverse)
+            assert got.dtype == np.complex128 and got.shape == x.shape
+            assert got.tobytes() == self._numpy(x, inverse).tobytes()
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["float64", "complex128"])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_axis_that_is_not_last(self, n, dtype, inverse):
+        for x in self._inputs(n, dtype)[1:]:
+            x = np.moveaxis(x, -1, 0)  # the length-n axis first, then 3 (and 2)
+            for axis in (0, -x.ndim, 1):
+                got = gates._ortho_fft(x, inverse, axis)
+                assert got.tobytes() == self._numpy(x, inverse, axis).tobytes()
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_out_into_a_distinct_buffer(self, n, inverse):
+        # as the Trotter scan calls it: the product in a work buffer, the
+        # transform written back into the amplitude rows
+        for x in self._inputs(n, complex):
+            buf, out = x.copy(), np.empty_like(x)
+            got = gates._ortho_fft(buf, inverse, out=out)
+            assert got is out
+            assert np.array_equal(buf, x)
+            assert out.tobytes() == self._numpy(x, inverse).tobytes()
+
+    def test_fourier_gate_calls_it(self):
+        # the compiled Fourier gate runs the helper, not np.fft
+        circuit = gates.Circuit(fock.HilbertShape((4,)), (
+            gates.GateSpec("fourier", {"target": 0}),
+            gates.GateSpec("fourier", {"target": 0, "inverse": True})))
+        psi = fock.basis_state(4, 1)
+        with mock.patch.object(gates, "_ortho_fft", wraps=gates._ortho_fft) as helper, \
+                mock.patch.object(np.fft, "fft", side_effect=AssertionError("np.fft")), \
+                mock.patch.object(np.fft, "ifft", side_effect=AssertionError("np.fft")):
+            gates.apply_circuit(circuit, psi)
+        assert [c.args[1:] for c in helper.call_args_list] == [(True, -1), (False, -1)]
+
+
 class TestEcd:
     def test_beta_zero_is_x_tensor_identity(self):
         n = 8

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -589,8 +590,19 @@ def test_batched_rows_bitwise_equal_stepwise_apply_circuit(seed, n, steps_list, 
 
 
 def _count_ffts():
-    return (mock.patch.object(np.fft, "fft", wraps=np.fft.fft),
-            mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft))
+    """Patches of the scan's `_ortho_fft` that count its forward and its
+    inverse transforms in `call_count`; entered nested, the inner wraps the outer."""
+    def counter(inverse):
+        wrapped = trotter._ortho_fft  # read on entry
+
+        def counted(x, inv, *args, **kwargs):
+            counted.call_count += inv == inverse
+            return wrapped(x, inv, *args, **kwargs)
+        counted.call_count = 0
+        return counted
+    return tuple(mock.patch.object(trotter, "_ortho_fft",
+                                   new_callable=functools.partial(counter, inverse))
+                 for inverse in (False, True))
 
 
 @pytest.mark.parametrize("steps_list", [[10, 20, 40], [40, 10, 20], [5, 5], [1], [3, 9, 1, 9]])
@@ -633,6 +645,95 @@ def test_otoc_largest_finite_phase_runs():
     e_max = float(np.max(np.abs(h._eigensystem[0])))
     [(_, re, im, mag)] = trotter.otoc_series(np.eye(N), np.eye(N), h, [1e300 / e_max])
     assert math.isfinite(re) and math.isfinite(im) and mag <= 1 + 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t, steps_list, phase", [
+    (1e308, [1], "the step phase 2*pi*max(|V|, |K|)*dt"),
+    (1e308, [20, 10], "the phase max|E|*t"),  # every step phase finite
+    (5e307, [4, 1, 2], "the phase max|E|*t"),
+], ids=repr)
+def test_sweep_phase_overflow_names_t_total_s_before_the_phases(t, steps_list, phase):
+    # 1e308 wrote infidelity 0.0 after RuntimeWarnings: the clamp of 1 - nan
+    h = random_hamiltonian()
+    with mock.patch.object(trotter, "_step_phases", side_effect=AssertionError("phases built")):
+        with pytest.raises(NumericError, match=re.escape(f"t_total_s {t!r}: {phase}")):
+            trotter.trotter_convergence(h, t, steps_list)
+        with pytest.raises(NumericError, match=re.escape(f"t_total_s {t!r}: the")):
+            trotter.evolve_trotter(h, t, steps_list[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_largest_finite_phase_runs():
+    h = random_hamiltonian()
+    e_max = float(np.max(np.abs(h._eigensystem[0])))
+    for _, dt, infidelity in trotter.trotter_convergence(h, 1e300 / e_max, [1, 3]):
+        assert math.isfinite(dt) and 0.0 <= infidelity <= 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_diagonal_names_the_step_phase_without_warnings():
+    # a diagonal entry of 1e308 raised only after RuntimeWarnings from
+    # dense() and the phases
+    h = trotter.QuditHamiltonian([0.3, 1e308, 0.25, 0.05], [0.1, 0.3, -0.2, 0.15])
+    with pytest.raises(NumericError, match=re.escape("t_total_s 1.0: the step phase")):
+        trotter.trotter_convergence(h, 1.0, [10])
+
+
+@pytest.mark.filterwarnings("error")
+def test_dense_overflow_is_checked_before_eigh():
+    # 2*pi*max(|V|, |K|)*dt is finite, but an entry of 2*pi*(V + F diag(K) F†) is not
+    h = trotter.QuditHamiltonian([2e307] * 4, [2e307] * 4)
+    with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh called")):
+        with pytest.raises(NumericError, match=re.escape("the Hamiltonian 2*pi*H overflows")):
+            trotter.trotter_convergence(h, 1e-300, [2])
+        with pytest.raises(NumericError, match=re.escape("the Hamiltonian 2*pi*H overflows")):
+            trotter.otoc_series(np.eye(4), np.eye(4), h, [0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trotter.trotter_convergence(None, 1.0, [3]),
+    lambda: trotter.evolve_trotter(None, 1.0, 3),
+    lambda: trotter.otoc_series(np.eye(3), np.eye(3), None, [0.0]),
+    lambda: trotter.otoc(np.eye(3), np.eye(3), None, 0.0),
+], ids=["trotter_convergence", "evolve_trotter", "otoc_series", "otoc"])
+def test_missing_hamiltonian_is_a_usage_error(call):
+    # a raw AttributeError before
+    with pytest.raises(UsageError, match=r"^\w+ needs a QuditHamiltonian$"):
+        call()
+
+
+@pytest.mark.parametrize("steps_list", [None, 3, (s for s in [3]), np.array(3),
+                                        np.array([[3]]), {3: 1}], ids=repr)
+def test_steps_list_must_be_a_list_tuple_or_array(steps_list):
+    h = random_hamiltonian()
+    with pytest.raises(UsageError, match="^steps_list must be a list, tuple or 1-D array "
+                                         "of step counts, got "):
+        trotter.trotter_convergence(h, 1.0, steps_list)
+
+
+def test_steps_list_takes_tuples_and_arrays():
+    h = random_hamiltonian()
+    rows = trotter.trotter_convergence(h, 1.0, [5, 9])
+    assert trotter.trotter_convergence(h, 1.0, (5, 9)) == rows
+    assert trotter.trotter_convergence(h, 1.0, np.array([5, 9])) == rows
+
+
+@pytest.mark.parametrize("times_s", [1.0, np.float64(1.0), np.array(1.0), None], ids=repr)
+def test_scalar_times_s_is_a_usage_error(times_s):
+    # a raw TypeError from list() before
+    with pytest.raises(UsageError, match="^times_s must be a sequence of times, got "):
+        trotter.otoc_series(np.eye(N), np.eye(N), random_hamiltonian(), times_s)
+
+
+@pytest.mark.parametrize("t, message", [
+    (-1.0, "t_total_s must be nonnegative, got -1.0"),
+    (-math.inf, "t_total_s must be finite, got -inf"),
+    (math.nan, "t_total_s must be finite, got nan"),
+], ids=repr)
+def test_t_total_s_messages(t, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        trotter.trotter_convergence(random_hamiltonian(), t, [3])
 
 
 def _fourier_matrix(n):
