@@ -77,16 +77,22 @@ class QuditHamiltonian:
         is the circulant matrix with entries c[j − l] = ifft(K)[(j − l) mod N]
         on and below the diagonal; above it, the conjugate conj(c[l − j]),
         with c[0] taken real, so H == H† exactly (the FFT's own entries
-        leave |H − H†| ≈ 1e-10 at MHz scale)."""
+        leave |H − H†| ≈ 1e-10 at MHz scale). NumericError, and no
+        RuntimeWarning, when an entry overflows."""
         n = self.n_levels
         levels = np.arange(n)
-        column = np.fft.ifft(self.kinetic_diagonal)
-        column[0] = column[0].real
-        # by_offset[d + n − 1] is the entry at offset d = j − l
-        by_offset = np.concatenate([column[:0:-1].conj(), column])
-        mat = by_offset[levels[:, None] - levels + n - 1]
-        mat[levels, levels] += self.diagonal
-        return 2.0 * np.pi * mat
+        with np.errstate(over="ignore", invalid="ignore"):
+            column = np.fft.ifft(self.kinetic_diagonal)
+            column[0] = column[0].real
+            # by_offset[d + n − 1] is the entry at offset d = j − l
+            by_offset = np.concatenate([column[:0:-1].conj(), column])
+            mat = by_offset[levels[:, None] - levels + n - 1]
+            mat[levels, levels] += self.diagonal
+            mat = 2.0 * np.pi * mat
+        if not np.isfinite(mat).all():
+            raise NumericError("the Hamiltonian 2*pi*H overflows: diagonal and "
+                               "kinetic_diagonal must be smaller")
+        return mat
 
     def operator(self) -> Operator:
         return Operator(HilbertShape((self.n_levels,)), self.dense())
@@ -94,14 +100,8 @@ class QuditHamiltonian:
     @functools.cached_property
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """(E, Q) with dense() = Q diag(E) Q†, diagonalized once per
-        Hamiltonian (its arrays are read-only); NumericError, and no
-        RuntimeWarning, when an entry of dense() overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            mat = self.dense()
-        if not np.isfinite(mat).all():
-            raise NumericError("the Hamiltonian 2*pi*H overflows: diagonal and "
-                               "kinetic_diagonal must be smaller")
-        return np.linalg.eigh(mat)
+        Hamiltonian (its arrays are read-only)."""
+        return np.linalg.eigh(self.dense())
 
 
 def _hamiltonian(what: str, h) -> QuditHamiltonian:
@@ -116,6 +116,15 @@ def _step_phases(x: np.ndarray, dt) -> np.ndarray:
     return (-2.0 * np.pi * x) * dt
 
 
+def _require_step_phase(h: QuditHamiltonian, dt: float, what: str) -> None:
+    """NumericError naming what (an argument and its value) when the largest
+    step phase 2*pi*max(|V|, |K|)*dt overflows, before any phase is built."""
+    x_max = max(float(np.max(np.abs(x))) for x in (h.diagonal, h.kinetic_diagonal))
+    if not math.isfinite(2.0 * math.pi * x_max * dt):
+        raise NumericError(f"{what}: the step phase 2*pi*max(|V|, |K|)*dt "
+                           f"overflows (max(|V|, |K|) = {x_max:.3g} Hz)")
+
+
 def trotter_step(h: QuditHamiltonian, dt_s: float,
                  n_levels: int | None = None) -> Circuit:
     """One first-order splitting step as a four-gate circuit."""
@@ -125,6 +134,7 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
         raise ShapeError(
             f"requested {n_levels} levels but the Hamiltonian has {h.n_levels}"
         )
+    _require_step_phase(h, dt_s, f"dt_s {dt_s!r}")
     pot, kin = (_step_phases(x, dt_s).tolist() for x in (h.diagonal, h.kinetic_diagonal))
     gates = (
         GateSpec("snap", {"target": 0, "theta": pot}),
@@ -202,10 +212,7 @@ def _sweep(h: QuditHamiltonian, t_total_s, steps_list, psi0) -> list[TrotterResu
     if t_total_s == 0:
         return [TrotterResult(psi, 1.0, s, 0.0) for s in counts]
     dts = [require_positive("dt_s", t_total_s / s) for s in counts]  # as trotter_step
-    x_max = max(float(np.max(np.abs(x))) for x in (h.diagonal, h.kinetic_diagonal))
-    if not math.isfinite(2.0 * math.pi * x_max * max(dts)):
-        raise NumericError(f"t_total_s {t_total_s!r}: the step phase 2*pi*max(|V|, |K|)*dt "
-                           f"overflows (max(|V|, |K|) = {x_max:.3g} Hz)")
+    _require_step_phase(h, max(dts), f"t_total_s {t_total_s!r}")
     evals, vecs = h._eigensystem
     e_max = float(np.max(np.abs(evals)))
     if not math.isfinite(e_max * t_total_s):

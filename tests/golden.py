@@ -12,14 +12,20 @@ parity, and the final and step-averaged mean photon number.
 `tests/golden/`. Run this file to rewrite them:
 
     PYTHONPATH=src python tests/golden.py
+
+`fresh_python` runs a fresh `python -W error` on this checkout's `src`, for
+the checks that need a new interpreter: the `python -m cavityq` entry point,
+the modules a command loads, and the environment a process starts with.
 """
 
 import contextlib
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -54,6 +60,28 @@ def readme_example(heading: str) -> tuple[str, list[str]]:
     return block.group(1) or block.group(2) + "\n", shlex.split(command.group(1))
 
 
+def readme_command(command: str, tmp: Path) -> list[str]:
+    """The README command line of a command, with its config written to
+    tmp/config.json and its output directory tmp/out."""
+    config, argv = readme_example(CASES[command])
+    path = tmp / "config.json"
+    path.write_text(config, encoding="utf-8")
+    return [str(tmp / "out") if a == "results" else str(path) if a.endswith(".json") else a
+            for a in argv]
+
+
+def fresh_python(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """`python -W error *args` in a fresh interpreter, such as
+    `fresh_python("-m", "cavityq", "device", path)`, with this checkout's `src`
+    first on PYTHONPATH and env over os.environ (None unsets a variable).
+    Output is captured as text."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])), **(env or {})}
+    return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True, text=True,
+                          env={k: v for k, v in env.items() if v is not None})
+
+
 def _code_summary(artifact: str) -> str:
     """The per-trajectory summary of a code_trajectories CSV: its header
     lines, then one row per trajectory."""
@@ -74,17 +102,10 @@ def run_case(command: str) -> tuple[str | None, dict]:
     """The command's README config run in-process: the artifact text (None
     for `device`), without its version line, and the stdout summary,
     without the artifact path."""
-    config, argv = readme_example(CASES[command])
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(config, encoding="utf-8")
-        out = Path(tmp) / "out"
-        # the README's command line, with its output directory and config file here
-        argv = [str(out) if a == "results" else str(path) if a.endswith(".json") else a
-                for a in argv]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = cli.main(argv)
+            code = cli.main(readme_command(command, Path(tmp)))
         assert code == 0, f"{command} exited {code}"
         summary = json.loads(stdout.getvalue())
         artifact = None

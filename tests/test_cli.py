@@ -1,10 +1,7 @@
 import hashlib
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 import types
 from pathlib import Path
@@ -16,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cavityq import cli, gates, pulse
 from cavityq.errors import ParseError
-from golden import readme_example
+from golden import CASES, fresh_python, readme_command, readme_example
 
 PAPER_DEVICE = {
     "omega_q_hz": 5.0e9,
@@ -392,18 +389,13 @@ class TestCode:
         # the writer's per-chunk dicts must not make output depend on the
         # interpreter's hash seed: fresh processes give the same bytes
         cfg = write_json(tmp_path / "code.json", CODE_DOC)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for fmt in ("csv", "json"):
             artifacts = []
             for hash_seed in ("0", "1"):
                 out = tmp_path / f"{fmt}-{hash_seed}"
-                proc = subprocess.run(
-                    [sys.executable, "-m", "cavityq", "--out", str(out), "--seed", "7",
-                     "--format", fmt, "code", cfg],
-                    capture_output=True, text=True,
-                    env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
-                )
+                proc = fresh_python("-m", "cavityq", "--out", str(out), "--seed", "7",
+                                    "--format", fmt, "code", cfg,
+                                    env={"PYTHONHASHSEED": hash_seed})
                 assert proc.returncode == 0, proc.stderr
                 artifacts.append((out / f"code_trajectories.{fmt}").read_bytes())
             assert artifacts[0] == artifacts[1]
@@ -646,6 +638,10 @@ _UNKNOWN_FIELD_SITES = {
     "schedule": (None, _with(SCHEDULE_DOC, (), control=[]), "control"),
     "schedule_control": (None, _with(SCHEDULE_DOC, ("controls", 0), phase=0.0),
                          "phase"),
+    # the README config of each command
+    **{f"readme_{command}": (command, dict(json.loads(readme_example(heading)[0]),
+                                           bogus_field=1), "bogus_field")
+       for command, heading in CASES.items()},
 }
 
 
@@ -659,7 +655,8 @@ def test_unknown_field_exit_2(tmp_path, capsys, site):
         return
     cfg = write_json(tmp_path / "config.json", doc)
     assert run_cli(tmp_path, command, cfg) == 2
-    assert message in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -766,21 +763,9 @@ class TestArtifactPlumbing:
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy is imported only by the non-Hermitian expm fallback
-        code = "import sys, cavityq.cli; print('scipy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+        proc = fresh_python("-c", "import sys, cavityq.cli; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
-
-    def test_module_entry_point(self, tmp_path):
-        cfg = write_json(tmp_path / "dev.json", PAPER_DEVICE)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cavityq", "device", cfg],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["max_fock"] == 5000
 
 
 # the numeric layer: the modules that import numpy
@@ -809,28 +794,24 @@ _RUN_MODULE = ("import atexit, runpy, sys; "
 def _loaded_modules(code: str, *argv: str) -> set[str]:
     """The modules loaded in a fresh interpreter once `python -c code argv`
     has ended; code must list them on the last line of stderr."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    proc = fresh_python("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines()[-1].split())
 
 
 class TestImportContract:
-    """`import cavityq` and `cavityq device` load no numpy and no numeric
-    module; every other command loads numpy and the modules it uses."""
+    """`import cavityq` and `cavityq device` (on the README device config)
+    load no numpy and no numeric module; every other command loads numpy and
+    the modules it uses."""
 
     def test_device_command_loads_no_numpy(self, tmp_path):
-        cfg = write_json(tmp_path / "dev.json", PAPER_DEVICE)
-        loaded = _loaded_modules(_RUN_MODULE, "device", cfg)
+        loaded = _loaded_modules(_RUN_MODULE, *readme_command("device", tmp_path))
         assert {"cavityq.cli", "cavityq.device"} <= loaded
         assert "numpy" not in loaded and not loaded & NUMERIC_MODULES
 
     def test_device_command_loads_no_hashlib(self, tmp_path):
         # device writes no artifact, so it never hashes its config
-        cfg = write_json(tmp_path / "dev.json", PAPER_DEVICE)
-        assert "hashlib" not in _loaded_modules(_RUN_MODULE, "device", cfg)
+        assert "hashlib" not in _loaded_modules(_RUN_MODULE, *readme_command("device", tmp_path))
 
     def test_bare_import_loads_no_submodule(self):
         loaded = _loaded_modules(
@@ -1229,40 +1210,78 @@ def _dense_otoc_doc(n: int) -> dict:
 
 def test_otoc_artifact_does_not_depend_on_blas_threads(tmp_path):
     # a fresh CLI process pins BLAS to one thread before numpy loads, so an
-    # outer OPENBLAS_NUM_THREADS, or none, leaves the bytes unchanged
-    cfg = write_json(tmp_path / "otoc.json", _dense_otoc_doc(128))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    base = {k: v for k, v in os.environ.items() if k not in blas_vars}
-    artifacts = {}
-    for threads in ("1", "2", None):
-        out = tmp_path / f"threads-{threads}"
-        env = dict(base, PYTHONPATH=path)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "cavityq", "--out",
-                               str(out), "otoc", cfg], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        artifacts[threads] = (out / "otoc_series.csv").read_bytes()
-    assert artifacts["2"] == artifacts["1"] and artifacts[None] == artifacts["1"]
+    # outer OPENBLAS_NUM_THREADS, or none, leaves the bytes unchanged; at
+    # N = 128, 400 times go in several time blocks
+    doc = _dense_otoc_doc(128)
+    for times in (doc["times_s"], np.linspace(0.0, 2.0, 400).tolist()):
+        cfg = write_json(tmp_path / f"otoc-{len(times)}.json", dict(doc, times_s=times))
+        artifacts = {}
+        for threads in ("1", "2", None):
+            out = tmp_path / f"{len(times)}-threads-{threads}"
+            proc = fresh_python("-m", "cavityq", "--out", str(out), "otoc", cfg,
+                                env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": None,
+                                     "MKL_NUM_THREADS": None})
+            assert proc.returncode == 0, proc.stderr
+            artifacts[threads] = (out / "otoc_series.csv").read_bytes()
+        assert artifacts["2"] == artifacts["1"] and artifacts[None] == artifacts["1"]
+        # four provenance lines and the header, then one row per time
+        assert len(artifacts["1"].splitlines()) == 5 + len(times)
+
+
+def test_code_without_loss_through_the_entry_point(tmp_path):
+    # T1 = Infinity is no loss: no jumps, and the parity every row reports
+    # stays put, across more than three 64-step blocks of the unraveling
+    cfg = write_json(tmp_path / "no-loss.json", {
+        "alpha": [2.0, 0.0], "n_levels": 20, "t1_s": math.inf, "dt_s": 4e-5, "steps": 200,
+        "n_trajectories": 3})
+    proc = fresh_python("-m", "cavityq", "--out", str(tmp_path / "out"), "code", cfg)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["total_jumps"] == 0
+    _, _, rows = read_csv(tmp_path / "out" / "code_trajectories.csv")
+    assert len(rows) == 600
+    assert len({row[3] for row in rows}) == 1
+
+
+# circuits whose dense operators would be 16 TiB, 4 TiB and 64 GiB
+_GATES_AT_THE_DIMENSION_CAP = {
+    "controlled_increment": ([1024, 1024], [
+        {"kind": "fourier", "target": 0},
+        {"kind": "controlled_increment", "control": 0, "target": 1}]),
+    "cond_rotation": ([2, 524288], [
+        {"kind": "qubit_rotation", "target": 0, "theta": 1.0, "phi": 0.3},
+        {"kind": "cond_rotation", "qubit": 0, "mode": 1, "n": 0, "theta": 1.0, "phi": 0.0}]),
+    "givens": ([65536], [
+        {"kind": "givens", "target": 0, "m": 0, "n": 65535, "theta": 0.7853981633974483}]),
+}
+
+# runs `python -m cavityq <argv>` in 3 GB of address space: the compiled
+# kernels touch only the state
+_RUN_IN_3_GB = ("import resource, runpy, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (3_000_000 << 10,) * 2); "
+                "sys.argv[0] = 'cavityq'; "
+                "runpy.run_module('cavityq', run_name='__main__', alter_sys=True)")
+
+
+@pytest.mark.parametrize("gate", list(_GATES_AT_THE_DIMENSION_CAP))
+def test_gates_at_the_dimension_cap_run_in_3_gb(tmp_path, gate):
+    shape, circuit = _GATES_AT_THE_DIMENSION_CAP[gate]
+    cfg = write_json(tmp_path / "circuit.json", {"shape": shape, "gates": circuit})
+    proc = fresh_python("-c", _RUN_IN_3_GB, "--out", str(tmp_path), "run", cfg)
+    assert proc.returncode == 0, proc.stderr
+    assert abs(json.loads(proc.stdout)["total_probability"] - 1) < 1e-12
 
 
 def test_trotter_rows_do_not_depend_on_the_order_of_steps_list(tmp_path):
     # the README Trotter config with its steps_list in two orders, each in a
     # fresh `python -W error -m cavityq`: the same three rows, byte for byte
     config, _ = readme_example("Example Trotter config")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
     rows = []
     for order in ("10, 20, 40", "40, 10, 20"):
         text = re.sub(r'"steps_list": \[[^]]*\]', f'"steps_list": [{order}]', config)
         assert f'"steps_list": [{order}]' in text
         cfg, out = tmp_path / f"trotter-{order[:2]}.json", tmp_path / f"order-{order[:2]}"
         cfg.write_text(text, encoding="utf-8")
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "cavityq", "--out", str(out),
-                               "trotter", str(cfg)], capture_output=True, text=True, env=env)
+        proc = fresh_python("-m", "cavityq", "--out", str(out), "trotter", str(cfg))
         assert proc.returncode == 0, proc.stderr
         # four provenance lines and the header, then one data row per step count
         lines = (out / "trotter_convergence.csv").read_bytes().splitlines(keepends=True)

@@ -47,12 +47,14 @@ class TestChannelConstruction:
 
     def test_dephasing_default_rate_zero_is_identity(self):
         ch = noise.dephasing_channel(0.0, 1e-3, 8)
-        rho = noise.density_matrix(fock.coherent_state(1.0, 8))
+        with pytest.warns(fock.TruncationWarning):
+            rho = noise.density_matrix(fock.coherent_state(1.0, 8))
         np.testing.assert_allclose(noise.apply_channel(ch, rho), rho, atol=1e-14)
 
     def test_dephasing_kills_coherences_not_populations(self):
         ch = noise.dephasing_channel(1.0, 5e-5, 6)
-        rho = noise.density_matrix(fock.coherent_state(1.0, 6))
+        with pytest.warns(fock.TruncationWarning):
+            rho = noise.density_matrix(fock.coherent_state(1.0, 6))
         out = rho.copy()
         for _ in range(200):
             out = noise.apply_channel(ch, out)
@@ -71,7 +73,8 @@ class TestKrausEvolution:
         # ⟨n̂⟩ under repeated application tracks e^{-t/T1} within 1%
         t1, dt, n = 1.0, 1e-4, 12
         ch = noise.photon_loss_channel(t1, dt, n)
-        rho = noise.density_matrix(fock.coherent_state(1.5, n))
+        with pytest.warns(fock.TruncationWarning):
+            rho = noise.density_matrix(fock.coherent_state(1.5, n))
         n0 = float(np.real(np.trace(np.diag(np.arange(n)) @ rho)))
         steps = 10000  # advance a full lifetime
         for _ in range(steps):
@@ -100,7 +103,8 @@ class TestKrausEvolution:
 
     def test_trace_preserved(self):
         ch = loss_channel(n=8, dt=2e-4)
-        rho = noise.density_matrix(fock.coherent_state(1.2, 8))
+        with pytest.warns(fock.TruncationWarning):
+            rho = noise.density_matrix(fock.coherent_state(1.2, 8))
         for _ in range(50):
             rho = noise.apply_channel(ch, rho)
         assert float(np.real(np.trace(rho))) == pytest.approx(1.0, abs=1e-12)
@@ -109,7 +113,8 @@ class TestKrausEvolution:
 class TestTrajectories:
     def test_deterministic_for_seed(self):
         ch = loss_channel(n=5, dt=2e-4)
-        psi = fock.coherent_state(1.0, 5)
+        with pytest.warns(fock.TruncationWarning):
+            psi = fock.coherent_state(1.0, 5)
         t1 = noise.apply_channel_trajectory(ch, psi, 50, seed=42)
         t2 = noise.apply_channel_trajectory(ch, psi, 50, seed=42)
         assert t1.jump_steps == t2.jump_steps
@@ -126,7 +131,8 @@ class TestTrajectories:
 
     def test_zero_rate_never_jumps(self):
         ch = noise.dephasing_channel(0.0, 1e-3, 4)
-        psi = fock.coherent_state(0.7, 4)
+        with pytest.warns(fock.TruncationWarning):
+            psi = fock.coherent_state(0.7, 4)
         traj = noise.apply_channel_trajectory(ch, psi, 100, seed=7)
         assert traj.jump_steps == ()
         assert fock.fidelity(traj.final_state, psi) == pytest.approx(1.0, abs=1e-12)

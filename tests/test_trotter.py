@@ -691,6 +691,19 @@ def test_dense_overflow_is_checked_before_eigh():
             trotter.otoc_series(np.eye(4), np.eye(4), h, [0.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_step_and_dense_builders_refuse_overflow():
+    # each returned inf entries after a RuntimeWarning; trotter_step a SNAP
+    # with theta [-inf, -0.0]
+    h = trotter.QuditHamiltonian([1e308, 0.0], [0.0, 0.0])
+    with pytest.raises(NumericError, match=re.escape(
+            "dt_s 1.0: the step phase 2*pi*max(|V|, |K|)*dt overflows")):
+        trotter.trotter_step(h, 1.0)
+    for build in (h.dense, h.operator):
+        with pytest.raises(NumericError, match=re.escape("the Hamiltonian 2*pi*H overflows")):
+            build()
+
+
 @pytest.mark.parametrize("call", [
     lambda: trotter.trotter_convergence(None, 1.0, [3]),
     lambda: trotter.evolve_trotter(None, 1.0, 3),
