@@ -767,6 +767,12 @@ class TestArtifactPlumbing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_module_entry_point(self, tmp_path):
+        cfg = write_json(tmp_path / "dev.json", PAPER_DEVICE)
+        proc = fresh_python("-m", "cavityq", "device", cfg)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["max_fock"] == 5000
+
 
 # the numeric layer: the modules that import numpy
 NUMERIC_MODULES = {f"cavityq.{m}" for m in
@@ -784,11 +790,15 @@ NUMERIC_CONFIGS = {
     "otoc": (dict(OTOC_DOC, times_s=[0.0, 0.5]), {"gates", "trotter"}),
 }
 
+# the tail of a `python -c` script that runs `python -m cavityq <argv>`;
+# the script's head imports runpy and sys
+_RUN_CAVITYQ = ("sys.argv[0] = 'cavityq'; "
+                "runpy.run_module('cavityq', run_name='__main__', alter_sys=True)")
+
 # runs `python -m cavityq <argv>` and then lists sys.modules on stderr's last line
 _RUN_MODULE = ("import atexit, runpy, sys; "
                "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr)); "
-               "sys.argv[0] = 'cavityq'; "
-               "runpy.run_module('cavityq', run_name='__main__', alter_sys=True)")
+               + _RUN_CAVITYQ)
 
 
 def _loaded_modules(code: str, *argv: str) -> set[str]:
@@ -1258,8 +1268,7 @@ _GATES_AT_THE_DIMENSION_CAP = {
 # kernels touch only the state
 _RUN_IN_3_GB = ("import resource, runpy, sys; "
                 "resource.setrlimit(resource.RLIMIT_AS, (3_000_000 << 10,) * 2); "
-                "sys.argv[0] = 'cavityq'; "
-                "runpy.run_module('cavityq', run_name='__main__', alter_sys=True)")
+                + _RUN_CAVITYQ)
 
 
 @pytest.mark.parametrize("gate", list(_GATES_AT_THE_DIMENSION_CAP))
