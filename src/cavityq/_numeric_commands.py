@@ -1,5 +1,8 @@
 """The six numeric subcommands of `cli` and their config parsers. `cli.main`
 imports this module, and with it numpy, for any command but `device`.
+Each `cmd_<name>` reads and checks its whole config, then returns its
+computation: a closure over the checked inputs, never over the config
+text or the decoded JSON (`cli._parse`).
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ import numpy as np
 # all seven, used or not, only because the perfbench tracer raises KeyError
 # for an unloaded layer (`spans.Tracer.install`); to go with ROADMAP item 1
 from . import codes, fock, gates, noise, pulse, qst, trotter
-from .cli import _Result
+from .cli import _Computation, _Result
 from .errors import (NUMBERS, ParseError, UsageError, decode_object, is_json_int, parse_errors,
                      read_fields, read_kind, require_array, require_count, require_index)
 
@@ -32,18 +35,21 @@ def _parse_state_spec(spec: str, shape: fock.HilbertShape) -> fock.StateVector:
     return fock.basis_state(shape, occupations)
 
 
-def cmd_run(args, text: str) -> _Result:
+def cmd_run(args, text: str) -> _Computation:
     circuit = gates.circuit_from_json(text)
     spec = args.state if args.state else ",".join("0" for _ in circuit.shape.dims)
     psi0 = _parse_state_spec(spec, circuit.shape)
-    final = gates.apply_circuit(circuit, psi0)
-    probs = np.abs(final.amplitudes.reshape(-1)) ** 2
-    kept = np.flatnonzero(probs > _PROB_FLOOR)
-    return "run_probabilities", {"basis_index": kept, "probability": probs[kept]}, {
-        "gates": len(circuit.gates),
-        "kept_rows": len(kept),
-        "total_probability": float(probs.sum()),
-    }
+
+    def compute() -> _Result:
+        final = gates.apply_circuit(circuit, psi0)
+        probs = np.abs(final.amplitudes.reshape(-1)) ** 2
+        kept = np.flatnonzero(probs > _PROB_FLOOR)
+        return "run_probabilities", {"basis_index": kept, "probability": probs[kept]}, {
+            "gates": len(circuit.gates),
+            "kept_rows": len(kept),
+            "total_probability": float(probs.sum()),
+        }
+    return compute
 
 
 def _qst_config_and_sweep(text: str):
@@ -58,24 +64,27 @@ def _qst_config_and_sweep(text: str):
     return qst.qst_config_from_json(f["transfer"]), f["delta_sweep_hz"]
 
 
-def cmd_qst(args, text: str) -> _Result:
+def cmd_qst(args, text: str) -> _Computation:
     config, sweep = _qst_config_and_sweep(text)
-    if sweep is None:
-        res = qst.simulate_transfer(config)
-        rows = [(config.delta_omega_hz, res.eta,
-                 float(np.sqrt(max(0.0, 1.0 - res.eta))))]
-        summary = {"eta": res.eta, "fidelity": res.fidelity}
-    else:
-        result = qst.detuning_sweep(config, sweep)
-        rows = list(result.rows)
-        summary = {
-            "baseline_eta": result.baseline_eta,
-            "slope": result.slope,
-            "intercept": result.intercept,
-            "r_squared": result.r_squared,
-        }
-    columns = _columns(["delta_omega_hz", "eta", "sqrt_one_minus_eta"], rows)
-    return "qst_sweep", columns, summary
+
+    def compute() -> _Result:
+        if sweep is None:
+            res = qst.simulate_transfer(config)
+            rows = [(config.delta_omega_hz, res.eta,
+                     float(np.sqrt(max(0.0, 1.0 - res.eta))))]
+            summary = {"eta": res.eta, "fidelity": res.fidelity}
+        else:
+            result = qst.detuning_sweep(config, sweep)
+            rows = list(result.rows)
+            summary = {
+                "baseline_eta": result.baseline_eta,
+                "slope": result.slope,
+                "intercept": result.intercept,
+                "r_squared": result.r_squared,
+            }
+        columns = _columns(["delta_omega_hz", "eta", "sqrt_one_minus_eta"], rows)
+        return "qst_sweep", columns, summary
+    return compute
 
 
 _GRAPE_MODELS = {"qubit": ({}, {"detuning_hz": (float, 0.0)}),
@@ -119,7 +128,7 @@ def _grape_target(spec: dict, shape: fock.HilbertShape) -> fock.Operator:
     return fock.Operator(shape, _matrix(f, dim, "grape target"))
 
 
-def cmd_grape(args, text: str) -> _Result:
+def cmd_grape(args, text: str) -> _Computation:
     f = read_fields(text, "grape config",
                     {"model": dict, "target": dict, "n_segments": int, "dt_s": float},
                     {"iterations": (int, 500), "learning_rate": (float, 0.2),
@@ -131,19 +140,22 @@ def cmd_grape(args, text: str) -> _Result:
     schedule0 = pulse.PulseSchedule(float(f["dt_s"]),
                                     np.zeros((model.n_streams, n_segments), dtype=complex),
                                     (0.0,) * model.n_streams)
-    result = pulse.grape_optimize(model, target, schedule0, iterations=f["iterations"],
-                                  learning_rate=f["learning_rate"], seed=args.seed,
-                                  tol=f["tol"])
-    columns = _columns(["iteration", "infidelity", "step_size"], result.trace)
-    return "grape_trace", columns, {
-        "fidelity": result.fidelity,
-        "infidelity": result.infidelity,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }
+    iterations, learning_rate, tol, seed = f["iterations"], f["learning_rate"], f["tol"], args.seed
+
+    def compute() -> _Result:
+        result = pulse.grape_optimize(model, target, schedule0, iterations=iterations,
+                                      learning_rate=learning_rate, seed=seed, tol=tol)
+        columns = _columns(["iteration", "infidelity", "step_size"], result.trace)
+        return "grape_trace", columns, {
+            "fidelity": result.fidelity,
+            "infidelity": result.infidelity,
+            "iterations": result.iterations,
+            "converged": result.converged,
+        }
+    return compute
 
 
-def cmd_code(args, text: str) -> _Result:
+def cmd_code(args, text: str) -> _Computation:
     f = read_fields(text, "code config",
                     {"alpha": NUMBERS, "n_levels": int, "t1_s": float, "dt_s": float,
                      "steps": int},
@@ -155,21 +167,24 @@ def cmd_code(args, text: str) -> _Result:
         raise ParseError(f"code config: 'parity' must be '+' or '-', got {f['parity']!r}")
     psi = codes.cat_state(complex(alpha_pair[0], alpha_pair[1]), f["parity"], n_levels)
     channel = noise.photon_loss_channel(float(f["t1_s"]), float(f["dt_s"]), n_levels)
-    results = noise.run_trajectories(channel, psi, steps, f["n_trajectories"],
-                                     base_seed=args.seed)
-    # trajectory-major rows: every step of the first trajectory, then the next
-    columns = {
-        "seed": np.repeat([t.seed for t in results], steps),
-        "step": np.tile(np.arange(1, steps + 1), len(results)),
-        "jump_count": np.concatenate([t.jump_counts for t in results]),
-        "parity": np.concatenate([t.parities for t in results]),
-        "mean_n": np.concatenate([t.mean_occupations for t in results]),
-    }
-    return "code_trajectories", columns, {
-        "initial_parity": codes.parity(psi),
-        "n_trajectories": len(results),
-        "total_jumps": sum(len(t.jump_steps) for t in results),
-    }
+    n_trajectories, seed = f["n_trajectories"], args.seed
+
+    def compute() -> _Result:
+        results = noise.run_trajectories(channel, psi, steps, n_trajectories, base_seed=seed)
+        # trajectory-major rows: every step of the first trajectory, then the next
+        columns = {
+            "seed": np.repeat([t.seed for t in results], steps),
+            "step": np.tile(np.arange(1, steps + 1), len(results)),
+            "jump_count": np.concatenate([t.jump_counts for t in results]),
+            "parity": np.concatenate([t.parities for t in results]),
+            "mean_n": np.concatenate([t.mean_occupations for t in results]),
+        }
+        return "code_trajectories", columns, {
+            "initial_parity": codes.parity(psi),
+            "n_trajectories": len(results),
+            "total_jumps": sum(len(t.jump_steps) for t in results),
+        }
+    return compute
 
 
 def _qudit(f: dict) -> tuple[trotter.QuditHamiltonian, fock.StateVector]:
@@ -179,7 +194,7 @@ def _qudit(f: dict) -> tuple[trotter.QuditHamiltonian, fock.StateVector]:
     return h, fock.basis_state(h.n_levels, level)
 
 
-def cmd_trotter(args, text: str) -> _Result:
+def cmd_trotter(args, text: str) -> _Computation:
     f = read_fields(text, "trotter config",
                     {"diagonal": NUMBERS, "kinetic_diagonal": NUMBERS, "t_total_s": float,
                      "steps_list": list}, {"initial_level": (int, 0)})
@@ -187,12 +202,15 @@ def cmd_trotter(args, text: str) -> _Result:
     if not all(is_json_int(s) for s in steps_list):
         raise ParseError("trotter config: 'steps_list' must be integers")
     h, psi0 = _qudit(f)
-    rows = trotter.trotter_convergence(h, f["t_total_s"],
-                                       [int(s) for s in steps_list], psi0)
-    return "trotter_convergence", _columns(["steps", "dt_s", "infidelity"], rows), {
-        "n_levels": h.n_levels,
-        "best_infidelity": min(float(r[2]) for r in rows),
-    }
+    t_total_s, steps_list = f["t_total_s"], [int(s) for s in steps_list]
+
+    def compute() -> _Result:
+        rows = trotter.trotter_convergence(h, t_total_s, steps_list, psi0)
+        return "trotter_convergence", _columns(["steps", "dt_s", "infidelity"], rows), {
+            "n_levels": h.n_levels,
+            "best_infidelity": min(float(r[2]) for r in rows),
+        }
+    return compute
 
 
 def _otoc_operator(spec: dict, name: str, n: int):
@@ -211,7 +229,7 @@ def _otoc_operator(spec: dict, name: str, n: int):
     return gates.Circuit(fock.HilbertShape((n,)), (gates.GateSpec(kind, params),))
 
 
-def cmd_otoc(args, text: str) -> _Result:
+def cmd_otoc(args, text: str) -> _Computation:
     f = read_fields(text, "otoc config",
                     {"diagonal": NUMBERS, "kinetic_diagonal": NUMBERS, "times_s": NUMBERS,
                      "w": dict, "v": dict}, {"initial_level": (int, 0)})
@@ -221,8 +239,11 @@ def cmd_otoc(args, text: str) -> _Result:
         raise ParseError("otoc config: 'times_s' must be non-empty")
     w = _otoc_operator(f["w"], "w", h.n_levels)
     v = _otoc_operator(f["v"], "v", h.n_levels)
-    rows = trotter.otoc_series(w, v, h, times, psi0)
-    return "otoc_series", _columns(["t_s", "re_otoc", "im_otoc", "abs_otoc"], rows), {
-        "n_levels": h.n_levels,
-        "min_abs_otoc": min(float(r[3]) for r in rows),
-    }
+
+    def compute() -> _Result:
+        rows = trotter.otoc_series(w, v, h, times, psi0)
+        return "otoc_series", _columns(["t_s", "re_otoc", "im_otoc", "abs_otoc"], rows), {
+            "n_levels": h.n_levels,
+            "min_abs_otoc": min(float(r[3]) for r in rows),
+        }
+    return compute

@@ -2,12 +2,17 @@
 
 `_COMMANDS` declares each subcommand once: the name of its positional
 config argument and its help text. `build_parser` builds one subparser
-per entry, and `main` is the one driver: it reads the config file, calls
-the command `cmd_<name>(args, text)` on the text, writes the artifact the
-command names with the config's sha256 in its header, adds the artifact
-path to the summary as "output" and prints the summary as JSON. A
-command only computes: it returns (artifact name, columns, summary), with
-None for the name when it writes no artifact (`device`). A new command
+per entry, and `main` is the one driver. Parse, then compute: `_parse`
+reads the config file, takes its sha256 (for the numeric commands, which
+write an artifact) and calls the command `cmd_<name>(args, text)`, which
+reads and checks the whole config and returns its computation, a
+zero-argument callable closed over the checked inputs alone (arrays,
+models, circuits, numbers), never over the text or the decoded JSON.
+`main` calls it only after `_parse` has returned, so neither is alive
+while an engine runs. The computation returns (artifact name, columns,
+summary), with None for the name when it writes no artifact (`device`);
+`main` writes the artifact with the sha256 in its header, adds its path
+to the summary as "output" and prints the summary as JSON. A new command
 is one function and one `_COMMANDS` entry. This module loads no numpy:
 the numeric commands are in `_numeric_commands`, imported only for them.
 
@@ -51,12 +56,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, device
 from .errors import CapacityError, NumericError, ParseError, UsageError
 
-# what a command returns: artifact name (None: no artifact), columns, summary
+# what a command's computation returns: artifact name (None: no artifact),
+# columns, summary; a command returns the computation
 _Result = tuple[str | None, dict, dict]
+_Computation = Callable[[], _Result]
 
 
 def _read_text(path: str) -> str:
@@ -190,8 +198,9 @@ def _emit_artifact(args, name: str, columns: dict, input_sha: str) -> str:
 # subcommands
 
 
-def cmd_device(args, text: str) -> _Result:
-    return None, {}, device.device_summary(device.DeviceParams.from_json(text))
+def cmd_device(args, text: str) -> _Computation:
+    params = device.DeviceParams.from_json(text)
+    return lambda: (None, {}, device.device_summary(params))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +232,17 @@ def _command(name: str):
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     from . import _numeric_commands
     return getattr(_numeric_commands, f"cmd_{name}")
+
+
+def _parse(args) -> tuple[_Computation, str | None]:
+    """Read the config of args.command, take its sha256 (None for `device`,
+    which writes no artifact and so loads no hashlib) and parse it: the
+    command's computation and the sha256. The text and the decoded JSON
+    end with this call."""
+    text = _read_text(getattr(args, _COMMANDS[args.command][0]))
+    command = _command(args.command)
+    input_sha = None if command is cmd_device else _sha256(text)
+    return command(args, text), input_sha
 
 
 # the error roots, tested in this order, and their exit codes
@@ -261,12 +281,11 @@ def main(argv=None) -> int:
         parser.error("--seed must be nonnegative")
     if args.threads < 1:
         parser.error("--threads must be >= 1")
-    config_arg, _ = _COMMANDS[args.command]
     try:
-        text = _read_text(getattr(args, config_arg))
-        name, columns, summary = _command(args.command)(args, text)
+        compute, input_sha = _parse(args)
+        name, columns, summary = compute()
         if name is not None:
-            summary["output"] = _emit_artifact(args, name, columns, _sha256(text))
+            summary["output"] = _emit_artifact(args, name, columns, input_sha)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for root, code in _EXIT_CODES.items() if isinstance(exc, root))

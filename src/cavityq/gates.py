@@ -86,7 +86,8 @@ def _displacement_factors(alpha: complex, n: int, convention: str, name: str = "
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, |α|Λ, Q) with D(α) = R Q e^{−i|α|Λ} Qᵀ R† on n levels, α given
     in the named convention; UsageError naming α as name unless it is a
-    finite complex number."""
+    finite complex number, and NumericError naming it, before any array
+    product, when the largest phase |α|·max Λ overflows."""
     if convention not in CONVENTIONS:
         raise UsageError(f"unknown displacement convention {convention!r}")
     alpha = require_complex(name, alpha)
@@ -95,6 +96,9 @@ def _displacement_factors(alpha: complex, n: int, convention: str, name: str = "
     if convention == "paper":
         alpha = -alpha
     evals, vecs = _quadrature_eigensystem(n)
+    if not math.isfinite(abs(alpha) * float(evals[-1])):
+        raise NumericError(f"{name}: the displacement phase |amplitude|*max(Lambda) = "
+                           f"{abs(alpha):.3g}*{evals[-1]:.3g} overflows on {n} levels")
     rot = np.exp(1j * (cmath.phase(alpha) + math.pi / 2) * np.arange(n))
     return rot, abs(alpha) * evals, vecs
 
@@ -722,12 +726,17 @@ def circuit_from_json(text: str) -> Circuit:
         if not isinstance(entry, dict):
             raise ParseError(f"gate {i}: entries must be objects")
         kind = entry.get("kind")
+        gate = None
         try:
             if not isinstance(kind, str):
                 raise UsageError("missing string 'kind'")
             spec = GateSpec(kind, {k: v for k, v in entry.items() if k != "kind"})
-            kernels.append(_compile(spec, shape, convention))  # validates
+            gate, args, targets = _parse(spec, shape, convention)  # validates
+            kernels.append(gate.kernel(args, targets, shape.dims))
         except (UsageError, NumericError) as exc:
+            if gate is not None and isinstance(exc, NumericError):
+                # well-formed fields whose numbers overflow the kernel: not a parse fault
+                raise NumericError(f"gate {i} ({kind}): {exc}") from exc
             # every earlier entry holds a "kind", so the i-th "kind" in the
             # text is this entry's own, if it has one
             loc = _kind_location(text, i) if "kind" in entry else ""

@@ -52,6 +52,9 @@ from .errors import (
 )
 
 _MAX_RATE_DT = 0.05
+# RK4's stability interval on the imaginary axis, |z| <= 2*sqrt(2); the
+# detuning term of a's decay puts z = -i*delta*dt/2 on it
+_RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
 # most RK4 steps one transfer may take; at the cap its rates and traces
 # peak at about 214 MiB, and a detuning sweep's rates at about 107 MiB
 MAX_RK4_STEPS = 10**6
@@ -231,7 +234,16 @@ class _TransferGrid:
     cab: np.ndarray  # the a->b coupling
 
     def decay(self, delta_omega_hz: float) -> np.ndarray:
-        """The decay coefficient of a at this detuning."""
+        """The decay coefficient of a at this detuning; a step-size error,
+        before any step, when |delta|*dt/2 leaves RK4's stability interval
+        on the imaginary axis, where the steps would grow without bound."""
+        z = abs(delta_omega_hz) * self.dt / 2.0
+        if z > _RK4_IMAG_LIMIT:
+            raise StepSizeError(
+                f"delta_omega_hz {delta_omega_hz!r}: |delta_omega_hz|*dt/2 = {z:.3g} "
+                f"exceeds RK4's stability limit 2*sqrt(2); reduce dt below "
+                f"{2.0 * _RK4_IMAG_LIMIT / abs(delta_omega_hz):.3e} s"
+            )
         return -(self.k1 / 2.0 + 0.5j * delta_omega_hz)
 
     def chunks(self):
@@ -371,9 +383,11 @@ def _rk4_chunk(ca, cb, cab, w1, w2, dt, a, b, p) -> None:
 
 
 def _final_eta(b_final: complex) -> float:
-    """eta = |b(t1)|^2, clamped to [0, 1]; a NumericError when it exceeds 1
-    by more than 1e-6."""
+    """eta = |b(t1)|^2, clamped to [0, 1]; a NumericError when it is not
+    finite or exceeds 1 by more than 1e-6."""
     eta_raw = abs(b_final) ** 2
+    if not math.isfinite(eta_raw):
+        raise NumericError(f"integrator produced a non-finite eta ({eta_raw})")
     if eta_raw > 1 + 1e-6:
         raise NumericError(f"integrator produced eta = {eta_raw} > 1")
     return min(max(eta_raw, 0.0), 1.0)
@@ -385,9 +399,10 @@ def simulate_transfer(config: QstConfig) -> QstResult:
     The excitation amplitude starts entirely in the emitter (a=1), the
     channel in vacuum. eta = |b(t1)|^2; the superposition fidelity uses the
     tau = -b(t1) phase reference. Raises a step-size error when
-    max(k1, k2) * dt exceeds 0.05 on the integration grid, and a
-    CapacityError, before any allocation, when the step count is not finite
-    or above MAX_RK4_STEPS.
+    max(k1, k2) * dt exceeds 0.05 on the integration grid or
+    |delta_omega_hz| * dt / 2 exceeds 2*sqrt(2), and a CapacityError,
+    before any allocation, when the step count is not finite or above
+    MAX_RK4_STEPS.
     """
     run = _transfer_grid(config)
     n_steps, dt = run.n_steps, run.dt
@@ -485,6 +500,11 @@ def detuning_sweep(config: QstConfig,
     ydat = np.array([r[2] for r in rows])
     if np.ptp(x) == 0:
         raise UsageError("detunings must span more than one |value| to fit")
+    # np.polyfit divides the |value| column by its norm: refuse a column whose
+    # sum of squares underflows to 0 or overflows, where the fit would fail
+    if not 0.0 < sum(v * v for v in x.tolist()) < math.inf:
+        raise UsageError("detunings must span more than one |value| to fit, with "
+                         "|values| whose squares sum to a finite nonzero float")
     slope, intercept = np.polyfit(x, ydat, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((ydat - pred) ** 2))

@@ -298,8 +298,10 @@ def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
     w_eig = _eigenbasis(w, q_dag, vecs)
     v_eig = _eigenbasis(v, q_dag, vecs)
     phi = q_dag @ psi
+    del q_dag  # Q† and then Ṽ are dropped once used, for the blocks' room
     x = (v_eig @ phi)[:, None]
     w_adj, v_adj = w_eig.conj().T, v_eig.conj().T
+    del v_eig
     starts = list(range(0, len(times), max(2, _OTOC_BLOCK_ENTRIES // n)))
     if len(starts) > 1 and len(times) - starts[-1] == 1:
         del starts[-1]  # the last block takes the odd column: gemv sums in another order

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import math
 import re
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 from unittest import mock
@@ -11,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cavityq import cli, gates, pulse
-from cavityq.errors import ParseError
+from cavityq import cli, gates, pulse, qst, trotter
+from cavityq.errors import NumericError, ParseError, StepSizeError, UsageError
 from golden import CASES, fresh_python, readme_command, readme_example
 
 PAPER_DEVICE = {
@@ -1390,3 +1392,131 @@ def test_overflow_exits_with_one_error_line(tmp_path, capsys, case):
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and fragment in line
     assert not out.exists()
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+# a detuning whose |delta|*dt/2 = 4.29 leaves RK4's stability interval: nine
+# RuntimeWarnings and eta NaN with exit 0, or a row "2147483648.0,nan,0.0"
+_FAST_TRANSFER = dict(QST_SWEEP_DOC["transfer"], dt_s=4e-9)
+_UNSTABLE_DETUNING = {
+    "run": dict(_FAST_TRANSFER, delta_omega_hz=2147483648),
+    "sweep": {"transfer": _FAST_TRANSFER, "delta_sweep_hz": [0.0, 1e5, 2147483648]},
+}
+
+
+@pytest.mark.parametrize("case", list(_UNSTABLE_DETUNING))
+def test_qst_detuning_beyond_rk4_stability_exits_3(tmp_path, capsys, case):
+    cfg = write_json(tmp_path / "qst.json", _UNSTABLE_DETUNING[case])
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "qst", cfg]) == 3
+    message = "delta_omega_hz 2147483648.0: |delta_omega_hz|*dt/2 = 4.29 exceeds RK4's"
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+    config = qst.qst_config_from_json(_FAST_TRANSFER)
+    with pytest.raises(StepSizeError, match=re.escape(message)):
+        qst.simulate_transfer(dataclasses.replace(config, delta_omega_hz=2147483648.0))
+    with pytest.raises(StepSizeError, match=re.escape(message)):
+        qst.detuning_sweep(config, [0.0, 1e5, 2147483648.0])
+    # and an eta that is not finite is refused, not clamped into a row
+    with pytest.raises(NumericError, match="non-finite eta"):
+        qst._final_eta(complex(math.nan, 0.0))
+
+
+# |values| whose squares sum to 0 or overflow: np.polyfit's column scale
+# underflowed (a LinAlgError traceback, exit 1) or overflowed (RuntimeWarnings)
+_UNFITTABLE_SWEEPS = {
+    "underflow": (QST_SWEEP_DOC["transfer"], [0.0, 1e-300]),
+    "overflow": ({"kappa_hz": 2e150, "t_span_s": [-1e-149, 1e-149], "dt_s": 4e-155,
+                  "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}},
+                 [0.0, 1.5e154]),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNFITTABLE_SWEEPS))
+def test_qst_sweep_unfittable_detunings_exit_1(tmp_path, capsys, case):
+    transfer, deltas = _UNFITTABLE_SWEEPS[case]
+    cfg = write_json(tmp_path / "qst.json", {"transfer": transfer, "delta_sweep_hz": deltas})
+    assert run_cli(tmp_path, "qst", cfg) == 1
+    assert "squares sum to a finite nonzero float" in _one_error_line(capsys)
+    with pytest.raises(UsageError, match="squares sum to a finite nonzero float"):
+        qst.detuning_sweep(qst.qst_config_from_json(transfer), deltas)
+
+
+# an amplitude whose phase |alpha|*max(Lambda) overflows: three RuntimeWarnings,
+# then "non-finite entries in amplitudes"; now refused before any array product
+_OVERFLOWING_DISPLACEMENTS = {
+    "displacement": ({"shape": [4], "gates": [
+        {"kind": "displacement", "target": 0, "alpha": [1e308, 0.2]}]},
+                     "gate 0 (displacement): alpha: the displacement phase",
+                     lambda: gates.displacement(1e308, 4), "alpha"),
+    "ecd": ({"shape": [2, 16], "gates": [
+        {"kind": "ecd", "qubit": 0, "mode": 1, "beta": [1e308, 0.0]}]},
+            "gate 0 (ecd): beta: the displacement phase",
+            lambda: gates.ecd(1e308, 16), "beta"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OVERFLOWING_DISPLACEMENTS))
+def test_displacement_phase_overflow_exits_3(tmp_path, capsys, case):
+    doc, fragment, build, name = _OVERFLOWING_DISPLACEMENTS[case]
+    cfg = write_json(tmp_path / "run.json", doc)
+    assert run_cli(tmp_path, "run", cfg) == 3
+    assert fragment in _one_error_line(capsys)
+    with pytest.raises(NumericError, match=f"^{name}: the displacement phase"):
+        build()
+
+
+class TestParseThenCompute:
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_computation_holds_no_config_text_or_dict(self, tmp_path, command):
+        # the README config of each command, read as tests/golden.py reads it
+        args = cli.build_parser().parse_args(readme_command(command, tmp_path))
+        text = Path(getattr(args, cli._COMMANDS[command][0])).read_text(encoding="utf-8")
+        compute = cli._command(command)(args, text)
+        cells = [cell.cell_contents for cell in compute.__closure__ or ()]
+        assert cells and not [c for c in cells if isinstance(c, (str, dict))]
+
+    # command: (engine module, entry point, bytes of the dense operands it is
+    # given); a dispersive model's three 64×64 operators and its target alone
+    # take more than the config's text, so the operands are not counted
+    RELEASE_CASES = {
+        "otoc": (trotter, "otoc_series", lambda w, v, h, times, psi0: v.nbytes),
+        "grape": (pulse, "grape_optimize", lambda model, target, schedule, **_: sum(
+            op.matrix.nbytes for op in (target, model.drift, *model.controls))),
+    }
+
+    @pytest.mark.parametrize("command", list(RELEASE_CASES))
+    def test_config_is_released_before_the_engine_runs(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        # config text or decoded lists kept alive through the engine fail this
+        doc = _dense_otoc_doc(128)
+        if command == "grape":
+            rng = np.random.default_rng(3)
+            q, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+            doc = {"model": {"kind": "dispersive", "chi_hz": 1e6, "n_levels": 32},
+                   "target": {"kind": "matrix", "re": q.real.tolist(), "im": q.imag.tolist()},
+                   "n_segments": 4, "dt_s": 1e-8, "iterations": 1}
+        cfg = write_json(tmp_path / "config.json", doc)
+        size = Path(cfg).stat().st_size
+        module, entry, operand_bytes = self.RELEASE_CASES[command]
+        engine, traced = getattr(module, entry), []
+
+        def entered(*args, **kwargs):
+            traced.append(tracemalloc.get_traced_memory()[0] - operand_bytes(*args, **kwargs))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(module, entry, entered)
+        tracemalloc.start()
+        try:
+            assert run_cli(tmp_path, command, cfg) == 0
+        finally:
+            tracemalloc.stop()
+        [held] = traced
+        assert held < size, (held, size)

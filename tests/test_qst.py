@@ -769,3 +769,20 @@ def test_step_cap_is_inclusive():
         assert len(qst.simulate_transfer(config).times_s) == 1001
         with pytest.raises(CapacityError, match="is 1001 RK4 steps, above the cap of 1000$"):
             qst.simulate_transfer(replace(config, dt_s=2 * HALF_SPAN / 1001))
+
+
+def test_detuning_step_bound_is_rk4s_imaginary_interval():
+    # |delta|*dt/2 up to 2*sqrt(2) runs to a finite eta with no warning;
+    # just beyond, each single run and sweep point is refused before any step
+    dt = 4e-9
+    limit = 2 * 2 * math.sqrt(2) / dt
+    for delta in (limit * (1 - 1e-9), -limit * (1 - 1e-9)):
+        assert math.isfinite(qst.simulate_transfer(matched_config(dt=dt, delta=delta)).eta)
+        [_, (_, eta, _)] = qst.detuning_sweep(matched_config(dt=dt), [0.0, delta]).rows
+        assert math.isfinite(eta)
+    beyond = limit * (1 + 1e-9)
+    with mock.patch.object(qst, "_step_maps", side_effect=AssertionError("stepped")):
+        with pytest.raises(StepSizeError, match=r"^delta_omega_hz 1414213563\.78"):
+            qst.simulate_transfer(matched_config(dt=dt, delta=beyond))
+    with pytest.raises(StepSizeError, match=r"^delta_omega_hz -1414213563\.78"):
+        qst.detuning_sweep(matched_config(dt=dt), [0.0, -beyond])
