@@ -16,8 +16,10 @@ real part drives controls[2s], the imaginary part controls[2s+1].
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -79,6 +81,11 @@ MAX_GRAPE_SEGMENTS = 2 * 10**5
 # may have, since those stacks set a pass's memory: the qubit model's one 2×2
 # block reaches it at MAX_GRAPE_SEGMENTS, and runs at it peak at 114-142 MiB
 MAX_GRAPE_ENTRIES = 4 * MAX_GRAPE_SEGMENTS
+# most segments × streams one synthesized SNAP pulse may have: at its peak
+# synthesis holds the drive samples and the schedule's checked copy of them,
+# 33 B a stream segment; a one-stream N = 2 pulse at the cap peaks at
+# 251.8 MiB traced (9 s)
+MAX_SNAP_SEGMENTS = 8 * 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,25 +340,27 @@ def _prefix_products(u: np.ndarray) -> np.ndarray:
     return p
 
 
-def _propagator(model: ControlModel, amps: np.ndarray, dt: float) -> np.ndarray:
-    """Full (d, d) propagator U_{M-1}...U_0 for (S, M) amplitudes in Hz.
+def _propagator(model: ControlModel, streams: Sequence[np.ndarray],
+                dt: float) -> np.ndarray:
+    """Full (d, d) propagator U_{M-1}...U_0 for S amplitude streams of M
+    segments each, in Hz.
 
     Each invariant block of model.block_layout is exponentiated on its own,
     with blocks of one size stacked together. Segments go in chunks of at
-    most _CHUNK_ENTRIES matrix entries per size group, each chunk reduced
-    pairwise and the chunks multiplied in order, so the temporaries stay near
-    256 KiB however long the schedule is.
+    most _CHUNK_ENTRIES matrix entries per size group: each chunk reads its
+    control coefficients from the streams, is reduced pairwise, and the
+    chunks are multiplied in order, so the temporaries stay near 256 KiB
+    however long the schedule is, and no array spans all M segments.
     """
-    coeffs = _control_coefficients(amps)
     d = model.shape.total_dim
     prop = np.zeros((d, d), dtype=complex)
     for group in model.block_layout:
         step = max(1, _CHUNK_ENTRIES // group.drift.size)
         total = None
-        for start in range(0, coeffs.shape[1], step):
-            h = group.drift + np.einsum("km,kbij->mbij",
-                                        coeffs[:, start:start + step],
-                                        group.controls)
+        for start in range(0, len(streams[0]), step):
+            coeffs = _control_coefficients(
+                np.stack([s[start:start + step] for s in streams]))
+            h = group.drift + np.einsum("km,kbij->mbij", coeffs, group.controls)
             u = _ordered_product(expm_hermitian(h, dt))
             total = u if total is None else _matmul(u, total)
         prop[group.grid] = total
@@ -403,6 +412,32 @@ def _require_segment_room(model: ControlModel, n_segments: int) -> None:
                      n_segments * entries, MAX_GRAPE_ENTRIES, "segment block entries")
 
 
+def _require_segment_phase(model: ControlModel, schedule: PulseSchedule) -> None:
+    """NumericError, before any exponential, unless every segment Hamiltonian
+    stays in range. Its entries are at most max|H_drift| plus, per stream,
+    2*pi*(max|C_re| + max|C_im|)*a, with a the stream's largest |Re u| or
+    |Im u|, read in place. The 2x2 closed form squares the entries, so twice
+    that bound squared must be finite, as must the segment phase, at most
+    d*bound*dt_s. Names the drift or the stream whose term overflows, or
+    dt_s."""
+    terms = [("the drift", float(np.abs(model.drift.matrix).max()))]
+    for s, stream in enumerate(schedule.streams):
+        quads = stream.view(float)  # the (Re, Im) pairs of a C-ordered stream
+        reach = max(float(quads.max()), -float(quads.min()))
+        scale = sum(float(np.abs(c.matrix).max()) for c in model.controls[2 * s:2 * s + 2])
+        terms.append((f"stream {s}", 2 * math.pi * scale * reach))
+    bound = 0.0
+    for what, term in terms:
+        bound += term
+        if not math.isfinite(2 * bound * bound):
+            raise NumericError(f"{what}: the segment Hamiltonian's entries, up to "
+                               f"{bound:.3g} rad/s, overflow when squared")
+    if not math.isfinite(model.shape.total_dim * bound * schedule.dt_s):
+        raise NumericError(f"dt_s {schedule.dt_s!r}: the segment phase d*max|H|*dt_s "
+                           f"overflows (max|H| <= {bound:.3g} rad/s, d = "
+                           f"{model.shape.total_dim})")
+
+
 def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
                       psi0: StateVector | None = None,
                       return_propagator: bool = False):
@@ -417,7 +452,8 @@ def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
         raise UsageError("need psi0, return_propagator=True, or both")
     if psi0 is not None and psi0.shape != model.shape:
         raise ShapeError("psi0 shape does not match model shape")
-    prop = _propagator(model, np.stack(schedule.streams), schedule.dt_s)
+    _require_segment_phase(model, schedule)
+    prop = _propagator(model, schedule.streams, schedule.dt_s)
     out_state = None
     if psi0 is not None:
         out_state = StateVector(model.shape, prop @ psi0.amplitudes,
@@ -605,14 +641,15 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
 
 def _grape_problem(model: ControlModel, schedule: PulseSchedule, target,
                    psi0: StateVector | None, guard_indices, leak_weight):
-    """Check a GRAPE problem against the model: the schedule's pairing and
-    segment room, the target, psi0 and the guard. Returns (target, psi0,
+    """Check a GRAPE problem against the model: the schedule's pairing,
+    segment room and segment phase, the target, psi0 and the guard. Returns (target, psi0,
     guard, leak weight): an Operator target as given, with psi0 None, or a
     StateVector target and psi0, defaulting to the ground state, as
     amplitudes; the guard as basis indices of the model, which need a state
     target, and a real leak weight."""
     _check_schedule_pairing(model, schedule)
     _require_segment_room(model, schedule.n_segments)
+    _require_segment_phase(model, schedule)
     if not isinstance(target, (Operator, StateVector)):
         raise UsageError("target must be an Operator or a StateVector")
     if target.shape != model.shape:
@@ -739,6 +776,24 @@ def _dispersive_chi_from_model(model: ControlModel) -> tuple[float, int]:
     return chi_hz, n
 
 
+def _require_envelope(duration_s: float, n_segments: int) -> None:
+    """NumericError naming duration_s, before any array, unless the squares
+    of the SNAP envelope stay finite normal floats: the largest squared
+    offset from a half's centre, (duration_s/4)^2 = 9 sigma^2, the Gaussian's
+    sigma^2 = (duration_s/12)^2, and the summed squared drive, below
+    n_segments*pi^2/sigma^2 (each half's discrete area sum(e)*dt exceeds
+    sigma, so its peak drive 4*pi*env is below pi/sigma)."""
+    sigma = duration_s / (2 * _SNAP_SIGMA_DIVISOR)
+    var = sigma * sigma
+    if not math.isfinite(9 * var):
+        raise NumericError(f"duration_s {duration_s!r}: the envelope's squared offsets "
+                           "(duration_s/4)**2 overflow")
+    if not (var >= sys.float_info.min and math.isfinite(n_segments * math.pi**2 / var)):
+        raise NumericError(f"duration_s {duration_s!r}: the envelope's sigma**2 = "
+                           f"(duration_s/12)**2 = {var:.3g} s^2 is too small: the summed "
+                           f"squared drive n_segments*pi**2/sigma**2 overflows")
+
+
 def _snap_drive_samples(chi_hz: float, n: int, phases1: np.ndarray,
                         phases2: np.ndarray, duration_s: float,
                         n_segments: int) -> np.ndarray:
@@ -746,25 +801,53 @@ def _snap_drive_samples(chi_hz: float, n: int, phases1: np.ndarray,
     number-selective pi-pulse blocks with per-sector AC-Stark chirps. Sector
     l is shifted by Omega(t)^2 c_l, c_l = sum_{m != l} 1/(4 pi chi (l - m))
     = (H_l - H_{n-1-l}) / (4 pi chi) with H_k the harmonic numbers, so its
-    chirp is c_l cumsum(Omega^2) dt: one cumulative sum for all levels."""
+    chirp is c_l cumsum(Omega^2) dt: one cumulative sum for all levels.
+
+    The samples are added in chunks of _CHUNK_ENTRIES // 4 segments (4,096;
+    on the benchmark's ten SNAP sizes 2,048 and 8,192 were 11 % and 3 %
+    slower), and only the returned array spans all of them. Each half's
+    Gaussian is normalized by its sum over the whole half, and the
+    cumulative sum is carried from chunk to chunk, so every sample is
+    bitwise the whole-array one."""
     dt = duration_s / n_segments
     t_half = duration_s / 2
     sigma = t_half / _SNAP_SIGMA_DIVISOR
-    tm = (np.arange(n_segments) + 0.5) * dt
-    env = np.zeros(n_segments)
+
+    def gaussian(start: int, stop: int, centre: float) -> np.ndarray:
+        tm = (np.arange(start, stop) + 0.5) * dt
+        return np.exp(-((tm - centre) ** 2) / (2 * sigma**2))
+
+    halves = []  # (first segment, stop, centre, scale) of each half
     for half in (0, 1):
         t0, t1 = half * t_half, (half + 1) * t_half
-        mask = (tm >= t0) & (tm < t1)
-        e = np.exp(-((tm[mask] - (t0 + t1) / 2) ** 2) / (2 * sigma**2))
-        e *= 0.25 / (e.sum() * dt)  # discrete pulse area -> exact pi rotation
-        env[mask] = e
+        # midpoints rise with the index, so each half is a range of segments
+        first, stop = (bisect.bisect_left(range(n_segments), t, key=lambda k: (k + 0.5) * dt)
+                       for t in (t0, t1))
+        centre = (t0 + t1) / 2
+        # discrete pulse area -> exact pi rotation
+        halves.append((first, stop, centre, 0.25 / (gaussian(first, stop, centre).sum() * dt)))
     harmonic = np.concatenate(([0.0], np.cumsum(1 / np.arange(1.0, n))))  # H_0 ... H_{n-1}
     stark = (harmonic - harmonic[::-1]) / (4 * np.pi * chi_hz)  # c_l
-    area = np.cumsum((4 * np.pi * env) ** 2) * dt
     u = np.zeros(n_segments, dtype=complex)
-    for level in range(n):  # one level at a time: an (n, n_segments) broadcast peaks 5x higher
-        phases = np.where(tm >= t_half, phases2[level], phases1[level])
-        u += env * np.exp(1j * (phases + 2 * np.pi * chi_hz * level * tm + stark[level] * area))
+    carried = 0.0  # cumsum(Omega^2) up to the chunk
+    step = _CHUNK_ENTRIES // 4
+    for start in range(0, n_segments, step):
+        stop = min(start + step, n_segments)
+        tm = (np.arange(start, stop) + 0.5) * dt
+        env = np.zeros(stop - start)
+        for first, last, centre, scale in halves:
+            lo, hi = max(first, start), min(last, stop)
+            if lo < hi:
+                env[lo - start:hi - start] = gaussian(lo, hi, centre) * scale
+        omega_sq = (4 * np.pi * env) ** 2
+        omega_sq[0] += carried
+        area = np.cumsum(omega_sq)
+        carried = area[-1]
+        area *= dt
+        for level in range(n):  # one level at a time, in level order, which fixes the sum's rounding
+            phases = np.where(tm >= t_half, phases2[level], phases1[level])
+            u[start:stop] += env * np.exp(
+                1j * (phases + 2 * np.pi * chi_hz * level * tm + stark[level] * area))
     return u
 
 
@@ -783,7 +866,8 @@ def synthesize_snap_pulse(model: ControlModel, theta: Sequence[float],
 
     Durations below 2*pi/chi lack the spectral selectivity to separate
     sectors; by default these raise a bandwidth error. `enforce_bound=False`
-    permits them, for degradation studies only.
+    permits them, for degradation studies only. The segments times the
+    model's streams are capped at MAX_SNAP_SEGMENTS.
     """
     chi_hz, n = _dispersive_chi_from_model(model)
     th = _snap_phases(theta, n)
@@ -795,10 +879,14 @@ def synthesize_snap_pulse(model: ControlModel, theta: Sequence[float],
             f"2*pi/chi = {bound:.3e} s"
         )
     if dt_s is None:
-        n_segments = max(_SNAP_MIN_SEGMENTS,
-                         int(round(duration_s * chi_hz * _SNAP_SEGMENT_DENSITY)))
+        count, least = duration_s * chi_hz * _SNAP_SEGMENT_DENSITY, _SNAP_MIN_SEGMENTS
     else:
-        n_segments = max(2, round(duration_s / require_positive("dt_s", dt_s)))
+        count, least = duration_s / require_positive("dt_s", dt_s), 2
+    # an overflowed count stays a float, which the cap refuses
+    n_segments = max(least, round(count) if math.isfinite(count) else count)
+    require_capacity(f"n_segments {n_segments} × n_streams {model.n_streams}",
+                     n_segments * model.n_streams, MAX_SNAP_SEGMENTS, "stream segments")
+    _require_envelope(duration_s, n_segments)
 
     phases1 = np.zeros(n)
     phases2 = np.pi - th
@@ -810,12 +898,12 @@ def synthesize_snap_pulse(model: ControlModel, theta: Sequence[float],
         return PulseSchedule(duration_s / n_segments, tuple(streams),
                              tuple(0.0 for _ in range(model.n_streams)))
 
-    schedule = build(phases2)
-    if precompensate:
-        u_op = simulate_schedule(model, schedule, return_propagator=True)
-        measured = np.angle(np.diag(u_op.matrix[:n, :n]) * np.exp(-1j * th))
-        schedule = build(phases2 + measured)
-    return schedule
+    if not precompensate:
+        return build(phases2)
+    # the uncompensated schedule is gone before the compensated one is built
+    u_op = simulate_schedule(model, build(phases2), return_propagator=True)
+    measured = np.angle(np.diag(u_op.matrix[:n, :n]) * np.exp(-1j * th))
+    return build(phases2 + measured)
 
 
 # ---------------------------------------------------------------------------

@@ -908,6 +908,65 @@ def test_number_too_large_for_a_float_is_a_numeric_error(site, value):
         call(value)
 
 
+SNAP_MODEL = pulse.dispersive_model(1e6, 3)
+OVERFLOW_MODEL = pulse.qubit_model(1e10)
+
+
+def _qubit_schedule(dt_s, amp=0.0):
+    return pulse.PulseSchedule(dt_s, ([complex(amp)] * 4,), (0.0,))
+
+
+# values whose envelope squares or segment phases overflow or underflow:
+# site -> (the start of the NumericError, the call); each warned, then raised
+# NumericError "non-finite entries", a raw OverflowError, or returned NaN
+OVERFLOW_SITES = {
+    "synthesize_snap_pulse.duration_s tiny": (
+        "duration_s 1e-300: the envelope's sigma**2", lambda: pulse.synthesize_snap_pulse(
+            SNAP_MODEL, [0.0] * 3, 1e-300, enforce_bound=False)),
+    "synthesize_snap_pulse.duration_s huge": (
+        "duration_s 1e+300: the envelope's squared offsets", lambda: pulse.synthesize_snap_pulse(
+            SNAP_MODEL, [0.0] * 3, 1e300, dt_s=1e299)),
+    "simulate_schedule.streams": (
+        "stream 0: the segment Hamiltonian's entries", lambda: pulse.simulate_schedule(
+            pulse.qubit_model(1e5), _qubit_schedule(1e-8, 1e300), return_propagator=True)),
+    "simulate_schedule.dt_s": (
+        "dt_s 1e+300: the segment phase", lambda: pulse.simulate_schedule(
+            OVERFLOW_MODEL, _qubit_schedule(1e300), return_propagator=True)),
+    "simulate_schedule drift": (
+        "the drift: the segment Hamiltonian's entries", lambda: pulse.simulate_schedule(
+            pulse.qubit_model(1e300), _qubit_schedule(1e-8), basis_state(2, 0))),
+    "grape_optimize.dt_s": (
+        "dt_s 1e+300: the segment phase", lambda: pulse.grape_optimize(
+            OVERFLOW_MODEL, identity(2), _qubit_schedule(1e300), iterations=2, seed=1)),
+    "grape_gradient.streams": (
+        "stream 0: the segment Hamiltonian's entries", lambda: pulse.grape_gradient(
+            pulse.qubit_model(), _qubit_schedule(1e-8, 1e300), identity(2))),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site", OVERFLOW_SITES)
+def test_overflow_site_refuses_before_any_exponential(site):
+    fragment, call = OVERFLOW_SITES[site]
+    refused = mock.Mock(side_effect=AssertionError("computed"))
+    with mock.patch.object(pulse, "_snap_drive_samples", refused), \
+            mock.patch.object(pulse, "expm_hermitian", refused), \
+            mock.patch.object(pulse, "hermitian_eigensystem", refused):
+        with pytest.raises(NumericError, match=f"^{re.escape(fragment)}"):
+            call()
+
+
+def test_segment_phase_is_checked_once_per_call(monkeypatch):
+    check = mock.Mock(wraps=pulse._require_segment_phase)
+    monkeypatch.setattr(pulse, "_require_segment_phase", check)
+    monkeypatch.setattr(pulse, "_CHUNK_ENTRIES", 8)  # 2 segments a chunk
+    schedule = pulse.PulseSchedule(1e-8, (np.ones(9),), (0.0,))
+    pulse.simulate_schedule(pulse.qubit_model(1e5), schedule, return_propagator=True)
+    assert check.call_count == 1
+    _, iterations, _ = _grape(iterations=3)
+    assert iterations == 3 and check.call_count == 2
+
+
 @pytest.mark.parametrize("streams", [5, None, 1.0, "ab", {0: [1.0]}, np.array(1.0)], ids=repr)
 def test_pulse_schedule_streams_must_be_a_sequence(streams):
     # enumerate(5) raised a raw TypeError

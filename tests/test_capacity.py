@@ -3,7 +3,8 @@
 Each count a request sets is capped before the work or the arrays it sets
 are allocated: steps × trajectories of a trajectory unraveling,
 max(steps_list) × N of a Trotter sweep, segments × streams of a GRAPE
-schedule, the levels of a displaced mode and the RK4 steps of a transfer.
+schedule and of a synthesized SNAP pulse, the levels of a displaced mode and
+the RK4 steps of a transfer.
 A violation raises `CapacityError` (exit 4 on the command line); every cap
 is inclusive.
 """
@@ -26,6 +27,13 @@ PSI = fock.basis_state(4, 2)
 HAMILTONIAN = trotter.QuditHamiltonian([0.0, 0.5, 0.25], [0.1, 0.0, -0.3])  # N = 3
 QUBIT = pulse.qubit_model()
 TWO_STREAMS = pulse.dispersive_model(1e6, 2, cavity_drive=True)
+SNAP_MODEL = pulse.dispersive_model(1e6, 3)
+
+
+def _snap(model, n_segments):
+    # 8 µs, above the selective-drive bound 2π/χ = 6.3 µs
+    return pulse.synthesize_snap_pulse(model, [0.0] * model.shape.dims[1], 8e-6,
+                                       dt_s=8e-6 / n_segments, precompensate=False)
 
 
 def test_rule_is_inclusive_and_names_the_count():
@@ -88,6 +96,12 @@ CAPPED_SITES = {
     "grape_gradient": (
         pulse, "MAX_GRAPE_SEGMENTS", 6,
         lambda: _gradient(TWO_STREAMS, 3), lambda: _gradient(TWO_STREAMS, 4)),
+    "synthesize_snap_pulse": (
+        pulse, "MAX_SNAP_SEGMENTS", 1600,
+        lambda: _snap(SNAP_MODEL, 1600), lambda: _snap(SNAP_MODEL, 1601)),
+    "synthesize_snap_pulse two streams": (
+        pulse, "MAX_SNAP_SEGMENTS", 1600,
+        lambda: _snap(TWO_STREAMS, 800), lambda: _snap(TWO_STREAMS, 801)),
     "displacement": (
         gates, "MAX_DISPLACEMENT_LEVELS", 37,
         lambda: gates.displacement(0.3, 37), lambda: gates.displacement(0.3, 38)),
@@ -123,6 +137,13 @@ OVER_CAP_CALLS = {
     "apply_channel_trajectory": lambda: noise.apply_channel_trajectory(LOSS, PSI, 10**13, 1),
     "trotter_convergence": lambda: trotter.trotter_convergence(HAMILTONIAN, 1.0, [3, 10**13]),
     "evolve_trotter": lambda: trotter.evolve_trotter(HAMILTONIAN, 1.0, 10**13),
+    # 9e11 and 1e12 segments by the default density and by dt_s, and a count
+    # that overflows: numpy's MemoryError or round()'s OverflowError
+    "synthesize_snap_pulse": lambda: pulse.synthesize_snap_pulse(SNAP_MODEL, [0.0] * 3, 1e3),
+    "synthesize_snap_pulse dt_s": lambda: pulse.synthesize_snap_pulse(
+        SNAP_MODEL, [0.0] * 3, 1e-5, dt_s=1e-17),
+    "synthesize_snap_pulse overflowed count": lambda: pulse.synthesize_snap_pulse(
+        SNAP_MODEL, [0.0] * 3, 1e300, dt_s=1e-300),
     "displacement": lambda: gates.displacement(0.1, 65536),
     "ecd": lambda: gates.ecd(0.1, 65536),
 }

@@ -1369,6 +1369,11 @@ _OVERFLOW_CASES = {
     "code_t1_nan": ("code", dict(CODE_DOC, t1_s=math.nan), 1, "t1_s must be positive, got nan"),
     "grape_dt": ("grape", dict(GRAPE_DOC, dt_s=1e308),
                  3, "dt_s 1e+308 overflows the drive area 2*pi*dt_s"),
+    # six RuntimeWarnings, then exit 0 with "fidelity": NaN and a row 0,nan,0.0
+    "grape_segment_phase": ("grape", {"model": {"kind": "qubit", "detuning_hz": 1e10},
+                                      "target": {"kind": "pauli_x"}, "n_segments": 4,
+                                      "dt_s": 1e300, "iterations": 2},
+                            3, "dt_s 1e+300: the segment phase d*max|H|*dt_s overflows"),
     "otoc_snap_theta": ("otoc", dict(OTOC_DOC, w={"kind": "snap", "theta": [
         0.1, math.nan, 2.2, 0.4, 1.9, 2.8, 0.7, 1.1]}),
                         2, "otoc config w: non-finite entries in snap theta"),
