@@ -243,6 +243,14 @@ class ControlModel:
                                       controls[:, rows, cols]))
         return tuple(groups)
 
+    @cached_property
+    def _entry_scales(self) -> tuple[float, tuple[float, ...]]:
+        """max|H_drift| and, per stream, max|C_re| + max|C_im|: the factors of
+        _segment_phase_error's entry bound, computed once like block_layout."""
+        return (float(np.abs(self.drift.matrix).max()),
+                tuple(sum(float(np.abs(c.matrix).max()) for c in self.controls[2 * s:2 * s + 2])
+                      for s in range(self.n_streams)))
+
 
 def qubit_model(detuning_hz: float = 0.0) -> ControlModel:
     """Two-level rotating-frame model: drift 2*pi*detuning*|e><e|,
@@ -266,6 +274,9 @@ def dispersive_model(chi_hz: float, n_levels: int,
     if n_levels < 2:
         raise UsageError(f"need at least 2 cavity levels, got {n_levels}")
     chi_hz = require_positive("chi_hz", chi_hz)
+    if not math.isfinite(2 * math.pi * chi_hz * (n_levels - 1)):
+        raise NumericError(f"chi_hz {chi_hz!r}: the drift's largest entry "
+                           f"2*pi*chi_hz*(n_levels-1) overflows (n_levels = {n_levels})")
     nhat = number_operator(n_levels).matrix
     e_proj = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     drift = -2 * np.pi * chi_hz * np.kron(e_proj, nhat)
@@ -412,30 +423,40 @@ def _require_segment_room(model: ControlModel, n_segments: int) -> None:
                      n_segments * entries, MAX_GRAPE_ENTRIES, "segment block entries")
 
 
-def _require_segment_phase(model: ControlModel, schedule: PulseSchedule) -> None:
-    """NumericError, before any exponential, unless every segment Hamiltonian
-    stays in range. Its entries are at most max|H_drift| plus, per stream,
-    2*pi*(max|C_re| + max|C_im|)*a, with a the stream's largest |Re u| or
-    |Im u|, read in place. The 2x2 closed form squares the entries, so twice
-    that bound squared must be finite, as must the segment phase, at most
-    d*bound*dt_s. Names the drift or the stream whose term overflows, or
-    dt_s."""
-    terms = [("the drift", float(np.abs(model.drift.matrix).max()))]
-    for s, stream in enumerate(schedule.streams):
+def _segment_phase_error(model: ControlModel, streams: Sequence[np.ndarray],
+                         dt_s: float, area: float = 1.0) -> str | None:
+    """Why the segment Hamiltonians of the (C-ordered) streams, which hold
+    the amplitudes u times area, are out of range, or None. Their entries
+    are at most max|H_drift| plus, per stream, 2*pi*(max|C_re| + max|C_im|)*a,
+    with a the stream's largest |Re u| or |Im u|, read in place and divided
+    by area as a float, which overflows to inf without a warning. The 2x2
+    closed form squares the entries, so twice that bound squared must be
+    finite, as must the segment phase, at most d*bound*dt_s. Names the drift
+    or the stream whose term overflows, or dt_s."""
+    drift, scales = model._entry_scales
+    terms = [("the drift", drift)]
+    for s, stream in enumerate(streams):
         quads = stream.view(float)  # the (Re, Im) pairs of a C-ordered stream
-        reach = max(float(quads.max()), -float(quads.min()))
-        scale = sum(float(np.abs(c.matrix).max()) for c in model.controls[2 * s:2 * s + 2])
-        terms.append((f"stream {s}", 2 * math.pi * scale * reach))
+        reach = max(float(quads.max()), -float(quads.min())) / area
+        terms.append((f"stream {s}", 2 * math.pi * scales[s] * reach))
     bound = 0.0
     for what, term in terms:
         bound += term
         if not math.isfinite(2 * bound * bound):
-            raise NumericError(f"{what}: the segment Hamiltonian's entries, up to "
-                               f"{bound:.3g} rad/s, overflow when squared")
-    if not math.isfinite(model.shape.total_dim * bound * schedule.dt_s):
-        raise NumericError(f"dt_s {schedule.dt_s!r}: the segment phase d*max|H|*dt_s "
-                           f"overflows (max|H| <= {bound:.3g} rad/s, d = "
-                           f"{model.shape.total_dim})")
+            return (f"{what}: the segment Hamiltonian's entries, up to "
+                    f"{bound:.3g} rad/s, overflow when squared")
+    if not math.isfinite(model.shape.total_dim * bound * dt_s):
+        return (f"dt_s {dt_s!r}: the segment phase d*max|H|*dt_s overflows (max|H| <= "
+                f"{bound:.3g} rad/s, d = {model.shape.total_dim})")
+    return None
+
+
+def _require_segment_phase(model: ControlModel, schedule: PulseSchedule) -> None:
+    """NumericError, before any exponential, unless _segment_phase_error
+    finds the schedule's segment Hamiltonians in range."""
+    problem = _segment_phase_error(model, schedule.streams, schedule.dt_s)
+    if problem:
+        raise NumericError(problem)
 
 
 def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
@@ -717,7 +738,14 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     if not math.isfinite(area):
         raise NumericError(f"dt_s {dt!r} overflows the drive area 2*pi*dt_s")
 
-    def objective(w: np.ndarray):
+    def objective(w: np.ndarray, trial: bool = True):
+        # amplitudes w / area that simulate_schedule would refuse: a failed
+        # line-search trial, or an error for a start point
+        problem = _segment_phase_error(model, w, dt, area)
+        if problem:
+            if not trial:
+                raise NumericError(problem)
+            return -math.inf, -math.inf, None
         jt, j_raw, gradient = _grape_pass(model, w / area, dt, tgt, psi0_vec,
                                           guard, leak_weight)
         return jt, j_raw, lambda: gradient() / area  # chain rule u = w / area
@@ -725,13 +753,13 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     # with all-zero amps0, w0 / area is amps0 bit for bit, so the start
     # pass also decides the seeding
     w0 = amps0 * area
-    start = objective(w0)
+    start = objective(w0, trial=False)
     if 1.0 - start[0] > tol and seed is not None and not np.any(amps0):
         rng = np.random.default_rng(seed)
         scale = area / (8.0 * schedule0.duration_s)
         w0 = scale * (rng.standard_normal(w0.shape)
                       + 1j * rng.standard_normal(w0.shape))
-        start = objective(w0)
+        start = objective(w0, trial=False)
     w_best, j_raw, iters, converged, trace = _ascend(
         objective, w0, start, iterations, tol, learning_rate)
     schedule = PulseSchedule(dt, tuple(w_best / area), schedule0.carriers_hz)
@@ -776,13 +804,18 @@ def _dispersive_chi_from_model(model: ControlModel) -> tuple[float, int]:
     return chi_hz, n
 
 
-def _require_envelope(duration_s: float, n_segments: int) -> None:
-    """NumericError naming duration_s, before any array, unless the squares
-    of the SNAP envelope stay finite normal floats: the largest squared
-    offset from a half's centre, (duration_s/4)^2 = 9 sigma^2, the Gaussian's
-    sigma^2 = (duration_s/12)^2, and the summed squared drive, below
-    n_segments*pi^2/sigma^2 (each half's discrete area sum(e)*dt exceeds
-    sigma, so its peak drive 4*pi*env is below pi/sigma)."""
+def _require_envelope(chi_hz: float, n: int, duration_s: float, n_segments: int) -> None:
+    """NumericError, before any array, unless the SNAP drive's squares and
+    phases stay finite. Names duration_s unless the envelope's squares are
+    finite normal floats: the largest squared offset from a half's centre,
+    (duration_s/4)^2 = 9 sigma^2, the Gaussian's sigma^2 = (duration_s/12)^2,
+    and the summed squared drive, below n_segments*pi^2/sigma^2 (each half's
+    discrete area sum(e)*dt exceeds sigma, so its peak drive 4*pi*env is below
+    pi/sigma). Names chi_hz and duration_s unless a level's phase stays
+    finite: the carrier 2*pi*chi_hz*level*t, below 2*pi*chi_hz*(n-1)*duration_s,
+    plus the chirp c_l times the area, which is below
+    duration_s*pi^2/sigma^2 = 144*pi^2/duration_s, with
+    |c_l| <= H_{n-1}/(4*pi*chi_hz)."""
     sigma = duration_s / (2 * _SNAP_SIGMA_DIVISOR)
     var = sigma * sigma
     if not math.isfinite(9 * var):
@@ -792,6 +825,15 @@ def _require_envelope(duration_s: float, n_segments: int) -> None:
         raise NumericError(f"duration_s {duration_s!r}: the envelope's sigma**2 = "
                            f"(duration_s/12)**2 = {var:.3g} s^2 is too small: the summed "
                            f"squared drive n_segments*pi**2/sigma**2 overflows")
+    what = f"chi_hz {chi_hz!r}, duration_s {duration_s!r}"
+    carrier = 2 * math.pi * chi_hz * (n - 1) * duration_s
+    if not math.isfinite(carrier):
+        raise NumericError(f"{what}: the carrier phase 2*pi*chi_hz*(n-1)*duration_s "
+                           f"overflows (n = {n})")
+    stark = sum(1 / k for k in range(1, n)) / (4 * math.pi * chi_hz)  # max |c_l|
+    if not math.isfinite(carrier + stark * (144 * math.pi**2 / duration_s)):
+        raise NumericError(f"{what}: the AC-Stark chirp phase, up to "
+                           f"{stark:.3g}*144*pi**2/duration_s, overflows")
 
 
 def _snap_drive_samples(chi_hz: float, n: int, phases1: np.ndarray,
@@ -803,51 +845,41 @@ def _snap_drive_samples(chi_hz: float, n: int, phases1: np.ndarray,
     = (H_l - H_{n-1-l}) / (4 pi chi) with H_k the harmonic numbers, so its
     chirp is c_l cumsum(Omega^2) dt: one cumulative sum for all levels.
 
-    The samples are added in chunks of _CHUNK_ENTRIES // 4 segments (4,096;
-    on the benchmark's ten SNAP sizes 2,048 and 8,192 were 11 % and 3 %
-    slower), and only the returned array spans all of them. Each half's
-    Gaussian is normalized by its sum over the whole half, and the
-    cumulative sum is carried from chunk to chunk, so every sample is
-    bitwise the whole-array one."""
+    Each half is added in chunks of _CHUNK_ENTRIES // 4 segments (4,096; 2,048
+    and 8,192 were 11 % and 3 % slower), with one Gaussian and one phase per
+    level, and only u spans all segments. Each Gaussian is normalized by its
+    whole half's sum, and the cumsum, a sequential fold, is carried across
+    chunks, so every sample is bitwise the whole-array one."""
     dt = duration_s / n_segments
     t_half = duration_s / 2
     sigma = t_half / _SNAP_SIGMA_DIVISOR
 
-    def gaussian(start: int, stop: int, centre: float) -> np.ndarray:
-        tm = (np.arange(start, stop) + 0.5) * dt
-        return np.exp(-((tm - centre) ** 2) / (2 * sigma**2))
+    def gaussian(start: int, stop: int, centre: float) -> tuple[np.ndarray, np.ndarray]:
+        tm = (np.arange(start, stop) + 0.5) * dt  # the segments' midpoints
+        return tm, np.exp(-((tm - centre) ** 2) / (2 * sigma**2))
 
-    halves = []  # (first segment, stop, centre, scale) of each half
-    for half in (0, 1):
-        t0, t1 = half * t_half, (half + 1) * t_half
-        # midpoints rise with the index, so each half is a range of segments
-        first, stop = (bisect.bisect_left(range(n_segments), t, key=lambda k: (k + 0.5) * dt)
-                       for t in (t0, t1))
-        centre = (t0 + t1) / 2
-        # discrete pulse area -> exact pi rotation
-        halves.append((first, stop, centre, 0.25 / (gaussian(first, stop, centre).sum() * dt)))
+    # midpoints rise with the index, so the first half is the segments [0, mid)
+    mid = bisect.bisect_left(range(n_segments), t_half, key=lambda k: (k + 0.5) * dt)
+    halves = [(0, mid, t_half / 2, phases1), (mid, n_segments, t_half + t_half / 2, phases2)]
+    scales = [0.25 / (gaussian(first, stop, centre)[1].sum() * dt)  # exact pi rotations
+              for first, stop, centre, _ in halves]
     harmonic = np.concatenate(([0.0], np.cumsum(1 / np.arange(1.0, n))))  # H_0 ... H_{n-1}
     stark = (harmonic - harmonic[::-1]) / (4 * np.pi * chi_hz)  # c_l
     u = np.zeros(n_segments, dtype=complex)
     carried = 0.0  # cumsum(Omega^2) up to the chunk
-    step = _CHUNK_ENTRIES // 4
-    for start in range(0, n_segments, step):
-        stop = min(start + step, n_segments)
-        tm = (np.arange(start, stop) + 0.5) * dt
-        env = np.zeros(stop - start)
-        for first, last, centre, scale in halves:
-            lo, hi = max(first, start), min(last, stop)
-            if lo < hi:
-                env[lo - start:hi - start] = gaussian(lo, hi, centre) * scale
-        omega_sq = (4 * np.pi * env) ** 2
-        omega_sq[0] += carried
-        area = np.cumsum(omega_sq)
-        carried = area[-1]
-        area *= dt
-        for level in range(n):  # one level at a time, in level order, which fixes the sum's rounding
-            phases = np.where(tm >= t_half, phases2[level], phases1[level])
-            u[start:stop] += env * np.exp(
-                1j * (phases + 2 * np.pi * chi_hz * level * tm + stark[level] * area))
+    for (first, last, centre, phases), scale in zip(halves, scales):
+        for start in range(first, last, _CHUNK_ENTRIES // 4):
+            stop = min(start + _CHUNK_ENTRIES // 4, last)
+            tm, env = gaussian(start, stop, centre)
+            env *= scale
+            omega_sq = (4 * np.pi * env) ** 2
+            omega_sq[0] += carried
+            area = np.cumsum(omega_sq)
+            carried = area[-1]
+            area *= dt
+            for level in range(n):  # one level at a time, in level order, which fixes the sum's rounding
+                u[start:stop] += env * np.exp(
+                    1j * (phases[level] + 2 * np.pi * chi_hz * level * tm + stark[level] * area))
     return u
 
 
@@ -886,7 +918,7 @@ def synthesize_snap_pulse(model: ControlModel, theta: Sequence[float],
     n_segments = max(least, round(count) if math.isfinite(count) else count)
     require_capacity(f"n_segments {n_segments} × n_streams {model.n_streams}",
                      n_segments * model.n_streams, MAX_SNAP_SEGMENTS, "stream segments")
-    _require_envelope(duration_s, n_segments)
+    _require_envelope(chi_hz, n, duration_s, n_segments)
 
     phases1 = np.zeros(n)
     phases2 = np.pi - th

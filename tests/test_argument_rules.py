@@ -941,6 +941,17 @@ OVERFLOW_SITES = {
     "grape_gradient.streams": (
         "stream 0: the segment Hamiltonian's entries", lambda: pulse.grape_gradient(
             pulse.qubit_model(), _qubit_schedule(1e-8, 1e300), identity(2))),
+    "synthesize_snap_pulse chirp": (
+        "chi_hz 1e-200, duration_s 1e-120: the AC-Stark chirp phase",
+        lambda: pulse.synthesize_snap_pulse(pulse.dispersive_model(1e-200, 3), [0.0, 1.0, 2.0],
+                                            1e-120, enforce_bound=False)),
+    "synthesize_snap_pulse carrier": (
+        "chi_hz 1e+300, duration_s 100000000.0: the carrier phase",
+        lambda: pulse.synthesize_snap_pulse(pulse.dispersive_model(1e300, 3), [0.0, 1.0, 2.0],
+                                            1e8, dt_s=1e2, enforce_bound=False,
+                                            precompensate=False)),
+    "dispersive_model.chi_hz": (
+        "chi_hz 1e+308: the drift's largest entry", lambda: pulse.dispersive_model(1e308, 3)),
 }
 
 

@@ -258,6 +258,18 @@ class TestGrape:
         out = json.loads(capsys.readouterr().out)
         assert out["infidelity"] < 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_learning_rate_runs_without_a_warning(self, tmp_path, capsys):
+        # printed "RuntimeWarning: overflow encountered in multiply" and
+        # reported a schedule the simulator refuses
+        cfg = write_json(tmp_path / "grape.json",
+                         dict(GRAPE_DOC, target={"kind": "pauli_x"}, n_segments=20,
+                              dt_s=1e-8, learning_rate=1e300))
+        assert run_cli(tmp_path, "grape", cfg) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["iterations"] == 0
+
     def test_unknown_target_kind_exit_2(self, tmp_path):
         cfg = write_json(
             tmp_path / "grape.json",
@@ -684,6 +696,15 @@ _BAD_GATE_ENTRIES = {
     "multisnap_boolean_phase": (
         _circuit([3], {"kind": "multisnap", "targets": [0], "theta": [0, True, 0]}),
         "multisnap gate field 'theta' entries must be real numbers, got True"),
+    "multisnap_repeated_target": (
+        _circuit([2, 3], {"kind": "multisnap", "targets": [1, 1], "theta": [0.0] * 9}),
+        "multisnap targets must be distinct"),
+    "controlled_increment_control_is_target": (
+        _circuit([3, 3], {"kind": "controlled_increment", "control": 1, "target": 1}),
+        "controlled_increment control and target must differ"),
+    "controlled_increment_unequal_dims": (
+        _circuit([3, 4], {"kind": "controlled_increment", "control": 0, "target": 1}),
+        "controlled_increment needs equal control/target dims, got 3 and 4"),
 }
 
 
@@ -696,6 +717,37 @@ def test_bad_gate_entry_exit_2(tmp_path, capsys, site):
     assert "gate 0: " in err
     assert message in err
     assert [p.name for p in tmp_path.iterdir()] == ["circ.json"]
+
+
+# config objects whose fields read but do not fit together: (command, config,
+# the one error line's text after "error: ")
+_CONFIG_FAULTS = {
+    "grape_model_without_kind": ("grape", dict(GRAPE_DOC, model={"detuning_hz": 0.0}),
+                                 "grape model: missing field 'kind'"),
+    "grape_pauli_x_on_dispersive": ("grape", dict(GRAPE_DOC, model=TestGrape.DISPERSIVE,
+                                                  target={"kind": "pauli_x"}),
+                                    "grape target: pauli_x needs a 2-level model"),
+    "code_three_entry_alpha": ("code", dict(CODE_DOC, alpha=[2.0, 0.0, 0.0]),
+                               "code config: 'alpha' must be [re, im]"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_CONFIG_FAULTS))
+def test_config_fault_exit_2(tmp_path, capsys, site):
+    command, doc, message = _CONFIG_FAULTS[site]
+    cfg = write_json(tmp_path / "config.json", doc)
+    assert run_cli(tmp_path, command, cfg) == 2
+    assert _one_error_line(capsys) == f"error: {message}"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_zero_threads_is_a_usage_error(tmp_path, capsys):
+    cfg = write_json(tmp_path / "grape.json", GRAPE_DOC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path / "out"), "--threads", "0", "grape", cfg])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: --threads must be >= 1")
+    assert not (tmp_path / "out").exists()
 
 
 class TestArtifactPlumbing:
@@ -1142,6 +1194,7 @@ _ONE_RUN_EACH = [
     ("qst", QST_SWEEP_DOC["transfer"], "qst_sweep", {"eta", "fidelity"}),
     ("qst", QST_SWEEP_DOC, "qst_sweep",
      {"baseline_eta", "slope", "intercept", "r_squared"}),
+    ("qst", {"transfer": QST_SWEEP_DOC["transfer"]}, "qst_sweep", {"eta", "fidelity"}),
     ("grape", {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
                "n_segments": 8, "dt_s": 1e-7, "iterations": 5},
      "grape_trace", {"converged", "fidelity", "infidelity", "iterations"}),
@@ -1367,6 +1420,10 @@ _OVERFLOW_CASES = {
     "code_alpha_nan": ("code", dict(CODE_DOC, alpha=[math.nan, 0]),
                        1, "alpha must be finite, got (nan+0j)"),
     "code_t1_nan": ("code", dict(CODE_DOC, t1_s=math.nan), 1, "t1_s must be positive, got nan"),
+    # "invalid value encountered in multiply" before the error line
+    "grape_chi": ("grape", dict(GRAPE_DOC, model={"kind": "dispersive", "chi_hz": 1e308,
+                                                  "n_levels": 3}),
+                  3, "chi_hz 1e+308: the drift's largest entry 2*pi*chi_hz*(n_levels-1)"),
     "grape_dt": ("grape", dict(GRAPE_DOC, dt_s=1e308),
                  3, "dt_s 1e+308 overflows the drive area 2*pi*dt_s"),
     # six RuntimeWarnings, then exit 0 with "fidelity": NaN and a row 0,nan,0.0

@@ -196,6 +196,13 @@ class TestGivensAndPhaseSwap:
         p = gates.phase_swap(0, 3, 5)
         np.testing.assert_allclose((p @ p).matrix, np.eye(5), atol=1e-15)
 
+    @pytest.mark.parametrize("make", [lambda: gates.givens(1, 1, 0.3, 4),
+                                      lambda: gates.phase_swap(2, 2, 4)],
+                             ids=["givens", "phase_swap"])
+    def test_levels_must_differ(self, make):
+        with pytest.raises(UsageError, match="needs two distinct levels$"):
+            make()
+
 
 class TestFourier:
     def test_entries(self):

@@ -45,6 +45,14 @@ class TestChannelConstruction:
         with pytest.raises(UsageError, match="completeness"):
             noise.NoiseChannel(shape, (half,), 1e-3)
 
+    def test_needs_kraus_operators_of_the_channel_shape(self):
+        shape = fock.HilbertShape((3,))
+        with pytest.raises(UsageError, match="^channel needs at least one Kraus operator$"):
+            noise.NoiseChannel(shape, (), 1e-3)
+        other = fock.Operator(fock.HilbertShape((2,)), np.eye(2))
+        with pytest.raises(UsageError, match="^Kraus operators must share the channel shape$"):
+            noise.NoiseChannel(shape, (fock.Operator(shape, np.eye(3)), other), 1e-3)
+
     def test_dephasing_default_rate_zero_is_identity(self):
         ch = noise.dephasing_channel(0.0, 1e-3, 8)
         with pytest.warns(fock.TruncationWarning):

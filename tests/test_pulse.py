@@ -103,6 +103,10 @@ class TestPulseSchedule:
             PulseSchedule.from_json(json.dumps(
                 {"dt_s": "abc", "controls": [{"carrier_hz": 0.0,
                                               "amps": [[1.0, 0.0]]}]}))
+        with pytest.raises(ParseError, match="^'controls' must be a non-empty list$"):
+            PulseSchedule.from_json(json.dumps({"dt_s": 1e-9, "controls": []}))
+        with pytest.raises(ParseError, match="^control 0 must be an object$"):
+            PulseSchedule.from_json(json.dumps({"dt_s": 1e-9, "controls": [[0.0, 1.0]]}))
 
     def test_json_empty_amps_names_the_missing_segments(self):
         # the shape rule said "control 0: field 'amps' must be 0x2, got (0,)"
@@ -147,6 +151,16 @@ class TestControlModel:
         with pytest.raises(ShapeError):
             ControlModel(shape_of(2), ctrl @ ctrl.dagger() if False else h,
                          (ctrl, ctrl))
+
+    def test_controls_must_be_hermitian_and_of_the_model_shape(self):
+        shape = shape_of(2)
+        h = Operator(shape, np.zeros((2, 2)))
+        ctrl = Operator(shape, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        non_hermitian = Operator(shape, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(UsageError, match="^control 1 must be Hermitian$"):
+            ControlModel(shape, h, (ctrl, non_hermitian))
+        with pytest.raises(ShapeError, match="^control 0 shape does not match model shape$"):
+            ControlModel(shape, h, (Operator(shape_of(3), np.eye(3)), ctrl))
 
     def test_from_device_params(self):
         model = dispersive_model_from_device(reference_params(), 4)
@@ -589,6 +603,34 @@ class TestGrapeOptimize:
         leak = sum(abs(out.amplitudes[g]) ** 2 for g in guard)
         assert leak < 1e-3
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("learning_rate", [1e200, 1e300])
+    def test_huge_learning_rate_keeps_to_schedules_the_simulator_takes(self, learning_rate):
+        # 1e200 returned fidelity 0.966 for a schedule simulate_schedule
+        # refused; 1e300 warned from the trial pass
+        model = qubit_model()
+        x_gate = Operator(shape_of(2), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        res = grape_optimize(model, x_gate, constant_schedule(0.0, 20, 1e-8),
+                             learning_rate=learning_rate, seed=1)
+        u = simulate_schedule(model, res.schedule, return_propagator=True)
+        assert gate_fidelity(x_gate, u) == pytest.approx(res.fidelity, abs=1e-12)
+
+    def test_seeded_start_the_simulator_refuses_is_an_error(self):
+        # 1e-300 s segments seed amplitudes near 1e299 Hz; they were optimized
+        # into a schedule simulate_schedule refused
+        x_gate = Operator(shape_of(2), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        with pytest.raises(NumericError, match="^stream 0: the segment Hamiltonian's entries"):
+            grape_optimize(qubit_model(), x_gate, constant_schedule(0.0, 4, 1e-300),
+                           iterations=2, seed=1)
+
+    def test_target_must_be_an_operator_or_state_of_the_model_shape(self):
+        sched = constant_schedule(0.0, 4, 1e-9)
+        with pytest.raises(UsageError, match="^target must be an Operator or a StateVector$"):
+            grape_optimize(qubit_model(), np.eye(2), sched)
+        for target in (Operator(shape_of(3), np.eye(3)), basis_state(3, 0)):
+            with pytest.raises(ShapeError, match="^target shape does not match model shape$"):
+                grape_optimize(qubit_model(), target, sched)
+
     def test_trace_csv_header_and_rows(self):
         x_gate = Operator(shape_of(2), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
         res = grape_optimize(qubit_model(), x_gate, constant_schedule(0.0, 8, 5e-9),
@@ -817,6 +859,20 @@ class TestSequencePreparation:
         with pytest.raises(UsageError):
             optimize_snap_displacement_sequence(
                 np.array([1.0, 0.0]), blocks=0, seed=0)
+
+    def test_state_vector_target_is_its_amplitudes(self):
+        vec = np.array([0.6, 0.0, 0.8j])
+        a = optimize_snap_displacement_sequence(StateVector(3, vec), blocks=2, iterations=5)
+        b = optimize_snap_displacement_sequence(vec, blocks=2, iterations=5)
+        assert (a.alphas, a.thetas.tobytes(), a.trace) == (b.alphas, b.thetas.tobytes(), b.trace)
+
+    @pytest.mark.parametrize("target, message", [
+        (basis_state((2, 3), [0, 1]), "^sequence preparation targets a single mode$"),
+        (np.array([1.0]), "^target needs at least 2 amplitudes, got 1$"),
+    ], ids=["two_modes", "one_amplitude"])
+    def test_rejects_targets_that_are_not_one_mode_of_two_levels(self, target, message):
+        with pytest.raises(ShapeError, match=message):
+            optimize_snap_displacement_sequence(target, blocks=2)
 
 
 def _eager_ascend(x0, value_and_grad, max_iter, tol, learning_rate,
@@ -1247,6 +1303,11 @@ def _around(chunk):
     return chunk - 1, chunk, chunk + 1, 2 * chunk + 1
 
 
+def _halves_around(chunk):
+    """Segment counts whose halves end at or next to a chunk's edge."""
+    return 2 * chunk - 1, 2 * chunk, 2 * chunk + 1, 2 * chunk + 2, 4 * chunk + 1
+
+
 class TestStreamedSnapPath:
     """The SNAP path built chunk by chunk: bitwise its whole-array forms at
     the chunk edges, and holding only the schedule plus one chunk."""
@@ -1259,7 +1320,7 @@ class TestStreamedSnapPath:
         phases1, phases2 = rng.uniform(-np.pi, np.pi, (2, n_levels))
         duration = float(rng.uniform(1.0, 4.0)) * 2 * np.pi / chi
         with mock.patch.object(pulse, "_CHUNK_ENTRIES", entries):
-            for n_segments in _around(entries // 4):
+            for n_segments in _around(entries // 4) + _halves_around(entries // 4):
                 got = pulse._snap_drive_samples(chi, n_levels, phases1, phases2, duration,
                                                 n_segments)
                 expected = _whole_array_snap_drive(chi, n_levels, phases1, phases2, duration,

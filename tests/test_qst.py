@@ -399,6 +399,10 @@ class TestDetuningSweep:
         with pytest.raises(UsageError):
             qst.detuning_sweep(matched_config(), [0.0])
 
+    def test_equal_magnitudes_cannot_be_fit(self):
+        with pytest.raises(UsageError, match=r"^detunings must span more than one \|value\| to fit$"):
+            qst.detuning_sweep(matched_config(), [1e3, -1e3])
+
 
 class TestOnOffRatio:
     def test_constant_at_floor(self):
