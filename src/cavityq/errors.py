@@ -20,8 +20,10 @@ positive reals, and `require_array` for arrays: states, matrices, pulse
 streams, sample lists, SNAP phases and the arrays of JSON configs, whose
 readers re-raise its errors as ParseError (`parse_errors`).
 `require_capacity` caps the work or memory that the counts of a request
-set, before any allocation (`CapacityError`, exit 4). Lists of numbers
-are tested in bulk with `are_reals`.
+set, before any allocation (`CapacityError`, exit 4), and `require_phase`
+holds every phase the package forms, or a bound on it, to MAX_PHASE_RAD
+(`NumericError`, exit 3). Lists of numbers are tested in bulk with
+`are_reals`.
 """
 
 import contextlib
@@ -34,6 +36,9 @@ import numbers
 
 # the least int that float() cannot take: 2**1024 - 2**970 rounds to 2**1024
 _FLOAT_INT_BOUND = 2**1024 - 2**970
+# the largest phase, in rad, the package forms: one ulp of 2**20 is 2**-32 =
+# 2.3e-10 rad, so two algebraically equal builds of a phase agree to that
+MAX_PHASE_RAD = 2.0**20
 
 
 def is_json_number(value) -> bool:
@@ -91,6 +96,15 @@ def require_capacity(name: str, count, cap: int, unit: str) -> None:
         shown = (count if isinstance(count, int) and count < 10**15
                  else f"{count:.6g}" if count < 1e308 else "over 1e+308")
         raise CapacityError(f"{name} is {shown} {unit}, above the cap of {cap}")
+
+
+def require_phase(what: str, phase: float, quantity: str) -> None:
+    """NumericError naming what (an argument and its value) unless the
+    phase, or the phase bound that quantity names, is at most MAX_PHASE_RAD;
+    inf and NaN fail too. Callers check before any phase is built."""
+    if not phase <= MAX_PHASE_RAD:
+        raise NumericError(f"{what}: the {quantity} is {phase:.3g} rad, "
+                           "above MAX_PHASE_RAD = 2**20 rad")
 
 
 def require_index(name: str, value, size: int) -> int:

@@ -16,7 +16,8 @@ public constructors and `GateSpec.build` run them on the identity
 read that entry, and `errors.read_object` checks its field list as it
 does every config's.
 Every SNAP phase list is read by `errors.require_array`, and on n levels
-by `_snap_phases`, the one count rule: any count but n raises ShapeError.
+by `_snap_phases`, the one count and phase rule: any count but n raises
+ShapeError, and a max|θ| above `errors.MAX_PHASE_RAD` NumericError.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 from .errors import (CapacityError, NumericError, ParseError, ShapeError, UsageError, is_count,
                      is_json_int, is_json_number, read_fields, read_object, require_array,
                      require_capacity, require_complex, require_count, require_finite,
-                     require_index)
+                     require_index, require_phase)
 from .fock import (
     HilbertShape,
     Operator,
@@ -58,7 +59,8 @@ def snap(theta: Sequence[float]) -> Operator:
     theta = require_array("snap theta", theta, (None,), float)
     if theta.size < 1:
         raise UsageError("snap needs a non-empty 1-D phase list")
-    return _gate("snap", (theta,), HilbertShape((theta.size,)))
+    return _gate("snap", (_snap_phases(theta, theta.size, "snap theta"),),
+                 HilbertShape((theta.size,)))
 
 
 def multisnap(theta: Sequence[float], dims: Sequence[int]) -> Operator:
@@ -87,7 +89,7 @@ def _displacement_factors(alpha: complex, n: int, convention: str, name: str = "
     """(R, |α|Λ, Q) with D(α) = R Q e^{−i|α|Λ} Qᵀ R† on n levels, α given
     in the named convention; UsageError naming α as name unless it is a
     finite complex number, and NumericError naming it, before any array
-    product, when the largest phase |α|·max Λ overflows."""
+    product, when the largest phase |α|·max Λ fails `require_phase`."""
     if convention not in CONVENTIONS:
         raise UsageError(f"unknown displacement convention {convention!r}")
     alpha = require_complex(name, alpha)
@@ -96,9 +98,8 @@ def _displacement_factors(alpha: complex, n: int, convention: str, name: str = "
     if convention == "paper":
         alpha = -alpha
     evals, vecs = _quadrature_eigensystem(n)
-    if not math.isfinite(abs(alpha) * float(evals[-1])):
-        raise NumericError(f"{name}: the displacement phase |amplitude|*max(Lambda) = "
-                           f"{abs(alpha):.3g}*{evals[-1]:.3g} overflows on {n} levels")
+    require_phase(name, abs(alpha) * float(evals[-1]),
+                  "displacement phase |amplitude|*max(Lambda)")
     rot = np.exp(1j * (cmath.phase(alpha) + math.pi / 2) * np.arange(n))
     return rot, abs(alpha) * evals, vecs
 
@@ -385,10 +386,12 @@ def _amplitude(value, what: str, shape: HilbertShape) -> complex:
 
 def _snap_phases(theta, n: int, what: str = "theta") -> np.ndarray:
     """The phases of a SNAP on n levels, read by `require_array`: the one
-    count rule of every SNAP reader. Any count but n raises ShapeError."""
+    count and phase rule of every SNAP reader. Any count but n raises
+    ShapeError, and a max|theta| that fails `require_phase` NumericError."""
     phases = require_array(what, theta, (None,), float)
     if phases.size != n:
         raise ShapeError(f"snap needs {n} phases, got {phases.size}")
+    require_phase(what, float(np.abs(phases).max(initial=0.0)), "SNAP phase max|theta|")
     return phases
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .device import DeviceParams, chi as dispersive_shift
 from .errors import (
+    MAX_PHASE_RAD,
     BandwidthError,
     NumericError,
     ParseError,
@@ -41,6 +42,7 @@ from .errors import (
     require_count,
     require_finite,
     require_index,
+    require_phase,
     require_positive,
     require_reals,
 )
@@ -247,7 +249,7 @@ class ControlModel:
     @cached_property
     def _entry_scales(self) -> tuple[float, tuple[float, ...]]:
         """max|H_drift| and, per stream, max|C_re| + max|C_im|: the factors of
-        _segment_phase_error's entry bound, computed once like block_layout."""
+        _segment_phase's entry bound, computed once like block_layout."""
         return (float(np.abs(self.drift.matrix).max()),
                 tuple(sum(float(np.abs(c.matrix).max()) for c in self.controls[2 * s:2 * s + 2])
                       for s in range(self.n_streams)))
@@ -424,17 +426,17 @@ def _require_segment_room(model: ControlModel, n_segments: int) -> None:
                      n_segments * entries, MAX_GRAPE_ENTRIES, "segment block entries")
 
 
-def _segment_phase_error(model: ControlModel, streams: Sequence[np.ndarray],
-                         dt_s: float, area: float = 1.0) -> tuple[str | None, float]:
-    """(why, phase): why the segment Hamiltonians of the (C-ordered) streams,
-    which hold the amplitudes u times area, are out of range, or None, and
-    phase, the bound d*bound*dt_s on their segment phases. Their entries
-    are at most max|H_drift| plus, per stream, 2*pi*(max|C_re| + max|C_im|)*a,
-    with a the stream's largest |Re u| or |Im u|, read in place and divided
-    by area as a float, which overflows to inf without a warning. The 2x2
-    closed form squares the entries, so twice that bound squared must be
-    finite, as must the segment phase, at most d*bound*dt_s. Names the drift
-    or the stream whose term overflows, or dt_s."""
+def _segment_phase(model: ControlModel, streams: Sequence[np.ndarray],
+                   dt_s: float, area: float = 1.0) -> float:
+    """The bound d*bound*dt_s on the segment phases of the (C-ordered)
+    streams, which hold the amplitudes u times area, or NumericError when
+    their segment Hamiltonians are out of range. Their entries are at most
+    max|H_drift| plus, per stream, 2*pi*(max|C_re| + max|C_im|)*a, with a
+    the stream's largest |Re u| or |Im u|, read in place and divided by area
+    as a float, which overflows to inf without a warning. The 2x2 closed
+    form squares the entries, so twice that bound squared must be finite,
+    naming the drift or the stream whose term overflows; the phase bound
+    goes to `require_phase`, naming dt_s."""
     drift, scales = model._entry_scales
     terms = [("the drift", drift)]
     for s, stream in enumerate(streams):
@@ -445,21 +447,17 @@ def _segment_phase_error(model: ControlModel, streams: Sequence[np.ndarray],
     for what, term in terms:
         bound += term
         if not math.isfinite(2 * bound * bound):
-            return (f"{what}: the segment Hamiltonian's entries, up to "
-                    f"{bound:.3g} rad/s, overflow when squared"), math.inf
+            raise NumericError(f"{what}: the segment Hamiltonian's entries, up to "
+                               f"{bound:.3g} rad/s, overflow when squared")
     phase = model.shape.total_dim * bound * dt_s
-    if not math.isfinite(phase):
-        return (f"dt_s {dt_s!r}: the segment phase d*max|H|*dt_s overflows (max|H| <= "
-                f"{bound:.3g} rad/s, d = {model.shape.total_dim})"), phase
-    return None, phase
+    require_phase(f"dt_s {dt_s!r}", phase, "segment phase d*max|H|*dt_s")
+    return phase
 
 
 def _require_segment_phase(model: ControlModel, schedule: PulseSchedule) -> None:
-    """NumericError, before any exponential, unless _segment_phase_error
-    finds the schedule's segment Hamiltonians in range."""
-    problem = _segment_phase_error(model, schedule.streams, schedule.dt_s)[0]
-    if problem:
-        raise NumericError(problem)
+    """NumericError, before any exponential, unless _segment_phase finds
+    the schedule's segment Hamiltonians in range."""
+    _segment_phase(model, schedule.streams, schedule.dt_s)
 
 
 def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
@@ -517,11 +515,6 @@ def snap_average_fidelity(u: Operator, theta: Sequence[float]) -> float:
 _STEP_GROW = 1.3
 _STEP_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
-# largest phase, in rad, a line-search trial may give a gate, or add to a
-# segment's over the start's: one ulp of 2^12 is 2^-40 = 9.1e-13 rad, so a
-# rebuild of the optimized sequence reproduces its phases to 1e-12 rad, and
-# of a schedule to one ulp of the start's bound plus 2^12
-_MAX_TRIAL_PHASE = 2.0**12
 
 
 def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float, lr: float,
@@ -779,10 +772,10 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     rejected trial halves the step and a kept one lets the next iteration
     start 1.3 times longer. Steps are accepted only on improvement, so the
     trace's objective infidelity is nonincreasing. A trial fails when its
-    segment phase bound d*max|H|*dt_s exceeds the start's by more than
-    _MAX_TRIAL_PHASE. When `seed` is given and every initial
-    amplitude is zero, amplitudes start from a small seeded random draw
-    (scale 1/(8 * duration)) to break symmetry. Deterministic throughout.
+    segment phase bound d*max|H|*dt_s exceeds MAX_PHASE_RAD. When `seed` is
+    given and every initial amplitude is zero, amplitudes start from a small
+    seeded random draw (scale 1/(8 * duration)) to break symmetry.
+    Deterministic throughout.
     """
     tgt, psi0_vec, guard, leak_weight = _grape_problem(model, schedule0, target, psi0,
                                                        guard_indices, leak_weight)
@@ -798,19 +791,14 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     if not math.isfinite(area):
         raise NumericError(f"dt_s {dt!r} overflows the drive area 2*pi*dt_s")
 
-    phase_limit = math.inf  # set by each start point's evaluation
-
     def objective(w: np.ndarray, trial: bool = True):
         # amplitudes w / area that simulate_schedule would refuse: a failed
-        # line-search trial, or an error for a start point; so is a trial
-        # whose segment phase bound passes the start's by _MAX_TRIAL_PHASE
-        nonlocal phase_limit
-        problem, phase = _segment_phase_error(model, w, dt, area)
-        if not trial:
-            if problem:
-                raise NumericError(problem)
-            phase_limit = phase + _MAX_TRIAL_PHASE
-        elif problem or phase > phase_limit:
+        # line-search trial, or an error for a start point
+        try:
+            _segment_phase(model, w, dt, area)
+        except NumericError:
+            if not trial:
+                raise
             return -math.inf, -math.inf, None
         jt, j_raw, gradient = _grape_pass(model, w / area, dt, tgt, psi0_vec,
                                           guard, leak_weight)
@@ -871,17 +859,17 @@ def _dispersive_chi_from_model(model: ControlModel) -> tuple[float, int]:
 
 
 def _require_envelope(chi_hz: float, n: int, duration_s: float, n_segments: int) -> None:
-    """NumericError, before any array, unless the SNAP drive's squares and
-    phases stay finite. Names duration_s unless the envelope's squares are
-    finite normal floats: the largest squared offset from a half's centre,
-    (duration_s/4)^2 = 9 sigma^2, the Gaussian's sigma^2 = (duration_s/12)^2,
-    and the summed squared drive, below n_segments*pi^2/sigma^2 (each half's
-    discrete area sum(e)*dt exceeds sigma, so its peak drive 4*pi*env is below
-    pi/sigma). Names chi_hz and duration_s unless a level's phase stays
-    finite: the carrier 2*pi*chi_hz*level*t, below 2*pi*chi_hz*(n-1)*duration_s,
-    plus the chirp c_l times the area, which is below
-    duration_s*pi^2/sigma^2 = 144*pi^2/duration_s, with
-    |c_l| <= H_{n-1}/(4*pi*chi_hz)."""
+    """NumericError, before any array, unless the SNAP drive's squares stay
+    finite and its phases pass `require_phase`. Names duration_s unless the
+    envelope's squares are finite normal floats: the largest squared offset
+    from a half's centre, (duration_s/4)^2 = 9 sigma^2, the Gaussian's
+    sigma^2 = (duration_s/12)^2, and the summed squared drive, below
+    n_segments*pi^2/sigma^2 (each half's discrete area sum(e)*dt exceeds
+    sigma, so its peak drive 4*pi*env is below pi/sigma). Names chi_hz and
+    duration_s unless a level's phase passes: the carrier
+    2*pi*chi_hz*level*t, below 2*pi*chi_hz*(n-1)*duration_s, plus the chirp
+    c_l times the area, which is below duration_s*pi^2/sigma^2 =
+    144*pi^2/duration_s, with |c_l| <= H_{n-1}/(4*pi*chi_hz)."""
     sigma = duration_s / (2 * _SNAP_SIGMA_DIVISOR)
     var = sigma * sigma
     if not math.isfinite(9 * var):
@@ -891,15 +879,11 @@ def _require_envelope(chi_hz: float, n: int, duration_s: float, n_segments: int)
         raise NumericError(f"duration_s {duration_s!r}: the envelope's sigma**2 = "
                            f"(duration_s/12)**2 = {var:.3g} s^2 is too small: the summed "
                            f"squared drive n_segments*pi**2/sigma**2 overflows")
-    what = f"chi_hz {chi_hz!r}, duration_s {duration_s!r}"
     carrier = 2 * math.pi * chi_hz * (n - 1) * duration_s
-    if not math.isfinite(carrier):
-        raise NumericError(f"{what}: the carrier phase 2*pi*chi_hz*(n-1)*duration_s "
-                           f"overflows (n = {n})")
     stark = sum(1 / k for k in range(1, n)) / (4 * math.pi * chi_hz)  # max |c_l|
-    if not math.isfinite(carrier + stark * (144 * math.pi**2 / duration_s)):
-        raise NumericError(f"{what}: the AC-Stark chirp phase, up to "
-                           f"{stark:.3g}*144*pi**2/duration_s, overflows")
+    require_phase(f"chi_hz {chi_hz!r}, duration_s {duration_s!r}",
+                  carrier + stark * (144 * math.pi**2 / duration_s),
+                  "carrier plus AC-Stark chirp phase")
 
 
 def _snap_drive_samples(chi_hz: float, n: int, phases1: np.ndarray,
@@ -1103,7 +1087,7 @@ def optimize_snap_displacement_sequence(
     the first trial; each later iteration first tries the full quasi-Newton
     step. Trace rows are (iteration, infidelity, step), step the accepted
     length along the iteration's direction. A trial with a displacement
-    phase |alpha|*max(Lambda) or a SNAP phase above _MAX_TRIAL_PHASE fails.
+    phase |alpha|*max(Lambda) or a SNAP phase above MAX_PHASE_RAD fails.
     Deterministic for a given seed.
     """
     if isinstance(target, StateVector):
@@ -1153,8 +1137,8 @@ def optimize_snap_displacement_sequence(
         al, th = unpack(x)
         # a trial with a displacement phase |alpha|*max(Lambda) or a SNAP
         # phase out of range, or a non-finite entry, is a failed trial
-        if not (float(np.max(np.abs(al))) * lam_max <= _MAX_TRIAL_PHASE
-                and float(np.max(np.abs(th))) <= _MAX_TRIAL_PHASE):
+        if not (float(np.max(np.abs(al))) * lam_max <= MAX_PHASE_RAD
+                and float(np.max(np.abs(th))) <= MAX_PHASE_RAD):
             return -math.inf, -math.inf, None
         jt, j_raw, gradient = _sequence_pass(al, th, padded, directions, guard,
                                              leak_weight)

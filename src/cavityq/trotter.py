@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, require_array,
-                     require_capacity, require_count, require_finite, require_positive,
-                     require_reals)
+                     require_capacity, require_count, require_finite, require_phase,
+                     require_positive, require_reals)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
 from .gates import Circuit, GateSpec, _ortho_fft, _run
 
@@ -117,12 +117,10 @@ def _step_phases(x: np.ndarray, dt) -> np.ndarray:
 
 
 def _require_step_phase(h: QuditHamiltonian, dt: float, what: str) -> None:
-    """NumericError naming what (an argument and its value) when the largest
-    step phase 2*pi*max(|V|, |K|)*dt overflows, before any phase is built."""
+    """`require_phase` on the largest step phase 2*pi*max(|V|, |K|)*dt,
+    naming what (an argument and its value), before any phase is built."""
     x_max = max(float(np.max(np.abs(x))) for x in (h.diagonal, h.kinetic_diagonal))
-    if not math.isfinite(2.0 * math.pi * x_max * dt):
-        raise NumericError(f"{what}: the step phase 2*pi*max(|V|, |K|)*dt "
-                           f"overflows (max(|V|, |K|) = {x_max:.3g} Hz)")
+    require_phase(what, 2.0 * math.pi * x_max * dt, "step phase 2*pi*max(|V|, |K|)*dt")
 
 
 def trotter_step(h: QuditHamiltonian, dt_s: float,
@@ -201,7 +199,7 @@ def _sweep(h: QuditHamiltonian, t_total_s, steps_list, psi0) -> list[TrotterResu
     """evolve_trotter for every steps_list entry as one scan, most steps first;
     with the trotter_step circuit's phases and `_ortho_fft`, the Fourier
     gate's transform, each row equals it iterated, bitwise. Phases that
-    overflow are refused, naming t_total_s, before any is built."""
+    fail `require_phase` are refused, naming t_total_s, before any is built."""
     counts = [require_count("steps", s, 1) for s in steps_list]
     require_capacity(f"max(steps_list) {max(counts)} × n_levels {h.n_levels}",
                      max(counts) * h.n_levels, MAX_LEVEL_STEPS, "level-steps")
@@ -214,10 +212,8 @@ def _sweep(h: QuditHamiltonian, t_total_s, steps_list, psi0) -> list[TrotterResu
     dts = [require_positive("dt_s", t_total_s / s) for s in counts]  # as trotter_step
     _require_step_phase(h, max(dts), f"t_total_s {t_total_s!r}")
     evals, vecs = h._eigensystem
-    e_max = float(np.max(np.abs(evals)))
-    if not math.isfinite(e_max * t_total_s):
-        raise NumericError(f"t_total_s {t_total_s!r}: the phase max|E|*t overflows "
-                           f"(max|E| = {e_max:.3g} rad/s)")
+    require_phase(f"t_total_s {t_total_s!r}", float(np.max(np.abs(evals))) * t_total_s,
+                  "phase max|E|*t")
     order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
     column = np.array([dts[i] for i in order])[:, None]  # (L, 1) step sizes
     pot, kin = (np.exp(1j * _step_phases(x, column)) for x in (h.diagonal, h.kinetic_diagonal))
@@ -290,10 +286,9 @@ def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
     if not all(map(math.isfinite, times)):
         raise NumericError(f"non-finite time {next(t for t in times if not math.isfinite(t))}")
     evals, vecs = h._eigensystem
-    e_max, t_far = float(np.max(np.abs(evals))), max(times, key=abs, default=0.0)
-    if not math.isfinite(e_max * abs(t_far)):  # before the phases overflow to NaN
-        raise NumericError(f"times_s entry {t_far!r}: the phase max|E|*|t| overflows "
-                           f"(max|E| = {e_max:.3g} rad/s)")
+    t_far = max(times, key=abs, default=0.0)
+    require_phase(f"times_s entry {t_far!r}", float(np.max(np.abs(evals))) * abs(t_far),
+                  "phase max|E|*|t|")
     q_dag = vecs.conj().T
     w_eig = _eigenbasis(w, q_dag, vecs)
     v_eig = _eigenbasis(v, q_dag, vecs)

@@ -15,6 +15,7 @@ for a HilbertShape dimension), and a numpy scalar of an accepted type gives
 the same result as the Python number.
 """
 
+import ast
 import cmath
 import dataclasses
 import json
@@ -22,12 +23,14 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cavityq
 from cavityq import cli, codes, device, errors, fock, gates, noise, pulse, qst, trotter
 from cavityq.errors import (CapacityError, InvalidDimensionError, NumericError, ShapeError,
                             UsageError)
@@ -942,11 +945,11 @@ OVERFLOW_SITES = {
         "stream 0: the segment Hamiltonian's entries", lambda: pulse.grape_gradient(
             pulse.qubit_model(), _qubit_schedule(1e-8, 1e300), identity(2))),
     "synthesize_snap_pulse chirp": (
-        "chi_hz 1e-200, duration_s 1e-120: the AC-Stark chirp phase",
+        "chi_hz 1e-200, duration_s 1e-120: the carrier plus AC-Stark chirp phase",
         lambda: pulse.synthesize_snap_pulse(pulse.dispersive_model(1e-200, 3), [0.0, 1.0, 2.0],
                                             1e-120, enforce_bound=False)),
     "synthesize_snap_pulse carrier": (
-        "chi_hz 1e+300, duration_s 100000000.0: the carrier phase",
+        "chi_hz 1e+300, duration_s 100000000.0: the carrier plus AC-Stark chirp phase",
         lambda: pulse.synthesize_snap_pulse(pulse.dispersive_model(1e300, 3), [0.0, 1.0, 2.0],
                                             1e8, dt_s=1e2, enforce_bound=False,
                                             precompensate=False)),
@@ -976,6 +979,117 @@ def test_segment_phase_is_checked_once_per_call(monkeypatch):
     assert check.call_count == 1
     _, iterations, _ = _grape(iterations=3)
     assert iterations == 3 and check.call_count == 2
+
+
+def _lambda_max(n):
+    return float(gates._quadrature_eigensystem(n)[0][-1])
+
+
+def _e_max(h):
+    return float(np.max(np.abs(h._eigensystem[0])))
+
+
+def _snap_duration(phase, chi_hz=1e6, n=3):
+    """The duration_s at which _require_envelope's carrier plus chirp bound
+    a*T + b/T equals phase (the larger root)."""
+    a = 2 * math.pi * chi_hz * (n - 1)
+    b = sum(1 / k for k in range(1, n)) / (4 * math.pi * chi_hz) * 144 * math.pi**2
+    return (phase + math.sqrt(phase * phase - 4 * a * b)) / (2 * a)
+
+
+# every phase guard: site -> (the start of the NumericError, the quantity it
+# names, a call whose phase bound is its argument); each ran a finite phase
+# of 1e300 rad, whose ulp is 1e284 rad
+PHASE_SITES = {
+    "displacement.alpha": ("alpha", "displacement phase |amplitude|*max(Lambda)",
+                           lambda p: gates.displacement(p / _lambda_max(4), 4)),
+    "ecd.beta": ("beta", "displacement phase |amplitude|*max(Lambda)",
+                 lambda p: gates.ecd(2 * p / _lambda_max(6), 6)),
+    "snap.theta": ("snap theta", "SNAP phase max|theta|", lambda p: gates.snap([0.5, -p, 0.0])),
+    "multisnap.theta": ("theta", "SNAP phase max|theta|",
+                        lambda p: gates.multisnap([0.5, 0.0, 0.0, p], [2, 2])),
+    "trotter_step.dt_s": (
+        "dt_s ", "step phase 2*pi*max(|V|, |K|)*dt",
+        lambda p: gates.circuit_unitary(trotter.trotter_step(HAMILTONIAN, p / math.pi))),
+    "trotter_convergence.t_total_s": (
+        "t_total_s ", "phase max|E|*t",
+        lambda p: trotter.trotter_convergence(HAMILTONIAN, p / _e_max(HAMILTONIAN), [4, 8])),
+    "otoc_series.times_s": (
+        "times_s entry ", "phase max|E|*|t|",
+        lambda p: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN,
+                                      [0.0, -p / _e_max(HAMILTONIAN)])),
+    "simulate_schedule.dt_s": (
+        "dt_s ", "segment phase d*max|H|*dt_s", lambda p: pulse.simulate_schedule(
+            OVERFLOW_MODEL, _qubit_schedule(p / (4 * math.pi * 1e10)), return_propagator=True)),
+    "grape_gradient.dt_s": (
+        "dt_s ", "segment phase d*max|H|*dt_s", lambda p: pulse.grape_gradient(
+            OVERFLOW_MODEL, _qubit_schedule(p / (4 * math.pi * 1e10)), identity(2))),
+    "synthesize_snap_pulse carrier plus chirp": (
+        "chi_hz 1000000.0, duration_s ", "carrier plus AC-Stark chirp phase",
+        lambda p: pulse.synthesize_snap_pulse(
+            SNAP_MODEL, [0.0] * 3, _snap_duration(p), dt_s=_snap_duration(p) / 2,
+            enforce_bound=False, precompensate=False)),
+}
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, (tuple, list)):
+        return all(map(_all_finite, value))
+    if isinstance(value, pulse.PulseSchedule):
+        value = value.streams
+    return bool(np.isfinite(getattr(value, "matrix", value)).all())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site", PHASE_SITES)
+def test_phase_site_runs_up_to_max_phase_and_refuses_above(site):
+    what, quantity, call = PHASE_SITES[site]
+    assert _all_finite(call(errors.MAX_PHASE_RAD * (1 - 1e-9)))
+    refused = mock.Mock(side_effect=AssertionError("computed"))
+    with mock.patch.object(pulse, "_snap_drive_samples", refused), \
+            mock.patch.object(pulse, "expm_hermitian", refused), \
+            mock.patch.object(pulse, "hermitian_eigensystem", refused):
+        with pytest.raises(NumericError, match=(
+                f"^{re.escape(what)}[^:]*: the {re.escape(quantity)} is 1.05e\\+06 rad, "
+                "above MAX_PHASE_RAD = 2\\*\\*20 rad$")):
+            call(errors.MAX_PHASE_RAD * (1 + 1e-9))
+
+
+SRC = Path(cavityq.__file__).parent
+# a name that binds a phase limit: MAX_PHASE_RAD, _MAX_TRIAL_PHASE, phase_limit
+_PHASE_LIMIT = re.compile(r"(?i)(max|limit|cap|bound).*phase|phase.*(max|limit|cap|bound)")
+
+
+def test_phase_rule_lives_in_errors_only():
+    # a module other than errors.py that raises a NumericError about a phase,
+    # or names a phase limit of its own, keeps a phase rule beside require_phase
+    numeric = {cls.__name__ for cls in (NumericError, *_subclasses(NumericError))}
+    breaches = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "errors.py":
+            breaches += [f"{path.name}:{line}: {why}" for line, why in _phase_rules(path, numeric)]
+    assert breaches == []
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _phase_rules(path, numeric):
+    """(line, why) of each raise of a NumericError class whose message
+    text mentions a phase, and each name bound to a phase limit."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                and getattr(node.exc.func, "id", None) in numeric:
+            text = " ".join(c.value for c in ast.walk(node.exc)
+                            if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if "phase" in text.lower():
+                yield node.lineno, f"raises {node.exc.func.id} about a phase"
+        name = getattr(node, "id", getattr(node, "attr", ""))
+        if isinstance(getattr(node, "ctx", None), ast.Store) and _PHASE_LIMIT.search(name):
+            yield node.lineno, f"binds the phase limit {name}"
 
 
 @pytest.mark.parametrize("streams", [5, None, 1.0, "ab", {0: [1.0]}, np.array(1.0)], ids=repr)

@@ -1357,7 +1357,8 @@ def test_trotter_rows_do_not_depend_on_the_order_of_steps_list(tmp_path):
 # t_total_s or a diagonal entry whose phases overflow: exit 3 before any
 # RuntimeWarning; 1e308 wrote infidelity 0.0 and exited 0
 _TROTTER_OVERFLOW_CASES = {
-    "t_total": (dict(TROTTER_DOC, t_total_s=1e308), "t_total_s 1e+308: the phase max|E|*t"),
+    # every step phase within MAX_PHASE_RAD, max|E|*t = 3.1e6 rad above it
+    "t_total": (dict(TROTTER_DOC, t_total_s=1e6), "t_total_s 1000000.0: the phase max|E|*t"),
     "t_total_one_step": (dict(TROTTER_DOC, t_total_s=1e308, steps_list=[1, 2]),
                          "t_total_s 1e+308: the step phase"),
     "diagonal": (dict(TROTTER_DOC, diagonal=[1e308] + TROTTER_DOC["diagonal"][1:]),
@@ -1430,7 +1431,7 @@ _OVERFLOW_CASES = {
     "grape_segment_phase": ("grape", {"model": {"kind": "qubit", "detuning_hz": 1e10},
                                       "target": {"kind": "pauli_x"}, "n_segments": 4,
                                       "dt_s": 1e300, "iterations": 2},
-                            3, "dt_s 1e+300: the segment phase d*max|H|*dt_s overflows"),
+                            3, "dt_s 1e+300: the segment phase d*max|H|*dt_s is "),
     "otoc_snap_theta": ("otoc", dict(OTOC_DOC, w={"kind": "snap", "theta": [
         0.1, math.nan, 2.2, 0.4, 1.9, 2.8, 0.7, 1.1]}),
                         2, "otoc config w: non-finite entries in snap theta"),

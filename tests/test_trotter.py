@@ -639,19 +639,12 @@ def test_otoc_phase_overflow_names_times_s_before_the_phases(t):
             trotter.otoc_series(np.eye(N), np.eye(N), h, [0.0, t, 1.0])
 
 
-def test_otoc_largest_finite_phase_runs():
-    # max|E|*|t| just finite: the series runs, and |C| stays <= 1
-    h = random_hamiltonian()
-    e_max = float(np.max(np.abs(h._eigensystem[0])))
-    [(_, re, im, mag)] = trotter.otoc_series(np.eye(N), np.eye(N), h, [1e300 / e_max])
-    assert math.isfinite(re) and math.isfinite(im) and mag <= 1 + 1e-12
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t, steps_list, phase", [
     (1e308, [1], "the step phase 2*pi*max(|V|, |K|)*dt"),
-    (1e308, [20, 10], "the phase max|E|*t"),  # every step phase finite
-    (5e307, [4, 1, 2], "the phase max|E|*t"),
+    # every step phase within MAX_PHASE_RAD (2*pi*max(|V|, |K|) = 3.4, max|E| = 5)
+    (1e6, [20, 10], "the phase max|E|*t"),
+    (2.5e5, [4, 1, 2], "the phase max|E|*t"),
 ], ids=repr)
 def test_sweep_phase_overflow_names_t_total_s_before_the_phases(t, steps_list, phase):
     # 1e308 wrote infidelity 0.0 after RuntimeWarnings: the clamp of 1 - nan
@@ -661,14 +654,6 @@ def test_sweep_phase_overflow_names_t_total_s_before_the_phases(t, steps_list, p
             trotter.trotter_convergence(h, t, steps_list)
         with pytest.raises(NumericError, match=re.escape(f"t_total_s {t!r}: the")):
             trotter.evolve_trotter(h, t, steps_list[0])
-
-
-@pytest.mark.filterwarnings("error")
-def test_sweep_largest_finite_phase_runs():
-    h = random_hamiltonian()
-    e_max = float(np.max(np.abs(h._eigensystem[0])))
-    for _, dt, infidelity in trotter.trotter_convergence(h, 1e300 / e_max, [1, 3]):
-        assert math.isfinite(dt) and 0.0 <= infidelity <= 1.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -682,11 +667,12 @@ def test_huge_diagonal_names_the_step_phase_without_warnings():
 
 @pytest.mark.filterwarnings("error")
 def test_dense_overflow_is_checked_before_eigh():
-    # 2*pi*max(|V|, |K|)*dt is finite, but an entry of 2*pi*(V + F diag(K) F†) is not
+    # 2*pi*max(|V|, |K|)*dt is within MAX_PHASE_RAD, but an entry of
+    # 2*pi*(V + F diag(K) F†) is not finite
     h = trotter.QuditHamiltonian([2e307] * 4, [2e307] * 4)
     with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh called")):
         with pytest.raises(NumericError, match=re.escape("the Hamiltonian 2*pi*H overflows")):
-            trotter.trotter_convergence(h, 1e-300, [2])
+            trotter.trotter_convergence(h, 1e-302, [2])
         with pytest.raises(NumericError, match=re.escape("the Hamiltonian 2*pi*H overflows")):
             trotter.otoc_series(np.eye(4), np.eye(4), h, [0.0])
 
@@ -697,7 +683,7 @@ def test_step_and_dense_builders_refuse_overflow():
     # with theta [-inf, -0.0]
     h = trotter.QuditHamiltonian([1e308, 0.0], [0.0, 0.0])
     with pytest.raises(NumericError, match=re.escape(
-            "dt_s 1.0: the step phase 2*pi*max(|V|, |K|)*dt overflows")):
+            "dt_s 1.0: the step phase 2*pi*max(|V|, |K|)*dt is inf rad")):
         trotter.trotter_step(h, 1.0)
     for build in (h.dense, h.operator):
         with pytest.raises(NumericError, match=re.escape("the Hamiltonian 2*pi*H overflows")):
