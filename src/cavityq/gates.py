@@ -141,8 +141,11 @@ def _displacement_eigensystem(alphas: np.ndarray,
                               n: int) -> tuple[np.ndarray, np.ndarray]:
     """(|α|Λ, R Q) for each α of a 1-D array: the eigensystem of the
     generator G = i(αa† − α*a) of D(α) = exp(−iG), read off the rotated
-    quadrature form that `displacement` uses."""
+    quadrature form that `displacement` uses; NumericError, as there, when
+    the largest phase max|α|·max Λ fails `require_phase`."""
     evals, vecs = _quadrature_eigensystem(n)
+    require_phase("alpha", float(np.max(np.abs(alphas))) * float(evals[-1]),
+                  "displacement phase |amplitude|*max(Lambda)")
     rot = np.exp(1j * np.outer(np.angle(alphas) + math.pi / 2, np.arange(n)))
     return np.abs(alphas)[:, None] * evals, rot[:, :, None] * vecs
 
@@ -729,7 +732,6 @@ def circuit_from_json(text: str) -> Circuit:
         if not isinstance(entry, dict):
             raise ParseError(f"gate {i}: entries must be objects")
         kind = entry.get("kind")
-        gate = None
         try:
             if not isinstance(kind, str):
                 raise UsageError("missing string 'kind'")
@@ -737,9 +739,6 @@ def circuit_from_json(text: str) -> Circuit:
             gate, args, targets = _parse(spec, shape, convention)  # validates
             kernels.append(gate.kernel(args, targets, shape.dims))
         except (UsageError, NumericError) as exc:
-            if gate is not None and isinstance(exc, NumericError):
-                # well-formed fields whose numbers overflow the kernel: not a parse fault
-                raise NumericError(f"gate {i} ({kind}): {exc}") from exc
             # every earlier entry holds a "kind", so the i-th "kind" in the
             # text is this entry's own, if it has one
             loc = _kind_location(text, i) if "kind" in entry else ""

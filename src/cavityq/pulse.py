@@ -29,7 +29,6 @@ import numpy as np
 
 from .device import DeviceParams, chi as dispersive_shift
 from .errors import (
-    MAX_PHASE_RAD,
     BandwidthError,
     NumericError,
     ParseError,
@@ -59,7 +58,7 @@ from .fock import (
     number_operator,
     shape_of,
 )
-from .gates import _displacement_eigensystem, _quadrature_eigensystem, _snap_phases
+from .gates import _displacement_eigensystem, _snap_phases
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -523,8 +522,10 @@ def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float, lr: flo
     or, with memory > 0, quasi-Newton directions.
 
     objective(x) returns (J, J_raw, gradient), and start is objective(x0).
-    gradient() runs the adjoint half of that pass; it is called for the
-    start point and for each accepted step, never for a rejected one.
+    A trial whose objective raises NumericError scores -inf; a start point
+    raises in the caller. gradient() runs the adjoint half of that pass; it
+    is called for the start point and for each accepted step, never for a
+    rejected one.
     x keeps the dtype of x0, real or complex. A complex x is stepped on its
     (Re, Im) pairs, so gradient() returns dJ/dRe + i dJ/dIm for it.
     Accepts a step only if J strictly improves, so 1-J is nonincreasing;
@@ -537,7 +538,7 @@ def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float, lr: flo
     pairs then give the L-BFGS direction (Liu & Nocedal, Math. Program. 45,
     503 (1989)), and every iteration first tries the step 1 along it, so
     lr sets only the first trial. Pairs with s.y <= 0 are dropped. The
-    objective must score a non-finite x as -inf.
+    objective must refuse a non-finite x.
     Returns (x, J_raw, iterations, converged, trace); trace rows are
     (iteration, 1-J, step), step the accepted length along the iteration's
     direction.
@@ -557,7 +558,10 @@ def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float, lr: flo
             x_try = x + step * d
             if x_try.tobytes() == x.tobytes():
                 break  # x + step*d rounds to x, and so does every smaller step
-            j_try, raw_try, gradient = objective(x_try)
+            try:
+                j_try, raw_try, gradient = objective(x_try)
+            except NumericError:
+                j_try = -math.inf
             if j_try > j:
                 g_try = gradient()
                 if memory:
@@ -592,7 +596,7 @@ def _quasi_newton_direction(g: np.ndarray, pairs) -> np.ndarray:
     oldest first, with H0 = (s.y / y.y) I from the newest; H is positive
     definite, so H g is an ascent direction. An entry whose product
     overflows is inf or nan, without a warning, and so is every trial
-    along it."""
+    along it, which the objective refuses by raising NumericError."""
     with np.errstate(all="ignore"):
         q = g.copy()
         coeffs = []
@@ -771,8 +775,9 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     ascent: the first trial steps `learning_rate` times the gradient, a
     rejected trial halves the step and a kept one lets the next iteration
     start 1.3 times longer. Steps are accepted only on improvement, so the
-    trace's objective infidelity is nonincreasing. A trial fails when its
-    segment phase bound d*max|H|*dt_s exceeds MAX_PHASE_RAD. When `seed` is
+    trace's objective infidelity is nonincreasing. A trial whose segment
+    phase bound d*max|H|*dt_s fails `require_phase` fails; a start point
+    (the schedule or the seeded draw) raises NumericError. When `seed` is
     given and every initial amplitude is zero, amplitudes start from a small
     seeded random draw (scale 1/(8 * duration)) to break symmetry.
     Deterministic throughout.
@@ -791,15 +796,9 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     if not math.isfinite(area):
         raise NumericError(f"dt_s {dt!r} overflows the drive area 2*pi*dt_s")
 
-    def objective(w: np.ndarray, trial: bool = True):
-        # amplitudes w / area that simulate_schedule would refuse: a failed
-        # line-search trial, or an error for a start point
-        try:
-            _segment_phase(model, w, dt, area)
-        except NumericError:
-            if not trial:
-                raise
-            return -math.inf, -math.inf, None
+    def objective(w: np.ndarray):
+        # NumericError for amplitudes w / area that simulate_schedule refuses
+        _segment_phase(model, w, dt, area)
         jt, j_raw, gradient = _grape_pass(model, w / area, dt, tgt, psi0_vec,
                                           guard, leak_weight)
         return jt, j_raw, lambda: gradient() / area  # chain rule u = w / area
@@ -807,13 +806,13 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     # with all-zero amps0, w0 / area is amps0 bit for bit, so the start
     # pass also decides the seeding
     w0 = amps0 * area
-    start = objective(w0, trial=False)
+    start = objective(w0)
     if 1.0 - start[0] > tol and seed is not None and not np.any(amps0):
         rng = np.random.default_rng(seed)
         scale = area / (8.0 * schedule0.duration_s)
         w0 = scale * (rng.standard_normal(w0.shape)
                       + 1j * rng.standard_normal(w0.shape))
-        start = objective(w0, trial=False)
+        start = objective(w0)
     w_best, j_raw, iters, converged, trace = _ascend(
         objective, w0, start, iterations, tol, learning_rate)
     schedule = PulseSchedule(dt, tuple(w_best / area), schedule0.carriers_hz)
@@ -1033,9 +1032,11 @@ def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
     (j_total, j_raw, gradient): gradient() runs the adjoint pass on the kept
     states and gives (dJ/dRe(alpha) + i dJ/dIm(alpha), dJ/dtheta).
     directions stacks the exponent's derivatives along Re(alpha) and
-    Im(alpha), [a† − a, i(a† + a)]."""
+    Im(alpha), [a† − a, i(a† + a)]. NumericError, before any exponential,
+    when max|theta| or max|alpha|*max(Lambda) fails `require_phase`."""
     blocks = thetas.shape[0]
     n = len(target)
+    require_phase("theta", float(np.max(np.abs(thetas))), "SNAP phase max|theta|")
     # D(alpha) = exp(-i G) from the closed-form eigensystem of G
     lam, vecs = _displacement_eigensystem(alphas, n)
     disps = eig_exponential(lam, vecs, 1.0)
@@ -1086,8 +1087,8 @@ def optimize_snap_displacement_sequence(
     from the last _SEQUENCE_MEMORY kept steps, so `learning_rate` sets only
     the first trial; each later iteration first tries the full quasi-Newton
     step. Trace rows are (iteration, infidelity, step), step the accepted
-    length along the iteration's direction. A trial with a displacement
-    phase |alpha|*max(Lambda) or a SNAP phase above MAX_PHASE_RAD fails.
+    length along the iteration's direction. A trial that `_sequence_pass`
+    refuses, by its displacement or SNAP phase, fails.
     Deterministic for a given seed.
     """
     if isinstance(target, StateVector):
@@ -1131,16 +1132,8 @@ def optimize_snap_displacement_sequence(
         th = x[2 * (blocks + 1):].reshape(blocks, n)
         return al, th
 
-    lam_max = float(_quadrature_eigensystem(n)[0][-1])
-
     def objective(x: np.ndarray):
-        al, th = unpack(x)
-        # a trial with a displacement phase |alpha|*max(Lambda) or a SNAP
-        # phase out of range, or a non-finite entry, is a failed trial
-        if not (float(np.max(np.abs(al))) * lam_max <= MAX_PHASE_RAD
-                and float(np.max(np.abs(th))) <= MAX_PHASE_RAD):
-            return -math.inf, -math.inf, None
-        jt, j_raw, gradient = _sequence_pass(al, th, padded, directions, guard,
+        jt, j_raw, gradient = _sequence_pass(*unpack(x), padded, directions, guard,
                                              leak_weight)
         return jt, j_raw, lambda: pack(*gradient())
 

@@ -997,6 +997,12 @@ def _snap_duration(phase, chi_hz=1e6, n=3):
     return (phase + math.sqrt(phase * phase - 4 * a * b)) / (2 * a)
 
 
+# _sequence_pass's target, exponent directions, guard and leak weight on 3 levels
+_A3 = fock.annihilation(3).matrix
+SEQUENCE_ARGS = (np.array([0.6, 0.8, 0.0], dtype=complex),
+                 np.stack([_A3.T - _A3, 1j * (_A3.T + _A3)]), (2,), 1.0)
+
+
 # every phase guard: site -> (the start of the NumericError, the quantity it
 # names, a call whose phase bound is its argument); each ran a finite phase
 # of 1e300 rad, whose ulp is 1e284 rad
@@ -1024,6 +1030,12 @@ PHASE_SITES = {
     "grape_gradient.dt_s": (
         "dt_s ", "segment phase d*max|H|*dt_s", lambda p: pulse.grape_gradient(
             OVERFLOW_MODEL, _qubit_schedule(p / (4 * math.pi * 1e10)), identity(2))),
+    "_displacement_eigensystem.alpha": (
+        "alpha", "displacement phase |amplitude|*max(Lambda)",
+        lambda p: gates._displacement_eigensystem(np.array([0.3j, p / _lambda_max(4)]), 4)),
+    "_sequence_pass.theta": (
+        "theta", "SNAP phase max|theta|", lambda p: pulse._sequence_pass(
+            np.array([0.3, 0.2j]), np.array([[0.5, -p, 0.0]]), *SEQUENCE_ARGS)[:2]),
     "synthesize_snap_pulse carrier plus chirp": (
         "chi_hz 1000000.0, duration_s ", "carrier plus AC-Stark chirp phase",
         lambda p: pulse.synthesize_snap_pulse(
@@ -1079,7 +1091,8 @@ def _subclasses(cls):
 
 def _phase_rules(path, numeric):
     """(line, why) of each raise of a NumericError class whose message
-    text mentions a phase, and each name bound to a phase limit."""
+    text mentions a phase, each name bound to a phase limit, and each read
+    of MAX_PHASE_RAD, as a name or an attribute."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
                 and getattr(node.exc.func, "id", None) in numeric:
@@ -1090,6 +1103,8 @@ def _phase_rules(path, numeric):
         name = getattr(node, "id", getattr(node, "attr", ""))
         if isinstance(getattr(node, "ctx", None), ast.Store) and _PHASE_LIMIT.search(name):
             yield node.lineno, f"binds the phase limit {name}"
+        if isinstance(getattr(node, "ctx", None), ast.Load) and name == "MAX_PHASE_RAD":
+            yield node.lineno, "reads MAX_PHASE_RAD"
 
 
 @pytest.mark.parametrize("streams", [5, None, 1.0, "ab", {0: [1.0]}, np.array(1.0)], ids=repr)

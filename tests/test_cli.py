@@ -1517,20 +1517,20 @@ def test_qst_sweep_unfittable_detunings_exit_1(tmp_path, capsys, case):
 _OVERFLOWING_DISPLACEMENTS = {
     "displacement": ({"shape": [4], "gates": [
         {"kind": "displacement", "target": 0, "alpha": [1e308, 0.2]}]},
-                     "gate 0 (displacement): alpha: the displacement phase",
+                     "gate 0: alpha: the displacement phase",
                      lambda: gates.displacement(1e308, 4), "alpha"),
     "ecd": ({"shape": [2, 16], "gates": [
         {"kind": "ecd", "qubit": 0, "mode": 1, "beta": [1e308, 0.0]}]},
-            "gate 0 (ecd): beta: the displacement phase",
+            "gate 0: beta: the displacement phase",
             lambda: gates.ecd(1e308, 16), "beta"),
 }
 
 
 @pytest.mark.parametrize("case", list(_OVERFLOWING_DISPLACEMENTS))
-def test_displacement_phase_overflow_exits_3(tmp_path, capsys, case):
+def test_displacement_phase_overflow_exits_2(tmp_path, capsys, case):
     doc, fragment, build, name = _OVERFLOWING_DISPLACEMENTS[case]
     cfg = write_json(tmp_path / "run.json", doc)
-    assert run_cli(tmp_path, "run", cfg) == 3
+    assert run_cli(tmp_path, "run", cfg) == 2
     assert fragment in _one_error_line(capsys)
     with pytest.raises(NumericError, match=f"^{name}: the displacement phase"):
         build()

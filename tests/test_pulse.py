@@ -1235,6 +1235,40 @@ class TestQuasiNewtonAscent:
             objective, x0, objective(x0), 10, -1.0, 1.0, 5)
         assert (x.tolist(), iters, converged) == ([1e-160, 1.0], 1, False)
 
+    @pytest.mark.parametrize("memory", [0, pulse._SEQUENCE_MEMORY])
+    def test_a_trial_that_raises_numeric_error_is_a_failed_trial(self, memory):
+        # beyond |x_i| <= 2 one objective raises NumericError and the other
+        # scores -inf: the line search must take the same steps with either.
+        # The maximizer lies partly beyond the bound (max|x*| = 2.97), so
+        # trials are refused at the first step and throughout the run
+        quadratic = self._quadratic(0)
+
+        def bounded(raises):
+            refused = []
+
+            def objective(x):
+                if np.max(np.abs(x)) > 2.0:
+                    refused.append(x.tobytes())
+                    if raises:
+                        raise NumericError(f"|x| {np.max(np.abs(x)):.3g} above 2")
+                    return -math.inf, -math.inf, None
+                return quadratic(x)
+            return objective, refused
+
+        x0 = np.zeros(20)
+        runs = []
+        for raises in (False, True):
+            objective, refused = bounded(raises)
+            x, j_raw, iters, converged, trace = pulse._ascend(
+                objective, x0, objective(x0), 300, 1e-10, 1.0, memory)
+            runs.append((x.tobytes(), j_raw, iters, converged, trace, refused))
+        assert runs[0] == runs[1]
+        assert len(runs[1][-1]) > 10 and runs[1][2] > 10
+        objective, _ = bounded(True)
+        x_far = np.full(20, 3.0)
+        with pytest.raises(NumericError, match="above 2"):
+            pulse._ascend(objective, x_far, objective(x_far), 300, 1e-10, 1.0, memory)
+
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_sequence_jobs_end_no_worse_than_steepest_ascent(self, monkeypatch, seed):
         # the benchmark's seqprep construction: dims 8 and 10, 200 iterations
