@@ -25,12 +25,15 @@ from .errors import (
     CapacityError,
     DegenerateInputError,
     InvalidDimensionError,
+    NumericError,
     ShapeError,
     UsageError,
     is_count,
     require_array,
     require_complex,
+    require_finite,
     require_index,
+    require_phase,
 )
 
 DEFAULT_DIM_CAP = 2**20
@@ -325,10 +328,17 @@ def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagator(h: Operator, t: float) -> Operator:
-    """exp(-i*H*t). H that is Hermitian to within 1e-12 * max(1, max|H|)
-    is symmetrized and goes through expm_hermitian, so the result is unitary
-    to machine precision; anything else falls back to scipy's expm."""
-    if h.is_hermitian(tol=1e-12 * max(1.0, float(np.max(np.abs(h.matrix))))):
+    """exp(-i*H*t) for finite t. H that is Hermitian to within
+    1e-12 * max(1, max|H|) is symmetrized and goes through expm_hermitian, so
+    the result is unitary to machine precision; anything else falls back to
+    scipy's expm. NumericError first when d*max|H|*|t| fails `require_phase`
+    or 2*max|H|^2 (the 2x2 form's squares) overflows."""
+    t = require_finite("t", t)
+    scale = float(np.max(np.abs(h.matrix)))
+    require_phase(f"t {t!r}", h.dim * scale * abs(t), "phase d*max|H|*|t|")
+    if not math.isfinite(2 * scale * scale):
+        raise NumericError(f"h: the entries, up to {scale:.3g}, overflow when squared")
+    if h.is_hermitian(tol=1e-12 * max(1.0, scale)):
         # symmetrize away the tolerated asymmetry
         mat = expm_hermitian((h.matrix + h.matrix.conj().T) / 2, t)
     else:

@@ -18,6 +18,7 @@ does every config's.
 Every SNAP phase list is read by `errors.require_array`, and on n levels
 by `_snap_phases`, the one count and phase rule: any count but n raises
 ShapeError, and a max|θ| above `errors.MAX_PHASE_RAD` NumericError.
+Every D(α) comes from `_displacement_factors`, its one builder and phase rule.
 """
 
 from __future__ import annotations
@@ -84,12 +85,31 @@ def displacement(alpha: complex, n: int, convention: str = "standard") -> Operat
     return _gate("displacement", (alpha, shape.total_dim, convention), shape)
 
 
-def _displacement_factors(alpha: complex, n: int, convention: str, name: str = "alpha"
+def _displacement_factors(alphas: Sequence[complex], n: int, name: str = "alpha"
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, |α|Λ, Q) with D(α) = R Q e^{−i|α|Λ} Qᵀ R† on n levels, α given
-    in the named convention; UsageError naming α as name unless it is a
-    finite complex number, and NumericError naming it, before any array
-    product, when the largest phase |α|·max Λ fails `require_phase`."""
+    """(R, |α|Λ, Q) with D(α) = R Q e^{−i|α|Λ} Qᵀ R† on n levels: one row
+    of R and of |α|Λ per standard-convention α, by Python `abs` and
+    `cmath.phase`, and Q. NumericError naming name, before any array
+    product, when max|α|·max Λ fails `require_phase`, NaN included."""
+    evals, vecs = _quadrature_eigensystem(n)
+    try:
+        mags = np.array([abs(complex(a)) for a in alphas])
+    except OverflowError:  # |α| above the largest float
+        mags = np.array([math.inf])
+    require_phase(name, float(mags.max()) * float(evals[-1]),
+                  "displacement phase |amplitude|*max(Lambda)")
+    rot = np.array([np.exp(1j * (cmath.phase(a) + math.pi / 2) * np.arange(n)) for a in alphas])
+    return rot, mags[:, None] * evals, vecs
+
+
+def _displacement_map(alpha: complex, n: int, convention: str, name: str = "alpha"
+                      ) -> Callable[[np.ndarray], np.ndarray]:
+    """D(α) along the first axis of an array of n rows, in factored form,
+    O(n²m) for m columns and no n×n matrix: R·(Q·(e^{−i|α|Λ} ∘
+    (Qᵀ·(R†·x)))), α given in the named convention; UsageError naming α
+    as name unless it is a finite complex number. Returns an (n, m) array,
+    m the size of the other axes. Q is real, so each product with it is one
+    real product on the C-contiguous (n, m) complex array as (n, 2m) reals."""
     if convention not in CONVENTIONS:
         raise UsageError(f"unknown displacement convention {convention!r}")
     alpha = require_complex(name, alpha)
@@ -97,23 +117,9 @@ def _displacement_factors(alpha: complex, n: int, convention: str, name: str = "
         raise UsageError(f"{name} must be finite")
     if convention == "paper":
         alpha = -alpha
-    evals, vecs = _quadrature_eigensystem(n)
-    require_phase(name, abs(alpha) * float(evals[-1]),
-                  "displacement phase |amplitude|*max(Lambda)")
-    rot = np.exp(1j * (cmath.phase(alpha) + math.pi / 2) * np.arange(n))
-    return rot, abs(alpha) * evals, vecs
-
-
-def _displacement_map(alpha: complex, n: int, convention: str, name: str = "alpha"
-                      ) -> Callable[[np.ndarray], np.ndarray]:
-    """D(α) along the first axis of an array of n rows, in factored form,
-    O(n²m) for m columns and no n×n matrix: R·(Q·(e^{−i|α|Λ} ∘
-    (Qᵀ·(R†·x)))). Returns an (n, m) array, m the size of the other axes.
-    Q is real, so each product with it is one real product on the
-    C-contiguous (n, m) complex array viewed as (n, 2m) reals."""
-    rot, angle, vecs = _displacement_factors(alpha, n, convention, name)
-    rot = rot[:, None]
-    phases = np.exp(-1j * angle)[:, None]
+    rot, angle, vecs = _displacement_factors([alpha], n, name)
+    rot = rot[0][:, None]
+    phases = np.exp(-1j * angle[0])[:, None]
 
     def apply(x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=complex).reshape(n, -1)
@@ -135,19 +141,6 @@ def _quadrature_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
     evals.setflags(write=False)
     vecs.setflags(write=False)
     return evals, vecs
-
-
-def _displacement_eigensystem(alphas: np.ndarray,
-                              n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(|α|Λ, R Q) for each α of a 1-D array: the eigensystem of the
-    generator G = i(αa† − α*a) of D(α) = exp(−iG), read off the rotated
-    quadrature form that `displacement` uses; NumericError, as there, when
-    the largest phase max|α|·max Λ fails `require_phase`."""
-    evals, vecs = _quadrature_eigensystem(n)
-    require_phase("alpha", float(np.max(np.abs(alphas))) * float(evals[-1]),
-                  "displacement phase |amplitude|*max(Lambda)")
-    rot = np.exp(1j * np.outer(np.angle(alphas) + math.pi / 2, np.arange(n)))
-    return np.abs(alphas)[:, None] * evals, rot[:, :, None] * vecs
 
 
 def qubit_rotation(theta: float, phi: float) -> Operator:

@@ -58,7 +58,7 @@ from .fock import (
     number_operator,
     shape_of,
 )
-from .gates import _displacement_eigensystem, _snap_phases
+from .gates import _displacement_factors, _snap_phases
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -358,13 +358,15 @@ def _propagator(model: ControlModel, streams: Sequence[np.ndarray],
     """Full (d, d) propagator U_{M-1}...U_0 for S amplitude streams of M
     segments each, in Hz.
 
-    Each invariant block of model.block_layout is exponentiated on its own,
-    with blocks of one size stacked together. Segments go in chunks of at
-    most _CHUNK_ENTRIES matrix entries per size group: each chunk reads its
+    NumericError first if `_segment_phase` refuses the streams. Each
+    invariant block of model.block_layout is exponentiated on its own, with
+    blocks of one size stacked together. Segments go in chunks of at most
+    _CHUNK_ENTRIES matrix entries per size group: each chunk reads its
     control coefficients from the streams, is reduced pairwise, and the
     chunks are multiplied in order, so the temporaries stay near 256 KiB
     however long the schedule is, and no array spans all M segments.
     """
+    _segment_phase(model, streams, dt)
     d = model.shape.total_dim
     prop = np.zeros((d, d), dtype=complex)
     for group in model.block_layout:
@@ -426,13 +428,12 @@ def _require_segment_room(model: ControlModel, n_segments: int) -> None:
 
 
 def _segment_phase(model: ControlModel, streams: Sequence[np.ndarray],
-                   dt_s: float, area: float = 1.0) -> float:
+                   dt_s: float) -> float:
     """The bound d*bound*dt_s on the segment phases of the (C-ordered)
-    streams, which hold the amplitudes u times area, or NumericError when
-    their segment Hamiltonians are out of range. Their entries are at most
+    amplitude streams, or NumericError when their segment Hamiltonians are
+    out of range (an inf or NaN amplitude too). Their entries are at most
     max|H_drift| plus, per stream, 2*pi*(max|C_re| + max|C_im|)*a, with a
-    the stream's largest |Re u| or |Im u|, read in place and divided by area
-    as a float, which overflows to inf without a warning. The 2x2 closed
+    the stream's largest |Re u| or |Im u|, read in place. The 2x2 closed
     form squares the entries, so twice that bound squared must be finite,
     naming the drift or the stream whose term overflows; the phase bound
     goes to `require_phase`, naming dt_s."""
@@ -440,7 +441,7 @@ def _segment_phase(model: ControlModel, streams: Sequence[np.ndarray],
     terms = [("the drift", drift)]
     for s, stream in enumerate(streams):
         quads = stream.view(float)  # the (Re, Im) pairs of a C-ordered stream
-        reach = max(float(quads.max()), -float(quads.min())) / area
+        reach = max(float(quads.max()), -float(quads.min()))
         terms.append((f"stream {s}", 2 * math.pi * scales[s] * reach))
     bound = 0.0
     for what, term in terms:
@@ -451,12 +452,6 @@ def _segment_phase(model: ControlModel, streams: Sequence[np.ndarray],
     phase = model.shape.total_dim * bound * dt_s
     require_phase(f"dt_s {dt_s!r}", phase, "segment phase d*max|H|*dt_s")
     return phase
-
-
-def _require_segment_phase(model: ControlModel, schedule: PulseSchedule) -> None:
-    """NumericError, before any exponential, unless _segment_phase finds
-    the schedule's segment Hamiltonians in range."""
-    _segment_phase(model, schedule.streams, schedule.dt_s)
 
 
 def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
@@ -473,7 +468,6 @@ def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
         raise UsageError("need psi0, return_propagator=True, or both")
     if psi0 is not None and psi0.shape != model.shape:
         raise ShapeError("psi0 shape does not match model shape")
-    _require_segment_phase(model, schedule)
     prop = _propagator(model, schedule.streams, schedule.dt_s)
     out_state = None
     if psi0 is not None:
@@ -513,7 +507,6 @@ def snap_average_fidelity(u: Operator, theta: Sequence[float]) -> float:
 
 _STEP_GROW = 1.3
 _STEP_SHRINK = 0.5
-_MAX_BACKTRACKS = 60
 
 
 def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float, lr: float,
@@ -529,7 +522,8 @@ def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float, lr: flo
     x keeps the dtype of x0, real or complex. A complex x is stepped on its
     (Re, Im) pairs, so gradient() returns dJ/dRe + i dJ/dIm for it.
     Accepts a step only if J strictly improves, so 1-J is nonincreasing;
-    a rejected trial halves the step.
+    a rejected trial halves the step until x + step*d rounds to x or the
+    step falls below 1e-18, however long the first trial.
 
     With memory = 0 every trial steps along the gradient, the first at lr,
     and each accepted step lets the next iteration start 1.3 times longer.
@@ -554,7 +548,7 @@ def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float, lr: flo
         steepest = not pairs
         d, step = (g, lr) if steepest else (_quasi_newton_direction(g, pairs), 1.0)
         accepted = False
-        for _ in range(_MAX_BACKTRACKS):
+        while True:
             x_try = x + step * d
             if x_try.tobytes() == x.tobytes():
                 break  # x + step*d rounds to x, and so does every smaller step
@@ -579,8 +573,8 @@ def _ascend(objective, x0: np.ndarray, start, max_iter: int, tol: float, lr: flo
             break  # stagnated: return best-so-far
         iters += 1
         trace.append((iters, 1.0 - j, step))
-        if steepest:
-            lr = step * _STEP_GROW
+        if steepest:  # kept finite, as an inf step would halve forever
+            lr = min(step * _STEP_GROW, sys.float_info.max)
         converged = 1.0 - j <= tol
     return x, j_raw, iters, bool(converged), tuple(trace)
 
@@ -661,13 +655,15 @@ class GrapeResult:
 
 def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
                 target, psi0_vec, guard_indices, leak_weight):
-    """One forward pass. amps: (S, M) complex in Hz.
+    """One forward pass. amps: (S, M) complex in Hz, C-ordered.
 
-    Runs per group of model.block_layout, on the blocks' segment
-    eigensystems and one prefix scan P_j = U_j...U_0 of their propagators.
-    Returns (j_total, j_raw, gradient): gradient() runs the adjoint half on
-    those and gives the (S, M) complex dJ/dRe + i dJ/dIm in 1/Hz.
+    NumericError first if `_segment_phase` refuses amps. Runs per group of
+    model.block_layout, on the blocks' segment eigensystems and one prefix
+    scan P_j = U_j...U_0 of their propagators. Returns (j_total, j_raw,
+    gradient): gradient() runs the adjoint half on those and gives the
+    (S, M) complex dJ/dRe + i dJ/dIm in 1/Hz.
     """
+    _segment_phase(model, amps, dt)
     d = model.shape.total_dim
     coeffs = _control_coefficients(amps)
     unitary_target = isinstance(target, Operator)
@@ -723,7 +719,7 @@ def _grape_problem(model: ControlModel, schedule: PulseSchedule, target,
     target, and a real leak weight."""
     _check_schedule_pairing(model, schedule)
     _require_segment_room(model, schedule.n_segments)
-    _require_segment_phase(model, schedule)
+    _segment_phase(model, schedule.streams, schedule.dt_s)  # before grape_optimize scales it
     if not isinstance(target, (Operator, StateVector)):
         raise UsageError("target must be an Operator or a StateVector")
     if target.shape != model.shape:
@@ -775,8 +771,8 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     ascent: the first trial steps `learning_rate` times the gradient, a
     rejected trial halves the step and a kept one lets the next iteration
     start 1.3 times longer. Steps are accepted only on improvement, so the
-    trace's objective infidelity is nonincreasing. A trial whose segment
-    phase bound d*max|H|*dt_s fails `require_phase` fails; a start point
+    trace's objective infidelity is nonincreasing. A trial that `_grape_pass`
+    refuses, by its segment phase bound d*max|H|*dt_s, fails; a start point
     (the schedule or the seeded draw) raises NumericError. When `seed` is
     given and every initial amplitude is zero, amplitudes start from a small
     seeded random draw (scale 1/(8 * duration)) to break symmetry.
@@ -797,10 +793,9 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
         raise NumericError(f"dt_s {dt!r} overflows the drive area 2*pi*dt_s")
 
     def objective(w: np.ndarray):
-        # NumericError for amplitudes w / area that simulate_schedule refuses
-        _segment_phase(model, w, dt, area)
-        jt, j_raw, gradient = _grape_pass(model, w / area, dt, tgt, psi0_vec,
-                                          guard, leak_weight)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = w / area  # an inf or NaN entry is _grape_pass's to refuse
+        jt, j_raw, gradient = _grape_pass(model, u, dt, tgt, psi0_vec, guard, leak_weight)
         return jt, j_raw, lambda: gradient() / area  # chain rule u = w / area
 
     # with all-zero amps0, w0 / area is amps0 bit for bit, so the start
@@ -1033,12 +1028,14 @@ def _sequence_pass(alphas: np.ndarray, thetas: np.ndarray, target: np.ndarray,
     states and gives (dJ/dRe(alpha) + i dJ/dIm(alpha), dJ/dtheta).
     directions stacks the exponent's derivatives along Re(alpha) and
     Im(alpha), [a† − a, i(a† + a)]. NumericError, before any exponential,
-    when max|theta| or max|alpha|*max(Lambda) fails `require_phase`."""
+    when max|theta| fails `require_phase`, or `_displacement_factors`
+    refuses max|alpha|*max(Lambda)."""
     blocks = thetas.shape[0]
     n = len(target)
     require_phase("theta", float(np.max(np.abs(thetas))), "SNAP phase max|theta|")
-    # D(alpha) = exp(-i G) from the closed-form eigensystem of G
-    lam, vecs = _displacement_eigensystem(alphas, n)
+    # D(alpha) = exp(-i G), G = (R Q) diag(|alpha| Lambda) (R Q)^dag as in gates
+    rot, lam, quad_vecs = _displacement_factors(alphas, n)
+    vecs = rot[:, :, None] * quad_vecs
     disps = eig_exponential(lam, vecs, 1.0)
     snaps = np.exp(1j * thetas)
     psi = np.zeros(n, dtype=complex)

@@ -150,6 +150,7 @@ NUMBER_SITES = {
         "t_total_s", lambda v: trotter.trotter_convergence(HAMILTONIAN, v, [3, 5])),
     "evolve_trotter.t_total_s": (
         "t_total_s", lambda v: trotter.evolve_trotter(HAMILTONIAN, v, 3).state.amplitudes),
+    "propagator.t": ("t", lambda v: fock.propagator(fock.number_operator(3), v).matrix),
 }
 
 # require_complex sites, as REAL_SITES; 1 is a valid value at every site
@@ -221,7 +222,7 @@ FINITE_SITES = ["grape_optimize.tol", "grape_optimize.leak_weight",
                 "optimize_snap_displacement_sequence.leak_weight", "SampledWaveform.t0_s",
                 "qubit_rotation.theta", "qubit_rotation.phi", "cond_rotation.theta",
                 "cond_rotation.phi", "givens.theta", "displacement.alpha", "ecd.beta",
-                "trotter_convergence.t_total_s", "evolve_trotter.t_total_s"]
+                "trotter_convergence.t_total_s", "evolve_trotter.t_total_s", "propagator.t"]
 
 COUNT_SITES = {
     "optimize_snap_displacement_sequence.blocks": (
@@ -971,14 +972,19 @@ def test_overflow_site_refuses_before_any_exponential(site):
 
 
 def test_segment_phase_is_checked_once_per_call(monkeypatch):
-    check = mock.Mock(wraps=pulse._require_segment_phase)
-    monkeypatch.setattr(pulse, "_require_segment_phase", check)
+    # by the builders that exponentiate segments, once a call whatever the
+    # chunk count, and by _grape_problem before the start pass
+    check = mock.Mock(wraps=pulse._segment_phase)
+    passes = mock.Mock(wraps=pulse._grape_pass)
+    monkeypatch.setattr(pulse, "_segment_phase", check)
+    monkeypatch.setattr(pulse, "_grape_pass", passes)
     monkeypatch.setattr(pulse, "_CHUNK_ENTRIES", 8)  # 2 segments a chunk
     schedule = pulse.PulseSchedule(1e-8, (np.ones(9),), (0.0,))
     pulse.simulate_schedule(pulse.qubit_model(1e5), schedule, return_propagator=True)
     assert check.call_count == 1
     _, iterations, _ = _grape(iterations=3)
-    assert iterations == 3 and check.call_count == 2
+    assert iterations == 3 and passes.call_count > 3
+    assert check.call_count == 2 + passes.call_count
 
 
 def _lambda_max(n):
@@ -1030,9 +1036,16 @@ PHASE_SITES = {
     "grape_gradient.dt_s": (
         "dt_s ", "segment phase d*max|H|*dt_s", lambda p: pulse.grape_gradient(
             OVERFLOW_MODEL, _qubit_schedule(p / (4 * math.pi * 1e10)), identity(2))),
-    "_displacement_eigensystem.alpha": (
+    "_propagator.dt_s": (
+        "dt_s ", "segment phase d*max|H|*dt_s", lambda p: pulse._propagator(
+            OVERFLOW_MODEL, _qubit_schedule(1.0).streams, p / (4 * math.pi * 1e10))),
+    "_grape_pass.dt_s": (
+        "dt_s ", "segment phase d*max|H|*dt_s", lambda p: pulse._grape_pass(
+            OVERFLOW_MODEL, np.stack(_qubit_schedule(1.0).streams), p / (4 * math.pi * 1e10),
+            identity(2), None, (), 1.0)[:2]),
+    "_displacement_factors.alpha": (
         "alpha", "displacement phase |amplitude|*max(Lambda)",
-        lambda p: gates._displacement_eigensystem(np.array([0.3j, p / _lambda_max(4)]), 4)),
+        lambda p: gates._displacement_factors([0.3j, p / _lambda_max(4)], 4)),
     "_sequence_pass.theta": (
         "theta", "SNAP phase max|theta|", lambda p: pulse._sequence_pass(
             np.array([0.3, 0.2j]), np.array([[0.5, -p, 0.0]]), *SEQUENCE_ARGS)[:2]),
@@ -1041,6 +1054,9 @@ PHASE_SITES = {
         lambda p: pulse.synthesize_snap_pulse(
             SNAP_MODEL, [0.0] * 3, _snap_duration(p), dt_s=_snap_duration(p) / 2,
             enforce_bound=False, precompensate=False)),
+    "fock.propagator.t": (
+        "t ", "phase d*max|H|*|t|",
+        lambda p: fock.propagator(fock.number_operator(4), -p / 12)),  # d*max|H| = 12
 }
 
 
@@ -1060,11 +1076,24 @@ def test_phase_site_runs_up_to_max_phase_and_refuses_above(site):
     refused = mock.Mock(side_effect=AssertionError("computed"))
     with mock.patch.object(pulse, "_snap_drive_samples", refused), \
             mock.patch.object(pulse, "expm_hermitian", refused), \
-            mock.patch.object(pulse, "hermitian_eigensystem", refused):
+            mock.patch.object(pulse, "hermitian_eigensystem", refused), \
+            mock.patch.object(pulse, "eig_exponential", refused), \
+            mock.patch.object(fock, "expm_hermitian", refused):
         with pytest.raises(NumericError, match=(
                 f"^{re.escape(what)}[^:]*: the {re.escape(quantity)} is 1.05e\\+06 rad, "
                 "above MAX_PHASE_RAD = 2\\*\\*20 rad$")):
             call(errors.MAX_PHASE_RAD * (1 + 1e-9))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: gates.displacement(complex(1.7e308, 1.7e308), 4),
+    lambda: gates._displacement_factors(np.array([0.3, complex(1.7e308, -1.7e308)]), 4),
+], ids=["displacement", "_displacement_factors"])
+def test_amplitude_whose_modulus_overflows_fails_the_phase_rule(call):
+    # abs() of such an alpha raised a raw OverflowError
+    with pytest.raises(NumericError, match=r"^alpha: the displacement phase \S+ is inf rad"):
+        call()
 
 
 SRC = Path(cavityq.__file__).parent

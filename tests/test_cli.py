@@ -261,14 +261,16 @@ class TestGrape:
     @pytest.mark.filterwarnings("error")
     def test_huge_learning_rate_runs_without_a_warning(self, tmp_path, capsys):
         # printed "RuntimeWarning: overflow encountered in multiply" and
-        # reported a schedule the simulator refuses
+        # reported a schedule the simulator refuses; then gave up after 60
+        # refused trials and returned its start after 0 iterations
         cfg = write_json(tmp_path / "grape.json",
                          dict(GRAPE_DOC, target={"kind": "pauli_x"}, n_segments=20,
                               dt_s=1e-8, learning_rate=1e300))
         assert run_cli(tmp_path, "grape", cfg) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert json.loads(captured.out)["iterations"] == 0
+        out = json.loads(captured.out)
+        assert out["iterations"] > 0 and out["fidelity"] > 0.999
 
     def test_unknown_target_kind_exit_2(self, tmp_path):
         cfg = write_json(

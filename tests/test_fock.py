@@ -11,6 +11,7 @@ from cavityq.errors import (
     CapacityError,
     DegenerateInputError,
     InvalidDimensionError,
+    NumericError,
     ShapeError,
     UsageError,
 )
@@ -187,6 +188,23 @@ class TestPropagator:
 
         monkeypatch.setattr(scipy.linalg, "expm", refuse)
         assert fock.propagator(h, 1e-6).is_unitary(tol=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_whose_squares_overflow_are_refused_before_any_exponential(
+            self, monkeypatch):
+        # warned "overflow encountered in scalar power" in the 2x2 closed form
+        monkeypatch.setattr(fock, "expm_hermitian", None)
+        h = fock.Operator(fock.HilbertShape((2,)), np.full((2, 2), 1e200))
+        with pytest.raises(NumericError, match=r"^h: the entries, up to 1e\+200, "
+                                               "overflow when squared$"):
+            fock.propagator(h, 1e-300)
+
+    @pytest.mark.filterwarnings("error")
+    def test_phases_outside_the_phase_rule_are_refused(self):
+        # returned phases of about 2e7 rad, whose last digits are noise
+        with pytest.raises(NumericError, match=r"^t 10000000.0: the phase d\*max\|H\|\*\|t\| "
+                                               r"is 6e\+07 rad"):
+            fock.propagator(fock.number_operator(3), 1e7)
 
 
 def _random_hermitian(rng, shape):

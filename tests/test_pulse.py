@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -532,11 +533,12 @@ class TestStructuredKernels:
     @pytest.mark.parametrize("n", [2, 9, 24])
     @pytest.mark.parametrize("alpha", [0.0, 0.8, -1.1, 0.9j, -0.7j, 0.5 + 0.4j,
                                        -0.6 + 0.3j, -0.2 - 0.8j, 0.4 - 0.5j])
-    def test_displacement_eigensystem_rebuilds_displacement(self, alpha, n):
-        lam, vecs = gates._displacement_eigensystem(np.array([alpha]), n)
-        built = eig_exponential(lam, vecs, 1.0)[0]
+    def test_displacement_factors_rebuild_displacement(self, alpha, n):
+        # the sequence optimizer's D(alpha), from the factors that circuits use
+        rot, lam, vecs = gates._displacement_factors(np.array([alpha]), n)
+        built = eig_exponential(lam, rot[:, :, None] * vecs, 1.0)[0]
         ref = gates.displacement(alpha, n).matrix
-        assert np.max(np.abs(built - ref)) <= 1e-13
+        assert np.max(np.abs(built - ref)) <= 1e-15
 
 
 class TestGrapeOptimize:
@@ -891,7 +893,7 @@ class TestSequencePreparation:
 
 
 def _eager_ascend(x0, value_and_grad, max_iter, tol, learning_rate, memory=0,
-                  grow=1.3, shrink=0.5, max_backtracks=60):
+                  grow=1.3, shrink=0.5):
     """The line search as it stood before gradients were deferred: it takes
     the full gradient of every trial, kept or not. With memory > 0 it steps
     along the L-BFGS direction of the last `memory` accepted pairs with
@@ -907,7 +909,7 @@ def _eager_ascend(x0, value_and_grad, max_iter, tol, learning_rate, memory=0,
         steepest = not pairs
         d, step = (g, lr) if steepest else (_two_loop(g, pairs), 1.0)
         accepted = False
-        for _ in range(max_backtracks):
+        while True:
             x_try = x + step * d
             j_try, g_try = value_and_grad(x_try)
             if j_try > j:
@@ -1136,7 +1138,7 @@ class TestDeferredGradientAscent:
         assert counts["forward"] == 1 + counts["trials"] + (seed is not None)
 
     def test_sequence_adjoint_only_for_kept_points(self, monkeypatch):
-        counts = self._count(monkeypatch, "_displacement_eigensystem")
+        counts = self._count(monkeypatch, "_displacement_factors")
         rng = np.random.default_rng(8)
         res = optimize_snap_displacement_sequence(
             rng.standard_normal(6) + 1j * rng.standard_normal(6), blocks=4,
@@ -1234,6 +1236,38 @@ class TestQuasiNewtonAscent:
         x, _, iters, converged, _ = pulse._ascend(
             objective, x0, objective(x0), 10, -1.0, 1.0, 5)
         assert (x.tolist(), iters, converged) == ([1e-160, 1.0], 1, False)
+
+    def test_refused_trials_are_halved_until_one_is_accepted(self):
+        # a first trial 2**80 times too long: the search halves past the 60
+        # trials it once stopped at, instead of returning its start point
+        def objective(x):
+            if abs(x[0]) > 1.0:
+                raise NumericError(f"|x| {abs(x[0]):.3g} above 1")
+            j = -(x[0] - 0.5) ** 2
+            return j, j, lambda: np.array([-2 * (x[0] - 0.5)])
+
+        x0 = np.zeros(1)
+        x, _, iters, _, trace = pulse._ascend(objective, x0, objective(x0), 1, -1.0, 2.0**80)
+        assert iters == 1 and x[0] == 0.5 and trace[-1][2] == 0.5
+
+    @pytest.mark.filterwarnings("error")
+    def test_step_growth_stays_finite(self):
+        # an accepted step near the largest float grew the next first trial
+        # to inf, which halving never shrinks: the search looped forever
+        # once no cap on halvings stopped it
+        trials = []
+
+        def objective(x):
+            trials.append(x[0])
+            if len(trials) > 10_000 or not np.isfinite(x).all():
+                raise NumericError(f"x {x[0]!r}")
+            j = -1.0 / (1.0 + x[0])
+            return j, j, lambda: np.array([1e-308])
+
+        x0 = np.zeros(1)
+        _, _, iters, _, trace = pulse._ascend(objective, x0, objective(x0), 3, -1.0, 1.5e308)
+        assert iters == 3 and len(trials) == 4
+        assert trace[2][2] == trace[3][2] == sys.float_info.max
 
     @pytest.mark.parametrize("memory", [0, pulse._SEQUENCE_MEMORY])
     def test_a_trial_that_raises_numeric_error_is_a_failed_trial(self, memory):
