@@ -14,8 +14,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import (DegenerateInputError, InvalidDimensionError, UsageError, require_complex,
-                     require_count)
+from .errors import (DegenerateInputError, InvalidDimensionError, UsageError, finite_result,
+                     require_complex, require_count)
 from .fock import (
     StateVector,
     _truncated_state,
@@ -40,7 +40,7 @@ def cat_state(alpha: complex, sign: ParitySign, n: int) -> StateVector:
     sign "+" keeps even photon numbers, "-" keeps odd ones. The odd cat
     at α = 0 vanishes identically and is rejected.
     """
-    shape_of((n,))
+    [n] = shape_of((n,)).dims
     if sign not in ("+", "-"):
         raise UsageError(f"sign must be '+' or '-', got {sign!r}")
     alpha = require_complex("alpha", alpha)
@@ -54,11 +54,13 @@ def cat_state(alpha: complex, sign: ParitySign, n: int) -> StateVector:
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
-    """⟨α|β⟩ in closed form."""
+    """⟨α|β⟩ in closed form; NumericError when it is not finite (|α|² or
+    |β|² overflows, or an amplitude is infinite)."""
     alpha, beta = require_complex("alpha", alpha), require_complex("beta", beta)
-    return np.exp(
-        -abs(alpha) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(alpha) * beta
-    )
+    with np.errstate(invalid="ignore"):
+        return finite_result("coherent_overlap", lambda: np.exp(
+            -abs(alpha) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(alpha) * beta
+        ))
 
 
 def cat_encode(c_g: complex, c_e: complex, alpha: complex, n: int) -> StateVector:
@@ -95,7 +97,7 @@ def photon_loss_cycle_check(psi: StateVector, k: int) -> StateVector:
     """
     if psi.shape.n_subsystems != 1:
         raise UsageError("loss cycle check expects a single-mode state")
-    require_count("k", k)
+    k = require_count("k", k)
     amps = psi.amplitudes.copy()
     root = np.sqrt(np.arange(1.0, len(amps)))
     for _ in range(min(k, len(amps))):

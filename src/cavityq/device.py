@@ -16,8 +16,9 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .errors import (DegenerateDetuningError, NumericError, UsageError, parse_errors,
-                     read_fields, require_count, require_positive, require_real)
+from .errors import (DegenerateDetuningError, UsageError, finite_result, parse_errors,
+                     read_fields, require_complex, require_count, require_finite,
+                     require_positive, require_real)
 
 _FIELDS = (
     "omega_q_hz",
@@ -50,13 +51,10 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         for name in _FIELDS:
-            value = getattr(self, name)
-            value = require_real(name, value)
-            if not math.isfinite(value):
-                raise UsageError(f"{name} must be finite, got {value}")
+            value = require_finite(name, getattr(self, name))
+            if name in ("g_hz", "t1_fock0_s", "t1_min_s"):
+                value = require_positive(name, value)
             object.__setattr__(self, name, value)
-        for name in ("g_hz", "t1_fock0_s", "t1_min_s"):
-            require_positive(name, getattr(self, name))
         if self.omega_q_hz == self.omega_c_hz:
             raise UsageError("omega_q_hz equal to omega_c_hz leaves no dispersive regime")
 
@@ -74,25 +72,12 @@ class DeviceParams:
             return cls(**fields)
 
 
-def _finite(name: str, compute) -> float:
-    """compute(), a value derived from the device parameters, or
-    NumericError naming it when it overflows or is not finite: float **
-    raises OverflowError where * and / give inf."""
-    try:
-        value = compute()
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericError(f"{name} is not finite for these device parameters")
-    return value
-
-
 def chi(params: DeviceParams) -> float:
     """Dispersive shift g²/Δ in Hz."""
     delta = params.detuning_hz
     if delta == 0:
         raise DegenerateDetuningError("chi undefined at zero detuning")
-    return _finite("chi_hz", lambda: params.g_hz**2 / delta)
+    return finite_result("chi_hz", lambda: params.g_hz**2 / delta)
 
 
 def stark_shifted_freq(params: DeviceParams, n: int, order: int = 1) -> float:
@@ -101,7 +86,7 @@ def stark_shifted_freq(params: DeviceParams, n: int, order: int = 1) -> float:
     order=1 gives ω_q − nχ; order=2 adds the quadratic pull,
     ω_q − (χn + χ'n²/2).
     """
-    require_count("n", n)
+    n = require_count("n", n)
     x = chi(params)
     if order == 1:
         return params.omega_q_hz - n * x
@@ -112,7 +97,7 @@ def stark_shifted_freq(params: DeviceParams, n: int, order: int = 1) -> float:
 
 def critical_photon_number(params: DeviceParams) -> float:
     """(Δ/2g)², the photon number where the dispersive expansion folds."""
-    return _finite("critical_photon_number",
+    return finite_result("critical_photon_number",
                    lambda: (params.detuning_hz / (2 * params.g_hz)) ** 2)
 
 
@@ -121,7 +106,7 @@ def fock_t1(params: DeviceParams, n: int) -> float:
 
     |0⟩ does not decay; math.inf is the explicit stable marker.
     """
-    require_count("n", n)
+    n = require_count("n", n)
     if n == 0:
         return math.inf
     return params.t1_fock0_s / n
@@ -144,7 +129,7 @@ def max_fock(params: DeviceParams) -> int:
             stacklevel=2,
         )
         return 0
-    return _tolerant_floor(_finite("t1_fock0_s / t1_min_s",
+    return _tolerant_floor(finite_result("t1_fock0_s / t1_min_s",
                                    lambda: params.t1_fock0_s / params.t1_min_s))
 
 
@@ -153,18 +138,23 @@ def snap_min_gate_time(params: DeviceParams) -> float:
     x = chi(params)
     if x == 0:
         raise DegenerateDetuningError("snap gate time undefined at zero chi")
-    return _finite("snap_min_gate_time_s", lambda: 2 * math.pi / abs(x))
+    return finite_result("snap_min_gate_time_s", lambda: 2 * math.pi / abs(x))
 
 
 def multimode_drive_freq(
     params: DeviceParams, occupations_and_shifts: Sequence[tuple[int, float]]
 ) -> float:
     """Drive frequency selecting a joint occupation across several modes,
-    ω_q − Σ_k n_k χ_k. Each entry is (n_k, chi_k_hz)."""
-    total = 0.0
-    for n_k, chi_k in occupations_and_shifts:
-        total += require_count("occupation", n_k) * chi_k
-    return params.omega_q_hz - total
+    ω_q − Σ_k n_k χ_k. Each entry is an (n_k, chi_k_hz) pair; anything
+    else is a UsageError."""
+    try:
+        pairs = [(require_count("occupation", n_k), require_real("chi_k_hz", chi_k))
+                 for n_k, chi_k in occupations_and_shifts]
+    except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
+        raise UsageError("occupations_and_shifts must be a sequence of (n_k, chi_k_hz) "
+                         f"pairs, got {occupations_and_shifts!r}") from None
+    return finite_result("the multimode drive frequency",
+                   lambda: params.omega_q_hz - sum(n_k * chi_k for n_k, chi_k in pairs))
 
 
 def dephasing_rate(dispersion: float, spectral_density_dc: float, k: float = 1.0) -> float:
@@ -174,16 +164,20 @@ def dephasing_rate(dispersion: float, spectral_density_dc: float, k: float = 1.0
     `spectral_density_dc` the noise power of λ at zero frequency. The
     proportionality constant k is exposed explicitly rather than baked in.
     """
-    if not require_real("spectral_density_dc", spectral_density_dc) >= 0:
+    dispersion, k = require_real("dispersion", dispersion), require_real("k", k)
+    density = require_real("spectral_density_dc", spectral_density_dc)
+    if not density >= 0:
         raise UsageError("spectral density must be >= 0")
-    return k * dispersion**2 * spectral_density_dc
+    return finite_result("dephasing_rate", lambda: k * dispersion**2 * density)
 
 
 def relaxation_rate(matrix_element: float, spectral_density_at_e01: float, k: float = 1.0) -> float:
     """Relaxation rate k·|⟨0|Ô|1⟩|²·S(E01/ħ), constant k exposed."""
-    if not require_real("spectral_density_at_e01", spectral_density_at_e01) >= 0:
+    matrix_element, k = require_complex("matrix_element", matrix_element), require_real("k", k)
+    density = require_real("spectral_density_at_e01", spectral_density_at_e01)
+    if not density >= 0:
         raise UsageError("spectral density must be >= 0")
-    return k * abs(matrix_element) ** 2 * spectral_density_at_e01
+    return finite_result("relaxation_rate", lambda: k * abs(matrix_element) ** 2 * density)
 
 
 def device_summary(params: DeviceParams) -> dict:

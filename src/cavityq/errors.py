@@ -16,16 +16,21 @@ photon numbers, `fock.shape_of` for dimensions, before any allocation,
 other real numbers, `require_complex` for complex amplitudes,
 `require_finite` for tolerances, weights, time origins and gate angles,
 `require_positive` for time steps, durations, couplings, rates and other
-positive reals, and `require_array` for arrays: states, matrices, pulse
-streams, sample lists, SNAP phases and the arrays of JSON configs, whose
-readers re-raise its errors as ParseError (`parse_errors`).
-`require_capacity` caps the work or memory that the counts of a request
-set, before any allocation (`CapacityError`, exit 4), and `require_phase`
-holds every phase the package forms, or a bound on it, to MAX_PHASE_RAD
-(`NumericError`, exit 3). Lists of numbers are tested in bulk with
-`are_reals`.
+positive reals, and `require_array` for arrays and lists: states,
+matrices, pulse streams, sample lists, SNAP phases, carriers, detunings,
+times, time spans, input-state pairs and the arrays of JSON configs, whose
+readers re-raise its errors as ParseError (`parse_errors`). Each argument
+is read once, by its rule, and the caller goes on with the value the
+rule returns. `require_capacity` caps the work or memory that the counts
+of a request set, before any allocation (`CapacityError`, exit 4), and
+`require_phase` holds every phase the package forms, or a bound on it, to
+MAX_PHASE_RAD (`NumericError`, exit 3). `require_array` and
+`read_numbers` test their entries in bulk with `are_reals`. A value the
+package derives in closed form goes through `finite_result`, which names
+it in a `NumericError` when it overflows or is not finite.
 """
 
+import cmath
 import contextlib
 import functools
 import itertools
@@ -128,18 +133,6 @@ def require_real(name: str, value) -> float:
         raise NumericError(f"{name} is too large for a float") from None
 
 
-def require_reals(name: str, values) -> list[float]:
-    """[require_real(name, v) for v in values], with the types tested in
-    bulk (`are_reals`)."""
-    values = list(values)
-    if are_reals(values):
-        try:
-            return list(map(float, values))
-        except OverflowError:  # an int too large for a float, named below
-            pass
-    return [require_real(name, v) for v in values]
-
-
 def require_complex(name: str, value) -> complex:
     """complex(value), or UsageError unless value is a complex number
     (`is_complex`); NumericError for one too large for a float."""
@@ -153,17 +146,31 @@ def require_complex(name: str, value) -> complex:
 
 def require_finite(name: str, value) -> float:
     """float(value), or UsageError unless require_real passes and value is finite."""
-    if not math.isfinite(require_real(name, value)):
+    value = require_real(name, value)
+    if not math.isfinite(value):
         raise UsageError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return value
 
 
 def require_positive(name: str, value) -> float:
     """float(value), or UsageError unless require_real passes and 0 < value < inf."""
-    require_real(name, value)
+    value = require_real(name, value)
     if not 0 < value < math.inf:
         raise UsageError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+    return value
+
+
+def finite_result(name: str, compute):
+    """compute(), a real or complex value the package derives, or
+    NumericError naming it when it overflows or is not finite: float **
+    raises OverflowError where * and / give inf."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise NumericError(f"{name} is not finite")
+    return value
 
 
 @functools.cache

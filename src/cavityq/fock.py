@@ -352,7 +352,7 @@ def coherent_amplitudes(alpha: complex, n: int) -> np.ndarray:
     """Unnormalized truncated coherent amplitudes c_k = e^{-|α|²/2} α^k/√(k!),
     evaluated in log space so large |α| stays finite. A NaN or infinite α
     raises UsageError naming alpha."""
-    shape_of((n,))
+    [n] = shape_of((n,)).dims
     alpha = require_complex("alpha", alpha)
     if not cmath.isfinite(alpha):
         raise UsageError(f"alpha must be finite, got {alpha!r}")

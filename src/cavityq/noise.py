@@ -4,8 +4,10 @@ Channels are discrete-time: one application advances the state by the
 channel's dt. The photon-loss pair is the first-order expansion
 {K0 ≈ I − (dt/2T1)n̂, K1 = √(dt/T1)·a} with K0 completed exactly to
 √(I − K1†K1), so ΣK†K = I holds to machine precision while K1 keeps
-the per-level jump rate n/T1. Construction refuses dt values for which
-the first-order pair would violate completeness beyond 1e-6.
+the per-level jump rate n/T1. Every channel reads its dt_s by
+`require_positive`, a positive and finite step, and the first-order
+constructors refuse dt values for which their pair would violate
+completeness beyond 1e-6 (StepSizeError).
 `amplitude_damping_channel` is the exact loss channel over dt (the
 bosonic amplitude-damping Kraus set): it has no step-size limit and
 composes exactly, E_s∘E_t = E_{s+t}, so it bounds the first-order
@@ -157,7 +159,7 @@ class NoiseChannel:
         object.__setattr__(self, "kraus", tuple(self.kraus))
         if not self.kraus:
             raise UsageError("channel needs at least one Kraus operator")
-        require_positive("dt_s", self.dt_s)
+        object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
         if any(k.shape != self.shape for k in self.kraus):
             raise UsageError("Kraus operators must share the channel shape")
         kernel = _build_kernel([k.matrix for k in self.kraus])
@@ -168,34 +170,26 @@ class NoiseChannel:
                              f"(tolerance {_COMPLETENESS_TOL})")
 
 
-def _check_step(dt_s: float) -> None:
-    """Raise UsageError unless dt_s is a positive real (not NaN). Infinity
-    passes, so that a first-order channel reports it as too coarse."""
-    require_real("dt_s", dt_s)
-    if not dt_s > 0:
-        raise UsageError(f"dt_s must be positive, got {dt_s}")
-
-
-def _check_loss_args(t1_s: float, dt_s: float) -> None:
-    require_real("t1_s", t1_s)
-    if not t1_s > 0:  # NaN fails too; inf, no loss, passes
+def _check_loss_args(t1_s: float, dt_s: float) -> float:
+    """dt_s / t1_s, the loss per step, 0 at t1_s = inf: UsageError unless
+    t1_s is a positive real, inf (no loss) included, and dt_s passes
+    `require_positive`."""
+    t1_s = require_real("t1_s", t1_s)
+    if not t1_s > 0:  # NaN fails too
         raise UsageError(f"t1_s must be positive, got {t1_s}")
-    _check_step(dt_s)
+    return require_positive("dt_s", dt_s) / t1_s
 
 
 def photon_loss_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
     """Single-photon loss on an n-level mode, anchored to the |1⟩ lifetime."""
     shape = shape_of((n,))
-    _check_loss_args(t1_s, dt_s)
-    x = dt_s / t1_s
+    x = _check_loss_args(t1_s, dt_s)
     # completeness defect of the literal first-order pair
     defect = ((n - 1) * x / 2) ** 2
     if defect > _FIRST_ORDER_TOL:
         raise StepSizeError(
             f"dt={dt_s:g} too coarse for {n} levels at t1={t1_s:g} "
             f"(first-order completeness defect {defect:.3e} > {_FIRST_ORDER_TOL})")
-    if dt_s == math.inf:  # with t1_s = inf too, the ratio and defect are NaN, which passes
-        raise UsageError(f"dt_s must be positive and finite, got {dt_s}")
     k1 = Operator(shape, math.sqrt(x) * annihilation(n).matrix)
     k0 = Operator(shape, np.diag(np.sqrt(1.0 - x * np.arange(n))).astype(complex))
     return NoiseChannel(shape, (k0, k1), dt_s)
@@ -209,8 +203,7 @@ def amplitude_damping_channel(t1_s: float, dt_s: float, n: int) -> NoiseChannel:
     the l-th superdiagonal. Valid at any finite dt, and E_s∘E_t = E_{s+t};
     T1 = inf gives p = 0, the identity channel."""
     shape = shape_of((n,))
-    _check_loss_args(t1_s, dt_s)
-    x = require_finite("dt_s / t1_s", require_positive("dt_s", dt_s) / t1_s)  # 0 at t1_s = inf
+    x = require_finite("dt_s / t1_s", _check_loss_args(t1_s, dt_s))
     lost, m = np.nonzero(np.tri(n, dtype=bool).T)  # every l <= m, by l
     # the binomial weight C(m,l) (1−p)^(m−l) p^l from exact integer binomials
     binomial = np.array([math.comb(a, b) for a, b in zip(m.tolist(), lost.tolist())],
@@ -226,18 +219,16 @@ def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
     """Pure dephasing generated by n̂. The default physical rate on the
     hardware this models is zero; the channel exists as an explicit hook."""
     shape = shape_of((n,))
-    require_real("rate_hz", rate_hz)
+    rate_hz = require_real("rate_hz", rate_hz)
     if not rate_hz >= 0:  # NaN fails too
         raise UsageError(f"rate_hz must be >= 0, got {rate_hz}")
-    _check_step(dt_s)
+    dt_s = require_positive("dt_s", dt_s)
     y = rate_hz * dt_s
     defect = (y * (n - 1) ** 2 / 2) ** 2
     if defect > _FIRST_ORDER_TOL:
         raise StepSizeError(
             f"dt={dt_s:g} too coarse for dephasing rate {rate_hz:g} on {n} levels "
             f"(first-order completeness defect {defect:.3e} > {_FIRST_ORDER_TOL})")
-    if dt_s == math.inf:  # a zero rate gives a NaN defect, which passes
-        raise UsageError(f"dt_s must be positive and finite, got {dt_s}")
     levels = np.arange(n)
     k1 = Operator(shape, np.diag(np.sqrt(y) * levels).astype(complex))
     k0 = Operator(shape, np.diag(np.sqrt(1.0 - y * levels**2)).astype(complex))
@@ -299,7 +290,7 @@ def apply_channel_trajectory(
     """Monte Carlo trajectory: at each step, draw one Kraus branch with
     probability ‖K_kψ‖² and renormalize. Bitwise deterministic for a
     fixed seed."""
-    require_count("seed", seed)
+    seed = require_count("seed", seed)
     [result] = _unravel(channel, psi, _require_room(steps, 1), [seed])
     return result
 
@@ -315,7 +306,7 @@ def run_trajectories(
     trajectory index. Each one is the trajectory apply_channel_trajectory
     gives for its seed; all of them advance together."""
     n_trajectories = require_count("n_trajectories", n_trajectories, 1)
-    require_count("base_seed", base_seed)
+    base_seed = require_count("base_seed", base_seed)
     steps = _require_room(steps, n_trajectories)
     seeds = [int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0])
              for i in range(n_trajectories)]

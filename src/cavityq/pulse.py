@@ -43,7 +43,6 @@ from .errors import (
     require_index,
     require_phase,
     require_positive,
-    require_reals,
 )
 from .fock import (
     HilbertShape,
@@ -119,14 +118,8 @@ class PulseSchedule:
         if any(len(s) != n for s in streams):
             raise ShapeError("all amplitude streams must have equal length")
         object.__setattr__(self, "streams", streams)
-        carriers = tuple(require_reals("carriers_hz entry", self.carriers_hz))
-        if len(carriers) != len(streams):
-            raise ShapeError(
-                f"{len(carriers)} carriers for {len(streams)} streams"
-            )
-        if any(not math.isfinite(c) for c in carriers):
-            raise NumericError("non-finite carrier frequency")
-        object.__setattr__(self, "carriers_hz", carriers)
+        carriers = require_array("carriers_hz", self.carriers_hz, (len(streams),), float)
+        object.__setattr__(self, "carriers_hz", tuple(carriers.tolist()))
 
     @property
     def n_streams(self) -> int:

@@ -24,7 +24,7 @@ F = | |alpha|^2 + |beta|^2 tau |^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,11 +44,10 @@ from .errors import (
     read_kind,
     require_array,
     require_capacity,
-    require_complex,
+    require_count,
     require_finite,
     require_positive,
     require_real,
-    require_reals,
 )
 
 _MAX_RATE_DT = 0.05
@@ -69,8 +68,10 @@ def sech_pitch(kappa_hz: float, t_s) -> np.ndarray | float:
     emitted photon: the channel flux of the matched transfer is
     sech_pitch(kappa, t)^2 / kappa.
     """
+    kappa_hz = require_positive("kappa_hz", kappa_hz)
     t = np.asarray(t_s, dtype=float)
-    out = kappa_hz / (2.0 * np.cosh(kappa_hz * t / 2.0))
+    with np.errstate(over="ignore"):  # cosh overflows to inf where the envelope is 0
+        out = kappa_hz / (2.0 * np.cosh(kappa_hz * t / 2.0))
     return float(out) if np.isscalar(t_s) else out
 
 
@@ -99,6 +100,9 @@ def raman_coupling(omega_drive_hz, g_hz: float, alpha_anharm_hz: float,
                    delta_hz: float):
     """Effective sideband coupling g*Omega*alpha / (sqrt(2) Delta (Delta+alpha)),
     pointwise in the drive envelope Omega."""
+    g_hz = require_real("g_hz", g_hz)
+    alpha_anharm_hz = require_real("alpha_anharm_hz", alpha_anharm_hz)
+    delta_hz = require_real("delta_hz", delta_hz)
     if delta_hz == 0:
         raise DegenerateDetuningError("drive detuning Delta must be nonzero")
     if delta_hz + alpha_anharm_hz == 0:
@@ -178,8 +182,8 @@ class QstConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa_hz", require_positive("kappa_hz", self.kappa_hz))
-        t0, t1 = (require_real("t_span_s entry", self.t_span_s[i]) for i in (0, 1))
-        if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
+        t0, t1 = require_array("t_span_s", self.t_span_s, (2,), float).tolist()
+        if t1 <= t0:
             raise UsageError(f"invalid t_span {self.t_span_s}")
         object.__setattr__(self, "t_span_s", (t0, t1))
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
@@ -187,7 +191,7 @@ class QstConfig:
                            require_real("delta_omega_hz", self.delta_omega_hz))
         if not math.isfinite(self.delta_omega_hz):
             raise NumericError("non-finite detuning")
-        alpha, beta = (require_complex("input_state entry", self.input_state[i]) for i in (0, 1))
+        alpha, beta = require_array("input_state", self.input_state, (2,)).tolist()
         nrm = abs(alpha) ** 2 + abs(beta) ** 2
         if not abs(nrm - 1.0) <= 1e-9:
             raise UsageError(
@@ -478,7 +482,7 @@ def detuning_sweep(config: QstConfig,
     The grid, rates and checks are set up once for all points, and each
     point computes only its eta, bitwise simulate_transfer's.
     """
-    deltas = require_reals("delta_list entry", delta_list)
+    deltas = require_array("delta_list", delta_list, (None,), float).tolist()
     if len(deltas) < 2:
         raise UsageError("need at least two detunings to sweep")
     run = _transfer_grid(config)
@@ -488,10 +492,7 @@ def detuning_sweep(config: QstConfig,
             f"baseline transfer eta = {baseline:.4f} <= 0.99: the sweep "
             "requires matched waveforms"
         )
-    # replace() checks each detuning as a config field
-    etas = [baseline if dw == 0
-            else _transfer_eta(run, replace(config, delta_omega_hz=dw).delta_omega_hz)
-            for dw in deltas]
+    etas = [baseline if dw == 0 else _transfer_eta(run, dw) for dw in deltas]
     rows = [
         (dw, eta, math.sqrt(max(0.0, 1.0 - eta)))
         for dw, eta in zip(deltas, etas)
@@ -528,13 +529,14 @@ def on_off_ratio(waveform, floor_hz: float,
     callable needs t_span_s to evaluate on (an odd sample count includes
     the midpoint).
     """
-    require_positive("floor_hz", floor_hz)
+    floor_hz = require_positive("floor_hz", floor_hz)
     if isinstance(waveform, SampledWaveform):
         peak = float(np.max(np.abs(waveform.values)))
     elif callable(waveform):
         if t_span_s is None:
             raise UsageError("a callable waveform needs t_span_s")
-        grid = np.linspace(t_span_s[0], t_span_s[1], samples)
+        t0, t1 = require_array("t_span_s", t_span_s, (2,), float).tolist()
+        grid = np.linspace(t0, t1, require_count("samples", samples, 1))
         peak = float(np.max(np.abs(_evaluate_rates(waveform, grid, "waveform"))))
     else:
         vals = require_array("waveform", waveform, (None,), float)

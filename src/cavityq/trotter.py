@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, require_array,
                      require_capacity, require_count, require_finite, require_phase,
-                     require_positive, require_reals)
+                     require_positive)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
 from .gates import Circuit, GateSpec, _ortho_fft, _run
 
@@ -278,13 +278,7 @@ def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
     w = _operator(w, n, "W")
     v = _operator(v, n, "V")
     psi = _state_vector(psi0, n).amplitudes.reshape(n)
-    try:
-        times_s = list(times_s)
-    except TypeError:
-        raise UsageError(f"times_s must be a sequence of times, got {times_s!r}") from None
-    times = require_reals("times_s entry", times_s)
-    if not all(map(math.isfinite, times)):
-        raise NumericError(f"non-finite time {next(t for t in times if not math.isfinite(t))}")
+    times = require_array("times_s", times_s, (None,), float).tolist()
     evals, vecs = h._eigensystem
     t_far = max(times, key=abs, default=0.0)
     require_phase(f"times_s entry {t_far!r}", float(np.max(np.abs(evals))) * abs(t_far),

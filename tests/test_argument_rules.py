@@ -104,6 +104,11 @@ REAL_SITES = {
         "dt_s", lambda v: noise.NoiseChannel(HilbertShape((2,)), (identity(2),), v).dt_s),
     "amplitude_damping_channel.dt_s": (
         "dt_s", lambda v: [k.matrix for k in noise.amplitude_damping_channel(4.0, v, 3).kraus]),
+    "photon_loss_channel.dt_s": (
+        "dt_s", lambda v: [k.matrix for k in noise.photon_loss_channel(1e6, v, 3).kraus]),
+    "dephasing_channel.dt_s": (
+        "dt_s", lambda v: [k.matrix for k in noise.dephasing_channel(1e-6, v, 3).kraus]),
+    "sech_pitch.kappa_hz": ("kappa_hz", lambda v: qst.sech_pitch(v, np.linspace(-3.0, 3.0, 7))),
     **{f"DeviceParams.{field}": (
         field, lambda v, field=field: dataclasses.asdict(
             device.DeviceParams(**{**DEVICE, field: v})))
@@ -135,6 +140,15 @@ NUMBER_SITES = {
         "spectral_density_dc", lambda v: device.dephasing_rate(3.0, v)),
     "relaxation_rate.spectral_density_at_e01": (
         "spectral_density_at_e01", lambda v: device.relaxation_rate(0.5, v)),
+    "dephasing_rate.dispersion": ("dispersion", lambda v: device.dephasing_rate(v, 1.5)),
+    "dephasing_rate.k": ("k must", lambda v: device.dephasing_rate(3.0, 1.5, v)),
+    "relaxation_rate.k": ("k must", lambda v: device.relaxation_rate(0.5, 1.5, v)),
+    "multimode_drive_freq.chi_k_hz": ("chi_k_hz", lambda v: device.multimode_drive_freq(
+        device.DeviceParams(**DEVICE), [(1, 2e5), (1, v)])),
+    "raman_coupling.g_hz": ("g_hz", lambda v: qst.raman_coupling(0.5, v, 1.0, 1.0)),
+    "raman_coupling.alpha_anharm_hz": (
+        "alpha_anharm_hz", lambda v: qst.raman_coupling(0.5, 1.0, v, 1.0)),
+    "raman_coupling.delta_hz": ("delta_hz", lambda v: qst.raman_coupling(0.5, 1.0, 1.0, v)),
     "qubit_rotation.theta": ("theta", lambda v: gates.qubit_rotation(v, 0.3).matrix),
     "qubit_rotation.phi": ("phi", lambda v: gates.qubit_rotation(0.3, v).matrix),
     "cond_rotation.theta": ("theta", lambda v: gates.cond_rotation(1, v, 0.2, 3).matrix),
@@ -166,7 +180,9 @@ COMPLEX_SITES = {
     "coherent_amplitudes.alpha": ("alpha", lambda v: fock.coherent_amplitudes(v, 16)),
     "coherent_state.alpha": ("alpha", lambda v: fock.coherent_state(v, 16).amplitudes),
     "QstConfig.input_state": (
-        "input_state entry", lambda v: _qst_config(input_state=(0.0, v)).input_state),
+        "input_state", lambda v: _qst_config(input_state=(0.0, v)).input_state),
+    "relaxation_rate.matrix_element": (
+        "matrix_element", lambda v: device.relaxation_rate(v, 1.5)),
 }
 
 # array sites (`errors.require_array`): site -> (argument name in the message,
@@ -250,6 +266,8 @@ COUNT_SITES = {
         "occupation", lambda v: device.multimode_drive_freq(
             device.DeviceParams(**DEVICE), [(1, 2e5), (v, 1e5)])),
     "qubit_binary_decode.n_bits": ("n_bits", lambda v: gates.qubit_binary_decode(1, v)),
+    "on_off_ratio.samples": ("samples", lambda v: qst.on_off_ratio(
+        qst.matched_emit_rate(1.0), 0.5, (-3.0, 3.0), samples=v)),
 }
 
 THETA6 = np.linspace(0.0, 1.0, 6)
@@ -376,7 +394,12 @@ def test_number_site_accepts_numpy_scalars(site, value):
 def test_complex_site_refuses(site, value):
     # "1", True and 1.0 all built the α = 1 object; a list raised a raw TypeError
     name, call = COMPLEX_SITES[site]
-    with pytest.raises(UsageError, match=f"{name} must be a complex number"):
+    message = f"{name} must be a complex number"
+    if site == "QstConfig.input_state":  # the pair is read by the array rule
+        message = ("input_state must be 1-D of length 2, got ragged rows"
+                   if isinstance(value, list)
+                   else f"input_state entries must be numbers, got {re.escape(repr(value))}")
+    with pytest.raises(UsageError, match=message):
         call(value)
 
 
@@ -480,11 +503,13 @@ def _read_numbers_per_entry(doc, name, what):
 
 
 def _otoc_times_per_entry(times_s):
-    """The times otoc_series read with one require_real call per entry."""
-    times = [errors.require_real("times_s entry", t) for t in times_s]
-    for t in times:
-        if not math.isfinite(t):
-            raise NumericError(f"non-finite time {t}")
+    """The times otoc_series reads with the array rule, one entry at a time."""
+    for t in times_s:
+        if not errors.is_real(t):
+            raise UsageError(f"times_s entries must be real numbers, got {t!r}")
+    times = [float(t) for t in times_s]
+    if not all(map(math.isfinite, times)):
+        raise NumericError("non-finite entries in times_s")
     return times
 
 
@@ -514,13 +539,6 @@ def test_bulk_json_readers_match_per_entry_rule_beyond_the_float_range(entries):
     doc = {"xs": entries}
     assert _outcome(errors.read_numbers, doc, "xs", "cfg") \
         == _outcome(_read_numbers_per_entry, doc, "xs", "cfg")
-
-
-@pytest.mark.parametrize("entries", BULK_ENTRIES, ids=repr)
-def test_require_reals_matches_per_entry_rule(entries):
-    # the list rule of otoc_series times, PulseSchedule carriers and detuning_sweep
-    assert _outcome(errors.require_reals, "xs entry", entries) \
-        == _outcome(lambda: [errors.require_real("xs entry", v) for v in entries])
 
 
 @pytest.mark.parametrize("entries", BULK_ENTRIES, ids=repr)
@@ -784,12 +802,101 @@ def test_sampled_waveform_refuses_non_finite_start(t0):
 def test_non_finite_numbers_keep_their_error_class():
     with pytest.raises(NumericError, match="non-finite detuning"):
         _qst_config(delta_omega_hz=math.nan)
-    with pytest.raises(NumericError, match="non-finite carrier"):
+    with pytest.raises(NumericError, match="non-finite entries in carriers_hz"):
         pulse.PulseSchedule(1.0, (np.ones(2),), (math.inf,))
-    with pytest.raises(NumericError, match="non-finite detuning"):
+    with pytest.raises(NumericError, match="non-finite entries in delta_list"):
         qst.detuning_sweep(_matched_config(), [0.0, math.nan])
-    with pytest.raises(NumericError, match="non-finite time"):
+    with pytest.raises(NumericError, match="non-finite entries in times_s"):
         trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [0.0, math.nan])
+
+
+# calls that raised a raw TypeError, ValueError, OverflowError or numpy
+# error: site -> (the library error, the start of its message, the call)
+LIBRARY_ERROR_CALLS = {
+    "PulseSchedule.carriers_hz scalar": (
+        ShapeError, "carriers_hz must be 1-D of length 1, got ()",
+        lambda: pulse.PulseSchedule(1e-9, [np.zeros(3)], 0.0)),
+    "PulseSchedule.carriers_hz None": (
+        ShapeError, "carriers_hz must be 1-D of length 1, got ()",
+        lambda: pulse.PulseSchedule(1e-9, [np.zeros(3)], None)),
+    "detuning_sweep.delta_list scalar": (
+        ShapeError, "delta_list must be 1-D, got ()",
+        lambda: qst.detuning_sweep(_matched_config(), 5.0)),
+    "detuning_sweep.delta_list None": (
+        ShapeError, "delta_list must be 1-D, got ()",
+        lambda: qst.detuning_sweep(_matched_config(), None)),
+    "QstConfig.t_span_s scalar": (
+        ShapeError, "t_span_s must be 1-D of length 2, got ()", lambda: _qst_config(t_span_s=5.0)),
+    "QstConfig.input_state scalar": (
+        ShapeError, "input_state must be 1-D of length 2, got ()",
+        lambda: _qst_config(input_state=1.0)),
+    # the third entry was dropped unread
+    "QstConfig.t_span_s length 3": (
+        ShapeError, "t_span_s must be 1-D of length 2, got length 3",
+        lambda: _qst_config(t_span_s=(-4.0, 4.0, 8.0))),
+    "QstConfig.input_state length 3": (
+        ShapeError, "input_state must be 1-D of length 2, got length 3",
+        lambda: _qst_config(input_state=(1.0, 0.0, 0.0))),
+    "dephasing_rate overflow": (
+        NumericError, "dephasing_rate is not finite", lambda: device.dephasing_rate(1e300, 1e300)),
+    "relaxation_rate overflow": (
+        NumericError, "relaxation_rate is not finite",
+        lambda: device.relaxation_rate(1e300, 1e300)),
+    **{f"multimode_drive_freq {entries!r}": (
+        UsageError, "occupations_and_shifts must be a sequence of (n_k, chi_k_hz) pairs",
+        lambda entries=entries: device.multimode_drive_freq(device.DeviceParams(**DEVICE),
+                                                            entries))
+       for entries in ([1], None, [(1, 2e5, 3)])},
+    "coherent_overlap overflow": (
+        NumericError, "coherent_overlap is not finite", lambda: codes.coherent_overlap(1e200, 1e200)),
+    "coherent_overlap inf": (
+        NumericError, "coherent_overlap is not finite",
+        lambda: codes.coherent_overlap(math.inf, 0.5)),
+    "on_off_ratio.t_span_s": (
+        UsageError, "t_span_s entries must be real numbers, got 'a'",
+        lambda: qst.on_off_ratio(qst.matched_emit_rate(1.0), 0.5, ("a", "b"))),
+    "on_off_ratio.samples 0": (
+        UsageError, "samples must be a positive integer, got 0",
+        lambda: qst.on_off_ratio(qst.matched_emit_rate(1.0), 0.5, (-3.0, 3.0), samples=0)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site", LIBRARY_ERROR_CALLS)
+def test_call_raises_a_library_error(site):
+    error, message, call = LIBRARY_ERROR_CALLS[site]
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, (t for t in [0.0, 0.5])),
+    lambda: qst.detuning_sweep(_matched_config(), (d for d in [0.0, 0.1])),
+], ids=["otoc_series.times_s", "detuning_sweep.delta_list"])
+def test_generator_where_a_list_is_read_is_a_shape_error(call):
+    # list() once read a generator; the array rule reads sequences and arrays
+    with pytest.raises(ShapeError, match=r"must be 1-D, got \(\)$"):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sech_pitch_far_tail_is_zero_without_a_warning():
+    # the product kappa*t overflowed with a RuntimeWarning
+    assert qst.sech_pitch(1e300, 1e10) == 0.0
+    np.testing.assert_array_equal(qst.sech_pitch(1e300, np.array([1e10, -1e10])), [0.0, 0.0])
+
+
+def test_results_are_python_numbers_whatever_numpy_scalar_went_in():
+    params = device.DeviceParams(**DEVICE)
+    channel = noise.photon_loss_channel(1.0, 1e-4, 3)
+    assert type(qst.on_off_ratio([1.0, 3.0], np.float32(3))) is float
+    assert type(noise.NoiseChannel(channel.shape, channel.kraus, np.float32(1e-4)).dt_s) is float
+    assert type(noise.dephasing_channel(np.float32(2), np.float32(1e-4), 3).dt_s) is float
+    trajectory = noise.apply_channel_trajectory(channel, basis_state(3, 2), 2, np.int64(5))
+    assert type(trajectory.seed) is int
+    assert type(device.fock_t1(params, np.int64(2))) is float
+    assert type(device.stark_shifted_freq(params, np.int64(2))) is float
+    assert type(device.multimode_drive_freq(params, [(1, np.float32(2e5))])) is float
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -864,7 +971,6 @@ def test_bulk_rule_tests_one_entry_per_type():
     assert errors.are_reals([*phases, 1, 2.5, np.int64(4)], test)
     assert sorted(type(call.args[0]).__name__ for call in test.call_args_list) == [
         "float", "float64", "int", "int64"]
-    assert errors.require_reals("x", phases) == [float(v) for v in phases]
 
 
 @pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", None, 1j], ids=repr)
@@ -874,31 +980,33 @@ def test_bulk_rule_still_refuses_one_bad_entry(bad):
     with pytest.raises(UsageError,
                        match=f"snap theta entries must be real numbers, got {re.escape(repr(bad))}"):
         gates.snap(entries)
-    with pytest.raises(UsageError, match=f"x must be a real number, got {re.escape(repr(bad))}"):
-        errors.require_reals("x", entries)
     with pytest.raises(errors.ParseError, match="field 'xs' must be a list of numbers"):
         errors.read_numbers({"xs": entries}, "xs", "cfg")
 
 
-# a number too large for a float at a real site: NumericError naming the argument
+# a number too large for a float at a real site: NumericError naming the
+# argument, "is too large" for a number and "holds a number too large" for
+# an array of them
 HUGE_INT_SITES = {
-    "require_real": ("x", lambda v: errors.require_real("x", v)),
-    "require_reals": ("x", lambda v: errors.require_reals("x", [0.5, v])),
-    "DeviceParams.g_hz": ("g_hz", lambda v: device.DeviceParams(**dict(DEVICE, g_hz=v))),
-    "PulseSchedule.dt_s": ("dt_s", lambda v: pulse.PulseSchedule(v, (np.ones(3),), (0.0,))),
+    "require_real": ("x is", lambda v: errors.require_real("x", v)),
+    "require_array": ("x holds a number", lambda v: errors.require_array("x", [0.5, v], (None,),
+                                                                           float)),
+    "DeviceParams.g_hz": ("g_hz is", lambda v: device.DeviceParams(**dict(DEVICE, g_hz=v))),
+    "PulseSchedule.dt_s": ("dt_s is", lambda v: pulse.PulseSchedule(v, (np.ones(3),), (0.0,))),
     "PulseSchedule.carriers_hz": (
-        "carriers_hz entry", lambda v: pulse.PulseSchedule(1e-9, (np.ones(2),), (v,))),
-    "otoc_series.times_s": (
-        "times_s entry", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [v])),
+        "carriers_hz holds a number", lambda v: pulse.PulseSchedule(1e-9, (np.ones(2),), (v,))),
+    "otoc_series.times_s": ("times_s holds a number", lambda v: trotter.otoc_series(
+        np.eye(3), np.eye(3), HAMILTONIAN, [v])),
     "trotter_convergence.t_total_s": (
-        "t_total_s", lambda v: trotter.trotter_convergence(HAMILTONIAN, v, [3])),
-    "evolve_trotter.t_total_s": ("t_total_s", lambda v: trotter.evolve_trotter(HAMILTONIAN, v, 3)),
+        "t_total_s is", lambda v: trotter.trotter_convergence(HAMILTONIAN, v, [3])),
+    "evolve_trotter.t_total_s": (
+        "t_total_s is", lambda v: trotter.evolve_trotter(HAMILTONIAN, v, 3)),
     # complex sites: complex() raised the OverflowError
-    "require_complex": ("x", lambda v: errors.require_complex("x", v)),
-    "coherent_state.alpha": ("alpha", lambda v: fock.coherent_state(v, 4)),
-    "cat_state.alpha": ("alpha", lambda v: codes.cat_state(v, "+", 4)),
-    "displacement.alpha": ("alpha", lambda v: gates.displacement(v, 4)),
-    "ecd.beta": ("beta", lambda v: gates.ecd(v, 4)),
+    "require_complex": ("x is", lambda v: errors.require_complex("x", v)),
+    "coherent_state.alpha": ("alpha is", lambda v: fock.coherent_state(v, 4)),
+    "cat_state.alpha": ("alpha is", lambda v: codes.cat_state(v, "+", 4)),
+    "displacement.alpha": ("alpha is", lambda v: gates.displacement(v, 4)),
+    "ecd.beta": ("beta is", lambda v: gates.ecd(v, 4)),
 }
 
 
@@ -907,8 +1015,8 @@ HUGE_INT_SITES = {
 @pytest.mark.parametrize("site", HUGE_INT_SITES)
 def test_number_too_large_for_a_float_is_a_numeric_error(site, value):
     # float() raised a raw OverflowError
-    name, call = HUGE_INT_SITES[site]
-    with pytest.raises(NumericError, match=f"^{name} is too large for a float$"):
+    subject, call = HUGE_INT_SITES[site]
+    with pytest.raises(NumericError, match=f"^{subject} too large for a float$"):
         call(value)
 
 
@@ -1134,6 +1242,26 @@ def _phase_rules(path, numeric):
             yield node.lineno, f"binds the phase limit {name}"
         if isinstance(getattr(node, "ctx", None), ast.Load) and name == "MAX_PHASE_RAD":
             yield node.lineno, "reads MAX_PHASE_RAD"
+
+
+# the rules that return the value they check; require_capacity and
+# require_phase return None
+VALUE_RULES = {"require_real", "require_finite", "require_positive", "require_count",
+               "require_index", "require_complex", "require_array", "shape_of"}
+
+
+def test_rule_results_are_kept():
+    # a statement that calls a rule and drops its value goes on with the raw
+    # argument: a numpy float32 step built a channel's Kraus operators in float32
+    dropped = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in VALUE_RULES:
+                    dropped.append(f"{path.name}:{node.lineno}: {name}")
+    assert dropped == []
 
 
 @pytest.mark.parametrize("streams", [5, None, 1.0, "ab", {0: [1.0]}, np.array(1.0)], ids=repr)

@@ -750,11 +750,12 @@ def test_channel_constructors_share_the_step_check(make, dt):
 
 
 def test_dephasing_zero_rate_infinite_step_names_the_step():
+    # a first-order channel once let inf through to its StepSizeError
     with pytest.raises(UsageError, match="dt_s must be positive and finite"):
         noise.dephasing_channel(0.0, math.inf, 4)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(UsageError, match="dt_s must be positive and finite"):
         noise.dephasing_channel(1.0, math.inf, 4)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(UsageError, match="dt_s must be positive and finite"):
         noise.photon_loss_channel(1.0, math.inf, 4)
 
 
@@ -787,14 +788,28 @@ def test_infinite_lifetime_is_no_loss():
     assert np.array_equal(noise.apply_channel(channel, rho), rho)
 
 
+# each constructor's two reals, as floats and as integers it takes (a
+# non-zero integer dephasing pair fails the first-order step check)
+_FLOAT_REALS = (2.0, 1.1 * 2**-16)
+_INT_REALS = {"photon_loss_channel": (2**17, 3), "amplitude_damping_channel": (2**17, 3),
+              "dephasing_channel": (0, 3)}
+
+
 @pytest.mark.parametrize("name", sorted(_CHANNEL_REALS))
 @pytest.mark.parametrize("convert", [np.float64, np.float32, np.int64, np.int32])
 def test_channel_constructors_take_numpy_reals(name, convert):
+    # both reals are read as Python floats: a float32 dephasing pair built
+    # its Kraus operators in float32, 6.6e-10 from the float build
     build = getattr(noise, name)
-    expected = build(2.0, 2.0**-16, 4)
-    channel = build(convert(2), np.float64(2.0**-16), 4)
-    for k, k_expected in zip(channel.kraus, expected.kraus, strict=True):
-        assert np.array_equal(k.matrix, k_expected.matrix)
+    floating = np.issubdtype(convert, np.floating)
+    pairs = [(convert(2), np.float64(2.0**-16)),
+             tuple(convert(v) for v in (_FLOAT_REALS if floating else _INT_REALS[name]))]
+    for reals in pairs:
+        expected = build(*map(float, reals), 4)
+        channel = build(*reals, 4)
+        for k, k_expected in zip(channel.kraus, expected.kraus, strict=True):
+            assert np.array_equal(k.matrix, k_expected.matrix)
+        assert type(channel.dt_s) is float and channel.dt_s == expected.dt_s
 
 
 # ---------------------------------------------------------------------------
