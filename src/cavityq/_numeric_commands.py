@@ -123,8 +123,7 @@ def _grape_target(spec: dict, shape: fock.HilbertShape) -> fock.Operator:
         return fock.Operator(shape, np.array([[0, 1], [1, 0]], dtype=complex))
     if kind == "snap":
         with parse_errors("grape target"):
-            theta = gates._snap_phases(f["theta"], dim, "snap theta")
-        return fock.Operator(shape, gates.snap(theta).matrix)
+            return gates.multisnap(f["theta"], shape)
     return fock.Operator(shape, _matrix(f, dim, "grape target"))
 
 
@@ -221,12 +220,9 @@ def _otoc_operator(spec: dict, name: str, n: int):
     kind, f = read_kind(spec, what, {"fourier": ({}, {}), **_OPERATORS})
     if kind == "matrix":
         return _matrix(f, n, what)
-    params = {"target": 0}
-    if kind == "snap":
-        with parse_errors(what):
-            gates._snap_phases(f["theta"], n, "snap theta")
-        params["theta"] = f["theta"]
-    return gates.Circuit(fock.HilbertShape((n,)), (gates.GateSpec(kind, params),))
+    params = {"target": 0, **({"theta": f["theta"]} if kind == "snap" else {})}
+    with parse_errors(what):
+        return gates.Circuit(fock.HilbertShape((n,)), (gates.GateSpec(kind, params),))
 
 
 def cmd_otoc(args, text: str) -> _Computation:

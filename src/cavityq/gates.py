@@ -8,15 +8,16 @@ D(α) = exp(α a† − α* a); circuits record which convention their alphas
 use via the "displacement_convention" field, and the legacy "paper"
 spelling (exp(α a − α* a†)) is mapped by negating α at build time.
 
-`GATE_BUILDERS` declares each gate kind once: its fields and their
-checks, and its structured kernel, the kind's one definition; no kernel
-forms an operator bigger than 2×2. Circuits run the kernels, and the
-public constructors and `GateSpec.build` run them on the identity
-(`_gate`). Circuit compilation, `GateSpec.build` and `circuit_from_json`
-read that entry, and `errors.read_object` checks its field list as it
-does every config's.
-Every SNAP phase list is read by `errors.require_array`, and on n levels
-by `_snap_phases`, the one count and phase rule: any count but n raises
+`GATE_BUILDERS` declares each gate kind once: its fields and its
+structured kernel, the kind's one definition; no kernel forms an operator
+bigger than 2×2. A `Circuit` compiles its gates when it is made, and the
+public constructors and `GateSpec.build` run the kernels on the identity
+(`_gate`); `errors.read_object` checks a gate's field list as it does
+every config's. Each field is read once, by the rule its kernel applies
+to the constructor's argument, so a GateSpec takes what the constructor
+takes, numpy scalars included.
+Every SNAP phase list is read once, by `_snap_phases`, the one count and
+phase rule: `errors.require_array`, then any count but n raises
 ShapeError, and a max|θ| above `errors.MAX_PHASE_RAD` NumericError.
 Every D(α) comes from `_displacement_factors`, its one builder and phase rule.
 """
@@ -57,11 +58,8 @@ MAX_DISPLACEMENT_LEVELS = 2048
 
 def snap(theta: Sequence[float]) -> Operator:
     """SNAP gate diag(e^{iθ_0}, ..., e^{iθ_{N-1}}) on one mode."""
-    theta = require_array("snap theta", theta, (None,), float)
-    if theta.size < 1:
-        raise UsageError("snap needs a non-empty 1-D phase list")
-    return _gate("snap", (_snap_phases(theta, theta.size, "snap theta"),),
-                 HilbertShape((theta.size,)))
+    theta = _snap_phases(theta, None, "snap theta")
+    return _gate("snap", (theta,), HilbertShape((theta.size,)))
 
 
 def multisnap(theta: Sequence[float], dims: Sequence[int]) -> Operator:
@@ -200,8 +198,6 @@ def _two_levels(kind: str, m: int, n: int, dim: int) -> tuple[int, int]:
 def fourier(dim: int, inverse: bool = False) -> Operator:
     """Z_N Fourier gate F_{jk} = e^{2πi jk/N}/√N, or F† for inverse."""
     shape = shape_of((dim,))
-    if not isinstance(inverse, (bool, np.bool_)):
-        raise UsageError(f"inverse must be a boolean, got {inverse!r}")
     return _gate("fourier", (shape.total_dim, inverse), shape)
 
 
@@ -209,13 +205,14 @@ def ecd(beta: complex, mode_dim: int, convention: str = "standard") -> Operator:
     """Echoed conditional displacement on shape (qubit, mode):
     |e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2). At β=0 this is X ⊗ I."""
     shape = shape_of((2, mode_dim))
-    beta = require_complex("beta", beta)
     return _gate("ecd", (beta, shape.dims[1], convention), shape)
 
 
 def qubit_binary_encode(bits: str | Sequence[int]) -> int:
     """Map a qubit-register bit pattern to the qudit level holding it,
     big-endian: '1111' → 15."""
+    if not isinstance(bits, (str, list, tuple)):
+        raise UsageError(f"bits must be a str, list or tuple, got {bits!r}")
     seq = list(bits)
     if not seq:
         raise UsageError("empty bit pattern")
@@ -241,6 +238,8 @@ def qubit_binary_decode(level: int, n_bits: int) -> str:
 def _check_targets(op: Operator, targets: Sequence[int], dims: tuple[int, ...]) -> list[int]:
     """targets as a list, or raise unless they are distinct subsystems of a
     register of dims whose dims, in order, are op's."""
+    if not isinstance(targets, (list, tuple)):
+        raise UsageError(f"targets must be a list or tuple, got {targets!r}")
     targets = [require_index("target", t, len(dims)) for t in targets]
     if len(set(targets)) != len(targets):
         raise UsageError(f"duplicate targets {targets}")
@@ -305,7 +304,8 @@ def _apply_tensor(u: np.ndarray, targets: list[int], tens: np.ndarray) -> np.nda
 # circuits: one table entry per gate kind
 
 # a field rule: (value, "<kind> gate field '<name>'", register shape) ->
-# the checked value, or UsageError
+# the checked value, or UsageError; only a field that needs the register
+# shape, or a JSON decoding, has one
 _Rule = Callable[[Any, str, HilbertShape], Any]
 # a compiled gate: register tensor (one axis per subsystem, after any
 # leading stack axes) in, tensor out. Kernels address the register axes
@@ -315,26 +315,23 @@ _Kernel = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class _GateKind:
-    """One gate kind. required and optional map its fields to their rules.
-    parse maps (register dims, convention, **checked fields) to (args,
-    targets): the kernel's arguments and the targets in its subsystem
-    order; an absent optional field takes parse's default. kernel maps
-    (args, targets, register dims) to the compiled gate, the kind's one
-    definition: circuits run it, and the public constructor and
-    `GateSpec.build` run it on the identity (`_gate`)."""
+    """One gate kind. required and optional map its fields to their rules,
+    or to None for a field that its kernel reads, as it reads the public
+    constructor's argument. parse maps (register dims, convention,
+    **fields) to (args, targets): the kernel's arguments and the targets
+    in its subsystem order; an absent optional field takes parse's
+    default. kernel maps (args, targets, register dims) to the compiled
+    gate, the kind's one definition: circuits run it, and the public
+    constructor and `GateSpec.build` run it on the identity (`_gate`)."""
 
-    required: Mapping[str, _Rule]
+    required: Mapping[str, _Rule | None]
     parse: Callable[..., tuple[tuple, list[int]]]
     kernel: Callable[[tuple, list[int], tuple[int, ...]], _Kernel]
-    optional: Mapping[str, _Rule] = field(default_factory=dict)
+    optional: Mapping[str, _Rule | None] = field(default_factory=dict)
 
 
 def _subsystem(value, what: str, shape: HilbertShape) -> int:
-    if not is_json_int(value):
-        raise UsageError(f"{what} must be an integer index")
-    if not 0 <= value < shape.n_subsystems:
-        raise UsageError(f"{what}={value} outside [0, {shape.n_subsystems})")
-    return value
+    return require_index(what, value, shape.n_subsystems)
 
 
 def _qubit(value, what: str, shape: HilbertShape) -> int:
@@ -350,56 +347,38 @@ def _subsystems(value, what: str, shape: HilbertShape) -> list[int]:
     return [_subsystem(t, what, shape) for t in value]
 
 
-def _typed(test: Callable[[Any], bool], must: str, convert=None) -> _Rule:
-    """The rule that takes a value passing test, as convert(value) if given."""
-    def rule(value, what: str, shape: HilbertShape):
-        if not test(value):
-            raise UsageError(f"{what} must be {must}")
-        return convert(value) if convert else value
-    return rule
-
-
-_integer = _typed(is_json_int, "an integer")
-_real = _typed(is_json_number, "a number", float)
-_flag = _typed(lambda value: isinstance(value, bool), "a boolean")
-
-
-def _real_list(value, what: str, shape: HilbertShape) -> np.ndarray:
-    return require_array(what, value, (None,), float)
-
-
-def _amplitude(value, what: str, shape: HilbertShape) -> complex:
-    if is_json_number(value):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(is_json_number(v) for v in value)
-    ):
+def _amplitude(value, what: str, shape: HilbertShape):
+    """A JSON [re, im] pair of numbers as a complex; any other value as
+    given, for the kernel's `require_complex`."""
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_json_number, value)):
         return complex(value[0], value[1])
-    raise UsageError(f"{what} must be a number or [re, im] pair")
+    return value
 
 
-def _snap_phases(theta, n: int, what: str = "theta") -> np.ndarray:
-    """The phases of a SNAP on n levels, read by `require_array`: the one
-    count and phase rule of every SNAP reader. Any count but n raises
-    ShapeError, and a max|theta| that fails `require_phase` NumericError."""
+def _snap_phases(theta, n: int | None, what: str = "theta") -> np.ndarray:
+    """The phases of a SNAP on n levels (any positive count for None), read
+    by `require_array`: the one count and phase rule of every SNAP reader.
+    Any count but n raises ShapeError, none at all UsageError, and a
+    max|theta| that fails `require_phase` NumericError."""
     phases = require_array(what, theta, (None,), float)
-    if phases.size != n:
+    if n is None and not phases.size:
+        raise UsageError("snap needs a non-empty 1-D phase list")
+    if n is not None and phases.size != n:
         raise ShapeError(f"snap needs {n} phases, got {phases.size}")
     require_phase(what, float(np.abs(phases).max(initial=0.0)), "SNAP phase max|theta|")
     return phases
 
 
 def _snap_args(dims, convention, target, theta):
-    return (_snap_phases(theta, dims[target]),), [target]
+    return (_snap_phases(theta, dims[target], "snap gate field 'theta'"),), [target]
 
 
 def _multisnap_args(dims, convention, targets, theta):
     if len(set(targets)) != len(targets):
         raise UsageError("multisnap targets must be distinct")
     sub_dims = tuple(dims[t] for t in targets)
-    return (_snap_phases(theta, math.prod(sub_dims)), sub_dims), targets
+    phases = _snap_phases(theta, math.prod(sub_dims), "multisnap gate field 'theta'")
+    return (phases, sub_dims), targets
 
 
 def _qubit_and_mode(kind: str, qubit: int, mode: int) -> list[int]:
@@ -457,7 +436,9 @@ def _ortho_fft(x: np.ndarray, inverse: bool, axis: int = -1,
 
 def _fourier_kernel(args, targets, dims) -> _Kernel:
     """An orthonormal FFT along the target axis: ifft is
-    F_jk = e^{2πijk/N}/√N, fft its inverse."""
+    F_jk = e^{2πijk/N}/√N, fft its inverse; the flag a (numpy) bool."""
+    if not isinstance(args[1], (bool, np.bool_)):
+        raise UsageError(f"inverse must be a boolean, got {args[1]!r}")
     axis, inverse = targets[0] - len(dims), not args[1]
     return lambda tens: _ortho_fft(tens, inverse, axis)
 
@@ -477,8 +458,9 @@ def _displacement_kernel(args, targets, dims) -> _Kernel:
 
 def _ecd_kernel(args, targets, dims) -> _Kernel:
     """|e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2): displace the |g⟩ and |e⟩
-    slices of the mode axis, then swap them."""
+    slices of the mode axis, then swap them; β read before it is halved."""
     beta, n, convention = args
+    beta = require_complex("beta", beta)
     qubit, mode = (t - len(dims) for t in targets)
     d_plus = _displacement_map(beta / 2, n, convention, "beta")
     d_minus = _displacement_map(-beta / 2, n, convention, "beta")
@@ -539,8 +521,8 @@ def _increment_kernel(args, targets, dims) -> _Kernel:
 
 
 GATE_BUILDERS: dict[str, _GateKind] = {
-    "snap": _GateKind({"target": _subsystem, "theta": _real_list}, _snap_args, _phase_kernel),
-    "multisnap": _GateKind({"targets": _subsystems, "theta": _real_list},
+    "snap": _GateKind({"target": _subsystem, "theta": None}, _snap_args, _phase_kernel),
+    "multisnap": _GateKind({"targets": _subsystems, "theta": None},
                            _multisnap_args, _phase_kernel),
     "displacement": _GateKind(
         {"target": _subsystem, "alpha": _amplitude},
@@ -548,11 +530,10 @@ GATE_BUILDERS: dict[str, _GateKind] = {
             (alpha, dims[target], convention), [target]),
         _displacement_kernel),
     "cond_rotation": _GateKind(
-        {"qubit": _qubit, "mode": _subsystem, "n": _integer,
-         "theta": _real, "phi": _real},
+        {"qubit": _qubit, "mode": _subsystem, "n": None, "theta": None, "phi": None},
         _cond_rotation_args, _cond_rotation_kernel),
     "qubit_rotation": _GateKind(
-        {"target": _qubit, "theta": _real, "phi": _real},
+        {"target": _qubit, "theta": None, "phi": None},
         lambda dims, convention, target, theta, phi: ((theta, phi), [target]),
         lambda args, targets, dims: _two_level(_rotation(*args), targets[0] - len(dims),
                                                (0, 1))),
@@ -560,12 +541,12 @@ GATE_BUILDERS: dict[str, _GateKind] = {
         {"control": _subsystem, "target": _subsystem},
         _controlled_increment_args, _increment_kernel),
     "givens": _GateKind(
-        {"target": _subsystem, "m": _integer, "n": _integer, "theta": _real},
+        {"target": _subsystem, "m": None, "n": None, "theta": None},
         lambda dims, convention, target, m, n, theta: (
             (m, n, theta, dims[target]), [target]),
         _givens_kernel),
     "phase_swap": _GateKind(
-        {"target": _subsystem, "m": _integer, "n": _integer},
+        {"target": _subsystem, "m": None, "n": None},
         lambda dims, convention, target, m, n: ((m, n, dims[target]), [target]),
         lambda args, targets, dims: _two_level(np.array([[0, 1], [1, 0]]), targets[0] - len(dims),
                                                _two_levels("phase_swap", *args))),
@@ -573,7 +554,7 @@ GATE_BUILDERS: dict[str, _GateKind] = {
         {"target": _subsystem},
         lambda dims, convention, target, inverse=False: (
             (dims[target], inverse), [target]),
-        _fourier_kernel, optional={"inverse": _flag}),
+        _fourier_kernel, optional={"inverse": None}),
     "ecd": _GateKind({"qubit": _qubit, "mode": _subsystem, "beta": _amplitude},
                      _ecd_args, _ecd_kernel),
 }
@@ -604,10 +585,14 @@ class GateSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, Mapping):
+            raise UsageError(f"gate params must be a mapping, got {self.params!r}")
         object.__setattr__(self, "params", dict(self.params))
 
-    def build(self, shape: HilbertShape, convention: str = "standard") -> tuple[Operator, list[int]]:
+    def build(self, shape: int | Sequence[int] | HilbertShape,
+              convention: str = "standard") -> tuple[Operator, list[int]]:
         """The gate on its targets alone, in their order, and the targets."""
+        shape = shape_of(shape)
         _, args, targets = _parse(self, shape, convention)
         return _gate(self.kind, args, HilbertShape(tuple(shape.dims[t] for t in targets))), targets
 
@@ -620,10 +605,11 @@ class GateSpec:
 def _parse(spec: GateSpec, shape: HilbertShape,
            convention: str) -> tuple[_GateKind, tuple, list[int]]:
     """The table entry of spec's kind, the arguments of its kernel on the
-    register and its targets. An unknown kind, a
-    missing or unlisted field, a field its rule rejects or a bad
-    combination of fields raises UsageError."""
-    gate = GATE_BUILDERS.get(spec.kind)
+    register and its targets. An unknown kind, a missing or unlisted
+    field, a field that its rule or its kernel's rejects, or a bad
+    combination of fields raises UsageError (NumericError for a value
+    out of a float's or a phase's range)."""
+    gate = GATE_BUILDERS.get(spec.kind) if isinstance(spec.kind, str) else None
     if gate is None:
         raise UsageError(f"unknown gate kind {spec.kind!r}")
     what = f"{spec.kind} gate"
@@ -631,52 +617,44 @@ def _parse(spec: GateSpec, shape: HilbertShape,
         params = read_object(spec.params, what, gate.required, gate.optional)
     except ParseError as exc:
         raise UsageError(str(exc)) from exc
-    fields = {name: rule(params[name], f"{what} field {name!r}", shape)
+    fields = {name: rule(params[name], f"{what} field {name!r}", shape) if rule else params[name]
               for name, rule in {**gate.required, **gate.optional}.items()
               if name in params}
     args, targets = gate.parse(shape.dims, convention, **fields)
     return gate, args, targets
 
 
-def _compile(spec: GateSpec, shape: HilbertShape, convention: str) -> _Kernel:
-    """Build one gate for the register once: its kind's structured kernel."""
-    gate, args, targets = _parse(spec, shape, convention)
-    return gate.kernel(args, targets, shape.dims)
-
-
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on a fixed register shape. The gates are
-    compiled for the register on first use and kept."""
+    """An ordered gate list on a fixed register shape, compiled when it is
+    made. A gate's error reads "gate <i>: ..." and carries i as `.gate`."""
 
     shape: HilbertShape
     gates: tuple[GateSpec, ...]
     displacement_convention: str = "standard"
-    _kernels: tuple[_Kernel, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _kernels: tuple[_Kernel, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", shape_of(self.shape))
+        if not isinstance(self.gates, (list, tuple)):
+            raise UsageError(f"gates must be a list or tuple of GateSpec, got {self.gates!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.displacement_convention not in CONVENTIONS:
             raise UsageError(
                 f"unknown displacement convention {self.displacement_convention!r}"
             )
-
-    def _compiled(self) -> tuple[_Kernel, ...]:
-        """The compiled gates, in order. Errors carry the gate index."""
-        if self._kernels is None:
-            kernels = []
-            for i, spec in enumerate(self.gates):
-                try:
-                    kernels.append(
-                        _compile(spec, self.shape, self.displacement_convention)
-                    )
-                except (UsageError, NumericError) as exc:
-                    raise type(exc)(f"gate {i} ({spec.kind}): {exc}") from exc
-            object.__setattr__(self, "_kernels", tuple(kernels))
-        return self._kernels
+        kernels = []
+        for i, spec in enumerate(self.gates):
+            try:
+                if not isinstance(spec, GateSpec):
+                    raise UsageError(f"not a GateSpec: {spec!r}")
+                gate, args, targets = _parse(spec, self.shape, self.displacement_convention)
+                kernels.append(gate.kernel(args, targets, self.shape.dims))
+            except (UsageError, NumericError) as exc:
+                error = type(exc)(f"gate {i}: {exc}")
+                error.gate = i
+                raise error from exc
+        object.__setattr__(self, "_kernels", tuple(kernels))
 
     def to_json(self) -> str:
         doc = {
@@ -720,38 +698,33 @@ def circuit_from_json(text: str) -> Circuit:
     except Exception as exc:
         raise ParseError(f"circuit shape invalid: {exc}") from exc
 
-    specs, kernels = [], []
+    specs = []
     for i, entry in enumerate(f["gates"]):
         if not isinstance(entry, dict):
             raise ParseError(f"gate {i}: entries must be objects")
         kind = entry.get("kind")
-        try:
-            if not isinstance(kind, str):
-                raise UsageError("missing string 'kind'")
-            spec = GateSpec(kind, {k: v for k, v in entry.items() if k != "kind"})
-            gate, args, targets = _parse(spec, shape, convention)  # validates
-            kernels.append(gate.kernel(args, targets, shape.dims))
-        except (UsageError, NumericError) as exc:
+        if not isinstance(kind, str):
             # every earlier entry holds a "kind", so the i-th "kind" in the
             # text is this entry's own, if it has one
             loc = _kind_location(text, i) if "kind" in entry else ""
-            raise ParseError(f"gate {i}: {exc}{loc}") from exc
-        specs.append(spec)
-    circuit = Circuit(shape, tuple(specs), convention)
-    object.__setattr__(circuit, "_kernels", tuple(kernels))
-    return circuit
+            raise ParseError(f"gate {i}: missing string 'kind'{loc}")
+        specs.append(GateSpec(kind, {k: v for k, v in entry.items() if k != "kind"}))
+    try:
+        return Circuit(shape, tuple(specs), convention)
+    except (UsageError, NumericError) as exc:
+        raise ParseError(f"{exc}{_kind_location(text, exc.gate)}") from exc
 
 
 def _run(circuit: Circuit, tens: np.ndarray) -> np.ndarray:
     """The compiled gates, left to right, on a register tensor, or on a
     stack of them along leading axes, each as if run alone (not in place)."""
-    for kernel in circuit._compiled():
+    for kernel in circuit._kernels:
         tens = kernel(tens)
     return tens
 
 
 def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
-    """Run the compiled gates left to right. Errors carry the gate index."""
+    """Run the compiled gates left to right."""
     if psi.shape != circuit.shape:
         raise ShapeError(
             f"state on dims {psi.shape.dims} does not match circuit shape "

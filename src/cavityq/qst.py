@@ -61,6 +61,16 @@ MAX_RK4_STEPS = 10**6
 _CHUNK_STEPS = 2048
 
 
+def _real_or_reals(name: str, value):
+    """value read by its rule: an ndarray by `require_array` at its own
+    shape, a list or tuple 1-D, and any other value as one real by
+    `require_finite`, returned as a numpy float so that the caller's
+    arithmetic overflows as numpy's does."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return require_array(name, value, getattr(value, "shape", (None,)), float)
+    return np.float64(require_finite(name, value))
+
+
 def sech_pitch(kappa_hz: float, t_s) -> np.ndarray | float:
     """Sech coupling/photon envelope kappa / (2 cosh(kappa t / 2)).
 
@@ -69,10 +79,10 @@ def sech_pitch(kappa_hz: float, t_s) -> np.ndarray | float:
     sech_pitch(kappa, t)^2 / kappa.
     """
     kappa_hz = require_positive("kappa_hz", kappa_hz)
-    t = np.asarray(t_s, dtype=float)
+    t = _real_or_reals("t_s", t_s)
     with np.errstate(over="ignore"):  # cosh overflows to inf where the envelope is 0
         out = kappa_hz / (2.0 * np.cosh(kappa_hz * t / 2.0))
-    return float(out) if np.isscalar(t_s) else out
+    return float(out) if isinstance(t, np.float64) else out
 
 
 def matched_emit_rate(kappa_hz: float) -> Callable[[float], float]:
@@ -99,7 +109,8 @@ def matched_catch_rate(kappa_hz: float) -> Callable[[float], float]:
 def raman_coupling(omega_drive_hz, g_hz: float, alpha_anharm_hz: float,
                    delta_hz: float):
     """Effective sideband coupling g*Omega*alpha / (sqrt(2) Delta (Delta+alpha)),
-    pointwise in the drive envelope Omega."""
+    pointwise in the drive envelope Omega; NumericError naming it where it
+    is not finite."""
     g_hz = require_real("g_hz", g_hz)
     alpha_anharm_hz = require_real("alpha_anharm_hz", alpha_anharm_hz)
     delta_hz = require_real("delta_hz", delta_hz)
@@ -109,10 +120,13 @@ def raman_coupling(omega_drive_hz, g_hz: float, alpha_anharm_hz: float,
         raise DegenerateDetuningError(
             "Delta + alpha hits the two-photon resonance (zero denominator)"
         )
-    omega = np.asarray(omega_drive_hz, dtype=float)
-    out = (g_hz * omega * alpha_anharm_hz
-           / (math.sqrt(2.0) * delta_hz * (delta_hz + alpha_anharm_hz)))
-    return float(out) if np.isscalar(omega_drive_hz) else out
+    omega = _real_or_reals("omega_drive_hz", omega_drive_hz)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        out = (g_hz * omega * alpha_anharm_hz
+               / (math.sqrt(2.0) * delta_hz * (delta_hz + alpha_anharm_hz)))
+    if not np.isfinite(out).all():
+        raise NumericError("raman_coupling is not finite")
+    return float(out) if isinstance(omega, np.float64) else out
 
 
 @dataclass(frozen=True, eq=False)

@@ -149,6 +149,9 @@ NUMBER_SITES = {
     "raman_coupling.alpha_anharm_hz": (
         "alpha_anharm_hz", lambda v: qst.raman_coupling(0.5, 1.0, v, 1.0)),
     "raman_coupling.delta_hz": ("delta_hz", lambda v: qst.raman_coupling(0.5, 1.0, 1.0, v)),
+    "raman_coupling.omega_drive_hz": (
+        "omega_drive_hz", lambda v: qst.raman_coupling(v, 1.0, 1.0, 1.0)),
+    "sech_pitch.t_s": ("t_s", lambda v: qst.sech_pitch(1.0, v)),
     "qubit_rotation.theta": ("theta", lambda v: gates.qubit_rotation(v, 0.3).matrix),
     "qubit_rotation.phi": ("phi", lambda v: gates.qubit_rotation(0.3, v).matrix),
     "cond_rotation.theta": ("theta", lambda v: gates.cond_rotation(1, v, 0.2, 3).matrix),
@@ -213,10 +216,14 @@ ARRAY_SITES = {
         "V", lambda a: trotter.otoc_series(np.eye(3), a, HAMILTONIAN, [0.0, 0.5])),
     "apply_channel.rho": (
         "rho", lambda a: noise.apply_channel(noise.photon_loss_channel(1.0, 1e-4, 3), a)),
+    "raman_coupling.omega_drive_hz": (
+        "omega_drive_hz", lambda a: qst.raman_coupling(a, 1.0, 1.0, 1.0)),
+    "sech_pitch.t_s": ("t_s", lambda a: qst.sech_pitch(1.0, a)),
 }
 MATRIX_SITES = {"Operator.matrix", "otoc_series.W", "otoc_series.V", "apply_channel.rho"}
 REAL_ARRAY_SITES = {"SampledWaveform.values", "on_off_ratio.waveform",
-                    "QuditHamiltonian.diagonal", "QuditHamiltonian.kinetic_diagonal"}
+                    "QuditHamiltonian.diagonal", "QuditHamiltonian.kinetic_diagonal",
+                    "raman_coupling.omega_drive_hz", "sech_pitch.t_s"}
 
 
 def _with_entry(site, v):
@@ -238,7 +245,8 @@ FINITE_SITES = ["grape_optimize.tol", "grape_optimize.leak_weight",
                 "optimize_snap_displacement_sequence.leak_weight", "SampledWaveform.t0_s",
                 "qubit_rotation.theta", "qubit_rotation.phi", "cond_rotation.theta",
                 "cond_rotation.phi", "givens.theta", "displacement.alpha", "ecd.beta",
-                "trotter_convergence.t_total_s", "evolve_trotter.t_total_s", "propagator.t"]
+                "trotter_convergence.t_total_s", "evolve_trotter.t_total_s", "propagator.t",
+                "raman_coupling.omega_drive_hz", "sech_pitch.t_s"]
 
 COUNT_SITES = {
     "optimize_snap_displacement_sequence.blocks": (
@@ -477,12 +485,13 @@ def test_psi0_length_checked_before_allocation(name, call):
 
 
 def test_json_amplitude_path_unchanged():
-    # gates._amplitude reads the JSON "alpha" and "beta" fields as before
+    # gates._amplitude decodes a JSON [re, im] pair, and the kernel reads
+    # "alpha" and "beta" by require_complex, as the public constructors do
     circuit = gates.circuit_from_json(json.dumps({"shape": [6], "gates": [
         {"kind": "displacement", "target": 0, "alpha": [0.3, -0.2]}]}))
     op, _ = circuit.gates[0].build(circuit.shape)
     np.testing.assert_array_equal(op.matrix, gates.displacement(0.3 - 0.2j, 6).matrix)
-    with pytest.raises(errors.ParseError, match=r"number or \[re, im\] pair"):
+    with pytest.raises(errors.ParseError, match="alpha must be a complex number, got True"):
         gates.circuit_from_json(json.dumps({"shape": [6], "gates": [
             {"kind": "displacement", "target": 0, "alpha": True}]}))
 
@@ -858,7 +867,45 @@ LIBRARY_ERROR_CALLS = {
     "on_off_ratio.samples 0": (
         UsageError, "samples must be a positive integer, got 0",
         lambda: qst.on_off_ratio(qst.matched_emit_rate(1.0), 0.5, (-3.0, 3.0), samples=0)),
+    **{f"GateSpec.params {params!r}": (
+        UsageError, f"gate params must be a mapping, got {params!r}",
+        lambda params=params: gates.GateSpec("snap", params)) for params in (None, 5)},
+    "Circuit.gates None": (
+        UsageError, "gates must be a list or tuple of GateSpec, got None",
+        lambda: gates.Circuit((3,), None)),
+    # a raw AttributeError when the circuit was applied
+    "Circuit.gates entry": (
+        UsageError, "gate 0: not a GateSpec: {'kind': 'fourier', 'target': 0}",
+        lambda: gates.Circuit((3,), [{"kind": "fourier", "target": 0}])),
+    "GateSpec.kind list": (
+        UsageError, "gate 0: unknown gate kind ['snap']",
+        lambda: gates.Circuit((3,), [gates.GateSpec(["snap"], {})])),
+    "GateSpec.build shape": (
+        InvalidDimensionError, "subsystem dimension must be a positive integer, got None",
+        lambda: gates.GateSpec("fourier", {"target": 0}).build(None)),
+    "apply_embedded.targets": (
+        UsageError, "targets must be a list or tuple, got 0",
+        lambda: gates.apply_embedded(SNAP3, 0, basis_state(3, 0))),
+    "embed.targets": (
+        UsageError, "targets must be a list or tuple, got None",
+        lambda: gates.embed(SNAP3, None, 3)),
+    **{f"qubit_binary_encode {bits!r}": (
+        UsageError, f"bits must be a str, list or tuple, got {bits!r}",
+        lambda bits=bits: gates.qubit_binary_encode(bits)) for bits in (5, None)},
+    # each warned "overflow encountered" and returned inf
+    "raman_coupling overflow": (
+        NumericError, "raman_coupling is not finite",
+        lambda: qst.raman_coupling(1e300, 1e300, 1.0, 1.0)),
+    "raman_coupling tiny detuning": (
+        NumericError, "raman_coupling is not finite",
+        lambda: qst.raman_coupling(1.0, 1e300, 1.0, 1e-300)),
 }
+
+
+def test_gate_spec_build_reads_its_shape_with_shape_of():
+    spec = gates.GateSpec("fourier", {"target": 0})
+    np.testing.assert_array_equal(spec.build(3)[0].matrix,
+                                  spec.build(HilbertShape((3,)))[0].matrix)
 
 
 @pytest.mark.filterwarnings("error")
@@ -916,35 +963,35 @@ def test_cli_dimension_over_cap_exits_4(command, doc, tmp_path, capsys, monkeypa
 BIG = 10**400  # a JSON integer too large for a float
 
 
-@pytest.mark.parametrize("command, field, doc", [
-    ("device", "g_hz", {**DEVICE, "g_hz": BIG}),
-    ("grape", "dt_s", {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
-                       "n_segments": 5, "dt_s": BIG}),
-    ("trotter", "diagonal", {"diagonal": [0.3, BIG], "kinetic_diagonal": [0.1, 0.3],
-                             "t_total_s": 1.0, "steps_list": [10]}),
-    ("qst", "kappa_hz", {"kappa_hz": BIG, "t_span_s": [-2e-5, 2e-5], "dt_s": 4e-8,
-                         "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}}),
-    ("code", "alpha", {"alpha": [BIG, 0.0], "n_levels": 10, "t1_s": 1e-3, "dt_s": 1e-7,
-                       "steps": 10}),
-    ("run", "alpha", {"shape": [8], "gates": [{"kind": "displacement", "target": 0,
-                                               "alpha": BIG}]}),
+@pytest.mark.parametrize("command, fragment, doc", [
+    ("device", "'g_hz'", {**DEVICE, "g_hz": BIG}),
+    ("grape", "'dt_s'", {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
+                         "n_segments": 5, "dt_s": BIG}),
+    ("trotter", "'diagonal'", {"diagonal": [0.3, BIG], "kinetic_diagonal": [0.1, 0.3],
+                               "t_total_s": 1.0, "steps_list": [10]}),
+    ("qst", "'kappa_hz'", {"kappa_hz": BIG, "t_span_s": [-2e-5, 2e-5], "dt_s": 4e-8,
+                           "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}}),
+    ("code", "'alpha'", {"alpha": [BIG, 0.0], "n_levels": 10, "t1_s": 1e-3, "dt_s": 1e-7,
+                         "steps": 10}),
+    ("run", "alpha is too large for a float", {"shape": [8], "gates": [
+        {"kind": "displacement", "target": 0, "alpha": BIG}]}),
     # the array rule's readers: a SNAP gate, a matrix spec and a transfer input_state
-    ("run", "theta", {"shape": [3], "gates": [{"kind": "snap", "target": 0,
-                                               "theta": [0.0, BIG, 0.0]}]}),
-    ("otoc", "re", {"diagonal": [0.3, -0.1], "kinetic_diagonal": [0.1, 0.3], "times_s": [0.0],
-                    "w": {"kind": "fourier"},
-                    "v": {"kind": "matrix", "re": [[BIG, 0.0], [0.0, 1.0]], "im": [[0.0] * 2] * 2}}),
-    ("qst", "input_state", {"kappa_hz": 2e6, "t_span_s": [-2e-5, 2e-5], "dt_s": 2e-8,
-                            "input_state": [[0.0, 0.0], [BIG, 0.0]],
-                            "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}}),
+    ("run", "'theta'", {"shape": [3], "gates": [{"kind": "snap", "target": 0,
+                                                 "theta": [0.0, BIG, 0.0]}]}),
+    ("otoc", "'re'", {"diagonal": [0.3, -0.1], "kinetic_diagonal": [0.1, 0.3], "times_s": [0.0],
+                      "w": {"kind": "fourier"},
+                      "v": {"kind": "matrix", "re": [[BIG, 0.0], [0.0, 1.0]], "im": [[0.0] * 2] * 2}}),
+    ("qst", "'input_state'", {"kappa_hz": 2e6, "t_span_s": [-2e-5, 2e-5], "dt_s": 2e-8,
+                              "input_state": [[0.0, 0.0], [BIG, 0.0]],
+                              "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}}),
 ], ids=["device", "grape", "trotter", "qst", "code", "run", "run_theta", "otoc_re", "qst_input_state"])
-def test_cli_huge_integer_in_float_field_exits_2(command, field, doc, tmp_path, capsys):
+def test_cli_huge_integer_in_float_field_exits_2(command, fragment, doc, tmp_path, capsys):
     # each ended in an OverflowError traceback and exit 1
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert cli.main(["--out", str(tmp_path), command, str(config)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{field}'" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
 
 
 def test_cli_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
@@ -1007,6 +1054,9 @@ HUGE_INT_SITES = {
     "cat_state.alpha": ("alpha is", lambda v: codes.cat_state(v, "+", 4)),
     "displacement.alpha": ("alpha is", lambda v: gates.displacement(v, 4)),
     "ecd.beta": ("beta is", lambda v: gates.ecd(v, 4)),
+    "sech_pitch.t_s": ("t_s is", lambda v: qst.sech_pitch(1.0, v)),
+    "raman_coupling.omega_drive_hz": (
+        "omega_drive_hz is", lambda v: qst.raman_coupling(v, 1.0, 1.0, 1.0)),
 }
 
 
@@ -1244,10 +1294,10 @@ def _phase_rules(path, numeric):
             yield node.lineno, "reads MAX_PHASE_RAD"
 
 
-# the rules that return the value they check; require_capacity and
-# require_phase return None
+# the rules that return the value they check, the SNAP reader's phases
+# among them; require_capacity and require_phase return None
 VALUE_RULES = {"require_real", "require_finite", "require_positive", "require_count",
-               "require_index", "require_complex", "require_array", "shape_of"}
+               "require_index", "require_complex", "require_array", "shape_of", "_snap_phases"}
 
 
 def test_rule_results_are_kept():

@@ -494,7 +494,7 @@ def test_otoc_builds_no_dense_snap_or_fourier(tmp_path, capsys, monkeypatch):
 def test_otoc_snap_phase_count_exit_2(tmp_path, capsys, name):
     doc = dict(OTOC_DOC, **{name: {"kind": "snap", "theta": [0.1, 0.2, 0.3]}})
     assert run_cli(tmp_path, "otoc", write_json(tmp_path / "otoc.json", doc)) == 2
-    assert f"otoc config {name}: snap needs 8 phases, got 3" in capsys.readouterr().err
+    assert f"otoc config {name}: gate 0: snap needs 8 phases, got 3" in capsys.readouterr().err
 
 
 def test_grape_snap_phase_count_exit_2(tmp_path, capsys):
@@ -587,13 +587,13 @@ _BOOLEAN_INTEGER_SITES = {
     "cond_rotation_n": ("run", _circuit([2, 3], {
         "kind": "cond_rotation", "qubit": 0, "mode": 1, "n": True,
         "theta": 0.1, "phi": 0.0}),
-        "cond_rotation gate field 'n' must be an integer"),
+        "selector level must be an integer index, got True"),
     "givens_m": ("run", _circuit([3], {"kind": "givens", "target": 0, "m": True,
                                        "n": 1, "theta": 0.1}),
-                 "givens gate field 'm' must be an integer"),
+                 "level must be an integer index, got True"),
     "phase_swap_n": ("run", _circuit([3], {"kind": "phase_swap", "target": 0,
                                            "m": 0, "n": True}),
-                     "phase_swap gate field 'n' must be an integer"),
+                     "level must be an integer index, got True"),
     "circuit_shape": ("run", _circuit([3, True], None),
                       "circuit 'shape' must be a non-empty list of integers"),
 }
@@ -1436,10 +1436,10 @@ _OVERFLOW_CASES = {
                             3, "dt_s 1e+300: the segment phase d*max|H|*dt_s is "),
     "otoc_snap_theta": ("otoc", dict(OTOC_DOC, w={"kind": "snap", "theta": [
         0.1, math.nan, 2.2, 0.4, 1.9, 2.8, 0.7, 1.1]}),
-                        2, "otoc config w: non-finite entries in snap theta"),
+                        2, "otoc config w: gate 0: non-finite entries in snap gate field"),
     "grape_snap_theta": ("grape", dict(GRAPE_DOC, target={"kind": "snap",
                                                           "theta": [0.0, math.nan]}),
-                         2, "grape target: non-finite entries in snap theta"),
+                         2, "grape target: non-finite entries in theta"),
     "code_t1_dt_inf": ("code", dict(CODE_DOC, t1_s=math.inf, dt_s=math.inf),
                        1, "dt_s must be positive and finite, got inf"),
 }

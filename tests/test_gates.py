@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from cavityq import errors, fock, gates, pulse
+from cavityq import _numeric_commands, cli, errors, fock, gates, pulse
 from cavityq.errors import NumericError, ParseError, ShapeError, UsageError
 import dense_oracle
 from dense_oracle import dense_unitary
@@ -487,15 +487,15 @@ class TestCircuits:
 
     def test_apply_error_carries_gate_index(self):
         # second gate targets a subsystem the register does not have
-        circ = gates.Circuit(
-            fock.HilbertShape((4,)),
-            (
-                gates.GateSpec("fourier", {"target": 0}),
-                gates.GateSpec("snap", {"target": 1, "theta": [0, 0, 0, 0]}),
-            ),
-        )
-        with pytest.raises(UsageError, match="gate 1"):
-            gates.apply_circuit(circ, fock.basis_state(4, 0))
+        with pytest.raises(UsageError, match="^gate 1: ") as err:
+            gates.Circuit(
+                fock.HilbertShape((4,)),
+                (
+                    gates.GateSpec("fourier", {"target": 0}),
+                    gates.GateSpec("snap", {"target": 1, "theta": [0, 0, 0, 0]}),
+                ),
+            )
+        assert err.value.gate == 1
 
 
 class TestUnitaritySweep:
@@ -628,14 +628,11 @@ class TestCompiledCircuitProperties:
         assert dense_ecd.call_count == 0
         assert factored.call_count == 4  # two displacements, D(±β/2) of the ECD
 
-    def test_compile_error_is_kept_out_of_the_cache(self):
-        circ = gates.Circuit(
-            fock.HilbertShape((4,)),
-            (gates.GateSpec("snap", {"target": 0, "theta": [0, 0, 0]}),),
-        )
+    def test_each_construction_of_a_bad_circuit_raises(self):
+        spec = gates.GateSpec("snap", {"target": 0, "theta": [0, 0, 0]})
         for _ in range(2):
-            with pytest.raises(UsageError, match="gate 0"):
-                gates.apply_circuit(circ, fock.basis_state(4, 0))
+            with pytest.raises(UsageError, match="^gate 0: snap needs 4 phases, got 3$"):
+                gates.Circuit(fock.HilbertShape((4,)), (spec,))
 
     @pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
     @pytest.mark.parametrize("convention", gates.CONVENTIONS)
@@ -844,12 +841,9 @@ def test_unknown_gate_field_is_rejected(kind):
     with pytest.raises(ParseError, match="gate 0: .*unknown field 'bogus'") as err:
         gates.circuit_from_json(text)
     assert "line" in str(err.value)
-    circuit = gates.Circuit(shape, (gates.GateSpec(kind, typo),))
-    psi = fock.basis_state(shape, [0] * len(dims))
-    with pytest.raises(UsageError, match=rf"gate 0 \({kind}\): .*unknown field 'bogus'"):
-        gates.apply_circuit(circuit, psi)
-    with pytest.raises(UsageError, match=rf"gate 0 \({kind}\): .*unknown field 'bogus'"):
-        gates.circuit_unitary(circuit)
+    with pytest.raises(UsageError, match="^gate 0: .*unknown field 'bogus'") as err:
+        gates.Circuit(shape, (gates.GateSpec(kind, typo),))
+    assert err.value.gate == 0
 
 
 def test_cond_rotation_on_its_own_qubit_is_rejected():
@@ -890,9 +884,8 @@ def test_non_finite_phase_is_refused_before_any_arithmetic(kind, where, bad):
     text = json.dumps({"shape": [3], "gates": [{"kind": kind, **where, "theta": theta}]})
     with pytest.raises(ParseError, match=f"^gate 0: non-finite entries in {field} \\(line 1"):
         gates.circuit_from_json(text)
-    circuit = gates.Circuit(fock.shape_of(3), (gates.GateSpec(kind, {**where, "theta": theta}),))
-    with pytest.raises(NumericError, match=f"^gate 0 \\({kind}\\): non-finite entries in {field}$"):
-        gates.apply_circuit(circuit, fock.basis_state(3, 0))
+    with pytest.raises(NumericError, match=f"^gate 0: non-finite entries in {field}$"):
+        gates.Circuit(fock.shape_of(3), (gates.GateSpec(kind, {**where, "theta": theta}),))
 
 
 @pytest.mark.parametrize("kind,where", [("snap", {"target": 0}),
@@ -925,7 +918,7 @@ def test_each_kernel_matches_dense_embed(dims):
             if params is None:
                 break
             spec = gates.GateSpec(kind, params)
-            kernel = gates._compile(spec, shape, "standard")
+            kernel = gates.Circuit(shape, (spec,))._kernels[0]
             psi = random_state(shape, rng)
             expected = dense_unitary(gates.Circuit(shape, (spec,))) @ psi.amplitudes
             tens = psi.amplitudes.reshape(dims)
@@ -1012,7 +1005,7 @@ def test_snap_constructors_check_phase_count(name):
     (['{"kind": "fourier", "target": 0}', '{"kind": 3}', '{"kind": "fourier"}'],
      "gate 1: missing string 'kind' (line 4, column 4)"),
     (['{"kind": "fourier", "target": 0}', '{"kind": "fourier", "target": 2}'],
-     "gate 1: fourier gate field 'target'=2 outside [0, 1) (line 4, column 4)"),
+     "gate 1: fourier gate field 'target' 2 outside [0, 1) (line 4, column 4)"),
 ])
 def test_gate_error_location_is_the_entry_own(entries, message):
     text = '{"shape": [3],\n "gates": [\n  ' + ",\n  ".join(entries) + "\n ]}"
@@ -1114,3 +1107,91 @@ def test_constructor_matches_its_formula(kind, data):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
     else:
         assert np.array_equal(got, formula)
+
+
+# gate fields given as numpy scalars: (kind, fields, the same fields as Python
+# numbers, register dims, the public constructor on the numpy values)
+_NUMPY_FIELDS = {
+    "givens": ({"target": 0, "m": np.int64(0), "n": np.int32(2), "theta": np.float32(0.5)},
+               {"target": 0, "m": 0, "n": 2, "theta": 0.5}, (3,),
+               lambda: gates.givens(np.int64(0), np.int32(2), np.float32(0.5), 3)),
+    "qubit_rotation": ({"target": 0, "theta": np.float32(0.5), "phi": np.float64(0.25)},
+                       {"target": 0, "theta": 0.5, "phi": 0.25}, (2,),
+                       lambda: gates.qubit_rotation(np.float32(0.5), np.float64(0.25))),
+    "cond_rotation": ({"qubit": np.int64(0), "mode": np.int32(1), "n": np.int64(2),
+                       "theta": np.float32(1.5), "phi": np.int64(1)},
+                      {"qubit": 0, "mode": 1, "n": 2, "theta": 1.5, "phi": 1}, (2, 3),
+                      lambda: gates.cond_rotation(np.int64(2), np.float32(1.5), np.int64(1), 3)),
+    "fourier": ({"target": 0, "inverse": np.bool_(True)}, {"target": 0, "inverse": True}, (5,),
+                lambda: gates.fourier(5, np.bool_(True))),
+    "displacement": ({"target": np.int64(0), "alpha": np.complex128(0.3 - 0.2j)},
+                     {"target": 0, "alpha": [0.3, -0.2]}, (6,),
+                     lambda: gates.displacement(np.complex128(0.3 - 0.2j), 6)),
+    "snap": ({"target": np.int64(0), "theta": [0.5, -1.0, 2.0]},
+             {"target": 0, "theta": [0.5, -1.0, 2.0]}, (3,),
+             lambda: gates.snap([0.5, -1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("kind", _NUMPY_FIELDS)
+def test_numpy_scalar_fields_build_the_constructor_gate(kind):
+    # a gate field is read by its kernel's rule, the public constructor's,
+    # so a GateSpec takes the numpy scalars the constructor takes
+    fields, plain, dims, constructor = _NUMPY_FIELDS[kind]
+    shape = fock.HilbertShape(dims)
+    op, _ = gates.GateSpec(kind, fields).build(shape)
+    assert np.array_equal(op.matrix, constructor().matrix)
+    assert np.array_equal(op.matrix, gates.GateSpec(kind, plain).build(shape)[0].matrix)
+    circuit = gates.Circuit(shape, (gates.GateSpec(kind, fields),))
+    assert np.array_equal(gates.circuit_unitary(circuit).matrix, op.matrix)
+
+
+_THETA4 = [0.5, -1.0, 2.0, 0.25]
+# every reader of one SNAP phase list, on 4 levels, up to the gate it builds
+_SNAP_READERS = {
+    "circuit_gate": lambda: gates.circuit_unitary(gates.Circuit(
+        (4,), (gates.GateSpec("snap", {"target": 0, "theta": _THETA4}),))),
+    "snap": lambda: gates.snap(_THETA4),
+    "grape_target": lambda: _numeric_commands._grape_target(
+        {"kind": "snap", "theta": _THETA4}, fock.HilbertShape((4,))),
+    "otoc_operator": lambda: gates.circuit_unitary(_numeric_commands._otoc_operator(
+        {"kind": "snap", "theta": _THETA4}, "w", 4)),
+}
+
+
+@pytest.mark.parametrize("reader", _SNAP_READERS)
+def test_each_snap_phase_list_is_read_once(reader):
+    with mock.patch.object(gates, "require_array", wraps=errors.require_array) as reads:
+        _SNAP_READERS[reader]()
+    assert reads.call_count == 1
+
+
+def test_grape_snap_target_is_the_snap_gate():
+    rng = np.random.default_rng(4)
+    for n in (2, 3):
+        shape = fock.HilbertShape((2, n))
+        for theta in rng.uniform(-4.0, 4.0, (5, 2 * n)).tolist():
+            target = _numeric_commands._grape_target({"kind": "snap", "theta": theta}, shape)
+            assert target.shape == shape
+            assert np.array_equal(target.matrix, gates.snap(theta).matrix)
+
+
+def test_bad_gate_raises_when_the_circuit_is_made():
+    spec = gates.GateSpec("phase_swap", {"target": 0, "m": 1, "n": 1})
+    with pytest.raises(UsageError, match="^gate 0: phase_swap needs two distinct levels$") as err:
+        gates.Circuit((3,), (spec,))
+    assert err.value.gate == 0
+
+
+@pytest.mark.parametrize("beta", ["x", None, True, [1, "x"]], ids=repr)
+def test_ecd_beta_that_is_not_a_number_is_a_usage_error(beta, tmp_path, capsys):
+    fields = {"qubit": 0, "mode": 1, "beta": beta}
+    with pytest.raises(UsageError, match="beta"):
+        gates.GateSpec("ecd", fields).build(fock.HilbertShape((2, 3)))
+    doc = json.dumps({"shape": [2, 3], "gates": [{"kind": "ecd", **fields}]})
+    with pytest.raises(ParseError, match="^gate 0: .*beta"):
+        gates.circuit_from_json(doc)
+    config = tmp_path / "circuit.json"
+    config.write_text(doc)
+    assert cli.main(["--out", str(tmp_path / "out"), "run", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: gate 0: ")
