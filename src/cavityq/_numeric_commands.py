@@ -1,8 +1,10 @@
 """The six numeric subcommands of `cli` and their config parsers. `cli.main`
 imports this module, and with it numpy, for any command but `device`.
-Each `cmd_<name>` reads and checks its whole config, then returns its
-computation: a closure over the checked inputs, never over the config
-text or the decoded JSON (`cli._parse`).
+Each `cmd_<name>` reads its config, building what it describes inside one
+`errors.parse_errors` boundary that names the config, then returns its
+computation: a closure over what it built and over the fields that only
+the engine call they feed reads, by its rule; never over the config text
+or the decoded object (`cli._parse`).
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import numpy as np
 # for an unloaded layer (`spans.Tracer.install`); to go with ROADMAP item 1
 from . import codes, fock, gates, noise, pulse, qst, trotter
 from .cli import _Computation, _Result
-from .errors import (NUMBERS, ParseError, UsageError, decode_object, is_json_int, parse_errors,
-                     read_fields, read_kind, require_array, require_count, require_index)
+from .errors import (ParseError, UsageError, decode_object, parse_errors, read_fields, read_kind,
+                     require_array, require_count, require_index)
 
 _PROB_FLOOR = 1e-12
 
@@ -60,7 +62,7 @@ def _qst_config_and_sweep(text: str):
     if "transfer" not in doc:
         return qst.qst_config_from_json(doc), None
     f = read_fields(doc, "transfer config", {"transfer": dict},
-                    {"delta_sweep_hz": (NUMBERS, None)})
+                    {"delta_sweep_hz": (object, None)})
     return qst.qst_config_from_json(f["transfer"]), f["delta_sweep_hz"]
 
 
@@ -87,20 +89,19 @@ def cmd_qst(args, text: str) -> _Computation:
     return compute
 
 
-_GRAPE_MODELS = {"qubit": ({}, {"detuning_hz": (float, 0.0)}),
-                 "dispersive": ({"chi_hz": float, "n_levels": int},
-                                {"cavity_drive": (bool, False)})}
+_GRAPE_MODELS = {"qubit": ({}, {"detuning_hz": (object, 0.0)}),
+                 "dispersive": ({"chi_hz": object, "n_levels": object},
+                                {"cavity_drive": (object, False)})}
 # operator specs read for the grape target and for the otoc W and V; the
 # matrix rows are checked by _matrix
-_OPERATORS = {"snap": ({"theta": NUMBERS}, {}), "matrix": ({"re": object, "im": object}, {})}
+_OPERATORS = {"snap": ({"theta": object}, {}), "matrix": ({"re": object, "im": object}, {})}
 
 
 def _grape_model(spec: dict):
     kind, f = read_kind(spec, "grape model", _GRAPE_MODELS)
     if kind == "qubit":
-        return pulse.qubit_model(float(f["detuning_hz"]))
-    return pulse.dispersive_model(float(f["chi_hz"]), int(f["n_levels"]),
-                                  cavity_drive=f["cavity_drive"])
+        return pulse.qubit_model(f["detuning_hz"])
+    return pulse.dispersive_model(f["chi_hz"], f["n_levels"], cavity_drive=f["cavity_drive"])
 
 
 def _matrix(f: dict, n: int, what: str) -> np.ndarray:
@@ -129,16 +130,17 @@ def _grape_target(spec: dict, shape: fock.HilbertShape) -> fock.Operator:
 
 def cmd_grape(args, text: str) -> _Computation:
     f = read_fields(text, "grape config",
-                    {"model": dict, "target": dict, "n_segments": int, "dt_s": float},
-                    {"iterations": (int, 500), "learning_rate": (float, 0.2),
-                     "tol": (float, 1e-8)})
-    model = _grape_model(f["model"])
-    target = _grape_target(f["target"], model.shape)
-    n_segments = require_count("n_segments", f["n_segments"], 1)
-    pulse._require_segment_room(model, n_segments)  # before the zero schedule
-    schedule0 = pulse.PulseSchedule(float(f["dt_s"]),
-                                    np.zeros((model.n_streams, n_segments), dtype=complex),
-                                    (0.0,) * model.n_streams)
+                    {"model": dict, "target": dict, "n_segments": object, "dt_s": object},
+                    {"iterations": (object, 500), "learning_rate": (object, 0.2),
+                     "tol": (object, 1e-8)})
+    with parse_errors("grape config"):
+        model = _grape_model(f["model"])
+        target = _grape_target(f["target"], model.shape)
+        n_segments = require_count("n_segments", f["n_segments"], 1)
+        pulse._require_segment_room(model, n_segments)  # before the zero schedule
+        schedule0 = pulse.PulseSchedule(f["dt_s"],
+                                        np.zeros((model.n_streams, n_segments), dtype=complex),
+                                        (0.0,) * model.n_streams)
     iterations, learning_rate, tol, seed = f["iterations"], f["learning_rate"], f["tol"], args.seed
 
     def compute() -> _Result:
@@ -156,17 +158,14 @@ def cmd_grape(args, text: str) -> _Computation:
 
 def cmd_code(args, text: str) -> _Computation:
     f = read_fields(text, "code config",
-                    {"alpha": NUMBERS, "n_levels": int, "t1_s": float, "dt_s": float,
-                     "steps": int},
-                    {"parity": (str, "+"), "n_trajectories": (int, 1)})
-    alpha_pair, n_levels, steps = f["alpha"], f["n_levels"], f["steps"]
-    if len(alpha_pair) != 2:
-        raise ParseError("code config: 'alpha' must be [re, im]")
-    if f["parity"] not in ("+", "-"):
-        raise ParseError(f"code config: 'parity' must be '+' or '-', got {f['parity']!r}")
-    psi = codes.cat_state(complex(alpha_pair[0], alpha_pair[1]), f["parity"], n_levels)
-    channel = noise.photon_loss_channel(float(f["t1_s"]), float(f["dt_s"]), n_levels)
-    n_trajectories, seed = f["n_trajectories"], args.seed
+                    {"alpha": object, "n_levels": object, "t1_s": object, "dt_s": object,
+                     "steps": object},
+                    {"parity": (object, "+"), "n_trajectories": (object, 1)})
+    with parse_errors("code config"):
+        re, im = require_array("alpha", f["alpha"], (2,), float).tolist()
+        psi = codes.cat_state(complex(re, im), f["parity"], f["n_levels"])
+        channel = noise.photon_loss_channel(f["t1_s"], f["dt_s"], f["n_levels"])
+    steps, n_trajectories, seed = f["steps"], f["n_trajectories"], args.seed
 
     def compute() -> _Result:
         results = noise.run_trajectories(channel, psi, steps, n_trajectories, base_seed=seed)
@@ -195,13 +194,11 @@ def _qudit(f: dict) -> tuple[trotter.QuditHamiltonian, fock.StateVector]:
 
 def cmd_trotter(args, text: str) -> _Computation:
     f = read_fields(text, "trotter config",
-                    {"diagonal": NUMBERS, "kinetic_diagonal": NUMBERS, "t_total_s": float,
-                     "steps_list": list}, {"initial_level": (int, 0)})
-    steps_list = f["steps_list"]
-    if not all(is_json_int(s) for s in steps_list):
-        raise ParseError("trotter config: 'steps_list' must be integers")
-    h, psi0 = _qudit(f)
-    t_total_s, steps_list = f["t_total_s"], [int(s) for s in steps_list]
+                    {"diagonal": object, "kinetic_diagonal": object, "t_total_s": object,
+                     "steps_list": object}, {"initial_level": (object, 0)})
+    with parse_errors("trotter config"):
+        h, psi0 = _qudit(f)
+    t_total_s, steps_list = f["t_total_s"], f["steps_list"]
 
     def compute() -> _Result:
         rows = trotter.trotter_convergence(h, t_total_s, steps_list, psi0)
@@ -227,14 +224,15 @@ def _otoc_operator(spec: dict, name: str, n: int):
 
 def cmd_otoc(args, text: str) -> _Computation:
     f = read_fields(text, "otoc config",
-                    {"diagonal": NUMBERS, "kinetic_diagonal": NUMBERS, "times_s": NUMBERS,
-                     "w": dict, "v": dict}, {"initial_level": (int, 0)})
-    h, psi0 = _qudit(f)
+                    {"diagonal": object, "kinetic_diagonal": object, "times_s": object,
+                     "w": dict, "v": dict}, {"initial_level": (object, 0)})
+    with parse_errors("otoc config"):
+        h, psi0 = _qudit(f)
+        w = _otoc_operator(f["w"], "w", h.n_levels)
+        v = _otoc_operator(f["v"], "v", h.n_levels)
     times = f["times_s"]
-    if not times:
+    if times == []:  # otoc_series gives no rows, and the summary takes their minimum
         raise ParseError("otoc config: 'times_s' must be non-empty")
-    w = _otoc_operator(f["w"], "w", h.n_levels)
-    v = _otoc_operator(f["v"], "v", h.n_levels)
 
     def compute() -> _Result:
         rows = trotter.otoc_series(w, v, h, times, psi0)

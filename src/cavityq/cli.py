@@ -18,9 +18,10 @@ the numeric commands are in `_numeric_commands`, imported only for them.
 
 Every config, and every object nested in it, states its fields once, in
 a table read by `errors.read_fields` (`errors.read_kind` for an object
-with a "kind"): each field with its types, and an optional field with its
-default. A missing required field or an unlisted one is a parse error
-that names the field, and so is a field of the wrong type.
+with a "kind"): each field, and an optional field with its default. A
+missing required field or an unlisted one is a parse error that names
+the field. Every field the reader does not walk itself goes, as decoded,
+to the call it feeds, whose rule reads it.
 
 Every artifact file starts with a header recording the tool version, the
 rng seed, the --threads value and a sha256 of the input config, and is
@@ -44,7 +45,10 @@ numpy is loaded (a library caller, an in-process `main` call) BLAS keeps
 the thread count it started with.
 
 Exit codes: 0 success, 1 usage errors, 2 parse errors, 3 numeric errors,
-4 capacity errors, mapped from the error roots by `_EXIT_CODES`.
+4 capacity errors, mapped from the error roots by `_EXIT_CODES`. A fault
+that a command finds while it reads its config is a ParseError that
+names the config (exit 2), one found by the computation exits by its
+error root, and a CapacityError exits 4 wherever it is found.
 """
 
 from __future__ import annotations

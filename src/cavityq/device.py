@@ -67,7 +67,7 @@ class DeviceParams:
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceParams":
-        fields = read_fields(text, "device params", dict.fromkeys(_FIELDS, float))
+        fields = read_fields(text, "device params", dict.fromkeys(_FIELDS, object))
         with parse_errors("device JSON invalid"):
             return cls(**fields)
 

@@ -6,10 +6,10 @@ Every JSON config object, at the top level or nested, states its fields
 once, in a table read by `read_fields` (`read_kind` for one with a
 "kind"): field -> types when required, field -> (types, default) when
 optional. `read_object` decodes the object (`decode_object`) and rejects
-a missing or an unlisted field; each field is then read with `read_field`,
-or with `read_numbers` where its types are `NUMBERS`. Every parser tests JSON
-numbers with `is_json_number`, which refuses an int too large for a float,
-and JSON integers with `is_json_int`. API arguments follow eight rules,
+a missing or an unlisted field; `read_field` checks the types a reader
+walks (dict for a nested object, list for a list it iterates, str for a
+kind) and passes every other field, typed object, on as decoded, to be
+read by the rule of the call it feeds. API arguments follow eight rules,
 listed site by site in the README: `require_count` for counts, seeds and
 photon numbers, `fock.shape_of` for dimensions, before any allocation,
 `require_index` for level, subsystem and basis indices, `require_real` for
@@ -18,18 +18,17 @@ other real numbers, `require_complex` for complex amplitudes,
 `require_positive` for time steps, durations, couplings, rates and other
 positive reals, and `require_array` for arrays and lists: states,
 matrices, pulse streams, sample lists, SNAP phases, carriers, detunings,
-times, time spans, input-state pairs and the arrays of JSON configs, whose
-readers re-raise its errors as ParseError (`parse_errors`). Each argument
-is read once, by its rule, and the caller goes on with the value the
-rule returns. `require_capacity` caps the work or memory that the counts
-of a request set, before any allocation (`CapacityError`, exit 4), and
-`require_phase` holds every phase the package forms, or a bound on it, to
-MAX_PHASE_RAD (`NumericError`, exit 3). `require_array` and
-`read_numbers` test their entries in bulk with `are_reals`. A value the
-package derives in closed form goes through `finite_result`, which names
-it in a `NumericError` when it overflows or is not finite.
+times, time spans, input-state pairs and the arrays of JSON configs. A
+config reader re-raises the errors of the rules it runs as ParseError
+(`parse_errors`). Each argument is read once, by its rule, and the caller
+goes on with the value the rule returns. `require_capacity` caps the work
+or memory that the counts of a request set, before any allocation
+(`CapacityError`, exit 4), and `require_phase` holds every phase the
+package forms, or a bound on it, to MAX_PHASE_RAD (`NumericError`, exit
+3). `require_array` tests its entries in bulk with `are_reals`. A value
+the package derives in closed form goes through `finite_result`, which
+names it in a `NumericError` when it overflows or is not finite.
 """
-
 import cmath
 import contextlib
 import functools
@@ -39,23 +38,9 @@ import math
 import numbers
 
 
-# the least int that float() cannot take: 2**1024 - 2**970 rounds to 2**1024
-_FLOAT_INT_BOUND = 2**1024 - 2**970
 # the largest phase, in rad, the package forms: one ulp of 2**20 is 2**-32 =
 # 2.3e-10 rad, so two algebraically equal builds of a phase agree to that
 MAX_PHASE_RAD = 2.0**20
-
-
-def is_json_number(value) -> bool:
-    """A JSON number: a float, or an int that converts to one (not a bool,
-    an int subclass, nor an int too large for a float)."""
-    return isinstance(value, float) or (
-        is_json_int(value) and -_FLOAT_INT_BOUND < value < _FLOAT_INT_BOUND)
-
-
-def is_json_int(value) -> bool:
-    """A JSON integer: an int, but not a bool (an int subclass)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_count(value) -> bool:
@@ -66,7 +51,7 @@ def is_count(value) -> bool:
 
 def is_real(value) -> bool:
     """A real number as an API argument: a Python or numpy int or float (any
-    numbers.Real), but not a bool. For JSON values it is is_json_number."""
+    numbers.Real), but not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -79,7 +64,7 @@ def is_complex(value) -> bool:
 def are_reals(values, test=is_real) -> bool:
     """test(v) for every entry of the list values, in bulk: one entry of each
     type, and none when every type is int or float. test must depend only
-    on the entry's type, as is_real and is_json_number do."""
+    on the entry's type, as is_real and is_complex do."""
     return (set(map(type, values)) <= {int, float}
             or all(map(test, {type(v): v for v in values}.values())))
 
@@ -287,19 +272,16 @@ def read_object(source, what: str, required=(), optional=()) -> dict:
 
 
 _REQUIRED = object()
-NUMBERS = object()  # the types of a list of JSON numbers, read by read_numbers
 
 
 def read_fields(source, what: str, required: dict, optional: dict = {}) -> dict:
     """The fields of the object source, by one table: read_object on the
-    listed names, then each field read by read_field with its types, or by
-    read_numbers where the types are NUMBERS. required maps each field to
-    its types, optional to (types, default); an absent optional field
-    takes its default."""
+    listed names, then each field read by read_field with its types.
+    required maps each field to its types, optional to (types, default);
+    an absent optional field takes its default."""
     doc = read_object(source, what, required, optional)
     table = {**{name: (types, _REQUIRED) for name, types in required.items()}, **optional}
-    return {name: read_numbers(doc, name, what, default) if types is NUMBERS
-            else read_field(doc, name, types, what, default)
+    return {name: read_field(doc, name, types, what, default)
             for name, (types, default) in table.items()}
 
 
@@ -317,36 +299,17 @@ def read_kind(spec: dict, what: str, kinds: dict) -> tuple[str, dict]:
 
 def read_field(doc: dict, name: str, types, what: str, default=_REQUIRED):
     """doc[name], or default when the field is absent and a default is
-    given. types is float for a JSON number, int for a JSON integer, or
-    the type(s) for isinstance; any other value raises ParseError."""
+    given; ParseError unless the value is an instance of types: dict for a
+    nested object, list for a list the reader walks, str for a kind, and
+    object for any other field, which the call it feeds reads by its rule."""
     if name not in doc:
         if default is not _REQUIRED:
             return default
         raise _field_error(what, "missing", [name])
     val = doc[name]
-    if types is float:
-        ok = is_json_number(val)
-    elif types is int:
-        ok = is_json_int(val)
-    else:
-        ok = isinstance(val, types)
-    if not ok:
+    if not isinstance(val, types):
         raise ParseError(f"{what}: field '{name}' has the wrong type")
     return val
-
-
-def read_numbers(doc: dict, name: str, what: str, default=_REQUIRED):
-    """doc[name] as a list of floats (read_field with a list of JSON
-    numbers), or a non-list default when the field is absent."""
-    val = read_field(doc, name, list, what, default)
-    if not isinstance(val, list):
-        return val
-    if are_reals(val, is_json_number):
-        try:
-            return list(map(float, val))
-        except OverflowError:  # an int too large for a float, which is_json_number refuses
-            pass
-    raise ParseError(f"{what}: field '{name}' must be a list of numbers")
 
 
 class CavityQError(Exception):

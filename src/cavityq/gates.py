@@ -34,10 +34,9 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .errors import (CapacityError, NumericError, ParseError, ShapeError, UsageError, is_count,
-                     is_json_int, is_json_number, read_fields, read_object, require_array,
-                     require_capacity, require_complex, require_count, require_finite,
-                     require_index, require_phase)
+from .errors import (NumericError, ParseError, ShapeError, UsageError, is_count, parse_errors,
+                     read_fields, read_object, require_array, require_capacity, require_complex,
+                     require_count, require_finite, require_index, require_phase)
 from .fock import (
     HilbertShape,
     Operator,
@@ -235,9 +234,17 @@ def qubit_binary_decode(level: int, n_bits: int) -> str:
 # embedding into a register
 
 
+def _instance(name: str, value, cls: type):
+    """value, or UsageError naming the argument unless it is a cls."""
+    if not isinstance(value, cls):
+        raise UsageError(f"{name} must be a cavityq {cls.__name__}, got {value!r}")
+    return value
+
+
 def _check_targets(op: Operator, targets: Sequence[int], dims: tuple[int, ...]) -> list[int]:
-    """targets as a list, or raise unless they are distinct subsystems of a
-    register of dims whose dims, in order, are op's."""
+    """targets as a list, or raise unless op is an Operator and they are
+    distinct subsystems of a register of dims whose dims, in order, are op's."""
+    _instance("op", op, Operator)
     if not isinstance(targets, (list, tuple)):
         raise UsageError(f"targets must be a list or tuple, got {targets!r}")
     targets = [require_index("target", t, len(dims)) for t in targets]
@@ -283,7 +290,7 @@ def multiqudit_snap(target: int, theta: Sequence[float],
 def apply_embedded(op: Operator, targets: Sequence[int], psi: StateVector) -> StateVector:
     """Apply a sub-shape operator to the targeted subsystems of a state
     without materializing the full register matrix."""
-    targets = _check_targets(op, targets, psi.shape.dims)
+    targets = _check_targets(op, targets, _instance("psi", psi, StateVector).shape.dims)
     out = _apply_tensor(op.matrix, targets, psi.amplitudes.reshape(psi.shape.dims))
     return StateVector(psi.shape, out.reshape(psi.shape.total_dim), psi.leakage)
 
@@ -348,10 +355,11 @@ def _subsystems(value, what: str, shape: HilbertShape) -> list[int]:
 
 
 def _amplitude(value, what: str, shape: HilbertShape):
-    """A JSON [re, im] pair of numbers as a complex; any other value as
-    given, for the kernel's `require_complex`."""
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_json_number, value)):
-        return complex(value[0], value[1])
+    """A JSON [re, im] pair, read by `require_array`, as a complex; any
+    other value as given, for the kernel's `require_complex`."""
+    if isinstance(value, (list, tuple)):
+        re, im = require_array(what, value, (2,), float).tolist()
+        return complex(re, im)
     return value
 
 
@@ -662,7 +670,17 @@ class Circuit:
             "displacement_convention": self.displacement_convention,
             "gates": [g.to_dict() for g in self.gates],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, default=_json_value)
+
+
+def _json_value(value):
+    """A gate field value that json cannot write, as JSON: a numpy scalar
+    or array by tolist(), a complex as its [re, im] pair."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"gate field value {value!r} is not JSON serializable")
 
 
 def _kind_location(text: str, gate_index: int) -> str:
@@ -681,22 +699,15 @@ def _kind_location(text: str, gate_index: int) -> str:
 def circuit_from_json(text: str) -> Circuit:
     """Parse a circuit document, failing hard (with location) on unknown
     gate kinds or malformed entries."""
-    # shape and convention have their own checks below
-    f = read_fields(text, "circuit", {"shape": object},
+    f = read_fields(text, "circuit", {"shape": list},
                     {"displacement_convention": (object, "standard"), "gates": (list, [])})
-    shape_raw, convention = f["shape"], f["displacement_convention"]
-    if not (isinstance(shape_raw, list) and shape_raw and all(map(is_json_int, shape_raw))):
-        raise ParseError("circuit 'shape' must be a non-empty list of integers")
+    convention = f["displacement_convention"]
     if convention not in CONVENTIONS:
         raise ParseError(f"displacement_convention must be one of {CONVENTIONS}, "
                          f"got {convention!r}")
-
-    try:
-        shape = HilbertShape(tuple(shape_raw))
-    except CapacityError:
-        raise  # a well-formed document over the cap is not a parse failure
-    except Exception as exc:
-        raise ParseError(f"circuit shape invalid: {exc}") from exc
+    # a CapacityError passes: a well-formed document over the cap is not a parse failure
+    with parse_errors("circuit shape invalid"):
+        shape = HilbertShape(tuple(f["shape"]))
 
     specs = []
     for i, entry in enumerate(f["gates"]):
@@ -725,7 +736,8 @@ def _run(circuit: Circuit, tens: np.ndarray) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
     """Run the compiled gates left to right."""
-    if psi.shape != circuit.shape:
+    _instance("circuit", circuit, Circuit)
+    if _instance("psi", psi, StateVector).shape != circuit.shape:
         raise ShapeError(
             f"state on dims {psi.shape.dims} does not match circuit shape "
             f"{circuit.shape.dims}"

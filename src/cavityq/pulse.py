@@ -148,8 +148,8 @@ class PulseSchedule:
 
     @staticmethod
     def from_json(text: str) -> "PulseSchedule":
-        f = read_fields(text, "schedule", {"dt_s": float, "controls": list})
-        dt_s, controls = f["dt_s"], f["controls"]
+        f = read_fields(text, "schedule", {"dt_s": object, "controls": list})
+        controls = f["controls"]
         if not controls:
             raise ParseError("'controls' must be a non-empty list")
         streams = []
@@ -158,16 +158,16 @@ class PulseSchedule:
             what = f"control {i}"
             if not isinstance(entry, dict):
                 raise ParseError(f"{what} must be an object")
-            amps = read_fields(entry, what, {"carrier_hz": float, "amps": list})["amps"]
+            amps = read_fields(entry, what, {"carrier_hz": object, "amps": list})["amps"]
             # each [re, im] row viewed as one complex amplitude; [] has no
             # rows to be 0x2, so it is read as the empty array PulseSchedule refuses
             with parse_errors(what):
                 pairs = require_array("field 'amps'", amps or np.empty((0, 2)),
                                       (len(amps), 2), float)
             streams.append(pairs.view(complex).ravel())
-            carriers.append(float(entry["carrier_hz"]))
+            carriers.append(entry["carrier_hz"])
         with parse_errors("invalid schedule"):
-            return PulseSchedule(float(dt_s), tuple(streams), tuple(carriers))
+            return PulseSchedule(f["dt_s"], tuple(streams), tuple(carriers))
 
 
 class _BlockGroup(NamedTuple):
@@ -251,7 +251,7 @@ def qubit_model(detuning_hz: float = 0.0) -> ControlModel:
     """Two-level rotating-frame model: drift 2*pi*detuning*|e><e|,
     quadrature controls (sigma_x, sigma_y)."""
     drift = np.zeros((2, 2), dtype=complex)
-    drift[1, 1] = 2 * np.pi * detuning_hz
+    drift[1, 1] = 2 * np.pi * require_finite("detuning_hz", detuning_hz)
     shape = shape_of(2)
     return ControlModel(
         shape,
@@ -264,11 +264,13 @@ def dispersive_model(chi_hz: float, n_levels: int,
                      cavity_drive: bool = False) -> ControlModel:
     """Dispersive qubit-cavity model, qubit first: drift
     -2*pi*chi |e><e| (x) n_hat, qubit drive quadratures, and optionally
-    cavity drive quadratures."""
+    cavity drive quadratures; cavity_drive a bool or a numpy bool."""
     shape = shape_of((2, n_levels))
     if n_levels < 2:
         raise UsageError(f"need at least 2 cavity levels, got {n_levels}")
     chi_hz = require_positive("chi_hz", chi_hz)
+    if not isinstance(cavity_drive, (bool, np.bool_)):
+        raise UsageError(f"cavity_drive must be a boolean, got {cavity_drive!r}")
     if not math.isfinite(2 * math.pi * chi_hz * (n_levels - 1)):
         raise NumericError(f"chi_hz {chi_hz!r}: the drift's largest entry "
                            f"2*pi*chi_hz*(n_levels-1) overflows (n_levels = {n_levels})")

@@ -128,6 +128,8 @@ NUMBER_SITES = {
     "optimize_snap_displacement_sequence.tol": ("tol", lambda v: _sequence(tol=v)),
     "optimize_snap_displacement_sequence.leak_weight": (
         "leak_weight", lambda v: _sequence(leak_weight=v)),
+    # a string raised a raw TypeError and True built a model
+    "qubit_model.detuning_hz": ("detuning_hz", lambda v: pulse.qubit_model(v).drift.matrix),
     "SampledWaveform.t0_s": (
         "t0_s", lambda v: qst.SampledWaveform([0.0, 1.0], 0.5, v).times),
     "QstConfig.t_span_s start": (
@@ -242,7 +244,8 @@ ENTRY_SITES = {site: (name, lambda v, site=site, call=call: call(_with_entry(sit
 # COMPLEX_SITES that do
 FINITE_SITES = ["grape_optimize.tol", "grape_optimize.leak_weight",
                 "grape_gradient.leak_weight", "optimize_snap_displacement_sequence.tol",
-                "optimize_snap_displacement_sequence.leak_weight", "SampledWaveform.t0_s",
+                "optimize_snap_displacement_sequence.leak_weight", "qubit_model.detuning_hz",
+                "SampledWaveform.t0_s",
                 "qubit_rotation.theta", "qubit_rotation.phi", "cond_rotation.theta",
                 "cond_rotation.phi", "givens.theta", "displacement.alpha", "ecd.beta",
                 "trotter_convergence.t_total_s", "evolve_trotter.t_total_s", "propagator.t",
@@ -503,14 +506,6 @@ def test_hilbert_shape_refuses_a_bare_dimension(dims):
         HilbertShape(dims)
 
 
-def _read_numbers_per_entry(doc, name, what):
-    """errors.read_numbers as it tested one entry at a time."""
-    val = errors.read_field(doc, name, list, what)
-    if not all(errors.is_json_number(v) for v in val):
-        raise errors.ParseError(f"{what}: field '{name}' must be a list of numbers")
-    return [float(v) for v in val]
-
-
 def _otoc_times_per_entry(times_s):
     """The times otoc_series reads with the array rule, one entry at a time."""
     for t in times_s:
@@ -532,22 +527,6 @@ def _outcome(call, *args):
         return "ok", repr(call(*args))
     except (errors.CavityQError, TypeError) as exc:
         return type(exc), str(exc)
-
-
-@pytest.mark.parametrize("entries", BULK_ENTRIES, ids=repr)
-def test_bulk_read_numbers_matches_per_entry_rule(entries):
-    doc = {"xs": entries}
-    assert _outcome(errors.read_numbers, doc, "xs", "cfg") \
-        == _outcome(_read_numbers_per_entry, doc, "xs", "cfg")
-
-
-@pytest.mark.parametrize("entries", [[10**400], [1.0, -(10**400)], [2**1024 - 2**970 - 1]],
-                         ids=["10**400", "-10**400", "largest"])
-def test_bulk_json_readers_match_per_entry_rule_beyond_the_float_range(entries):
-    # read_numbers passed an int too large for a float to float(): OverflowError
-    doc = {"xs": entries}
-    assert _outcome(errors.read_numbers, doc, "xs", "cfg") \
-        == _outcome(_read_numbers_per_entry, doc, "xs", "cfg")
 
 
 @pytest.mark.parametrize("entries", BULK_ENTRIES, ids=repr)
@@ -755,6 +734,13 @@ def test_fourier_inverse_takes_numpy_booleans():
                               gates.fourier(4, flag).matrix)
 
 
+def test_dispersive_cavity_drive_takes_numpy_booleans():
+    for flag in (False, True):
+        model = pulse.dispersive_model(1e6, 3, cavity_drive=np.bool_(flag))
+        assert [op.matrix.tolist() for op in model.controls] == [
+            op.matrix.tolist() for op in pulse.dispersive_model(1e6, 3, flag).controls]
+
+
 @pytest.mark.parametrize("value", [*NOT_COUNTS, 0], ids=repr)
 def test_binomial_codewords_refuses_dimension(value):
     with pytest.raises(InvalidDimensionError, match="dimension"):
@@ -899,6 +885,31 @@ LIBRARY_ERROR_CALLS = {
     "raman_coupling tiny detuning": (
         NumericError, "raman_coupling is not finite",
         lambda: qst.raman_coupling(1.0, 1e300, 1.0, 1e-300)),
+    # "no" and 1 built the cavity-drive streams, by truth value
+    **{f"dispersive_model.cavity_drive {flag!r}": (
+        UsageError, f"cavity_drive must be a boolean, got {flag!r}",
+        lambda flag=flag: pulse.dispersive_model(1e6, 3, cavity_drive=flag))
+       for flag in ("no", 1, 0.0, None)},
+    # False was taken for 0; "x" and None were told thermal channels are reserved
+    **{f"QstConfig.channel_temperature {value!r}": (
+        UsageError, f"channel_temperature must be a real number, got {value!r}",
+        lambda value=value: _qst_config(channel_temperature=value))
+       for value in (False, "x", None)},
+    # each raised "'str' object has no attribute 'shape'"
+    "apply_embedded.psi": (
+        UsageError, "psi must be a cavityq StateVector, got 'x'",
+        lambda: gates.apply_embedded(SNAP3, [0], "x")),
+    "apply_embedded.op": (
+        UsageError, "op must be a cavityq Operator, got 'x'",
+        lambda: gates.apply_embedded("x", [0], basis_state(3, 0))),
+    "embed.op": (
+        UsageError, "op must be a cavityq Operator, got 'x'", lambda: gates.embed("x", [0], 3)),
+    "apply_circuit.circuit": (
+        UsageError, "circuit must be a cavityq Circuit, got 'x'",
+        lambda: gates.apply_circuit("x", basis_state(3, 0))),
+    "apply_circuit.psi": (
+        UsageError, "psi must be a cavityq StateVector, got 'x'",
+        lambda: gates.apply_circuit(gates.Circuit((3,), ()), "x")),
 }
 
 
@@ -964,14 +975,14 @@ BIG = 10**400  # a JSON integer too large for a float
 
 
 @pytest.mark.parametrize("command, fragment, doc", [
-    ("device", "'g_hz'", {**DEVICE, "g_hz": BIG}),
-    ("grape", "'dt_s'", {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
+    ("device", "g_hz is too large for a float", {**DEVICE, "g_hz": BIG}),
+    ("grape", "dt_s is too large for a float", {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
                          "n_segments": 5, "dt_s": BIG}),
-    ("trotter", "'diagonal'", {"diagonal": [0.3, BIG], "kinetic_diagonal": [0.1, 0.3],
+    ("trotter", "diagonal holds a number too large for a float", {"diagonal": [0.3, BIG], "kinetic_diagonal": [0.1, 0.3],
                                "t_total_s": 1.0, "steps_list": [10]}),
-    ("qst", "'kappa_hz'", {"kappa_hz": BIG, "t_span_s": [-2e-5, 2e-5], "dt_s": 4e-8,
+    ("qst", "kappa_hz is too large for a float", {"kappa_hz": BIG, "t_span_s": [-2e-5, 2e-5], "dt_s": 4e-8,
                            "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}}),
-    ("code", "'alpha'", {"alpha": [BIG, 0.0], "n_levels": 10, "t1_s": 1e-3, "dt_s": 1e-7,
+    ("code", "alpha holds a number too large for a float", {"alpha": [BIG, 0.0], "n_levels": 10, "t1_s": 1e-3, "dt_s": 1e-7,
                          "steps": 10}),
     ("run", "alpha is too large for a float", {"shape": [8], "gates": [
         {"kind": "displacement", "target": 0, "alpha": BIG}]}),
@@ -1007,8 +1018,9 @@ def test_cli_zero_segments_refused(tmp_path, capsys):
     config = tmp_path / "grape.json"
     config.write_text(json.dumps({"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
                                   "n_segments": 0, "dt_s": 1e-8}))
-    assert cli.main(["--out", str(tmp_path), "grape", str(config)]) == 1
-    assert "n_segments must be a positive integer, got 0" in capsys.readouterr().err
+    assert cli.main(["--out", str(tmp_path), "grape", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: grape config: n_segments must be a positive integer, got 0\n")
 
 
 def test_bulk_rule_tests_one_entry_per_type():
@@ -1027,8 +1039,6 @@ def test_bulk_rule_still_refuses_one_bad_entry(bad):
     with pytest.raises(UsageError,
                        match=f"snap theta entries must be real numbers, got {re.escape(repr(bad))}"):
         gates.snap(entries)
-    with pytest.raises(errors.ParseError, match="field 'xs' must be a list of numbers"):
-        errors.read_numbers({"xs": entries}, "xs", "cfg")
 
 
 # a number too large for a float at a real site: NumericError naming the
@@ -1055,6 +1065,7 @@ HUGE_INT_SITES = {
     "displacement.alpha": ("alpha is", lambda v: gates.displacement(v, 4)),
     "ecd.beta": ("beta is", lambda v: gates.ecd(v, 4)),
     "sech_pitch.t_s": ("t_s is", lambda v: qst.sech_pitch(1.0, v)),
+    "qubit_model.detuning_hz": ("detuning_hz is", lambda v: pulse.qubit_model(v)),
     "raman_coupling.omega_drive_hz": (
         "omega_drive_hz is", lambda v: qst.raman_coupling(v, 1.0, 1.0, 1.0)),
 }

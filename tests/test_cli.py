@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cavityq import cli, gates, pulse, qst, trotter
+from cavityq import cli, errors, gates, pulse, qst, trotter
 from cavityq.errors import NumericError, ParseError, StepSizeError, UsageError
 from golden import CASES, fresh_python, readme_command, readme_example
 
@@ -360,7 +360,7 @@ class TestCode:
         cfg = write_json(tmp_path / "code.json", dict(CODE_DOC, parity="x"))
         assert run_cli(tmp_path, "code", cfg) == 2
         assert capsys.readouterr().err == (
-            "error: code config: 'parity' must be '+' or '-', got 'x'\n")
+            "error: code config: sign must be '+' or '-', got 'x'\n")
 
     def test_artifact_bytes_match_trajectories(self, tmp_path):
         # the CSV and JSON artifacts hold every trajectory array cell for
@@ -449,17 +449,19 @@ class TestTrotterCommands:
         assert float(rows[0][2]) == pytest.approx(0.0, abs=1e-12)
         assert all(float(r[3]) <= 1 + 1e-12 for r in rows)
 
-    def test_bad_steps_list_exit_2(self, tmp_path):
+    def test_bad_steps_list_exit_1(self, tmp_path, capsys):
+        # steps_list is read by trotter_convergence, when the command computes
         doc = dict(TROTTER_DOC)
         doc["steps_list"] = [50, "many"]
         cfg = write_json(tmp_path / "trot.json", doc)
-        assert run_cli(tmp_path, "trotter", cfg) == 2
+        assert run_cli(tmp_path, "trotter", cfg) == 1
+        assert "steps must be a positive integer, got 'many'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, doc", [("trotter", TROTTER_DOC), ("otoc", OTOC_DOC)])
-    def test_initial_level_outside_exit_1(self, tmp_path, capsys, command, doc):
+    def test_initial_level_outside_exit_2(self, tmp_path, capsys, command, doc):
         cfg = write_json(tmp_path / "config.json", dict(doc, initial_level=8))
-        assert run_cli(tmp_path, command, cfg) == 1
-        assert "initial_level 8 outside [0, 8)" in capsys.readouterr().err
+        assert run_cli(tmp_path, command, cfg) == 2
+        assert f"{command} config: initial_level 8 outside [0, 8)" in capsys.readouterr().err
 
     def test_otoc_empty_time_grid_exit_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "otoc.json", dict(OTOC_DOC, times_s=[]))
@@ -578,9 +580,9 @@ _BOOLEAN_INTEGER_SITES = {
     "cli_int_field": ("grape", {"model": {"kind": "qubit"},
                                 "target": {"kind": "identity"},
                                 "n_segments": True, "dt_s": 1e-7},
-                      "grape config: field 'n_segments' has the wrong type"),
+                      "n_segments must be a positive integer, got True"),
     "trotter_steps_list": ("trotter", dict(TROTTER_DOC, steps_list=[50, True]),
-                           "trotter config: 'steps_list' must be integers"),
+                           "steps must be a positive integer, got True"),
     "gate_subsystem": ("run", _circuit([3], {"kind": "snap", "target": True,
                                              "theta": [0.0, 0.0, 0.0]}),
                        "snap gate field 'target' must be an integer index"),
@@ -595,7 +597,8 @@ _BOOLEAN_INTEGER_SITES = {
                                            "m": 0, "n": True}),
                      "level must be an integer index, got True"),
     "circuit_shape": ("run", _circuit([3, True], None),
-                      "circuit 'shape' must be a non-empty list of integers"),
+                      "circuit shape invalid: subsystem dimension must be a positive integer, "
+                      "got True"),
 }
 
 
@@ -730,7 +733,7 @@ _CONFIG_FAULTS = {
                                                   target={"kind": "pauli_x"}),
                                     "grape target: pauli_x needs a 2-level model"),
     "code_three_entry_alpha": ("code", dict(CODE_DOC, alpha=[2.0, 0.0, 0.0]),
-                               "code config: 'alpha' must be [re, im]"),
+                               "code config: alpha must be 1-D of length 2, got length 3"),
 }
 
 
@@ -741,6 +744,71 @@ def test_config_fault_exit_2(tmp_path, capsys, site):
     assert run_cli(tmp_path, command, cfg) == 2
     assert _one_error_line(capsys) == f"error: {message}"
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def _field_paths(doc: dict):
+    """The path of each field of a config and of each object nested in it,
+    one level deep, "kind" fields aside."""
+    for name, value in doc.items():
+        if name != "kind":
+            yield (name,)
+        if isinstance(value, dict):
+            yield from ((name, inner) for inner in value if inner != "kind")
+
+
+# fields that only a command's computation reads, by the rule of the engine
+# call they feed: a fault in one exits by its error root, 1 for the values
+# below; a fault in any other field is found while the command reads its
+# config and exits 2
+_COMPUTATION_READ = {("grape", "iterations"), ("grape", "learning_rate"), ("grape", "tol"),
+                     ("code", "steps"), ("code", "n_trajectories"), ("trotter", "t_total_s"),
+                     ("trotter", "steps_list"), ("otoc", "times_s"), ("qst", "delta_sweep_hz")}
+_WRONG_VALUES = {"str": "x", "true": True, "null": None, "object": {}}
+_VALID_VALUES = {("cavity_drive", "true"), ("delta_sweep_hz", "null")}
+_FIELD_CASES = [
+    pytest.param(command, path, value, id=f"{command}-{'.'.join(path)}-{label}")
+    for command, heading in CASES.items()
+    for path in _field_paths(json.loads(readme_example(heading)[0]))
+    for label, value in _WRONG_VALUES.items() if (path[-1], label) not in _VALID_VALUES]
+
+
+@pytest.mark.parametrize("command, path, value", _FIELD_CASES)
+def test_each_config_field_has_one_exit_code(tmp_path, capsys, command, path, value):
+    # a field was read by a JSON type check and then by its call's rule, with
+    # two exit codes: "n_segments": "x" exited 2 but 0 exited 1
+    doc = json.loads(readme_example(CASES[command])[0])
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    cfg = write_json(tmp_path / "config.json", doc)
+    code = 1 if (command, path[-1]) in _COMPUTATION_READ else 2
+    assert run_cli(tmp_path, command, cfg) == code
+    _one_error_line(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_no_config_field_is_typed_as_a_number(tmp_path, monkeypatch):
+    # read_field is a plain isinstance check, under which a float type would
+    # refuse a JSON 1; a number goes on as decoded, to the rule of its call
+    read_field, seen = errors.read_field, []
+
+    def traced(doc, name, types, what, *default):
+        seen.append((f"{what}: {name}", types if isinstance(types, tuple) else (types,)))
+        return read_field(doc, name, types, what, *default)
+
+    monkeypatch.setattr(errors, "read_field", traced)
+    names = set()
+    for command, heading in CASES.items():
+        names.update(path[-1] for path in _field_paths(json.loads(readme_example(heading)[0])))
+        args = cli.build_parser().parse_args(readme_command(command, tmp_path))
+        cli._command(command)(args, Path(getattr(args, cli._COMMANDS[command][0])).read_text())
+    qst.qst_config_from_json(dict(QST_SWEEP_DOC["transfer"], emit_waveform={
+        "kind": "sampled", "dt_s": 1e-6, "values": [0.0, 1e6, 0.0]}))
+    pulse.PulseSchedule.from_json(pulse.PulseSchedule.from_json(json.dumps(SCHEDULE_DOC)).to_json())
+    assert names | {"values", "controls", "amps", "carrier_hz"} <= {
+        field.rsplit(": ", 1)[1] for field, _ in seen}
+    assert [field for field, types in seen if {float, int} & set(types)] == []
 
 
 def test_zero_threads_is_a_usage_error(tmp_path, capsys):
@@ -1392,7 +1460,7 @@ _OVERFLOW_CASES = {
     "qst_span_steps": ("qst", dict(QST_SWEEP_DOC["transfer"], t_span_s=[-1e300, 2e-5]),
                        4, "t_span_s (-1e+300, 2e-05) over dt_s 4e-08 is 2.5e+307 RK4 steps"),
     "code_alpha": ("code", dict(CODE_DOC, alpha=[1e308, 0]),
-                   1, "cat state has no support at this truncation"),
+                   2, "cat state has no support at this truncation"),
     "device_g_large": ("device", dict(PAPER_DEVICE, g_hz=1e308),
                        3, "chi_hz is not finite"),
     "device_g_small": ("device", dict(PAPER_DEVICE, g_hz=5e-192),
@@ -1419,14 +1487,14 @@ _OVERFLOW_CASES = {
                                2, "gate 0: alpha must be finite"),
     "run_ecd_beta": ("run", {"shape": [2, 4], "gates": [
         {"kind": "ecd", "qubit": 0, "mode": 1, "beta": [math.nan, 0.0]}]},
-                     2, "gate 0: beta must be finite"),
+                     2, "gate 0: non-finite entries in ecd gate field 'beta'"),
     "code_alpha_nan": ("code", dict(CODE_DOC, alpha=[math.nan, 0]),
-                       1, "alpha must be finite, got (nan+0j)"),
-    "code_t1_nan": ("code", dict(CODE_DOC, t1_s=math.nan), 1, "t1_s must be positive, got nan"),
+                       2, "code config: non-finite entries in alpha"),
+    "code_t1_nan": ("code", dict(CODE_DOC, t1_s=math.nan), 2, "t1_s must be positive, got nan"),
     # "invalid value encountered in multiply" before the error line
     "grape_chi": ("grape", dict(GRAPE_DOC, model={"kind": "dispersive", "chi_hz": 1e308,
                                                   "n_levels": 3}),
-                  3, "chi_hz 1e+308: the drift's largest entry 2*pi*chi_hz*(n_levels-1)"),
+                  2, "chi_hz 1e+308: the drift's largest entry 2*pi*chi_hz*(n_levels-1)"),
     "grape_dt": ("grape", dict(GRAPE_DOC, dt_s=1e308),
                  3, "dt_s 1e+308 overflows the drive area 2*pi*dt_s"),
     # six RuntimeWarnings, then exit 0 with "fidelity": NaN and a row 0,nan,0.0
@@ -1441,7 +1509,7 @@ _OVERFLOW_CASES = {
                                                           "theta": [0.0, math.nan]}),
                          2, "grape target: non-finite entries in theta"),
     "code_t1_dt_inf": ("code", dict(CODE_DOC, t1_s=math.inf, dt_s=math.inf),
-                       1, "dt_s must be positive and finite, got inf"),
+                       2, "dt_s must be positive and finite, got inf"),
 }
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityq import device, errors, gates, qst
+from cavityq import device, errors
 from cavityq.errors import ParseError, UsageError
 
 
@@ -173,7 +173,7 @@ class TestSerialization:
     def test_boolean_field_rejected(self):
         raw = json.loads(reference_params().to_json())
         raw["g_hz"] = True
-        with pytest.raises(ParseError, match="device params: field 'g_hz' has the wrong type"):
+        with pytest.raises(ParseError, match="^device JSON invalid: g_hz must be a real number, got True$"):
             device.DeviceParams.from_json(json.dumps(raw))
 
     def test_malformed_json(self):
@@ -185,30 +185,6 @@ class TestSerialization:
         assert s["max_fock"] == 5000
         assert s["critical_photon_number"] == 10000.0
         assert s["chi_hz"] == pytest.approx(50e3)
-
-
-class TestJsonNumberRule:
-    def test_every_parser_shares_one_predicate(self):
-        # pulse reads its schedule amplitudes with errors.require_array
-        for module in (gates, qst):
-            assert module.is_json_number is errors.is_json_number
-
-    @pytest.mark.parametrize("value", [0, -3, 1.5, 1e308, math.inf, math.nan])
-    def test_numbers(self, value):
-        assert errors.is_json_number(value)
-
-    @pytest.mark.parametrize("value", [True, False, "1", None, [1.0], {"re": 1}, 1j])
-    def test_not_numbers(self, value):
-        assert not errors.is_json_number(value)
-
-    def test_ints_beyond_the_float_range(self):
-        # float() of each raised OverflowError, a traceback with exit 1
-        edge = 2**1024 - 2**970  # the least int that rounds past the largest float
-        assert errors.is_json_number(edge - 1) and float(edge - 1) == 1.7976931348623157e308
-        for value in (edge, -edge, 10**400):
-            assert not errors.is_json_number(value)
-            with pytest.raises(OverflowError):
-                float(value)
 
 
 @pytest.mark.parametrize("field", list(device._FIELDS))

@@ -412,6 +412,32 @@ class TestCircuits:
         u2 = gates.circuit_unitary(circ2).matrix
         np.testing.assert_allclose(u1, u2, atol=1e-12)
 
+    # fields a GateSpec takes that json cannot write: numpy scalars and arrays, complexes
+    NUMPY_FIELD_CIRCUITS = {
+        "givens_int64_levels": ((3,), "givens", {
+            "target": 0, "m": np.int64(0), "n": np.int64(2), "theta": 0.5}),
+        "phase_swap_int32_levels": ((4,), "phase_swap", {
+            "target": 0, "m": np.int32(1), "n": np.int32(3)}),
+        "qubit_rotation_float32_theta": ((2,), "qubit_rotation", {
+            "target": 0, "theta": np.float32(0.3), "phi": np.float32(-1.1)}),
+        "snap_ndarray_theta": ((3,), "snap", {"target": 0, "theta": np.array([0.1, -0.7, 2.5])}),
+        "fourier_numpy_bool_inverse": ((4,), "fourier", {"target": 0, "inverse": np.bool_(True)}),
+        "displacement_complex_alpha": ((6,), "displacement", {"target": 0, "alpha": 0.3 - 0.2j}),
+        "displacement_numpy_complex_alpha": ((6,), "displacement", {
+            "target": 0, "alpha": np.complex128(-0.1 + 0.4j)}),
+        "ecd_complex64_beta": ((2, 5), "ecd", {"qubit": 0, "mode": 1,
+                                               "beta": np.complex64(0.25 + 0.5j)}),
+    }
+
+    @pytest.mark.parametrize("case", list(NUMPY_FIELD_CIRCUITS))
+    def test_json_roundtrip_of_numpy_and_complex_fields(self, case):
+        # to_json raised a raw TypeError ("Object of type int64 is not JSON serializable")
+        dims, kind, params = self.NUMPY_FIELD_CIRCUITS[case]
+        circuit = gates.Circuit(dims, (gates.GateSpec(kind, params),))
+        parsed = gates.circuit_from_json(circuit.to_json())
+        np.testing.assert_array_equal(gates.circuit_unitary(parsed).matrix,
+                                      gates.circuit_unitary(circuit).matrix)
+
     def test_unknown_kind_is_parse_error_with_location(self):
         doc = self.circuit_doc()
         doc["gates"][1]["kind"] = "warp"
