@@ -163,8 +163,9 @@ def cmd_code(args, text: str) -> _Computation:
                     {"parity": (object, "+"), "n_trajectories": (object, 1)})
     with parse_errors("code config"):
         re, im = require_array("alpha", f["alpha"], (2,), float).tolist()
-        psi = codes.cat_state(complex(re, im), f["parity"], f["n_levels"])
-        channel = noise.photon_loss_channel(f["t1_s"], f["dt_s"], f["n_levels"])
+        [n_levels] = fock.shape_of((f["n_levels"],), "n_levels").dims  # the library names it n
+        psi = codes.cat_state(complex(re, im), f["parity"], n_levels)
+        channel = noise.photon_loss_channel(f["t1_s"], f["dt_s"], n_levels)
     steps, n_trajectories, seed = f["steps"], f["n_trajectories"], args.seed
 
     def compute() -> _Result:

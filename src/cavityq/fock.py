@@ -116,14 +116,21 @@ class HilbertShape:
         return tuple(reversed(occ))
 
 
-def shape_of(dims: int | Sequence[int] | HilbertShape) -> HilbertShape:
+def shape_of(dims: int | Sequence[int] | HilbertShape, name: str | None = None) -> HilbertShape:
     """A HilbertShape as is, the dims of a list, tuple or 1-D array, or any
-    other value as the dimension of one mode; called before any allocation."""
+    other value as the dimension of one mode; called before any allocation.
+    An InvalidDimensionError names `name`, the argument dims came from, if
+    given."""
     if isinstance(dims, HilbertShape):
         return dims
-    if isinstance(dims, (list, tuple)) or not isinstance(dims, int) and np.ndim(dims) == 1:
-        return HilbertShape(tuple(dims))
-    return HilbertShape((dims,))
+    try:
+        if isinstance(dims, (list, tuple)) or not isinstance(dims, int) and np.ndim(dims) == 1:
+            return HilbertShape(tuple(dims))
+        return HilbertShape((dims,))
+    except InvalidDimensionError as exc:
+        if name is None:
+            raise
+        raise InvalidDimensionError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,30 +282,43 @@ def eig_exponential(evals: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray
                    vecs.conj().swapaxes(-1, -2))
 
 
+def su2_factors(bz: np.ndarray, h10: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with exp(-i h t) = e^{-ict} [[a, -conj(b)], [b, conj(a)]] for
+    2x2 Hermitian h = [[c + bz, conj(h10)], [h10, c - bz]], c and bz real,
+    elementwise. The closed form is e^{-ict} (cos(theta) I - i t sinc(theta)
+    (h - c I)) with theta = t sqrt(bz^2 + |h10|^2) and sinc(theta) =
+    sin(theta)/theta, so a = cos(theta) - i t sinc(theta) bz and
+    b = -i t sinc(theta) h10: the SU(2) part of the package's one 2x2
+    exponential, whose phase e^{-ict} its callers take."""
+    theta = np.sqrt(bz**2 + np.abs(h10) ** 2) * t
+    y = np.where(theta, theta, np.finfo(float).eps)  # sinc(0): sin(eps)/eps = 1
+    sin = -1j * t * (np.sin(y) / y)
+    return np.cos(theta) + sin * bz, sin * h10
+
+
+def su2_matrix(phase: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) matrices phase * [[a, -conj(b)], [b, conj(a)]]."""
+    u = np.empty((*np.shape(a), 2, 2), dtype=np.complex128)
+    u[..., 0, 0] = phase * a
+    u[..., 1, 1] = phase * a.conj()
+    u[..., 0, 1] = -phase * b.conj()
+    u[..., 1, 0] = phase * b
+    return u
+
+
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h of shape (..., b, b), batched over the
     leading axes.
 
-    2x2 matrices h = c*I + B (B traceless, eigenvalues +-|b|) use the closed
-    form e^{-ict} (cos(|b|t) I - i t sinc(|b|t) B); larger ones one batched
-    eigh. Like eigh, both read only the lower triangle.
+    2x2 matrices are e^{-ict} times the `su2_factors` of their half
+    diagonal difference bz and lower entry, with c half their trace; larger
+    ones use one batched eigh. Like eigh, both read only the lower triangle.
     """
     if h.shape[-1] != 2:
         return eig_exponential(*np.linalg.eigh(h), t)
-    h00, h11, h10 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
-    bz = (h00 - h11) / 2
-    theta = np.sqrt(bz**2 + np.abs(h10) ** 2) * t
-    phase = np.exp(-0.5j * (h00 + h11) * t)
-    cos = phase * np.cos(theta)
-    sin = -1j * t * phase * np.sinc(theta / np.pi)  # sinc(x) = sin(pi x)/(pi x)
-    # keeps the memory layout of h: the 2x2 products that pulse takes of a
-    # C-ordered copy instead run about a quarter slower
-    u = np.empty_like(h, dtype=np.complex128)
-    u[..., 0, 0] = cos + sin * bz
-    u[..., 1, 1] = cos - sin * bz
-    u[..., 0, 1] = sin * h10.conj()
-    u[..., 1, 0] = sin * h10
-    return u
+    h00, h11 = h[..., 0, 0].real, h[..., 1, 1].real
+    return su2_matrix(np.exp(-0.5j * (h00 + h11) * t),
+                      *su2_factors((h00 - h11) / 2, h[..., 1, 0], t))
 
 
 def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +344,10 @@ def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vecs[..., 1, 0] = cos
     vecs[..., 0, 1] = cos
     vecs[..., 1, 1] = sin_phase
-    return np.stack([c - r, c + r], axis=-1), vecs
+    evals = np.empty(h.shape[:-1])
+    np.subtract(c, r, out=evals[..., 0])
+    np.add(c, r, out=evals[..., 1])
+    return evals, vecs
 
 
 def propagator(h: Operator, t: float) -> Operator:

@@ -56,6 +56,8 @@ from .fock import (
     hermitian_eigensystem,
     number_operator,
     shape_of,
+    su2_factors,
+    su2_matrix,
 )
 from .gates import _displacement_factors, _snap_phases
 
@@ -67,12 +69,14 @@ _SNAP_SEGMENT_DENSITY = 900.0
 _SNAP_MIN_SEGMENTS = 1500
 # Gaussian envelope width as a fraction of each half-pulse
 _SNAP_SIGMA_DIVISOR = 6.0
-# matrix entries per chunk of stacked segment blocks: 256 KiB of complex128,
-# which is 512 segments of the N = 8 dispersive photon-number sectors. The
+# complex entries per chunk of stacked segment blocks, 256 KiB of complex128:
+# b*b per segment of a b×b block, so 128 segments of a cavity-drive model's
+# one 16×16 block, and an SU(2) pair (a, b) per 2×2 block, so 1,024 segments
+# of the N = 8 dispersive photon-number sectors. In the matrix layout the
 # benchmark's ten SNAP jobs (one BLAS thread, interleaved rounds) ran faster
-# at 2^14 than at 2^16 in 18 of 20 rounds (422 against 451 ms) and than at
-# 2^13 in 13 of 16 (363 against 406 ms); 2^15 was within noise of 2^14 with
-# a larger peak, and a cavity-drive schedule (one 2N×2N block) is no slower
+# at 2^14 than at 2^16 in 18 of 20 rounds and than at 2^13 in 13 of 16. In
+# the pair layout 2^14 was fastest in 5 of 5 rounds (medians 168-178 ms),
+# with 2^13 10-17 % and 2^15 19-22 % slower
 _CHUNK_ENTRIES = 1 << 14
 # most segments × streams one GRAPE schedule may have: a pass keeps every
 # segment's eigensystem and prefix product; a qubit-model run at the cap
@@ -265,7 +269,7 @@ def dispersive_model(chi_hz: float, n_levels: int,
     """Dispersive qubit-cavity model, qubit first: drift
     -2*pi*chi |e><e| (x) n_hat, qubit drive quadratures, and optionally
     cavity drive quadratures; cavity_drive a bool or a numpy bool."""
-    shape = shape_of((2, n_levels))
+    shape = shape_of((2, n_levels), "n_levels")
     if n_levels < 2:
         raise UsageError(f"need at least 2 cavity levels, got {n_levels}")
     chi_hz = require_positive("chi_hz", chi_hz)
@@ -298,7 +302,7 @@ def dispersive_model_from_device(params: DeviceParams, n_levels: int,
 def _control_coefficients(amps: np.ndarray) -> np.ndarray:
     """(2S, M) real control coefficients 2*pi*Re(u_s), 2*pi*Im(u_s), in the
     order of model.controls, for (S, M) complex amplitudes in Hz."""
-    quads = np.stack([amps.real, amps.imag], axis=1)
+    quads = amps.view(float).reshape(*amps.shape, 2).transpose(0, 2, 1)
     return 2 * np.pi * quads.reshape(-1, amps.shape[1])
 
 
@@ -332,6 +336,32 @@ def _ordered_product(u: np.ndarray) -> np.ndarray:
     return u[0]
 
 
+def _su2_product(later: tuple, earlier: tuple) -> tuple:
+    """The `su2_factors` (a, b) of later @ earlier, elementwise."""
+    (a1, b1), (a0, b0) = later, earlier
+    return a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
+
+
+def _ordered_su2_product(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The (a, b) of U[M-1] @ ... @ U[0] over the last axis, for the
+    `su2_factors` (a, b) of each U, in the pairwise order of _ordered_product."""
+    while a.shape[-1] > 1:
+        m = a.shape[-1]
+        even = m - m % 2
+        pairs = _su2_product((a[..., 1:even:2], b[..., 1:even:2]),
+                             (a[..., 0:even:2], b[..., 0:even:2]))
+        a, b = ((np.concatenate([pairs[0], a[..., even:]], axis=-1),
+                 np.concatenate([pairs[1], b[..., even:]], axis=-1)) if even < m else pairs)
+    return a[..., 0], b[..., 0]
+
+
+def _sector_entries(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The half traces c, half diagonal differences bz and lower entries h10
+    of (..., 2, 2) Hermitian blocks, read from the lower triangle."""
+    h00, h11 = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+    return (h00 + h11) / 2, (h00 - h11) / 2, blocks[..., 1, 0]
+
+
 def _prefix_products(u: np.ndarray) -> np.ndarray:
     """Inclusive ordered products p[j] = u[j] @ ... @ u[0] over the leading
     axis. Work-efficient: the products of neighbour pairs are scanned, which
@@ -356,24 +386,50 @@ def _propagator(model: ControlModel, streams: Sequence[np.ndarray],
     NumericError first if `_segment_phase` refuses the streams. Each
     invariant block of model.block_layout is exponentiated on its own, with
     blocks of one size stacked together. Segments go in chunks of at most
-    _CHUNK_ENTRIES matrix entries per size group: each chunk reads its
+    _CHUNK_ENTRIES complex entries per size group: each chunk reads its
     control coefficients from the streams, is reduced pairwise, and the
     chunks are multiplied in order, so the temporaries stay near 256 KiB
     however long the schedule is, and no array spans all M segments.
+
+    2x2 blocks (the photon-number sectors, the qubit) never form a matrix.
+    A chunk's half differences bz and lower entries h10 are small products
+    of the control coefficients with the blocks' entries, each segment is
+    the SU(2) pair (a, b) of `su2_factors`, and the pairs are multiplied as
+    pairs. The half traces commute with everything, so the product's phase
+    is one exponential of their sum. Larger blocks go through
+    expm_hermitian: one batched eigh per chunk.
     """
     _segment_phase(model, streams, dt)
     d = model.shape.total_dim
+    n_segments = len(streams[0])
     prop = np.zeros((d, d), dtype=complex)
     for group in model.block_layout:
-        step = max(1, _CHUNK_ENTRIES // group.drift.size)
+        sectors = len(group.index) if group.index.shape[1] == 2 else 0
+        # complex entries a segment holds: an (a, b) pair per sector, b*b per larger block
+        step = max(1, _CHUNK_ENTRIES // (2 * sectors or group.drift.size))
+        if sectors:
+            # each entry as the drift's (B,) and the controls' (B, 2S)
+            c0, z0, l0 = _sector_entries(group.drift)
+            cg, zg, lg = (e.T for e in _sector_entries(group.controls))
+            # the phase e^{-i dt sum(c)}: the drift's M c0 plus cg times each
+            # control's summed coefficient, a pairwise sum over a stream. The
+            # angle is taken in extended precision where the platform has it:
+            # a double angle of A rad is off by up to A*2^-53
+            summed = _control_coefficients(np.array([[s.sum()] for s in streams]))[:, 0]
+            angle = np.longdouble(dt) * (n_segments * c0.astype(np.longdouble) + cg @ summed)
+            phase = np.exp(-1j * angle).astype(complex)
         total = None
-        for start in range(0, len(streams[0]), step):
-            coeffs = _control_coefficients(
-                np.stack([s[start:start + step] for s in streams]))
-            h = group.drift + np.einsum("km,kbij->mbij", coeffs, group.controls)
-            u = _ordered_product(expm_hermitian(h, dt))
-            total = u if total is None else _matmul(u, total)
-        prop[group.grid] = total
+        for start in range(0, n_segments, step):
+            coeffs = _control_coefficients(np.stack([s[start:start + step] for s in streams]))
+            if sectors:  # (B, m) sector-major, so the products run along contiguous segments
+                u = _ordered_su2_product(*su2_factors(
+                    z0[:, None] + zg @ coeffs, l0[:, None] + lg @ coeffs, dt))
+                total = u if total is None else _su2_product(u, total)
+            else:
+                h = group.drift + np.einsum("km,kbij->mbij", coeffs, group.controls)
+                u = _ordered_product(expm_hermitian(h, dt))
+                total = u if total is None else _matmul(u, total)
+        prop[group.grid] = su2_matrix(phase, *total) if sectors else total
     return prop
 
 
@@ -385,9 +441,10 @@ def _phi_matrix(evals: np.ndarray, t: float) -> np.ndarray:
     (e^{m_a} - e^{m_b}) / (m_a - m_b) is e^{(m_a + m_b)/2} sin(y)/y with
     y = (evals_a - evals_b) t / 2, which needs no special case at y = 0."""
     half = np.exp(-0.5j * t * evals)
-    diff = evals[..., :, None] - evals[..., None, :]
-    return ((half[..., :, None] * half[..., None, :])
-            * np.sinc(diff * (t / (2 * np.pi))))
+    # np.sinc's own steps, without its wrapper: pi*x, then sin(y)/y with y = eps at 0
+    x = np.pi * ((evals[..., :, None] - evals[..., None, :]) * (t / (2 * np.pi)))
+    y = np.where(x, x, np.finfo(float).eps)
+    return (half[..., :, None] * half[..., None, :]) * (np.sin(y) / y)
 
 
 def _frechet_adjoint(vecs: np.ndarray, phi: np.ndarray, left: np.ndarray,
@@ -696,7 +753,9 @@ def _grape_pass(model: ControlModel, amps: np.ndarray, dt: float,
                                              seed[group.index][..., None]))
             left = np.concatenate([left[None], _matmul(fwd[:-1], left)])
             s = _frechet_adjoint(vecs, _phi_matrix(lam, dt), left, right)
-            val = val + np.tensordot(group.controls, s, axes=([1, 2, 3], [1, 3, 2]))
+            # Tr(C_k S_j) over the blocks: the dot np.tensordot would call
+            val = val + np.dot(group.controls.reshape(len(group.controls), -1),
+                               s.transpose(1, 3, 2, 0).reshape(-1, len(s)))
         # control k moves segment j's exponent along -2*pi*i*dt*C_k, so
         # dJ = 2 Re Tr(-2*pi*i*dt*C_k S_j) = 4*pi*dt Im Tr(C_k S_j)
         val = 4 * np.pi * dt * val.imag

@@ -593,13 +593,14 @@ def qst_config_from_json(text: str | dict) -> QstConfig:
                      "input_state": (object, [[0.0, 0.0], [1.0, 0.0]]),
                      "channel_temperature": (object, 0.0)})
     with parse_errors("transfer config"):
+        kappa_hz = require_positive("kappa_hz", f["kappa_hz"])  # a sech waveform's default
         span = require_array("t_span_s", f["t_span_s"], (2,), float).tolist()
         state = require_array("field 'input_state'", f["input_state"], (2, 2), float)
-    emit = _waveform_from_json(f["emit_waveform"], "emit", f["kappa_hz"], span[0])
-    catch = _waveform_from_json(f["catch_waveform"], "catch", f["kappa_hz"], span[0])
+    emit = _waveform_from_json(f["emit_waveform"], "emit", kappa_hz, span[0])
+    catch = _waveform_from_json(f["catch_waveform"], "catch", kappa_hz, span[0])
     with parse_errors("invalid transfer config"):
         return QstConfig(
-            kappa_hz=f["kappa_hz"],
+            kappa_hz=kappa_hz,
             emit_waveform=emit,
             catch_waveform=catch,
             t_span_s=tuple(span),

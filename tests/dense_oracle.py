@@ -8,6 +8,9 @@ displacement product. `FORMULAS` maps each kind to its formula, called
 with the kernel's arguments; `dense_unitary` embeds each gate of a
 circuit with `gates.embed` and multiplies the results in order, so tests
 of the kernels, the constructors and `circuit_unitary` compare against it.
+`sector_propagator` is the same kind of reference for pulse schedules on
+models of 2x2 blocks: every segment exponentiated and multiplied in order,
+in extended precision.
 """
 
 import cmath
@@ -117,3 +120,42 @@ def dense_unitary(circuit: gates.Circuit) -> np.ndarray:
         op = fock.Operator(sub, FORMULAS[spec.kind](*args))
         total = gates.embed(op, targets, shape).matrix @ total
     return total
+
+
+def sector_propagator(model, streams, dt: float) -> np.ndarray:
+    """U_{M-1}...U_0 of a schedule on a model whose invariant blocks are
+    all 2x2, in np.clongdouble and returned as complex128. Each segment's
+    block h = drift + 2π(Re u C_re + Im u C_im) is exponentiated by the
+    closed form e^{−ict}(cos θ I − i sin θ (h − cI)/r), with c half its
+    trace, r = √(bz² + |h10|²) its half eigenvalue gap and θ = r dt, and
+    the segments are multiplied one at a time, in order."""
+    d = model.shape.total_dim
+    coupled = model.drift.matrix != 0
+    for op in model.controls:
+        coupled = coupled | (op.matrix != 0)
+    rows, cols = np.nonzero(np.triu(coupled, 1))  # each block's (upper, lower) level
+    assert sorted([*rows, *cols]) == list(range(d)), "the blocks are not all 2x2"
+    two_pi = 4 * np.arccos(np.longdouble(0))
+    h = np.broadcast_to(model.drift.matrix.astype(np.clongdouble), (len(streams[0]), d, d))
+    for s, stream in enumerate(streams):
+        for k, part in ((2 * s, stream.real), (2 * s + 1, stream.imag)):
+            h = h + ((two_pi * part.astype(np.longdouble))[:, None, None]
+                     * model.controls[k].matrix.astype(np.clongdouble))
+    h00, h11, h10 = h[:, rows, rows].real, h[:, cols, cols].real, h[:, cols, rows]
+    c, bz = (h00 + h11) / 2, (h00 - h11) / 2
+    t = np.longdouble(dt)
+    r = np.sqrt(bz * bz + h10.real * h10.real + h10.imag * h10.imag)
+    sin_over_r = np.where(r > 0, np.sin(r * t) / np.where(r > 0, r, 1), t)
+    phase = np.cos(c * t) - 1j * np.sin(c * t)
+    seg = np.empty((*h00.shape, 2, 2), dtype=np.clongdouble)
+    seg[..., 0, 0] = phase * (np.cos(r * t) - 1j * sin_over_r * bz)
+    seg[..., 1, 1] = phase * (np.cos(r * t) + 1j * sin_over_r * bz)
+    seg[..., 1, 0] = phase * (-1j * sin_over_r * h10)
+    seg[..., 0, 1] = phase * (-1j * sin_over_r * h10.conj())
+    total = np.broadcast_to(np.eye(2, dtype=np.clongdouble), seg.shape[1:])
+    for step in seg:
+        total = np.einsum("bij,bjk->bik", step, total)
+    prop = np.zeros((d, d), dtype=complex)
+    for (i, j), block in zip(zip(rows, cols), total):
+        prop[np.ix_([i, j], [i, j])] = block
+    return prop

@@ -1135,7 +1135,8 @@ def test_overflow_site_refuses_before_any_exponential(site):
     refused = mock.Mock(side_effect=AssertionError("computed"))
     with mock.patch.object(pulse, "_snap_drive_samples", refused), \
             mock.patch.object(pulse, "expm_hermitian", refused), \
-            mock.patch.object(pulse, "hermitian_eigensystem", refused):
+            mock.patch.object(pulse, "hermitian_eigensystem", refused), \
+            mock.patch.object(pulse, "su2_factors", refused):
         with pytest.raises(NumericError, match=f"^{re.escape(fragment)}"):
             call()
 
@@ -1247,7 +1248,9 @@ def test_phase_site_runs_up_to_max_phase_and_refuses_above(site):
             mock.patch.object(pulse, "expm_hermitian", refused), \
             mock.patch.object(pulse, "hermitian_eigensystem", refused), \
             mock.patch.object(pulse, "eig_exponential", refused), \
-            mock.patch.object(fock, "expm_hermitian", refused):
+            mock.patch.object(pulse, "su2_factors", refused), \
+            mock.patch.object(fock, "expm_hermitian", refused), \
+            mock.patch.object(fock, "su2_factors", refused):
         with pytest.raises(NumericError, match=(
                 f"^{re.escape(what)}[^:]*: the {re.escape(quantity)} is 1.05e\\+06 rad, "
                 "above MAX_PHASE_RAD = 2\\*\\*20 rad$")):

@@ -724,8 +724,11 @@ def test_bad_gate_entry_exit_2(tmp_path, capsys, site):
     assert [p.name for p in tmp_path.iterdir()] == ["circ.json"]
 
 
-# config objects whose fields read but do not fit together: (command, config,
-# the one error line's text after "error: ")
+# config faults found while a command reads its config: fields that read but
+# do not fit together, and faulty fields named by the field (n_levels was
+# reported as "subsystem dimension must be a positive integer", and the
+# transfer config's own kappa_hz as the emit waveform's, whose sech rate
+# defaults to it): (command, config, the one error line's text after "error: ")
 _CONFIG_FAULTS = {
     "grape_model_without_kind": ("grape", dict(GRAPE_DOC, model={"detuning_hz": 0.0}),
                                  "grape model: missing field 'kind'"),
@@ -734,6 +737,16 @@ _CONFIG_FAULTS = {
                                     "grape target: pauli_x needs a 2-level model"),
     "code_three_entry_alpha": ("code", dict(CODE_DOC, alpha=[2.0, 0.0, 0.0]),
                                "code config: alpha must be 1-D of length 2, got length 3"),
+    "code_n_levels": ("code", dict(CODE_DOC, n_levels="x"),
+                      "code config: n_levels: subsystem dimension must be a positive integer, "
+                      "got 'x'"),
+    "grape_dispersive_n_levels": (
+        "grape", dict(GRAPE_DOC, model=dict(TestGrape.DISPERSIVE, n_levels="x")),
+        "grape config: n_levels: subsystem dimension must be a positive integer, got 'x'"),
+    "qst_kappa_hz": ("qst", _with(QST_SWEEP_DOC, ("transfer",), kappa_hz="x"),
+                     "transfer config: kappa_hz must be a real number, got 'x'"),
+    "qst_negative_kappa_hz": ("qst", _with(QST_SWEEP_DOC, ("transfer",), kappa_hz=-1),
+                              "transfer config: kappa_hz must be positive and finite, got -1.0"),
 }
 
 
