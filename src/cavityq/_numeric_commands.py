@@ -76,7 +76,9 @@ def cmd_qst(args, text: str) -> _Computation:
                      float(np.sqrt(max(0.0, 1.0 - res.eta))))]
             summary = {"eta": res.eta, "fidelity": res.fidelity}
         else:
-            result = qst.detuning_sweep(config, sweep)
+            # read under the field's name: the library names it delta_list
+            result = qst.detuning_sweep(
+                config, require_array("delta_sweep_hz", sweep, (None,), float))
             rows = list(result.rows)
             summary = {
                 "baseline_eta": result.baseline_eta,

@@ -145,6 +145,14 @@ def require_positive(name: str, value) -> float:
     return value
 
 
+def require_instance(name: str, value, cls: type):
+    """value, or UsageError naming the argument unless it is a cls: the one
+    type rule for arguments that must be objects of the package's classes."""
+    if not isinstance(value, cls):
+        raise UsageError(f"{name} must be a cavityq {cls.__name__}, got {value!r}")
+    return value
+
+
 def finite_result(name: str, compute):
     """compute(), a real or complex value the package derives, or
     NumericError naming it when it overflows or is not finite: float **

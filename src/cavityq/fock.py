@@ -6,7 +6,9 @@ n_0 * (d_1 * d_2 * ...) + n_1 * (d_2 * ...) + ... ; this matches the
 ordering of numpy.kron(A, B). All arrays are complex128 and frozen
 after construction, and every function here is pure, so results are
 bitwise reproducible in single-threaded runs. It holds the one copy of the
-truncated-state rule, of the Hermitian exponential with its 2x2 products, and of tensor.
+truncated-state rule, of the Hermitian exponential, of tensor, of the 2x2
+block reader `_sector_entries` and of `_ordered_product`, the one fold of a
+chunked product of maps (SU(2) sectors, larger blocks, RK4 step maps).
 """
 
 from __future__ import annotations
@@ -282,6 +284,14 @@ def eig_exponential(evals: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray
                    vecs.conj().swapaxes(-1, -2))
 
 
+def _sector_entries(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The half traces c, half diagonal differences bz and lower entries h10
+    of (..., 2, 2) Hermitian h, read like eigh from the lower triangle: the
+    package's one reader of a 2x2 block."""
+    h00, h11 = h[..., 0, 0].real, h[..., 1, 1].real
+    return (h00 + h11) / 2, (h00 - h11) / 2, h[..., 1, 0]
+
+
 def su2_factors(bz: np.ndarray, h10: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) with exp(-i h t) = e^{-ict} [[a, -conj(b)], [b, conj(a)]] for
     2x2 Hermitian h = [[c + bz, conj(h10)], [h10, c - bz]], c and bz real,
@@ -296,6 +306,12 @@ def su2_factors(bz: np.ndarray, h10: np.ndarray, t: float) -> tuple[np.ndarray, 
     return np.cos(theta) + sin * bz, sin * h10
 
 
+def _su2_product(later: Sequence[np.ndarray], earlier: Sequence[np.ndarray]) -> tuple:
+    """The `su2_factors` (a, b) of later @ earlier, elementwise."""
+    (a1, b1), (a0, b0) = later, earlier
+    return a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
+
+
 def su2_matrix(phase: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (..., 2, 2) matrices phase * [[a, -conj(b)], [b, conj(a)]]."""
     u = np.empty((*np.shape(a), 2, 2), dtype=np.complex128)
@@ -306,19 +322,36 @@ def su2_matrix(phase: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return u
 
 
+def _ordered_product(product, chunks: Iterable[list[np.ndarray]]) -> list[np.ndarray]:
+    """The ordered product of maps given in chunks, earliest first. A chunk
+    is a list of arrays whose leading axis runs over its maps, and
+    product(later, earlier) multiplies two such lists elementwise. Each
+    chunk pairs neighbours from its last map back, an odd first map waiting
+    for the next round, as the last entry of a Hillis-Steele scan does, so
+    the two agree bitwise; the chunks are then multiplied in order. Returns
+    the product's arrays without the leading axis."""
+    total = None
+    for maps in chunks:
+        while len(maps[0]) > 1:
+            odd = len(maps[0]) % 2
+            pairs = product([m[1 + odd::2] for m in maps], [m[odd::2] for m in maps])
+            maps = [np.concatenate((m[:1], p)) if odd else p for m, p in zip(maps, pairs)]
+        total = maps if total is None else product(maps, total)
+    return [m[0] for m in total]
+
+
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h of shape (..., b, b), batched over the
     leading axes.
 
-    2x2 matrices are e^{-ict} times the `su2_factors` of their half
-    diagonal difference bz and lower entry, with c half their trace; larger
-    ones use one batched eigh. Like eigh, both read only the lower triangle.
+    2x2 matrices are e^{-ict} times the `su2_factors` of their
+    `_sector_entries` c, bz and h10; larger ones use one batched eigh. Like
+    eigh, both read only the lower triangle.
     """
     if h.shape[-1] != 2:
         return eig_exponential(*np.linalg.eigh(h), t)
-    h00, h11 = h[..., 0, 0].real, h[..., 1, 1].real
-    return su2_matrix(np.exp(-0.5j * (h00 + h11) * t),
-                      *su2_factors((h00 - h11) / 2, h[..., 1, 0], t))
+    c, bz, h10 = _sector_entries(h)
+    return su2_matrix(np.exp(-1j * c * t), *su2_factors(bz, h10, t))
 
 
 def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,15 +359,15 @@ def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     leading axes, evals ascending, as np.linalg.eigh returns them.
 
     2x2 matrices h = c*I + r*(cos(2a) sz + sin(2a) (e^{i phi} s+ + h.c.)),
-    with r = sqrt(bz^2 + |h10|^2) for bz half the diagonal difference, use the
-    closed form: eigenvalues c -+ r and the half-angle eigenvectors
+    with c, bz and h10 their `_sector_entries` and r = sqrt(bz^2 + |h10|^2),
+    use the closed form: eigenvalues c -+ r and the half-angle eigenvectors
     (-e^{-i phi} sin a, cos a) and (cos a, e^{i phi} sin a). Larger ones use
     one batched eigh. Like eigh, both read only the lower triangle.
     """
     if h.shape[-1] != 2:
         return np.linalg.eigh(h)
-    h00, h11, h10 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
-    c, bz, mag = (h00 + h11) / 2, (h00 - h11) / 2, np.abs(h10)
+    c, bz, h10 = _sector_entries(h)
+    mag = np.abs(h10)
     r = np.hypot(bz, mag)
     half = np.arctan2(mag, bz) / 2
     cos, sin = np.cos(half), np.sin(half)

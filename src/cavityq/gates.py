@@ -36,7 +36,8 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import (NumericError, ParseError, ShapeError, UsageError, is_count, parse_errors,
                      read_fields, read_object, require_array, require_capacity, require_complex,
-                     require_count, require_finite, require_index, require_phase)
+                     require_count, require_finite, require_index, require_instance,
+                     require_phase)
 from .fock import (
     HilbertShape,
     Operator,
@@ -234,17 +235,10 @@ def qubit_binary_decode(level: int, n_bits: int) -> str:
 # embedding into a register
 
 
-def _instance(name: str, value, cls: type):
-    """value, or UsageError naming the argument unless it is a cls."""
-    if not isinstance(value, cls):
-        raise UsageError(f"{name} must be a cavityq {cls.__name__}, got {value!r}")
-    return value
-
-
 def _check_targets(op: Operator, targets: Sequence[int], dims: tuple[int, ...]) -> list[int]:
     """targets as a list, or raise unless op is an Operator and they are
     distinct subsystems of a register of dims whose dims, in order, are op's."""
-    _instance("op", op, Operator)
+    require_instance("op", op, Operator)
     if not isinstance(targets, (list, tuple)):
         raise UsageError(f"targets must be a list or tuple, got {targets!r}")
     targets = [require_index("target", t, len(dims)) for t in targets]
@@ -290,7 +284,7 @@ def multiqudit_snap(target: int, theta: Sequence[float],
 def apply_embedded(op: Operator, targets: Sequence[int], psi: StateVector) -> StateVector:
     """Apply a sub-shape operator to the targeted subsystems of a state
     without materializing the full register matrix."""
-    targets = _check_targets(op, targets, _instance("psi", psi, StateVector).shape.dims)
+    targets = _check_targets(op, targets, require_instance("psi", psi, StateVector).shape.dims)
     out = _apply_tensor(op.matrix, targets, psi.amplitudes.reshape(psi.shape.dims))
     return StateVector(psi.shape, out.reshape(psi.shape.total_dim), psi.leakage)
 
@@ -736,8 +730,8 @@ def _run(circuit: Circuit, tens: np.ndarray) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
     """Run the compiled gates left to right."""
-    _instance("circuit", circuit, Circuit)
-    if _instance("psi", psi, StateVector).shape != circuit.shape:
+    require_instance("circuit", circuit, Circuit)
+    if require_instance("psi", psi, StateVector).shape != circuit.shape:
         raise ShapeError(
             f"state on dims {psi.shape.dims} does not match circuit shape "
             f"{circuit.shape.dims}"

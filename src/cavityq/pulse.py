@@ -41,6 +41,7 @@ from .errors import (
     require_count,
     require_finite,
     require_index,
+    require_instance,
     require_phase,
     require_positive,
 )
@@ -49,6 +50,9 @@ from .fock import (
     Operator,
     StateVector,
     _matmul,
+    _ordered_product,
+    _sector_entries,
+    _su2_product,
     annihilation,
     basis_state,
     eig_exponential,
@@ -204,18 +208,20 @@ class ControlModel:
     def __post_init__(self) -> None:
         shape = shape_of(self.shape)
         object.__setattr__(self, "shape", shape)
-        if self.drift.shape != shape:
+        if require_instance("drift", self.drift, Operator).shape != shape:
             raise ShapeError("drift shape does not match model shape")
         if not self.drift.is_hermitian(1e-12 * max(
                 1.0, float(np.max(np.abs(self.drift.matrix))))):
             raise UsageError("drift Hamiltonian must be Hermitian")
+        if not isinstance(self.controls, (list, tuple)):
+            raise UsageError(f"controls must be a list or tuple of Operator, got {self.controls!r}")
         controls = tuple(self.controls)
         if not controls or len(controls) % 2:
             raise UsageError(
                 "controls must come in quadrature pairs (two per drive stream)"
             )
         for i, op in enumerate(controls):
-            if op.shape != shape:
+            if require_instance(f"control {i}", op, Operator).shape != shape:
                 raise ShapeError(f"control {i} shape does not match model shape")
             if not op.is_hermitian(1e-12):
                 raise UsageError(f"control {i} must be Hermitian")
@@ -327,41 +333,6 @@ def _blocks(model: ControlModel) -> list[np.ndarray]:
     return blocks
 
 
-def _ordered_product(u: np.ndarray) -> np.ndarray:
-    """u[M-1] @ ... @ u[0] over the leading axis, by pairwise reduction."""
-    while len(u) > 1:
-        even = len(u) - len(u) % 2
-        pairs = _matmul(u[1:even:2], u[0:even:2])
-        u = np.concatenate([pairs, u[even:]]) if even < len(u) else pairs
-    return u[0]
-
-
-def _su2_product(later: tuple, earlier: tuple) -> tuple:
-    """The `su2_factors` (a, b) of later @ earlier, elementwise."""
-    (a1, b1), (a0, b0) = later, earlier
-    return a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
-
-
-def _ordered_su2_product(a: np.ndarray, b: np.ndarray) -> tuple:
-    """The (a, b) of U[M-1] @ ... @ U[0] over the last axis, for the
-    `su2_factors` (a, b) of each U, in the pairwise order of _ordered_product."""
-    while a.shape[-1] > 1:
-        m = a.shape[-1]
-        even = m - m % 2
-        pairs = _su2_product((a[..., 1:even:2], b[..., 1:even:2]),
-                             (a[..., 0:even:2], b[..., 0:even:2]))
-        a, b = ((np.concatenate([pairs[0], a[..., even:]], axis=-1),
-                 np.concatenate([pairs[1], b[..., even:]], axis=-1)) if even < m else pairs)
-    return a[..., 0], b[..., 0]
-
-
-def _sector_entries(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The half traces c, half diagonal differences bz and lower entries h10
-    of (..., 2, 2) Hermitian blocks, read from the lower triangle."""
-    h00, h11 = blocks[..., 0, 0].real, blocks[..., 1, 1].real
-    return (h00 + h11) / 2, (h00 - h11) / 2, blocks[..., 1, 0]
-
-
 def _prefix_products(u: np.ndarray) -> np.ndarray:
     """Inclusive ordered products p[j] = u[j] @ ... @ u[0] over the leading
     axis. Work-efficient: the products of neighbour pairs are scanned, which
@@ -386,18 +357,18 @@ def _propagator(model: ControlModel, streams: Sequence[np.ndarray],
     NumericError first if `_segment_phase` refuses the streams. Each
     invariant block of model.block_layout is exponentiated on its own, with
     blocks of one size stacked together. Segments go in chunks of at most
-    _CHUNK_ENTRIES complex entries per size group: each chunk reads its
-    control coefficients from the streams, is reduced pairwise, and the
-    chunks are multiplied in order, so the temporaries stay near 256 KiB
-    however long the schedule is, and no array spans all M segments.
+    _CHUNK_ENTRIES complex entries per size group, each reading its control
+    coefficients from the streams, and `_ordered_product` folds them one
+    chunk at a time, so the temporaries stay near 256 KiB however long the
+    schedule is, and no array spans all M segments.
 
     2x2 blocks (the photon-number sectors, the qubit) never form a matrix.
-    A chunk's half differences bz and lower entries h10 are small products
-    of the control coefficients with the blocks' entries, each segment is
-    the SU(2) pair (a, b) of `su2_factors`, and the pairs are multiplied as
-    pairs. The half traces commute with everything, so the product's phase
-    is one exponential of their sum. Larger blocks go through
-    expm_hermitian: one batched eigh per chunk.
+    A chunk's `_sector_entries` bz and h10 are small products of the control
+    coefficients with the blocks' entries, each segment is the SU(2) pair
+    (a, b) of `su2_factors`, and the fold multiplies pairs by
+    `_su2_product`. The half traces c commute with everything, so the
+    product's phase is one exponential of their sum. Larger blocks go
+    through expm_hermitian, one batched eigh per chunk, and `_matmul`.
     """
     _segment_phase(model, streams, dt)
     d = model.shape.total_dim
@@ -407,29 +378,29 @@ def _propagator(model: ControlModel, streams: Sequence[np.ndarray],
         sectors = len(group.index) if group.index.shape[1] == 2 else 0
         # complex entries a segment holds: an (a, b) pair per sector, b*b per larger block
         step = max(1, _CHUNK_ENTRIES // (2 * sectors or group.drift.size))
-        if sectors:
-            # each entry as the drift's (B,) and the controls' (B, 2S)
-            c0, z0, l0 = _sector_entries(group.drift)
-            cg, zg, lg = (e.T for e in _sector_entries(group.controls))
-            # the phase e^{-i dt sum(c)}: the drift's M c0 plus cg times each
-            # control's summed coefficient, a pairwise sum over a stream. The
-            # angle is taken in extended precision where the platform has it:
-            # a double angle of A rad is off by up to A*2^-53
-            summed = _control_coefficients(np.array([[s.sum()] for s in streams]))[:, 0]
-            angle = np.longdouble(dt) * (n_segments * c0.astype(np.longdouble) + cg @ summed)
-            phase = np.exp(-1j * angle).astype(complex)
-        total = None
-        for start in range(0, n_segments, step):
-            coeffs = _control_coefficients(np.stack([s[start:start + step] for s in streams]))
-            if sectors:  # (B, m) sector-major, so the products run along contiguous segments
-                u = _ordered_su2_product(*su2_factors(
-                    z0[:, None] + zg @ coeffs, l0[:, None] + lg @ coeffs, dt))
-                total = u if total is None else _su2_product(u, total)
-            else:
-                h = group.drift + np.einsum("km,kbij->mbij", coeffs, group.controls)
-                u = _ordered_product(expm_hermitian(h, dt))
-                total = u if total is None else _matmul(u, total)
-        prop[group.grid] = su2_matrix(phase, *total) if sectors else total
+        coeffs = (_control_coefficients(np.stack([s[start:start + step] for s in streams]))
+                  for start in range(0, n_segments, step))
+        if not sectors:
+            prop[group.grid] = _ordered_product(
+                lambda later, earlier: [_matmul(*later, *earlier)],
+                ([expm_hermitian(group.drift + np.einsum("km,kbij->mbij", c, group.controls), dt)]
+                 for c in coeffs))[0]
+            continue
+        # each entry as the drift's (B,) and the controls' (B, 2S)
+        c0, z0, l0 = _sector_entries(group.drift)
+        cg, zg, lg = (e.T for e in _sector_entries(group.controls))
+        # the phase e^{-i dt sum(c)}: the drift's M c0 plus cg times each
+        # control's summed coefficient, a pairwise sum over a stream. The
+        # angle is taken in extended precision where the platform has it:
+        # a double angle of A rad is off by up to A*2^-53
+        summed = _control_coefficients(np.array([[s.sum()] for s in streams]))[:, 0]
+        angle = np.longdouble(dt) * (n_segments * c0.astype(np.longdouble) + cg @ summed)
+        # (B, m) sector-major, so each segment's pair is built along contiguous
+        # segments; the fold reads their (m, B) views
+        pairs = ([x.T for x in su2_factors(z0[:, None] + zg @ c, l0[:, None] + lg @ c, dt)]
+                 for c in coeffs)
+        prop[group.grid] = su2_matrix(np.exp(-1j * angle).astype(complex),
+                                      *_ordered_product(_su2_product, pairs))
     return prop
 
 
@@ -461,7 +432,7 @@ def _frechet_adjoint(vecs: np.ndarray, phi: np.ndarray, left: np.ndarray,
 
 
 def _check_schedule_pairing(model: ControlModel, schedule: PulseSchedule) -> None:
-    if schedule.n_streams != model.n_streams:
+    if schedule.n_streams != require_instance("model", model, ControlModel).n_streams:
         raise UsageError(
             f"schedule has {schedule.n_streams} streams but the model's "
             f"{len(model.controls)} controls pair into {model.n_streams}"
@@ -515,10 +486,10 @@ def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
     `return_propagator` is set and psi0 is None, or a (state, propagator)
     tuple when both are requested.
     """
-    _check_schedule_pairing(model, schedule)
+    _check_schedule_pairing(model, require_instance("schedule", schedule, PulseSchedule))
     if psi0 is None and not return_propagator:
         raise UsageError("need psi0, return_propagator=True, or both")
-    if psi0 is not None and psi0.shape != model.shape:
+    if psi0 is not None and require_instance("psi0", psi0, StateVector).shape != model.shape:
         raise ShapeError("psi0 shape does not match model shape")
     prop = _propagator(model, schedule.streams, schedule.dt_s)
     out_state = None
@@ -533,7 +504,7 @@ def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
 
 def gate_fidelity(u: Operator, v: Operator) -> float:
     """|Tr(u^dag v)|^2 / d^2: phase-insensitive unitary overlap."""
-    if u.shape != v.shape:
+    if require_instance("u", u, Operator).shape != require_instance("v", v, Operator).shape:
         raise ShapeError(f"shapes differ: {u.shape.dims} vs {v.shape.dims}")
     d = u.dim
     return float(abs(np.trace(u.matrix.conj().T @ v.matrix)) ** 2 / d**2)
@@ -547,7 +518,7 @@ def snap_average_fidelity(u: Operator, theta: Sequence[float]) -> float:
     M = S^dag U_gg, exact for a single-block (trace-decreasing) map; M is
     not formed: Tr M = sum e^{-i theta_k} U_kk and Tr(M^dag M) = sum |U_jk|^2.
     """
-    n = _cavity_levels(u.shape)
+    n = _cavity_levels(require_instance("u", u, Operator).shape)
     th = _snap_phases(theta, n)
     ugg = u.matrix[:n, :n]
     trace = np.vdot(np.exp(1j * th), np.diagonal(ugg))
@@ -782,7 +753,7 @@ def _grape_problem(model: ControlModel, schedule: PulseSchedule, target,
     if isinstance(target, StateVector):
         if psi0 is None:
             psi0 = basis_state(model.shape, [0] * len(model.shape.dims))
-        elif psi0.shape != model.shape:
+        elif require_instance("psi0", psi0, StateVector).shape != model.shape:
             raise ShapeError("psi0 shape does not match model shape")
         target, psi0_vec = np.asarray(target.amplitudes), np.asarray(psi0.amplitudes)
     guard = tuple(require_index("guard_indices entry", i, model.shape.total_dim)
@@ -803,6 +774,7 @@ def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
     |Tr(target^dag U)/d|^2 for an Operator target, |<target|psi>|^2 minus
     the guard-leakage penalty for a StateVector target.
     """
+    schedule = require_instance("schedule", schedule, PulseSchedule)
     tgt, psi0_vec, guard, leak_weight = _grape_problem(model, schedule, target, psi0,
                                                        guard_indices, leak_weight)
     amps = np.stack(schedule.streams)
@@ -832,6 +804,7 @@ def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
     seeded random draw (scale 1/(8 * duration)) to break symmetry.
     Deterministic throughout.
     """
+    schedule0 = require_instance("schedule0", schedule0, PulseSchedule)
     tgt, psi0_vec, guard, leak_weight = _grape_problem(model, schedule0, target, psi0,
                                                        guard_indices, leak_weight)
     iterations = require_count("iterations", iterations)
@@ -892,7 +865,7 @@ def _dispersive_chi_from_model(model: ControlModel) -> tuple[float, int]:
     n_levels), with or without the cavity drive: chi is read from the
     |e,1> drift entry, and the drift and controls[0:2] are compared with
     the model it names."""
-    n = _cavity_levels(model.shape)
+    n = _cavity_levels(require_instance("model", model, ControlModel).shape)
     h = model.drift.matrix
     # the |e,1> entry; a one-level cavity has none, and dispersive_model refuses it
     chi_hz = float(-h[n + 1, n + 1].real / (2 * np.pi)) if n > 1 else math.nan

@@ -43,9 +43,11 @@ from .errors import (
     require_capacity,
     require_count,
     require_finite,
+    require_instance,
     require_positive,
     require_real,
 )
+from .fock import _ordered_product
 
 _MAX_RATE_DT = 0.05
 # RK4's stability interval on the imaginary axis, |z| <= 2*sqrt(2); the
@@ -274,11 +276,12 @@ class _TransferGrid:
 def _transfer_grid(config: QstConfig) -> _TransferGrid:
     """The step count, step and rates of a transfer, checked.
 
-    Raises a CapacityError, before any allocation, when the step count is
-    not finite or above MAX_RK4_STEPS, and a step-size error when
-    max(k1, k2) * dt exceeds 0.05 on the integration grid.
+    Raises a UsageError unless config is a QstConfig, a CapacityError,
+    before any allocation, when the step count is not finite or above
+    MAX_RK4_STEPS, and a step-size error when max(k1, k2) * dt exceeds
+    0.05 on the integration grid.
     """
-    t0, t1 = config.t_span_s
+    t0, t1 = require_instance("config", config, QstConfig).t_span_s
     steps = (t1 - t0) / config.dt_s
     if not math.isfinite(steps):
         raise CapacityError(f"t_span_s {config.t_span_s} over dt_s {config.dt_s} "
@@ -335,39 +338,26 @@ def _step_maps(ca, cb, cab, dt):
     return (m_aa, m_ba, m_bb), (s2, s3, s4)
 
 
+def _triangular_product(later, earlier) -> tuple:
+    """The (aa, ba, bb) entry triples of later @ earlier, elementwise, for
+    lower-triangular 2x2 maps given as triples."""
+    (aa1, ba1, bb1), (aa0, ba0, bb0) = later, earlier
+    return aa1 * aa0, ba1 * aa0 + bb1 * ba0, bb1 * bb0
+
+
 def _prefix_products(m_aa, m_ba, m_bb) -> None:
     """Replace the maps M_j by the products M_j M_{j-1} ... M_0, in place.
 
     Hillis-Steele scan: after the round with offset d, entry j holds the
     product M_j M_{j-1} ... M_{max(0, j-2d+1)}.
     """
+    maps = (m_aa, m_ba, m_bb)
     d = 1
     while d < len(m_aa):
-        m_ba[d:] = m_ba[d:] * m_aa[:-d] + m_bb[d:] * m_ba[:-d]
-        m_aa[d:] = m_aa[d:] * m_aa[:-d]
-        m_bb[d:] = m_bb[d:] * m_bb[:-d]
+        for m, p in zip(maps, _triangular_product([m[d:] for m in maps],
+                                                  [m[:-d] for m in maps])):
+            m[d:] = p
         d *= 2
-
-
-def _product(m_aa, m_ba, m_bb):
-    """The product M_{n-1} ... M_0 as length-1 (aa, ba, bb) arrays: the last
-    entry of _prefix_products, bitwise, in O(n) work.
-
-    The scan's last entry takes, in its round with offset d, the partial
-    products ending at steps n-1, n-1-2d, n-1-4d, ... times those ending d
-    steps earlier, and leaves one with nothing d steps earlier as it is. So
-    each round pairs neighbours from the last step back, and an unpaired
-    first one waits for the next round.
-    """
-    while len(m_aa) > 1:
-        odd = len(m_aa) % 2
-        hi, lo = slice(1 + odd, None, 2), slice(odd, None, 2)
-        pairs = (m_aa[hi] * m_aa[lo],
-                 m_ba[hi] * m_aa[lo] + m_bb[hi] * m_ba[lo],
-                 m_bb[hi] * m_bb[lo])
-        m_aa, m_ba, m_bb = (np.concatenate((m[:1], pair)) if odd else pair
-                            for m, pair in zip((m_aa, m_ba, m_bb), pairs))
-    return m_aa, m_ba, m_bb
 
 
 def _rk4_chunk(ca, cb, cab, w1, w2, dt, a, b, p) -> None:
@@ -454,17 +444,14 @@ def simulate_transfer(config: QstConfig) -> QstResult:
 
 def _transfer_eta(run: _TransferGrid, delta_omega_hz: float) -> float:
     """simulate_transfer's eta at this detuning, bitwise, with no traces or
-    flux: each chunk's maps are multiplied out by _product, and (a, b) is
-    carried as length-1 arrays, so every product runs in the array
-    arithmetic of the traces' writes."""
+    flux: `_ordered_product` folds the chunks' step maps by
+    `_triangular_product`, each chunk in the order of the last entry of
+    _prefix_products, and b(t1) is the product's ba entry, as a(0) = 1 and
+    b(0) = 0."""
     ca = run.decay(delta_omega_hz)
-    a = np.ones(1, dtype=complex)
-    b = np.zeros(1, dtype=complex)
-    for _, _, part in run.chunks():
-        maps, _ = _step_maps(ca[part], run.cb[part], run.cab[part], run.dt)
-        m_aa, m_ba, m_bb = _product(*maps)
-        a, b = m_aa * a, m_ba * a + m_bb * b
-    return _final_eta(complex(b[0]))
+    maps = (_step_maps(ca[part], run.cb[part], run.cab[part], run.dt)[0]
+            for _, _, part in run.chunks())
+    return _final_eta(complex(_ordered_product(_triangular_product, maps)[1]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -910,7 +910,49 @@ LIBRARY_ERROR_CALLS = {
     "apply_circuit.psi": (
         UsageError, "psi must be a cavityq StateVector, got 'x'",
         lambda: gates.apply_circuit(gates.Circuit((3,), ()), "x")),
+    # each raised a raw AttributeError or TypeError
+    "simulate_schedule.model": (
+        UsageError, "model must be a cavityq ControlModel, got 'x'",
+        lambda: pulse.simulate_schedule("x", _schedule(), return_propagator=True)),
+    "simulate_schedule.schedule": (
+        UsageError, "schedule must be a cavityq PulseSchedule, got 'x'",
+        lambda: pulse.simulate_schedule(pulse.qubit_model(), "x", return_propagator=True)),
+    "simulate_schedule.psi0": (
+        UsageError, "psi0 must be a cavityq StateVector, got [1, 0]",
+        lambda: pulse.simulate_schedule(pulse.qubit_model(), _schedule(), psi0=[1, 0])),
+    "grape_gradient.schedule": (
+        UsageError, "schedule must be a cavityq PulseSchedule, got 'x'",
+        lambda: pulse.grape_gradient(pulse.qubit_model(), "x", identity(2))),
+    "grape_optimize.schedule0": (
+        UsageError, "schedule0 must be a cavityq PulseSchedule, got None",
+        lambda: pulse.grape_optimize(pulse.qubit_model(), identity(2), None)),
+    "grape_optimize.psi0": (
+        UsageError, "psi0 must be a cavityq StateVector, got [1, 0]",
+        lambda: pulse.grape_optimize(pulse.qubit_model(), basis_state(2, 1), _schedule(),
+                                     psi0=[1, 0])),
+    "synthesize_snap_pulse.model": (
+        UsageError, "model must be a cavityq ControlModel, got 'x'",
+        lambda: pulse.synthesize_snap_pulse("x", [0.1, 0.2], 1e-5)),
+    "gate_fidelity.u": (
+        UsageError, "u must be a cavityq Operator, got [[1]]",
+        lambda: pulse.gate_fidelity([[1]], identity(1))),
+    "snap_average_fidelity.u": (
+        UsageError, "u must be a cavityq Operator, got array(",
+        lambda: pulse.snap_average_fidelity(np.eye(4), [0.1, 0.2])),
+    "ControlModel.controls None": (
+        UsageError, "controls must be a list or tuple of Operator, got None",
+        lambda: pulse.ControlModel(2, identity(2), None)),
+    "simulate_transfer.config": (
+        UsageError, "config must be a cavityq QstConfig, got 'x'",
+        lambda: qst.simulate_transfer("x")),
+    "detuning_sweep.config": (
+        UsageError, "config must be a cavityq QstConfig, got 'x'",
+        lambda: qst.detuning_sweep("x", [0.0, 1.0])),
 }
+
+
+def _schedule():
+    return pulse.PulseSchedule(1e-8, (np.zeros(3, dtype=complex),), (0.0,))
 
 
 def test_gate_spec_build_reads_its_shape_with_shape_of():

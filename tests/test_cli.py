@@ -1575,6 +1575,17 @@ def test_qst_detuning_beyond_rk4_stability_exits_3(tmp_path, capsys, case):
         qst._final_eta(complex(math.nan, 0.0))
 
 
+@pytest.mark.parametrize("deltas, code, message", [
+    (["x"], 1, "delta_sweep_hz entries must be real numbers, got 'x'"),
+    ([10**400, 0], 3, "delta_sweep_hz holds a number too large for a float"),
+], ids=["str", "big"])
+def test_qst_sweep_fault_names_delta_sweep_hz(tmp_path, capsys, deltas, code, message):
+    # both named the library's argument, delta_list, which no config holds
+    cfg = write_json(tmp_path / "qst.json", dict(QST_SWEEP_DOC, delta_sweep_hz=deltas))
+    assert run_cli(tmp_path, "qst", cfg) == code
+    assert _one_error_line(capsys) == f"error: {message}"
+
+
 # |values| whose squares sum to 0 or overflow: np.polyfit's column scale
 # underflowed (a LinAlgError traceback, exit 1) or overflowed (RuntimeWarnings)
 _UNFITTABLE_SWEEPS = {

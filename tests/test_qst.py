@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavityq import qst
+from cavityq import fock, qst
 from cavityq.errors import (
     CapacityError,
     DegenerateDetuningError,
@@ -638,6 +638,45 @@ def sweep_problems(draw):
                    dt_s=2 * half / draw(st.integers(320, 420)))
 
 
+def _scan(product, maps) -> None:
+    """Replace maps[j] by the product of maps j, ..., 0, in place, by a
+    Hillis-Steele scan, as qst._prefix_products scans the step maps."""
+    d = 1
+    while d < len(maps[0]):
+        for m, p in zip(maps, product([m[d:] for m in maps], [m[:-d] for m in maps])):
+            m[d:] = p
+        d *= 2
+
+
+def _triangular_maps(rng, n):
+    """(aa, ba, bb) of n lower-triangular maps with unit diagonals."""
+    return [np.exp(1j * rng.uniform(-np.pi, np.pi, n)),
+            0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+            np.exp(1j * rng.uniform(-np.pi, np.pi, n))]
+
+
+def _su2_maps(rng, n):
+    """The SU(2) pairs (a, b) of n segments of three sectors."""
+    a, b = rng.normal(size=(2, n, 3)) + 1j * rng.normal(size=(2, n, 3))
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    return [a / norm, b / norm]
+
+
+def _unitary_maps(rng, n):
+    """n stacks of two 3x3 unitaries."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, 2, 3, 3)) + 1j * rng.normal(size=(n, 2, 3, 3)))
+    return [u]
+
+
+# the products fock._ordered_product folds: qst's RK4 step maps, pulse's 2x2
+# sectors and its larger blocks
+FOLD_PRODUCTS = {
+    "triangular": (qst._triangular_product, _triangular_maps),
+    "su2": (fock._su2_product, _su2_maps),
+    "matmul": (lambda later, earlier: [fock._matmul(*later, *earlier)], _unitary_maps),
+}
+
+
 class TestSweepEta:
     """The sweep's eta-only path against the traced transfer, bitwise."""
 
@@ -668,13 +707,31 @@ class TestSweepEta:
 
     @pytest.mark.parametrize("n", [*range(1, 71), 2047, 2048])
     def test_product_is_the_scan_last_entry(self, n):
+        # one chunk of each product the fold serves, against a Hillis-Steele scan
         rng = np.random.default_rng(n)
-        maps = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
-        got = qst._product(*maps)
-        qst._prefix_products(*maps)
-        for entry, scanned in zip(got, maps):
-            assert entry.shape == (1,)
-            assert entry.tobytes() == scanned[-1:].tobytes()
+        for kind, (product, draw) in FOLD_PRODUCTS.items():
+            maps = draw(rng, n)
+            got = fock._ordered_product(product, [maps])
+            if kind == "triangular":
+                qst._prefix_products(*maps)
+            else:
+                _scan(product, maps)
+            for entry, scanned in zip(got, maps):
+                assert entry.tobytes() == scanned[-1].tobytes(), kind
+
+    @given(st.sampled_from(sorted(FOLD_PRODUCTS)), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    def test_chunked_fold_matches_an_in_order_loop(self, kind, seed, sizes):
+        product, draw = FOLD_PRODUCTS[kind]
+        maps = draw(np.random.default_rng(seed), sum(sizes))
+        edges = np.cumsum([0, *sizes])
+        got = fock._ordered_product(product, ([m[i:j] for m in maps]
+                                              for i, j in zip(edges[:-1], edges[1:])))
+        want = [m[0] for m in maps]
+        for j in range(1, edges[-1]):
+            want = product([m[j] for m in maps], want)
+        for entry, loop in zip(got, want):
+            assert np.max(np.abs(entry - loop)) <= 1e-13, kind
 
 
 @st.composite
