@@ -15,7 +15,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import (DegenerateInputError, InvalidDimensionError, UsageError, finite_result,
-                     require_complex, require_count)
+                     require_complex, require_count, require_instance)
 from .fock import (
     StateVector,
     _truncated_state,
@@ -95,7 +95,7 @@ def photon_loss_cycle_check(psi: StateVector, k: int) -> StateVector:
     encoding, k=4 returns to the even code family (i⁴ = 1) while odd k
     flips parity.
     """
-    if psi.shape.n_subsystems != 1:
+    if require_instance("psi", psi, StateVector).shape.n_subsystems != 1:
         raise UsageError("loss cycle check expects a single-mode state")
     k = require_count("k", k)
     amps = psi.amplitudes.copy()

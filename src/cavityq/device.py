@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import (DegenerateDetuningError, UsageError, finite_result, parse_errors,
                      read_fields, require_complex, require_count, require_finite,
-                     require_positive, require_real)
+                     require_instance, require_positive, require_real)
 
 _FIELDS = (
     "omega_q_hz",
@@ -74,7 +74,7 @@ class DeviceParams:
 
 def chi(params: DeviceParams) -> float:
     """Dispersive shift g²/Δ in Hz."""
-    delta = params.detuning_hz
+    delta = require_instance("params", params, DeviceParams).detuning_hz
     if delta == 0:
         raise DegenerateDetuningError("chi undefined at zero detuning")
     return finite_result("chi_hz", lambda: params.g_hz**2 / delta)
@@ -97,8 +97,8 @@ def stark_shifted_freq(params: DeviceParams, n: int, order: int = 1) -> float:
 
 def critical_photon_number(params: DeviceParams) -> float:
     """(Δ/2g)², the photon number where the dispersive expansion folds."""
-    return finite_result("critical_photon_number",
-                   lambda: (params.detuning_hz / (2 * params.g_hz)) ** 2)
+    delta, g = require_instance("params", params, DeviceParams).detuning_hz, params.g_hz
+    return finite_result("critical_photon_number", lambda: (delta / (2 * g)) ** 2)
 
 
 def fock_t1(params: DeviceParams, n: int) -> float:
@@ -106,10 +106,9 @@ def fock_t1(params: DeviceParams, n: int) -> float:
 
     |0⟩ does not decay; math.inf is the explicit stable marker.
     """
+    t1 = require_instance("params", params, DeviceParams).t1_fock0_s
     n = require_count("n", n)
-    if n == 0:
-        return math.inf
-    return params.t1_fock0_s / n
+    return math.inf if n == 0 else t1 / n
 
 
 def _tolerant_floor(x: float, rel: float = 1e-9) -> int:
@@ -122,7 +121,7 @@ def _tolerant_floor(x: float, rel: float = 1e-9) -> int:
 
 def max_fock(params: DeviceParams) -> int:
     """Largest n whose lifetime t1_fock0/n still clears t1_min."""
-    if params.t1_min_s > params.t1_fock0_s:
+    if require_instance("params", params, DeviceParams).t1_min_s > params.t1_fock0_s:
         warnings.warn(
             "t1_min_s exceeds the single-photon lifetime; no Fock level qualifies",
             UserWarning,
@@ -147,6 +146,7 @@ def multimode_drive_freq(
     """Drive frequency selecting a joint occupation across several modes,
     ω_q − Σ_k n_k χ_k. Each entry is an (n_k, chi_k_hz) pair; anything
     else is a UsageError."""
+    require_instance("params", params, DeviceParams)
     try:
         pairs = [(require_count("occupation", n_k), require_real("chi_k_hz", chi_k))
                  for n_k, chi_k in occupations_and_shifts]

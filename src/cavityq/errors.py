@@ -9,25 +9,31 @@ optional. `read_object` decodes the object (`decode_object`) and rejects
 a missing or an unlisted field; `read_field` checks the types a reader
 walks (dict for a nested object, list for a list it iterates, str for a
 kind) and passes every other field, typed object, on as decoded, to be
-read by the rule of the call it feeds. API arguments follow eight rules,
-listed site by site in the README: `require_count` for counts, seeds and
-photon numbers, `fock.shape_of` for dimensions, before any allocation,
-`require_index` for level, subsystem and basis indices, `require_real` for
-other real numbers, `require_complex` for complex amplitudes,
-`require_finite` for tolerances, weights, time origins and gate angles,
-`require_positive` for time steps, durations, couplings, rates and other
-positive reals, and `require_array` for arrays and lists: states,
-matrices, pulse streams, sample lists, SNAP phases, carriers, detunings,
-times, time spans, input-state pairs and the arrays of JSON configs. A
-config reader re-raises the errors of the rules it runs as ParseError
-(`parse_errors`). Each argument is read once, by its rule, and the caller
-goes on with the value the rule returns. `require_capacity` caps the work
-or memory that the counts of a request set, before any allocation
-(`CapacityError`, exit 4), and `require_phase` holds every phase the
-package forms, or a bound on it, to MAX_PHASE_RAD (`NumericError`, exit
-3). `require_array` tests its entries in bulk with `are_reals`. A value
-the package derives in closed form goes through `finite_result`, which
-names it in a `NumericError` when it overflows or is not finite.
+read by the rule of the call it feeds. API arguments follow nine rules.
+`require_instance` is the type rule: every public parameter annotated
+with a package class C, as C, C | None or tuple[C, ...], is read by it,
+so it takes only objects of C (or None where the annotation allows it,
+and for a tuple, each entry), and refuses anything else in one message
+form; a HilbertShape parameter is a dimension instead. The other eight
+are listed site by site in the README: `require_count` for counts, seeds
+and photon numbers, `fock.shape_of` for dimensions, before any
+allocation, `require_index` for level, subsystem and basis indices,
+`require_real` for other real numbers, `require_complex` for complex
+amplitudes, `require_finite` for tolerances, weights, time origins and
+gate angles, `require_positive` for time steps, durations, couplings,
+rates and other positive reals, and `require_array` for arrays and
+lists: states, matrices, pulse streams, sample lists, SNAP phases,
+carriers, detunings, times, time spans, input-state pairs and the arrays
+of JSON configs. A config reader re-raises the errors of the rules it
+runs as ParseError (`parse_errors`). Each argument is read once, by its
+rule, and the caller goes on with the value the rule returns.
+`require_capacity` caps the work or memory that the counts of a request
+set, before any allocation (`CapacityError`, exit 4), and
+`require_phase` holds every phase the package forms, or a bound on it,
+to MAX_PHASE_RAD (`NumericError`, exit 3). `require_array` tests its
+entries in bulk with `are_reals`. A value the package derives in closed
+form goes through `finite_result`, which names it in a `NumericError`
+when it overflows or is not finite.
 """
 import cmath
 import contextlib
@@ -145,11 +151,12 @@ def require_positive(name: str, value) -> float:
     return value
 
 
-def require_instance(name: str, value, cls: type):
-    """value, or UsageError naming the argument unless it is a cls: the one
-    type rule for arguments that must be objects of the package's classes."""
+def require_instance(name: str, value, cls: type | tuple[type, ...]):
+    """value, or UsageError naming the argument unless it is a cls (a class or
+    a tuple of them): the one type rule for objects of the package's classes."""
     if not isinstance(value, cls):
-        raise UsageError(f"{name} must be a cavityq {cls.__name__}, got {value!r}")
+        names = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+        raise UsageError(f"{name} must be a cavityq {names}, got {value!r}")
     return value
 
 

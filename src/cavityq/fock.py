@@ -35,6 +35,7 @@ from .errors import (
     require_complex,
     require_finite,
     require_index,
+    require_instance,
     require_phase,
 )
 
@@ -169,7 +170,7 @@ class StateVector:
 
     def overlap(self, other: "StateVector") -> complex:
         """⟨self|other⟩."""
-        if self.shape != other.shape:
+        if self.shape != require_instance("other", other, StateVector).shape:
             raise ShapeError(f"shapes differ: {self.shape.dims} vs {other.shape.dims}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
@@ -198,19 +199,21 @@ class Operator:
         return Operator(self.shape, self.matrix.conj().T)
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        if self.shape != other.shape:
+        if self.shape != require_instance("other", other, Operator).shape:
             raise ShapeError(f"shapes differ: {self.shape.dims} vs {other.shape.dims}")
         return Operator(self.shape, self.matrix @ other.matrix)
 
     def apply(self, psi: StateVector) -> StateVector:
-        if self.shape != psi.shape:
+        if self.shape != require_instance("psi", psi, StateVector).shape:
             raise ShapeError(f"shapes differ: {self.shape.dims} vs {psi.shape.dims}")
         return StateVector(psi.shape, self.matrix @ psi.amplitudes, psi.leakage)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
+        tol = require_finite("tol", tol)
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
+        tol = require_finite("tol", tol)
         d = self.dim
         return bool(
             np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d))) <= tol
@@ -390,7 +393,7 @@ def propagator(h: Operator, t: float) -> Operator:
     scipy's expm. NumericError first when d*max|H|*|t| fails `require_phase`
     or 2*max|H|^2 (the 2x2 form's squares) overflows."""
     t = require_finite("t", t)
-    scale = float(np.max(np.abs(h.matrix)))
+    scale = float(np.max(np.abs(require_instance("h", h, Operator).matrix)))
     require_phase(f"t {t!r}", h.dim * scale * abs(t), "phase d*max|H|*|t|")
     if not math.isfinite(2 * scale * scale):
         raise NumericError(f"h: the entries, up to {scale:.3g}, overflow when squared")
@@ -452,11 +455,15 @@ def coherent_state(alpha: complex, n: int) -> StateVector:
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|⟨a|b⟩|² for normalized pure states."""
+    a, b = require_instance("a", a, StateVector), require_instance("b", b, StateVector)
     return abs(a.overlap(b)) ** 2
 
 
 def _as_axes(shape: HilbertShape, keep: Iterable[int]) -> list[int]:
-    keep = [require_index("subsystem", k, shape.n_subsystems) for k in keep]
+    try:
+        keep = [require_index("subsystem", k, shape.n_subsystems) for k in keep]
+    except TypeError:
+        raise UsageError(f"keep must be iterable, got {keep!r}") from None
     if not keep:
         raise UsageError("keep must name at least one subsystem")
     for i, k in enumerate(keep):
@@ -467,7 +474,7 @@ def _as_axes(shape: HilbertShape, keep: Iterable[int]) -> list[int]:
 
 def reduced_density_matrix(psi: StateVector, keep: Iterable[int]) -> np.ndarray:
     """Partial trace onto the kept subsystems (in the order given)."""
-    keep = _as_axes(psi.shape, keep)
+    keep = _as_axes(require_instance("psi", psi, StateVector).shape, keep)
     dims = psi.shape.dims
     tens = psi.amplitudes.reshape(dims)
     traced = [i for i in range(len(dims)) if i not in keep]
@@ -484,7 +491,8 @@ def mode_probabilities(psi: StateVector, keep: Iterable[int] | None = None) -> n
     the order given: re² + im² of ψ with the kept axes in front, summed over
     the rest, so nothing of size d_keep² is formed. keep=None keeps every
     subsystem (|ψ|² itself); a single subsystem gives its marginal."""
-    keep = _as_axes(psi.shape, range(psi.shape.n_subsystems) if keep is None else keep)
+    shape = require_instance("psi", psi, StateVector).shape
+    keep = _as_axes(shape, range(shape.n_subsystems) if keep is None else keep)
     amps = np.moveaxis(psi.amplitudes.reshape(psi.shape.dims), keep, range(len(keep)))
     probs = amps.real**2 + amps.imag**2
     return probs.reshape(math.prod(probs.shape[:len(keep)]), -1).sum(axis=1)

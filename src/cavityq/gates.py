@@ -647,9 +647,8 @@ class Circuit:
             )
         kernels = []
         for i, spec in enumerate(self.gates):
+            require_instance(f"gate {i}", spec, GateSpec)
             try:
-                if not isinstance(spec, GateSpec):
-                    raise UsageError(f"not a GateSpec: {spec!r}")
                 gate, args, targets = _parse(spec, self.shape, self.displacement_convention)
                 kernels.append(gate.kernel(args, targets, self.shape.dims))
             except (UsageError, NumericError) as exc:
@@ -743,4 +742,5 @@ def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
 def circuit_unitary(circuit: Circuit) -> Operator:
     """Full-register unitary of the circuit (first gate acts first): its
     compiled gates run on the identity."""
-    return _on_identity(functools.partial(_run, circuit), circuit.shape)
+    return _on_identity(functools.partial(_run, circuit),
+                        require_instance("circuit", circuit, Circuit).shape)

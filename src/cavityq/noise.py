@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (StepSizeError, UsageError, require_array, require_capacity, require_count,
-                     require_finite, require_positive, require_real)
+                     require_finite, require_instance, require_positive, require_real)
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
@@ -156,7 +156,12 @@ class NoiseChannel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", shape_of(self.shape))
-        object.__setattr__(self, "kraus", tuple(self.kraus))
+        try:
+            kraus = tuple(require_instance(f"Kraus operator {i}", k, Operator)
+                          for i, k in enumerate(self.kraus))
+        except TypeError:
+            raise UsageError(f"kraus must be iterable, got {self.kraus!r}") from None
+        object.__setattr__(self, "kraus", kraus)
         if not self.kraus:
             raise UsageError("channel needs at least one Kraus operator")
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
@@ -237,27 +242,25 @@ def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
 
 def density_matrix(psi: StateVector) -> np.ndarray:
     """|ψ⟩⟨ψ| as a dense array."""
-    v = psi.amplitudes
+    v = require_instance("psi", psi, StateVector).amplitudes
     return np.outer(v, v.conj())
 
 
 def apply_channel(channel: NoiseChannel, rho: np.ndarray) -> np.ndarray:
     """One deterministic Kraus step ρ → ΣKρK†, in O(K·N²) when banded.
 
-    A numeric ndarray is taken by one np.asarray call, without a finiteness
-    pass, as this is the per-step call of a loss run; a list, a tuple or an
-    array of any other dtype (bools, strings, objects) is read by
-    `require_array`."""
-    kernel = channel._kernel
+    This is the per-step call of a loss run, so a NoiseChannel and a numeric
+    ndarray pass unchecked: the ndarray is taken by one np.asarray call,
+    without a finiteness pass, and the channel's type is checked only when
+    its kernel cannot be read. Any other rho is read by `require_array`."""
+    try:
+        kernel = channel._kernel
+    except AttributeError:
+        kernel = require_instance("channel", channel, NoiseChannel)._kernel
     if isinstance(rho, np.ndarray) and rho.dtype.kind in "iufc":
         rho = np.asarray(rho, dtype=complex, order="C")
-    elif isinstance(rho, (list, tuple, np.ndarray)):
-        rho = require_array("rho", rho, kernel.shape)
     else:
-        try:
-            rho = np.asarray(rho, dtype=complex, order="C")
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"rho must be an array of complex numbers: {exc}") from None
+        rho = require_array("rho", rho, kernel.shape)
     if rho.shape != kernel.shape:
         raise UsageError("density matrix must be {}x{}, got {}".format(*kernel.shape, rho.shape))
     return kernel.apply(rho)
@@ -345,7 +348,8 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
     round per step and runs 1.6–1.95× as long as a per-step loop (medians
     of paired runs), close to twice.
     """
-    if psi.shape != channel.shape:
+    if (require_instance("channel", channel, NoiseChannel).shape
+            != require_instance("psi", psi, StateVector).shape):
         raise UsageError(f"state on dims {psi.shape.dims} does not match channel shape "
                          f"{channel.shape.dims}")
     n_traj = len(seeds)

@@ -745,9 +745,7 @@ def _grape_problem(model: ControlModel, schedule: PulseSchedule, target,
     _check_schedule_pairing(model, schedule)
     _require_segment_room(model, schedule.n_segments)
     _segment_phase(model, schedule.streams, schedule.dt_s)  # before grape_optimize scales it
-    if not isinstance(target, (Operator, StateVector)):
-        raise UsageError("target must be an Operator or a StateVector")
-    if target.shape != model.shape:
+    if require_instance("target", target, (Operator, StateVector)).shape != model.shape:
         raise ShapeError("target shape does not match model shape")
     psi0_vec = None
     if isinstance(target, StateVector):
@@ -756,8 +754,11 @@ def _grape_problem(model: ControlModel, schedule: PulseSchedule, target,
         elif require_instance("psi0", psi0, StateVector).shape != model.shape:
             raise ShapeError("psi0 shape does not match model shape")
         target, psi0_vec = np.asarray(target.amplitudes), np.asarray(psi0.amplitudes)
-    guard = tuple(require_index("guard_indices entry", i, model.shape.total_dim)
-                  for i in guard_indices)
+    try:
+        guard = tuple(require_index("guard_indices entry", i, model.shape.total_dim)
+                      for i in guard_indices)
+    except TypeError:
+        raise UsageError(f"guard_indices must be iterable, got {guard_indices!r}") from None
     if guard and psi0_vec is None:
         raise UsageError("guard-leakage penalty applies to state targets only")
     return target, psi0_vec, guard, require_finite("leak_weight", leak_weight)

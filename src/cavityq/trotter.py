@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, require_array,
-                     require_capacity, require_count, require_finite, require_phase,
-                     require_positive)
+                     require_capacity, require_count, require_finite, require_instance,
+                     require_phase, require_positive)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
 from .gates import Circuit, GateSpec, _ortho_fft, _run
 
@@ -104,12 +104,6 @@ class QuditHamiltonian:
         return np.linalg.eigh(self.dense())
 
 
-def _hamiltonian(what: str, h) -> QuditHamiltonian:
-    if not isinstance(h, QuditHamiltonian):
-        raise UsageError(f"{what} needs a QuditHamiltonian")
-    return h
-
-
 def _step_phases(x: np.ndarray, dt) -> np.ndarray:
     """The phases of diag(exp(-i 2pi x dt)), for one dt or a column of them:
     the one expression of trotter_step and _sweep, which stay bitwise equal."""
@@ -126,7 +120,7 @@ def _require_step_phase(h: QuditHamiltonian, dt: float, what: str) -> None:
 def trotter_step(h: QuditHamiltonian, dt_s: float,
                  n_levels: int | None = None) -> Circuit:
     """One first-order splitting step as a four-gate circuit."""
-    h = _hamiltonian("trotter_step", h)
+    require_instance("h", h, QuditHamiltonian)
     dt_s = require_positive("dt_s", dt_s)
     if n_levels is not None and shape_of((n_levels,)).total_dim != h.n_levels:
         raise ShapeError(
@@ -178,14 +172,14 @@ def evolve_trotter(h: QuditHamiltonian, t_total_s: float, steps: int,
                    psi0=None) -> TrotterResult:
     """Repeated first-order steps over t_total, compared against exact
     evolution of the same initial state."""
-    return _sweep(_hamiltonian("evolve_trotter", h), t_total_s, [steps], psi0)[0]
+    return _sweep(require_instance("h", h, QuditHamiltonian), t_total_s, [steps], psi0)[0]
 
 
 def trotter_convergence(h: QuditHamiltonian, t_total_s: float,
                         steps_list: Sequence[int],
                         psi0=None) -> tuple[tuple[int, float, float], ...]:
     """Rows of (steps, dt, infidelity) for a step-count sweep at fixed t."""
-    h = _hamiltonian("trotter_convergence", h)
+    require_instance("h", h, QuditHamiltonian)
     if not (isinstance(steps_list, (list, tuple))
             or isinstance(steps_list, np.ndarray) and steps_list.ndim == 1):
         raise UsageError(f"steps_list must be a list, tuple or 1-D array of step counts, "
@@ -274,7 +268,7 @@ def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
     // N times (at least 2), so memory does not grow with len(times_s); a
     last block of one time joins the one before it.
     """
-    n = _hamiltonian("otoc_series", h).n_levels
+    n = require_instance("h", h, QuditHamiltonian).n_levels
     w = _operator(w, n, "W")
     v = _operator(v, n, "V")
     psi = _state_vector(psi0, n).amplitudes.reshape(n)

@@ -10,18 +10,23 @@ a complex or real number; a dimension site (`fock.shape_of`) refuses anything bu
 integer of at least 1, and a total dimension over the cap, before it
 allocates; an array site (`errors.require_array`) refuses an entry that is
 not a number (not a real number at a real site), and ragged rows or any
-other shape. All raise UsageError naming the argument (InvalidDimensionError
-for a HilbertShape dimension), and a numpy scalar of an accepted type gives
-the same result as the Python number.
+other shape; an instance site (`errors.require_instance`), every parameter
+annotated with a cavityq class, refuses anything but an object of it. All
+raise UsageError naming the argument (InvalidDimensionError for a
+HilbertShape dimension), and a numpy scalar of an accepted type gives the
+same result as the Python number.
 """
 
 import ast
 import cmath
 import dataclasses
+import inspect
 import json
 import math
 import re
 import tracemalloc
+import types
+import typing
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -35,6 +40,8 @@ from cavityq import cli, codes, device, errors, fock, gates, noise, pulse, qst, 
 from cavityq.errors import (CapacityError, InvalidDimensionError, NumericError, ShapeError,
                             UsageError)
 from cavityq.fock import HilbertShape, basis_state, identity
+
+from bad_values import BAD_VALUES
 
 DEVICE = dict(omega_q_hz=6.0e9, omega_c_hz=4.0e9, g_hz=10.0e6, chi_prime_hz=1.0e3,
               alpha_hz=-200.0e6, t1_fock0_s=1.0, t1_min_s=200e-6)
@@ -170,6 +177,9 @@ NUMBER_SITES = {
     "evolve_trotter.t_total_s": (
         "t_total_s", lambda v: trotter.evolve_trotter(HAMILTONIAN, v, 3).state.amplitudes),
     "propagator.t": ("t", lambda v: fock.propagator(fock.number_operator(3), v).matrix),
+    # "x" raised numpy's UFuncTypeError
+    "Operator.is_hermitian.tol": ("tol", lambda v: identity(2).is_hermitian(v)),
+    "Operator.is_unitary.tol": ("tol", lambda v: identity(2).is_unitary(v)),
 }
 
 # require_complex sites, as REAL_SITES; 1 is a valid value at every site
@@ -249,7 +259,8 @@ FINITE_SITES = ["grape_optimize.tol", "grape_optimize.leak_weight",
                 "qubit_rotation.theta", "qubit_rotation.phi", "cond_rotation.theta",
                 "cond_rotation.phi", "givens.theta", "displacement.alpha", "ecd.beta",
                 "trotter_convergence.t_total_s", "evolve_trotter.t_total_s", "propagator.t",
-                "raman_coupling.omega_drive_hz", "sech_pitch.t_s"]
+                "raman_coupling.omega_drive_hz", "sech_pitch.t_s", "Operator.is_hermitian.tol",
+                "Operator.is_unitary.tol"]
 
 COUNT_SITES = {
     "optimize_snap_displacement_sequence.blocks": (
@@ -861,7 +872,7 @@ LIBRARY_ERROR_CALLS = {
         lambda: gates.Circuit((3,), None)),
     # a raw AttributeError when the circuit was applied
     "Circuit.gates entry": (
-        UsageError, "gate 0: not a GateSpec: {'kind': 'fourier', 'target': 0}",
+        UsageError, "gate 0 must be a cavityq GateSpec, got {'kind': 'fourier', 'target': 0}",
         lambda: gates.Circuit((3,), [{"kind": "fourier", "target": 0}])),
     "GateSpec.kind list": (
         UsageError, "gate 0: unknown gate kind ['snap']",
@@ -948,6 +959,22 @@ LIBRARY_ERROR_CALLS = {
     "detuning_sweep.config": (
         UsageError, "config must be a cavityq QstConfig, got 'x'",
         lambda: qst.detuning_sweep("x", [0.0, 1.0])),
+    # each raised a raw TypeError, or numpy's UFuncTypeError for a tolerance
+    "grape_gradient.guard_indices 5": (
+        UsageError, "guard_indices must be iterable, got 5",
+        lambda: _grape_gradient(guard_indices=5)),
+    "grape_optimize.guard_indices 5": (
+        UsageError, "guard_indices must be iterable, got 5", lambda: _grape(guard_indices=5)),
+    "mode_probabilities.keep 5": (
+        UsageError, "keep must be iterable, got 5", lambda: fock.mode_probabilities(PSI, 5)),
+    "reduced_density_matrix.keep 5": (
+        UsageError, "keep must be iterable, got 5", lambda: fock.reduced_density_matrix(PSI, 5)),
+    "NoiseChannel.kraus 5": (
+        UsageError, "kraus must be iterable, got 5", lambda: noise.NoiseChannel(3, 5, 1e-4)),
+    "Operator.is_hermitian.tol": (
+        UsageError, "tol must be a real number, got 'x'", lambda: identity(2).is_hermitian("x")),
+    "Operator.is_unitary.tol": (
+        UsageError, "tol must be a real number, got 'x'", lambda: identity(2).is_unitary("x")),
 }
 
 
@@ -967,6 +994,198 @@ def test_call_raises_a_library_error(site):
     error, message, call = LIBRARY_ERROR_CALLS[site]
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         call()
+
+
+def test_iterable_arguments_take_any_iterable():
+    # the three iterables refused above when they are not iterable at all
+    channel = noise.photon_loss_channel(1.0, 1e-4, 3)
+    for kraus in (list(channel.kraus), (k for k in channel.kraus)):
+        assert noise.NoiseChannel(3, kraus, 1e-4).kraus == channel.kraus
+    for keep in ((1, 0), range(1, -1, -1), np.array([1, 0]), "generator"):
+        np.testing.assert_array_equal(
+            fock.mode_probabilities(PSI, iter([1, 0]) if isinstance(keep, str) else keep),
+            fock.mode_probabilities(PSI, [1, 0]))
+        np.testing.assert_array_equal(
+            fock.reduced_density_matrix(PSI, iter([1, 0]) if isinstance(keep, str) else keep),
+            fock.reduced_density_matrix(PSI, [1, 0]))
+    want = _grape_gradient(guard_indices=[3])
+    for guard in ((3,), range(3, 4), np.array([3]), (i for i in [3])):
+        got = _grape_gradient(guard_indices=guard)
+        assert got[0] == want[0] and all(map(np.array_equal, got[1], want[1]))
+
+
+# --- the type rule: every parameter annotated with a cavityq class --------
+
+CHANNEL = noise.photon_loss_channel(1.0, 1e-4, 3)
+PSI3 = basis_state(3, 1)
+STATE_TARGET = basis_state((2, 2), [1, 0])
+
+
+def _grape_state(**kw):
+    return pulse.grape_optimize(**{"model": pulse.dispersive_model(1e6, 2),
+                                   "target": STATE_TARGET, "schedule0": _schedule(),
+                                   "iterations": 1, **kw})
+
+
+# site -> (argument name in the message, call with the argument set to v): a
+# tuple[<Class>, ...] site takes v as an entry, named by its position
+INSTANCE_SITES = {
+    "parity.psi": ("psi", lambda v: codes.parity(v)),
+    "photon_loss_cycle_check.psi": ("psi", lambda v: codes.photon_loss_cycle_check(v, 1)),
+    "chi.params": ("params", lambda v: device.chi(v)),
+    "stark_shifted_freq.params": ("params", lambda v: device.stark_shifted_freq(v, 1)),
+    "critical_photon_number.params": ("params", lambda v: device.critical_photon_number(v)),
+    "fock_t1.params": ("params", lambda v: device.fock_t1(v, 0)),
+    "max_fock.params": ("params", lambda v: device.max_fock(v)),
+    "snap_min_gate_time.params": ("params", lambda v: device.snap_min_gate_time(v)),
+    "multimode_drive_freq.params": (
+        "params", lambda v: device.multimode_drive_freq(v, [(1, 2e5)])),
+    "device_summary.params": ("params", lambda v: device.device_summary(v)),
+    "StateVector.overlap.other": ("other", lambda v: PSI3.overlap(v)),
+    "Operator.__matmul__.other": ("other", lambda v: identity(3) @ v),
+    "Operator.apply.psi": ("psi", lambda v: identity(3).apply(v)),
+    "propagator.h": ("h", lambda v: fock.propagator(v, 1.0)),
+    "fidelity.a": ("a", lambda v: fock.fidelity(v, PSI3)),
+    "fidelity.b": ("b", lambda v: fock.fidelity(PSI3, v)),
+    "reduced_density_matrix.psi": ("psi", lambda v: fock.reduced_density_matrix(v, [0])),
+    "mode_probabilities.psi": ("psi", lambda v: fock.mode_probabilities(v)),
+    "mean_occupation.psi": ("psi", lambda v: fock.mean_occupation(v)),
+    "embed.op": ("op", lambda v: gates.embed(v, [0], 3)),
+    "apply_embedded.op": ("op", lambda v: gates.apply_embedded(v, [0], PSI3)),
+    "apply_embedded.psi": ("psi", lambda v: gates.apply_embedded(SNAP3, [0], v)),
+    "Circuit.gates": ("gate 0", lambda v: gates.Circuit((3,), (v,))),
+    "apply_circuit.circuit": ("circuit", lambda v: gates.apply_circuit(v, PSI3)),
+    "apply_circuit.psi": ("psi", lambda v: gates.apply_circuit(gates.Circuit((3,), ()), v)),
+    "circuit_unitary.circuit": ("circuit", lambda v: gates.circuit_unitary(v)),
+    "NoiseChannel.kraus": ("Kraus operator 0", lambda v: noise.NoiseChannel(3, (v,), 1e-4)),
+    "density_matrix.psi": ("psi", lambda v: noise.density_matrix(v)),
+    "apply_channel.channel": ("channel", lambda v: noise.apply_channel(v, np.eye(3))),
+    "apply_channel_trajectory.channel": (
+        "channel", lambda v: noise.apply_channel_trajectory(v, PSI3, 2, 1)),
+    "apply_channel_trajectory.psi": (
+        "psi", lambda v: noise.apply_channel_trajectory(CHANNEL, v, 2, 1)),
+    "run_trajectories.channel": ("channel", lambda v: noise.run_trajectories(v, PSI3, 2, 2, 1)),
+    "run_trajectories.psi": ("psi", lambda v: noise.run_trajectories(CHANNEL, v, 2, 2, 1)),
+    "ControlModel.drift": (
+        "drift", lambda v: pulse.ControlModel(2, v, pulse.qubit_model().controls)),
+    "ControlModel.controls": ("control 0", lambda v: pulse.ControlModel(2, identity(2), (v, v))),
+    "dispersive_model_from_device.params": (
+        "params", lambda v: pulse.dispersive_model_from_device(v, 3)),
+    "simulate_schedule.model": ("model", lambda v: pulse.simulate_schedule(v, _schedule())),
+    "simulate_schedule.schedule": (
+        "schedule", lambda v: pulse.simulate_schedule(pulse.qubit_model(), v)),
+    "simulate_schedule.psi0": (
+        "psi0", lambda v: pulse.simulate_schedule(pulse.qubit_model(), _schedule(), psi0=v,
+                                                  return_propagator=True)),
+    "gate_fidelity.u": ("u", lambda v: pulse.gate_fidelity(v, identity(2))),
+    "gate_fidelity.v": ("v", lambda v: pulse.gate_fidelity(identity(2), v)),
+    "snap_average_fidelity.u": ("u", lambda v: pulse.snap_average_fidelity(v, [0.1, 0.2])),
+    "grape_gradient.model": (
+        "model", lambda v: pulse.grape_gradient(v, _schedule(), STATE_TARGET)),
+    "grape_gradient.schedule": (
+        "schedule", lambda v: pulse.grape_gradient(pulse.qubit_model(), v, identity(2))),
+    "grape_gradient.psi0": ("psi0", lambda v: _grape_gradient(psi0=v)),
+    "grape_optimize.model": ("model", lambda v: _grape_state(model=v)),
+    "grape_optimize.schedule0": ("schedule0", lambda v: _grape_state(schedule0=v)),
+    "grape_optimize.psi0": ("psi0", lambda v: _grape_state(psi0=v)),
+    "synthesize_snap_pulse.model": (
+        "model", lambda v: pulse.synthesize_snap_pulse(v, [0.1, 0.2], 1e-5)),
+    "simulate_transfer.config": ("config", lambda v: qst.simulate_transfer(v)),
+    "detuning_sweep.config": ("config", lambda v: qst.detuning_sweep(v, [0.0, 1.0])),
+    "trotter_step.h": ("h", lambda v: trotter.trotter_step(v, 0.1)),
+    "evolve_trotter.h": ("h", lambda v: trotter.evolve_trotter(v, 1.0, 3)),
+    "trotter_convergence.h": ("h", lambda v: trotter.trotter_convergence(v, 1.0, [3])),
+    "otoc.h": ("h", lambda v: trotter.otoc(np.eye(3), np.eye(3), v, 0.0)),
+    "otoc_series.h": ("h", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), v, [0.0])),
+}
+
+# annotated parameters the type rule does not read, and why
+INSTANCE_EXEMPT = {
+    "TrajectoryResult.final_state": "a result field, built by the package",
+    "GrapeResult.schedule": "a result field, built by the package",
+    "TrotterResult.state": "a result field, built by the package",
+    "optimize_snap_displacement_sequence.target": (
+        "a StateVector or the amplitudes of one, which require_array reads (ARRAY_SITES)"),
+}
+
+MODULES = (cli, codes, device, errors, fock, gates, noise, pulse, qst, trotter)
+# a HilbertShape argument is read by fock.shape_of, the dimension rule, which
+# also takes a dimension or a list of them (DIMENSION_SITES)
+PACKAGE_CLASSES = {cls for module in MODULES for cls in vars(module).values()
+                   if isinstance(cls, type) and cls.__module__ in {m.__name__ for m in MODULES}
+                   and cls is not HilbertShape}
+
+
+def _public_callables():
+    """(site prefix, function) for every public function of MODULES, and
+    every public or dunder method of their public classes: a class's
+    __init__ lists its fields under the class name."""
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield name, obj
+            elif isinstance(obj, type):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # class and static methods
+                    if inspect.isfunction(member) and (
+                            not attr.startswith("_") or attr.endswith("__")):
+                        yield name if attr == "__init__" else f"{name}.{attr}", member
+
+
+def _package_class(annotation):
+    """(cls, None allowed) for an annotation that names a package class cls:
+    cls, cls | None, tuple[cls, ...] or a union holding cls; else None."""
+    if annotation in PACKAGE_CLASSES:
+        return annotation, False
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) is tuple and args[1:] == (Ellipsis,):
+        return _package_class(args[0])
+    if isinstance(annotation, types.UnionType) or typing.get_origin(annotation) is typing.Union:
+        found = [cls for cls in args if cls in PACKAGE_CLASSES]
+        return (found[0], type(None) in args) if found else None
+    return None
+
+
+def _annotated_sites() -> dict:
+    """site -> (cls, None allowed) for every parameter of _public_callables
+    annotated with a package class. A quoted annotation is evaluated again."""
+    sites = {}
+    for prefix, function in _public_callables():
+        for param in inspect.signature(function, eval_str=True).parameters.values():
+            annotation = param.annotation
+            while isinstance(annotation, str):
+                annotation = eval(annotation, function.__globals__)
+            found = _package_class(annotation)
+            if found:
+                sites[f"{prefix}.{param.name}"] = found
+    return sites
+
+
+ANNOTATED_SITES = _annotated_sites()
+
+
+def test_every_annotated_parameter_is_an_instance_site_or_exempt():
+    # a new parameter annotated with a cavityq class fails here until it is filed
+    assert not set(INSTANCE_SITES) & set(INSTANCE_EXEMPT)
+    filed = set(INSTANCE_SITES) | set(INSTANCE_EXEMPT)
+    assert sorted(set(ANNOTATED_SITES) - filed) == []
+    assert sorted(filed - set(ANNOTATED_SITES)) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site", INSTANCE_SITES)
+def test_instance_site_refuses_every_bad_value(site):
+    name, call = INSTANCE_SITES[site]
+    cls, optional = ANNOTATED_SITES[site]
+    message = f"^{re.escape(name)} must be a cavityq {cls.__name__}, got "
+    for value in BAD_VALUES:
+        if value is None and optional:
+            call(None)
+            continue
+        with pytest.raises(UsageError, match=message):
+            call(value)
 
 
 @pytest.mark.parametrize("call", [
@@ -1470,7 +1689,7 @@ def _expected_array_error(values, shape, dtype):
     return None
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(_array_cases())
 def test_array_rule_fast_path_matches_the_object_path(case):
     # one np.array call for plain numbers; every other list goes through an

@@ -620,7 +620,7 @@ class TestCompiledCircuitProperties:
     `dense_unitary`."""
 
     @pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
-    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=8)
     @given(seed=st.integers(0, 2**32 - 1), repeats=st.integers(1, 3),
            convention=st.sampled_from(gates.CONVENTIONS))
     def test_matches_dense_embed(self, dims, seed, repeats, convention):
@@ -733,7 +733,7 @@ class TestStackedRun:
     against one `apply_circuit` call per state."""
 
     @pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
-    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=8)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 4),
            convention=st.sampled_from(gates.CONVENTIONS))
     def test_stack_equals_one_state_at_a_time(self, dims, seed, batch, convention):
@@ -1111,7 +1111,7 @@ def _expm_displacement(alpha: complex, n: int, convention: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", sorted({*gates.GATE_BUILDERS, "multiqudit_snap"}))
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_constructor_matches_its_formula(kind, data):
     # the diagonal, permutation and 2×2 kinds bit for bit up to the sign of

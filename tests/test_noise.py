@@ -584,6 +584,26 @@ class TestFlatShiftStep:
                          noise.apply_channel(channel, rho))
 
     @pytest.mark.parametrize("dense", [False, True])
+    def test_rho_readers_agree(self, dense):
+        # a numeric ndarray is taken by np.asarray, and every other rho is
+        # read by require_array, which refuses a scalar by its shape
+        channel = noise.photon_loss_channel(1.0, 1e-4, 6)
+        if dense:
+            channel = forced_dense(channel)
+        rho = random_density_matrix(3, 6)
+
+        class ArrayLike:
+            def __array__(self, dtype=None, copy=None):
+                return rho
+
+        want = noise.apply_channel(channel, rho)
+        for form in (rho.tolist(), tuple(map(tuple, rho.tolist())), ArrayLike()):
+            assert_same_bits(noise.apply_channel(channel, form), want)
+        for bad in (1.0, None, "x"):
+            with pytest.raises(ShapeError, match=r"^rho must be 6x6, got \(\)$"):
+                noise.apply_channel(channel, bad)
+
+    @pytest.mark.parametrize("dense", [False, True])
     def test_wrong_shape_rejected(self, dense):
         channel = noise.photon_loss_channel(1.0, 1e-4, 6)
         if dense:
@@ -1132,7 +1152,7 @@ class TestBlockedTrajectories:
 
 @pytest.mark.parametrize("bad", ["abc", {"rho": 1}])
 def test_unreadable_density_matrix_names_rho(bad):
-    with pytest.raises(UsageError, match="^rho must be an array of complex numbers"):
+    with pytest.raises(ShapeError, match=r"^rho must be 2x2, got \(\)$"):
         noise.apply_channel(loss_channel(n=2), bad)
 
 
