@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import (DegenerateDetuningError, UsageError, finite_result, parse_errors,
                      read_fields, require_complex, require_count, require_finite,
-                     require_instance, require_positive, require_real)
+                     require_instance, require_positive, require_real, require_sequence)
 
 _FIELDS = (
     "omega_q_hz",
@@ -147,10 +147,11 @@ def multimode_drive_freq(
     ω_q − Σ_k n_k χ_k. Each entry is an (n_k, chi_k_hz) pair; anything
     else is a UsageError."""
     require_instance("params", params, DeviceParams)
+    entries = require_sequence("occupations_and_shifts", occupations_and_shifts)
     try:
         pairs = [(require_count("occupation", n_k), require_real("chi_k_hz", chi_k))
-                 for n_k, chi_k in occupations_and_shifts]
-    except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
+                 for n_k, chi_k in entries]
+    except (TypeError, ValueError):  # an entry that is not a pair
         raise UsageError("occupations_and_shifts must be a sequence of (n_k, chi_k_hz) "
                          f"pairs, got {occupations_and_shifts!r}") from None
     return finite_result("the multimode drive frequency",

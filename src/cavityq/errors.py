@@ -9,13 +9,19 @@ optional. `read_object` decodes the object (`decode_object`) and rejects
 a missing or an unlisted field; `read_field` checks the types a reader
 walks (dict for a nested object, list for a list it iterates, str for a
 kind) and passes every other field, typed object, on as decoded, to be
-read by the rule of the call it feeds. API arguments follow nine rules.
-`require_instance` is the type rule: every public parameter annotated
-with a package class C, as C, C | None or tuple[C, ...], is read by it,
-so it takes only objects of C (or None where the annotation allows it,
-and for a tuple, each entry), and refuses anything else in one message
-form; a HilbertShape parameter is a dimension instead. The other eight
-are listed site by site in the README: `require_count` for counts, seeds
+read by the rule of the call it feeds. API arguments follow eleven
+rules. `require_instance` is the type rule: every public parameter
+annotated with a package class C, as C, C | None or tuple[C, ...], is
+read by it, so it takes only objects of C (or None where the annotation
+allows it, and for a tuple, each entry), and refuses anything else in
+one message form; a HilbertShape parameter is a dimension instead.
+`require_sequence` is the container rule: every argument that holds
+several entries (annotated Sequence, Iterable or tuple) is read once by
+it into a tuple, from any iterable but a str or a mapping, unless its
+docstring names the argument's kind as exempt; the site then reads each
+entry by its own rule. `require_flag` reads every bool argument, a
+Python or numpy bool and nothing else. The other eight are listed site
+by site in the README: `require_count` for counts, seeds
 and photon numbers, `fock.shape_of` for dimensions, before any
 allocation, `require_index` for level, subsystem and basis indices,
 `require_real` for other real numbers, `require_complex` for complex
@@ -36,6 +42,7 @@ form goes through `finite_result`, which names it in a `NumericError`
 when it overflows or is not finite.
 """
 import cmath
+import collections.abc
 import contextlib
 import functools
 import itertools
@@ -158,6 +165,32 @@ def require_instance(name: str, value, cls: type | tuple[type, ...]):
         names = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
         raise UsageError(f"{name} must be a cavityq {names}, got {value!r}")
     return value
+
+
+def require_sequence(name: str, values) -> tuple:
+    """The entries of any iterable but a str or a mapping, read once in
+    order, or UsageError: the rule for every argument holding several
+    entries. Exempt by kind: numbers read by require_array (phases, times,
+    detunings, carriers, spans), dimensions (fock.shape_of), the bits of
+    gates.qubit_binary_encode (a str is their form), basis_state's int or
+    sequence, result fields and the parameters of these rules."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        entries = None
+    if entries is None or isinstance(values, (str, collections.abc.Mapping)):
+        raise UsageError(f"{name} must be a sequence, got {values!r}")
+    return tuple(entries)
+
+
+def require_flag(name: str, value) -> bool:
+    """bool(value), or UsageError unless value is a Python or numpy bool:
+    the one rule for an on/off argument, which no truth value stands in for."""
+    import numpy as np
+
+    if not isinstance(value, (bool, np.bool_)):
+        raise UsageError(f"{name} must be a boolean, got {value!r}")
+    return bool(value)
 
 
 def finite_result(name: str, compute):

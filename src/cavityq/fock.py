@@ -37,6 +37,7 @@ from .errors import (
     require_index,
     require_instance,
     require_phase,
+    require_sequence,
 )
 
 DEFAULT_DIM_CAP = 2**20
@@ -100,6 +101,7 @@ class HilbertShape:
 
     def flat_index(self, occupations: Sequence[int]) -> int:
         """Flat basis index of |n_0, n_1, ...⟩."""
+        occupations = require_sequence("occupations", occupations)
         if len(occupations) != len(self.dims):
             raise ShapeError(
                 f"expected {len(self.dims)} occupation numbers, got {len(occupations)}"
@@ -460,10 +462,8 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def _as_axes(shape: HilbertShape, keep: Iterable[int]) -> list[int]:
-    try:
-        keep = [require_index("subsystem", k, shape.n_subsystems) for k in keep]
-    except TypeError:
-        raise UsageError(f"keep must be iterable, got {keep!r}") from None
+    keep = [require_index("subsystem", k, shape.n_subsystems)
+            for k in require_sequence("keep", keep)]
     if not keep:
         raise UsageError("keep must name at least one subsystem")
     for i, k in enumerate(keep):

@@ -36,8 +36,8 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import (NumericError, ParseError, ShapeError, UsageError, is_count, parse_errors,
                      read_fields, read_object, require_array, require_capacity, require_complex,
-                     require_count, require_finite, require_index, require_instance,
-                     require_phase)
+                     require_count, require_finite, require_flag, require_index,
+                     require_instance, require_phase, require_sequence)
 from .fock import (
     HilbertShape,
     Operator,
@@ -239,9 +239,7 @@ def _check_targets(op: Operator, targets: Sequence[int], dims: tuple[int, ...]) 
     """targets as a list, or raise unless op is an Operator and they are
     distinct subsystems of a register of dims whose dims, in order, are op's."""
     require_instance("op", op, Operator)
-    if not isinstance(targets, (list, tuple)):
-        raise UsageError(f"targets must be a list or tuple, got {targets!r}")
-    targets = [require_index("target", t, len(dims)) for t in targets]
+    targets = [require_index("target", t, len(dims)) for t in require_sequence("targets", targets)]
     if len(set(targets)) != len(targets):
         raise UsageError(f"duplicate targets {targets}")
     sub_dims = tuple(dims[t] for t in targets)
@@ -343,9 +341,10 @@ def _qubit(value, what: str, shape: HilbertShape) -> int:
 
 
 def _subsystems(value, what: str, shape: HilbertShape) -> list[int]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise UsageError(f"{what} must be a non-empty list")
-    return [_subsystem(t, what, shape) for t in value]
+    targets = [_subsystem(t, what, shape) for t in require_sequence(what, value)]
+    if not targets:
+        raise UsageError(f"{what} must name at least one subsystem")
+    return targets
 
 
 def _amplitude(value, what: str, shape: HilbertShape):
@@ -439,9 +438,7 @@ def _ortho_fft(x: np.ndarray, inverse: bool, axis: int = -1,
 def _fourier_kernel(args, targets, dims) -> _Kernel:
     """An orthonormal FFT along the target axis: ifft is
     F_jk = e^{2πijk/N}/√N, fft its inverse; the flag a (numpy) bool."""
-    if not isinstance(args[1], (bool, np.bool_)):
-        raise UsageError(f"inverse must be a boolean, got {args[1]!r}")
-    axis, inverse = targets[0] - len(dims), not args[1]
+    axis, inverse = targets[0] - len(dims), not require_flag("inverse", args[1])
     return lambda tens: _ortho_fft(tens, inverse, axis)
 
 
@@ -638,9 +635,7 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", shape_of(self.shape))
-        if not isinstance(self.gates, (list, tuple)):
-            raise UsageError(f"gates must be a list or tuple of GateSpec, got {self.gates!r}")
-        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "gates", require_sequence("gates", self.gates))
         if self.displacement_convention not in CONVENTIONS:
             raise UsageError(
                 f"unknown displacement convention {self.displacement_convention!r}"

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (StepSizeError, UsageError, require_array, require_capacity, require_count,
-                     require_finite, require_instance, require_positive, require_real)
+                     require_finite, require_instance, require_positive, require_real,
+                     require_sequence)
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
@@ -156,11 +157,8 @@ class NoiseChannel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", shape_of(self.shape))
-        try:
-            kraus = tuple(require_instance(f"Kraus operator {i}", k, Operator)
-                          for i, k in enumerate(self.kraus))
-        except TypeError:
-            raise UsageError(f"kraus must be iterable, got {self.kraus!r}") from None
+        kraus = tuple(require_instance(f"Kraus operator {i}", k, Operator)
+                      for i, k in enumerate(require_sequence("kraus", self.kraus)))
         object.__setattr__(self, "kraus", kraus)
         if not self.kraus:
             raise UsageError("channel needs at least one Kraus operator")

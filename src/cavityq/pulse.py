@@ -40,10 +40,12 @@ from .errors import (
     require_capacity,
     require_count,
     require_finite,
+    require_flag,
     require_index,
     require_instance,
     require_phase,
     require_positive,
+    require_sequence,
 )
 from .fock import (
     HilbertShape,
@@ -112,12 +114,8 @@ class PulseSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
-        if not (isinstance(self.streams, (list, tuple))
-                or isinstance(self.streams, np.ndarray) and self.streams.ndim):
-            raise UsageError("streams must be a list, tuple or array of amplitude streams, "
-                             f"got {type(self.streams).__name__}")
         streams = tuple(require_array(f"stream {i}", s, (None,))
-                        for i, s in enumerate(self.streams))
+                        for i, s in enumerate(require_sequence("streams", self.streams)))
         if not streams:
             raise UsageError("schedule needs at least one amplitude stream")
         n = len(streams[0])
@@ -157,12 +155,9 @@ class PulseSchedule:
     @staticmethod
     def from_json(text: str) -> "PulseSchedule":
         f = read_fields(text, "schedule", {"dt_s": object, "controls": list})
-        controls = f["controls"]
-        if not controls:
-            raise ParseError("'controls' must be a non-empty list")
         streams = []
         carriers = []
-        for i, entry in enumerate(controls):
+        for i, entry in enumerate(f["controls"]):
             what = f"control {i}"
             if not isinstance(entry, dict):
                 raise ParseError(f"{what} must be an object")
@@ -213,9 +208,7 @@ class ControlModel:
         if not self.drift.is_hermitian(1e-12 * max(
                 1.0, float(np.max(np.abs(self.drift.matrix))))):
             raise UsageError("drift Hamiltonian must be Hermitian")
-        if not isinstance(self.controls, (list, tuple)):
-            raise UsageError(f"controls must be a list or tuple of Operator, got {self.controls!r}")
-        controls = tuple(self.controls)
+        controls = require_sequence("controls", self.controls)
         if not controls or len(controls) % 2:
             raise UsageError(
                 "controls must come in quadrature pairs (two per drive stream)"
@@ -279,8 +272,7 @@ def dispersive_model(chi_hz: float, n_levels: int,
     if n_levels < 2:
         raise UsageError(f"need at least 2 cavity levels, got {n_levels}")
     chi_hz = require_positive("chi_hz", chi_hz)
-    if not isinstance(cavity_drive, (bool, np.bool_)):
-        raise UsageError(f"cavity_drive must be a boolean, got {cavity_drive!r}")
+    cavity_drive = require_flag("cavity_drive", cavity_drive)
     if not math.isfinite(2 * math.pi * chi_hz * (n_levels - 1)):
         raise NumericError(f"chi_hz {chi_hz!r}: the drift's largest entry "
                            f"2*pi*chi_hz*(n_levels-1) overflows (n_levels = {n_levels})")
@@ -487,6 +479,7 @@ def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
     tuple when both are requested.
     """
     _check_schedule_pairing(model, require_instance("schedule", schedule, PulseSchedule))
+    return_propagator = require_flag("return_propagator", return_propagator)
     if psi0 is None and not return_propagator:
         raise UsageError("need psi0, return_propagator=True, or both")
     if psi0 is not None and require_instance("psi0", psi0, StateVector).shape != model.shape:
@@ -754,17 +747,15 @@ def _grape_problem(model: ControlModel, schedule: PulseSchedule, target,
         elif require_instance("psi0", psi0, StateVector).shape != model.shape:
             raise ShapeError("psi0 shape does not match model shape")
         target, psi0_vec = np.asarray(target.amplitudes), np.asarray(psi0.amplitudes)
-    try:
-        guard = tuple(require_index("guard_indices entry", i, model.shape.total_dim)
-                      for i in guard_indices)
-    except TypeError:
-        raise UsageError(f"guard_indices must be iterable, got {guard_indices!r}") from None
+    guard = tuple(require_index("guard_indices entry", i, model.shape.total_dim)
+                  for i in require_sequence("guard_indices", guard_indices))
     if guard and psi0_vec is None:
         raise UsageError("guard-leakage penalty applies to state targets only")
     return target, psi0_vec, guard, require_finite("leak_weight", leak_weight)
 
 
-def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
+def grape_gradient(model: ControlModel, schedule: PulseSchedule,
+                   target: Operator | StateVector,
                    psi0: StateVector | None = None,
                    guard_indices: Sequence[int] = (),
                    leak_weight: float = 1.0):
@@ -784,7 +775,8 @@ def grape_gradient(model: ControlModel, schedule: PulseSchedule, target,
     return j_total, tuple(gradient())
 
 
-def grape_optimize(model: ControlModel, target, schedule0: PulseSchedule,
+def grape_optimize(model: ControlModel, target: Operator | StateVector,
+                   schedule0: PulseSchedule,
                    iterations: int = 500, learning_rate: float = 0.2,
                    seed: int | None = None, *,
                    psi0: StateVector | None = None, tol: float = 1e-8,
@@ -976,8 +968,9 @@ def synthesize_snap_pulse(model: ControlModel, theta: Sequence[float],
     chi_hz, n = _dispersive_chi_from_model(model)
     th = _snap_phases(theta, n)
     duration_s = require_positive("duration_s", duration_s)
+    precompensate = require_flag("precompensate", precompensate)
     bound = 2 * np.pi / chi_hz
-    if enforce_bound and duration_s < bound * (1 - 1e-12):
+    if require_flag("enforce_bound", enforce_bound) and duration_s < bound * (1 - 1e-12):
         raise BandwidthError(
             f"duration {duration_s:.3e} s is below the selective-drive bound "
             f"2*pi/chi = {bound:.3e} s"

@@ -161,7 +161,7 @@ class SampledWaveform:
 def _evaluate_rates(waveform, grid: np.ndarray, what: str) -> np.ndarray:
     """Evaluate a rate waveform on a time grid; validates nonnegativity."""
     if not callable(waveform):
-        raise UsageError(f"{what} must be callable or a SampledWaveform")
+        raise UsageError(f"{what} must be callable, got {waveform!r}")
     try:
         rates = np.asarray(waveform(grid), dtype=float)
         if rates.shape != grid.shape:

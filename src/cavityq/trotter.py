@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, require_array,
                      require_capacity, require_count, require_finite, require_instance,
-                     require_phase, require_positive)
+                     require_phase, require_positive, require_sequence)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
 from .gates import Circuit, GateSpec, _ortho_fft, _run
 
@@ -180,11 +180,8 @@ def trotter_convergence(h: QuditHamiltonian, t_total_s: float,
                         psi0=None) -> tuple[tuple[int, float, float], ...]:
     """Rows of (steps, dt, infidelity) for a step-count sweep at fixed t."""
     require_instance("h", h, QuditHamiltonian)
-    if not (isinstance(steps_list, (list, tuple))
-            or isinstance(steps_list, np.ndarray) and steps_list.ndim == 1):
-        raise UsageError(f"steps_list must be a list, tuple or 1-D array of step counts, "
-                         f"got {steps_list!r}")
-    if len(steps_list) == 0:
+    steps_list = require_sequence("steps_list", steps_list)
+    if not steps_list:
         raise UsageError("steps_list must be non-empty")
     return tuple((r.steps, r.dt_s, r.infidelity) for r in _sweep(h, t_total_s, steps_list, psi0))
 
@@ -245,14 +242,16 @@ def _eigenbasis(op, q_dag: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return q_dag @ op @ vecs
 
 
-def otoc(w, v, h: QuditHamiltonian, t_s: float, psi0=None) -> complex:
+def otoc(w: Circuit | Operator | np.ndarray, v: Circuit | Operator | np.ndarray,
+         h: QuditHamiltonian, t_s: float, psi0=None) -> complex:
     """<psi0| W†(t) V† W(t) V |psi0> with W(t) = U†(t) W U(t), U = exp(-iHt)
     exact. W and V are as otoc_series takes them; psi0 defaults to |0>."""
     [(_, re, im, _)] = otoc_series(w, v, h, [t_s], psi0)
     return complex(re, im)
 
 
-def otoc_series(w, v, h: QuditHamiltonian, times_s: Sequence[float],
+def otoc_series(w: Circuit | Operator | np.ndarray, v: Circuit | Operator | np.ndarray,
+                h: QuditHamiltonian, times_s: Sequence[float],
                 psi0=None) -> tuple[tuple[float, float, float, float], ...]:
     """Rows of (t, Re C, Im C, |C|) over a time grid.
 

@@ -19,6 +19,7 @@ same result as the Python number.
 
 import ast
 import cmath
+import collections.abc
 import dataclasses
 import inspect
 import json
@@ -852,7 +853,10 @@ LIBRARY_ERROR_CALLS = {
         UsageError, "occupations_and_shifts must be a sequence of (n_k, chi_k_hz) pairs",
         lambda entries=entries: device.multimode_drive_freq(device.DeviceParams(**DEVICE),
                                                             entries))
-       for entries in ([1], None, [(1, 2e5, 3)])},
+       for entries in ([1], [(1, 2e5, 3)])},
+    "multimode_drive_freq None": (
+        UsageError, "occupations_and_shifts must be a sequence, got None",
+        lambda: device.multimode_drive_freq(device.DeviceParams(**DEVICE), None)),
     "coherent_overlap overflow": (
         NumericError, "coherent_overlap is not finite", lambda: codes.coherent_overlap(1e200, 1e200)),
     "coherent_overlap inf": (
@@ -868,7 +872,7 @@ LIBRARY_ERROR_CALLS = {
         UsageError, f"gate params must be a mapping, got {params!r}",
         lambda params=params: gates.GateSpec("snap", params)) for params in (None, 5)},
     "Circuit.gates None": (
-        UsageError, "gates must be a list or tuple of GateSpec, got None",
+        UsageError, "gates must be a sequence, got None",
         lambda: gates.Circuit((3,), None)),
     # a raw AttributeError when the circuit was applied
     "Circuit.gates entry": (
@@ -881,10 +885,10 @@ LIBRARY_ERROR_CALLS = {
         InvalidDimensionError, "subsystem dimension must be a positive integer, got None",
         lambda: gates.GateSpec("fourier", {"target": 0}).build(None)),
     "apply_embedded.targets": (
-        UsageError, "targets must be a list or tuple, got 0",
+        UsageError, "targets must be a sequence, got 0",
         lambda: gates.apply_embedded(SNAP3, 0, basis_state(3, 0))),
     "embed.targets": (
-        UsageError, "targets must be a list or tuple, got None",
+        UsageError, "targets must be a sequence, got None",
         lambda: gates.embed(SNAP3, None, 3)),
     **{f"qubit_binary_encode {bits!r}": (
         UsageError, f"bits must be a str, list or tuple, got {bits!r}",
@@ -951,7 +955,7 @@ LIBRARY_ERROR_CALLS = {
         UsageError, "u must be a cavityq Operator, got array(",
         lambda: pulse.snap_average_fidelity(np.eye(4), [0.1, 0.2])),
     "ControlModel.controls None": (
-        UsageError, "controls must be a list or tuple of Operator, got None",
+        UsageError, "controls must be a sequence, got None",
         lambda: pulse.ControlModel(2, identity(2), None)),
     "simulate_transfer.config": (
         UsageError, "config must be a cavityq QstConfig, got 'x'",
@@ -959,18 +963,23 @@ LIBRARY_ERROR_CALLS = {
     "detuning_sweep.config": (
         UsageError, "config must be a cavityq QstConfig, got 'x'",
         lambda: qst.detuning_sweep("x", [0.0, 1.0])),
+    **{f"simulate_transfer.{slot}_waveform": (
+        UsageError, f"{slot} waveform must be callable, got 5",
+        lambda slot=slot: qst.simulate_transfer(_qst_config(**{f"{slot}_waveform": 5})))
+       for slot in ("emit", "catch")},
     # each raised a raw TypeError, or numpy's UFuncTypeError for a tolerance
     "grape_gradient.guard_indices 5": (
-        UsageError, "guard_indices must be iterable, got 5",
+        UsageError, "guard_indices must be a sequence, got 5",
         lambda: _grape_gradient(guard_indices=5)),
     "grape_optimize.guard_indices 5": (
-        UsageError, "guard_indices must be iterable, got 5", lambda: _grape(guard_indices=5)),
+        UsageError, "guard_indices must be a sequence, got 5", lambda: _grape(guard_indices=5)),
     "mode_probabilities.keep 5": (
-        UsageError, "keep must be iterable, got 5", lambda: fock.mode_probabilities(PSI, 5)),
+        UsageError, "keep must be a sequence, got 5", lambda: fock.mode_probabilities(PSI, 5)),
     "reduced_density_matrix.keep 5": (
-        UsageError, "keep must be iterable, got 5", lambda: fock.reduced_density_matrix(PSI, 5)),
+        UsageError, "keep must be a sequence, got 5",
+        lambda: fock.reduced_density_matrix(PSI, 5)),
     "NoiseChannel.kraus 5": (
-        UsageError, "kraus must be iterable, got 5", lambda: noise.NoiseChannel(3, 5, 1e-4)),
+        UsageError, "kraus must be a sequence, got 5", lambda: noise.NoiseChannel(3, 5, 1e-4)),
     "Operator.is_hermitian.tol": (
         UsageError, "tol must be a real number, got 'x'", lambda: identity(2).is_hermitian("x")),
     "Operator.is_unitary.tol": (
@@ -994,24 +1003,6 @@ def test_call_raises_a_library_error(site):
     error, message, call = LIBRARY_ERROR_CALLS[site]
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         call()
-
-
-def test_iterable_arguments_take_any_iterable():
-    # the three iterables refused above when they are not iterable at all
-    channel = noise.photon_loss_channel(1.0, 1e-4, 3)
-    for kraus in (list(channel.kraus), (k for k in channel.kraus)):
-        assert noise.NoiseChannel(3, kraus, 1e-4).kraus == channel.kraus
-    for keep in ((1, 0), range(1, -1, -1), np.array([1, 0]), "generator"):
-        np.testing.assert_array_equal(
-            fock.mode_probabilities(PSI, iter([1, 0]) if isinstance(keep, str) else keep),
-            fock.mode_probabilities(PSI, [1, 0]))
-        np.testing.assert_array_equal(
-            fock.reduced_density_matrix(PSI, iter([1, 0]) if isinstance(keep, str) else keep),
-            fock.reduced_density_matrix(PSI, [1, 0]))
-    want = _grape_gradient(guard_indices=[3])
-    for guard in ((3,), range(3, 4), np.array([3]), (i for i in [3])):
-        got = _grape_gradient(guard_indices=guard)
-        assert got[0] == want[0] and all(map(np.array_equal, got[1], want[1]))
 
 
 # --- the type rule: every parameter annotated with a cavityq class --------
@@ -1085,7 +1076,10 @@ INSTANCE_SITES = {
     "grape_gradient.schedule": (
         "schedule", lambda v: pulse.grape_gradient(pulse.qubit_model(), v, identity(2))),
     "grape_gradient.psi0": ("psi0", lambda v: _grape_gradient(psi0=v)),
+    "grape_gradient.target": (
+        "target", lambda v: pulse.grape_gradient(pulse.qubit_model(), _schedule(), v)),
     "grape_optimize.model": ("model", lambda v: _grape_state(model=v)),
+    "grape_optimize.target": ("target", lambda v: _grape_state(target=v)),
     "grape_optimize.schedule0": ("schedule0", lambda v: _grape_state(schedule0=v)),
     "grape_optimize.psi0": ("psi0", lambda v: _grape_state(psi0=v)),
     "synthesize_snap_pulse.model": (
@@ -1106,6 +1100,8 @@ INSTANCE_EXEMPT = {
     "TrotterResult.state": "a result field, built by the package",
     "optimize_snap_displacement_sequence.target": (
         "a StateVector or the amplitudes of one, which require_array reads (ARRAY_SITES)"),
+    **dict.fromkeys(["otoc.w", "otoc.v", "otoc_series.w", "otoc_series.v"], (
+        "a Circuit, an Operator or an array, which trotter._operator dispatches")),
 }
 
 MODULES = (cli, codes, device, errors, fock, gates, noise, pulse, qst, trotter)
@@ -1134,44 +1130,65 @@ def _public_callables():
                         yield name if attr == "__init__" else f"{name}.{attr}", member
 
 
-def _package_class(annotation):
-    """(cls, None allowed) for an annotation that names a package class cls:
-    cls, cls | None, tuple[cls, ...] or a union holding cls; else None."""
-    if annotation in PACKAGE_CLASSES:
-        return annotation, False
-    args = typing.get_args(annotation)
-    if typing.get_origin(annotation) is tuple and args[1:] == (Ellipsis,):
-        return _package_class(args[0])
-    if isinstance(annotation, types.UnionType) or typing.get_origin(annotation) is typing.Union:
-        found = [cls for cls in args if cls in PACKAGE_CLASSES]
-        return (found[0], type(None) in args) if found else None
-    return None
-
-
-def _annotated_sites() -> dict:
-    """site -> (cls, None allowed) for every parameter of _public_callables
-    annotated with a package class. A quoted annotation is evaluated again."""
-    sites = {}
+def _annotations():
+    """site -> annotation for every parameter of _public_callables, each
+    evaluated once; a quoted annotation is evaluated again."""
+    found = {}
     for prefix, function in _public_callables():
         for param in inspect.signature(function, eval_str=True).parameters.values():
             annotation = param.annotation
             while isinstance(annotation, str):
                 annotation = eval(annotation, function.__globals__)
-            found = _package_class(annotation)
-            if found:
-                sites[f"{prefix}.{param.name}"] = found
-    return sites
+            found[f"{prefix}.{param.name}"] = annotation
+    return found
 
 
-ANNOTATED_SITES = _annotated_sites()
+ANNOTATIONS = _annotations()
+
+
+def _sites(read) -> dict:
+    """site -> read(annotation) for every public parameter whose annotation
+    read accepts (returns a value other than None or False): one walk."""
+    return {site: found for site, annotation in ANNOTATIONS.items()
+            if (found := read(annotation)) not in (None, False)}
+
+
+def _union_args(annotation) -> tuple:
+    """The members of a union annotation, or () for any other."""
+    if isinstance(annotation, types.UnionType) or typing.get_origin(annotation) is typing.Union:
+        return typing.get_args(annotation)
+    return ()
+
+
+def _package_class(annotation):
+    """(cls, None allowed) for an annotation that names a package class cls:
+    cls, cls | None, tuple[cls, ...] or a union holding cls, where cls is a
+    tuple of the classes a union holds several of; else None."""
+    if annotation in PACKAGE_CLASSES:
+        return annotation, False
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) is tuple and args[1:] == (Ellipsis,):
+        return _package_class(args[0])
+    found = tuple(cls for cls in _union_args(annotation) if cls in PACKAGE_CLASSES)
+    if not found:
+        return None
+    return found if len(found) > 1 else found[0], type(None) in _union_args(annotation)
+
+
+ANNOTATED_SITES = _sites(_package_class)
+
+
+def _assert_filed(found: dict, sites: dict, exempt: dict) -> None:
+    """Every parameter a walk found is a site or exempt, and every filed one was found."""
+    assert not set(sites) & set(exempt)
+    filed = set(sites) | set(exempt)
+    assert sorted(set(found) - filed) == []
+    assert sorted(filed - set(found)) == []
 
 
 def test_every_annotated_parameter_is_an_instance_site_or_exempt():
     # a new parameter annotated with a cavityq class fails here until it is filed
-    assert not set(INSTANCE_SITES) & set(INSTANCE_EXEMPT)
-    filed = set(INSTANCE_SITES) | set(INSTANCE_EXEMPT)
-    assert sorted(set(ANNOTATED_SITES) - filed) == []
-    assert sorted(filed - set(ANNOTATED_SITES)) == []
+    _assert_filed(ANNOTATED_SITES, INSTANCE_SITES, INSTANCE_EXEMPT)
 
 
 @pytest.mark.filterwarnings("error")
@@ -1179,13 +1196,172 @@ def test_every_annotated_parameter_is_an_instance_site_or_exempt():
 def test_instance_site_refuses_every_bad_value(site):
     name, call = INSTANCE_SITES[site]
     cls, optional = ANNOTATED_SITES[site]
-    message = f"^{re.escape(name)} must be a cavityq {cls.__name__}, got "
+    names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+    message = f"^{re.escape(name)} must be a cavityq {names}, got "
     for value in BAD_VALUES:
         if value is None and optional:
             call(None)
             continue
         with pytest.raises(UsageError, match=message):
             call(value)
+
+
+# --- the sequence rule: every parameter that holds several entries ---------
+
+INCREMENT = gates.controlled_increment(3)
+QUBIT = pulse.qubit_model()
+INDEX_FORMS = (range(1, -1, -1), np.array([1, 0]))
+
+# site -> (argument name in the message, entries, call with the argument set
+# to v, the other forms of the entries that fit: a range or an ndarray)
+SEQUENCE_SITES = {
+    "HilbertShape.flat_index.occupations": (
+        "occupations", [1, 0], lambda v: HilbertShape((3, 3)).flat_index(v), INDEX_FORMS),
+    "reduced_density_matrix.keep": (
+        "keep", [1, 0], lambda v: fock.reduced_density_matrix(PSI, v), INDEX_FORMS),
+    "mode_probabilities.keep": (
+        "keep", [1, 0], lambda v: fock.mode_probabilities(PSI, v), INDEX_FORMS),
+    "embed.targets": (
+        "targets", [1, 0], lambda v: gates.embed(INCREMENT, v, (3, 3, 3)).matrix, INDEX_FORMS),
+    "apply_embedded.targets": (
+        "targets", [1, 0], lambda v: gates.apply_embedded(INCREMENT, v, PSI).amplitudes,
+        INDEX_FORMS),
+    "Circuit.gates": (
+        "gates", [gates.GateSpec("fourier", {"target": 0}),
+                  gates.GateSpec("snap", {"target": 0, "theta": [0.1, 0.2, 0.3]})],
+        lambda v: gates.Circuit((3,), v).to_json(), ()),
+    "NoiseChannel.kraus": (
+        "kraus", list(CHANNEL.kraus),
+        lambda v: [k.matrix for k in noise.NoiseChannel(3, v, 1e-4).kraus], ()),
+    "PulseSchedule.streams": (
+        "streams", [np.zeros(3), np.arange(3.0)],
+        lambda v: pulse.PulseSchedule(1e-9, v, (0.0, 0.0)).streams,
+        (np.array([np.zeros(3), np.arange(3.0)]),)),
+    "ControlModel.controls": (
+        "controls", list(QUBIT.controls),
+        lambda v: [c.matrix for c in pulse.ControlModel(2, QUBIT.drift, v).controls], ()),
+    "grape_gradient.guard_indices": (
+        "guard_indices", [3], lambda v: _grape_gradient(guard_indices=v),
+        (range(3, 4), np.array([3]))),
+    "grape_optimize.guard_indices": (
+        "guard_indices", [3], lambda v: _grape(guard_indices=v), (range(3, 4), np.array([3]))),
+    "trotter_convergence.steps_list": (
+        "steps_list", [3, 5], lambda v: trotter.trotter_convergence(HAMILTONIAN, 1.0, v),
+        (range(3, 6, 2), np.array([3, 5]))),
+    "multimode_drive_freq.occupations_and_shifts": (
+        "occupations_and_shifts", [(1, 2e5), (2, 1e5)],
+        lambda v: device.multimode_drive_freq(device.DeviceParams(**DEVICE), v), ()),
+}
+
+_BULK = "numbers read in bulk by require_array (ARRAY_SITES), which refuses a generator"
+_DIMENSIONS = "dimensions, read by fock.shape_of (DIMENSION_SITES)"
+_RESULT = "a result field, built by the package"
+# sequence-annotated parameters the sequence rule does not read, and the rule
+# that reads each instead
+SEQUENCE_EXEMPT = {
+    **dict.fromkeys(["snap.theta", "multisnap.theta", "multiqudit_snap.theta",
+                     "snap_average_fidelity.theta", "synthesize_snap_pulse.theta",
+                     "PulseSchedule.carriers_hz", "optimize_snap_displacement_sequence.target",
+                     "QstConfig.t_span_s", "QstConfig.input_state", "on_off_ratio.t_span_s",
+                     "detuning_sweep.delta_list", "otoc_series.times_s"], _BULK),
+    **dict.fromkeys(["HilbertShape.dims", "shape_of.dims", "basis_state.shape",
+                     "identity.shape", "multisnap.dims", "embed.shape", "multiqudit_snap.shape",
+                     "GateSpec.build.shape"], _DIMENSIONS),
+    **dict.fromkeys(["TrajectoryResult.jump_steps", "GrapeResult.trace",
+                     "SequencePrepResult.alphas", "SequencePrepResult.trace",
+                     "DetuningSweepResult.rows"], _RESULT),
+    "qubit_binary_encode.bits": "a str or a sequence of bits, read by qubit_binary_encode",
+    "basis_state.occupations": (
+        "a flat index (require_index) or occupations (HilbertShape.flat_index), by np.ndim"),
+    "require_instance.cls": "a parameter of the type rule",
+    "require_array.shape": "a parameter of the array rule",
+}
+
+
+def _holds_sequence(annotation) -> bool:
+    """Whether annotation is Sequence[...], Iterable[...] or a tuple, or a
+    union holding one."""
+    return (annotation is tuple
+            or typing.get_origin(annotation) in (tuple, collections.abc.Sequence,
+                                                 collections.abc.Iterable)
+            or any(map(_holds_sequence, _union_args(annotation))))
+
+
+def test_every_sequence_parameter_is_a_sequence_site_or_exempt():
+    # a new parameter annotated Sequence, Iterable or tuple fails here until it is filed
+    _assert_filed(_sites(_holds_sequence), SEQUENCE_SITES, SEQUENCE_EXEMPT)
+
+
+def _same(a, b) -> bool:
+    """a == b: arrays bitwise with their dtype and shape, lists and tuples
+    entry by entry."""
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("site", SEQUENCE_SITES)
+def test_iterable_arguments_take_any_iterable(site):
+    _, entries, call, forms = SEQUENCE_SITES[site]
+    want = call(entries)
+    for values in (tuple(entries), (e for e in entries), *forms):
+        assert _same(call(values), want), values
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site", SEQUENCE_SITES)
+def test_sequence_site_refuses_every_bad_value(site):
+    name, _, call, _ = SEQUENCE_SITES[site]
+    optional = type(None) in _union_args(ANNOTATIONS[site])
+    for value in BAD_VALUES:
+        if value is None and optional:
+            call(None)
+        elif not isinstance(value, list):
+            with pytest.raises(UsageError, match=f"^{re.escape(name)} must be a sequence, got "):
+                call(value)
+
+
+# --- the flag rule: every bool parameter ------------------------------------
+
+# site -> (argument name in the message, call with the argument set to v)
+FLAG_SITES = {
+    "fourier.inverse": ("inverse", lambda v: gates.fourier(3, v)),
+    "dispersive_model.cavity_drive": (
+        "cavity_drive", lambda v: pulse.dispersive_model(1e6, 3, cavity_drive=v)),
+    "dispersive_model_from_device.cavity_drive": (
+        "cavity_drive",
+        lambda v: pulse.dispersive_model_from_device(device.DeviceParams(**DEVICE), 3, v)),
+    "simulate_schedule.return_propagator": (
+        "return_propagator", lambda v: pulse.simulate_schedule(
+            QUBIT, _schedule(), basis_state(2, 0), return_propagator=v)),
+    "synthesize_snap_pulse.precompensate": (
+        "precompensate", lambda v: pulse.synthesize_snap_pulse(
+            pulse.dispersive_model(1e6, 2), [0.1, 0.2], 1e-5, precompensate=v)),
+    "synthesize_snap_pulse.enforce_bound": (
+        "enforce_bound", lambda v: pulse.synthesize_snap_pulse(
+            pulse.dispersive_model(1e6, 2), [0.1, 0.2], 1e-5, enforce_bound=v)),
+}
+FLAG_EXEMPT = {"GrapeResult.converged": _RESULT, "SequencePrepResult.converged": _RESULT}
+
+
+def test_every_bool_parameter_is_a_flag_site_or_exempt():
+    # a new bool parameter fails here until it is filed
+    _assert_filed(_sites(lambda annotation: annotation is bool), FLAG_SITES, FLAG_EXEMPT)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site", FLAG_SITES)
+def test_flag_site_refuses_every_bad_value(site):
+    # each once acted on the value's truth: enforce_bound=None built a pulse
+    # below the selective-drive bound, precompensate="no" precompensated
+    name, call = FLAG_SITES[site]
+    for value in BAD_VALUES:
+        if not isinstance(value, (bool, np.bool_)):
+            with pytest.raises(UsageError, match=f"^{re.escape(name)} must be a boolean, got "):
+                call(value)
 
 
 @pytest.mark.parametrize("call", [
@@ -1592,8 +1768,7 @@ def test_rule_results_are_kept():
 @pytest.mark.parametrize("streams", [5, None, 1.0, "ab", {0: [1.0]}, np.array(1.0)], ids=repr)
 def test_pulse_schedule_streams_must_be_a_sequence(streams):
     # enumerate(5) raised a raw TypeError
-    with pytest.raises(UsageError, match="^streams must be a list, tuple or array of "
-                                         "amplitude streams, got "):
+    with pytest.raises(UsageError, match="^streams must be a sequence, got "):
         pulse.PulseSchedule(1e-9, streams, (0.0,))
 
 

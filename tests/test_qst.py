@@ -373,6 +373,18 @@ class TestDetuningSweep:
         assert len(lines) == 3
         assert len(lines[1].split(",")) == 3
 
+    def test_csv_fields_read_back_to_their_printed_precision(self):
+        sweep = qst.detuning_sweep(matched_config(), [0.0, 0.02 * KAPPA, -0.03 * KAPPA])
+        text = sweep.to_csv()
+        header, *lines = text.splitlines()
+        assert header == "delta_omega_hz,eta,sqrt_one_minus_eta" and text.endswith("\n")
+        assert len(lines) == len(sweep.rows)
+        for line, row in zip(lines, sweep.rows):
+            fields = list(map(float, line.split(",")))
+            # .12e keeps 13 significant digits: a relative error of at most 5e-13
+            assert len(fields) == 3 and all(math.isclose(f, v, rel_tol=5e-13, abs_tol=0.0)
+                                            for f, v in zip(fields, row))
+
     def test_fidelity_floor_across_sweep(self):
         # F >= |alpha|^4 holds throughout the tested small-detuning regime
         alpha, beta = math.sqrt(0.3), math.sqrt(0.7)

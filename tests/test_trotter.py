@@ -702,13 +702,16 @@ def test_missing_hamiltonian_is_a_usage_error(call):
         call()
 
 
-@pytest.mark.parametrize("steps_list", [None, 3, (s for s in [3]), np.array(3),
-                                        np.array([[3]]), {3: 1}], ids=repr)
+@pytest.mark.parametrize("steps_list", [None, 3, np.array(3), {3: 1}], ids=repr)
 def test_steps_list_must_be_a_list_tuple_or_array(steps_list):
     h = random_hamiltonian()
-    with pytest.raises(UsageError, match="^steps_list must be a list, tuple or 1-D array "
-                                         "of step counts, got "):
+    with pytest.raises(UsageError, match="^steps_list must be a sequence, got "):
         trotter.trotter_convergence(h, 1.0, steps_list)
+
+
+def test_steps_list_rows_are_entries_for_the_count_rule():
+    with pytest.raises(UsageError, match=r"^steps must be a positive integer, got array\(\[3\]\)$"):
+        trotter.trotter_convergence(random_hamiltonian(), 1.0, np.array([[3]]))
 
 
 def test_steps_list_takes_tuples_and_arrays():
@@ -716,6 +719,7 @@ def test_steps_list_takes_tuples_and_arrays():
     rows = trotter.trotter_convergence(h, 1.0, [5, 9])
     assert trotter.trotter_convergence(h, 1.0, (5, 9)) == rows
     assert trotter.trotter_convergence(h, 1.0, np.array([5, 9])) == rows
+    assert trotter.trotter_convergence(h, 1.0, (s for s in [5, 9])) == rows
 
 
 @pytest.mark.parametrize("times_s", [1.0, np.float64(1.0), np.array(1.0), None], ids=repr)
