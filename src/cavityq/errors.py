@@ -9,12 +9,15 @@ optional. `read_object` decodes the object (`decode_object`) and rejects
 a missing or an unlisted field; `read_field` checks the types a reader
 walks (dict for a nested object, list for a list it iterates, str for a
 kind) and passes every other field, typed object, on as decoded, to be
-read by the rule of the call it feeds. API arguments follow eleven
+read by the rule of the call it feeds. API arguments follow twelve
 rules. `require_instance` is the type rule: every public parameter
 annotated with a package class C, as C, C | None or tuple[C, ...], is
 read by it, so it takes only objects of C (or None where the annotation
 allows it, and for a tuple, each entry), and refuses anything else in
 one message form; a HilbertShape parameter is a dimension instead.
+`require_on` is the register rule: a state, operator, circuit or channel
+that must live on the register another argument fixes is read by it, the
+type rule and then one comparison of shapes, refused in one message form.
 `require_sequence` is the container rule: every argument that holds
 several entries (annotated Sequence, Iterable or tuple) is read once by
 it into a tuple, from any iterable but a str or a mapping, unless its
@@ -164,6 +167,15 @@ def require_instance(name: str, value, cls: type | tuple[type, ...]):
     if not isinstance(value, cls):
         names = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
         raise UsageError(f"{name} must be a cavityq {names}, got {value!r}")
+    return value
+
+
+def require_on(name: str, value, cls: type | tuple[type, ...], shape):
+    """value, or the type rule's UsageError unless it is a cls, or ShapeError
+    unless it lives on shape: the one register rule for a package object
+    that must share the register another argument fixes."""
+    if require_instance(name, value, cls).shape != shape:
+        raise ShapeError(f"{name} must be on dims {shape.dims}, got {value.shape.dims}")
     return value
 
 

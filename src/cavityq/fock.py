@@ -36,6 +36,7 @@ from .errors import (
     require_finite,
     require_index,
     require_instance,
+    require_on,
     require_phase,
     require_sequence,
 )
@@ -172,8 +173,7 @@ class StateVector:
 
     def overlap(self, other: "StateVector") -> complex:
         """⟨self|other⟩."""
-        if self.shape != require_instance("other", other, StateVector).shape:
-            raise ShapeError(f"shapes differ: {self.shape.dims} vs {other.shape.dims}")
+        other = require_on("other", other, StateVector, self.shape)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def probabilities(self) -> np.ndarray:
@@ -201,13 +201,11 @@ class Operator:
         return Operator(self.shape, self.matrix.conj().T)
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        if self.shape != require_instance("other", other, Operator).shape:
-            raise ShapeError(f"shapes differ: {self.shape.dims} vs {other.shape.dims}")
+        other = require_on("other", other, Operator, self.shape)
         return Operator(self.shape, self.matrix @ other.matrix)
 
     def apply(self, psi: StateVector) -> StateVector:
-        if self.shape != require_instance("psi", psi, StateVector).shape:
-            raise ShapeError(f"shapes differ: {self.shape.dims} vs {psi.shape.dims}")
+        psi = require_on("psi", psi, StateVector, self.shape)
         return StateVector(psi.shape, self.matrix @ psi.amplitudes, psi.leakage)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
@@ -262,9 +260,10 @@ def tensor(*factors):
     Raises CapacityError if the product dimension exceeds the active cap."""
     if not factors:
         raise UsageError("tensor needs at least one factor")
-    states = all(isinstance(f, StateVector) for f in factors)
-    if not states and not all(isinstance(f, Operator) for f in factors):
-        raise UsageError("tensor factors must be all states or all operators")
+    first = require_instance("factor 0", factors[0], (StateVector, Operator))
+    states = isinstance(first, StateVector)
+    for i, f in enumerate(factors[1:], 1):
+        require_instance(f"factor {i}", f, StateVector if states else Operator)
     # the capacity check happens here, before any kron
     shp = HilbertShape(tuple(d for f in factors for d in f.shape.dims))
     out = reduce(np.kron, [f.amplitudes if states else f.matrix for f in factors])
@@ -457,8 +456,8 @@ def coherent_state(alpha: complex, n: int) -> StateVector:
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|⟨a|b⟩|² for normalized pure states."""
-    a, b = require_instance("a", a, StateVector), require_instance("b", b, StateVector)
-    return abs(a.overlap(b)) ** 2
+    a = require_instance("a", a, StateVector)
+    return abs(a.overlap(require_on("b", b, StateVector, a.shape))) ** 2
 
 
 def _as_axes(shape: HilbertShape, keep: Iterable[int]) -> list[int]:

@@ -29,7 +29,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
@@ -37,7 +37,7 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 from .errors import (NumericError, ParseError, ShapeError, UsageError, is_count, parse_errors,
                      read_fields, read_object, require_array, require_capacity, require_complex,
                      require_count, require_finite, require_flag, require_index,
-                     require_instance, require_phase, require_sequence)
+                     require_instance, require_on, require_phase, require_sequence)
 from .fock import (
     HilbertShape,
     Operator,
@@ -236,17 +236,12 @@ def qubit_binary_decode(level: int, n_bits: int) -> str:
 
 
 def _check_targets(op: Operator, targets: Sequence[int], dims: tuple[int, ...]) -> list[int]:
-    """targets as a list, or raise unless op is an Operator and they are
-    distinct subsystems of a register of dims whose dims, in order, are op's."""
-    require_instance("op", op, Operator)
+    """targets as a list, or raise unless they are distinct subsystems of a
+    register of dims and op is an Operator on their dims, in order."""
     targets = [require_index("target", t, len(dims)) for t in require_sequence("targets", targets)]
     if len(set(targets)) != len(targets):
         raise UsageError(f"duplicate targets {targets}")
-    sub_dims = tuple(dims[t] for t in targets)
-    if op.shape.dims != sub_dims:
-        raise ShapeError(
-            f"gate on dims {op.shape.dims} cannot target subsystems of dims {sub_dims}"
-        )
+    require_on("op", op, Operator, shape_of([dims[t] for t in targets], "targets"))
     return targets
 
 
@@ -586,7 +581,9 @@ class GateSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.params, Mapping):
             raise UsageError(f"gate params must be a mapping, got {self.params!r}")
-        object.__setattr__(self, "params", dict(self.params))
+        # a one-shot iterator is read once, so compiling does not use it up
+        object.__setattr__(self, "params", {name: tuple(v) if isinstance(v, Iterator) else v
+                                            for name, v in self.params.items()})
 
     def build(self, shape: int | Sequence[int] | HilbertShape,
               convention: str = "standard") -> tuple[Operator, list[int]]:
@@ -724,12 +721,7 @@ def _run(circuit: Circuit, tens: np.ndarray) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
     """Run the compiled gates left to right."""
-    require_instance("circuit", circuit, Circuit)
-    if require_instance("psi", psi, StateVector).shape != circuit.shape:
-        raise ShapeError(
-            f"state on dims {psi.shape.dims} does not match circuit shape "
-            f"{circuit.shape.dims}"
-        )
+    psi = require_on("psi", psi, StateVector, require_instance("circuit", circuit, Circuit).shape)
     tens = _run(circuit, psi.amplitudes.reshape(circuit.shape.dims))
     return StateVector(psi.shape, tens.reshape(-1), psi.leakage)
 

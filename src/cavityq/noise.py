@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (StepSizeError, UsageError, require_array, require_capacity, require_count,
-                     require_finite, require_instance, require_positive, require_real,
-                     require_sequence)
+                     require_finite, require_instance, require_on, require_positive,
+                     require_real, require_sequence)
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
@@ -157,14 +157,12 @@ class NoiseChannel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", shape_of(self.shape))
-        kraus = tuple(require_instance(f"Kraus operator {i}", k, Operator)
+        kraus = tuple(require_on(f"Kraus operator {i}", k, Operator, self.shape)
                       for i, k in enumerate(require_sequence("kraus", self.kraus)))
         object.__setattr__(self, "kraus", kraus)
         if not self.kraus:
             raise UsageError("channel needs at least one Kraus operator")
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
-        if any(k.shape != self.shape for k in self.kraus):
-            raise UsageError("Kraus operators must share the channel shape")
         kernel = _build_kernel([k.matrix for k in self.kraus])
         object.__setattr__(self, "_kernel", kernel)
         defect = float(np.max(np.abs(kernel.gram() - np.eye(self.shape.total_dim))))
@@ -248,19 +246,18 @@ def apply_channel(channel: NoiseChannel, rho: np.ndarray) -> np.ndarray:
     """One deterministic Kraus step ρ → ΣKρK†, in O(K·N²) when banded.
 
     This is the per-step call of a loss run, so a NoiseChannel and a numeric
-    ndarray pass unchecked: the ndarray is taken by one np.asarray call,
-    without a finiteness pass, and the channel's type is checked only when
-    its kernel cannot be read. Any other rho is read by `require_array`."""
+    ndarray of its shape pass unchecked: the ndarray is taken by one
+    np.asarray call, without a finiteness pass, and the channel's type is
+    checked only when its kernel cannot be read. Any other rho is read by
+    `require_array`."""
     try:
         kernel = channel._kernel
     except AttributeError:
         kernel = require_instance("channel", channel, NoiseChannel)._kernel
-    if isinstance(rho, np.ndarray) and rho.dtype.kind in "iufc":
+    if isinstance(rho, np.ndarray) and rho.dtype.kind in "iufc" and rho.shape == kernel.shape:
         rho = np.asarray(rho, dtype=complex, order="C")
     else:
         rho = require_array("rho", rho, kernel.shape)
-    if rho.shape != kernel.shape:
-        raise UsageError("density matrix must be {}x{}, got {}".format(*kernel.shape, rho.shape))
     return kernel.apply(rho)
 
 
@@ -346,10 +343,7 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
     round per step and runs 1.6–1.95× as long as a per-step loop (medians
     of paired runs), close to twice.
     """
-    if (require_instance("channel", channel, NoiseChannel).shape
-            != require_instance("psi", psi, StateVector).shape):
-        raise UsageError(f"state on dims {psi.shape.dims} does not match channel shape "
-                         f"{channel.shape.dims}")
+    require_on("psi", psi, StateVector, require_instance("channel", channel, NoiseChannel).shape)
     n_traj = len(seeds)
     n = channel.shape.total_dim
     uniforms = np.stack([np.random.default_rng(s).random(steps) for s in seeds])

@@ -43,6 +43,7 @@ from .errors import (
     require_flag,
     require_index,
     require_instance,
+    require_on,
     require_phase,
     require_positive,
     require_sequence,
@@ -203,8 +204,7 @@ class ControlModel:
     def __post_init__(self) -> None:
         shape = shape_of(self.shape)
         object.__setattr__(self, "shape", shape)
-        if require_instance("drift", self.drift, Operator).shape != shape:
-            raise ShapeError("drift shape does not match model shape")
+        require_on("drift", self.drift, Operator, shape)
         if not self.drift.is_hermitian(1e-12 * max(
                 1.0, float(np.max(np.abs(self.drift.matrix))))):
             raise UsageError("drift Hamiltonian must be Hermitian")
@@ -214,9 +214,7 @@ class ControlModel:
                 "controls must come in quadrature pairs (two per drive stream)"
             )
         for i, op in enumerate(controls):
-            if require_instance(f"control {i}", op, Operator).shape != shape:
-                raise ShapeError(f"control {i} shape does not match model shape")
-            if not op.is_hermitian(1e-12):
+            if not require_on(f"control {i}", op, Operator, shape).is_hermitian(1e-12):
                 raise UsageError(f"control {i} must be Hermitian")
         object.__setattr__(self, "controls", controls)
 
@@ -482,8 +480,8 @@ def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
     return_propagator = require_flag("return_propagator", return_propagator)
     if psi0 is None and not return_propagator:
         raise UsageError("need psi0, return_propagator=True, or both")
-    if psi0 is not None and require_instance("psi0", psi0, StateVector).shape != model.shape:
-        raise ShapeError("psi0 shape does not match model shape")
+    if psi0 is not None:
+        require_on("psi0", psi0, StateVector, model.shape)
     prop = _propagator(model, schedule.streams, schedule.dt_s)
     out_state = None
     if psi0 is not None:
@@ -497,8 +495,7 @@ def simulate_schedule(model: ControlModel, schedule: PulseSchedule,
 
 def gate_fidelity(u: Operator, v: Operator) -> float:
     """|Tr(u^dag v)|^2 / d^2: phase-insensitive unitary overlap."""
-    if require_instance("u", u, Operator).shape != require_instance("v", v, Operator).shape:
-        raise ShapeError(f"shapes differ: {u.shape.dims} vs {v.shape.dims}")
+    v = require_on("v", v, Operator, require_instance("u", u, Operator).shape)
     d = u.dim
     return float(abs(np.trace(u.matrix.conj().T @ v.matrix)) ** 2 / d**2)
 
@@ -738,14 +735,11 @@ def _grape_problem(model: ControlModel, schedule: PulseSchedule, target,
     _check_schedule_pairing(model, schedule)
     _require_segment_room(model, schedule.n_segments)
     _segment_phase(model, schedule.streams, schedule.dt_s)  # before grape_optimize scales it
-    if require_instance("target", target, (Operator, StateVector)).shape != model.shape:
-        raise ShapeError("target shape does not match model shape")
+    require_on("target", target, (Operator, StateVector), model.shape)
     psi0_vec = None
     if isinstance(target, StateVector):
-        if psi0 is None:
-            psi0 = basis_state(model.shape, [0] * len(model.shape.dims))
-        elif require_instance("psi0", psi0, StateVector).shape != model.shape:
-            raise ShapeError("psi0 shape does not match model shape")
+        psi0 = (basis_state(model.shape, [0] * len(model.shape.dims)) if psi0 is None
+                else require_on("psi0", psi0, StateVector, model.shape))
         target, psi0_vec = np.asarray(target.amplitudes), np.asarray(psi0.amplitudes)
     guard = tuple(require_index("guard_indices entry", i, model.shape.total_dim)
                   for i in require_sequence("guard_indices", guard_indices))

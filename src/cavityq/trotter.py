@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, require_array,
                      require_capacity, require_count, require_finite, require_instance,
-                     require_phase, require_positive, require_sequence)
+                     require_on, require_phase, require_positive, require_sequence)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
 from .gates import Circuit, GateSpec, _ortho_fft, _run
 
@@ -139,18 +139,14 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
 
 def _state_vector(psi0, n: int) -> StateVector:
     """psi0 as a normalized state on n levels: |0> for None, a StateVector
-    of dimension n, or a 1-D list, tuple or array of n amplitudes
-    (`require_array`)."""
+    on dims (n,), taken with leakage 0, or a 1-D list, tuple or array of n
+    amplitudes (`require_array`)."""
     shape = HilbertShape((n,))
     if psi0 is None:
         return basis_state(shape, 0)
     if isinstance(psi0, StateVector):
-        if psi0.shape.total_dim != n:
-            raise ShapeError(
-                f"initial state has dimension {psi0.shape.total_dim}, "
-                f"Hamiltonian has {n} levels"
-            )
-        return StateVector(shape, psi0.amplitudes.reshape(n)).normalized()
+        psi0 = require_on("psi0", psi0, StateVector, shape)
+        return StateVector(shape, psi0.amplitudes).normalized()
     return StateVector(shape, require_array("psi0", psi0, (n,))).normalized()
 
 
@@ -226,9 +222,7 @@ def _operator(op, n: int, what: str):
     """op as otoc_series takes it: a Circuit on shape (n,) as it is, or
     else the n×n complex matrix of an Operator or an array of numbers."""
     if isinstance(op, Circuit):
-        if op.shape.dims != (n,):
-            raise ShapeError(f"{what} must be a circuit on shape ({n},), got {op.shape.dims}")
-        return op
+        return require_on(what, op, Circuit, HilbertShape((n,)))
     return require_array(what, op.matrix if isinstance(op, Operator) else op, (n, n))
 
 

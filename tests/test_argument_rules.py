@@ -11,10 +11,12 @@ integer of at least 1, and a total dimension over the cap, before it
 allocates; an array site (`errors.require_array`) refuses an entry that is
 not a number (not a real number at a real site), and ragged rows or any
 other shape; an instance site (`errors.require_instance`), every parameter
-annotated with a cavityq class, refuses anything but an object of it. All
-raise UsageError naming the argument (InvalidDimensionError for a
-HilbertShape dimension), and a numpy scalar of an accepted type gives the
-same result as the Python number.
+annotated with a cavityq class, refuses anything but an object of it; a
+shape site (`errors.require_on`) also refuses one on a register other than
+the one another argument fixes. All raise UsageError naming the argument
+(InvalidDimensionError for a HilbertShape dimension, ShapeError for another
+register), and a numpy scalar of an accepted type gives the same result as
+the Python number.
 """
 
 import ast
@@ -984,6 +986,16 @@ LIBRARY_ERROR_CALLS = {
         UsageError, "tol must be a real number, got 'x'", lambda: identity(2).is_hermitian("x")),
     "Operator.is_unitary.tol": (
         UsageError, "tol must be a real number, got 'x'", lambda: identity(2).is_unitary("x")),
+    # each raised "tensor factors must be all states or all operators"
+    "tensor factor 0": (
+        UsageError, "factor 0 must be a cavityq StateVector or Operator, got 'x'",
+        lambda: fock.tensor("x", basis_state(3, 1))),
+    "tensor factor 1": (
+        UsageError, "factor 1 must be a cavityq StateVector, got Operator(",
+        lambda: fock.tensor(basis_state(3, 1), identity(3))),
+    "tensor factor 2": (
+        UsageError, "factor 2 must be a cavityq Operator, got None",
+        lambda: fock.tensor(identity(2), identity(3), None)),
 }
 
 
@@ -1206,10 +1218,113 @@ def test_instance_site_refuses_every_bad_value(site):
             call(value)
 
 
+# --- the register rule: every object that must share another's register ----
+
+QUBIT = pulse.qubit_model()
+STATE2, STATE3 = basis_state(2, 0), basis_state(3, 0)
+ONE_BY_THREE = basis_state((1, 3), [0, 1])
+FOURIER3 = gates.Circuit((3,), (gates.GateSpec("fourier", {"target": 0}),))
+EMPTY2 = gates.Circuit((2,), ())
+
+# site -> (argument name in the message, call with the argument set to v, an
+# object of the site's class on another register, the dims the site wants)
+SHAPE_SITES = {
+    "StateVector.overlap.other": ("other", lambda v: PSI3.overlap(v), STATE2, (3,)),
+    "Operator.__matmul__.other": ("other", lambda v: identity(3) @ v, identity(2), (3,)),
+    "Operator.apply.psi": ("psi", lambda v: identity(3).apply(v), STATE2, (3,)),
+    "fidelity.b": ("b", lambda v: fock.fidelity(PSI3, v), STATE2, (3,)),
+    "embed.op": ("op", lambda v: gates.embed(v, [0], 3), identity(2), (3,)),
+    "apply_embedded.op": (
+        "op", lambda v: gates.apply_embedded(v, [1, 0], PSI), identity(3), (3, 3)),
+    "apply_circuit.psi": (
+        "psi", lambda v: gates.apply_circuit(gates.Circuit((3, 2), ()), v), STATE3, (3, 2)),
+    "NoiseChannel.kraus": (
+        "Kraus operator 0", lambda v: noise.NoiseChannel(3, (v,), 1e-4), identity(2), (3,)),
+    "apply_channel_trajectory.psi": (
+        "psi", lambda v: noise.apply_channel_trajectory(CHANNEL, v, 2, 1), STATE2, (3,)),
+    "run_trajectories.psi": (
+        "psi", lambda v: noise.run_trajectories(CHANNEL, v, 2, 2, 1), STATE2, (3,)),
+    "ControlModel.drift": (
+        "drift", lambda v: pulse.ControlModel(2, v, QUBIT.controls), identity(3), (2,)),
+    "ControlModel.controls": (
+        "control 0", lambda v: pulse.ControlModel(2, identity(2), (v, v)), identity(3), (2,)),
+    "simulate_schedule.psi0": (
+        "psi0", lambda v: pulse.simulate_schedule(QUBIT, _schedule(), psi0=v), STATE3, (2,)),
+    "gate_fidelity.v": ("v", lambda v: pulse.gate_fidelity(identity(2), v), identity(3), (2,)),
+    "grape_gradient.psi0": ("psi0", lambda v: _grape_gradient(psi0=v), STATE3, (2, 2)),
+    "grape_gradient.target": (
+        "target", lambda v: pulse.grape_gradient(QUBIT, _schedule(), v), identity(3), (2,)),
+    "grape_optimize.target": ("target", lambda v: _grape_state(target=v), STATE3, (2, 2)),
+    "grape_optimize.psi0": ("psi0", lambda v: _grape_state(psi0=v), STATE3, (2, 2)),
+    # a multi-mode state whose total is N was reshaped onto the N levels
+    "evolve_trotter.psi0": (
+        "psi0", lambda v: trotter.evolve_trotter(HAMILTONIAN, 1.0, 3, v), ONE_BY_THREE, (3,)),
+    "trotter_convergence.psi0": (
+        "psi0", lambda v: trotter.trotter_convergence(HAMILTONIAN, 1.0, [3], v), ONE_BY_THREE,
+        (3,)),
+    "otoc.psi0": (
+        "psi0", lambda v: trotter.otoc(np.eye(3), np.eye(3), HAMILTONIAN, 0.0, v), ONE_BY_THREE,
+        (3,)),
+    "otoc_series.psi0": (
+        "psi0", lambda v: trotter.otoc_series(np.eye(3), np.eye(3), HAMILTONIAN, [0.0], v),
+        ONE_BY_THREE, (3,)),
+    "otoc.w": ("W", lambda v: trotter.otoc(v, FOURIER3, HAMILTONIAN, 0.0), EMPTY2, (3,)),
+    "otoc.v": ("V", lambda v: trotter.otoc(FOURIER3, v, HAMILTONIAN, 0.0), EMPTY2, (3,)),
+    "otoc_series.w": (
+        "W", lambda v: trotter.otoc_series(v, FOURIER3, HAMILTONIAN, [0.0]), EMPTY2, (3,)),
+    "otoc_series.v": (
+        "V", lambda v: trotter.otoc_series(FOURIER3, v, HAMILTONIAN, [0.0]), EMPTY2, (3,)),
+}
+
+# register parameters the type walk does not file: trotter's psi0, which may
+# also be amplitudes, and W and V, which may also be an Operator or an array
+UNANNOTATED_REGISTER_SITES = {"evolve_trotter.psi0", "trotter_convergence.psi0", "otoc.psi0",
+                              "otoc_series.psi0", "otoc.w", "otoc.v", "otoc_series.w",
+                              "otoc_series.v"}
+
+_FIXES = "fixes the register"
+_ANY = "any register"
+_CAVITY = "a structural (2, N) check, pulse._cavity_levels"
+# type-rule sites of a class with a register that the register rule does not read
+SHAPE_EXEMPT = {
+    **dict.fromkeys(["fidelity.a", "apply_embedded.psi", "apply_circuit.circuit",
+                     "apply_channel.channel", "apply_channel_trajectory.channel",
+                     "run_trajectories.channel", "simulate_schedule.model", "gate_fidelity.u",
+                     "grape_gradient.model", "grape_optimize.model"], _FIXES),
+    **dict.fromkeys(["parity.psi", "propagator.h", "reduced_density_matrix.psi",
+                     "mode_probabilities.psi", "mean_occupation.psi", "circuit_unitary.circuit",
+                     "density_matrix.psi"], _ANY),
+    "photon_loss_cycle_check.psi": "any single-mode register",
+    "snap_average_fidelity.u": _CAVITY,
+    "synthesize_snap_pulse.model": _CAVITY,
+}
+
+
+def _carries_register(cls) -> bool:
+    """Whether cls, or a class of the tuple cls, has a `shape` field."""
+    return any(dataclasses.is_dataclass(c) and "shape" in {f.name for f in dataclasses.fields(c)}
+               for c in (cls if isinstance(cls, tuple) else (cls,)))
+
+
+def test_every_register_parameter_is_a_shape_site_or_exempt():
+    # a new type-rule site of a class with a register fails here until it is filed
+    found = {site for site in INSTANCE_SITES if _carries_register(ANNOTATED_SITES[site][0])}
+    assert UNANNOTATED_REGISTER_SITES <= set(ANNOTATIONS) - set(INSTANCE_SITES)
+    _assert_filed(found | UNANNOTATED_REGISTER_SITES, SHAPE_SITES, SHAPE_EXEMPT)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site", SHAPE_SITES)
+def test_shape_site_refuses_another_register(site):
+    name, call, other, dims = SHAPE_SITES[site]
+    message = f"{name} must be on dims {dims}, got {other.shape.dims}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        call(other)
+
+
 # --- the sequence rule: every parameter that holds several entries ---------
 
 INCREMENT = gates.controlled_increment(3)
-QUBIT = pulse.qubit_model()
 INDEX_FORMS = (range(1, -1, -1), np.array([1, 0]))
 
 # site -> (argument name in the message, entries, call with the argument set
@@ -1274,6 +1389,7 @@ SEQUENCE_EXEMPT = {
     "basis_state.occupations": (
         "a flat index (require_index) or occupations (HilbertShape.flat_index), by np.ndim"),
     "require_instance.cls": "a parameter of the type rule",
+    "require_on.cls": "a parameter of the register rule",
     "require_array.shape": "a parameter of the array rule",
 }
 
@@ -1719,6 +1835,23 @@ def test_phase_rule_lives_in_errors_only():
         if path.name != "errors.py":
             breaches += [f"{path.name}:{line}: {why}" for line, why in _phase_rules(path, numeric)]
     assert breaches == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_rule_is_documented():
+    # a require_* rule of errors that the README's argument-rules list or the
+    # errors docstring does not name leaves its rule count and sites stale
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n- API arguments are checked by")
+    listed = text[start:text.index("\n- ", start + 1)]
+    rules = [name for name, obj in vars(errors).items()
+             if name.startswith("require_") and inspect.isfunction(obj)]
+    missing = [f"{name} in {where}" for name in rules
+               for where, doc in (("the README", listed), ("the docstring", errors.__doc__))
+               if not re.search(rf"`(errors\.)?{name}[`(]", doc)]
+    assert missing == []
 
 
 def _subclasses(cls):

@@ -438,6 +438,21 @@ class TestCircuits:
         np.testing.assert_array_equal(gates.circuit_unitary(parsed).matrix,
                                       gates.circuit_unitary(circuit).matrix)
 
+    def test_gate_spec_reads_a_one_shot_iterator_once(self):
+        # compiling used up a generator of targets: to_json then raised a raw
+        # TypeError, and a second build found no subsystem to target
+        params = {"targets": [0], "theta": [0.1, 0.2, 0.3]}
+        spec = gates.GateSpec("multisnap", {**params, "targets": (t for t in [0])})
+        circuit = gates.Circuit((3, 2), (spec,))
+        op, targets = spec.build((3, 2))
+        want, want_targets = gates.GateSpec("multisnap", params).build((3, 2))
+        assert targets == want_targets
+        np.testing.assert_array_equal(op.matrix, want.matrix)
+        parsed = gates.circuit_from_json(circuit.to_json())
+        assert parsed.gates[0].params == params
+        np.testing.assert_array_equal(gates.circuit_unitary(parsed).matrix,
+                                      gates.circuit_unitary(circuit).matrix)
+
     def test_unknown_kind_is_parse_error_with_location(self):
         doc = self.circuit_doc()
         doc["gates"][1]["kind"] = "warp"

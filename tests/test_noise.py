@@ -50,7 +50,8 @@ class TestChannelConstruction:
         with pytest.raises(UsageError, match="^channel needs at least one Kraus operator$"):
             noise.NoiseChannel(shape, (), 1e-3)
         other = fock.Operator(fock.HilbertShape((2,)), np.eye(2))
-        with pytest.raises(UsageError, match="^Kraus operators must share the channel shape$"):
+        message = r"^Kraus operator 1 must be on dims \(3,\), got \(2,\)$"
+        with pytest.raises(ShapeError, match=message):
             noise.NoiseChannel(shape, (fock.Operator(shape, np.eye(3)), other), 1e-3)
 
     def test_dephasing_default_rate_zero_is_identity(self):
@@ -609,8 +610,8 @@ class TestFlatShiftStep:
         if dense:
             channel = forced_dense(channel)
         for bad in (np.eye(5), np.eye(6)[0], np.eye(6)[None]):
-            message = f"density matrix must be 6x6, got {bad.shape}"
-            with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            message = f"rho must be 6x6, got {bad.shape}"
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
                 noise.apply_channel(channel, bad)
 
 
