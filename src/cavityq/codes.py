@@ -10,12 +10,12 @@ Cat states keep the truncation rule, leakage and warning of `fock.coherent_state
 from __future__ import annotations
 
 import math
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
 from .errors import (DegenerateInputError, InvalidDimensionError, UsageError, finite_result,
-                     require_complex, require_count, require_instance)
+                     require_choice, require_complex, require_count, require_instance)
 from .fock import (
     StateVector,
     _truncated_state,
@@ -41,8 +41,7 @@ def cat_state(alpha: complex, sign: ParitySign, n: int) -> StateVector:
     at α = 0 vanishes identically and is rejected.
     """
     [n] = shape_of((n,)).dims
-    if sign not in ("+", "-"):
-        raise UsageError(f"sign must be '+' or '-', got {sign!r}")
+    sign = require_choice("sign", sign, get_args(ParitySign))
     alpha = require_complex("alpha", alpha)
     s = 1.0 if sign == "+" else -1.0
     if alpha == 0 and sign == "-":

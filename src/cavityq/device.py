@@ -14,11 +14,12 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Literal, Sequence, get_args
 
 from .errors import (DegenerateDetuningError, UsageError, finite_result, parse_errors,
-                     read_fields, require_complex, require_count, require_finite,
-                     require_instance, require_positive, require_real, require_sequence)
+                     read_fields, require_choice, require_complex, require_count,
+                     require_finite, require_instance, require_nonnegative, require_positive,
+                     require_real, require_sequence)
 
 _FIELDS = (
     "omega_q_hz",
@@ -29,6 +30,7 @@ _FIELDS = (
     "t1_fock0_s",
     "t1_min_s",
 )
+StarkOrder = Literal[1, 2]  # the dispersive expansion orders of stark_shifted_freq
 
 
 @dataclass(frozen=True)
@@ -80,19 +82,18 @@ def chi(params: DeviceParams) -> float:
     return finite_result("chi_hz", lambda: params.g_hz**2 / delta)
 
 
-def stark_shifted_freq(params: DeviceParams, n: int, order: int = 1) -> float:
+def stark_shifted_freq(params: DeviceParams, n: int, order: StarkOrder = 1) -> float:
     """Qubit frequency with n photons in the cavity.
 
     order=1 gives ω_q − nχ; order=2 adds the quadratic pull,
     ω_q − (χn + χ'n²/2).
     """
     n = require_count("n", n)
+    order = require_choice("order", order, get_args(StarkOrder))
     x = chi(params)
     if order == 1:
         return params.omega_q_hz - n * x
-    if order == 2:
-        return params.omega_q_hz - (x * n + params.chi_prime_hz * n * n / 2)
-    raise UsageError(f"order must be 1 or 2, got {order}")
+    return params.omega_q_hz - (x * n + params.chi_prime_hz * n * n / 2)
 
 
 def critical_photon_number(params: DeviceParams) -> float:
@@ -166,18 +167,14 @@ def dephasing_rate(dispersion: float, spectral_density_dc: float, k: float = 1.0
     proportionality constant k is exposed explicitly rather than baked in.
     """
     dispersion, k = require_real("dispersion", dispersion), require_real("k", k)
-    density = require_real("spectral_density_dc", spectral_density_dc)
-    if not density >= 0:
-        raise UsageError("spectral density must be >= 0")
+    density = require_nonnegative("spectral_density_dc", spectral_density_dc)
     return finite_result("dephasing_rate", lambda: k * dispersion**2 * density)
 
 
 def relaxation_rate(matrix_element: float, spectral_density_at_e01: float, k: float = 1.0) -> float:
     """Relaxation rate k·|⟨0|Ô|1⟩|²·S(E01/ħ), constant k exposed."""
     matrix_element, k = require_complex("matrix_element", matrix_element), require_real("k", k)
-    density = require_real("spectral_density_at_e01", spectral_density_at_e01)
-    if not density >= 0:
-        raise UsageError("spectral density must be >= 0")
+    density = require_nonnegative("spectral_density_at_e01", spectral_density_at_e01)
     return finite_result("relaxation_rate", lambda: k * abs(matrix_element) ** 2 * density)
 
 

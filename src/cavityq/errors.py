@@ -9,7 +9,7 @@ optional. `read_object` decodes the object (`decode_object`) and rejects
 a missing or an unlisted field; `read_field` checks the types a reader
 walks (dict for a nested object, list for a list it iterates, str for a
 kind) and passes every other field, typed object, on as decoded, to be
-read by the rule of the call it feeds. API arguments follow twelve
+read by the rule of the call it feeds. API arguments follow fifteen
 rules. `require_instance` is the type rule: every public parameter
 annotated with a package class C, as C, C | None or tuple[C, ...], is
 read by it, so it takes only objects of C (or None where the annotation
@@ -22,20 +22,21 @@ type rule and then one comparison of shapes, refused in one message form.
 several entries (annotated Sequence, Iterable or tuple) is read once by
 it into a tuple, from any iterable but a str or a mapping, unless its
 docstring names the argument's kind as exempt; the site then reads each
-entry by its own rule. `require_flag` reads every bool argument, a
-Python or numpy bool and nothing else. The other eight are listed site
-by site in the README: `require_count` for counts, seeds
-and photon numbers, `fock.shape_of` for dimensions, before any
-allocation, `require_index` for level, subsystem and basis indices,
-`require_real` for other real numbers, `require_complex` for complex
-amplitudes, `require_finite` for tolerances, weights, time origins and
-gate angles, `require_positive` for time steps, durations, couplings,
-rates and other positive reals, and `require_array` for arrays and
-lists: states, matrices, pulse streams, sample lists, SNAP phases,
-carriers, detunings, times, time spans, input-state pairs and the arrays
-of JSON configs. A config reader re-raises the errors of the rules it
-runs as ParseError (`parse_errors`). Each argument is read once, by its
-rule, and the caller goes on with the value the rule returns.
+entry by its own rule, and `require_distinct` refuses a repeat.
+`require_choice` reads every Literal argument, `require_flag` every bool
+argument. The other nine are listed site by site in the README:
+`require_count` for counts, seeds and photon numbers, `fock.shape_of`
+for dimensions, before any allocation, `require_index` for level,
+subsystem and basis indices, `require_real` for other real numbers,
+`require_complex` for complex amplitudes, `require_finite` for
+tolerances, weights, time origins and gate angles, `require_positive`
+for time steps, durations, couplings, rates and other positive reals,
+`require_nonnegative` for those that may be zero, and `require_array`
+for arrays and lists: states, matrices, pulse streams, sample lists,
+SNAP phases, carriers, detunings, times, time spans, input-state pairs
+and the arrays of JSON configs. A config reader re-raises the errors of
+the rules it runs as ParseError (`parse_errors`). Each argument is read
+once, by its rule, and the caller goes on with the value the rule returns.
 `require_capacity` caps the work or memory that the counts of a request
 set, before any allocation (`CapacityError`, exit 4), and
 `require_phase` holds every phase the package forms, or a bound on it,
@@ -161,6 +162,15 @@ def require_positive(name: str, value) -> float:
     return value
 
 
+def require_nonnegative(name: str, value) -> float:
+    """float(value), or UsageError unless require_real passes and value >= 0;
+    NaN fails and inf passes."""
+    value = require_real(name, value)
+    if not value >= 0:
+        raise UsageError(f"{name} must be nonnegative, got {value!r}")
+    return value
+
+
 def require_instance(name: str, value, cls: type | tuple[type, ...]):
     """value, or UsageError naming the argument unless it is a cls (a class or
     a tuple of them): the one type rule for objects of the package's classes."""
@@ -179,10 +189,10 @@ def require_on(name: str, value, cls: type | tuple[type, ...], shape):
     return value
 
 
-def require_sequence(name: str, values) -> tuple:
+def require_sequence(name: str, values, least: int = 0) -> tuple:
     """The entries of any iterable but a str or a mapping, read once in
-    order, or UsageError: the rule for every argument holding several
-    entries. Exempt by kind: numbers read by require_array (phases, times,
+    order, or UsageError; least is 0 for any sequence, 1 for a non-empty
+    one. Exempt by kind: numbers read by require_array (phases, times,
     detunings, carriers, spans), dimensions (fock.shape_of), the bits of
     gates.qubit_binary_encode (a str is their form), basis_state's int or
     sequence, result fields and the parameters of these rules."""
@@ -192,7 +202,27 @@ def require_sequence(name: str, values) -> tuple:
         entries = None
     if entries is None or isinstance(values, (str, collections.abc.Mapping)):
         raise UsageError(f"{name} must be a sequence, got {values!r}")
-    return tuple(entries)
+    entries = tuple(entries)
+    if len(entries) < least:
+        raise UsageError(f"{name} must be a non-empty sequence, got {values!r}")
+    return entries
+
+
+def require_distinct(name: str, values):
+    """values, or UsageError unless its entries, read by their own rule, are
+    distinct: the one rule against a repeated subsystem, level or target."""
+    if len(set(values)) != len(values):
+        raise UsageError(f"{name} must be distinct, got {tuple(values)!r}")
+    return values
+
+
+def require_choice(name: str, value, choices: tuple):
+    """The entry of choices (a Literal's) that value equals, or UsageError:
+    a str (a numpy str too) for str choices, else a count (`is_count`)."""
+    typed = isinstance(value, str) if isinstance(choices[0], str) else is_count(value)
+    if typed and value in choices:
+        return choices[choices.index(value)]
+    raise UsageError(f"{name} must be one of {choices!r}, got {value!r}")
 
 
 def require_flag(name: str, value) -> bool:

@@ -33,6 +33,7 @@ from .errors import (
     is_count,
     require_array,
     require_complex,
+    require_distinct,
     require_finite,
     require_index,
     require_instance,
@@ -258,8 +259,7 @@ def tensor(*factors):
     """Kronecker product of states or of operators, first factor most
     significant; a state carries the largest leakage of its factors.
     Raises CapacityError if the product dimension exceeds the active cap."""
-    if not factors:
-        raise UsageError("tensor needs at least one factor")
+    factors = require_sequence("factors", factors, least=1)
     first = require_instance("factor 0", factors[0], (StateVector, Operator))
     states = isinstance(first, StateVector)
     for i, f in enumerate(factors[1:], 1):
@@ -460,20 +460,17 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(a.overlap(require_on("b", b, StateVector, a.shape))) ** 2
 
 
-def _as_axes(shape: HilbertShape, keep: Iterable[int]) -> list[int]:
-    keep = [require_index("subsystem", k, shape.n_subsystems)
-            for k in require_sequence("keep", keep)]
-    if not keep:
-        raise UsageError("keep must name at least one subsystem")
-    for i, k in enumerate(keep):
-        if k in keep[:i]:
-            raise UsageError(f"subsystem {k} listed twice")
-    return keep
+def _as_axes(values, shape: HilbertShape, name="keep", entry="subsystem") -> list[int]:
+    """values as a non-empty list of distinct subsystems of shape, each read
+    by `require_index`: the one reader of kept subsystems and gate targets."""
+    axes = [require_index(entry, k, shape.n_subsystems)
+            for k in require_sequence(name, values, least=1)]
+    return require_distinct(name, axes)
 
 
 def reduced_density_matrix(psi: StateVector, keep: Iterable[int]) -> np.ndarray:
     """Partial trace onto the kept subsystems (in the order given)."""
-    keep = _as_axes(require_instance("psi", psi, StateVector).shape, keep)
+    keep = _as_axes(keep, require_instance("psi", psi, StateVector).shape)
     dims = psi.shape.dims
     tens = psi.amplitudes.reshape(dims)
     traced = [i for i in range(len(dims)) if i not in keep]
@@ -491,7 +488,7 @@ def mode_probabilities(psi: StateVector, keep: Iterable[int] | None = None) -> n
     the rest, so nothing of size d_keep² is formed. keep=None keeps every
     subsystem (|ψ|² itself); a single subsystem gives its marginal."""
     shape = require_instance("psi", psi, StateVector).shape
-    keep = _as_axes(shape, range(shape.n_subsystems) if keep is None else keep)
+    keep = _as_axes(range(shape.n_subsystems) if keep is None else keep, shape)
     amps = np.moveaxis(psi.amplitudes.reshape(psi.shape.dims), keep, range(len(keep)))
     probs = amps.real**2 + amps.imag**2
     return probs.reshape(math.prod(probs.shape[:len(keep)]), -1).sum(axis=1)

@@ -28,24 +28,28 @@ import cmath
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import (NumericError, ParseError, ShapeError, UsageError, is_count, parse_errors,
-                     read_fields, read_object, require_array, require_capacity, require_complex,
-                     require_count, require_finite, require_flag, require_index,
-                     require_instance, require_on, require_phase, require_sequence)
+                     read_fields, read_object, require_array, require_capacity, require_choice,
+                     require_complex, require_count, require_distinct, require_finite,
+                     require_flag, require_index, require_instance, require_on, require_phase,
+                     require_sequence)
 from .fock import (
     HilbertShape,
     Operator,
     StateVector,
+    _as_axes,
     shape_of,
 )
 
-CONVENTIONS = ("standard", "paper")
+Convention = Literal["standard", "paper"]
+CONVENTIONS = get_args(Convention)
 # most levels of a mode a displacement or ECD acts on: each builds and
 # diagonalizes the dense n×n quadrature a + a†; at the cap that takes
 # about 2 s and peaks at 64 MiB
@@ -69,7 +73,7 @@ def multisnap(theta: Sequence[float], dims: Sequence[int]) -> Operator:
     return _gate("multisnap", (_snap_phases(theta, shape.total_dim), shape.dims), shape)
 
 
-def displacement(alpha: complex, n: int, convention: str = "standard") -> Operator:
+def displacement(alpha: complex, n: int, convention: Convention = "standard") -> Operator:
     """Displacement D(α) = exp(α a† − α* a) truncated to n levels.
 
     The generator is a rotated quadrature, i(αa† − α*a) = |α| R (a + a†) R†
@@ -100,7 +104,7 @@ def _displacement_factors(alphas: Sequence[complex], n: int, name: str = "alpha"
     return rot, mags[:, None] * evals, vecs
 
 
-def _displacement_map(alpha: complex, n: int, convention: str, name: str = "alpha"
+def _displacement_map(alpha: complex, n: int, convention: Convention, name: str = "alpha"
                       ) -> Callable[[np.ndarray], np.ndarray]:
     """D(α) along the first axis of an array of n rows, in factored form,
     O(n²m) for m columns and no n×n matrix: R·(Q·(e^{−i|α|Λ} ∘
@@ -108,8 +112,7 @@ def _displacement_map(alpha: complex, n: int, convention: str, name: str = "alph
     as name unless it is a finite complex number. Returns an (n, m) array,
     m the size of the other axes. Q is real, so each product with it is one
     real product on the C-contiguous (n, m) complex array as (n, 2m) reals."""
-    if convention not in CONVENTIONS:
-        raise UsageError(f"unknown displacement convention {convention!r}")
+    convention = require_choice("convention", convention, CONVENTIONS)
     alpha = require_complex(name, alpha)
     if not cmath.isfinite(alpha):
         raise UsageError(f"{name} must be finite")
@@ -189,10 +192,8 @@ def phase_swap(m: int, n: int, dim: int) -> Operator:
 
 def _two_levels(kind: str, m: int, n: int, dim: int) -> tuple[int, int]:
     """(m, n) as two distinct levels of a dim-level mode, or UsageError."""
-    m, n = require_index("level", m, dim), require_index("level", n, dim)
-    if m == n:
-        raise UsageError(f"{kind} needs two distinct levels")
-    return m, n
+    return require_distinct(f"{kind} levels",
+                            (require_index("level", m, dim), require_index("level", n, dim)))
 
 
 def fourier(dim: int, inverse: bool = False) -> Operator:
@@ -201,7 +202,7 @@ def fourier(dim: int, inverse: bool = False) -> Operator:
     return _gate("fourier", (shape.total_dim, inverse), shape)
 
 
-def ecd(beta: complex, mode_dim: int, convention: str = "standard") -> Operator:
+def ecd(beta: complex, mode_dim: int, convention: Convention = "standard") -> Operator:
     """Echoed conditional displacement on shape (qubit, mode):
     |e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2). At β=0 this is X ⊗ I."""
     shape = shape_of((2, mode_dim))
@@ -235,13 +236,11 @@ def qubit_binary_decode(level: int, n_bits: int) -> str:
 # embedding into a register
 
 
-def _check_targets(op: Operator, targets: Sequence[int], dims: tuple[int, ...]) -> list[int]:
-    """targets as a list, or raise unless they are distinct subsystems of a
-    register of dims and op is an Operator on their dims, in order."""
-    targets = [require_index("target", t, len(dims)) for t in require_sequence("targets", targets)]
-    if len(set(targets)) != len(targets):
-        raise UsageError(f"duplicate targets {targets}")
-    require_on("op", op, Operator, shape_of([dims[t] for t in targets], "targets"))
+def _check_targets(op: Operator, targets: Sequence[int], shape: HilbertShape) -> list[int]:
+    """targets as a list, or raise unless they are distinct subsystems of
+    shape (`fock._as_axes`) and op is an Operator on their dims, in order."""
+    targets = _as_axes(targets, shape, "targets", "target")
+    require_on("op", op, Operator, shape_of([shape.dims[t] for t in targets]))
     return targets
 
 
@@ -251,7 +250,7 @@ def embed(op: Operator, targets: Sequence[int],
     the full register."""
     shape = shape_of(shape)
     dims = shape.dims
-    targets = _check_targets(op, targets, dims)
+    targets = _check_targets(op, targets, shape)
     rest = [i for i in range(len(dims)) if i not in targets]
     rest_dim = math.prod(dims[i] for i in rest) if rest else 1
     big = np.kron(op.matrix, np.eye(rest_dim, dtype=complex))
@@ -277,7 +276,7 @@ def multiqudit_snap(target: int, theta: Sequence[float],
 def apply_embedded(op: Operator, targets: Sequence[int], psi: StateVector) -> StateVector:
     """Apply a sub-shape operator to the targeted subsystems of a state
     without materializing the full register matrix."""
-    targets = _check_targets(op, targets, require_instance("psi", psi, StateVector).shape.dims)
+    targets = _check_targets(op, targets, require_instance("psi", psi, StateVector).shape)
     out = _apply_tensor(op.matrix, targets, psi.amplitudes.reshape(psi.shape.dims))
     return StateVector(psi.shape, out.reshape(psi.shape.total_dim), psi.leakage)
 
@@ -335,13 +334,6 @@ def _qubit(value, what: str, shape: HilbertShape) -> int:
     return index
 
 
-def _subsystems(value, what: str, shape: HilbertShape) -> list[int]:
-    targets = [_subsystem(t, what, shape) for t in require_sequence(what, value)]
-    if not targets:
-        raise UsageError(f"{what} must name at least one subsystem")
-    return targets
-
-
 def _amplitude(value, what: str, shape: HilbertShape):
     """A JSON [re, im] pair, read by `require_array`, as a complex; any
     other value as given, for the kernel's `require_complex`."""
@@ -370,26 +362,18 @@ def _snap_args(dims, convention, target, theta):
 
 
 def _multisnap_args(dims, convention, targets, theta):
-    if len(set(targets)) != len(targets):
-        raise UsageError("multisnap targets must be distinct")
     sub_dims = tuple(dims[t] for t in targets)
     phases = _snap_phases(theta, math.prod(sub_dims), "multisnap gate field 'theta'")
     return (phases, sub_dims), targets
 
 
-def _qubit_and_mode(kind: str, qubit: int, mode: int) -> list[int]:
-    if qubit == mode:
-        raise UsageError(f"{kind} qubit and mode must differ")
-    return [qubit, mode]
-
-
 def _cond_rotation_args(dims, convention, qubit, mode, n, theta, phi):
-    return (n, theta, phi, dims[mode]), _qubit_and_mode("cond_rotation", qubit, mode)
+    return (n, theta, phi, dims[mode]), require_distinct("cond_rotation qubit and mode",
+                                                         [qubit, mode])
 
 
 def _controlled_increment_args(dims, convention, control, target):
-    if control == target:
-        raise UsageError("controlled_increment control and target must differ")
+    require_distinct("controlled_increment control and target", (control, target))
     if dims[control] != dims[target]:
         raise UsageError(
             "controlled_increment needs equal control/target dims, got "
@@ -399,7 +383,7 @@ def _controlled_increment_args(dims, convention, control, target):
 
 
 def _ecd_args(dims, convention, qubit, mode, beta):
-    return (beta, dims[mode], convention), _qubit_and_mode("ecd", qubit, mode)
+    return (beta, dims[mode], convention), require_distinct("ecd qubit and mode", [qubit, mode])
 
 
 def _phase_kernel(args, targets, dims) -> _Kernel:
@@ -516,7 +500,8 @@ def _increment_kernel(args, targets, dims) -> _Kernel:
 
 GATE_BUILDERS: dict[str, _GateKind] = {
     "snap": _GateKind({"target": _subsystem, "theta": None}, _snap_args, _phase_kernel),
-    "multisnap": _GateKind({"targets": _subsystems, "theta": None},
+    "multisnap": _GateKind({"targets": lambda v, what, shape: _as_axes(v, shape, what, what),
+                            "theta": None},
                            _multisnap_args, _phase_kernel),
     "displacement": _GateKind(
         {"target": _subsystem, "alpha": _amplitude},
@@ -586,10 +571,11 @@ class GateSpec:
                                             for name, v in self.params.items()})
 
     def build(self, shape: int | Sequence[int] | HilbertShape,
-              convention: str = "standard") -> tuple[Operator, list[int]]:
+              convention: Convention = "standard") -> tuple[Operator, list[int]]:
         """The gate on its targets alone, in their order, and the targets."""
         shape = shape_of(shape)
-        _, args, targets = _parse(self, shape, convention)
+        _, args, targets = _parse(self, shape, require_choice("convention", convention,
+                                                              CONVENTIONS))
         return _gate(self.kind, args, HilbertShape(tuple(shape.dims[t] for t in targets))), targets
 
     def to_dict(self) -> dict:
@@ -627,16 +613,14 @@ class Circuit:
 
     shape: HilbertShape
     gates: tuple[GateSpec, ...]
-    displacement_convention: str = "standard"
+    displacement_convention: Convention = "standard"
     _kernels: tuple[_Kernel, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", shape_of(self.shape))
         object.__setattr__(self, "gates", require_sequence("gates", self.gates))
-        if self.displacement_convention not in CONVENTIONS:
-            raise UsageError(
-                f"unknown displacement convention {self.displacement_convention!r}"
-            )
+        object.__setattr__(self, "displacement_convention", require_choice(
+            "displacement_convention", self.displacement_convention, CONVENTIONS))
         kernels = []
         for i, spec in enumerate(self.gates):
             require_instance(f"gate {i}", spec, GateSpec)
@@ -659,12 +643,14 @@ class Circuit:
 
 
 def _json_value(value):
-    """A gate field value that json cannot write, as JSON: a numpy scalar
-    or array by tolist(), a complex as its [re, im] pair."""
-    if isinstance(value, complex):
-        return [value.real, value.imag]
+    """A gate field value that json cannot write, as JSON: a numpy scalar or
+    array by tolist(), another real (a Fraction) as a float, a complex as [re, im]."""
     if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
+    if isinstance(value, numbers.Real):
+        return float(value)
+    if isinstance(value, numbers.Complex):
+        return [float(value.real), float(value.imag)]
     raise TypeError(f"gate field value {value!r} is not JSON serializable")
 
 
@@ -686,10 +672,9 @@ def circuit_from_json(text: str) -> Circuit:
     gate kinds or malformed entries."""
     f = read_fields(text, "circuit", {"shape": list},
                     {"displacement_convention": (object, "standard"), "gates": (list, [])})
-    convention = f["displacement_convention"]
-    if convention not in CONVENTIONS:
-        raise ParseError(f"displacement_convention must be one of {CONVENTIONS}, "
-                         f"got {convention!r}")
+    with parse_errors("circuit"):
+        convention = require_choice("displacement_convention", f["displacement_convention"],
+                                    CONVENTIONS)
     # a CapacityError passes: a well-formed document over the cap is not a parse failure
     with parse_errors("circuit shape invalid"):
         shape = HilbertShape(tuple(f["shape"]))

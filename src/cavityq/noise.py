@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (StepSizeError, UsageError, require_array, require_capacity, require_count,
-                     require_finite, require_instance, require_on, require_positive,
-                     require_real, require_sequence)
+                     require_finite, require_instance, require_nonnegative, require_on,
+                     require_positive, require_real, require_sequence)
 from .fock import HilbertShape, Operator, StateVector, annihilation, shape_of
 
 _COMPLETENESS_TOL = 1e-9
@@ -158,10 +158,8 @@ class NoiseChannel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", shape_of(self.shape))
         kraus = tuple(require_on(f"Kraus operator {i}", k, Operator, self.shape)
-                      for i, k in enumerate(require_sequence("kraus", self.kraus)))
+                      for i, k in enumerate(require_sequence("kraus", self.kraus, least=1)))
         object.__setattr__(self, "kraus", kraus)
-        if not self.kraus:
-            raise UsageError("channel needs at least one Kraus operator")
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
         kernel = _build_kernel([k.matrix for k in self.kraus])
         object.__setattr__(self, "_kernel", kernel)
@@ -220,9 +218,7 @@ def dephasing_channel(rate_hz: float, dt_s: float, n: int) -> NoiseChannel:
     """Pure dephasing generated by n̂. The default physical rate on the
     hardware this models is zero; the channel exists as an explicit hook."""
     shape = shape_of((n,))
-    rate_hz = require_real("rate_hz", rate_hz)
-    if not rate_hz >= 0:  # NaN fails too
-        raise UsageError(f"rate_hz must be >= 0, got {rate_hz}")
+    rate_hz = require_nonnegative("rate_hz", rate_hz)
     dt_s = require_positive("dt_s", dt_s)
     y = rate_hz * dt_s
     defect = (y * (n - 1) ** 2 / 2) ** 2
@@ -380,7 +376,7 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
             jump_counts=jump_counts[i],
             parities=stats[0, i],
             mean_occupations=stats[1, i],
-            final_state=StateVector(channel.shape, states[rows[i]]),
+            final_state=StateVector(channel.shape, states[rows[i]], psi.leakage),
         )
         for i, seed in enumerate(seeds)
     ]

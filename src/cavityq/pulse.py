@@ -116,9 +116,7 @@ class PulseSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
         streams = tuple(require_array(f"stream {i}", s, (None,))
-                        for i, s in enumerate(require_sequence("streams", self.streams)))
-        if not streams:
-            raise UsageError("schedule needs at least one amplitude stream")
+                        for i, s in enumerate(require_sequence("streams", self.streams, least=1)))
         n = len(streams[0])
         if n == 0:
             raise UsageError("streams must contain at least one segment")

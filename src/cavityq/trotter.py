@@ -30,9 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (InvalidDimensionError, NumericError, ShapeError, UsageError, require_array,
+from .errors import (InvalidDimensionError, NumericError, ShapeError, require_array,
                      require_capacity, require_count, require_finite, require_instance,
-                     require_on, require_phase, require_positive, require_sequence)
+                     require_nonnegative, require_on, require_phase, require_positive,
+                     require_sequence)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
 from .gates import Circuit, GateSpec, _ortho_fft, _run
 
@@ -139,14 +140,13 @@ def trotter_step(h: QuditHamiltonian, dt_s: float,
 
 def _state_vector(psi0, n: int) -> StateVector:
     """psi0 as a normalized state on n levels: |0> for None, a StateVector
-    on dims (n,), taken with leakage 0, or a 1-D list, tuple or array of n
+    on dims (n,), with its leakage, or a 1-D list, tuple or array of n
     amplitudes (`require_array`)."""
     shape = HilbertShape((n,))
     if psi0 is None:
         return basis_state(shape, 0)
     if isinstance(psi0, StateVector):
-        psi0 = require_on("psi0", psi0, StateVector, shape)
-        return StateVector(shape, psi0.amplitudes).normalized()
+        return require_on("psi0", psi0, StateVector, shape).normalized()
     return StateVector(shape, require_array("psi0", psi0, (n,))).normalized()
 
 
@@ -176,9 +176,7 @@ def trotter_convergence(h: QuditHamiltonian, t_total_s: float,
                         psi0=None) -> tuple[tuple[int, float, float], ...]:
     """Rows of (steps, dt, infidelity) for a step-count sweep at fixed t."""
     require_instance("h", h, QuditHamiltonian)
-    steps_list = require_sequence("steps_list", steps_list)
-    if not steps_list:
-        raise UsageError("steps_list must be non-empty")
+    steps_list = require_sequence("steps_list", steps_list, least=1)
     return tuple((r.steps, r.dt_s, r.infidelity) for r in _sweep(h, t_total_s, steps_list, psi0))
 
 
@@ -190,9 +188,7 @@ def _sweep(h: QuditHamiltonian, t_total_s, steps_list, psi0) -> list[TrotterResu
     counts = [require_count("steps", s, 1) for s in steps_list]
     require_capacity(f"max(steps_list) {max(counts)} × n_levels {h.n_levels}",
                      max(counts) * h.n_levels, MAX_LEVEL_STEPS, "level-steps")
-    t_total_s = require_finite("t_total_s", t_total_s)
-    if t_total_s < 0:
-        raise UsageError(f"t_total_s must be nonnegative, got {t_total_s!r}")
+    t_total_s = require_nonnegative("t_total_s", require_finite("t_total_s", t_total_s))
     psi = _state_vector(psi0, h.n_levels)
     if t_total_s == 0:
         return [TrotterResult(psi, 1.0, s, 0.0) for s in counts]

@@ -360,7 +360,7 @@ class TestCode:
         cfg = write_json(tmp_path / "code.json", dict(CODE_DOC, parity="x"))
         assert run_cli(tmp_path, "code", cfg) == 2
         assert capsys.readouterr().err == (
-            "error: code config: sign must be '+' or '-', got 'x'\n")
+            "error: code config: sign must be one of ('+', '-'), got 'x'\n")
 
     def test_artifact_bytes_match_trajectories(self, tmp_path):
         # the CSV and JSON artifacts hold every trajectory array cell for
@@ -691,7 +691,7 @@ _BAD_GATE_ENTRIES = {
     "cond_rotation_qubit_is_mode": (
         _circuit([2, 3], {"kind": "cond_rotation", "qubit": 0, "mode": 0, "n": 1,
                           "theta": 1.0, "phi": 0.0}),
-        "cond_rotation qubit and mode must differ"),
+        "cond_rotation qubit and mode must be distinct, got (0, 0)"),
     "snap_string_phase": (_circuit([3], {"kind": "snap", "target": 0,
                                          "theta": [0, "a", 0]}),
                           "snap gate field 'theta' entries must be real numbers, got 'a'"),
@@ -703,10 +703,10 @@ _BAD_GATE_ENTRIES = {
         "multisnap gate field 'theta' entries must be real numbers, got True"),
     "multisnap_repeated_target": (
         _circuit([2, 3], {"kind": "multisnap", "targets": [1, 1], "theta": [0.0] * 9}),
-        "multisnap targets must be distinct"),
+        "multisnap gate field 'targets' must be distinct, got (1, 1)"),
     "controlled_increment_control_is_target": (
         _circuit([3, 3], {"kind": "controlled_increment", "control": 1, "target": 1}),
-        "controlled_increment control and target must differ"),
+        "controlled_increment control and target must be distinct, got (1, 1)"),
     "controlled_increment_unequal_dims": (
         _circuit([3, 4], {"kind": "controlled_increment", "control": 0, "target": 1}),
         "controlled_increment needs equal control/target dims, got 3 and 4"),

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -200,7 +201,7 @@ class TestGivensAndPhaseSwap:
                                       lambda: gates.phase_swap(2, 2, 4)],
                              ids=["givens", "phase_swap"])
     def test_levels_must_differ(self, make):
-        with pytest.raises(UsageError, match="needs two distinct levels$"):
+        with pytest.raises(UsageError, match=r" levels must be distinct, got \(\d, \d\)$"):
             make()
 
 
@@ -453,6 +454,18 @@ class TestCircuits:
         np.testing.assert_array_equal(gates.circuit_unitary(parsed).matrix,
                                       gates.circuit_unitary(circuit).matrix)
 
+    @pytest.mark.parametrize("kind, params, written", [
+        ("snap", {"target": 0, "theta": [Fraction(1, 2), 0.0, 0.1]}, [0.5, 0.0, 0.1]),
+        ("givens", {"target": 0, "m": 0, "n": 1, "theta": Fraction(1, 3)}, 1 / 3),
+    ], ids=["snap", "givens"])
+    def test_fraction_fields_are_written_as_floats(self, kind, params, written):
+        # to_json raised a raw TypeError for a Fraction, which the field rules take
+        circuit = gates.Circuit((3,), (gates.GateSpec(kind, params),))
+        parsed = gates.circuit_from_json(circuit.to_json())
+        assert parsed.gates[0].params["theta"] == written
+        np.testing.assert_allclose(gates.circuit_unitary(parsed).matrix,
+                                   gates.circuit_unitary(circuit).matrix, rtol=0, atol=1e-15)
+
     def test_unknown_kind_is_parse_error_with_location(self):
         doc = self.circuit_doc()
         doc["gates"][1]["kind"] = "warp"
@@ -474,7 +487,8 @@ class TestCircuits:
         doc = self.circuit_doc()
         doc["gates"][1] = {"kind": "ecd", "qubit": 0, "mode": 0, "beta": 0.3}
         text = json.dumps(doc, indent=1)
-        with pytest.raises(ParseError, match="gate 1: ecd qubit and mode must differ") as err:
+        with pytest.raises(ParseError, match=r"gate 1: ecd qubit and mode must be distinct, "
+                                             r"got \(0, 0\)") as err:
             gates.circuit_from_json(text)
         assert "line" in str(err.value)
 
@@ -890,9 +904,10 @@ def test_unknown_gate_field_is_rejected(kind):
 def test_cond_rotation_on_its_own_qubit_is_rejected():
     params = {"qubit": 0, "mode": 0, "n": 1, "theta": 1.0, "phi": 0.0}
     text = json.dumps({"shape": [2, 3], "gates": [{"kind": "cond_rotation", **params}]})
-    with pytest.raises(ParseError, match="gate 0: cond_rotation qubit and mode must differ"):
+    message = r"cond_rotation qubit and mode must be distinct, got \(0, 0\)"
+    with pytest.raises(ParseError, match=f"gate 0: {message}"):
         gates.circuit_from_json(text)
-    with pytest.raises(UsageError, match="cond_rotation qubit and mode must differ"):
+    with pytest.raises(UsageError, match=f"^{message}$"):
         gates.GateSpec("cond_rotation", params).build(fock.HilbertShape((2, 3)))
 
 
@@ -976,7 +991,7 @@ def test_each_kernel_matches_dense_embed(dims):
 
 def test_apply_embedded_rejects_bad_targets():
     psi = fock.basis_state((2, 2), [0, 0])
-    with pytest.raises(UsageError, match="duplicate targets"):
+    with pytest.raises(UsageError, match=r"^targets must be distinct, got \(0, 0\)$"):
         gates.apply_embedded(fock.identity((2, 2)), [0, 0], psi)
     with pytest.raises(UsageError, match="target 5 outside"):
         gates.apply_embedded(fock.identity((2,)), [5], psi)
@@ -1219,7 +1234,8 @@ def test_grape_snap_target_is_the_snap_gate():
 
 def test_bad_gate_raises_when_the_circuit_is_made():
     spec = gates.GateSpec("phase_swap", {"target": 0, "m": 1, "n": 1})
-    with pytest.raises(UsageError, match="^gate 0: phase_swap needs two distinct levels$") as err:
+    with pytest.raises(UsageError, match=r"^gate 0: phase_swap levels must be distinct, "
+                                         r"got \(1, 1\)$") as err:
         gates.Circuit((3,), (spec,))
     assert err.value.gate == 0
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from cavityq import codes, fock, noise
+from cavityq import codes, fock, noise, trotter
 from cavityq.errors import ShapeError, StepSizeError, UsageError
 
 
@@ -47,7 +47,7 @@ class TestChannelConstruction:
 
     def test_needs_kraus_operators_of_the_channel_shape(self):
         shape = fock.HilbertShape((3,))
-        with pytest.raises(UsageError, match="^channel needs at least one Kraus operator$"):
+        with pytest.raises(UsageError, match=r"^kraus must be a non-empty sequence, got \(\)$"):
             noise.NoiseChannel(shape, (), 1e-3)
         other = fock.Operator(fock.HilbertShape((2,)), np.eye(2))
         message = r"^Kraus operator 1 must be on dims \(3,\), got \(2,\)$"
@@ -194,6 +194,21 @@ class TestTrajectories:
         ch = loss_channel(n=4)
         with pytest.raises(UsageError):
             noise.apply_channel_trajectory(ch, fock.basis_state(5, 0), 10, seed=0)
+
+
+@pytest.mark.parametrize("final_state", [
+    lambda psi: trotter.evolve_trotter(
+        trotter.QuditHamiltonian(np.linspace(0.0, 1.0, 8), np.linspace(0.5, 0.0, 8)),
+        1.0, 3, psi).state,
+    lambda psi: noise.apply_channel_trajectory(loss_channel(n=8), psi, 5, 1).final_state,
+    lambda psi: noise.run_trajectories(loss_channel(n=8), psi, 5, 2, 1)[1].final_state,
+], ids=["evolve_trotter", "apply_channel_trajectory", "run_trajectories"])
+def test_engines_keep_the_leakage_of_the_initial_state(final_state):
+    # each read 0.0, where apply_circuit keeps the truncated state's leakage
+    with pytest.warns(fock.TruncationWarning):
+        psi = fock.coherent_state(2.5, 8)
+    assert psi.leakage == pytest.approx(0.291, abs=5e-4)
+    assert final_state(psi).leakage == psi.leakage
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,8 @@ class TestPulseSchedule:
             PulseSchedule.from_json(json.dumps(
                 {"dt_s": "abc", "controls": [{"carrier_hz": 0.0,
                                               "amps": [[1.0, 0.0]]}]}))
-        with pytest.raises(ParseError, match="^invalid schedule: schedule needs at least one "
-                                             "amplitude stream$"):
+        with pytest.raises(ParseError, match=r"^invalid schedule: streams must be a non-empty "
+                                             r"sequence, got \(\)$"):
             PulseSchedule.from_json(json.dumps({"dt_s": 1e-9, "controls": []}))
         with pytest.raises(ParseError, match="^control 0 must be an object$"):
             PulseSchedule.from_json(json.dumps({"dt_s": 1e-9, "controls": [[0.0, 1.0]]}))
