@@ -78,7 +78,7 @@ def cmd_qst(args, text: str) -> _Computation:
         else:
             # read under the field's name: the library names it delta_list
             result = qst.detuning_sweep(
-                config, require_array("delta_sweep_hz", sweep, (None,), float))
+                config, require_array("delta_sweep_hz", sweep, (None,), float, least=2))
             rows = list(result.rows)
             summary = {
                 "baseline_eta": result.baseline_eta,

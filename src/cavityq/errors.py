@@ -34,7 +34,9 @@ for time steps, durations, couplings, rates and other positive reals,
 `require_nonnegative` for those that may be zero, and `require_array`
 for arrays and lists: states, matrices, pulse streams, sample lists,
 SNAP phases, carriers, detunings, times, time spans, input-state pairs
-and the arrays of JSON configs. A config reader re-raises the errors of
+and the arrays of JSON configs. It reads every entry count: `least`, the
+fewest entries of a 1-D array, and in `shape` a length that another
+argument fixes. A config reader re-raises the errors of
 the rules it runs as ParseError (`parse_errors`). Each argument is read
 once, by its rule, and the caller goes on with the value the rule returns.
 `require_capacity` caps the work or memory that the counts of a request
@@ -257,27 +259,33 @@ def _bulk_types(dtype) -> frozenset:
     return frozenset(reals | {complex, np.complex64, np.complex128} if dtype is complex else reals)
 
 
-def _shape_error(name: str, shape: tuple, got) -> "ShapeError":
-    want = ("1-D" if shape == (None,) else f"1-D of length {shape[0]}" if len(shape) == 1
-            else "x".join(map(str, shape)))
-    return ShapeError(f"{name} must be {want}, got {got}")
+def _shape_error(name: str, shape: tuple, got, least: int = 0) -> "ShapeError":
+    """got is a length (an int), a shape or "ragged rows"; least is named
+    for a length that a 1-D shape refuses."""
+    length = isinstance(got, int)
+    want = (f"1-D with at least {least} entr{'ies' if least > 1 else 'y'}"
+            if least and length and shape == (None,) else "1-D" if shape == (None,)
+            else f"1-D of length {shape[0]}" if len(shape) == 1 else "x".join(map(str, shape)))
+    return ShapeError(f"{name} must be {want}, got {f'length {got}' if length else got}")
 
 
-def require_array(name: str, values, shape: tuple, dtype=complex):
+def require_array(name: str, values, shape: tuple, dtype=complex, least: int = 0):
     """A read-only C-ordered copy of values as an array of dtype (complex,
-    or float for reals) of an exact shape, or 1-D for (None,). A list's
-    length is checked before any copy; ragged rows or any other shape raise
-    ShapeError; an entry that is not a number (`is_complex`, or `is_real`
-    for float) raises UsageError; NaN, ±inf or an int too large for a float
-    raise NumericError. A list whose entries, flat or in rows, all have
-    `_bulk_types` takes one np.array call; any other list goes through an
-    object array, tested in bulk (`are_reals`), an ndarray by dtype kind."""
+    or float for reals) of an exact shape, where a length another argument
+    fixes is passed, or 1-D with at least `least` entries for (None,). A
+    list's or an array's length is checked before any copy, in one form;
+    ragged rows or any other shape raise ShapeError; an entry that is not a
+    number (`is_complex`, or `is_real` for float) raises UsageError; NaN,
+    ±inf or an int too large for a float raise NumericError. A list whose
+    entries, flat or in rows, all have `_bulk_types` takes one np.array
+    call; any other list goes through an object array, tested in bulk
+    (`are_reals`), an ndarray by dtype kind."""
     import numpy as np
 
     arr = None
     if isinstance(values, (list, tuple)):
-        if len(values) != shape[0] and shape[0] is not None:
-            raise _shape_error(name, shape, f"length {len(values)}")
+        if (len(values) != shape[0] and shape[0] is not None) or len(values) < least:
+            raise _shape_error(name, shape, len(values), least)
         types = set(map(type, values))
         if types <= {list, tuple}:  # rows, or no entries
             types = set(map(type, itertools.chain.from_iterable(values)))
@@ -295,8 +303,9 @@ def require_array(name: str, values, shape: tuple, dtype=complex):
                 raise ValueError
         except ValueError:  # rows of lists, or of arrays that differ in shape
             raise _shape_error(name, shape, "ragged rows") from None
-    if entries.shape != shape and (shape != (None,) or entries.ndim != 1):
-        raise _shape_error(name, shape, entries.shape)
+    if (entries.shape != shape and (shape != (None,) or entries.ndim != 1)) or len(entries) < least:
+        raise _shape_error(name, shape, len(entries) if entries.ndim == 1 == len(shape)
+                           else entries.shape, least)
     if arr is None:
         test, numbers = (is_real, "real numbers") if dtype is float else (is_complex, "numbers")
         if flat is None and values.dtype.kind not in ("iuf" if dtype is float else "iufc"):

@@ -17,8 +17,8 @@ every config's. Each field is read once, by the rule its kernel applies
 to the constructor's argument, so a GateSpec takes what the constructor
 takes, numpy scalars included.
 Every SNAP phase list is read once, by `_snap_phases`, the one count and
-phase rule: `errors.require_array`, then any count but n raises
-ShapeError, and a max|θ| above `errors.MAX_PHASE_RAD` NumericError.
+phase rule: `errors.require_array` refuses any count but n, or none at
+all, and a max|θ| above `errors.MAX_PHASE_RAD` raises NumericError.
 Every D(α) comes from `_displacement_factors`, its one builder and phase rule.
 """
 
@@ -35,11 +35,10 @@ from typing import Any, Callable, Iterator, Literal, Mapping, Sequence, get_args
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .errors import (NumericError, ParseError, ShapeError, UsageError, is_count, parse_errors,
-                     read_fields, read_object, require_array, require_capacity, require_choice,
-                     require_complex, require_count, require_distinct, require_finite,
-                     require_flag, require_index, require_instance, require_on, require_phase,
-                     require_sequence)
+from .errors import (NumericError, ParseError, UsageError, parse_errors, read_fields, read_object,
+                     require_array, require_capacity, require_choice, require_complex,
+                     require_count, require_distinct, require_finite, require_flag, require_index,
+                     require_instance, require_on, require_phase, require_sequence)
 from .fock import (
     HilbertShape,
     Operator,
@@ -219,9 +218,8 @@ def qubit_binary_encode(bits: str | Sequence[int]) -> int:
         raise UsageError("empty bit pattern")
     value = 0
     for b in seq:
-        if not (b in ("0", "1") if isinstance(b, str) else is_count(b) and 0 <= b <= 1):
-            raise UsageError(f"bit pattern may contain only 0/1, got {b!r}")
-        value = value * 2 + int(b)
+        bit = require_choice("bit", b, ("0", "1") if isinstance(b, str) else (0, 1))
+        value = value * 2 + int(bit)
     return value
 
 
@@ -346,14 +344,10 @@ def _amplitude(value, what: str, shape: HilbertShape):
 def _snap_phases(theta, n: int | None, what: str = "theta") -> np.ndarray:
     """The phases of a SNAP on n levels (any positive count for None), read
     by `require_array`: the one count and phase rule of every SNAP reader.
-    Any count but n raises ShapeError, none at all UsageError, and a
+    Any count but n, or none at all, raises its ShapeError, and a
     max|theta| that fails `require_phase` NumericError."""
-    phases = require_array(what, theta, (None,), float)
-    if n is None and not phases.size:
-        raise UsageError("snap needs a non-empty 1-D phase list")
-    if n is not None and phases.size != n:
-        raise ShapeError(f"snap needs {n} phases, got {phases.size}")
-    require_phase(what, float(np.abs(phases).max(initial=0.0)), "SNAP phase max|theta|")
+    phases = require_array(what, theta, (n,), float, least=1)
+    require_phase(what, float(np.abs(phases).max()), "SNAP phase max|theta|")
     return phases
 
 

@@ -115,13 +115,10 @@ class PulseSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dt_s", require_positive("dt_s", self.dt_s))
-        streams = tuple(require_array(f"stream {i}", s, (None,))
-                        for i, s in enumerate(require_sequence("streams", self.streams, least=1)))
-        n = len(streams[0])
-        if n == 0:
-            raise UsageError("streams must contain at least one segment")
-        if any(len(s) != n for s in streams):
-            raise ShapeError("all amplitude streams must have equal length")
+        first, *rest = require_sequence("streams", self.streams, least=1)
+        first = require_array("stream 0", first, (None,), least=1)
+        streams = (first, *(require_array(f"stream {i}", s, first.shape)
+                            for i, s in enumerate(rest, 1)))
         object.__setattr__(self, "streams", streams)
         carriers = require_array("carriers_hz", self.carriers_hz, (len(streams),), float)
         object.__setattr__(self, "carriers_hz", tuple(carriers.tolist()))
@@ -1104,11 +1101,8 @@ def optimize_snap_displacement_sequence(
     if isinstance(target, StateVector):
         if len(target.shape.dims) != 1:
             raise ShapeError("sequence preparation targets a single mode")
-        tvec = np.asarray(target.amplitudes)
-    else:
-        tvec = require_array("target", target, (None,))
-        if len(tvec) < 2:
-            raise ShapeError(f"target needs at least 2 amplitudes, got {len(tvec)}")
+        target = target.amplitudes
+    tvec = require_array("target", target, (None,), least=2)
     nrm = np.linalg.norm(tvec)
     if nrm < 1e-12:
         raise UsageError("target state is null")

@@ -33,7 +33,6 @@ from .errors import (
     CapacityError,
     DegenerateDetuningError,
     NumericError,
-    ShapeError,
     StepSizeError,
     UsageError,
     parse_errors,
@@ -138,9 +137,7 @@ class SampledWaveform:
     t0_s: float = 0.0
 
     def __post_init__(self) -> None:
-        vals = require_array("values", self.values, (None,), float)
-        if len(vals) < 2:
-            raise ShapeError(f"sampled waveform needs >= 2 values, got {len(vals)}")
+        vals = require_array("values", self.values, (None,), float, least=2)
         if np.any(vals < 0):
             raise UsageError("coupling rates must be nonnegative")
         object.__setattr__(self, "values", vals)
@@ -482,9 +479,7 @@ def detuning_sweep(config: QstConfig,
     The grid, rates and checks are set up once for all points, and each
     point computes only its eta, bitwise simulate_transfer's.
     """
-    deltas = require_array("delta_list", delta_list, (None,), float).tolist()
-    if len(deltas) < 2:
-        raise UsageError("need at least two detunings to sweep")
+    deltas = require_array("delta_list", delta_list, (None,), float, least=2).tolist()
     run = _transfer_grid(config)
     baseline = _transfer_eta(run, 0.0)
     if baseline <= 0.99:
@@ -539,9 +534,7 @@ def on_off_ratio(waveform, floor_hz: float,
         grid = np.linspace(t0, t1, require_count("samples", samples, 1))
         peak = float(np.max(np.abs(_evaluate_rates(waveform, grid, "waveform"))))
     else:
-        vals = require_array("waveform", waveform, (None,), float)
-        if len(vals) == 0:
-            raise ShapeError("waveform must be non-empty")
+        vals = require_array("waveform", waveform, (None,), float, least=1)
         peak = float(np.max(np.abs(vals)))
     return peak / floor_hz
 

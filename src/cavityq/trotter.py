@@ -30,10 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (InvalidDimensionError, NumericError, ShapeError, require_array,
-                     require_capacity, require_count, require_finite, require_instance,
-                     require_nonnegative, require_on, require_phase, require_positive,
-                     require_sequence)
+from .errors import (NumericError, ShapeError, require_array, require_capacity, require_count,
+                     require_finite, require_instance, require_nonnegative, require_on,
+                     require_phase, require_positive, require_sequence)
 from .fock import HilbertShape, Operator, StateVector, basis_state, shape_of
 from .gates import Circuit, GateSpec, _ortho_fft, _run
 
@@ -53,21 +52,16 @@ _OTOC_BLOCK_ENTRIES = 1 << 13
 @dataclass(frozen=True, eq=False)
 class QuditHamiltonian:
     """Split-diagonal qudit Hamiltonian: V_n (Hz) over levels and K_j (Hz)
-    over the Fourier-conjugate index, both length N."""
+    over the Fourier-conjugate index, both length N ≥ 2."""
 
     diagonal: np.ndarray
     kinetic_diagonal: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("diagonal", "kinetic_diagonal"):
-            object.__setattr__(self, name, require_array(name, getattr(self, name), (None,), float))
-        if len(self.diagonal) != len(self.kinetic_diagonal):
-            raise ShapeError(
-                f"length mismatch: diagonal has {len(self.diagonal)} entries, "
-                f"kinetic_diagonal has {len(self.kinetic_diagonal)}"
-            )
-        if len(self.diagonal) < 2:
-            raise InvalidDimensionError("a qudit needs at least 2 levels")
+        diagonal = require_array("diagonal", self.diagonal, (None,), float, least=2)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "kinetic_diagonal", require_array(
+            "kinetic_diagonal", self.kinetic_diagonal, diagonal.shape, float))
 
     @property
     def n_levels(self) -> int:

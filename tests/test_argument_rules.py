@@ -16,11 +16,13 @@ shape site (`errors.require_on`) also refuses one on a register other than
 the one another argument fixes; a distinct site (`errors.require_distinct`)
 refuses a repeated entry, a non-empty site (`errors.require_sequence` with
 least=1) no entries, a choice site (`errors.require_choice`), every Literal
-parameter, anything but one of its choices, and a sign site
-(`errors.require_nonnegative`) a negative or NaN real. All raise UsageError
-naming the argument (InvalidDimensionError for a HilbertShape dimension,
-ShapeError for another register), and a numpy scalar of an accepted type
-gives the same result as the Python number.
+parameter, anything but one of its choices, a sign site
+(`errors.require_nonnegative`) a negative or NaN real, and a length site
+(`errors.require_array` with `least` or a fixed length) a wrong entry
+count. All raise UsageError naming the argument (InvalidDimensionError for
+a HilbertShape dimension, ShapeError for another register or length), and
+a numpy scalar of an accepted type gives the same result as the Python
+number.
 """
 
 import ast
@@ -788,9 +790,9 @@ def test_multisnap_refuses_non_integer_dimension(dims):
 
 def test_qubit_binary_encode_refuses_bool_and_float_bits():
     # 5 came back
-    with pytest.raises(UsageError, match="only 0/1, got True"):
+    with pytest.raises(UsageError, match=r"^bit must be one of \(0, 1\), got True$"):
         gates.qubit_binary_encode([True, False, 1.0])
-    with pytest.raises(UsageError, match="only 0/1, got 1.0"):
+    with pytest.raises(UsageError, match=r"^bit must be one of \(0, 1\), got 1.0$"):
         gates.qubit_binary_encode([1, 0, 1.0])
     assert gates.qubit_binary_encode(["1", np.int64(0), 1]) == 5
 
@@ -1590,6 +1592,60 @@ def test_nonempty_site_refuses_no_entries(site):
 
 
 # site -> (argument name in the message, call with the argument set to v, a
+# value of the boundary length, whether another argument fixes that length);
+# one entry short is refused as "<name> must be 1-D with at least k entries,
+# got length m", or "<name> must be 1-D of length n, got length m" for a fixed n
+LENGTH_SITES = {
+    "PulseSchedule.streams[0]": (
+        "stream 0", lambda v: pulse.PulseSchedule(1e-9, [v], [0.0]), [0.5], False),
+    "PulseSchedule.streams[1]": (
+        "stream 1", lambda v: pulse.PulseSchedule(1e-9, [[0.5, 0.5], v], [0.0, 0.0]),
+        [0.5, 0.5], True),
+    "optimize_snap_displacement_sequence.target": (
+        "target", lambda v: pulse.optimize_snap_displacement_sequence(
+            v, blocks=1, iterations=0, guard_levels=0), [1.0, 0.0], False),
+    "optimize_snap_displacement_sequence.target StateVector": (
+        "target", lambda v: pulse.optimize_snap_displacement_sequence(
+            fock.StateVector(len(v), v), blocks=1, iterations=0, guard_levels=0),
+        [1.0, 0.0], False),
+    "SampledWaveform.values": ("values", lambda v: qst.SampledWaveform(v, 1e-9), [1.0, 2.0], False),
+    "detuning_sweep.delta_list": (
+        "delta_list", lambda v: qst.detuning_sweep(_matched_config(), v), [0.0, 0.1], False),
+    "on_off_ratio.waveform": ("waveform", lambda v: qst.on_off_ratio(v, 1.0), [2.0], False),
+    "snap.theta": ("snap theta", gates.snap, [0.5], False),
+    "multisnap.theta": ("theta", lambda v: gates.multisnap(v, (3,)), [0.1, 0.2, 0.3], True),
+    "snap gate theta": (
+        "snap gate field 'theta'", lambda v: _gate("snap", (3,), target=0, theta=v),
+        [0.1, 0.2, 0.3], True),
+    "QuditHamiltonian.diagonal": (
+        "diagonal", lambda v: trotter.QuditHamiltonian(v, np.zeros(len(v))), [0.0, 0.5], False),
+    "QuditHamiltonian.kinetic_diagonal": (
+        "kinetic_diagonal", lambda v: trotter.QuditHamiltonian([0.0, 0.5, 0.25], v),
+        [0.1, 0.0, -0.3], True),
+}
+
+
+def _length_refusal(name: str, boundary: list, fixed: bool, got: int) -> ShapeError:
+    k = len(boundary)
+    want = f"of length {k}" if fixed else f"with at least {k} entr{'ies' if k > 1 else 'y'}"
+    return ShapeError(f"{name} must be 1-D {want}, got length {got}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site", LENGTH_SITES)
+def test_length_site_refuses_a_wrong_entry_count(site):
+    # a one-level StateVector target ran, to fidelity 1.0000000000000004,
+    # where the same amplitudes as a list were refused
+    name, call, boundary, fixed = LENGTH_SITES[site]
+    call(boundary)
+    call(np.array(boundary))
+    wrong = [boundary[:-1], *([boundary + boundary[-1:]] if fixed else [])]
+    for entries in wrong:
+        for form in (entries, np.array(entries)):  # worded the same for a list and an array
+            _assert_refused_as(call, form, _length_refusal(name, boundary, fixed, len(entries)))
+
+
+# site -> (argument name in the message, call with the argument set to v, a
 # valid choice, the near misses it refuses besides tests/bad_values.py)
 CHOICE_SITES = {
     "cat_state.sign": (
@@ -1716,8 +1772,6 @@ OWN_REFUSALS = {
         errors.StepSizeError, "dt=0.001 too coarse for dephasing rate 1000 on 8 levels "
         "(first-order completeness defect 6.002e+02 > 1e-06)",
         lambda: noise.dephasing_channel(1e3, 1e-3, 8)),
-    "on_off_ratio no samples": (
-        ShapeError, "waveform must be non-empty", lambda: qst.on_off_ratio([], 1.0)),
     "cond_rotation gate on a qutrit": (
         UsageError, "gate 0: cond_rotation gate field 'qubit' must name a qubit (dim 2), got dim 3",
         lambda: _gate("cond_rotation", (3, 3), qubit=0, mode=1, n=0, theta=1.0, phi=0.0)),
@@ -2115,15 +2169,17 @@ def _is_len_of_set(node) -> bool:
             and getattr(node.args[0].func, "id", None) == "set")
 
 
+def _raises(node) -> bool:
+    """Whether node is an if statement that raises, in its body or its else."""
+    return isinstance(node, ast.If) and any(
+        isinstance(n, ast.Raise) for stmt in node.body + node.orelse for n in ast.walk(stmt))
+
+
 def _bespoke_checks(path):
     """(line, why) of each if statement that raises, in its body or its else,
     and whose test (alone, negated or joined by and/or) is a membership test
     against a literal tuple, list or set, or compares len(set(...))."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not isinstance(node, ast.If) or not any(
-                isinstance(n, ast.Raise) for stmt in node.body + node.orelse
-                for n in ast.walk(stmt)):
-            continue
+    for node in filter(_raises, ast.walk(ast.parse(path.read_text(encoding="utf-8")))):
         tests = [node.test]
         while tests:
             test = tests.pop()
@@ -2147,6 +2203,67 @@ def test_choice_and_distinct_rules_live_in_errors_only():
     breaches = [f"{path.name}:{line}: {why}" for path in sorted(SRC.glob("*.py"))
                 if path.name != "errors.py" for line, why in _bespoke_checks(path)]
     assert breaches == []
+
+
+def _functions(node, scope: str):
+    """(qualified name, node) of each function under node, outer before inner."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{scope}.{child.name}"
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, scope)
+
+
+def _length_checks(path):
+    """{line: "module.function: test"} of each if statement that raises, in
+    its body or its else, and whose test compares a length (len(...), a
+    .size, or a name the function binds to one) or tests its truth; a check
+    in a nested function is named by the innermost."""
+    checks = {}
+    for qualname, func in _functions(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+        nodes = list(ast.walk(func))
+        lengths = {target.id for node in nodes if isinstance(node, ast.Assign)
+                   for target in node.targets if isinstance(target, ast.Name)
+                   and _is_length(node.value, set())}
+        for node in filter(_raises, nodes):
+            if any(isinstance(t, ast.Compare)
+                   and any(_is_length(x, lengths) for x in [t.left, *t.comparators])
+                   or isinstance(t, ast.UnaryOp) and isinstance(t.op, ast.Not)
+                   and _is_length(t.operand, lengths) for t in ast.walk(node.test)):
+                checks[node.lineno] = f"{qualname}: {ast.unparse(node.test)}"
+    return checks
+
+
+def _is_length(node, names) -> bool:
+    """Whether node is len(...), a .size, or one of names."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+            or isinstance(node, ast.Attribute) and node.attr == "size"
+            or isinstance(node, ast.Name) and node.id in names)
+
+
+# the length checks that do not count an argument's entries, and why
+LENGTH_EXEMPT = {
+    "pulse._cavity_levels: len(dims) != 2 or dims[0] != 2":
+        "the register check: a (2, N) qubit-cavity shape, qubit first",
+    "pulse.optimize_snap_displacement_sequence: len(target.shape.dims) != 1":
+        "the register check: a StateVector target on one mode",
+    "fock.HilbertShape.flat_index: len(occupations) != len(self.dims)":
+        "a sequence of occupations, one per subsystem, not an array",
+    "cli._emit_artifact: len({len(v) for v in values}) > 1":
+        "an internal check that the columns the package built agree",
+}
+
+
+def test_length_rules_live_in_errors_only():
+    # an if that compares a length and raises keeps an entry-count rule beside
+    # errors.require_array's least and fixed lengths
+    checks = [check for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+              for check in _length_checks(path).values()]
+    assert sorted(set(checks) - set(LENGTH_EXEMPT)) == []
+    assert sorted(set(LENGTH_EXEMPT) - set(checks)) == []  # no stale exemption
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -496,13 +496,14 @@ def test_otoc_builds_no_dense_snap_or_fourier(tmp_path, capsys, monkeypatch):
 def test_otoc_snap_phase_count_exit_2(tmp_path, capsys, name):
     doc = dict(OTOC_DOC, **{name: {"kind": "snap", "theta": [0.1, 0.2, 0.3]}})
     assert run_cli(tmp_path, "otoc", write_json(tmp_path / "otoc.json", doc)) == 2
-    assert f"otoc config {name}: gate 0: snap needs 8 phases, got 3" in capsys.readouterr().err
+    assert (f"otoc config {name}: gate 0: snap gate field 'theta' must be 1-D of length 8, "
+            "got length 3") in capsys.readouterr().err
 
 
 def test_grape_snap_phase_count_exit_2(tmp_path, capsys):
     doc = dict(GRAPE_DOC, target={"kind": "snap", "theta": [0.1, 0.2, 0.3]})
     assert run_cli(tmp_path, "grape", write_json(tmp_path / "grape.json", doc)) == 2
-    assert "grape target: snap needs 2 phases, got 3" in capsys.readouterr().err
+    assert "grape target: theta must be 1-D of length 2, got length 3" in capsys.readouterr().err
 
 
 # "matrix" operator specs, read for the grape target and the otoc W and V:
@@ -1576,9 +1577,10 @@ def test_qst_detuning_beyond_rk4_stability_exits_3(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("deltas, code, message", [
-    (["x"], 1, "delta_sweep_hz entries must be real numbers, got 'x'"),
+    (["x", 0], 1, "delta_sweep_hz entries must be real numbers, got 'x'"),
     ([10**400, 0], 3, "delta_sweep_hz holds a number too large for a float"),
-], ids=["str", "big"])
+    ([0.0], 1, "delta_sweep_hz must be 1-D with at least 2 entries, got length 1"),
+], ids=["str", "big", "short"])
 def test_qst_sweep_fault_names_delta_sweep_hz(tmp_path, capsys, deltas, code, message):
     # both named the library's argument, delta_list, which no config holds
     cfg = write_json(tmp_path / "qst.json", dict(QST_SWEEP_DOC, delta_sweep_hz=deltas))

@@ -686,7 +686,8 @@ class TestCompiledCircuitProperties:
     def test_each_construction_of_a_bad_circuit_raises(self):
         spec = gates.GateSpec("snap", {"target": 0, "theta": [0, 0, 0]})
         for _ in range(2):
-            with pytest.raises(UsageError, match="^gate 0: snap needs 4 phases, got 3$"):
+            with pytest.raises(ShapeError, match="^gate 0: snap gate field 'theta' must be 1-D "
+                                                 "of length 4, got length 3$"):
                 gates.Circuit(fock.HilbertShape((4,)), (spec,))
 
     @pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
@@ -919,6 +920,7 @@ def test_cond_rotation_on_its_own_qubit_is_rejected():
     (None, "entries must be real numbers, got None"),
     ([0.5], "must be 1-D, got ragged rows")])
 def test_non_number_phase_is_parse_error(kind, where, bad, reason):
+    reason = reason.replace("1-D", "1-D of length 3")  # the count the register fixes
     text = json.dumps({"shape": [3], "gates": [{"kind": kind, **where,
                                                 "theta": [0, bad, 0]}]})
     with pytest.raises(ParseError,
@@ -1013,6 +1015,8 @@ _SNAP_CONSTRUCTORS = {
     ([0.5], "must be 1-D, got ragged rows"),
     (1j, "entries must be real numbers, got 1j")])
 def test_snap_constructors_reject_non_number_phases(name, bad, reason):
+    if name != "snap":  # the count the register fixes is named
+        reason = reason.replace("1-D", "1-D of length 3")
     with pytest.raises(UsageError, match=re.escape(f"theta {reason}")):
         _SNAP_CONSTRUCTORS[name]([0, bad, 0])
 
@@ -1045,10 +1049,10 @@ def test_snap_constructors_check_phase_count(name):
         with pytest.raises(UsageError):
             gates.snap(np.zeros((2, 2)))
     elif name in _SNAP_COUNT_SITES:
-        with pytest.raises(ShapeError, match="snap needs 3 phases, got 2"):
+        with pytest.raises(ShapeError, match="must be 1-D of length 3, got length 2$"):
             _SNAP_COUNT_SITES[name]([0.1, 0.2])
     else:
-        with pytest.raises(UsageError, match="needs 3 phases, got 2"):
+        with pytest.raises(ShapeError, match="theta must be 1-D of length 3, got length 2"):
             _SNAP_CONSTRUCTORS[name]([0.1, 0.2])
 
 

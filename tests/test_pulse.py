@@ -118,7 +118,8 @@ class TestPulseSchedule:
         doc = {"dt_s": 1e-9, "controls": [{"carrier_hz": 0.0, "amps": []}]}
         with pytest.raises(ParseError) as err:
             PulseSchedule.from_json(json.dumps(doc))
-        assert str(err.value) == "invalid schedule: streams must contain at least one segment"
+        assert str(err.value) == ("invalid schedule: stream 0 must be 1-D with at least 1 "
+                                  "entry, got length 0")
 
     @pytest.mark.parametrize("field", ["amps", "carrier_hz", "dt_s"])
     def test_json_booleans_are_not_numbers(self, field):
@@ -888,7 +889,7 @@ class TestSequencePreparation:
 
     @pytest.mark.parametrize("target, message", [
         (basis_state((2, 3), [0, 1]), "^sequence preparation targets a single mode$"),
-        (np.array([1.0]), "^target needs at least 2 amplitudes, got 1$"),
+        (np.array([1.0]), "^target must be 1-D with at least 2 entries, got length 1$"),
     ], ids=["two_modes", "one_amplitude"])
     def test_rejects_targets_that_are_not_one_mode_of_two_levels(self, target, message):
         with pytest.raises(ShapeError, match=message):
@@ -1555,9 +1556,10 @@ class TestSnapModelCheck:
         model = dispersive_model(1e6, 3)
         u = Operator(model.shape, np.eye(6, dtype=complex))
         theta = [0.0, bad, 0.5]
-        with pytest.raises(UsageError, match=re.escape(reason)):
+        fixed = reason.replace("1-D", "1-D of length 3")  # the count the model fixes
+        with pytest.raises(UsageError, match=re.escape(fixed)):
             synthesize_snap_pulse(model, theta, 1e-5)
-        with pytest.raises(UsageError, match=re.escape(reason)):
+        with pytest.raises(UsageError, match=re.escape(fixed)):
             snap_average_fidelity(u, theta)
         with pytest.raises(UsageError, match=re.escape(reason)):
             gates.snap(theta)
@@ -1572,7 +1574,7 @@ class TestSnapModelCheck:
     def test_fidelity_checks_phase_count_and_finiteness(self):
         u = Operator(shape_of((2, 3)), np.eye(6, dtype=complex))
         assert snap_average_fidelity(u, [0, 0, 0]) == pytest.approx(1.0)
-        with pytest.raises(ShapeError, match="snap needs 3 phases, got 2"):
+        with pytest.raises(ShapeError, match="theta must be 1-D of length 3, got length 2"):
             snap_average_fidelity(u, [0.0, 0.0])
         with pytest.raises(NumericError, match="non-finite entries in theta"):
             snap_average_fidelity(u, [0.0, np.nan, 0.0])

@@ -14,7 +14,6 @@ from cavityq import fock, gates, trotter
 from dense_oracle import dense_unitary
 from golden import readme_example
 from cavityq.errors import (
-    InvalidDimensionError,
     NumericError,
     ShapeError,
     UsageError,
@@ -66,7 +65,8 @@ class TestQuditHamiltonian:
             trotter.QuditHamiltonian([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_needs_two_levels(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(ShapeError, match="^diagonal must be 1-D with at least 2 entries, "
+                                             "got length 1$"):
             trotter.QuditHamiltonian([1.0], [1.0])
 
     def test_nonfinite_rejected(self):
