@@ -233,9 +233,8 @@ def cmd_otoc(args, text: str) -> _Computation:
         h, psi0 = _qudit(f)
         w = _otoc_operator(f["w"], "w", h.n_levels)
         v = _otoc_operator(f["v"], "v", h.n_levels)
-    times = f["times_s"]
-    if times == []:  # otoc_series gives no rows, and the summary takes their minimum
-        raise ParseError("otoc config: 'times_s' must be non-empty")
+        # one time at least: the summary takes the minimum over the rows
+        times = require_array("times_s", f["times_s"], (None,), float, least=1)
 
     def compute() -> _Result:
         rows = trotter.otoc_series(w, v, h, times, psi0)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
 from typing import Literal, Sequence, get_args
 
 from .errors import (DegenerateDetuningError, UsageError, finite_result, parse_errors,
@@ -33,39 +32,55 @@ _FIELDS = (
 StarkOrder = Literal[1, 2]  # the dispersive expansion orders of stark_shifted_freq
 
 
-@dataclass(frozen=True)
 class DeviceParams:
-    """Static parameters of one qubit-cavity pair.
+    """Static parameters of one qubit-cavity pair, immutable and compared,
+    hashed, printed and serialized by their seven fields.
 
     t1_fock0_s is the single-photon (|1⟩) cavity lifetime that anchors
     the 1/n scaling; t1_min_s is the shortest usable Fock lifetime.
     chi_prime_hz is the second-order dispersive shift, a free parameter
     here rather than a derived one. alpha_hz is the transmon anharmonicity.
+    It is a plain class, not a frozen dataclass, because `dataclasses`
+    imports `inspect`, 6–9 ms of every `cavityq device` call's start-up.
     """
 
-    omega_q_hz: float
-    omega_c_hz: float
-    g_hz: float
-    chi_prime_hz: float
-    alpha_hz: float
-    t1_fock0_s: float
-    t1_min_s: float
+    __match_args__ = _FIELDS
 
-    def __post_init__(self) -> None:
+    def __init__(self, omega_q_hz: float, omega_c_hz: float, g_hz: float, chi_prime_hz: float,
+                 alpha_hz: float, t1_fock0_s: float, t1_min_s: float) -> None:
+        given = locals()
         for name in _FIELDS:
-            value = require_finite(name, getattr(self, name))
+            value = require_finite(name, given[name])
             if name in ("g_hz", "t1_fock0_s", "t1_min_s"):
                 value = require_positive(name, value)
-            object.__setattr__(self, name, value)
+            self.__dict__[name] = value
         if self.omega_q_hz == self.omega_c_hz:
             raise UsageError("omega_q_hz equal to omega_c_hz leaves no dispersive regime")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def detuning_hz(self) -> float:
         return self.omega_q_hz - self.omega_c_hz
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceParams":

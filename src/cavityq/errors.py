@@ -137,15 +137,19 @@ def require_real(name: str, value) -> float:
         raise NumericError(f"{name} is too large for a float") from None
 
 
-def require_complex(name: str, value) -> complex:
+def require_complex(name: str, value, finite: bool = False) -> complex:
     """complex(value), or UsageError unless value is a complex number
-    (`is_complex`); NumericError for one too large for a float."""
+    (`is_complex`), finite where `finite` is set, in require_finite's
+    message; NumericError for one too large for a float."""
     if not is_complex(value):
         raise UsageError(f"{name} must be a complex number, got {value!r}")
     try:
-        return complex(value)
+        value = complex(value)
     except OverflowError:  # an int, or any other Rational, beyond the float range
         raise NumericError(f"{name} is too large for a float") from None
+    if finite and not cmath.isfinite(value):
+        raise UsageError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def require_finite(name: str, value) -> float:

@@ -13,7 +13,6 @@ chunked product of maps (SU(2) sectors, larger blocks, RK4 step maps).
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 import warnings
@@ -413,9 +412,7 @@ def coherent_amplitudes(alpha: complex, n: int) -> np.ndarray:
     evaluated in log space so large |α| stays finite. A NaN or infinite α
     raises UsageError naming alpha."""
     [n] = shape_of((n,)).dims
-    alpha = require_complex("alpha", alpha)
-    if not cmath.isfinite(alpha):
-        raise UsageError(f"alpha must be finite, got {alpha!r}")
+    alpha = require_complex("alpha", alpha, finite=True)
     if alpha == 0:
         amps = np.zeros(n, dtype=np.complex128)
         amps[0] = 1.0

@@ -112,9 +112,7 @@ def _displacement_map(alpha: complex, n: int, convention: Convention, name: str 
     m the size of the other axes. Q is real, so each product with it is one
     real product on the C-contiguous (n, m) complex array as (n, 2m) reals."""
     convention = require_choice("convention", convention, CONVENTIONS)
-    alpha = require_complex(name, alpha)
-    if not cmath.isfinite(alpha):
-        raise UsageError(f"{name} must be finite")
+    alpha = require_complex(name, alpha, finite=True)
     if convention == "paper":
         alpha = -alpha
     rot, angle, vecs = _displacement_factors([alpha], n, name)

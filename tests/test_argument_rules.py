@@ -126,7 +126,7 @@ REAL_SITES = {
         "dt_s", lambda v: [k.matrix for k in noise.dephasing_channel(1e-6, v, 3).kraus]),
     "sech_pitch.kappa_hz": ("kappa_hz", lambda v: qst.sech_pitch(v, np.linspace(-3.0, 3.0, 7))),
     **{f"DeviceParams.{field}": (
-        field, lambda v, field=field: dataclasses.asdict(
+        field, lambda v, field=field: vars(
             device.DeviceParams(**{**DEVICE, field: v})))
        for field in ("g_hz", "t1_fock0_s", "t1_min_s")},
     "grape_optimize.learning_rate": ("learning_rate", lambda v: _grape(learning_rate=v)),
@@ -1469,7 +1469,8 @@ FLAG_SITES = {
         "enforce_bound", lambda v: pulse.synthesize_snap_pulse(
             pulse.dispersive_model(1e6, 2), [0.1, 0.2], 1e-5, enforce_bound=v)),
 }
-FLAG_EXEMPT = {"GrapeResult.converged": _RESULT, "SequencePrepResult.converged": _RESULT}
+FLAG_EXEMPT = {"GrapeResult.converged": _RESULT, "SequencePrepResult.converged": _RESULT,
+               "require_complex.finite": "a parameter of the complex rule"}
 
 
 def test_every_bool_parameter_is_a_flag_site_or_exempt():

@@ -1,11 +1,18 @@
+import copy
+import dataclasses
+import inspect
 import json
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from cavityq import device, errors
 from cavityq.errors import ParseError, UsageError
+from golden import CASES, readme_example
 
 
 def reference_params(**overrides) -> device.DeviceParams:
@@ -222,3 +229,59 @@ def test_derived_value_that_is_not_finite_is_a_numeric_error(estimator, override
 def test_summary_overflow_is_a_numeric_error():
     with pytest.raises(errors.NumericError, match="chi_hz is not finite"):
         device.device_summary(reference_params(g_hz=1e308))
+
+
+# the frozen dataclass DeviceParams was, whose observable behaviour the plain
+# class keeps
+FROZEN_DATACLASS = dataclasses.make_dataclass(
+    "DeviceParams", [(f, float) for f in device._FIELDS], frozen=True)
+POSITIVE_FIELDS = ("g_hz", "t1_fock0_s", "t1_min_s")
+
+
+@st.composite
+def _device_fields(draw) -> dict:
+    fields = {f: draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+                      if f in POSITIVE_FIELDS else st.floats(allow_nan=False, allow_infinity=False))
+              for f in device._FIELDS}
+    assume(fields["omega_q_hz"] != fields["omega_c_hz"])
+    return fields
+
+
+def _assert_behaves_as_frozen_dataclass(fields: dict) -> None:
+    params, ref = device.DeviceParams(**fields), FROZEN_DATACLASS(**fields)
+    assert repr(params) == repr(ref)
+    assert hash(params) == hash(ref)
+    assert params.to_json() == json.dumps(dataclasses.asdict(ref), indent=2, sort_keys=True)
+    assert vars(params) == dataclasses.asdict(ref)
+    assert params.__match_args__ == ref.__match_args__
+    # the next float toward 0 (away from it for a zero) differs and stays finite
+    alpha = fields["alpha_hz"]
+    other = dict(fields, alpha_hz=math.nextafter(alpha, 0.0 if alpha else 1.0))
+    assert params == device.DeviceParams(**fields) and ref == FROZEN_DATACLASS(**fields)
+    assert params != device.DeviceParams(**other) and ref != FROZEN_DATACLASS(**other)
+    as_tuple = tuple(fields.values())
+    assert params.__eq__(as_tuple) is ref.__eq__(as_tuple) is NotImplemented
+    assert params != as_tuple
+    for change in (lambda obj: setattr(obj, "g_hz", 1.0), lambda obj: delattr(obj, "g_hz"),
+                   lambda obj: setattr(obj, "extra", 1.0)):
+        with pytest.raises(AttributeError) as expected:
+            change(ref)
+        with pytest.raises(AttributeError, match=f"^{re.escape(str(expected.value))}$"):
+            change(params)
+    assert vars(params) == dataclasses.asdict(ref)  # the refused changes left no trace
+    for clone in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert type(clone) is device.DeviceParams and clone == params
+        assert (repr(clone), hash(clone), vars(clone)) == (repr(ref), hash(ref), vars(params))
+
+
+class TestFrozenDataclassContract:
+    def test_signature(self):
+        assert inspect.signature(device.DeviceParams, eval_str=True) == \
+            inspect.signature(FROZEN_DATACLASS)
+
+    def test_readme_fields(self):
+        _assert_behaves_as_frozen_dataclass(json.loads(readme_example(CASES["device"])[0]))
+
+    @given(_device_fields())
+    def test_drawn_fields(self, fields):
+        _assert_behaves_as_frozen_dataclass(fields)
