@@ -36,6 +36,7 @@ from .errors import (
     require_finite,
     require_index,
     require_instance,
+    require_nonnegative,
     require_on,
     require_phase,
     require_sequence,
@@ -153,6 +154,7 @@ class StateVector:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "amplitudes",
                            require_array("amplitudes", self.amplitudes, (shape.total_dim,)))
+        object.__setattr__(self, "leakage", require_nonnegative("leakage", self.leakage))
 
     @property
     def dim(self) -> int:

