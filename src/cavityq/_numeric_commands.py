@@ -115,6 +115,8 @@ def _matrix(f: dict, n: int, what: str) -> np.ndarray:
 
 
 def _grape_target(spec: dict, shape: fock.HilbertShape) -> fock.Operator:
+    """The target of a grape config on the model's register; a "snap" spec
+    is `gates.multisnap`, bitwise the matrix of `gates.snap`."""
     kind, f = read_kind(spec, "grape target",
                         {"identity": ({}, {}), "pauli_x": ({}, {}), **_OPERATORS})
     dim = shape.total_dim

@@ -24,7 +24,7 @@ it into a tuple, from any iterable but a str or a mapping, unless its
 docstring names the argument's kind as exempt; the site then reads each
 entry by its own rule, and `require_distinct` refuses a repeat.
 `require_choice` reads every Literal argument, `require_flag` every bool
-argument. The other nine are listed site by site in the README:
+argument. The other nine are:
 `require_count` for counts, seeds and photon numbers, `fock.shape_of`
 for dimensions, before any allocation, `require_index` for level,
 subsystem and basis indices, `require_real` for other real numbers,

@@ -485,7 +485,8 @@ def mode_probabilities(psi: StateVector, keep: Iterable[int] | None = None) -> n
     """Marginal occupation probabilities of the kept subsystems jointly, in
     the order given: re² + im² of ψ with the kept axes in front, summed over
     the rest, so nothing of size d_keep² is formed. keep=None keeps every
-    subsystem (|ψ|² itself); a single subsystem gives its marginal."""
+    subsystem (|ψ|² itself); a single subsystem gives its marginal. For a
+    one-mode state it is the diagonal of `reduced_density_matrix`, bitwise."""
     shape = require_instance("psi", psi, StateVector).shape
     keep = _as_axes(range(shape.n_subsystems) if keep is None else keep, shape)
     amps = np.moveaxis(psi.amplitudes.reshape(psi.shape.dims), keep, range(len(keep)))

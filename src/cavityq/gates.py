@@ -15,7 +15,8 @@ public constructors and `GateSpec.build` run the kernels on the identity
 (`_gate`); `errors.read_object` checks a gate's field list as it does
 every config's. Each field is read once, by the rule its kernel applies
 to the constructor's argument, so a GateSpec takes what the constructor
-takes, numpy scalars included.
+takes, numpy scalars included. Every compiled gate addresses the register
+axes from the end, so a circuit also runs on a (B, *dims) stack of states.
 Every SNAP phase list is read once, by `_snap_phases`, the one count and
 phase rule: `errors.require_array` refuses any count but n, or none at
 all, and a max|θ| above `errors.MAX_PHASE_RAD` raises NumericError.
@@ -430,7 +431,7 @@ def _ecd_kernel(args, targets, dims) -> _Kernel:
     """|e⟩⟨g| ⊗ D(β/2) + |g⟩⟨e| ⊗ D(−β/2): displace the |g⟩ and |e⟩
     slices of the mode axis, then swap them; β read before it is halved."""
     beta, n, convention = args
-    beta = require_complex("beta", beta)
+    beta = require_complex("beta", beta, finite=True)
     qubit, mode = (t - len(dims) for t in targets)
     d_plus = _displacement_map(beta / 2, n, convention, "beta")
     d_minus = _displacement_map(-beta / 2, n, convention, "beta")
@@ -626,6 +627,8 @@ class Circuit:
         object.__setattr__(self, "_kernels", tuple(kernels))
 
     def to_json(self) -> str:
+        """The circuit document, with `_json_value` for the fields json cannot
+        write, from which `circuit_from_json` rebuilds the same unitary bit for bit."""
         doc = {
             "shape": list(self.shape.dims),
             "displacement_convention": self.displacement_convention,

@@ -245,7 +245,7 @@ def apply_channel(channel: NoiseChannel, rho: np.ndarray) -> np.ndarray:
     ndarray of its shape pass unchecked: the ndarray is taken by one
     np.asarray call, without a finiteness pass, and the channel's type is
     checked only when its kernel cannot be read. Any other rho is read by
-    `require_array`."""
+    `require_array`. Returns a new C-ordered (N, N) array; rho is unchanged."""
     try:
         kernel = channel._kernel
     except AttributeError:
@@ -323,7 +323,8 @@ def _unravel(channel: NoiseChannel, psi: StateVector, steps: int,
     Trajectory i draws its uniforms from default_rng(seeds[i]) in one
     random(steps) call, which gives the same numbers as one random() per
     step. Between jumps a state is K0^j x / ‖K0^j x‖ (the waiting-time
-    picture of Dalibard, Castin & Mølmer, PRL 68, 580 (1992)), so a
+    picture of Dalibard, Castin & Mølmer, PRL 68, 580 (1992); Plenio &
+    Knight, Rev. Mod. Phys. 70, 101 (1998)), so a
     history's whole no-jump run through a block is one product with K0's
     powers, formed once per call: its branch weights, parity and ⟨n⟩ at
     every step. Trajectories with one history (the same jumps at the same

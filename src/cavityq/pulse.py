@@ -12,6 +12,24 @@ exp(-i*(H_drift + sum_k 2*pi*u_k*C_k)*dt).
 
 Each complex amplitude stream pairs with two control operators: the stream's
 real part drives controls[2s], the imaginary part controls[2s+1].
+
+Simulation and GRAPE work block by block. The connected components of the
+joint sparsity pattern of the drift and every control are invariant
+subspaces, found once per model (`ControlModel.block_layout`): a
+qubit-driven dispersive model splits into N 2x2 photon-number sectors
+{|g,n>, |e,n>}, and a cavity drive or a dense model gives one block.
+`simulate_schedule` carries a 2x2 block as the SU(2) pair of
+`su2_factors`, never as a matrix, and a larger one through one batched
+eigh per chunk of _CHUNK_ENTRIES; each chunk reads its coefficients from
+the streams, so no array spans the schedule. `synthesize_snap_pulse`
+streams its drive samples the same way. GRAPE takes each segment's block
+eigensystem (2x2 in closed form), one prefix scan P_j = U_j...U_0, and the
+backward products as U P_j^dag, with no second scan; only the on-block
+entries of the controls enter its gradient. GRAPE keeps steepest ascent,
+since `cavityq grape` writes its trace as an artifact whose bytes must not
+change; the sequence optimizer takes L-BFGS directions, and its
+displacement eigensystems come from the gates' cached quadrature
+eigensystem, with no eigh.
 """
 
 from __future__ import annotations

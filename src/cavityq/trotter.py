@@ -230,7 +230,7 @@ def otoc(w: Circuit | Operator | np.ndarray, v: Circuit | Operator | np.ndarray,
          h: QuditHamiltonian, t_s: float, psi0=None) -> complex:
     """<psi0| W†(t) V† W(t) V |psi0> with W(t) = U†(t) W U(t), U = exp(-iHt)
     exact. W and V are as otoc_series takes them; psi0 defaults to |0>."""
-    [(_, re, im, _)] = otoc_series(w, v, h, [t_s], psi0)
+    [(_, re, im, _)] = _otoc_rows(w, v, h, "t_s", [t_s], psi0)
     return complex(re, im)
 
 
@@ -251,14 +251,19 @@ def otoc_series(w: Circuit | Operator | np.ndarray, v: Circuit | Operator | np.n
     // N times (at least 2), so memory does not grow with len(times_s); a
     last block of one time joins the one before it.
     """
+    return _otoc_rows(w, v, h, "times_s", times_s, psi0)
+
+
+def _otoc_rows(w, v, h, name: str, times_s, psi0):
+    """`otoc_series`' rows, naming the time grid times_s as name."""
     n = require_instance("h", h, QuditHamiltonian).n_levels
     w = _operator(w, n, "W")
     v = _operator(v, n, "V")
     psi = _state_vector(psi0, n).amplitudes.reshape(n)
-    times = require_array("times_s", times_s, (None,), float).tolist()
+    times = require_array(name, times_s, (None,), float).tolist()
     evals, vecs = h._eigensystem
     t_far = max(times, key=abs, default=0.0)
-    require_phase(f"times_s entry {t_far!r}", float(np.max(np.abs(evals))) * abs(t_far),
+    require_phase(f"{name} entry {t_far!r}", float(np.max(np.abs(evals))) * abs(t_far),
                   "phase max|E|*|t|")
     q_dag = vecs.conj().T
     w_eig = _eigenbasis(w, q_dag, vecs)

@@ -738,8 +738,7 @@ SITES = {
     "trotter_convergence.psi0": Site(
         "psi0", lambda v: trotter.trotter_convergence(HAMILTONIAN, 1.0, [3], v),
         shape=(ONE_BY_THREE, (3,))),
-    # otoc reads t_s as otoc_series' times_s, and names it so
-    "otoc.t_s": Site("times_s", lambda v: trotter.otoc(np.eye(3), np.eye(3), HAMILTONIAN, v),
+    "otoc.t_s": Site("t_s", lambda v: trotter.otoc(np.eye(3), np.eye(3), HAMILTONIAN, v),
                      number=True),
     "otoc.psi0": Site("psi0", lambda v: trotter.otoc(np.eye(3), np.eye(3), HAMILTONIAN, 0.0, v),
                       shape=(ONE_BY_THREE, (3,))),
@@ -1141,8 +1140,8 @@ def test_finite_site_refuses(key, value):
     # the gate sites raised ValueError "math domain error", or NumericError
     # "non-finite entries in matrix" after RuntimeWarnings
     name, call, _ = _use(key, "finite")
-    got = "" if "complex" in ROWS[key].rules else f"{value!r}$"  # a complex site shows a complex
-    with pytest.raises(UsageError, match=f"^{name} must be finite, got {got}"):
+    got = complex(value) if "complex" in ROWS[key].rules else value  # the value as passed
+    with pytest.raises(UsageError, match=f"^{name} must be finite, got {re.escape(repr(got))}$"):
         call(value)
 
 

@@ -1,6 +1,6 @@
 """The README examples: every command's config against its stored golden
-result, each config through a fresh `python -W error -m cavityq`, and the
-python blocks as one script.
+result, each config through a fresh `python -W error -m cavityq`, the
+python blocks as one script, and every `module.name` it cites.
 
 The artifact's header lines, integer cells and strings must match exactly;
 float cells and summary floats to a relative 1e-12, which leaves room only
@@ -8,13 +8,16 @@ for the last bits of a BLAS kernel on another host. `tests/golden.py`
 rewrites the stored files.
 """
 
+import importlib
 import json
 import math
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import cavityq
 from cavityq import cli
 from golden import CASES, ROOT, fresh_python, golden_paths, readme_command, run_case
 
@@ -71,6 +74,25 @@ def test_readme_python_blocks_run_as_one_script():
     assert "qst.simulate_transfer" in script
     proc = fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_readme_module_reference_resolves():
+    # a backticked `<module>.<name>` (or `cavityq.<module>.<name>`) that names
+    # no attribute of cavityq.<module> is a stale name left by a rename; the
+    # config file names, such as `trotter.json`, are not references
+    modules = "|".join(m.name for m in pkgutil.iter_modules(cavityq.__path__))
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = re.findall(rf"`(?:cavityq\.)?({modules})((?:\.\w+)+)\b(?<!\.json)", text)
+    assert refs
+    stale = []
+    for module, attrs in dict.fromkeys(refs):
+        obj = importlib.import_module(f"cavityq.{module}")
+        try:
+            for name in attrs[1:].split("."):
+                obj = getattr(obj, name)
+        except AttributeError:
+            stale.append(module + attrs)
+    assert stale == []
 
 
 @pytest.mark.parametrize("command", CASES)
