@@ -13,9 +13,11 @@ parity, and the final and step-averaged mean photon number.
 
     PYTHONPATH=src python tests/golden.py
 
-`fresh_python` runs a fresh `python -W error` on this checkout's `src`, for
-the checks that need a new interpreter: the `python -m cavityq` entry point,
-the modules a command loads, and the environment a process starts with.
+`run_cli` runs `cavityq` in-process through `cli.main` and returns its exit
+code, what it printed and whether its output directory exists. `fresh_python` runs a fresh `python -W error` on this
+checkout's `src`, for the checks that need a new interpreter: the
+`python -m cavityq` entry point, the modules a command loads, and the
+environment a process starts with.
 """
 
 import contextlib
@@ -29,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +73,25 @@ def readme_command(command: str, tmp: Path) -> list[str]:
             for a in argv]
 
 
+class CliRun(NamedTuple):
+    code: int  # the exit code
+    stdout: str
+    stderr: list[str]  # its lines
+    wrote: bool  # whether the output directory exists afterwards
+
+
+def run_cli(out: Path, *argv: str) -> CliRun:
+    """`cavityq --out out *argv` in-process through `cli.main`. An argparse
+    exit (a bad flag, `--help`) returns its code like any other."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(["--out", str(out), *argv])
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, stdout.getvalue(), stderr.getvalue().splitlines(), Path(out).exists())
+
+
 def fresh_python(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
     """`python -W error *args` in a fresh interpreter, such as
     `fresh_python("-m", "cavityq", "device", path)`, with this checkout's `src`
@@ -103,11 +125,9 @@ def run_case(command: str) -> tuple[str | None, dict]:
     for `device`), without its version line, and the stdout summary,
     without the artifact path."""
     with tempfile.TemporaryDirectory() as tmp:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main(readme_command(command, Path(tmp)))
-        assert code == 0, f"{command} exited {code}"
-        summary = json.loads(stdout.getvalue())
+        run = run_cli(Path(tmp) / "out", *readme_command(command, Path(tmp)))
+        assert run.code == 0, f"{command} exited {run.code}: {run.stderr}"
+        summary = json.loads(run.stdout)
         artifact = None
         if "output" in summary:
             text = Path(summary.pop("output")).read_text(encoding="utf-8")

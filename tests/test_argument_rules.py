@@ -335,7 +335,10 @@ SITES = {
     **dict.fromkeys(["eig_exponential.evals", "eig_exponential.vecs", "eig_exponential.t",
                      "su2_factors.bz", "su2_factors.h10", "su2_factors.t", "su2_matrix.phase",
                      "su2_matrix.a", "su2_matrix.b", "expm_hermitian.h", "expm_hermitian.t",
-                     "hermitian_eigensystem.h", "populations.rho"], _KERNEL),
+                     "hermitian_eigensystem.h"], _KERNEL),
+    "populations.rho": Exempt(
+        "an array that no engine reads: numpy's own ValueError on a non-array, until a "
+        "contract test of every public call decides it"),
     "propagator.h": Site("h", lambda v: fock.propagator(v, 1.0), instance=True, shape=_ANY),
     # d*max|H| of number_operator(3) is 6
     "propagator.t": Site("t", lambda v: fock.propagator(fock.number_operator(3), v).matrix,
@@ -1872,72 +1875,6 @@ def test_results_are_python_numbers_whatever_numpy_scalar_went_in():
     assert type(device.fock_t1(PARAMS, np.int64(2))) is float
     assert type(device.stark_shifted_freq(PARAMS, np.int64(2))) is float
     assert type(device.multimode_drive_freq(PARAMS, [(1, np.float32(2e5))])) is float
-
-
-@pytest.mark.parametrize("command, doc", [
-    ("run", {"shape": [100], "gates": []}),
-    ("code", {"alpha": [1.0, 0.0], "n_levels": 100, "t1_s": 1.0, "dt_s": 1e-4,
-              "steps": 1}),
-])
-def test_cli_dimension_over_cap_exits_4(command, doc, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(fock.DIM_CAP_ENV_VAR, "64")
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
-    assert cli.main(["--out", str(tmp_path), command, str(config)]) == 4
-    err = capsys.readouterr().err
-    assert err == "error: total dimension 100 exceeds cap 64\n"
-
-
-BIG = 10**400  # a JSON integer too large for a float
-
-
-@pytest.mark.parametrize("command, fragment, doc", [
-    ("device", "g_hz is too large for a float", {**DEVICE, "g_hz": BIG}),
-    ("grape", "dt_s is too large for a float", {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
-                         "n_segments": 5, "dt_s": BIG}),
-    ("trotter", "diagonal holds a number too large for a float", {"diagonal": [0.3, BIG], "kinetic_diagonal": [0.1, 0.3],
-                               "t_total_s": 1.0, "steps_list": [10]}),
-    ("qst", "kappa_hz is too large for a float", {"kappa_hz": BIG, "t_span_s": [-2e-5, 2e-5], "dt_s": 4e-8,
-                           "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}}),
-    ("code", "alpha holds a number too large for a float", {"alpha": [BIG, 0.0], "n_levels": 10, "t1_s": 1e-3, "dt_s": 1e-7,
-                         "steps": 10}),
-    ("run", "alpha is too large for a float", {"shape": [8], "gates": [
-        {"kind": "displacement", "target": 0, "alpha": BIG}]}),
-    # the array rule's readers: a SNAP gate, a matrix spec and a transfer input_state
-    ("run", "'theta'", {"shape": [3], "gates": [{"kind": "snap", "target": 0,
-                                                 "theta": [0.0, BIG, 0.0]}]}),
-    ("otoc", "'re'", {"diagonal": [0.3, -0.1], "kinetic_diagonal": [0.1, 0.3], "times_s": [0.0],
-                      "w": {"kind": "fourier"},
-                      "v": {"kind": "matrix", "re": [[BIG, 0.0], [0.0, 1.0]], "im": [[0.0] * 2] * 2}}),
-    ("qst", "'input_state'", {"kappa_hz": 2e6, "t_span_s": [-2e-5, 2e-5], "dt_s": 2e-8,
-                              "input_state": [[0.0, 0.0], [BIG, 0.0]],
-                              "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}}),
-], ids=["device", "grape", "trotter", "qst", "code", "run", "run_theta", "otoc_re", "qst_input_state"])
-def test_cli_huge_integer_in_float_field_exits_2(command, fragment, doc, tmp_path, capsys):
-    # each ended in an OverflowError traceback and exit 1
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
-    assert cli.main(["--out", str(tmp_path), command, str(config)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
-
-
-def test_cli_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
-    # json.loads raised a bare ValueError past 4300 digits: a traceback and exit 1
-    config = tmp_path / "grape.json"
-    config.write_text('{"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"}, '
-                      f'"n_segments": 5, "dt_s": 1{"0" * 5000}}}')
-    assert cli.main(["--out", str(tmp_path), "grape", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("error: invalid grape config JSON: ")
-
-
-def test_cli_zero_segments_refused(tmp_path, capsys):
-    config = tmp_path / "grape.json"
-    config.write_text(json.dumps({"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"},
-                                  "n_segments": 0, "dt_s": 1e-8}))
-    assert cli.main(["--out", str(tmp_path), "grape", str(config)]) == 2
-    assert capsys.readouterr().err == (
-        "error: grape config: n_segments must be a positive integer, got 0\n")
 
 
 def test_bulk_rule_tests_one_entry_per_type():

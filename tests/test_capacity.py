@@ -9,8 +9,6 @@ A violation raises `CapacityError` (exit 4 on the command line); every cap
 is inclusive.
 """
 
-import contextlib
-import io
 import json
 import re
 import tracemalloc
@@ -19,8 +17,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cavityq import cli, errors, fock, gates, noise, pulse, trotter
+from cavityq import errors, fock, gates, noise, pulse, trotter
 from cavityq.errors import CapacityError
+from golden import run_cli
 
 LOSS = noise.photon_loss_channel(1.0, 1e-4, 4)
 PSI = fock.basis_state(4, 2)
@@ -176,14 +175,6 @@ def test_trotter_over_cap_runs_no_transform():
             trotter.trotter_convergence(HAMILTONIAN, 1.0, [10**13, 5])
 
 
-def _main(argv):
-    """cli.main's exit code and stderr lines."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    return code, err.getvalue().splitlines()
-
-
 CODE = {"alpha": [1.0, 0.0], "n_levels": 12, "t1_s": 1.0, "dt_s": 1e-4}
 GRAPE = {"model": {"kind": "qubit"}, "target": {"kind": "pauli_x"}, "dt_s": 1e-8,
          "iterations": 1}
@@ -217,19 +208,18 @@ def test_cli_over_cap_exits_4_before_allocating(case, tmp_path):
     command, doc, fragment = CLI_OVER_CAP[case]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
-    argv = ["--out", str(tmp_path / "out"), command, str(config)]
-    _main(argv)  # first imports and caches, untraced
+    argv = [tmp_path / "out", command, str(config)]
+    run_cli(*argv)  # first imports and caches, untraced
     tracemalloc.start()
     try:
-        code, lines = _main(argv)
+        run = run_cli(*argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 4
-    [line] = lines
+    assert (run.code, run.stdout, run.wrote) == (4, "", False)
+    [line] = run.stderr
     assert re.fullmatch(rf"error: {re.escape(fragment)}, above the cap of \d+", line)
     assert peak < 1 << 20
-    assert not (tmp_path / "out").exists()
 
 
 # (command, module, constant, patched cap, config at the cap, config one past it)
@@ -252,9 +242,9 @@ def test_cli_cap_is_inclusive(case, tmp_path, monkeypatch):
     for doc, expected in ((at_cap, 0), (past_cap, 4)):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
-        code, lines = _main(["--out", str(tmp_path), command, str(config)])
-        assert code == expected, lines
-    assert lines[-1].endswith(f"above the cap of {cap}")
+        run = run_cli(tmp_path, command, str(config))
+        assert run.code == expected, run.stderr
+    assert run.stderr[-1].endswith(f"above the cap of {cap}")
 
 
 # the GRAPE cap on segments × block entries (Σ B·b² over the block layout):
@@ -284,8 +274,7 @@ def test_cli_grape_entry_cap_exits_4_before_the_schedule(tmp_path):
     config.write_text(json.dumps(WIDE))
     with mock.patch.object(pulse, "PulseSchedule", side_effect=AssertionError("allocated")), \
             mock.patch.object(pulse, "_grape_pass", side_effect=AssertionError("ran a pass")):
-        code, lines = _main(["--out", str(tmp_path / "out"), "grape", str(config)])
-    assert code == 4
-    assert lines == ["error: n_segments 10000 × block entries 16384 is 163840000 segment "
-                     "block entries, above the cap of 800000"]
-    assert not (tmp_path / "out").exists()
+        run = run_cli(tmp_path / "out", "grape", str(config))
+    assert (run.code, run.wrote) == (4, False)
+    assert run.stderr == ["error: n_segments 10000 × block entries 16384 is 163840000 segment "
+                          "block entries, above the cap of 800000"]

@@ -113,6 +113,16 @@ class TestPulseSchedule:
         with pytest.raises(ParseError, match="^control 0 must be an object$"):
             PulseSchedule.from_json(json.dumps({"dt_s": 1e-9, "controls": [[0.0, 1.0]]}))
 
+    @pytest.mark.parametrize("doc, name", [
+        ({"dt_s": 1e-9, "controls": [{"carrier_hz": 0.0, "amps": [[0.0, 0.0]]}],
+          "control": []}, "control"),
+        ({"dt_s": 1e-9, "controls": [{"carrier_hz": 0.0, "amps": [[0.0, 0.0]], "phase": 0.0}]},
+         "phase"),
+    ], ids=["schedule", "control"])
+    def test_json_unknown_field(self, doc, name):
+        with pytest.raises(ParseError, match=f"unknown field '{name}'"):
+            PulseSchedule.from_json(json.dumps(doc))
+
     def test_json_empty_amps_names_the_missing_segments(self):
         # the shape rule said "control 0: field 'amps' must be 0x2, got (0,)"
         doc = {"dt_s": 1e-9, "controls": [{"carrier_hz": 0.0, "amps": []}]}
