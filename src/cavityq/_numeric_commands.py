@@ -1,10 +1,11 @@
 """The six numeric subcommands of `cli` and their config parsers. `cli.main`
 imports this module, and with it numpy, for any command but `device`.
-Each `cmd_<name>` reads its config, building what it describes inside one
-`errors.parse_errors` boundary that names the config, then returns its
-computation: a closure over what it built and over the fields that only
-the engine call they feed reads, by its rule; never over the config text
-or the decoded object (`cli._parse`).
+Each `cmd_<name>` reads its config, building what it describes, then
+returns its computation: a closure over what it built and over the
+fields that only the engine call they feed reads, by its rule; never over
+the config text or the decoded object. `cli._parse` is the config's
+`errors.parse_errors` boundary, and each object nested in it has its
+own, keyed by the object's field name.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 # for an unloaded layer (`spans.Tracer.install`); to go with ROADMAP item 1
 from . import codes, fock, gates, noise, pulse, qst, trotter
 from .cli import _Computation, _Result
-from .errors import (ParseError, UsageError, decode_object, parse_errors, read_fields, read_kind,
-                     require_array, require_count, require_index)
+from .errors import (NumericError, UsageError, decode_object, parse_errors, read_fields,
+                     read_kind, require_array, require_count, require_index)
 
 _PROB_FLOOR = 1e-12
 
@@ -39,11 +40,10 @@ def _parse_state_spec(spec: str, shape: fock.HilbertShape) -> fock.StateVector:
 
 def cmd_run(args, text: str) -> _Computation:
     circuit = gates.circuit_from_json(text)
-    spec = args.state if args.state else ",".join("0" for _ in circuit.shape.dims)
-    psi0 = _parse_state_spec(spec, circuit.shape)
 
-    def compute() -> _Result:
-        final = gates.apply_circuit(circuit, psi0)
+    def compute() -> _Result:  # reads --state, which is not config: a fault in it exits 1
+        spec = args.state or ",".join("0" for _ in circuit.shape.dims)
+        final = gates.apply_circuit(circuit, _parse_state_spec(spec, circuit.shape))
         probs = np.abs(final.amplitudes.reshape(-1)) ** 2
         kept = np.flatnonzero(probs > _PROB_FLOOR)
         return "run_probabilities", {"basis_index": kept, "probability": probs[kept]}, {
@@ -58,12 +58,12 @@ def _qst_config_and_sweep(text: str):
     """The transfer config and detuning sweep (None for a single run) of a
     qst config: a transfer config, or {"transfer": ..., "delta_sweep_hz":
     [...]}."""
-    doc = decode_object(text, "transfer config")
+    doc = decode_object(text, "")
     if "transfer" not in doc:
         return qst.qst_config_from_json(doc), None
-    f = read_fields(doc, "transfer config", {"transfer": dict},
-                    {"delta_sweep_hz": (object, None)})
-    return qst.qst_config_from_json(f["transfer"]), f["delta_sweep_hz"]
+    f = read_fields(doc, "", {"transfer": dict}, {"delta_sweep_hz": (object, None)})
+    with parse_errors("transfer"):
+        return qst.qst_config_from_json(f["transfer"]), f["delta_sweep_hz"]
 
 
 def cmd_qst(args, text: str) -> _Computation:
@@ -100,51 +100,50 @@ _OPERATORS = {"snap": ({"theta": object}, {}), "matrix": ({"re": object, "im": o
 
 
 def _grape_model(spec: dict):
-    kind, f = read_kind(spec, "grape model", _GRAPE_MODELS)
-    if kind == "qubit":
-        return pulse.qubit_model(f["detuning_hz"])
-    return pulse.dispersive_model(f["chi_hz"], f["n_levels"], cavity_drive=f["cavity_drive"])
+    kind, f = read_kind(spec, "model", _GRAPE_MODELS)
+    with parse_errors("model"):
+        if kind == "qubit":
+            return pulse.qubit_model(f["detuning_hz"])
+        return pulse.dispersive_model(f["chi_hz"], f["n_levels"], cavity_drive=f["cavity_drive"])
 
 
-def _matrix(f: dict, n: int, what: str) -> np.ndarray:
+def _matrix(f: dict, n: int) -> np.ndarray:
     """The n×n matrix of a "matrix" operator spec's fields, its 're' and 'im'
     rows read by the array rule (`errors.require_array`) and named on a fault."""
-    with parse_errors(what):
-        re, im = (require_array(f"field '{name}'", f[name], (n, n), float) for name in ("re", "im"))
+    re, im = (require_array(f"field '{name}'", f[name], (n, n), float) for name in ("re", "im"))
     return re + 1j * im
 
 
 def _grape_target(spec: dict, shape: fock.HilbertShape) -> fock.Operator:
     """The target of a grape config on the model's register; a "snap" spec
     is `gates.multisnap`, bitwise the matrix of `gates.snap`."""
-    kind, f = read_kind(spec, "grape target",
+    kind, f = read_kind(spec, "target",
                         {"identity": ({}, {}), "pauli_x": ({}, {}), **_OPERATORS})
     dim = shape.total_dim
-    if kind == "identity":
-        return fock.Operator(shape, np.eye(dim, dtype=complex))
-    if kind == "pauli_x":
-        if dim != 2:
-            raise ParseError("grape target: pauli_x needs a 2-level model")
-        return fock.Operator(shape, np.array([[0, 1], [1, 0]], dtype=complex))
-    if kind == "snap":
-        with parse_errors("grape target"):
+    with parse_errors("target"):
+        if kind == "identity":
+            return fock.Operator(shape, np.eye(dim, dtype=complex))
+        if kind == "pauli_x":
+            if dim != 2:
+                raise UsageError("pauli_x needs a 2-level model")
+            return fock.Operator(shape, np.array([[0, 1], [1, 0]], dtype=complex))
+        if kind == "snap":
             return gates.multisnap(f["theta"], shape)
-    return fock.Operator(shape, _matrix(f, dim, "grape target"))
+        return fock.Operator(shape, _matrix(f, dim))
 
 
 def cmd_grape(args, text: str) -> _Computation:
-    f = read_fields(text, "grape config",
+    f = read_fields(text, "",
                     {"model": dict, "target": dict, "n_segments": object, "dt_s": object},
                     {"iterations": (object, 500), "learning_rate": (object, 0.2),
                      "tol": (object, 1e-8)})
-    with parse_errors("grape config"):
-        model = _grape_model(f["model"])
-        target = _grape_target(f["target"], model.shape)
-        n_segments = require_count("n_segments", f["n_segments"], 1)
-        pulse._require_segment_room(model, n_segments)  # before the zero schedule
-        schedule0 = pulse.PulseSchedule(f["dt_s"],
-                                        np.zeros((model.n_streams, n_segments), dtype=complex),
-                                        (0.0,) * model.n_streams)
+    model = _grape_model(f["model"])
+    target = _grape_target(f["target"], model.shape)
+    n_segments = require_count("n_segments", f["n_segments"], 1)
+    pulse._require_segment_room(model, n_segments)  # before the zero schedule
+    schedule0 = pulse.PulseSchedule(f["dt_s"],
+                                    np.zeros((model.n_streams, n_segments), dtype=complex),
+                                    (0.0,) * model.n_streams)
     iterations, learning_rate, tol, seed = f["iterations"], f["learning_rate"], f["tol"], args.seed
 
     def compute() -> _Result:
@@ -161,15 +160,14 @@ def cmd_grape(args, text: str) -> _Computation:
 
 
 def cmd_code(args, text: str) -> _Computation:
-    f = read_fields(text, "code config",
+    f = read_fields(text, "",
                     {"alpha": object, "n_levels": object, "t1_s": object, "dt_s": object,
                      "steps": object},
                     {"parity": (object, "+"), "n_trajectories": (object, 1)})
-    with parse_errors("code config"):
-        re, im = require_array("alpha", f["alpha"], (2,), float).tolist()
-        [n_levels] = fock.shape_of((f["n_levels"],), "n_levels").dims  # the library names it n
-        psi = codes.cat_state(complex(re, im), f["parity"], n_levels)
-        channel = noise.photon_loss_channel(f["t1_s"], f["dt_s"], n_levels)
+    re, im = require_array("alpha", f["alpha"], (2,), float).tolist()
+    [n_levels] = fock.shape_of((f["n_levels"],), "n_levels").dims  # the library names it n
+    psi = codes.cat_state(complex(re, im), f["parity"], n_levels)
+    channel = noise.photon_loss_channel(f["t1_s"], f["dt_s"], n_levels)
     steps, n_trajectories, seed = f["steps"], f["n_trajectories"], args.seed
 
     def compute() -> _Result:
@@ -198,11 +196,10 @@ def _qudit(f: dict) -> tuple[trotter.QuditHamiltonian, fock.StateVector]:
 
 
 def cmd_trotter(args, text: str) -> _Computation:
-    f = read_fields(text, "trotter config",
+    f = read_fields(text, "",
                     {"diagonal": object, "kinetic_diagonal": object, "t_total_s": object,
                      "steps_list": object}, {"initial_level": (object, 0)})
-    with parse_errors("trotter config"):
-        h, psi0 = _qudit(f)
+    h, psi0 = _qudit(f)
     t_total_s, steps_list = f["t_total_s"], f["steps_list"]
 
     def compute() -> _Result:
@@ -214,29 +211,30 @@ def cmd_trotter(args, text: str) -> _Computation:
     return compute
 
 
-def _otoc_operator(spec: dict, name: str, n: int):
+def _otoc_operator(spec: dict, key: str, n: int):
     """W or V for `trotter.otoc_series`: a "matrix" spec as its array, a
     "snap" or "fourier" spec as a one-gate circuit, which acts on the
     eigenbasis as a phase multiply or an FFT."""
-    what = f"otoc config {name}"
-    kind, f = read_kind(spec, what, {"fourier": ({}, {}), **_OPERATORS})
-    if kind == "matrix":
-        return _matrix(f, n, what)
+    kind, f = read_kind(spec, key, {"fourier": ({}, {}), **_OPERATORS})
     params = {"target": 0, **({"theta": f["theta"]} if kind == "snap" else {})}
-    with parse_errors(what):
-        return gates.Circuit(fock.HilbertShape((n,)), (gates.GateSpec(kind, params),))
+    with parse_errors(key):
+        if kind == "matrix":
+            return _matrix(f, n)
+        try:
+            return gates.Circuit(fock.HilbertShape((n,)), (gates.GateSpec(kind, params),))
+        except (UsageError, NumericError) as exc:  # at the spec, not at its circuit's gates[0]
+            raise exc.__cause__ from None
 
 
 def cmd_otoc(args, text: str) -> _Computation:
-    f = read_fields(text, "otoc config",
+    f = read_fields(text, "",
                     {"diagonal": object, "kinetic_diagonal": object, "times_s": object,
                      "w": dict, "v": dict}, {"initial_level": (object, 0)})
-    with parse_errors("otoc config"):
-        h, psi0 = _qudit(f)
-        w = _otoc_operator(f["w"], "w", h.n_levels)
-        v = _otoc_operator(f["v"], "v", h.n_levels)
-        # one time at least: the summary takes the minimum over the rows
-        times = require_array("times_s", f["times_s"], (None,), float, least=1)
+    h, psi0 = _qudit(f)
+    w = _otoc_operator(f["w"], "w", h.n_levels)
+    v = _otoc_operator(f["v"], "v", h.n_levels)
+    # one time at least: the summary takes the minimum over the rows
+    times = require_array("times_s", f["times_s"], (None,), float, least=1)
 
     def compute() -> _Result:
         rows = trotter.otoc_series(w, v, h, times, psi0)

@@ -46,9 +46,11 @@ the thread count it started with.
 
 Exit codes: 0 success, 1 usage errors, 2 parse errors, 3 numeric errors,
 4 capacity errors, mapped from the error roots by `_EXIT_CODES`. A fault
-that a command finds while it reads its config is a ParseError that
-names the config (exit 2), one found by the computation exits by its
-error root, and a CapacityError exits 4 wherever it is found.
+that a command finds while it reads its config is a ParseError (exit 2)
+at the field path of its object, put under the command's name by
+`_parse`, the config's `errors.parse_errors` boundary ("grape.model: ...");
+one found by the computation exits by its error root with the rule's
+message, and a CapacityError exits 4 wherever it is found.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, device
-from .errors import CapacityError, NumericError, ParseError, UsageError
+from .errors import CapacityError, NumericError, ParseError, UsageError, parse_errors
 
 # what a command's computation returns: artifact name (None: no artifact),
 # columns, summary; a command returns the computation
@@ -246,7 +248,8 @@ def _parse(args) -> tuple[_Computation, str | None]:
     text = _read_text(getattr(args, _COMMANDS[args.command][0]))
     command = _command(args.command)
     input_sha = None if command is cmd_device else _sha256(text)
-    return command(args, text), input_sha
+    with parse_errors(args.command):
+        return command(args, text), input_sha
 
 
 # the error roots, tested in this order, and their exit codes

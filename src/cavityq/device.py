@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from typing import Literal, Sequence, get_args
 
 from .errors import (DegenerateDetuningError, UsageError, finite_result, parse_errors,
@@ -84,8 +83,8 @@ class DeviceParams:
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceParams":
-        fields = read_fields(text, "device params", dict.fromkeys(_FIELDS, object))
-        with parse_errors("device JSON invalid"):
+        fields = read_fields(text, "", dict.fromkeys(_FIELDS, object))
+        with parse_errors(""):
             return cls(**fields)
 
 
@@ -136,13 +135,10 @@ def _tolerant_floor(x: float, rel: float = 1e-9) -> int:
 
 
 def max_fock(params: DeviceParams) -> int:
-    """Largest n whose lifetime t1_fock0/n still clears t1_min."""
+    """Largest n whose lifetime t1_fock0/n still clears t1_min: 0 when
+    t1_min_s exceeds the single-photon lifetime."""
+    # not the floor of the ratio: _tolerant_floor rounds one within 1e-9 below 1 up to 1
     if require_instance("params", params, DeviceParams).t1_min_s > params.t1_fock0_s:
-        warnings.warn(
-            "t1_min_s exceeds the single-photon lifetime; no Fock level qualifies",
-            UserWarning,
-            stacklevel=2,
-        )
         return 0
     return _tolerant_floor(finite_result("t1_fock0_s / t1_min_s",
                                    lambda: params.t1_fock0_s / params.t1_min_s))

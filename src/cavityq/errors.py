@@ -9,12 +9,16 @@ optional. `read_object` decodes the object (`decode_object`) and rejects
 a missing or an unlisted field; `read_field` checks the types a reader
 walks (dict for a nested object, list for a list it iterates, str for a
 kind) and passes every other field, typed object, on as decoded, to be
-read by the rule of the call it feeds. API arguments follow fifteen
-rules. `require_instance` is the type rule: every public parameter
-annotated with a package class C, as C, C | None or tuple[C, ...], is
-read by it, so it takes only objects of C (or None where the annotation
-allows it, and for a tuple, each entry), and refuses anything else in
-one message form; a HilbertShape parameter is a dimension instead.
+read by the rule of the call it feeds. A fault is a ParseError at the
+field path of its object: each reader takes its object's key in its
+parent (a field name or "gates[i]"; "" at the root), and `parse_errors`
+puts the key of an enclosing object in front ("transfer.catch_waveform").
+API arguments follow fifteen rules. `require_instance` is the type rule:
+every public parameter annotated with a package class C, as C, C | None
+or tuple[C, ...], is read by it, so it takes only objects of C (or None
+where the annotation allows it, and for a tuple, each entry), and
+refuses anything else in one message form; a HilbertShape parameter is a
+dimension instead.
 `require_on` is the register rule: a state, operator, circuit or channel
 that must live on the register another argument fixes is read by it, the
 type rule and then one comparison of shapes, refused in one message form.
@@ -328,90 +332,99 @@ def require_array(name: str, values, shape: tuple, dtype=complex, least: int = 0
 
 
 @contextlib.contextmanager
-def parse_errors(what: str):
-    """Re-raise a UsageError or NumericError of the block as ParseError
-    naming what: the config reader's form of an argument rule's error."""
+def parse_errors(key: str):
+    """The boundary of the config object at key: a UsageError or
+    NumericError of the block is re-raised as a ParseError at key, and a
+    ParseError of an object nested in it with key put in front of its
+    path, the one join of paths."""
     try:
         yield
+    except ParseError as exc:
+        raise _fault(".".join(filter(None, (key, exc.path))), exc.reason) from exc
     except (UsageError, NumericError) as exc:
-        raise ParseError(f"{what}: {exc}") from exc
+        raise _fault(key, str(exc)) from exc
 
 
-def _field_error(what: str, problem: str, names) -> "ParseError":
-    names = list(names)
-    return ParseError(f"{what}: {problem} field{'s' if len(names) > 1 else ''} "
-                      + ", ".join(f"'{name}'" for name in names))
+def _fault(path: str, reason: str) -> "ParseError":
+    """The ParseError of reason at path: the one place a ParseError is made."""
+    exc = ParseError(f"{path}: {reason}" if path else reason)
+    exc.path, exc.reason = path, reason
+    return exc
 
 
-def decode_object(source, what: str) -> dict:
-    """The JSON object source, as a dict: JSON text is decoded first, and
-    any other value must be an already decoded object. Raises ParseError,
-    with what in the message, for invalid JSON or a value that is not an
-    object. A nested object is typed dict in its parent's table first, so
-    that a string there is never decoded."""
+def _field_error(key: str, problem: str, names: list) -> "ParseError":
+    return _fault(key, f"{problem} field{'s' if len(names) > 1 else ''} "
+                  + ", ".join(f"'{name}'" for name in names))
+
+
+def decode_object(source, key: str) -> dict:
+    """The JSON object source at key, as a dict: JSON text is decoded at the
+    root (key "") only, so a string nested in a document never is. Raises
+    ParseError at key for invalid JSON or a value that is not an object."""
     doc = source
-    if isinstance(source, str):
+    if isinstance(source, str) and not key:
         try:
             doc = json.loads(source)
         except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
-            raise ParseError(f"invalid {what} JSON: {exc}") from exc
+            raise _fault(key, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"{what} must be a JSON object")
+        raise _fault(key, "must be a JSON object")
     return doc
 
 
-def read_object(source, what: str, required=(), optional=()) -> dict:
-    """decode_object(source, what), which must hold every required field
-    and no field that is neither required nor optional; ParseError names
-    the missing or unknown fields."""
-    doc = decode_object(source, what)
+def read_object(source, key: str, required=(), optional=()) -> dict:
+    """decode_object(source, key), which must hold every required field
+    and no field that is neither required nor optional; ParseError at key
+    names the missing or unknown fields."""
+    doc = decode_object(source, key)
     missing = [name for name in required if name not in doc]
     if missing:
-        raise _field_error(what, "missing", missing)
+        raise _field_error(key, "missing", missing)
     unknown = sorted(set(doc).difference(required, optional))
     if unknown:
-        raise _field_error(what, "unknown", unknown)
+        raise _field_error(key, "unknown", unknown)
     return doc
 
 
 _REQUIRED = object()
 
 
-def read_fields(source, what: str, required: dict, optional: dict = {}) -> dict:
-    """The fields of the object source, by one table: read_object on the
-    listed names, then each field read by read_field with its types.
+def read_fields(source, key: str, required: dict, optional: dict = {}) -> dict:
+    """The fields of the object source at key, by one table: read_object on
+    the listed names, then each field read by read_field with its types.
     required maps each field to its types, optional to (types, default);
     an absent optional field takes its default."""
-    doc = read_object(source, what, required, optional)
+    doc = read_object(source, key, required, optional)
     table = {**{name: (types, _REQUIRED) for name, types in required.items()}, **optional}
-    return {name: read_field(doc, name, types, what, default)
+    return {name: read_field(doc, name, types, key, default)
             for name, (types, default) in table.items()}
 
 
-def read_kind(spec: dict, what: str, kinds: dict) -> tuple[str, dict]:
-    """The string "kind" of the object spec (a dict, as read_fields returns
-    a field typed dict) and its fields, read by read_fields with the tables
-    kinds[kind] = (required, optional) besides "kind". A kind not in kinds
-    raises ParseError."""
-    kind = read_field(spec, "kind", str, what)
+def read_kind(spec: dict, key: str, kinds: dict) -> tuple[str, dict]:
+    """The string "kind" of the object spec at key (a dict, as read_fields
+    returns a field typed dict) and its fields, read by read_fields with the
+    tables kinds[kind] = (required, optional) besides "kind". A kind not in
+    kinds raises ParseError at key."""
+    kind = read_field(spec, "kind", str, key)
     if kind not in kinds:
-        raise ParseError(f"{what}: unknown kind {kind!r}")
+        raise _fault(key, f"unknown kind {kind!r}")
     required, optional = kinds[kind]
-    return kind, read_fields(spec, what, {"kind": str, **required}, optional)
+    return kind, read_fields(spec, key, {"kind": str, **required}, optional)
 
 
-def read_field(doc: dict, name: str, types, what: str, default=_REQUIRED):
+def read_field(doc: dict, name: str, types, key: str, default=_REQUIRED):
     """doc[name], or default when the field is absent and a default is
-    given; ParseError unless the value is an instance of types: dict for a
-    nested object, list for a list the reader walks, str for a kind, and
-    object for any other field, which the call it feeds reads by its rule."""
+    given; ParseError at key, the object doc's, unless the value is an
+    instance of types: dict for a nested object, list for a list the reader
+    walks, str for a kind, and object for any other field, which the call
+    it feeds reads by its rule."""
     if name not in doc:
         if default is not _REQUIRED:
             return default
-        raise _field_error(what, "missing", [name])
+        raise _field_error(key, "missing", [name])
     val = doc[name]
     if not isinstance(val, types):
-        raise ParseError(f"{what}: field '{name}' has the wrong type")
+        raise _fault(key, f"field '{name}' has the wrong type")
     return val
 
 
@@ -436,7 +449,9 @@ class DegenerateInputError(UsageError):
 
 
 class ParseError(CavityQError):
-    """Malformed or incomplete serialized input (JSON configs, circuits)."""
+    """Malformed or incomplete serialized input (JSON configs, circuits):
+    `reason` at `path`, the field path of its object in the document ("" at
+    the root); str() reads "<path>: <reason>", the bare reason at the root."""
 
 
 class NumericError(CavityQError):

@@ -36,10 +36,11 @@ from typing import Any, Callable, Iterator, Literal, Mapping, Sequence, get_args
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .errors import (NumericError, ParseError, UsageError, parse_errors, read_fields, read_object,
-                     require_array, require_capacity, require_choice, require_complex,
-                     require_count, require_distinct, require_finite, require_flag, require_index,
-                     require_instance, require_on, require_phase, require_sequence)
+from .errors import (NumericError, ParseError, UsageError, decode_object, parse_errors, read_field,
+                     read_fields, read_object, require_array, require_capacity, require_choice,
+                     require_complex, require_count, require_distinct, require_finite,
+                     require_flag, require_index, require_instance, require_on, require_phase,
+                     require_sequence)
 from .fock import (
     HilbertShape,
     Operator,
@@ -589,9 +590,9 @@ def _parse(spec: GateSpec, shape: HilbertShape,
         raise UsageError(f"unknown gate kind {spec.kind!r}")
     what = f"{spec.kind} gate"
     try:
-        params = read_object(spec.params, what, gate.required, gate.optional)
+        params = read_object(spec.params, "", gate.required, gate.optional)
     except ParseError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{what}: {exc}") from exc
     fields = {name: rule(params[name], f"{what} field {name!r}", shape) if rule else params[name]
               for name, rule in {**gate.required, **gate.optional}.items()
               if name in params}
@@ -602,7 +603,8 @@ def _parse(spec: GateSpec, shape: HilbertShape,
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate list on a fixed register shape, compiled when it is
-    made. A gate's error reads "gate <i>: ..." and carries i as `.gate`."""
+    made. A gate's error reads "gates[<i>]: ...", is raised from the rule's
+    own error and carries i as `.gate`."""
 
     shape: HilbertShape
     gates: tuple[GateSpec, ...]
@@ -616,12 +618,12 @@ class Circuit:
             "displacement_convention", self.displacement_convention, CONVENTIONS))
         kernels = []
         for i, spec in enumerate(self.gates):
-            require_instance(f"gate {i}", spec, GateSpec)
+            require_instance(f"gates[{i}]", spec, GateSpec)
             try:
                 gate, args, targets = _parse(spec, self.shape, self.displacement_convention)
                 kernels.append(gate.kernel(args, targets, self.shape.dims))
             except (UsageError, NumericError) as exc:
-                error = type(exc)(f"gate {i}: {exc}")
+                error = type(exc)(f"gates[{i}]: {exc}")
                 error.gate = i
                 raise error from exc
         object.__setattr__(self, "_kernels", tuple(kernels))
@@ -649,46 +651,26 @@ def _json_value(value):
     raise TypeError(f"gate field value {value!r} is not JSON serializable")
 
 
-def _kind_location(text: str, gate_index: int) -> str:
-    """Best-effort line/column of the gate_index-th "kind" key in the
-    source text, for parse errors."""
-    pos = -1
-    for _ in range(gate_index + 1):
-        pos = text.find('"kind"', pos + 1)
-        if pos < 0:
-            return ""
-    line = text.count("\n", 0, pos) + 1
-    col = pos - text.rfind("\n", 0, pos)
-    return f" (line {line}, column {col})"
-
-
 def circuit_from_json(text: str) -> Circuit:
-    """Parse a circuit document, failing hard (with location) on unknown
-    gate kinds or malformed entries."""
-    f = read_fields(text, "circuit", {"shape": list},
+    """Parse a circuit document, failing hard on unknown gate kinds or
+    malformed entries; a fault of entry i is at "gates[i]"."""
+    f = read_fields(text, "", {"shape": list},
                     {"displacement_convention": (object, "standard"), "gates": (list, [])})
-    with parse_errors("circuit"):
+    # a CapacityError passes: a well-formed document over the cap is not a parse failure
+    with parse_errors(""):
         convention = require_choice("displacement_convention", f["displacement_convention"],
                                     CONVENTIONS)
-    # a CapacityError passes: a well-formed document over the cap is not a parse failure
-    with parse_errors("circuit shape invalid"):
         shape = HilbertShape(tuple(f["shape"]))
-
-    specs = []
-    for i, entry in enumerate(f["gates"]):
-        if not isinstance(entry, dict):
-            raise ParseError(f"gate {i}: entries must be objects")
-        kind = entry.get("kind")
-        if not isinstance(kind, str):
-            # every earlier entry holds a "kind", so the i-th "kind" in the
-            # text is this entry's own, if it has one
-            loc = _kind_location(text, i) if "kind" in entry else ""
-            raise ParseError(f"gate {i}: missing string 'kind'{loc}")
-        specs.append(GateSpec(kind, {k: v for k, v in entry.items() if k != "kind"}))
-    try:
-        return Circuit(shape, tuple(specs), convention)
-    except (UsageError, NumericError) as exc:
-        raise ParseError(f"{exc}{_kind_location(text, exc.gate)}") from exc
+        specs = []
+        for i, entry in enumerate(f["gates"]):
+            key = f"gates[{i}]"
+            kind = read_field(decode_object(entry, key), "kind", str, key)
+            specs.append(GateSpec(kind, {k: v for k, v in entry.items() if k != "kind"}))
+        try:
+            return Circuit(shape, tuple(specs), convention)
+        except (UsageError, NumericError) as exc:
+            with parse_errors(f"gates[{exc.gate}]"):
+                raise exc.__cause__ from None
 
 
 def _run(circuit: Circuit, tens: np.ndarray) -> np.ndarray:

@@ -49,7 +49,6 @@ from .device import DeviceParams, chi as dispersive_shift
 from .errors import (
     BandwidthError,
     NumericError,
-    ParseError,
     ShapeError,
     UsageError,
     parse_errors,
@@ -168,22 +167,21 @@ class PulseSchedule:
 
     @staticmethod
     def from_json(text: str) -> "PulseSchedule":
-        f = read_fields(text, "schedule", {"dt_s": object, "controls": list})
+        """Parse a schedule document; a fault of control i is at "controls[i]"."""
+        f = read_fields(text, "", {"dt_s": object, "controls": list})
         streams = []
         carriers = []
         for i, entry in enumerate(f["controls"]):
-            what = f"control {i}"
-            if not isinstance(entry, dict):
-                raise ParseError(f"{what} must be an object")
-            amps = read_fields(entry, what, {"carrier_hz": object, "amps": list})["amps"]
+            key = f"controls[{i}]"
+            amps = read_fields(entry, key, {"carrier_hz": object, "amps": list})["amps"]
             # each [re, im] row viewed as one complex amplitude; [] has no
             # rows to be 0x2, so it is read as the empty array PulseSchedule refuses
-            with parse_errors(what):
+            with parse_errors(key):
                 pairs = require_array("field 'amps'", amps or np.empty((0, 2)),
                                       (len(amps), 2), float)
             streams.append(pairs.view(complex).ravel())
             carriers.append(entry["carrier_hz"])
-        with parse_errors("invalid schedule"):
+        with parse_errors(""):
             return PulseSchedule(f["dt_s"], tuple(streams), tuple(carriers))
 
 

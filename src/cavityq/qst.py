@@ -544,11 +544,11 @@ def on_off_ratio(waveform, floor_hz: float,
 
 
 def _waveform_from_json(spec: dict, slot: str, kappa_hz, t0_s: float):
-    what = f"{slot} waveform"
+    key = f"{slot}_waveform"
     # a sech kappa_hz defaults to the config's
-    kind, f = read_kind(spec, what, {"sech": ({}, {"kappa_hz": (object, kappa_hz)}),
-                                     "sampled": ({"dt_s": object, "values": object}, {})})
-    with parse_errors(what):
+    kind, f = read_kind(spec, key, {"sech": ({}, {"kappa_hz": (object, kappa_hz)}),
+                                    "sampled": ({"dt_s": object, "values": object}, {})})
+    with parse_errors(key):
         if kind == "sech":
             # the sech photon-envelope protocol: rising tanh rate on the
             # emitter side, its time reverse on the catcher
@@ -564,21 +564,20 @@ def qst_config_from_json(text: str | dict) -> QstConfig:
     "delta_omega_hz":..., "input_state":[[re,im],[re,im]],
     "emit_waveform":{"kind":"sech"|"sampled",...},
     "catch_waveform":{...}, "channel_temperature":0}. Sampled waveforms are
-    anchored at t_span_s[0].
+    anchored at t_span_s[0]. A waveform's fault is at its field's name.
     """
-    f = read_fields(text, "transfer config",
+    f = read_fields(text, "",
                     {"kappa_hz": object, "t_span_s": object, "dt_s": object,
                      "emit_waveform": dict, "catch_waveform": dict},
                     {"delta_omega_hz": (object, 0.0),
                      "input_state": (object, [[0.0, 0.0], [1.0, 0.0]]),
                      "channel_temperature": (object, 0.0)})
-    with parse_errors("transfer config"):
+    with parse_errors(""):
         kappa_hz = require_positive("kappa_hz", f["kappa_hz"])  # a sech waveform's default
         span = require_array("t_span_s", f["t_span_s"], (2,), float).tolist()
         state = require_array("field 'input_state'", f["input_state"], (2, 2), float)
-    emit = _waveform_from_json(f["emit_waveform"], "emit", kappa_hz, span[0])
-    catch = _waveform_from_json(f["catch_waveform"], "catch", kappa_hz, span[0])
-    with parse_errors("invalid transfer config"):
+        emit = _waveform_from_json(f["emit_waveform"], "emit", kappa_hz, span[0])
+        catch = _waveform_from_json(f["catch_waveform"], "catch", kappa_hz, span[0])
         return QstConfig(
             kappa_hz=kappa_hz,
             emit_waveform=emit,

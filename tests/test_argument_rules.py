@@ -455,7 +455,7 @@ SITES = {
         choice=("paper", ["bogus", ["paper"]])),
     "Circuit.shape": Site("dimension", lambda v: gates.Circuit(v, ()).shape.dims, dimension=100),
     "Circuit.gates": Site(
-        "gates", lambda v: gates.Circuit((3,), v).to_json(), entry=("gate 0", lambda v: (v,)),
+        "gates", lambda v: gates.Circuit((3,), v).to_json(), entry=("gates[0]", lambda v: (v,)),
         instance=True, sequence=([gates.GateSpec("fourier", {"target": 0}),
                                   gates.GateSpec("snap", {"target": 0, "theta": [0.1, 0.2, 0.3]})],
                                  ())),
@@ -1053,7 +1053,7 @@ def _refusal(read, *args):
 
 def _assert_refused_as(call, value, expected) -> None:
     """call(value) raises expected's class with its message, alone or after
-    a "gate 0: " prefix."""
+    a "gates[0]: " prefix."""
     with pytest.raises(type(expected)) as err:
         call(value)
     assert type(err.value) is type(expected)
@@ -1678,10 +1678,10 @@ LIBRARY_ERROR_CALLS = {
         lambda: gates.Circuit((3,), None)),
     # a raw AttributeError when the circuit was applied
     "Circuit.gates entry": (
-        UsageError, "gate 0 must be a cavityq GateSpec, got {'kind': 'fourier', 'target': 0}",
+        UsageError, "gates[0] must be a cavityq GateSpec, got {'kind': 'fourier', 'target': 0}",
         lambda: gates.Circuit((3,), [{"kind": "fourier", "target": 0}])),
     "GateSpec.kind list": (
-        UsageError, "gate 0: unknown gate kind ['snap']",
+        UsageError, "gates[0]: unknown gate kind ['snap']",
         lambda: gates.Circuit((3,), [gates.GateSpec(["snap"], {})])),
     "GateSpec.build shape": (
         InvalidDimensionError, "subsystem dimension must be a positive integer, got None",
@@ -1778,9 +1778,64 @@ def test_call_raises_a_library_error(site):
 
 def test_circuit_document_convention_is_the_choice_rule():
     doc = json.dumps({"shape": [3], "displacement_convention": "left", "gates": []})
-    message = "circuit: displacement_convention must be one of ('standard', 'paper'), got 'left'"
+    message = "displacement_convention must be one of ('standard', 'paper'), got 'left'"
     with pytest.raises(errors.ParseError, match=f"^{re.escape(message)}$"):
         gates.circuit_from_json(doc)
+
+
+_SCHEDULE = {"dt_s": 1e-9, "controls": [{"carrier_hz": 0.0, "amps": [[0.0, 0.0]]}]}
+_TRANSFER = {"kappa_hz": 1e6, "t_span_s": [-2e-5, 2e-5], "dt_s": 4e-8,
+             "emit_waveform": {"kind": "sech"}, "catch_waveform": {"kind": "sech"}}
+
+
+@pytest.mark.parametrize("read, doc, message", [
+    (device.DeviceParams.from_json, {"g_hz": 1.0}, "missing fields 'omega_q_hz', 'omega_c_hz', "
+     "'chi_prime_hz', 'alpha_hz', 't1_fock0_s', 't1_min_s'"),
+    (gates.circuit_from_json, {"shape": [3], "gate": []}, "unknown field 'gate'"),
+    (gates.circuit_from_json, {"shape": [3], "gates": [5, {"kind": "fourier", "target": 0}]},
+     "gates[0]: must be a JSON object"),
+    (gates.circuit_from_json, {"shape": [3], "gates": ['{"kind": "fourier", "target": 0}']},
+     "gates[0]: must be a JSON object"),  # JSON text nested in a document is not decoded
+    (gates.circuit_from_json, {"shape": [3], "gates": [{"target": 0}, {"kind": "fourier"}]},
+     "gates[0]: missing field 'kind'"),
+    (gates.circuit_from_json, {"shape": [3], "gates": [{"kind": "fourier", "target": 0},
+                                                       {"kind": 3}]},
+     "gates[1]: field 'kind' has the wrong type"),
+    (gates.circuit_from_json, {"shape": [3], "gates": [{"kind": "fourier", "target": 0},
+                                                       {"kind": "fourier", "target": 2}]},
+     "gates[1]: fourier gate field 'target' 2 outside [0, 1)"),
+    (pulse.PulseSchedule.from_json, dict(_SCHEDULE, dt_s=-1.0),
+     "dt_s must be positive and finite, got -1.0"),
+    (pulse.PulseSchedule.from_json, dict(_SCHEDULE, controls=_SCHEDULE["controls"] * 2 + [
+        {"carrier_hz": 0.0, "amps": [[0.0]]}]),
+     "controls[2]: field 'amps' must be 1x2, got (1, 1)"),
+    (qst.qst_config_from_json, dict(_TRANSFER, kappa_hz=-1.0),
+     "kappa_hz must be positive and finite, got -1.0"),
+    (qst.qst_config_from_json, dict(_TRANSFER, catch_waveform={"kind": "sech", "kappa_hz": 0}),
+     "catch_waveform: kappa_hz must be positive and finite, got 0.0"),
+], ids=["device", "circuit", "circuit gates[0] number", "circuit gates[0] text",
+        "circuit gates[0] kind", "circuit gates[1] kind", "circuit gates[1] target", "schedule",
+        "schedule controls[2]", "transfer", "transfer catch_waveform"])
+def test_document_reader_names_the_path_of_a_nested_fault(read, doc, message):
+    # the path within the reader's own document; a fault of its root is bare
+    with pytest.raises(errors.ParseError) as err:
+        read(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def _is_parse_error(node) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) == "ParseError"
+
+
+def test_parse_errors_are_made_in_errors_only():
+    # a ParseError made elsewhere names its fault in a form of its own;
+    # errors.py makes each at the field path of its object
+    breaches = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+                if path.name != "errors.py"
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call) and _is_parse_error(node.func)
+                or isinstance(node, ast.Raise) and _is_parse_error(node.exc)]
+    assert breaches == []
 
 
 def test_choice_rule_returns_the_declared_choice():
@@ -1814,7 +1869,8 @@ OWN_REFUSALS = {
         "(first-order completeness defect 6.002e+02 > 1e-06)",
         lambda: noise.dephasing_channel(1e3, 1e-3, 8)),
     "cond_rotation gate on a qutrit": (
-        UsageError, "gate 0: cond_rotation gate field 'qubit' must name a qubit (dim 2), got dim 3",
+        UsageError,
+        "gates[0]: cond_rotation gate field 'qubit' must name a qubit (dim 2), got dim 3",
         lambda: _gate("cond_rotation", (3, 3), qubit=0, mode=1, n=0, theta=1.0, phi=0.0)),
 }
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -98,6 +99,16 @@ class TestDevice:
         assert out["snap_min_gate_time_s"] == pytest.approx(
             2 * np.pi / 50e3, rel=1e-12
         )
+
+    def test_t1_min_above_the_photon_lifetime_is_max_fock_zero(self, tmp_path):
+        # printed max_fock's UserWarning, which named a line inside the
+        # package, to say what "max_fock": 0 says
+        cfg = write_json(tmp_path / "dev.json", dict(_README_CONFIGS["device"], t1_min_s=2.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = run_cli(tmp_path, "device", cfg)
+        assert (run.code, run.stderr, caught) == (0, [], [])
+        assert json.loads(run.stdout)["max_fock"] == 0
 
 
 class TestRun:
@@ -406,11 +417,12 @@ def _field_paths(doc: dict):
 
 
 class Fault(NamedTuple):
-    """A config that the command line refuses: the exit code; the whole
-    error line after "error: ", as a re.fullmatch pattern where a temporary
-    path or interpreter text appears (None in a row of the README-field
-    walk); the config, a dict written as JSON, raw text, or None for no file;
-    the arguments after the config path; and the environment."""
+    """A config that the command line refuses: the exit code; the error
+    line after "error: " and, on exit 2, after the object path of the key
+    (`_object_path`), as a re.fullmatch pattern where a temporary path or
+    interpreter text appears (None in a row of the README-field walk); the
+    config, a dict written as JSON, raw text, or None for no file; the
+    arguments after the config path; and the environment."""
     code: int
     line: str | re.Pattern | None
     config: dict | str | None
@@ -429,13 +441,18 @@ _WRONG_VALUES = {"str": "x", "true": True, "null": None, "object": {}}
 _README_CONFIGS = {command: json.loads(readme_example(heading)[0])
                    for command, heading in CASES.items()}
 _VALID_VALUES = {("cavity_drive", "true"), ("delta_sweep_hz", "null")}
+# the fields that the README configs hold as objects: set to {}, one is an
+# object whose fields are missing
+_README_OBJECTS = {".".join((command, *path)) for command, doc in _README_CONFIGS.items()
+                   for path in _field_paths(doc)
+                   if isinstance(functools.reduce(dict.get, path, doc), dict)}
 
 # the "matrix" operator specs, read for the grape target and the otoc W and V:
-# (key prefix, message prefix, size n, the config with a given spec in place)
+# (key prefix, size n, the config with a given spec in place)
 _MATRIX_SITES = [
-    ("grape.target", "grape target", 2, lambda spec: dict(GRAPE_DOC, target=spec)),
-    ("otoc.w", "otoc config w", 8, lambda spec: dict(OTOC_DOC, w=spec)),
-    ("otoc.v", "otoc config v", 8, lambda spec: dict(OTOC_DOC, v=spec)),
+    ("grape.target", 2, lambda spec: dict(GRAPE_DOC, target=spec)),
+    ("otoc.w", 8, lambda spec: dict(OTOC_DOC, w=spec)),
+    ("otoc.v", 8, lambda spec: dict(OTOC_DOC, v=spec)),
 ]
 # an entry of im set to each value, and the reason for a spec of size n
 _BAD_MATRIX_ENTRIES = [
@@ -474,30 +491,27 @@ FAULTS = {
        for command, doc in _README_CONFIGS.items() for path in _field_paths(doc)
        for label, value in _WRONG_VALUES.items() if (path[-1], label) not in _VALID_VALUES},
     # an unknown field in each command's README config
-    **{f"{command}.bogus_field 1": Fault(2, f"{what}: unknown field 'bogus_field'",
+    **{f"{command}.bogus_field 1": Fault(2, "unknown field 'bogus_field'",
                                          dict(_README_CONFIGS[command], bogus_field=1))
-       for command, what in [("device", "device params"), ("run", "circuit"),
-                             ("qst", "transfer config"), ("grape", "grape config"),
-                             ("code", "code config"), ("trotter", "trotter config"),
-                             ("otoc", "otoc config")]},
+       for command in cli._COMMANDS},
 
     "device <missing file>": Fault(1, re.compile(
         r"cannot read (\S+): \[Errno 2\] No such file or directory: '\1'"), None),
-    "device.t1_min_s <missing>": Fault(2, "device params: missing field 't1_min_s'",
+    "device.t1_min_s <missing>": Fault(2, "missing field 't1_min_s'",
                                        {k: v for k, v in PAPER_DEVICE.items() if k != "t1_min_s"}),
-    "device.g_khz 1.0": Fault(2, "device params: unknown field 'g_khz'",
+    "device.g_khz 1.0": Fault(2, "unknown field 'g_khz'",
                               dict(PAPER_DEVICE, g_khz=1.0)),
     **{f"device.{field} {value!r}": Fault(
-        2, f"device JSON invalid: {field} must be finite, got {value!r}",
+        2, f"{field} must be finite, got {value!r}",
         dict(PAPER_DEVICE, **{field: value}))
        for field in PAPER_DEVICE for value in (math.nan, math.inf, -math.inf)},
     "device.g_hz 1e+308": Fault(3, "chi_hz is not finite", dict(PAPER_DEVICE, g_hz=1e308)),
     "device.g_hz 5e-192": Fault(3, "critical_photon_number is not finite",
                                 dict(PAPER_DEVICE, g_hz=5e-192)),
-    "device.g_hz 10**400": Fault(2, "device JSON invalid: g_hz is too large for a float",
+    "device.g_hz 10**400": Fault(2, "g_hz is too large for a float",
                                  dict(PAPER_DEVICE, g_hz=BIG)),
 
-    "run <file> '{broken'": Fault(2, re.compile(r"invalid circuit JSON: .+"), "{broken"),
+    "run <file> '{broken'": Fault(2, re.compile(r"invalid JSON: .+"), "{broken"),
     "run --state 'banana'": Fault(
         1, "state spec must be comma-separated occupation numbers, got 'banana'",
         _circuit([3]), ("--state", "banana")),
@@ -506,101 +520,89 @@ FAULTS = {
     "run.shape [100] CAVITYQ_DIM_CAP=64": Fault(4, "total dimension 100 exceeds cap 64",
                                                 _circuit([100]), env={"CAVITYQ_DIM_CAP": "64"}),
     "run.shape [3, True]": Fault(
-        2, "circuit shape invalid: subsystem dimension must be a positive integer, got True",
+        2, "subsystem dimension must be a positive integer, got True",
         _circuit([3, True])),
-    "run.shape [3, 4]": Fault(
-        2, "gate 0: controlled_increment needs equal control/target dims, got 3 and 4 "
-           "(line 1, column 30)",
+    "run.gates[0].target 1 (shape [3, 4])": Fault(
+        2, "controlled_increment needs equal control/target dims, got 3 and 4",
         _circuit([3, 4], {"kind": "controlled_increment", "control": 0, "target": 1})),
-    "run.gate []": Fault(2, "circuit: unknown field 'gate'", {"shape": [3], "gate": []}),
+    "run.gate []": Fault(2, "unknown field 'gate'", {"shape": [3], "gate": []}),
     "run.gates[0].theta [0.0, 0.0]": Fault(
-        2, "gate 0: snap gate field 'theta' must be 1-D of length 3, got length 2 "
-           "(line 1, column 27)",
+        2, "snap gate field 'theta' must be 1-D of length 3, got length 2",
         _circuit([3], {"kind": "snap", "target": 0, "theta": [0.0, 0.0]})),
     "run.gates[0].target True": Fault(
-        2, "gate 0: snap gate field 'target' must be an integer index, got True "
-           "(line 1, column 27)",
+        2, "snap gate field 'target' must be an integer index, got True",
         _circuit([3], {"kind": "snap", "target": True, "theta": [0.0, 0.0, 0.0]})),
     "run.gates[0].n True (cond_rotation)": Fault(
-        2, "gate 0: selector level must be an integer index, got True (line 1, column 30)",
+        2, "selector level must be an integer index, got True",
         _circuit([2, 3], {"kind": "cond_rotation", "qubit": 0, "mode": 1, "n": True,
                           "theta": 0.1, "phi": 0.0})),
     "run.gates[0].m True": Fault(
-        2, "gate 0: level must be an integer index, got True (line 1, column 27)",
+        2, "level must be an integer index, got True",
         _circuit([3], {"kind": "givens", "target": 0, "m": True, "n": 1, "theta": 0.1})),
     "run.gates[0].n True (phase_swap)": Fault(
-        2, "gate 0: level must be an integer index, got True (line 1, column 27)",
+        2, "level must be an integer index, got True",
         _circuit([3], {"kind": "phase_swap", "target": 0, "m": 0, "n": True})),
     "run.gates[0].invers True": Fault(
-        2, "gate 0: fourier gate: unknown field 'invers' (line 1, column 27)",
+        2, "fourier gate: unknown field 'invers'",
         _circuit([4], {"kind": "fourier", "target": 0, "invers": True})),
     "run.gates[0].phi 0.3": Fault(
-        2, "gate 0: givens gate: unknown field 'phi' (line 1, column 27)",
+        2, "givens gate: unknown field 'phi'",
         _circuit([3], {"kind": "givens", "target": 0, "m": 0, "n": 1, "theta": 0.4,
                        "phi": 0.3})),
     "run.gates[0].mode 0": Fault(
-        2, "gate 0: cond_rotation qubit and mode must be distinct, got (0, 0) "
-           "(line 1, column 30)",
+        2, "cond_rotation qubit and mode must be distinct, got (0, 0)",
         _circuit([2, 3], {"kind": "cond_rotation", "qubit": 0, "mode": 0, "n": 1,
                           "theta": 1.0, "phi": 0.0})),
     "run.gates[0].theta [0, 'a', 0]": Fault(
-        2, "gate 0: snap gate field 'theta' entries must be real numbers, got 'a' "
-           "(line 1, column 27)",
+        2, "snap gate field 'theta' entries must be real numbers, got 'a'",
         _circuit([3], {"kind": "snap", "target": 0, "theta": [0, "a", 0]})),
     "run.gates[0].theta [0, True, 0] (snap)": Fault(
-        2, "gate 0: snap gate field 'theta' entries must be real numbers, got True "
-           "(line 1, column 27)",
+        2, "snap gate field 'theta' entries must be real numbers, got True",
         _circuit([3], {"kind": "snap", "target": 0, "theta": [0, True, 0]})),
     "run.gates[0].theta [0, True, 0] (multisnap)": Fault(
-        2, "gate 0: multisnap gate field 'theta' entries must be real numbers, got True "
-           "(line 1, column 27)",
+        2, "multisnap gate field 'theta' entries must be real numbers, got True",
         _circuit([3], {"kind": "multisnap", "targets": [0], "theta": [0, True, 0]})),
     "run.gates[0].targets [1, 1]": Fault(
-        2, "gate 0: multisnap gate field 'targets' must be distinct, got (1, 1) "
-           "(line 1, column 30)",
+        2, "multisnap gate field 'targets' must be distinct, got (1, 1)",
         _circuit([2, 3], {"kind": "multisnap", "targets": [1, 1], "theta": [0.0] * 9})),
     "run.gates[0].target 1": Fault(
-        2, "gate 0: controlled_increment control and target must be distinct, got (1, 1) "
-           "(line 1, column 30)",
+        2, "controlled_increment control and target must be distinct, got (1, 1)",
         _circuit([3, 3], {"kind": "controlled_increment", "control": 1, "target": 1})),
     # NaN and Infinity, which the JSON decoder accepts, named before any
     # arithmetic; the rotations' angles ended in a math domain error traceback
     "run.gates[0].theta [0.0, inf, 0.0]": Fault(
-        2, "gate 0: non-finite entries in snap gate field 'theta' (line 1, column 27)",
+        2, "non-finite entries in snap gate field 'theta'",
         _circuit([3], {"kind": "snap", "target": 0, "theta": [0.0, math.inf, 0.0]})),
     "run.gates[0].theta inf": Fault(
-        2, "gate 0: theta must be finite, got inf (line 1, column 27)",
+        2, "theta must be finite, got inf",
         _circuit([2], {"kind": "qubit_rotation", "target": 0, "theta": math.inf, "phi": 0.0})),
     "run.gates[0].theta -inf": Fault(
-        2, "gate 0: theta must be finite, got -inf (line 1, column 27)",
+        2, "theta must be finite, got -inf",
         _circuit([3], {"kind": "givens", "target": 0, "m": 0, "n": 2, "theta": -math.inf})),
     "run.gates[0].phi nan": Fault(
-        2, "gate 0: phi must be finite, got nan (line 1, column 30)",
+        2, "phi must be finite, got nan",
         _circuit([2, 3], {"kind": "cond_rotation", "qubit": 0, "mode": 1, "n": 1,
                           "theta": 1.0, "phi": math.nan})),
     "run.gates[0].alpha inf": Fault(
-        2, "gate 0: alpha must be finite, got (inf+0j) (line 1, column 27)",
+        2, "alpha must be finite, got (inf+0j)",
         _circuit([4], {"kind": "displacement", "target": 0, "alpha": math.inf})),
     "run.gates[0].beta [nan, 0.0]": Fault(
-        2, "gate 0: non-finite entries in ecd gate field 'beta' (line 1, column 30)",
+        2, "non-finite entries in ecd gate field 'beta'",
         _circuit([2, 4], {"kind": "ecd", "qubit": 0, "mode": 1, "beta": [math.nan, 0.0]})),
     # the phase |alpha|*max(Lambda) overflowed: RuntimeWarnings, then exit 3
     "run.gates[0].alpha [1e+308, 0.2]": Fault(
-        2, f"gate 0: alpha: the displacement phase |amplitude|*max(Lambda) is inf rad, "
-           f"{_PHASE_LIMIT} (line 1, column 27)",
+        2, f"alpha: the displacement phase |amplitude|*max(Lambda) is inf rad, {_PHASE_LIMIT}",
         _circuit([4], {"kind": "displacement", "target": 0, "alpha": [1e308, 0.2]})),
     "run.gates[0].beta [1e+308, 0.0]": Fault(
-        2, f"gate 0: beta: the displacement phase |amplitude|*max(Lambda) is inf rad, "
-           f"{_PHASE_LIMIT} (line 1, column 31)",
+        2, f"beta: the displacement phase |amplitude|*max(Lambda) is inf rad, {_PHASE_LIMIT}",
         _circuit([2, 16], {"kind": "ecd", "qubit": 0, "mode": 1, "beta": [1e308, 0.0]})),
     "run.gates[0].alpha 10**400": Fault(
-        2, "gate 0: alpha is too large for a float (line 1, column 27)",
+        2, "alpha is too large for a float",
         _circuit([8], {"kind": "displacement", "target": 0, "alpha": BIG})),
     "run.gates[0].theta [0.0, 10**400, 0.0]": Fault(
-        2, "gate 0: snap gate field 'theta' holds a number too large for a float "
-           "(line 1, column 27)",
+        2, "snap gate field 'theta' holds a number too large for a float",
         _circuit([3], {"kind": "snap", "target": 0, "theta": [0.0, BIG, 0.0]})),
-    **{f"run.gates[0].beta {beta!r}": Fault(2, f"gate 0: {reason} (line 1, column 30)", _circuit(
+    **{f"run.gates[0].beta {beta!r}": Fault(2, reason, _circuit(
         [2, 3], {"kind": "ecd", "qubit": 0, "mode": 1, "beta": beta}))
        for beta, reason in [("x", "beta must be a complex number, got 'x'"),
                             (None, "beta must be a complex number, got None"),
@@ -608,24 +610,24 @@ FAULTS = {
                             ([1, "x"], "ecd gate field 'beta' entries must be real numbers, "
                                        "got 'x'")]},
 
-    "qst.kappa_hz True": Fault(2, "transfer config: kappa_hz must be a real number, got True",
+    "qst.kappa_hz True": Fault(2, "kappa_hz must be a real number, got True",
                                dict(TRANSFER_DOC, kappa_hz=True)),
-    "qst.kappa_hz inf": Fault(2, "transfer config: kappa_hz must be positive and finite, got inf",
+    "qst.kappa_hz inf": Fault(2, "kappa_hz must be positive and finite, got inf",
                               dict(TRANSFER_DOC, kappa_hz=math.inf)),
-    "qst.kappa_hz 10**400": Fault(2, "transfer config: kappa_hz is too large for a float",
+    "qst.kappa_hz 10**400": Fault(2, "kappa_hz is too large for a float",
                                   dict(TRANSFER_DOC, kappa_hz=BIG)),
-    "qst.kapa_hz 1000000.0": Fault(2, "transfer config: unknown field 'kapa_hz'",
+    "qst.kapa_hz 1000000.0": Fault(2, "unknown field 'kapa_hz'",
                                    dict(TRANSFER_DOC, kapa_hz=1e6)),
     "qst.dt_s 1e-06": Fault(3, "max(kappa)*dt = 1 exceeds 0.05; reduce dt below 5.000e-08 s",
                             dict(TRANSFER_DOC, dt_s=1e-6)),
     "qst.input_state [[nan, 0.0], [1.0, 0.0]]": Fault(
-        2, "transfer config: non-finite entries in field 'input_state'",
+        2, "non-finite entries in field 'input_state'",
         dict(TRANSFER_DOC, input_state=[[math.nan, 0.0], [1.0, 0.0]])),
     "qst.input_state [[0.0, 0.0], [10**400, 0.0]]": Fault(
-        2, "transfer config: field 'input_state' holds a number too large for a float",
+        2, "field 'input_state' holds a number too large for a float",
         dict(TRANSFER_DOC, input_state=[[0.0, 0.0], [BIG, 0.0]])),
     "qst.catch_waveform.kappa_hz inf": Fault(
-        2, "catch waveform: kappa_hz must be positive and finite, got inf",
+        2, "kappa_hz must be positive and finite, got inf",
         _set(TRANSFER_DOC, "catch_waveform.kappa_hz", math.inf)),
     **{f"qst.t_span_s {span!r}": Fault(4, f"t_span_s {tuple(span)!r} over dt_s 4e-08 {reason}",
                                        dict(TRANSFER_DOC, t_span_s=span))
@@ -634,19 +636,19 @@ FAULTS = {
                             ([-1e300, 2e-5], "is 2.5e+307 RK4 steps, above the cap of 1000000")]},
     "qst.delta_omega_hz 2147483648": Fault(3, _RK4_LIMIT,
                                            dict(_FAST_TRANSFER, delta_omega_hz=2147483648)),
-    "qst.delta_sweep [0.0]": Fault(2, "transfer config: unknown field 'delta_sweep'",
+    "qst.delta_sweep [0.0]": Fault(2, "unknown field 'delta_sweep'",
                                    dict(QST_SWEEP_DOC, delta_sweep=[0.0])),
     "qst.transfer.detuning_hz 10000.0": Fault(
-        2, "transfer config: unknown field 'detuning_hz'",
+        2, "unknown field 'detuning_hz'",
         _set(QST_SWEEP_DOC, "transfer.detuning_hz", 1e4)),
     "qst.transfer.emit_waveform.kapa_hz 2000000.0": Fault(
-        2, "emit waveform: unknown field 'kapa_hz'",
+        2, "unknown field 'kapa_hz'",
         _set(QST_SWEEP_DOC, "transfer.emit_waveform.kapa_hz", 2e6)),
     "qst.transfer.kappa_hz 'x'": Fault(
-        2, "transfer config: kappa_hz must be a real number, got 'x'",
+        2, "kappa_hz must be a real number, got 'x'",
         _set(QST_SWEEP_DOC, "transfer.kappa_hz", "x")),
     "qst.transfer.kappa_hz -1": Fault(
-        2, "transfer config: kappa_hz must be positive and finite, got -1.0",
+        2, "kappa_hz must be positive and finite, got -1.0",
         _set(QST_SWEEP_DOC, "transfer.kappa_hz", -1)),
     # named the library's argument, delta_list, which no config holds
     "qst.delta_sweep_hz ['x', 0]": Fault(
@@ -667,12 +669,12 @@ FAULTS = {
     "qst.delta_sweep_hz [0.0, 1.5e+154]": Fault(
         1, _UNFITTABLE, {"transfer": _SCALED_TRANSFER, "delta_sweep_hz": [0.0, 1.5e154]}),
 
-    "grape.iteration 3": Fault(2, "grape config: unknown field 'iteration'",
+    "grape.iteration 3": Fault(2, "unknown field 'iteration'",
                                dict(GRAPE_DOC, iteration=3)),
     "grape.n_segments True": Fault(
-        2, "grape config: n_segments must be a positive integer, got True",
+        2, "n_segments must be a positive integer, got True",
         dict(GRAPE_DOC, n_segments=True)),
-    "grape.n_segments 0": Fault(2, "grape config: n_segments must be a positive integer, got 0",
+    "grape.n_segments 0": Fault(2, "n_segments must be a positive integer, got 0",
                                 dict(GRAPE_DOC, n_segments=0)),
     **{f"grape.learning_rate {rate!r}": Fault(
         1, f"learning_rate must be positive and finite, got {float(rate)!r}",
@@ -686,81 +688,80 @@ FAULTS = {
         3, f"dt_s 1e+300: the segment phase d*max|H|*dt_s is inf rad, {_PHASE_LIMIT}",
         {"model": {"kind": "qubit", "detuning_hz": 1e10}, "target": {"kind": "pauli_x"},
          "n_segments": 4, "dt_s": 1e300, "iterations": 2}),
-    "grape.dt_s 10**400": Fault(2, "grape config: dt_s is too large for a float",
+    "grape.dt_s 10**400": Fault(2, "dt_s is too large for a float",
                                 dict(GRAPE_DOC, dt_s=BIG)),
     # json.loads raised a bare ValueError past 4300 digits
     "grape.dt_s 1<5000 zeros>": Fault(
-        2, re.compile(r"invalid grape config JSON: .+"),
+        2, re.compile(r"invalid JSON: .+"),
         json.dumps(GRAPE_DOC).replace("1e-07", "1" + "0" * 5000)),
-    "grape.model.kind <missing>": Fault(2, "grape model: missing field 'kind'",
+    "grape.model.kind <missing>": Fault(2, "missing field 'kind'",
                                         dict(GRAPE_DOC, model={"detuning_hz": 0.0})),
     "grape.model.detunning_hz 100000.0": Fault(
-        2, "grape model: unknown field 'detunning_hz'",
+        2, "unknown field 'detunning_hz'",
         _set(GRAPE_DOC, "model.detunning_hz", 1e5)),
     "grape.model.cavity_driv True": Fault(
-        2, "grape model: unknown field 'cavity_driv'",
+        2, "unknown field 'cavity_driv'",
         dict(GRAPE_DOC, model=dict(DISPERSIVE, cavity_driv=True))),
     "grape.model.n_levels 'x'": Fault(
-        2, "grape config: n_levels: subsystem dimension must be a positive integer, got 'x'",
+        2, "n_levels: subsystem dimension must be a positive integer, got 'x'",
         dict(GRAPE_DOC, model=dict(DISPERSIVE, n_levels="x"))),
     # "invalid value encountered in multiply" before the error line
     "grape.model.chi_hz 1e+308": Fault(
-        2, "grape config: chi_hz 1e+308: the drift's largest entry "
+        2, "chi_hz 1e+308: the drift's largest entry "
            "2*pi*chi_hz*(n_levels-1) overflows (n_levels = 3)",
         dict(GRAPE_DOC, model=dict(DISPERSIVE, chi_hz=1e308))),
     "grape.target.kind 'hadamard-ish'": Fault(
-        2, "grape target: unknown kind 'hadamard-ish'",
+        2, "unknown kind 'hadamard-ish'",
         dict(GRAPE_DOC, target={"kind": "hadamard-ish"})),
     "grape.target.kind 'pauli_x'": Fault(  # on a dispersive model
-        2, "grape target: pauli_x needs a 2-level model",
+        2, "pauli_x needs a 2-level model",
         dict(GRAPE_DOC, model=DISPERSIVE, target={"kind": "pauli_x"})),
     "grape.target.theta [0.0, 0.0]": Fault(  # on an identity target
-        2, "grape target: unknown field 'theta'", _set(GRAPE_DOC, "target.theta", [0.0, 0.0])),
+        2, "unknown field 'theta'", _set(GRAPE_DOC, "target.theta", [0.0, 0.0])),
     "grape.target.theta [0.1, 0.2, 0.3]": Fault(
-        2, "grape target: theta must be 1-D of length 2, got length 3",
+        2, "theta must be 1-D of length 2, got length 3",
         dict(GRAPE_DOC, target={"kind": "snap", "theta": [0.1, 0.2, 0.3]})),
     "grape.target.theta [0.0, 0.7, -1.1]": Fault(  # on a dispersive model
-        2, "grape target: theta must be 1-D of length 6, got length 3",
+        2, "theta must be 1-D of length 6, got length 3",
         dict(GRAPE_DOC, model=DISPERSIVE, target={"kind": "snap", "theta": [0.0, 0.7, -1.1]})),
     "grape.target.theta [0.0, nan]": Fault(
-        2, "grape target: non-finite entries in theta",
+        2, "non-finite entries in theta",
         dict(GRAPE_DOC, target={"kind": "snap", "theta": [0.0, math.nan]})),
     **{f"{site}.im[{n - 1}][0] {value!r}": Fault(
-        2, f"{what}: {reason.format(n=n)}", config(_set(_identity_spec(n), f"im[{n - 1}][0]",
-                                                        value)))
-       for site, what, n, config in _MATRIX_SITES for value, reason in _BAD_MATRIX_ENTRIES},
+        2, reason.format(n=n), config(_set(_identity_spec(n), f"im[{n - 1}][0]", value)))
+       for site, n, config in _MATRIX_SITES for value, reason in _BAD_MATRIX_ENTRIES},
     **{f"{site}.re[0] <one entry short>": Fault(
-        2, f"{what}: field 're' must be {n}x{n}, got ragged rows",
+        2, f"field 're' must be {n}x{n}, got ragged rows",
         config(_set(_identity_spec(n), "re[0]", _identity_spec(n)["re"][0][:-1])))
-       for site, what, n, config in _MATRIX_SITES},
+       for site, n, config in _MATRIX_SITES},
     **{f"{site}.im <{n - 1}x{n - 1} zeros>": Fault(
-        2, f"{what}: field 'im' must be {n}x{n}, got length {n - 1}",
+        2, f"field 'im' must be {n}x{n}, got length {n - 1}",
         config(dict(_identity_spec(n), im=np.zeros((n - 1, n - 1)).tolist())))
-       for site, what, n, config in _MATRIX_SITES},
+       for site, n, config in _MATRIX_SITES},
 
-    "code.parity 'x'": Fault(2, "code config: sign must be one of ('+', '-'), got 'x'",
+    "code.parity 'x'": Fault(2, "sign must be one of ('+', '-'), got 'x'",
                              dict(CODE_DOC, parity="x")),
-    "code.n_trajectory 4": Fault(2, "code config: unknown field 'n_trajectory'", {
+    "code.n_trajectory 4": Fault(2, "unknown field 'n_trajectory'", {
         k: v for k, v in CODE_DOC.items() if k != "n_trajectories"} | {"n_trajectory": 4}),
     "code.n_levels 'x'": Fault(
-        2, "code config: n_levels: subsystem dimension must be a positive integer, got 'x'",
+        2, "n_levels: subsystem dimension must be a positive integer, got 'x'",
         dict(CODE_DOC, n_levels="x")),
     "code.n_levels 100 CAVITYQ_DIM_CAP=64": Fault(4, "total dimension 100 exceeds cap 64",
                                                   dict(CODE_DOC, n_levels=100),
                                                   env={"CAVITYQ_DIM_CAP": "64"}),
     "code.alpha [2.0, 0.0, 0.0]": Fault(
-        2, "code config: alpha must be 1-D of length 2, got length 3",
+        2, "alpha must be 1-D of length 2, got length 3",
         dict(CODE_DOC, alpha=[2.0, 0.0, 0.0])),
-    "code.alpha [1e+308, 0]": Fault(2, "code config: cat state has no support at this truncation",
+    "code.alpha [1e+308, 0]": Fault(2, "cat state has no support at this truncation",
                                     dict(CODE_DOC, alpha=[1e308, 0])),
-    "code.alpha [nan, 0]": Fault(2, "code config: non-finite entries in alpha",
+    "code.alpha [nan, 0]": Fault(2, "non-finite entries in alpha",
                                  dict(CODE_DOC, alpha=[math.nan, 0])),
-    "code.alpha[0] 10**400": Fault(2, "code config: alpha holds a number too large for a float",
+    "code.alpha[0] 10**400": Fault(2, "alpha holds a number too large for a float",
                                    _set(CODE_DOC, "alpha[0]", BIG)),
-    "code.t1_s nan": Fault(2, "code config: t1_s must be positive, got nan",
+    "code.t1_s nan": Fault(2, "t1_s must be positive, got nan",
                            dict(CODE_DOC, t1_s=math.nan)),
     "code.dt_s inf": Fault(  # with t1_s = inf, which is no loss
-        2, "code config: dt_s must be positive and finite, got inf",
+        2, "dt_s must be positive and finite, got inf",
         dict(CODE_DOC, t1_s=math.inf, dt_s=math.inf)),
 
     # steps_list is read by trotter_convergence, when the command computes
@@ -768,9 +769,9 @@ FAULTS = {
                                           _set(TROTTER_DOC, "steps_list[1]", "many")),
     "trotter.steps_list[1] True": Fault(1, "steps must be a positive integer, got True",
                                         _set(TROTTER_DOC, "steps_list[1]", True)),
-    "trotter.initial_level 8": Fault(2, "trotter config: initial_level 8 outside [0, 8)",
+    "trotter.initial_level 8": Fault(2, "initial_level 8 outside [0, 8)",
                                      dict(TROTTER_DOC, initial_level=8)),
-    "trotter.initial_levl 3": Fault(2, "trotter config: unknown field 'initial_levl'",
+    "trotter.initial_levl 3": Fault(2, "unknown field 'initial_levl'",
                                     dict(TROTTER_DOC, initial_levl=3)),
     # a phase above MAX_PHASE_RAD: exit 3 before any RuntimeWarning; 1e308
     # wrote infidelity 0.0 and exited 0
@@ -784,40 +785,52 @@ FAULTS = {
         3, f"t_total_s 1.0: the step phase 2*pi*max(|V|, |K|)*dt is inf rad, {_PHASE_LIMIT}",
         _set(TROTTER_DOC, "diagonal[0]", 1e308)),
     "trotter.diagonal[1] 10**400": Fault(
-        2, "trotter config: diagonal holds a number too large for a float",
+        2, "diagonal holds a number too large for a float",
         _set(TROTTER_DOC, "diagonal[1]", BIG)),
 
-    "otoc.initial_level 8": Fault(2, "otoc config: initial_level 8 outside [0, 8)",
+    "otoc.initial_level 8": Fault(2, "initial_level 8 outside [0, 8)",
                                   dict(OTOC_DOC, initial_level=8)),
     "otoc.times_s []": Fault(
-        2, "otoc config: times_s must be 1-D with at least 1 entry, got length 0",
+        2, "times_s must be 1-D with at least 1 entry, got length 0",
         dict(OTOC_DOC, times_s=[])),
     "otoc.times_s [0.0, -1e+308]": Fault(
         3, f"times_s entry -1e+308: the phase max|E|*|t| is inf rad, {_PHASE_LIMIT}",
         dict(OTOC_DOC, times_s=[0.0, -1e308])),
-    "otoc.time_s [1.0]": Fault(2, "otoc config: unknown field 'time_s'",
+    "otoc.time_s [1.0]": Fault(2, "unknown field 'time_s'",
                                dict(OTOC_DOC, time_s=[1.0])),
     **{f"otoc.{name}.theta [0.1, 0.2, 0.3]": Fault(
-        2, f"otoc config {name}: gate 0: snap gate field 'theta' must be 1-D of length 8, "
-           "got length 3", _set(OTOC_DOC, f"{name}.theta", [0.1, 0.2, 0.3]))
+        2, "snap gate field 'theta' must be 1-D of length 8, got length 3",
+        _set(OTOC_DOC, f"{name}.theta", [0.1, 0.2, 0.3]))
        for name in ("w", "v")},
     "otoc.w.theta[1] nan": Fault(
-        2, "otoc config w: gate 0: non-finite entries in snap gate field 'theta'",
+        2, "non-finite entries in snap gate field 'theta'",
         _set(OTOC_DOC, "w.theta[1]", math.nan)),
-    "otoc.w.phases [0.0]": Fault(2, "otoc config w: unknown field 'phases'",
+    "otoc.w.phases [0.0]": Fault(2, "unknown field 'phases'",
                                  _set(OTOC_DOC, "w.phases", [0.0])),
-    "otoc.v.inverse True": Fault(2, "otoc config v: unknown field 'inverse'",
+    "otoc.v.inverse True": Fault(2, "unknown field 'inverse'",
                                  dict(OTOC_DOC, v={"kind": "fourier", "inverse": True})),
     "otoc.v.re[0][0] 10**400": Fault(
-        2, "otoc config v: field 're' holds a number too large for a float",
+        2, "field 're' holds a number too large for a float",
         dict(OTOC_DOC, v=_set(_identity_spec(8), "re[0][0]", BIG))),
 }
+
+
+def _object_path(key: str) -> str:
+    """The path an exit-2 line of key's fault starts with: the key's field
+    path less its last field and that field's indices, or the bare command
+    for a key with no field. A field that its README config holds as an
+    object, set to {}, is that object, whose fields are missing."""
+    field, value = key.split(" ", 1)
+    if value == "{}" and field in _README_OBJECTS:
+        return field
+    return re.sub(r"\.\w+(\[\d+\])*$", "", field)
 
 
 @pytest.mark.parametrize("key", list(FAULTS))
 def test_config_fault(key, tmp_path, monkeypatch):
     # the error contract: the exit code, nothing on stdout, exactly one
-    # "error: " line on stderr, no output directory and no warning
+    # "error: " line on stderr, no output directory and no warning; on exit
+    # 2 the line starts with the path of the object at fault
     code, line, config, argv, env = FAULTS[key]
     for name, value in (env or {}).items():
         monkeypatch.setenv(name, value)
@@ -831,11 +844,12 @@ def test_config_fault(key, tmp_path, monkeypatch):
     assert [str(w.message) for w in caught] == []
     assert (run.code, run.stdout, run.wrote) == (code, "", False), run.stderr
     [error] = run.stderr
-    assert error.startswith("error: ")
+    prefix = f"error: {_object_path(key)}: " if code == 2 else "error: "
+    assert error.startswith(prefix), error
     if isinstance(line, str):
-        assert error == f"error: {line}"
+        assert error == prefix + line
     elif line is not None:
-        assert line.fullmatch(error.removeprefix("error: ")), error
+        assert line.fullmatch(error.removeprefix(prefix)), error
 
 
 def test_faults_cover_every_command_and_exit_code():
@@ -848,9 +862,9 @@ def test_no_config_field_is_typed_as_a_number(tmp_path, monkeypatch):
     # refuse a JSON 1; a number goes on as decoded, to the rule of its call
     read_field, seen = errors.read_field, []
 
-    def traced(doc, name, types, what, *default):
-        seen.append((f"{what}: {name}", types if isinstance(types, tuple) else (types,)))
-        return read_field(doc, name, types, what, *default)
+    def traced(doc, name, types, key, *default):
+        seen.append((f"{key}.{name}", types if isinstance(types, tuple) else (types,)))
+        return read_field(doc, name, types, key, *default)
 
     monkeypatch.setattr(errors, "read_field", traced)
     names = set()
@@ -862,7 +876,7 @@ def test_no_config_field_is_typed_as_a_number(tmp_path, monkeypatch):
         "kind": "sampled", "dt_s": 1e-6, "values": [0.0, 1e6, 0.0]}))
     pulse.PulseSchedule.from_json(pulse.PulseSchedule.from_json(json.dumps(SCHEDULE_DOC)).to_json())
     assert names | {"values", "controls", "amps", "carrier_hz"} <= {
-        field.rsplit(": ", 1)[1] for field, _ in seen}
+        field.rsplit(".", 1)[1] for field, _ in seen}
     assert [field for field, types in seen if {float, int} & set(types)] == []
 
 

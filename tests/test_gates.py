@@ -469,28 +469,22 @@ class TestCircuits:
     def test_unknown_kind_is_parse_error_with_location(self):
         doc = self.circuit_doc()
         doc["gates"][1]["kind"] = "warp"
-        text = json.dumps(doc, indent=1)
         with pytest.raises(ParseError) as err:
-            gates.circuit_from_json(text)
-        msg = str(err.value)
-        assert "gate 1" in msg
-        assert "warp" in msg
-        assert "line" in msg
+            gates.circuit_from_json(json.dumps(doc))
+        assert str(err.value) == "gates[1]: unknown gate kind 'warp'"
 
     def test_bad_theta_length_names_gate(self):
         doc = self.circuit_doc()
         doc["gates"][1]["theta"] = [0.0, 0.0]
-        with pytest.raises(ParseError, match="gate 1"):
+        with pytest.raises(ParseError, match=r"^gates\[1\]: "):
             gates.circuit_from_json(json.dumps(doc))
 
     def test_ecd_on_its_own_qubit_is_parse_error(self):
         doc = self.circuit_doc()
         doc["gates"][1] = {"kind": "ecd", "qubit": 0, "mode": 0, "beta": 0.3}
-        text = json.dumps(doc, indent=1)
-        with pytest.raises(ParseError, match=r"gate 1: ecd qubit and mode must be distinct, "
-                                             r"got \(0, 0\)") as err:
-            gates.circuit_from_json(text)
-        assert "line" in str(err.value)
+        with pytest.raises(ParseError, match=r"^gates\[1\]: ecd qubit and mode must be distinct, "
+                                             r"got \(0, 0\)$"):
+            gates.circuit_from_json(json.dumps(doc))
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):
@@ -542,7 +536,7 @@ class TestCircuits:
 
     def test_apply_error_carries_gate_index(self):
         # second gate targets a subsystem the register does not have
-        with pytest.raises(UsageError, match="^gate 1: ") as err:
+        with pytest.raises(UsageError, match=r"^gates\[1\]: ") as err:
             gates.Circuit(
                 fock.HilbertShape((4,)),
                 (
@@ -686,8 +680,8 @@ class TestCompiledCircuitProperties:
     def test_each_construction_of_a_bad_circuit_raises(self):
         spec = gates.GateSpec("snap", {"target": 0, "theta": [0, 0, 0]})
         for _ in range(2):
-            with pytest.raises(ShapeError, match="^gate 0: snap gate field 'theta' must be 1-D "
-                                                 "of length 4, got length 3$"):
+            with pytest.raises(ShapeError, match=r"^gates\[0\]: snap gate field 'theta' must be "
+                                                 "1-D of length 4, got length 3$"):
                 gates.Circuit(fock.HilbertShape((4,)), (spec,))
 
     @pytest.mark.parametrize("dims", PROPERTY_REGISTERS)
@@ -893,11 +887,10 @@ def test_unknown_gate_field_is_rejected(kind):
     typo = {**params, "bogus": 1}
     entry = json.dumps({"shape": list(dims), "gates": [{"kind": kind, **params}]})
     gates.circuit_from_json(entry)  # valid without the unknown field
-    text = json.dumps({"shape": list(dims), "gates": [{"kind": kind, **typo}]}, indent=1)
-    with pytest.raises(ParseError, match="gate 0: .*unknown field 'bogus'") as err:
+    text = json.dumps({"shape": list(dims), "gates": [{"kind": kind, **typo}]})
+    with pytest.raises(ParseError, match=r"^gates\[0\]: .*unknown field 'bogus'$"):
         gates.circuit_from_json(text)
-    assert "line" in str(err.value)
-    with pytest.raises(UsageError, match="^gate 0: .*unknown field 'bogus'") as err:
+    with pytest.raises(UsageError, match=r"^gates\[0\]: .*unknown field 'bogus'$") as err:
         gates.Circuit(shape, (gates.GateSpec(kind, typo),))
     assert err.value.gate == 0
 
@@ -906,7 +899,7 @@ def test_cond_rotation_on_its_own_qubit_is_rejected():
     params = {"qubit": 0, "mode": 0, "n": 1, "theta": 1.0, "phi": 0.0}
     text = json.dumps({"shape": [2, 3], "gates": [{"kind": "cond_rotation", **params}]})
     message = r"cond_rotation qubit and mode must be distinct, got \(0, 0\)"
-    with pytest.raises(ParseError, match=f"gate 0: {message}"):
+    with pytest.raises(ParseError, match=rf"^gates\[0\]: {message}$"):
         gates.circuit_from_json(text)
     with pytest.raises(UsageError, match=f"^{message}$"):
         gates.GateSpec("cond_rotation", params).build(fock.HilbertShape((2, 3)))
@@ -924,7 +917,7 @@ def test_non_number_phase_is_parse_error(kind, where, bad, reason):
     text = json.dumps({"shape": [3], "gates": [{"kind": kind, **where,
                                                 "theta": [0, bad, 0]}]})
     with pytest.raises(ParseError,
-                       match=re.escape(f"gate 0: {kind} gate field 'theta' {reason}")):
+                       match=re.escape(f"gates[0]: {kind} gate field 'theta' {reason}")):
         gates.circuit_from_json(text)
 
 
@@ -939,9 +932,9 @@ def test_non_finite_phase_is_refused_before_any_arithmetic(kind, where, bad):
         gates.multisnap(theta, (3,))
     field = f"{kind} gate field 'theta'"
     text = json.dumps({"shape": [3], "gates": [{"kind": kind, **where, "theta": theta}]})
-    with pytest.raises(ParseError, match=f"^gate 0: non-finite entries in {field} \\(line 1"):
+    with pytest.raises(ParseError, match=rf"^gates\[0\]: non-finite entries in {field}$"):
         gates.circuit_from_json(text)
-    with pytest.raises(NumericError, match=f"^gate 0: non-finite entries in {field}$"):
+    with pytest.raises(NumericError, match=rf"^gates\[0\]: non-finite entries in {field}$"):
         gates.Circuit(fock.shape_of(3), (gates.GateSpec(kind, {**where, "theta": theta}),))
 
 
@@ -1053,24 +1046,6 @@ def test_snap_constructors_check_phase_count(name):
     else:
         with pytest.raises(ShapeError, match="theta must be 1-D of length 3, got length 2"):
             _SNAP_CONSTRUCTORS[name]([0.1, 0.2])
-
-
-@pytest.mark.parametrize("entries, message", [
-    # a location is given only for an entry that holds a "kind", and it
-    # is that entry's own line
-    (['5', '{"kind": "fourier", "target": 0}'], "gate 0: entries must be objects"),
-    (['{"target": 0}', '{"kind": "fourier", "target": 0}'],
-     "gate 0: missing string 'kind'"),
-    (['{"kind": "fourier", "target": 0}', '{"kind": 3}', '{"kind": "fourier"}'],
-     "gate 1: missing string 'kind' (line 4, column 4)"),
-    (['{"kind": "fourier", "target": 0}', '{"kind": "fourier", "target": 2}'],
-     "gate 1: fourier gate field 'target' 2 outside [0, 1) (line 4, column 4)"),
-])
-def test_gate_error_location_is_the_entry_own(entries, message):
-    text = '{"shape": [3],\n "gates": [\n  ' + ",\n  ".join(entries) + "\n ]}"
-    with pytest.raises(ParseError) as exc:
-        gates.circuit_from_json(text)
-    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("target", [True, False, 1.0, "0", None, np.float64(1.0)])
@@ -1237,7 +1212,7 @@ def test_grape_snap_target_is_the_snap_gate():
 
 def test_bad_gate_raises_when_the_circuit_is_made():
     spec = gates.GateSpec("phase_swap", {"target": 0, "m": 1, "n": 1})
-    with pytest.raises(UsageError, match=r"^gate 0: phase_swap levels must be distinct, "
+    with pytest.raises(UsageError, match=r"^gates\[0\]: phase_swap levels must be distinct, "
                                          r"got \(1, 1\)$") as err:
         gates.Circuit((3,), (spec,))
     assert err.value.gate == 0
@@ -1249,5 +1224,5 @@ def test_ecd_beta_that_is_not_a_number_is_a_usage_error(beta):
     with pytest.raises(UsageError, match="beta"):
         gates.GateSpec("ecd", fields).build(fock.HilbertShape((2, 3)))
     doc = json.dumps({"shape": [2, 3], "gates": [{"kind": "ecd", **fields}]})
-    with pytest.raises(ParseError, match="^gate 0: .*beta"):
+    with pytest.raises(ParseError, match=r"^gates\[0\]: .*beta"):
         gates.circuit_from_json(doc)
